@@ -15,8 +15,8 @@ Three pieces, one contract (see ``docs/api.md``):
   that is safe to share across tasks on one event loop.
 
 :mod:`repro.api.endpoints` is the shared ``/v1/*`` endpoint table both HTTP
-front doors mount; import it to build new front ends that cannot drift from
-the contract.
+front doors mount, over the sans-IO request core of :mod:`repro.api.core`;
+import it to build new front ends that cannot drift from the contract.
 """
 
 from .builder import (

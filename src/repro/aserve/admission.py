@@ -100,10 +100,6 @@ class AdmissionController:
         self._decisions: deque[float] = deque(maxlen=decision_window)
         self._idle = asyncio.Event()
         self._idle.set()
-        if metrics_registry is None and service is not None:
-            # share the service's registry so /v1/metrics shows both layers
-            # (getattr: tests drive the controller with stub services)
-            metrics_registry = getattr(service, "metrics", None)
         self.metrics = (
             metrics_registry if metrics_registry is not None else MetricsRegistry()
         )

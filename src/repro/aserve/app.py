@@ -1,102 +1,82 @@
-"""Endpoint routing for the asyncio front-end.
+"""The asyncio door: a transport over the shared request core.
 
 :class:`AsyncApp` owns one connection loop (`handle_connection`, passed to
-``asyncio.start_server``) and the four endpoints, mirroring the threaded
-server's contract plus the overload and streaming behaviors:
+``asyncio.start_server``) and, per request, only the decisions that are
+genuinely this door's — *where* a handler runs and *when* its bytes are
+written.  What is answered comes from the endpoint table and the sans-IO
+core in :mod:`repro.api.endpoints` (the catalogue of endpoints lives there),
+shared with the threaded door, so routing, validation, envelopes and
+``X-Request-Id`` cannot drift between the two.
 
-* ``GET /health`` — ``200 {"status": "ok"}``, or ``503 {"status":
-  "draining"}`` once shutdown has begun;
-* ``GET /stats`` — :meth:`HypeRService.stats` (which embeds the serving
-  counters) plus an ``"aserve"`` section with the admission controller's
-  numbers (queue occupancy, peaks, decision-time percentiles);
-* ``GET /v1/metrics`` (alias ``/metrics``) — Prometheus text exposition of
-  the shared service registry, rendered on the auxiliary thread so scrapes
-  succeed under query-executor saturation;
-* ``GET /v1/slow`` — the bounded slow-query log;
-* ``POST /query`` — admission-controlled single query.  At capacity the
+Each table row names a **lane**, which this door maps to an executor:
+
+* ``loop`` — answered inline on the event loop (``/v1/health``);
+* ``control`` — the single auxiliary thread.  Stats and scrapes must stay
+  responsive exactly when the query executor is saturated (that is when an
+  operator needs them), and a commit must land on a saturated server — MVCC
+  means it never pauses running queries, which keep their pinned snapshots —
+  so these bypass admission; one thread also serialises HTTP commits with
+  stats snapshots;
+* ``blocking`` — the executor pool, not admission-controlled: the job
+  manager's lock is held by executor workers across fsynced journal appends,
+  and a slow fsync must stall a pool thread, never the loop.  Per-client
+  quotas are the jobs throttle, and the executor's running leases feed
+  ``serving_signals()`` so interactive admission sees background pressure;
+* ``admitted`` — engine work behind admission control.  At capacity the
   answer is ``429`` with a ``Retry-After`` header, decided synchronously on
-  the event loop; admitted work is handed to the executor thread pool so the
-  loop never blocks on an engine call;
-* ``POST /batch`` — reserves one admission unit per query (whole batch or
-  nothing), then **streams** NDJSON lines in order of *completion*: one slow
-  how-to no longer head-of-line-blocks the other answers.  Each line is
-  ``{"index": i, "result": {...}}`` or ``{"index": i, "error": ..., "code":
-  ...}``, closed by ``{"done": true, "n_queries": k}``;
-* ``POST /v1/update`` — commits a column-overwrite as one MVCC generation
-  (body: :class:`~repro.api.schemas.UpdateRequest`).  Control-plane: not
-  admission-controlled (a commit must land on a saturated server — it never
-  pauses running queries, which keep their pinned snapshots), executed on
-  the auxiliary thread;
-* ``POST /v1/prepare`` — control-plane plan/estimator warming, also on the
-  auxiliary thread;
-* ``POST /v1/jobs`` and friends — the durable async job surface
-  (:mod:`repro.jobs`): submit, list, status, NDJSON event streaming (the
-  same chunked framing as ``/batch``), result fetch, cancel.  Jobs are not
-  admission-controlled — per-client quotas are their throttle, and the
-  executor's running leases feed ``serving_signals()`` so interactive
-  admission sees background pressure.
+  the loop *before* the body is decoded (an overloaded server must not pay a
+  JSON parse per rejected request); admitted work crosses to the executor
+  pool in **one** hop, and its admission unit is released only after the
+  response bytes are written — "finish in-flight" at drain time includes
+  delivering the answer.
 
-Requests may carry ``X-Client-Id``; it scopes job quotas and per-client
-serving stats, defaulting to a per-connection anonymous id.
-
-Routing, request validation and error bodies come from the shared ``/v1``
-endpoint table in :mod:`repro.api.endpoints` (every endpoint also answers on
-its canonical ``/v1/*`` path; the bare paths above are the legacy aliases).
-Body handling shares :func:`~repro.api.endpoints.check_body_length` /
-:func:`~repro.api.endpoints.decode_json_object` with the threaded server:
-oversized bodies are ``413`` (rejected before the read, in the protocol
-layer), malformed JSON ``400``, and every failure wears the shared
-``{"error", "code", "detail"?}`` envelope — byte-identical policy on both
-front doors.
+Besides the lanes, this door adds: ``503 {"status": "draining"}`` health once
+shutdown has begun, an ``"aserve"`` section (admission numbers) in the stats
+answer, and chunked NDJSON streaming of the table's two streaming rows —
+``/v1/batch`` reserves one admission unit per query (whole batch or nothing)
+and streams lines in order of *completion*, so one slow how-to no longer
+head-of-line-blocks the other answers; job events are polled by cursor, so an
+open stream costs the loop a timer, not a thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import suppress
-from typing import Any, Awaitable, Callable
+from typing import Any
 
 from ..api import endpoints as api
-from ..api.endpoints import (
-    GZIP_MIN_BYTES,
-    MAX_BODY_BYTES,
-    PayloadError,
-    decode_json_object,
-)
 from ..api.schemas import ErrorEnvelope
 from ..jobs import api as jobs_api
 from ..obs import trace as obs_trace
-from ..service.session import HypeRService
+from ..service.backend import ServiceBackend
 from .admission import AdmissionController, AdmissionRejected
 from .protocol import (
     ChunkedJsonWriter,
     HttpProtocolError,
     Request,
     read_request,
-    render_json_response,
     render_response,
 )
 
 __all__ = ["AsyncApp"]
 
 
-def _retry_after_headers(rejected: AdmissionRejected) -> dict[str, str]:
-    return {"Retry-After": str(max(1, math.ceil(rejected.retry_after)))}
-
-
-def _rejection_body(rejected: AdmissionRejected) -> dict[str, Any]:
-    """The 429 envelope plus the machine-readable retry hint."""
-    body = ErrorEnvelope("rate_limited", str(rejected)).to_json()
-    body["retry_after"] = rejected.retry_after
-    return body
+def _rate_limited(rejected: AdmissionRejected) -> api.ApiError:
+    """The 429 answer: envelope, machine-readable retry hint, ``Retry-After``."""
+    return api.ApiError(
+        429,
+        ErrorEnvelope("rate_limited", str(rejected)),
+        extra={"retry_after": rejected.retry_after},
+        headers={"Retry-After": str(max(1, math.ceil(rejected.retry_after)))},
+    )
 
 
 class AsyncApp:
-    """Routes parsed requests to a shared :class:`HypeRService`.
+    """Moves requests between sockets and the request core, lane by lane.
 
     ``executor`` is the thread pool blocking engine calls run on (sized to
     ``max_inflight`` by the runner, so the admission semaphore — not the
@@ -105,15 +85,18 @@ class AsyncApp:
     keep-alive clients migrate away while in-flight work finishes.
     """
 
+    #: the rows this door mounts; a subclass may extend the table
+    routes = api.V1_ROUTES
+
     def __init__(
         self,
-        service: HypeRService,
+        service: ServiceBackend,
         admission: AdmissionController,
         *,
-        max_body_bytes: int = MAX_BODY_BYTES,
+        max_body_bytes: int = api.MAX_BODY_BYTES,
         executor: Executor | None = None,
         keep_alive_timeout: float = 75.0,
-        gzip_min_bytes: int = GZIP_MIN_BYTES,
+        gzip_min_bytes: int = api.GZIP_MIN_BYTES,
     ) -> None:
         self.service = service
         self.admission = admission
@@ -122,10 +105,9 @@ class AsyncApp:
         self.gzip_min_bytes = gzip_min_bytes
         self.draining = False
         self._executor = executor
-        # /stats must stay responsive when the query executor is saturated
-        # (that's when an operator needs it) but service.stats() can also
-        # block briefly on the engine lock during update_database — so it
-        # gets its own single thread instead of the loop or the query pool
+        # the control lane: service.stats() can block briefly on the engine
+        # lock during update_database, so it gets its own single thread
+        # instead of the loop or the query pool
         self._aux_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="aserve-aux"
         )
@@ -173,18 +155,10 @@ class AsyncApp:
                     break  # idle keep-alive connection: close silently
                 except HttpProtocolError as error:
                     keep = not error.close
-                    writer.write(
-                        render_json_response(
-                            error.status,
-                            {
-                                "error": str(error),
-                                "code": api.code_for_status(error.status),
-                            },
-                            keep_alive=keep,
-                        )
+                    response = api.error_response(
+                        self.service, None, api.PayloadError(error.status, str(error))
                     )
-                    await writer.drain()
-                    if keep:
+                    if await self._write(writer, response, None, keep):
                         continue
                     break
                 if request is None:
@@ -208,511 +182,168 @@ class AsyncApp:
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        """Answer one request; returns whether the connection stays open.
-
-        Routing comes from the shared ``/v1`` endpoint table — canonical
-        ``/v1/*`` paths and their legacy aliases resolve to the same handler,
-        so both spellings answer byte-identically.
-        """
-        matched = api.match(request.method, request.path)
+        """Answer one request; returns whether the connection stays open."""
+        call = api.ApiRequest(
+            request.method,
+            request.target,
+            request.headers,
+            writer.get_extra_info("peername"),
+            lambda _length: request.body,
+        )
+        matched = self.routes.match(call.method, call.path)
         if matched is None:
-            return await self._send_error(writer, api.not_found(request.path), keep_alive)
+            return await self._fail(writer, call, api.not_found(call.path), keep_alive)
         endpoint, params = matched
-        # adopt the client's X-Request-Id or mint one; every JSON response
-        # echoes it back so client logs and server traces correlate
-        request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-        route: Callable[..., Awaitable[bool]] = {
-            "health": self._handle_health,
-            "stats": self._handle_stats,
-            "metrics": self._handle_metrics,
-            "slow": self._handle_slow,
-            "query": self._handle_query,
-            "batch": self._handle_batch,
-            "update": self._handle_update,
-            "prepare": self._handle_prepare,
-            "jobs_submit": self._handle_jobs_submit,
-            "jobs_list": self._handle_jobs_list,
-            "job_status": self._handle_job_status,
-            "job_result": self._handle_job_result,
-            "job_events": self._handle_job_events,
-            "job_cancel": self._handle_job_cancel,
-        }[endpoint.name]
-        if params:
-            return await route(request, writer, keep_alive, params)
-        return await route(request, writer, keep_alive)
+        if endpoint.lane == "admitted":
+            serve = self._stream_batch if endpoint.streaming else self._admitted
+            return await serve(call, endpoint, params, writer, keep_alive)
+        if endpoint.streaming:
+            return await self._stream_events(call, params, writer, keep_alive)
+        respond = functools.partial(
+            api.answer,
+            self.service,
+            call,
+            endpoint,
+            params,
+            max_body_bytes=self.max_body_bytes,
+        )
+        if endpoint.lane == "loop":
+            response = respond()
+        else:
+            executor = self._aux_executor if endpoint.lane == "control" else self._executor
+            response = await asyncio.get_running_loop().run_in_executor(executor, respond)
+        if response.status == 200 and endpoint.name == "health" and self.draining:
+            # the envelope fields ride along so v1 clients can dispatch on
+            # code="unavailable"; "status" stays for legacy health checks
+            response.status = 503
+            response.payload = {
+                **ErrorEnvelope("unavailable", "service is draining").to_json(),
+                "status": "draining",
+            }
+        elif response.status == 200 and endpoint.name == "stats":
+            response.payload["aserve"] = {
+                "draining": self.draining,
+                "admission": self.admission.stats(),
+            }
+        return await self._write(writer, response, call, keep_alive)
 
-    def _client_id(self, request: Request, writer: asyncio.StreamWriter) -> str:
-        """The caller's id: ``X-Client-Id`` or a per-connection anonymous id."""
-        header = (request.headers.get("x-client-id") or "").strip()
-        if header:
-            return header[:128]
-        peer = writer.get_extra_info("peername")
-        if isinstance(peer, (tuple, list)) and len(peer) >= 2:
-            return f"anon-{peer[0]}:{peer[1]}"
-        return "anon"
-
-    def _note_client(
-        self, request: Request, writer: asyncio.StreamWriter, *, rejected: bool = False
-    ) -> None:
-        note = getattr(self.service, "note_client_request", None)
-        if note is not None:
-            note(self._client_id(request, writer), rejected=rejected)
-
-    async def _send(
+    async def _write(
         self,
         writer: asyncio.StreamWriter,
-        status: int,
-        payload: Any,
+        response: api.ApiResponse,
+        call: api.ApiRequest | None,
         keep_alive: bool,
-        *,
-        extra_headers: dict[str, str] | None = None,
-        request_id: str = "",
-        request: Request | None = None,
     ) -> bool:
-        if request_id:
-            extra_headers = {**(extra_headers or {}), "X-Request-Id": request_id}
-        body = json.dumps(payload, default=str).encode()
-        body, compressed = api.maybe_gzip(
-            body,
-            enabled=request is not None
-            and api.accepts_gzip(request.headers.get("accept-encoding")),
-            threshold=self.gzip_min_bytes,
+        body, headers = response.wire(
+            call.headers.get("accept-encoding") if call is not None else None,
+            gzip_min_bytes=self.gzip_min_bytes,
         )
-        if compressed:
-            extra_headers = {**(extra_headers or {}), "Content-Encoding": "gzip"}
         writer.write(
             render_response(
-                status, body, keep_alive=keep_alive, extra_headers=extra_headers
+                response.status,
+                body,
+                content_type=response.content_type,
+                keep_alive=keep_alive,
+                extra_headers=headers,
             )
         )
         await writer.drain()
         return keep_alive
 
-    async def _send_error(
+    async def _fail(
         self,
         writer: asyncio.StreamWriter,
+        call: api.ApiRequest,
         error: BaseException,
         keep_alive: bool,
-        *,
-        request_id: str = "",
     ) -> bool:
-        """Answer a failure with the shared envelope (status + code + message)."""
-        status, envelope = api.envelope_for(error)
-        return await self._send(
-            writer, status, envelope.to_json(), keep_alive, request_id=request_id
+        return await self._write(
+            writer, api.error_response(self.service, call, error), call, keep_alive
         )
 
-    async def _run_blocking(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
+    async def _run_blocking(self, fn: Any, /, *args: Any, **kwargs: Any) -> Any:
+        return await asyncio.get_running_loop().run_in_executor(
             self._executor, functools.partial(fn, *args, **kwargs)
         )
 
-    # -- endpoints ---------------------------------------------------------------------
+    # -- the admitted lane -------------------------------------------------------------
 
-    async def _handle_health(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        if self.draining:
-            # the envelope fields ride along so v1 clients can dispatch on
-            # code="unavailable"; "status" stays for legacy health checks
-            body = ErrorEnvelope("unavailable", "service is draining").to_json()
-            body["status"] = "draining"
-            return await self._send(writer, 503, body, keep_alive=False)
-        return await self._send(
-            writer, 200, api.health_payload(self.service), keep_alive
-        )
-
-    async def _handle_stats(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._aux_executor, api.stats_payload, self.service
-        )
-        payload["aserve"] = {
-            "draining": self.draining,
-            "admission": self.admission.stats(),
-        }
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
-        )
-
-    async def _handle_metrics(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # control-plane like /stats: rendered off-loop on the auxiliary
-        # thread so a scrape succeeds even when the query executor is full
-        loop = asyncio.get_running_loop()
-        text = await loop.run_in_executor(
-            self._aux_executor, api.metrics_text, self.service
-        )
-        body, compressed = api.maybe_gzip(
-            text.encode("utf-8"),
-            enabled=api.accepts_gzip(request.headers.get("accept-encoding")),
-            threshold=self.gzip_min_bytes,
-        )
-        extra_headers = {"X-Request-Id": request.request_id}
-        if compressed:
-            extra_headers["Content-Encoding"] = "gzip"
-        writer.write(
-            render_response(
-                200,
-                body,
-                content_type=api.METRICS_CONTENT_TYPE,
-                keep_alive=keep_alive,
-                extra_headers=extra_headers,
-            )
-        )
-        await writer.drain()
-        return keep_alive
-
-    async def _handle_slow(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._aux_executor, api.slow_payload, self.service
-        )
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
-        )
-
-    async def _handle_update(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # Control-plane like /stats: a commit must land even when the query
-        # executor is saturated (MVCC means it never pauses those queries),
-        # so it bypasses admission and runs on the auxiliary thread — which
-        # also serialises HTTP commits with stats snapshots.
-        request_id = request.request_id
-        try:
-            update_request = api.parse_update_request(decode_json_object(request.body))
-        except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        trace = (
-            obs_trace.TraceContext(request_id)
-            if api.wants_trace(request.query_string)
-            else None
-        )
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor,
-                functools.partial(
-                    api.apply_update_payload, self.service, update_request, trace=trace
-                ),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request_id
-        )
-
-    async def _handle_prepare(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # control-plane like /update: warming must land on a busy server so
-        # the post-warm traffic is what benefits; runs on the auxiliary thread
-        request_id = request.request_id
-        try:
-            prepare_request = api.parse_prepare_request(decode_json_object(request.body))
-        except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor,
-                functools.partial(api.prepare_payload, self.service, prepare_request),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(writer, 200, payload, keep_alive, request_id=request_id)
-
-    # -- jobs --------------------------------------------------------------------------
-
-    async def _handle_jobs_submit(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # not admission-controlled: per-client quotas are the jobs throttle,
-        # and the submit itself only journals (fsync) — no engine time
-        request_id = request.request_id
-        self._note_client(request, writer)
-        try:
-            submit_request = jobs_api.parse_job_submit(decode_json_object(request.body))
-        except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        client_id = self._client_id(request, writer)
-        try:
-            payload = await self._run_blocking(
-                jobs_api.submit_job_payload,
-                self.service,
-                submit_request,
-                client_id=client_id,
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            if isinstance(error, api.ApiError) and error.status == 429:
-                self._note_client(request, writer, rejected=True)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(writer, 202, payload, keep_alive, request_id=request_id)
-
-    async def _handle_jobs_list(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # these run in the blocking pool: the manager's lock is held by
-        # executor workers across fsynced journal appends, and a slow fsync
-        # must stall a pool thread, never the event loop itself
-        self._note_client(request, writer)
-        try:
-            payload = await self._run_blocking(
-                jobs_api.list_jobs_payload,
-                self.service,
-                client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
-        )
-
-    async def _handle_job_status(
+    async def _admitted(
         self,
-        request: Request,
+        call: api.ApiRequest,
+        endpoint: api.Endpoint,
+        params: api.Params,
         writer: asyncio.StreamWriter,
         keep_alive: bool,
-        params: dict[str, str],
     ) -> bool:
+        # a request on this lane is always one admission unit, so the
+        # overload answer needs no look at the body: admit first, decode
+        # only if admitted
         try:
-            payload = await self._run_blocking(
-                jobs_api.job_status_payload,
-                self.service,
-                params["id"],
-                client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
-        )
-
-    async def _handle_job_result(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
-    ) -> bool:
-        try:
-            payload = await self._run_blocking(
-                jobs_api.job_result_payload,
-                self.service,
-                params["id"],
-                client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
-        )
-
-    async def _handle_job_cancel(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
-    ) -> bool:
-        try:
-            payload = await self._run_blocking(
-                jobs_api.cancel_job_payload,
-                self.service,
-                params["id"],
-                client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
-        )
-
-    async def _handle_job_events(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
-    ) -> bool:
-        """Stream a job's events as chunked NDJSON (the ``/batch`` framing).
-
-        The loop polls the manager's in-memory event log — no executor
-        thread is parked on a blocking wait, so a thousand open streams cost
-        the loop a timer each, not a thread each.
-        """
-        job_id = params["id"]
-        timeout = 30.0
-        for part in request.query_string.split("&"):
-            key, _, value = part.partition("=")
-            if key == "timeout_s":
-                with suppress(ValueError):
-                    timeout = min(300.0, max(0.0, float(value)))
-        client_id = self._client_id(request, writer)
-        try:
-            events, terminal = await self._run_blocking(
-                jobs_api.job_events, self.service, job_id, 0, client_id=client_id
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        stream = ChunkedJsonWriter(writer, keep_alive=keep_alive)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        cursor = 0
-        try:
-            await stream.start()
-            while True:
-                for event in events:
-                    await stream.send(event)
-                cursor += len(events)
-                if terminal or loop.time() >= deadline:
-                    break
-                await asyncio.sleep(0.15)
-                try:
-                    events, terminal = await self._run_blocking(
-                        jobs_api.job_events,
-                        self.service,
-                        job_id,
-                        cursor,
-                        client_id=client_id,
-                    )
-                except api.ApiError:
-                    break  # the job aged out mid-stream: finish cleanly
-            await stream.send(
-                {
-                    "done": True,
-                    "job_id": job_id,
-                    "terminal": jobs_api._terminal_state(
-                        jobs_api.manager_for(self.service), job_id
-                    ),
-                }
-            )
-            await stream.finish()
-        except (ConnectionError, asyncio.TimeoutError):
-            return False
-        return keep_alive
-
-    async def _handle_query(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> bool:
-        # a /query is always one admission unit, so the overload answer needs
-        # no look at the body: admit first, decode only if admitted (an
-        # overloaded server must not pay a JSON parse per rejected request)
-        request_id = request.request_id
-        try:
-            self.admission.try_admit(1, endpoint="query")
+            self.admission.try_admit(1, endpoint=endpoint.name)
         except AdmissionRejected as rejected:
-            self._note_client(request, writer, rejected=True)
-            return await self._send(
-                writer,
-                429,
-                _rejection_body(rejected),
-                keep_alive,
-                extra_headers=_retry_after_headers(rejected),
-                request_id=request_id,
-            )
+            return await self._fail(writer, call, _rate_limited(rejected), keep_alive)
         try:
-            query_request = api.parse_query_request(decode_json_object(request.body))
-        except (PayloadError, api.ApiError) as error:
+            # starts the deadline clock — before the admission queue wait:
+            # time spent queued is time the client is already paying for
+            api.decode(call, endpoint, max_body_bytes=self.max_body_bytes)
+        except Exception as error:  # noqa: BLE001 - keep the JSON contract
             self.admission.cancel_reservation(1)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        # the deadline clock starts before the admission queue wait: time
-        # spent queued is time the client is already paying for
-        deadline = api.RequestDeadline.of(query_request)
-        trace = (
-            obs_trace.TraceContext(request_id)
-            if api.wants_trace(request.query_string)
-            else None
-        )
-        if trace is not None:
-            # queue wait is the async door's own contribution to latency;
-            # record it as a span before the unit enters execution
-            with obs_trace.activate(trace), obs_trace.span("admission.queue"):
-                await self.admission.acquire_slot()
-        else:
+            return await self._fail(writer, call, error, keep_alive)
+        # queue wait is the async door's own contribution to latency;
+        # record it as a span before the unit enters execution
+        with obs_trace.activate(call.trace), obs_trace.span("admission.queue"):
             await self.admission.acquire_slot()
-        # the unit is released only after the response bytes are written:
-        # "finish in-flight" at drain time includes delivering the answer
         try:
-            try:
-                payload = await self._run_blocking(
-                    api.execute_query_payload,
-                    self.service,
-                    query_request,
-                    trace=trace,
-                    deadline=deadline,
-                )
-            except Exception as error:  # noqa: BLE001 - keep the JSON contract
-                # envelope_for maps query errors to 400, the rest to 500
-                return await self._send_error(writer, error, keep_alive, request_id=request_id)
-            return await self._send(
-                writer, 200, payload, keep_alive,
-                request_id=request_id, request=request,
+            response = await self._run_blocking(
+                api.run, self.service, call, endpoint, params
             )
+            return await self._write(writer, response, call, keep_alive)
         finally:
             self.admission.release_slot()
 
-    async def _handle_batch(
-        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
+    async def _stream_batch(
+        self,
+        call: api.ApiRequest,
+        endpoint: api.Endpoint,
+        params: api.Params,
+        writer: asyncio.StreamWriter,
+        keep_alive: bool,
     ) -> bool:
+        """Stream a batch as chunked NDJSON, one admission unit per query.
+
+        Each line is ``{"index": i, "result": {...}}`` or ``{"index": i,
+        "error": ..., "code": ...}``, closed by ``{"done": true,
+        "n_queries": k}``.
+        """
         try:
-            batch_request = api.parse_batch_request(decode_json_object(request.body))
-        except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive)
-        deadline = api.RequestDeadline.of(batch_request)
-        texts = list(batch_request.queries)
+            api.decode(call, endpoint, max_body_bytes=self.max_body_bytes)
+        except Exception as error:  # noqa: BLE001 - keep the JSON contract
+            return await self._fail(writer, call, error, keep_alive)
+        deadline = call.deadline
+        texts = list(call.body.queries)
         if not texts:
-            return await self._send(
-                writer, 200, {"results": [], "n_queries": 0}, keep_alive
-            )
+            empty = api.reply(call, 200, {"results": [], "n_queries": 0})
+            return await self._write(writer, empty, call, keep_alive)
         if len(texts) > self.admission.capacity:
             # no amount of retrying can fit this batch: a 429 would lie, so
             # answer 413 and tell the client to split
-            return await self._send(
-                writer,
+            too_large = api.PayloadError(
                 413,
-                ErrorEnvelope(
-                    "payload_too_large",
-                    f"batch of {len(texts)} queries exceeds this server's "
-                    f"total admission capacity of {self.admission.capacity} "
-                    "(max_inflight + queue_depth); split the batch",
-                ).to_json(),
-                keep_alive,
+                f"batch of {len(texts)} queries exceeds this server's "
+                f"total admission capacity of {self.admission.capacity} "
+                "(max_inflight + queue_depth); split the batch",
             )
+            return await self._fail(writer, call, too_large, keep_alive)
         try:
             # one unit per query: the whole batch is admitted or none of it
-            self.admission.try_admit(len(texts), endpoint="batch")
+            self.admission.try_admit(len(texts), endpoint=endpoint.name)
         except AdmissionRejected as rejected:
-            self._note_client(request, writer, rejected=True)
-            return await self._send(
-                writer,
-                429,
-                _rejection_body(rejected),
-                keep_alive,
-                extra_headers=_retry_after_headers(rejected),
-            )
+            return await self._fail(writer, call, _rate_limited(rejected), keep_alive)
 
-        stream = ChunkedJsonWriter(writer, keep_alive=keep_alive)
+        stream = ChunkedJsonWriter(
+            writer, keep_alive=keep_alive, headers={"X-Request-Id": call.request_id}
+        )
         send_lock = asyncio.Lock()
         dead = False  # flipped when the client vanishes mid-stream
 
@@ -728,20 +359,11 @@ class AsyncApp:
             await self.admission.acquire_slot()
             try:
                 try:
-                    # checked per item right before execution: queries that
-                    # were still queued when the budget ran out answer
-                    # deadline_exceeded instead of computing doomed results
-                    if deadline is not None:
-                        deadline.check()
-                    kwargs: dict[str, Any] = {}
-                    if deadline is not None and getattr(
-                        self.service, "accepts_deadline", False
-                    ):
-                        # a relaying service (the cluster coordinator) carries
-                        # the remaining budget into its downstream hops
-                        kwargs["deadline"] = deadline
+                    # the deadline is checked per item right before
+                    # execution: queries still queued when the budget ran out
+                    # answer deadline_exceeded, not doomed results
                     result = await self._run_blocking(
-                        self.service.execute, text, **kwargs
+                        api.execute_one, self.service, text, deadline=deadline
                     )
                     line: dict[str, Any] = api.batch_line(index, result)
                 except asyncio.CancelledError:
@@ -771,6 +393,62 @@ class AsyncApp:
             return False
         try:
             await stream.send(api.batch_done_line(len(texts)))
+            await stream.finish()
+        except (ConnectionError, asyncio.TimeoutError):
+            return False
+        return keep_alive
+
+    # -- job events --------------------------------------------------------------------
+
+    async def _stream_events(
+        self,
+        call: api.ApiRequest,
+        params: api.Params,
+        writer: asyncio.StreamWriter,
+        keep_alive: bool,
+    ) -> bool:
+        """Stream a job's events as chunked NDJSON (the ``/batch`` framing).
+
+        The loop polls the manager's in-memory event log — no executor
+        thread is parked on a blocking wait, so a thousand open streams cost
+        the loop a timer each, not a thread each.
+        """
+        job_id = params["id"]
+        poll = functools.partial(
+            self._run_blocking,
+            jobs_api.poll_events,
+            self.service,
+            job_id,
+            client_id=call.client_id,
+        )
+        cursor = 0
+        try:
+            events, terminal = await poll(cursor)
+        except Exception as error:  # noqa: BLE001 - keep the JSON contract
+            return await self._fail(writer, call, error, keep_alive)
+        stream = ChunkedJsonWriter(
+            writer, keep_alive=keep_alive, headers={"X-Request-Id": call.request_id}
+        )
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + api.stream_timeout_s(call.query_string)
+        try:
+            await stream.start()
+            while True:
+                for event in events:
+                    await stream.send(event)
+                cursor += len(events)
+                if terminal or loop.time() >= deadline:
+                    break
+                await asyncio.sleep(0.15)
+                try:
+                    events, terminal = await poll(cursor)
+                except api.ApiError:
+                    break  # the job aged out mid-stream: finish cleanly
+            await stream.send(
+                await self._run_blocking(
+                    jobs_api.events_done_line, self.service, job_id
+                )
+            )
             await stream.finish()
         except (ConnectionError, asyncio.TimeoutError):
             return False

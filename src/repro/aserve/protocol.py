@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..api.endpoints import PayloadError, check_body_length, decompress_body
+from ..api.core import PayloadError, check_body_length, parse_content_length
 
 __all__ = [
     "ChunkedJsonWriter",
@@ -93,10 +93,6 @@ class Request:
         return parts[1] if len(parts) == 2 else ""
 
     @property
-    def request_id(self) -> str:
-        return self.headers.get("x-request-id", "")
-
-    @property
     def keep_alive(self) -> bool:
         connection = self.headers.get("connection", "").lower()
         if self.version == "HTTP/1.0":
@@ -142,38 +138,23 @@ async def read_request(
     if "transfer-encoding" in headers:
         raise HttpProtocolError(501, "chunked request bodies are not supported")
 
-    body = b""
-    raw_length = headers.get("content-length")
-    if raw_length is not None:
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise HttpProtocolError(400, f"invalid Content-Length {raw_length!r}") from None
-        if length < 0:
-            raise HttpProtocolError(400, f"invalid Content-Length {raw_length!r}")
+    # the length and limit policy (texts and thresholds) is the request
+    # core's, so the two front doors cannot drift; an oversized body is
+    # deliberately left unread — the 413 goes out immediately and the
+    # connection closes rather than paying for the read.  Content-Encoding
+    # is the core's to undo (repro.api.core.decode).
+    try:
+        length = parse_content_length(headers.get("content-length")) or 0
         if length:
-            # the limit policy (413 text and threshold semantics) is the
-            # threaded server's helper, so the two front doors cannot drift;
-            # the body is deliberately left unread on rejection — the 413
-            # goes out immediately and the connection closes rather than
-            # paying for the oversized read
-            try:
-                check_body_length(length, max_bytes=max_body_bytes)
-            except PayloadError as error:
-                raise HttpProtocolError(error.status, str(error)) from None
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise HttpProtocolError(400, "request body truncated") from None
-    if body and "content-encoding" in headers:
-        # the body was fully read, so the connection's framing survives a
-        # rejected encoding — close=False lets keep-alive clients retry
+            check_body_length(length, max_bytes=max_body_bytes)
+    except PayloadError as error:
+        raise HttpProtocolError(error.status, str(error)) from None
+    body = b""
+    if length:
         try:
-            body = decompress_body(
-                body, headers["content-encoding"], max_bytes=max_body_bytes
-            )
-        except PayloadError as error:
-            raise HttpProtocolError(error.status, str(error), close=False) from None
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            raise HttpProtocolError(400, "request body truncated") from None
     return Request(method=method, target=target, version=version, headers=headers, body=body)
 
 
@@ -227,22 +208,24 @@ class ChunkedJsonWriter:
         status: int = 200,
         content_type: str = "application/x-ndjson",
         keep_alive: bool = True,
+        headers: Mapping[str, str] | None = None,
     ) -> None:
         self._writer = writer
         self._status = status
         self._content_type = content_type
         self._keep_alive = keep_alive
+        self._headers = dict(headers or {})
 
     async def start(self) -> None:
         reason = REASON_PHRASES.get(self._status, "Unknown")
-        head = (
-            f"HTTP/1.1 {self._status} {reason}\r\n"
-            f"Content-Type: {self._content_type}\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            f"Connection: {'keep-alive' if self._keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        self._writer.write(head.encode("latin-1"))
+        lines = [
+            f"HTTP/1.1 {self._status} {reason}",
+            f"Content-Type: {self._content_type}",
+            "Transfer-Encoding: chunked",
+            f"Connection: {'keep-alive' if self._keep_alive else 'close'}",
+            *(f"{name}: {value}" for name, value in self._headers.items()),
+        ]
+        self._writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
         await self._writer.drain()
 
     async def send(self, payload: Any) -> None:

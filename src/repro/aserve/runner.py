@@ -30,9 +30,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
+from ..api.core import MAX_BODY_BYTES
+from ..service.backend import ServiceBackend
 from ..service.executor import default_max_workers
-from ..api.endpoints import MAX_BODY_BYTES
-from ..service.session import HypeRService
 from .admission import AdmissionController
 from .app import AsyncApp
 
@@ -40,11 +40,11 @@ __all__ = ["AsyncServingRunner", "BackgroundAsyncServer", "run_async_server"]
 
 
 class AsyncServingRunner:
-    """Builds and drives the async front-end for one :class:`HypeRService`."""
+    """Builds and drives the async front-end for one serving backend."""
 
     def __init__(
         self,
-        service: HypeRService,
+        service: ServiceBackend,
         host: str = "127.0.0.1",
         port: int = 8000,
         *,
@@ -65,8 +65,13 @@ class AsyncServingRunner:
         self.drain_timeout = drain_timeout
         self.warm_queries = list(warm_queries)
         self.verbose = verbose
+        # the controller shares the backend's registry so /v1/metrics shows
+        # both layers
         self.admission = AdmissionController(
-            self.max_inflight, self.queue_depth, service=service
+            self.max_inflight,
+            self.queue_depth,
+            service=service,
+            metrics_registry=service.metrics,
         )
         # Executor sized to max_inflight: admission (not the thread pool) is
         # the concurrency bound, so an admitted unit never queues twice.
@@ -106,15 +111,15 @@ class AsyncServingRunner:
         except BaseException:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self.app.close()
-            self._close_jobs()
+            self.service.close_jobs()
             self.service.close()
             raise
         if self.verbose:
             host, port = self.address
             print(f"HypeR async service listening on http://{host}:{port}", flush=True)
             print(
-                "endpoints: GET /health, GET /stats, POST /query, "
-                "POST /batch (streams NDJSON)",
+                "endpoints: "
+                + ", ".join(f"{row.method} {row.path}" for row in self.app.routes.endpoints),
                 flush=True,
             )
             print(
@@ -184,23 +189,14 @@ class AsyncServingRunner:
         # against a service we are about to close
         self._executor.shutdown(wait=drained, cancel_futures=not drained)
         self.app.close()
-        self._close_jobs()
+        self.service.close_jobs()
         self.service.close()
         if self.verbose:
             print("shutdown complete", flush=True)
 
-    def _close_jobs(self) -> None:
-        """Stop an attached job manager before the shard pool goes away.
-
-        The journal is flushed on close; any lease still running replays as
-        a crashed lease on the next start."""
-        jobs_manager = getattr(self.service, "jobs", None)
-        if jobs_manager is not None:
-            jobs_manager.close()
-
 
 def run_async_server(
-    service: HypeRService,
+    service: ServiceBackend,
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
@@ -241,7 +237,7 @@ class BackgroundAsyncServer:
     additionally joins the server thread.
     """
 
-    def __init__(self, service: HypeRService, **runner_kwargs) -> None:
+    def __init__(self, service: ServiceBackend, **runner_kwargs) -> None:
         runner_kwargs.setdefault("port", 0)
         self.runner = AsyncServingRunner(service, **runner_kwargs)
         self._thread = threading.Thread(

@@ -1,11 +1,11 @@
 """The cluster's front door: scatter-gather with exact merge and failover.
 
-:class:`ClusterCoordinator` duck-types :class:`~repro.service.session.HypeRService`
-— ``execute`` / ``execute_many`` / ``update_relation_columns`` / ``stats`` /
-``serving_signals`` / ``generation`` / ``metrics`` / ``slow_log`` — so both
-existing HTTP front doors (:mod:`repro.service.server`,
-:mod:`repro.aserve`) mount it unchanged and the public v1 API is identical
-to a single-node deployment.
+:class:`ClusterCoordinator` implements the
+:class:`~repro.service.backend.ServiceBackend` protocol next to
+:class:`~repro.service.session.HypeRService` (and shares its
+:class:`~repro.service.backend.ServingCounters`), so both HTTP front doors
+(:mod:`repro.service.server`, :mod:`repro.aserve`) mount it unchanged and the
+public v1 API is identical to a single-node deployment.
 
 Per query it scatters one ``POST /v1/partial`` to a replica of every shard
 (concurrently, on a private event loop thread), decodes the bit-exact wire
@@ -40,7 +40,6 @@ import json
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import contextmanager
 from typing import Any, Sequence
 
 import numpy as np
@@ -61,8 +60,7 @@ from ..exceptions import HypeRError
 from ..lang.parser import parse_query
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
-from ..obs.slowlog import SlowQueryLog
+from ..service.backend import ServingCounters
 from ..service.executor import default_max_workers
 from ..shard.merge import merge_how_to, merge_what_if, solve_merged_how_to
 from . import wire
@@ -114,7 +112,7 @@ class _NodeState:
         self.healthy = True
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(ServingCounters):
     """Scatter-gather front door over a :class:`ClusterTopology`.
 
     Parameters
@@ -185,31 +183,10 @@ class ClusterCoordinator:
             )
             for index, address in enumerate(topology.nodes)
         ]
-        self.metrics = MetricsRegistry()
+        super().__init__(
+            slow_query_seconds=slow_query_seconds, slow_log_size=slow_log_size
+        )
         m = self.metrics
-        self._m_queries = m.counter(
-            "hyper_queries_total", "Queries accepted by execute()/execute_many()"
-        )
-        self._m_batches = m.counter(
-            "hyper_batches_total", "Batches accepted by execute_many()"
-        )
-        self._m_rejected = m.counter(
-            "hyper_rejected_total",
-            "Requests turned away by front-end admission control",
-            labelnames=("endpoint",),
-        )
-        self._m_latency = m.histogram(
-            "hyper_request_seconds",
-            "Tracked execution latency per endpoint",
-            labelnames=("endpoint",),
-        )
-        self._m_inflight = m.gauge(
-            "hyper_inflight", "Concurrent tracked executions across all front doors"
-        )
-        self._m_slow = m.counter(
-            "hyper_slow_queries_total",
-            "Query completions at or above the slow-query threshold",
-        )
         self._m_scatters = m.counter(
             "hyper_cluster_scatters_total", "Per-shard partial calls issued"
         )
@@ -251,16 +228,6 @@ class ClusterCoordinator:
                 for node in self._nodes
             ],
         )
-        self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
-        #: attached durable job manager (repro.jobs.attach_jobs); None = off.
-        #: The coordinator duck-types the service surface the executor needs
-        #: (execute / execute_many / generation / metrics), so background
-        #: jobs fan out across the cluster like any interactive query.
-        self.jobs: Any = None
-        # bounded per-client request/rejection counters (X-Client-Id)
-        self._clients_lock = threading.Lock()
-        self._client_requests: dict[str, int] = {}
-        self._client_rejections: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -484,68 +451,9 @@ class ClusterCoordinator:
 
         return as_query_object(query)
 
-    @contextmanager
-    def _track(self, endpoint: str, units: int = 1):
-        started = time.perf_counter()
-        self._m_inflight.inc(units)
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._m_inflight.dec(units)
-            self._m_latency.labels(endpoint=endpoint).observe(elapsed)
-
-    _MAX_TRACKED_CLIENTS = 512
-
-    def record_rejection(self, endpoint: str = "query", *, units: int = 1) -> None:
-        self._m_rejected.labels(endpoint=endpoint).inc(units)
-
-    def note_client_request(self, client_id: str, *, rejected: bool = False) -> None:
-        """Attribute one front-door request (or rejection) to a client id."""
-        with self._clients_lock:
-            counters = self._client_requests
-            key = client_id
-            if key not in counters and len(counters) >= self._MAX_TRACKED_CLIENTS:
-                key = "_other"
-            counters[key] = counters.get(key, 0) + 1
-            if rejected:
-                self._client_rejections[key] = self._client_rejections.get(key, 0) + 1
-
-    def client_stats(self) -> dict[str, Any]:
-        with self._clients_lock:
-            return {
-                "tracked": len(self._client_requests),
-                "requests": dict(self._client_requests),
-                "rejections": dict(self._client_rejections),
-            }
-
-    def serving_signals(self) -> dict[str, Any]:
-        """The admission-control signal snapshot (same shape as the service's)."""
-        healthy = sum(1 for node in self._nodes if node.healthy)
-        capacity = max(healthy, 1)
-        in_flight = int(self._m_inflight.value)
-        rejected = {k: int(v) for k, v in self._m_rejected.per_label().items()}
-        signals: dict[str, Any] = {
-            "in_flight": in_flight,
-            "peak_in_flight": int(self._m_inflight.peak),
-            "rejected_total": sum(rejected.values()),
-            "rejected": rejected,
-            "capacity_hint": capacity,
-            "saturation": in_flight / capacity if capacity else 0.0,
-            "latency": {
-                endpoint: {"count": child.count, "seconds": child.sum}
-                for endpoint, child in self._m_latency.per_label().items()
-            },
-        }
-        jobs_manager = self.jobs
-        if jobs_manager is not None:
-            job_signals = jobs_manager.signals()
-            signals["jobs"] = job_signals
-            signals["in_flight"] = in_flight + job_signals["background_load"]
-            signals["saturation"] = (
-                signals["in_flight"] / capacity if capacity else 0.0
-            )
-        return signals
+    def _capacity_hint(self) -> int:
+        """One concurrent scatter per healthy node (never below one)."""
+        return max(sum(1 for node in self._nodes if node.healthy), 1)
 
     def prepare(self, queries: Any) -> None:
         """Warm the shard nodes by answering each query once."""

@@ -10,18 +10,21 @@ a pure function of (database, DAG, ``n_shards``), every replica of a shard
 builds the identical slice without coordination — and therefore produces
 bit-identical partials, which is what makes coordinator failover exact.
 
-:class:`ShardServerApp` extends the asyncio front door with two internal
-endpoints:
+:class:`ShardServerApp` mounts the public endpoint table plus the node's two
+internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
 
 * ``POST /v1/partial`` — evaluate one what-if/how-to partial (or a how-to
-  verification round) on the node's shard slice at a named generation.
-  Admission-controlled like ``/v1/query``; a generation this node does not
-  retain answers ``409 stale_generation`` so the coordinator fails over.
+  verification round) on the node's shard slice at a named generation.  On
+  the ``admitted`` lane, exactly like ``/v1/query`` (a scatter leg competes
+  with local public queries for the same executor); a generation this node
+  does not retain answers ``409 stale_generation`` so the coordinator fails
+  over.
 * ``POST /v1/cluster/update`` — the two-phase commit fan-out.  ``stage``
   builds the next generation's runtime off to the side (queries keep
   answering from the current one); ``flip`` commits it through the node's
   own MVCC service so the node and the coordinator agree on generation
-  numbers.  Control-plane: bypasses admission, runs on the auxiliary thread.
+  numbers.  On the ``control`` lane like ``/v1/update``: a commit must land
+  on a saturated node, so it bypasses admission.
 
 The previous generation's runtime is retained (like the in-process pool's
 ``pinned_fallbacks``), so a scatter racing a cluster-wide flip still gets
@@ -30,13 +33,12 @@ exact answers for its pinned generation from nodes that already flipped.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Any
 
 from ..api import endpoints as api
-from ..api.endpoints import PayloadError, decode_json_object
-from ..api.schemas import API_VERSION, ErrorEnvelope
+from ..api.endpoints import PayloadError
+from ..api.schemas import API_VERSION, ErrorEnvelope, UpdateRequest
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
@@ -47,8 +49,7 @@ from ..relational.database import Database
 from ..service.session import HypeRService
 from ..shard.partition import partition_database
 from ..shard.pool import ShardWorkerRuntime
-from ..aserve.admission import AdmissionRejected
-from ..aserve.app import AsyncApp, _rejection_body, _retry_after_headers
+from ..aserve.app import AsyncApp
 from . import wire
 
 __all__ = ["PARTIAL_PATH", "CLUSTER_UPDATE_PATH", "ShardServer", "ShardServerApp"]
@@ -215,8 +216,9 @@ class ShardServer:
                 400, f"invalid generation {body.get('generation')!r}"
             ) from None
         if phase == "stage":
-            request = api.parse_update_request(
-                {"api_version": API_VERSION, "assignments": body.get("assignments")}
+            request = api.validate(
+                UpdateRequest,
+                {"api_version": API_VERSION, "assignments": body.get("assignments")},
             )
             assignments = {
                 relation: dict(columns)
@@ -298,85 +300,39 @@ class ShardServer:
 
     # -- front-door integration --------------------------------------------------------
 
+    def endpoints(self) -> tuple[api.Endpoint, ...]:
+        """The node's two internal rows (not part of the public v1 table)."""
+        return (
+            api.Endpoint(
+                "partial",
+                "POST",
+                PARTIAL_PATH,
+                lambda backend, request, params: api.ApiResponse(
+                    200, self.partial_payload(request.body, deadline=request.deadline)
+                ),
+                "admitted",
+            ),
+            api.Endpoint(
+                "cluster_update",
+                "POST",
+                CLUSTER_UPDATE_PATH,
+                lambda backend, request, params: api.ApiResponse(
+                    200, self.cluster_update_payload(request.body)
+                ),
+                "control",
+            ),
+        )
+
     def app_factory(self, service: HypeRService, admission: Any, **kwargs: Any) -> "ShardServerApp":
         """``AsyncServingRunner(app_factory=shard_server.app_factory)`` hook."""
         return ShardServerApp(self, service, admission, **kwargs)
 
 
 class ShardServerApp(AsyncApp):
-    """The asyncio front door plus the cluster's internal endpoints."""
+    """The asyncio front door over the public table plus the node's own rows."""
 
     def __init__(
         self, shard_server: ShardServer, service: HypeRService, admission: Any, **kwargs: Any
     ) -> None:
         super().__init__(service, admission, **kwargs)
-        self.shard_server = shard_server
-
-    async def _dispatch(self, request, writer, keep_alive: bool) -> bool:
-        if request.method == "POST" and request.path == PARTIAL_PATH:
-            request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-            return await self._handle_partial(request, writer, keep_alive)
-        if request.method == "POST" and request.path == CLUSTER_UPDATE_PATH:
-            request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-            return await self._handle_cluster_update(request, writer, keep_alive)
-        return await super()._dispatch(request, writer, keep_alive)
-
-    async def _handle_partial(self, request, writer, keep_alive: bool) -> bool:
-        # data plane: admission-controlled exactly like /v1/query (a scatter
-        # leg competes with local public queries for the same executor)
-        request_id = request.request_id
-        try:
-            self.admission.try_admit(1, endpoint="partial")
-        except AdmissionRejected as rejected:
-            return await self._send(
-                writer,
-                429,
-                _rejection_body(rejected),
-                keep_alive,
-                extra_headers=_retry_after_headers(rejected),
-                request_id=request_id,
-            )
-        try:
-            body = decode_json_object(request.body)
-        except PayloadError as error:
-            self.admission.cancel_reservation(1)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        deadline_ms = body.get("deadline_ms")
-        deadline = (
-            api.RequestDeadline(int(deadline_ms)) if deadline_ms is not None else None
-        )
-        await self.admission.acquire_slot()
-        try:
-            try:
-                payload = await self._run_blocking(
-                    self.shard_server.partial_payload, body, deadline=deadline
-                )
-            except Exception as error:  # noqa: BLE001 - keep the JSON contract
-                return await self._send_error(
-                    writer, error, keep_alive, request_id=request_id
-                )
-            return await self._send(
-                writer, 200, payload, keep_alive,
-                request_id=request_id, request=request,
-            )
-        finally:
-            self.admission.release_slot()
-
-    async def _handle_cluster_update(self, request, writer, keep_alive: bool) -> bool:
-        # control plane like /v1/update: a commit must land on a saturated
-        # node, so it bypasses admission and runs on the auxiliary thread
-        request_id = request.request_id
-        try:
-            body = decode_json_object(request.body)
-        except PayloadError as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor, self.shard_server.cluster_update_payload, body
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request_id
-        )
+        self.routes = api.RouteTable((*api.V1_ENDPOINTS, *shard_server.endpoints()))

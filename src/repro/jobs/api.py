@@ -1,12 +1,11 @@
-"""Front-door glue for the ``/v1/jobs`` surface.
+"""The handlers of the ``/v1/jobs`` rows of the endpoint table.
 
-Both HTTP servers (the threaded :mod:`repro.service.server` door and the
-asyncio :mod:`repro.aserve` door) route job endpoints through these
-helpers, so submit/status/result/cancel answer byte-identically on either.
-Every helper raises :class:`~repro.api.endpoints.ApiError` for protocol
-failures; the front doors already map those to envelopes.
+:data:`repro.api.endpoints.V1_ENDPOINTS` points its six job rows here, so
+submit/status/result/cancel answer byte-identically on both HTTP doors.
+Every handler raises :class:`~repro.api.core.ApiError` for protocol
+failures; the request core maps those to envelopes.
 
-The manager is discovered on ``service.jobs`` — a service started without
+The manager is discovered on ``backend.jobs`` — a service started without
 ``--jobs-dir`` answers 503 ``unavailable`` on the whole surface rather
 than 404, so clients can distinguish "not enabled here" from a typo'd
 path.
@@ -24,35 +23,40 @@ that fallback.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+import time
+from typing import TYPE_CHECKING, Any, Iterator
 
-from ..api.endpoints import ApiError
-from ..api.schemas import (
-    ErrorEnvelope,
-    JobListAnswer,
-    JobStatus,
-    JobSubmitRequest,
-    WireFormatError,
+from ..api.core import (
+    NDJSON_CONTENT_TYPE,
+    ApiError,
+    ApiRequest,
+    ApiResponse,
+    Params,
+    stream_timeout_s,
 )
+from ..api.schemas import ErrorEnvelope, JobListAnswer, JobStatus, JobSubmitRequest
 from .manager import JobManager, JobNotFound
 from .queue import QuotaExceeded
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.backend import ServiceBackend
+
 __all__ = [
     "manager_for",
-    "parse_job_submit",
-    "submit_job_payload",
-    "job_status_payload",
-    "job_result_payload",
-    "cancel_job_payload",
-    "list_jobs_payload",
+    "submit_job",
+    "list_jobs",
+    "job_status",
+    "job_result",
+    "cancel_job",
     "job_events",
-    "iter_job_events",
+    "poll_events",
+    "events_done_line",
 ]
 
 
-def manager_for(service: Any) -> JobManager:
-    """The service's attached :class:`JobManager`, or 503 when jobs are off."""
-    manager = getattr(service, "jobs", None)
+def manager_for(backend: ServiceBackend) -> JobManager:
+    """The backend's attached :class:`JobManager`, or 503 when jobs are off."""
+    manager = backend.jobs
     if manager is None:
         raise ApiError(
             503,
@@ -65,38 +69,30 @@ def manager_for(service: Any) -> JobManager:
     return manager
 
 
-def parse_job_submit(body: dict[str, Any]) -> JobSubmitRequest:
-    """Decode and validate a ``POST /v1/jobs`` body (schema violations are 400)."""
-    try:
-        return JobSubmitRequest.from_json(body)
-    except WireFormatError as error:
-        raise ApiError(400, ErrorEnvelope("bad_request", str(error))) from None
-
-
 def _status_payload(manager: JobManager, job: Any) -> dict[str, Any]:
     return JobStatus.from_job(
         job, result_available=job.job_id in manager.results
     ).to_json()
 
 
-def submit_job_payload(
-    service: Any, request: JobSubmitRequest, *, client_id: str
-) -> dict[str, Any]:
+def submit_job(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
     """Durably accept a job submit; the 202 body is the initial status.
 
     A per-client quota violation maps to 429 ``rate_limited`` with the
     violated quota named in the detail, mirroring the admission
     controller's interactive rejections.
     """
-    manager = manager_for(service)
+    backend.note_client_request(request.client_id)
+    manager = manager_for(backend)
+    body: JobSubmitRequest = request.body
     try:
         job = manager.submit(
-            client_id=client_id,
-            kind=request.kind,
-            queries=list(request.all_queries),
-            priority=request.priority,
-            run_at_generation=request.run_at_generation,
-            exhaustive=request.exhaustive,
+            client_id=request.client_id,
+            kind=body.kind,
+            queries=list(body.all_queries),
+            priority=body.priority,
+            run_at_generation=body.run_at_generation,
+            exhaustive=body.exhaustive,
         )
     except QuotaExceeded as error:
         raise ApiError(
@@ -107,7 +103,7 @@ def submit_job_payload(
                 {"quota": error.quota, "limit": error.limit},
             ),
         ) from None
-    return _status_payload(manager, job)
+    return ApiResponse(202, _status_payload(manager, job))
 
 
 def _anonymous(owner: str) -> bool:
@@ -115,54 +111,45 @@ def _anonymous(owner: str) -> bool:
     return owner == "anon" or owner.startswith("anon-")
 
 
-def _get_job(manager: JobManager, job_id: str, client_id: str | None) -> Any:
+def _get_job(manager: JobManager, job_id: str, client_id: str) -> Any:
     """Look up ``job_id`` and enforce ownership.
 
     An explicitly-owned job read with the wrong (or no) client id answers
     the same 404 as an unknown id, so probing cannot distinguish "not
     yours" from "never existed".  Anonymously-owned jobs skip the check
-    (capability-based; see the module docstring).  ``client_id=None``
-    bypasses enforcement for in-process callers.
+    (capability-based; see the module docstring).
     """
     try:
         job = manager.get(job_id)
     except JobNotFound:
-        raise ApiError(
-            404, ErrorEnvelope("not_found", f"unknown job {job_id!r}")
-        ) from None
-    if (
-        client_id is not None
-        and not _anonymous(job.client_id)
-        and client_id != job.client_id
+        job = None
+    if job is None or (
+        not _anonymous(job.client_id) and client_id != job.client_id
     ):
-        raise ApiError(
-            404, ErrorEnvelope("not_found", f"unknown job {job_id!r}")
-        )
+        raise ApiError(404, ErrorEnvelope("not_found", f"unknown job {job_id!r}"))
     return job
 
 
-def job_status_payload(
-    service: Any, job_id: str, *, client_id: str | None = None
-) -> dict[str, Any]:
+def job_status(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
     """Answer ``GET /v1/jobs/{id}``; unknown, aged-out, or foreign ids are 404."""
-    manager = manager_for(service)
-    return _status_payload(manager, _get_job(manager, job_id, client_id))
+    manager = manager_for(backend)
+    job = _get_job(manager, params["id"], request.client_id)
+    return ApiResponse(200, _status_payload(manager, job))
 
 
-def job_result_payload(
-    service: Any, job_id: str, *, client_id: str | None = None
-) -> dict[str, Any]:
+def job_result(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
     """Answer ``GET /v1/jobs/{id}/result``.
 
     A job that is still in flight answers 404 ``not_found``; a terminal job
     whose result was evicted or expired answers 404 with the distinct code
     ``result_expired`` so callers know re-submitting is the only way back.
     """
-    manager = manager_for(service)
-    job = _get_job(manager, job_id, client_id)
+    manager = manager_for(backend)
+    job_id = params["id"]
+    job = _get_job(manager, job_id, request.client_id)
     payload = manager.results.get(job_id)
     if payload is not None:
-        return payload
+        return ApiResponse(200, payload)
     if job.terminal:
         if job.state == "succeeded":
             raise ApiError(
@@ -195,34 +182,36 @@ def job_result_payload(
     )
 
 
-def cancel_job_payload(
-    service: Any, job_id: str, *, client_id: str | None = None
-) -> dict[str, Any]:
+def cancel_job(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
     """Answer ``POST /v1/jobs/{id}/cancel``: the post-cancel status.
 
     Cancelling a queued job is immediate, a running job cooperative, and a
     terminal job a no-op — the call is always safe to retry.
     """
-    manager = manager_for(service)
-    _get_job(manager, job_id, client_id)
-    return _status_payload(manager, manager.cancel(job_id))
+    manager = manager_for(backend)
+    _get_job(manager, params["id"], request.client_id)
+    return ApiResponse(200, _status_payload(manager, manager.cancel(params["id"])))
 
 
-def list_jobs_payload(service: Any, *, client_id: str | None) -> dict[str, Any]:
+def list_jobs(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
     """Answer ``GET /v1/jobs``: the calling client's jobs, oldest first."""
-    manager = manager_for(service)
+    backend.note_client_request(request.client_id)
+    manager = manager_for(backend)
     statuses = tuple(
         JobStatus.from_job(job, result_available=job.job_id in manager.results)
-        for job in manager.list_jobs(client_id)
+        for job in manager.list_jobs(request.client_id)
     )
-    return JobListAnswer(jobs=statuses).to_json()
+    return ApiResponse(200, JobListAnswer(jobs=statuses).to_json())
 
 
-def job_events(
-    service: Any, job_id: str, cursor: int = 0, *, client_id: str | None = None
+# -- event streams ---------------------------------------------------------------------
+
+
+def poll_events(
+    backend: ServiceBackend, job_id: str, cursor: int, *, client_id: str
 ) -> tuple[list[dict[str, Any]], bool]:
     """One non-blocking poll of a job's event log (the async door's unit)."""
-    manager = manager_for(service)
+    manager = manager_for(backend)
     _get_job(manager, job_id, client_id)
     try:
         return manager.events_since(job_id, cursor)
@@ -232,49 +221,47 @@ def job_events(
         ) from None
 
 
-def iter_job_events(
-    service: Any,
-    job_id: str,
-    *,
-    client_id: str | None = None,
-    timeout: float = 30.0,
-    poll_seconds: float = 0.5,
-) -> Iterator[dict[str, Any]]:
-    """Blocking NDJSON event iterator for the threaded door.
+def events_done_line(backend: ServiceBackend, job_id: str) -> dict[str, Any]:
+    """The closing line of an event stream.
 
-    Yields every event from the start of the job's log, blocking for new
-    ones until the job is terminal or ``timeout`` elapses without news; the
-    stream always finishes with a ``{"done": true, "terminal": <state>}``
-    line (``terminal`` is ``null`` when the stream timed out first).
+    ``terminal`` names the job's terminal state, or is ``null`` when the
+    stream timed out first (or the job aged out mid-stream).
     """
-    import time as _time
-
-    manager = manager_for(service)
-    _get_job(manager, job_id, client_id)
-    cursor = 0
-    deadline = _time.monotonic() + timeout
-    terminal = False
-    while True:
-        try:
-            events, terminal = manager.wait_events(
-                job_id, cursor, timeout=poll_seconds
-            )
-        except JobNotFound:
-            break  # aged out mid-stream: finish the stream cleanly
-        for event in events:
-            yield event
-        cursor += len(events)
-        if terminal:
-            break
-        if _time.monotonic() >= deadline:
-            break
-    yield {"done": True, "job_id": job_id, "terminal": _terminal_state(manager, job_id)}
-
-
-def _terminal_state(manager: Any, job_id: str) -> str | None:
-    """The job's terminal state name for a stream's ``done`` line, if any."""
     try:
-        job = manager.get(job_id)
+        job = manager_for(backend).get(job_id)
     except JobNotFound:
-        return None
-    return job.state if job.terminal else None
+        job = None
+    terminal = job.state if job is not None and job.terminal else None
+    return {"done": True, "job_id": job_id, "terminal": terminal}
+
+
+def job_events(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
+    """Answer ``GET /v1/jobs/{id}/events`` as a blocking NDJSON line source.
+
+    Errors that occur before the first event — unknown job, jobs disabled —
+    raise here and still answer a normal JSON envelope.  (The asyncio door
+    streams this row itself, by :func:`poll_events`, so that an open stream
+    costs its loop a timer rather than a thread.)
+    """
+    manager = manager_for(backend)
+    job_id = params["id"]
+    _get_job(manager, job_id, request.client_id)
+    timeout = stream_timeout_s(request.query_string)
+
+    def lines() -> Iterator[dict[str, Any]]:
+        # every event from the start of the log, blocking for new ones until
+        # the job is terminal or ``timeout`` elapses without news
+        cursor = 0
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                events, terminal = manager.wait_events(job_id, cursor, timeout=0.5)
+            except JobNotFound:
+                break  # aged out mid-stream: finish the stream cleanly
+            yield from events
+            cursor += len(events)
+            if terminal or time.monotonic() >= deadline:
+                break
+        yield events_done_line(backend, job_id)
+
+    return ApiResponse(200, lines=lines(), content_type=NDJSON_CONTENT_TYPE)

@@ -118,12 +118,7 @@ class JobManager:
     # -- metrics -----------------------------------------------------------------------
 
     def _register_metrics(self) -> None:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = getattr(self.service, "metrics", None)
-        if registry is None:
-            registry = MetricsRegistry()
-        self.metrics = registry
+        registry = self.metrics = self.service.metrics
         self._m_submitted = registry.counter(
             "hyper_jobs_submitted_total",
             "Jobs accepted by POST /v1/jobs",

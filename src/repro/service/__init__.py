@@ -12,15 +12,16 @@ system (the ROADMAP's production north star):
   execution on a thread pool;
 * :mod:`~repro.service.session` — the :class:`HypeRService` facade
   (``prepare`` / ``execute`` / ``execute_many`` / ``stats``);
-* :mod:`~repro.service.server` — a stdlib HTTP JSON endpoint
-  (``repro serve``) with graceful SIGTERM/SIGINT drain and the shared
-  payload/limit helpers (:class:`PayloadError`, :func:`check_body_length`,
-  :func:`decode_json_object`) the asyncio front-end (:mod:`repro.aserve`,
-  ``repro serve --async``) reuses.
+* :mod:`~repro.service.backend` — the :class:`ServiceBackend` protocol the
+  serving stack calls and the :class:`ServingCounters` every backend shares;
+* :mod:`~repro.service.server` — the threaded stdlib HTTP transport
+  (``repro serve``) over the shared request core of :mod:`repro.api`, with
+  graceful SIGTERM/SIGINT drain.
 
 See ``docs/service.md`` for the architecture and invalidation rules.
 """
 
+from .backend import ServiceBackend, ServingCounters
 from .cache import CacheStats, LRUCache, QueryCaches, TTLCache
 from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
@@ -34,14 +35,7 @@ from .fingerprint import (
     use_key,
     use_relations,
 )
-from .server import (
-    MAX_BODY_BYTES,
-    PayloadError,
-    check_body_length,
-    decode_json_object,
-    make_server,
-    serve,
-)
+from .server import make_server, serve
 from .session import HypeRService, PreparedPlan
 
 __all__ = [
@@ -49,14 +43,12 @@ __all__ = [
     "CacheStats",
     "HypeRService",
     "LRUCache",
-    "MAX_BODY_BYTES",
-    "PayloadError",
     "PlanFingerprint",
     "PreparedPlan",
     "QueryCaches",
+    "ServiceBackend",
+    "ServingCounters",
     "TTLCache",
-    "check_body_length",
-    "decode_json_object",
     "config_key",
     "dag_key",
     "default_max_workers",

@@ -1,0 +1,224 @@
+"""What a serving backend is: the protocol the request core calls, and the
+one copy of the serving counters every backend carries.
+
+The request core (:mod:`repro.api.endpoints`), both HTTP doors, admission
+control and the job service talk to a backend only through
+:class:`ServiceBackend`.  Two implementations exist —
+:class:`~repro.service.session.HypeRService` (one node) and
+:class:`~repro.cluster.coordinator.ClusterCoordinator` (scatter-gather over
+shard nodes) — and both inherit :class:`ServingCounters`, so in-flight
+tracking, rejection counts, per-client attribution and the admission
+signal snapshot are defined once and cannot drift between them.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from contextlib import contextmanager
+from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+
+from ..obs.metrics import MetricsRegistry
+from ..obs.slowlog import SlowQueryLog
+
+__all__ = ["ServiceBackend", "ServingCounters"]
+
+
+@runtime_checkable
+class ServiceBackend(Protocol):
+    """Everything the serving stack calls on a backend.
+
+    Runtime-checkable so a conformance test can assert each backend
+    implements the whole surface — the doors use plain attribute access and
+    never probe for optional members.
+    """
+
+    #: True when ``execute`` takes a ``deadline=`` keyword and forwards the
+    #: remaining budget downstream (a relaying backend)
+    accepts_deadline: bool
+    #: attached :class:`~repro.jobs.manager.JobManager`, or None — the job
+    #: surface then answers 503 on both doors
+    jobs: Any
+    metrics: MetricsRegistry
+    slow_log: SlowQueryLog
+    max_workers: int | None
+    generation: int
+
+    def execute(self, query: Any, *, exhaustive: bool = False, **kwargs: Any) -> Any: ...
+
+    def execute_many(self, queries: Sequence[Any], **kwargs: Any) -> list[Any]: ...
+
+    def prepare(self, queries: Any) -> Any: ...
+
+    def update_relation_columns(self, assignments: Any) -> frozenset[str]: ...
+
+    def stats(self) -> dict[str, Any]: ...
+
+    def start_pool(self) -> None: ...
+
+    def close(self) -> None: ...
+
+    def close_jobs(self) -> None: ...
+
+    def record_rejection(self, endpoint: str = "query", *, units: int = 1) -> None: ...
+
+    def note_client_request(self, client_id: str, *, rejected: bool = False) -> None: ...
+
+    def client_stats(self) -> dict[str, Any]: ...
+
+    def serving_signals(self) -> dict[str, Any]: ...
+
+
+class ServingCounters:
+    """The serving instruments and bookkeeping shared by every backend.
+
+    Each backend gets its own registry by default so stats of co-hosted
+    services never mix; the front doors expose it at ``GET /v1/metrics``.
+    The serving instruments double as the live backpressure signals read by
+    front-end admission control (:mod:`repro.aserve`) via
+    :meth:`serving_signals`.
+    """
+
+    accepts_deadline = False
+
+    _MAX_TRACKED_CLIENTS = 512
+
+    def __init__(
+        self,
+        metrics_registry: MetricsRegistry | None = None,
+        *,
+        slow_query_seconds: float = 0.1,
+        slow_log_size: int = 64,
+    ) -> None:
+        self.metrics = (
+            metrics_registry if metrics_registry is not None else MetricsRegistry()
+        )
+        m = self.metrics
+        self._m_queries = m.counter(
+            "hyper_queries_total", "Queries accepted by execute()/execute_many()"
+        )
+        self._m_batches = m.counter(
+            "hyper_batches_total", "Batches accepted by execute_many()"
+        )
+        self._m_rejected = m.counter(
+            "hyper_rejected_total",
+            "Requests turned away by front-end admission control",
+            labelnames=("endpoint",),
+        )
+        self._m_latency = m.histogram(
+            "hyper_request_seconds",
+            "Tracked execution latency per endpoint",
+            labelnames=("endpoint",),
+        )
+        self._m_inflight = m.gauge(
+            "hyper_inflight", "Concurrent tracked executions across all front doors"
+        )
+        self._m_slow = m.counter(
+            "hyper_slow_queries_total",
+            "Query completions at or above the slow-query threshold",
+        )
+        #: bounded per-plan-fingerprint slow-query log, served by GET /v1/slow
+        self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
+        #: attached durable job manager (see repro.jobs.attach_jobs); None
+        #: means the job surface answers 503 on both front doors
+        self.jobs: Any = None
+        # Per-client request/rejection counters (X-Client-Id or anonymous
+        # per-connection ids).  Bounded: past _MAX_TRACKED_CLIENTS distinct
+        # ids, new ones collapse into "_other" so a client-id churn attack
+        # cannot grow the map without bound.
+        self._clients_lock = threading.Lock()
+        self._client_requests: dict[str, int] = {}
+        self._client_rejections: dict[str, int] = {}
+
+    def _capacity_hint(self) -> int:
+        """The backend's own execution capacity (the saturation denominator)."""
+        raise NotImplementedError
+
+    @contextmanager
+    def _track(self, endpoint: str, units: int = 1) -> Iterator[None]:
+        """Count ``units`` in-flight executions and the endpoint's latency.
+
+        ``units`` is the number of concurrent query executions the tracked
+        region represents (a shard-pool batch crossing counts one unit per
+        query it carries; a wrapper whose per-query work is tracked elsewhere
+        passes 0 so nothing double-counts).
+        """
+        started = time.perf_counter()
+        self._m_inflight.inc(units)
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - started
+            self._m_inflight.dec(units)
+            self._m_latency.labels(endpoint=endpoint).observe(elapsed)
+
+    def record_rejection(self, endpoint: str = "query", *, units: int = 1) -> None:
+        """Count ``units`` requests a front-end turned away (HTTP 429)."""
+        self._m_rejected.labels(endpoint=endpoint).inc(units)
+
+    def note_client_request(self, client_id: str, *, rejected: bool = False) -> None:
+        """Attribute one front-door request (or admission/quota rejection)
+        to a client id, for the per-client section of ``stats()``."""
+        with self._clients_lock:
+            counters = self._client_requests
+            key = client_id
+            if key not in counters and len(counters) >= self._MAX_TRACKED_CLIENTS:
+                key = "_other"
+            counters[key] = counters.get(key, 0) + 1
+            if rejected:
+                self._client_rejections[key] = self._client_rejections.get(key, 0) + 1
+
+    def client_stats(self) -> dict[str, Any]:
+        """Per-client request/rejection counts (bounded; see ``_other``)."""
+        with self._clients_lock:
+            return {
+                "tracked": len(self._client_requests),
+                "requests": dict(self._client_requests),
+                "rejections": dict(self._client_rejections),
+            }
+
+    def serving_signals(self) -> dict[str, Any]:
+        """A cheap live snapshot of serving load, for admission decisions.
+
+        Returns in-flight executions (all front-ends sharing the backend),
+        their peak, total rejections, per-endpoint latency sums, and a
+        saturation ratio against :meth:`_capacity_hint`.  No engine locks
+        are taken — safe to call on an event loop per request.
+        """
+        capacity = self._capacity_hint()
+        in_flight = int(self._m_inflight.value)
+        rejected = {k: int(v) for k, v in self._m_rejected.per_label().items()}
+        signals: dict[str, Any] = {
+            "in_flight": in_flight,
+            "peak_in_flight": int(self._m_inflight.peak),
+            "rejected_total": sum(rejected.values()),
+            "rejected": rejected,
+            "capacity_hint": capacity,
+            "saturation": in_flight / capacity if capacity else 0.0,
+            "latency": {
+                endpoint: {"count": child.count, "seconds": child.sum}
+                for endpoint, child in self._m_latency.per_label().items()
+            },
+        }
+        if self.jobs is not None:
+            # Leases held but not yet inside the engine count as in-flight
+            # pressure too (leases inside the engine already show up via the
+            # _track gauge), so interactive admission sees background work
+            # before it over-admits.
+            job_signals = self.jobs.signals()
+            signals["jobs"] = job_signals
+            signals["in_flight"] = in_flight + job_signals["background_load"]
+            signals["saturation"] = (
+                signals["in_flight"] / capacity if capacity else 0.0
+            )
+        return signals
+
+    def close_jobs(self) -> None:
+        """Stop an attached job manager; call before ``close()``.
+
+        Workers stop and the journal is flushed before the shard pool goes
+        away; any lease still running replays as a crashed lease on the
+        next start.
+        """
+        if self.jobs is not None:
+            self.jobs.close()

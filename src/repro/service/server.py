@@ -1,44 +1,21 @@
-"""A minimal stdlib HTTP front-end for :class:`HypeRService`.
+"""A minimal stdlib HTTP front-end for a serving backend.
 
 No web framework — ``http.server.ThreadingHTTPServer`` dispatches each
-request on its own thread to a shared, thread-safe service.  Routing, request
-validation, error envelopes and the 413/400 body policy all come from the
-shared ``/v1`` endpoint table in :mod:`repro.api.endpoints` (the asyncio
-front-end of :mod:`repro.aserve` mounts the same table, so the two front
-doors cannot drift):
+request on its own thread to a shared, thread-safe backend.  This module is
+a *transport adapter*: it builds an :class:`~repro.api.core.ApiRequest` from
+what ``BaseHTTPRequestHandler`` parsed, hands it to the shared request core
+(:func:`repro.api.endpoints.handle`) and writes out the
+:class:`~repro.api.core.ApiResponse` it gets back.  Which endpoints exist,
+how bodies are validated and how failures are enveloped is the endpoint
+table's business (see :mod:`repro.api.endpoints` for the catalogue); the
+asyncio front-end of :mod:`repro.aserve` drives the same core, so the two
+doors cannot drift.  Every HTTP method goes through the core — an unrouted
+one answers the JSON ``not_found`` envelope, never the stdlib's HTML 501.
 
-* ``GET /v1/health`` (alias ``/health``) — liveness probe;
-* ``GET /v1/stats`` (alias ``/stats``) — the v1
-  :class:`~repro.api.schemas.StatsSnapshot`;
-* ``GET /v1/metrics`` (alias ``/metrics``) — Prometheus text exposition of
-  the service's metrics registry;
-* ``GET /v1/slow`` — the bounded slow-query log, worst offender first;
-* ``POST /v1/query`` (alias ``/query``) — body is a v1
-  :class:`~repro.api.schemas.QueryRequest`; answers with the typed
-  what-if/how-to answer payload;
-* ``POST /v1/batch`` (alias ``/batch``) — body is a v1
-  :class:`~repro.api.schemas.BatchRequest`; answers ``{"results": [...],
-  "n_queries": N}`` with per-query error envelopes (one bad entry never
-  discards the rest of the batch);
-* ``POST /v1/update`` — body is a v1
-  :class:`~repro.api.schemas.UpdateRequest`; commits the named columns as
-  one MVCC generation and answers with the
-  :class:`~repro.api.schemas.UpdateAnswer` (in-flight queries keep their
-  pinned snapshot — a commit never pauses readers);
-* ``POST /v1/prepare`` — warm plans/estimators for a list of queries before
-  real traffic arrives;
-* ``POST /v1/jobs`` / ``GET /v1/jobs`` / ``GET /v1/jobs/{id}`` /
-  ``GET /v1/jobs/{id}/events`` (NDJSON stream) / ``GET /v1/jobs/{id}/result``
-  / ``POST /v1/jobs/{id}/cancel`` — the durable async job service
-  (:mod:`repro.jobs`); answers 503 when the service was started without a
-  job journal.
+The one thing this door adds is framing: responses are HTTP/1.0
+close-delimited, and a streaming answer (job events) is written as NDJSON
+lines flushed one by one until its source ends.
 
-Requests may carry an ``X-Client-Id`` header; it scopes job quotas and
-per-client serving stats, defaulting to a per-connection anonymous id.
-
-Failures map through :func:`repro.api.endpoints.envelope_for` to the shared
-``{"error", "code", "detail"?}`` envelope: query errors 400, oversized bodies
-413, malformed JSON 400, unknown paths 404, unexpected engine failures 500.
 Start a server from Python with :func:`serve` or from the command line with
 ``repro serve --dataset german-syn``; :func:`serve` installs SIGTERM/SIGINT
 handlers that stop the listener, finish in-flight requests, and release the
@@ -47,270 +24,76 @@ service's shard pool.
 
 from __future__ import annotations
 
+import json
 import signal
 import threading
-import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..api import endpoints as api
+from .backend import ServiceBackend
 
-# Historical home of the shared body-guard helpers; re-exported so existing
-# importers (and pickled references) keep working after the move to repro.api.
-from ..api.endpoints import (  # noqa: F401  (re-exports)
-    MAX_BODY_BYTES,
-    PayloadError,
-    check_body_length,
-    decode_json_object,
-)
-from ..jobs import api as jobs_api
-from ..obs import trace as obs_trace
-from .session import HypeRService
-
-__all__ = [
-    "MAX_BODY_BYTES",
-    "PayloadError",
-    "check_body_length",
-    "decode_json_object",
-    "make_server",
-    "serve",
-]
+__all__ = ["make_server", "serve"]
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests through the shared v1 endpoint table."""
+    """Moves one request's bytes between the socket and the request core."""
 
     server_version = "HypeRService/1.0"
     #: silence per-request stderr logging unless the server enables it
     verbose = False
 
-    @property
-    def service(self) -> HypeRService:
-        return self.server.hyper_service  # type: ignore[attr-defined]
-
-    # -- plumbing ---------------------------------------------------------------------
-
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if self.verbose:  # pragma: no cover - exercised only with verbose servers
             super().log_message(format, *args)
 
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        body, compressed = api.maybe_gzip(
-            body, enabled=api.accepts_gzip(self.headers.get("Accept-Encoding"))
+    def __getattr__(self, name: str) -> Any:
+        # http.server looks up ``do_<METHOD>`` per request and answers an HTML
+        # 501 when it is missing; every method is the core's to answer
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def _serve(self) -> None:
+        request = api.ApiRequest(
+            self.command, self.path, self.headers, self.client_address, self.rfile.read
         )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        if compressed:
-            self.send_header("Content-Encoding", "gzip")
+        response = api.handle(self.server.hyper_service, request)  # type: ignore[attr-defined]
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        if response.lines is not None:
+            self._stream(response)
+            return
+        body, headers = response.wire(self.headers.get("Accept-Encoding"))
         self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "_request_id", "")
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self._send_body(status, body, "application/json")
+    def _stream(self, response: api.ApiResponse) -> None:
+        """Write a streaming answer's NDJSON lines as they are produced.
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_body(status, text.encode("utf-8"), content_type)
-
-    def _send_error_envelope(self, error: BaseException) -> None:
-        status, envelope = api.envelope_for(error)
-        self._send_json(status, envelope.to_json())
-
-    def _begin_request(self) -> tuple[str, str]:
-        """Split path/query string, adopt or mint the request id.
-
-        Returns ``(path, query_string)``; the request id is echoed back on
-        every response as ``X-Request-Id``.
+        The response carries no ``Content-Length``; each line is flushed as
+        it happens and the connection closes after the last one (HTTP/1.0
+        close-delimited framing, matching how this door already answers
+        everything else).
         """
-        path, _, query_string = self.path.partition("?")
-        self._request_id = (
-            self.headers.get("X-Request-Id") or obs_trace.new_request_id()
-        )
-        return path, query_string
-
-    def _client_id(self) -> str:
-        """The caller's id: ``X-Client-Id`` or a per-connection anonymous id."""
-        header = (self.headers.get("X-Client-Id") or "").strip()
-        if header:
-            return header[:128]
-        host, port = self.client_address[:2]
-        return f"anon-{host}:{port}"
-
-    def _note_client(self, *, rejected: bool = False) -> None:
-        note = getattr(self.service, "note_client_request", None)
-        if note is not None:
-            note(self._client_id(), rejected=rejected)
-
-    def _trace_context(self, query_string: str) -> "obs_trace.TraceContext | None":
-        if api.wants_trace(query_string):
-            return obs_trace.TraceContext(self._request_id)
-        return None
-
-    def _read_json_body(self) -> dict[str, Any]:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else None
-        except ValueError:
-            raise PayloadError(400, f"invalid Content-Length {raw_length!r}") from None
-        length = check_body_length(length)
-        raw = api.decompress_body(
-            self.rfile.read(length), self.headers.get("Content-Encoding")
-        )
-        return decode_json_object(raw)
-
-    # -- routes ------------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        path, query_string = self._begin_request()
-        matched = api.match("GET", path)
-        if matched is None:
-            self._send_error_envelope(api.not_found(path))
-            return
-        endpoint, params = matched
-        try:
-            if endpoint.name == "health":
-                self._send_json(200, api.health_payload(self.service))
-            elif endpoint.name == "stats":
-                self._send_json(200, api.stats_payload(self.service))
-            elif endpoint.name == "metrics":
-                self._send_text(
-                    200, api.metrics_text(self.service), api.METRICS_CONTENT_TYPE
-                )
-            elif endpoint.name == "slow":
-                self._send_json(200, api.slow_payload(self.service))
-            elif endpoint.name == "jobs_list":
-                self._note_client()
-                self._send_json(
-                    200,
-                    jobs_api.list_jobs_payload(
-                        self.service, client_id=self._client_id()
-                    ),
-                )
-            elif endpoint.name == "job_status":
-                self._send_json(
-                    200,
-                    jobs_api.job_status_payload(
-                        self.service, params["id"], client_id=self._client_id()
-                    ),
-                )
-            elif endpoint.name == "job_result":
-                self._send_json(
-                    200,
-                    jobs_api.job_result_payload(
-                        self.service, params["id"], client_id=self._client_id()
-                    ),
-                )
-            elif endpoint.name == "job_events":
-                self._stream_job_events(params["id"], query_string)
-            else:  # pragma: no cover - every GET endpoint is handled above
-                self._send_error_envelope(api.not_found(path))
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            self._send_error_envelope(error)
-
-    def _stream_job_events(self, job_id: str, query_string: str) -> None:
-        """Stream a job's progress events as NDJSON lines.
-
-        The response carries no ``Content-Length``; each event is flushed as
-        it happens and the connection closes after the ``{"done": true}``
-        line (HTTP/1.0 close-delimited framing, matching how this door
-        already answers everything else).  Errors that occur before the
-        first event — unknown job, jobs disabled — still answer a normal
-        JSON envelope.
-        """
-        timeout = 30.0
-        for part in query_string.split("&"):
-            key, _, value = part.partition("=")
-            if key == "timeout_s":
-                try:
-                    timeout = min(300.0, max(0.0, float(value)))
-                except ValueError:
-                    pass
-        events = jobs_api.iter_job_events(
-            self.service, job_id, client_id=self._client_id(), timeout=timeout
-        )
-        first = next(events)  # raises (404/503) before any header is written
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
+        for name, value in response.headers.items():
+            self.send_header(name, value)
         self.end_headers()
         try:
-            for event in (first, *events):
-                self.wfile.write(
-                    json.dumps(event, default=str).encode("utf-8") + b"\n"
-                )
+            for line in response.lines:
+                self.wfile.write(json.dumps(line, default=str).encode("utf-8") + b"\n")
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # the client hung up mid-stream; nothing to answer
         self.close_connection = True
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        path, query_string = self._begin_request()
-        matched = api.match("POST", path)
-        if matched is None:
-            self._send_error_envelope(api.not_found(path))
-            return
-        endpoint, params = matched
-        try:
-            body = self._read_json_body()
-        except PayloadError as error:
-            # 413 for oversized bodies, 400 for missing/malformed ones — the
-            # shared guards keep this identical to the async front-end.
-            self._send_error_envelope(error)
-            return
-        trace = self._trace_context(query_string)
-        try:
-            if endpoint.name == "query":
-                request = api.parse_query_request(body)
-                self._send_json(
-                    200,
-                    api.execute_query_payload(self.service, request, trace=trace),
-                )
-            elif endpoint.name == "batch":
-                request = api.parse_batch_request(body)
-                self._send_json(200, api.batch_response_payload(self.service, request))
-            elif endpoint.name == "update":
-                request = api.parse_update_request(body)
-                self._send_json(
-                    200, api.apply_update_payload(self.service, request, trace=trace)
-                )
-            elif endpoint.name == "prepare":
-                request = api.parse_prepare_request(body)
-                self._send_json(200, api.prepare_payload(self.service, request))
-            elif endpoint.name == "jobs_submit":
-                self._note_client()
-                request = jobs_api.parse_job_submit(body)
-                try:
-                    payload = jobs_api.submit_job_payload(
-                        self.service, request, client_id=self._client_id()
-                    )
-                except api.ApiError as error:
-                    if error.status == 429:
-                        self._note_client(rejected=True)
-                    raise
-                self._send_json(202, payload)
-            elif endpoint.name == "job_cancel":
-                self._send_json(
-                    200,
-                    jobs_api.cancel_job_payload(
-                        self.service, params["id"], client_id=self._client_id()
-                    ),
-                )
-            else:  # pragma: no cover - the table maps every POST above
-                self._send_error_envelope(api.not_found(path))
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            # Never drop the connection: query errors answer 400, unexpected
-            # engine failures 500, all with the shared envelope shape.
-            self._send_error_envelope(error)
-
 
 def make_server(
-    service: HypeRService, host: str = "127.0.0.1", port: int = 8000
+    service: ServiceBackend, host: str = "127.0.0.1", port: int = 8000
 ) -> ThreadingHTTPServer:
     """Build (without starting) a threading HTTP server bound to ``service``.
 
@@ -335,7 +118,7 @@ def make_server(
 
 
 def serve(
-    service: HypeRService,
+    service: ServiceBackend,
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
@@ -358,10 +141,9 @@ def serve(
     bound_host, bound_port = server.server_address[:2]
     print(f"HypeR service listening on http://{bound_host}:{bound_port}", flush=True)
     print(
-        "endpoints: GET /v1/health, GET /v1/stats, GET /v1/metrics, GET /v1/slow, "
-        "POST /v1/query, POST /v1/batch, POST /v1/update, POST /v1/prepare, "
-        "POST+GET /v1/jobs, GET /v1/jobs/{id}[/events|/result], "
-        "POST /v1/jobs/{id}/cancel (legacy aliases without the /v1 prefix)",
+        "endpoints: "
+        + ", ".join(f"{row.method} {row.path}" for row in api.V1_ENDPOINTS)
+        + " (legacy aliases without the /v1 prefix)",
         flush=True,
     )
     stop = shutdown_event if shutdown_event is not None else threading.Event()
@@ -399,11 +181,7 @@ def serve(
                 flush=True,
             )
         listener.join(timeout=10)
-        jobs_manager = getattr(service, "jobs", None)
-        if jobs_manager is not None:
-            # stop workers and flush the journal before the pool goes away;
-            # an unfinished lease replays as a crashed lease on restart
-            jobs_manager.close()
+        service.close_jobs()
         service.close()
         for signum, handler in previous.items():
             try:

@@ -76,11 +76,11 @@ from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
-from ..obs.slowlog import SlowQueryLog
 from ..probdb.blocks import block_labels
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.view import UseSpec
+from .backend import ServingCounters
 from .cache import QueryCaches
 from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
@@ -180,7 +180,7 @@ class PreparedPlan:
         )
 
 
-class HypeRService:
+class HypeRService(ServingCounters):
     """Thread-safe, cache-backed query service over one database.
 
     Parameters
@@ -264,22 +264,15 @@ class HypeRService:
         self._pool_generation: int | None = None
         self._shard_gate_warned = False
         self._started_at = time.time()
-        # Declared instruments (repro.obs.metrics) replace the old hand-rolled
-        # counter fields.  Each service gets its own registry by default so
-        # stats of co-hosted services never mix; the front doors expose it at
-        # GET /v1/metrics.  The serving instruments double as the live
-        # backpressure signals read by front-end admission control
-        # (repro.aserve) via serving_signals().
-        self.metrics = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
+        # The serving instruments (and the registry the front doors expose at
+        # GET /v1/metrics) come from ServingCounters; the ones below are this
+        # backend's own.
+        super().__init__(
+            metrics_registry,
+            slow_query_seconds=slow_query_seconds,
+            slow_log_size=slow_log_size,
         )
         m = self.metrics
-        self._m_queries = m.counter(
-            "hyper_queries_total", "Queries accepted by execute()/execute_many()"
-        )
-        self._m_batches = m.counter(
-            "hyper_batches_total", "Batches accepted by execute_many()"
-        )
         self._m_noop_commits = m.counter(
             "hyper_noop_commits_total", "Commits that changed no relation"
         )
@@ -287,39 +280,10 @@ class HypeRService:
             "hyper_pinned_fallbacks_total",
             "Queries evaluated in-process because their pinned snapshot was superseded",
         )
-        self._m_rejected = m.counter(
-            "hyper_rejected_total",
-            "Requests turned away by front-end admission control",
-            labelnames=("endpoint",),
-        )
-        self._m_latency = m.histogram(
-            "hyper_request_seconds",
-            "Tracked execution latency per endpoint",
-            labelnames=("endpoint",),
-        )
-        self._m_inflight = m.gauge(
-            "hyper_inflight", "Concurrent tracked executions across all front doors"
-        )
-        self._m_slow = m.counter(
-            "hyper_slow_queries_total",
-            "Query completions at or above the slow-query threshold",
-        )
         self._m_shard_gated = m.counter(
             "hyper_shard_gated_total",
             "Pool starts forced to a single worker by the rows backend",
         )
-        #: bounded per-plan-fingerprint slow-query log, served by GET /v1/slow
-        self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
-        #: attached durable job manager (see repro.jobs.attach_jobs); None
-        #: means the job surface answers 503 on both front doors
-        self.jobs: Any = None
-        # Per-client request/rejection counters (X-Client-Id or anonymous
-        # per-connection ids).  Bounded: past _MAX_TRACKED_CLIENTS distinct
-        # ids, new ones collapse into "_other" so a client-id churn attack
-        # cannot grow the map without bound.
-        self._clients_lock = threading.Lock()
-        self._client_requests: dict[str, int] = {}
-        self._client_rejections: dict[str, int] = {}
         self._register_collectors()
         # Fold evicted/invalidated estimators' regressor counters into running
         # totals so stats() stays monotonic across evictions.  Guarded by its
@@ -414,92 +378,11 @@ class HypeRService:
         shm = pool.stats()["shm"]
         return float(shm["live_bytes"]) if shm is not None else 0.0
 
-    @contextmanager
-    def _track(self, endpoint: str, units: int = 1):
-        """Count ``units`` in-flight executions and the endpoint's latency.
-
-        ``units`` is the number of concurrent query executions the tracked
-        region represents (a shard-pool batch crossing counts one unit per
-        query it carries; a wrapper whose per-query work is tracked elsewhere
-        passes 0 so nothing double-counts).
-        """
-        started = time.perf_counter()
-        self._m_inflight.inc(units)
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._m_inflight.dec(units)
-            self._m_latency.labels(endpoint=endpoint).observe(elapsed)
-
-    _MAX_TRACKED_CLIENTS = 512
-
-    def record_rejection(self, endpoint: str = "query", *, units: int = 1) -> None:
-        """Count ``units`` requests a front-end turned away (HTTP 429)."""
-        self._m_rejected.labels(endpoint=endpoint).inc(units)
-
-    def note_client_request(self, client_id: str, *, rejected: bool = False) -> None:
-        """Attribute one front-door request (or admission/quota rejection)
-        to a client id, for the per-client section of :meth:`stats`."""
-        with self._clients_lock:
-            counters = self._client_requests
-            key = client_id
-            if key not in counters and len(counters) >= self._MAX_TRACKED_CLIENTS:
-                key = "_other"
-            counters[key] = counters.get(key, 0) + 1
-            if rejected:
-                self._client_rejections[key] = self._client_rejections.get(key, 0) + 1
-
-    def client_stats(self) -> dict[str, Any]:
-        """Per-client request/rejection counts (bounded; see ``_other``)."""
-        with self._clients_lock:
-            return {
-                "tracked": len(self._client_requests),
-                "requests": dict(self._client_requests),
-                "rejections": dict(self._client_rejections),
-            }
-
-    def serving_signals(self) -> dict[str, Any]:
-        """A cheap live snapshot of serving load, for admission decisions.
-
-        Returns in-flight executions (all front-ends sharing the service),
-        their peak, total rejections, per-endpoint latency sums, and a
-        saturation ratio against the service's own execution capacity
-        (shard count in ``processes`` mode, worker threads otherwise).  No
-        engine locks are taken — safe to call on an event loop per request.
-        """
-        capacity = (
-            self.n_shards
-            if self.execution == "processes"
-            else (self.max_workers or default_max_workers())
-        )
-        in_flight = int(self._m_inflight.value)
-        rejected = {k: int(v) for k, v in self._m_rejected.per_label().items()}
-        signals: dict[str, Any] = {
-            "in_flight": in_flight,
-            "peak_in_flight": int(self._m_inflight.peak),
-            "rejected_total": sum(rejected.values()),
-            "rejected": rejected,
-            "capacity_hint": capacity,
-            "saturation": in_flight / capacity if capacity else 0.0,
-            "latency": {
-                endpoint: {"count": child.count, "seconds": child.sum}
-                for endpoint, child in self._m_latency.per_label().items()
-            },
-        }
-        jobs_manager = self.jobs
-        if jobs_manager is not None:
-            # Leases held but not yet inside the engine count as in-flight
-            # pressure too (leases inside the engine already show up via the
-            # _track gauge), so interactive admission sees background work
-            # before it over-admits.
-            job_signals = jobs_manager.signals()
-            signals["jobs"] = job_signals
-            signals["in_flight"] = in_flight + job_signals["background_load"]
-            signals["saturation"] = (
-                signals["in_flight"] / capacity if capacity else 0.0
-            )
-        return signals
+    def _capacity_hint(self) -> int:
+        """Shard count in ``processes`` mode, worker threads otherwise."""
+        if self.execution == "processes":
+            return self.n_shards
+        return self.max_workers or default_max_workers()
 
     def _on_retire_snapshot(self, snapshot) -> None:
         """MVCC retire hook: free the retired generation's shm segments.

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro import EngineConfig, HypeR, HypeRService
+from repro.api.endpoints import V1_ENDPOINTS
 from repro.api.schemas import (
     API_VERSION,
     BatchItem,
@@ -595,3 +596,62 @@ class TestJobs:
         assert "clients" in body
         assert "stats-client" in body["clients"]["requests"]
         assert snapshot.generation >= 0
+
+
+# -- X-Request-Id: promised on every response (README, docs/observability.md) ----------
+
+ROW_BODIES = {
+    "query": {"query": QUERY_TEXT},
+    "batch": {"queries": [QUERY_TEXT]},  # the async door answers a stream head
+    "prepare": {"queries": [QUERY_TEXT]},
+    "jobs_submit": {"query": QUERY_TEXT},
+}
+
+
+def _response_head(address, method, path, body=None, headers=None):
+    """Status and ``X-Request-Id`` of a response, without draining a stream."""
+    conn = http.client.HTTPConnection(*address, timeout=60)
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    head = response.status, response.getheader("X-Request-Id")
+    conn.close()
+    return head
+
+
+@pytest.mark.parametrize("row", V1_ENDPOINTS, ids=lambda row: row.name)
+def test_every_row_echoes_the_request_id(jobs_front_door, row):
+    job_id = "job-missing"
+    if "{id}" in row.path:  # a live job, so the events row answers its stream
+        _, submitted = send(jobs_front_door, "POST", "/v1/jobs", {"query": QUERY_TEXT})
+        job_id = submitted["job_id"]
+    body = None
+    if row.method == "POST":  # rows without an entry answer 400/200 on {}
+        body = json.dumps(ROW_BODIES.get(row.name, {})).encode()
+    status, echoed = _response_head(
+        jobs_front_door,
+        row.method,
+        row.path.replace("{id}", job_id),
+        body,
+        {"X-Request-Id": f"conformance-{row.name}"},
+    )
+    assert status < 500, row.name
+    assert echoed == f"conformance-{row.name}"
+
+
+def test_unrouted_and_unframed_requests_still_carry_a_request_id(front_door):
+    status, echoed = _response_head(
+        front_door, "GET", "/v9/nowhere", headers={"X-Request-Id": "lost-0001"}
+    )
+    assert (status, echoed) == (404, "lost-0001")
+    # a body the door cannot frame is answered before any routing: the id is
+    # minted (the async door rejects it at the protocol layer)
+    conn = http.client.HTTPConnection(*front_door, timeout=30)
+    conn.putrequest("POST", "/v1/query")
+    conn.putheader("Content-Length", "nan")
+    conn.endheaders()
+    response = conn.getresponse()
+    body = json.loads(response.read())
+    conn.close()
+    assert response.status == 400
+    assert "invalid Content-Length" in body["error"]
+    assert response.getheader("X-Request-Id")

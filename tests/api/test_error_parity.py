@@ -49,9 +49,9 @@ def post_raw(address, path: str, raw: bytes) -> tuple[int, dict]:
     return response.status, body
 
 
-def get(address, path: str) -> tuple[int, dict]:
+def send(address, method: str, path: str) -> tuple[int, dict]:
     conn = http.client.HTTPConnection(*address, timeout=30)
-    conn.request("GET", path)
+    conn.request(method, path)
     response = conn.getresponse()
     body = json.loads(response.read() or b"{}")
     conn.close()
@@ -74,6 +74,7 @@ BAD_QUERY_BODIES = [
     ),
     pytest.param(b"{not json", id="malformed-json"),
     pytest.param(json.dumps(["a list"]).encode(), id="non-object-body"),
+    pytest.param(b"", id="empty-body"),
 ]
 
 
@@ -93,6 +94,7 @@ BAD_BATCH_BODIES = [
     pytest.param(json.dumps({"queries": "nope"}).encode(), id="queries-not-a-list"),
     pytest.param(json.dumps({"queries": ["a", 1]}).encode(), id="non-string-entry"),
     pytest.param(json.dumps({"q": []}).encode(), id="missing-queries"),
+    pytest.param(b"", id="empty-body"),
 ]
 
 
@@ -104,10 +106,14 @@ def test_batch_error_bodies_are_identical_across_front_doors(both_servers, raw):
     )
 
 
-def test_not_found_bodies_are_identical(both_servers):
+@pytest.mark.parametrize(
+    "method, path",
+    [("GET", "/v9/query"), ("PUT", "/v1/query"), ("DELETE", "/v1/jobs/x")],
+)
+def test_not_found_bodies_are_identical(both_servers, method, path):
     threaded_addr, async_addr = both_servers
-    assert get(threaded_addr, "/v9/query") == get(async_addr, "/v9/query")
-    status, body = get(threaded_addr, "/v9/query")
+    assert send(threaded_addr, method, path) == send(async_addr, method, path)
+    status, body = send(threaded_addr, method, path)
     assert status == 404 and body["code"] == "not_found"
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro import EngineConfig, HypeR, HypeRService
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
+from repro.service.backend import ServingCounters
 
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -210,10 +211,11 @@ class _Result:
         return {"kind": "what-if", "value": self.value}
 
 
-class FakeService:
-    """A stand-in service whose execute() blocks until released."""
+class FakeService(ServingCounters):
+    """A stand-in backend whose execute() blocks until released."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.release = threading.Event()
         self.started = threading.Event()
         self.closed = False
