@@ -7,12 +7,13 @@ Three pieces, one contract (see ``docs/api.md``):
 * :mod:`repro.api.builder` — the **fluent query builder**: constructs
   :mod:`repro.lang` ASTs directly; builder-made and text-parsed queries
   fingerprint identically and share every service cache.
-* :mod:`repro.api.client` — :class:`HypeRClient`, the stdlib **Python SDK**
-  with keep-alive, bounded retries honoring ``Retry-After``, request
-  deadlines, and streaming batch iteration.
-* :mod:`repro.api.aclient` — :class:`AsyncHypeRClient`, the asyncio twin
-  with the same retry/deadline semantics over a pooled-connection client
-  that is safe to share across tasks on one event loop.
+* :mod:`repro.api.calls` — the **SDK's sans-IO call core**: every verb
+  written once, request encoding, bounded retries honoring ``Retry-After``,
+  request deadlines, response decoding and the client error classes.  Two
+  transports move its bytes: :mod:`repro.api.client` — :class:`HypeRClient`,
+  one blocking keep-alive connection — and :mod:`repro.api.aclient` —
+  :class:`AsyncHypeRClient`, a pooled asyncio client that is safe to share
+  across tasks on one event loop.
 
 :mod:`repro.api.endpoints` is the shared ``/v1/*`` endpoint table both HTTP
 front doors mount, over the sans-IO request core of :mod:`repro.api.core`;

@@ -1,21 +1,19 @@
 """``AsyncHypeRClient`` — the asyncio twin of :class:`~repro.api.client.HypeRClient`.
 
-Same endpoints, same typed answers, and the *same* failure semantics as the
-sync SDK — bounded retries with exponential backoff for dropped sockets,
-429s honored per the server's ``retry_after`` hint, a wall-clock ``deadline``
-capping the whole call (request + retries + sleeps), request/response gzip —
-but implemented on ``asyncio`` streams so many calls can be in flight on one
-event loop.  The error classes are shared with the sync client
-(:class:`TransportError`, :class:`DeadlineExceeded`,
-:class:`ServerDeadlineExceeded`, :class:`OverloadedError`,
-:class:`ApiStatusError`), so ``except`` clauses port unchanged.
+Same endpoints, same typed answers, and the same failure semantics as the
+sync SDK — not by imitation: the verbs, request encoding, retry/deadline
+decisions, response decoding and error classes are the one copy in
+:mod:`repro.api.calls`.  This module is the **asyncio transport** only:
+HTTP/1.1 framing over ``asyncio`` streams, so many calls can be in flight on
+one event loop.  Every verb of :class:`~repro.api.calls.ClientVerbs` is
+awaited here (``await client.query(...)``), every streaming verb iterated
+with ``async for``.
 
 Unlike the sync client (one keep-alive connection, not thread-safe), the
 async client keeps a small **pool** of keep-alive connections: concurrent
 coroutines each borrow an idle connection or open a fresh one, so a single
 client per server is safe to share across tasks on one loop — exactly what
-the cluster coordinator needs for concurrent scatters.  This is also the
-satellite "async client" of the serving roadmap::
+the cluster coordinator needs for concurrent scatters::
 
     client = AsyncHypeRClient("127.0.0.1", 8000)
     try:
@@ -30,48 +28,21 @@ satellite "async client" of the serving roadmap::
 from __future__ import annotations
 
 import asyncio
-import gzip as gzip_module
-import json
-from typing import Any, AsyncIterator, Iterable, Sequence
+from dataclasses import dataclass
+from collections.abc import AsyncIterator
+from typing import TYPE_CHECKING, Any, Sequence
 
-from ..obs.trace import new_request_id
-from .client import (
-    DeadlineExceeded,
-    HypeRClient,
-    TransportError,
-    _Deadline,
-    _decode_body,
-    _error_from_response,
-)
-from .endpoints import GZIP_MIN_BYTES
-from .schemas import (
-    Answer,
-    BatchItem,
-    BatchRequest,
-    JobListAnswer,
-    JobStatus,
-    JobSubmitRequest,
-    PrepareAnswer,
-    PrepareRequest,
-    QueryRequest,
-    StatsSnapshot,
-    UpdateAnswer,
-    UpdateRequest,
-    answer_from_json,
-)
+from .calls import Call, ClientVerbs, Deadline, LineDecoder, PendingCall
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .schemas import BatchItem, JobStatus
 
 __all__ = ["AsyncHypeRClient"]
 
-#: failures worth a reconnect-and-retry — the async analogue of the sync
-#: client's ``(ConnectionError, HTTPException, TimeoutError, OSError)``
-_RETRYABLE = (
-    ConnectionError,
-    TimeoutError,
-    asyncio.TimeoutError,
-    asyncio.IncompleteReadError,
-    EOFError,
-    OSError,
-)
+#: what a dead, stalled or half-closed connection raises — the async analogue
+#: of the sync client's ``(HTTPException, OSError)``; ``ConnectionError`` and
+#: ``TimeoutError`` are ``OSError``s, ``IncompleteReadError`` an ``EOFError``
+_IO_ERRORS = (OSError, EOFError, asyncio.TimeoutError)
 
 #: StreamReader line limit — headers and NDJSON lines must fit one line
 _STREAM_LIMIT = 1 << 20
@@ -80,48 +51,28 @@ _STREAM_LIMIT = 1 << 20
 class _Conn:
     """One pooled keep-alive connection."""
 
-    __slots__ = ("reader", "writer")
+    __slots__ = ("reader", "writer", "will_close")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
+        #: the last response head said the server closes after this answer
+        self.will_close = False
 
 
-class AsyncHypeRClient:
+@dataclass(eq=False, kw_only=True)
+class AsyncHypeRClient(ClientVerbs):
     """Asyncio client for a HypeR service's ``/v1`` HTTP API.
 
-    Constructor parameters mirror :class:`~repro.api.client.HypeRClient`
+    Constructor parameters are :class:`~repro.api.calls.ClientVerbs`'s
     (``timeout`` is the per-I/O-operation cap, ``deadline`` arguments cap
     whole calls).  ``max_idle_connections`` bounds the keep-alive pool;
     excess connections are closed on release rather than pooled.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8000,
-        *,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.05,
-        trace: bool = False,
-        gzip_min_bytes: int | None = GZIP_MIN_BYTES,
-        max_idle_connections: int = 8,
-        client_id: str = "",
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.trace = trace
-        self.gzip_min_bytes = gzip_min_bytes
-        #: sent as ``X-Client-Id`` on every request (per-client stats, job
-        #: ownership, quotas); empty means the server assigns an anonymous id
-        self.client_id = client_id
-        self.max_idle_connections = max_idle_connections
-        #: the X-Request-Id of the most recently started call
-        self.last_request_id: str = ""
+    max_idle_connections: int = 8
+
+    def __post_init__(self) -> None:
         self._idle: list[_Conn] = []
         self._closed = False
 
@@ -141,28 +92,17 @@ class AsyncHypeRClient:
 
     # -- connection pool ---------------------------------------------------------------
 
-    async def _acquire(self, deadline: _Deadline) -> _Conn:
+    async def _acquire(self, deadline: Deadline) -> _Conn:
         while self._idle:
             conn = self._idle.pop()
-            if conn.writer.is_closing():
-                self._discard(conn)
-                continue
-            return conn
+            if not conn.writer.is_closing():
+                return conn
+            self._discard(conn)
         reader, writer = await self._bounded(
             asyncio.open_connection(self.host, self.port, limit=_STREAM_LIMIT),
             deadline,
         )
         return _Conn(reader, writer)
-
-    def _release(self, conn: _Conn) -> None:
-        if (
-            self._closed
-            or conn.writer.is_closing()
-            or len(self._idle) >= self.max_idle_connections
-        ):
-            self._discard(conn)
-        else:
-            self._idle.append(conn)
 
     def _discard(self, conn: _Conn) -> None:
         try:
@@ -170,401 +110,184 @@ class AsyncHypeRClient:
         except Exception:  # noqa: BLE001 - best-effort teardown
             pass
 
-    def _finish(self, conn: _Conn, will_close: bool) -> None:
-        """Return a connection to the pool, or close it per the response."""
-        if will_close:
+    def _finish(self, conn: _Conn) -> None:
+        """Return a fully-read connection to the pool, or close it per the response."""
+        if (
+            conn.will_close
+            or self._closed
+            or conn.writer.is_closing()
+            or len(self._idle) >= self.max_idle_connections
+        ):
             self._discard(conn)
         else:
-            self._release(conn)
+            self._idle.append(conn)
 
-    # -- deadline plumbing -------------------------------------------------------------
-
-    def _begin_call(self, deadline: float | None) -> _Deadline:
-        self.last_request_id = new_request_id()
-        return _Deadline(deadline, self.last_request_id)
-
-    async def _bounded(self, awaitable: Any, deadline: _Deadline) -> Any:
+    async def _bounded(self, awaitable: Any, deadline: Deadline) -> Any:
         """Run one I/O operation under the per-operation/deadline cap."""
-        timeout = max(deadline.cap(self.timeout), 1e-3)
+        timeout = deadline.io_timeout(self.timeout)
         try:
             return await asyncio.wait_for(awaitable, timeout)
         except asyncio.TimeoutError:
             raise TimeoutError(f"no response within {timeout:.3f}s") from None
 
-    async def _sleep(self, seconds: float, deadline: _Deadline) -> None:
-        remaining = deadline.remaining()
-        if remaining is not None and seconds >= remaining:
-            raise DeadlineExceeded(
-                f"request deadline expires in {remaining:.3f}s, "
-                f"cannot wait {seconds:.3f}s to retry",
-                request_id=deadline.request_id,
-            )
-        await asyncio.sleep(seconds)
-
     # -- HTTP/1.1 framing --------------------------------------------------------------
 
-    def _render_request(
-        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
-    ) -> bytes:
+    def _render_request(self, pending: PendingCall) -> bytes:
+        body = pending.body or b""
         lines = [
-            f"{method} {path} HTTP/1.1",
+            f"{pending.call.method} {pending.call.path} HTTP/1.1",
             f"Host: {self.host}:{self.port}",
         ]
-        for name, value in headers.items():
+        for name, value in pending.headers.items():
             lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(body) if body else 0}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
+        lines.append(f"Content-Length: {len(body)}")
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     async def _read_head(
-        self, conn: _Conn, deadline: _Deadline
-    ) -> tuple[int, dict[str, str], bool]:
-        """Parse the status line and headers; returns (status, headers, will_close)."""
-        line = await self._bounded(conn.reader.readline(), deadline)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        parts = line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise ConnectionError(f"malformed status line {line!r}")
-        version = parts[0]
+        self, conn: _Conn, deadline: Deadline
+    ) -> tuple[int, dict[str, str]]:
+        """Parse the status line and headers; notes whether the server will close."""
         try:
-            status = int(parts[1])
-        except ValueError:
-            raise ConnectionError(f"malformed status line {line!r}") from None
+            head = await self._bounded(conn.reader.readuntil(b"\r\n\r\n"), deadline)
+        except asyncio.IncompleteReadError as error:
+            what = "truncated the head" if error.partial else "closed the connection"
+            raise ConnectionError(f"server {what}") from None
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        version, status, *_ = (*status_line.split(None, 2), "", "")
+        if not version.startswith("HTTP/") or not status.isdigit():
+            raise ConnectionError(f"malformed status line {status_line!r}")
         headers: dict[str, str] = {}
-        while True:
-            line = await self._bounded(conn.reader.readline(), deadline)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionError("truncated response headers")
-            name, sep, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+        for line in lines:
+            name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
         connection = headers.get("connection", "").lower()
         if version == "HTTP/1.0":
-            will_close = "keep-alive" not in connection
+            conn.will_close = "keep-alive" not in connection
         else:
-            will_close = "close" in connection
-        return status, headers, will_close
+            conn.will_close = "close" in connection
+        return int(status), headers
 
-    async def _iter_chunks(
-        self, conn: _Conn, deadline: _Deadline
+    async def _iter_body(
+        self, conn: _Conn, headers: dict[str, str], deadline: Deadline
     ) -> AsyncIterator[bytes]:
-        """Decode ``Transfer-Encoding: chunked`` payload chunks (incl. terminator)."""
-        while True:
-            size_line = await self._bounded(conn.reader.readline(), deadline)
-            if not size_line:
-                raise ConnectionError("chunked stream truncated")
-            try:
-                size = int(size_line.strip().split(b";", 1)[0], 16)
-            except ValueError:
-                raise ConnectionError(f"malformed chunk size {size_line!r}") from None
-            if size == 0:
-                # trailer section: read through the blank terminator line
-                while True:
-                    trailer = await self._bounded(conn.reader.readline(), deadline)
-                    if trailer in (b"\r\n", b"\n", b""):
-                        return
-            chunk = await self._bounded(conn.reader.readexactly(size), deadline)
-            await self._bounded(conn.reader.readexactly(2), deadline)  # CRLF
-            yield chunk
-
-    @staticmethod
-    def _decompress(raw: bytes, headers: dict[str, str]) -> bytes:
-        if raw and headers.get("content-encoding", "").strip().lower() == "gzip":
-            try:
-                return gzip_module.decompress(raw)
-            except (OSError, EOFError) as error:
-                raise TransportError(
-                    f"server sent a malformed gzip body: {error}"
-                ) from None
-        return raw
-
-    async def _read_full_body(
-        self, conn: _Conn, headers: dict[str, str], deadline: _Deadline
-    ) -> bytes:
+        """The body's bytes as they arrive, read through the end of its framing."""
+        reader = conn.reader
+        length = headers.get("content-length")
         if headers.get("transfer-encoding", "").lower() == "chunked":
-            chunks = [chunk async for chunk in self._iter_chunks(conn, deadline)]
-            return self._decompress(b"".join(chunks), headers)
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            raw = await self._bounded(conn.reader.read(-1), deadline)
-        else:
-            try:
-                length = int(raw_length)
-            except ValueError:
-                raise ConnectionError(
-                    f"invalid Content-Length {raw_length!r}"
-                ) from None
-            raw = (
-                await self._bounded(conn.reader.readexactly(length), deadline)
-                if length
-                else b""
-            )
-        return self._decompress(raw, headers)
+            while True:
+                size_line = await self._bounded(reader.readline(), deadline)
+                try:  # an EOF's empty line is malformed too
+                    size = int(size_line.split(b";", 1)[0], 16)
+                except ValueError:
+                    raise ConnectionError(f"bad chunk size {size_line!r}") from None
+                if size == 0:
+                    # trailer section: read through the blank terminator line
+                    while True:
+                        trailer = await self._bounded(reader.readline(), deadline)
+                        if trailer in (b"\r\n", b"\n", b""):
+                            return
+                chunk = await self._bounded(reader.readexactly(size + 2), deadline)
+                yield chunk[:-2]  # without its CRLF
+        elif length is None:
+            # close-delimited (the threaded front door's streams): until EOF
+            while piece := await self._bounded(reader.read(1 << 16), deadline):
+                yield piece
+        elif not length.isdigit():
+            raise ConnectionError(f"invalid Content-Length {length!r}")
+        elif int(length):
+            yield await self._bounded(reader.readexactly(int(length)), deadline)
 
-    # -- request core ------------------------------------------------------------------
+    async def _iter_lines(
+        self, conn: _Conn, headers: dict[str, str], deadline: Deadline
+    ) -> AsyncIterator[bytes]:
+        """A streamed body split into lines (whatever its framing)."""
+        buffer = b""
+        async for piece in self._iter_body(conn, headers, deadline):
+            buffer += piece
+            while b"\n" in buffer:
+                line, buffer = buffer.split(b"\n", 1)
+                yield line
+        if buffer:
+            yield buffer
 
-    def _encode_payload(
-        self, payload: dict[str, Any] | None
-    ) -> tuple[bytes | None, dict[str, str]]:
-        body = json.dumps(payload).encode() if payload is not None else None
-        headers = {"Accept-Encoding": "gzip"}
-        if self.client_id:
-            headers["X-Client-Id"] = self.client_id
-        if body is not None:
-            headers["Content-Type"] = "application/json"
-            if self.gzip_min_bytes is not None and len(body) >= self.gzip_min_bytes:
-                # mtime=0 keeps compression deterministic, like the sync client
-                body = gzip_module.compress(body, compresslevel=6, mtime=0)
-                headers["Content-Encoding"] = "gzip"
-        return body, headers
+    # -- the asyncio transport ---------------------------------------------------------
 
-    async def _request_head(
-        self,
-        method: str,
-        path: str,
-        payload: dict[str, Any] | None,
-        deadline: _Deadline,
-    ) -> tuple[_Conn, int, dict[str, str], bool]:
-        """Send one request (with retries) and parse the head, body unread.
+    async def _exchange(self, pending: PendingCall) -> Any:
+        """The attempt loop: send, ask the core what the outcome means, sleep.
 
-        Retries dropped sockets with backoff, and 429s per the server's
-        ``retry_after``; the caller owns the returned connection and must
-        hand it back through :meth:`_finish` once the body is consumed.
+        Returns the decoded answer — for a streamed call an (async, or for a
+        whole-body answer plain) iterator of its items.
         """
-        body, headers = self._encode_payload(payload)
-        if deadline.request_id:
-            # retries reuse the id: they are the same logical request
-            headers["X-Request-Id"] = deadline.request_id
-        attempt = 0
+        deadline = pending.deadline
         while True:
             deadline.check()
             conn: _Conn | None = None
             try:
                 conn = await self._acquire(deadline)
-                conn.writer.write(self._render_request(method, path, body, headers))
+                conn.writer.write(self._render_request(pending))
                 await self._bounded(conn.writer.drain(), deadline)
-                status, resp_headers, will_close = await self._read_head(conn, deadline)
-            except DeadlineExceeded:
+                status, headers = await self._read_head(conn, deadline)
+            except _IO_ERRORS as error:
                 if conn is not None:
                     self._discard(conn)
-                raise
-            except _RETRYABLE as error:
-                if conn is not None:
-                    self._discard(conn)
-                if attempt >= self.max_retries:
-                    raise TransportError(
-                        f"{method} {path} failed after {attempt + 1} attempt(s): "
-                        f"{type(error).__name__}: {error}",
-                        request_id=deadline.request_id,
-                    ) from error
-                await self._sleep(self.backoff_seconds * (2**attempt), deadline)
-                attempt += 1
+                await asyncio.sleep(pending.backoff(error))
                 continue
-            if status == 429 and attempt < self.max_retries:
-                raw = await self._read_full_body(conn, resp_headers, deadline)
-                self._finish(conn, will_close)
-                rejection = _decode_body(raw)
-                hint = rejection.get("retry_after")
-                if hint is None:
-                    header = resp_headers.get("retry-after")
-                    hint = float(header) if header else 1.0
-                await self._sleep(max(float(hint), 0.0), deadline)
-                attempt += 1
-                continue
-            return conn, status, resp_headers, will_close
+            if pending.streams(status, headers.get("content-type")):
+                return self._lines(conn, headers, pending)
+            try:
+                pieces = [p async for p in self._iter_body(conn, headers, deadline)]
+            except _IO_ERRORS as error:
+                self._discard(conn)
+                raise pending.truncated(error) from error
+            self._finish(conn)
+            raw, encoding = b"".join(pieces), headers.get("content-encoding")
+            hint = headers.get("retry-after")
+            wait = pending.overloaded(status, raw, encoding, hint)
+            if wait is None:
+                return pending.decode(status, raw, encoding)
+            await asyncio.sleep(wait)
 
-    async def _request(
-        self,
-        method: str,
-        path: str,
-        payload: dict[str, Any] | None,
-        deadline: _Deadline,
-    ) -> tuple[int, dict[str, str], bytes]:
-        conn, status, headers, will_close = await self._request_head(
-            method, path, payload, deadline
-        )
-        try:
-            raw = await self._read_full_body(conn, headers, deadline)
-        except DeadlineExceeded:
-            self._discard(conn)
-            raise
-        except _RETRYABLE as error:
-            self._discard(conn)
-            raise TransportError(
-                f"{method} {path} response truncated: {error}",
-                request_id=deadline.request_id,
-            ) from error
-        self._finish(conn, will_close)
-        return status, headers, raw
+    async def _run(self, call: Call) -> Any:
+        return await self._exchange(self._begin(call))
 
-    async def _json_call(
-        self,
-        method: str,
-        path: str,
-        payload: dict[str, Any] | None,
-        deadline: _Deadline,
-        *,
-        accept: tuple[int, ...] = (200,),
-    ) -> dict[str, Any]:
-        status, _headers, raw = await self._request(method, path, payload, deadline)
-        body = _decode_body(raw)
-        if status not in accept:
-            raise _error_from_response(status, body, request_id=deadline.request_id)
-        return body
-
-    # -- generic JSON endpoints (the cluster's internal protocol uses these) -----------
-
-    async def get_json(
-        self, path: str, *, deadline: float | None = None
-    ) -> dict[str, Any]:
-        """``GET path`` returning the decoded JSON object (non-200 raises)."""
-        return await self._json_call("GET", path, None, self._begin_call(deadline))
-
-    async def post_json(
-        self, path: str, payload: dict[str, Any], *, deadline: float | None = None
-    ) -> dict[str, Any]:
-        """``POST path`` returning the decoded JSON object (non-200 raises)."""
-        return await self._json_call("POST", path, payload, self._begin_call(deadline))
-
-    # -- typed endpoints ---------------------------------------------------------------
-
-    async def health(self, *, deadline: float | None = None) -> dict[str, Any]:
-        """``GET /v1/health``."""
-        return await self.get_json("/v1/health", deadline=deadline)
-
-    async def stats(self, *, deadline: float | None = None) -> StatsSnapshot:
-        """``GET /v1/stats`` as a typed :class:`StatsSnapshot`."""
-        body = await self.get_json("/v1/stats", deadline=deadline)
-        return StatsSnapshot.from_json(body)
-
-    async def metrics(self, *, deadline: float | None = None) -> str:
-        """``GET /v1/metrics``: the server's Prometheus text exposition."""
-        budget = self._begin_call(deadline)
-        status, _headers, raw = await self._request("GET", "/v1/metrics", None, budget)
-        if status != 200:
-            raise _error_from_response(
-                status, _decode_body(raw), request_id=budget.request_id
-            )
-        return raw.decode("utf-8")
-
-    async def slow_queries(self, *, deadline: float | None = None) -> dict[str, Any]:
-        """``GET /v1/slow``: the server's slow-query log snapshot."""
-        return await self.get_json("/v1/slow", deadline=deadline)
-
-    async def query(
-        self,
-        query: Any,
-        *,
-        exhaustive: bool = False,
-        deadline: float | None = None,
-        deadline_ms: int | None = None,
-        trace: bool | None = None,
-    ) -> Answer:
-        """Answer one query (text, query object, or builder) as a typed answer."""
-        wants_trace = self.trace if trace is None else trace
-        wants_trace = wants_trace or bool(getattr(query, "wants_trace", False))
-        request = QueryRequest(
-            query=HypeRClient._as_text(query),
-            exhaustive=exhaustive,
-            deadline_ms=HypeRClient._server_deadline_ms(deadline, deadline_ms),
-        )
-        path = "/v1/query?trace=1" if wants_trace else "/v1/query"
-        body = await self._json_call(
-            "POST", path, request.to_json(), self._begin_call(deadline)
-        )
-        return answer_from_json(body)
-
-    async def update(
-        self,
-        assignments: dict[str, dict[str, Sequence[float]]],
-        *,
-        deadline: float | None = None,
-        trace: bool | None = None,
-    ) -> UpdateAnswer:
-        """``POST /v1/update``: commit whole-column overwrites as one generation."""
-        request = UpdateRequest(
-            assignments={
-                relation: {
-                    attr: tuple(float(v) for v in values)
-                    for attr, values in columns.items()
-                }
-                for relation, columns in assignments.items()
-            }
-        )
-        wants_trace = self.trace if trace is None else trace
-        path = "/v1/update?trace=1" if wants_trace else "/v1/update"
-        body = await self._json_call(
-            "POST", path, request.to_json(), self._begin_call(deadline)
-        )
-        return UpdateAnswer.from_json(body)
-
-    async def batch(
-        self,
-        queries: Sequence[Any] | Iterable[Any],
-        *,
-        deadline: float | None = None,
-        deadline_ms: int | None = None,
-    ) -> AsyncIterator[BatchItem]:
-        """Stream a batch's per-query outcomes as the server emits them.
-
-        NDJSON (async front door) streams in completion order; a single JSON
-        response (threaded front door) yields items in index order.
-        """
-        texts = [HypeRClient._as_text(q) for q in queries]
-        request = BatchRequest(
-            queries=tuple(texts),
-            deadline_ms=HypeRClient._server_deadline_ms(deadline, deadline_ms),
-        )
-        budget = self._begin_call(deadline)
-        conn, status, headers, will_close = await self._request_head(
-            "POST", "/v1/batch", request.to_json(), budget
-        )
-        if status != 200:
-            raw = await self._read_full_body(conn, headers, budget)
-            self._finish(conn, will_close)
-            raise _error_from_response(
-                status, _decode_body(raw), request_id=budget.request_id
-            )
-        content_type = headers.get("content-type", "").lower()
-        chunked = headers.get("transfer-encoding", "").lower() == "chunked"
-        if "ndjson" not in content_type or not chunked:
-            raw = await self._read_full_body(conn, headers, budget)
-            self._finish(conn, will_close)
-            for item in HypeRClient._iter_results(_decode_body(raw)):
+    async def _stream(self, call: Call, decoder: LineDecoder) -> AsyncIterator[Any]:
+        """Make the call on first iteration; the iterator owns its connection."""
+        items = await self._exchange(self._begin(call, decoder))
+        if isinstance(items, AsyncIterator):
+            async for item in items:
                 yield item
-            return
-        seen = 0
-        buffer = b""
+        else:
+            for item in items:
+                yield item
+
+    async def _lines(
+        self, conn: _Conn, headers: dict[str, str], pending: PendingCall
+    ) -> AsyncIterator[Any]:
+        decoder, clean = pending.decoder, False
         try:
-            async for chunk in self._iter_chunks(conn, budget):
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    data = json.loads(line)
-                    if data.get("done"):
-                        if seen != len(texts):
-                            raise TransportError(
-                                f"batch stream closed after {seen}/{len(texts)} results",
-                                request_id=budget.request_id,
-                            )
-                        self._finish(conn, will_close)
-                        return
-                    seen += 1
-                    yield BatchItem.from_json(data)
-        except _RETRYABLE as error:
-            self._discard(conn)
-            raise TransportError(
-                f"batch stream failed: {error}", request_id=budget.request_id
-            ) from error
-        self._discard(conn)
-        raise TransportError(
-            f"batch stream ended early: {seen}/{len(texts)} results",
-            request_id=budget.request_id,
-        )
+            async for line in self._iter_lines(conn, headers, pending.deadline):
+                if decoder.done:
+                    # keep reading through the end of the framing (the chunk
+                    # terminator): only then is the connection poolable
+                    continue
+                pending.deadline.check()
+                item = decoder.feed(line)
+                if item is not None:
+                    yield item
+            if not decoder.done:
+                decoder.end()
+            clean = True
+        except _IO_ERRORS as error:
+            raise pending.truncated(error) from error
+        finally:
+            # a failed, malformed or abandoned stream leaves unread bytes behind
+            if clean:
+                self._finish(conn)
+            else:
+                self._discard(conn)
+
+    # -- verbs that loop ---------------------------------------------------------------
 
     async def batch_collect(
         self,
@@ -576,145 +299,6 @@ class AsyncHypeRClient:
         items = [item async for item in self.batch(queries, deadline=deadline)]
         return sorted(items, key=lambda item: item.index)
 
-    # -- prepare / jobs ----------------------------------------------------------------
-
-    async def prepare(
-        self,
-        queries: Sequence[Any] | Iterable[Any],
-        *,
-        deadline: float | None = None,
-    ) -> PrepareAnswer:
-        """``POST /v1/prepare``: warm server-side plans/views for these queries."""
-        request = PrepareRequest(
-            queries=tuple(HypeRClient._as_text(q) for q in queries)
-        )
-        body = await self._json_call(
-            "POST", "/v1/prepare", request.to_json(), self._begin_call(deadline)
-        )
-        return PrepareAnswer.from_json(body)
-
-    async def submit_job(
-        self,
-        query: Any = None,
-        *,
-        queries: Sequence[Any] | None = None,
-        priority: str = "normal",
-        run_at_generation: int | None = None,
-        exhaustive: bool = False,
-        deadline: float | None = None,
-    ) -> JobStatus:
-        """``POST /v1/jobs``: enqueue one query (or a batch) as a durable job.
-
-        Exactly one of ``query``/``queries`` must be given.  See the sync
-        client for the idempotency caveat on transport retries.
-        """
-        request = JobSubmitRequest(
-            query=HypeRClient._as_text(query) if query is not None else None,
-            queries=(
-                tuple(HypeRClient._as_text(q) for q in queries)
-                if queries is not None
-                else None
-            ),
-            priority=priority,
-            run_at_generation=run_at_generation,
-            exhaustive=exhaustive,
-        )
-        body = await self._json_call(
-            "POST",
-            "/v1/jobs",
-            request.to_json(),
-            self._begin_call(deadline),
-            accept=(200, 202),
-        )
-        return JobStatus.from_json(body)
-
-    async def job(self, job_id: str, *, deadline: float | None = None) -> JobStatus:
-        """``GET /v1/jobs/{id}``: the job's current status."""
-        body = await self.get_json(f"/v1/jobs/{job_id}", deadline=deadline)
-        return JobStatus.from_json(body)
-
-    async def jobs(self, *, deadline: float | None = None) -> JobListAnswer:
-        """``GET /v1/jobs``: this client's jobs (per ``client_id``), oldest first."""
-        body = await self.get_json("/v1/jobs", deadline=deadline)
-        return JobListAnswer.from_json(body)
-
-    async def job_result(
-        self, job_id: str, *, deadline: float | None = None
-    ) -> dict[str, Any]:
-        """``GET /v1/jobs/{id}/result``: the finished job's result document."""
-        return await self.get_json(f"/v1/jobs/{job_id}/result", deadline=deadline)
-
-    async def cancel_job(
-        self, job_id: str, *, deadline: float | None = None
-    ) -> JobStatus:
-        """``POST /v1/jobs/{id}/cancel``: request cancellation (idempotent)."""
-        body = await self._json_call(
-            "POST", f"/v1/jobs/{job_id}/cancel", {}, self._begin_call(deadline)
-        )
-        return JobStatus.from_json(body)
-
-    async def job_events(
-        self,
-        job_id: str,
-        *,
-        timeout_s: float | None = None,
-        deadline: float | None = None,
-    ) -> AsyncIterator[dict[str, Any]]:
-        """``GET /v1/jobs/{id}/events``: stream the job's NDJSON event lines.
-
-        Yields each event dict live and ends after the server's
-        ``{"done": true, ...}`` line (yielded last).  Works against both
-        framings: chunked (async front door) and close-delimited (threaded
-        front door).
-        """
-        path = f"/v1/jobs/{job_id}/events"
-        if timeout_s is not None:
-            path += f"?timeout_s={float(timeout_s):g}"
-        budget = self._begin_call(deadline)
-        conn, status, headers, will_close = await self._request_head(
-            "GET", path, None, budget
-        )
-        if status != 200:
-            raw = await self._read_full_body(conn, headers, budget)
-            self._finish(conn, will_close)
-            raise _error_from_response(
-                status, _decode_body(raw), request_id=budget.request_id
-            )
-        chunked = headers.get("transfer-encoding", "").lower() == "chunked"
-        try:
-            if chunked:
-                buffer = b""
-                async for chunk in self._iter_chunks(conn, budget):
-                    buffer += chunk
-                    while b"\n" in buffer:
-                        line, buffer = buffer.split(b"\n", 1)
-                        if not line.strip():
-                            continue
-                        data = json.loads(line)
-                        yield data
-                        if data.get("done"):
-                            # remaining chunks (the terminator) are unread —
-                            # retire the connection instead of pooling it
-                            self._discard(conn)
-                            return
-            else:
-                while True:
-                    line = await self._bounded(conn.reader.readline(), budget)
-                    if not line:
-                        break  # close-delimited stream ended
-                    if not line.strip():
-                        continue
-                    data = json.loads(line)
-                    yield data
-                    if data.get("done"):
-                        break
-        except _RETRYABLE as error:
-            self._discard(conn)
-            raise TransportError(
-                f"job event stream failed: {error}", request_id=budget.request_id
-            ) from error
-        self._discard(conn)
-
     async def wait(
         self,
         job_id: str,
@@ -722,11 +306,18 @@ class AsyncHypeRClient:
         timeout: float | None = None,
         poll_seconds: float = 0.25,
     ) -> JobStatus:
-        """Block until the job reaches a terminal state; returns its status."""
-        budget = _Deadline(timeout)
+        """Wait until the job reaches a terminal state; returns its status.
+
+        Polls the job's status (each poll under the remaining budget);
+        raises :class:`DeadlineExceeded` if ``timeout`` elapses first.
+        """
+        budget = Deadline(timeout)
         while True:
             status = await self.job(job_id, deadline=budget.remaining())
             if status.terminal:
                 return status
+            budget.request_id = self.last_request_id
             budget.check()
-            await self._sleep(min(poll_seconds, budget.cap(self.timeout)), budget)
+            await asyncio.sleep(
+                budget.pace(min(poll_seconds, budget.io_timeout(self.timeout)))
+            )

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..api import endpoints as api
 from ..api.aclient import AsyncHypeRClient
-from ..api.client import (
+from ..api.calls import (
     ApiStatusError,
     DeadlineExceeded,
     OverloadedError,

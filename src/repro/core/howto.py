@@ -122,20 +122,14 @@ def candidate_contribution_rows(
     query: HowToQuery,
     shared: PreparedHowTo,
     post_values: dict[str, Sequence[Any]],
-    *,
-    row_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (count, sum) contributions of one candidate update choice.
 
-    Full-view-length arrays; entries outside ``row_mask`` (when given) are
-    zero.  ``sum`` is only populated for sum/avg objectives.
+    Full-view-length arrays; ``sum`` is only populated for sum/avg objectives.
     """
     view = shared.view
     n = len(view)
     scope = np.asarray(shared.scope_mask, dtype=bool)
-    restrict = (
-        np.ones(n, dtype=bool) if row_mask is None else np.asarray(row_mask, dtype=bool)
-    )
     if not post_values:
         post_values = candidate_post_values(query, shared, [])
     count_contrib = np.zeros(n)
@@ -144,7 +138,7 @@ def candidate_contribution_rows(
     qualifies_pre = np.zeros(n, dtype=bool)
     for pre_mask, post_mask in zip(shared.pre_masks, shared.post_masks):
         qualifies_pre |= pre_mask & post_mask
-    unaffected = ~scope & restrict
+    unaffected = ~scope
     count_contrib[unaffected] = qualifies_pre[unaffected].astype(float)
     sum_contrib[unaffected] = np.where(
         qualifies_pre[unaffected], shared.output_values[unaffected], 0.0
@@ -157,7 +151,7 @@ def candidate_contribution_rows(
         for subset in subsets:
             sign = 1.0 if len(subset) % 2 == 1 else -1.0
             joint_post = np.ones(n, dtype=bool)
-            applicable = scope & restrict
+            applicable = scope.copy()
             for k in subset:
                 joint_post &= shared.post_masks[k]
                 applicable &= shared.pre_masks[k]

@@ -127,16 +127,13 @@ class PreparedWhatIf:
 
 # -- pure evaluation phases ----------------------------------------------------------
 #
-# The functions below are the shard-safe core of what-if evaluation: they
-# close over no engine state, take picklable inputs, and optionally restrict
-# accumulation (and estimator *prediction*) to a boolean ``row_mask`` of view
-# rows.  Restriction is exact: regressors are always fitted on the full-view
-# training targets (so every shard fits the bitwise-identical model), and
-# per-row predictions are row-stable, so contributions computed for a shard's
-# rows equal the same rows of an unsharded evaluation bit for bit.  The
-# shard subsystem (:mod:`repro.shard`) merges such per-row contributions and
-# finishes with :func:`finalize_what_if`, the same reduction the unsharded
-# path runs.
+# The functions below are the pure core of what-if evaluation: they close
+# over no engine state and take picklable inputs.  Per-row predictions are
+# row-stable and regressors are always fitted on full-view training targets,
+# so the shard subsystem's local-view kernels (:mod:`repro.shard.local`)
+# compute, for a shard's rows, the same contributions bit for bit; their
+# merge finishes with :func:`finalize_what_if`, the same reduction the
+# unsharded path runs.
 
 
 def _subset_index_list(n: int) -> list[tuple[int, ...]]:
@@ -150,22 +147,16 @@ def causal_contribution_rows(
     query: WhatIfQuery,
     prepared: PreparedWhatIf,
     estimator: PostUpdateEstimator,
-    *,
-    row_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (count, sum) contributions of the causal variants.
 
-    Returns full-view-length float arrays; entries outside ``row_mask`` (when
-    given) are zero and must be taken from other shards.  ``sum`` entries are
-    only populated when the query's aggregate needs output values.
+    Returns full-view-length float arrays.  ``sum`` entries are only
+    populated when the query's aggregate needs output values.
     """
     aggregate = get_aggregate(query.output_aggregate)
     view = prepared.view
     n = len(view)
     scope = prepared.scope_mask
-    restrict = (
-        np.ones(n, dtype=bool) if row_mask is None else np.asarray(row_mask, dtype=bool)
-    )
     kernels = prepared.kernels
 
     def _derived(key: Hashable, build: Any) -> np.ndarray:
@@ -199,7 +190,7 @@ def causal_contribution_rows(
     sum_contrib = np.zeros(n)
 
     # -- unaffected tuples: post values equal pre values, everything deterministic.
-    unaffected = ~scope & restrict
+    unaffected = ~scope
     qualifies_pre = _derived(("qualifies_pre", prepared.for_key), _build_qualifies_pre)
     if prepared.fused:
         # One where-pass instead of gather / assign round-trips; values are
@@ -213,14 +204,12 @@ def causal_contribution_rows(
         )
 
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3).
-    # The branch condition uses the full-view scope so a shard that owns no
-    # affected row still follows the unsharded control flow (the final clip).
     if scope.any():
         for subset in _subset_index_list(len(prepared.disjuncts)):
             sign = 1.0 if len(subset) % 2 == 1 else -1.0
             joint_post = np.ones(n, dtype=bool)
             # Rows where every pre-part in the subset holds contribute this term.
-            applicable = scope & restrict
+            applicable = scope.copy()
             for k in subset:
                 joint_post &= post_masks[k]
                 applicable &= pre_masks[k]
@@ -253,8 +242,6 @@ def causal_contribution_rows(
 def indep_contribution_rows(
     query: WhatIfQuery,
     prepared: PreparedWhatIf,
-    *,
-    row_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row contributions of the Indep baseline (no causal propagation)."""
     view = prepared.view
@@ -262,8 +249,6 @@ def indep_contribution_rows(
     for attribute, values in prepared.post_values.items():
         post_view = post_view.with_column(attribute, values)
     qualify = evaluate_mask(query.for_clause, view, post_view)
-    if row_mask is not None:
-        qualify = qualify & np.asarray(row_mask, dtype=bool)
     output_values = numeric_output_column(post_view, query.output_attribute)
     count_contrib = qualify.astype(float)
     sum_contrib = np.where(qualify, output_values, 0.0)

@@ -1,11 +1,11 @@
 """Shard-local what-if evaluation: per-query work proportional to owned rows.
 
-:func:`repro.core.whatif.causal_contribution_rows` with a ``row_mask``
-restricts estimator *prediction* to a shard's rows but still evaluates scope /
-``For`` masks and post-update columns over the full view — work every worker
-would duplicate.  The kernels here evaluate those per-query vectorized pieces
-on the shard's **local view** (the full view filtered to owned rows), so a
-query's marginal cost in a worker scales with ``n / n_shards``.
+:func:`repro.core.whatif.causal_contribution_rows` evaluates scope / ``For``
+masks, post-update columns and estimator predictions over the full view —
+work every worker would duplicate.  The kernels here evaluate those per-query
+vectorized pieces on the shard's **local view** (the full view filtered to
+owned rows), so a query's marginal cost in a worker scales with
+``n / n_shards``.
 
 The bitwise-exactness contract survives because the two remaining full-view
 dependencies are handled explicitly:

@@ -1,8 +1,17 @@
-"""HypeRClient: typed answers, streaming, retries, deadlines, keep-alive."""
+"""Both SDK clients: typed answers, streaming, retries, deadlines, keep-alive.
+
+Every class here runs over ``HypeRClient`` and ``AsyncHypeRClient`` alike —
+they are two transports under one call core (:mod:`repro.api.calls`), so one
+suite holds both to the same answers and the same failures.
+"""
 
 from __future__ import annotations
 
+import asyncio
+import gzip
+import inspect
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -11,15 +20,18 @@ import pytest
 
 from repro import EngineConfig, HypeRService
 from repro.api import (
+    AsyncHypeRClient,
     DeadlineExceeded,
     HypeRClient,
     OverloadedError,
+    TransportError,
     WhatIfAnswer,
     avg,
     set_,
     what_if,
 )
 from repro.api.client import ApiStatusError
+from repro.api.schemas import JobStatus
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
 from repro.service import make_server
@@ -65,38 +77,100 @@ def address(request, async_address, threaded_address):
     return async_address if request.param == "async" else threaded_address
 
 
+class Blocking:
+    """Drives an ``AsyncHypeRClient`` from blocking test code.
+
+    Awaitables run to completion on a private loop and async iterators are
+    drained into lists, so one test body exercises either client.
+    """
+
+    def __init__(self, client: AsyncHypeRClient) -> None:
+        self._client = client
+        self._loop = asyncio.new_event_loop()
+
+    def __getattr__(self, name):
+        member = getattr(self._client, name)
+        if not callable(member):
+            return member
+
+        def call(*args, **kwargs):
+            result = member(*args, **kwargs)
+            if inspect.isawaitable(result):
+                return self._loop.run_until_complete(result)
+            if hasattr(result, "__aiter__"):
+                return iter(self._loop.run_until_complete(_drain(result)))
+            return result
+
+        return call
+
+    def __enter__(self) -> "Blocking":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if not self._loop.is_closed():
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
+
+
+async def _drain(stream) -> list:
+    return [item async for item in stream]
+
+
+@pytest.fixture(params=["sync", "aio"])
+def connect(request):
+    """``connect(host, port, **options)`` → a client of the parametrized kind.
+
+    Closes whatever it handed out, so a test may skip the ``with``.
+    """
+    made = []
+
+    def factory(*args, **options):
+        if request.param == "sync":
+            made.append(HypeRClient(*args, **options))
+        else:
+            made.append(Blocking(AsyncHypeRClient(*args, **options)))
+        return made[-1]
+
+    yield factory
+    for client in made:
+        client.close()
+
+
 class TestQueries:
-    def test_text_query_returns_typed_answer(self, address, dataset):
-        with HypeRClient(*address) as client:
+    def test_text_query_returns_typed_answer(self, connect, address, dataset):
+        with connect(*address) as client:
             answer = client.query(QUERY_TEXT)
         assert isinstance(answer, WhatIfAnswer)
         direct = _service(dataset).execute(QUERY_TEXT)
         assert answer.value == direct.value  # bitwise through JSON
 
-    def test_builder_and_query_object_inputs(self, address):
-        with HypeRClient(*address) as client:
+    def test_builder_and_query_object_inputs(self, connect, address):
+        with connect(*address) as client:
             from_builder = client.query(BUILDER)
             from_object = client.query(BUILDER.build())
             from_text = client.query(BUILDER.text())
         assert from_builder.value == from_object.value == from_text.value
 
-    def test_query_error_raises_with_envelope(self, address):
-        with HypeRClient(*address) as client:
+    def test_query_error_raises_with_envelope(self, connect, address):
+        with connect(*address) as client:
             with pytest.raises(ApiStatusError) as excinfo:
                 client.query("SELECT nonsense")
         assert excinfo.value.status == 400
         assert excinfo.value.code == "query_syntax"
 
-    def test_keep_alive_and_reconnect_across_many_calls(self, address):
+    def test_keep_alive_and_reconnect_across_many_calls(self, connect, address):
         # the threaded front door closes every connection (HTTP/1.0); the
         # async one keeps it open — both must survive a burst of calls
-        with HypeRClient(*address) as client:
+        with connect(*address) as client:
             values = {client.query(QUERY_TEXT).value for _ in range(5)}
             assert len(values) == 1
             assert client.health()["status"] == "ok"
 
-    def test_stats_snapshot(self, address):
-        with HypeRClient(*address) as client:
+    def test_stats_snapshot(self, connect, address):
+        with connect(*address) as client:
             client.query(QUERY_TEXT)
             snapshot = client.stats()
         assert snapshot.n_queries >= 1
@@ -105,21 +179,21 @@ class TestQueries:
 class TestBatch:
     TEXTS = [QUERY_TEXT, "garbage", QUERY_TEXT.replace("= 4", "= 2")]
 
-    def test_batch_items_with_per_query_errors(self, address):
-        with HypeRClient(*address) as client:
+    def test_batch_items_with_per_query_errors(self, connect, address):
+        with connect(*address) as client:
             items = client.batch_collect(self.TEXTS)
         assert [item.index for item in items] == [0, 1, 2]
         assert items[0].ok and items[2].ok
         assert not items[1].ok and items[1].error.code == "query_syntax"
 
-    def test_batch_accepts_builders(self, address):
-        with HypeRClient(*address) as client:
+    def test_batch_accepts_builders(self, connect, address):
+        with connect(*address) as client:
             items = client.batch_collect([BUILDER, BUILDER.build()])
         assert all(item.ok for item in items)
         assert items[0].result.value == items[1].result.value
 
-    def test_batch_streams_incrementally_on_async(self, async_address):
-        with HypeRClient(*async_address) as client:
+    def test_batch_streams_incrementally_on_async(self, connect, async_address):
+        with connect(*async_address) as client:
             seen = []
             for item in client.batch([QUERY_TEXT for _ in range(4)]):
                 seen.append(item)
@@ -147,6 +221,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(raw)
+
+    do_GET = do_POST  # noqa: N815
 
     def log_message(self, *args):  # noqa: A002
         pass
@@ -183,64 +259,213 @@ BUSY_LONG = {"error": "at capacity", "code": "rate_limited", "retry_after": 30.0
 
 
 class TestRetriesAndDeadlines:
-    def test_429_retries_honor_retry_after_then_succeed(self, scripted_server):
+    def test_429_retries_honor_retry_after_then_succeed(self, connect, scripted_server):
         scripted_server.script = [
             (429, {"Retry-After": "0"}, BUSY),
             (429, {"Retry-After": "0"}, BUSY),
             (200, {}, ANSWER),
         ]
-        client = HypeRClient(*scripted_server.server_address, max_retries=3)
+        client = connect(*scripted_server.server_address, max_retries=3)
         answer = client.query("q")
         assert answer.value == 7.0
         assert scripted_server.hits == 3
 
-    def test_429_exhausts_retry_budget(self, scripted_server):
+    def test_429_exhausts_retry_budget(self, connect, scripted_server):
         scripted_server.script = [(429, {"Retry-After": "0"}, BUSY)]
-        client = HypeRClient(*scripted_server.server_address, max_retries=2)
+        client = connect(*scripted_server.server_address, max_retries=2)
         with pytest.raises(OverloadedError) as excinfo:
             client.query("q")
         assert excinfo.value.retry_after == pytest.approx(0.01)
         assert scripted_server.hits == 3  # initial attempt + 2 retries
 
-    def test_zero_retries_disables_retrying(self, scripted_server):
+    def test_zero_retries_disables_retrying(self, connect, scripted_server):
         scripted_server.script = [(429, {"Retry-After": "0"}, BUSY)]
-        client = HypeRClient(*scripted_server.server_address, max_retries=0)
+        client = connect(*scripted_server.server_address, max_retries=0)
         with pytest.raises(OverloadedError):
             client.query("q")
         assert scripted_server.hits == 1
 
-    def test_precise_body_hint_preferred_over_ceiled_header(self, scripted_server):
+    def test_precise_body_hint_preferred_over_ceiled_header(self, connect, scripted_server):
         # the server ceils the Retry-After header to >= 1 s but puts the
         # precise float hint in the body; the client must use the body's
         scripted_server.script = [
             (429, {"Retry-After": "1"}, BUSY),
             (200, {}, ANSWER),
         ]
-        client = HypeRClient(*scripted_server.server_address, max_retries=2)
+        client = connect(*scripted_server.server_address, max_retries=2)
         started = time.monotonic()
         assert client.query("q").value == 7.0
         assert time.monotonic() - started < 0.9  # slept ~0.01s, not the 1s header
 
-    def test_deadline_beats_long_retry_after(self, scripted_server):
+    def test_deadline_beats_long_retry_after(self, connect, scripted_server):
         scripted_server.script = [(429, {"Retry-After": "30"}, BUSY_LONG)]
-        client = HypeRClient(*scripted_server.server_address, max_retries=5)
+        client = connect(*scripted_server.server_address, max_retries=5)
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             client.query("q", deadline=0.2)
         assert time.monotonic() - started < 5  # did not sleep the 30 s hint
         assert scripted_server.hits == 1
 
-    def test_deadline_bounds_slow_server(self, scripted_server):
+    def test_deadline_bounds_slow_server(self, connect, scripted_server):
         scripted_server.script = [(200, {}, ANSWER)]
         scripted_server.delay = 1.0
-        client = HypeRClient(*scripted_server.server_address, max_retries=3)
+        client = connect(*scripted_server.server_address, max_retries=3)
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             client.query("q", deadline=0.2)
         assert time.monotonic() - started < 2.0
 
-    def test_deadline_zero_like_values_fail_fast(self, scripted_server):
+    def test_deadline_zero_like_values_fail_fast(self, connect, scripted_server):
         scripted_server.script = [(200, {}, ANSWER)]
-        client = HypeRClient(*scripted_server.server_address)
+        client = connect(*scripted_server.server_address)
         with pytest.raises(DeadlineExceeded):
             client.query("q", deadline=-1.0)
+
+
+# -- the failure matrix: one taxonomy on both transports -------------------------------
+
+
+class RawServer:
+    """A socket that answers each connection's request with scripted bytes.
+
+    After writing an answer it closes the connection — or, for a ``stall``
+    entry, holds it open and silent until the fixture ends.
+    """
+
+    def __init__(self) -> None:
+        self.script: list[tuple[bytes, bool]] = []  # (answer bytes, stall?)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._held: list[socket.socket] = []
+        self._closing = False
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            conn, _ = self._listener.accept()
+            if self._closing:
+                conn.close()
+                return
+            request = b""
+            while b"\r\n\r\n" not in request:
+                request += conn.recv(65536) or b"\r\n\r\n"  # EOF: give up reading
+            head, _, body = request.partition(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            while len(body) < length:
+                body += conn.recv(65536) or b" " * length
+            answer, stall = self.script.pop(0)
+            conn.sendall(answer)
+            if stall:
+                self._held.append(conn)
+            else:
+                conn.close()
+
+    def close(self) -> None:
+        self._closing = True
+        socket.create_connection(self.address).close()  # wakes accept()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        self._listener.close()
+        for conn in self._held:
+            conn.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = RawServer()
+    yield server
+    server.close()
+
+
+def whole(body: bytes, *, length: int | None = None, extra: bytes = b"") -> bytes:
+    """A fixed-length 200 answer (``length`` may lie about the body)."""
+    size = len(body) if length is None else length
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n"
+        + extra
+        + b"Content-Length: %d\r\n\r\n" % size
+        + body
+    )
+
+
+def chunked(*lines: bytes) -> bytes:
+    """A chunked NDJSON 200 answer, one chunk per line, terminator included."""
+    head = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+    )
+    chunks = b"".join(b"%x\r\n%s\r\n" % (len(line), line) for line in lines)
+    return head + chunks + b"0\r\n\r\n"
+
+
+ITEM = json.dumps({"index": 0, "result": ANSWER}).encode() + b"\n"
+DONE = b'{"done": true, "n_queries": 1}\n'
+
+# (row, answer bytes, stall?, verb, fragment of the TransportError)
+FAILURES = [
+    ("truncated body", whole(b'{"val', length=100), False, "query", "truncated"),
+    ("stalled body", whole(b'{"val', length=100), True, "query", "truncated"),
+    ("non-JSON body", whole(b"hello"), False, "query", "non-JSON body"),
+    ("non-object body", whole(b"[1, 2]"), False, "query", "non-object body"),
+    (
+        "bad gzip",
+        whole(b"not gzip", extra=b"Content-Encoding: gzip\r\n"),
+        False,
+        "query",
+        "malformed gzip body",
+    ),
+    ("malformed batch body", whole(b'{"nope": 1}'), False, "batch", "malformed batch"),
+    ("malformed NDJSON line", chunked(b"{oops\n", DONE), False, "batch", "malformed NDJSON"),
+    ("done after too few", chunked(DONE), False, "batch", "closed after 0/1"),
+    ("stream ends early", chunked(ITEM), False, "batch", "ended early: 1/1"),
+    ("stalled stream", chunked(ITEM)[:-5], True, "batch", "truncated"),
+]
+
+
+class TestFailureMatrix:
+    @pytest.mark.parametrize(
+        "answer, stall, verb, fragment",
+        [row[1:] for row in FAILURES],
+        ids=[row[0] for row in FAILURES],
+    )
+    def test_same_error_class_and_request_id(
+        self, connect, raw_server, answer, stall, verb, fragment
+    ):
+        raw_server.script = [(answer, stall), (whole(json.dumps(ANSWER).encode()), False)]
+        client = connect(*raw_server.address, max_retries=0, timeout=0.3)
+        with pytest.raises(TransportError) as excinfo:
+            client.query("q") if verb == "query" else client.batch_collect(["q"])
+        assert type(excinfo.value) is TransportError  # no stdlib exception leaks
+        assert fragment in str(excinfo.value)
+        assert excinfo.value.request_id == client.last_request_id != ""
+        # the broken connection was dropped, not reused half-read
+        assert client.query("q").value == 7.0
+
+    def test_blank_ndjson_lines_are_skipped(self, connect, raw_server):
+        raw_server.script = [(chunked(b"\n", ITEM, b"\r\n", DONE), False)]
+        client = connect(*raw_server.address, max_retries=0)
+        (item,) = client.batch_collect(["q"])
+        assert item.index == 0 and item.result.value == 7.0
+
+    def test_gzip_answers_are_decoded(self, connect, raw_server):
+        body = gzip.compress(json.dumps(ANSWER).encode())
+        raw_server.script = [(whole(body, extra=b"Content-Encoding: gzip\r\n"), False)]
+        assert connect(*raw_server.address).query("q").value == 7.0
+
+    def test_wait_budget_error_names_the_last_poll(self, connect, scripted_server):
+        running = JobStatus(
+            job_id="j1", client_id="", state="running", kind="query",
+            priority="normal", completed=0, total=1, attempts=1, max_attempts=3,
+            created_unix=0.0,
+        )  # fmt: skip
+        scripted_server.script = [(200, {}, running.to_json())]
+        client = connect(*scripted_server.server_address)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            client.wait("j1", timeout=0.2, poll_seconds=0.05)
+        assert scripted_server.hits >= 2
+        assert excinfo.value.request_id == client.last_request_id != ""

@@ -76,9 +76,7 @@ def sync_answer_json(client: HypeRClient, text: str) -> dict:
     ``runtime_seconds`` is a wall-clock measurement, not part of the answer;
     it is stripped so the remaining fields must match bit for bit.
     """
-    body = client._json_call(
-        "POST", "/v1/query", QueryRequest(query=text).to_json(), client._begin_call(None)
-    )
+    body = client.post_json("/v1/query", QueryRequest(query=text).to_json())
     body.pop("runtime_seconds", None)
     return body
 
@@ -146,7 +144,7 @@ def test_sigkill_mid_job_recovers_and_finishes(tmp_path):
             assert strip_runtime(single["result"]) == sync_single
 
         # the journal replay surfaces in the stats endpoint
-        stats = client._json_call("GET", "/v1/stats", None, client._begin_call(None))
+        stats = client.get_json("/v1/stats")
         assert stats["jobs"]["replayed_jobs"] >= 1
         client.close()
     finally:
