@@ -42,6 +42,12 @@ def eligible_adjustment_attributes(
     return {node for node in dag.nodes if node not in forbidden}
 
 
+def _blocks_every_path(
+    dag: CausalDAG, paths: Sequence[Sequence[str]], adjustment: set[str]
+) -> bool:
+    return all(path_is_blocked(dag, path, adjustment) for path in paths)
+
+
 def satisfies_backdoor(
     dag: CausalDAG,
     treatment: str,
@@ -53,10 +59,28 @@ def satisfies_backdoor(
     eligible = eligible_adjustment_attributes(dag, treatment, outcome)
     if not adjustment <= eligible:
         return False
-    for path in all_backdoor_paths(dag, treatment, outcome):
-        if not path_is_blocked(dag, path, adjustment):
-            return False
-    return True
+    return _blocks_every_path(dag, all_backdoor_paths(dag, treatment, outcome), adjustment)
+
+
+def _full_backdoor_set(
+    dag: CausalDAG, treatment: str, outcome: str
+) -> tuple[set[str], list[list[str]]]:
+    """Every eligible non-descendant, with the backdoor paths it was checked against.
+
+    The paths depend only on ``(dag, treatment, outcome)``, never on the
+    adjustment set, so the greedy search enumerates them once and tests each
+    reduced set against the same list.
+    """
+    if treatment not in dag or outcome not in dag:
+        missing = [a for a in (treatment, outcome) if a not in dag]
+        raise IdentificationError(f"attributes {missing} are not in the causal DAG")
+    candidate = eligible_adjustment_attributes(dag, treatment, outcome)
+    paths = all_backdoor_paths(dag, treatment, outcome)
+    if _blocks_every_path(dag, paths, candidate):
+        return candidate, paths
+    raise IdentificationError(
+        f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
+    )
 
 
 def find_backdoor_set(
@@ -70,15 +94,7 @@ def find_backdoor_set(
     paper's starting point); if even that does not block all backdoor paths the
     effect is not identifiable by backdoor adjustment in this graph.
     """
-    if treatment not in dag or outcome not in dag:
-        missing = [a for a in (treatment, outcome) if a not in dag]
-        raise IdentificationError(f"attributes {missing} are not in the causal DAG")
-    candidate = eligible_adjustment_attributes(dag, treatment, outcome)
-    if satisfies_backdoor(dag, treatment, outcome, candidate):
-        return candidate
-    raise IdentificationError(
-        f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
-    )
+    return _full_backdoor_set(dag, treatment, outcome)[0]
 
 
 def minimal_backdoor_set(
@@ -96,12 +112,12 @@ def minimal_backdoor_set(
     the engine uses to retain attributes that already appear in the query's
     ``For`` clause — conditioning on those is free.
     """
-    current = find_backdoor_set(dag, treatment, outcome)
+    current, paths = _full_backdoor_set(dag, treatment, outcome)
     prefer_set = set(prefer)
     # Remove non-preferred attributes first, preferred ones last.
     removal_order = sorted(current - prefer_set) + sorted(current & prefer_set)
     for attribute in removal_order:
-        reduced = current - {attribute}
-        if satisfies_backdoor(dag, treatment, outcome, reduced):
+        reduced = current - {attribute}  # a subset of the eligible attributes
+        if _blocks_every_path(dag, paths, reduced):
             current = reduced
     return current

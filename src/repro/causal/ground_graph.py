@@ -15,7 +15,8 @@ edges induced by the attribute-level DAG:
 Explicit grounding is quadratic in the worst case, so it is intended for
 moderate instance sizes (tests, visualisation, exact possible-world baselines).
 The scalable block decomposition in :mod:`repro.probdb.blocks` derives the same
-connectivity information with a union–find, without materialising the graph.
+connectivity information from one key-value node per linking rule, without
+materialising the graph.
 """
 
 from __future__ import annotations

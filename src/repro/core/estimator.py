@@ -33,6 +33,7 @@ from ..causal.backdoor import minimal_backdoor_set
 from ..causal.dag import CausalDAG
 from ..exceptions import IdentificationError, QuerySemanticsError
 from ..ml.density import ConditionalMeanRegressor
+from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.view import UseSpec
@@ -233,13 +234,17 @@ class PostUpdateEstimator:
         post_values: Mapping[str, Sequence[Any]],
         *,
         cache_key: Hashable | None = None,
+        kernels: KernelCache | None = None,
+        idx_token: Hashable | None = None,
     ) -> np.ndarray:
         """Predict ``E[target | B = post values, C = observed]`` for masked rows.
 
         ``target`` is the per-row training target computed on the observed
         (pre-update) view; ``post_values`` maps each update attribute to its
         full post-update column.  The returned array has one entry per view row
-        and is only meaningful where ``predict_mask`` is true.
+        and is only meaningful where ``predict_mask`` is true.  ``kernels`` and
+        ``idx_token`` (naming the masked row set) are those of
+        :meth:`predict_rows`.
         """
         target = np.asarray(target, dtype=float)
         predict_mask = np.asarray(predict_mask, dtype=bool)
@@ -253,18 +258,54 @@ class PostUpdateEstimator:
         out = np.zeros(len(self.view))
         if not predict_mask.any():
             return out
-        columns: dict[str, Any] = {}
         idx = np.flatnonzero(predict_mask)
-        for attribute in self.update_attributes:
+        out[idx] = self.predict_rows(
+            regressor, self.view, post_values, idx, kernels=kernels, idx_token=idx_token
+        )
+        return out
+
+    def predict_rows(
+        self,
+        regressor: ConditionalMeanRegressor,
+        view: Relation,
+        post_values: Mapping[str, Sequence[Any]],
+        idx: np.ndarray,
+        *,
+        kernels: KernelCache | None = None,
+        idx_token: Hashable | None = None,
+    ) -> np.ndarray:
+        """Row-stable predictions of ``regressor`` at the rows ``idx`` of ``view``.
+
+        ``view`` is this estimator's view or a row subset of it (a shard's
+        local view).  With ``kernels`` the backdoor covariates' encoded design
+        blocks — constant for a given row set, whatever the update constants —
+        are built once per ``(attribute, idx_token)`` and reused by every
+        parameter variant or how-to candidate sharing the cache; only the
+        update attributes are re-encoded per call.  Block stacking reproduces
+        ``predict_columns`` exactly (same order, same hstack), so both routes
+        are bitwise identical.
+        """
+
+        def column_at(attribute: str) -> np.ndarray:
+            if attribute not in self.update_attributes:
+                return view.column_view(attribute)[idx]
             post_column = post_values[attribute]
             if not isinstance(post_column, np.ndarray):
                 post_column = np.asarray(post_column, dtype=object)
-            columns[attribute] = post_column[idx]
-        for attribute in self._backdoor:
-            columns[attribute] = self.view.column_view(attribute)[idx]
-        predictions = regressor.predict_columns(columns)
-        out[idx] = predictions
-        return out
+            return post_column[idx]
+
+        if kernels is None or idx_token is None or not regressor.feature_order:
+            return regressor.predict_columns({a: column_at(a) for a in self.feature_attributes})
+        blocks = [
+            regressor.attribute_block(attribute, column_at(attribute))
+            if attribute in self.update_attributes
+            else kernels.get(
+                ("backdoor_block", attribute, idx_token),
+                lambda a=attribute: regressor.attribute_block(a, column_at(a)),
+            )
+            for attribute in regressor.feature_order
+        ]
+        return regressor.predict_blocks(blocks, len(idx))
 
     def _fit_regressor(
         self, target: np.ndarray, cache_key: Hashable | None

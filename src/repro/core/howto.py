@@ -36,13 +36,14 @@ from ..optim.model import IntegerProgram, LinearExpression
 from ..optim.solution import SolveStatus
 from ..optim.solver import BranchAndBoundSolver
 from ..relational.aggregates import get_aggregate
+from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.expressions import Expr
 from ..relational.predicates import evaluate_mask, split_pre_post, to_dnf
 from ..relational.relation import Relation
 from .config import EngineConfig
 from .estimator import PostUpdateEstimator, build_view_dag
-from .queries import HowToQuery
+from .queries import HowToQuery, LimitConstraint
 from .results import HowToResult
 from .updates import AttributeUpdate, MultiplyBy, SetTo, UpdateFunction, apply_update_column
 from .whatif import _MAX_DISJUNCTS, numeric_output_column, regressor_cache_key
@@ -88,6 +89,8 @@ class PreparedHowTo:
     output_values: np.ndarray
     aggregate_name: str
     for_key: Hashable = None
+    #: encoded backdoor blocks of the scope rows, shared by all candidates
+    kernels: KernelCache = field(default_factory=KernelCache)
 
 
 # -- pure evaluation phases ----------------------------------------------------------
@@ -157,11 +160,15 @@ def candidate_contribution_rows(
                 applicable &= shared.pre_masks[k]
             if not applicable.any():
                 continue
+            # the applicable rows, hence their encoded backdoor covariates,
+            # are the same for every candidate: ``shared.kernels`` keeps them
             prob = shared.estimator.counterfactual_mean(
                 joint_post.astype(float),
                 applicable,
                 post_values,
                 cache_key=regressor_cache_key("count", subset, shared.for_key),
+                kernels=shared.kernels,
+                idx_token=subset,
             )
             prob = np.clip(prob, 0.0, 1.0)
             count_contrib[applicable] += sign * prob[applicable]
@@ -173,6 +180,8 @@ def candidate_contribution_rows(
                     cache_key=regressor_cache_key(
                         "sum", subset, shared.for_key, query.objective_attribute
                     ),
+                    kernels=shared.kernels,
+                    idx_token=subset,
                 )
                 sum_contrib[applicable] += sign * expected[applicable]
     return count_contrib, sum_contrib
@@ -223,6 +232,22 @@ def build_howto_program(
     )
     program.set_objective(objective, maximize=query.maximize)
     return program, variable_of
+
+
+def _present_values(column: np.ndarray, numeric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``column`` and its not-``None`` mask; numeric columns holding ``None`` become
+    float64 (``None`` as NaN, masked out) so they take the array path too."""
+    if column.dtype != object:
+        return column, np.ones(len(column), dtype=bool)
+    present = np.fromiter((v is not None for v in column.tolist()), dtype=bool, count=len(column))
+    if numeric:
+        try:
+            numbers = np.full(len(column), np.nan)
+            numbers[present] = column[present].astype(float)
+            return numbers, present
+        except (TypeError, ValueError):
+            pass  # mixed content: keep the objects, admissibility goes value by value
+    return column, present
 
 
 @dataclass
@@ -520,10 +545,11 @@ class HowToEngine:
     ) -> list[CandidateUpdate]:
         """Admissible candidate updates per attribute (the sets ``S_{B_i}`` of Sec. 4.3)."""
         candidates: list[CandidateUpdate] = []
-        scope_rows = np.flatnonzero(np.asarray(scope_mask, dtype=bool))
+        scope = np.asarray(scope_mask, dtype=bool)
         for attribute in query.update_attributes:
-            pre_values = [view.column_view(attribute)[i] for i in scope_rows]
             domain = view.schema.domain(attribute)
+            column, present = _present_values(view.column_view(attribute), domain.is_numeric)
+            pre_values = column[scope & present]
             values: list[Any] = []
             limits = query.limits_for(attribute)
             allowed = None
@@ -538,9 +564,13 @@ class HowToEngine:
             if allowed is not None:
                 values = list(allowed)
             elif domain.is_numeric:
-                observed = [float(v) for v in view.column_view(attribute) if v is not None]
-                low = lower if lower is not None else (min(observed) if observed else 0.0)
-                high = upper if upper is not None else (max(observed) if observed else 1.0)
+                observed = column[present].astype(float)
+                observed = observed[~np.isnan(observed)]
+                low, high = lower, upper
+                if low is None:
+                    low = float(observed.min()) if observed.size else 0.0
+                if high is None:
+                    high = float(observed.max()) if observed.size else 1.0
                 if high <= low:
                     high = low + 1.0
                 discretizer = Discretizer(n_buckets=max(1, query.candidate_buckets)).fit(
@@ -551,21 +581,21 @@ class HowToEngine:
                     values = sorted({int(round(v)) for v in values})
             else:
                 values = list(domain.values()) if domain.is_finite else sorted(
-                    {v for v in view.column_view(attribute) if v is not None}
+                    set(column[present].tolist())
                 )
 
             for value in values:
                 if not domain.contains(value):
                     continue  # e.g. a Limit "In" list mentioning a value outside the domain
                 function: UpdateFunction = SetTo(value)
-                if self._admissible(query, attribute, pre_values, function):
+                if self._admissible(limits, pre_values, function):
                     candidates.append(
                         CandidateUpdate(attribute, function, f"= {self._fmt(value)}")
                     )
             if domain.is_numeric:
                 for factor in query.candidate_multipliers:
                     function = MultiplyBy(factor)
-                    if self._admissible(query, attribute, pre_values, function):
+                    if self._admissible(limits, pre_values, function):
                         candidates.append(
                             CandidateUpdate(attribute, function, f"{factor}x Pre({attribute})")
                         )
@@ -575,19 +605,41 @@ class HowToEngine:
             )
         return candidates
 
+    @staticmethod
     def _admissible(
-        self,
-        query: HowToQuery,
-        attribute: str,
-        pre_values: Sequence[Any],
-        function: UpdateFunction,
+        limits: Sequence[LimitConstraint], pre_values: np.ndarray, function: UpdateFunction
     ) -> bool:
-        if not pre_values:
+        """Whether every limit admits ``function`` on every (non-null) scope pre-value.
+
+        Numeric pre-values are tested a column at a time; each test is phrased
+        as "no row violates", so a NaN row passes the range and L1 limits and
+        fails a permissible-values list exactly as ``LimitConstraint.admits``
+        decides for it.  Anything else depends on the row only through its
+        pre-value, so the distinct pre-values go through ``admits``.
+        """
+        if not limits or not len(pre_values):
             return True
-        for pre in pre_values:
-            if pre is None:
-                continue
-            if not query.admits(attribute, pre, function.apply(pre)):
+        post = None
+        if pre_values.dtype.kind == "f":
+            post = function.apply_vectorized(pre_values, np.ones(len(pre_values), dtype=bool))
+        if post is None:
+            return all(
+                limit.admits(pre, function.apply(pre))
+                for pre in set(pre_values.tolist())
+                for limit in limits
+            )
+        for limit in limits:
+            if limit.allowed_values is not None:
+                numbers = [
+                    v for v in limit.allowed_values if isinstance(v, (int, float, np.number))
+                ]
+                if not np.isin(post, np.asarray(numbers, dtype=float)).all():
+                    return False
+            if limit.lower is not None and (post < limit.lower).any():
+                return False
+            if limit.upper is not None and (post > limit.upper).any():
+                return False
+            if limit.max_l1 is not None and (np.abs(post - pre_values) > limit.max_l1).any():
                 return False
         return True
 

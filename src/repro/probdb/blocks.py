@@ -6,31 +6,43 @@ partitions the database so tuples in different blocks are pairwise independent,
 letting HypeR evaluate what-if queries per block and combine the partial
 results (Proposition 1).
 
-The decomposition here avoids materialising the ground graph: it runs a
-union–find over tuple identities, merging tuples that any grounded edge could
-connect —
+The decomposition never materialises the ground graph, nor one edge per tuple
+pair.  Every rule by which a grounded edge can connect two tuples is "the
+tuples share a key value", so each rule becomes one *virtual node per key
+value* (the condensed representation of "Extracting and Analyzing Hidden
+Graphs from Relational Databases") and blocks are the connected components of
+the bipartite tuple <-> key-value graph:
 
-* cross-relation attribute edges merge tuples linked by the foreign key they
-  ground along;
-* cross-tuple edges merge all tuples that share the grouping attribute value
-  (``within``), or *all* tuples of the involved relations when no grouping is
-  declared;
-* within-tuple edges never merge distinct tuples.
+* a cross-relation attribute edge links the parent and child tuples that carry
+  the same foreign-key value — only values carried by **both** a parent and a
+  child row link anything (orphan children stay singletons; parents sharing a
+  key no child refers to stay apart), and composite keys compare as tuples;
+* a cross-tuple edge links all tuples of the involved relations that share the
+  grouping attribute value (``within``, looked up through the foreign key when
+  the attribute lives in the linked relation), or *all* their tuples when no
+  grouping is declared; a group value of ``None`` links nothing;
+* within-tuple edges never link distinct tuples.
 
-This is linear in the database size (plus the inverse-Ackermann union–find
-factor), matching the complexity claim in the paper.
+Tuples get integer ids (relations in sorted-name order, rows in order), each
+distinct rule costs one factorisation of its key columns, components come from
+min-label propagation over the tuple <-> key-value edges (at most one sweep per
+chained rule, plus one to detect the fixpoint) and block indices from one
+``np.unique``: linear in the database size, as the paper claims.  A causal
+model without a linking rule returns ``arange`` without reading a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Sequence
+from itertools import chain
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..causal.dag import CausalDAG
 from ..exceptions import CausalModelError
 from ..relational.database import Database
+from ..relational.relation import Relation
 
 __all__ = [
     "Block",
@@ -40,47 +52,6 @@ __all__ = [
     "decompose_into_blocks",
     "shard_row_masks",
 ]
-
-
-TupleId = tuple[str, int]  # (relation name, row position)
-
-
-class _UnionFind:
-    """Union–find over arbitrary hashable items with path compression."""
-
-    def __init__(self) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-        self._rank: dict[Hashable, int] = {}
-
-    def add(self, item: Hashable) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._rank[item] = 0
-
-    def find(self, item: Hashable) -> Hashable:
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-
-    def groups(self) -> dict[Hashable, list[Hashable]]:
-        out: dict[Hashable, list[Hashable]] = {}
-        for item in self._parent:
-            out.setdefault(self.find(item), []).append(item)
-        return out
 
 
 @dataclass
@@ -140,29 +111,72 @@ class BlockDecomposition:
 
     def validate_cover(self, database: Database) -> None:
         """Check the partition property: every tuple appears in exactly one block."""
-        seen: dict[TupleId, int] = {}
-        for block in self.blocks:
-            for relation, rows in block.rows.items():
-                for row in rows:
-                    tid = (relation, row)
-                    if tid in seen:
-                        raise CausalModelError(
-                            f"tuple {tid} appears in blocks {seen[tid]} and {block.index}"
-                        )
-                    seen[tid] = block.index
         for relation in database.relation_names:
-            for row in range(len(database[relation])):
-                if (relation, row) not in seen:
-                    raise CausalModelError(f"tuple ({relation!r}, {row}) is not covered")
+            owned = [block.rows.get(relation, ()) for block in self.blocks]
+            rows = np.fromiter(chain.from_iterable(owned), dtype=np.int64)
+            counts = np.bincount(rows, minlength=len(database[relation]))
+            if (counts > 1).any():
+                row = int(np.argmax(counts > 1))
+                holders = [b.index for b, held in zip(self.blocks, owned) for r in held if r == row]
+                raise CausalModelError(
+                    f"tuple {(relation, row)} appears in blocks {holders[0]} and {holders[1]}"
+                )
+            if not counts.all():
+                raise CausalModelError(
+                    f"tuple ({relation!r}, {int(np.argmin(counts))}) is not covered"
+                )
 
 
-def _group_values(database: Database, relation: str, within: str | None) -> list[Any]:
+def _factorise(parts: Sequence[np.ndarray], *, none_matches: bool) -> np.ndarray:
+    """Codes over the concatenation of ``parts``: equal code <=> equal value, ``-1`` = no value.
+
+    Float columns take one ``np.unique`` (NaN equals nothing, as in Python);
+    object columns need one dict pass to keep Python equality (``2 == 2.0``,
+    and ``None == None`` between foreign-key values when ``none_matches``).
+    """
+    if all(part.dtype.kind == "f" for part in parts):
+        data = np.concatenate(parts)
+        codes = np.full(len(data), -1, dtype=np.int64)
+        valid = ~np.isnan(data)
+        codes[valid] = np.unique(data[valid], return_inverse=True)[1]
+        return codes
+    seen: dict[Any, int] = {}
+    return np.fromiter(
+        (
+            -1 if value is None and not none_matches else seen.setdefault(value, len(seen))
+            for part in parts
+            for value in part.tolist()
+        ),
+        dtype=np.int64,
+        count=sum(len(part) for part in parts),
+    )
+
+
+def _key_codes(sides: Sequence[tuple[Relation, Sequence[str]]]) -> list[np.ndarray]:
+    """Shared codes of a (composite) key over several ``(relation, attributes)`` sides."""
+    combined: np.ndarray | None = None
+    for attributes in zip(*(attributes for _rel, attributes in sides)):
+        codes = _factorise(
+            [rel.column_view(a) for (rel, _), a in zip(sides, attributes)], none_matches=True
+        )
+        if combined is not None:
+            # composite keys compare as tuples: re-compress the pair of codes
+            missing = (combined < 0) | (codes < 0)
+            pairs = combined * (codes.max(initial=0) + 1) + codes
+            codes = np.unique(pairs, return_inverse=True)[1]
+            codes[missing] = -1
+        combined = codes
+    assert combined is not None
+    return np.split(combined, np.cumsum([len(rel) for rel, _ in sides])[:-1])
+
+
+def _group_values(database: Database, relation: str, within: str | None) -> np.ndarray:
     """Grouping value per row of ``relation`` (resolving ``within`` through FKs)."""
     rel = database[relation]
     if within is None:
-        return [("__all__",)] * len(rel)
+        return np.zeros(len(rel))
     if within in rel.schema:
-        return list(rel.column_view(within))
+        return rel.column_view(within)
     owner, attribute = database.resolve_attribute(within)
     links = database.schema.links_between(relation, owner)
     if not links:
@@ -176,58 +190,77 @@ def _group_values(database: Database, relation: str, within: str | None) -> list
         own_attrs, other_attrs = fk.child_attributes, fk.parent_attributes
     else:
         own_attrs, other_attrs = fk.parent_attributes, fk.child_attributes
-    index: dict[tuple[Any, ...], Any] = {}
-    for i in range(len(other)):
-        index[tuple(other.column_view(a)[i] for a in other_attrs)] = other.column_view(attribute)[i]
-    return [
-        index.get(tuple(rel.column_view(a)[j] for a in own_attrs))
-        for j in range(len(rel))
-    ]
+    own, theirs = _key_codes([(rel, own_attrs), (other, other_attrs)])
+    # a row takes the value of the *last* linked row carrying its key
+    last = np.full(max(own.max(initial=-1), theirs.max(initial=-1)) + 1, -1, dtype=np.int64)
+    carried = np.flatnonzero(theirs >= 0)
+    np.maximum.at(last, theirs[carried], carried)
+    found = np.flatnonzero(own >= 0)
+    found = found[last[own[found]] >= 0]
+    values = other.column_view(attribute)
+    out = np.full(len(rel), np.nan if values.dtype.kind == "f" else None, dtype=values.dtype)
+    out[found] = values[last[own[found]]]
+    return out
 
 
-def _union_tuples(database: Database, dag: CausalDAG | None) -> _UnionFind:
-    """Run the grounded-edge union–find shared by both decomposition entry points."""
-    uf = _UnionFind()
-    for relation in database.relation_names:
-        for row in range(len(database[relation])):
-            uf.add((relation, row))
+def _linking_rules(
+    database: Database, dag: CausalDAG, offsets: dict[str, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One ``(tuple ids, key codes)`` pair per distinct rule that can link tuples."""
 
-    if dag is not None:
-        owner_of: dict[str, str] = {}
-        for node in dag.nodes:
-            rel, _attr = database.resolve_attribute(node)
-            owner_of[node] = rel
+    def ids(relation: str) -> np.ndarray:
+        return offsets[relation] + np.arange(len(database[relation]))
 
-        for edge in dag.edges:
-            src_rel = owner_of[edge.source]
-            dst_rel = owner_of[edge.target]
-            if edge.cross_tuple:
-                _merge_cross_tuple(uf, database, src_rel, dst_rel, edge.within)
-            elif src_rel != dst_rel:
-                _merge_linked(uf, database, src_rel, dst_rel)
-            # within-tuple edges never merge tuples
-    return uf
+    owner_of = {node: database.resolve_attribute(node)[0] for node in dag.nodes}
+    rules: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for edge in dag.edges:
+        relations = tuple(sorted({owner_of[edge.source], owner_of[edge.target]}))
+        if edge.cross_tuple:
+            if (relations, edge.within) in rules:
+                continue
+            codes = _factorise(
+                [_group_values(database, relation, edge.within) for relation in relations],
+                none_matches=False,
+            )
+            tuples = np.concatenate([ids(relation) for relation in relations])
+            rules[relations, edge.within] = tuples[codes >= 0], codes[codes >= 0]
+        elif len(relations) == 2 and relations not in rules:
+            links = database.schema.links_between(*relations)
+            if not links:
+                raise CausalModelError(
+                    f"a causal edge crosses relations {owner_of[edge.source]!r} and "
+                    f"{owner_of[edge.target]!r} but no foreign key links them"
+                )
+            fk = links[0]
+            parent, child = _key_codes(
+                [(database[fk.parent], fk.parent_attributes),
+                 (database[fk.child], fk.child_attributes)]
+            )
+            # a key value links tuples only when both a parent and a child row carry it
+            codes = np.concatenate([parent, child])
+            linked = np.isin(codes, np.intersect1d(parent[parent >= 0], child[child >= 0]))
+            tuples = np.concatenate([ids(fk.parent), ids(fk.child)])
+            rules[relations] = tuples[linked], codes[linked]
+        # within-tuple edges never link tuples
+    return list(rules.values())
 
 
-def decompose_into_blocks(database: Database, dag: CausalDAG | None) -> BlockDecomposition:
-    """Compute the block-independent decomposition of ``database`` under ``dag``.
-
-    With no causal graph (``dag is None``) every tuple forms its own block —
-    the tuple-independence default the paper assumes absent background
-    knowledge.
-    """
-    uf = _union_tuples(database, dag)
-    groups = uf.groups()
-    blocks: list[Block] = []
-    # Deterministic ordering: by the smallest (relation, row) member of each group.
-    for i, root in enumerate(sorted(groups, key=lambda r: sorted(groups[r])[0])):
-        block = Block(index=i)
-        for relation, row in sorted(groups[root]):
-            block.add(relation, row)
-        blocks.append(block)
-    decomposition = BlockDecomposition(blocks)
-    decomposition.validate_cover(database)
-    return decomposition
+def _component_roots(n: int, rules: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Smallest tuple id of every tuple's component in the tuple <-> key-value graph."""
+    root = np.arange(n)
+    while True:
+        previous = root.copy()
+        for tuples, codes in rules:  # each tuple carries at most one key per rule
+            smallest = np.full(codes.max(initial=-1) + 1, n)
+            np.minimum.at(smallest, codes, root[tuples])
+            root[tuples] = np.minimum(root[tuples], smallest[codes])
+        while True:  # pointer jumping: a root is itself a tuple of the component
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        if np.array_equal(root, previous):
+            return root
 
 
 def block_labels(
@@ -236,32 +269,45 @@ def block_labels(
     """Block index per row of every relation, without materialising blocks.
 
     Returns ``(labels, n_blocks)`` where ``labels[relation][row]`` equals the
-    ``Block.index`` that :func:`decompose_into_blocks` would assign the tuple.
-    This is the fast path used by the query engines, which only need the
-    per-row block assignment (the partition property holds by construction,
-    so no cover validation is run).
+    ``Block.index`` that :func:`decompose_into_blocks` assigns the tuple:
+    blocks are numbered by their smallest ``(relation, row)`` member.  With no
+    causal graph (``dag is None``) every tuple forms its own block — the
+    tuple-independence default the paper assumes absent background knowledge.
+    This is the entry point of the query engines, which only need the per-row
+    assignment (the partition property holds by construction); the arrays are
+    views of one labelling, to be read, not written.
     """
-    uf = _union_tuples(database, dag)
-    root_of: dict[tuple[str, int], tuple[str, int]] = {}
-    smallest: dict[tuple[str, int], tuple[str, int]] = {}
-    for relation in database.relation_names:
-        for row in range(len(database[relation])):
-            tid = (relation, row)
-            root = uf.find(tid)
-            root_of[tid] = root
-            if root not in smallest or tid < smallest[root]:
-                smallest[root] = tid
-    ordered_roots = sorted(smallest, key=lambda r: smallest[r])
-    index_of = {root: i for i, root in enumerate(ordered_roots)}
+    offsets: dict[str, int] = {}
+    n = 0
+    for relation in sorted(database.relation_names):
+        offsets[relation] = n
+        n += len(database[relation])
+    rules = _linking_rules(database, dag, offsets) if dag is not None else []
+    if any(len(tuples) for tuples, _codes in rules):
+        roots, index = np.unique(_component_roots(n, rules), return_inverse=True)
+        n_blocks = len(roots)
+    else:
+        index, n_blocks = np.arange(n), n
     labels = {
-        relation: np.fromiter(
-            (index_of[root_of[(relation, row)]] for row in range(len(database[relation]))),
-            dtype=np.int64,
-            count=len(database[relation]),
-        )
+        relation: index[offsets[relation] : offsets[relation] + len(database[relation])]
         for relation in database.relation_names
     }
-    return labels, len(ordered_roots)
+    return labels, n_blocks
+
+
+def decompose_into_blocks(database: Database, dag: CausalDAG | None) -> BlockDecomposition:
+    """Materialise the decomposition of :func:`block_labels` as :class:`Block` objects."""
+    labels, n_blocks = block_labels(database, dag)
+    blocks = [Block(i, {}) for i in range(n_blocks)]
+    for relation in sorted(labels):
+        order = np.argsort(labels[relation], kind="stable")
+        present, starts = np.unique(labels[relation][order], return_index=True)
+        rows, bounds = order.tolist(), [*starts.tolist(), len(order)]
+        for label, start, stop in zip(present.tolist(), bounds, bounds[1:]):
+            blocks[label].rows[relation] = rows[start:stop]
+    decomposition = BlockDecomposition(blocks)
+    decomposition.validate_cover(database)
+    return decomposition
 
 
 def assign_blocks_to_shards(block_sizes: Sequence[int] | np.ndarray, n_shards: int) -> np.ndarray:
@@ -315,58 +361,3 @@ def shard_row_masks(
             {relation: rows == shard for relation, rows in shard_of_row.items()}
         )
     return out
-
-
-def _merge_linked(uf: _UnionFind, database: Database, relation_a: str, relation_b: str) -> None:
-    links = database.schema.links_between(relation_a, relation_b)
-    if not links:
-        raise CausalModelError(
-            f"a causal edge crosses relations {relation_a!r} and {relation_b!r} but no "
-            "foreign key links them"
-        )
-    fk = links[0]
-    parent = database[fk.parent]
-    child = database[fk.child]
-    parent_index: dict[tuple[Any, ...], list[int]] = {}
-    for i in range(len(parent)):
-        value = tuple(parent.column_view(a)[i] for a in fk.parent_attributes)
-        parent_index.setdefault(value, []).append(i)
-    for j in range(len(child)):
-        value = tuple(child.column_view(a)[j] for a in fk.child_attributes)
-        for i in parent_index.get(value, []):
-            uf.union((fk.parent, i), (fk.child, j))
-
-
-def _merge_cross_tuple(
-    uf: _UnionFind,
-    database: Database,
-    relation_a: str,
-    relation_b: str,
-    within: str | None,
-) -> None:
-    """Merge all tuples of the two relations that fall into the same group."""
-    for relation in {relation_a, relation_b}:
-        groups: dict[Any, int] = {}
-        values = _group_values(database, relation, within)
-        for row, value in enumerate(values):
-            if value is None:
-                continue
-            if value in groups:
-                uf.union((relation, groups[value]), (relation, row))
-            else:
-                groups[value] = row
-    if relation_a != relation_b:
-        # Tie the two relations together per shared group value.
-        values_a = _group_values(database, relation_a, within)
-        values_b = _group_values(database, relation_b, within)
-        first_a: dict[Any, int] = {}
-        for row, value in enumerate(values_a):
-            if value is not None and value not in first_a:
-                first_a[value] = row
-        for row, value in enumerate(values_b):
-            if value is not None and value in first_a:
-                uf.union((relation_a, first_a[value]), (relation_b, row))
-    else:
-        # The FK-linked relations of cross-relation edges are handled elsewhere;
-        # within a single relation nothing more to do.
-        pass

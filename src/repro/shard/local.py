@@ -105,50 +105,12 @@ def _predict_local(
     kernels: KernelCache | None = None,
     idx_token: Any = None,
 ) -> np.ndarray:
-    """Row-stable prediction at the local rows ``idx`` (full-length-local array).
-
-    With ``kernels`` the backdoor covariates' encoded design blocks — constant
-    for a given row set, whatever the query's update constants — are built
-    once per ``(attribute, idx_token)`` and reused by every parameter variant
-    of the plan; only the update attributes are re-encoded per query.  Block
-    stacking reproduces ``predict_columns`` exactly (same order, same hstack),
-    so the fused path is bitwise identical.
-    """
-    update_attrs = set(estimator.update_attributes)
-    if kernels is not None and idx_token is not None and regressor.feature_order:
-
-        def _backdoor_block(attribute: str) -> np.ndarray:
-            return regressor.attribute_block(
-                attribute, local_view.column_view(attribute)[idx]
-            )
-
-        blocks = []
-        for attribute in regressor.feature_order:
-            if attribute in update_attrs:
-                post_column = post_values[attribute]
-                if not isinstance(post_column, np.ndarray):
-                    post_column = np.asarray(post_column, dtype=object)
-                blocks.append(regressor.attribute_block(attribute, post_column[idx]))
-            else:
-                blocks.append(
-                    kernels.get(
-                        ("backdoor_block", attribute, idx_token),
-                        lambda a=attribute: _backdoor_block(a),
-                    )
-                )
-        out = np.zeros(n_local)
-        out[idx] = regressor.predict_blocks(blocks, len(idx))
-        return out
-    columns: dict[str, Any] = {}
-    for attribute in estimator.update_attributes:
-        post_column = post_values[attribute]
-        if not isinstance(post_column, np.ndarray):
-            post_column = np.asarray(post_column, dtype=object)
-        columns[attribute] = post_column[idx]
-    for attribute in estimator.backdoor_set:
-        columns[attribute] = local_view.column_view(attribute)[idx]
+    """:meth:`PostUpdateEstimator.predict_rows` at the local rows ``idx``,
+    scattered into a full-length-local array."""
     out = np.zeros(n_local)
-    out[idx] = regressor.predict_columns(columns)
+    out[idx] = estimator.predict_rows(
+        regressor, local_view, post_values, idx, kernels=kernels, idx_token=idx_token
+    )
     return out
 
 

@@ -134,3 +134,53 @@ class TestBackdoorCriterion:
         # The precise claim we verify: a set containing the common causes of
         # Sentiment and Rating (Quality and Price) blocks every backdoor path.
         assert satisfies_backdoor(figure3_style, "Sentiment", "Rating", ["Quality", "Price"])
+
+
+# -- the greedy search enumerates the backdoor paths once per call ---------------------
+
+
+def _minimal_backdoor_set_reference(dag, treatment, outcome, *, prefer=()):
+    """The search as it was: every trial set re-enumerated the paths through
+    ``satisfies_backdoor`` (which still has that signature and behaviour)."""
+    if treatment not in dag or outcome not in dag:
+        missing = [a for a in (treatment, outcome) if a not in dag]
+        raise IdentificationError(f"attributes {missing} are not in the causal DAG")
+    current = eligible_adjustment_attributes(dag, treatment, outcome)
+    if not satisfies_backdoor(dag, treatment, outcome, current):
+        raise IdentificationError(
+            f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
+        )
+    prefer_set = set(prefer)
+    for attribute in sorted(current - prefer_set) + sorted(current & prefer_set):
+        reduced = current - {attribute}
+        if satisfies_backdoor(dag, treatment, outcome, reduced):
+            current = reduced
+    return current
+
+
+def _outcome_of(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except IdentificationError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "dataset", ["small_german", "small_adult", "small_amazon", "small_student"]
+)
+def test_minimal_set_equals_the_per_trial_enumeration_on_bundled_dags(dataset, request):
+    """Every (treatment, outcome) pair of the four bundled datasets' DAGs."""
+    dag = request.getfixturevalue(dataset).causal_dag
+    pairs = [(t, o) for t in dag.nodes for o in dag.nodes if t != o]
+    assert pairs
+    for treatment, outcome in pairs:
+        want = _outcome_of(_minimal_backdoor_set_reference, dag, treatment, outcome)
+        assert _outcome_of(minimal_backdoor_set, dag, treatment, outcome) == want
+        if isinstance(want, set):
+            assert find_backdoor_set(dag, treatment, outcome) >= want
+            prefer = sorted(dag.nodes)[::2]  # the removal order moves with ``prefer``
+            assert minimal_backdoor_set(
+                dag, treatment, outcome, prefer=prefer
+            ) == _minimal_backdoor_set_reference(dag, treatment, outcome, prefer=prefer)
+        else:
+            assert _outcome_of(find_backdoor_set, dag, treatment, outcome) == want

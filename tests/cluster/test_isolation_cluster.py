@@ -50,9 +50,10 @@ def cluster_front_door(workload: VersionedWorkload) -> Iterator[HttpDriver]:
 
 
 def test_cluster_front_door_is_snapshot_isolated(workload):
-    # one writer, like the other HTTP front-door isolation runs: the checker
-    # orders commits by client-side windows, so concurrent writers whose
-    # windows overlap would make its ordering rule spuriously strict
+    # one writer, like the other HTTP front-door isolation runs: the
+    # coordinator's two-phase update traces no ``mvcc.commit`` span, so the
+    # generation it acknowledges is the current one, not provably the one this
+    # commit installed — too weak to order concurrent writers by
     with cluster_front_door(workload) as driver:
         history = run_history(
             driver,

@@ -1,7 +1,9 @@
 """Tests for how-to query evaluation (IP formulation + baselines)."""
 
+import numpy as np
 import pytest
 
+from repro import Database, Relation
 from repro.core import (
     EngineConfig,
     HowToEngine,
@@ -12,7 +14,16 @@ from repro.core import (
 from repro.core.howto import CandidateUpdate
 from repro.core.updates import MultiplyBy
 from repro.exceptions import OptimizationError, QuerySemanticsError
-from repro.relational import UseSpec, post, pre
+from repro.ml.discretize import Discretizer
+from repro.relational import (
+    CategoricalDomain,
+    IntegerDomain,
+    NumericDomain,
+    RelationSchema,
+    UseSpec,
+    post,
+    pre,
+)
 
 from .linear_fixture import make_linear_dataset
 
@@ -86,6 +97,198 @@ class TestCandidateEnumeration:
         candidate = CandidateUpdate("B", SetTo(3.0), "= 3")
         update = candidate.as_attribute_update()
         assert update.attribute == "B" and update.function.value == 3.0
+
+
+# -- enumerate_candidates against the per-row reference it was vectorised from ---------
+
+
+def reference_candidates(engine, query, view, scope_mask):
+    """``enumerate_candidates`` as it was: ``query.admits`` once per row per candidate."""
+    candidates = []
+    scope_rows = np.flatnonzero(np.asarray(scope_mask, dtype=bool))
+    for attribute in query.update_attributes:
+        pre_values = [view.column_view(attribute)[i] for i in scope_rows]
+        domain = view.schema.domain(attribute)
+        allowed = lower = upper = None
+        for limit in query.limits_for(attribute):
+            if limit.allowed_values is not None:
+                allowed = list(limit.allowed_values)
+            if limit.lower is not None:
+                lower = limit.lower if lower is None else max(lower, limit.lower)
+            if limit.upper is not None:
+                upper = limit.upper if upper is None else min(upper, limit.upper)
+        if allowed is not None:
+            values = list(allowed)
+        elif domain.is_numeric:
+            observed = [float(v) for v in view.column_view(attribute) if v is not None]
+            low = lower if lower is not None else (min(observed) if observed else 0.0)
+            high = upper if upper is not None else (max(observed) if observed else 1.0)
+            if high <= low:
+                high = low + 1.0
+            values = list(
+                Discretizer(n_buckets=max(1, query.candidate_buckets))
+                .fit([low, high])
+                .bucket_centers()
+            )
+            if isinstance(domain, IntegerDomain):
+                values = sorted({int(round(v)) for v in values})
+        else:
+            values = list(domain.values()) if domain.is_finite else sorted(
+                {v for v in view.column_view(attribute) if v is not None}
+            )
+
+        def admissible(function):
+            return all(
+                query.admits(attribute, pre, function.apply(pre))
+                for pre in pre_values
+                if pre is not None
+            )
+
+        for value in values:
+            if domain.contains(value) and admissible(SetTo(value)):
+                candidates.append(
+                    CandidateUpdate(attribute, SetTo(value), f"= {engine._fmt(value)}")
+                )
+        if domain.is_numeric:
+            for factor in query.candidate_multipliers:
+                if admissible(MultiplyBy(factor)):
+                    label = f"{factor}x Pre({attribute})"
+                    candidates.append(CandidateUpdate(attribute, MultiplyBy(factor), label))
+    if not candidates:
+        raise OptimizationError("no admissible candidate updates")
+    return candidates
+
+
+@pytest.fixture(scope="module")
+def mixed_view():
+    """One relation with every column shape ``enumerate_candidates`` must read."""
+    rng = np.random.default_rng(3)
+    n = 60
+    real = np.round(rng.uniform(1.0, 9.0, n), 3)
+    with_nan = real.copy()
+    with_nan[[7, 20, 41]] = np.nan  # not the first row: see the leading-NaN test
+    columns = {
+        "ID": list(range(n)),
+        "F": real.tolist(),
+        "I": rng.integers(1, 9, n).tolist(),
+        "N": [None if i % 7 == 3 else float(v) for i, v in enumerate(real)],
+        "Q": with_nan,
+        "Z": np.where(np.isnan(with_nan), np.nan, np.floor(with_nan)),
+        "K": [None if i % 11 == 5 else "abc"[i % 3] for i in range(n)],
+        "Y": rng.uniform(0.0, 1.0, n).tolist(),
+    }
+    domains = {
+        "F": NumericDomain(0.0, 20.0),
+        "I": IntegerDomain(0, 20),
+        "N": NumericDomain(0.0, 20.0),
+        "Q": NumericDomain(0.0, 20.0),
+        "Z": IntegerDomain(0, 20),
+        "K": CategoricalDomain(["a", "b", "c"]),
+    }
+    schema = RelationSchema.from_columns("T", columns, key=["ID"], domains=domains)
+    return Relation(schema, columns, validate=False)  # NaN is outside every domain
+
+
+PARITY_LIMITS = {
+    "none": lambda a: [],
+    "range": lambda a: [LimitConstraint(a, lower=2.0, upper=6.0)],
+    "lower-only": lambda a: [LimitConstraint(a, lower=3)],
+    "allowed": lambda a: [LimitConstraint(a, allowed_values=(2.0, 4, 5.5, "a", "x"))],
+    # every integer: ``1.0x Pre`` is admissible on I, and on Z but for its NaN rows
+    "allowed-all": lambda a: [LimitConstraint(a, allowed_values=tuple(range(21)))],
+    "l1": lambda a: [LimitConstraint(a, max_l1=1.5)],
+    "range+l1": lambda a: [LimitConstraint(a, lower=1.0, upper=8.0, max_l1=3.0)],
+    "two-limits": lambda a: [
+        LimitConstraint(a, lower=2.0),
+        LimitConstraint(a, upper=7.0, max_l1=4.0),
+    ],
+    "allowed+range": lambda a: [LimitConstraint(a, allowed_values=(1.0, 3.0, 9.0), upper=5.0)],
+}
+
+
+class TestCandidateParity:
+    """Same ``CandidateUpdate`` list — order and labels included — as the per-row reference."""
+
+    @staticmethod
+    def both(view, query, scope):
+        engine = HowToEngine(Database([view]), None, EngineConfig(regressor="linear"))
+        outcomes = []
+        for enumerate_ in (
+            lambda: engine.enumerate_candidates(query, view, scope),
+            lambda: reference_candidates(engine, query, view, scope),
+        ):
+            try:
+                outcomes.append(enumerate_())
+            except OptimizationError:
+                outcomes.append("no admissible candidates")
+        return outcomes
+
+    @pytest.mark.parametrize("limits", PARITY_LIMITS)
+    @pytest.mark.parametrize("attribute", ["F", "I", "N", "Q", "Z", "K"])
+    @pytest.mark.parametrize("scope", ["all", "some", "list", "empty"])
+    def test_equals_the_per_row_reference(self, mixed_view, attribute, limits, scope):
+        n = len(mixed_view)
+        scope_mask = {
+            "all": np.ones(n, dtype=bool),
+            "some": np.arange(n) % 3 != 0,
+            "list": [i % 2 == 0 for i in range(n)],  # the existing tests pass lists
+            "empty": np.zeros(n, dtype=bool),
+        }[scope]
+        query = HowToQuery(
+            use=UseSpec("T"),
+            update_attributes=[attribute],
+            objective_attribute="Y",
+            limits=PARITY_LIMITS[limits](attribute),
+            candidate_buckets=5,
+            candidate_multipliers=(0.5, 0.9, 1.0, 1.1, 2.0),
+        )
+        got, want = self.both(mixed_view, query, scope_mask)
+        assert got == want
+        if got != "no admissible candidates":
+            assert [c.label for c in got] == [c.label for c in want]
+
+    def test_several_attributes_keep_their_order(self, mixed_view):
+        query = HowToQuery(
+            use=UseSpec("T"),
+            update_attributes=["K", "I", "F"],
+            objective_attribute="Y",
+            limits=[LimitConstraint("F", lower=2.0, upper=6.0), LimitConstraint("I", max_l1=2)],
+        )
+        got, want = self.both(mixed_view, query, np.ones(len(mixed_view), dtype=bool))
+        assert got == want and [c.attribute for c in got] == sorted(
+            (c.attribute for c in got), key=["K", "I", "F"].index
+        )
+
+    def test_l1_on_a_categorical_attribute_goes_value_by_value(self, mixed_view):
+        # float("a") fails inside LimitConstraint.admits: nothing is admissible,
+        # exactly as the per-row loop decided, without a per-row loop
+        query = HowToQuery(
+            use=UseSpec("T"),
+            update_attributes=["K"],
+            objective_attribute="Y",
+            limits=[LimitConstraint("K", max_l1=1.0)],
+        )
+        got, want = self.both(mixed_view, query, np.ones(len(mixed_view), dtype=bool))
+        assert got == want == "no admissible candidates"
+
+    def test_leading_nan_no_longer_poisons_the_bucket_range(self, mixed_view):
+        """The one deliberate difference: Python's ``min`` keeps a NaN it meets
+        first, so a NaN in row 0 used to turn the bucket range (and every
+        ``= value`` candidate) into NaN; NaN is now ignored wherever it sits."""
+        moved = np.roll(mixed_view.column_view("Q"), -7)  # the NaN of row 7 leads
+        assert np.isnan(moved[0])
+        view = mixed_view.with_column("Q", moved, domain=NumericDomain(0.0, 20.0))
+        query = HowToQuery(
+            use=UseSpec("T"), update_attributes=["Q"], objective_attribute="Y",
+            candidate_multipliers=(),
+        )
+        scope = np.ones(len(view), dtype=bool)
+        engine = HowToEngine(Database([view]), None, EngineConfig(regressor="linear"))
+        got = engine.enumerate_candidates(query, view, scope)
+        unmoved = engine.enumerate_candidates(query, mixed_view, scope)
+        assert got == unmoved and len(got) == query.candidate_buckets
+        with pytest.raises(OptimizationError):
+            reference_candidates(engine, query, view, scope)
 
 
 class TestIPHowTo:

@@ -29,6 +29,15 @@ admissible sets — the checker can miss a violation but never invents one):
    not before the previous pick maximises the options left for every later
    read, so the greedy succeeds iff any non-decreasing assignment exists.
 
+"Non-decreasing" needs the order in which the store installed the commits,
+and client-side timestamps do not give it: of two overlapping commits the
+one that *began* later may well be installed first, and a reader that then
+sees both in install order would look like it went back in time.  So, as in
+"Efficient Black-box Checking of Snapshot Isolation in Databases", the
+version order comes from what the history observed — the generation each
+commit was acknowledged to have installed — and never from timestamps;
+``(begin, end)`` orders only hand-built histories that record no generation.
+
 Every violation message embeds the history's label (driver, seed, mix) so a
 CI failure prints the exact seed to replay.
 """
@@ -64,12 +73,17 @@ class ReadEvent:
 
 @dataclass(frozen=True)
 class CommitEvent:
-    """One installed version: the update call spanned ``[begin, end]``."""
+    """One installed version: the update call spanned ``[begin, end]``.
+
+    ``generation`` is the store generation the update was acknowledged to
+    have installed (``None`` when the history did not observe one).
+    """
 
     version: int
     begin: float
     end: float
     request_id: str = ""
+    generation: int | None = None
 
 
 @dataclass
@@ -96,7 +110,7 @@ class History:
 def _admissible_events(
     read: ReadEvent, matching: set[int], events: list[CommitEvent]
 ) -> list[int]:
-    """Indices (into begin-sorted ``events``) admissible for ``read``."""
+    """Indices (into version-ordered ``events``) admissible for ``read``."""
     options = []
     for index, event in enumerate(events):
         if event.version not in matching or event.begin > read.end:
@@ -123,7 +137,13 @@ def check_snapshot_isolation(history: History) -> list[str]:
     violations: list[str] = []
     label = history.label
     events = [CommitEvent(history.initial_version, -math.inf, -math.inf)]
-    events.extend(sorted(history.commits, key=lambda c: (c.begin, c.end)))
+    observed = all(c.generation is not None for c in history.commits)
+    events.extend(
+        sorted(
+            history.commits,
+            key=lambda c: (c.generation if observed else 0, c.begin, c.end),
+        )
+    )
 
     admissible: list[list[int]] = []
     for read in history.reads:

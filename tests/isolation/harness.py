@@ -31,6 +31,7 @@ from repro import EngineConfig, HypeRService
 from repro.api.client import HypeRClient
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
+from repro.obs import trace as obs_trace
 from repro.obs.trace import new_request_id
 from repro.service.server import make_server
 
@@ -100,8 +101,10 @@ class HistoryRecorder:
     """Thread-safe event log: wraps reads and commits with monotonic stamps.
 
     ``read`` may return a bare value or a ``(value, request_id)`` pair and
-    ``commit`` may return its request id; ids land on the recorded events so
-    a checker violation names the exact offending request.
+    ``commit`` may return its request id, or ``(request_id, generation)``
+    with the generation it was acknowledged to have installed; ids land on
+    the recorded events so a checker violation names the exact offending
+    request, and generations give the checker the store's version order.
     """
 
     def __init__(self, label: str, workload: VersionedWorkload):
@@ -124,12 +127,40 @@ class HistoryRecorder:
 
     def record_commit(self, version: int, commit: Callable[[], None]) -> None:
         begin = time.monotonic()
-        request_id = commit()
+        out = commit()
         end = time.monotonic()
+        request_id, generation = out if isinstance(out, tuple) else (out, None)
         with self._lock:
             self.history.commits.append(
-                CommitEvent(version, begin, end, str(request_id or ""))
+                CommitEvent(version, begin, end, str(request_id or ""), generation)
             )
+
+
+def installed_generation(span, fallback: int) -> int:
+    """The generation a traced commit installed, read off its ``mvcc.commit`` span.
+
+    ``span`` is the commit's span tree (an ``obs.trace.Span`` or a wire
+    ``TraceSpan``; ``None`` when the answer carried no trace).  A racing writer
+    cannot move that number, whereas the store's current generation read after
+    the call (``fallback``) can already be a later writer's; it stands in only
+    where nothing was installed (a no-op commit) or the backend records no
+    such span.
+    """
+    pending = [span] if span is not None else []
+    while pending:
+        node = pending.pop()
+        if node.name == "mvcc.commit":
+            return int(node.meta["generation"])
+        pending.extend(node.children)
+    return fallback
+
+
+def commit_generation(service: HypeRService, database) -> int:
+    """Commit ``database`` in-process; the generation that commit installed."""
+    context = obs_trace.TraceContext()
+    with obs_trace.activate(context):
+        service.update_database(database)
+    return installed_generation(context.root, service.generation)
 
 
 class DirectDriver:
@@ -149,10 +180,11 @@ class DirectDriver:
         return read, lambda: None
 
     def open_writer(self) -> tuple[Callable[[int], None], Callable[[], None]]:
-        def commit(version: int) -> str:
+        def commit(version: int) -> tuple[str, int]:
             request_id = new_request_id()
-            self.service.update_database(self.workload.databases[version])
-            return request_id
+            return request_id, commit_generation(
+                self.service, self.workload.databases[version]
+            )
 
         return commit, lambda: None
 
@@ -187,9 +219,13 @@ class HttpDriver:
     def open_writer(self) -> tuple[Callable[[int], None], Callable[[], None]]:
         client = self._client()
 
-        def commit(version: int) -> str:
-            client.update({"Credit": {"Credit": self.workload.columns[version]}})
-            return client.last_request_id
+        def commit(version: int) -> tuple[str, int]:
+            answer = client.update(
+                {"Credit": {"Credit": self.workload.columns[version]}}, trace=True
+            )
+            return client.last_request_id, installed_generation(
+                answer.trace, answer.generation
+            )
 
         return commit, client.close
 

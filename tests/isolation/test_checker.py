@@ -142,6 +142,62 @@ class TestMonotonicSessions:
         assert check_snapshot_isolation(history) == []
 
 
+class TestVersionOrder:
+    """Two writers: the commit begun later is installed first.
+
+    Writer A begins at 10, writer B at 11; B gets the commit lock first
+    (generation 1), A follows (generation 2).  A reader that sees B's version
+    and then A's went *forward*.  Ordered by client-side begin time — all a
+    history without generations has — the same reads look like a step back,
+    the false positive tier-1 used to hit with two and three writers.
+    """
+
+    V2 = 30.0
+    VALUES = {0: V0, 1: V1, 2: V2}
+
+    def commits(self, *, generations: bool):
+        first, second = (1, 2) if generations else (None, None)
+        return [
+            CommitEvent(1, 10.0, 16.0, generation=second),  # writer A
+            CommitEvent(2, 11.0, 15.0, generation=first),  # writer B
+        ]
+
+    def test_reads_in_install_order_are_monotonic(self):
+        history = make_history(
+            reads=[
+                ReadEvent("s1", 12.5, 13.0, self.V2),
+                ReadEvent("s1", 14.0, 14.5, V1),
+            ],
+            commits=self.commits(generations=True),
+            values=self.VALUES,
+        )
+        assert check_snapshot_isolation(history) == []
+
+    def test_begin_order_alone_would_flag_them(self):
+        history = make_history(
+            reads=[
+                ReadEvent("s1", 12.5, 13.0, self.V2),
+                ReadEvent("s1", 14.0, 14.5, V1),
+            ],
+            commits=self.commits(generations=False),
+            values=self.VALUES,
+        )
+        assert any("non-monotonic" in v for v in check_snapshot_isolation(history))
+
+    def test_reads_against_install_order_are_still_flagged(self):
+        history = make_history(
+            reads=[
+                ReadEvent("s1", 12.5, 13.0, V1),
+                ReadEvent("s1", 14.0, 14.5, self.V2),
+            ],
+            commits=self.commits(generations=True),
+            values=self.VALUES,
+        )
+        violations = check_snapshot_isolation(history)
+        assert len(violations) == 1
+        assert "non-monotonic" in violations[0]
+
+
 class TestMutation:
     """The harness end-to-end must reject a broken store and accept the real one."""
 

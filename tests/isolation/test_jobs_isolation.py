@@ -15,7 +15,7 @@ import itertools
 from repro.jobs.manager import JobManager
 
 from .checker import check_snapshot_isolation
-from .harness import QUERY_TEXT, VersionedWorkload, run_history
+from .harness import QUERY_TEXT, VersionedWorkload, commit_generation, run_history
 
 
 class JobsDriver:
@@ -43,9 +43,10 @@ class JobsDriver:
         return read, lambda: None
 
     def open_writer(self):
-        def commit(version: int) -> str:
-            self.manager.service.update_database(self.workload.databases[version])
-            return ""
+        def commit(version: int) -> tuple[str, int]:
+            return "", commit_generation(
+                self.manager.service, self.workload.databases[version]
+            )
 
         return commit, lambda: None
 

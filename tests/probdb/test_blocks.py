@@ -35,7 +35,7 @@ class TestDecomposition:
             decomposition.block_of("Product", 99)
 
     def test_matches_explicit_ground_graph_components(self, figure1_database, figure2_dag):
-        """The union–find decomposition must agree with explicit grounding."""
+        """The key-value decomposition must agree with explicit grounding."""
         ground = GroundCausalGraph(figure1_database, figure2_dag)
         explicit = sorted(len(c) for c in ground.tuple_components())
         fast = sorted(b.row_count() for b in decompose_into_blocks(figure1_database, figure2_dag))
