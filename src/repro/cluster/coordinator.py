@@ -1,4 +1,4 @@
-"""The cluster's front door: scatter-gather with exact merge and failover.
+"""The cluster's front door: queries go where the data is, exactly.
 
 :class:`ClusterCoordinator` implements the
 :class:`~repro.service.backend.ServiceBackend` protocol next to
@@ -7,10 +7,23 @@
 (:mod:`repro.service.server`, :mod:`repro.aserve`) mount it unchanged and the
 public v1 API is identical to a single-node deployment.
 
-Per query it scatters one ``POST /v1/partial`` to a replica of every shard
-(concurrently, on a private event loop thread), decodes the bit-exact wire
-partials, and folds them through the *same* merge protocol the in-process
-shard pool uses (:mod:`repro.shard.merge`) — so a cluster answer is bitwise
+Every node holds the full snapshot and a whole ``HypeRService``, so a
+**what-if** is *query-scattered*: the coordinator pins its generation ``g``,
+deals the what-ifs of a call round-robin over the healthy nodes — at most one
+sub-batch per node, all legs gathered in one hand-off to the private event
+loop — and each node answers its share on its own service as one
+``POST /v1/partial`` leg of ``kind="answers"``: one leg and a scalar answer
+per query, no partial arrays, no merge.  A node answers only if it stood at
+``g`` before and after computing; any node can answer any what-if, so a
+transport failure or 429 re-deals the sub-batch to the next node.  A node
+that is ahead (mid-flip, ``409 stale_generation``) is not a failure: those
+queries fall back to the exact row-scatter below at the pinned ``g``, so
+every answer is computed at exactly one coordinator generation.
+
+A **how-to** is *row-scattered*: one ``POST /v1/partial`` to a replica of
+every shard (concurrently), the bit-exact wire partials decoded and folded
+through the *same* merge protocol the in-process shard pool uses
+(:mod:`repro.shard.merge`), then the integer program solved here — bitwise
 equal to the unsharded service's.  Because every replica of a shard
 materialises the identical slice of the deterministic partition, failover is
 exact too: a per-node timeout/connection failure (or a ``409
@@ -18,19 +31,19 @@ stale_generation``) simply retries the next replica of that shard, and the
 merged answer cannot change.
 
 Health: ``failure_threshold`` consecutive failures mark a node unhealthy
-(skipped by the scatter's first choice); a background probe re-admits it
-only once its ``/health`` reports the coordinator's current generation — a
-node that missed an update fan-out can never serve stale partials.
+(skipped by first choice); a background probe re-admits it only once its
+``/health`` reports the coordinator's current generation — a node that
+missed an update fan-out can never serve stale answers.
 
 Updates run two-phase under the commit lock: ``stage`` the next generation's
 runtime on every healthy node (queries keep flowing against the current
 generation), then ``flip`` everywhere; nodes retain the previous generation's
-runtime so scatters racing the flip still finish exactly (the cluster
+runtime so row-scatters racing the flip still finish exactly (the cluster
 analogue of the MVCC ``pinned_fallbacks``).
 
 Server-side deadlines decrement across hops: the coordinator advertises
 ``accepts_deadline`` and forwards each request's remaining budget as the
-``deadline_ms`` of its downstream partial calls.
+``deadline_ms`` of its downstream calls.
 """
 
 from __future__ import annotations
@@ -50,7 +63,6 @@ from ..api.calls import (
     ApiStatusError,
     DeadlineExceeded,
     OverloadedError,
-    ServerDeadlineExceeded,
     TransportError,
 )
 from ..api.schemas import API_VERSION
@@ -70,6 +82,11 @@ from .topology import ClusterTopology
 __all__ = ["ClusterCoordinator", "ClusterError", "ProxyAnswer"]
 
 Query = WhatIfQuery | HowToQuery
+
+
+async def _gathered(coros: Any) -> list[Any]:
+    """``asyncio.gather`` as a coroutine a calling thread can hand to the loop."""
+    return list(await asyncio.gather(*coros))
 
 
 class ClusterError(HypeRError):
@@ -158,6 +175,8 @@ class ClusterCoordinator(ServingCounters):
         self.failure_threshold = max(1, failure_threshold)
         self.probe_interval = probe_interval
         self._generation = 0
+        #: where the next what-if is dealt (touched on the loop thread only)
+        self._cursor = 0
         self._started_at = time.time()
         self._n_queries = 0
         self._n_batches = 0
@@ -188,11 +207,15 @@ class ClusterCoordinator(ServingCounters):
         )
         m = self.metrics
         self._m_scatters = m.counter(
-            "hyper_cluster_scatters_total", "Per-shard partial calls issued"
+            "hyper_cluster_scatters_total", "Node legs issued (answers, partials, proxies)"
         )
         self._m_failovers = m.counter(
             "hyper_cluster_failovers_total",
-            "Scatter legs retried on a replica after a node failure",
+            "Node legs retried on another node after a node failure",
+        )
+        self._m_fallbacks = m.counter(
+            "hyper_cluster_fallbacks_total",
+            "What-ifs row-scattered because a node was ahead of the pinned generation",
         )
         self._m_node_failures = m.counter(
             "hyper_cluster_node_failures_total",
@@ -292,6 +315,7 @@ class ClusterCoordinator(ServingCounters):
         if not self._started:
             self.start()
         if self._closed or self._loop is None:
+            coro.close()  # never scheduled: do not leave it to warn at collection
             raise ClusterError("coordinator is closed")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
@@ -325,12 +349,10 @@ class ClusterCoordinator(ServingCounters):
                 if int(body.get("generation", -1)) == self._generation:
                     self._record_success(node)
 
-    def _replica_order(self, shard: int) -> list[_NodeState]:
-        """Healthy replicas first (topology order), unhealthy as last resort."""
-        replicas = [self._nodes[j] for j in self.placement.replicas_of(shard)]
-        return [n for n in replicas if n.healthy] + [
-            n for n in replicas if not n.healthy
-        ]
+    @staticmethod
+    def _healthy_first(nodes: Sequence[_NodeState]) -> list[_NodeState]:
+        """Healthy nodes first (topology order), unhealthy as last resort."""
+        return [n for n in nodes if n.healthy] + [n for n in nodes if not n.healthy]
 
     # -- scatter-gather ----------------------------------------------------------------
 
@@ -340,100 +362,168 @@ class ClusterCoordinator(ServingCounters):
             return None
         return max(deadline.remaining_ms() / 1000.0, 1e-3)
 
-    async def _shard_partial(
+    async def _ask(
         self,
-        shard: int,
-        kind: str,
-        text: str,
-        generation: int,
+        nodes: Sequence[_NodeState],
+        path: str,
+        payload: dict[str, Any],
         deadline: "api.RequestDeadline | None",
-        chosen: list[int] | None,
+        *,
+        retry_stale: bool = False,
     ) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "kind": kind,
-            "query": text,
-            "generation": generation,
-        }
-        if chosen is not None:
-            payload["chosen"] = chosen
+        """``POST payload`` to the first of ``nodes`` that answers it.
+
+        A transport failure or 429 is that node's failure and the call moves
+        on to the next node (a failover); so does a ``409 stale_generation``
+        with ``retry_stale`` — another replica may still retain the
+        generation.  Any other error status is the node's deterministic
+        answer (every node would give the same) and is re-raised verbatim.
+        """
         last_error: Exception | None = None
-        attempts = 0
-        for node in self._replica_order(shard):
+        for attempt, node in enumerate(nodes):
             if deadline is not None:
-                remaining = deadline.remaining_ms()
-                if remaining <= 0:
+                # whole milliseconds, rounded down: a hop never hands on more
+                # budget than is left, and less than one cannot cover a hop
+                remaining = int(deadline.remaining_ms())
+                if remaining < 1:
                     raise api.deadline_error(deadline.deadline_ms)
-                payload["deadline_ms"] = max(1, int(remaining))
-            if attempts:
+                payload["deadline_ms"] = remaining
+            if attempt:
                 self._m_failovers.inc()
-            attempts += 1
             self._m_scatters.inc()
             try:
                 body = await node.client.post_json(
-                    PARTIAL_PATH, payload, deadline=self._client_deadline(deadline)
+                    path, payload, deadline=self._client_deadline(deadline)
                 )
-            except ServerDeadlineExceeded:
-                raise api.deadline_error(
-                    deadline.deadline_ms if deadline is not None
-                    else int(payload.get("deadline_ms", 0))
-                ) from None
             except DeadlineExceeded:
-                if deadline is not None:
-                    raise api.deadline_error(deadline.deadline_ms) from None
-                raise
+                # ours or the node's 504: without a budget neither can happen
+                if deadline is None:
+                    raise
+                raise api.deadline_error(deadline.deadline_ms) from None
             except (TransportError, OverloadedError) as error:
                 self._record_failure(node)
                 last_error = error
                 continue
             except ApiStatusError as error:
-                if error.code == "stale_generation":
-                    # the node missed (or outran) an update fan-out; another
-                    # replica may still retain the requested generation
+                if retry_stale and error.code == "stale_generation":
                     self._record_failure(node)
                     last_error = error
                     continue
-                # a deterministic query error: every replica would answer the
-                # same, so re-answer it verbatim at the coordinator
                 raise api.ApiError(error.status, error.envelope) from None
             self._record_success(node)
-            partial = body.get("partial")
-            if not isinstance(partial, dict):
-                raise ClusterError(
-                    f"node {node.index} answered a malformed partial: {body!r}"
-                )
-            return partial
+            return body
         raise ClusterError(
-            f"no replica of shard {shard} could answer "
-            f"(generation {generation}): {last_error}"
-        )
-
-    async def _scatter_async(
-        self,
-        kind: str,
-        text: str,
-        deadline: "api.RequestDeadline | None",
-        chosen: list[int] | None = None,
-    ) -> list[dict[str, Any]]:
-        generation = self._generation
-        return list(
-            await asyncio.gather(
-                *(
-                    self._shard_partial(shard, kind, text, generation, deadline, chosen)
-                    for shard in range(self.n_shards)
-                )
-            )
+            f"none of nodes {[node.index for node in nodes]} could answer "
+            f"{path}: {last_error}"
         )
 
     def _scatter(
         self,
         kind: str,
         text: str,
+        generation: int,
         deadline: "api.RequestDeadline | None",
         chosen: list[int] | None = None,
     ) -> list[dict[str, Any]]:
+        """Row-scatter: one partial of ``text`` from a replica of every shard."""
+
+        async def leg(shard: int) -> dict[str, Any]:
+            payload: dict[str, Any] = {
+                "api_version": API_VERSION,
+                "kind": kind,
+                "query": text,
+                "generation": generation,
+            }
+            if chosen is not None:
+                payload["chosen"] = chosen
+            replicas = [self._nodes[j] for j in self.placement.replicas_of(shard)]
+            body = await self._ask(
+                self._healthy_first(replicas), PARTIAL_PATH, payload, deadline,
+                retry_stale=True,
+            )
+            if not isinstance(body.get("partial"), dict):
+                raise ClusterError(f"shard {shard} answered a malformed partial: {body!r}")
+            return body["partial"]
+
         with obs_trace.span("cluster.scatter", kind=kind, shards=self.n_shards):
-            return self._run(self._scatter_async(kind, text, deadline, chosen))
+            return self._run(_gathered(map(leg, range(self.n_shards))))
+
+    async def _deal(
+        self,
+        texts: list[str],
+        generation: int,
+        deadline: "api.RequestDeadline | None",
+    ) -> list[Any]:
+        """Query-scatter: deal ``texts`` round-robin, at most one leg per node.
+
+        Per text: the answering node's ``WhatIfResult``, the error to raise
+        for it, or ``None`` when the node stood at another generation.
+        """
+        ring = [node for node in self._nodes if node.healthy] or self._nodes
+        start = self._cursor % len(ring)
+        self._cursor += len(texts)
+        # a leg fails over along the rest of the ring, unhealthy nodes last
+        order = ring[start:] + ring[:start]
+        spare = [node for node in self._nodes if node not in ring]
+        n_legs = min(len(order), len(texts))
+
+        async def leg(j: int) -> list[Any]:
+            dealt = texts[j::n_legs]
+            payload = {
+                "api_version": API_VERSION,
+                "kind": "answers",
+                "queries": dealt,
+                "generation": generation,
+            }
+            try:
+                body = await self._ask(
+                    order[j:] + order[:j] + spare, PARTIAL_PATH, payload, deadline
+                )
+                answers = [wire.decode_what_if_answer(a) for a in body["answers"]]
+                if len(answers) != len(dealt):
+                    raise ClusterError(f"malformed answers leg: {body!r}")
+                return answers
+            except Exception as error:  # noqa: BLE001 - reported per query
+                ahead = (
+                    isinstance(error, api.ApiError)
+                    and error.envelope.code == "stale_generation"
+                )
+                return [None if ahead else error] * len(dealt)
+
+        outcomes: list[Any] = [None] * len(texts)
+        for j, answers in enumerate(await _gathered(map(leg, range(n_legs)))):
+            outcomes[j::n_legs] = answers
+        return outcomes
+
+    def _what_ifs(
+        self,
+        items: Sequence[tuple[WhatIfQuery, str]],
+        deadline: "api.RequestDeadline | None",
+    ) -> list[Any]:
+        """Answer parsed what-ifs at one pinned generation; errors in place."""
+        started = time.perf_counter()
+        generation = self._generation
+        texts = [text for _parsed, text in items]
+        with obs_trace.span("cluster.scatter", kind="answers", queries=len(texts)):
+            outcomes = self._run(self._deal(texts, generation, deadline))
+        for index, (parsed, text) in enumerate(items):
+            if outcomes[index] is None:
+                # a node was ahead of ``generation`` (mid-flip): nodes retain
+                # its runtime, so the row-scatter is still exact there
+                self._m_fallbacks.inc()
+                try:
+                    partials = self._scatter("whatif", text, generation, deadline)
+                    with obs_trace.span("cluster.merge", kind="whatif"):
+                        outcomes[index] = merge_what_if(
+                            parsed, [wire.decode_what_if_partial(p) for p in partials]
+                        )
+                except Exception as error:  # noqa: BLE001 - reported per query
+                    outcomes[index] = error
+            if not isinstance(outcomes[index], Exception):
+                elapsed = time.perf_counter() - started
+                outcomes[index].runtime_seconds = elapsed
+                self._record_completion(text, "whatif", elapsed)
+        return outcomes
 
     # -- the service surface -----------------------------------------------------------
 
@@ -451,15 +541,39 @@ class ClusterCoordinator(ServingCounters):
 
         return as_query_object(query)
 
+    def _parsed(self, query: Any) -> tuple[Query, str]:
+        """A query as its object and the text the nodes are sent."""
+        parsed = self._as_query(query)
+        return parsed, query if isinstance(query, str) else unparse(parsed)
+
     def _capacity_hint(self) -> int:
         """One concurrent scatter per healthy node (never below one)."""
         return max(sum(1 for node in self._nodes if node.healthy), 1)
 
     def prepare(self, queries: Any) -> None:
-        """Warm the shard nodes by answering each query once."""
+        """Warm every node for ``queries`` (strict: a bad query raises).
+
+        A what-if is answered by whichever node it is dealt to, so what-ifs
+        go to every healthy node's own ``POST /v1/prepare``; a how-to is
+        executed once — its row-scatter touches every shard's runtime.
+        """
         entries = queries if isinstance(queries, (list, tuple)) else [queries]
+        what_ifs: list[str] = []
         for entry in entries:
-            self.execute(entry)
+            parsed, text = self._parsed(entry)
+            if isinstance(parsed, WhatIfQuery):
+                what_ifs.append(text)
+            else:
+                self.execute(entry)
+        if what_ifs:
+            payload = {"api_version": API_VERSION, "queries": what_ifs}
+            self._run(
+                _gathered(
+                    self._ask([node], "/v1/prepare", payload, None)
+                    for node in self._nodes
+                    if node.healthy
+                )
+            )
 
     def _record_completion(self, text: str, kind: str, elapsed: float) -> None:
         if elapsed < self.slow_log.threshold_seconds:
@@ -478,6 +592,7 @@ class ClusterCoordinator(ServingCounters):
         self,
         text: str,
         n_rows: int,
+        generation: int,
         deadline: "api.RequestDeadline | None",
     ):
         """The second verification scatter solve_merged_how_to calls back into."""
@@ -486,7 +601,8 @@ class ClusterCoordinator(ServingCounters):
 
         def verify(chosen_indices: list[int]):
             partials = self._scatter(
-                "howto_verify", text, deadline, chosen=[int(i) for i in chosen_indices]
+                "howto_verify", text, generation, deadline,
+                chosen=[int(i) for i in chosen_indices],
             )
             count = np.zeros(n_rows)
             sum_ = np.zeros(n_rows)
@@ -512,39 +628,9 @@ class ClusterCoordinator(ServingCounters):
             "query": text,
             "exhaustive": exhaustive,
         }
-        if deadline is not None:
-            remaining = deadline.remaining_ms()
-            if remaining <= 0:
-                raise api.deadline_error(deadline.deadline_ms)
-            request["deadline_ms"] = max(1, int(remaining))
-
-        async def call() -> dict[str, Any]:
-            last_error: Exception | None = None
-            candidates = [n for n in self._nodes if n.healthy] + [
-                n for n in self._nodes if not n.healthy
-            ]
-            for node in candidates:
-                try:
-                    body = await node.client.post_json(
-                        "/v1/query", request, deadline=self._client_deadline(deadline)
-                    )
-                except ServerDeadlineExceeded:
-                    raise api.deadline_error(
-                        deadline.deadline_ms if deadline is not None else 0
-                    ) from None
-                except (TransportError, OverloadedError, DeadlineExceeded) as error:
-                    if isinstance(error, DeadlineExceeded) and deadline is not None:
-                        raise api.deadline_error(deadline.deadline_ms) from None
-                    self._record_failure(node)
-                    last_error = error
-                    continue
-                except ApiStatusError as error:
-                    raise api.ApiError(error.status, error.envelope) from None
-                self._record_success(node)
-                return body
-            raise ClusterError(f"no node could answer the proxied query: {last_error}")
-
-        payload = self._run(call())
+        payload = self._run(
+            self._ask(self._healthy_first(self._nodes), "/v1/query", request, deadline)
+        )
         return ProxyAnswer(payload, runtime_seconds=time.perf_counter() - started)
 
     def execute(
@@ -555,35 +641,33 @@ class ClusterCoordinator(ServingCounters):
         trace: "obs_trace.TraceContext | None" = None,
         deadline: "api.RequestDeadline | None" = None,
     ):
-        """Answer one query via scatter-gather; bitwise equal to unsharded.
+        """Answer one query; bitwise equal to the unsharded service.
 
-        The merge itself (and the how-to integer program) runs on the calling
-        thread; only the network scatters cross into the private event loop —
-        which lets the how-to verification callback issue its second scatter
-        without re-entering the loop.
+        A what-if is one answers leg to one node.  A how-to is row-scattered:
+        the merge (and the integer program) runs on the calling thread and
+        only the network legs cross into the private event loop — which lets
+        the verification callback issue its second scatter without
+        re-entering the loop.  Every leg of a call names the one generation
+        pinned at its start.
         """
-        parsed = self._as_query(query)
-        text = query if isinstance(query, str) else unparse(parsed)
+        parsed, text = self._parsed(query)
         self._m_queries.inc()
         self._n_queries += 1
         with obs_trace.activate(trace), self._track("query"):
             started = time.perf_counter()
             if isinstance(parsed, WhatIfQuery):
-                partials = self._scatter("whatif", text, deadline)
-                with obs_trace.span("cluster.merge", kind="whatif"):
-                    result = merge_what_if(
-                        parsed, [wire.decode_what_if_partial(p) for p in partials]
-                    )
-                result.runtime_seconds = time.perf_counter() - started
-                self._record_completion(text, "whatif", result.runtime_seconds)
-                return result
+                (outcome,) = self._what_ifs([(parsed, text)], deadline)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
             if exhaustive:
                 # like the in-process pool's exhaustive path: run unsharded on
                 # one node (every node holds the full snapshot)
                 result = self._proxy_query(text, exhaustive=True, deadline=deadline)
                 self._record_completion(text, "howto", result.runtime_seconds)
                 return result
-            partials = self._scatter("howto", text, deadline)
+            generation = self._generation
+            partials = self._scatter("howto", text, generation, deadline)
             with obs_trace.span("cluster.merge", kind="howto"):
                 merged = merge_how_to(
                     parsed, [wire.decode_how_to_partial(p) for p in partials]
@@ -591,7 +675,9 @@ class ClusterCoordinator(ServingCounters):
             result = solve_merged_how_to(
                 parsed,
                 merged,
-                verify=self._verifier(text, len(merged.baseline_count), deadline),
+                verify=self._verifier(
+                    text, len(merged.baseline_count), generation, deadline
+                ),
                 runtime_seconds=time.perf_counter() - started,
             )
             result.runtime_seconds = time.perf_counter() - started
@@ -605,27 +691,43 @@ class ClusterCoordinator(ServingCounters):
         max_workers: int | None = None,
         return_errors: bool = False,
     ) -> list[Any]:
-        """Answer a batch concurrently; scatters interleave on the loop."""
+        """Answer a batch in input order: its what-ifs dealt over the nodes
+        in one hand-off, its how-tos scattered concurrently as before."""
         self._m_batches.inc()
         self._n_batches += 1
-        if not queries:
-            return []
-        workers = max_workers or self.max_workers or default_max_workers()
-        workers = max(1, min(workers, len(queries)))
-
-        def run_one(entry: Any) -> Any:
+        outcomes: list[Any] = [None] * len(queries)
+        what_ifs: dict[int, tuple[Query, str]] = {}
+        how_tos: list[int] = []
+        for index, entry in enumerate(queries):
             try:
-                return self.execute(entry)
+                parsed, text = self._parsed(entry)
             except Exception as error:  # noqa: BLE001 - reported per query
-                return error
+                outcomes[index] = error
+            else:
+                if isinstance(parsed, WhatIfQuery):
+                    what_ifs[index] = (parsed, text)
+                else:
+                    how_tos.append(index)
+        if what_ifs:
+            self._m_queries.inc(len(what_ifs))
+            self._n_queries += len(what_ifs)
+            with self._track("query", units=len(what_ifs)):
+                answered = self._what_ifs(list(what_ifs.values()), None)
+            for index, outcome in zip(what_ifs, answered):
+                outcomes[index] = outcome
 
-        if workers == 1:
-            outcomes = [run_one(entry) for entry in queries]
-        else:
+        def run_one(index: int) -> None:
+            try:
+                outcomes[index] = self.execute(queries[index])
+            except Exception as error:  # noqa: BLE001 - reported per query
+                outcomes[index] = error
+
+        if how_tos:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_one, queries))
+            workers = max_workers or self.max_workers or default_max_workers()
+            with ThreadPoolExecutor(max(1, min(workers, len(how_tos)))) as pool:
+                list(pool.map(run_one, how_tos))
         if not return_errors:
             for outcome in outcomes:
                 if isinstance(outcome, Exception):
@@ -752,6 +854,7 @@ class ClusterCoordinator(ServingCounters):
                 "healthy_nodes": sum(1 for node in self._nodes if node.healthy),
                 "scatters": int(self._m_scatters.value),
                 "failovers": int(self._m_failovers.value),
+                "fallbacks": int(self._m_fallbacks.value),
                 "updates": int(self._m_updates.value),
                 "nodes": [
                     {

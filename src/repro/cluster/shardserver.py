@@ -13,18 +13,24 @@ bit-identical partials, which is what makes coordinator failover exact.
 :class:`ShardServerApp` mounts the public endpoint table plus the node's two
 internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
 
-* ``POST /v1/partial`` — evaluate one what-if/how-to partial (or a how-to
-  verification round) on the node's shard slice at a named generation.  On
-  the ``admitted`` lane, exactly like ``/v1/query`` (a scatter leg competes
-  with local public queries for the same executor); a generation this node
-  does not retain answers ``409 stale_generation`` so the coordinator fails
-  over.
+* ``POST /v1/partial`` — one scatter leg at a named generation, on the
+  ``admitted`` lane exactly like ``/v1/query`` (a leg competes with local
+  public queries for the same executor).  ``kind="answers"`` moves the query
+  to the data: whole what-ifs run on the node's own service (all its caches)
+  and one scalar answer — or error envelope — per query comes back.  It
+  answers ``409 stale_generation`` unless the service stood at the named
+  generation before the first and after the last answer (generations only
+  grow, so every snapshot pinned in between was that one).  The other kinds
+  evaluate one row-scatter partial on the node's shard slice — how-to always,
+  ``"whatif"`` only as the coordinator's fallback for a node mid-flip; a
+  generation this node does not retain answers ``409 stale_generation`` so
+  the coordinator fails over.
 * ``POST /v1/cluster/update`` — the two-phase commit fan-out.  ``stage``
-  builds the next generation's runtime off to the side (queries keep
-  answering from the current one); ``flip`` commits it through the node's
-  own MVCC service so the node and the coordinator agree on generation
-  numbers.  On the ``control`` lane like ``/v1/update``: a commit must land
-  on a saturated node, so it bypasses admission.
+  builds the next generation's database and runtime off to the side (queries
+  keep answering from the current one); ``flip`` commits that database
+  through the node's own MVCC service, so the node and the coordinator agree
+  on generation numbers.  On the ``control`` lane like ``/v1/update``: a
+  commit must land on a saturated node, so it bypasses admission.
 
 The previous generation's runtime is retained (like the in-process pool's
 ``pinned_fallbacks``), so a scatter racing a cluster-wide flip still gets
@@ -118,8 +124,8 @@ class ShardServer:
         self._lock = threading.Lock()
         #: answerable runtimes keyed by generation (latest + pinned fallbacks)
         self._runtimes: dict[int, ShardWorkerRuntime] = {}
-        #: (generation, runtime, assignments) staged by phase one of a commit
-        self._staged: tuple[int, ShardWorkerRuntime, dict[str, dict[str, Any]]] | None = None
+        #: (generation, runtime, its database) staged by phase one of a commit
+        self._staged: tuple[int, ShardWorkerRuntime, Database] | None = None
         self._runtimes[self.service.generation] = self._build_runtime(
             self.service.database
         )
@@ -158,16 +164,18 @@ class ShardServer:
         """Answer one partial request body (already JSON-decoded)."""
         kind = body.get("kind")
         query_text = body.get("query")
-        if kind not in ("whatif", "howto", "howto_verify"):
+        if kind not in ("answers", "whatif", "howto", "howto_verify"):
             raise PayloadError(400, f"unknown partial kind {kind!r}")
-        if not isinstance(query_text, str) or not query_text.strip():
-            raise PayloadError(400, "field 'query' must be a non-empty string")
         try:
             generation = int(body.get("generation", 0))
         except (TypeError, ValueError):
             raise PayloadError(
                 400, f"invalid generation {body.get('generation')!r}"
             ) from None
+        if kind == "answers":
+            return self._answers_payload(body.get("queries"), generation, deadline)
+        if not isinstance(query_text, str) or not query_text.strip():
+            raise PayloadError(400, "field 'query' must be a non-empty string")
         runtime = self._runtime_for(generation)
         parsed = self.service.parse(query_text)
         if deadline is not None:
@@ -204,6 +212,38 @@ class ShardServer:
             "shard_index": self.shard_index,
             "partial": encoded,
         }
+
+    def _answers_payload(
+        self, texts: Any, generation: int, deadline: "api.RequestDeadline | None"
+    ) -> dict[str, Any]:
+        """Answer whole what-if queries on the node's service, all at ``generation``."""
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
+
+        def answer(text: str) -> Any:
+            try:
+                parsed = self.service.parse(text)
+                if not isinstance(parsed, WhatIfQuery):
+                    raise PayloadError(400, "kind 'answers' needs what-if queries")
+                return api.execute_one(self.service, parsed, deadline=deadline)
+            except Exception as error:  # noqa: BLE001 - reported per query
+                return error
+
+        # generations only grow: the same one before the first and after the
+        # last answer means every snapshot pinned in between was that one
+        if self.service.generation == generation:
+            with obs_trace.span(
+                "cluster.partial", kind="answers", shard=self.shard_index
+            ):
+                answers = [answer(text) for text in texts]
+            if self.service.generation == generation:
+                return {
+                    "api_version": API_VERSION,
+                    "kind": "answers",
+                    "generation": generation,
+                    "answers": [wire.encode_what_if_answer(a) for a in answers],
+                }
+        raise _stale_generation(generation, [self.service.generation])
 
     # -- the /v1/cluster/update control plane ------------------------------------------
 
@@ -267,11 +307,16 @@ class ShardServer:
                 for attribute, values in columns.items():
                     relation = relation.with_column(attribute, values)
                 database = database.with_relation(relation)
-            runtime = self._build_runtime(database)
-            self._staged = (generation, runtime, assignments)
+            self._staged = (generation, self._build_runtime(database), database)
 
     def flip(self, generation: int) -> frozenset[str]:
-        """Phase two: commit the staged assignments and install the runtime."""
+        """Phase two: commit the staged database and install its runtime.
+
+        ``stage`` derived that database from ``service.database`` and the
+        generation check below proves the service has not moved since, so
+        unchanged relations keep their identity and ``update_database`` bumps
+        and evicts exactly what re-applying the assignments would.
+        """
         with self._lock:
             if self._staged is None or self._staged[0] != generation:
                 staged_gen = None if self._staged is None else self._staged[0]
@@ -287,8 +332,8 @@ class ShardServer:
             if self.service.generation + 1 != generation:
                 self._staged = None
                 raise _stale_generation(generation, sorted(self._runtimes))
-            _gen, runtime, assignments = self._staged
-            changed = self.service.update_relation_columns(assignments)
+            _gen, runtime, database = self._staged
+            changed = self.service.update_database(database)
             self._runtimes[generation] = runtime
             self._staged = None
             for old in sorted(self._runtimes)[: -self.retained_generations]:

@@ -11,8 +11,13 @@ the merge protocol itself (:mod:`repro.shard.merge`) only ever concatenates
 and scatters these arrays before running the unsharded reduction.
 
 Scalars and ``meta`` dictionaries travel as plain JSON — Python's ``json``
-module round-trips ``float`` (shortest-repr) exactly, and every meta value
-the engines emit is a JSON-safe str/int/list.
+module round-trips ``float`` (shortest-repr; ``NaN``/``±Infinity`` literals,
+``-0.0`` and subnormals included) exactly, and every meta value the engines
+emit is a JSON-safe str/int/list.
+
+A what-if *answer* (``kind="answers"``: the node ran the whole query) is such
+scalars only, no arrays; an item the node could not answer travels as the
+``(status, envelope)`` of :func:`repro.api.core.envelope_for`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from typing import Any
 
 import numpy as np
 
+from ..api.core import ApiError, envelope_for
+from ..api.schemas import ErrorEnvelope
 from ..core.howto import CandidateUpdate
+from ..core.results import WhatIfResult
 from ..core.updates import AddConstant, MultiplyBy, SetTo, UpdateFunction
 from ..exceptions import HypeRError
 from ..shard.merge import HowToShardPartial, WhatIfShardPartial
@@ -33,11 +41,13 @@ __all__ = [
     "decode_candidate",
     "decode_how_to_partial",
     "decode_verify",
+    "decode_what_if_answer",
     "decode_what_if_partial",
     "encode_array",
     "encode_candidate",
     "encode_how_to_partial",
     "encode_verify",
+    "encode_what_if_answer",
     "encode_what_if_partial",
 ]
 
@@ -184,6 +194,46 @@ def decode_what_if_partial(payload: Any) -> WhatIfShardPartial:
         )
     except KeyError as error:
         raise WireError(f"what-if partial missing field {error}") from None
+
+
+# -- what-if answers -----------------------------------------------------------------
+
+#: every WhatIfResult field but the per-block arrays and the node's own clock
+_ANSWER_FIELDS = (
+    "value", "aggregate", "output_attribute", "variant", "n_view_tuples",
+    "n_scope_tuples", "n_blocks", "expected_qualifying_count",
+)
+
+
+def encode_what_if_answer(outcome: WhatIfResult | BaseException) -> dict[str, Any]:
+    """One item of an answers leg: the scalar result, or why there is none."""
+    if isinstance(outcome, BaseException):
+        status, envelope = envelope_for(outcome)
+        return {"status": status, "error": envelope.to_json()}
+    answer = {name: _plain_scalar(getattr(outcome, name)) for name in _ANSWER_FIELDS}
+    answer["backdoor_set"] = list(outcome.backdoor_set)
+    answer["metadata"] = {
+        key: _plain_scalar(value) for key, value in outcome.metadata.items()
+    }
+    return answer
+
+
+def decode_what_if_answer(payload: Any) -> WhatIfResult | ApiError:
+    """The node's :class:`WhatIfResult`, or its error as a raisable ``ApiError``."""
+    if not isinstance(payload, dict):
+        raise WireError(f"what-if answer must be an object, got {type(payload).__name__}")
+    try:
+        if "error" in payload:
+            return ApiError(
+                int(payload["status"]), ErrorEnvelope.from_json(payload["error"])
+            )
+        return WhatIfResult(
+            **{name: payload[name] for name in _ANSWER_FIELDS},
+            backdoor_set=tuple(payload["backdoor_set"]),
+            metadata=dict(payload["metadata"]),
+        )
+    except KeyError as error:
+        raise WireError(f"what-if answer missing field {error}") from None
 
 
 # -- how-to partials -----------------------------------------------------------------

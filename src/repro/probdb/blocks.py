@@ -332,12 +332,20 @@ def assign_blocks_to_shards(block_sizes: Sequence[int] | np.ndarray, n_shards: i
     shard_of_block = np.zeros(len(sizes), dtype=np.int64)
     if n_shards == 1 or len(sizes) == 0:
         return shard_of_block
-    loads = [0] * n_shards
-    order = sorted(range(len(sizes)), key=lambda b: (-int(sizes[b]), b))
-    for block in order:
-        shard = min(range(n_shards), key=lambda s: (loads[s], s))
-        shard_of_block[block] = shard
-        loads[shard] += int(sizes[block])
+    # A run of m equal-size blocks is a k-way merge: shard j's successive
+    # turns cost loads[j] + t * size, and greedy takes the m smallest
+    # (cost, shard) pairs in order — one stable sort per run, not per block.
+    order = np.argsort(-sizes, kind="stable")
+    ranked = sizes[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    loads = np.zeros(n_shards, dtype=np.int64)
+    for start, end in zip(starts, np.r_[starts[1:], len(ranked)]):
+        m, size = end - start, ranked[start]
+        costs = loads[:, None] + np.arange(m) * size  # row j: shard j's turns
+        # stable over the shard-major layout: equal costs go to the lower shard
+        shards = np.argsort(costs, axis=None, kind="stable")[:m] // m
+        shard_of_block[order[start:end]] = shards
+        loads += np.bincount(shards, minlength=n_shards) * size
     return shard_of_block
 
 

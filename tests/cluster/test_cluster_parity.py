@@ -1,18 +1,22 @@
-"""The cluster contract: merged answers are bitwise equal to unsharded ones.
+"""The cluster contract: cluster answers are bitwise equal to unsharded ones.
 
 A 3-shard cluster of real shard-server processes-on-ports answers every
 query bitwise-identically to a single-node :class:`HypeRService` over the
-same database — on both relational backends — and keeps doing so when a
-replica is killed mid-batch (exact failover) and across two-phase update
-fan-outs.
+same database — on both relational backends — whether a what-if is answered
+whole by the node it was dealt to or (a node being ahead, mid-flip)
+row-scattered and merged, and keeps doing so when a node is killed mid-batch
+(exact failover) and across two-phase update fan-outs.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
 from repro import EngineConfig, HypeRService
 from repro.api import HypeRClient
+from repro.api import endpoints as api
 from repro.api.client import ApiStatusError, ServerDeadlineExceeded
 from repro.aserve import BackgroundAsyncServer
 from repro.cluster import ClusterCoordinator, ClusterError
@@ -33,6 +37,21 @@ HOWTO_TEXT = (
     "LIMIT 1 <= POST(Status) <= 4 AND 1 <= POST(Housing) <= 3 "
     "TOMAXIMIZE COUNT(POST(Credit)) FOR POST(Credit) = 1"
 )
+SYNTAX_ERROR_TEXT = "garbage"
+SEMANTIC_ERROR_TEXT = (
+    "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Nope)) FOR POST(Nope) = 1"
+)
+
+
+def wire_payload(result) -> dict:
+    """The public answer minus the one field that is a clock reading."""
+    payload = result.payload()
+    payload.pop("runtime_seconds")
+    return payload
+
+
+def cluster_stats(coordinator) -> dict:
+    return coordinator.stats()["cluster"]
 
 
 @pytest.fixture(scope="module", params=["columnar", "rows"])
@@ -54,6 +73,24 @@ class TestBitwiseParity:
                 assert merged.value == direct.value, text
                 assert merged.aggregate == direct.aggregate
                 assert merged.n_view_tuples == direct.n_view_tuples
+
+    def test_what_if_answers_equal_field_for_field(self, backend_setup):
+        dataset, config, single = backend_setup
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            batch = cluster.coordinator.execute_many(WHATIF_TEXTS)
+            for text, batched in zip(WHATIF_TEXTS, batch):
+                direct = single.execute(text)
+                for answered in (cluster.coordinator.execute(text), batched):
+                    assert wire_payload(answered) == wire_payload(direct), text
+                    for field in fields(direct):
+                        # the cluster path ships no per-block arrays, and
+                        # each side reads its own clock
+                        if field.name in ("block_contributions", "runtime_seconds"):
+                            continue
+                        assert getattr(answered, field.name) == getattr(
+                            direct, field.name
+                        ), (text, field.name)
+                    assert list(answered.block_contributions) == []
 
     def test_how_to_parity_both_backends(self, backend_setup):
         dataset, config, single = backend_setup
@@ -117,6 +154,8 @@ class TestFailover:
 
     def test_unreplicated_shard_loss_is_an_error(self, dataset_and_config):
         dataset, config = dataset_and_config
+        single = HypeRService(dataset.database, dataset.causal_dag, config)
+        expected = [wire_payload(single.execute(text)) for text in WHATIF_TEXTS]
         with make_cluster(
             dataset.database,
             dataset.causal_dag,
@@ -125,10 +164,172 @@ class TestFailover:
             n_nodes=2,  # replication factor 1: losing a node loses a shard
             failure_threshold=1,
         ) as cluster:
-            cluster.coordinator.execute(WHATIF_TEXTS[0])
+            coord = cluster.coordinator
+            coord.execute(WHATIF_TEXTS[0])
+            coord.execute(HOWTO_TEXT)
             cluster.stop_node(1)
+            # any node answers any what-if: the sub-batch dealt to the dead
+            # node is re-dealt to the survivor, which answers them all, bitwise
+            assert [wire_payload(r) for r in coord.execute_many(WHATIF_TEXTS)] == expected
+            stats = cluster_stats(coord)
+            assert stats["failovers"] >= 1
+            assert [n["index"] for n in stats["nodes"] if not n["healthy"]] == [1]
+            assert [wire_payload(coord.execute(t)) for t in WHATIF_TEXTS] == expected
+            # a how-to needs a partial of every shard: one is gone for good
             with pytest.raises(ClusterError):
-                cluster.coordinator.execute(WHATIF_TEXTS[0])
+                coord.execute(HOWTO_TEXT)
+        single.close()
+
+
+class TestQueryScatter:
+    """A what-if is one leg to one node, at the coordinator's pinned generation."""
+
+    def test_node_ahead_of_the_coordinator_falls_back_to_the_pinned_generation(
+        self, dataset_and_config
+    ):
+        dataset, config = dataset_and_config
+        single = HypeRService(dataset.database, dataset.causal_dag, config)
+        old = [wire_payload(single.execute(text)) for text in WHATIF_TEXTS]
+        column = [
+            min(4.0, float(v) + 1.0)
+            for v in dataset.database["Credit"].column("Status")
+        ]
+        assignment = {"Credit": {"Status": column}}
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            coord = cluster.coordinator
+            # the flip window, held open: node 0 has committed generation 1,
+            # the coordinator (and nodes 1, 2) still stand at generation 0
+            cluster.shards[0].stage(1, assignment)
+            cluster.shards[0].flip(1)
+            assert cluster.shards[0].service.generation == 1 and coord.generation == 0
+            # one what-if per node of the ring: the one dealt to node 0 is
+            # refused there and row-scattered at generation 0 instead
+            singles = [coord.execute(WHATIF_TEXTS[0]) for _ in cluster.shards]
+            assert [wire_payload(r) for r in singles] == [old[0]] * len(singles)
+            assert cluster_stats(coord)["fallbacks"] == 1
+            batch = coord.execute_many(WHATIF_TEXTS)
+            assert [wire_payload(r) for r in batch] == old
+            stats = cluster_stats(coord)
+            assert stats["fallbacks"] >= 2
+            # being ahead is not a failure: nothing failed over, all healthy
+            assert stats["failovers"] == 0 and stats["healthy_nodes"] == 3
+            assert [n["failures"] for n in stats["nodes"]] == [0, 0, 0]
+            assert "hyper_cluster_fallbacks_total" in coord.metrics.render()
+        # the answers above are the old generation's, and that is observable
+        single.update_relation_columns(assignment)
+        new = [wire_payload(single.execute(text)) for text in WHATIF_TEXTS]
+        assert all(a["value"] != b["value"] for a, b in zip(old, new))
+        single.close()
+
+    def test_mixed_batch_keeps_input_order_and_error_semantics(self, dataset_and_config):
+        dataset, config = dataset_and_config
+        single = HypeRService(dataset.database, dataset.causal_dag, config)
+        batch = [
+            WHATIF_TEXTS[0],
+            SEMANTIC_ERROR_TEXT,
+            HOWTO_TEXT,
+            WHATIF_TEXTS[1],
+            SYNTAX_ERROR_TEXT,
+            WHATIF_TEXTS[2],
+            WHATIF_TEXTS[3],
+        ]
+        direct = single.execute_many(batch, return_errors=True)
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            coord = cluster.coordinator
+            outcomes = coord.execute_many(batch, return_errors=True)
+            assert len(outcomes) == len(batch)
+            for index in (0, 3, 5, 6):
+                assert wire_payload(outcomes[index]) == wire_payload(direct[index])
+            assert outcomes[2].objective_value == direct[2].objective_value
+            assert outcomes[2].plan() == direct[2].plan()
+            # the node's semantic error and the coordinator's own parse error
+            # answer exactly what a single node answers
+            for index in (1, 4):
+                assert isinstance(outcomes[index], Exception)
+                assert api.envelope_for(outcomes[index]) == api.envelope_for(direct[index])
+            assert api.envelope_for(outcomes[1])[1].code == "query_semantics"
+            assert api.envelope_for(outcomes[4])[1].code == "query_syntax"
+            # without return_errors the first error of the batch is raised
+            with pytest.raises(api.ApiError) as excinfo:
+                coord.execute_many(batch)
+            assert api.envelope_for(excinfo.value) == api.envelope_for(direct[1])
+            with pytest.raises(api.ApiError):
+                coord.execute(SEMANTIC_ERROR_TEXT)
+            assert coord.execute_many([]) == []
+        single.close()
+
+    def test_one_leg_per_what_if_and_one_count_per_query(self, dataset_and_config):
+        dataset, config = dataset_and_config
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            coord = cluster.coordinator
+
+            def counters() -> tuple[int, int, int]:
+                return (
+                    cluster_stats(coord)["scatters"],
+                    int(coord.metrics.snapshot()["hyper_queries_total"]),
+                    coord.stats()["n_queries"],
+                )
+
+            for text in WHATIF_TEXTS:
+                before = counters()
+                coord.execute(text)
+                assert counters() == tuple(n + 1 for n in before)
+            before = counters()
+            coord.execute_many(WHATIF_TEXTS * 2)
+            scatters, queries, n_queries = counters()
+            assert 1 <= scatters - before[0] <= len(cluster.shards)
+            assert queries - before[1] == n_queries - before[2] == 2 * len(WHATIF_TEXTS)
+            # a smaller batch than the ring sends no empty leg
+            before = counters()
+            coord.execute_many(WHATIF_TEXTS[:2])
+            assert counters()[0] - before[0] == 2
+            # the legs rotate: every node has answered what-ifs by now
+            assert all(shard.service.stats()["n_queries"] > 0 for shard in cluster.shards)
+            assert cluster_stats(coord)["fallbacks"] == 0
+
+    def test_deadline_is_checked_before_the_leg_and_forwarded_on_it(
+        self, dataset_and_config
+    ):
+        dataset, config = dataset_and_config
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            coord = cluster.coordinator
+            seen: list[dict] = []
+            for shard in cluster.shards:
+                original = shard.partial_payload
+
+                def spy(body, *, deadline=None, _original=original):
+                    seen.append(dict(body))
+                    assert deadline is not None
+                    return _original(body, deadline=deadline)
+
+                shard.partial_payload = spy
+            before = cluster_stats(coord)["scatters"]
+            with pytest.raises(api.ApiError) as excinfo:
+                coord.execute(WHATIF_TEXTS[0], deadline=api.RequestDeadline(0))
+            assert excinfo.value.status == 504
+            assert excinfo.value.envelope.code == "deadline_exceeded"
+            assert cluster_stats(coord)["scatters"] == before and not seen
+            assert coord.execute(WHATIF_TEXTS[0], deadline=api.RequestDeadline(60_000))
+            (body,) = seen
+            assert body["kind"] == "answers" and body["queries"] == [WHATIF_TEXTS[0]]
+            assert 0 < body["deadline_ms"] <= 60_000
+
+    def test_prepare_warms_every_node(self, dataset_and_config):
+        dataset, config = dataset_and_config
+        with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
+            with BackgroundAsyncServer(cluster.coordinator, max_inflight=4) as front:
+                with HypeRClient(*front.address) as client:
+                    answer = client.prepare([WHATIF_TEXTS[0], HOWTO_TEXT, WHATIF_TEXTS[3]])
+                    assert (answer.prepared, answer.generation) == (3, 0)
+                    with pytest.raises(ApiStatusError) as excinfo:
+                        client.prepare([WHATIF_TEXTS[0], SEMANTIC_ERROR_TEXT])
+                    assert excinfo.value.status == 400
+                # wherever a what-if is dealt next, its estimator is fitted
+                fits = [len(s.service.caches.estimators) for s in cluster.shards]
+                assert min(fits) >= 2, fits
+                for _ in cluster.shards:
+                    cluster.coordinator.execute(WHATIF_TEXTS[0])
+                assert [len(s.service.caches.estimators) for s in cluster.shards] == fits
 
 
 class TestUpdates:

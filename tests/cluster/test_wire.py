@@ -1,14 +1,19 @@
-"""Wire codec: every array survives the JSON hop bit for bit."""
+"""Wire codec: every array and every scalar answer survives the JSON hop bit for bit."""
 
 from __future__ import annotations
 
 import json
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.api import endpoints as api
 from repro.cluster import wire
 from repro.core.howto import CandidateUpdate
+from repro.core.results import WhatIfResult
+from repro.exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from repro.core.updates import AddConstant, MultiplyBy, SetTo
 from repro.shard.merge import HowToShardPartial, WhatIfShardPartial
 
@@ -150,3 +155,95 @@ class TestPartials:
         assert out_own.tolist() == own.tolist()
         assert out_count.tobytes() == count.tobytes()
         assert out_sum.tobytes() == sum_.tobytes()
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestAnswers:
+    """``kind="answers"``: a whole what-if result as scalars, or its error."""
+
+    @staticmethod
+    def result(value, expected=0.0, **overrides) -> WhatIfResult:
+        return WhatIfResult(
+            value=value,
+            aggregate="avg",
+            output_attribute="Credit",
+            n_view_tuples=200,
+            n_scope_tuples=np.int64(137),
+            n_blocks=200,
+            backdoor_set=("Age", "Sex"),
+            variant="hyper-nb",
+            runtime_seconds=0.25,
+            expected_qualifying_count=expected,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            -0.0,
+            5e-324,  # the smallest subnormal
+            2.2250738585072009e-308,  # the largest subnormal
+            3.0,
+            -17.0,
+            0.1 + 0.2,
+            1.0000000000000002,
+            np.float64(166.76943084568302),
+        ],
+        ids=repr,
+    )
+    def test_floats_round_trip_bitwise(self, value):
+        sent = self.result(value, expected=value)
+        out = wire.decode_what_if_answer(json_hop(wire.encode_what_if_answer(sent)))
+        assert type(out.value) is float  # 3.0 stays a float, never an int
+        assert bits(out.value) == bits(float(value))
+        assert bits(out.expected_qualifying_count) == bits(float(value))
+
+    def test_every_scalar_field_survives_and_no_arrays_travel(self):
+        metadata = {
+            "n_training_rows": np.int64(200),
+            "n_disjuncts": 1,
+            "feature_attributes": ["Age", "Sex", "Status"],
+            "nested": {"weights": [0.5, -0.0, 1e-320], "flags": [True, None]},
+        }
+        sent = self.result(0.7, expected=12.5, metadata=metadata)
+        encoded = json_hop(wire.encode_what_if_answer(sent))
+        assert "block_contributions" not in encoded
+        assert "runtime_seconds" not in encoded  # the coordinator clocks its own
+        out = wire.decode_what_if_answer(encoded)
+        for field in fields(WhatIfResult):
+            if field.name in ("block_contributions", "runtime_seconds"):
+                continue
+            assert getattr(out, field.name) == getattr(sent, field.name), field.name
+        assert out.block_contributions == [] and out.runtime_seconds == 0.0
+        assert type(out.n_scope_tuples) is int and out.backdoor_set == ("Age", "Sex")
+        assert bits(out.metadata["nested"]["weights"][1]) == bits(-0.0)
+        assert out.payload().keys() == sent.payload().keys()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            QuerySemanticsError("unknown attribute 'Nope'"),
+            QuerySyntaxError("unexpected token", position=7, line=1),
+            api.deadline_error(40),
+            RuntimeError("boom"),
+        ],
+        ids=["semantics", "syntax", "deadline", "internal"],
+    )
+    def test_error_item_round_trips_as_its_envelope(self, error):
+        out = wire.decode_what_if_answer(json_hop(wire.encode_what_if_answer(error)))
+        assert isinstance(out, api.ApiError)
+        assert (out.status, out.envelope) == api.envelope_for(error)
+        assert api.envelope_for(out) == api.envelope_for(error)
+
+    @pytest.mark.parametrize(
+        "payload", [None, [], {"value": 1.0}, {"error": {}}, {"status": 400, "error": {}}]
+    )
+    def test_malformed_item_raises(self, payload):
+        with pytest.raises(HypeRError):
+            wire.decode_what_if_answer(payload)
