@@ -133,6 +133,9 @@ class PostUpdateEstimator:
     _pending_fits: dict = field(default_factory=dict, repr=False)
     _n_regressor_fits: int = field(default=0, repr=False)
     _n_regressor_hits: int = field(default=0, repr=False)
+    #: this estimator's identity inside shared kernel-cache keys (an ``id()``
+    #: could be reused by a successor while the cache entry is still alive)
+    _block_token: object = field(default_factory=object, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         """Pickle without locks or in-flight fit events (shard/worker boundary).
@@ -283,8 +286,14 @@ class PostUpdateEstimator:
         parameter variant or how-to candidate sharing the cache; only the
         update attributes are re-encoded per call.  Block stacking reproduces
         ``predict_columns`` exactly (same order, same hstack), so both routes
-        are bitwise identical.
+        are bitwise identical.  Blocks are keyed by this estimator as well:
+        each regressor encodes with an encoder fitted on this estimator's
+        training rows, which two estimators over one view need not share
+        (``sample_size`` with ``random_state=None``).
         """
+        missing = [a for a in self.update_attributes if a not in post_values]
+        if missing:
+            raise QuerySemanticsError(f"post_values is missing update attributes {missing}")
 
         def column_at(attribute: str) -> np.ndarray:
             if attribute not in self.update_attributes:
@@ -300,7 +309,7 @@ class PostUpdateEstimator:
             regressor.attribute_block(attribute, column_at(attribute))
             if attribute in self.update_attributes
             else kernels.get(
-                ("backdoor_block", attribute, idx_token),
+                ("backdoor_block", attribute, idx_token, self._block_token),
                 lambda a=attribute: regressor.attribute_block(a, column_at(a)),
             )
             for attribute in regressor.feature_order
@@ -367,6 +376,8 @@ class PostUpdateEstimator:
 
     def _fit_fresh(self, target: np.ndarray) -> ConditionalMeanRegressor:
         assert self._train_indices is not None
+        if len(target) != len(self.view):
+            raise QuerySemanticsError("the training target must align with the view rows")
         train_idx = self._train_indices
         columns = {
             attribute: self.view.column_view(attribute)[train_idx]

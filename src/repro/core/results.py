@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .updates import AttributeUpdate
 
@@ -27,34 +27,45 @@ class BlockContribution:
 
 
 class LazyBlockContributions(Sequence):
-    """Sequence of :class:`BlockContribution` materialised on access.
+    """Sequence of :class:`BlockContribution` computed on first access.
 
-    The engines compute per-block totals as vectorized ``np.bincount`` arrays;
-    with thousands of singleton blocks, eagerly building one dataclass object
-    per block dominated the per-query runtime.  This wrapper keeps the arrays
-    and constructs objects only when a caller actually iterates or indexes.
+    Proposition 1's per-block partials justify the answer; few callers read
+    them.  ``build`` (a closure over the per-row contribution array and the
+    plan's shared block / scope arrays) runs the ``np.bincount`` summary the
+    first time the sequence is measured, indexed, iterated or compared, and
+    objects are constructed per access — with thousands of singleton blocks,
+    building either eagerly dominated the per-query runtime.  In-process only:
+    answers that cross a process or network boundary carry an empty list.
     """
 
-    __slots__ = ("_indices", "_totals", "_sizes", "_scope_sizes")
+    __slots__ = ("_build", "_arrays")
 
-    def __init__(self, indices, totals, sizes, scope_sizes) -> None:
-        self._indices = indices
-        self._totals = totals
-        self._sizes = sizes
-        self._scope_sizes = scope_sizes
+    def __init__(self, build: Callable[[], tuple]) -> None:
+        self._build: Callable[[], tuple] | None = build
+        self._arrays: tuple | None = None
+
+    def _summary(self) -> tuple:
+        """``(indices, totals, sizes, scope_sizes)``, built once."""
+        if self._arrays is None:
+            build = self._build  # a concurrent first access builds twice, benignly
+            if build is not None:
+                self._arrays = build()
+                self._build = None  # release the per-row arrays
+        return self._arrays
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return len(self._summary()[0])
 
     def __getitem__(self, position):
         if isinstance(position, slice):
             return [self[i] for i in range(*position.indices(len(self)))]
-        block = int(self._indices[position])
+        indices, totals, sizes, scope_sizes = self._summary()
+        block = int(indices[position])
         return BlockContribution(
             block_index=block,
-            partial_value=float(self._totals[block]),
-            n_tuples=int(self._sizes[block]),
-            n_scope_tuples=int(self._scope_sizes[block]),
+            partial_value=float(totals[block]),
+            n_tuples=int(sizes[block]),
+            n_scope_tuples=int(scope_sizes[block]),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -66,8 +77,14 @@ class LazyBlockContributions(Sequence):
             )
         return NotImplemented
 
+    def __reduce__(self):
+        # The builder is a closure; a pickled copy is the plain list this
+        # sequence compares equal to.
+        return (list, (list(self),))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LazyBlockContributions({len(self)} blocks)"
+        state = "pending" if self._arrays is None else f"{len(self)} blocks"
+        return f"LazyBlockContributions({state})"
 
 
 @dataclass

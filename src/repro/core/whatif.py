@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Any, Hashable, Sequence
 
@@ -32,7 +33,7 @@ from ..causal.dag import CausalDAG
 from ..exceptions import QuerySemanticsError
 from ..probdb.blocks import block_labels
 from ..relational.aggregates import get_aggregate
-from ..relational.columnar import KernelCache, fused_mask_aggregate
+from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.expressions import Expr
 from ..relational.predicates import (
@@ -45,7 +46,7 @@ from ..relational.relation import Relation
 from .config import EngineConfig, Variant
 from .estimator import PostUpdateEstimator, build_view_dag
 from .queries import WhatIfQuery
-from .results import BlockContribution, LazyBlockContributions, WhatIfResult
+from .results import LazyBlockContributions, WhatIfResult
 
 __all__ = [
     "PreparedWhatIf",
@@ -57,6 +58,7 @@ __all__ = [
     "indep_contribution_rows",
     "numeric_output_column",
     "regressor_cache_key",
+    "scope_and_post_values",
 ]
 
 _MAX_DISJUNCTS = 6
@@ -117,10 +119,11 @@ class PreparedWhatIf:
     block_of_row: np.ndarray
     n_blocks: int
     for_key: Hashable = None
-    # Per-plan fused-kernel state: ``kernels`` caches masks / group codes /
-    # derived arrays across the parameter variants sharing one plan (injected
-    # by the service layer and the shard worker runtime); ``fused`` routes
-    # accumulation through the single-pass kernels when the config enables it.
+    # Per-plan fused-kernel state: ``kernels`` caches masks / index sets /
+    # encoded design blocks across the parameter variants sharing one plan
+    # (injected by the service layer and the shard worker runtime); ``fused``
+    # routes accumulation through the single-pass kernels when the config
+    # enables it.
     kernels: KernelCache | None = None
     fused: bool = False
 
@@ -130,10 +133,10 @@ class PreparedWhatIf:
 # The functions below are the pure core of what-if evaluation: they close
 # over no engine state and take picklable inputs.  Per-row predictions are
 # row-stable and regressors are always fitted on full-view training targets,
-# so the shard subsystem's local-view kernels (:mod:`repro.shard.local`)
-# compute, for a shard's rows, the same contributions bit for bit; their
-# merge finishes with :func:`finalize_what_if`, the same reduction the
-# unsharded path runs.
+# so the same :func:`causal_contribution_rows`, run over a shard's local view
+# (:mod:`repro.shard.local`), computes for the shard's rows the same
+# contributions bit for bit; the shard merge finishes with
+# :func:`finalize_what_if`, the same reduction the unsharded path runs.
 
 
 def _subset_index_list(n: int) -> list[tuple[int, ...]]:
@@ -143,40 +146,75 @@ def _subset_index_list(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _derive(kernels: KernelCache | None, key: Hashable, build: Any) -> Any:
+    # Per-plan memo: every parameter variant of one plan shares the same
+    # deterministic arrays, so build each once per plan (per query when cold).
+    return build() if kernels is None else kernels.get(key, build)
+
+
+def scope_and_post_values(
+    query: WhatIfQuery, view: Relation, kernels: KernelCache | None = None
+) -> tuple[np.ndarray, dict[str, Sequence[Any]]]:
+    """The ``When`` scope mask over ``view`` and each update attribute's post column."""
+    scope_mask = _derive(
+        kernels,
+        ("scope_mask", query.when.canonical()),
+        lambda: evaluate_mask(query.when, view),
+    )
+    update = query.hypothetical_update
+    post_values: dict[str, Sequence[Any]] = {
+        attribute: update.updated_values(
+            attribute, view.column_view(attribute), scope_mask
+        )
+        for attribute in query.update_attributes
+    }
+    return scope_mask, post_values
+
+
 def causal_contribution_rows(
     query: WhatIfQuery,
     prepared: PreparedWhatIf,
     estimator: PostUpdateEstimator,
+    *,
+    fit_view: Relation | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (count, sum) contributions of the causal variants.
 
-    Returns full-view-length float arrays.  ``sum`` entries are only
-    populated when the query's aggregate needs output values.
+    Returns float arrays aligned with ``prepared.view``.  ``sum`` entries are
+    only populated when the query's aggregate needs output values.
+
+    Everything that does not depend on the update constants — masks, the
+    output column, each inclusion–exclusion term's applicable-row index set
+    and, inside :meth:`PostUpdateEstimator.predict_rows`, the encoded design
+    blocks of the backdoor attributes at those rows — comes from
+    ``prepared.kernels``; a variant of a warm plan re-encodes the update
+    attributes, stacks and predicts.  With ``kernels=None`` (the cold engine)
+    the same code builds each piece per query.
+
+    ``fit_view`` is the view regressors train on when ``prepared.view`` is a
+    row subset of it (a shard's local view); training targets are built only
+    on a regressor-cache miss.
     """
     aggregate = get_aggregate(query.output_aggregate)
     view = prepared.view
     n = len(view)
     scope = prepared.scope_mask
     kernels = prepared.kernels
+    for_key = prepared.for_key
 
-    def _derived(key: Hashable, build: Any) -> np.ndarray:
-        # Per-plan memo: every parameter variant of one plan shares the same
-        # deterministic masks, so build each exactly once per plan.
-        return build() if kernels is None else kernels.get(key, build)
-
-    output_values = _derived(
+    output_values = _derive(
+        kernels,
         ("output_values", query.output_attribute),
         lambda: numeric_output_column(view, query.output_attribute),
     )
-
     # Pre-part satisfaction per disjunct (deterministic, observed values).
     pre_masks = [
-        _derived(("pre_mask", i, prepared.for_key), lambda d=d: evaluate_mask(d.pre, view))
+        _derive(kernels, ("pre_mask", i, for_key), lambda d=d: evaluate_mask(d.pre, view))
         for i, d in enumerate(prepared.disjuncts)
     ]
-    # Post-part indicators evaluated on the observed data (training targets).
+    # Post-part indicators evaluated on the observed data.
     post_masks = [
-        _derived(("post_mask", i, prepared.for_key), lambda d=d: evaluate_mask(d.post, view))
+        _derive(kernels, ("post_mask", i, for_key), lambda d=d: evaluate_mask(d.post, view))
         for i, d in enumerate(prepared.disjuncts)
     ]
 
@@ -186,18 +224,17 @@ def causal_contribution_rows(
             out |= pre_mask & post_mask
         return out
 
-    count_contrib = np.zeros(n)
-    sum_contrib = np.zeros(n)
-
     # -- unaffected tuples: post values equal pre values, everything deterministic.
     unaffected = ~scope
-    qualifies_pre = _derived(("qualifies_pre", prepared.for_key), _build_qualifies_pre)
+    qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre)
     if prepared.fused:
         # One where-pass instead of gather / assign round-trips; values are
         # identical (zeros outside ``unaffected`` either way).
         count_contrib = np.where(unaffected, qualifies_pre.astype(float), 0.0)
         sum_contrib = np.where(unaffected & qualifies_pre, output_values, 0.0)
     else:
+        count_contrib = np.zeros(n)
+        sum_contrib = np.zeros(n)
         count_contrib[unaffected] = qualifies_pre[unaffected].astype(float)
         sum_contrib[unaffected] = np.where(
             qualifies_pre[unaffected], output_values[unaffected], 0.0
@@ -205,35 +242,62 @@ def causal_contribution_rows(
 
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3).
     if scope.any():
+        when_key = query.when.canonical()
+        if fit_view is None:
+            fit_view = view
+
+        # Training targets live on the fit view and are only built on a
+        # regressor-cache miss: the joint post-part indicator of the subset,
+        # times the output value for sum targets.
+        @cache
+        def _fit_arrays() -> tuple[list[np.ndarray], np.ndarray]:
+            if fit_view is view:
+                return post_masks, output_values
+            return (
+                [evaluate_mask(d.post, fit_view) for d in prepared.disjuncts],
+                numeric_output_column(fit_view, query.output_attribute),
+            )
+
+        def _target(subset: tuple[int, ...], scaled: bool) -> np.ndarray:
+            fit_post_masks, fit_output = _fit_arrays()
+            joint_post = np.ones(len(fit_view), dtype=bool)
+            for k in subset:
+                joint_post &= fit_post_masks[k]
+            target = joint_post.astype(float)
+            return fit_output * target if scaled else target
+
         for subset in _subset_index_list(len(prepared.disjuncts)):
             sign = 1.0 if len(subset) % 2 == 1 else -1.0
-            joint_post = np.ones(n, dtype=bool)
-            # Rows where every pre-part in the subset holds contribute this term.
-            applicable = scope.copy()
-            for k in subset:
-                joint_post &= post_masks[k]
-                applicable &= pre_masks[k]
-            if not applicable.any():
+
+            def _applicable_rows() -> np.ndarray:
+                # Rows where every pre-part in the subset holds contribute this term.
+                applicable = scope.copy()
+                for k in subset:
+                    applicable &= pre_masks[k]
+                return np.flatnonzero(applicable)
+
+            idx_token = ("idx", when_key, for_key, subset)
+            idx = _derive(kernels, idx_token, _applicable_rows)
+            if not idx.size:
                 continue
-            prob = estimator.counterfactual_mean(
-                joint_post.astype(float),
-                applicable,
-                prepared.post_values,
-                cache_key=regressor_cache_key("count", subset, prepared.for_key),
+            regressor = estimator.regressor_for(
+                regressor_cache_key("count", subset, for_key),
+                lambda s=subset: _target(s, False),
             )
-            prob = np.clip(prob, 0.0, 1.0)
-            count_contrib[applicable] += sign * prob[applicable]
+            prob = estimator.predict_rows(
+                regressor, view, prepared.post_values, idx,
+                kernels=kernels, idx_token=idx_token,
+            )
+            count_contrib[idx] += sign * np.clip(prob, 0.0, 1.0)
             if aggregate.needs_output_value:
-                value_target = output_values * joint_post.astype(float)
-                expected_value = estimator.counterfactual_mean(
-                    value_target,
-                    applicable,
-                    prepared.post_values,
-                    cache_key=regressor_cache_key(
-                        "sum", subset, prepared.for_key, query.output_attribute
-                    ),
+                regressor = estimator.regressor_for(
+                    regressor_cache_key("sum", subset, for_key, query.output_attribute),
+                    lambda s=subset: _target(s, True),
                 )
-                sum_contrib[applicable] += sign * expected_value[applicable]
+                sum_contrib[idx] += sign * estimator.predict_rows(
+                    regressor, view, prepared.post_values, idx,
+                    kernels=kernels, idx_token=idx_token,
+                )
         # Per-tuple qualification probabilities live in [0, 1]; clip estimator overshoot.
         count_contrib = np.clip(count_contrib, 0.0, 1.0)
     return count_contrib, sum_contrib
@@ -271,40 +335,18 @@ def combine_aggregate(
 
 
 def block_contribution_summary(
-    aggregate: str,
-    count_contrib: np.ndarray,
-    sum_contrib: np.ndarray,
-    block_of_row: np.ndarray,
-    n_blocks: int,
-    scope: np.ndarray,
-    *,
-    kernels: KernelCache | None = None,
-    fused: bool = False,
-) -> LazyBlockContributions:
+    per_row: np.ndarray, block_of_row: np.ndarray, n_blocks: int, scope: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-block partial answers (Proposition 1) from per-row contributions.
 
-    With ``fused`` the scope filter folds into the bincount traversal (no
-    ``block_of_row[scope]`` gather) and the scope-independent block sizes are
-    served from the per-plan ``kernels`` cache; counts are exact integers, so
-    the fused and unfused summaries are equal element for element.
+    Returns ``(indices, totals, sizes, scope_sizes)``: the non-empty blocks,
+    and per block the summed contribution, the tuple count and the count of
+    tuples in the update scope.
     """
-    per_row = count_contrib if aggregate == "count" else sum_contrib
     totals = np.bincount(block_of_row, weights=per_row, minlength=n_blocks)
-    if fused:
-        sizes = (
-            np.bincount(block_of_row, minlength=n_blocks)
-            if kernels is None
-            else kernels.get(
-                ("block_sizes",), lambda: np.bincount(block_of_row, minlength=n_blocks)
-            )
-        )
-        scope_sizes = fused_mask_aggregate(
-            block_of_row, n_blocks, mask=scope, how="count"
-        ).astype(np.int64)
-    else:
-        sizes = np.bincount(block_of_row, minlength=n_blocks)
-        scope_sizes = np.bincount(block_of_row[scope], minlength=n_blocks)
-    return LazyBlockContributions(np.flatnonzero(sizes), totals, sizes, scope_sizes)
+    sizes = np.bincount(block_of_row, minlength=n_blocks)
+    scope_sizes = np.bincount(block_of_row[scope], minlength=n_blocks)
+    return np.flatnonzero(sizes), totals, sizes, scope_sizes
 
 
 def finalize_what_if(
@@ -318,29 +360,21 @@ def finalize_what_if(
     backdoor_set: tuple[str, ...],
     variant: str,
     metadata: dict[str, Any] | None = None,
-    kernels: KernelCache | None = None,
-    fused: bool = False,
 ) -> WhatIfResult:
     """Reduce merged per-row contributions into a :class:`WhatIfResult`.
 
     This is the single aggregation path shared by the unsharded engine and the
     shard merge: both hand it full-view-length contribution arrays, so a
     sharded evaluation reduces in exactly the same order as an unsharded one.
+    The per-block summary is not computed here: ``block_contributions`` keeps
+    the per-row array it needs and runs :func:`block_contribution_summary` on
+    first access.
     """
     aggregate = get_aggregate(query.output_aggregate)
     value, expected_count = combine_aggregate(
         aggregate.name, count_contrib, sum_contrib
     )
-    blocks = block_contribution_summary(
-        aggregate.name,
-        count_contrib,
-        sum_contrib,
-        block_of_row,
-        n_blocks,
-        scope_mask,
-        kernels=kernels,
-        fused=fused,
-    )
+    per_row = count_contrib if aggregate.name == "count" else sum_contrib
     return WhatIfResult(
         value=value,
         aggregate=aggregate.name,
@@ -348,7 +382,9 @@ def finalize_what_if(
         n_view_tuples=len(count_contrib),
         n_scope_tuples=int(scope_mask.sum()),
         n_blocks=n_blocks,
-        block_contributions=blocks,
+        block_contributions=LazyBlockContributions(
+            lambda: block_contribution_summary(per_row, block_of_row, n_blocks, scope_mask)
+        ),
         backdoor_set=backdoor_set,
         variant=variant,
         expected_qualifying_count=expected_count,
@@ -426,20 +462,7 @@ class WhatIfEngine:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
         self._check_update_independence(query, view_dag)
 
-        if kernels is not None:
-            scope_mask = kernels.get(
-                ("scope_mask", query.when.canonical()),
-                lambda: evaluate_mask(query.when, view),
-            )
-        else:
-            scope_mask = evaluate_mask(query.when, view)
-        update = query.hypothetical_update
-        post_values: dict[str, Sequence[Any]] = {}
-        for attribute in query.update_attributes:
-            post_values[attribute] = update.updated_values(
-                attribute, view.column_view(attribute), scope_mask
-            )
-
+        scope_mask, post_values = scope_and_post_values(query, view, kernels)
         disjuncts = self._normalise_for_clause(query.for_clause)
         post_attributes = sorted(
             {query.output_attribute}
@@ -588,8 +611,6 @@ class WhatIfEngine:
                 "n_disjuncts": len(prepared.disjuncts),
                 "feature_attributes": list(estimator.feature_attributes),
             },
-            kernels=prepared.kernels,
-            fused=prepared.fused,
         )
 
     # -- Indep baseline ---------------------------------------------------------------------
@@ -607,6 +628,4 @@ class WhatIfEngine:
             backdoor_set=(),
             variant=Variant.INDEP,
             metadata={"n_disjuncts": len(prepared.disjuncts)},
-            kernels=prepared.kernels,
-            fused=prepared.fused,
         )

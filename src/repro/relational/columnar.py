@@ -815,34 +815,68 @@ def fused_block_summary(
     )
 
 
+#: Bounds of one plan's :class:`KernelCache`.  Keys embed ``When`` / ``For``
+#: literals, so a sweep over a literal (``WHEN Age >= x``) adds masks, index
+#: sets and encoded design blocks per value; least recently used entries
+#: leave once the arrays held exceed the byte budget.
+_KERNEL_CACHE_BYTES = 64 * 1024 * 1024
+_KERNEL_CACHE_ENTRIES = 4096
+
+
+def _entry_bytes(entry: Any) -> int:
+    return int(getattr(entry, "nbytes", 0))
+
+
 class KernelCache:
-    """Per-plan cache of masks, group codes, and derived arrays.
+    """Per-plan cache of masks, index sets, and derived arrays.
 
     One instance lives alongside each prepared plan (worker runtime and
-    thread-mode engine alike).  Keys are caller-chosen small tuples; values
-    are immutable ndarrays.  Returning the *same object* on every hit also
-    lets pickle's memo deduplicate repeated carriers inside one batch
-    message, which is what keeps shard result payloads small.
+    thread-mode service alike).  Keys are caller-chosen small tuples; values
+    are immutable ndarrays, so concurrent queries of one plan can share an
+    instance: a racing miss builds the same array twice, harmlessly.
+    Returning the *same object* on every hit also lets pickle's memo
+    deduplicate repeated carriers inside one batch message, which is what
+    keeps shard partial payloads small.  Bounded by ``_KERNEL_CACHE_BYTES``
+    with least-recently-used eviction; an entry larger than the whole budget
+    is returned to the caller but not kept.
     """
 
-    __slots__ = ("_entries", "hits", "misses")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        self._entries: dict[Any, Any] = {}
-        self.hits = 0
-        self.misses = 0
+        # Lazy: the service package sits above this one (its LRU is a leaf
+        # module with no repro imports, but its package __init__ is not).
+        from ..service.cache import LRUCache
+
+        self._entries = LRUCache(
+            _KERNEL_CACHE_ENTRIES,
+            "kernels",
+            weigher=_entry_bytes,
+            max_weight=_KERNEL_CACHE_BYTES,
+        )
 
     def get(self, key: Any, build: Any) -> Any:
         entry = self._entries.get(key, _MISSING)
-        if entry is not _MISSING:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = build()
-        if isinstance(entry, np.ndarray):
-            entry.flags.writeable = False
-        self._entries[key] = entry
+        if entry is _MISSING:
+            entry = build()
+            if isinstance(entry, np.ndarray):
+                entry.flags.writeable = False
+            if _entry_bytes(entry) <= self._entries.max_weight:
+                self._entries.put(key, entry)
         return entry
+
+    @property
+    def hits(self) -> int:
+        return self._entries.stats().hits
+
+    @property
+    def misses(self) -> int:
+        return self._entries.stats().misses
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays currently held."""
+        return self._entries.total_weight
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,6 +1,6 @@
 """Size-bounded, stats-instrumented caches for cross-query state.
 
-The service layer keeps five caches, all keyed by fingerprint components that
+The service layer keeps six caches, all keyed by fingerprint components that
 embed the service's **per-relation generation counters** (see
 :class:`~repro.service.session.HypeRService`), so bumping a relation's
 generation invalidates every dependent entry by construction; entries are
@@ -14,6 +14,10 @@ additionally *tagged* with the relation names they were built from, letting
   weight* (training rows × features): one giant estimator can evict many
   small ones, which entry-count LRU alone cannot express;
 * **blocks** — the block-independent decomposition labels;
+* **kernels** — one :class:`~repro.relational.columnar.KernelCache` per
+  relevant view (keyed and tagged like the view entry), holding what the
+  parameter variants of the plans over that view share: masks, index sets,
+  encoded backdoor design blocks.  Each is bounded by its own byte budget;
 * **candidates** — how-to candidate enumerations per exact query identity;
 * **results** — final query answers per exact query identity
   (:class:`TTLCache`), with an optional time-to-live for dashboard-style
@@ -359,6 +363,7 @@ class QueryCaches:
         )
         self.views = LRUCache(view_size, "views")
         self.blocks = LRUCache(block_size, "blocks")
+        self.kernels = LRUCache(view_size, "kernels")
         self.candidates = LRUCache(candidate_size, "candidates")
         # result_size=0 disables result caching entirely (see HypeRService).
         self.results = TTLCache(
@@ -366,7 +371,14 @@ class QueryCaches:
         )
 
     def all(self) -> tuple[LRUCache, ...]:
-        return (self.estimators, self.views, self.blocks, self.candidates, self.results)
+        return (
+            self.estimators,
+            self.views,
+            self.blocks,
+            self.kernels,
+            self.candidates,
+            self.results,
+        )
 
     def clear(self) -> None:
         for cache in self.all():

@@ -77,6 +77,7 @@ from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..probdb.blocks import block_labels
+from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..relational.view import UseSpec
@@ -491,6 +492,19 @@ class HypeRService(ServingCounters):
             tags=deps,
         )
 
+    def _plan_kernels(self, state: _EngineState, use: UseSpec) -> KernelCache | None:
+        """The kernel cache shared by every plan over ``use``'s view.
+
+        Keyed and tagged like the view entry, so the arrays it holds always
+        describe the view of the pinned generation and leave with it.  The
+        unfused reference configuration builds every piece per query.
+        """
+        if not self.config.fused_kernels:
+            return None
+        deps = use_relations(use)
+        key = ("kernels", state.generation_key(deps), state.dag_identity, use_key(use))
+        return self.caches.kernels.get_or_create(key, KernelCache, tags=deps)
+
     def _blocks(self, state: _EngineState) -> tuple[dict, int] | None:
         if state.causal_dag is None or not self.config.use_blocks:
             return None
@@ -784,7 +798,11 @@ class HypeRService(ServingCounters):
         fingerprint = self._fingerprint(state, query)
         view, view_dag = self._plan_view(state, query.use)
         prepared = state.whatif.prepare(
-            query, view=view, blocks=self._blocks(state), view_dag=view_dag
+            query,
+            view=view,
+            blocks=self._blocks(state),
+            view_dag=view_dag,
+            kernels=self._plan_kernels(state, query.use),
         )
         estimator: PostUpdateEstimator | None = None
         if not self.config.ignores_dependencies:

@@ -1,21 +1,23 @@
-"""Shard-local what-if evaluation: per-query work proportional to owned rows.
+"""Shard-local evaluation: per-query work proportional to owned rows.
 
-:func:`repro.core.whatif.causal_contribution_rows` evaluates scope / ``For``
-masks, post-update columns and estimator predictions over the full view —
-work every worker would duplicate.  The kernels here evaluate those per-query
-vectorized pieces on the shard's **local view** (the full view filtered to
-owned rows), so a query's marginal cost in a worker scales with
-``n / n_shards``.
+Evaluating scope / ``For`` masks, post-update columns and estimator
+predictions over the full view is work every worker would duplicate.  Here
+those per-query vectorized pieces run on the shard's **local view** (the full
+view filtered to owned rows), so a query's marginal cost in a worker scales
+with ``n / n_shards``.  What-if does it with the engine's own kernel —
+:func:`local_what_if_contributions` is
+:func:`repro.core.whatif.causal_contribution_rows` prepared over the local
+view; how-to candidates have their mirror in :class:`LocalHowTo`.
 
 The bitwise-exactness contract survives because the two remaining full-view
 dependencies are handled explicitly:
 
 * **Training targets** — regressors must be fitted on full-view targets (every
-  shard fits the identical model).  :class:`FullViewTargets` computes the
-  full-view mask bundle *lazily*, inside
+  shard fits the identical model).  The full-view masks behind them are built
+  *lazily*, inside
   :meth:`~repro.core.estimator.PostUpdateEstimator.regressor_for`'s target
-  factory, so it is only ever evaluated on a regressor-cache miss — once per
-  plan per worker, amortised to zero across a suite.
+  factory, so only on a regressor-cache miss — once per plan per worker,
+  amortised to zero across a suite.
 * **Row-stable kernels** — predicate masks, update functions, encoders and
   regressor predictions are all elementwise / per-row deterministic (see the
   einsum note in :mod:`repro.ml.linear`), so evaluating them on a filtered
@@ -32,11 +34,13 @@ from ..core.estimator import PostUpdateEstimator
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.updates import AttributeUpdate, apply_update_column
 from ..core.whatif import (
+    PreparedWhatIf,
     _subset_index_list,
+    causal_contribution_rows,
     numeric_output_column,
     regressor_cache_key,
+    scope_and_post_values,
 )
-from ..relational.aggregates import get_aggregate
 from ..relational.columnar import KernelCache
 from ..relational.predicates import Conjunction, evaluate_mask, split_pre_post, to_dnf
 from ..relational.relation import Relation
@@ -45,53 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.howto import PreparedHowTo
 
 __all__ = [
-    "FullViewTargets",
     "LocalHowTo",
     "local_indep_contributions",
     "local_what_if_contributions",
 ]
-
-
-class FullViewTargets:
-    """Lazily-built full-view training targets of one what-if query.
-
-    Nothing is computed until a regressor-cache miss asks for a target; the
-    full-view ``For`` masks and output column are then materialised once and
-    reused for every subset/kind of the same query.
-    """
-
-    def __init__(
-        self, query: WhatIfQuery, view: Relation, disjuncts: Sequence[Conjunction]
-    ) -> None:
-        self._query = query
-        self._view = view
-        self._disjuncts = disjuncts
-        self._post_masks: list[np.ndarray] | None = None
-        self._output: np.ndarray | None = None
-
-    def _masks(self) -> list[np.ndarray]:
-        if self._post_masks is None:
-            self._post_masks = [
-                evaluate_mask(d.post, self._view) for d in self._disjuncts
-            ]
-        return self._post_masks
-
-    def _joint_post(self, subset: tuple[int, ...]) -> np.ndarray:
-        post_masks = self._masks()
-        joint = np.ones(len(self._view), dtype=bool)
-        for k in subset:
-            joint &= post_masks[k]
-        return joint
-
-    def count_target(self, subset: tuple[int, ...]) -> np.ndarray:
-        return self._joint_post(subset).astype(float)
-
-    def sum_target(self, subset: tuple[int, ...]) -> np.ndarray:
-        if self._output is None:
-            self._output = numeric_output_column(
-                self._view, self._query.output_attribute
-            )
-        return self._output * self._joint_post(subset).astype(float)
 
 
 def _predict_local(
@@ -125,110 +86,29 @@ def local_what_if_contributions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-owned-row (count, sum) contributions of the causal variants.
 
-    Mirrors :func:`repro.core.whatif.causal_contribution_rows` operation for
-    operation, with every per-query vectorized step evaluated on
-    ``local_view`` only; the returned arrays align with the local view's rows
-    and are bitwise equal to the same rows of an unsharded evaluation.
-
-    ``kernels`` (per plan, owned by the worker runtime) memoises every
-    deterministic piece that parameter variants of one plan share: scope /
-    pre / post masks, the output column, applicable-row index sets, and the
-    encoded backdoor design blocks.  Only update-dependent values (post
-    columns, predictions) are computed per query.
+    :func:`repro.core.whatif.causal_contribution_rows` itself, prepared over
+    ``local_view`` with ``full_view`` as the view to fit on: every per-query
+    vectorized step runs on the shard's rows only, and the returned arrays
+    align with the local view's rows, bitwise equal to the same rows of an
+    unsharded evaluation.  ``kernels`` (per plan, owned by the worker
+    runtime) holds local-view-sized arrays.
     """
-    aggregate = get_aggregate(query.output_aggregate)
-    n_local = len(local_view)
-    for_key = query.for_clause.canonical()
-    when_key = query.when.canonical()
-
-    def _derived(key: Any, build: Any) -> np.ndarray:
-        return build() if kernels is None else kernels.get(key, build)
-
-    scope = _derived(("scope_mask", when_key), lambda: evaluate_mask(query.when, local_view))
-    update = query.hypothetical_update
-    post_values: dict[str, Sequence[Any]] = {
-        attribute: update.updated_values(
-            attribute, local_view.column_view(attribute), scope
-        )
-        for attribute in query.update_attributes
-    }
-    output_values = _derived(
-        ("output_values", query.output_attribute),
-        lambda: numeric_output_column(local_view, query.output_attribute),
+    scope, post_values = scope_and_post_values(query, local_view, kernels)
+    prepared = PreparedWhatIf(
+        view=local_view,
+        view_dag=None,
+        scope_mask=scope,
+        post_values=post_values,
+        disjuncts=list(disjuncts),
+        post_attributes=[],
+        # block labels are full-view merge carriers, not contribution inputs
+        block_of_row=np.empty(0, dtype=int),
+        n_blocks=0,
+        for_key=query.for_clause.canonical(),
+        kernels=kernels,
+        fused=True,
     )
-    pre_masks = [
-        _derived(("pre_mask", i, for_key), lambda d=d: evaluate_mask(d.pre, local_view))
-        for i, d in enumerate(disjuncts)
-    ]
-    post_masks = [
-        _derived(("post_mask", i, for_key), lambda d=d: evaluate_mask(d.post, local_view))
-        for i, d in enumerate(disjuncts)
-    ]
-
-    def _build_qualifies_pre() -> np.ndarray:
-        out = np.zeros(n_local, dtype=bool)
-        for pre_mask, post_mask in zip(pre_masks, post_masks):
-            out |= pre_mask & post_mask
-        return out
-
-    qualifies_pre = _derived(("qualifies_pre", for_key), _build_qualifies_pre)
-
-    unaffected = ~scope
-    count_contrib = np.where(unaffected, qualifies_pre.astype(float), 0.0)
-    sum_contrib = np.where(unaffected & qualifies_pre, output_values, 0.0)
-
-    if scope.any():
-        targets = FullViewTargets(query, full_view, disjuncts)
-        for subset in _subset_index_list(len(disjuncts)):
-            sign = 1.0 if len(subset) % 2 == 1 else -1.0
-
-            def _applicable() -> np.ndarray:
-                out = scope.copy()
-                for k in subset:
-                    out &= pre_masks[k]
-                return out
-
-            applicable = _derived(("applicable", when_key, for_key, subset), _applicable)
-            if not applicable.any():
-                continue
-            idx_token = ("idx", when_key, for_key, subset)
-            idx = _derived(idx_token, lambda: np.flatnonzero(applicable))
-            regressor = estimator.regressor_for(
-                regressor_cache_key("count", subset, for_key),
-                lambda s=subset: targets.count_target(s),
-            )
-            prob = _predict_local(
-                estimator,
-                regressor,
-                local_view,
-                post_values,
-                idx,
-                n_local,
-                kernels=kernels,
-                idx_token=idx_token,
-            )
-            prob = np.clip(prob, 0.0, 1.0)
-            count_contrib[applicable] += sign * prob[applicable]
-            if aggregate.needs_output_value:
-                regressor = estimator.regressor_for(
-                    regressor_cache_key(
-                        "sum", subset, for_key, query.output_attribute
-                    ),
-                    lambda s=subset: targets.sum_target(s),
-                )
-                expected_value = _predict_local(
-                    estimator,
-                    regressor,
-                    local_view,
-                    post_values,
-                    idx,
-                    n_local,
-                    kernels=kernels,
-                    idx_token=idx_token,
-                )
-                sum_contrib[applicable] += sign * expected_value[applicable]
-        count_contrib = np.clip(count_contrib, 0.0, 1.0)
-    return count_contrib, sum_contrib
+    return causal_contribution_rows(query, prepared, estimator, fit_view=full_view)
 
 
 class _HowToTargets:

@@ -69,6 +69,7 @@ from .shm import (
     SegmentManager,
     decode_database,
     encode_database,
+    release_buffers,
     resolve_buffers,
     ship_buffers,
     shm_available,
@@ -273,6 +274,9 @@ class ShardWorkerRuntime:
             changed_relations[delta["name"]] = self._apply_relation_delta(
                 old_database[delta["name"]], delta
             )
+            # one patch segment per commit: without this the worker would
+            # keep every one of them mapped for its whole life
+            release_buffers(delta["descriptor"], self.attachment)
         removed: set[str] = set(payload["removed"])
         relations = [
             changed_relations[name] if name in changed_relations else old_database[name]
@@ -327,28 +331,36 @@ class ShardWorkerRuntime:
         return {"shard": self.shard.index, "evicted": evicted}
 
     def _apply_relation_delta(self, old: Relation, delta: dict[str, Any]) -> Relation:
-        """Rebuild a relation from its previous generation plus a block patch.
+        """Rebuild a relation from its previous generation plus a patch.
 
-        ``delta`` carries the new values of the changed rows only (every
-        column, rows in ascending index order) plus the indices to splice them
-        at; the result is value-identical to the full relation the parent
-        diffed, so merged answers cannot drift from the unsharded path.
+        ``delta`` carries the new schema and the changed columns only — whole
+        (``indices`` is ``None``; numeric ones stay zero-copy views of the
+        patch segment) or as the new values of the changed rows plus the
+        ascending indices to splice them at.  Untouched columns are reused as
+        they are; the result is value-identical to the full relation the
+        parent diffed, so merged answers cannot drift from the unsharded path.
         """
         indices = delta["indices"]
         patch = store_from_buffers(
             delta["header"], resolve_buffers(delta["descriptor"], self.attachment)
         )
         old_store = old.columnar_store()
-        columns: dict[str, Column] = {}
-        for name, column in old_store.columns.items():
-            patch_column = patch.columns[name]
+        columns = dict(old_store.columns)
+        for name, patch_column in patch.columns.items():
+            if indices is None:
+                columns[name] = patch_column
+                continue
+            column = columns[name]
             data = np.array(column.data, copy=True)
             null = np.array(column.null, copy=True)
             data[indices] = patch_column.data
             null[indices] = patch_column.null
             columns[name] = Column(data, null, column.is_numeric)
+        schema = delta["schema"]
         return Relation.from_colstore(
-            old.schema, ColumnStore(columns, old_store.length), old.backend
+            schema,
+            ColumnStore({n: columns[n] for n in schema.attribute_names}, old_store.length),
+            old.backend,
         )
 
     def what_if_partial(self, query: WhatIfQuery) -> WhatIfShardPartial:
@@ -544,48 +556,69 @@ class ShardWorkerRuntime:
                 lambda: self.whatif.build_estimator(query, view=view, view_dag=view_dag),
                 tags=use_relations(query.use),
             )
-        return self.whatif.evaluate(query, prepared=prepared, estimator=estimator)
+        result = self.whatif.evaluate(query, prepared=prepared, estimator=estimator)
+        # The answer leaves this runtime as scalars: the per-block summary is
+        # an in-process view over per-row arrays (docs/architecture.md), and
+        # the inline pool drops it too so both modes return equal results.
+        result.block_contributions = []
+        return result
 
 
 def _relation_delta(
     old: Relation, new: Relation, labels: np.ndarray | None
-) -> tuple[np.ndarray, Relation] | None:
-    """Diff two generations of a relation into a block-granular patch.
+) -> tuple[np.ndarray | None, ColumnStore] | None:
+    """Diff two generations of a relation into a column or block patch.
 
-    Returns ``(indices, patch)`` — ascending row indices whose values differ
-    (expanded to whole blocks when a block assignment is known, so co-located
-    rows travel together) and the new relation restricted to those rows — or
-    ``None`` when a patch cannot represent the change (schema or length
-    changed, column types flipped) or would not be smaller (most rows
-    modified).
+    Returns ``(indices, patch)``.  Only columns that changed are looked at
+    and shipped: :meth:`ColumnStore.with_column` shares every untouched
+    :class:`Column` object between generations, so identical objects are
+    skipped without comparing values.  When few rows differ, ``indices`` are
+    the ascending differing rows (expanded to whole blocks when a block
+    assignment is known, so co-located rows travel together) and ``patch``
+    the changed columns at those rows; when most rows differ — a whole-column
+    overwrite — ``indices`` is ``None`` and ``patch`` holds the changed
+    columns whole.  The worker takes attribute order and specs from the new
+    schema, shipped alongside (``with_column`` moves the column it replaces
+    to the end).  ``None`` when a patch cannot represent the change (the set
+    of attributes or the length changed).
     """
-    if old.schema != new.schema or len(old) != len(new) or len(old) == 0:
+    if (
+        set(old.schema.attribute_names) != set(new.schema.attribute_names)
+        or len(old) != len(new)
+        or len(old) == 0
+    ):
         return None
-    try:
-        old_store, new_store = old.columnar_store(), new.columnar_store()
-        changed = np.zeros(len(old), dtype=bool)
-        for name, old_column in old_store.columns.items():
-            new_column = new_store.columns[name]
-            if old_column.is_numeric != new_column.is_numeric:
-                return None
-            if old_column.is_numeric:
-                both_nan = np.isnan(old_column.data) & np.isnan(new_column.data)
-                diff = ((old_column.data != new_column.data) & ~both_nan) | (
-                    old_column.null != new_column.null
-                )
-            else:
+    old_store, new_store = old.columnar_store(), new.columnar_store()
+    columns: dict[str, Column] = {}
+    changed = np.zeros(len(old), dtype=bool)
+    for name, old_column in old_store.columns.items():
+        new_column = new_store.columns[name]
+        if new_column is old_column:
+            continue
+        if old_column.is_numeric != new_column.is_numeric:
+            diff = np.ones(len(old), dtype=bool)
+        elif old_column.is_numeric:
+            both_nan = np.isnan(old_column.data) & np.isnan(new_column.data)
+            diff = ((old_column.data != new_column.data) & ~both_nan) | (
+                old_column.null != new_column.null
+            )
+        else:
+            try:
                 diff = np.asarray(
                     old_column.data != new_column.data, dtype=bool
                 ) | (old_column.null != new_column.null)
+            except Exception:  # noqa: BLE001 - exotic values; ship the column
+                diff = np.ones(len(old), dtype=bool)
+        if diff.any():
+            columns[name] = new_column
             changed |= diff
-    except Exception:  # noqa: BLE001 - exotic values; ship the whole relation
-        return None
-    if labels is not None and changed.any():
+    half = len(old) / 2
+    if labels is not None and 0 < np.count_nonzero(changed) < half:
         changed = np.isin(labels, np.unique(labels[changed]))
-    if 2 * int(changed.sum()) >= len(old):
-        return None
+    if np.count_nonzero(changed) >= half:
+        return None, ColumnStore(columns, len(old))
     indices = np.flatnonzero(changed)
-    return indices, new.take(indices)
+    return indices, ColumnStore(columns, len(old)).take(indices)
 
 
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
@@ -1005,12 +1038,15 @@ class ShardPool:
     ) -> None:
         """Move the running workers to ``plan``'s database generation in place.
 
-        Ships each worker a delta, not the world: changed relations travel as
-        *block patches* — the new values of just the rows whose blocks hold a
-        modified value, spliced in worker-side over the previous generation's
-        columns — through shared memory when available (relations that change
-        shape, schema, or most of their rows fall back to whole-relation
-        pickles).  Alongside ride the new relation order and foreign keys,
+        Ships each worker a delta, not the world: of a changed relation only
+        the columns that changed travel (:func:`_relation_delta`) — as *block
+        patches*, the new values of just the rows whose blocks hold a modified
+        value, or whole when most rows differ — once, through shared memory
+        when available, and are spliced in worker-side over the previous
+        generation's column store (relations that change shape or schema fall
+        back to whole-relation pickles).  ``update_bytes_last`` counts what the
+        commit moved: the queue messages plus the patch segments' bytes.
+        Alongside ride the new relation order and foreign keys,
         and only those row masks / block labels that actually differ from the
         worker's current shard (``np.array_equal`` diff).  Workers stay alive
         across the update — their fitted estimators and views for untouched
@@ -1039,6 +1075,7 @@ class ShardPool:
         old_database = old_plan[0].database
         changed_relations: dict[str, Relation] = {}
         deltas: list[dict[str, Any]] = []
+        segment_bytes = 0  # patch bytes placed in shared memory, not the queues
         for name in changed:
             if name not in new_database:
                 continue
@@ -1053,13 +1090,16 @@ class ShardPool:
                 changed_relations[name] = new_database[name]
                 continue
             indices, patch = delta
-            header, buffers = store_to_buffers(patch.columnar_store())
+            header, buffers = store_to_buffers(patch)
+            descriptor = ship_buffers(buffers, self._shm_manager, generation)
+            segment_bytes += descriptor.get("nbytes", 0)
             deltas.append(
                 {
                     "name": name,
+                    "schema": new_database[name].schema,
                     "indices": indices,
                     "header": header,
-                    "descriptor": ship_buffers(buffers, self._shm_manager, generation),
+                    "descriptor": descriptor,
                 }
             )
         removed = [
@@ -1113,7 +1153,9 @@ class ShardPool:
             )
             self.bytes_to_workers += self.update_bytes_last
         else:
-            self.update_bytes_last = self.bytes_to_workers - bytes_before
+            self.update_bytes_last = (
+                self.bytes_to_workers - bytes_before + segment_bytes
+            )
         if replace_dag:
             self.causal_dag = causal_dag
         self.plan = plan

@@ -50,6 +50,7 @@ __all__ = [
     "decode_relations",
     "encode_database",
     "encode_relations",
+    "release_buffers",
     "resolve_buffers",
     "ship_buffers",
     "shm_available",
@@ -192,6 +193,16 @@ def resolve_buffers(
     return attachment.buffers(descriptor)
 
 
+def release_buffers(
+    descriptor: Mapping[str, Any], attachment: "SegmentAttachment | None" = None
+) -> None:
+    """Drop the worker's hold on a one-shot descriptor's segment (a commit's
+    patch); arrays already resolved from it stay valid.  Inline descriptors
+    hold nothing."""
+    if descriptor["kind"] == "shm" and attachment is not None:
+        attachment.detach(descriptor["segment"])
+
+
 class SegmentManager:
     """Parent-side owner of shared-memory segments, keyed by MVCC generation.
 
@@ -308,12 +319,23 @@ class SegmentAttachment:
             out.append(view)
         return out
 
+    def detach(self, name: str) -> None:
+        """Forget one segment (a commit's patch): it is unmapped now, or —
+        while decoded columns still view it — with the last of those views."""
+        segment = self._segments.pop(name, None)
+        if segment is not None:
+            self._unmap(segment)
+
     def close(self) -> None:
         segments, self._segments = list(self._segments.values()), {}
         for segment in segments:
-            try:
-                segment.close()
-            except BufferError:
-                _disarm(segment)
-            except Exception:  # noqa: BLE001 - best-effort unmap
-                pass
+            self._unmap(segment)
+
+    @staticmethod
+    def _unmap(segment: Any) -> None:
+        try:
+            segment.close()
+        except BufferError:
+            _disarm(segment)
+        except Exception:  # noqa: BLE001 - best-effort unmap
+            pass

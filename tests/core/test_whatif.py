@@ -1,8 +1,11 @@
 """Tests for what-if query evaluation (the core of the paper)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import HypeR, HypeRService
 from repro.core import (
     AttributeUpdate,
     EngineConfig,
@@ -12,8 +15,14 @@ from repro.core import (
     WhatIfEngine,
     WhatIfQuery,
 )
+from repro.core import whatif as whatif_module
+from repro.core.results import BlockContribution
+from repro.core.whatif import causal_contribution_rows
+from repro.datasets import make_amazon_syn, make_german_syn
 from repro.exceptions import QuerySemanticsError
+from repro.lang import parse_query
 from repro.relational import TRUE, UseSpec, col, post, pre
+from repro.relational.columnar import KernelCache, fused_mask_aggregate
 
 from .linear_fixture import make_linear_dataset, true_mean_y_under_do_b
 
@@ -294,3 +303,182 @@ class TestMultiRelation:
         ).evaluate(query)
         assert with_blocks.value == pytest.approx(without_blocks.value, rel=1e-9)
         assert without_blocks.n_blocks == 1
+
+
+# -- warm == cold, bitwise ---------------------------------------------------------------
+#
+# A warm what-if takes masks, index sets and encoded backdoor blocks from a
+# per-plan KernelCache and recomputes only what its update constants change;
+# the per-block summary is computed on first access.  Neither may move a bit.
+
+WARM_TEMPLATES = (
+    # the four perf templates
+    "USE Credit UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1",
+    "USE Credit WHEN Age >= 30 UPDATE(CreditAmount) = {c} * PRE(CreditAmount) "
+    "OUTPUT AVG(POST(Credit))",
+    "USE Credit UPDATE(Savings) = {c} * PRE(Savings) "
+    "OUTPUT SUM(POST(Credit)) FOR PRE(Housing) >= 2",
+    "USE Credit UPDATE(CreditHistory) = {c} * PRE(CreditHistory) "
+    "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1 AND PRE(Age) >= 40",
+    # two disjuncts: the inclusion-exclusion subsets
+    "USE Credit WHEN Sex = 1 UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT SUM(POST(CreditAmount)) FOR POST(Credit) = 1 OR POST(CreditAmount) >= 4000",
+    # a When that empties the scope
+    "USE Credit WHEN Age >= 1000 UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT AVG(POST(Credit)) FOR POST(Credit) = 1",
+)
+N_VARIANTS = 40
+
+
+def eager_block_summary(aggregate, count, sum_, block_of_row, n_blocks, scope, fused):
+    """The parent commit's eager ``block_contribution_summary``, kept as the oracle."""
+    per_row = count if aggregate == "count" else sum_
+    totals = np.bincount(block_of_row, weights=per_row, minlength=n_blocks)
+    sizes = np.bincount(block_of_row, minlength=n_blocks)
+    if fused:
+        scope_sizes = fused_mask_aggregate(
+            block_of_row, n_blocks, mask=scope, how="count"
+        ).astype(np.int64)
+    else:
+        scope_sizes = np.bincount(block_of_row[scope], minlength=n_blocks)
+    return [
+        BlockContribution(
+            int(b), float(totals[b]), int(sizes[b]), int(scope_sizes[b])
+        )
+        for b in np.flatnonzero(sizes)
+    ]
+
+
+def variant_queries():
+    return [
+        parse_query(WARM_TEMPLATES[i % len(WARM_TEMPLATES)].format(c=round(0.6 + 0.02 * i, 6)))
+        for i in range(N_VARIANTS)
+    ]
+
+
+def assert_same_answer(warm, cold):
+    for name in (
+        "value", "expected_qualifying_count", "aggregate", "n_view_tuples",
+        "n_scope_tuples", "n_blocks", "backdoor_set", "variant", "metadata",
+    ):
+        assert getattr(warm, name) == getattr(cold, name), name
+
+
+@pytest.fixture(scope="module")
+def german():
+    return make_german_syn(260, seed=4)
+
+
+WARM_CONFIGS = [
+    pytest.param(backend, regressor, id=f"{backend}-{regressor}")
+    for backend in ("columnar", "rows")
+    for regressor in ("linear", "forest")
+]
+
+
+class TestWarmEqualsCold:
+    @pytest.mark.parametrize("backend, regressor", WARM_CONFIGS)
+    def test_variants_through_one_kernel_cache(self, german, backend, regressor):
+        config = EngineConfig(
+            regressor=regressor, backend=backend, n_forest_trees=3, max_tree_depth=3
+        )
+        engine = WhatIfEngine(german.database, german.causal_dag, config)
+        view = german.default_use.build(engine.database)
+        kernels = KernelCache()
+        estimators = {}
+        for i, query in enumerate(variant_queries()):
+            prepared = engine.prepare(query, view=view, kernels=kernels)
+            template = i % len(WARM_TEMPLATES)
+            if template not in estimators:
+                estimators[template] = engine.build_estimator(query, prepared)
+            warm = engine.evaluate(
+                query, prepared=prepared, estimator=estimators[template]
+            )
+            cold_session = HypeR(german.database, german.causal_dag, config)
+            cold = cold_session.what_if(query)
+            assert_same_answer(warm, cold)
+            # the parent's eager summary over the cold path's own arrays
+            cold_prepared = cold_session.whatif_engine.prepare(query)
+            count, sum_ = causal_contribution_rows(
+                query,
+                cold_prepared,
+                cold_session.whatif_engine.build_estimator(query, cold_prepared),
+            )
+            oracle = eager_block_summary(
+                warm.aggregate, count, sum_, cold_prepared.block_of_row,
+                cold_prepared.n_blocks, cold_prepared.scope_mask, config.fused_kernels,
+            )
+            assert list(warm.block_contributions) == oracle
+            assert list(cold.block_contributions) == oracle
+            assert warm.block_contributions == cold.block_contributions
+        assert kernels.hits > kernels.misses  # the variants did share the plan's arrays
+
+    def test_unfused_reference_goes_through_the_same_function(self, german):
+        fused = EngineConfig(regressor="linear")
+        unfused = EngineConfig(regressor="linear", fused_kernels=False)
+        for query in variant_queries()[: 2 * len(WARM_TEMPLATES)]:
+            a = HypeR(german.database, german.causal_dag, fused).what_if(query)
+            b = HypeR(german.database, german.causal_dag, unfused).what_if(query)
+            assert_same_answer(a, b)
+            assert a.block_contributions == b.block_contributions
+
+    def test_block_summary_runs_on_first_access_only(self, german, monkeypatch):
+        calls = []
+        real = whatif_module.block_contribution_summary
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(whatif_module, "block_contribution_summary", spy)
+        engine = WhatIfEngine(
+            german.database, german.causal_dag, EngineConfig(regressor="linear")
+        )
+        result = engine.evaluate(variant_queries()[2])
+        assert calls == []  # not when evaluate returns
+        n_blocks = len(result.block_contributions)
+        assert len(calls) == 1
+        assert n_blocks == result.n_blocks > 1
+        blocks = list(result.block_contributions)
+        assert result.block_contributions[0] == blocks[0]
+        assert result.block_contributions == blocks
+        assert len(calls) == 1  # and never again
+        assert sum(b.partial_value for b in blocks) == pytest.approx(result.value)
+        # a pickled copy carries the plain list
+        assert pickle.loads(pickle.dumps(result)).block_contributions == blocks
+
+    def test_commit_between_variants_is_not_served_old_rows(self):
+        # Two relations, one committed: the service evicts by relation tag and
+        # generation key rather than clearing everything, so a kernel cache
+        # that outlived the commit would answer from the old rows' masks.
+        amazon = make_amazon_syn(150, seed=4)
+        templates = (
+            "USE Product WITH AVG(Review.Rating) AS Rtng UPDATE(Price) = {c} * PRE(Price) "
+            "OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'",
+            "USE Product WITH AVG(Review.Rating) AS Rtng WHEN Brand = 'Asus' "
+            "UPDATE(Price) = {c} * PRE(Price) OUTPUT AVG(POST(Rtng))",
+        )
+        queries = [
+            parse_query(templates[i % 2].format(c=round(0.7 + 0.05 * i, 6)))
+            for i in range(12)
+        ]
+        config = EngineConfig(regressor="linear")
+        service = HypeRService(
+            amazon.database, amazon.causal_dag, config, result_cache_size=0
+        )
+        try:
+            before = [service.execute(query).value for query in queries[:4]]
+            assert len(service.caches.kernels) == 1  # one view, one kernel cache
+            for column in ("Category", "Brand"):  # the For column, the When column
+                values = list(service.database["Product"].column(column))
+                service.update_relation_columns({"Product": {column: values[::-1]}})
+                cold = HypeR(service.database, amazon.causal_dag, config)
+                for query in queries:
+                    warm, fresh = service.execute(query), cold.what_if(query)
+                    assert_same_answer(warm, fresh)
+                    assert warm.block_contributions == fresh.block_contributions
+            after = [service.execute(query).value for query in queries[:4]]
+            assert after != before  # the commits did move the answers
+        finally:
+            service.close()

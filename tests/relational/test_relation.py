@@ -157,3 +157,47 @@ class TestTransformations:
         text = relation.pretty(limit=2)
         assert "ID | Price | Color" in text
         assert "more rows" in text
+
+
+def _as_column_by_value(values):
+    """The value-by-value sniff ``_as_column`` used to run, kept as the oracle."""
+    values = list(values)
+    is_numeric = all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in values
+    )
+    if values and is_numeric:
+        return np.asarray(values, dtype=float)
+    return np.asarray(values, dtype=object)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 2, 3],
+        [1.5, 2, np.int64(3), np.float32(0.25), np.uint8(7)],
+        [float("nan"), 1.0],
+        [],
+        [True, False],
+        [1, True],
+        [np.bool_(True), 1.0],
+        [1.0, None],
+        [None, None],
+        ["a", "b"],
+        [1, "b"],
+        [1.0, (2, 3)],
+        (1, 2.5),
+        range(4),
+        [v for v in (0.0, 1.0, 2.0) for _ in range(1000)],
+    ],
+    ids=lambda values: repr(values)[:40],
+)
+def test_as_column_sniffs_types_like_the_value_by_value_rule(values):
+    from repro.relational.relation import _as_column
+
+    got, expected = _as_column(values), _as_column_by_value(values)
+    assert got.dtype == expected.dtype
+    if got.dtype == object:
+        assert got.tolist() == expected.tolist()
+    else:
+        assert np.array_equal(got, expected, equal_nan=True)

@@ -195,7 +195,9 @@ class TestQueryCaches:
         caches.views.put("v", 1)
         caches.estimators.put("e", 2)
         stats = caches.stats()
-        assert set(stats) == {"estimators", "views", "blocks", "candidates", "results"}
+        assert set(stats) == {
+            "estimators", "views", "blocks", "kernels", "candidates", "results"
+        }
         assert stats["views"]["size"] == 1
         caches.clear()
         assert len(caches.views) == 0 and len(caches.estimators) == 0

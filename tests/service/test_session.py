@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,12 @@ from repro import (
     HypeR,
     HypeRService,
     LimitConstraint,
+    WhatIfEngine,
     WhatIfQuery,
 )
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
-from repro.datasets import make_german_syn
-from repro.relational import post, pre
+from repro.datasets import make_amazon_syn, make_german_syn
+from repro.relational import columnar, post, pre
 
 
 def suite_20(dataset) -> list[WhatIfQuery]:
@@ -503,6 +507,138 @@ class TestCostAwareEviction:
         assert stats["size"] < 3
         # monotonic regressor totals still fold in evicted estimators
         assert service.stats()["regressors"]["fits"] == 3
+
+
+ANSWER_FIELDS = (
+    "value", "expected_qualifying_count", "n_scope_tuples", "n_blocks", "metadata",
+)
+
+
+def answer_fields(result) -> tuple:
+    return tuple(getattr(result, name) for name in ANSWER_FIELDS)
+
+
+def sweep_query(dataset, constant: float, age: float) -> WhatIfQuery:
+    return WhatIfQuery(
+        use=dataset.default_use,
+        updates=[AttributeUpdate("Status", MultiplyBy(constant))],
+        output_attribute="CreditAmount",
+        output_aggregate="avg",
+        when=pre("Age") >= age,
+        for_clause=(post("Credit") == 1),
+    )
+
+
+class TestPlanKernelCache:
+    """The per-view kernel cache: shared by threads, bounded, keyed by estimator."""
+
+    @pytest.mark.parametrize("budget", [None, 24_000])
+    def test_concurrent_variants_equal_single_threaded(
+        self, dataset, monkeypatch, budget
+    ):
+        if budget is not None:  # small enough that the threads also race evictions
+            monkeypatch.setattr(columnar, "_KERNEL_CACHE_BYTES", budget)
+        config = EngineConfig(regressor="linear")
+        queries = [
+            sweep_query(dataset, 0.5 + 0.005 * i, 20.0 + (i % 7)) for i in range(200)
+        ]
+        single = HypeRService(
+            dataset.database, dataset.causal_dag, config, result_cache_size=0
+        )
+        expected = [answer_fields(single.execute(query)) for query in queries]
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, config, result_cache_size=0
+        )
+        answers: list = [None] * len(queries)
+
+        def run(worker: int) -> None:
+            for i in range(worker, len(queries), 4):
+                answers[i] = answer_fields(service.execute(queries[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == expected
+        (kernels,) = service.caches.kernels.values()
+        assert kernels.nbytes <= columnar._KERNEL_CACHE_BYTES
+
+    def test_literal_sweep_stays_within_the_byte_budget(self, dataset, monkeypatch):
+        budget = 200_000
+        monkeypatch.setattr(columnar, "_KERNEL_CACHE_BYTES", budget)
+        config = EngineConfig(regressor="linear")
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, config, result_cache_size=0
+        )
+        cold = HypeR(dataset.database, dataset.causal_dag, config)
+        seen = 0
+        for i in range(500):  # 500 distinct When literals over one plan
+            query = sweep_query(dataset, 1.1, 18.0 + 0.1 * i)
+            warm = service.execute(query)
+            (kernels,) = service.caches.kernels.values()
+            assert kernels.nbytes <= budget
+            seen = max(seen, len(kernels))
+            assert answer_fields(warm) == answer_fields(cold.what_if(query))
+        # entries left as the sweep went on: the budget, not luck, kept it small
+        assert len(kernels) <= seen < 500
+        # a literal evicted long ago is rebuilt, not answered from anything stale
+        first = sweep_query(dataset, 1.1, 18.0)
+        assert answer_fields(service.execute(first)) == answer_fields(cold.what_if(first))
+
+    def test_an_entry_over_budget_is_returned_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_KERNEL_CACHE_BYTES", 64)
+        cache = columnar.KernelCache()
+        big = cache.get("big", lambda: np.zeros(100))
+        assert big.nbytes > 64 and len(cache) == 0 and cache.nbytes == 0
+        small = cache.get("small", lambda: np.zeros(4))
+        assert cache.get("small", lambda: np.ones(4)) is small and len(cache) == 1
+
+    def test_a_commit_evicts_the_kernel_cache_of_its_relation(self, dataset):
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, EngineConfig(regressor="linear")
+        )
+        service.execute(sweep_query(dataset, 1.1, 30.0))
+        assert service.stats()["caches"]["kernels"]["size"] == 1
+        investment = list(service.database["Credit"].column("Investment"))
+        service.update_relation_columns({"Credit": {"Investment": investment[::-1]}})
+        assert service.stats()["caches"]["kernels"]["size"] == 0
+
+    def test_estimators_over_one_view_do_not_share_design_blocks(self):
+        # sample_size with random_state=None: every estimator trains on its own
+        # rows, so its regressors' encoders (one-hot categories of Brand and
+        # Category here) are its own too.  The second estimator below meets the
+        # first one's blocks in the shared kernel cache, under the same
+        # attribute and row set.
+        amazon = make_amazon_syn(150, seed=4)
+        config = EngineConfig(regressor="linear", sample_size=50, random_state=None)
+        service = HypeRService(
+            amazon.database, amazon.causal_dag, config, result_cache_size=0
+        )
+        text = (
+            "USE Product WITH AVG(Review.Rating) AS Rtng UPDATE(Quality) = {c} * "
+            "PRE(Quality) OUTPUT AVG(POST(Rtng)) FOR PRE(Category) = 'Laptop'"
+        )
+        service.execute(text.format(c=1.1))
+        (first,) = service.caches.estimators.values()
+        (kernels,) = service.caches.kernels.values()
+        entries = len(kernels)
+        service.caches.estimators.clear()  # evicted; the kernel cache lives on
+        query = service.parse(text.format(c=1.2))
+        warm = service.execute(query)
+        (second,) = service.caches.estimators.values()
+        assert second is not first and second.backdoor_set == ("Brand", "Category")
+        assert len(kernels) == entries + len(second.backdoor_set)
+        # the second estimator alone, with no kernel cache to share
+        engine = WhatIfEngine(service.database, amazon.causal_dag, config)
+        alone = engine.evaluate(query, prepared=engine.prepare(query), estimator=second)
+        assert answer_fields(warm) == answer_fields(alone)
 
 
 class TestProcessesExecution:

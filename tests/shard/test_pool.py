@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro import EngineConfig, HowToQuery, HypeR, LimitConstraint, WhatIfQuery
+from repro import (
+    EngineConfig,
+    HowToQuery,
+    HypeR,
+    HypeRService,
+    LimitConstraint,
+    WhatIfQuery,
+)
 from repro.core.updates import AttributeUpdate, MultiplyBy
 from repro.datasets import make_german_syn
+from repro.lang import parse_query
 from repro.relational import post
 from repro.shard import ShardPool, ShardPoolError, partition_database
 
@@ -128,3 +139,107 @@ class TestInlineFallback:
         with pytest.raises(ShardPoolError):
             pool.run_what_if(make_queries(dataset, 1)[0])
         pool.close()  # idempotent
+
+
+TEMPLATES = (
+    "USE Credit UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1",
+    "USE Credit WHEN Age >= 30 UPDATE(CreditAmount) = {c} * PRE(CreditAmount) "
+    "OUTPUT AVG(POST(Credit))",
+    "USE Credit UPDATE(Savings) = {c} * PRE(Savings) "
+    "OUTPUT SUM(POST(Credit)) FOR PRE(Housing) >= 2",
+    "USE Credit UPDATE(Investment) = {c} * PRE(Investment) "
+    "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1 AND PRE(Age) >= 40",
+)
+SCALARS = (
+    "value", "aggregate", "expected_qualifying_count", "n_view_tuples",
+    "n_scope_tuples", "n_blocks", "backdoor_set", "variant", "metadata",
+)
+
+
+def template_batch(n: int, offset: int = 0) -> list[WhatIfQuery]:
+    return [
+        parse_query(TEMPLATES[i % len(TEMPLATES)].format(c=round(0.6 + 0.01 * (offset + i), 6)))
+        for i in range(n)
+    ]
+
+
+def scalars(result) -> tuple:
+    return tuple(getattr(result, name) for name in SCALARS)
+
+
+class TestAnswersAndCommitsShipWhatChanged:
+    """8 000 rows: an answer crosses the pipe as scalars, a commit as its columns."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return make_german_syn(8000, seed=5)
+
+    @pytest.fixture(scope="class")
+    def columnar(self):
+        # explicit: the process transport is gated to the columnar backend
+        return EngineConfig(regressor="linear", backend="columnar")
+
+    def test_batch_answers_are_scalars_in_both_modes(self, big, columnar):
+        plan = partition_database(big.database, big.causal_dag, 2)
+        processes = ShardPool(plan, big.causal_dag, columnar).start()
+        inline = ShardPool(plan, big.causal_dag, columnar, inline=True).start()
+        try:
+            if processes.mode != "processes":
+                pytest.skip(f"no worker processes: {processes.fallback_reason}")
+            processes.run_batch(template_batch(4))  # fit the four plans
+            queries = template_batch(16, offset=4)
+            before = processes.bytes_from_workers
+            answers = processes.run_batch(queries)
+            assert processes.bytes_from_workers - before < 64 * 1024
+            same = inline.run_batch(queries)
+            assert [replace(r, runtime_seconds=0.0) for r in answers] == [
+                replace(r, runtime_seconds=0.0) for r in same
+            ]
+            session = HypeR(big.database, big.causal_dag, columnar)
+            for query, answer in zip(queries, answers):
+                assert list(answer.block_contributions) == []
+                assert scalars(answer) == scalars(session.what_if(query))
+            # one query, row-scattered and merged in this process: the summary is there
+            merged, cold = processes.run_what_if(queries[0]), session.what_if(queries[0])
+            assert scalars(merged) == scalars(cold)
+            assert len(merged.block_contributions) == cold.n_blocks > 1
+            assert merged.block_contributions == cold.block_contributions
+        finally:
+            processes.close()
+            inline.close()
+
+    def test_commit_payload_is_the_changed_column_or_the_changed_rows(
+        self, big, columnar
+    ):
+        service = HypeRService(
+            big.database, big.causal_dag, columnar,
+            execution="processes", n_shards=2, result_cache_size=0,
+        )
+        try:
+            service.start_pool()
+            pool = service.stats()["pool"]
+            if pool["mode"] != "processes" or pool["shm"] is None:
+                pytest.skip("needs worker processes and shared memory")
+            queries = template_batch(8)
+            service.execute_many(queries)
+            n_rows = len(big.database["Credit"])
+            column_bytes = 8 * n_rows
+            rng = np.random.default_rng(1)
+            column = [float(v) for v in rng.integers(1, 6, n_rows)]
+
+            def commit_and_check(values) -> int:
+                service.update_relation_columns({"Credit": {"Investment": values}})
+                cold = HypeR(service.database, big.causal_dag, columnar)
+                for query, answer in zip(queries, service.execute_many(queries)):
+                    assert scalars(answer) == scalars(cold.what_if(query))
+                return service.stats()["pool"]["update_bytes_last"]
+
+            # a whole-column overwrite: that column once (its shm segment
+            # counted), not the ten-column relation once per worker
+            assert column_bytes <= commit_and_check(column) <= 1.25 * column_bytes
+            # ten rows: still the row patch
+            column[:10] = [6.0 - v for v in column[:10]]
+            assert 0 < commit_and_check(column) < 0.05 * column_bytes
+        finally:
+            service.close()
