@@ -8,9 +8,10 @@ event loop** — an O(1) counter check, no awaiting, no thread handoff — with 
 therefore costs the server microseconds per excess request instead of a
 thread, a socket buffer, or an unbounded queue entry.
 
-Backpressure signals are read live from
-:meth:`~repro.service.session.HypeRService.serving_signals` at every
-decision:
+Backpressure signals are read live from the service — one counter
+(:meth:`~repro.service.backend.ServingCounters.in_flight`) at every decision,
+the whole :meth:`~repro.service.backend.ServingCounters.serving_signals`
+snapshot only when the decision is a rejection:
 
 * the **service-level in-flight count** covers executions from *every*
   front-end sharing the service (the threaded server, direct library calls),
@@ -147,16 +148,17 @@ class AdmissionController:
         started = time.perf_counter()
         try:
             external = 0
-            signals: dict[str, Any] | None = None
             if self._service is not None:
-                signals = self._service.serving_signals()
                 # work in flight on other front-ends sharing the service
-                external = max(0, signals["in_flight"] - self._inflight)
+                external = max(0, self._service.in_flight() - self._inflight)
             if self.occupied + external + units > self.capacity:
                 self._rejected_total += units
                 self._m_rejected.inc(units)
+                signals = None
                 if self._service is not None:
                     self._service.record_rejection(endpoint, units=units)
+                    # the full snapshot only here: Retry-After needs its latency sums
+                    signals = self._service.serving_signals()
                 raise AdmissionRejected(
                     f"at capacity: {self._inflight} executing, {self._queued} queued"
                     + (f", {external} external" if external else "")

@@ -110,14 +110,19 @@ def minimal_backdoor_set(
     time while the backdoor criterion continues to hold.  ``prefer`` lists
     attributes to try to *keep* (they are considered for removal last), which
     the engine uses to retain attributes that already appear in the query's
-    ``For`` clause — conditioning on those is free.
+    ``For`` clause — conditioning on those is free.  The search reads nothing
+    but the graph, so its result is kept on the DAG (:meth:`CausalDAG.memo`).
     """
-    current, paths = _full_backdoor_set(dag, treatment, outcome)
-    prefer_set = set(prefer)
-    # Remove non-preferred attributes first, preferred ones last.
-    removal_order = sorted(current - prefer_set) + sorted(current & prefer_set)
-    for attribute in removal_order:
-        reduced = current - {attribute}  # a subset of the eligible attributes
-        if _blocks_every_path(dag, paths, reduced):
-            current = reduced
-    return current
+
+    def search() -> frozenset[str]:
+        current, paths = _full_backdoor_set(dag, treatment, outcome)
+        prefer_set = set(prefer)
+        # Remove non-preferred attributes first, preferred ones last.
+        removal_order = sorted(current - prefer_set) + sorted(current & prefer_set)
+        for attribute in removal_order:
+            reduced = current - {attribute}  # a subset of the eligible attributes
+            if _blocks_every_path(dag, paths, reduced):
+                current = reduced
+        return frozenset(current)
+
+    return set(dag.memo(("minimal_backdoor_set", treatment, outcome, tuple(prefer)), search))

@@ -17,13 +17,15 @@ topological order, and acyclicity validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import networkx as nx
 
 from ..exceptions import CausalModelError
 
 __all__ = ["CausalEdge", "CausalDAG"]
+
+_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class CausalDAG:
     ) -> None:
         self._graph = nx.DiGraph()
         self._edge_meta: dict[tuple[str, str], CausalEdge] = {}
+        self._memo: dict[Hashable, Any] = {}
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -72,6 +75,7 @@ class CausalDAG:
         if not name:
             raise CausalModelError("attribute node names must be non-empty")
         self._graph.add_node(name)
+        self._memo.clear()
 
     def add_edge(self, edge: CausalEdge | tuple[str, str], **kwargs) -> None:
         """Add an edge, validating that the graph remains acyclic."""
@@ -84,6 +88,26 @@ class CausalDAG:
                 f"adding edge {edge.source!r} -> {edge.target!r} would create a cycle"
             )
         self._edge_meta[(edge.source, edge.target)] = edge
+        self._memo.clear()
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """A fact derived from this graph alone, computed once per ``key``.
+
+        Backdoor sets and view projections depend on the DAG, not on data, yet
+        every cold query and every refit after a commit asks for them again.
+        ``add_node``/``add_edge`` drop everything, so a mutated DAG is never
+        answered from its past; values are shared between callers and must be
+        treated as read-only.  A racing miss builds the same value twice.
+        Keys can carry names chosen by a query (a ``Use`` clause's aliases),
+        so the memo starts over rather than outgrow ``_MEMO_ENTRIES``.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            if len(self._memo) >= _MEMO_ENTRIES:
+                self._memo.clear()
+            value = self._memo[key] = build()
+            return value
 
     def copy(self) -> "CausalDAG":
         clone = CausalDAG(self.nodes)

@@ -33,6 +33,7 @@ from ..causal.backdoor import minimal_backdoor_set
 from ..causal.dag import CausalDAG
 from ..exceptions import IdentificationError, QuerySemanticsError
 from ..ml.density import ConditionalMeanRegressor
+from ..ml.encoding import FeatureEncoder
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -86,15 +87,22 @@ def build_view_dag(
         return None
 
     mapping = {node: map_node(node) for node in dag.nodes}
-    view_dag = CausalDAG(sorted({name for name in mapping.values() if name is not None}))
-    for edge in dag.edges:
-        source = mapping.get(edge.source)
-        target = mapping.get(edge.target)
-        if source is None or target is None or source == target:
-            continue
-        if not view_dag.has_edge(source, target):
-            view_dag.add_edge((source, target))
-    return view_dag
+
+    def project() -> CausalDAG:
+        view_dag = CausalDAG(sorted({name for name in mapping.values() if name is not None}))
+        for edge in dag.edges:
+            source = mapping.get(edge.source)
+            target = mapping.get(edge.target)
+            if source is None or target is None or source == target:
+                continue
+            if not view_dag.has_edge(source, target):
+                view_dag.add_edge((source, target))
+        return view_dag
+
+    # The projection reads the DAG and where each node lands in the view,
+    # never data: one (read-only) view DAG per distinct mapping, which also
+    # keeps the backdoor sets memoised on it alive from query to query.
+    return dag.memo(("view_dag", tuple(mapping.items())), project)
 
 
 @dataclass
@@ -136,6 +144,13 @@ class PostUpdateEstimator:
     #: this estimator's identity inside shared kernel-cache keys (an ``id()``
     #: could be reused by a successor while the cache entry is still alive)
     _block_token: object = field(default_factory=object, repr=False, compare=False)
+    #: Feature attributes and training rows are fixed at construction, so
+    #: all regressors share one encoder, and those of one burst of cache
+    #: misses one training design: the first cache hit empties the slot (an
+    #: estimator outlives its fits by a generation in the service's caches,
+    #: and the design is rows x features of float64).
+    _encoder: FeatureEncoder | None = field(default=None, repr=False)
+    _design: np.ndarray | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
         """Pickle without locks or in-flight fit events (shard/worker boundary).
@@ -148,6 +163,7 @@ class PostUpdateEstimator:
         state = self.__dict__.copy()
         state["_fit_lock"] = None
         state["_pending_fits"] = {}
+        state["_design"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -257,7 +273,7 @@ class PostUpdateEstimator:
         if missing:
             raise QuerySemanticsError(f"post_values is missing update attributes {missing}")
 
-        regressor = self._fit_regressor(target, cache_key)
+        regressor = self.regressor_for(cache_key, lambda: target)
         out = np.zeros(len(self.view))
         if not predict_mask.any():
             return out
@@ -280,16 +296,17 @@ class PostUpdateEstimator:
         """Row-stable predictions of ``regressor`` at the rows ``idx`` of ``view``.
 
         ``view`` is this estimator's view or a row subset of it (a shard's
-        local view).  With ``kernels`` the backdoor covariates' encoded design
-        blocks — constant for a given row set, whatever the update constants —
-        are built once per ``(attribute, idx_token)`` and reused by every
-        parameter variant or how-to candidate sharing the cache; only the
-        update attributes are re-encoded per call.  Block stacking reproduces
-        ``predict_columns`` exactly (same order, same hstack), so both routes
-        are bitwise identical.  Blocks are keyed by this estimator as well:
-        each regressor encodes with an encoder fitted on this estimator's
-        training rows, which two estimators over one view need not share
-        (``sample_size`` with ``random_state=None``).
+        local view).  Only the update attributes are read and encoded per
+        call.  What the backdoor covariates contribute at a row set — a linear
+        regressor's ``intercept + sum of X_c * beta_c``, a forest's encoded
+        blocks — does not depend on the update constants: with ``kernels`` it
+        is built once per ``idx_token`` (naming the row set) for every
+        parameter variant or how-to candidate sharing the cache, without it on
+        the spot, by the same code and bit for bit the same
+        (:meth:`~repro.ml.density.ConditionalMeanRegressor.predict_at`).
+        Entries are keyed by this estimator as well: its encoder is fitted on
+        its own training rows, which two estimators over one view need not
+        share (``sample_size`` with ``random_state=None``).
         """
         missing = [a for a in self.update_attributes if a not in post_values]
         if missing:
@@ -303,23 +320,15 @@ class PostUpdateEstimator:
                 post_column = np.asarray(post_column, dtype=object)
             return post_column[idx]
 
-        if kernels is None or idx_token is None or not regressor.feature_order:
-            return regressor.predict_columns({a: column_at(a) for a in self.feature_attributes})
-        blocks = [
-            regressor.attribute_block(attribute, column_at(attribute))
-            if attribute in self.update_attributes
-            else kernels.get(
-                ("backdoor_block", attribute, idx_token, self._block_token),
-                lambda a=attribute: regressor.attribute_block(a, column_at(a)),
-            )
-            for attribute in regressor.feature_order
-        ]
-        return regressor.predict_blocks(blocks, len(idx))
+        memo = None
+        if kernels is not None and idx_token is not None:
 
-    def _fit_regressor(
-        self, target: np.ndarray, cache_key: Hashable | None
-    ) -> ConditionalMeanRegressor:
-        return self.regressor_for(cache_key, lambda: target)
+            def memo(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+                return kernels.get((*key, idx_token, self._block_token), build)
+
+        return regressor.predict_at(
+            column_at, len(idx), varying=self.update_attributes, memo=memo
+        )
 
     def regressor_for(
         self,
@@ -341,14 +350,15 @@ class PostUpdateEstimator:
         sharing one estimator fit each key exactly once, while fits of
         *different* keys run in parallel (the fit happens outside the lock).
         """
-        if cache_key is None:
-            return self._fit_fresh(np.asarray(target_factory(), dtype=float))
+        if cache_key is None:  # a one-off fit: nothing is kept, the design included
+            return self._fit_fresh(np.asarray(target_factory(), dtype=float), keep_design=False)
         while True:
             with self._fit_lock:
                 cached = self._regressor_cache.get(cache_key)
                 if cached is not None:
                     self._n_regressor_hits += 1
                     self._regressor_cache.move_to_end(cache_key)
+                    self._design = None  # the burst of misses is over
                     return cached
                 waiter = self._pending_fits.get(cache_key)
                 if waiter is None:
@@ -374,22 +384,35 @@ class PostUpdateEstimator:
             event.set()
         return regressor
 
-    def _fit_fresh(self, target: np.ndarray) -> ConditionalMeanRegressor:
+    def _at_training_rows(self, values: np.ndarray) -> np.ndarray:
+        """``values`` at the training rows: themselves, uncopied, when every row trains."""
         assert self._train_indices is not None
+        if len(self._train_indices) == len(values):
+            return values
+        return values[self._train_indices]
+
+    def _fit_fresh(
+        self, target: np.ndarray, keep_design: bool = True
+    ) -> ConditionalMeanRegressor:
         if len(target) != len(self.view):
             raise QuerySemanticsError("the training target must align with the view rows")
-        train_idx = self._train_indices
-        columns = {
-            attribute: self.view.column_view(attribute)[train_idx]
-            for attribute in self.feature_attributes
-        }
+        design = self._design
+        if design is None:
+            columns = {
+                attribute: self._at_training_rows(self.view.column_view(attribute))
+                for attribute in self.feature_attributes
+            }
+            if self._encoder is None:
+                self._encoder = FeatureEncoder.fit_columns(columns)
+            design = self._encoder.design(columns)
+            if keep_design:
+                self._design = design
         regressor = ConditionalMeanRegressor(
             feature_attributes=self.feature_attributes,
             regressor_kind=self.config.regressor,
             random_state=self.config.random_state,
             regressor_params=self.config.regressor_params(),
-        )
-        regressor.fit(columns, target[train_idx])
+        ).fit_design(self._encoder, design, self._at_training_rows(target))
         with self._fit_lock:
             self._n_regressor_fits += 1
         return regressor

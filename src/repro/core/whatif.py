@@ -120,7 +120,7 @@ class PreparedWhatIf:
     n_blocks: int
     for_key: Hashable = None
     # Per-plan fused-kernel state: ``kernels`` caches masks / index sets /
-    # encoded design blocks across the parameter variants sharing one plan
+    # partial predictions across the parameter variants sharing one plan
     # (injected by the service layer and the shard worker runtime); ``fused``
     # routes accumulation through the single-pass kernels when the config
     # enables it.
@@ -185,11 +185,11 @@ def causal_contribution_rows(
 
     Everything that does not depend on the update constants — masks, the
     output column, each inclusion–exclusion term's applicable-row index set
-    and, inside :meth:`PostUpdateEstimator.predict_rows`, the encoded design
-    blocks of the backdoor attributes at those rows — comes from
-    ``prepared.kernels``; a variant of a warm plan re-encodes the update
-    attributes, stacks and predicts.  With ``kernels=None`` (the cold engine)
-    the same code builds each piece per query.
+    and, inside :meth:`PostUpdateEstimator.predict_rows`, what the backdoor
+    attributes contribute to each regressor's prediction at those rows —
+    comes from ``prepared.kernels``; a variant of a warm plan encodes the
+    update attributes and adds their terms.  With ``kernels=None`` (the cold
+    engine) the same code builds each piece per query.
 
     ``fit_view`` is the view regressors train on when ``prepared.view`` is a
     row subset of it (a shard's local view); training targets are built only

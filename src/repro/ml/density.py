@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..exceptions import EstimationError
 from .encoding import FeatureEncoder
 from .forest import RandomForestRegressor
-from .linear import RidgeRegression
+from .linear import LinearRegression, RidgeRegression
 
 __all__ = ["FrequencyTable", "ConditionalMeanRegressor", "make_regressor"]
 
@@ -141,8 +141,6 @@ def make_regressor(kind: str = "forest", random_state: int | None = 0, **kwargs)
     if kind == "forest":
         return RandomForestRegressor(random_state=random_state, **kwargs)
     if kind == "linear":
-        from .linear import LinearRegression
-
         return LinearRegression(**kwargs)
     if kind == "ridge":
         return RidgeRegression(**kwargs)
@@ -167,6 +165,9 @@ class ConditionalMeanRegressor:
     _encoder: FeatureEncoder | None = field(default=None, repr=False)
     _model: Any = field(default=None, repr=False)
     _target_mean: float = 0.0
+    #: this regressor's identity inside a caller's memo keys (an ``id()`` could
+    #: be reused by a successor while the memo entry is still alive)
+    _token: object = field(default_factory=object, repr=False, compare=False)
 
     def fit(
         self,
@@ -176,63 +177,101 @@ class ConditionalMeanRegressor:
         missing = [a for a in self.feature_attributes if a not in columns]
         if missing:
             raise EstimationError(f"training columns missing attributes {missing}")
-        target = np.asarray(target, dtype=float)
         feature_columns = {a: columns[a] for a in self.feature_attributes}
+        encoder = FeatureEncoder.fit_columns(feature_columns)
+        return self.fit_design(encoder, encoder.design(feature_columns), target)
+
+    def fit_design(
+        self, encoder: FeatureEncoder, design: np.ndarray, target: Sequence[float]
+    ) -> "ConditionalMeanRegressor":
+        """Fit on ``design = encoder.design(training columns)``.
+
+        Regressors over the same attributes and training rows (every target
+        of one :class:`~repro.core.estimator.PostUpdateEstimator`) share the
+        encoder and the design; only the target differs from fit to fit.
+        """
+        target = np.asarray(target, dtype=float)
         self._target_mean = float(target.mean()) if target.size else 0.0
         if not self.feature_attributes:
             self._encoder = None
             self._model = None
             return self
-        self._encoder = FeatureEncoder.fit_columns(feature_columns)
-        design = self._encoder.transform_columns(feature_columns)
+        self._encoder = encoder
         self._model = make_regressor(
             self.regressor_kind, random_state=self.random_state, **dict(self.regressor_params)
         )
-        self._model.fit(design, target)
+        if isinstance(self._model, LinearRegression) and self._model.fit_intercept:
+            self._model.fit_design(design, target)
+        else:
+            self._model.fit(design[:, 1:], target)
         return self
 
     def predict_rows(self, rows: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        if self._encoder is None or self._model is None:
-            return np.full(len(rows), self._target_mean)
-        design = np.vstack([self._encoder.transform_row(row) for row in rows])
-        return self._model.predict(design)
+        return self.predict_at(lambda a: [row.get(a) for row in rows], len(rows))
 
     def predict_row(self, row: Mapping[str, Any]) -> float:
         return float(self.predict_rows([row])[0])
 
     def predict_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
-        if self._encoder is None or self._model is None:
-            lengths = {len(v) for v in columns.values()} or {0}
-            return np.full(lengths.pop(), self._target_mean)
-        design = self._encoder.transform_columns(
-            {a: columns[a] for a in self.feature_attributes}
-        )
-        return self._model.predict(design)
+        lengths = {len(v) for v in columns.values()} or {0}
+        return self.predict_at(columns.__getitem__, lengths.pop())
 
-    # -- fused-kernel path: pre-encoded per-attribute design blocks ------------------
+    def predict_at(
+        self,
+        column_of: Callable[[str], Sequence[Any]],
+        n_rows: int,
+        *,
+        varying: Collection[str] = (),
+        memo: Callable[[Hashable, Callable[[], np.ndarray]], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Predict at ``n_rows`` rows whose raw values of attribute ``a`` are ``column_of(a)``.
 
-    @property
-    def feature_order(self) -> tuple[str, ...]:
-        """Attribute order of the fitted design matrix (empty before fitting)."""
-        return self._encoder.attribute_order if self._encoder is not None else ()
+        The one prediction route.  ``varying`` names the attributes whose
+        values differ between calls over the same rows (the update attributes
+        of Equation 1); whatever is computed from the other attributes alone
+        goes through ``memo(key, build)`` when a caller that repeats such calls
+        supplies one, and is built on the spot otherwise.
 
-    def attribute_block(self, attribute: str, values: Sequence[Any]) -> np.ndarray:
-        """Encode one attribute's values into its design block.
-
-        Lets callers cache the blocks of attributes whose values are constant
-        across the queries of a plan; :meth:`predict_blocks` consumes them.
-        """
-        if self._encoder is None:
-            raise EstimationError("the regressor has no fitted encoder")
-        return self._encoder.transform_attribute(attribute, values)
-
-    def predict_blocks(self, blocks: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
-        """Predict from per-attribute blocks built by :meth:`attribute_block`.
-
-        The blocks must follow :attr:`feature_order`; stacking them is exactly
-        what :meth:`predict_columns` does internally, so predictions are
-        bitwise identical.
+        * linear / ridge: ``(intercept + terms of the fixed attributes)``, the
+          memoised part, ``+ terms of the varying ones`` — only those are
+          encoded per call.  Terms are added one attribute at a time in the
+          design's attribute order, fixed before varying, each by a per-row operation
+          (:meth:`LinearRegression.add_block`), so any subset of rows predicts
+          bitwise what the same rows of a larger set do, and a memoised
+          partial sum equals a fresh one.
+        * forest: the fixed attributes' encoded blocks are the memoised part;
+          the blocks are stacked once in the design's attribute order and the
+          trees read the matrix.
         """
         if self._encoder is None or self._model is None:
             return np.full(n_rows, self._target_mean)
-        return self._model.predict(self._encoder.stack(blocks, n_rows))
+        encoder, model = self._encoder, self._model
+        if memo is None:
+            memo = lambda key, build: build()  # noqa: E731
+
+        def block(attribute: str) -> np.ndarray:
+            return encoder.encoders[attribute].transform(column_of(attribute))
+
+        if isinstance(model, LinearRegression):
+            offsets = encoder.offsets
+
+            def add(partial: np.ndarray, attributes: Iterable[str]) -> np.ndarray:
+                for attribute in attributes:
+                    partial = model.add_block(partial, block(attribute), offsets[attribute])
+                return partial
+
+            fixed = [a for a in encoder.attribute_order if a not in varying]
+            base = memo(
+                ("base", self._token),
+                lambda: add(np.full(n_rows, model.intercept), fixed),
+            )
+            return add(base, [a for a in encoder.attribute_order if a in varying])
+        return model.predict(
+            np.hstack(
+                [
+                    block(a) if a in varying else memo(("backdoor_block", a), lambda a=a: block(a))
+                    for a in encoder.attribute_order
+                ]
+            )
+        )
+

@@ -123,6 +123,15 @@ class FeatureEncoder:
     def width(self) -> int:
         return sum(self.encoders[a].width for a in self.attribute_order)
 
+    @property
+    def offsets(self) -> dict[str, int]:
+        """First design-matrix column of each attribute's block (ones column not counted)."""
+        out, at = {}, 0
+        for attr in self.attribute_order:
+            out[attr] = at
+            at += self.encoders[attr].width
+        return out
+
     def transform_relation(self, relation: Relation) -> np.ndarray:
         blocks = [
             self.encoders[attr].transform(relation.column_view(attr))
@@ -132,34 +141,25 @@ class FeatureEncoder:
             return np.zeros((len(relation), 0))
         return np.hstack(blocks)
 
-    def transform_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
+    def design(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
+        """The design matrix of ``columns`` behind a leading column of ones.
+
+        Each attribute's block is encoded straight into its columns of one
+        ``(n, 1 + width)`` array, the intercept's ones in place: what a linear
+        fit hands to its solver, and ``[:, 1:]`` of it what a forest trains on.
+        """
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise EstimationError("all columns must have the same length")
-        blocks = [
-            self.encoders[attr].transform(columns[attr])
-            for attr in self.attribute_order
-        ]
-        if not blocks:
-            n = lengths.pop() if lengths else 0
-            return np.zeros((n, 0))
-        return np.hstack(blocks)
+        out = np.empty((lengths.pop() if lengths else 0, 1 + self.width))
+        out[:, 0] = 1.0
+        for attr, offset in self.offsets.items():
+            block = self.encoders[attr].transform(columns[attr])
+            out[:, 1 + offset : 1 + offset + block.shape[1]] = block
+        return out
 
-    def transform_attribute(self, attribute: str, values: Sequence[Any]) -> np.ndarray:
-        """One attribute's encoded design block (a column of the full matrix).
-
-        Building the matrix block-by-block lets callers cache the blocks of
-        attributes whose values do not change between queries (the backdoor
-        covariates of a prepared plan); :meth:`stack` reassembles them exactly
-        as :meth:`transform_columns` would have.
-        """
-        return self.encoders[attribute].transform(values)
-
-    def stack(self, blocks: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
-        """Assemble per-attribute blocks (in ``attribute_order``) into a matrix."""
-        if not blocks:
-            return np.zeros((n_rows, 0))
-        return np.hstack(list(blocks))
+    def transform_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
+        return self.design(columns)[:, 1:]
 
     def transform_row(self, row: Mapping[str, Any]) -> np.ndarray:
         pieces = [

@@ -34,15 +34,22 @@ class LinearRegression:
         return features
 
     def fit(self, features: np.ndarray, target: np.ndarray) -> "LinearRegression":
+        return self.fit_design(self._design(features), target)
+
+    def fit_design(self, design: np.ndarray, target: np.ndarray) -> "LinearRegression":
+        """Fit on the matrix the solver sees: ``features`` behind the ones column.
+
+        Callers that fit many targets over the same rows (an estimator's
+        regressors) build that matrix once and pass it to each fit.
+        """
         target = np.asarray(target, dtype=float)
-        design = self._design(features)
         if design.shape[0] != target.shape[0]:
             raise EstimationError(
                 f"feature rows ({design.shape[0]}) do not match targets ({target.shape[0]})"
             )
         if design.shape[0] == 0:
             raise EstimationError("cannot fit a regression on zero rows")
-        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
+        solution = self._solve(design, target)
         if self.fit_intercept:
             self.intercept = float(solution[0])
             self.coefficients = solution[1:]
@@ -51,6 +58,10 @@ class LinearRegression:
             self.coefficients = solution
         self._fitted = True
         return self
+
+    def _solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
+        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
+        return solution
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if not self._fitted:
@@ -69,6 +80,19 @@ class LinearRegression:
         # (:mod:`repro.shard.merge`) relies on per-row reproducibility.
         return np.einsum("ij,j->i", features, self.coefficients) + self.intercept
 
+    def add_block(self, partial: np.ndarray | float, block: np.ndarray, offset: int) -> np.ndarray:
+        """``partial`` plus the terms of the feature columns ``block`` starting at ``offset``.
+
+        A prediction assembled block by block — the intercept, then each
+        block's terms — lets a caller keep the partial sum of the columns that
+        do not change between its calls.  Row-stable like :meth:`predict`:
+        an elementwise product for one column, the same einsum for several.
+        """
+        width = block.shape[1]
+        if width == 1:
+            return partial + block[:, 0] * self.coefficients[offset]
+        return partial + np.einsum("ij,j->i", block, self.coefficients[offset : offset + width])
+
 
 @dataclass
 class RidgeRegression(LinearRegression):
@@ -76,28 +100,11 @@ class RidgeRegression(LinearRegression):
 
     alpha: float = 1.0
 
-    def fit(self, features: np.ndarray, target: np.ndarray) -> "RidgeRegression":
+    def _solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
         if self.alpha < 0:
             raise EstimationError("ridge penalty must be non-negative")
-        target = np.asarray(target, dtype=float)
-        design = self._design(features)
-        if design.shape[0] != target.shape[0]:
-            raise EstimationError(
-                f"feature rows ({design.shape[0]}) do not match targets ({target.shape[0]})"
-            )
-        if design.shape[0] == 0:
-            raise EstimationError("cannot fit a regression on zero rows")
-        n_features = design.shape[1]
-        penalty = self.alpha * np.eye(n_features)
+        penalty = self.alpha * np.eye(design.shape[1])
         if self.fit_intercept:
             penalty[0, 0] = 0.0  # do not shrink the intercept
         gram = design.T @ design + penalty
-        solution = np.linalg.solve(gram, design.T @ target)
-        if self.fit_intercept:
-            self.intercept = float(solution[0])
-            self.coefficients = solution[1:]
-        else:
-            self.intercept = 0.0
-            self.coefficients = solution
-        self._fitted = True
-        return self
+        return np.linalg.solve(gram, design.T @ target)

@@ -17,21 +17,6 @@ __all__ = ["DecisionTreeRegressor"]
 
 
 @dataclass
-class _Node:
-    """Internal tree node; leaves have ``feature is None``."""
-
-    value: float
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class DecisionTreeRegressor:
     """Regression tree minimising within-node variance.
 
@@ -48,7 +33,13 @@ class DecisionTreeRegressor:
     max_features: int | None = None
     n_thresholds: int = 16
     random_state: int | None = None
-    _root: _Node | None = field(default=None, repr=False)
+    #: the fitted tree as five parallel arrays, one entry per node in preorder
+    #: (node 0 is the root); a leaf has ``feature == -1`` and no children
+    _feature: np.ndarray | None = field(default=None, repr=False)
+    _threshold: np.ndarray | None = field(default=None, repr=False)
+    _left: np.ndarray | None = field(default=None, repr=False)
+    _right: np.ndarray | None = field(default=None, repr=False)
+    _value: np.ndarray | None = field(default=None, repr=False)
     _n_features: int = field(default=0, repr=False)
 
     def fit(self, features: np.ndarray, target: np.ndarray) -> "DecisionTreeRegressor":
@@ -62,31 +53,47 @@ class DecisionTreeRegressor:
             raise EstimationError("cannot fit a tree on zero rows")
         self._n_features = features.shape[1]
         rng = np.random.default_rng(self.random_state)
-        self._root = self._build(features, target, depth=0, rng=rng)
+        nodes: list[tuple[int, float, int, int, float]] = []
+        self._build(features, target, 0, rng, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self._feature = np.asarray(feature, dtype=np.intp)
+        self._threshold = np.asarray(threshold, dtype=float)
+        self._left = np.asarray(left, dtype=np.intp)
+        self._right = np.asarray(right, dtype=np.intp)
+        self._value = np.asarray(value, dtype=float)
         return self
 
     # -- tree construction -----------------------------------------------------------
 
     def _build(
-        self, features: np.ndarray, target: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> _Node:
+        self,
+        features: np.ndarray,
+        target: np.ndarray,
+        depth: int,
+        rng: np.random.Generator,
+        nodes: list[tuple[int, float, int, int, float]],
+    ) -> int:
+        """Grow the subtree over these rows into ``nodes`` (preorder); return its index."""
+        index = len(nodes)
         node_value = float(target.mean())
+        nodes.append((-1, 0.0, -1, -1, node_value))
         n_samples = target.shape[0]
         if (
             depth >= self.max_depth
             or n_samples < self.min_samples_split
             or np.isclose(target.var(), 0.0)
         ):
-            return _Node(value=node_value)
+            return index
 
         best = self._best_split(features, target, rng)
         if best is None:
-            return _Node(value=node_value)
+            return index
         feature, threshold, left_mask = best
         right_mask = ~left_mask
-        left = self._build(features[left_mask], target[left_mask], depth + 1, rng)
-        right = self._build(features[right_mask], target[right_mask], depth + 1, rng)
-        return _Node(value=node_value, feature=feature, threshold=threshold, left=left, right=right)
+        left = self._build(features[left_mask], target[left_mask], depth + 1, rng, nodes)
+        right = self._build(features[right_mask], target[right_mask], depth + 1, rng, nodes)
+        nodes[index] = (feature, threshold, left, right, node_value)
+        return index
 
     def _candidate_features(self, rng: np.random.Generator) -> np.ndarray:
         if self.max_features is None or self.max_features >= self._n_features:
@@ -136,7 +143,7 @@ class DecisionTreeRegressor:
     # -- prediction ------------------------------------------------------------------
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if self._feature is None:
             raise EstimationError("the tree has not been fitted")
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
@@ -145,30 +152,27 @@ class DecisionTreeRegressor:
             raise EstimationError(
                 f"expected {self._n_features} features, got {features.shape[1]}"
             )
-        out = np.empty(features.shape[0])
-        for i in range(features.shape[0]):
-            out[i] = self._predict_row(features[i])
-        return out
-
-    def _predict_row(self, row: np.ndarray) -> float:
-        node = self._root
-        assert node is not None
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            if row[node.feature] <= node.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node.value
+        # All rows descend together, one level per step (at most ``max_depth``
+        # steps); ``rows`` are those still at an internal node.  A NaN feature
+        # compares false and goes right.
+        node = np.zeros(features.shape[0], dtype=np.intp)
+        rows = np.flatnonzero(self._feature[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            goes_left = features[rows, self._feature[at]] <= self._threshold[at]
+            node[rows] = np.where(goes_left, self._left[at], self._right[at])
+            rows = rows[self._feature[node[rows]] >= 0]
+        return self._value[node]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (useful in tests)."""
-
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
+        if self._feature is None:
             raise EstimationError("the tree has not been fitted")
-        return walk(self._root)
+        depth = 0
+        level = np.zeros(1, dtype=np.intp)
+        while True:
+            internal = level[self._feature[level] >= 0]
+            if not internal.size:
+                return depth
+            level = np.concatenate([self._left[internal], self._right[internal]])
+            depth += 1

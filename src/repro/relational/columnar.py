@@ -817,8 +817,8 @@ def fused_block_summary(
 
 #: Bounds of one plan's :class:`KernelCache`.  Keys embed ``When`` / ``For``
 #: literals, so a sweep over a literal (``WHEN Age >= x``) adds masks, index
-#: sets and encoded design blocks per value; least recently used entries
-#: leave once the arrays held exceed the byte budget.
+#: sets and per-regressor partial predictions per value; least recently used
+#: entries leave once the arrays held exceed the byte budget.
 _KERNEL_CACHE_BYTES = 64 * 1024 * 1024
 _KERNEL_CACHE_ENTRIES = 4096
 

@@ -107,9 +107,10 @@ class RelationSchema:
     # -- manipulation ----------------------------------------------------------
 
     def with_attribute(self, spec: AttributeSpec) -> "RelationSchema":
-        """Return a copy of this schema with ``spec`` appended (or replaced)."""
-        attrs = [a for a in self.attributes if a.name != spec.name]
-        attrs.append(spec)
+        """Return a copy of this schema with ``spec`` replaced in position, or appended if new."""
+        attrs = [spec if a.name == spec.name else a for a in self.attributes]
+        if spec.name not in self:
+            attrs.append(spec)
         return RelationSchema(self.name, attrs, self.key)
 
     def project(self, attributes: Iterable[str], name: str | None = None) -> "RelationSchema":

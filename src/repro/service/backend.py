@@ -68,6 +68,8 @@ class ServiceBackend(Protocol):
 
     def serving_signals(self) -> dict[str, Any]: ...
 
+    def in_flight(self) -> int: ...
+
 
 class ServingCounters:
     """The serving instruments and bookkeeping shared by every backend.
@@ -177,13 +179,25 @@ class ServingCounters:
                 "rejections": dict(self._client_rejections),
             }
 
+    def in_flight(self) -> int:
+        """``serving_signals()["in_flight"]`` without the snapshot around it.
+
+        The one number an admission decision that accepts reads, per request
+        on the event loop: tracked executions of every front-end plus job
+        leases held but not yet inside the engine.
+        """
+        count = int(self._m_inflight.value)
+        if self.jobs is not None:
+            count += self.jobs.background_load()
+        return count
+
     def serving_signals(self) -> dict[str, Any]:
-        """A cheap live snapshot of serving load, for admission decisions.
+        """A live snapshot of serving load, for rejections and ``stats()``.
 
         Returns in-flight executions (all front-ends sharing the backend),
         their peak, total rejections, per-endpoint latency sums, and a
         saturation ratio against :meth:`_capacity_hint`.  No engine locks
-        are taken — safe to call on an event loop per request.
+        are taken — safe to call on an event loop.
         """
         capacity = self._capacity_hint()
         in_flight = int(self._m_inflight.value)

@@ -17,7 +17,8 @@ additionally *tagged* with the relation names they were built from, letting
 * **kernels** — one :class:`~repro.relational.columnar.KernelCache` per
   relevant view (keyed and tagged like the view entry), holding what the
   parameter variants of the plans over that view share: masks, index sets,
-  encoded backdoor design blocks.  Each is bounded by its own byte budget;
+  the backdoor covariates' share of each regressor's prediction.  Each is
+  bounded by its own byte budget;
 * **candidates** — how-to candidate enumerations per exact query identity;
 * **results** — final query answers per exact query identity
   (:class:`TTLCache`), with an optional time-to-live for dashboard-style

@@ -123,7 +123,8 @@ class ShardWorkerRuntime:
         self._candidates = LRUCache(64, "worker-candidates")
         # Per-plan fused-kernel caches (repro.relational.columnar.KernelCache):
         # every deterministic intermediate that parameter variants of one plan
-        # share — masks, output columns, index sets, encoded design blocks.
+        # share — masks, output columns, index sets, the backdoor covariates'
+        # share of each regressor's prediction.
         self._kernels = LRUCache(16, "worker-kernels")
         self.n_tasks = 0
         self.n_estimator_builds = 0

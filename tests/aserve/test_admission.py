@@ -123,6 +123,9 @@ class _StubService:
         self._query_seconds = query_seconds
         self.rejections: list[tuple[str, int]] = []
 
+    def in_flight(self):
+        return self._in_flight
+
     def serving_signals(self):
         return {
             "in_flight": self._in_flight,

@@ -1,12 +1,19 @@
 """Tests for the view-level DAG projection and the backdoor-adjusted estimator."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, PostUpdateEstimator, Variant, build_view_dag
+from repro.causal import CausalDAG, minimal_backdoor_set
+from repro.core import EngineConfig, PostUpdateEstimator, Variant, WhatIfEngine, build_view_dag
 from repro.core.estimator import build_view_dag as build_view_dag_direct
+from repro.datasets import make_german_syn
 from repro.exceptions import QuerySemanticsError
-from repro.relational import UseSpec
+from repro.lang import parse_query
+from repro.ml import FeatureEncoder, make_regressor
+from repro.relational import Relation, UseSpec
+from repro.relational.columnar import KernelCache
 
 from .linear_fixture import make_linear_dataset, true_mean_y_under_do_b
 
@@ -51,6 +58,52 @@ class TestBuildViewDag:
 
     def test_alias_used_for_direct_import(self):
         assert build_view_dag is build_view_dag_direct
+
+    def test_projection_built_once_per_dag_and_dropped_when_it_changes(self, small_amazon):
+        dag = small_amazon.causal_dag.copy()
+        use, database = small_amazon.default_use, small_amazon.database
+        view_dag = build_view_dag(dag, use, database)
+        assert build_view_dag(dag, use, database) is view_dag
+        # another Use over the same DAG is another projection
+        other = build_view_dag(dag, UseSpec(base_relation="Product"), database)
+        assert other is not view_dag and "Rtng" not in other
+        assert not view_dag.has_edge("Color", "Price")
+        dag.add_edge(("Color", "Price"))
+        rebuilt = build_view_dag(dag, use, database)
+        assert rebuilt is not view_dag and rebuilt.has_edge("Color", "Price")
+
+
+class TestDagFactsOnce:
+    def test_backdoor_set_follows_a_mutated_dag(self):
+        dag = CausalDAG(["B", "Y", "X", "Z"], [("X", "B"), ("X", "Y"), ("B", "Y")])
+        assert minimal_backdoor_set(dag, "B", "Y") == {"X"}
+        first = minimal_backdoor_set(dag, "B", "Y")
+        first.add("mine")  # callers own what they get
+        assert minimal_backdoor_set(dag, "B", "Y") == {"X"}
+        dag.add_edge(("Z", "B"))
+        dag.add_edge(("Z", "Y"))
+        assert minimal_backdoor_set(dag, "B", "Y") == {"X", "Z"}
+        dag.add_node("W")
+        assert minimal_backdoor_set(dag, "B", "Y") == {"X", "Z"}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.causal import dag as dag_module
+
+        monkeypatch.setattr(dag_module, "_MEMO_ENTRIES", 3)
+        dag = CausalDAG(["A", "B"], [("A", "B")])
+        for i in range(10):  # keys can come from queries: the memo must not grow with them
+            assert dag.memo(("k", i), lambda i=i: i * i) == i * i
+            assert len(dag._memo) <= 3
+        assert dag.memo(("k", 9), lambda: "rebuilt") == 81  # still a memo
+
+    def test_memo_is_keyed_by_what_the_search_reads(self):
+        dag = CausalDAG(
+            ["B", "Y", "X", "Z"], [("X", "Z"), ("Z", "B"), ("X", "Y"), ("B", "Y")]
+        )
+        assert minimal_backdoor_set(dag, "B", "Y") == {"Z"}
+        assert minimal_backdoor_set(dag, "B", "Y", prefer=["Z"]) == {"Z"}
+        assert minimal_backdoor_set(dag, "B", "Y", prefer=["X"]) == {"X"}
+        assert minimal_backdoor_set(dag, "Z", "Y") == {"X"}
 
 
 class TestPostUpdateEstimator:
@@ -174,3 +227,134 @@ class TestPostUpdateEstimator:
         cached = estimator._regressor_cache["k"]
         estimator.counterfactual_mean(target, [True] * n, {"B": [2.0] * n}, cache_key="k")
         assert estimator._regressor_cache["k"] is cached
+
+
+# -- one encoder per estimator, one design per burst of fits -----------------------------
+
+
+def kinds_view(backend: str, n: int = 240, seed: int = 5) -> Relation:
+    """A view mixing numeric, categorical and null-bearing columns of both kinds."""
+    rng = np.random.default_rng(seed)
+    num = rng.normal(size=n)
+    cat = rng.choice(["a", "b", "c"], size=n).tolist()
+    b = 0.5 * num + rng.normal(size=n)
+    y = 2.0 * b + num + (np.asarray(cat) == "a") + rng.normal(0, 0.1, n)
+    return Relation.from_columns(
+        "V",
+        {
+            "ID": list(range(n)),
+            "B": b.tolist(),
+            "Num": num.tolist(),
+            "Cat": cat,
+            "NumNull": [None if i % 7 == 0 else float(v) for i, v in enumerate(rng.normal(size=n))],
+            "CatNull": [None if i % 6 == 0 else c for i, c in enumerate(reversed(cat))],
+            "Y": y.tolist(),
+        },
+        key=("ID",),
+        backend=backend,
+    )
+
+
+def parent_fit(estimator: PostUpdateEstimator, target: np.ndarray):
+    """``_fit_fresh`` of the parent commit: every regressor copies its training
+    columns, fits its own encoder, stacks its own matrix and fits on it."""
+    train = estimator._train_indices
+    columns = {a: estimator.view.column_view(a)[train] for a in estimator.feature_attributes}
+    encoder = FeatureEncoder.fit_columns(columns)
+    features = np.hstack(
+        [encoder.encoders[a].transform(columns[a]) for a in encoder.attribute_order]
+    )
+    config = estimator.config
+    model = make_regressor(
+        config.regressor, random_state=config.random_state, **config.regressor_params()
+    )
+    return features, model.fit(features, np.asarray(target, dtype=float)[train])
+
+
+FIT_CONFIGS = [
+    pytest.param(backend, regressor, sample_size, id=f"{backend}-{regressor}-{sample_size}")
+    for backend in ("columnar", "rows")
+    for regressor in ("linear", "ridge", "forest")
+    for sample_size in (None, 90)
+]
+
+
+class TestSharedTrainingDesign:
+    def _estimator(self, backend, regressor="linear", sample_size=None, update="B"):
+        return PostUpdateEstimator(
+            view=kinds_view(backend),
+            view_dag=None,  # adjust for every other column: all four kinds are features
+            update_attributes=[update],
+            outcome_attributes=["Y"],
+            config=EngineConfig(
+                regressor=regressor, sample_size=sample_size, n_forest_trees=4, max_tree_depth=4
+            ),
+        )
+
+    @pytest.mark.parametrize("backend, regressor, sample_size", FIT_CONFIGS)
+    def test_fits_equal_the_parents_per_regressor_fit(self, backend, regressor, sample_size):
+        estimator = self._estimator(backend, regressor, sample_size)
+        assert estimator.n_training_rows == (sample_size or len(estimator.view))
+        y = np.asarray(estimator.view.column_view("Y"), dtype=float)
+        targets = {"sum": y, "count": (y > 0).astype(float), "twice": 2.0 * y}
+        design = None
+        for key, target in targets.items():
+            regressor_ = estimator.regressor_for(key, lambda t=target: t)
+            if design is None:
+                design = estimator._design
+            assert design is not None and estimator._design is design  # one per burst
+            features, oracle = parent_fit(estimator, target)
+            assert np.array_equal(design[:, 1:], features) and (design[:, 0] == 1.0).all()
+            model = regressor_._model
+            if regressor == "forest":
+                assert np.array_equal(model.predict(features), oracle.predict(features))
+            else:
+                assert np.array_equal(model.coefficients, oracle.coefficients)
+                assert model.intercept == oracle.intercept
+            assert regressor_._encoder is estimator._encoder  # one per estimator
+        assert estimator.regressor_cache_stats["fits"] == len(targets)
+
+    def test_whole_view_training_reads_the_columns_without_copying(self):
+        estimator = self._estimator("columnar")
+        column = estimator.view.column_view("Num")
+        assert estimator._at_training_rows(column) is column
+        sampled = self._estimator("columnar", sample_size=90)
+        assert len(sampled._at_training_rows(column)) == 90
+
+    def test_no_design_after_the_second_evaluation_of_a_warm_plan(self):
+        german = make_german_syn(300, seed=2)
+        engine = WhatIfEngine(german.database, german.causal_dag, EngineConfig(regressor="linear"))
+        text = "USE Credit UPDATE(Status) = {c} * PRE(Status) OUTPUT AVG(POST(Credit))"
+        first, second = parse_query(text.format(c=1.1)), parse_query(text.format(c=1.2))
+        prepared = engine.prepare(first, kernels=KernelCache())
+        estimator = engine.build_estimator(first, prepared)
+        engine.evaluate(first, prepared=prepared, estimator=estimator)
+        encoder = estimator._encoder
+        assert estimator._design is not None and encoder is not None  # the burst's
+        engine.evaluate(second, prepared=engine.prepare(second), estimator=estimator)
+        assert estimator._design is None and estimator._encoder is encoder
+        assert estimator.regressor_cache_stats == {"fits": 2, "hits": 2, "cached": 2}
+
+    def test_a_keyless_fit_leaves_no_design_and_always_fits(self):
+        estimator = self._estimator("columnar")
+        y = np.asarray(estimator.view.column_view("Y"), dtype=float)
+        a = estimator.regressor_for(None, lambda: y)
+        b = estimator.regressor_for(None, lambda: y)
+        assert a is not b and estimator._design is None
+        assert estimator.regressor_cache_stats == {"fits": 2, "hits": 0, "cached": 0}
+        assert np.array_equal(a._model.coefficients, b._model.coefficients)
+
+    def test_the_pickled_state_holds_no_design(self):
+        estimator = self._estimator("columnar")
+        y = np.asarray(estimator.view.column_view("Y"), dtype=float)
+        fitted = estimator.regressor_for("y", lambda: y)
+        assert estimator._design is not None
+        clone = pickle.loads(pickle.dumps(estimator))
+        assert clone._design is None and clone._encoder is not None
+        n = len(estimator.view)
+        post, idx = {"B": np.full(n, 0.5)}, np.arange(n)
+        assert np.array_equal(
+            clone.predict_rows(clone.regressor_for("y", lambda: y), clone.view, post, idx),
+            estimator.predict_rows(fitted, estimator.view, post, idx),
+        )
+        assert clone.regressor_cache_stats["fits"] == 1  # the fitted regressor travelled

@@ -10,6 +10,7 @@ from repro.core import (
     AttributeUpdate,
     EngineConfig,
     MultiplyBy,
+    PostUpdateEstimator,
     SetTo,
     Variant,
     WhatIfEngine,
@@ -377,6 +378,20 @@ WARM_CONFIGS = [
 ]
 
 
+class RecordingKernelCache(KernelCache):
+    """A kernel cache that remembers the keys it was asked for."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys: list = []
+
+    def get(self, key, build):
+        self.keys.append(key)
+        return super().get(key, build)
+
+
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("backend, regressor", WARM_CONFIGS)
     def test_variants_through_one_kernel_cache(self, german, backend, regressor):
@@ -447,6 +462,78 @@ class TestWarmEqualsCold:
         assert sum(b.partial_value for b in blocks) == pytest.approx(result.value)
         # a pickled copy carries the plain list
         assert pickle.loads(pickle.dumps(result)).block_contributions == blocks
+
+    # -- predictions that read only the update attribute --------------------------------
+
+    @pytest.mark.parametrize("regressor", ["linear", "ridge", "forest"])
+    @pytest.mark.parametrize("update", ["Price", "Brand"])  # a numeric and a one-hot block
+    def test_any_row_subset_predicts_what_the_full_set_does(self, regressor, update):
+        amazon = make_amazon_syn(150, seed=4)
+        config = EngineConfig(regressor=regressor, n_forest_trees=3, max_tree_depth=3)
+        view = amazon.default_use.build(amazon.database)
+        estimator = PostUpdateEstimator(
+            view=view, view_dag=None, update_attributes=[update],
+            outcome_attributes=["Rtng"], config=config,
+        )
+        n = len(view)
+        rtng = np.asarray(view.column_view("Rtng"), dtype=float)
+        count = estimator.regressor_for("count", lambda: (rtng > 3).astype(float))
+        total = estimator.regressor_for("sum", lambda: rtng)
+        post_values = {
+            "Price": {"Price": 1.3 * np.asarray(view.column_view("Price"), dtype=float)},
+            "Brand": {"Brand": np.array(["Asus"] * n, dtype=object)},
+        }[update]
+        rng = np.random.default_rng(7)
+        subsets = [np.arange(n)] + [
+            np.sort(rng.choice(n, size=size, replace=False)) for size in (1, 2, 17, n // 2, n - 1)
+        ]
+        kernels = RecordingKernelCache()
+        for fitted in (count, total):
+            full = estimator.predict_rows(fitted, view, post_values, subsets[0])
+            for k, idx in enumerate(subsets):
+                fresh = estimator.predict_rows(fitted, view, post_values, idx)
+                assert np.array_equal(fresh, full[idx])
+                for _ in range(2):  # building the cached piece, then reading it
+                    warm = estimator.predict_rows(
+                        fitted, view, post_values, idx, kernels=kernels, idx_token=("rows", k)
+                    )
+                    assert np.array_equal(warm, full[idx])
+            if regressor != "forest":
+                # closeness to the parent: one einsum over the stacked row
+                encoder, model = fitted._encoder, fitted._model
+                columns = {a: view.column_view(a) for a in encoder.attribute_order} | post_values
+                stacked = np.hstack(
+                    [encoder.encoders[a].transform(columns[a]) for a in encoder.attribute_order]
+                )
+                parent = np.einsum("ij,j->i", stacked, model.coefficients) + model.intercept
+                # the same terms summed in another order: a few ulp of the
+                # row's largest term (its value can be smaller: terms cancel)
+                largest = np.maximum(
+                    np.abs(stacked * model.coefficients).max(axis=1), abs(model.intercept)
+                )
+                assert (np.abs(full - parent) <= 4 * np.spacing(largest)).all()
+        kinds = [key[0] for key in kernels.keys]
+        if regressor == "forest":  # blocks per attribute, shared by both regressors
+            assert set(kinds) == {"backdoor_block"}
+            assert len(kernels) == len(subsets) * len(estimator.backdoor_set)
+        else:  # one partial sum per (row set, regressor): the two do not share one
+            assert set(kinds) == {"base"}
+            assert len(kernels) == len(subsets) * 2
+
+    def test_a_linear_plan_caches_no_design_blocks(self, german):
+        config = EngineConfig(regressor="linear")
+        engine = WhatIfEngine(german.database, german.causal_dag, config)
+        view = german.default_use.build(engine.database)
+        kernels = RecordingKernelCache()
+        estimators = {}
+        for i, query in enumerate(variant_queries()):
+            prepared = engine.prepare(query, view=view, kernels=kernels)
+            estimator = estimators.setdefault(
+                i % len(WARM_TEMPLATES), engine.build_estimator(query, prepared)
+            )
+            engine.evaluate(query, prepared=prepared, estimator=estimator)
+        kinds = {key[0] for key in kernels.keys}
+        assert "base" in kinds and "backdoor_block" not in kinds
 
     def test_commit_between_variants_is_not_served_old_rows(self):
         # Two relations, one committed: the service evicts by relation tag and

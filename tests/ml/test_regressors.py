@@ -1,5 +1,7 @@
 """Tests for the linear, tree and forest regressors."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,110 @@ class TestRandomForest:
             forest = RandomForestRegressor(n_estimators=3, max_features=setting, random_state=0)
             forest.fit(x, y)
             assert forest.n_fitted_trees == 3
+
+
+# -- array trees == the node-walking oracle ----------------------------------------------
+
+
+class _Node:
+    """The node of the tree as it was before it became five arrays."""
+
+    def __init__(self, tree, index=0):
+        self.value = float(tree._value[index])
+        self.feature = int(tree._feature[index]) if tree._feature[index] >= 0 else None
+        self.threshold = float(tree._threshold[index])
+        self.left = self.right = None
+        if self.feature is not None:
+            self.left = _Node(tree, int(tree._left[index]))
+            self.right = _Node(tree, int(tree._right[index]))
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def _predict_row(root, row: np.ndarray) -> float:
+    """``DecisionTreeRegressor._predict_row`` of the parent commit, verbatim."""
+    node = root
+    assert node is not None
+    while not node.is_leaf:
+        assert node.left is not None and node.right is not None
+        if row[node.feature] <= node.threshold:
+            node = node.left
+        else:
+            node = node.right
+    return node.value
+
+
+def _oracle_tree_predict(tree, features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=float)
+    if features.ndim == 1:
+        features = features.reshape(-1, 1)
+    root = _Node(tree)
+    return np.array([_predict_row(root, row) for row in features])
+
+
+def _oracle_depth(node) -> int:
+    if node.is_leaf:
+        return 0
+    return 1 + max(_oracle_depth(node.left), _oracle_depth(node.right))
+
+
+def _seeded_case(seed: int):
+    """Training data with a non-constant target and hostile rows to predict at."""
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(30, 200)), int(rng.integers(1, 5))
+    x = rng.normal(size=(n, width)).round(int(rng.integers(0, 3)))  # ties when rounded
+    y = x @ rng.normal(size=width) + np.where(x[:, 0] > 0, 2.0, -1.0) + rng.normal(0, 0.1, n)
+    probe = rng.normal(size=(80, width)) * 2
+    probe[rng.random(probe.shape) < 0.1] = np.nan
+    probe[rng.random(probe.shape) < 0.05] = np.inf
+    probe[rng.random(probe.shape) < 0.05] = -np.inf
+    return x, y, np.vstack([x[:20], probe])
+
+
+class TestArrayTreeEqualsNodeWalk:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_tree_and_forest_predictions(self, seed):
+        x, y, probe = _seeded_case(seed)
+        max_depth = (1, 2, 3, 8)[seed % 4]  # depth-limited and free-growing trees
+        tree = DecisionTreeRegressor(
+            max_depth=max_depth, min_samples_split=4, min_samples_leaf=2,
+            max_features=None if seed % 3 else 1, random_state=seed,
+        ).fit(x, y)
+        assert tree.depth() == _oracle_depth(_Node(tree)) <= max_depth
+        assert tree.depth() >= 1  # the target is not constant: a real descent
+        expected = _oracle_tree_predict(tree, probe)
+        assert np.array_equal(tree.predict(probe), expected)
+        assert np.array_equal(pickle.loads(pickle.dumps(tree)).predict(probe), expected)
+
+        forest = RandomForestRegressor(
+            n_estimators=3, max_depth=max_depth, min_samples_split=4, min_samples_leaf=2,
+            random_state=seed,
+        ).fit(x, y)
+        by_walk = np.zeros(len(probe))
+        for member in forest._trees:
+            by_walk += _oracle_tree_predict(member, probe)
+        assert np.array_equal(forest.predict(probe), by_walk / 3)
+        assert np.array_equal(pickle.loads(pickle.dumps(forest)).predict(probe), by_walk / 3)
+
+    def test_single_leaf_tree(self):
+        x = RNG.uniform(size=(40, 3))
+        tree = DecisionTreeRegressor().fit(x, np.full(40, 2.5))
+        assert len(tree._value) == 1 and tree.depth() == 0
+        probe = np.array([[np.nan, np.inf, -np.inf], [0.0, 0.0, 0.0]])
+        assert tree.predict(probe).tolist() == [2.5, 2.5]
+        assert np.array_equal(tree.predict(probe), _oracle_tree_predict(tree, probe))
+
+    def test_one_dimensional_input(self):
+        x, y = step_data(120)
+        tree = DecisionTreeRegressor(max_depth=3).fit(x[:, 0], y)
+        probe = np.array([0.1, 0.4, np.nan, 0.6, np.inf, -np.inf])
+        assert np.array_equal(tree.predict(probe), _oracle_tree_predict(tree, probe))
+
+    def test_a_pickled_tree_is_its_arrays(self):
+        tree = DecisionTreeRegressor(max_depth=3).fit(*step_data(120))
+        state = pickle.loads(pickle.dumps(tree)).__dict__
+        assert "_root" not in state
+        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+            assert isinstance(state[name], np.ndarray) and len(state[name]) == len(tree._value)

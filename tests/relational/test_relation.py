@@ -136,6 +136,20 @@ class TestTransformations:
         # the original is untouched
         assert "Discount" not in relation.schema
 
+    @pytest.mark.parametrize("backend", ["columnar", "rows"])
+    def test_with_column_overwrite_keeps_the_schema(self, relation, backend):
+        relation = relation.with_backend(backend)
+        for name in ("Price", "Color"):  # a middle column and the last one
+            same = relation.with_column(name, list(relation.column_view(name)))
+            assert same.schema == relation.schema
+            assert same.attribute_names == relation.attribute_names
+            assert same.to_rows() == relation.to_rows()
+        halved = relation.with_column("Price", [v / 2 for v in relation.column_view("Price")])
+        assert halved.attribute_names == relation.attribute_names
+        assert list(halved.column_view("Price")) == [5.0, 10.0, 15.0, 20.0]
+        restored = halved.with_column("Price", list(relation.column_view("Price")))
+        assert restored.schema == relation.schema and restored.to_rows() == relation.to_rows()
+
     def test_with_column_wrong_length(self, relation):
         with pytest.raises(SchemaError):
             relation.with_column("Price", [1.0])

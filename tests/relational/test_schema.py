@@ -86,6 +86,17 @@ class TestRelationSchema:
         replaced = schema.with_attribute(AttributeSpec("Price", NumericDomain(0, 5)))
         assert replaced["Price"].domain.high == 5
 
+    def test_with_attribute_replaces_in_position(self):
+        schema = make_schema()
+        replaced = schema.with_attribute(AttributeSpec("Price", NumericDomain(0, 5)))
+        assert replaced.attribute_names == ("PID", "Price", "Brand")  # not moved to the end
+        assert replaced != schema  # the domain did change
+        # an unchanged spec gives back an equal schema, wherever the attribute sits
+        for name in schema.attribute_names:
+            assert schema.with_attribute(schema[name]) == schema
+        extended = schema.with_attribute(AttributeSpec("New", NumericDomain(0, 1)))
+        assert extended.attribute_names == ("PID", "Price", "Brand", "New")
+
     def test_from_columns_infers_domains(self):
         schema = RelationSchema.from_columns(
             "R", {"K": [1, 2], "V": ["x", "y"]}, key=("K",), immutable=("V",)

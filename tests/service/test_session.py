@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -591,6 +592,35 @@ class TestPlanKernelCache:
         # a literal evicted long ago is rebuilt, not answered from anything stale
         first = sweep_query(dataset, 1.1, 18.0)
         assert answer_fields(service.execute(first)) == answer_fields(cold.what_if(first))
+
+    def test_a_linear_plan_keeps_partial_sums_not_design_blocks(self, dataset, monkeypatch):
+        asked: list = []
+        real_get = columnar.KernelCache.get
+
+        def spy(cache, key, build):
+            asked.append(key[0])
+            return real_get(cache, key, build)
+
+        monkeypatch.setattr(columnar.KernelCache, "get", spy)
+        config = EngineConfig(regressor="linear")
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, config, result_cache_size=0
+        )
+        # the unfused reference is given no kernel cache: same function, kernels=None
+        cold = HypeR(dataset.database, dataset.causal_dag, replace(config, fused_kernels=False))
+        for i in range(6):
+            query = sweep_query(dataset, 1.0 + 0.01 * i, 30.0)
+            assert answer_fields(service.execute(query)) == answer_fields(cold.what_if(query))
+        # an AVG plan, one row set: its count and its sum regressor each keep
+        # their own partial sum, asked for by every variant and built once
+        assert asked.count("base") == 2 * 6 and "backdoor_block" not in asked
+        (kernels,) = service.caches.kernels.values()
+        (estimator,) = service.caches.estimators.values()
+        assert estimator.regressor_cache_stats["fits"] == 2
+        assert estimator._design is None  # dropped by the second variant's cache hit
+        before = len(kernels)
+        service.execute(sweep_query(dataset, 1.5, 30.0))
+        assert len(kernels) == before  # a further variant adds nothing
 
     def test_an_entry_over_budget_is_returned_but_not_kept(self, monkeypatch):
         monkeypatch.setattr(columnar, "_KERNEL_CACHE_BYTES", 64)
