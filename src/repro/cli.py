@@ -125,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sample-size", type=int, default=None)
     serve.add_argument("--regressor", default="forest", choices=["forest", "linear", "ridge"])
     serve.add_argument(
-        "--backend",
-        default=None,
-        choices=["rows", "columnar"],
-        help="relational execution backend (default: columnar, or $REPRO_BACKEND)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=None, help="worker count for POST /batch"
     )
     serve.add_argument(
@@ -420,7 +414,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         variant=args.variant,
         regressor=args.regressor,
         sample_size=args.sample_size,
-        backend=args.backend,
     )
     if args.role == "coordinator":
         address = topology.coordinator
@@ -529,7 +522,6 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
                 variant=args.variant,
                 regressor=args.regressor,
                 sample_size=args.sample_size,
-                backend=args.backend,
             )
             service = HypeRService(
                 dataset.database,

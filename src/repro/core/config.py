@@ -47,28 +47,14 @@ class EngineConfig:
         (the Proposition 1 optimisation).  Turning it off is the ablation run
         by the benchmarks; results are identical, only per-block reporting and
         runtime change.
-    use_support_index:
-        Whether domain iteration uses the zero-support index (Section A.4):
-        only value combinations with non-zero empirical support are
-        enumerated.
     n_forest_trees / max_tree_depth:
         Random-forest capacity (kept modest so pure-Python training stays
         fast).  Ignored by the linear/ridge regressors.
     random_state:
         Seed controlling sampling and estimator randomness (reproducibility).
-    fused_kernels:
-        Route contribution accumulation and per-block reductions through the
-        single-pass fused kernels in :mod:`repro.relational.columnar`
-        (predicate folded into the aggregation traversal, per-plan cached
-        masks and group codes).  ``False`` keeps the original multi-pass
-        pipeline — the parity reference the fused path is tested against;
-        answers are identical either way.
     verify_howto_with_whatif:
         After the how-to IP picks a plan, re-evaluate it with the what-if
         machinery and report the verified value alongside the IP objective.
-    ground_truth_repeats:
-        Number of possible-world simulations averaged by the ground-truth
-        oracle in the accuracy experiments.
     backend:
         Storage/execution backend for the relational layer: ``"columnar"``
         (vectorized kernels over typed ndarray columns — the default),
@@ -82,13 +68,10 @@ class EngineConfig:
     regressor: str = "forest"
     sample_size: int | None = None
     use_blocks: bool = True
-    use_support_index: bool = True
     n_forest_trees: int = 12
     max_tree_depth: int = 6
     random_state: int = 0
-    fused_kernels: bool = True
     verify_howto_with_whatif: bool = True
-    ground_truth_repeats: int = 10
     backend: str | None = None
 
     def __post_init__(self) -> None:

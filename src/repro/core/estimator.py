@@ -253,17 +253,15 @@ class PostUpdateEstimator:
         post_values: Mapping[str, Sequence[Any]],
         *,
         cache_key: Hashable | None = None,
-        kernels: KernelCache | None = None,
-        idx_token: Hashable | None = None,
     ) -> np.ndarray:
         """Predict ``E[target | B = post values, C = observed]`` for masked rows.
 
         ``target`` is the per-row training target computed on the observed
         (pre-update) view; ``post_values`` maps each update attribute to its
         full post-update column.  The returned array has one entry per view row
-        and is only meaningful where ``predict_mask`` is true.  ``kernels`` and
-        ``idx_token`` (naming the masked row set) are those of
-        :meth:`predict_rows`.
+        and is only meaningful where ``predict_mask`` is true.  This is
+        Equation 1 in its public form; the engines go through
+        :meth:`regressor_for` and :meth:`predict_rows` directly.
         """
         target = np.asarray(target, dtype=float)
         predict_mask = np.asarray(predict_mask, dtype=bool)
@@ -278,9 +276,7 @@ class PostUpdateEstimator:
         if not predict_mask.any():
             return out
         idx = np.flatnonzero(predict_mask)
-        out[idx] = self.predict_rows(
-            regressor, self.view, post_values, idx, kernels=kernels, idx_token=idx_token
-        )
+        out[idx] = self.predict_rows(regressor, self.view, post_values, idx)
         return out
 
     def predict_rows(

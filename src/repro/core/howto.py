@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,24 +39,32 @@ from ..optim.solver import BranchAndBoundSolver
 from ..relational.aggregates import get_aggregate
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
-from ..relational.expressions import Expr
-from ..relational.predicates import evaluate_mask, split_pre_post, to_dnf
+from ..relational.predicates import Conjunction, evaluate_mask
 from ..relational.relation import Relation
 from .config import EngineConfig
 from .estimator import PostUpdateEstimator, build_view_dag
 from .queries import HowToQuery, LimitConstraint
 from .results import HowToResult
 from .updates import AttributeUpdate, MultiplyBy, SetTo, UpdateFunction, apply_update_column
-from .whatif import _MAX_DISJUNCTS, numeric_output_column, regressor_cache_key
+from .whatif import (
+    PreparedWhatIf,
+    _derive,
+    causal_contribution_rows,
+    check_attributes,
+    check_update_independence,
+    combine_aggregate,
+    normalise_for_clause,
+    outcome_attributes,
+)
 
 __all__ = [
     "CandidateUpdate",
     "HowToEngine",
     "PreparedHowTo",
     "build_howto_program",
-    "candidate_contribution_rows",
     "candidate_post_values",
-    "combine_candidate_value",
+    "prepare_candidates",
+    "solve_how_to",
 ]
 
 
@@ -80,125 +89,72 @@ class PreparedHowTo:
     preparations of structurally identical queries.
     """
 
-    view: Relation
-    view_dag: CausalDAG | None
-    scope_mask: np.ndarray
+    #: what every candidate what-if of the query shares: view, DAG projection,
+    #: scope, disjuncts, a per-query kernel cache, "no change" post values
+    what_if: PreparedWhatIf
     estimator: PostUpdateEstimator
-    pre_masks: list[np.ndarray]
-    post_masks: list[np.ndarray]
-    output_values: np.ndarray
     aggregate_name: str
-    for_key: Hashable = None
-    #: encoded backdoor blocks of the scope rows, shared by all candidates
-    kernels: KernelCache = field(default_factory=KernelCache)
+
+    @property
+    def view(self) -> Relation:
+        return self.what_if.view
+
+    @property
+    def scope_mask(self) -> np.ndarray:
+        return self.what_if.scope_mask
 
 
 # -- pure evaluation phases ----------------------------------------------------------
 #
-# Like :mod:`repro.core.whatif`, the per-candidate objective estimation is
-# factored into pure functions over prepared state so the shard subsystem can
-# evaluate disjoint row sets in worker processes and merge exactly: fits use
-# full-view targets, predictions are row-stable, and the final fold over a
-# merged full-length array reproduces the unsharded reduction bit for bit.
+# A candidate is evaluated by the what-if engine's own kernel
+# (:func:`repro.core.whatif.causal_contribution_rows`) at the candidate's post
+# values, and folded by the what-if engine's own reduction, so a how-to value
+# equals the answer to ``query.candidate_what_if(...)`` bit for bit — on a
+# shard too, where the same two functions below run over the local view
+# (:mod:`repro.shard.local`).
+
+
+def prepare_candidates(
+    query: HowToQuery,
+    view: Relation,
+    view_dag: CausalDAG | None,
+    disjuncts: Sequence[Conjunction],
+    kernels: KernelCache | None,
+) -> PreparedWhatIf:
+    """The prepared what-if whose update changes nothing, over ``view``.
+
+    Each candidate of ``query`` differs from it in its post values only.
+    """
+    scope_mask = _derive(
+        kernels,
+        ("scope_mask", query.when.canonical()),
+        lambda: evaluate_mask(query.when, view),
+    )
+    return PreparedWhatIf(
+        view=view,
+        view_dag=view_dag,
+        scope_mask=scope_mask,
+        post_values={a: view.column_view(a) for a in query.update_attributes},
+        disjuncts=list(disjuncts),
+        post_attributes=outcome_attributes(query, disjuncts),
+        # a how-to reports no per-block summary
+        block_of_row=np.empty(0, dtype=int),
+        n_blocks=0,
+        for_key=query.for_clause.canonical(),
+        kernels=kernels,
+    )
 
 
 def candidate_post_values(
-    query: HowToQuery,
-    shared: PreparedHowTo,
-    updates: Sequence[AttributeUpdate],
+    shared: PreparedWhatIf, updates: Sequence[AttributeUpdate]
 ) -> dict[str, Sequence[Any]]:
     """Post-update columns for a concrete (possibly empty) update choice."""
-    post_values: dict[str, Sequence[Any]] = {}
-    by_attribute = {u.attribute: u.function for u in updates}
-    for attribute in query.update_attributes:
-        pre = shared.view.column_view(attribute)
-        if attribute in by_attribute:
-            post_values[attribute] = apply_update_column(
-                by_attribute[attribute], pre, shared.scope_mask
-            )
-        else:
-            post_values[attribute] = pre
+    post_values = dict(shared.post_values)
+    for update in updates:
+        post_values[update.attribute] = apply_update_column(
+            update.function, shared.view.column_view(update.attribute), shared.scope_mask
+        )
     return post_values
-
-
-def candidate_contribution_rows(
-    query: HowToQuery,
-    shared: PreparedHowTo,
-    post_values: dict[str, Sequence[Any]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (count, sum) contributions of one candidate update choice.
-
-    Full-view-length arrays; ``sum`` is only populated for sum/avg objectives.
-    """
-    view = shared.view
-    n = len(view)
-    scope = np.asarray(shared.scope_mask, dtype=bool)
-    if not post_values:
-        post_values = candidate_post_values(query, shared, [])
-    count_contrib = np.zeros(n)
-    sum_contrib = np.zeros(n)
-
-    qualifies_pre = np.zeros(n, dtype=bool)
-    for pre_mask, post_mask in zip(shared.pre_masks, shared.post_masks):
-        qualifies_pre |= pre_mask & post_mask
-    unaffected = ~scope
-    count_contrib[unaffected] = qualifies_pre[unaffected].astype(float)
-    sum_contrib[unaffected] = np.where(
-        qualifies_pre[unaffected], shared.output_values[unaffected], 0.0
-    )
-    if scope.any():
-        n_disjuncts = len(shared.pre_masks)
-        subsets = []
-        for size in range(1, n_disjuncts + 1):
-            subsets.extend(itertools.combinations(range(n_disjuncts), size))
-        for subset in subsets:
-            sign = 1.0 if len(subset) % 2 == 1 else -1.0
-            joint_post = np.ones(n, dtype=bool)
-            applicable = scope.copy()
-            for k in subset:
-                joint_post &= shared.post_masks[k]
-                applicable &= shared.pre_masks[k]
-            if not applicable.any():
-                continue
-            # the applicable rows, hence their encoded backdoor covariates,
-            # are the same for every candidate: ``shared.kernels`` keeps them
-            prob = shared.estimator.counterfactual_mean(
-                joint_post.astype(float),
-                applicable,
-                post_values,
-                cache_key=regressor_cache_key("count", subset, shared.for_key),
-                kernels=shared.kernels,
-                idx_token=subset,
-            )
-            prob = np.clip(prob, 0.0, 1.0)
-            count_contrib[applicable] += sign * prob[applicable]
-            if shared.aggregate_name in ("sum", "avg"):
-                expected = shared.estimator.counterfactual_mean(
-                    shared.output_values * joint_post.astype(float),
-                    applicable,
-                    post_values,
-                    cache_key=regressor_cache_key(
-                        "sum", subset, shared.for_key, query.objective_attribute
-                    ),
-                    kernels=shared.kernels,
-                    idx_token=subset,
-                )
-                sum_contrib[applicable] += sign * expected[applicable]
-    return count_contrib, sum_contrib
-
-
-def combine_candidate_value(
-    aggregate_name: str, count_contrib: np.ndarray, sum_contrib: np.ndarray
-) -> float:
-    """Fold per-row candidate contributions into the objective value."""
-    expected_count = float(count_contrib.sum())
-    if aggregate_name == "count":
-        return expected_count
-    if aggregate_name == "sum":
-        return float(sum_contrib.sum())
-    if expected_count <= 0:
-        return 0.0
-    return float(sum_contrib.sum()) / expected_count
 
 
 def build_howto_program(
@@ -232,6 +188,65 @@ def build_howto_program(
     )
     program.set_objective(objective, maximize=query.maximize)
     return program, variable_of
+
+
+def solve_how_to(
+    query: HowToQuery,
+    candidates: Sequence[CandidateUpdate],
+    baseline: float,
+    coefficients: dict[CandidateUpdate, float],
+    *,
+    verify: Callable[[list[CandidateUpdate]], float] | None = None,
+    locked: Sequence[tuple[dict[CandidateUpdate, float], float, float]] = (),
+    metadata: dict[str, Any] | None = None,
+) -> HowToResult:
+    """Build the Section 4.3 program, solve it and report the chosen plan.
+
+    The one solve behind the unsharded engine and the shard merge; they differ
+    in where ``baseline`` / ``coefficients`` come from and in how ``verify``
+    re-evaluates the *combined* chosen candidates (``None`` skips that).
+    ``locked`` fixes earlier objectives of a preferential query — each a
+    ``(coefficients, baseline, attained value)`` — as equality constraints.
+    The caller stamps ``runtime_seconds``.
+    """
+    program, variable_of = build_howto_program(query, candidates, coefficients, baseline)
+    for index, (prior_coefficients, prior_baseline, prior_value) in enumerate(locked):
+        expression = LinearExpression(
+            {
+                variable_of[c]: coeff
+                for c, coeff in prior_coefficients.items()
+                if c in variable_of
+            },
+            prior_baseline,
+        )
+        program.add_constraint(expression, "==", prior_value, name=f"lock-{index}")
+    solution = BranchAndBoundSolver().solve(program)
+    if not solution.is_feasible:
+        raise OptimizationError(
+            "the how-to integer program is infeasible"
+            + (" given the earlier objectives" if locked else "")
+        )
+    chosen = [
+        candidate
+        for candidate, variable in variable_of.items()
+        if solution.assignment.get(variable, 0.0) > 0.5
+    ]
+    per_attribute = {attribute: "no change" for attribute in query.update_attributes}
+    for candidate in chosen:
+        per_attribute[candidate.attribute] = candidate.label
+    return HowToResult(
+        recommended_updates=[c.as_attribute_update() for c in chosen],
+        objective_value=float(solution.objective),
+        baseline_value=baseline,
+        maximize=query.maximize,
+        verified_value=verify(chosen) if verify is not None and chosen else None,
+        per_attribute_choices=per_attribute,
+        n_candidates=len(candidates),
+        n_ip_variables=program.n_variables,
+        n_ip_constraints=program.n_constraints,
+        solver_status=solution.status.value,
+        metadata={**(metadata or {}), "n_nodes_explored": solution.n_nodes_explored},
+    )
 
 
 def _present_values(column: np.ndarray, numeric: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -281,43 +296,20 @@ class HowToEngine:
         shared = prepared if prepared is not None else self.prepare(query)
         if candidates is None:
             candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
-        baseline = self._candidate_value(query, shared, {})
-        coefficients = self._candidate_coefficients(query, shared, candidates, baseline)
-        program, variable_of = self._build_program(query, candidates, coefficients, baseline)
-        solution = BranchAndBoundSolver().solve(program)
-        if not solution.is_feasible:
-            raise OptimizationError("the how-to integer program is infeasible")
-
-        chosen = [
-            candidate
-            for candidate, variable in variable_of.items()
-            if solution.assignment.get(variable, 0.0) > 0.5
-        ]
-        recommended = [c.as_attribute_update() for c in chosen]
-        verified = None
-        if self.config.verify_howto_with_whatif and recommended:
-            post_values = self._post_values_for(query, shared, recommended)
-            verified = self._candidate_value(query, shared, post_values)
-        per_attribute = {attribute: "no change" for attribute in query.update_attributes}
-        for candidate in chosen:
-            per_attribute[candidate.attribute] = candidate.label
-        result = HowToResult(
-            recommended_updates=recommended,
-            objective_value=float(solution.objective),
-            baseline_value=baseline,
-            maximize=query.maximize,
-            verified_value=verified,
-            per_attribute_choices=per_attribute,
-            n_candidates=len(candidates),
-            n_ip_variables=program.n_variables,
-            n_ip_constraints=program.n_constraints,
-            solver_status=solution.status.value,
-            runtime_seconds=time.perf_counter() - started,
-            metadata={
-                "backdoor_set": list(shared.estimator.backdoor_set),
-                "n_nodes_explored": solution.n_nodes_explored,
-            },
+        baseline = self._candidate_value(query, shared, [])
+        result = solve_how_to(
+            query,
+            candidates,
+            baseline,
+            self._candidate_coefficients(query, shared, candidates, baseline),
+            verify=(
+                partial(self._candidate_value, query, shared)
+                if self.config.verify_howto_with_whatif
+                else None
+            ),
+            metadata={"backdoor_set": list(shared.estimator.backdoor_set)},
         )
+        result.runtime_seconds = time.perf_counter() - started
         return result
 
     def evaluate_exhaustive(
@@ -333,7 +325,7 @@ class HowToEngine:
         shared = prepared if prepared is not None else self.prepare(query)
         if candidates is None:
             candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
-        baseline = self._candidate_value(query, shared, {})
+        baseline = self._candidate_value(query, shared, [])
         per_attribute: dict[str, list[CandidateUpdate | None]] = {
             attribute: [None] for attribute in query.update_attributes
         }
@@ -351,9 +343,7 @@ class HowToEngine:
             chosen = [c for c in combo if c is not None]
             if query.max_updates is not None and len(chosen) > query.max_updates:
                 continue
-            updates = [c.as_attribute_update() for c in chosen]
-            post_values = self._post_values_for(query, shared, updates)
-            value = self._candidate_value(query, shared, post_values)
+            value = self._candidate_value(query, shared, chosen)
             n_evaluated += 1
             better = value > best_value if query.maximize else value < best_value
             if better:
@@ -397,48 +387,19 @@ class HowToEngine:
         for stage, query in enumerate(queries):
             started = time.perf_counter()
             stage_shared = shared if stage == 0 else self.prepare(query)
-            baseline = self._candidate_value(query, stage_shared, {})
+            baseline = self._candidate_value(query, stage_shared, [])
             coefficients = self._candidate_coefficients(query, stage_shared, candidates, baseline)
-            program, variable_of = self._build_program(query, candidates, coefficients, baseline)
-            for prior_coefficients, prior_baseline, prior_value in locked:
-                expression = LinearExpression(
-                    {
-                        variable_of[c]: coeff
-                        for c, coeff in prior_coefficients.items()
-                        if c in variable_of
-                    },
-                    prior_baseline,
-                )
-                program.add_constraint(expression, "==", prior_value, name=f"lock-{len(locked)}")
-            solution = BranchAndBoundSolver().solve(program)
-            if not solution.is_feasible:
-                raise OptimizationError(
-                    f"preferential stage {stage} is infeasible given earlier objectives"
-                )
-            chosen = [
-                candidate
-                for candidate, variable in variable_of.items()
-                if solution.assignment.get(variable, 0.0) > 0.5
-            ]
-            per_attribute = {a: "no change" for a in query.update_attributes}
-            for candidate in chosen:
-                per_attribute[candidate.attribute] = candidate.label
-            results.append(
-                HowToResult(
-                    recommended_updates=[c.as_attribute_update() for c in chosen],
-                    objective_value=float(solution.objective),
-                    baseline_value=baseline,
-                    maximize=query.maximize,
-                    per_attribute_choices=per_attribute,
-                    n_candidates=len(candidates),
-                    n_ip_variables=program.n_variables,
-                    n_ip_constraints=program.n_constraints,
-                    solver_status=solution.status.value,
-                    runtime_seconds=time.perf_counter() - started,
-                    metadata={"stage": stage},
-                )
+            result = solve_how_to(
+                query,
+                candidates,
+                baseline,
+                coefficients,
+                locked=locked,
+                metadata={"stage": stage},
             )
-            locked.append((coefficients, baseline, float(solution.objective)))
+            result.runtime_seconds = time.perf_counter() - started
+            results.append(result)
+            locked.append((coefficients, baseline, result.objective_value))
         return results
 
     # -- preparation -----------------------------------------------------------------------
@@ -461,50 +422,21 @@ class HowToEngine:
         """
         if view is None:
             view = query.use.build(self.database)
-        referenced = set(query.update_attributes) | {query.objective_attribute}
-        referenced |= query.when.attribute_names() | query.for_clause.attribute_names()
-        missing = sorted(a for a in referenced if a not in view.schema)
-        if missing:
-            raise QuerySemanticsError(
-                f"attributes {missing} are not columns of the relevant view"
-            )
+        check_attributes(query, view)
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
         # Updated attributes must be causally unrelated when they can be chosen
         # together (Section 4.1); a budget of one update means no two attributes
         # are ever updated simultaneously, so the restriction does not apply.
-        if view_dag is not None and query.max_updates != 1:
-            for a, b in itertools.combinations(query.update_attributes, 2):
-                if a in view_dag and b in view_dag and (
-                    b in view_dag.descendants(a) or a in view_dag.descendants(b)
-                ):
-                    raise QuerySemanticsError(
-                        f"HowToUpdate attributes {a!r} and {b!r} are causally connected"
-                    )
-        scope_mask = evaluate_mask(query.when, view)
-        disjuncts = [split_pre_post(atoms) for atoms in to_dnf(query.for_clause)]
-        if len(disjuncts) > _MAX_DISJUNCTS:
-            raise QuerySemanticsError("the For clause expands into too many disjuncts")
-        for disjunct in disjuncts:
-            if not disjunct.is_separable:
-                raise QuerySemanticsError(
-                    "For conditions mixing Pre and Post in one comparison are not supported"
-                )
+        if query.max_updates != 1:
+            check_update_independence(query, view_dag)
+        disjuncts = normalise_for_clause(query.for_clause)
         if estimator is None:
             estimator = self.build_estimator(query, view=view, view_dag=view_dag)
-        pre_masks = [evaluate_mask(d.pre, view) for d in disjuncts]
-        post_masks = [evaluate_mask(d.post, view) for d in disjuncts]
-        output_values = numeric_output_column(view, query.objective_attribute)
         return PreparedHowTo(
-            view=view,
-            view_dag=view_dag,
-            scope_mask=scope_mask,
+            what_if=prepare_candidates(query, view, view_dag, disjuncts, KernelCache()),
             estimator=estimator,
-            pre_masks=pre_masks,
-            post_masks=post_masks,
-            output_values=output_values,
             aggregate_name=get_aggregate(query.objective_aggregate).name,
-            for_key=query.for_clause.canonical(),
         )
 
     def build_estimator(
@@ -525,15 +457,13 @@ class HowToEngine:
             view = query.use.build(self.database)
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-        disjuncts = [split_pre_post(atoms) for atoms in to_dnf(query.for_clause)]
-        post_attrs = sorted(
-            {query.objective_attribute} | {a for d in disjuncts for a in d.post_attributes}
-        )
         return PostUpdateEstimator(
             view=view,
             view_dag=view_dag,
             update_attributes=list(query.update_attributes),
-            outcome_attributes=post_attrs,
+            outcome_attributes=outcome_attributes(
+                query, normalise_for_clause(query.for_clause)
+            ),
             config=self.config,
             rng=np.random.default_rng(self.config.random_state),
         )
@@ -651,25 +581,23 @@ class HowToEngine:
 
     # -- candidate evaluation -------------------------------------------------------------------
 
-    def _post_values_for(
-        self,
-        query: HowToQuery,
-        shared: PreparedHowTo,
-        updates: Sequence[AttributeUpdate],
-    ) -> dict[str, Sequence[Any]]:
-        return candidate_post_values(query, shared, updates)
-
     def _candidate_value(
         self,
         query: HowToQuery,
         shared: PreparedHowTo,
-        post_values: dict[str, Sequence[Any]],
+        chosen: Sequence[CandidateUpdate],
     ) -> float:
-        """Estimated objective value for a concrete (possibly empty) update choice."""
-        count_contrib, sum_contrib = candidate_contribution_rows(
-            query, shared, post_values
+        """Estimated objective value when ``chosen`` (possibly nothing) is applied:
+        the answer to that candidate what-if query."""
+        count_contrib, sum_contrib = causal_contribution_rows(
+            query,
+            shared.what_if,
+            shared.estimator,
+            candidate_post_values(
+                shared.what_if, [c.as_attribute_update() for c in chosen]
+            ),
         )
-        return combine_candidate_value(shared.aggregate_name, count_contrib, sum_contrib)
+        return combine_aggregate(shared.aggregate_name, count_contrib, sum_contrib)[0]
 
     def _candidate_coefficients(
         self,
@@ -678,22 +606,7 @@ class HowToEngine:
         candidates: Sequence[CandidateUpdate],
         baseline: float,
     ) -> dict[CandidateUpdate, float]:
-        coefficients: dict[CandidateUpdate, float] = {}
-        for candidate in candidates:
-            post_values = self._post_values_for(
-                query, shared, [candidate.as_attribute_update()]
-            )
-            value = self._candidate_value(query, shared, post_values)
-            coefficients[candidate] = value - baseline
-        return coefficients
-
-    # -- IP construction ----------------------------------------------------------------------
-
-    def _build_program(
-        self,
-        query: HowToQuery,
-        candidates: Sequence[CandidateUpdate],
-        coefficients: dict[CandidateUpdate, float],
-        baseline: float,
-    ) -> tuple[IntegerProgram, dict[CandidateUpdate, str]]:
-        return build_howto_program(query, candidates, coefficients, baseline)
+        return {
+            candidate: self._candidate_value(query, shared, [candidate]) - baseline
+            for candidate in candidates
+        }

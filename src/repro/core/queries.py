@@ -174,13 +174,25 @@ class HowToQuery:
     def limits_for(self, attribute: str) -> list[LimitConstraint]:
         return [limit for limit in self.limits if limit.attribute == attribute]
 
+    # Every candidate of this query is a what-if query with this ``Output``
+    # (Definition 7); the engine's validators and its contribution kernel read
+    # either query kind through these two names.
+
+    @property
+    def output_attribute(self) -> str:
+        return self.objective_attribute
+
+    @property
+    def output_aggregate(self) -> str:
+        return self.objective_aggregate
+
     def candidate_what_if(self, updates: Sequence[AttributeUpdate]) -> WhatIfQuery:
         """Build the candidate what-if query for a concrete choice of updates (Def. 7)."""
         return WhatIfQuery(
             use=self.use,
             updates=list(updates),
-            output_attribute=self.objective_attribute,
-            output_aggregate=self.objective_aggregate,
+            output_attribute=self.output_attribute,
+            output_aggregate=self.output_aggregate,
             when=self.when,
             for_clause=self.for_clause,
             name=f"{self.name}-candidate",

@@ -45,7 +45,7 @@ from ..relational.predicates import (
 from ..relational.relation import Relation
 from .config import EngineConfig, Variant
 from .estimator import PostUpdateEstimator, build_view_dag
-from .queries import WhatIfQuery
+from .queries import HowToQuery, WhatIfQuery
 from .results import LazyBlockContributions, WhatIfResult
 
 __all__ = [
@@ -54,9 +54,13 @@ __all__ = [
     "causal_contribution_rows",
     "combine_aggregate",
     "block_contribution_summary",
+    "check_attributes",
+    "check_update_independence",
     "finalize_what_if",
     "indep_contribution_rows",
+    "normalise_for_clause",
     "numeric_output_column",
+    "outcome_attributes",
     "regressor_cache_key",
     "scope_and_post_values",
 ]
@@ -101,6 +105,73 @@ def numeric_output_column(view: Relation, attribute: str) -> np.ndarray:
     return out
 
 
+# -- query validation ----------------------------------------------------------------
+#
+# One set of checks for both query kinds: a how-to query is a search over
+# candidate what-if queries (Definition 7), so whatever makes a what-if
+# ill-formed makes every candidate of the how-to ill-formed, with the same
+# message.  A :class:`HowToQuery` reads here through its ``output_attribute``
+# alias.
+
+
+def check_attributes(query: WhatIfQuery | HowToQuery, view: Relation) -> None:
+    """Every referenced attribute is a view column; updated ones are mutable."""
+    referenced = set(query.update_attributes) | {query.output_attribute}
+    referenced |= query.when.attribute_names() | query.for_clause.attribute_names()
+    missing = sorted(a for a in referenced if a not in view.schema)
+    if missing:
+        raise QuerySemanticsError(
+            f"attributes {missing} are not columns of the relevant view "
+            f"(columns: {list(view.attribute_names)})"
+        )
+    for attribute in query.update_attributes:
+        if not view.schema.is_mutable(attribute):
+            raise QuerySemanticsError(f"cannot update immutable attribute {attribute!r}")
+
+
+def check_update_independence(
+    query: WhatIfQuery | HowToQuery, view_dag: CausalDAG | None
+) -> None:
+    """Multi-attribute updates require causally unrelated attributes (Sec. 3.1)."""
+    if view_dag is None or len(query.update_attributes) < 2:
+        return
+    for a, b in combinations(query.update_attributes, 2):
+        if a not in view_dag or b not in view_dag:
+            continue
+        if b in view_dag.descendants(a) or a in view_dag.descendants(b):
+            raise QuerySemanticsError(
+                f"updated attributes {a!r} and {b!r} are causally connected; "
+                "multi-attribute updates require independent attributes"
+            )
+
+
+def normalise_for_clause(for_clause: Expr) -> list[Conjunction]:
+    """The ``For`` clause as disjuncts of separable pre / post conditions."""
+    disjuncts = [split_pre_post(atoms) for atoms in to_dnf(for_clause)]
+    if len(disjuncts) > _MAX_DISJUNCTS:
+        raise QuerySemanticsError(
+            f"the For clause expands to {len(disjuncts)} disjuncts; "
+            f"at most {_MAX_DISJUNCTS} are supported"
+        )
+    for disjunct in disjuncts:
+        if not disjunct.is_separable:
+            raise QuerySemanticsError(
+                "For conditions mixing Pre and Post values of attributes in a single "
+                "comparison are not supported by the closed-form estimator; "
+                "rewrite them as separate Pre / Post conditions"
+            )
+    return disjuncts
+
+
+def outcome_attributes(
+    query: WhatIfQuery | HowToQuery, disjuncts: Sequence[Conjunction]
+) -> list[str]:
+    """The attributes whose post-update values ``query`` reads (estimator outcomes)."""
+    return sorted(
+        {query.output_attribute} | {a for d in disjuncts for a in d.post_attributes}
+    )
+
+
 @dataclass
 class PreparedWhatIf:
     """Everything derived from a what-if query before estimation starts.
@@ -119,13 +190,11 @@ class PreparedWhatIf:
     block_of_row: np.ndarray
     n_blocks: int
     for_key: Hashable = None
-    # Per-plan fused-kernel state: ``kernels`` caches masks / index sets /
-    # partial predictions across the parameter variants sharing one plan
-    # (injected by the service layer and the shard worker runtime); ``fused``
-    # routes accumulation through the single-pass kernels when the config
-    # enables it.
+    # Masks / index sets / partial predictions shared by the parameter
+    # variants of one plan (injected by the service layer and the shard
+    # worker runtime) or by the candidates of one how-to; ``None`` on the
+    # cold what-if path, which builds each piece per query.
     kernels: KernelCache | None = None
-    fused: bool = False
 
 
 # -- pure evaluation phases ----------------------------------------------------------
@@ -172,9 +241,10 @@ def scope_and_post_values(
 
 
 def causal_contribution_rows(
-    query: WhatIfQuery,
+    query: WhatIfQuery | HowToQuery,
     prepared: PreparedWhatIf,
     estimator: PostUpdateEstimator,
+    post_values: dict[str, Sequence[Any]] | None = None,
     *,
     fit_view: Relation | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +252,13 @@ def causal_contribution_rows(
 
     Returns float arrays aligned with ``prepared.view``.  ``sum`` entries are
     only populated when the query's aggregate needs output values.
+
+    This is the one inclusion–exclusion kernel (Section A.2.3): a what-if
+    evaluates it at ``prepared.post_values``, a how-to once per candidate at
+    that candidate's ``post_values`` (Definition 7: a candidate *is* a what-if
+    query, and every candidate of one how-to shares ``prepared``), a shard at
+    its rows of either (``prepared.view`` the local view, ``fit_view`` the
+    full one).
 
     Everything that does not depend on the update constants — masks, the
     output column, each inclusion–exclusion term's applicable-row index set
@@ -201,6 +278,8 @@ def causal_contribution_rows(
     scope = prepared.scope_mask
     kernels = prepared.kernels
     for_key = prepared.for_key
+    if post_values is None:
+        post_values = prepared.post_values
 
     output_values = _derive(
         kernels,
@@ -227,18 +306,8 @@ def causal_contribution_rows(
     # -- unaffected tuples: post values equal pre values, everything deterministic.
     unaffected = ~scope
     qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre)
-    if prepared.fused:
-        # One where-pass instead of gather / assign round-trips; values are
-        # identical (zeros outside ``unaffected`` either way).
-        count_contrib = np.where(unaffected, qualifies_pre.astype(float), 0.0)
-        sum_contrib = np.where(unaffected & qualifies_pre, output_values, 0.0)
-    else:
-        count_contrib = np.zeros(n)
-        sum_contrib = np.zeros(n)
-        count_contrib[unaffected] = qualifies_pre[unaffected].astype(float)
-        sum_contrib[unaffected] = np.where(
-            qualifies_pre[unaffected], output_values[unaffected], 0.0
-        )
+    count_contrib = np.where(unaffected, qualifies_pre.astype(float), 0.0)
+    sum_contrib = np.where(unaffected & qualifies_pre, output_values, 0.0)
 
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3).
     if scope.any():
@@ -285,7 +354,7 @@ def causal_contribution_rows(
                 lambda s=subset: _target(s, False),
             )
             prob = estimator.predict_rows(
-                regressor, view, prepared.post_values, idx,
+                regressor, view, post_values, idx,
                 kernels=kernels, idx_token=idx_token,
             )
             count_contrib[idx] += sign * np.clip(prob, 0.0, 1.0)
@@ -295,7 +364,7 @@ def causal_contribution_rows(
                     lambda s=subset: _target(s, True),
                 )
                 sum_contrib[idx] += sign * estimator.predict_rows(
-                    regressor, view, prepared.post_values, idx,
+                    regressor, view, post_values, idx,
                     kernels=kernels, idx_token=idx_token,
                 )
         # Per-tuple qualification probabilities live in [0, 1]; clip estimator overshoot.
@@ -304,13 +373,11 @@ def causal_contribution_rows(
 
 
 def indep_contribution_rows(
-    query: WhatIfQuery,
-    prepared: PreparedWhatIf,
+    query: WhatIfQuery, view: Relation, post_values: dict[str, Sequence[Any]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row contributions of the Indep baseline (no causal propagation)."""
-    view = prepared.view
     post_view = view
-    for attribute, values in prepared.post_values.items():
+    for attribute, values in post_values.items():
         post_view = post_view.with_column(attribute, values)
     qualify = evaluate_mask(query.for_clause, view, post_view)
     output_values = numeric_output_column(post_view, query.output_attribute)
@@ -457,17 +524,13 @@ class WhatIfEngine:
         """
         if view is None:
             view = query.use.build(self.database)
-        self._check_attributes(query, view)
+        check_attributes(query, view)
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-        self._check_update_independence(query, view_dag)
+        check_update_independence(query, view_dag)
 
         scope_mask, post_values = scope_and_post_values(query, view, kernels)
-        disjuncts = self._normalise_for_clause(query.for_clause)
-        post_attributes = sorted(
-            {query.output_attribute}
-            | {a for d in disjuncts for a in d.post_attributes}
-        )
+        disjuncts = normalise_for_clause(query.for_clause)
         block_of_row, n_blocks = self._block_assignment(query, view, blocks)
         return PreparedWhatIf(
             view=view,
@@ -475,12 +538,11 @@ class WhatIfEngine:
             scope_mask=scope_mask,
             post_values=post_values,
             disjuncts=disjuncts,
-            post_attributes=post_attributes,
+            post_attributes=outcome_attributes(query, disjuncts),
             block_of_row=block_of_row,
             n_blocks=n_blocks,
             for_key=query.for_clause.canonical(),
             kernels=kernels,
-            fused=self.config.fused_kernels,
         )
 
     def build_estimator(
@@ -509,10 +571,8 @@ class WhatIfEngine:
                 view = query.use.build(self.database)
             if view_dag is None:
                 view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-            disjuncts = self._normalise_for_clause(query.for_clause)
-            post_attributes = sorted(
-                {query.output_attribute}
-                | {a for d in disjuncts for a in d.post_attributes}
+            post_attributes = outcome_attributes(
+                query, normalise_for_clause(query.for_clause)
             )
         return PostUpdateEstimator(
             view=view,
@@ -522,50 +582,6 @@ class WhatIfEngine:
             config=self.config,
             rng=np.random.default_rng(self.config.random_state),
         )
-
-    def _check_attributes(self, query: WhatIfQuery, view: Relation) -> None:
-        referenced = set(query.update_attributes) | {query.output_attribute}
-        referenced |= query.when.attribute_names() | query.for_clause.attribute_names()
-        missing = sorted(a for a in referenced if a not in view.schema)
-        if missing:
-            raise QuerySemanticsError(
-                f"attributes {missing} are not columns of the relevant view "
-                f"(columns: {list(view.attribute_names)})"
-            )
-        for attribute in query.update_attributes:
-            if not view.schema.is_mutable(attribute):
-                raise QuerySemanticsError(f"cannot update immutable attribute {attribute!r}")
-
-    def _check_update_independence(
-        self, query: WhatIfQuery, view_dag: CausalDAG | None
-    ) -> None:
-        """Multi-attribute updates require causally unrelated attributes (Sec. 3.1)."""
-        if view_dag is None or len(query.update_attributes) < 2:
-            return
-        for a, b in combinations(query.update_attributes, 2):
-            if a not in view_dag or b not in view_dag:
-                continue
-            if b in view_dag.descendants(a) or a in view_dag.descendants(b):
-                raise QuerySemanticsError(
-                    f"updated attributes {a!r} and {b!r} are causally connected; "
-                    "multi-attribute updates require independent attributes"
-                )
-
-    def _normalise_for_clause(self, for_clause: Expr) -> list[Conjunction]:
-        disjuncts = [split_pre_post(atoms) for atoms in to_dnf(for_clause)]
-        if len(disjuncts) > _MAX_DISJUNCTS:
-            raise QuerySemanticsError(
-                f"the For clause expands to {len(disjuncts)} disjuncts; "
-                f"at most {_MAX_DISJUNCTS} are supported"
-            )
-        for disjunct in disjuncts:
-            if not disjunct.is_separable:
-                raise QuerySemanticsError(
-                    "For conditions mixing Pre and Post values of attributes in a single "
-                    "comparison are not supported by the closed-form estimator; "
-                    "rewrite them as separate Pre / Post conditions"
-                )
-        return disjuncts
 
     def _block_assignment(
         self,
@@ -617,7 +633,9 @@ class WhatIfEngine:
 
     def _evaluate_indep(self, query: WhatIfQuery, prepared: PreparedWhatIf) -> WhatIfResult:
         """Provenance-style baseline: the update does not propagate to other attributes."""
-        count_contrib, sum_contrib = indep_contribution_rows(query, prepared)
+        count_contrib, sum_contrib = indep_contribution_rows(
+            query, prepared.view, prepared.post_values
+        )
         return finalize_what_if(
             query,
             count_contrib,

@@ -263,7 +263,6 @@ class HypeRService(ServingCounters):
         self._pool_lock = threading.Lock()
         self._pool: "ShardPool | None" = None
         self._pool_generation: int | None = None
-        self._shard_gate_warned = False
         self._started_at = time.time()
         # The serving instruments (and the registry the front doors expose at
         # GET /v1/metrics) come from ServingCounters; the ones below are this
@@ -280,10 +279,6 @@ class HypeRService(ServingCounters):
         self._m_pinned_fallbacks = m.counter(
             "hyper_pinned_fallbacks_total",
             "Queries evaluated in-process because their pinned snapshot was superseded",
-        )
-        self._m_shard_gated = m.counter(
-            "hyper_shard_gated_total",
-            "Pool starts forced to a single worker by the rows backend",
         )
         self._register_collectors()
         # Fold evicted/invalidated estimators' regressor counters into running
@@ -492,15 +487,12 @@ class HypeRService(ServingCounters):
             tags=deps,
         )
 
-    def _plan_kernels(self, state: _EngineState, use: UseSpec) -> KernelCache | None:
+    def _plan_kernels(self, state: _EngineState, use: UseSpec) -> KernelCache:
         """The kernel cache shared by every plan over ``use``'s view.
 
         Keyed and tagged like the view entry, so the arrays it holds always
-        describe the view of the pinned generation and leave with it.  The
-        unfused reference configuration builds every piece per query.
+        describe the view of the pinned generation and leave with it.
         """
-        if not self.config.fused_kernels:
-            return None
         deps = use_relations(use)
         key = ("kernels", state.generation_key(deps), state.dag_identity, use_key(use))
         return self.caches.kernels.get_or_create(key, KernelCache, tags=deps)
@@ -876,7 +868,7 @@ class HypeRService(ServingCounters):
             plan = partition_database(
                 state.database,
                 state.causal_dag,
-                self._effective_shards(state),
+                self.n_shards,
                 blocks=self._blocks(state),
             )
             self._pool = ShardPool(
@@ -884,32 +876,6 @@ class HypeRService(ServingCounters):
             ).start()
             self._pool_generation = state.generation
             return self._pool
-
-    def _effective_shards(self, state: _EngineState) -> int:
-        """Worker count for ``state`` — gated to 1 on the rows backend.
-
-        Process sharding's zero-copy snapshot transport serializes relations
-        through their columnar stores; the rows backend would pay a full
-        row→column conversion per generation per worker and void the
-        transport's savings, so multi-worker plans are downgraded to a single
-        worker (logged once, counted in ``hyper_shard_gated_total``).
-        """
-        if self.n_shards <= 1:
-            return self.n_shards
-        backends = {relation.backend for relation in state.database}
-        if "rows" not in backends:
-            return self.n_shards
-        self._m_shard_gated.inc()
-        if not self._shard_gate_warned:
-            self._shard_gate_warned = True
-            logging.getLogger(__name__).warning(
-                "process sharding across %d workers requires the columnar "
-                "backend; the database uses the rows backend, so the pool is "
-                "gated to a single worker (set EngineConfig(backend="
-                "'columnar') to shard)",
-                self.n_shards,
-            )
-        return 1
 
     def _refresh_pool(
         self,
@@ -944,7 +910,7 @@ class HypeRService(ServingCounters):
                 plan = partition_database(
                     state.database,
                     state.causal_dag,
-                    self._effective_shards(state),
+                    self.n_shards,
                     blocks=self._blocks(state),
                 )
                 pool.apply_update(

@@ -10,7 +10,7 @@ final answer.
 Exactness: the finishers scatter merged per-row contributions back into
 full-view-length arrays by global row position and then run the *same*
 reduction as the unsharded engines (:func:`repro.core.whatif.finalize_what_if`
-/ :func:`repro.core.howto.combine_candidate_value`).  Because scattering
+/ :func:`repro.core.whatif.combine_aggregate`).  Because scattering
 restores the original row order, the floating-point fold is identical
 operation for operation, and the merged answer is bitwise equal to the
 unsharded one — the property ``merge(shards(Q)) == unsharded(Q)`` the shard
@@ -28,16 +28,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.howto import (
-    CandidateUpdate,
-    build_howto_program,
-    combine_candidate_value,
-)
+from ..core.howto import CandidateUpdate, solve_how_to
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import HowToResult, WhatIfResult
-from ..core.whatif import finalize_what_if
+from ..core.whatif import combine_aggregate, finalize_what_if
 from ..exceptions import HypeRError
-from ..optim.solver import BranchAndBoundSolver
 
 __all__ = [
     "HowToShardPartial",
@@ -265,47 +260,27 @@ def solve_merged_how_to(
     through the shard pool.  ``None`` skips verification.
     """
     candidates = merged.candidates
-    baseline = combine_candidate_value(
-        merged.aggregate_name, merged.baseline_count, merged.baseline_sum
-    )
+
+    def value(count: np.ndarray, sum_: np.ndarray) -> float:
+        return combine_aggregate(merged.aggregate_name, count, sum_)[0]
+
+    baseline = value(merged.baseline_count, merged.baseline_sum)
     coefficients = {
-        candidate: combine_candidate_value(
-            merged.aggregate_name, merged.candidate_count[i], merged.candidate_sum[i]
-        )
-        - baseline
+        candidate: value(merged.candidate_count[i], merged.candidate_sum[i]) - baseline
         for i, candidate in enumerate(candidates)
     }
-    program, variable_of = build_howto_program(query, candidates, coefficients, baseline)
-    solution = BranchAndBoundSolver().solve(program)
-    if not solution.is_feasible:
-        raise HypeRError("the how-to integer program is infeasible")
-    chosen_indices = [
-        i
-        for i, candidate in enumerate(candidates)
-        if solution.assignment.get(variable_of[candidate], 0.0) > 0.5
-    ]
-    chosen = [candidates[i] for i in chosen_indices]
-    recommended = [c.as_attribute_update() for c in chosen]
-    verified = None
-    if verify is not None and recommended:
-        count, sum_ = verify(chosen_indices)
-        verified = combine_candidate_value(merged.aggregate_name, count, sum_)
-    per_attribute = {attribute: "no change" for attribute in query.update_attributes}
-    for candidate in chosen:
-        per_attribute[candidate.attribute] = candidate.label
-    metadata = {"n_nodes_explored": solution.n_nodes_explored}
-    metadata.update(merged.meta)
-    return HowToResult(
-        recommended_updates=recommended,
-        objective_value=float(solution.objective),
-        baseline_value=baseline,
-        maximize=query.maximize,
-        verified_value=verified,
-        per_attribute_choices=per_attribute,
-        n_candidates=len(candidates),
-        n_ip_variables=program.n_variables,
-        n_ip_constraints=program.n_constraints,
-        solver_status=solution.status.value,
-        runtime_seconds=runtime_seconds,
-        metadata=metadata,
+    index_of = {candidate: i for i, candidate in enumerate(candidates)}
+    result = solve_how_to(
+        query,
+        candidates,
+        baseline,
+        coefficients,
+        verify=(
+            None
+            if verify is None
+            else lambda chosen: value(*verify([index_of[c] for c in chosen]))
+        ),
+        metadata=merged.meta,
     )
+    result.runtime_seconds = runtime_seconds
+    return result

@@ -41,7 +41,12 @@ from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig, Variant
 from ..core.howto import HowToEngine
 from ..core.queries import HowToQuery, WhatIfQuery
-from ..core.whatif import WhatIfEngine
+from ..core.whatif import (
+    WhatIfEngine,
+    check_attributes,
+    check_update_independence,
+    normalise_for_clause,
+)
 from ..exceptions import HypeRError
 from ..obs import trace as obs_trace
 from ..relational.aggregates import get_aggregate
@@ -378,15 +383,13 @@ class ShardWorkerRuntime:
         fingerprint = self._fingerprint(query)
         view, view_dag = self._view(query)
         # Same validation the unsharded prepare() runs (cheap, schema-level).
-        self.whatif._check_attributes(query, view)
-        self.whatif._check_update_independence(query, view_dag)
-        disjuncts = self.whatif._normalise_for_clause(query.for_clause)
+        check_attributes(query, view)
+        check_update_independence(query, view_dag)
+        disjuncts = normalise_for_clause(query.for_clause)
         local_view = self._local_view(query, view)
-        kernels: KernelCache | None = None
-        if self.config.fused_kernels:
-            kernels = self._kernels.get_or_create(
-                use_key(query.use), KernelCache, tags=use_relations(query.use)
-            )
+        kernels = self._kernels.get_or_create(
+            use_key(query.use), KernelCache, tags=use_relations(query.use)
+        )
         if self.config.ignores_dependencies:
             count, sum_ = local_indep_contributions(query, local_view)
             meta: dict[str, Any] = {
@@ -412,16 +415,13 @@ class ShardWorkerRuntime:
             }
         needs_sum = get_aggregate(query.output_aggregate).needs_output_value
 
-        def _derived(key: Any, build: Callable[[], Any]) -> Any:
-            # Cache hits return the *same* array object for every query of a
-            # plan, so pickle's memo table ships one copy per batch message.
-            return build() if kernels is None else kernels.get(key, build)
-
         partial = WhatIfShardPartial(
             shard_index=self.shard.index,
             n_shards=self.shard.n_shards,
             n_rows=len(view),
-            row_indices=_derived(
+            # Cache hits return the *same* array object for every query of a
+            # plan, so pickle's memo table ships one copy per batch message.
+            row_indices=kernels.get(
                 ("row_indices",), lambda: np.flatnonzero(self._row_mask(query, view))
             ),
             count=count,
@@ -430,7 +430,7 @@ class ShardWorkerRuntime:
         )
         if self.shard.index == 0:
             # Merge carriers: full-view context the finalizer needs exactly once.
-            partial.scope_mask = _derived(
+            partial.scope_mask = kernels.get(
                 ("full_scope_mask", query.when.canonical()),
                 lambda: evaluate_mask(query.when, view),
             )
@@ -464,8 +464,8 @@ class ShardWorkerRuntime:
         The :class:`~repro.shard.local.LocalHowTo` runs every per-candidate
         vectorized step on the local view — ``n / n_shards`` rows, exactly
         like :meth:`what_if_partial` — while regressor fits keep their
-        full-view targets (from the prepared full-view masks), so merged
-        answers stay bitwise equal to the unsharded path.
+        full-view targets (built from the full view on a regressor-cache
+        miss), so merged answers stay bitwise equal to the unsharded path.
         """
         from ..service.fingerprint import use_key
         from .local import LocalHowTo
@@ -473,11 +473,9 @@ class ShardWorkerRuntime:
         shared, candidates, estimator = self._how_to_shared(query)
         own = np.flatnonzero(self._row_mask(query, shared.view))
         local_view = self._local_view(query, shared.view)
-        kernels: KernelCache | None = None
-        if self.config.fused_kernels:
-            kernels = self._kernels.get_or_create(
-                use_key(query.use), KernelCache, tags=use_relations(query.use)
-            )
+        kernels = self._kernels.get_or_create(
+            use_key(query.use), KernelCache, tags=use_relations(query.use)
+        )
         local = LocalHowTo(query, shared, local_view, kernels=kernels)
         return shared, candidates, estimator, own, local
 
@@ -534,15 +532,11 @@ class ShardWorkerRuntime:
 
         fingerprint = self._fingerprint(query)
         view, view_dag = self._view(query)
-        kernels: KernelCache | None = None
-        if self.config.fused_kernels:
-            # Distinct cache from what_if_partial's: that one holds arrays
-            # sized to the shard-local view, this one full-view arrays.
-            kernels = self._kernels.get_or_create(
-                ("full", use_key(query.use)),
-                KernelCache,
-                tags=use_relations(query.use),
-            )
+        # Distinct cache from what_if_partial's: that one holds arrays
+        # sized to the shard-local view, this one full-view arrays.
+        kernels = self._kernels.get_or_create(
+            ("full", use_key(query.use)), KernelCache, tags=use_relations(query.use)
+        )
         prepared = self.whatif.prepare(
             query,
             view=view,

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
-from repro import Database, Relation
+from repro import Database, HypeRService, Relation
 from repro.core import (
     EngineConfig,
     HowToEngine,
     HowToQuery,
     LimitConstraint,
     SetTo,
+    WhatIfEngine,
 )
 from repro.core.howto import CandidateUpdate
-from repro.core.updates import MultiplyBy
+from repro.core.updates import AttributeUpdate, MultiplyBy
+from repro.datasets import make_german_syn, make_student_syn
 from repro.exceptions import OptimizationError, QuerySemanticsError
 from repro.ml.discretize import Discretizer
 from repro.relational import (
+    TRUE,
     CategoricalDomain,
     IntegerDomain,
     NumericDomain,
@@ -24,6 +27,8 @@ from repro.relational import (
     post,
     pre,
 )
+from repro.core.whatif import combine_aggregate
+from repro.shard import ShardPool, merge_how_to, partition_database
 
 from .linear_fixture import make_linear_dataset
 
@@ -427,3 +432,228 @@ class TestValidation:
         )
         with pytest.raises(QuerySemanticsError, match="causally connected"):
             engine.evaluate(query)
+
+
+def _eight_disjuncts():
+    clause = pre("Age") == 0
+    for age in range(1, 8):
+        clause = clause | (pre("Age") == age)
+    return clause
+
+
+#: defect -> (HowToQuery overrides, what the shared validator says)
+ILL_FORMED = {
+    "immutable": (dict(update_attributes=["Age"]), "cannot update immutable attribute 'Age'"),
+    "immutable-categorical": (
+        dict(update_attributes=["Status", "Sex"]),
+        "cannot update immutable attribute 'Sex'",
+    ),
+    "immutable-key": (dict(update_attributes=["ID"]), "cannot update immutable attribute 'ID'"),
+    "unknown": (dict(update_attributes=["Missing"]), "attributes ['Missing'] are not columns"),
+    "connected": (
+        dict(update_attributes=["Status", "Credit"], objective_attribute="CreditAmount"),
+        "updated attributes 'Status' and 'Credit' are causally connected",
+    ),
+    "disjuncts": (dict(for_clause=_eight_disjuncts()), "expands to 8 disjuncts"),
+    "mixed": (
+        dict(for_clause=(pre("CreditAmount") - post("CreditAmount")) < 2),
+        "mixing Pre and Post",
+    ),
+}
+
+
+class TestHowToRejectsWhatWhatIfRejects:
+    @pytest.mark.parametrize("defect", list(ILL_FORMED))
+    def test_both_engines_raise_the_same_error(self, small_german, defect):
+        overrides, message = ILL_FORMED[defect]
+        fields = dict(
+            use=small_german.default_use,
+            update_attributes=["Status"],
+            objective_attribute="Credit",
+        )
+        fields.update(overrides)
+        how_to = HowToQuery(**fields)
+        what_if = how_to.candidate_what_if(
+            [AttributeUpdate(a, SetTo(1)) for a in how_to.update_attributes]
+        )
+        config = EngineConfig(regressor="linear")
+        engines = (
+            (HowToEngine(small_german.database, small_german.causal_dag, config), how_to),
+            (WhatIfEngine(small_german.database, small_german.causal_dag, config), what_if),
+        )
+        raised = []
+        for engine, query in engines:
+            with pytest.raises(QuerySemanticsError) as caught:
+                engine.prepare(query)
+            raised.append(str(caught.value))
+        assert message in raised[0]
+        assert raised[0] == raised[1]
+
+    def test_a_budget_of_one_still_lifts_the_independence_rule(self, small_german):
+        query = HowToQuery(
+            use=small_german.default_use,
+            update_attributes=["Status", "Credit"],
+            objective_attribute="CreditAmount",
+            max_updates=1,
+        )
+        config = EngineConfig(regressor="linear")
+        HowToEngine(small_german.database, small_german.causal_dag, config).prepare(query)
+
+
+# -- Definition 7: a how-to candidate is a what-if query ----------------------------------
+
+
+FOR_SHAPES = {
+    "true": TRUE,
+    "one": post("Credit") == 1,
+    "either": (post("Credit") == 1) | (post("Credit") == 0),
+    "three": (post("Credit") == 1)
+    | ((pre("Age") >= 40) & (post("Credit") == 0))
+    | (pre("Housing") >= 2),
+}
+SHARD_SHAPES = ["true", "either", "three"]
+
+
+@pytest.fixture(scope="module")
+def german():
+    return make_german_syn(4000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def student():
+    return make_student_syn(300, seed=0)
+
+
+def small_config(regressor):
+    return EngineConfig(regressor=regressor, n_forest_trees=3, max_tree_depth=3)
+
+
+def german_how_to(german, attributes, aggregate, shape):
+    return HowToQuery(
+        use=german.default_use,
+        update_attributes=list(attributes),
+        objective_attribute="Credit",
+        objective_aggregate=aggregate,
+        for_clause=FOR_SHAPES[shape],
+        candidate_buckets=3,
+        candidate_multipliers=(1.1,),
+    )
+
+
+def candidate_what_if(query, chosen):
+    """``query``'s candidate what-if for ``chosen``; an attribute left alone is
+    multiplied by one, so the what-if trains on the how-to's features."""
+    function_of = {c.attribute: c.function for c in chosen}
+    return query.candidate_what_if(
+        [
+            AttributeUpdate(a, function_of.get(a, MultiplyBy(1.0)))
+            for a in query.update_attributes
+        ]
+    )
+
+
+class TestCandidateIsAWhatIf:
+    """The how-to engine's value of a candidate is the what-if engine's answer
+    to that candidate what-if query: ``==``, no tolerance."""
+
+    def assert_every_candidate_is_a_what_if(self, dataset, query, config, inject):
+        how_to = HowToEngine(dataset.database, dataset.causal_dag, config)
+        what_if = WhatIfEngine(dataset.database, dataset.causal_dag, config)
+        shared = how_to.prepare(query)
+        candidates = how_to.enumerate_candidates(query, shared.view, shared.scope_mask)
+        result = how_to.evaluate(query, prepared=shared, candidates=candidates)
+        # a forest draws per estimator: the what-if then reads the how-to's own
+        estimator = shared.estimator if inject else None
+
+        def answer(chosen):
+            return what_if.evaluate(
+                candidate_what_if(query, chosen), estimator=estimator
+            ).value
+
+        assert result.baseline_value == answer([])
+        for candidate in candidates:
+            assert how_to._candidate_value(query, shared, [candidate]) == answer([candidate])
+        # combinations: one candidate per attribute, and the plan the IP verified
+        combination = list({c.attribute: c for c in candidates}.values())
+        assert how_to._candidate_value(query, shared, combination) == answer(combination)
+        if result.recommended_updates:
+            chosen = [
+                c for c in candidates if c.as_attribute_update() in result.recommended_updates
+            ]
+            assert result.verified_value == answer(chosen)
+
+    @pytest.mark.parametrize("shape", list(FOR_SHAPES))
+    @pytest.mark.parametrize("aggregate", ["count", "sum", "avg"])
+    @pytest.mark.parametrize("attributes", [("Status",), ("Status", "Savings")])
+    def test_german_linear(self, german, attributes, aggregate, shape):
+        query = german_how_to(german, attributes, aggregate, shape)
+        self.assert_every_candidate_is_a_what_if(
+            german, query, small_config("linear"), inject=False
+        )
+
+    @pytest.mark.parametrize("shape", list(FOR_SHAPES))
+    @pytest.mark.parametrize("aggregate", ["count", "avg"])
+    def test_german_forest(self, german, aggregate, shape):
+        query = german_how_to(german, ("Status", "Savings"), aggregate, shape)
+        self.assert_every_candidate_is_a_what_if(
+            german, query, small_config("forest"), inject=True
+        )
+
+    @pytest.mark.parametrize("regressor", ["linear", "forest"])
+    @pytest.mark.parametrize("aggregate", ["count", "sum", "avg"])
+    @pytest.mark.parametrize("attributes", [("Attendance",), ("Assignment", "Discussion")])
+    def test_student(self, student, attributes, aggregate, regressor):
+        query = HowToQuery(
+            use=student.default_use,
+            update_attributes=list(attributes),
+            objective_attribute="Grade",
+            objective_aggregate=aggregate,
+            for_clause=(post("Grade") >= 60.0) | (pre("Age") >= 21),
+            candidate_buckets=3,
+            candidate_multipliers=(1.1,),
+        )
+        self.assert_every_candidate_is_a_what_if(
+            student, query, small_config(regressor), inject=regressor == "forest"
+        )
+
+    @pytest.mark.parametrize("shape", SHARD_SHAPES)
+    @pytest.mark.parametrize("aggregate", ["count", "avg"])
+    def test_through_the_shard_pool_and_the_service(self, german, aggregate, shape):
+        config = small_config("linear")
+        query = german_how_to(german, ("Status", "Savings"), aggregate, shape)
+        what_if = WhatIfEngine(german.database, german.causal_dag, config)
+        unsharded = HowToEngine(german.database, german.causal_dag, config).evaluate(query)
+
+        def answer(chosen):
+            return what_if.evaluate(candidate_what_if(query, chosen)).value
+
+        plan = partition_database(german.database, german.causal_dag, 3)
+        pool = ShardPool(plan, german.causal_dag, config, inline=True).start()
+        service = HypeRService(german.database, german.causal_dag, config)
+        try:
+            # every candidate, and one combination, through the shard-local call
+            merged = merge_how_to(query, pool._broadcast("howto", query))
+            candidates = merged.candidates
+
+            def fold(count, sum_):
+                return combine_aggregate(merged.aggregate_name, count, sum_)[0]
+
+            assert fold(merged.baseline_count, merged.baseline_sum) == answer([])
+            for i, candidate in enumerate(candidates):
+                assert fold(merged.candidate_count[i], merged.candidate_sum[i]) == answer(
+                    [candidate]
+                )
+            combination = {c.attribute: i for i, c in enumerate(candidates)}.values()
+            count, sum_ = pool._verifier(query, len(merged.baseline_count))(list(combination))
+            assert fold(count, sum_) == answer([candidates[i] for i in combination])
+            # and what the pool and the service report
+            for result in (pool.run_how_to(query), service.execute(query)):
+                assert result.baseline_value == answer([])
+                chosen = [
+                    c for c in candidates if c.as_attribute_update() in result.recommended_updates
+                ]
+                assert result.objective_value == unsharded.objective_value
+                assert result.verified_value == (answer(chosen) if chosen else None)
+        finally:
+            pool.close()
+            service.close()

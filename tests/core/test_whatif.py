@@ -332,17 +332,14 @@ WARM_TEMPLATES = (
 N_VARIANTS = 40
 
 
-def eager_block_summary(aggregate, count, sum_, block_of_row, n_blocks, scope, fused):
+def eager_block_summary(aggregate, count, sum_, block_of_row, n_blocks, scope):
     """The parent commit's eager ``block_contribution_summary``, kept as the oracle."""
     per_row = count if aggregate == "count" else sum_
     totals = np.bincount(block_of_row, weights=per_row, minlength=n_blocks)
     sizes = np.bincount(block_of_row, minlength=n_blocks)
-    if fused:
-        scope_sizes = fused_mask_aggregate(
-            block_of_row, n_blocks, mask=scope, how="count"
-        ).astype(np.int64)
-    else:
-        scope_sizes = np.bincount(block_of_row[scope], minlength=n_blocks)
+    scope_sizes = fused_mask_aggregate(
+        block_of_row, n_blocks, mask=scope, how="count"
+    ).astype(np.int64)
     return [
         BlockContribution(
             int(b), float(totals[b]), int(sizes[b]), int(scope_sizes[b])
@@ -422,21 +419,12 @@ class TestWarmEqualsCold:
             )
             oracle = eager_block_summary(
                 warm.aggregate, count, sum_, cold_prepared.block_of_row,
-                cold_prepared.n_blocks, cold_prepared.scope_mask, config.fused_kernels,
+                cold_prepared.n_blocks, cold_prepared.scope_mask,
             )
             assert list(warm.block_contributions) == oracle
             assert list(cold.block_contributions) == oracle
             assert warm.block_contributions == cold.block_contributions
         assert kernels.hits > kernels.misses  # the variants did share the plan's arrays
-
-    def test_unfused_reference_goes_through_the_same_function(self, german):
-        fused = EngineConfig(regressor="linear")
-        unfused = EngineConfig(regressor="linear", fused_kernels=False)
-        for query in variant_queries()[: 2 * len(WARM_TEMPLATES)]:
-            a = HypeR(german.database, german.causal_dag, fused).what_if(query)
-            b = HypeR(german.database, german.causal_dag, unfused).what_if(query)
-            assert_same_answer(a, b)
-            assert a.block_contributions == b.block_contributions
 
     def test_block_summary_runs_on_first_access_only(self, german, monkeypatch):
         calls = []

@@ -1,13 +1,9 @@
 """Fused single-pass kernels vs the unfused reference: exact parity.
 
-Two layers of evidence back the "bitwise-exact" contract of the fused path:
-
-* property tests drive :func:`fused_mask_aggregate` and friends with random
-  masks, groups and finite values and compare against the materialize-then-
-  aggregate reference with plain ``==`` (no tolerance);
-* engine-level tests answer the same what-if queries with
-  ``EngineConfig(fused_kernels=...)`` toggled, on both relational backends,
-  and require identical answers.
+Property tests drive :func:`fused_mask_aggregate` and friends with random
+masks, groups and finite values and compare against the materialize-then-
+aggregate reference with plain ``==`` (no tolerance); an engine-level test
+requires a repeated what-if to be stable on both relational backends.
 """
 
 from __future__ import annotations
@@ -150,29 +146,11 @@ def queries(dataset, n=4):
 
 class TestEngineParity:
     @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_fused_and_unfused_answers_are_identical(self, dataset, backend):
-        fused = HypeR(
-            dataset.database,
-            dataset.causal_dag,
-            EngineConfig(regressor="linear", backend=backend, fused_kernels=True),
-        )
-        unfused = HypeR(
-            dataset.database,
-            dataset.causal_dag,
-            EngineConfig(regressor="linear", backend=backend, fused_kernels=False),
-        )
-        for query in queries(dataset):
-            a, b = fused.what_if(query), unfused.what_if(query)
-            assert a.value == b.value  # no tolerance: the paths must agree exactly
-            assert a.variant == b.variant
-            assert a.block_contributions == b.block_contributions
-
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
     def test_repeated_fused_queries_are_stable(self, dataset, backend):
         session = HypeR(
             dataset.database,
             dataset.causal_dag,
-            EngineConfig(regressor="linear", backend=backend, fused_kernels=True),
+            EngineConfig(regressor="linear", backend=backend),
         )
         query = queries(dataset, 1)[0]
         assert session.what_if(query).value == session.what_if(query).value

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +18,12 @@ from repro import (
     WhatIfEngine,
     WhatIfQuery,
 )
+from repro.api.core import ErrorEnvelope, envelope_for
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.datasets import make_amazon_syn, make_german_syn
+from repro.exceptions import QuerySemanticsError
 from repro.relational import columnar, post, pre
+from repro.shard import ShardPoolError
 
 
 def suite_20(dataset) -> list[WhatIfQuery]:
@@ -606,8 +608,8 @@ class TestPlanKernelCache:
         service = HypeRService(
             dataset.database, dataset.causal_dag, config, result_cache_size=0
         )
-        # the unfused reference is given no kernel cache: same function, kernels=None
-        cold = HypeR(dataset.database, dataset.causal_dag, replace(config, fused_kernels=False))
+        # the cold reference is given no kernel cache: same function, kernels=None
+        cold = HypeR(dataset.database, dataset.causal_dag, config)
         for i in range(6):
             query = sweep_query(dataset, 1.0 + 0.01 * i, 30.0)
             assert answer_fields(service.execute(query)) == answer_fields(cold.what_if(query))
@@ -674,8 +676,7 @@ class TestPlanKernelCache:
 class TestProcessesExecution:
     @pytest.fixture(scope="class")
     def services(self, dataset):
-        # columnar explicitly: process sharding is gated to it, and these
-        # tests assert multi-worker behaviour regardless of REPRO_BACKEND
+        # columnar explicitly: these tests run the same whatever REPRO_BACKEND says
         config = EngineConfig(regressor="linear", backend="columnar")
         threads = HypeRService(dataset.database, dataset.causal_dag, config)
         processes = HypeRService(
@@ -768,39 +769,39 @@ class TestProcessesExecution:
         with pytest.raises(Exception):
             HypeRService(dataset.database, dataset.causal_dag, execution="fibers")
 
-    def test_rows_backend_gates_sharding_to_one_worker(self, dataset):
+    def test_how_to_over_an_immutable_attribute_fails_as_the_what_if_does(
+        self, services, dataset
+    ):
+        threads, processes = services
+        message = "cannot update immutable attribute 'Age'"
+        how_to = HowToQuery(
+            use=dataset.default_use, update_attributes=["Age"], objective_attribute="Credit"
+        )
+        what_if = how_to.candidate_what_if([AttributeUpdate("Age", SetTo(30))])
+        for query in (what_if, how_to):
+            with pytest.raises(QuerySemanticsError) as caught:
+                threads.execute(query)
+            assert envelope_for(caught.value) == (
+                400, ErrorEnvelope("query_semantics", message)
+            )
+            with pytest.raises(ShardPoolError, match=message):
+                processes.execute(query)
+
+    def test_rows_backend_shards_like_any_other(self, dataset):
         config = EngineConfig(regressor="linear", backend="rows")
         service = HypeRService(
             dataset.database,
             dataset.causal_dag,
             config,
             execution="processes",
-            n_shards=4,
-        )
-        try:
-            query = suite_20(dataset)[0]
-            sharded_value = service.execute(query).value
-            stats = service.stats()
-            assert stats["pool"] is not None
-            assert stats["pool"]["n_shards"] == 1  # gated, not partitioned
-            assert service._m_shard_gated.value >= 1
-            threads = HypeRService(dataset.database, dataset.causal_dag, config)
-            assert sharded_value == threads.execute(query).value
-        finally:
-            service.close()
-
-    def test_columnar_backend_is_not_gated(self, dataset):
-        service = HypeRService(
-            dataset.database,
-            dataset.causal_dag,
-            EngineConfig(regressor="linear", backend="columnar"),
-            execution="processes",
             n_shards=2,
         )
         try:
-            service.start_pool()
-            assert service.stats()["pool"]["n_shards"] == 2
-            assert service._m_shard_gated.value == 0
+            queries = suite_20(dataset)[:3]
+            sharded = [service.execute(query).value for query in queries]
+            assert service.stats()["pool"]["n_shards"] == 2  # the oracle is not gated
+            threads = HypeRService(dataset.database, dataset.causal_dag, config)
+            assert sharded == [threads.execute(query).value for query in queries]
         finally:
             service.close()
 
