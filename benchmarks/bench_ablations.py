@@ -1,4 +1,4 @@
-"""Ablations of HypeR's design choices (called out in DESIGN.md).
+"""Ablations of HypeR's design choices (called out in docs/architecture.md).
 
 1. Block-independent decomposition on/off — the answer must not change; the
    decomposition is bookkeeping plus an optimisation opportunity.

@@ -4,7 +4,9 @@
     HypeR-sampled flattens out once the sample cap is reached.
 (b) How-to: HypeR's IP-based search also grows roughly linearly, while the
     Opt-HowTo baseline (full enumeration of update combinations, each evaluated
-    on the full data) is substantially more expensive at every size.
+    on the full data) is substantially more expensive at every size.  The
+    seconds are printed; what is asserted is the work each method does — full-data
+    evaluations plus search nodes — which no host load can move.
 
 Sizes are scaled down from the paper's 10k–1M sweep (see EXPERIMENTS.md).
 """
@@ -36,20 +38,55 @@ def _whatif_query(dataset):
     )
 
 
-def _howto_query(dataset):
+HOWTO_LIMITS = {
+    "Status": (1.0, 4.0),
+    "Housing": (1.0, 3.0),
+    "Savings": (1.0, 4.0),
+    "CreditHistory": (0.0, 4.0),
+}
+
+
+def _howto_query(dataset, n_attributes=2):
+    attributes = list(HOWTO_LIMITS)[:n_attributes]
     return HowToQuery(
         use=dataset.default_use,
-        update_attributes=["Status", "Housing"],
+        update_attributes=attributes,
         objective_attribute="Credit",
         objective_aggregate="count",
         for_clause=(post("Credit") == 1),
-        limits=[
-            LimitConstraint("Status", lower=1.0, upper=4.0),
-            LimitConstraint("Housing", lower=1.0, upper=3.0),
-        ],
+        limits=[LimitConstraint(a, *HOWTO_LIMITS[a]) for a in attributes],
         candidate_buckets=4,
         candidate_multipliers=(),
     )
+
+
+def _howto_work(engine, query):
+    """Full-data evaluations (plus IP nodes) of the IP search and of Opt-HowTo."""
+    searched = engine.evaluate(query)
+    enumerated = engine.evaluate_exhaustive(query)
+    return (
+        searched.n_candidates + searched.metadata["n_nodes_explored"],
+        enumerated.metadata["n_combinations_evaluated"],
+        searched.runtime_seconds,
+        enumerated.runtime_seconds,
+    )
+
+
+def _seconds_per_query(session, workload):
+    """The fastest of three passes over ``workload``, per query.
+
+    A cold session caches nothing, so passes repeat the same work — except
+    that the first one through a dataset also pays its one-off column-store
+    conversion (and, at the first size, imports): a fixed cost as large as a
+    query at these sizes, which would hide the growth the figure is about.
+    """
+    passes = []
+    for _ in range(3):
+        started = time.perf_counter()
+        for query in workload:
+            session.what_if(query)
+        passes.append((time.perf_counter() - started) / len(workload))
+    return min(passes)
 
 
 def test_fig12a_whatif_runtime_vs_dataset_size(benchmark):
@@ -64,22 +101,9 @@ def test_fig12a_whatif_runtime_vs_dataset_size(benchmark):
         ).what_if_batch(N_WORKLOAD_QUERIES - 1, aggregate="count", with_post_condition=True)
         base = HypeR(dataset.database, dataset.causal_dag, FAST_CONFIG)
 
-        started = time.perf_counter()
-        for query in workload:
-            base.what_if(query)
-        hyper_times.append((time.perf_counter() - started) / len(workload))
-
-        sampled = base.sampled(SAMPLE_CAP)
-        started = time.perf_counter()
-        for query in workload:
-            sampled.what_if(query)
-        sampled_times.append((time.perf_counter() - started) / len(workload))
-
-        indep = base.independent_baseline()
-        started = time.perf_counter()
-        for query in workload:
-            indep.what_if(query)
-        indep_times.append((time.perf_counter() - started) / len(workload))
+        hyper_times.append(_seconds_per_query(base, workload))
+        sampled_times.append(_seconds_per_query(base.sampled(SAMPLE_CAP), workload))
+        indep_times.append(_seconds_per_query(base.independent_baseline(), workload))
 
         rows.append([size, fmt(hyper_times[-1]), fmt(sampled_times[-1]), fmt(indep_times[-1])])
 
@@ -101,34 +125,39 @@ def test_fig12a_whatif_runtime_vs_dataset_size(benchmark):
 
 def test_fig12b_howto_runtime_vs_dataset_size(benchmark):
     rows = []
-    hyper_times, exhaustive_times = [], []
     for size in SIZES:
         dataset = make_german_syn(size, seed=7)
         engine = HowToEngine(dataset.database, dataset.causal_dag, FAST_CONFIG)
-        query = _howto_query(dataset)
-
-        started = time.perf_counter()
-        engine.evaluate(query)
-        hyper_times.append(time.perf_counter() - started)
-
-        started = time.perf_counter()
-        engine.evaluate_exhaustive(query)
-        exhaustive_times.append(time.perf_counter() - started)
-
-        rows.append([size, fmt(hyper_times[-1]), fmt(exhaustive_times[-1])])
+        searched, enumerated, hyper_s, exhaustive_s = _howto_work(
+            engine, _howto_query(dataset)
+        )
+        rows.append([size, fmt(hyper_s), fmt(exhaustive_s), searched, enumerated])
+        # at every size Opt-HowTo evaluates more updates on the full data than
+        # the IP search scores candidates and explores nodes
+        assert enumerated > searched
 
     print_table(
         "Figure 12b (scaled) — how-to runtime vs dataset size (German-Syn)",
-        ["rows", "HypeR s", "Opt-HowTo s"],
+        ["rows", "HypeR s", "Opt-HowTo s", "HypeR evals+nodes", "Opt-HowTo evals"],
         rows,
     )
-    # Opt-HowTo never beats the IP-based search by a meaningful margin, and at the
-    # largest size (where candidate evaluation dominates the fixed IP overhead) it
-    # is the more expensive method — the gap keeps widening with more update
-    # attributes (Figure 11b).
-    assert sum(exhaustive_times) >= sum(hyper_times) * 0.8
-    assert exhaustive_times[-1] >= hyper_times[-1] * 0.9
-    assert hyper_times[-1] > hyper_times[0] * 0.8
+
+    # ... and the gap keeps widening with more update attributes (Figure 11b):
+    # candidates add up, combinations multiply
+    dataset = make_german_syn(SIZES[0], seed=7)
+    engine = HowToEngine(dataset.database, dataset.causal_dag, FAST_CONFIG)
+    work = [
+        _howto_work(engine, _howto_query(dataset, n))[:2]
+        for n in range(1, len(HOWTO_LIMITS) + 1)
+    ]
+    print_table(
+        "Figure 12b (scaled) — work vs number of update attributes",
+        ["attributes", "HypeR evals+nodes", "Opt-HowTo evals"],
+        [[n + 1, *pair] for n, pair in enumerate(work)],
+    )
+    ratios = [enumerated / searched for searched, enumerated in work]
+    assert ratios == sorted(ratios) and len(set(ratios)) == len(ratios)
+    assert ratios[-1] > 10 * ratios[0]
 
     dataset = make_german_syn(SIZES[0], seed=7)
     engine = HowToEngine(dataset.database, dataset.causal_dag, FAST_CONFIG)

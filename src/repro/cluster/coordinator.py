@@ -9,9 +9,11 @@ public v1 API is identical to a single-node deployment.
 
 Every node holds the full snapshot and a whole ``HypeRService``, so a
 **what-if** is *query-scattered*: the coordinator pins its generation ``g``,
-deals the what-ifs of a call round-robin over the healthy nodes — at most one
-sub-batch per node, all legs gathered in one hand-off to the private event
-loop — and each node answers its share on its own service as one
+deals the what-ifs of a call over the healthy nodes by plan
+(:meth:`PlanDealer.deal <repro.service.fingerprint.PlanDealer.deal>`, the
+shard pool's rule: a plan's queries go to the node that has it fitted) — at
+most one sub-batch per node, all legs gathered in one hand-off to the private
+event loop — and each node answers its share on its own service as one
 ``POST /v1/partial`` leg of ``kind="answers"``: one leg and a scalar answer
 per query, no partial arrays, no merge.  A node answers only if it stood at
 ``g`` before and after computing; any node can answer any what-if, so a
@@ -74,6 +76,7 @@ from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..service.backend import ServingCounters
 from ..service.executor import default_max_workers
+from ..service.fingerprint import PlanDealer
 from ..shard.merge import merge_how_to, merge_what_if, solve_merged_how_to
 from . import wire
 from .shardserver import CLUSTER_UPDATE_PATH, PARTIAL_PATH
@@ -175,8 +178,7 @@ class ClusterCoordinator(ServingCounters):
         self.failure_threshold = max(1, failure_threshold)
         self.probe_interval = probe_interval
         self._generation = 0
-        #: where the next what-if is dealt (touched on the loop thread only)
-        self._cursor = 0
+        self._dealer = PlanDealer(self.config)
         self._started_at = time.time()
         self._n_queries = 0
         self._n_batches = 0
@@ -450,37 +452,39 @@ class ClusterCoordinator(ServingCounters):
 
     async def _deal(
         self,
-        texts: list[str],
+        items: Sequence[tuple[WhatIfQuery, str]],
         generation: int,
         deadline: "api.RequestDeadline | None",
     ) -> list[Any]:
-        """Query-scatter: deal ``texts`` round-robin, at most one leg per node.
+        """Query-scatter: deal ``items`` to the healthy nodes by plan, one leg per node.
 
-        Per text: the answering node's ``WhatIfResult``, the error to raise
+        Per item: the answering node's ``WhatIfResult``, the error to raise
         for it, or ``None`` when the node stood at another generation.
         """
-        ring = [node for node in self._nodes if node.healthy] or self._nodes
-        start = self._cursor % len(ring)
-        self._cursor += len(texts)
-        # a leg fails over along the rest of the ring, unhealthy nodes last
-        order = ring[start:] + ring[:start]
-        spare = [node for node in self._nodes if node not in ring]
-        n_legs = min(len(order), len(texts))
+        ring = [node.index for node in self._nodes if node.healthy]
+        ring = ring or [node.index for node in self._nodes]
+        spare = [node for node in self._nodes if node.index not in ring]
+        dealt = self._dealer.deal([parsed for parsed, _text in items], ring)
+        legs = {
+            home: [j for j, node in enumerate(dealt) if node == home]
+            for home in sorted(set(dealt))
+        }
 
-        async def leg(j: int) -> list[Any]:
-            dealt = texts[j::n_legs]
+        async def leg(home: int) -> list[Any]:
+            texts = [items[j][1] for j in legs[home]]
             payload = {
                 "api_version": API_VERSION,
                 "kind": "answers",
-                "queries": dealt,
+                "queries": texts,
                 "generation": generation,
             }
+            # a leg fails over along the rest of the ring, unhealthy nodes last
+            at = ring.index(home)
+            order = [self._nodes[index] for index in ring[at:] + ring[:at]]
             try:
-                body = await self._ask(
-                    order[j:] + order[:j] + spare, PARTIAL_PATH, payload, deadline
-                )
+                body = await self._ask(order + spare, PARTIAL_PATH, payload, deadline)
                 answers = [wire.decode_what_if_answer(a) for a in body["answers"]]
-                if len(answers) != len(dealt):
+                if len(answers) != len(texts):
                     raise ClusterError(f"malformed answers leg: {body!r}")
                 return answers
             except Exception as error:  # noqa: BLE001 - reported per query
@@ -488,11 +492,12 @@ class ClusterCoordinator(ServingCounters):
                     isinstance(error, api.ApiError)
                     and error.envelope.code == "stale_generation"
                 )
-                return [None if ahead else error] * len(dealt)
+                return [None if ahead else error] * len(texts)
 
-        outcomes: list[Any] = [None] * len(texts)
-        for j, answers in enumerate(await _gathered(map(leg, range(n_legs)))):
-            outcomes[j::n_legs] = answers
+        outcomes: list[Any] = [None] * len(items)
+        for positions, answers in zip(legs.values(), await _gathered(map(leg, legs))):
+            for j, answer in zip(positions, answers):
+                outcomes[j] = answer
         return outcomes
 
     def _what_ifs(
@@ -503,9 +508,8 @@ class ClusterCoordinator(ServingCounters):
         """Answer parsed what-ifs at one pinned generation; errors in place."""
         started = time.perf_counter()
         generation = self._generation
-        texts = [text for _parsed, text in items]
-        with obs_trace.span("cluster.scatter", kind="answers", queries=len(texts)):
-            outcomes = self._run(self._deal(texts, generation, deadline))
+        with obs_trace.span("cluster.scatter", kind="answers", queries=len(items)):
+            outcomes = self._run(self._deal(items, generation, deadline))
         for index, (parsed, text) in enumerate(items):
             if outcomes[index] is None:
                 # a node was ahead of ``generation`` (mid-flip): nodes retain

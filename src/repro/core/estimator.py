@@ -34,6 +34,7 @@ from ..causal.dag import CausalDAG
 from ..exceptions import IdentificationError, QuerySemanticsError
 from ..ml.density import ConditionalMeanRegressor
 from ..ml.encoding import FeatureEncoder
+from ..ml.linear import GramFactor
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -145,11 +146,14 @@ class PostUpdateEstimator:
     #: could be reused by a successor while the cache entry is still alive)
     _block_token: object = field(default_factory=object, repr=False, compare=False)
     #: Feature attributes and training rows are fixed at construction, so
-    #: all regressors share one encoder, and those of one burst of cache
-    #: misses one training design: the first cache hit empties the slot (an
-    #: estimator outlives its fits by a generation in the service's caches,
-    #: and the design is rows x features of float64).
+    #: all regressors share one encoder and one solver factor (``p x p``,
+    #: :class:`~repro.ml.linear.GramFactor`; ``None`` for a forest), built with
+    #: the first design and kept for life.  The design itself serves one burst
+    #: of cache misses: the first cache hit empties the slot (an estimator
+    #: outlives its fits by a generation in the service's caches, and the
+    #: design is rows x features of float64).
     _encoder: FeatureEncoder | None = field(default=None, repr=False)
+    _factor: GramFactor | None = field(default=None, repr=False)
     _design: np.ndarray | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
@@ -346,7 +350,7 @@ class PostUpdateEstimator:
         sharing one estimator fit each key exactly once, while fits of
         *different* keys run in parallel (the fit happens outside the lock).
         """
-        if cache_key is None:  # a one-off fit: nothing is kept, the design included
+        if cache_key is None:  # a one-off fit: neither regressor nor design is kept
             return self._fit_fresh(np.asarray(target_factory(), dtype=float), keep_design=False)
         while True:
             with self._fit_lock:
@@ -392,6 +396,12 @@ class PostUpdateEstimator:
     ) -> ConditionalMeanRegressor:
         if len(target) != len(self.view):
             raise QuerySemanticsError("the training target must align with the view rows")
+        regressor = ConditionalMeanRegressor(
+            feature_attributes=self.feature_attributes,
+            regressor_kind=self.config.regressor,
+            random_state=self.config.random_state,
+            regressor_params=self.config.regressor_params(),
+        )
         design = self._design
         if design is None:
             columns = {
@@ -401,14 +411,13 @@ class PostUpdateEstimator:
             if self._encoder is None:
                 self._encoder = FeatureEncoder.fit_columns(columns)
             design = self._encoder.design(columns)
+            if self._factor is None:
+                self._factor = regressor.factorise(design)
             if keep_design:
                 self._design = design
-        regressor = ConditionalMeanRegressor(
-            feature_attributes=self.feature_attributes,
-            regressor_kind=self.config.regressor,
-            random_state=self.config.random_state,
-            regressor_params=self.config.regressor_params(),
-        ).fit_design(self._encoder, design, self._at_training_rows(target))
+        regressor.fit_design(
+            self._encoder, design, self._at_training_rows(target), self._factor
+        )
         with self._fit_lock:
             self._n_regressor_fits += 1
         return regressor

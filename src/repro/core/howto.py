@@ -48,13 +48,12 @@ from .results import HowToResult
 from .updates import AttributeUpdate, MultiplyBy, SetTo, UpdateFunction, apply_update_column
 from .whatif import (
     PreparedWhatIf,
+    WhatIfEngine,
     _derive,
     causal_contribution_rows,
-    check_attributes,
-    check_update_independence,
     combine_aggregate,
-    normalise_for_clause,
     outcome_attributes,
+    validate_query,
 )
 
 __all__ = [
@@ -422,15 +421,9 @@ class HowToEngine:
         """
         if view is None:
             view = query.use.build(self.database)
-        check_attributes(query, view)
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-        # Updated attributes must be causally unrelated when they can be chosen
-        # together (Section 4.1); a budget of one update means no two attributes
-        # are ever updated simultaneously, so the restriction does not apply.
-        if query.max_updates != 1:
-            check_update_independence(query, view_dag)
-        disjuncts = normalise_for_clause(query.for_clause)
+        disjuncts = validate_query(query, view, view_dag)
         if estimator is None:
             estimator = self.build_estimator(query, view=view, view_dag=view_dag)
         return PreparedHowTo(
@@ -448,24 +441,13 @@ class HowToEngine:
     ) -> PostUpdateEstimator:
         """The backdoor-adjusted estimator for ``query`` (reusable across queries).
 
-        Mirrors :meth:`WhatIfEngine.build_estimator`: the estimator depends
-        only on the view, the DAG projection, the update/outcome attributes
-        and the engine config, so the service layer caches it by plan
-        fingerprint — shared with what-if queries of the same structure.
+        The one :meth:`WhatIfEngine.build_estimator` builds for a what-if of
+        the same structure — it depends only on the view, the DAG projection,
+        the update/outcome attributes and the engine config — so the service
+        layer's fingerprint-keyed cache shares it between both query kinds.
         """
-        if view is None:
-            view = query.use.build(self.database)
-        if view_dag is None:
-            view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-        return PostUpdateEstimator(
-            view=view,
-            view_dag=view_dag,
-            update_attributes=list(query.update_attributes),
-            outcome_attributes=outcome_attributes(
-                query, normalise_for_clause(query.for_clause)
-            ),
-            config=self.config,
-            rng=np.random.default_rng(self.config.random_state),
+        return WhatIfEngine(self.database, self.causal_dag, self.config).build_estimator(
+            query, view=view, view_dag=view_dag
         )
 
     # -- candidate enumeration ---------------------------------------------------------------

@@ -54,8 +54,7 @@ __all__ = [
     "causal_contribution_rows",
     "combine_aggregate",
     "block_contribution_summary",
-    "check_attributes",
-    "check_update_independence",
+    "validate_query",
     "finalize_what_if",
     "indep_contribution_rows",
     "normalise_for_clause",
@@ -114,8 +113,15 @@ def numeric_output_column(view: Relation, attribute: str) -> np.ndarray:
 # alias.
 
 
-def check_attributes(query: WhatIfQuery | HowToQuery, view: Relation) -> None:
-    """Every referenced attribute is a view column; updated ones are mutable."""
+def validate_query(
+    query: WhatIfQuery | HowToQuery, view: Relation, view_dag: CausalDAG | None
+) -> list[Conjunction]:
+    """Reject a query the engines cannot answer; its ``For`` disjuncts otherwise.
+
+    The one validator of both engines, both shard paths and the service:
+    schema-level and cheap, so callers that cache estimators run it before
+    they build one and a rejected query leaves nothing behind.
+    """
     referenced = set(query.update_attributes) | {query.output_attribute}
     referenced |= query.when.attribute_names() | query.for_clause.attribute_names()
     missing = sorted(a for a in referenced if a not in view.schema)
@@ -127,22 +133,19 @@ def check_attributes(query: WhatIfQuery | HowToQuery, view: Relation) -> None:
     for attribute in query.update_attributes:
         if not view.schema.is_mutable(attribute):
             raise QuerySemanticsError(f"cannot update immutable attribute {attribute!r}")
-
-
-def check_update_independence(
-    query: WhatIfQuery | HowToQuery, view_dag: CausalDAG | None
-) -> None:
-    """Multi-attribute updates require causally unrelated attributes (Sec. 3.1)."""
-    if view_dag is None or len(query.update_attributes) < 2:
-        return
-    for a, b in combinations(query.update_attributes, 2):
-        if a not in view_dag or b not in view_dag:
-            continue
-        if b in view_dag.descendants(a) or a in view_dag.descendants(b):
-            raise QuerySemanticsError(
-                f"updated attributes {a!r} and {b!r} are causally connected; "
-                "multi-attribute updates require independent attributes"
-            )
+    # Attributes updated together must be causally unrelated (Sections 3.1,
+    # 4.1); a how-to budget of one update never updates two at once.
+    one_at_a_time = isinstance(query, HowToQuery) and query.max_updates == 1
+    if view_dag is not None and not one_at_a_time:
+        for a, b in combinations(query.update_attributes, 2):
+            if a not in view_dag or b not in view_dag:
+                continue
+            if b in view_dag.descendants(a) or a in view_dag.descendants(b):
+                raise QuerySemanticsError(
+                    f"updated attributes {a!r} and {b!r} are causally connected; "
+                    "multi-attribute updates require independent attributes"
+                )
+    return normalise_for_clause(query.for_clause)
 
 
 def normalise_for_clause(for_clause: Expr) -> list[Conjunction]:
@@ -524,13 +527,10 @@ class WhatIfEngine:
         """
         if view is None:
             view = query.use.build(self.database)
-        check_attributes(query, view)
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
-        check_update_independence(query, view_dag)
-
+        disjuncts = validate_query(query, view, view_dag)
         scope_mask, post_values = scope_and_post_values(query, view, kernels)
-        disjuncts = normalise_for_clause(query.for_clause)
         block_of_row, n_blocks = self._block_assignment(query, view, blocks)
         return PreparedWhatIf(
             view=view,

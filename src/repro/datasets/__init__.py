@@ -3,8 +3,8 @@
 Each generator produces a :class:`~repro.datasets.base.SyntheticDataset`
 bundling the relational instance, the causal background knowledge, the
 relevant-view specification and (where applicable) the structural model used as
-ground truth.  See DESIGN.md for the substitution rationale for the paper's
-real datasets.
+ground truth.  See docs/architecture.md (package map, ``repro.datasets``) for how they
+stand in for the paper's real datasets.
 """
 
 from .adult_syn import adult_causal_dag, adult_scm, make_adult_syn

@@ -23,7 +23,7 @@ import numpy as np
 from ..exceptions import EstimationError
 from .encoding import FeatureEncoder
 from .forest import RandomForestRegressor
-from .linear import LinearRegression, RidgeRegression
+from .linear import GramFactor, LinearRegression, RidgeRegression
 
 __all__ = ["FrequencyTable", "ConditionalMeanRegressor", "make_regressor"]
 
@@ -181,14 +181,31 @@ class ConditionalMeanRegressor:
         encoder = FeatureEncoder.fit_columns(feature_columns)
         return self.fit_design(encoder, encoder.design(feature_columns), target)
 
+    def _new_model(self) -> Any:
+        return make_regressor(
+            self.regressor_kind, random_state=self.random_state, **dict(self.regressor_params)
+        )
+
+    def factorise(self, design: np.ndarray) -> GramFactor | None:
+        """The solver state linear / ridge fits over ``design`` share; ``None`` for a forest."""
+        model = self._new_model()
+        if isinstance(model, LinearRegression) and model.fit_intercept:
+            return model.factorise(design)
+        return None
+
     def fit_design(
-        self, encoder: FeatureEncoder, design: np.ndarray, target: Sequence[float]
+        self,
+        encoder: FeatureEncoder,
+        design: np.ndarray,
+        target: Sequence[float],
+        factor: GramFactor | None = None,
     ) -> "ConditionalMeanRegressor":
         """Fit on ``design = encoder.design(training columns)``.
 
         Regressors over the same attributes and training rows (every target
         of one :class:`~repro.core.estimator.PostUpdateEstimator`) share the
-        encoder and the design; only the target differs from fit to fit.
+        encoder, the design and its ``factor`` (:meth:`factorise`); only the
+        target differs from fit to fit.
         """
         target = np.asarray(target, dtype=float)
         self._target_mean = float(target.mean()) if target.size else 0.0
@@ -197,11 +214,9 @@ class ConditionalMeanRegressor:
             self._model = None
             return self
         self._encoder = encoder
-        self._model = make_regressor(
-            self.regressor_kind, random_state=self.random_state, **dict(self.regressor_params)
-        )
+        self._model = self._new_model()
         if isinstance(self._model, LinearRegression) and self._model.fit_intercept:
-            self._model.fit_design(design, target)
+            self._model.fit_design(design, target, factor)
         else:
             self._model.fit(design[:, 1:], target)
         return self

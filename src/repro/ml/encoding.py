@@ -89,6 +89,16 @@ class ColumnEncoder:
         out[valid_rows[known], pos_clipped[known]] = 1.0
         return out
 
+    def transform_into(self, values: Sequence[Any], out: np.ndarray) -> None:
+        """:meth:`transform` written into ``out``, this encoder's columns of a design
+        (a numeric column straight in: one copy, a fill at its null rows)."""
+        column = Column.from_values(values) if self.numeric else None
+        if column is not None and column.is_numeric:
+            np.copyto(out[:, 0], column.data)
+            out[column.null, 0] = self.fill_value
+        else:
+            out[...] = self.transform(values)
+
     def transform_value(self, value: Any) -> np.ndarray:
         return self.transform([value])[0]
 
@@ -154,8 +164,10 @@ class FeatureEncoder:
         out = np.empty((lengths.pop() if lengths else 0, 1 + self.width))
         out[:, 0] = 1.0
         for attr, offset in self.offsets.items():
-            block = self.encoders[attr].transform(columns[attr])
-            out[:, 1 + offset : 1 + offset + block.shape[1]] = block
+            encoder = self.encoders[attr]
+            encoder.transform_into(
+                columns[attr], out[:, 1 + offset : 1 + offset + encoder.width]
+            )
         return out
 
     def transform_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:

@@ -13,7 +13,46 @@ import numpy as np
 
 from ..exceptions import EstimationError
 
-__all__ = ["LinearRegression", "RidgeRegression"]
+__all__ = ["GramFactor", "LinearRegression", "RidgeRegression"]
+
+#: Eigenvalues of the scaled Gram matrix below this fraction of the largest are
+#: cut as rank deficiency: with unit-length columns, collinear directions come
+#: out at rounding level (~1e-16) and the designs' real ones stay above 1e-4.
+_RANK_CUT = 1e-11
+
+
+class GramFactor:
+    """The ``p x p`` matrix that turns ``X.T @ y`` into least-squares coefficients.
+
+    Built once per design ``X``: the Gram matrix ``X.T @ X`` (ridge: ``alpha``
+    on its diagonal) is scaled to a unit diagonal, eigendecomposed and inverted
+    on the eigenvectors above :data:`_RANK_CUT` only — a one-hot block beside
+    the intercept is rank-deficient by construction, so Cholesky would not do.
+    The coefficients are *a* least-squares solution (minimum norm in the scaled
+    coordinates); their predictions are the least-squares predictions.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(
+        self, design: np.ndarray, alpha: float = 0.0, fit_intercept: bool = True
+    ) -> None:
+        gram = design.T @ design
+        if alpha:
+            penalty = np.full(gram.shape[0], float(alpha))
+            if fit_intercept:
+                penalty[0] = 0.0  # do not shrink the intercept
+            gram[np.diag_indices_from(gram)] += penalty
+        scale = np.sqrt(np.diagonal(gram))
+        scale[scale == 0.0] = 1.0
+        unscale = 1.0 / np.outer(scale, scale)
+        values, vectors = np.linalg.eigh(gram * unscale)
+        kept = values > _RANK_CUT * values[-1]
+        vectors = vectors[:, kept]
+        self.matrix = ((vectors / values[kept]) @ vectors.T) * unscale
+
+    def solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self.matrix @ (design.T @ target)
 
 
 @dataclass
@@ -36,11 +75,18 @@ class LinearRegression:
     def fit(self, features: np.ndarray, target: np.ndarray) -> "LinearRegression":
         return self.fit_design(self._design(features), target)
 
-    def fit_design(self, design: np.ndarray, target: np.ndarray) -> "LinearRegression":
+    def factorise(self, design: np.ndarray) -> GramFactor:
+        """The solver state of ``design``, shared by every target fitted on it."""
+        return GramFactor(design)
+
+    def fit_design(
+        self, design: np.ndarray, target: np.ndarray, factor: GramFactor | None = None
+    ) -> "LinearRegression":
         """Fit on the matrix the solver sees: ``features`` behind the ones column.
 
         Callers that fit many targets over the same rows (an estimator's
-        regressors) build that matrix once and pass it to each fit.
+        regressors) build that matrix and its ``factor`` once and pass them to
+        each fit; without a factor the fit builds its own.
         """
         target = np.asarray(target, dtype=float)
         if design.shape[0] != target.shape[0]:
@@ -49,7 +95,9 @@ class LinearRegression:
             )
         if design.shape[0] == 0:
             raise EstimationError("cannot fit a regression on zero rows")
-        solution = self._solve(design, target)
+        if factor is None:
+            factor = self.factorise(design)
+        solution = factor.solve(design, target)
         if self.fit_intercept:
             self.intercept = float(solution[0])
             self.coefficients = solution[1:]
@@ -58,10 +106,6 @@ class LinearRegression:
             self.coefficients = solution
         self._fitted = True
         return self
-
-    def _solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
-        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-        return solution
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if not self._fitted:
@@ -100,11 +144,7 @@ class RidgeRegression(LinearRegression):
 
     alpha: float = 1.0
 
-    def _solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def factorise(self, design: np.ndarray) -> GramFactor:
         if self.alpha < 0:
             raise EstimationError("ridge penalty must be non-negative")
-        penalty = self.alpha * np.eye(design.shape[1])
-        if self.fit_intercept:
-            penalty[0, 0] = 0.0  # do not shrink the intercept
-        gram = design.T @ design + penalty
-        return np.linalg.solve(gram, design.T @ target)
+        return GramFactor(design, self.alpha, self.fit_intercept)

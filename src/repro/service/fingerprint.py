@@ -34,6 +34,9 @@ whose ``==`` is overloaded to build comparison nodes.
 from __future__ import annotations
 
 import hashlib
+import math
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Hashable, Sequence
 
@@ -46,6 +49,7 @@ from ..relational.expressions import LITERAL_SLOT, _key_value
 from ..relational.view import UseSpec
 
 __all__ = [
+    "PlanDealer",
     "PlanFingerprint",
     "config_key",
     "dag_key",
@@ -264,3 +268,72 @@ def fingerprint_query(
     raise QuerySemanticsError(
         f"cannot fingerprint query object of type {type(query).__name__}"
     )
+
+
+#: A plan leaves its home only when the home would carry more than this
+#: multiple of the batch's fair share (consistent hashing with bounded loads).
+_BOUNDED_LOAD = 1.25
+#: Plans a dealer remembers a home for (least recently dealt dropped first):
+#: a few times what the workers' estimator caches hold between them.
+_MAX_HOMES = 256
+
+
+class PlanDealer:
+    """Deals whole queries to workers by plan, so fitted state is reused in place.
+
+    The one dealing rule of the shard pool (worker processes) and the cluster
+    coordinator (nodes); ``docs/service.md``, "Dealing by plan".  Any worker
+    can answer any query; what differs is what it has *fitted*, and a commit
+    throws a plan's estimator away wherever it lives.  So a batch is grouped
+    by :attr:`PlanFingerprint.estimator_key` (at generation 0 with no DAG: a
+    plan keeps its key across commits) and each group goes to the plan's
+    remembered *home*.  A plan seen for the first time, or whose home is not
+    among ``workers`` (an unhealthy node), is homed on the least-loaded worker
+    — fewest queries of this batch, then fewest plans homed, then first in
+    ``workers`` — and stays there.  A group larger than the fair share
+    ``ceil(n / k)`` is cut into chunks of it, the first for the home and the
+    rest for the least-loaded workers, so a one-plan sweep still uses every
+    worker; and a plan leaves home, for good, only when the home would carry
+    more than ``_BOUNDED_LOAD`` times the fair share.  Deterministic for a
+    given sequence of calls, and thread-safe.
+    """
+
+    def __init__(self, config: EngineConfig) -> None:
+        self.config = config
+        self._homes: OrderedDict[Hashable, int] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def deal(
+        self, queries: Sequence[WhatIfQuery | HowToQuery], workers: Sequence[int]
+    ) -> list[int]:
+        """The member of ``workers`` that answers each query, aligned with ``queries``."""
+        groups: dict[Hashable, list[int]] = {}
+        for position, query in enumerate(queries):
+            key = fingerprint_query(query, self.config).estimator_key
+            groups.setdefault(key, []).append(position)
+        fair = max(1, -(-len(queries) // len(workers)))
+        bound = math.ceil(_BOUNDED_LOAD * fair)
+        load = dict.fromkeys(workers, 0)
+        dealt = [workers[0]] * len(queries)
+        with self._lock:
+            homed = Counter(self._homes.values())
+            for key, positions in groups.items():
+                home = self._homes.get(key)
+                for start in range(0, len(positions), fair):
+                    chunk = positions[start : start + fair]
+                    if start == 0 and home in load and load[home] + len(chunk) <= bound:
+                        worker = home
+                    else:
+                        worker = min(workers, key=lambda w: (load[w], homed[w]))
+                        if start == 0:
+                            if home is not None:
+                                homed[home] -= 1
+                            homed[worker] += 1
+                            self._homes[key] = worker
+                    load[worker] += len(chunk)
+                    for position in chunk:
+                        dealt[position] = worker
+                self._homes.move_to_end(key)
+            while len(self._homes) > _MAX_HOMES:
+                self._homes.popitem(last=False)
+        return dealt

@@ -71,7 +71,7 @@ from ..core.estimator import PostUpdateEstimator, build_view_dag
 from ..core.howto import HowToEngine
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import HowToResult, WhatIfResult
-from ..core.whatif import WhatIfEngine
+from ..core.whatif import WhatIfEngine, validate_query
 from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
@@ -530,23 +530,14 @@ class HypeRService(ServingCounters):
         with self._pin_snapshot() as state:
             fingerprint = self._fingerprint(state, parsed)
             view, view_dag = self._plan_view(state, parsed.use)
+            validate_query(parsed, view, view_dag)  # before anything is cached
             deps = use_relations(parsed.use)
             estimator: PostUpdateEstimator | None = None
-            if isinstance(parsed, WhatIfQuery):
-                if not self.config.ignores_dependencies:
-                    estimator = self.caches.estimators.get_or_create(
-                        fingerprint.estimator_key,
-                        lambda: state.whatif.build_estimator(
-                            parsed, view=view, view_dag=view_dag
-                        ),
-                        tags=deps,
-                    )
-            else:
+            engine = state.whatif if isinstance(parsed, WhatIfQuery) else state.howto
+            if engine is state.howto or not self.config.ignores_dependencies:
                 estimator = self.caches.estimators.get_or_create(
                     fingerprint.estimator_key,
-                    lambda: state.howto.build_estimator(
-                        parsed, view=view, view_dag=view_dag
-                    ),
+                    lambda: engine.build_estimator(parsed, view=view, view_dag=view_dag),
                     tags=deps,
                 )
             return PreparedPlan(fingerprint, view, estimator)
@@ -678,6 +669,11 @@ class HypeRService(ServingCounters):
             # answer bitwise-identical — so evaluate here rather than pause or
             # error the reader.
             self._m_pinned_fallbacks.inc()
+        return self._execute_in_process(state, parsed, exhaustive)
+
+    def _execute_in_process(
+        self, state: _EngineState, parsed: Query, exhaustive: bool = False
+    ) -> Result:
         if isinstance(parsed, WhatIfQuery):
             return self._execute_what_if(state, parsed)
         return self._execute_how_to(state, parsed, exhaustive=exhaustive)
@@ -764,14 +760,7 @@ class HypeRService(ServingCounters):
                         fresh = []
                         for _index, query, _key in misses:
                             try:
-                                if isinstance(query, WhatIfQuery):
-                                    fresh.append(self._execute_what_if(state, query))
-                                else:
-                                    fresh.append(
-                                        self._execute_how_to(
-                                            state, query, exhaustive=False
-                                        )
-                                    )
+                                fresh.append(self._execute_in_process(state, query))
                             except Exception as error:  # noqa: BLE001 - per query
                                 fresh.append(error)
                 for (index, _query, key), result in zip(misses, fresh):
@@ -813,6 +802,7 @@ class HypeRService(ServingCounters):
     ) -> HowToResult:
         fingerprint = self._fingerprint(state, query)
         view, view_dag = self._plan_view(state, query.use)
+        validate_query(query, view, view_dag)  # before anything is cached
         deps = use_relations(query.use)
 
         def _fit() -> PostUpdateEstimator:

@@ -33,7 +33,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -41,12 +41,7 @@ from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig, Variant
 from ..core.howto import HowToEngine
 from ..core.queries import HowToQuery, WhatIfQuery
-from ..core.whatif import (
-    WhatIfEngine,
-    check_attributes,
-    check_update_independence,
-    normalise_for_clause,
-)
+from ..core.whatif import WhatIfEngine, validate_query
 from ..exceptions import HypeRError
 from ..obs import trace as obs_trace
 from ..relational.aggregates import get_aggregate
@@ -60,7 +55,13 @@ from ..relational.columnar import (
 from ..relational.database import Database
 from ..relational.predicates import evaluate_mask
 from ..relational.relation import Relation
-from ..service.fingerprint import dag_key, fingerprint_query, use_relations
+from ..service.fingerprint import (
+    PlanDealer,
+    dag_key,
+    fingerprint_query,
+    use_key,
+    use_relations,
+)
 from .merge import (
     HowToShardPartial,
     WhatIfShardPartial,
@@ -143,7 +144,6 @@ class ShardWorkerRuntime:
 
     def _view(self, query: WhatIfQuery | HowToQuery) -> tuple:
         from ..core.estimator import build_view_dag
-        from ..service.fingerprint import use_key
 
         return self._views.get_or_create(
             use_key(query.use),
@@ -154,14 +154,17 @@ class ShardWorkerRuntime:
             tags=use_relations(query.use),
         )
 
-    def _estimator(
-        self, key: Any, build: Callable[[], Any], tags: Sequence[Any] = ()
-    ) -> Any:
-        def counted_build():
-            self.n_estimator_builds += 1
-            return build()
+    def _estimator(self, query: WhatIfQuery | HowToQuery, view, view_dag) -> Any:
+        """The plan's fitted estimator (cached; builds are counted on the worker span)."""
+        engine = self.howto if isinstance(query, HowToQuery) else self.whatif
 
-        return self._estimators.get_or_create(key, counted_build, tags=tags)
+        def build():
+            self.n_estimator_builds += 1
+            return engine.build_estimator(query, view=view, view_dag=view_dag)
+
+        return self._estimators.get_or_create(
+            self._fingerprint(query).estimator_key, build, tags=use_relations(query.use)
+        )
 
     def _row_mask(self, query: WhatIfQuery | HowToQuery, view) -> np.ndarray:
         mask = self.shard.own_rows(query.use.base_relation)
@@ -174,8 +177,6 @@ class ShardWorkerRuntime:
 
     def _local_view(self, query: WhatIfQuery | HowToQuery, view) -> Relation:
         """The full view filtered to this shard's rows (cached per plan)."""
-        from ..service.fingerprint import use_key
-
         return self._local_views.get_or_create(
             use_key(query.use), lambda: view.filter(self._row_mask(query, view))
         )
@@ -188,8 +189,6 @@ class ShardWorkerRuntime:
         Returning the *same* cached array for every query of a plan lets
         pickle's memoizer serialise it once per batch message.
         """
-        from ..service.fingerprint import use_key
-
         return self._block_assignments.get_or_create(
             use_key(query.use),
             lambda: self.whatif._block_assignment(
@@ -377,15 +376,10 @@ class ShardWorkerRuntime:
         touched solely by lazy regressor-fit targets (once per plan) and by
         shard 0's merge carriers (:mod:`repro.shard.local`).
         """
-        from ..service.fingerprint import use_key
         from .local import local_indep_contributions, local_what_if_contributions
 
-        fingerprint = self._fingerprint(query)
         view, view_dag = self._view(query)
-        # Same validation the unsharded prepare() runs (cheap, schema-level).
-        check_attributes(query, view)
-        check_update_independence(query, view_dag)
-        disjuncts = normalise_for_clause(query.for_clause)
+        disjuncts = validate_query(query, view, view_dag)
         local_view = self._local_view(query, view)
         kernels = self._kernels.get_or_create(
             use_key(query.use), KernelCache, tags=use_relations(query.use)
@@ -398,11 +392,7 @@ class ShardWorkerRuntime:
                 "n_disjuncts": len(disjuncts),
             }
         else:
-            estimator = self._estimator(
-                fingerprint.estimator_key,
-                lambda: self.whatif.build_estimator(query, view=view, view_dag=view_dag),
-                tags=use_relations(query.use),
-            )
+            estimator = self._estimator(query, view, view_dag)
             count, sum_ = local_what_if_contributions(
                 query, view, local_view, disjuncts, estimator, kernels=kernels
             )
@@ -438,23 +428,18 @@ class ShardWorkerRuntime:
         return partial
 
     def _how_to_shared(self, query: HowToQuery):
-        fingerprint = self._fingerprint(query)
         view, view_dag = self._view(query)
-        deps = use_relations(query.use)
-        estimator = self._estimator(
-            fingerprint.estimator_key,
-            lambda: self.howto.build_estimator(query, view=view, view_dag=view_dag),
-            tags=deps,
-        )
+        validate_query(query, view, view_dag)  # before anything is cached
+        estimator = self._estimator(query, view, view_dag)
         shared = self.howto.prepare(
             query, view=view, estimator=estimator, view_dag=view_dag
         )
         candidates = self._candidates.get_or_create(
-            ("candidates", fingerprint.query_key),
+            ("candidates", self._fingerprint(query).query_key),
             lambda: self.howto.enumerate_candidates(
                 query, shared.view, shared.scope_mask
             ),
-            tags=deps,
+            tags=use_relations(query.use),
         )
         return shared, candidates, estimator
 
@@ -467,7 +452,6 @@ class ShardWorkerRuntime:
         full-view targets (built from the full view on a regressor-cache
         miss), so merged answers stay bitwise equal to the unsharded path.
         """
-        from ..service.fingerprint import use_key
         from .local import LocalHowTo
 
         shared, candidates, estimator = self._how_to_shared(query)
@@ -528,9 +512,6 @@ class ShardWorkerRuntime:
             if exhaustive:
                 return self.howto.evaluate_exhaustive(query)
             return self.howto.evaluate(query)
-        from ..service.fingerprint import use_key
-
-        fingerprint = self._fingerprint(query)
         view, view_dag = self._view(query)
         # Distinct cache from what_if_partial's: that one holds arrays
         # sized to the shard-local view, this one full-view arrays.
@@ -546,11 +527,7 @@ class ShardWorkerRuntime:
         )
         estimator = None
         if not self.config.ignores_dependencies:
-            estimator = self._estimator(
-                fingerprint.estimator_key,
-                lambda: self.whatif.build_estimator(query, view=view, view_dag=view_dag),
-                tags=use_relations(query.use),
-            )
+            estimator = self._estimator(query, view, view_dag)
         result = self.whatif.evaluate(query, prepared=prepared, estimator=estimator)
         # The answer leaves this runtime as scalars: the per-block summary is
         # an in-process view over per-row arrays (docs/architecture.md), and
@@ -620,9 +597,9 @@ def _describe_error(error: BaseException) -> tuple[str, str, str]:
     return (type(error).__name__, str(error), traceback.format_exc())
 
 
-def _raise_worker_error(shard_index: int, described: tuple[str, str, str]) -> None:
+def _worker_error(shard_index: int, described: tuple[str, str, str]) -> ShardPoolError:
     error_type, message, trace = described
-    raise ShardPoolError(
+    return ShardPoolError(
         f"shard worker {shard_index} failed with {error_type}: {message}\n{trace}"
     )
 
@@ -716,6 +693,7 @@ class ShardPool:
         self._force_inline = bool(inline)
         self._start_method = start_method
         self._io_lock = threading.Lock()
+        self._dealer = PlanDealer(config)
         self._task_counter = 0
         self.n_broadcasts = 0
         self.n_updates = 0
@@ -939,7 +917,7 @@ class ShardPool:
                     except ShardPoolError:
                         raise
                     except Exception as error:  # noqa: BLE001 - uniform report
-                        _raise_worker_error(worker.shard.index, _describe_error(error))
+                        raise _worker_error(worker.shard.index, _describe_error(error))
                 return outs
             self._task_counter += 1
             task_id = self._task_counter
@@ -979,7 +957,7 @@ class ShardPool:
                     sspan.meta["bytes_out"] = bytes_out
                     sspan.meta["bytes_in"] = bytes_in
             if failures:
-                _raise_worker_error(failures[0][0], failures[0][1])
+                raise _worker_error(*failures[0])
             return [by_shard[i] for i in range(self.n_shards)]
 
     def _check_workers_alive(self) -> None:
@@ -1016,7 +994,7 @@ class ShardPool:
                 if received_id != task_id:
                     continue
                 if not ok:
-                    _raise_worker_error(shard, out)
+                    raise _worker_error(shard, out)
                 return out
 
     # -- live updates ------------------------------------------------------------------
@@ -1256,8 +1234,11 @@ class ShardPool:
     ) -> list[Any]:
         """Answer a batch with one scatter round-trip for all what-if work.
 
-        What-if queries are **query-scattered**: whole queries are dealt
-        round-robin across the workers, and each worker answers its share
+        What-if queries are **query-scattered**: whole queries are dealt to
+        the workers by plan (:meth:`PlanDealer.deal
+        <repro.service.fingerprint.PlanDealer.deal>` — a plan's queries go to
+        the worker that has it fitted, so a commit costs one refit per plan,
+        not one per plan and worker), and each worker answers its share
         unsharded from the full zero-copy snapshot it already holds, through
         its warm plan caches (:meth:`ShardWorkerRuntime.run_full`).  One task
         message and one result message per worker cover the whole suite, each
@@ -1288,8 +1269,10 @@ class ShardPool:
                 [] for _ in range(self.n_shards)
             ]
             per_worker_slots: list[list[int]] = [[] for _ in range(self.n_shards)]
-            for position, (index, query) in enumerate(whatif_entries):
-                worker = position % self.n_shards
+            dealt = self._dealer.deal(
+                [query for _index, query in whatif_entries], range(self.n_shards)
+            )
+            for worker, (index, query) in zip(dealt, whatif_entries):
                 per_worker_tasks[worker].append(("full", (query, False)))
                 per_worker_slots[worker].append(index)
             with obs_trace.span(
@@ -1305,13 +1288,7 @@ class ShardPool:
                 )
             for worker_out, slots in zip(per_worker, per_worker_slots):
                 for index, (ok, out) in zip(slots, worker_out):
-                    if ok:
-                        results[index] = out
-                    else:
-                        try:
-                            _raise_worker_error(0, out)
-                        except ShardPoolError as error:
-                            results[index] = error
+                    results[index] = out if ok else _worker_error(0, out)
         if howto_entries:
             subtasks = [("howto", query) for _index, query in howto_entries]
             with obs_trace.span(
@@ -1332,10 +1309,7 @@ class ShardPool:
                     ]
                     failed = next((out for ok, out in shard_outs if not ok), None)
                     if failed is not None:
-                        try:
-                            _raise_worker_error(0, failed)
-                        except ShardPoolError as error:
-                            results[index] = error
+                        results[index] = _worker_error(0, failed)
                         continue
                     partials = [out for _ok, out in shard_outs]
                     try:

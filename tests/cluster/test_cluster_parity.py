@@ -202,15 +202,21 @@ class TestQueryScatter:
             cluster.shards[0].stage(1, assignment)
             cluster.shards[0].flip(1)
             assert cluster.shards[0].service.generation == 1 and coord.generation == 0
-            # one what-if per node of the ring: the one dealt to node 0 is
-            # refused there and row-scattered at generation 0 instead
-            singles = [coord.execute(WHATIF_TEXTS[0]) for _ in cluster.shards]
-            assert [wire_payload(r) for r in singles] == [old[0]] * len(singles)
+            # three plans seen for the first time are homed on nodes 0, 1, 2
+            # in turn: the one at node 0 is refused there and row-scattered
+            # at generation 0 instead, the other two are answered by one leg
+            distinct = [0, 2, 3]
+            singles = [coord.execute(WHATIF_TEXTS[i]) for i in distinct]
+            assert [wire_payload(r) for r in singles] == [old[i] for i in distinct]
             assert cluster_stats(coord)["fallbacks"] == 1
+            # another constant of the first plan goes home to node 0 again,
+            # and is answered at generation 0 by the fallback again
+            assert wire_payload(coord.execute(WHATIF_TEXTS[1])) == old[1]
+            assert cluster_stats(coord)["fallbacks"] == 2
             batch = coord.execute_many(WHATIF_TEXTS)
             assert [wire_payload(r) for r in batch] == old
             stats = cluster_stats(coord)
-            assert stats["fallbacks"] >= 2
+            assert stats["fallbacks"] >= 3
             # being ahead is not a failure: nothing failed over, all healthy
             assert stats["failovers"] == 0 and stats["healthy_nodes"] == 3
             assert [n["failures"] for n in stats["nodes"]] == [0, 0, 0]
@@ -270,21 +276,36 @@ class TestQueryScatter:
                     coord.stats()["n_queries"],
                 )
 
+            legs: list[int] = []  # the node of every answers leg, in arrival order
+            for index, shard in enumerate(cluster.shards):
+                original = shard.partial_payload
+
+                def spy(body, *, deadline=None, _original=original, _index=index):
+                    legs.append(_index)
+                    return _original(body, deadline=deadline)
+
+                shard.partial_payload = spy
+
+            # three plans (texts 0 and 1 share one), homed on nodes 0, 1, 2
             for text in WHATIF_TEXTS:
                 before = counters()
                 coord.execute(text)
                 assert counters() == tuple(n + 1 for n in before)
+            assert legs == [0, 0, 1, 2]
+            # a batch over all three plans: at most one leg per node, one
+            # count per query
+            del legs[:]
             before = counters()
             coord.execute_many(WHATIF_TEXTS * 2)
             scatters, queries, n_queries = counters()
-            assert 1 <= scatters - before[0] <= len(cluster.shards)
+            assert sorted(legs) == [0, 1, 2] and scatters - before[0] == 3
             assert queries - before[1] == n_queries - before[2] == 2 * len(WHATIF_TEXTS)
-            # a smaller batch than the ring sends no empty leg
+            # a smaller batch than the ring sends no empty leg: two plans go
+            # to their two homes, the third node is not asked
+            del legs[:]
             before = counters()
-            coord.execute_many(WHATIF_TEXTS[:2])
-            assert counters()[0] - before[0] == 2
-            # the legs rotate: every node has answered what-ifs by now
-            assert all(shard.service.stats()["n_queries"] > 0 for shard in cluster.shards)
+            coord.execute_many([WHATIF_TEXTS[2], WHATIF_TEXTS[3]])
+            assert sorted(legs) == [1, 2] and counters()[0] - before[0] == 2
             assert cluster_stats(coord)["fallbacks"] == 0
 
     def test_deadline_is_checked_before_the_leg_and_forwarded_on_it(
