@@ -1,23 +1,23 @@
 """Multi-node cluster serving: coordinator + shard-server topology.
 
 One :class:`~repro.cluster.coordinator.ClusterCoordinator` front door accepts
-the unchanged public v1 API and scatter-gathers per-shard partials over HTTP
-from :class:`~repro.cluster.shardserver.ShardServer` nodes, folding them
-through the exact merge protocol of :mod:`repro.shard.merge` — the same
-commutative-monoid contract the in-process shard pool uses, so cluster
-answers are bitwise equal to a single unsharded service.
+the unchanged public v1 API and moves each query — what-if or how-to — whole to
+one :class:`~repro.cluster.shardserver.ShardServer` node over HTTP; every node
+holds the full snapshot and answers on its own service, so cluster answers
+are the single unsharded service's, bit for bit.
 
 * :mod:`repro.cluster.topology` — the JSON cluster config (node addresses,
   shard count) both roles load via ``repro serve --cluster-config``;
 * :mod:`repro.cluster.placement` — deterministic shard→node replica sets
   (block→shard placement itself comes from the shared
   :func:`~repro.shard.partition.partition_database`);
-* :mod:`repro.cluster.wire` — bit-exact JSON encodings of the shard partials
+* :mod:`repro.cluster.wire` — bit-exact JSON encodings of the scalar answers
   crossing the ``/v1/partial`` internal endpoint;
 * :mod:`repro.cluster.shardserver` — a shard node: the existing asyncio
   front door plus ``/v1/partial`` and the two-phase ``/v1/cluster/update``;
-* :mod:`repro.cluster.coordinator` — the scatter-gather front door with
-  replica failover, node health tracking and update fan-out.
+* :mod:`repro.cluster.coordinator` — the front door: plan-affine dealing of
+  answers legs, failover along the ring, node health tracking and the update
+  fan-out.
 """
 
 from .coordinator import ClusterCoordinator, ClusterError

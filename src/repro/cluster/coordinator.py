@@ -7,30 +7,26 @@
 (:mod:`repro.service.server`, :mod:`repro.aserve`) mount it unchanged and the
 public v1 API is identical to a single-node deployment.
 
-Every node holds the full snapshot and a whole ``HypeRService``, so a
-**what-if** is *query-scattered*: the coordinator pins its generation ``g``,
-deals the what-ifs of a call over the healthy nodes by plan
+Every node holds the full snapshot and a whole ``HypeRService``, so a query —
+**what-if or how-to** (Definition 7: a how-to's candidates are what-ifs) — is
+*query-scattered*: the coordinator pins its generation ``g``, deals the
+queries of a call over the healthy nodes by plan
 (:meth:`PlanDealer.deal <repro.service.fingerprint.PlanDealer.deal>`, the
 shard pool's rule: a plan's queries go to the node that has it fitted) — at
 most one sub-batch per node, all legs gathered in one hand-off to the private
-event loop — and each node answers its share on its own service as one
-``POST /v1/partial`` leg of ``kind="answers"``: one leg and a scalar answer
-per query, no partial arrays, no merge.  A node answers only if it stood at
-``g`` before and after computing; any node can answer any what-if, so a
-transport failure or 429 re-deals the sub-batch to the next node.  A node
-that is ahead (mid-flip, ``409 stale_generation``) is not a failure: those
-queries fall back to the exact row-scatter below at the pinned ``g``, so
-every answer is computed at exactly one coordinator generation.
+event loop — and each node answers its share as one ``POST /v1/partial`` leg
+of ``kind="answers"``: one leg and a scalar answer per query (a how-to's
+carries the updates it chose), no partial arrays, no merge, nothing solved
+here.  Any node can answer any query, so a transport failure or 429 re-deals
+the sub-batch to the next node along the ring.
 
-A **how-to** is *row-scattered*: one ``POST /v1/partial`` to a replica of
-every shard (concurrently), the bit-exact wire partials decoded and folded
-through the *same* merge protocol the in-process shard pool uses
-(:mod:`repro.shard.merge`), then the integer program solved here — bitwise
-equal to the unsharded service's.  Because every replica of a shard
-materialises the identical slice of the deterministic partition, failover is
-exact too: a per-node timeout/connection failure (or a ``409
-stale_generation``) simply retries the next replica of that shard, and the
-merged answer cannot change.
+One flip-window rule: a leg names ``g`` and the node answers *at* ``g`` — from
+its own service when that stood at ``g`` before and after computing,
+otherwise (the node is mid-flip, ahead of the coordinator) from the runtime it
+retains for ``g``, which the leg's body reports and ``fallbacks`` counts.
+Only a node that no longer retains ``g`` answers ``409 stale_generation``,
+and the leg moves on to the next node.  Every answer is therefore computed at
+exactly one coordinator generation.
 
 Health: ``failure_threshold`` consecutive failures mark a node unhealthy
 (skipped by first choice); a background probe re-admits it only once its
@@ -40,8 +36,8 @@ missed an update fan-out can never serve stale answers.
 Updates run two-phase under the commit lock: ``stage`` the next generation's
 runtime on every healthy node (queries keep flowing against the current
 generation), then ``flip`` everywhere; nodes retain the previous generation's
-runtime so row-scatters racing the flip still finish exactly (the cluster
-analogue of the MVCC ``pinned_fallbacks``).
+runtime so legs racing the flip still finish exactly (the cluster analogue of
+the MVCC ``pinned_fallbacks``).
 
 Server-side deadlines decrement across hops: the coordinator advertises
 ``accepts_deadline`` and forwards each request's remaining budget as the
@@ -51,13 +47,10 @@ Server-side deadlines decrement across hops: the coordinator advertises
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from concurrent.futures import Future
 from typing import Any, Sequence
-
-import numpy as np
 
 from ..api import endpoints as api
 from ..api.aclient import AsyncHypeRClient
@@ -75,14 +68,12 @@ from ..lang.parser import parse_query
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..service.backend import ServingCounters
-from ..service.executor import default_max_workers
 from ..service.fingerprint import PlanDealer
-from ..shard.merge import merge_how_to, merge_what_if, solve_merged_how_to
 from . import wire
 from .shardserver import CLUSTER_UPDATE_PATH, PARTIAL_PATH
 from .topology import ClusterTopology
 
-__all__ = ["ClusterCoordinator", "ClusterError", "ProxyAnswer"]
+__all__ = ["ClusterCoordinator", "ClusterError"]
 
 Query = WhatIfQuery | HowToQuery
 
@@ -93,29 +84,7 @@ async def _gathered(coros: Any) -> list[Any]:
 
 
 class ClusterError(HypeRError):
-    """A cluster-level serving failure (no replica of a shard could answer)."""
-
-
-class ProxyAnswer:
-    """An answer proxied verbatim from one node's public ``/v1/query``.
-
-    Used for exhaustive how-to, which the cluster (like the in-process pool)
-    runs unsharded on a single node — every node holds the full snapshot.
-    ``payload()`` returns the node's v1 wire payload unchanged, so the
-    coordinator's front door serves exactly what the node computed.
-    """
-
-    __slots__ = ("_payload", "runtime_seconds")
-
-    def __init__(self, payload: dict[str, Any], runtime_seconds: float = 0.0) -> None:
-        self._payload = payload
-        self.runtime_seconds = runtime_seconds
-
-    def payload(self) -> dict[str, Any]:
-        return self._payload
-
-    def summary(self) -> str:
-        return json.dumps(self._payload, default=str)[:200]
+    """A cluster-level serving failure (no node could answer a leg)."""
 
 
 class _NodeState:
@@ -140,9 +109,8 @@ class ClusterCoordinator(ServingCounters):
     topology:
         Node addresses and shard count (see :mod:`repro.cluster.topology`).
     config:
-        The :class:`EngineConfig` shared with the shard nodes — only
-        coordinator-relevant knobs are read here (``verify_howto_with_whatif``
-        gates the second verification scatter).
+        The :class:`EngineConfig` shared with the shard nodes; the
+        coordinator reads it only to fingerprint plans for dealing.
     timeout:
         Per-node socket/IO timeout, seconds.
     failure_threshold:
@@ -172,7 +140,6 @@ class ClusterCoordinator(ServingCounters):
         self.topology = topology
         self.config = config if config is not None else EngineConfig()
         self.n_shards = topology.n_shards
-        self.placement = topology.placement
         self.max_workers = max_workers
         self.timeout = timeout
         self.failure_threshold = max(1, failure_threshold)
@@ -209,7 +176,7 @@ class ClusterCoordinator(ServingCounters):
         )
         m = self.metrics
         self._m_scatters = m.counter(
-            "hyper_cluster_scatters_total", "Node legs issued (answers, partials, proxies)"
+            "hyper_cluster_scatters_total", "Node legs issued (answers, prepares)"
         )
         self._m_failovers = m.counter(
             "hyper_cluster_failovers_total",
@@ -217,7 +184,7 @@ class ClusterCoordinator(ServingCounters):
         )
         self._m_fallbacks = m.counter(
             "hyper_cluster_fallbacks_total",
-            "What-ifs row-scattered because a node was ahead of the pinned generation",
+            "Queries a node answered from a retained generation, being ahead of the pinned one",
         )
         self._m_node_failures = m.counter(
             "hyper_cluster_node_failures_total",
@@ -351,11 +318,6 @@ class ClusterCoordinator(ServingCounters):
                 if int(body.get("generation", -1)) == self._generation:
                     self._record_success(node)
 
-    @staticmethod
-    def _healthy_first(nodes: Sequence[_NodeState]) -> list[_NodeState]:
-        """Healthy nodes first (topology order), unhealthy as last resort."""
-        return [n for n in nodes if n.healthy] + [n for n in nodes if not n.healthy]
-
     # -- scatter-gather ----------------------------------------------------------------
 
     @staticmethod
@@ -370,16 +332,14 @@ class ClusterCoordinator(ServingCounters):
         path: str,
         payload: dict[str, Any],
         deadline: "api.RequestDeadline | None",
-        *,
-        retry_stale: bool = False,
     ) -> dict[str, Any]:
         """``POST payload`` to the first of ``nodes`` that answers it.
 
         A transport failure or 429 is that node's failure and the call moves
         on to the next node (a failover); so does a ``409 stale_generation``
-        with ``retry_stale`` — another replica may still retain the
-        generation.  Any other error status is the node's deterministic
-        answer (every node would give the same) and is re-raised verbatim.
+        — another node may still retain the generation.  Any other error
+        status is the node's deterministic answer (every node would give the
+        same) and is re-raised verbatim.
         """
         last_error: Exception | None = None
         for attempt, node in enumerate(nodes):
@@ -407,7 +367,7 @@ class ClusterCoordinator(ServingCounters):
                 last_error = error
                 continue
             except ApiStatusError as error:
-                if retry_stale and error.code == "stale_generation":
+                if error.code == "stale_generation":
                     self._record_failure(node)
                     last_error = error
                     continue
@@ -419,47 +379,16 @@ class ClusterCoordinator(ServingCounters):
             f"{path}: {last_error}"
         )
 
-    def _scatter(
-        self,
-        kind: str,
-        text: str,
-        generation: int,
-        deadline: "api.RequestDeadline | None",
-        chosen: list[int] | None = None,
-    ) -> list[dict[str, Any]]:
-        """Row-scatter: one partial of ``text`` from a replica of every shard."""
-
-        async def leg(shard: int) -> dict[str, Any]:
-            payload: dict[str, Any] = {
-                "api_version": API_VERSION,
-                "kind": kind,
-                "query": text,
-                "generation": generation,
-            }
-            if chosen is not None:
-                payload["chosen"] = chosen
-            replicas = [self._nodes[j] for j in self.placement.replicas_of(shard)]
-            body = await self._ask(
-                self._healthy_first(replicas), PARTIAL_PATH, payload, deadline,
-                retry_stale=True,
-            )
-            if not isinstance(body.get("partial"), dict):
-                raise ClusterError(f"shard {shard} answered a malformed partial: {body!r}")
-            return body["partial"]
-
-        with obs_trace.span("cluster.scatter", kind=kind, shards=self.n_shards):
-            return self._run(_gathered(map(leg, range(self.n_shards))))
-
     async def _deal(
         self,
-        items: Sequence[tuple[WhatIfQuery, str]],
+        items: Sequence[tuple[Query, str]],
         generation: int,
         deadline: "api.RequestDeadline | None",
+        exhaustive: bool,
     ) -> list[Any]:
         """Query-scatter: deal ``items`` to the healthy nodes by plan, one leg per node.
 
-        Per item: the answering node's ``WhatIfResult``, the error to raise
-        for it, or ``None`` when the node stood at another generation.
+        Per item the answering node's result, or the error to raise for it.
         """
         ring = [node.index for node in self._nodes if node.healthy]
         ring = ring or [node.index for node in self._nodes]
@@ -471,28 +400,34 @@ class ClusterCoordinator(ServingCounters):
         }
 
         async def leg(home: int) -> list[Any]:
-            texts = [items[j][1] for j in legs[home]]
-            payload = {
+            positions = legs[home]
+            payload: dict[str, Any] = {
                 "api_version": API_VERSION,
                 "kind": "answers",
-                "queries": texts,
+                "queries": [items[j][1] for j in positions],
                 "generation": generation,
             }
+            if exhaustive:
+                payload["exhaustive"] = True
             # a leg fails over along the rest of the ring, unhealthy nodes last
             at = ring.index(home)
             order = [self._nodes[index] for index in ring[at:] + ring[:at]]
             try:
                 body = await self._ask(order + spare, PARTIAL_PATH, payload, deadline)
-                answers = [wire.decode_what_if_answer(a) for a in body["answers"]]
-                if len(answers) != len(texts):
+                if len(body["answers"]) != len(positions):
                     raise ClusterError(f"malformed answers leg: {body!r}")
-                return answers
+                if body.get("retained"):  # the node was ahead of ``generation``
+                    self._m_fallbacks.inc(len(positions))
+                return [
+                    (
+                        wire.decode_how_to_answer
+                        if isinstance(items[j][0], HowToQuery)
+                        else wire.decode_what_if_answer
+                    )(answer)
+                    for j, answer in zip(positions, body["answers"])
+                ]
             except Exception as error:  # noqa: BLE001 - reported per query
-                ahead = (
-                    isinstance(error, api.ApiError)
-                    and error.envelope.code == "stale_generation"
-                )
-                return [None if ahead else error] * len(texts)
+                return [error] * len(positions)
 
         outcomes: list[Any] = [None] * len(items)
         for positions, answers in zip(legs.values(), await _gathered(map(leg, legs))):
@@ -500,33 +435,24 @@ class ClusterCoordinator(ServingCounters):
                 outcomes[j] = answer
         return outcomes
 
-    def _what_ifs(
+    def _answers(
         self,
-        items: Sequence[tuple[WhatIfQuery, str]],
+        items: Sequence[tuple[Query, str]],
         deadline: "api.RequestDeadline | None",
+        exhaustive: bool = False,
     ) -> list[Any]:
-        """Answer parsed what-ifs at one pinned generation; errors in place."""
+        """Answer parsed queries at one pinned generation; errors in place."""
         started = time.perf_counter()
-        generation = self._generation
         with obs_trace.span("cluster.scatter", kind="answers", queries=len(items)):
-            outcomes = self._run(self._deal(items, generation, deadline))
-        for index, (parsed, text) in enumerate(items):
-            if outcomes[index] is None:
-                # a node was ahead of ``generation`` (mid-flip): nodes retain
-                # its runtime, so the row-scatter is still exact there
-                self._m_fallbacks.inc()
-                try:
-                    partials = self._scatter("whatif", text, generation, deadline)
-                    with obs_trace.span("cluster.merge", kind="whatif"):
-                        outcomes[index] = merge_what_if(
-                            parsed, [wire.decode_what_if_partial(p) for p in partials]
-                        )
-                except Exception as error:  # noqa: BLE001 - reported per query
-                    outcomes[index] = error
-            if not isinstance(outcomes[index], Exception):
-                elapsed = time.perf_counter() - started
-                outcomes[index].runtime_seconds = elapsed
-                self._record_completion(text, "whatif", elapsed)
+            outcomes = self._run(self._deal(items, self._generation, deadline, exhaustive))
+        for (parsed, text), outcome in zip(items, outcomes):
+            if not isinstance(outcome, Exception):
+                outcome.runtime_seconds = time.perf_counter() - started
+                self._record_completion(
+                    text,
+                    "whatif" if isinstance(parsed, WhatIfQuery) else "howto",
+                    outcome.runtime_seconds,
+                )
         return outcomes
 
     # -- the service surface -----------------------------------------------------------
@@ -557,20 +483,13 @@ class ClusterCoordinator(ServingCounters):
     def prepare(self, queries: Any) -> None:
         """Warm every node for ``queries`` (strict: a bad query raises).
 
-        A what-if is answered by whichever node it is dealt to, so what-ifs
-        go to every healthy node's own ``POST /v1/prepare``; a how-to is
-        executed once — its row-scatter touches every shard's runtime.
+        Whichever node a query is dealt to answers it, so every text, what-if
+        or how-to, goes to every healthy node's own ``POST /v1/prepare``.
         """
         entries = queries if isinstance(queries, (list, tuple)) else [queries]
-        what_ifs: list[str] = []
-        for entry in entries:
-            parsed, text = self._parsed(entry)
-            if isinstance(parsed, WhatIfQuery):
-                what_ifs.append(text)
-            else:
-                self.execute(entry)
-        if what_ifs:
-            payload = {"api_version": API_VERSION, "queries": what_ifs}
+        texts = [self._parsed(entry)[1] for entry in entries]
+        if texts:
+            payload = {"api_version": API_VERSION, "queries": texts}
             self._run(
                 _gathered(
                     self._ask([node], "/v1/prepare", payload, None)
@@ -592,51 +511,6 @@ class ClusterCoordinator(ServingCounters):
         ):
             self._m_slow.inc()
 
-    def _verifier(
-        self,
-        text: str,
-        n_rows: int,
-        generation: int,
-        deadline: "api.RequestDeadline | None",
-    ):
-        """The second verification scatter solve_merged_how_to calls back into."""
-        if not getattr(self.config, "verify_howto_with_whatif", False):
-            return None
-
-        def verify(chosen_indices: list[int]):
-            partials = self._scatter(
-                "howto_verify", text, generation, deadline,
-                chosen=[int(i) for i in chosen_indices],
-            )
-            count = np.zeros(n_rows)
-            sum_ = np.zeros(n_rows)
-            for payload in partials:
-                own, shard_count, shard_sum = wire.decode_verify(payload)
-                count[own] = shard_count
-                sum_[own] = shard_sum
-            return count, sum_
-
-        return verify
-
-    def _proxy_query(
-        self,
-        text: str,
-        *,
-        exhaustive: bool,
-        deadline: "api.RequestDeadline | None",
-    ) -> ProxyAnswer:
-        """Run a query unsharded on one node's public ``/v1/query``."""
-        started = time.perf_counter()
-        request: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "query": text,
-            "exhaustive": exhaustive,
-        }
-        payload = self._run(
-            self._ask(self._healthy_first(self._nodes), "/v1/query", request, deadline)
-        )
-        return ProxyAnswer(payload, runtime_seconds=time.perf_counter() - started)
-
     def execute(
         self,
         query: Any,
@@ -647,46 +521,17 @@ class ClusterCoordinator(ServingCounters):
     ):
         """Answer one query; bitwise equal to the unsharded service.
 
-        A what-if is one answers leg to one node.  A how-to is row-scattered:
-        the merge (and the integer program) runs on the calling thread and
-        only the network legs cross into the private event loop — which lets
-        the verification callback issue its second scatter without
-        re-entering the loop.  Every leg of a call names the one generation
-        pinned at its start.
+        One answers leg to the node the query's plan is homed on, naming the
+        generation pinned at the start of the call.
         """
         parsed, text = self._parsed(query)
         self._m_queries.inc()
         self._n_queries += 1
         with obs_trace.activate(trace), self._track("query"):
-            started = time.perf_counter()
-            if isinstance(parsed, WhatIfQuery):
-                (outcome,) = self._what_ifs([(parsed, text)], deadline)
-                if isinstance(outcome, Exception):
-                    raise outcome
-                return outcome
-            if exhaustive:
-                # like the in-process pool's exhaustive path: run unsharded on
-                # one node (every node holds the full snapshot)
-                result = self._proxy_query(text, exhaustive=True, deadline=deadline)
-                self._record_completion(text, "howto", result.runtime_seconds)
-                return result
-            generation = self._generation
-            partials = self._scatter("howto", text, generation, deadline)
-            with obs_trace.span("cluster.merge", kind="howto"):
-                merged = merge_how_to(
-                    parsed, [wire.decode_how_to_partial(p) for p in partials]
-                )
-            result = solve_merged_how_to(
-                parsed,
-                merged,
-                verify=self._verifier(
-                    text, len(merged.baseline_count), generation, deadline
-                ),
-                runtime_seconds=time.perf_counter() - started,
-            )
-            result.runtime_seconds = time.perf_counter() - started
-            self._record_completion(text, "howto", result.runtime_seconds)
-            return result
+            (outcome,) = self._answers([(parsed, text)], deadline, exhaustive)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
 
     def execute_many(
         self,
@@ -695,43 +540,27 @@ class ClusterCoordinator(ServingCounters):
         max_workers: int | None = None,
         return_errors: bool = False,
     ) -> list[Any]:
-        """Answer a batch in input order: its what-ifs dealt over the nodes
-        in one hand-off, its how-tos scattered concurrently as before."""
+        """Answer a batch in input order: what-ifs and how-tos alike dealt
+        over the nodes in one hand-off, at most one leg per node.
+
+        ``max_workers`` is the protocol's; the legs overlap on the event loop.
+        """
         self._m_batches.inc()
         self._n_batches += 1
         outcomes: list[Any] = [None] * len(queries)
-        what_ifs: dict[int, tuple[Query, str]] = {}
-        how_tos: list[int] = []
+        items: dict[int, tuple[Query, str]] = {}
         for index, entry in enumerate(queries):
             try:
-                parsed, text = self._parsed(entry)
+                items[index] = self._parsed(entry)
             except Exception as error:  # noqa: BLE001 - reported per query
                 outcomes[index] = error
-            else:
-                if isinstance(parsed, WhatIfQuery):
-                    what_ifs[index] = (parsed, text)
-                else:
-                    how_tos.append(index)
-        if what_ifs:
-            self._m_queries.inc(len(what_ifs))
-            self._n_queries += len(what_ifs)
-            with self._track("query", units=len(what_ifs)):
-                answered = self._what_ifs(list(what_ifs.values()), None)
-            for index, outcome in zip(what_ifs, answered):
+        if items:
+            self._m_queries.inc(len(items))
+            self._n_queries += len(items)
+            with self._track("query", units=len(items)):
+                answered = self._answers(list(items.values()), None)
+            for index, outcome in zip(items, answered):
                 outcomes[index] = outcome
-
-        def run_one(index: int) -> None:
-            try:
-                outcomes[index] = self.execute(queries[index])
-            except Exception as error:  # noqa: BLE001 - reported per query
-                outcomes[index] = error
-
-        if how_tos:
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = max_workers or self.max_workers or default_max_workers()
-            with ThreadPoolExecutor(max(1, min(workers, len(how_tos)))) as pool:
-                list(pool.map(run_one, how_tos))
         if not return_errors:
             for outcome in outcomes:
                 if isinstance(outcome, Exception):

@@ -1,30 +1,30 @@
 """One shard node of the cluster: the existing front door plus ``/v1/partial``.
 
 A :class:`ShardServer` wraps a full :class:`~repro.service.session.HypeRService`
-(every node holds the complete database snapshot — regressors fit on
-full-view training targets, see :mod:`repro.shard`) plus one
-:class:`~repro.shard.pool.ShardWorkerRuntime` per retained generation,
-materialised over this node's slice of the deterministic
-:func:`~repro.shard.partition.partition_database` plan.  Because the plan is
-a pure function of (database, DAG, ``n_shards``), every replica of a shard
-builds the identical slice without coordination — and therefore produces
-bit-identical partials, which is what makes coordinator failover exact.
+(every node holds the complete database snapshot) plus one
+:class:`~repro.shard.pool.ShardWorkerRuntime` per retained generation — a
+second, cache-carrying engine over the same snapshot that keeps answering at
+a generation the service has already left.
 
 :class:`ShardServerApp` mounts the public endpoint table plus the node's two
 internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
 
-* ``POST /v1/partial`` — one scatter leg at a named generation, on the
-  ``admitted`` lane exactly like ``/v1/query`` (a leg competes with local
-  public queries for the same executor).  ``kind="answers"`` moves the query
-  to the data: whole what-ifs run on the node's own service (all its caches)
-  and one scalar answer — or error envelope — per query comes back.  It
-  answers ``409 stale_generation`` unless the service stood at the named
-  generation before the first and after the last answer (generations only
-  grow, so every snapshot pinned in between was that one).  The other kinds
-  evaluate one row-scatter partial on the node's shard slice — how-to always,
-  ``"whatif"`` only as the coordinator's fallback for a node mid-flip; a
-  generation this node does not retain answers ``409 stale_generation`` so
-  the coordinator fails over.
+* ``POST /v1/partial`` — one leg at a named generation, on the ``admitted``
+  lane exactly like ``/v1/query`` (a leg competes with local public queries
+  for the same executor).  ``kind="answers"`` moves the queries to the data:
+  whole what-ifs and how-tos (``"exhaustive"`` rides the leg) are answered
+  *at* the named generation, and one scalar answer — or error envelope — per
+  query comes back.  The node's own service (all its caches) answers when it
+  stood at that generation before the first and after the last answer
+  (generations only grow, so every snapshot pinned in between was that one);
+  otherwise — the node is mid-flip, ahead of the coordinator — the retained
+  runtime of that generation does, through
+  :meth:`~repro.shard.pool.ShardWorkerRuntime.run_full`, and the body says
+  ``"retained": true``.  A generation this node does not retain answers
+  ``409 stale_generation`` so the coordinator fails over.  ``kind="whatif"``,
+  one row-scatter partial of one what-if on the node's shard slice, has no
+  caller left in ``src/`` (``perf/probes.py`` posts and times it; it leaves
+  with ROADMAP 1(d) + 2(d)).
 * ``POST /v1/cluster/update`` — the two-phase commit fan-out.  ``stage``
   builds the next generation's database and runtime off to the side (queries
   keep answering from the current one); ``flip`` commits that database
@@ -33,8 +33,8 @@ internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
   commit must land on a saturated node, so it bypasses admission.
 
 The previous generation's runtime is retained (like the in-process pool's
-``pinned_fallbacks``), so a scatter racing a cluster-wide flip still gets
-exact answers for its pinned generation from nodes that already flipped.
+``pinned_fallbacks``), so a leg racing a cluster-wide flip still gets exact
+answers for its pinned generation from nodes that already flipped.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from ..api.endpoints import PayloadError
 from ..api.schemas import API_VERSION, ErrorEnvelope, UpdateRequest
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
-from ..core.queries import HowToQuery, WhatIfQuery
+from ..core.queries import WhatIfQuery
+from ..core.results import HowToResult
 from ..exceptions import QuerySemanticsError
 from ..obs import trace as obs_trace
 from ..probdb.blocks import block_labels
@@ -85,11 +86,11 @@ class ShardServer:
     database / causal_dag / config:
         Exactly as for :class:`HypeRService` — the node's full snapshot.
     shard_index / n_shards:
-        Which slice of the deterministic partition this node computes
-        partials for (``node_index % n_shards`` under the round-robin
-        placement).
+        Which slice of the deterministic partition this node's runtimes hold
+        (``node_index % n_shards`` under the round-robin placement); only a
+        ``kind="whatif"`` partial reads it.
     retained_generations:
-        How many generations of runtimes stay answerable (>= 2 so scatters
+        How many generations of runtimes stay answerable (>= 2 so legs
         racing a cluster flip can still complete on their pinned generation).
     """
 
@@ -133,8 +134,8 @@ class ShardServer:
     # -- runtime construction ----------------------------------------------------------
 
     def _build_runtime(self, database: Database) -> ShardWorkerRuntime:
-        # mirror HypeRService._blocks so the plan (and the partials' block
-        # carriers) matches what an unsharded service would compute
+        # mirror HypeRService._blocks so the runtime's block labels (an
+        # answer's n_blocks) match what an unsharded service would compute
         blocks = (
             block_labels(database, self.causal_dag)
             if self.causal_dag is not None and self.config.use_blocks
@@ -163,8 +164,7 @@ class ShardServer:
     ) -> dict[str, Any]:
         """Answer one partial request body (already JSON-decoded)."""
         kind = body.get("kind")
-        query_text = body.get("query")
-        if kind not in ("answers", "whatif", "howto", "howto_verify"):
+        if kind not in ("answers", "whatif"):
             raise PayloadError(400, f"unknown partial kind {kind!r}")
         try:
             generation = int(body.get("generation", 0))
@@ -173,77 +173,85 @@ class ShardServer:
                 400, f"invalid generation {body.get('generation')!r}"
             ) from None
         if kind == "answers":
-            return self._answers_payload(body.get("queries"), generation, deadline)
+            return self._answers_payload(
+                body.get("queries"), generation, deadline, bool(body.get("exhaustive"))
+            )
+        # kind="whatif": kept until ROADMAP 1(d) + 2(d), perf/probes.py posts it
+        query_text = body.get("query")
         if not isinstance(query_text, str) or not query_text.strip():
             raise PayloadError(400, "field 'query' must be a non-empty string")
         runtime = self._runtime_for(generation)
         parsed = self.service.parse(query_text)
         if deadline is not None:
             deadline.check()
-        if kind == "whatif":
-            if not isinstance(parsed, WhatIfQuery):
-                raise PayloadError(400, "kind 'whatif' needs a what-if query")
-            with obs_trace.span("cluster.partial", kind=kind, shard=self.shard_index):
-                partial = runtime.what_if_partial(parsed)
-            encoded: dict[str, Any] = wire.encode_what_if_partial(partial)
-        elif kind == "howto":
-            if not isinstance(parsed, HowToQuery):
-                raise PayloadError(400, "kind 'howto' needs a how-to query")
-            with obs_trace.span("cluster.partial", kind=kind, shard=self.shard_index):
-                partial = runtime.how_to_partial(parsed)
-            encoded = wire.encode_how_to_partial(partial)
-        else:
-            if not isinstance(parsed, HowToQuery):
-                raise PayloadError(400, "kind 'howto_verify' needs a how-to query")
-            chosen = body.get("chosen")
-            if not isinstance(chosen, list):
-                raise PayloadError(400, "kind 'howto_verify' needs a 'chosen' index list")
-            try:
-                indices = [int(i) for i in chosen]
-            except (TypeError, ValueError):
-                raise PayloadError(400, f"invalid 'chosen' indices {chosen!r}") from None
-            with obs_trace.span("cluster.partial", kind=kind, shard=self.shard_index):
-                own, count, sum_ = runtime.how_to_verify(parsed, indices)
-            encoded = wire.encode_verify(own, count, sum_)
+        if not isinstance(parsed, WhatIfQuery):
+            raise PayloadError(400, "kind 'whatif' needs a what-if query")
+        with obs_trace.span("cluster.partial", kind=kind, shard=self.shard_index):
+            partial = runtime.what_if_partial(parsed)
         return {
             "api_version": API_VERSION,
             "kind": kind,
             "generation": generation,
             "shard_index": self.shard_index,
-            "partial": encoded,
+            "partial": wire.encode_what_if_partial(partial),
         }
 
     def _answers_payload(
-        self, texts: Any, generation: int, deadline: "api.RequestDeadline | None"
+        self,
+        texts: Any,
+        generation: int,
+        deadline: "api.RequestDeadline | None",
+        exhaustive: bool,
     ) -> dict[str, Any]:
-        """Answer whole what-if queries on the node's service, all at ``generation``."""
+        """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
 
-        def answer(text: str) -> Any:
-            try:
-                parsed = self.service.parse(text)
-                if not isinstance(parsed, WhatIfQuery):
-                    raise PayloadError(400, "kind 'answers' needs what-if queries")
-                return api.execute_one(self.service, parsed, deadline=deadline)
-            except Exception as error:  # noqa: BLE001 - reported per query
-                return error
-
-        # generations only grow: the same one before the first and after the
-        # last answer means every snapshot pinned in between was that one
-        if self.service.generation == generation:
+        def answers(execute: Any) -> list[dict[str, Any]]:
+            encoded = []
             with obs_trace.span(
                 "cluster.partial", kind="answers", shard=self.shard_index
             ):
-                answers = [answer(text) for text in texts]
+                for text in texts:
+                    try:
+                        outcome = execute(self.service.parse(text))
+                    except Exception as error:  # noqa: BLE001 - reported per query
+                        outcome = error
+                    encode = (
+                        wire.encode_how_to_answer
+                        if isinstance(outcome, HowToResult)
+                        else wire.encode_what_if_answer
+                    )
+                    encoded.append(encode(outcome))
+            return encoded
+
+        body: dict[str, Any] = {
+            "api_version": API_VERSION,
+            "kind": "answers",
+            "generation": generation,
+        }
+        # generations only grow: the same one before the first and after the
+        # last answer means every snapshot pinned in between was that one
+        if self.service.generation == generation:
+            body["answers"] = answers(
+                lambda parsed: api.execute_one(
+                    self.service, parsed, deadline=deadline, exhaustive=exhaustive
+                )
+            )
             if self.service.generation == generation:
-                return {
-                    "api_version": API_VERSION,
-                    "kind": "answers",
-                    "generation": generation,
-                    "answers": [wire.encode_what_if_answer(a) for a in answers],
-                }
-        raise _stale_generation(generation, [self.service.generation])
+                return body
+        # the service has left ``generation`` (this node flipped ahead of the
+        # coordinator): its retained runtime still answers there, exactly
+        runtime = self._runtime_for(generation)
+
+        def at_retained(parsed: Any) -> Any:
+            if deadline is not None:
+                deadline.check()
+            return runtime.run_full(parsed, exhaustive)
+
+        body["answers"] = answers(at_retained)
+        body["retained"] = True
+        return body
 
     # -- the /v1/cluster/update control plane ------------------------------------------
 

@@ -1,23 +1,20 @@
-"""Bit-exact JSON wire forms for the cluster's internal partial protocol.
+"""Bit-exact JSON wire forms for the cluster's internal ``/v1/partial`` protocol.
 
-Shard servers answer ``POST /v1/partial`` with the same
-:class:`~repro.shard.merge.WhatIfShardPartial` /
-:class:`~repro.shard.merge.HowToShardPartial` objects the in-process worker
-pool ships over pickle — but here they cross an HTTP boundary, so the arrays
-are encoded as base64 of their raw little-endian bytes.  ``tobytes`` →
-``frombuffer`` preserves every IEEE-754 bit pattern, which is what keeps the
-coordinator's merged answers *bitwise* equal to a single unsharded service:
-the merge protocol itself (:mod:`repro.shard.merge`) only ever concatenates
-and scatters these arrays before running the unsharded reduction.
+An *answer* (``kind="answers"``: the node ran the whole query) is scalars
+only, no arrays: a what-if's result fields, or a how-to's plus the updates it
+chose.  Scalars and ``metadata`` dictionaries travel as plain JSON — Python's
+``json`` module round-trips ``float`` (shortest-repr; ``NaN``/``±Infinity``
+literals, ``-0.0`` and subnormals included) exactly, and every metadata value
+the engines emit is a JSON-safe str/int/list — which is what keeps the
+coordinator's answers *bitwise* equal to a single unsharded service.  An item
+the node could not answer travels as the ``(status, envelope)`` of
+:func:`repro.api.core.envelope_for`.
 
-Scalars and ``meta`` dictionaries travel as plain JSON — Python's ``json``
-module round-trips ``float`` (shortest-repr; ``NaN``/``±Infinity`` literals,
-``-0.0`` and subnormals included) exactly, and every meta value the engines
-emit is a JSON-safe str/int/list.
-
-A what-if *answer* (``kind="answers"``: the node ran the whole query) is such
-scalars only, no arrays; an item the node could not answer travels as the
-``(status, envelope)`` of :func:`repro.api.core.envelope_for`.
+A what-if *partial* (``kind="whatif"``: one shard's rows of one what-if, a
+:class:`~repro.shard.merge.WhatIfShardPartial`) carries arrays, encoded as
+base64 of their raw little-endian bytes — ``tobytes`` → ``frombuffer``
+preserves every IEEE-754 bit pattern.  No query takes that path any more; it
+is kept until ROADMAP 1(d) + 2(d) because ``perf/probes.py`` times it.
 """
 
 from __future__ import annotations
@@ -29,24 +26,19 @@ import numpy as np
 
 from ..api.core import ApiError, envelope_for
 from ..api.schemas import ErrorEnvelope
-from ..core.howto import CandidateUpdate
-from ..core.results import WhatIfResult
-from ..core.updates import AddConstant, MultiplyBy, SetTo, UpdateFunction
+from ..core.results import HowToResult, WhatIfResult
+from ..core.updates import AddConstant, AttributeUpdate, MultiplyBy, SetTo, UpdateFunction
 from ..exceptions import HypeRError
-from ..shard.merge import HowToShardPartial, WhatIfShardPartial
+from ..shard.merge import WhatIfShardPartial
 
 __all__ = [
     "WireError",
     "decode_array",
-    "decode_candidate",
-    "decode_how_to_partial",
-    "decode_verify",
+    "decode_how_to_answer",
     "decode_what_if_answer",
     "decode_what_if_partial",
     "encode_array",
-    "encode_candidate",
-    "encode_how_to_partial",
-    "encode_verify",
+    "encode_how_to_answer",
     "encode_what_if_answer",
     "encode_what_if_partial",
 ]
@@ -112,7 +104,7 @@ def _plain_scalar(value: Any) -> Any:
     return value
 
 
-# -- candidate updates ---------------------------------------------------------------
+# -- update functions ----------------------------------------------------------------
 
 _FUNCTION_KINDS = {"set": SetTo, "add": AddConstant, "mul": MultiplyBy}
 
@@ -137,28 +129,7 @@ def _decode_function(payload: Any) -> UpdateFunction:
     return cls(payload.get("value"))
 
 
-def encode_candidate(candidate: CandidateUpdate) -> dict[str, Any]:
-    return {
-        "attribute": candidate.attribute,
-        "function": _encode_function(candidate.function),
-        "label": candidate.label,
-    }
-
-
-def decode_candidate(payload: Any) -> CandidateUpdate:
-    if not isinstance(payload, dict):
-        raise WireError(f"candidate payload must be an object, got {type(payload).__name__}")
-    try:
-        return CandidateUpdate(
-            attribute=payload["attribute"],
-            function=_decode_function(payload["function"]),
-            label=payload["label"],
-        )
-    except KeyError as error:
-        raise WireError(f"candidate payload missing field {error}") from None
-
-
-# -- what-if partials ----------------------------------------------------------------
+# -- what-if partials (no caller left in src/; perf/probes.py posts and times them) ----
 
 
 def encode_what_if_partial(partial: WhatIfShardPartial) -> dict[str, Any]:
@@ -169,7 +140,7 @@ def encode_what_if_partial(partial: WhatIfShardPartial) -> dict[str, Any]:
         "row_indices": encode_array(partial.row_indices),
         "count": encode_array(partial.count),
         "sum": _encode_optional(partial.sum),
-        "meta": {key: _plain_scalar(value) for key, value in partial.meta.items()},
+        "meta": _plain_metadata(partial.meta),
         "scope_mask": _encode_optional(partial.scope_mask),
         "block_of_row": _encode_optional(partial.block_of_row),
         "n_blocks": partial.n_blocks,
@@ -196,25 +167,40 @@ def decode_what_if_partial(payload: Any) -> WhatIfShardPartial:
         raise WireError(f"what-if partial missing field {error}") from None
 
 
-# -- what-if answers -----------------------------------------------------------------
+# -- answers -------------------------------------------------------------------------
 
 #: every WhatIfResult field but the per-block arrays and the node's own clock
 _ANSWER_FIELDS = (
     "value", "aggregate", "output_attribute", "variant", "n_view_tuples",
     "n_scope_tuples", "n_blocks", "expected_qualifying_count",
 )
+#: every scalar HowToResult field but the node's own clock
+_HOW_TO_FIELDS = (
+    "objective_value", "baseline_value", "maximize", "verified_value",
+    "n_candidates", "n_ip_variables", "n_ip_constraints", "solver_status",
+)
+
+
+def _encode_error(error: BaseException) -> dict[str, Any]:
+    status, envelope = envelope_for(error)
+    return {"status": status, "error": envelope.to_json()}
+
+
+def _decode_error(payload: dict[str, Any]) -> ApiError:
+    return ApiError(int(payload["status"]), ErrorEnvelope.from_json(payload["error"]))
+
+
+def _plain_metadata(metadata: dict[str, Any]) -> dict[str, Any]:
+    return {key: _plain_scalar(value) for key, value in metadata.items()}
 
 
 def encode_what_if_answer(outcome: WhatIfResult | BaseException) -> dict[str, Any]:
     """One item of an answers leg: the scalar result, or why there is none."""
     if isinstance(outcome, BaseException):
-        status, envelope = envelope_for(outcome)
-        return {"status": status, "error": envelope.to_json()}
+        return _encode_error(outcome)
     answer = {name: _plain_scalar(getattr(outcome, name)) for name in _ANSWER_FIELDS}
     answer["backdoor_set"] = list(outcome.backdoor_set)
-    answer["metadata"] = {
-        key: _plain_scalar(value) for key, value in outcome.metadata.items()
-    }
+    answer["metadata"] = _plain_metadata(outcome.metadata)
     return answer
 
 
@@ -224,9 +210,7 @@ def decode_what_if_answer(payload: Any) -> WhatIfResult | ApiError:
         raise WireError(f"what-if answer must be an object, got {type(payload).__name__}")
     try:
         if "error" in payload:
-            return ApiError(
-                int(payload["status"]), ErrorEnvelope.from_json(payload["error"])
-            )
+            return _decode_error(payload)
         return WhatIfResult(
             **{name: payload[name] for name in _ANSWER_FIELDS},
             backdoor_set=tuple(payload["backdoor_set"]),
@@ -236,79 +220,35 @@ def decode_what_if_answer(payload: Any) -> WhatIfResult | ApiError:
         raise WireError(f"what-if answer missing field {error}") from None
 
 
-# -- how-to partials -----------------------------------------------------------------
+def encode_how_to_answer(outcome: HowToResult | BaseException) -> dict[str, Any]:
+    """One how-to item of an answers leg: scalars plus the chosen updates."""
+    if isinstance(outcome, BaseException):
+        return _encode_error(outcome)
+    answer = {name: _plain_scalar(getattr(outcome, name)) for name in _HOW_TO_FIELDS}
+    answer["recommended_updates"] = [
+        {"attribute": update.attribute, "function": _encode_function(update.function)}
+        for update in outcome.recommended_updates
+    ]
+    answer["per_attribute_choices"] = dict(outcome.per_attribute_choices)
+    answer["metadata"] = _plain_metadata(outcome.metadata)
+    return answer
 
 
-def encode_how_to_partial(partial: HowToShardPartial) -> dict[str, Any]:
-    return {
-        "shard_index": partial.shard_index,
-        "n_shards": partial.n_shards,
-        "n_rows": partial.n_rows,
-        "row_indices": encode_array(partial.row_indices),
-        "baseline_count": encode_array(partial.baseline_count),
-        "baseline_sum": encode_array(partial.baseline_sum),
-        "candidate_count": encode_array(partial.candidate_count),
-        "candidate_sum": encode_array(partial.candidate_sum),
-        "signature": [[attribute, label] for attribute, label in partial.signature],
-        "meta": {key: _plain_scalar(value) for key, value in partial.meta.items()},
-        "candidates": (
-            None
-            if partial.candidates is None
-            else [encode_candidate(candidate) for candidate in partial.candidates]
-        ),
-    }
-
-
-def decode_how_to_partial(payload: Any) -> HowToShardPartial:
+def decode_how_to_answer(payload: Any) -> HowToResult | ApiError:
+    """The node's :class:`HowToResult`, or its error as a raisable ``ApiError``."""
     if not isinstance(payload, dict):
-        raise WireError(f"how-to partial must be an object, got {type(payload).__name__}")
+        raise WireError(f"how-to answer must be an object, got {type(payload).__name__}")
     try:
-        raw_candidates = payload.get("candidates")
-        return HowToShardPartial(
-            shard_index=int(payload["shard_index"]),
-            n_shards=int(payload["n_shards"]),
-            n_rows=int(payload["n_rows"]),
-            row_indices=decode_array(payload["row_indices"]),
-            baseline_count=decode_array(payload["baseline_count"]),
-            baseline_sum=decode_array(payload["baseline_sum"]),
-            candidate_count=decode_array(payload["candidate_count"]),
-            candidate_sum=decode_array(payload["candidate_sum"]),
-            signature=tuple(
-                (attribute, label) for attribute, label in payload["signature"]
-            ),
-            meta=dict(payload.get("meta") or {}),
-            candidates=(
-                None
-                if raw_candidates is None
-                else [decode_candidate(candidate) for candidate in raw_candidates]
-            ),
+        if "error" in payload:
+            return _decode_error(payload)
+        return HowToResult(
+            **{name: payload[name] for name in _HOW_TO_FIELDS},
+            recommended_updates=[
+                AttributeUpdate(update["attribute"], _decode_function(update["function"]))
+                for update in payload["recommended_updates"]
+            ],
+            per_attribute_choices=dict(payload["per_attribute_choices"]),
+            metadata=dict(payload["metadata"]),
         )
-    except KeyError as error:
-        raise WireError(f"how-to partial missing field {error}") from None
-
-
-# -- how-to verification triples -----------------------------------------------------
-
-
-def encode_verify(
-    own: np.ndarray, count: np.ndarray, sum_: np.ndarray
-) -> dict[str, Any]:
-    """The shard's re-evaluation of the chosen combined update."""
-    return {
-        "own": encode_array(own),
-        "count": encode_array(count),
-        "sum": encode_array(sum_),
-    }
-
-
-def decode_verify(payload: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not isinstance(payload, dict):
-        raise WireError(f"verify payload must be an object, got {type(payload).__name__}")
-    try:
-        return (
-            decode_array(payload["own"]),
-            decode_array(payload["count"]),
-            decode_array(payload["sum"]),
-        )
-    except KeyError as error:
-        raise WireError(f"verify payload missing field {error}") from None
+    except (KeyError, TypeError) as error:
+        raise WireError(f"malformed how-to answer: {error!r}") from None

@@ -108,9 +108,7 @@ class PreparedHowTo:
 # A candidate is evaluated by the what-if engine's own kernel
 # (:func:`repro.core.whatif.causal_contribution_rows`) at the candidate's post
 # values, and folded by the what-if engine's own reduction, so a how-to value
-# equals the answer to ``query.candidate_what_if(...)`` bit for bit — on a
-# shard too, where the same two functions below run over the local view
-# (:mod:`repro.shard.local`).
+# equals the answer to ``query.candidate_what_if(...)`` bit for bit.
 
 
 def prepare_candidates(
@@ -201,9 +199,9 @@ def solve_how_to(
 ) -> HowToResult:
     """Build the Section 4.3 program, solve it and report the chosen plan.
 
-    The one solve behind the unsharded engine and the shard merge; they differ
-    in where ``baseline`` / ``coefficients`` come from and in how ``verify``
-    re-evaluates the *combined* chosen candidates (``None`` skips that).
+    The one solve behind :meth:`HowToEngine.evaluate` and
+    :meth:`HowToEngine.evaluate_preferential`; ``verify`` re-evaluates the
+    *combined* chosen candidates (``None`` skips that).
     ``locked`` fixes earlier objectives of a preferential query — each a
     ``(coefficients, baseline, attained value)`` — as equality constraints.
     The caller stamps ``runtime_seconds``.
@@ -410,14 +408,20 @@ class HowToEngine:
         view: Relation | None = None,
         estimator: PostUpdateEstimator | None = None,
         view_dag: CausalDAG | None = None,
+        kernels: KernelCache | None = None,
     ) -> PreparedHowTo:
         """Derive the state shared by every candidate evaluation of ``query``.
 
         ``view`` may inject a cached relevant view, ``view_dag`` the matching
-        DAG projection, and ``estimator`` a cached
+        DAG projection, ``estimator`` a cached
         :class:`PostUpdateEstimator` built for a structurally identical query
-        (same view, DAG projection, update/outcome attributes and config); the
-        service layer supplies all three from its fingerprint-keyed caches.
+        (same view, DAG projection, update/outcome attributes and config), and
+        ``kernels`` the plan's shared
+        :class:`~repro.relational.columnar.KernelCache` (as for
+        :meth:`WhatIfEngine.prepare`: the candidates then reuse the masks and
+        output columns the plan's what-ifs built); the service layer and the
+        shard worker runtime supply all four from their caches.  Without
+        ``kernels`` the candidates share a cache of their own.
         """
         if view is None:
             view = query.use.build(self.database)
@@ -427,7 +431,9 @@ class HowToEngine:
         if estimator is None:
             estimator = self.build_estimator(query, view=view, view_dag=view_dag)
         return PreparedHowTo(
-            what_if=prepare_candidates(query, view, view_dag, disjuncts, KernelCache()),
+            what_if=prepare_candidates(
+                query, view, view_dag, disjuncts, KernelCache() if kernels is None else kernels
+            ),
             estimator=estimator,
             aggregate_name=get_aggregate(query.objective_aggregate).name,
         )

@@ -260,7 +260,7 @@ def causal_contribution_rows(
     evaluates it at ``prepared.post_values``, a how-to once per candidate at
     that candidate's ``post_values`` (Definition 7: a candidate *is* a what-if
     query, and every candidate of one how-to shares ``prepared``), a shard at
-    its rows of either (``prepared.view`` the local view, ``fit_view`` the
+    its rows of a what-if (``prepared.view`` the local view, ``fit_view`` the
     full one).
 
     Everything that does not depend on the update constants — masks, the

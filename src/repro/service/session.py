@@ -35,8 +35,8 @@ latest committed generation — a commit ships only the changed relations and
 re-shaped row masks to the existing workers in place
 (:meth:`~repro.shard.pool.ShardPool.apply_update`) instead of tearing the
 pool down, and a reader still pinned to an older snapshot falls back to
-in-process evaluation of its pinned state (bitwise-identical answers by the
-shard merge contract), so no query ever observes a pool teardown.  Cache
+in-process evaluation of its pinned state (bitwise-identical: the pool's
+answers are the unsharded engine's), so no query ever observes a pool teardown.  Cache
 keys embed the snapshot's generation vector; entries an in-flight
 old-generation query inserts after an invalidation are unreachable from the
 new generation and age out of the bounded LRU (targeted eviction by
@@ -540,6 +540,15 @@ class HypeRService(ServingCounters):
                     lambda: engine.build_estimator(parsed, view=view, view_dag=view_dag),
                     tags=deps,
                 )
+            if engine is state.whatif:
+                # the plan's kernel entry, as the first execute would build it
+                engine.prepare(
+                    parsed,
+                    view=view,
+                    blocks=self._blocks(state),
+                    view_dag=view_dag,
+                    kernels=self._plan_kernels(state, parsed.use),
+                )
             return PreparedPlan(fingerprint, view, estimator)
 
     # -- execution ---------------------------------------------------------------------------
@@ -665,9 +674,9 @@ class HypeRService(ServingCounters):
                 return pool.run_query(parsed, exhaustive=exhaustive)
             # Straggler: this query is pinned to a snapshot the pool has moved
             # past (or the pool is mid-rebuild).  Its pinned state holds fully
-            # built engines, and the shard merge contract makes the in-process
-            # answer bitwise-identical — so evaluate here rather than pause or
-            # error the reader.
+            # built engines, and the pool's answers are the unsharded engine's
+            # bit for bit — so evaluate here rather than pause or error the
+            # reader.
             self._m_pinned_fallbacks.inc()
         return self._execute_in_process(state, parsed, exhaustive)
 
@@ -698,8 +707,8 @@ class HypeRService(ServingCounters):
         In ``threads`` mode, queries are grouped by plan fingerprint so each
         shared estimator is fitted once, then parameter variants fan out
         across worker threads.  In ``processes`` mode the whole batch crosses
-        the shard pool in a single broadcast round-trip and the merged
-        answers come back in order.  With ``return_errors=True`` a failing
+        the shard pool in a single scatter round-trip — each query dealt whole
+        to one worker — and the answers come back in order.  With ``return_errors=True`` a failing
         query yields its exception in the result list while the rest of the
         batch completes normally (the HTTP ``/batch`` endpoint uses this);
         with the default, the first failure propagates after the pool drains.
@@ -755,7 +764,7 @@ class HypeRService(ServingCounters):
                     else:
                         # Pinned to a superseded snapshot: evaluate the whole
                         # batch in-process from the pinned engines (bitwise
-                        # identical by the shard merge contract).
+                        # identical to the pool's answers).
                         self._m_pinned_fallbacks.inc(len(misses))
                         fresh = []
                         for _index, query, _key in misses:
@@ -813,7 +822,11 @@ class HypeRService(ServingCounters):
             fingerprint.estimator_key, _fit, tags=deps
         )
         prepared = state.howto.prepare(
-            query, view=view, estimator=estimator, view_dag=view_dag
+            query,
+            view=view,
+            estimator=estimator,
+            view_dag=view_dag,
+            kernels=self._plan_kernels(state, query.use),
         )
         candidates = self.caches.candidates.get_or_create(
             ("candidates", fingerprint.query_key),

@@ -7,31 +7,24 @@ into an execution architecture:
 * :mod:`~repro.shard.partition` — split a database into N self-contained
   :class:`Shard` snapshots along block-independent boundaries;
 * :mod:`~repro.shard.pool` — a persistent ``multiprocessing`` worker pool
-  (stdlib only) with the shard data mapped once per worker, running per-shard
-  estimator fits and block-contribution computation off the GIL;
-* :mod:`~repro.shard.merge` — the associative merge protocol folding
-  per-shard partials into answers **bitwise equal** to the unsharded path.
+  (stdlib only) with the snapshot mapped once per worker; whole queries, what-if
+  and how-to alike, are dealt to workers by plan and answered there unsharded,
+  so estimator fits run off the GIL and answers are the unsharded engine's by
+  construction;
+* :mod:`~repro.shard.merge` — the associative merge protocol folding a single
+  what-if's per-shard partials into an answer **bitwise equal** to the
+  unsharded path (the one row-scatter left; it leaves with ROADMAP 1(d) + 2(d)).
 
 The service layer (:mod:`repro.service`) drives this stack through
 ``HypeRService(execution="processes", n_shards=...)``; see
 ``docs/service.md`` for the shard lifecycle and the pickling boundary.
 """
 
-from .merge import (
-    HowToShardPartial,
-    MergedHowTo,
-    ShardMergeError,
-    WhatIfShardPartial,
-    merge_how_to,
-    merge_what_if,
-    solve_merged_how_to,
-)
+from .merge import ShardMergeError, WhatIfShardPartial, merge_what_if
 from .partition import Shard, ShardPlan, partition_database
 from .pool import ShardPool, ShardPoolError, ShardWorkerRuntime
 
 __all__ = [
-    "HowToShardPartial",
-    "MergedHowTo",
     "Shard",
     "ShardMergeError",
     "ShardPlan",
@@ -39,8 +32,6 @@ __all__ = [
     "ShardPoolError",
     "ShardWorkerRuntime",
     "WhatIfShardPartial",
-    "merge_how_to",
     "merge_what_if",
     "partition_database",
-    "solve_merged_how_to",
 ]

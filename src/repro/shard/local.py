@@ -1,11 +1,15 @@
-"""Shard-local evaluation: per-query work proportional to owned rows.
+"""Shard-local what-if evaluation: per-query work proportional to owned rows.
+
+Kept until ROADMAP 1(d) + 2(d), with the row-scatter of a single what-if
+(:meth:`ShardWorkerRuntime.what_if_partial
+<repro.shard.pool.ShardWorkerRuntime.what_if_partial>`) it serves.
 
 Evaluating scope / ``For`` masks, post-update columns and estimator
 predictions over the full view is work every worker would duplicate.  Here
 those per-query vectorized pieces run on the shard's **local view** (the full
 view filtered to owned rows), so a query's marginal cost in a worker scales
-with ``n / n_shards``.  Both query kinds do it with the engine's own kernel:
-:func:`local_what_if_contributions` and :class:`LocalHowTo` are
+with ``n / n_shards``, through the engine's own kernel:
+:func:`local_what_if_contributions` is
 :func:`repro.core.whatif.causal_contribution_rows` prepared over the local
 view.
 
@@ -26,14 +30,12 @@ dependencies are handled explicitly:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.estimator import PostUpdateEstimator
-from ..core.howto import PreparedHowTo, candidate_post_values, prepare_candidates
-from ..core.queries import HowToQuery, WhatIfQuery
-from ..core.updates import AttributeUpdate
+from ..core.queries import WhatIfQuery
 from ..core.whatif import (
     PreparedWhatIf,
     causal_contribution_rows,
@@ -44,11 +46,7 @@ from ..relational.columnar import KernelCache
 from ..relational.predicates import Conjunction
 from ..relational.relation import Relation
 
-__all__ = [
-    "LocalHowTo",
-    "local_indep_contributions",
-    "local_what_if_contributions",
-]
+__all__ = ["local_indep_contributions", "local_what_if_contributions"]
 
 
 def local_what_if_contributions(
@@ -84,53 +82,6 @@ def local_what_if_contributions(
         kernels=kernels,
     )
     return causal_contribution_rows(query, prepared, estimator, fit_view=full_view)
-
-
-class LocalHowTo:
-    """Shard-local candidate evaluation of one how-to query.
-
-    The unsharded engine's two steps — :func:`repro.core.howto.candidate_post_values`
-    and the what-if kernel — over the candidates' shared state prepared on the
-    shard's **local view**, with the full view of ``shared`` as the view to
-    fit on: a candidate's marginal cost scales with ``n / n_shards`` and the
-    returned per-owned-row contributions are bitwise equal to the same rows of
-    an unsharded candidate evaluation, exactly as for
-    :func:`local_what_if_contributions`.  ``kernels`` is the worker's per-plan
-    cache; the masks in it are literally the same arrays a what-if query of
-    the same shape uses.
-    """
-
-    def __init__(
-        self,
-        query: HowToQuery,
-        shared: PreparedHowTo,
-        local_view: Relation,
-        *,
-        kernels: KernelCache | None = None,
-    ) -> None:
-        self.query = query
-        self.shared = shared
-        self.local = prepare_candidates(
-            query, local_view, None, shared.what_if.disjuncts, kernels
-        )
-
-    def post_values(
-        self, updates: Sequence[AttributeUpdate]
-    ) -> dict[str, Sequence[Any]]:
-        """Local post-update columns for one (possibly empty) update choice."""
-        return candidate_post_values(self.local, updates)
-
-    def contributions(
-        self, post_values: dict[str, Sequence[Any]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-owned-row (count, sum) contributions of one candidate choice."""
-        return causal_contribution_rows(
-            self.query,
-            self.local,
-            self.shared.estimator,
-            post_values,
-            fit_view=self.shared.view,
-        )
 
 
 def local_indep_contributions(

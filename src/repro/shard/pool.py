@@ -3,9 +3,13 @@
 Each worker process owns one :class:`~repro.shard.partition.Shard` for the
 pool's whole lifetime — the shard (including the full database snapshot) is
 transferred **once** at start-up (by copy-on-write under the ``fork`` start
-method, by pickle under ``spawn``), never per query.  Queries travel to every
-worker as small pickled task messages; per-row contribution partials travel
-back and are folded by the merge protocol (:mod:`repro.shard.merge`).
+method, by pickle under ``spawn``), never per query.  A query moves to the
+data: it travels whole, as a small pickled task message, to the one worker its
+plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), which
+answers it unsharded from the full snapshot (:meth:`ShardWorkerRuntime.run_full`)
+and sends scalars back — a how-to exactly like a what-if.  (A single
+:meth:`ShardPool.run_what_if` is still row-scattered and merged through
+:mod:`repro.shard.merge`; see there.)
 Database commits move the running workers forward *in place*
 (:meth:`ShardPool.apply_update`): only the changed relations and re-shaped
 ownership masks cross the process boundary, and the workers' plan caches for
@@ -21,7 +25,7 @@ which is the scaling step the GIL denies the thread-pool executor.
 
 When worker processes cannot be started (no usable ``multiprocessing`` start
 method, sandboxed semaphores, pickling failure), the pool degrades to an
-*inline* mode that runs the identical shard protocol sequentially in-process;
+*inline* mode that runs the identical tasks sequentially in-process;
 ``mode`` reports which one is active, and answers are bitwise identical either
 way.
 """
@@ -62,13 +66,7 @@ from ..service.fingerprint import (
     use_key,
     use_relations,
 )
-from .merge import (
-    HowToShardPartial,
-    WhatIfShardPartial,
-    merge_how_to,
-    merge_what_if,
-    solve_merged_how_to,
-)
+from .merge import WhatIfShardPartial, merge_what_if
 from .partition import Shard, ShardPlan
 from .shm import (
     SegmentAttachment,
@@ -231,11 +229,6 @@ class ShardWorkerRuntime:
     def _dispatch(self, kind: str, payload: Any) -> Any:
         if kind == "whatif":
             return self.what_if_partial(payload)
-        if kind == "howto":
-            return self.how_to_partial(payload)
-        if kind == "howto_verify":
-            query, chosen_indices = payload
-            return self.how_to_verify(query, chosen_indices)
         if kind == "full":
             query, exhaustive = payload
             return self.run_full(query, exhaustive)
@@ -368,6 +361,7 @@ class ShardWorkerRuntime:
             old.backend,
         )
 
+    # Kept until ROADMAP 1(d) + 2(d): run_what_if and the node's kind="whatif".
     def what_if_partial(self, query: WhatIfQuery) -> WhatIfShardPartial:
         """Contributions of this shard's rows, via the shard-local kernels.
 
@@ -427,12 +421,25 @@ class ShardWorkerRuntime:
             partial.block_of_row, partial.n_blocks = self._block_assignment(query, view)
         return partial
 
+    def _full_kernels(self, query: WhatIfQuery | HowToQuery) -> KernelCache:
+        """The plan's cache of full-view arrays, shared by both query kinds.
+
+        Distinct from :meth:`what_if_partial`'s, which holds arrays sized to
+        the shard-local view.
+        """
+        return self._kernels.get_or_create(
+            ("full", use_key(query.use)), KernelCache, tags=use_relations(query.use)
+        )
+
     def _how_to_shared(self, query: HowToQuery):
         view, view_dag = self._view(query)
         validate_query(query, view, view_dag)  # before anything is cached
-        estimator = self._estimator(query, view, view_dag)
         shared = self.howto.prepare(
-            query, view=view, estimator=estimator, view_dag=view_dag
+            query,
+            view=view,
+            estimator=self._estimator(query, view, view_dag),
+            view_dag=view_dag,
+            kernels=self._full_kernels(query),
         )
         candidates = self._candidates.get_or_create(
             ("candidates", self._fingerprint(query).query_key),
@@ -441,89 +448,30 @@ class ShardWorkerRuntime:
             ),
             tags=use_relations(query.use),
         )
-        return shared, candidates, estimator
-
-    def _how_to_local(self, query: HowToQuery):
-        """The shard-local candidate evaluator plus its prepared/cached context.
-
-        The :class:`~repro.shard.local.LocalHowTo` runs every per-candidate
-        vectorized step on the local view — ``n / n_shards`` rows, exactly
-        like :meth:`what_if_partial` — while regressor fits keep their
-        full-view targets (built from the full view on a regressor-cache
-        miss), so merged answers stay bitwise equal to the unsharded path.
-        """
-        from .local import LocalHowTo
-
-        shared, candidates, estimator = self._how_to_shared(query)
-        own = np.flatnonzero(self._row_mask(query, shared.view))
-        local_view = self._local_view(query, shared.view)
-        kernels = self._kernels.get_or_create(
-            use_key(query.use), KernelCache, tags=use_relations(query.use)
-        )
-        local = LocalHowTo(query, shared, local_view, kernels=kernels)
-        return shared, candidates, estimator, own, local
-
-    def how_to_partial(self, query: HowToQuery) -> HowToShardPartial:
-        shared, candidates, estimator, own, local = self._how_to_local(query)
-        baseline_count, baseline_sum = local.contributions(local.post_values([]))
-        candidate_count = np.empty((len(candidates), own.size))
-        candidate_sum = np.empty((len(candidates), own.size))
-        for i, candidate in enumerate(candidates):
-            count, sum_ = local.contributions(
-                local.post_values([candidate.as_attribute_update()])
-            )
-            candidate_count[i] = count
-            candidate_sum[i] = sum_
-        return HowToShardPartial(
-            shard_index=self.shard.index,
-            n_shards=self.shard.n_shards,
-            n_rows=len(shared.view),
-            row_indices=own,
-            baseline_count=baseline_count,
-            baseline_sum=baseline_sum,
-            candidate_count=candidate_count,
-            candidate_sum=candidate_sum,
-            signature=tuple((c.attribute, c.label) for c in candidates),
-            meta={
-                "aggregate_name": shared.aggregate_name,
-                "backdoor_set": list(estimator.backdoor_set),
-            },
-            candidates=list(candidates) if self.shard.index == 0 else None,
-        )
-
-    def how_to_verify(
-        self, query: HowToQuery, chosen_indices: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _shared, candidates, _estimator, own, local = self._how_to_local(query)
-        updates = [candidates[i].as_attribute_update() for i in chosen_indices]
-        count, sum_ = local.contributions(local.post_values(updates))
-        return own, count, sum_
+        return shared, candidates
 
     def run_full(self, query: WhatIfQuery | HowToQuery, exhaustive: bool) -> Any:
-        """Run a query unsharded inside this worker (exhaustive how-to et al.).
+        """Answer a whole query unsharded inside this worker.
 
-        The what-if branch runs through this worker's plan caches (view,
-        estimator, fused kernels), so parameter variants of one plan pay pure
-        prediction — it is the per-query engine of the pool's query-scatter
-        batch mode, and its answers are the unsharded engine's answers by
-        construction.
+        The per-query engine of the pool (a dealt task) and of a shard node
+        answering at a retained generation.  Either kind runs through this
+        worker's plan caches (view, estimator, fused kernels, a how-to's
+        candidates), so parameter variants of one plan pay pure prediction,
+        and its answers are the unsharded engine's answers by construction.
         """
         if isinstance(query, HowToQuery):
-            if exhaustive:
-                return self.howto.evaluate_exhaustive(query)
-            return self.howto.evaluate(query)
+            shared, candidates = self._how_to_shared(query)
+            evaluate = (
+                self.howto.evaluate_exhaustive if exhaustive else self.howto.evaluate
+            )
+            return evaluate(query, prepared=shared, candidates=candidates)
         view, view_dag = self._view(query)
-        # Distinct cache from what_if_partial's: that one holds arrays
-        # sized to the shard-local view, this one full-view arrays.
-        kernels = self._kernels.get_or_create(
-            ("full", use_key(query.use)), KernelCache, tags=use_relations(query.use)
-        )
         prepared = self.whatif.prepare(
             query,
             view=view,
             view_dag=view_dag,
             blocks=(self.shard.block_labels, self.shard.n_blocks),
-            kernels=kernels,
+            kernels=self._full_kernels(query),
         )
         estimator = None
         if not self.config.ignores_dependencies:
@@ -659,7 +607,7 @@ def _shard_worker_main(spec, causal_dag, config, task_queue, result_queue) -> No
 
 
 class ShardPool:
-    """Persistent shard workers answering queries via broadcast-and-merge.
+    """Persistent shard workers answering whole queries dealt to them by plan.
 
     Parameters
     ----------
@@ -969,7 +917,7 @@ class ShardPool:
                 )
 
     def _run_on_one(self, kind: str, payload: Any, shard_index: int = 0) -> Any:
-        """Run one task on a single worker (used for unsharded fallbacks)."""
+        """Run one task on a single worker."""
         self._ensure_running()
         with self._io_lock:
             self.n_broadcasts += 1
@@ -1164,6 +1112,7 @@ class ShardPool:
                     children=raw.get("children"),
                 )
 
+    # Kept until ROADMAP 1(d) + 2(d): perf/probes.py times this row-scatter.
     def run_what_if(self, query: WhatIfQuery) -> "WhatIfResult":
         """Answer one what-if query: broadcast, collect partials, merge exactly."""
         started = time.perf_counter()
@@ -1178,46 +1127,14 @@ class ShardPool:
         return result
 
     def run_how_to(self, query: HowToQuery, *, exhaustive: bool = False) -> "HowToResult":
-        """Answer one how-to query (two broadcast rounds when verification is on)."""
-        started = time.perf_counter()
-        if exhaustive:
-            # Opt-HowTo enumerates full update combinations; run it unsharded
-            # on one worker rather than shipping every combination's partials.
-            with obs_trace.span("shard.broadcast", shards=1) as bspan:
-                result = self._run_on_one("full", (query, True))
-                if bspan is not None:
-                    bspan.meta["mode"] = self.mode
-                self._attach_worker_spans([result])
-            return result
-        with obs_trace.span("shard.broadcast", shards=self.n_shards) as bspan:
-            partials = self._broadcast("howto", query)
+        """Answer one how-to query whole, on the worker its plan is homed on."""
+        (home,) = self._dealer.deal([query], range(self.n_shards))
+        with obs_trace.span("shard.broadcast", shards=1) as bspan:
+            result = self._run_on_one("full", (query, exhaustive), home)
             if bspan is not None:
                 bspan.meta["mode"] = self.mode
-            self._attach_worker_spans(partials)
-        with obs_trace.span("shard.merge"):
-            merged = merge_how_to(query, partials)
-            verify = self._verifier(query, len(merged.baseline_count))
-            return solve_merged_how_to(
-                query,
-                merged,
-                verify=verify,
-                runtime_seconds=time.perf_counter() - started,
-            )
-
-    def _verifier(self, query: HowToQuery, n_rows: int):
-        if not self.config.verify_howto_with_whatif:
-            return None
-
-        def verify(chosen_indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-            outs = self._broadcast("howto_verify", (query, list(chosen_indices)))
-            count = np.zeros(n_rows)
-            sum_ = np.zeros(n_rows)
-            for own, shard_count, shard_sum in outs:
-                count[own] = shard_count
-                sum_[own] = shard_sum
-            return count, sum_
-
-        return verify
+            self._attach_worker_spans([result])
+        return result
 
     def run_query(
         self, query: WhatIfQuery | HowToQuery, *, exhaustive: bool = False
@@ -1232,10 +1149,10 @@ class ShardPool:
         *,
         return_errors: bool = False,
     ) -> list[Any]:
-        """Answer a batch with one scatter round-trip for all what-if work.
+        """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
-        What-if queries are **query-scattered**: whole queries are dealt to
-        the workers by plan (:meth:`PlanDealer.deal
+        Every query, what-if or how-to, is **query-scattered**: dealt to a
+        worker by plan (:meth:`PlanDealer.deal
         <repro.service.fingerprint.PlanDealer.deal>` — a plan's queries go to
         the worker that has it fitted, so a commit costs one refit per plan,
         not one per plan and worker), and each worker answers its share
@@ -1244,41 +1161,31 @@ class ShardPool:
         message and one result message per worker cover the whole suite, each
         query's fixed dispatch cost is paid once instead of once per shard,
         and the answers are the unsharded engine's answers by construction —
-        no merge step, nothing to drift.  (Single-query ``run_what_if`` keeps
-        the row-scatter path, which has lower latency for one answer.)
+        no merge step, nothing to drift.
 
-        How-to queries still broadcast to every worker and merge partials,
-        because their candidate scoring scans dominate and genuinely shard by
-        rows; their verification rounds then run individually.  Entries that
-        are already exceptions pass through; failures are captured per query
-        with ``return_errors=True``, else the first one is raised.
+        Entries that are already exceptions pass through; failures are
+        captured per query with ``return_errors=True``, else the first one is
+        raised.
         """
         results: list[Any] = list(queries)
-        whatif_entries = [
+        entries = [
             (index, query)
             for index, query in enumerate(queries)
-            if isinstance(query, WhatIfQuery)
+            if not isinstance(query, Exception)
         ]
-        howto_entries = [
-            (index, query)
-            for index, query in enumerate(queries)
-            if isinstance(query, HowToQuery)
-        ]
-        if whatif_entries:
+        if entries:
             per_worker_tasks: list[list[tuple[str, Any]]] = [
                 [] for _ in range(self.n_shards)
             ]
             per_worker_slots: list[list[int]] = [[] for _ in range(self.n_shards)]
             dealt = self._dealer.deal(
-                [query for _index, query in whatif_entries], range(self.n_shards)
+                [query for _index, query in entries], range(self.n_shards)
             )
-            for worker, (index, query) in zip(dealt, whatif_entries):
+            for worker, (index, query) in zip(dealt, entries):
                 per_worker_tasks[worker].append(("full", (query, False)))
                 per_worker_slots[worker].append(index)
             with obs_trace.span(
-                "shard.scatter_batch",
-                shards=self.n_shards,
-                batch=len(whatif_entries),
+                "shard.scatter_batch", shards=self.n_shards, batch=len(entries)
             ) as bspan:
                 per_worker = self._scatter("batch", per_worker_tasks)
                 if bspan is not None:
@@ -1289,38 +1196,6 @@ class ShardPool:
             for worker_out, slots in zip(per_worker, per_worker_slots):
                 for index, (ok, out) in zip(slots, worker_out):
                     results[index] = out if ok else _worker_error(0, out)
-        if howto_entries:
-            subtasks = [("howto", query) for _index, query in howto_entries]
-            with obs_trace.span(
-                "shard.broadcast", shards=self.n_shards, batch=len(subtasks)
-            ) as bspan:
-                per_shard = self._broadcast("batch", subtasks)
-                if bspan is not None:
-                    bspan.meta["mode"] = self.mode
-                # Strip (and, when traced, re-attach) every subtask's worker
-                # span before any merge sees the partials.
-                self._attach_worker_spans(
-                    [out for shard_result in per_shard for ok, out in shard_result if ok]
-                )
-            with obs_trace.span("shard.merge", batch=len(subtasks)):
-                for sub_position, (index, query) in enumerate(howto_entries):
-                    shard_outs = [
-                        shard_result[sub_position] for shard_result in per_shard
-                    ]
-                    failed = next((out for ok, out in shard_outs if not ok), None)
-                    if failed is not None:
-                        results[index] = _worker_error(0, failed)
-                        continue
-                    partials = [out for _ok, out in shard_outs]
-                    try:
-                        merged = merge_how_to(query, partials)
-                        results[index] = solve_merged_how_to(
-                            query,
-                            merged,
-                            verify=self._verifier(query, len(merged.baseline_count)),
-                        )
-                    except Exception as error:  # noqa: BLE001 - captured per query
-                        results[index] = error
         if not return_errors:
             for result in results:
                 if isinstance(result, Exception):

@@ -29,6 +29,18 @@ class Cluster:
     topology: ClusterTopology
     stopped: set[int] = field(default_factory=set)
 
+    def spy_on_legs(self) -> list[tuple[int, dict, object]]:
+        """From now on, record ``(node, body, deadline)`` of every ``/v1/partial`` leg."""
+        legs: list[tuple[int, dict, object]] = []
+        for index, shard in enumerate(self.shards):
+
+            def spy(body, *, deadline=None, _original=shard.partial_payload, _index=index):
+                legs.append((_index, dict(body), deadline))
+                return _original(body, deadline=deadline)
+
+            shard.partial_payload = spy
+        return legs
+
     def stop_node(self, index: int) -> None:
         """Kill one shard-server node (its port stops accepting)."""
         if index not in self.stopped:

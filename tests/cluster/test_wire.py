@@ -11,11 +11,10 @@ import pytest
 
 from repro.api import endpoints as api
 from repro.cluster import wire
-from repro.core.howto import CandidateUpdate
-from repro.core.results import WhatIfResult
+from repro.core.results import HowToResult, WhatIfResult
 from repro.exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
-from repro.core.updates import AddConstant, MultiplyBy, SetTo
-from repro.shard.merge import HowToShardPartial, WhatIfShardPartial
+from repro.core.updates import AddConstant, AttributeUpdate, MultiplyBy, SetTo
+from repro.shard.merge import WhatIfShardPartial
 
 
 def json_hop(payload):
@@ -66,24 +65,41 @@ class TestArrays:
             wire.decode_array(payload)
 
 
+def how_to_result(updates, **overrides) -> HowToResult:
+    """A how-to answer whose floats are the awkward ones: 1/3, -0.0, the smallest subnormal."""
+    return HowToResult(
+        recommended_updates=list(updates),
+        **{"objective_value": 1 / 3, "baseline_value": -0.0, "verified_value": 5e-324, **overrides},
+        maximize=False,
+        per_attribute_choices={u.attribute: u.function.describe() for u in updates},
+        n_candidates=np.int64(7),
+        runtime_seconds=0.25,
+        metadata={"backdoor_set": ["Age", "Sex"], "n_nodes_explored": np.int64(5)},
+    )
+
+
+def how_to_hop(result):
+    return wire.decode_how_to_answer(json_hop(wire.encode_how_to_answer(result)))
+
+
 class TestCandidates:
+    """The updates a how-to chose travel as ``(attribute, function)``."""
+
     @pytest.mark.parametrize(
         "function",
         [SetTo(3.5), AddConstant(-2.0), MultiplyBy(1.1), SetTo(2)],
         ids=["set", "add", "mul", "set-int"],
     )
     def test_function_round_trip(self, function):
-        candidate = CandidateUpdate("Status", function, f"Status:{function!r}")
-        out = wire.decode_candidate(json_hop(wire.encode_candidate(candidate)))
-        assert out == candidate
+        sent = AttributeUpdate("Status", function)
+        (out,) = how_to_hop(how_to_result([sent])).recommended_updates
+        assert out == sent and repr(out) == repr(sent)  # SetTo(2) stays an int
 
     def test_unknown_kind_raises(self):
-        payload = json_hop(
-            wire.encode_candidate(CandidateUpdate("Status", SetTo(1.0), "x"))
-        )
-        payload["function"]["kind"] = "pow"
+        payload = wire.encode_how_to_answer(how_to_result([AttributeUpdate("Status", SetTo(1.0))]))
+        payload["recommended_updates"][0]["function"]["kind"] = "pow"
         with pytest.raises(wire.WireError):
-            wire.decode_candidate(payload)
+            wire.decode_how_to_answer(payload)
 
 
 class TestPartials:
@@ -120,41 +136,6 @@ class TestPartials:
         )
         out = wire.decode_what_if_partial(json_hop(wire.encode_what_if_partial(partial)))
         assert out.sum is None and out.scope_mask is None and out.n_blocks is None
-
-    def test_how_to_partial_round_trip(self):
-        rng = np.random.default_rng(9)
-        candidates = [
-            CandidateUpdate("Status", SetTo(float(v)), f"Status={v}") for v in (1, 2)
-        ]
-        partial = HowToShardPartial(
-            shard_index=0,
-            n_shards=2,
-            n_rows=6,
-            row_indices=np.array([0, 1, 5]),
-            baseline_count=rng.standard_normal(3),
-            baseline_sum=rng.standard_normal(3),
-            candidate_count=rng.standard_normal((2, 3)),
-            candidate_sum=rng.standard_normal((2, 3)),
-            signature=tuple((c.attribute, c.label) for c in candidates),
-            meta={"backdoor": ["Age"]},
-            candidates=candidates,
-        )
-        out = wire.decode_how_to_partial(json_hop(wire.encode_how_to_partial(partial)))
-        assert out.signature == partial.signature
-        assert out.candidates == candidates
-        assert out.candidate_count.tobytes() == partial.candidate_count.tobytes()
-        assert out.baseline_sum.tobytes() == partial.baseline_sum.tobytes()
-
-    def test_verify_round_trip(self):
-        own = np.array([2, 3, 5])
-        count = np.array([0.25, -0.0, np.pi])
-        sum_ = np.array([1e-300, 2.0, 3.0])
-        out_own, out_count, out_sum = wire.decode_verify(
-            json_hop(wire.encode_verify(own, count, sum_))
-        )
-        assert out_own.tolist() == own.tolist()
-        assert out_count.tobytes() == count.tobytes()
-        assert out_sum.tobytes() == sum_.tobytes()
 
 
 def bits(value: float) -> bytes:
@@ -247,3 +228,35 @@ class TestAnswers:
     def test_malformed_item_raises(self, payload):
         with pytest.raises(HypeRError):
             wire.decode_what_if_answer(payload)
+
+
+class TestHowToAnswers:
+    """``kind="answers"``: a whole how-to result as scalars plus its chosen updates."""
+
+    def test_every_field_survives_the_hop_bit_for_bit(self):
+        sent = how_to_result(
+            [
+                AttributeUpdate("Status", SetTo(np.float64(4.0))),
+                AttributeUpdate("Duration", AddConstant(-6)),
+                AttributeUpdate("CreditAmount", MultiplyBy(0.8)),
+            ]
+        )
+        assert "runtime_seconds" not in wire.encode_how_to_answer(sent)
+        out = how_to_hop(sent)
+        sent.runtime_seconds = 0.0  # the coordinator clocks its own
+        assert out == sent and out.plan() == sent.plan() and out.payload() == sent.payload()
+        for name, value in {"objective": 1 / 3, "baseline": -0.0, "verified": 5e-324}.items():
+            assert bits(getattr(out, f"{name}_value")) == bits(value)
+        assert type(out.n_candidates) is int and out.maximize is False
+        assert type(out.recommended_updates[0].function.value) is float
+        unchanged = how_to_hop(how_to_result([], verified_value=None))
+        assert unchanged.verified_value is None and unchanged.recommended_updates == []
+
+    def test_error_and_malformed_items(self):
+        error = QuerySemanticsError("attribute 'Age' is immutable")
+        out = how_to_hop(error)
+        assert type(out) is api.ApiError and (out.status, out.envelope) == api.envelope_for(error)
+        bad_update = {**wire.encode_how_to_answer(how_to_result([])), "recommended_updates": [3]}
+        for payload in (None, [], {"objective_value": 1.0}, {"error": {}}, bad_update):
+            with pytest.raises(wire.WireError):
+                wire.decode_how_to_answer(payload)

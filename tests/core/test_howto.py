@@ -27,8 +27,7 @@ from repro.relational import (
     post,
     pre,
 )
-from repro.core.whatif import combine_aggregate
-from repro.shard import ShardPool, merge_how_to, partition_database
+from repro.shard import ShardPool, partition_database
 
 from .linear_fixture import make_linear_dataset
 
@@ -631,27 +630,9 @@ class TestCandidateIsAWhatIf:
         pool = ShardPool(plan, german.causal_dag, config, inline=True).start()
         service = HypeRService(german.database, german.causal_dag, config)
         try:
-            # every candidate, and one combination, through the shard-local call
-            merged = merge_how_to(query, pool._broadcast("howto", query))
-            candidates = merged.candidates
-
-            def fold(count, sum_):
-                return combine_aggregate(merged.aggregate_name, count, sum_)[0]
-
-            assert fold(merged.baseline_count, merged.baseline_sum) == answer([])
-            for i, candidate in enumerate(candidates):
-                assert fold(merged.candidate_count[i], merged.candidate_sum[i]) == answer(
-                    [candidate]
-                )
-            combination = {c.attribute: i for i, c in enumerate(candidates)}.values()
-            count, sum_ = pool._verifier(query, len(merged.baseline_count))(list(combination))
-            assert fold(count, sum_) == answer([candidates[i] for i in combination])
-            # and what the pool and the service report
             for result in (pool.run_how_to(query), service.execute(query)):
                 assert result.baseline_value == answer([])
-                chosen = [
-                    c for c in candidates if c.as_attribute_update() in result.recommended_updates
-                ]
+                chosen = result.recommended_updates
                 assert result.objective_value == unsharded.objective_value
                 assert result.verified_value == (answer(chosen) if chosen else None)
         finally:

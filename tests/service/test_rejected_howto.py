@@ -62,10 +62,9 @@ def test_worker_caches_nothing_for_a_rejected_how_to(dataset, why):
     plan = partition_database(dataset.database, dataset.causal_dag, 2)
     runtime = ShardWorkerRuntime(plan[0], dataset.causal_dag, CONFIG)
     query = parse_query(REJECTED[why])
-    with pytest.raises(QuerySemanticsError):
-        runtime.how_to_partial(query)
-    with pytest.raises(QuerySemanticsError):
-        runtime.how_to_verify(query, [0])
+    for exhaustive in (False, True):
+        with pytest.raises(QuerySemanticsError):
+            runtime.run_full(query, exhaustive)
     assert len(runtime._estimators) == 0 and runtime.n_estimator_builds == 0
-    runtime.how_to_partial(parse_query(ACCEPTED))
+    runtime.run_full(parse_query(ACCEPTED), False)
     assert len(runtime._estimators) == 1
