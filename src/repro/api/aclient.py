@@ -1,13 +1,13 @@
 """``AsyncHypeRClient`` — the asyncio twin of :class:`~repro.api.client.HypeRClient`.
 
 Same endpoints, same typed answers, and the same failure semantics as the
-sync SDK — not by imitation: the verbs, request encoding, retry/deadline
-decisions, response decoding and error classes are the one copy in
-:mod:`repro.api.calls`.  This module is the **asyncio transport** only:
-HTTP/1.1 framing over ``asyncio`` streams, so many calls can be in flight on
-one event loop.  Every verb of :class:`~repro.api.calls.ClientVerbs` is
-awaited here (``await client.query(...)``), every streaming verb iterated
-with ``async for``.
+sync SDK — not by imitation: the verbs, request encoding, HTTP/1.1 framing,
+retry/deadline decisions, response decoding and error classes are the one
+copy in :mod:`repro.api.calls`.  This module is the **asyncio transport**
+only: pooled ``asyncio`` streams and the attempt loop over them, so many
+calls can be in flight on one event loop.  Every verb of
+:class:`~repro.api.calls.ClientVerbs` is awaited here (``await
+client.query(...)``), every streaming verb iterated with ``async for``.
 
 Unlike the sync client (one keep-alive connection, not thread-safe), the
 async client keeps a small **pool** of keep-alive connections: concurrent
@@ -32,32 +32,36 @@ from dataclasses import dataclass
 from collections.abc import AsyncIterator
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .calls import Call, ClientVerbs, Deadline, LineDecoder, PendingCall
+from .calls import Call, ClientVerbs, Deadline, LineDecoder, PendingCall, Response
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .schemas import BatchItem, JobStatus
 
 __all__ = ["AsyncHypeRClient"]
 
-#: what a dead, stalled or half-closed connection raises — the async analogue
-#: of the sync client's ``(HTTPException, OSError)``; ``ConnectionError`` and
-#: ``TimeoutError`` are ``OSError``s, ``IncompleteReadError`` an ``EOFError``
-_IO_ERRORS = (OSError, EOFError, asyncio.TimeoutError)
+#: what a dead, stalled or half-closed connection raises (``ConnectionError``
+#: and ``TimeoutError`` are ``OSError``s, ``IncompleteReadError`` an ``EOFError``)
+_IO_ERRORS = (OSError, EOFError)
 
-#: StreamReader line limit — headers and NDJSON lines must fit one line
-_STREAM_LIMIT = 1 << 20
+
+def _timed_out(timeout: float) -> TimeoutError:
+    return TimeoutError(f"no response within {timeout:.3f}s")
 
 
 class _Conn:
     """One pooled keep-alive connection."""
 
-    __slots__ = ("reader", "writer", "will_close")
+    __slots__ = ("reader", "writer")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
-        #: the last response head said the server closes after this answer
-        self.will_close = False
+
+    def expire(self, timeout: float) -> None:
+        """An operation outlived its cap: fail the pending read with the
+        ``TimeoutError`` and kill the socket (which fails a pending ``drain``)."""
+        self.reader.set_exception(_timed_out(timeout))
+        self.writer.transport.abort()
 
 
 @dataclass(eq=False, kw_only=True)
@@ -98,11 +102,12 @@ class AsyncHypeRClient(ClientVerbs):
             if not conn.writer.is_closing():
                 return conn
             self._discard(conn)
-        reader, writer = await self._bounded(
-            asyncio.open_connection(self.host, self.port, limit=_STREAM_LIMIT),
-            deadline,
-        )
-        return _Conn(reader, writer)
+        timeout = deadline.io_timeout(self.timeout)
+        opening = asyncio.open_connection(self.host, self.port)
+        try:
+            return _Conn(*await asyncio.wait_for(opening, timeout))
+        except asyncio.TimeoutError:
+            raise _timed_out(timeout) from None
 
     def _discard(self, conn: _Conn) -> None:
         try:
@@ -110,10 +115,10 @@ class AsyncHypeRClient(ClientVerbs):
         except Exception:  # noqa: BLE001 - best-effort teardown
             pass
 
-    def _finish(self, conn: _Conn) -> None:
+    def _finish(self, conn: _Conn, response: Response) -> None:
         """Return a fully-read connection to the pool, or close it per the response."""
         if (
-            conn.will_close
+            response.will_close
             or self._closed
             or conn.writer.is_closing()
             or len(self._idle) >= self.max_idle_connections
@@ -122,94 +127,19 @@ class AsyncHypeRClient(ClientVerbs):
         else:
             self._idle.append(conn)
 
-    async def _bounded(self, awaitable: Any, deadline: Deadline) -> Any:
-        """Run one I/O operation under the per-operation/deadline cap."""
+    async def _receive(self, conn: _Conn, response: Response, deadline: Deadline) -> None:
+        """Feed ``response`` what arrives next, under the per-operation cap."""
+        response.feed(await self._bounded(conn, conn.reader.read(1 << 16), deadline))
+
+    async def _bounded(self, conn: _Conn, awaitable: Any, deadline: Deadline) -> Any:
+        """Run one I/O operation on ``conn`` under the per-operation/deadline
+        cap — a timer that kills the connection, not a Task per operation."""
         timeout = deadline.io_timeout(self.timeout)
+        timer = asyncio.get_running_loop().call_later(timeout, conn.expire, timeout)
         try:
-            return await asyncio.wait_for(awaitable, timeout)
-        except asyncio.TimeoutError:
-            raise TimeoutError(f"no response within {timeout:.3f}s") from None
-
-    # -- HTTP/1.1 framing --------------------------------------------------------------
-
-    def _render_request(self, pending: PendingCall) -> bytes:
-        body = pending.body or b""
-        lines = [
-            f"{pending.call.method} {pending.call.path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-        ]
-        for name, value in pending.headers.items():
-            lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(body)}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-    async def _read_head(
-        self, conn: _Conn, deadline: Deadline
-    ) -> tuple[int, dict[str, str]]:
-        """Parse the status line and headers; notes whether the server will close."""
-        try:
-            head = await self._bounded(conn.reader.readuntil(b"\r\n\r\n"), deadline)
-        except asyncio.IncompleteReadError as error:
-            what = "truncated the head" if error.partial else "closed the connection"
-            raise ConnectionError(f"server {what}") from None
-        status_line, *lines = head.decode("latin-1").split("\r\n")
-        version, status, *_ = (*status_line.split(None, 2), "", "")
-        if not version.startswith("HTTP/") or not status.isdigit():
-            raise ConnectionError(f"malformed status line {status_line!r}")
-        headers: dict[str, str] = {}
-        for line in lines:
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            conn.will_close = "keep-alive" not in connection
-        else:
-            conn.will_close = "close" in connection
-        return int(status), headers
-
-    async def _iter_body(
-        self, conn: _Conn, headers: dict[str, str], deadline: Deadline
-    ) -> AsyncIterator[bytes]:
-        """The body's bytes as they arrive, read through the end of its framing."""
-        reader = conn.reader
-        length = headers.get("content-length")
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            while True:
-                size_line = await self._bounded(reader.readline(), deadline)
-                try:  # an EOF's empty line is malformed too
-                    size = int(size_line.split(b";", 1)[0], 16)
-                except ValueError:
-                    raise ConnectionError(f"bad chunk size {size_line!r}") from None
-                if size == 0:
-                    # trailer section: read through the blank terminator line
-                    while True:
-                        trailer = await self._bounded(reader.readline(), deadline)
-                        if trailer in (b"\r\n", b"\n", b""):
-                            return
-                chunk = await self._bounded(reader.readexactly(size + 2), deadline)
-                yield chunk[:-2]  # without its CRLF
-        elif length is None:
-            # close-delimited (the threaded front door's streams): until EOF
-            while piece := await self._bounded(reader.read(1 << 16), deadline):
-                yield piece
-        elif not length.isdigit():
-            raise ConnectionError(f"invalid Content-Length {length!r}")
-        elif int(length):
-            yield await self._bounded(reader.readexactly(int(length)), deadline)
-
-    async def _iter_lines(
-        self, conn: _Conn, headers: dict[str, str], deadline: Deadline
-    ) -> AsyncIterator[bytes]:
-        """A streamed body split into lines (whatever its framing)."""
-        buffer = b""
-        async for piece in self._iter_body(conn, headers, deadline):
-            buffer += piece
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                yield line
-        if buffer:
-            yield buffer
+            return await awaitable
+        finally:
+            timer.cancel()
 
     # -- the asyncio transport ---------------------------------------------------------
 
@@ -223,29 +153,32 @@ class AsyncHypeRClient(ClientVerbs):
         while True:
             deadline.check()
             conn: _Conn | None = None
+            response = Response()
             try:
                 conn = await self._acquire(deadline)
-                conn.writer.write(self._render_request(pending))
-                await self._bounded(conn.writer.drain(), deadline)
-                status, headers = await self._read_head(conn, deadline)
+                conn.writer.write(pending.request)
+                await self._bounded(conn, conn.writer.drain(), deadline)
+                while response.status is None:
+                    await self._receive(conn, response, deadline)
             except _IO_ERRORS as error:
                 if conn is not None:
                     self._discard(conn)
                 await asyncio.sleep(pending.backoff(error))
                 continue
-            if pending.streams(status, headers.get("content-type")):
-                return self._lines(conn, headers, pending)
+            if pending.streams(response.status, response.headers.get("content-type")):
+                return self._lines(conn, response, pending)
             try:
-                pieces = [p async for p in self._iter_body(conn, headers, deadline)]
+                while not response.done:
+                    await self._receive(conn, response, deadline)
             except _IO_ERRORS as error:
                 self._discard(conn)
                 raise pending.truncated(error) from error
-            self._finish(conn)
-            raw, encoding = b"".join(pieces), headers.get("content-encoding")
-            hint = headers.get("retry-after")
-            wait = pending.overloaded(status, raw, encoding, hint)
+            self._finish(conn, response)
+            raw, encoding = b"".join(response.pieces), response.headers.get("content-encoding")
+            hint = response.headers.get("retry-after")
+            wait = pending.overloaded(response.status, raw, encoding, hint)
             if wait is None:
-                return pending.decode(status, raw, encoding)
+                return pending.decode(response.status, raw, encoding)
             await asyncio.sleep(wait)
 
     async def _run(self, call: Call) -> Any:
@@ -262,28 +195,30 @@ class AsyncHypeRClient(ClientVerbs):
                 yield item
 
     async def _lines(
-        self, conn: _Conn, headers: dict[str, str], pending: PendingCall
+        self, conn: _Conn, response: Response, pending: PendingCall
     ) -> AsyncIterator[Any]:
         decoder, clean = pending.decoder, False
         try:
-            async for line in self._iter_lines(conn, headers, pending.deadline):
-                if decoder.done:
-                    # keep reading through the end of the framing (the chunk
-                    # terminator): only then is the connection poolable
-                    continue
-                pending.deadline.check()
-                item = decoder.feed(line)
-                if item is not None:
-                    yield item
-            if not decoder.done:
-                decoder.end()
+            # read through the end of the framing (the chunk terminator) even
+            # after the done line: only then is the connection poolable
+            while True:
+                for piece in response.take():
+                    for item in decoder.take(piece):
+                        yield item
+                if response.done:
+                    break
+                if not decoder.done:
+                    pending.deadline.check()
+                await self._receive(conn, response, pending.deadline)
+            for item in decoder.finish():
+                yield item
             clean = True
         except _IO_ERRORS as error:
             raise pending.truncated(error) from error
         finally:
             # a failed, malformed or abandoned stream leaves unread bytes behind
             if clean:
-                self._finish(conn)
+                self._finish(conn, response)
             else:
                 self._discard(conn)
 

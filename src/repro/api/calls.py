@@ -1,12 +1,16 @@
 """The sans-IO call core both SDK clients drive.
 
-:class:`~repro.api.client.HypeRClient` (blocking ``http.client``) and
+:class:`~repro.api.client.HypeRClient` (one blocking socket) and
 :class:`~repro.api.aclient.AsyncHypeRClient` (pooled asyncio streams) only
 move bytes; what is sent and what an answer means is decided once, here:
 
 * the error taxonomy (:class:`HypeRClientError` …) and the call :class:`Deadline`;
 * a :class:`Call` (method, path, payload, accepted statuses, answer parser)
   and :func:`encode`, run once per logical call — retries resend its bytes;
+* the HTTP/1.1 framing: :func:`render_request` (a whole request as one byte
+  string, for one write) and :class:`Response` (fed the bytes as they arrive:
+  the head parsed from its one ``\\r\\n\\r\\n``-terminated block, then the body
+  by its framing — ``Content-Length``, chunks, or until the close);
 * :class:`PendingCall`, one call in flight: the retry decision (transport
   failure | 429 | answer × attempts spent → seconds to sleep, or the error
   that ends the call; never a sleep past the deadline) and :meth:`decode
@@ -61,6 +65,8 @@ __all__ = [
     "Deadline",
     "Call",
     "encode",
+    "render_request",
+    "Response",
     "PendingCall",
     "LineDecoder",
     "BatchLines",
@@ -233,15 +239,133 @@ def encode(
     return body, headers
 
 
+# -- HTTP/1.1 framing ------------------------------------------------------------------
+
+
+def render_request(
+    method: str, path: str, host: str, headers: dict[str, str], body: bytes
+) -> bytes:
+    """A whole request — line, headers, ``Content-Length``, body — for one write."""
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+class Response:
+    """One response, read from the bytes a transport feeds it (:meth:`feed`).
+
+    ``status`` / ``headers`` (names lower-cased) / ``will_close`` are set once
+    the head's blank line has arrived; the body's bytes queue on ``pieces`` as
+    its framing — chunks, ``Content-Length``, or everything until the server
+    closes — releases them, and ``done`` turns true at the framing's end.
+    """
+
+    status: int | None = None
+    done = False
+    _chunked = _trailers = False
+    #: body bytes still to come — of the chunk and its CRLF, or of the whole
+    #: ``Content-Length`` body; ``None`` for a close-delimited one
+    _left: int | None = 0
+
+    def __init__(self) -> None:
+        self.headers: dict[str, str] = {}
+        self.pieces: list[bytes] = []
+        self._buffer = b""
+
+    def take(self) -> list[bytes]:
+        """The queued pieces, removed from the queue."""
+        pieces, self.pieces = self.pieces, []
+        return pieces
+
+    def feed(self, data: bytes) -> None:
+        """The next bytes off the socket; ``b""`` when the server closed it.
+
+        A head that cannot be one raises ``ConnectionError`` (nothing of an
+        answer is consumed yet: retryable), a close mid-body ``EOFError``.
+        """
+        self._buffer += data
+        if self.status is None:
+            head, found, rest = self._buffer.partition(b"\r\n\r\n")
+            if found:
+                self._buffer = rest
+                self._head(head.decode("latin-1").split("\r\n"))
+            elif data:
+                return
+            else:
+                what = "truncated the head" if head else "closed the connection"
+                raise ConnectionError(f"server {what}")
+        if self.done:
+            return
+        if not data:
+            if self._left is not None:
+                raise EOFError("server closed the connection mid-body")
+            self.done = True
+        elif self._chunked:
+            self._chunks()
+        elif self._left is None:
+            self.pieces.append(self._buffer)
+            self._buffer = b""
+        else:
+            piece, self._buffer = self._buffer[: self._left], self._buffer[self._left :]
+            self.pieces.append(piece)
+            self._left -= len(piece)
+            self.done = not self._left
+
+    def _head(self, lines: list[str]) -> None:
+        version, status, *_ = (*lines[0].split(None, 2), "", "")
+        if not version.startswith("HTTP/") or not status.isdigit():
+            raise ConnectionError(f"malformed status line {lines[0]!r}")
+        for line in lines[1:]:
+            name, sep, value = line.partition(":")
+            if sep:
+                self.headers[name.strip().lower()] = value.strip()
+        connection = self.headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            self.will_close = "keep-alive" not in connection
+        else:
+            self.will_close = "close" in connection
+        self._chunked = self.headers.get("transfer-encoding", "").lower() == "chunked"
+        length = self.headers.get("content-length")
+        if length is None and not self._chunked:
+            self._left, self.will_close = None, True  # the close ends the body
+        elif not self._chunked:
+            if not length.isdigit():
+                raise ConnectionError(f"invalid Content-Length {length!r}")
+            self._left = int(length)
+            self.done = not self._left
+        self.status = int(status)
+
+    def _chunks(self) -> None:
+        while not self.done:
+            if self._left:  # inside a chunk: released whole, once its CRLF is here
+                if len(self._buffer) < self._left:
+                    return
+                self.pieces.append(self._buffer[: self._left - 2])
+                self._buffer, self._left = self._buffer[self._left :], 0
+            line, found, rest = self._buffer.partition(b"\n")
+            if not found:
+                return
+            self._buffer = rest
+            if self._trailers:  # read through the blank line that ends them
+                self.done = not line.strip()
+                continue
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                raise ConnectionError(f"bad chunk size {line!r}") from None
+            self._left, self._trailers = size and size + 2, not size
+
+
 class PendingCall:
     """One logical call in flight: encoded once, one request id and one
     :class:`Deadline` shared by every attempt, ``attempt`` retries spent.
 
-    The transport's attempt loop sends ``body``/``headers`` and asks what the
-    outcome means: a transport failure → :meth:`backoff`; a head that
-    :meth:`streams` → feed ``decoder`` its lines; a whole body →
+    The transport's attempt loop sends ``request`` (the rendered bytes) and
+    asks what the outcome means: a transport failure → :meth:`backoff`; a
+    head that :meth:`streams` → feed ``decoder`` its body; a whole body →
     :meth:`overloaded` (a 429 with budget left), else :meth:`decode`.
-    ``client`` supplies the retry, gzip and client-id settings.
+    ``client`` supplies the address and the retry, gzip and client-id settings.
     """
 
     def __init__(
@@ -253,8 +377,11 @@ class PendingCall:
         if decoder is not None:
             decoder.error = self.error  # stream errors carry this call's id
         self.deadline = Deadline(call.deadline, self.request_id)
-        self.body, self.headers = encode(
+        body, self.headers = encode(
             call.payload, client.client_id, client.gzip_min_bytes, self.request_id
+        )
+        self.request = render_request(
+            call.method, call.path, f"{client.host}:{client.port}", self.headers, body or b""
         )
         self.attempt = 0
         self.max_retries = client.max_retries
@@ -364,15 +491,29 @@ class LineDecoder:
     """Feeds on a stream's lines; the rules both NDJSON answers share.
 
     Blank lines are skipped; a line that is not a JSON object is a
-    :class:`TransportError`.  A transport calls :meth:`feed` per line until
-    ``done`` turns true (then reads the framing through its end), and
-    :meth:`end` if the bytes run out first.
+    :class:`TransportError`.  A transport hands :meth:`take` each piece of the
+    body as it arrives, reads the framing through its end whether or not
+    ``done`` turned true on the way, and then calls :meth:`finish`.
     """
 
     #: builds this stream's errors; its :class:`PendingCall` rebinds it to
     #: :meth:`PendingCall.error` so they carry the request id
     error: Callable[[str], TransportError] = TransportError
     done = False
+    _partial = b""  # the bytes of a line whose end has not arrived yet
+
+    def take(self, piece: bytes) -> Iterator[Any]:
+        """A piece of the body → the items of the lines it completes."""
+        *lines, self._partial = (self._partial + piece).split(b"\n")
+        for line in lines:
+            if not self.done and (item := self.feed(line)) is not None:
+                yield item
+
+    def finish(self) -> Iterator[Any]:
+        """The body ended: its unterminated last line; no ``done`` yet → :meth:`end`."""
+        yield from self.take(b"\n")
+        if not self.done:
+            self.end()
 
     def feed(self, line: bytes) -> Any | None:
         """One line → the item to yield, or ``None`` (blank / bookkeeping)."""

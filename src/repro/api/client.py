@@ -14,17 +14,18 @@ failure handling::
                                   "OUTPUT AVG(POST(Credit))"]):
             print(item.index, item.result.value if item.ok else item.error.message)
 
-This module is the **blocking transport** only: one ``http.client``
-connection, the attempt loop that sends and sleeps, and a ``readline`` loop
-for streamed answers.  What the client *does* — the verbs and their inputs,
-bounded retries honoring ``Retry-After``, whole-call deadlines, response
-decoding, the error classes — is :mod:`repro.api.calls`, shared with the
-asyncio transport (:mod:`repro.api.aclient`).
+This module is the **blocking transport** only: one keep-alive socket and the
+attempt loop that sends (one ``sendall`` per attempt), receives and sleeps.
+What the client *does* — the verbs and their inputs, the request's bytes and
+the framing of the answer's, bounded retries honoring ``Retry-After``,
+whole-call deadlines, response decoding, the error classes — is
+:mod:`repro.api.calls`, shared with the asyncio transport
+(:mod:`repro.api.aclient`).
 """
 
 from __future__ import annotations
 
-import http.client
+import socket
 import time
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -38,6 +39,7 @@ from .calls import (
     LineDecoder,
     OverloadedError,
     PendingCall,
+    Response,
     ServerDeadlineExceeded,
     TransportError,
 )
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 #: what a dead, stalled or half-closed connection raises (``ConnectionError``
-#: and ``TimeoutError`` are ``OSError``s; ``IncompleteRead`` an ``HTTPException``)
-_IO_ERRORS = (http.client.HTTPException, OSError)
+#: and ``TimeoutError`` are ``OSError``s; ``EOFError`` is a body cut short)
+_IO_ERRORS = (OSError, EOFError)
 
 
 class HypeRClient(ClientVerbs):
@@ -68,14 +70,14 @@ class HypeRClient(ClientVerbs):
     client per thread (they are cheap — the socket opens lazily).
     """
 
-    _conn: http.client.HTTPConnection | None = None
+    _sock: socket.socket | None = None
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "HypeRClient":
         return self
@@ -85,15 +87,13 @@ class HypeRClient(ClientVerbs):
 
     # -- the blocking transport --------------------------------------------------------
 
-    def _connection(self, deadline: Deadline) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        self._conn.timeout = deadline.io_timeout(self.timeout)
-        if self._conn.sock is not None:
-            self._conn.sock.settimeout(self._conn.timeout)
-        return self._conn
+    def _connected(self, deadline: Deadline) -> socket.socket:
+        timeout = deadline.io_timeout(self.timeout)
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock.settimeout(timeout)
+        return self._sock
 
     def _run(self, call: Call, decoder: LineDecoder | None = None) -> Any:
         """The attempt loop: send, ask the core what the outcome means, sleep.
@@ -104,29 +104,29 @@ class HypeRClient(ClientVerbs):
         pending = self._begin(call, decoder)
         while True:
             pending.deadline.check()
+            response = Response()
             try:
-                conn = self._connection(pending.deadline)
-                conn.request(
-                    call.method, call.path, body=pending.body, headers=pending.headers
-                )
-                response = conn.getresponse()
+                sock = self._connected(pending.deadline)
+                sock.sendall(pending.request)
+                while response.status is None:
+                    response.feed(sock.recv(1 << 16))
             except _IO_ERRORS as error:
                 self.close()
                 time.sleep(pending.backoff(error))
                 continue
-            if pending.streams(response.status, response.getheader("Content-Type")):
-                return self._lines(response, pending)
+            if pending.streams(response.status, response.headers.get("content-type")):
+                return self._lines(sock, response, pending)
             try:
-                raw = response.read()
+                while not response.done:
+                    response.feed(sock.recv(1 << 16))
             except _IO_ERRORS as error:
                 self.close()
                 raise pending.truncated(error) from error
             if response.will_close:
                 self.close()
-            encoding = response.getheader("Content-Encoding")
-            wait = pending.overloaded(
-                response.status, raw, encoding, response.getheader("Retry-After")
-            )
+            raw, encoding = b"".join(response.pieces), response.headers.get("content-encoding")
+            hint = response.headers.get("retry-after")
+            wait = pending.overloaded(response.status, raw, encoding, hint)
             if wait is None:
                 return pending.decode(response.status, raw, encoding)
             time.sleep(wait)
@@ -135,22 +135,21 @@ class HypeRClient(ClientVerbs):
     _stream = _run
 
     def _lines(
-        self, response: http.client.HTTPResponse, pending: PendingCall
+        self, sock: socket.socket, response: Response, pending: PendingCall
     ) -> Iterator[Any]:
         decoder, clean = pending.decoder, False
         try:
-            while not decoder.done:
-                pending.deadline.check()
-                line = response.readline()
-                if not line:
-                    decoder.end()
+            # read through the end of the framing (the chunk terminator) even
+            # after the done line: only then is the connection reusable
+            while True:
+                for piece in response.take():
+                    yield from decoder.take(piece)
+                if response.done:
                     break
-                item = decoder.feed(line)
-                if item is not None:
-                    yield item
-            # read through the chunked terminator so the keep-alive
-            # connection is clean for the next request
-            response.read()
+                if not decoder.done:
+                    pending.deadline.check()
+                response.feed(sock.recv(1 << 16))
+            yield from decoder.finish()
             clean = not response.will_close
         except _IO_ERRORS as error:
             raise pending.truncated(error) from error

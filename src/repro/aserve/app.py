@@ -144,16 +144,22 @@ class AsyncApp:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        loop = asyncio.get_running_loop()
         try:
             while True:
+                # one timer bounds the wait for (and the reading of) a request:
+                # it closes the socket, so the read below sees an EOF
+                idle = loop.call_later(self.keep_alive_timeout, writer.close)
                 try:
-                    request = await asyncio.wait_for(
-                        read_request(reader, max_body_bytes=self.max_body_bytes),
-                        self.keep_alive_timeout,
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection: close silently
+                    try:
+                        request = await read_request(
+                            reader, max_body_bytes=self.max_body_bytes
+                        )
+                    finally:
+                        idle.cancel()
                 except HttpProtocolError as error:
+                    if writer.is_closing():
+                        break  # a half-sent request stalled: nobody to answer
                     keep = not error.close
                     response = api.error_response(
                         self.service, None, api.PayloadError(error.status, str(error))
@@ -162,7 +168,7 @@ class AsyncApp:
                         continue
                     break
                 if request is None:
-                    break
+                    break  # the client left, or sat idle past the timer: silent
                 keep_alive = request.keep_alive and not self.draining
                 self._busy.add(writer)
                 try:

@@ -1,6 +1,6 @@
 """Minimal HTTP/1.1 wire protocol for the asyncio serving front-end.
 
-Parses requests from an :class:`asyncio.StreamReader` (request line, headers,
+Parses requests from an :class:`asyncio.StreamReader` (the head in one read,
 ``Content-Length`` bodies, keep-alive semantics) and renders fixed-length JSON
 responses plus **chunked NDJSON streams** — the framing the ``/batch``
 endpoint uses to push per-query results as they complete.
@@ -9,7 +9,7 @@ Deliberately the small subset of RFC 9112 the service needs, stdlib only:
 
 * request bodies are ``Content-Length`` framed (chunked *request* bodies are
   answered ``501``);
-* header folding, trailers and HTTP/2 are out of scope;
+* header folding, bare-LF line ends, trailers and HTTP/2 are out of scope;
 * a body whose declared length exceeds the limit is rejected ``413`` *before*
   it is read — an overload response never costs a 4 MiB read;
 * keep-alive follows the version defaults (HTTP/1.1 persistent unless
@@ -100,37 +100,34 @@ class Request:
         return "close" not in connection
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    try:
-        return await reader.readline()
-    except ValueError:  # line longer than the stream's limit
-        raise HttpProtocolError(400, "header line too long") from None
-
-
 async def read_request(
     reader: asyncio.StreamReader, *, max_body_bytes: int
 ) -> Request | None:
-    """Parse the next request; ``None`` on clean EOF between requests."""
-    line = await _read_line(reader)
-    if not line:
-        return None
-    parts = line.decode("latin-1").rstrip("\r\n").split(" ")
+    """Parse the next request; ``None`` on clean EOF between requests.
+
+    The head is one read — through its blank line, whatever else is already
+    buffered stays for the body and the next request — parsed synchronously.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            return None
+        raise HttpProtocolError(400, "unexpected EOF inside headers") from None
+    except asyncio.LimitOverrunError:  # no blank line within the stream's limit
+        raise HttpProtocolError(400, "header line too long") from None
+    request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    parts = request_line.split(" ")
     if len(parts) != 3 or not all(parts):
         raise HttpProtocolError(400, "malformed request line")
     method, target, version = parts
     if version not in ("HTTP/1.0", "HTTP/1.1"):
         raise HttpProtocolError(505, f"unsupported protocol version {version!r}")
-
+    if len(lines) > MAX_HEADER_COUNT:
+        raise HttpProtocolError(400, "too many headers")
     headers: dict[str, str] = {}
-    while True:
-        line = await _read_line(reader)
-        if not line:
-            raise HttpProtocolError(400, "unexpected EOF inside headers")
-        if line in (b"\r\n", b"\n"):
-            break
-        if len(headers) >= MAX_HEADER_COUNT:
-            raise HttpProtocolError(400, "too many headers")
-        name, sep, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+    for line in lines:
+        name, sep, value = line.partition(":")
         if not sep or not name.strip():
             raise HttpProtocolError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()

@@ -579,15 +579,18 @@ class HypeRService(ServingCounters):
             self._m_queries.inc()
             with self._track("query"), self._pin_snapshot() as state:
                 started = time.perf_counter()
+                # taken once: the result key and the plan caches both read it
+                with obs_trace.span("fingerprint"):
+                    fingerprint = self._fingerprint(state, parsed)
                 if not self._result_cache_enabled:
                     with obs_trace.span("execute"):
-                        result = self._execute_uncached(state, parsed, exhaustive)
+                        result = self._execute_uncached(
+                            state, parsed, exhaustive, fingerprint
+                        )
                     self._record_completion(
                         state, parsed, query, time.perf_counter() - started
                     )
                     return result
-                with obs_trace.span("fingerprint"):
-                    fingerprint = self._fingerprint(state, parsed)
                 key = self._result_key(state, fingerprint, exhaustive)
                 hit = True
 
@@ -595,7 +598,9 @@ class HypeRService(ServingCounters):
                     nonlocal hit
                     hit = False
                     with obs_trace.span("execute"):
-                        return self._execute_uncached(state, parsed, exhaustive)
+                        return self._execute_uncached(
+                            state, parsed, exhaustive, fingerprint
+                        )
 
                 with obs_trace.span("cache.result") as cache_span:
                     result = self.caches.results.get_or_create(
@@ -666,7 +671,7 @@ class HypeRService(ServingCounters):
         )
 
     def _execute_uncached(
-        self, state: _EngineState, parsed: Query, exhaustive: bool
+        self, state: _EngineState, parsed: Query, exhaustive: bool, fingerprint: PlanFingerprint
     ) -> Result:
         if self.execution == "processes":
             pool = self._pool_for(state)
@@ -678,14 +683,14 @@ class HypeRService(ServingCounters):
             # bit for bit — so evaluate here rather than pause or error the
             # reader.
             self._m_pinned_fallbacks.inc()
-        return self._execute_in_process(state, parsed, exhaustive)
+        return self._execute_in_process(state, parsed, exhaustive, fingerprint)
 
     def _execute_in_process(
-        self, state: _EngineState, parsed: Query, exhaustive: bool = False
+        self, state: _EngineState, parsed: Query, exhaustive: bool, fingerprint: PlanFingerprint
     ) -> Result:
         if isinstance(parsed, WhatIfQuery):
-            return self._execute_what_if(state, parsed)
-        return self._execute_how_to(state, parsed, exhaustive=exhaustive)
+            return self._execute_what_if(state, parsed, fingerprint)
+        return self._execute_how_to(state, parsed, fingerprint, exhaustive=exhaustive)
 
     def what_if(self, query: WhatIfQuery) -> WhatIfResult:
         """Alias of :meth:`execute` for programmatic what-if queries."""
@@ -740,25 +745,24 @@ class HypeRService(ServingCounters):
         results: list[Result | Exception] = list(parsed)
         with self._pin_snapshot() as state:
             # Serve result-cache hits first; only misses cross the pool.
-            misses: list[tuple[int, Query, Hashable]] = []
+            misses: list[tuple[int, Query, PlanFingerprint, Hashable]] = []
             for index, query in enumerate(parsed):
                 if isinstance(query, Exception):
                     continue
-                if not self._result_cache_enabled:
-                    misses.append((index, query, None))
-                    continue
-                key = self._result_key(state, self._fingerprint(state, query), False)
-                cached = self.caches.results.get(key)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    misses.append((index, query, key))
+                fingerprint, key = self._fingerprint(state, query), None
+                if self._result_cache_enabled:
+                    key = self._result_key(state, fingerprint, False)
+                    cached = self.caches.results.get(key)
+                    if cached is not None:
+                        results[index] = cached
+                        continue
+                misses.append((index, query, fingerprint, key))
             if misses:
                 pool = self._pool_for(state)
                 with self._track("shard_batch", units=len(misses)):
                     if pool is not None:
                         fresh = pool.run_batch(
-                            [query for _index, query, _key in misses],
+                            [query for _index, query, _fingerprint, _key in misses],
                             return_errors=True,
                         )
                     else:
@@ -767,12 +771,14 @@ class HypeRService(ServingCounters):
                         # identical to the pool's answers).
                         self._m_pinned_fallbacks.inc(len(misses))
                         fresh = []
-                        for _index, query, _key in misses:
+                        for _index, query, fingerprint, _key in misses:
                             try:
-                                fresh.append(self._execute_in_process(state, query))
+                                fresh.append(
+                                    self._execute_in_process(state, query, False, fingerprint)
+                                )
                             except Exception as error:  # noqa: BLE001 - per query
                                 fresh.append(error)
-                for (index, _query, key), result in zip(misses, fresh):
+                for (index, _query, _fingerprint, key), result in zip(misses, fresh):
                     results[index] = result
                     if key is not None and not isinstance(result, Exception):
                         self.caches.results.put(
@@ -784,8 +790,9 @@ class HypeRService(ServingCounters):
                     raise result
         return results
 
-    def _execute_what_if(self, state: _EngineState, query: WhatIfQuery) -> WhatIfResult:
-        fingerprint = self._fingerprint(state, query)
+    def _execute_what_if(
+        self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
+    ) -> WhatIfResult:
         view, view_dag = self._plan_view(state, query.use)
         prepared = state.whatif.prepare(
             query,
@@ -807,9 +814,8 @@ class HypeRService(ServingCounters):
         return state.whatif.evaluate(query, prepared=prepared, estimator=estimator)
 
     def _execute_how_to(
-        self, state: _EngineState, query: HowToQuery, *, exhaustive: bool
+        self, state: _EngineState, query: HowToQuery, fingerprint: PlanFingerprint, *, exhaustive: bool
     ) -> HowToResult:
-        fingerprint = self._fingerprint(state, query)
         view, view_dag = self._plan_view(state, query.use)
         validate_query(query, view, view_dag)  # before anything is cached
         deps = use_relations(query.use)

@@ -46,7 +46,7 @@ from ..core.config import EngineConfig, Variant
 from ..core.howto import HowToEngine
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.whatif import WhatIfEngine, validate_query
-from ..exceptions import HypeRError
+from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
 from ..relational.aggregates import get_aggregate
 from ..relational.columnar import (
@@ -545,8 +545,15 @@ def _describe_error(error: BaseException) -> tuple[str, str, str]:
     return (type(error).__name__, str(error), traceback.format_exc())
 
 
-def _worker_error(shard_index: int, described: tuple[str, str, str]) -> ShardPoolError:
+#: a query the worker rejected is wrong wherever it runs: these cross the pool
+#: as themselves, so every path answers them with the one envelope
+_QUERY_ERRORS = {cls.__name__: cls for cls in (QuerySyntaxError, QuerySemanticsError)}
+
+
+def _worker_error(shard_index: int, described: tuple[str, str, str]) -> HypeRError:
     error_type, message, trace = described
+    if error_type in _QUERY_ERRORS:
+        return _QUERY_ERRORS[error_type](message)
     return ShardPoolError(
         f"shard worker {shard_index} failed with {error_type}: {message}\n{trace}"
     )

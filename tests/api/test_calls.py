@@ -27,12 +27,16 @@ from repro.api.calls import (
     EventLines,
     OverloadedError,
     PendingCall,
+    Response,
     ServerDeadlineExceeded,
     TransportError,
     encode,
+    render_request,
 )
 from repro.api.endpoints import V1_ENDPOINTS, V1_ROUTES
 from repro.api.schemas import BatchItem, JobStatus
+
+from ..aserve.test_protocol import SEGMENTATIONS, read_requests
 
 ANSWER = {
     "api_version": "v1",
@@ -116,6 +120,18 @@ class TestEncode:
         assert pending.headers["X-Request-Id"] == pending.request_id != ""
         assert pending.deadline.request_id == pending.request_id
         assert pending.headers["X-Client-Id"] == "me"
+
+    def test_a_request_is_one_byte_string_the_door_reads_back(self):
+        pending = pending_call(client_id="me", host="db", port=81)
+        head, _, body = pending.request.partition(b"\r\n\r\n")
+        assert json.loads(body) == {"query": "q"}
+        assert head.split(b"\r\n")[:2] == [b"POST /v1/query HTTP/1.1", b"Host: db:81"]
+        (read,), _unread = read_requests(pending.request)
+        assert (read.method, read.target, read.body) == ("POST", "/v1/query", body)
+        sent = {name.lower(): value for name, value in pending.headers.items()}
+        assert read.headers == {"host": "db:81", **sent, "content-length": str(len(body))}
+        bare = render_request("GET", "/v1/health", "db:81", {}, b"")
+        assert bare == b"GET /v1/health HTTP/1.1\r\nHost: db:81\r\nContent-Length: 0\r\n\r\n"
 
 
 # -- the retry decision ----------------------------------------------------------------
@@ -267,6 +283,123 @@ class TestDecode:
             assert excinfo.value.request_id == pending.request_id
 
 
+# -- the framing table: responses, as the clients' one reader sees them ------------------
+#
+# The same wire bytes are read in one segment, split after the head, and a
+# byte at a time (``SEGMENTATIONS``, the ones the door's request reader is held
+# to in ``tests/aserve/test_protocol.py``); ``tests/api/test_client.py`` serves
+# the rows to both clients over a socket.
+
+BODY = raw_json(ANSWER)
+
+
+def framed(head: bytes, body: bytes = b"") -> bytes:
+    return head.replace(b"\n", b"\r\n") + b"\r\n" + body
+
+
+def in_chunks(*chunks: bytes, last: bytes = b"0\r\n\r\n") -> bytes:
+    return b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks) + last
+
+
+OK = b"HTTP/1.1 200 OK\n"
+CHUNKED = OK + b"Transfer-Encoding: chunked\n"
+SIZED = b"Content-Length: %d\n" % len(BODY)
+TRAILED = in_chunks(BODY, last=b"0;last\r\nX-Sum: 1\r\nX-More: 2\r\n\r\n")
+
+#: id → (wire bytes, closed by the server after them?, status, body, will_close)
+RESPONSES = {
+    "content-length": (
+        framed(OK + b"Content-Type: application/json\n" + SIZED, BODY), False, 200, BODY, False,
+    ),
+    "content-length, connection: close": (
+        framed(OK + b"Connection: close\n" + SIZED, BODY), True, 200, BODY, True,
+    ),
+    "empty body": (framed(OK + b"Content-Length: 0\n"), False, 200, b"", False),
+    "chunked": (framed(CHUNKED, in_chunks(BODY[:7], BODY[7:])), False, 200, BODY, False),
+    "chunked, extension and trailers": (
+        framed(OK + b"transfer-encoding: Chunked\n", TRAILED.replace(b"\r\n", b";x=1\r\n", 1)),
+        False, 200, BODY, False,
+    ),
+    "close-delimited (the threaded door's stream)": (
+        framed(b"HTTP/1.0 200 OK\nContent-Type: application/x-ndjson\nConnection: close\n", BODY),
+        True, 200, BODY, True,
+    ),
+    "close-delimited although HTTP/1.1": (framed(OK, BODY), True, 200, BODY, True),
+    "HTTP/1.0 closes by default": (
+        framed(b"HTTP/1.0 429 Too Many Requests\nContent-Length: 2\nRetry-After: 1\n", b"{}"),
+        True, 429, b"{}", True,
+    ),
+    "HTTP/1.0 keep-alive when asked": (
+        framed(b"HTTP/1.0 200 OK\nConnection: Keep-Alive\nContent-Length: 2\n", b"{}"),
+        False, 200, b"{}", False,
+    ),
+}
+
+
+def fed(segments, *, closed: bool) -> Response:
+    response = Response()
+    for segment in segments:
+        if segment:
+            response.feed(segment)
+    if closed:
+        response.feed(b"")
+    return response
+
+
+@pytest.mark.parametrize("cut", SEGMENTATIONS.values(), ids=SEGMENTATIONS.keys())
+@pytest.mark.parametrize("row", RESPONSES.values(), ids=RESPONSES.keys())
+def test_response_framings_read_the_same_however_the_bytes_arrive(row, cut):
+    wire, closed, status, body, will_close = row
+    response = fed(cut(wire), closed=closed)
+    assert (response.status, response.done, response.will_close) == (status, True, will_close)
+    assert b"".join(response.take()) == body and response.take() == []
+    if status == 429:
+        assert response.headers["retry-after"] == "1"  # names are lower-cased
+
+
+def test_the_head_is_known_before_the_body_and_pieces_leave_as_they_arrive():
+    wire = RESPONSES["chunked"][0]
+    head_end = wire.index(b"\r\n\r\n") + 4
+    response = Response()
+    response.feed(wire[: head_end - 1])
+    assert response.status is None and not response.done
+    response.feed(wire[head_end - 1 : head_end])
+    assert response.status == 200 and response.headers["transfer-encoding"] == "chunked"
+    response.feed(wire[head_end : head_end + 12])  # "7\r\n" + the chunk + its CRLF
+    assert response.take() == [BODY[:7]] and not response.done
+
+
+#: id → (wire bytes, closed after them?, error class, fragment): a head that
+#: cannot be one is a ConnectionError (retried), a cut body an EOFError (never)
+BROKEN = {
+    "malformed status line": (framed(b"HTTP 200\n"), False, ConnectionError, "malformed status"),
+    "status that is no number": (
+        framed(b"HTTP/1.1 OK\n"), False, ConnectionError, "malformed status",
+    ),
+    "closed before any byte": (b"", True, ConnectionError, "closed the connection"),
+    "closed inside the head": (
+        b"HTTP/1.1 200 OK\r\nContent-Le", True, ConnectionError, "truncated the head",
+    ),
+    "invalid content-length": (
+        framed(OK + b"Content-Length: -1\n"), False, ConnectionError, "invalid Content-Length",
+    ),
+    "bad chunk size": (framed(CHUNKED, b"zz\r\n"), False, ConnectionError, "bad chunk size"),
+    "cut content-length body": (
+        framed(OK + b"Content-Length: 100\n", b'{"val'), True, EOFError, "mid-body",
+    ),
+    "cut chunked body": (framed(CHUNKED, in_chunks(BODY, last=b"")), True, EOFError, "mid-body"),
+}
+
+
+@pytest.mark.parametrize("cut", SEGMENTATIONS.values(), ids=SEGMENTATIONS.keys())
+@pytest.mark.parametrize("row", BROKEN.values(), ids=BROKEN.keys())
+def test_broken_responses_fail_the_same_however_the_bytes_arrive(row, cut):
+    wire, closed, error_class, fragment = row
+    with pytest.raises(error_class, match=fragment) as excinfo:
+        fed(cut(wire), closed=closed)
+    assert type(excinfo.value) is error_class
+
+
 # -- NDJSON line decoders --------------------------------------------------------------
 
 
@@ -314,6 +447,22 @@ class TestLineDecoders:
         last = decoder.feed(b'{"done": true, "state": "succeeded"}\n')
         assert last == {"done": True, "state": "succeeded"} and decoder.done
         EventLines().end()  # a close-delimited stream simply ends
+
+    @pytest.mark.parametrize("cut", SEGMENTATIONS.values(), ids=SEGMENTATIONS.keys())
+    def test_a_body_cut_anywhere_yields_the_same_items(self, cut):
+        done = b'{"done": true, "n_queries": 2}'
+        body = item_line(1) + b"\r\n" + item_line(0) + done  # its last line unterminated
+        decoder = BatchLines(2)
+        items = [item for piece in cut(body) for item in decoder.take(piece)]
+        assert not decoder.done  # the done line has no newline yet
+        items += decoder.finish()
+        assert [item.index for item in items] == [1, 0] and decoder.done
+        # lines after the done line are read past, not fed
+        assert list(decoder.take(b"{oops\n")) == [] == list(decoder.finish())
+        early = BatchLines(2)
+        assert len(list(early.take(item_line(0)))) == 1
+        with pytest.raises(TransportError, match="ended early: 1/2"):
+            list(early.finish())
 
     @pytest.mark.parametrize("decoder", [BatchLines(1), EventLines()])
     @pytest.mark.parametrize("line", [b"{not json}\n", b"[1]\n", b"\xff\n"])

@@ -36,6 +36,9 @@ from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
 from repro.service import make_server
 
+from ..aserve.test_protocol import SEGMENTATIONS
+from .test_calls import BODY, BROKEN, RESPONSES
+
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
 )
@@ -328,12 +331,13 @@ class TestRetriesAndDeadlines:
 class RawServer:
     """A socket that answers each connection's request with scripted bytes.
 
-    After writing an answer it closes the connection — or, for a ``stall``
-    entry, holds it open and silent until the fixture ends.
+    After writing an answer (one send, or one per segment of a list) it
+    closes the connection — or, for a ``stall`` entry, holds it open and
+    silent until the fixture ends.
     """
 
     def __init__(self) -> None:
-        self.script: list[tuple[bytes, bool]] = []  # (answer bytes, stall?)
+        self.script: list[tuple[bytes | list[bytes], bool]] = []  # (answer, stall?)
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._held: list[socket.socket] = []
         self._closing = False
@@ -359,7 +363,11 @@ class RawServer:
             while len(body) < length:
                 body += conn.recv(65536) or b" " * length
             answer, stall = self.script.pop(0)
-            conn.sendall(answer)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            segments = [answer] if isinstance(answer, bytes) else answer
+            for segment in segments:
+                conn.sendall(segment)
+                time.sleep(0.01 if len(segments) == 2 else 0)  # really two segments
             if stall:
                 self._held.append(conn)
             else:
@@ -408,8 +416,9 @@ DONE = b'{"done": true, "n_queries": 1}\n'
 
 # (row, answer bytes, stall?, verb, fragment of the TransportError)
 FAILURES = [
-    ("truncated body", whole(b'{"val', length=100), False, "query", "truncated"),
-    ("stalled body", whole(b'{"val', length=100), True, "query", "truncated"),
+    # the framing table's cut body (tests/api/test_calls.py), closed and stalled
+    ("truncated body", BROKEN["cut content-length body"][0], False, "query", "truncated"),
+    ("stalled body", BROKEN["cut content-length body"][0], True, "query", "truncated"),
     ("non-JSON body", whole(b"hello"), False, "query", "non-JSON body"),
     ("non-object body", whole(b"[1, 2]"), False, "query", "non-object body"),
     (
@@ -445,6 +454,38 @@ class TestFailureMatrix:
         assert excinfo.value.request_id == client.last_request_id != ""
         # the broken connection was dropped, not reused half-read
         assert client.query("q").value == 7.0
+
+    @pytest.mark.parametrize("cut", SEGMENTATIONS.values(), ids=SEGMENTATIONS.keys())
+    @pytest.mark.parametrize(
+        "wire, closed",
+        [row[:2] for row in RESPONSES.values() if row[3] == BODY],
+        ids=[name for name, row in RESPONSES.items() if row[3] == BODY],
+    )
+    def test_every_framing_of_the_table_reads_to_the_same_answer(
+        self, connect, raw_server, wire, closed, cut
+    ):
+        # a response the server does not close is held open: its framing alone
+        # must end the read (the client would otherwise wait out its timeout)
+        raw_server.script = [(cut(wire), not closed)]
+        client = connect(*raw_server.address, max_retries=0, timeout=5)
+        started = time.monotonic()
+        assert client.query("q").value == 7.0
+        assert time.monotonic() - started < 4
+
+    def test_a_bad_head_is_retried_and_a_cut_body_never(self, connect, raw_server):
+        good = (whole(BODY), False)
+        bad_head = (BROKEN["malformed status line"][0], False)
+        client = connect(*raw_server.address, max_retries=1, backoff_seconds=0.01)
+        raw_server.script = [bad_head, good]
+        assert client.query("q").value == 7.0 and raw_server.script == []
+        raw_server.script = [bad_head, bad_head, good]
+        with pytest.raises(TransportError, match="failed after 2 attempt.*malformed status line"):
+            client.query("q")
+        assert raw_server.script == [good]  # the budget was one retry
+        raw_server.script = [(BROKEN["cut chunked body"][0], False), good]
+        with pytest.raises(TransportError, match="truncated"):
+            client.query("q")
+        assert raw_server.script == [good]  # the server had answered: no second ask
 
     def test_blank_ndjson_lines_are_skipped(self, connect, raw_server):
         raw_server.script = [(chunked(b"\n", ITEM, b"\r\n", DONE), False)]

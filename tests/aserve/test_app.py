@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
+import socket
 import threading
 import time
 
@@ -340,6 +342,151 @@ class TestMidStreamDisconnect:
             # full capacity is available again: a fresh request succeeds
             status, payload, _ = request(server, "POST", "/query", {"query": "q"})
             assert status == 200 and payload["value"] == 42.0
+
+
+def exchange(server, *segments: bytes, pause: float = 0.0, timeout: float = 10.0) -> bytes:
+    """Send raw ``segments``; everything the door answers until it closes.
+
+    A connection the door keeps open past ``timeout`` fails the test: every
+    case here either asks for ``Connection: close`` or expects to be cut.
+    """
+    with socket.create_connection(server.address, timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for segment in segments:
+            sock.sendall(segment)
+            time.sleep(pause)
+        answered = b""
+        while piece := sock.recv(65536):
+            answered += piece
+        return answered
+
+
+def statuses(answered: bytes) -> list[int]:
+    return [int(status) for status in re.findall(rb"HTTP/1\.1 (\d{3}) ", answered)]
+
+
+HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+CLOSE = b"Connection: close\r\n"
+
+
+class TestWire:
+    """The framing table's request rows (tests/aserve/test_protocol.py), as
+    the live door answers them."""
+
+    def test_two_pipelined_requests_in_one_segment_are_both_answered(self, live_server):
+        body = json.dumps({"query": QUERY_TEXT}).encode()
+        post = b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        answered = exchange(live_server, post + HEALTH + CLOSE + b"\r\n")
+        assert statuses(answered) == [200, 200]
+        assert answered.index(b'"kind": "what-if"') < answered.index(b'"status": "ok"')
+
+    @pytest.mark.parametrize("pause", [0.0, 0.002], ids=["at once", "a byte at a time"])
+    def test_a_request_may_arrive_in_any_number_of_segments(self, live_server, pause):
+        wire = HEALTH + CLOSE + b"\r\n"
+        segments = [wire] if not pause else [wire[i : i + 1] for i in range(len(wire))]
+        assert statuses(exchange(live_server, *segments, pause=pause)) == [200]
+
+    @pytest.mark.parametrize(
+        "wire, status, fragment",
+        [
+            (HEALTH + b"X-N: v\r\n" * 64 + b"\r\n", 400, b"too many headers"),  # + Host
+            # just past the reader's 64 KiB: all of it is read, so the close is clean
+            (HEALTH + b"X-Pad: " + b"p" * (1 << 16) + b"\r\n\r\n", 400, b"header line too long"),
+            (b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501, b"chunked"),
+            (b"GET /v1/health HTTP/2.0\r\n\r\n", 505, b"unsupported protocol"),
+        ],
+        ids=["65 headers", "over-long line", "chunked request", "HTTP/2.0"],
+    )
+    def test_a_request_the_reader_rejects_is_answered_and_cut(
+        self, live_server, wire, status, fragment
+    ):
+        answered = exchange(live_server, wire)  # returns: the door closed the connection
+        assert statuses(answered) == [status] and fragment in answered
+        assert b"Connection: close" in answered
+
+    def test_oversized_body_is_413_before_it_is_read_and_the_connection_closes(self, live_server):
+        head = b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (1 << 20)
+        started = time.monotonic()
+        answered = exchange(live_server, head)  # not one body byte sent, answered anyway
+        assert statuses(answered) == [413] and b"exceeds" in answered
+        assert time.monotonic() - started < 5
+
+    def test_eof_inside_a_head_is_400_and_a_clean_eof_is_silent(self, live_server):
+        with socket.create_connection(live_server.address, timeout=10) as sock:
+            sock.sendall(b"GET /v1/health HT")
+            sock.shutdown(socket.SHUT_WR)
+            answered = sock.recv(65536)
+            assert statuses(answered) == [400] and b"EOF inside headers" in answered
+            assert sock.recv(65536) == b""
+        with socket.create_connection(live_server.address, timeout=10) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""
+
+    def test_http10_stays_open_only_when_it_asks(self, live_server):
+        plain = b"GET /v1/health HTTP/1.0\r\n\r\n"
+        assert b"Connection: close" in exchange(live_server, plain)
+        asks = b"GET /v1/health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        answered = exchange(live_server, asks + plain)
+        assert statuses(answered) == [200, 200]
+        assert answered.count(b"Connection: keep-alive") == 1
+
+
+class TestIdleTimer:
+    """``keep_alive_timeout``: one timer per request read, which closes the socket."""
+
+    TIMEOUT = 0.3
+
+    @pytest.fixture
+    def server(self):
+        fake = FakeService()
+        with BackgroundAsyncServer(
+            fake, max_inflight=1, queue_depth=0, keep_alive_timeout=self.TIMEOUT
+        ) as server:
+            server.fake = fake
+            yield server
+            fake.release.set()
+
+    def closes_silently_within(self, sock: socket.socket) -> float:
+        started = time.monotonic()
+        assert sock.recv(65536) == b""  # closed, and nothing said first
+        return time.monotonic() - started
+
+    def test_an_idle_keep_alive_connection_closes_silently(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(HEALTH + b"\r\n")
+            assert statuses(sock.recv(65536)) == [200]
+            assert self.TIMEOUT * 0.5 < self.closes_silently_within(sock) < 5
+        with socket.create_connection(server.address, timeout=10) as sock:
+            assert self.closes_silently_within(sock) < 5  # never sent a byte
+
+    def test_a_half_sent_request_that_stalls_is_closed(self, server):
+        body = b'{"query": "q"}'
+        head = b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        for half in (HEALTH[:-9], head + body[:5]):  # inside the head, inside the body
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(half)
+                assert self.TIMEOUT * 0.5 < self.closes_silently_within(sock) < 5
+        assert not server.fake.started.is_set()
+        deadline = time.time() + 5
+        while server.runner.app.open_connections and time.time() < deadline:
+            time.sleep(0.01)
+        assert server.runner.app.open_connections == 0
+
+    def test_a_handler_that_outlives_the_timeout_is_answered_not_cut(self, server):
+        answers = []
+        worker = threading.Thread(
+            target=lambda: answers.append(request(server, "POST", "/query", {"query": "q"}))
+        )
+        worker.start()
+        assert server.fake.started.wait(timeout=10)
+        time.sleep(self.TIMEOUT * 3)  # the timer of the read is long past
+        server.fake.release.set()
+        worker.join(timeout=15)
+        (status, payload, conn), = answers
+        assert (status, payload) == (200, {"kind": "what-if", "value": 42.0})
+        # and the connection is kept: its next request is read under a fresh timer
+        status, payload, _ = request(server, "GET", "/health", conn=conn)
+        assert status == 200 and payload["status"] == "ok"
 
 
 class TestDrain:

@@ -15,8 +15,10 @@ from repro import (
     LimitConstraint,
     WhatIfQuery,
 )
+from repro.api.core import envelope_for
 from repro.core.updates import AttributeUpdate, MultiplyBy
 from repro.datasets import make_german_syn
+from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
 from repro.relational import post
 from repro.shard import ShardPool, ShardPoolError, partition_database
@@ -89,34 +91,55 @@ class TestProcessPool:
         exhaustive = pool.run_how_to(query, exhaustive=True)
         assert exhaustive.objective_value == session.how_to(query, exhaustive=True).objective_value
 
-    def test_batch_captures_per_query_errors(self, dataset, pool):
-        bad = WhatIfQuery(
+    @pytest.fixture
+    def bad(self, dataset):
+        return WhatIfQuery(
             use=dataset.default_use,
             updates=[AttributeUpdate("Status", MultiplyBy(1.1))],
             output_attribute="NoSuchColumn",
             output_aggregate="count",
             for_clause=(post("Credit") == 1),
         )
+
+    @pytest.fixture
+    def rejection(self, dataset, config, bad):
+        """What the unsharded engine says about ``bad``."""
+        with pytest.raises(QuerySemanticsError) as caught:
+            HypeR(dataset.database, dataset.causal_dag, config).what_if(bad)
+        return caught.value
+
+    # the rule: a worker's QuerySemanticsError / QuerySyntaxError crosses the
+    # pool as itself — same class, message and envelope, no traceback in it;
+    # any other worker failure stays a ShardPoolError
+
+    @staticmethod
+    def assert_same_rejection(error, rejection):
+        assert type(error) is QuerySemanticsError
+        assert str(error) == str(rejection) and "Traceback" not in str(error)
+        assert envelope_for(error) == envelope_for(rejection)
+
+    def test_batch_captures_per_query_errors(self, dataset, pool, bad, rejection):
         queries = [*make_queries(dataset, 2), bad]
         results = pool.run_batch(queries, return_errors=True)
         assert all(not isinstance(r, Exception) for r in results[:2])
-        assert isinstance(results[2], ShardPoolError)
-        with pytest.raises(ShardPoolError):
+        self.assert_same_rejection(results[2], rejection)
+        with pytest.raises(QuerySemanticsError) as caught:
             pool.run_batch([bad])
+        self.assert_same_rejection(caught.value, rejection)
 
-    def test_single_query_error_propagates(self, dataset, pool):
-        bad = WhatIfQuery(
-            use=dataset.default_use,
-            updates=[AttributeUpdate("Status", MultiplyBy(1.1))],
-            output_attribute="NoSuchColumn",
-            output_aggregate="count",
-            for_clause=(post("Credit") == 1),
-        )
-        with pytest.raises(ShardPoolError):
+    def test_single_query_error_propagates(self, dataset, pool, bad, rejection):
+        with pytest.raises(QuerySemanticsError) as caught:
             pool.run_what_if(bad)
+        self.assert_same_rejection(caught.value, rejection)
         # the pool survives worker-side failures
         good = make_queries(dataset, 1)[0]
         assert pool.run_what_if(good) is not None
+
+    def test_any_other_worker_failure_stays_a_pool_error(self, dataset, pool):
+        with pytest.raises(ShardPoolError, match="unknown shard task kind") as caught:
+            pool._run_on_one("no-such-kind", None)
+        assert "Traceback" in str(caught.value)  # the worker's, for the operator
+        assert pool.run_what_if(make_queries(dataset, 1)[0]) is not None
 
 
 class TestInlineFallback:
