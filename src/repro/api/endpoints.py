@@ -197,17 +197,17 @@ def _update(backend: ServiceBackend, request: ApiRequest, params: Params) -> Api
 
     Unknown relations/attributes and length mismatches surface as engine
     exceptions and map to 400 through :func:`envelope_for`; in-flight queries
-    on either front door keep their pinned snapshot and are not paused.
+    on either front door keep their pinned snapshot and are not paused.  The
+    answer acknowledges the generation this commit installed
+    (:class:`~repro.service.versions.Commit`), never a racing writer's.
     """
     body: UpdateRequest = request.body
     assignments = {
         relation: dict(columns) for relation, columns in body.assignments.items()
     }
     with obs_trace.activate(request.trace), obs_trace.span("update"):
-        changed = backend.update_relation_columns(assignments)
-    payload = UpdateAnswer(
-        generation=backend.generation, changed=tuple(changed)
-    ).to_json()
+        commit = backend.update_relation_columns(assignments)
+    payload = UpdateAnswer(generation=commit.generation, changed=tuple(commit)).to_json()
     if request.trace is not None:
         payload["trace"] = request.trace.to_wire()
     return ApiResponse(200, payload)

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="evaluate through a pool of N shard worker processes "
-        "(block-decomposition sharding; answers are identical)",
+        "(the query is dealt whole to one; answers are identical)",
     )
 
     serve = sub.add_parser(

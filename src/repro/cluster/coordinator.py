@@ -20,13 +20,13 @@ carries the updates it chose), no partial arrays, no merge, nothing solved
 here.  Any node can answer any query, so a transport failure or 429 re-deals
 the sub-batch to the next node along the ring.
 
-One flip-window rule: a leg names ``g`` and the node answers *at* ``g`` — from
-its own service when that stood at ``g`` before and after computing,
-otherwise (the node is mid-flip, ahead of the coordinator) from the runtime it
-retains for ``g``, which the leg's body reports and ``fallbacks`` counts.
-Only a node that no longer retains ``g`` answers ``409 stale_generation``,
-and the leg moves on to the next node.  Every answer is therefore computed at
-exactly one coordinator generation.
+One flip-window rule: a leg names ``g`` and the node's service answers *at*
+``g`` — a snapshot reader pinned at ``g``, whether ``g`` is its latest
+generation or (the node is mid-flip, ahead of the coordinator) one it still
+pins, which the leg's body reports and ``fallbacks`` counts.  Only a node
+that no longer pins ``g`` answers ``409 stale_generation``, and the leg moves
+on to the next node.  Every answer is therefore computed at exactly one
+coordinator generation.
 
 Health: ``failure_threshold`` consecutive failures mark a node unhealthy
 (skipped by first choice); a background probe re-admits it only once its
@@ -34,10 +34,10 @@ Health: ``failure_threshold`` consecutive failures mark a node unhealthy
 missed an update fan-out can never serve stale answers.
 
 Updates run two-phase under the commit lock: ``stage`` the next generation's
-runtime on every healthy node (queries keep flowing against the current
-generation), then ``flip`` everywhere; nodes retain the previous generation's
-runtime so legs racing the flip still finish exactly (the cluster analogue of
-the MVCC ``pinned_fallbacks``).
+database on every healthy node (queries keep flowing against the current
+generation), then ``flip`` every node that staged; nodes keep the previous
+generation pinned so legs racing the flip still finish exactly (the cluster
+analogue of the MVCC ``pinned_fallbacks``).
 
 Server-side deadlines decrement across hops: the coordinator advertises
 ``accepts_deadline`` and forwards each request's remaining budget as the
@@ -69,6 +69,7 @@ from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..service.backend import ServingCounters
 from ..service.fingerprint import PlanDealer
+from ..service.versions import Commit
 from . import wire
 from .shardserver import CLUSTER_UPDATE_PATH, PARTIAL_PATH
 from .topology import ClusterTopology
@@ -569,17 +570,19 @@ class ClusterCoordinator(ServingCounters):
 
     # -- updates (two-phase fan-out) ---------------------------------------------------
 
-    def update_relation_columns(
-        self, assignments: dict[str, dict[str, Any]]
-    ) -> frozenset[str]:
+    def update_relation_columns(self, assignments: dict[str, dict[str, Any]]) -> Commit:
         """Commit column overwrites cluster-wide as one generation.
 
-        Phase one stages the next generation's runtime on every healthy node
-        (a failure aborts the commit — nothing flipped, nothing changed);
-        phase two flips them.  A node failing either phase is marked
-        unhealthy, and since re-admission requires matching the coordinator's
-        generation, a node that missed the flip stays out until an operator
-        restarts it at the current data.
+        Phase one stages the next generation's database on every healthy
+        node (a deterministic rejection aborts the commit — nothing flipped,
+        nothing changed); phase two flips every node that staged.  Any node
+        answers any query at any generation it still pins, so the commit
+        needs no shard cover: it fails only when no node stages or no node
+        flips.  A node failing either phase is marked unhealthy, and since
+        re-admission requires matching the coordinator's generation, a node
+        that missed the flip stays out until an operator restarts it at the
+        current data.  The answer carries the generation this commit
+        installed, taken under the commit lock.
         """
         with self._commit_lock:
             generation = self._generation + 1
@@ -590,10 +593,7 @@ class ClusterCoordinator(ServingCounters):
             changed = self._run(self._commit(generation, wire_assignments))
             self._generation = generation
             self._m_updates.inc()
-            return frozenset(changed)
-
-    def _covers_all_shards(self, nodes: list[_NodeState]) -> bool:
-        return {node.shard for node in nodes} == set(range(self.n_shards))
+            return Commit(changed, generation)
 
     async def _node_update(
         self, node: _NodeState, payload: dict[str, Any]
@@ -604,10 +604,6 @@ class ClusterCoordinator(ServingCounters):
         self, generation: int, assignments: dict[str, dict[str, list]]
     ) -> list[str]:
         targets = [node for node in self._nodes if node.healthy]
-        if not self._covers_all_shards(targets):
-            raise ClusterError(
-                "cannot commit: healthy nodes do not cover every shard"
-            )
         stage_payload = {
             "api_version": API_VERSION,
             "phase": "stage",
@@ -635,11 +631,11 @@ class ClusterCoordinator(ServingCounters):
                 staged.append(node)
         if rejected is not None:
             raise api.ApiError(rejected.status, rejected.envelope)
-        if not self._covers_all_shards(staged):
-            # abort before any flip: nodes drop their staged runtime the next
-            # time a stage or flip arrives with a different generation
+        if not staged:
+            # abort before any flip: nodes drop their staged database the
+            # next time a stage or flip arrives with a different generation
             raise ClusterError(
-                f"update aborted in the stage phase: {stage_error}"
+                f"update aborted: no node staged it ({stage_error})"
             ) from (stage_error if isinstance(stage_error, Exception) else None)
         flip_payload = {
             "api_version": API_VERSION,
@@ -650,8 +646,7 @@ class ClusterCoordinator(ServingCounters):
             *(self._node_update(node, flip_payload) for node in staged),
             return_exceptions=True,
         )
-        changed: list[str] | None = None
-        flipped: list[_NodeState] = []
+        changed: list[str] | None = None  # stays None until a node flips
         flip_error: BaseException | None = None
         for node, outcome in zip(staged, flip_results):
             if isinstance(outcome, BaseException):
@@ -659,13 +654,12 @@ class ClusterCoordinator(ServingCounters):
                 node.healthy = False
                 flip_error = outcome
             else:
-                flipped.append(node)
                 changed = [str(name) for name in outcome.get("changed", [])]
-        if not self._covers_all_shards(flipped):
+        if changed is None:
             raise ClusterError(
-                f"update failed to commit on a full shard cover: {flip_error}"
+                f"update failed: no node flipped it ({flip_error})"
             ) from (flip_error if isinstance(flip_error, Exception) else None)
-        return changed or []
+        return changed
 
     # -- instrumentation ---------------------------------------------------------------
 

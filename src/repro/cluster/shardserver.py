@@ -1,10 +1,10 @@
 """One shard node of the cluster: the existing front door plus ``/v1/partial``.
 
 A :class:`ShardServer` wraps a full :class:`~repro.service.session.HypeRService`
-(every node holds the complete database snapshot) plus one
-:class:`~repro.shard.pool.ShardWorkerRuntime` per retained generation — a
-second, cache-carrying engine over the same snapshot that keeps answering at
-a generation the service has already left.
+(every node holds the complete database snapshot) and keeps its last
+``retained_generations`` generations pinned in that service's MVCC version
+store, so the node keeps answering at a generation its service has already
+left.  The service is the node's only engine.
 
 :class:`ShardServerApp` mounts the public endpoint table plus the node's two
 internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
@@ -12,29 +12,27 @@ internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
 * ``POST /v1/partial`` — one leg at a named generation, on the ``admitted``
   lane exactly like ``/v1/query`` (a leg competes with local public queries
   for the same executor).  ``kind="answers"`` moves the queries to the data:
-  whole what-ifs and how-tos (``"exhaustive"`` rides the leg) are answered
-  *at* the named generation, and one scalar answer — or error envelope — per
-  query comes back.  The node's own service (all its caches) answers when it
-  stood at that generation before the first and after the last answer
-  (generations only grow, so every snapshot pinned in between was that one);
-  otherwise — the node is mid-flip, ahead of the coordinator — the retained
-  runtime of that generation does, through
-  :meth:`~repro.shard.pool.ShardWorkerRuntime.run_full`, and the body says
-  ``"retained": true``.  A generation this node does not retain answers
-  ``409 stale_generation`` so the coordinator fails over.  ``kind="whatif"``,
-  one row-scatter partial of one what-if on the node's shard slice, has no
+  whole what-ifs and how-tos (``"exhaustive"`` rides the leg) are answered by
+  the node's service *at* the named generation ``g`` — the leg is an ordinary
+  snapshot reader pinned at ``g`` — and one scalar answer, or error envelope,
+  per query comes back.  When the node is already past ``g`` (mid-flip, ahead
+  of the coordinator) the body says ``"retained": true``; a generation the
+  node no longer pins answers ``409 stale_generation`` so the coordinator
+  fails over.  ``kind="whatif"``, one row-scatter partial of one what-if on
+  the node's shard slice, answered at the node's latest generation, has no
   caller left in ``src/`` (``perf/probes.py`` posts and times it; it leaves
-  with ROADMAP 1(d) + 2(d)).
+  with ROADMAP 1(d)).
 * ``POST /v1/cluster/update`` — the two-phase commit fan-out.  ``stage``
-  builds the next generation's database and runtime off to the side (queries
-  keep answering from the current one); ``flip`` commits that database
-  through the node's own MVCC service, so the node and the coordinator agree
-  on generation numbers.  On the ``control`` lane like ``/v1/update``: a
-  commit must land on a saturated node, so it bypasses admission.
+  builds and validates the next generation's database off to the side
+  (queries keep answering from the current one); ``flip`` commits it through
+  the node's own MVCC service, so the node and the coordinator agree on
+  generation numbers, and pins it.  On the ``control`` lane like
+  ``/v1/update``: a commit must land on a saturated node, so it bypasses
+  admission.
 
-The previous generation's runtime is retained (like the in-process pool's
+The previous generation stays pinned (like the in-process pool's
 ``pinned_fallbacks``), so a leg racing a cluster-wide flip still gets exact
-answers for its pinned generation from nodes that already flipped.
+answers for its generation from nodes that already flipped.
 """
 
 from __future__ import annotations
@@ -51,11 +49,11 @@ from ..core.queries import WhatIfQuery
 from ..core.results import HowToResult
 from ..exceptions import QuerySemanticsError
 from ..obs import trace as obs_trace
-from ..probdb.blocks import block_labels
 from ..relational.database import Database
-from ..service.session import HypeRService
-from ..shard.partition import partition_database
-from ..shard.pool import ShardWorkerRuntime
+from ..service.session import HypeRService, with_columns
+from ..service.versions import Commit, Snapshot
+from ..shard.local import what_if_partial
+from ..shard.partition import Shard, partition_database
 from ..aserve.app import AsyncApp
 from . import wire
 
@@ -79,19 +77,19 @@ def _stale_generation(requested: int, retained: list[int]) -> api.ApiError:
 
 
 class ShardServer:
-    """A shard node's state: full-snapshot service + per-generation runtimes.
+    """A shard node's state: a full-snapshot service and its retained pins.
 
     Parameters
     ----------
     database / causal_dag / config:
         Exactly as for :class:`HypeRService` — the node's full snapshot.
     shard_index / n_shards:
-        Which slice of the deterministic partition this node's runtimes hold
-        (``node_index % n_shards`` under the round-robin placement); only a
-        ``kind="whatif"`` partial reads it.
+        Which slice of the deterministic partition a ``kind="whatif"``
+        partial covers (``node_index % n_shards`` under the round-robin
+        placement); nothing else reads them.
     retained_generations:
-        How many generations of runtimes stay answerable (>= 2 so legs
-        racing a cluster flip can still complete on their pinned generation).
+        How many generations stay pinned and answerable (>= 2 so legs racing
+        a cluster flip can still complete at their generation).
     """
 
     def __init__(
@@ -120,42 +118,17 @@ class ShardServer:
             max_workers=max_workers,
             **service_kwargs,
         )
-        self.config = self.service.config
-        self.causal_dag = causal_dag
         self._lock = threading.Lock()
-        #: answerable runtimes keyed by generation (latest + pinned fallbacks)
-        self._runtimes: dict[int, ShardWorkerRuntime] = {}
-        #: (generation, runtime, its database) staged by phase one of a commit
-        self._staged: tuple[int, ShardWorkerRuntime, Database] | None = None
-        self._runtimes[self.service.generation] = self._build_runtime(
-            self.service.database
-        )
+        #: the retained generations' snapshots, oldest first, each pinned once
+        self._pins: list[Snapshot] = [self.service.versions.acquire()]
+        #: (generation, database) staged by phase one of a commit
+        self._staged: tuple[int, Database] | None = None
+        #: (generation, shard) of the lazily built kind="whatif" slice
+        self._slice: tuple[int, Shard] | None = None
 
-    # -- runtime construction ----------------------------------------------------------
-
-    def _build_runtime(self, database: Database) -> ShardWorkerRuntime:
-        # mirror HypeRService._blocks so the runtime's block labels (an
-        # answer's n_blocks) match what an unsharded service would compute
-        blocks = (
-            block_labels(database, self.causal_dag)
-            if self.causal_dag is not None and self.config.use_blocks
-            else None
-        )
-        plan = partition_database(
-            database, self.causal_dag, self.n_shards, blocks=blocks
-        )
-        return ShardWorkerRuntime(plan[self.shard_index], self.causal_dag, self.config)
-
-    def runtime_generations(self) -> list[int]:
+    def pinned_generations(self) -> list[int]:
         with self._lock:
-            return sorted(self._runtimes)
-
-    def _runtime_for(self, generation: int) -> ShardWorkerRuntime:
-        with self._lock:
-            runtime = self._runtimes.get(generation)
-            if runtime is None:
-                raise _stale_generation(generation, sorted(self._runtimes))
-            return runtime
+            return [snapshot.generation for snapshot in self._pins]
 
     # -- the /v1/partial data plane ----------------------------------------------------
 
@@ -176,18 +149,26 @@ class ShardServer:
             return self._answers_payload(
                 body.get("queries"), generation, deadline, bool(body.get("exhaustive"))
             )
-        # kind="whatif": kept until ROADMAP 1(d) + 2(d), perf/probes.py posts it
+        # kind="whatif": kept until ROADMAP 1(d), perf/probes.py posts it
         query_text = body.get("query")
         if not isinstance(query_text, str) or not query_text.strip():
             raise PayloadError(400, "field 'query' must be a non-empty string")
-        runtime = self._runtime_for(generation)
         parsed = self.service.parse(query_text)
         if deadline is not None:
             deadline.check()
         if not isinstance(parsed, WhatIfQuery):
             raise PayloadError(400, "kind 'whatif' needs a what-if query")
+        with self._lock:
+            if generation != self.service.generation:
+                raise _stale_generation(generation, [self.service.generation])
+            if self._slice is None or self._slice[0] != generation:
+                plan = partition_database(
+                    self.service.database, self.service.causal_dag, self.n_shards
+                )
+                self._slice = (generation, plan[self.shard_index])
+            shard = self._slice[1]
         with obs_trace.span("cluster.partial", kind=kind, shard=self.shard_index):
-            partial = runtime.what_if_partial(parsed)
+            partial = what_if_partial(self.service, shard, parsed)
         return {
             "api_version": API_VERSION,
             "kind": kind,
@@ -206,15 +187,24 @@ class ShardServer:
         """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
-
-        def answers(execute: Any) -> list[dict[str, Any]]:
-            encoded = []
-            with obs_trace.span(
-                "cluster.partial", kind="answers", shard=self.shard_index
-            ):
+        versions = self.service.versions
+        try:
+            # the leg's own pin: ``generation`` stays live until its last answer
+            snapshot = versions.acquire(generation)
+        except LookupError:
+            raise _stale_generation(generation, self.pinned_generations()) from None
+        answers = []
+        try:
+            with obs_trace.span("cluster.partial", kind="answers", shard=self.shard_index):
                 for text in texts:
                     try:
-                        outcome = execute(self.service.parse(text))
+                        outcome = api.execute_one(
+                            self.service,
+                            self.service.parse(text),
+                            deadline=deadline,
+                            exhaustive=exhaustive,
+                            generation=generation,
+                        )
                     except Exception as error:  # noqa: BLE001 - reported per query
                         outcome = error
                     encode = (
@@ -222,35 +212,17 @@ class ShardServer:
                         if isinstance(outcome, HowToResult)
                         else wire.encode_what_if_answer
                     )
-                    encoded.append(encode(outcome))
-            return encoded
-
+                    answers.append(encode(outcome))
+        finally:
+            versions.release(snapshot)
         body: dict[str, Any] = {
             "api_version": API_VERSION,
             "kind": "answers",
             "generation": generation,
+            "answers": answers,
         }
-        # generations only grow: the same one before the first and after the
-        # last answer means every snapshot pinned in between was that one
-        if self.service.generation == generation:
-            body["answers"] = answers(
-                lambda parsed: api.execute_one(
-                    self.service, parsed, deadline=deadline, exhaustive=exhaustive
-                )
-            )
-            if self.service.generation == generation:
-                return body
-        # the service has left ``generation`` (this node flipped ahead of the
-        # coordinator): its retained runtime still answers there, exactly
-        runtime = self._runtime_for(generation)
-
-        def at_retained(parsed: Any) -> Any:
-            if deadline is not None:
-                deadline.check()
-            return runtime.run_full(parsed, exhaustive)
-
-        body["answers"] = answers(at_retained)
-        body["retained"] = True
+        if self.service.generation > generation:
+            body["retained"] = True  # this node flipped ahead of the coordinator
         return body
 
     # -- the /v1/cluster/update control plane ------------------------------------------
@@ -282,43 +254,31 @@ class ShardServer:
                 "staged": True,
             }
         if phase == "flip":
-            changed = self.flip(generation)
+            commit = self.flip(generation)
             return {
                 "api_version": API_VERSION,
                 "phase": "flip",
-                "generation": self.service.generation,
-                "changed": sorted(changed),
+                "generation": commit.generation,
+                "changed": sorted(commit),
             }
         raise PayloadError(400, f"unknown cluster-update phase {phase!r}")
 
     def stage(self, generation: int, assignments: dict[str, dict[str, Any]]) -> None:
-        """Phase one: build the next generation's runtime without committing.
+        """Phase one: build and validate the next generation's database.
 
-        The staged runtime's database applies ``assignments`` the same way
-        :meth:`HypeRService.update_relation_columns` will at flip time, so
-        the slice the runtime materialises is value-identical to the state
-        the node's service commits — current queries keep answering from the
-        installed runtimes meanwhile.
+        It applies ``assignments`` to ``service.database`` exactly as
+        :meth:`HypeRService.update_relation_columns` would; nothing is
+        committed, and queries keep answering from the current generation.
         """
         with self._lock:
-            expected = self.service.generation + 1
-            if generation != expected:
-                raise _stale_generation(generation, sorted(self._runtimes))
-            database = self.service.database
-            for relation_name, columns in assignments.items():
-                if relation_name not in database:
-                    raise QuerySemanticsError(
-                        f"unknown relation {relation_name!r}; database has "
-                        f"{sorted(database.relation_names)}"
-                    )
-                relation = database[relation_name]
-                for attribute, values in columns.items():
-                    relation = relation.with_column(attribute, values)
-                database = database.with_relation(relation)
-            self._staged = (generation, self._build_runtime(database), database)
+            if generation != self.service.generation + 1:
+                raise _stale_generation(
+                    generation, [snapshot.generation for snapshot in self._pins]
+                )
+            self._staged = (generation, with_columns(self.service.database, assignments))
 
-    def flip(self, generation: int) -> frozenset[str]:
-        """Phase two: commit the staged database and install its runtime.
+    def flip(self, generation: int) -> Commit:
+        """Phase two: commit the staged database, pin it, unpin the oldest.
 
         ``stage`` derived that database from ``service.database`` and the
         generation check below proves the service has not moved since, so
@@ -326,27 +286,28 @@ class ShardServer:
         and evicts exactly what re-applying the assignments would.
         """
         with self._lock:
-            if self._staged is None or self._staged[0] != generation:
-                staged_gen = None if self._staged is None else self._staged[0]
+            staged, self._staged = self._staged, None
+            if staged is None or staged[0] != generation:
+                staged_gen = None if staged is None else staged[0]
                 raise api.ApiError(
                     409,
                     ErrorEnvelope(
                         "stale_generation",
-                        f"no staged runtime for generation {generation} "
+                        f"no staged database for generation {generation} "
                         f"(staged: {staged_gen})",
                         {"requested": generation, "staged": staged_gen},
                     ),
                 )
             if self.service.generation + 1 != generation:
-                self._staged = None
-                raise _stale_generation(generation, sorted(self._runtimes))
-            _gen, runtime, database = self._staged
-            changed = self.service.update_database(database)
-            self._runtimes[generation] = runtime
-            self._staged = None
-            for old in sorted(self._runtimes)[: -self.retained_generations]:
-                del self._runtimes[old]
-            return changed
+                raise _stale_generation(
+                    generation, [snapshot.generation for snapshot in self._pins]
+                )
+            versions = self.service.versions
+            commit = self.service.update_database(staged[1])
+            self._pins.append(versions.acquire(commit.generation))
+            while len(self._pins) > self.retained_generations:
+                versions.release(self._pins.pop(0))
+            return commit
 
     def close(self) -> None:
         self.service.close()

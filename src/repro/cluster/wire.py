@@ -14,7 +14,7 @@ A what-if *partial* (``kind="whatif"``: one shard's rows of one what-if, a
 :class:`~repro.shard.merge.WhatIfShardPartial`) carries arrays, encoded as
 base64 of their raw little-endian bytes — ``tobytes`` → ``frombuffer``
 preserves every IEEE-754 bit pattern.  No query takes that path any more; it
-is kept until ROADMAP 1(d) + 2(d) because ``perf/probes.py`` times it.
+is kept until ROADMAP 1(d) only because ``perf/probes.py`` times it.
 """
 
 from __future__ import annotations

@@ -338,9 +338,9 @@ class PostUpdateEstimator:
         """Fetch or fit the regressor for a training target, keyed by ``cache_key``.
 
         ``target_factory`` produces the full-view training target and is only
-        invoked on a cache miss — shard workers exploit this to evaluate
-        queries over their own rows without touching full-view masks once
-        their plan's regressors are fitted (:mod:`repro.shard.local`).
+        invoked on a cache miss — a shard partial exploits this to evaluate
+        a query over its own rows without touching full-view masks once the
+        plan's regressors are fitted (:mod:`repro.shard.local`).
 
         Keys are structured tuples (target kind, predicate identity, disjunct
         subset) built by the engines — see ``regressor_cache_key`` in

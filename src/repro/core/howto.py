@@ -419,8 +419,8 @@ class HowToEngine:
         ``kernels`` the plan's shared
         :class:`~repro.relational.columnar.KernelCache` (as for
         :meth:`WhatIfEngine.prepare`: the candidates then reuse the masks and
-        output columns the plan's what-ifs built); the service layer and the
-        shard worker runtime supply all four from their caches.  Without
+        output columns the plan's what-ifs built); the service layer supplies
+        all four from its caches.  Without
         ``kernels`` the candidates share a cache of their own.
         """
         if view is None:

@@ -194,8 +194,8 @@ class PreparedWhatIf:
     n_blocks: int
     for_key: Hashable = None
     # Masks / index sets / partial predictions shared by the parameter
-    # variants of one plan (injected by the service layer and the shard
-    # worker runtime) or by the candidates of one how-to; ``None`` on the
+    # variants of one plan (injected by the service layer) or by the
+    # candidates of one how-to; ``None`` on the
     # cold what-if path, which builds each piece per query.
     kernels: KernelCache | None = None
 
@@ -523,7 +523,7 @@ class WhatIfEngine:
         :func:`repro.probdb.blocks.block_labels`, and ``kernels`` a shared
         per-plan :class:`~repro.relational.columnar.KernelCache` so parameter
         variants of one plan reuse each other's masks; all are served from
-        caches by the service layer and the shard worker runtime.
+        caches by the service layer.
         """
         if view is None:
             view = query.use.build(self.database)

@@ -830,8 +830,8 @@ def _entry_bytes(entry: Any) -> int:
 class KernelCache:
     """Per-plan cache of masks, index sets, and derived arrays.
 
-    One instance lives alongside each prepared plan (worker runtime and
-    thread-mode service alike).  Keys are caller-chosen small tuples; values
+    One instance lives alongside each prepared view in a service's caches
+    (a pool worker's service alike).  Keys are caller-chosen small tuples; values
     are immutable ndarrays, so concurrent queries of one plan can share an
     instance: a racing miss builds the same array twice, harmlessly.
     Returning the *same object* on every hit also lets pickle's memo

@@ -20,6 +20,7 @@ from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
+from .versions import Commit
 
 __all__ = ["ServiceBackend", "ServingCounters"]
 
@@ -50,7 +51,7 @@ class ServiceBackend(Protocol):
 
     def prepare(self, queries: Any) -> Any: ...
 
-    def update_relation_columns(self, assignments: Any) -> frozenset[str]: ...
+    def update_relation_columns(self, assignments: Any) -> Commit: ...
 
     def stats(self) -> dict[str, Any]: ...
 

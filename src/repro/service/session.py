@@ -14,10 +14,10 @@ database + causal DAG + engine configuration and, across queries:
 * executes query batches concurrently — through
   :class:`~repro.service.executor.BatchExecutor` threads
   (``execution="threads"``, the default) or through a persistent
-  :class:`~repro.shard.pool.ShardPool` of worker **processes** over a
-  block-decomposition partition (``execution="processes"``, see
-  :mod:`repro.shard`), whose merged answers are bitwise equal to the
-  single-process path;
+  :class:`~repro.shard.pool.ShardPool` of worker **processes**
+  (``execution="processes"``, see :mod:`repro.shard`), each of which is
+  itself a ``HypeRService`` over the full snapshot, so every query is dealt
+  whole and answered bitwise equal to the single-process path;
 * reports instrumentation through :meth:`stats`.
 
 Concurrency model (MVCC): every generation-dependent piece (database,
@@ -30,11 +30,12 @@ never a mix — even when ``update_database`` commits mid-flight.  Commits
 never pause readers: ``update_database`` installs the new snapshot
 atomically, in-flight readers keep their pinned (old) snapshot alive until
 they unpin, and superseded snapshots are retired the moment their last
-reader finishes.  In ``processes`` mode the shard pool always serves the
-latest committed generation — a commit ships only the changed relations and
-re-shaped row masks to the existing workers in place
-(:meth:`~repro.shard.pool.ShardPool.apply_update`) instead of tearing the
-pool down, and a reader still pinned to an older snapshot falls back to
+reader finishes.  A reader may also name a generation it wants
+(``execute(..., generation=g)``) as long as ``g`` is still live.  In
+``processes`` mode the shard pool always serves the latest committed
+generation — a commit ships only the changed columns to the existing workers
+in place (:meth:`~repro.shard.pool.ShardPool.apply_update`) instead of tearing
+the pool down, and a reader still pinned to an older snapshot falls back to
 in-process evaluation of its pinned state (bitwise-identical: the pool's
 answers are the unsharded engine's), so no query ever observes a pool teardown.  Cache
 keys embed the snapshot's generation vector; entries an in-flight
@@ -52,7 +53,7 @@ Typical use::
 
     sharded = HypeRService(dataset.database, dataset.causal_dag, config,
                            execution="processes", n_shards=4)
-    results = sharded.execute_many(queries)      # shard workers, exact merge
+    results = sharded.execute_many(queries)      # whole queries, dealt by plan
     sharded.close()
 """
 
@@ -71,7 +72,7 @@ from ..core.estimator import PostUpdateEstimator, build_view_dag
 from ..core.howto import HowToEngine
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import HowToResult, WhatIfResult
-from ..core.whatif import WhatIfEngine, validate_query
+from ..core.whatif import PreparedWhatIf, WhatIfEngine, validate_query
 from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
@@ -91,12 +92,12 @@ from .fingerprint import (
     use_key,
     use_relations,
 )
-from .versions import VersionStore
+from .versions import Commit, VersionStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..shard.pool import ShardPool
 
-__all__ = ["HypeRService", "PreparedPlan"]
+__all__ = ["HypeRService", "PreparedPlan", "with_columns"]
 
 Query = WhatIfQuery | HowToQuery
 Result = WhatIfResult | HowToResult
@@ -107,6 +108,26 @@ EXECUTION_MODES = ("threads", "processes")
 def _estimator_weight(estimator: PostUpdateEstimator) -> int:
     """Cost weight of a cached estimator: training rows × feature columns."""
     return estimator.n_training_rows * max(1, len(estimator.feature_attributes))
+
+
+def with_columns(database: Database, assignments: dict[str, dict[str, Any]]) -> Database:
+    """``database`` with whole columns overwritten: ``{relation: {attribute: values}}``.
+
+    Unnamed relations keep their identity, so committing the result bumps
+    only the relations named here; an unknown relation or a column of the
+    wrong length raises before anything is committed.
+    """
+    for relation_name, columns in assignments.items():
+        if relation_name not in database:
+            raise QuerySemanticsError(
+                f"unknown relation {relation_name!r}; database has "
+                f"{sorted(database.relation_names)}"
+            )
+        relation = database[relation_name]
+        for attribute, values in columns.items():
+            relation = relation.with_column(attribute, values)
+        database = database.with_relation(relation)
+    return database
 
 
 @dataclass(frozen=True)
@@ -160,19 +181,25 @@ class _EngineState:
 
 
 class PreparedPlan:
-    """Handle returned by :meth:`HypeRService.prepare`: warmed shared state."""
+    """Handle returned by :meth:`HypeRService.prepare`: warmed shared state.
 
-    __slots__ = ("fingerprint", "view", "estimator")
+    ``what_if`` is a what-if's full-view preparation (scope mask, disjuncts,
+    block labels), exactly what its execution evaluates; ``None`` for a how-to.
+    """
+
+    __slots__ = ("fingerprint", "view", "estimator", "what_if")
 
     def __init__(
         self,
         fingerprint: PlanFingerprint,
         view: Relation,
         estimator: PostUpdateEstimator | None,
+        what_if: PreparedWhatIf | None = None,
     ) -> None:
         self.fingerprint = fingerprint
         self.view = view
         self.estimator = estimator
+        self.what_if = what_if
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -204,9 +231,9 @@ class HypeRService(ServingCounters):
         Default thread count for :meth:`execute_many` in ``threads`` mode
         (``None``: CPU count capped at 8).
     execution:
-        ``"threads"`` (default) executes in-process; ``"processes"`` routes
-        queries through a persistent :class:`~repro.shard.pool.ShardPool` of
-        worker processes over a block-decomposition partition
+        ``"threads"`` (default) executes in-process; ``"processes"`` deals
+        queries whole to a persistent :class:`~repro.shard.pool.ShardPool` of
+        worker processes, each a ``HypeRService`` of its own
         (:mod:`repro.shard`) — answers are bitwise identical either way.
     n_shards:
         Number of shards/worker processes in ``processes`` mode (default:
@@ -239,7 +266,7 @@ class HypeRService(ServingCounters):
             )
         self.config = config if config is not None else EngineConfig()
         self.execution = execution
-        self._versions = VersionStore(
+        self.versions = VersionStore(
             _EngineState.build(0, database, causal_dag, self.config),
             on_retire=self._on_retire_snapshot,
         )
@@ -300,7 +327,7 @@ class HypeRService(ServingCounters):
         m.register_callback(
             "hyper_generation",
             "Latest committed database generation",
-            lambda: self._versions.latest.generation,
+            lambda: self.versions.latest.generation,
         )
         m.register_callback(
             "hyper_inflight_peak",
@@ -317,7 +344,7 @@ class HypeRService(ServingCounters):
             m.register_callback(
                 name,
                 f"MVCC version store: {stat_key}",
-                lambda key=stat_key: self._versions.stats()[key],
+                lambda key=stat_key: self.versions.stats()[key],
                 kind=kind,
             )
         for name, stat_key, kind in (
@@ -414,19 +441,20 @@ class HypeRService(ServingCounters):
         what makes every answer attributable to exactly one committed
         generation.
         """
-        return self._versions.latest.state
+        return self.versions.latest.state
 
     @contextmanager
-    def _pin_snapshot(self):
-        """Pin the latest committed snapshot for one query's whole execution."""
+    def _pin_snapshot(self, generation: int | None = None):
+        """Pin the latest committed snapshot — or the named live ``generation``
+        (:class:`LookupError` otherwise) — for one query's whole execution."""
         with obs_trace.span("snapshot.pin") as pin_span:
-            snapshot = self._versions.acquire()
+            snapshot = self.versions.acquire(generation)
             if pin_span is not None:
                 pin_span.meta["generation"] = snapshot.generation
         try:
             yield snapshot.state
         finally:
-            self._versions.release(snapshot)
+            self.versions.release(snapshot)
 
     @property
     def database(self) -> Database:
@@ -529,26 +557,17 @@ class HypeRService(ServingCounters):
         parsed = self._as_query(query)
         with self._pin_snapshot() as state:
             fingerprint = self._fingerprint(state, parsed)
+            if isinstance(parsed, WhatIfQuery):
+                # exactly what the first execute builds, kernel entry included
+                prepared, estimator = self._what_if_plan(state, parsed, fingerprint)
+                return PreparedPlan(fingerprint, prepared.view, estimator, prepared)
             view, view_dag = self._plan_view(state, parsed.use)
             validate_query(parsed, view, view_dag)  # before anything is cached
-            deps = use_relations(parsed.use)
-            estimator: PostUpdateEstimator | None = None
-            engine = state.whatif if isinstance(parsed, WhatIfQuery) else state.howto
-            if engine is state.howto or not self.config.ignores_dependencies:
-                estimator = self.caches.estimators.get_or_create(
-                    fingerprint.estimator_key,
-                    lambda: engine.build_estimator(parsed, view=view, view_dag=view_dag),
-                    tags=deps,
-                )
-            if engine is state.whatif:
-                # the plan's kernel entry, as the first execute would build it
-                engine.prepare(
-                    parsed,
-                    view=view,
-                    blocks=self._blocks(state),
-                    view_dag=view_dag,
-                    kernels=self._plan_kernels(state, parsed.use),
-                )
+            estimator = self._plan_estimator(
+                parsed,
+                fingerprint,
+                lambda: state.howto.build_estimator(parsed, view=view, view_dag=view_dag),
+            )
             return PreparedPlan(fingerprint, view, estimator)
 
     # -- execution ---------------------------------------------------------------------------
@@ -559,6 +578,7 @@ class HypeRService(ServingCounters):
         *,
         exhaustive: bool = False,
         trace: "obs_trace.TraceContext | None" = None,
+        generation: int | None = None,
     ) -> Result:
         """Answer one query, reusing every applicable cached plan component.
 
@@ -571,13 +591,14 @@ class HypeRService(ServingCounters):
         ``trace`` activates span recording for this call (the front doors
         pass the request's :class:`~repro.obs.trace.TraceContext` when the
         client asked for ``?trace=1``); with ``trace=None`` every span site
-        is a no-op.
+        is a no-op.  ``generation`` answers at that generation instead of the
+        latest, if it is still live (:class:`LookupError` otherwise).
         """
         with obs_trace.activate(trace):
             with obs_trace.span("parse"):
                 parsed = self._as_query(query)
             self._m_queries.inc()
-            with self._track("query"), self._pin_snapshot() as state:
+            with self._track("query"), self._pin_snapshot(generation) as state:
                 started = time.perf_counter()
                 # taken once: the result key and the plan caches both read it
                 with obs_trace.span("fingerprint"):
@@ -790,9 +811,22 @@ class HypeRService(ServingCounters):
                     raise result
         return results
 
-    def _execute_what_if(
+    def _plan_estimator(
+        self, query: Query, fingerprint: PlanFingerprint, build: Any
+    ) -> PostUpdateEstimator:
+        """The plan's fitted estimator: ``build()`` on a miss, cached by plan."""
+
+        def _fit() -> PostUpdateEstimator:
+            with obs_trace.span("estimator.fit", plan=str(fingerprint.digest)):
+                return build()
+
+        return self.caches.estimators.get_or_create(
+            fingerprint.estimator_key, _fit, tags=use_relations(query.use)
+        )
+
+    def _what_if_plan(
         self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
-    ) -> WhatIfResult:
+    ) -> tuple[PreparedWhatIf, PostUpdateEstimator | None]:
         view, view_dag = self._plan_view(state, query.use)
         prepared = state.whatif.prepare(
             query,
@@ -801,16 +835,16 @@ class HypeRService(ServingCounters):
             view_dag=view_dag,
             kernels=self._plan_kernels(state, query.use),
         )
-        estimator: PostUpdateEstimator | None = None
-        if not self.config.ignores_dependencies:
+        if self.config.ignores_dependencies:
+            return prepared, None
+        return prepared, self._plan_estimator(
+            query, fingerprint, lambda: state.whatif.build_estimator(query, prepared)
+        )
 
-            def _fit() -> PostUpdateEstimator:
-                with obs_trace.span("estimator.fit", plan=str(fingerprint.digest)):
-                    return state.whatif.build_estimator(query, prepared)
-
-            estimator = self.caches.estimators.get_or_create(
-                fingerprint.estimator_key, _fit, tags=use_relations(query.use)
-            )
+    def _execute_what_if(
+        self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
+    ) -> WhatIfResult:
+        prepared, estimator = self._what_if_plan(state, query, fingerprint)
         return state.whatif.evaluate(query, prepared=prepared, estimator=estimator)
 
     def _execute_how_to(
@@ -818,14 +852,10 @@ class HypeRService(ServingCounters):
     ) -> HowToResult:
         view, view_dag = self._plan_view(state, query.use)
         validate_query(query, view, view_dag)  # before anything is cached
-        deps = use_relations(query.use)
-
-        def _fit() -> PostUpdateEstimator:
-            with obs_trace.span("estimator.fit", plan=str(fingerprint.digest)):
-                return state.howto.build_estimator(query, view=view, view_dag=view_dag)
-
-        estimator = self.caches.estimators.get_or_create(
-            fingerprint.estimator_key, _fit, tags=deps
+        estimator = self._plan_estimator(
+            query,
+            fingerprint,
+            lambda: state.howto.build_estimator(query, view=view, view_dag=view_dag),
         )
         prepared = state.howto.prepare(
             query,
@@ -839,7 +869,7 @@ class HypeRService(ServingCounters):
             lambda: state.howto.enumerate_candidates(
                 query, prepared.view, prepared.scope_mask
             ),
-            tags=deps,
+            tags=use_relations(query.use),
         )
         if exhaustive:
             return state.howto.evaluate_exhaustive(
@@ -862,7 +892,6 @@ class HypeRService(ServingCounters):
         or errors an in-flight reader.  Lazily started on the first call
         whose ``state`` is the latest generation.
         """
-        from ..shard.partition import partition_database
         from ..shard.pool import ShardPool
 
         with self._pool_lock:
@@ -872,16 +901,14 @@ class HypeRService(ServingCounters):
                 # The pool serves a different (newer) generation than this
                 # reader's pinned snapshot: straggler, falls back in-process.
                 return None
-            if state.generation != self._versions.latest.generation:
+            if state.generation != self.versions.latest.generation:
                 return None
-            plan = partition_database(
+            self._pool = ShardPool(
                 state.database,
                 state.causal_dag,
-                self.n_shards,
-                blocks=self._blocks(state),
-            )
-            self._pool = ShardPool(
-                plan, state.causal_dag, self.config, generation=state.generation
+                self.config,
+                n_shards=self.n_shards,
+                generation=state.generation,
             ).start()
             self._pool_generation = state.generation
             return self._pool
@@ -896,34 +923,25 @@ class HypeRService(ServingCounters):
     ) -> None:
         """Move the running shard pool to ``state``'s generation in place.
 
-        Ships only the changed relations (plus re-shaped row masks / block
-        labels) to the existing worker processes; the workers are never
-        restarted, so readers racing the commit keep their answers.
-        ``replace_dag`` ships ``state``'s causal DAG as the workers' new
-        background knowledge and ``clear_caches`` drops every worker plan
-        cache — the in-place forms of :meth:`update_causal_dag` and
-        :meth:`invalidate`.  If the in-place update fails for any reason the
-        pool is closed and the next latest-generation query rebuilds it
-        lazily — readers pinned to older snapshots fall back in-process
-        either way.
+        Ships only the changed columns of ``state``'s database to the
+        existing worker processes; the workers are never restarted, so
+        readers racing the commit keep their answers.  ``replace_dag`` ships
+        ``state``'s causal DAG as the workers' new background knowledge and
+        ``clear_caches`` drops every worker plan cache — the in-place forms
+        of :meth:`update_causal_dag` and :meth:`invalidate`.  If the in-place
+        update fails for any reason the pool is closed and the next
+        latest-generation query rebuilds it lazily — readers pinned to older
+        snapshots fall back in-process either way.
         """
         if self.execution != "processes":
             return
-        from ..shard.partition import partition_database
-
         with self._pool_lock:
             pool = self._pool
             if pool is None:
                 return  # nothing running; lazy start will use the new state
             try:
-                plan = partition_database(
-                    state.database,
-                    state.causal_dag,
-                    self.n_shards,
-                    blocks=self._blocks(state),
-                )
                 pool.apply_update(
-                    plan,
+                    state.database,
                     changed,
                     generation=state.generation,
                     causal_dag=state.causal_dag if replace_dag else None,
@@ -984,7 +1002,7 @@ class HypeRService(ServingCounters):
                 self.config,
                 {name: gen + 1 for name, gen in state.relation_generations.items()},
             )
-            self._versions.commit(new_state, generation=new_state.generation)
+            self.versions.commit(new_state, generation=new_state.generation)
             self.caches.clear()
             try:
                 self._refresh_pool(new_state, frozenset(), clear_caches=True)
@@ -997,7 +1015,7 @@ class HypeRService(ServingCounters):
                     exc_info=True,
                 )
 
-    def update_database(self, database: Database) -> frozenset[str]:
+    def update_database(self, database: Database) -> Commit:
         """Commit a new database snapshot with fine-grained invalidation.
 
         Relations are compared by object identity against the current
@@ -1016,8 +1034,10 @@ class HypeRService(ServingCounters):
         nothing (every relation identical by identity) is a no-op: no
         generation bump, no cache eviction, and the pool stays untouched.
 
-        Returns the set of relation names whose generation was bumped
-        (empty for a no-op commit).
+        Returns the set of relation names whose generation was bumped (empty
+        for a no-op commit) as a :class:`~repro.service.versions.Commit`
+        carrying the generation this commit installed (for a no-op, the
+        current one).
         """
         from dataclasses import replace as dataclass_replace
 
@@ -1043,12 +1063,12 @@ class HypeRService(ServingCounters):
             )
             if not changed:
                 self._m_noop_commits.inc()
-                return frozenset()
+                return Commit((), state.generation)
             generations = dict(state.relation_generations)
             for name in changed:
                 generations[name] = generations.get(name, 0) + 1
             new_state = dataclass_replace(new_state, relation_generations=generations)
-            self._versions.commit(new_state, generation=new_state.generation)
+            self.versions.commit(new_state, generation=new_state.generation)
             if changed >= set(state.database.relation_names) | set(
                 new_state.database.relation_names
             ):
@@ -1059,32 +1079,18 @@ class HypeRService(ServingCounters):
                 # candidates) stays.
                 self.caches.evict_tagged(changed)
             self._refresh_pool(new_state, frozenset(changed))
-            return frozenset(changed)
+            return Commit(changed, new_state.generation)
 
-    def update_relation_columns(
-        self, assignments: dict[str, dict[str, Any]]
-    ) -> frozenset[str]:
+    def update_relation_columns(self, assignments: dict[str, dict[str, Any]]) -> Commit:
         """Atomically overwrite columns: ``{relation: {attribute: values}}``.
 
         The read-modify-write runs under the commit lock, so concurrent
         callers (e.g. two ``/v1/update`` requests) serialize and neither can
-        lose the other's columns.  Unnamed relations keep their identity, so
-        the resulting :meth:`update_database` commit bumps only the relations
-        named here.  Returns the changed-relation set.
+        lose the other's columns; the resulting :meth:`update_database`
+        commit (see :func:`with_columns`) bumps only the relations named here.
         """
         with self._commit_lock:
-            database = self.database
-            for relation_name, columns in assignments.items():
-                if relation_name not in database:
-                    raise QuerySemanticsError(
-                        f"unknown relation {relation_name!r}; database has "
-                        f"{sorted(database.relation_names)}"
-                    )
-                relation = database[relation_name]
-                for attribute, values in columns.items():
-                    relation = relation.with_column(attribute, values)
-                database = database.with_relation(relation)
-            return self.update_database(database)
+            return self.update_database(with_columns(self.database, assignments))
 
     def update_causal_dag(self, causal_dag: CausalDAG | None) -> None:
         """Swap in new causal background knowledge; invalidates cached state.
@@ -1103,7 +1109,7 @@ class HypeRService(ServingCounters):
                 self.config,
                 {name: gen + 1 for name, gen in state.relation_generations.items()},
             )
-            self._versions.commit(new_state, generation=new_state.generation)
+            self.versions.commit(new_state, generation=new_state.generation)
             self.caches.clear()
             try:
                 self._refresh_pool(
@@ -1140,7 +1146,7 @@ class HypeRService(ServingCounters):
         with self._pool_lock:
             pool_stats = self._pool.stats() if self._pool is not None else None
         serving = self.serving_signals()
-        versions = self._versions.stats()
+        versions = self.versions.stats()
         latest = self._state
         versions["noop_commits"] = int(self._m_noop_commits.value)
         versions["pinned_fallbacks"] = int(self._m_pinned_fallbacks.value)

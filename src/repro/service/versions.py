@@ -7,7 +7,9 @@ keeps reading it until it finishes — a commit never pauses readers and a
 reader never observes a mix of two generations.  Snapshots are refcounted;
 a superseded snapshot is *retired* (its engine state released) the moment its
 last pinned reader unpins, so long-running readers bound memory to the
-handful of generations they actually straddle.
+handful of generations they actually straddle.  A reader may also pin a
+*named* generation while it is still live: a cluster shard node holds its last
+few generations pinned, and a leg at one of them is an ordinary reader of it.
 
 The store is deliberately generic — it versions any immutable state object —
 so the snapshot-isolation property it provides can be checked black-box by
@@ -33,7 +35,24 @@ from typing import Any, Callable, Iterator
 
 from ..obs import trace as obs_trace
 
-__all__ = ["Snapshot", "VersionStore"]
+__all__ = ["Commit", "Snapshot", "VersionStore"]
+
+
+class Commit(frozenset):
+    """The relations one commit changed, and the generation it installed.
+
+    A frozenset of relation names, so callers after only those keep working;
+    ``generation`` is taken inside the commit's critical section, so a racing
+    writer cannot move it — for a no-op commit it is the generation that was
+    current then.
+    """
+
+    __slots__ = ("generation",)
+
+    def __new__(cls, changed: Any = (), generation: int = 0) -> "Commit":
+        self = super().__new__(cls, changed)
+        self.generation = generation
+        return self
 
 
 class Snapshot:
@@ -66,7 +85,8 @@ class VersionStore:
     Invariants (the ones the isolation checker verifies from outside):
 
     * :meth:`pin` returns the latest committed snapshot at some instant
-      within the call — never a superseded-and-retired one, never a blend;
+      within the call (or the named live one) — never a superseded-and-retired
+      one, never a blend;
     * :meth:`commit` swaps the latest snapshot atomically and *never* blocks
       on readers — in-flight pins keep their snapshot alive until unpinned;
     * generations are strictly increasing, so per-session reads that pin at
@@ -102,10 +122,23 @@ class VersionStore:
         with self._lock:
             return self._latest
 
-    def acquire(self) -> Snapshot:
-        """Pin the latest snapshot (incref); pair with :meth:`release`."""
+    def acquire(self, generation: int | None = None) -> Snapshot:
+        """Pin the latest snapshot (incref); pair with :meth:`release`.
+
+        ``generation`` pins that snapshot instead, as long as it is live —
+        the latest, or superseded but still pinned by another reader; a
+        retired or never-committed generation raises :class:`LookupError`.
+        """
         with self._lock:
-            snapshot = self._latest
+            if generation is None:
+                snapshot = self._latest
+            else:
+                snapshot = self._live.get(generation)
+                if snapshot is None:
+                    raise LookupError(
+                        f"generation {generation} is not live "
+                        f"(live: {sorted(self._live)})"
+                    )
             snapshot.refcount += 1
             pinned = sum(s.refcount for s in self._live.values())
             if pinned > self._peak_pinned:
@@ -124,9 +157,9 @@ class VersionStore:
             self._retire_if_dead(snapshot)
 
     @contextmanager
-    def pin(self) -> Iterator[Snapshot]:
-        """Context manager: pin the latest snapshot for the block's duration."""
-        snapshot = self.acquire()
+    def pin(self, generation: int | None = None) -> Iterator[Snapshot]:
+        """Context manager: :meth:`acquire` for the block's duration."""
+        snapshot = self.acquire(generation)
         try:
             yield snapshot
         finally:

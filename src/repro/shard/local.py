@@ -1,27 +1,24 @@
-"""Shard-local what-if evaluation: per-query work proportional to owned rows.
+"""One shard's row-scatter partial of a what-if: work proportional to owned rows.
 
-Kept until ROADMAP 1(d) + 2(d), with the row-scatter of a single what-if
-(:meth:`ShardWorkerRuntime.what_if_partial
-<repro.shard.pool.ShardWorkerRuntime.what_if_partial>`) it serves.
+Kept until ROADMAP 1(d) only because ``perf/`` times it: no query path of
+``src/`` row-scatters any more (every whole query is answered by one
+:class:`~repro.service.session.HypeRService`).  A cluster shard node answers
+``kind="whatif"`` legs of ``/v1/partial`` with :func:`what_if_partial`, and
+:func:`repro.shard.merge.merge_what_if` folds the legs' partials.
 
-Evaluating scope / ``For`` masks, post-update columns and estimator
-predictions over the full view is work every worker would duplicate.  Here
-those per-query vectorized pieces run on the shard's **local view** (the full
-view filtered to owned rows), so a query's marginal cost in a worker scales
-with ``n / n_shards``, through the engine's own kernel:
-:func:`local_what_if_contributions` is
-:func:`repro.core.whatif.causal_contribution_rows` prepared over the local
-view.
+The full-view pieces — the relevant view, the validated disjuncts, the scope
+mask, the block labels and the fitted estimator — come through the service's
+plan caches (:meth:`HypeRService.prepare
+<repro.service.session.HypeRService.prepare>`); only the per-query
+vectorized work runs on the shard's **local view** (the full view filtered to
+owned rows), through the engine's own kernel
+:func:`repro.core.whatif.causal_contribution_rows`.
 
 The bitwise-exactness contract survives because the two remaining full-view
 dependencies are handled explicitly:
 
-* **Training targets** — regressors must be fitted on full-view targets (every
-  shard fits the identical model).  The full-view masks behind them are built
-  *lazily*, inside
-  :meth:`~repro.core.estimator.PostUpdateEstimator.regressor_for`'s target
-  factory, so only on a regressor-cache miss — once per plan per worker,
-  amortised to zero across a suite.
+* **Training targets** — regressors are fitted on full-view targets
+  (``fit_view``), built lazily only on a regressor-cache miss.
 * **Row-stable kernels** — predicate masks, update functions, encoders and
   regressor predictions are all elementwise / per-row deterministic (see the
   einsum note in :mod:`repro.ml.linear`), so evaluating them on a filtered
@@ -30,63 +27,77 @@ dependencies are handled explicitly:
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import replace
+from typing import Any
 
 import numpy as np
 
-from ..core.estimator import PostUpdateEstimator
+from ..core.config import Variant
 from ..core.queries import WhatIfQuery
 from ..core.whatif import (
-    PreparedWhatIf,
     causal_contribution_rows,
     indep_contribution_rows,
     scope_and_post_values,
 )
-from ..relational.columnar import KernelCache
-from ..relational.predicates import Conjunction
-from ..relational.relation import Relation
+from ..relational.aggregates import get_aggregate
+from .merge import ShardMergeError, WhatIfShardPartial
+from .partition import Shard
 
-__all__ = ["local_indep_contributions", "local_what_if_contributions"]
+__all__ = ["what_if_partial"]
 
 
-def local_what_if_contributions(
-    query: WhatIfQuery,
-    full_view: Relation,
-    local_view: Relation,
-    disjuncts: Sequence[Conjunction],
-    estimator: PostUpdateEstimator,
-    *,
-    kernels: KernelCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-owned-row (count, sum) contributions of the causal variants.
+def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfShardPartial:
+    """The contributions of ``shard``'s rows to ``query`` at ``service``'s latest generation.
 
-    :func:`repro.core.whatif.causal_contribution_rows` itself, prepared over
-    ``local_view`` with ``full_view`` as the view to fit on: every per-query
-    vectorized step runs on the shard's rows only, and the returned arrays
-    align with the local view's rows, bitwise equal to the same rows of an
-    unsharded evaluation.  ``kernels`` (per plan, owned by the worker
-    runtime) holds local-view-sized arrays.
+    ``shard`` must come from a partition of that generation's database.
+    Shard 0 also carries the full-view context the merge needs once (scope
+    mask, block labels).
     """
-    scope, post_values = scope_and_post_values(query, local_view, kernels)
-    prepared = PreparedWhatIf(
-        view=local_view,
-        view_dag=None,
-        scope_mask=scope,
-        post_values=post_values,
-        disjuncts=list(disjuncts),
-        post_attributes=[],
-        # block labels are full-view merge carriers, not contribution inputs
-        block_of_row=np.empty(0, dtype=int),
-        n_blocks=0,
-        for_key=query.for_clause.canonical(),
-        kernels=kernels,
+    plan = service.prepare(query)
+    full = plan.what_if
+    view = full.view
+    mask = shard.own_rows(query.use.base_relation)
+    if len(mask) != len(view):
+        raise ShardMergeError(
+            f"shard row mask over {query.use.base_relation!r} has {len(mask)} rows "
+            f"but the relevant view has {len(view)} — the shard slice is stale"
+        )
+    local_view = view.filter(mask)
+    scope, post_values = scope_and_post_values(query, local_view)
+    meta: dict[str, Any] = {"n_disjuncts": len(full.disjuncts)}
+    if plan.estimator is None:
+        count, sum_ = indep_contribution_rows(query, local_view, post_values)
+        meta.update(variant=Variant.INDEP, backdoor_set=())
+    else:
+        local = replace(
+            full,
+            view=local_view,
+            scope_mask=scope,
+            post_values=post_values,
+            # block labels are full-view merge carriers, not contribution inputs
+            block_of_row=np.empty(0, dtype=int),
+            kernels=None,
+        )
+        count, sum_ = causal_contribution_rows(
+            query, local, plan.estimator, fit_view=view
+        )
+        estimator = plan.estimator
+        meta.update(
+            variant=service.config.variant,
+            backdoor_set=tuple(estimator.backdoor_set),
+            n_training_rows=estimator.n_training_rows,
+            feature_attributes=list(estimator.feature_attributes),
+        )
+    partial = WhatIfShardPartial(
+        shard_index=shard.index,
+        n_shards=shard.n_shards,
+        n_rows=len(view),
+        row_indices=np.flatnonzero(mask),
+        count=count,
+        sum=sum_ if get_aggregate(query.output_aggregate).needs_output_value else None,
+        meta=meta,
     )
-    return causal_contribution_rows(query, prepared, estimator, fit_view=full_view)
-
-
-def local_indep_contributions(
-    query: WhatIfQuery, local_view: Relation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-owned-row contributions of the Indep baseline on the local view."""
-    _scope, post_values = scope_and_post_values(query, local_view)
-    return indep_contribution_rows(query, local_view, post_values)
+    if shard.index == 0:
+        partial.scope_mask = full.scope_mask
+        partial.block_of_row, partial.n_blocks = full.block_of_row, full.n_blocks
+    return partial

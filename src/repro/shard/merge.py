@@ -1,9 +1,10 @@
 """The associative merge protocol for per-shard what-if partials.
 
-Kept until ROADMAP 1(d) + 2(d): only a single
-:meth:`ShardPool.run_what_if <repro.shard.pool.ShardPool.run_what_if>` (and
-``perf/probes.py``) row-scatters any more — batches, every how-to and the
-cluster move the whole query to one worker or node instead.
+Kept until ROADMAP 1(d) only because ``perf/`` imports it: no query path of
+``src/`` row-scatters any more — the pool and the cluster move every whole
+query to one worker or node instead.  What is left folds the partials of
+:func:`repro.shard.local.what_if_partial` (a cluster node's ``kind="whatif"``
+leg).
 
 Every shard evaluates the *same* what-if over its own rows and emits a partial
 carrying ``(row_indices, per-row contribution arrays)`` plus scalar metadata.

@@ -7,21 +7,20 @@ contributions, so the block-independent decomposition
 of every relation — and can compute the contributions of exactly those rows
 with no coordination beyond the final merge (:mod:`repro.shard.merge`).
 
+Kept until ROADMAP 1(d) only because ``perf/`` imports it: no commit path
+partitions any more (a pool worker and a cluster node hold the whole
+database); a cluster node slices its latest generation lazily for the
+``kind="whatif"`` legs of ``/v1/partial``.
+
 Exactness contract
 ------------------
 A shard snapshot deliberately carries the **full** database alongside its
 row-ownership masks.  Estimator fitting must see the same training rows in the
 same order as an unsharded evaluation, otherwise the fitted regressors (and
-with them every prediction) drift numerically; replicating the deterministic
-fit per worker is what makes shard-merged answers *bitwise* equal to the
-unsharded path.  Only prediction and contribution accumulation are restricted
-to the shard's own rows — that is the parallel fraction, and for repeated-plan
-workloads the (cached) fits amortise to zero.
-
-The pickling boundary is the :class:`Shard` itself: everything it holds —
-relations (lock-free via ``Relation.__getstate__``), block labels, masks — is
-picklable, so a shard can be shipped to a spawned worker process; under the
-``fork`` start method it transfers by copy-on-write without serialisation.
+with them every prediction) drift numerically; fitting on the full view is
+what makes shard-merged answers *bitwise* equal to the unsharded path.  Only
+prediction and contribution accumulation are restricted to the shard's own
+rows.
 """
 
 from __future__ import annotations

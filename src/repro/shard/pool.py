@@ -1,27 +1,25 @@
 """A persistent multiprocessing pool of shard workers (stdlib only).
 
-Each worker process owns one :class:`~repro.shard.partition.Shard` for the
-pool's whole lifetime — the shard (including the full database snapshot) is
-transferred **once** at start-up (by copy-on-write under the ``fork`` start
-method, by pickle under ``spawn``), never per query.  A query moves to the
+Every worker process is a :class:`~repro.service.session.HypeRService` of its
+own over the full database snapshot, which is transferred **once** at start-up
+(one shared-memory segment when available, else by copy-on-write under
+``fork`` or by pickle under ``spawn``), never per query.  A query moves to the
 data: it travels whole, as a small pickled task message, to the one worker its
-plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), which
-answers it unsharded from the full snapshot (:meth:`ShardWorkerRuntime.run_full`)
-and sends scalars back — a how-to exactly like a what-if.  (A single
-:meth:`ShardPool.run_what_if` is still row-scattered and merged through
-:mod:`repro.shard.merge`; see there.)
-Database commits move the running workers forward *in place*
-(:meth:`ShardPool.apply_update`): only the changed relations and re-shaped
-ownership masks cross the process boundary, and the workers' plan caches for
-untouched relations stay warm — the pool is never restarted for an update.
+plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), whose
+service answers it (:meth:`HypeRService.execute
+<repro.service.session.HypeRService.execute>`) and sends scalars back — a
+single query like a batch, a how-to like a what-if.  Database commits move the
+running workers forward *in place* (:meth:`ShardPool.apply_update`): only the
+changed columns cross the process boundary, each worker commits them into its
+service with ``update_database``, and its plan caches for untouched relations
+stay warm — the pool is never restarted for an update.
 
-Inside a worker, a :class:`ShardWorkerRuntime` keeps the same kind of
-plan-level caches the thread-mode service keeps in-process: materialised
-relevant views, fitted estimators (each with its internal regressor cache) and
-how-to candidate enumerations, keyed by plan fingerprints.  Repeated-template
-workloads therefore pay the estimator fit once *per worker* and pure
-prediction afterwards — CPU-bound fits run truly in parallel across processes,
-which is the scaling step the GIL denies the thread-pool executor.
+Because a worker is a service, it keeps exactly the plan-level caches the
+thread-mode service keeps in-process — relevant views, fitted estimators,
+fused kernels, how-to candidates, keyed by plan fingerprints — so
+repeated-template workloads pay the estimator fit once *per worker* and pure
+prediction afterwards, and CPU-bound fits run truly in parallel across
+processes, which is the scaling step the GIL denies the thread-pool executor.
 
 When worker processes cannot be started (no usable ``multiprocessing`` start
 method, sandboxed semaphores, pickling failure), the pool degrades to an
@@ -32,6 +30,7 @@ way.
 
 from __future__ import annotations
 
+import contextvars
 import pickle
 import queue as queue_module
 import threading
@@ -42,32 +41,21 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ..causal.dag import CausalDAG
-from ..core.config import EngineConfig, Variant
-from ..core.howto import HowToEngine
+from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
-from ..core.whatif import WhatIfEngine, validate_query
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
-from ..relational.aggregates import get_aggregate
 from ..relational.columnar import (
     Column,
     ColumnStore,
-    KernelCache,
     store_from_buffers,
     store_to_buffers,
 )
 from ..relational.database import Database
-from ..relational.predicates import evaluate_mask
 from ..relational.relation import Relation
-from ..service.fingerprint import (
-    PlanDealer,
-    dag_key,
-    fingerprint_query,
-    use_key,
-    use_relations,
-)
-from .merge import WhatIfShardPartial, merge_what_if
-from .partition import Shard, ShardPlan
+from ..service.fingerprint import PlanDealer
+from ..service.session import HypeRService
+from .partition import ShardPlan
 from .shm import (
     SegmentAttachment,
     SegmentManager,
@@ -93,145 +81,69 @@ class ShardPoolError(HypeRError):
 
 
 class ShardWorkerRuntime:
-    """Per-shard evaluation engine with plan-level caches (runs inside a worker).
+    """One pool worker: a :class:`HypeRService` over the full snapshot.
 
-    The runtime is deliberately free of any parent-process state: it is
-    constructed from ``(shard, causal_dag, config)`` alone, so the same class
-    backs both real worker processes and the inline fallback.
+    Deliberately free of any parent-process state — it is constructed from
+    ``(index, database, causal_dag, config)`` alone — so the same class backs
+    both real worker processes and the inline fallback.  Its service keeps no
+    result cache: answers leave as scalars, and the parent caches results.
     """
 
     def __init__(
         self,
-        shard: Shard,
+        index: int,
+        database: Database,
         causal_dag: CausalDAG | None,
         config: EngineConfig,
         *,
         attachment: SegmentAttachment | None = None,
     ) -> None:
-        self.shard = shard
-        self.config = config
-        self.causal_dag = causal_dag
+        self.index = index
         self.attachment = attachment
-        self.whatif = WhatIfEngine(shard.database, causal_dag, config)
-        # Share the (possibly backend-converted) database between both engines.
-        self.howto = HowToEngine(self.whatif.database, causal_dag, config)
-        self._dag_identity = dag_key(causal_dag)
-        # Bounded like the parent-side QueryCaches: a persistent worker
-        # serving many distinct plans must not grow without limit.
-        from ..service.cache import LRUCache
-
-        self._views = LRUCache(16, "worker-views")
-        self._local_views = LRUCache(16, "worker-local-views")
-        self._block_assignments = LRUCache(16, "worker-blocks")
-        self._estimators = LRUCache(64, "worker-estimators")
-        self._candidates = LRUCache(64, "worker-candidates")
-        # Per-plan fused-kernel caches (repro.relational.columnar.KernelCache):
-        # every deterministic intermediate that parameter variants of one plan
-        # share — masks, output columns, index sets, the backdoor covariates'
-        # share of each regressor's prediction.
-        self._kernels = LRUCache(16, "worker-kernels")
+        self.service = HypeRService(database, causal_dag, config, result_cache_size=0)
         self.n_tasks = 0
-        self.n_estimator_builds = 0
-
-    # -- cached plan components ---------------------------------------------------------
-
-    def _fingerprint(self, query: WhatIfQuery | HowToQuery):
-        return fingerprint_query(
-            query, self.config, generation=0, dag_identity=self._dag_identity
-        )
-
-    def _view(self, query: WhatIfQuery | HowToQuery) -> tuple:
-        from ..core.estimator import build_view_dag
-
-        return self._views.get_or_create(
-            use_key(query.use),
-            lambda: (
-                query.use.build(self.whatif.database),
-                build_view_dag(self.causal_dag, query.use, self.whatif.database),
-            ),
-            tags=use_relations(query.use),
-        )
-
-    def _estimator(self, query: WhatIfQuery | HowToQuery, view, view_dag) -> Any:
-        """The plan's fitted estimator (cached; builds are counted on the worker span)."""
-        engine = self.howto if isinstance(query, HowToQuery) else self.whatif
-
-        def build():
-            self.n_estimator_builds += 1
-            return engine.build_estimator(query, view=view, view_dag=view_dag)
-
-        return self._estimators.get_or_create(
-            self._fingerprint(query).estimator_key, build, tags=use_relations(query.use)
-        )
-
-    def _row_mask(self, query: WhatIfQuery | HowToQuery, view) -> np.ndarray:
-        mask = self.shard.own_rows(query.use.base_relation)
-        if len(mask) != len(view):
-            raise ShardPoolError(
-                f"shard row mask over {query.use.base_relation!r} has {len(mask)} rows "
-                f"but the relevant view has {len(view)} — the shard snapshot is stale"
-            )
-        return mask
-
-    def _local_view(self, query: WhatIfQuery | HowToQuery, view) -> Relation:
-        """The full view filtered to this shard's rows (cached per plan)."""
-        return self._local_views.get_or_create(
-            use_key(query.use), lambda: view.filter(self._row_mask(query, view))
-        )
-
-    def _block_assignment(
-        self, query: WhatIfQuery, view
-    ) -> tuple[np.ndarray, int]:
-        """Full-view block labels for shard-0 carriers (cached per plan).
-
-        Returning the *same* cached array for every query of a plan lets
-        pickle's memoizer serialise it once per batch message.
-        """
-        return self._block_assignments.get_or_create(
-            use_key(query.use),
-            lambda: self.whatif._block_assignment(
-                query, view, (self.shard.block_labels, self.shard.n_blocks)
-            ),
-        )
-
-    # -- task handlers ------------------------------------------------------------------
 
     def handle(self, kind: str, payload: Any) -> Any:
         """Serve one task, stamping a worker span onto the outgoing payload.
 
-        The span is a plain dict inside the partial's ``meta`` (or a result's
-        ``metadata``), so it crosses the pickling boundary with the payload it
-        times; the parent pool pops it back out — *always*, traced or not, so
-        merged answers stay bitwise identical to the unsharded path — and
-        re-attaches it to the live trace via :func:`repro.obs.trace.add_span`.
+        The span is a plain dict inside the result's ``metadata``, so it
+        crosses the pickling boundary with the payload it times; the parent
+        pool pops it back out — *always*, traced or not, so answers stay
+        bitwise identical to the unsharded path — and re-attaches it to the
+        live trace via :func:`repro.obs.trace.add_span`.  The task runs in a
+        fresh context, so an inline worker's service never records its own
+        spans into the caller's trace: both modes ship the same span.
         """
         self.n_tasks += 1
-        builds_before = self.n_estimator_builds
+        estimators = self.service.caches.estimators
+        builds_before = estimators.stats().misses
         started = time.perf_counter()
-        out = self._dispatch(kind, payload)
+        out = contextvars.Context().run(self._dispatch, kind, payload)
         elapsed = time.perf_counter() - started
-        meta = getattr(out, "meta", None)
-        if not isinstance(meta, dict):
-            meta = getattr(out, "metadata", None)
+        meta = getattr(out, "metadata", None)
         if isinstance(meta, dict):
             meta["worker_span"] = {
-                "name": f"shard-worker[{self.shard.index}]",
+                "name": f"shard-worker[{self.index}]",
                 "duration_ms": round(elapsed * 1000.0, 6),
                 "meta": {
-                    "shard": self.shard.index,
+                    "shard": self.index,
                     "kind": kind,
-                    "estimator_builds": self.n_estimator_builds - builds_before,
+                    "estimator_builds": estimators.stats().misses - builds_before,
                 },
                 "children": [],
             }
         return out
 
     def _dispatch(self, kind: str, payload: Any) -> Any:
-        if kind == "whatif":
-            return self.what_if_partial(payload)
         if kind == "full":
             query, exhaustive = payload
-            return self.run_full(query, exhaustive)
+            result = self.service.execute(query, exhaustive=exhaustive)
+            if not isinstance(query, HowToQuery):
+                # The answer leaves as scalars: the per-block summary is an
+                # in-process view over per-row arrays (docs/architecture.md),
+                # and the inline pool drops it too so both modes agree.
+                result.block_contributions = []
+            return result
         if kind == "batch":
             out = []
             for sub_kind, sub_payload in payload:
@@ -243,90 +155,45 @@ class ShardWorkerRuntime:
         if kind == "update":
             return self.apply_update(payload)
         if kind == "ping":
-            return {"shard": self.shard.index, "n_tasks": self.n_tasks}
+            return {"shard": self.index, "n_tasks": self.n_tasks}
         raise ShardPoolError(f"unknown shard task kind {kind!r}")
 
     def apply_update(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Move this worker's shard snapshot to a new generation in place.
+        """Commit the parent's next generation into this worker's service.
 
-        ``payload`` carries only the delta the parent diffed for this shard:
-        the changed/added relations, removed relation names, the new relation
-        order and foreign keys, and whichever row masks / block labels
-        actually differ.  Unchanged relations are reused from the current
-        snapshot, so the rebuilt engines see value-identical training data
-        and merged answers stay bitwise equal to the unsharded path.  Plan
-        caches tagged with a changed relation are evicted; the row-geometry
-        caches (local views, block assignments) are dropped wholesale because
-        a commit can re-shape ownership masks even over unchanged relations.
-
-        Two optional keys extend the delta beyond relation data:
-        ``replace_dag``/``causal_dag`` swap the worker's causal background
-        knowledge in place (engines are rebuilt against it), and
-        ``clear_caches`` drops every plan cache regardless of tags — together
-        they let a full invalidation or a DAG swap move the pool forward
-        without restarting worker processes.
+        ``payload`` carries only what the parent diffed: the changed or added
+        relations (whole, or as ``deltas`` spliced over the current
+        generation's columns) and the new relation order and foreign keys.
+        Unchanged relations are reused as they are, so ``update_database``
+        bumps — and evicts the plans of — exactly the changed ones, and the
+        engines see value-identical training data.  ``replace_dag`` /
+        ``causal_dag`` and ``clear_caches`` are the in-place forms of
+        ``update_causal_dag`` and ``invalidate``.
         """
-        old_database = self.whatif.database
-        changed_relations: dict[str, Relation] = dict(payload["changed"])
-        for delta in payload.get("deltas", ()):
-            changed_relations[delta["name"]] = self._apply_relation_delta(
+        service = self.service
+        old_database = service.database
+        relations: dict[str, Relation] = dict(payload["changed"])
+        for delta in payload["deltas"]:
+            relations[delta["name"]] = self._apply_relation_delta(
                 old_database[delta["name"]], delta
             )
             # one patch segment per commit: without this the worker would
             # keep every one of them mapped for its whole life
             release_buffers(delta["descriptor"], self.attachment)
-        removed: set[str] = set(payload["removed"])
-        relations = [
-            changed_relations[name] if name in changed_relations else old_database[name]
-            for name in payload["relation_names"]
-        ]
-        database = Database(relations, foreign_keys=payload["foreign_keys"])
-        row_masks = {
-            name: mask
-            for name, mask in self.shard.row_masks.items()
-            if name not in removed
-        }
-        row_masks.update(payload["row_masks"])
-        labels = {
-            name: arr
-            for name, arr in self.shard.block_labels.items()
-            if name not in removed
-        }
-        labels.update(payload["block_labels"])
-        shard_of_block = payload["shard_of_block"]
-        if shard_of_block is None:
-            shard_of_block = self.shard.shard_of_block
-        self.shard = Shard(
-            index=self.shard.index,
-            n_shards=self.shard.n_shards,
-            database=database,
-            row_masks=row_masks,
-            block_labels=labels,
-            n_blocks=payload["n_blocks"],
-            shard_of_block=shard_of_block,
+        commit = service.update_database(
+            Database(
+                [
+                    relations[name] if name in relations else old_database[name]
+                    for name in payload["relation_names"]
+                ],
+                foreign_keys=payload["foreign_keys"],
+            )
         )
         if payload.get("replace_dag"):
-            self.causal_dag = payload["causal_dag"]
-            self._dag_identity = dag_key(self.causal_dag)
-        self.whatif = WhatIfEngine(database, self.causal_dag, self.config)
-        self.howto = HowToEngine(self.whatif.database, self.causal_dag, self.config)
-        if payload.get("clear_caches"):
-            evicted = len(self._views) + len(self._estimators) + len(self._candidates)
-            self._views.clear()
-            self._estimators.clear()
-            self._candidates.clear()
-        else:
-            dirty = set(changed_relations) | removed
-            evicted = self._views.evict_tagged(dirty)
-            evicted += self._estimators.evict_tagged(dirty)
-            evicted += self._candidates.evict_tagged(dirty)
-        self._local_views.clear()
-        self._block_assignments.clear()
-        # Kernel caches hold row-geometry-dependent arrays (masks, index sets)
-        # even for plans over untouched relations; drop them wholesale like
-        # the local views.
-        self._kernels.clear()
-        return {"shard": self.shard.index, "evicted": evicted}
+            service.update_causal_dag(payload["causal_dag"])
+        elif payload.get("clear_caches"):
+            service.invalidate()
+        return {"shard": self.index, "changed": sorted(commit)}
 
     def _apply_relation_delta(self, old: Relation, delta: dict[str, Any]) -> Relation:
         """Rebuild a relation from its previous generation plus a patch.
@@ -336,7 +203,7 @@ class ShardWorkerRuntime:
         patch segment) or as the new values of the changed rows plus the
         ascending indices to splice them at.  Untouched columns are reused as
         they are; the result is value-identical to the full relation the
-        parent diffed, so merged answers cannot drift from the unsharded path.
+        parent diffed, so answers cannot drift from the unsharded path.
         """
         indices = delta["indices"]
         patch = store_from_buffers(
@@ -361,146 +228,21 @@ class ShardWorkerRuntime:
             old.backend,
         )
 
-    # Kept until ROADMAP 1(d) + 2(d): run_what_if and the node's kind="whatif".
-    def what_if_partial(self, query: WhatIfQuery) -> WhatIfShardPartial:
-        """Contributions of this shard's rows, via the shard-local kernels.
 
-        Per-query vectorized work (masks, post-update columns, predictions)
-        runs on the local view only — ``n / n_shards`` rows; the full view is
-        touched solely by lazy regressor-fit targets (once per plan) and by
-        shard 0's merge carriers (:mod:`repro.shard.local`).
-        """
-        from .local import local_indep_contributions, local_what_if_contributions
-
-        view, view_dag = self._view(query)
-        disjuncts = validate_query(query, view, view_dag)
-        local_view = self._local_view(query, view)
-        kernels = self._kernels.get_or_create(
-            use_key(query.use), KernelCache, tags=use_relations(query.use)
-        )
-        if self.config.ignores_dependencies:
-            count, sum_ = local_indep_contributions(query, local_view)
-            meta: dict[str, Any] = {
-                "variant": Variant.INDEP,
-                "backdoor_set": (),
-                "n_disjuncts": len(disjuncts),
-            }
-        else:
-            estimator = self._estimator(query, view, view_dag)
-            count, sum_ = local_what_if_contributions(
-                query, view, local_view, disjuncts, estimator, kernels=kernels
-            )
-            meta = {
-                "variant": self.config.variant,
-                "backdoor_set": tuple(estimator.backdoor_set),
-                "n_training_rows": estimator.n_training_rows,
-                "n_disjuncts": len(disjuncts),
-                "feature_attributes": list(estimator.feature_attributes),
-            }
-        needs_sum = get_aggregate(query.output_aggregate).needs_output_value
-
-        partial = WhatIfShardPartial(
-            shard_index=self.shard.index,
-            n_shards=self.shard.n_shards,
-            n_rows=len(view),
-            # Cache hits return the *same* array object for every query of a
-            # plan, so pickle's memo table ships one copy per batch message.
-            row_indices=kernels.get(
-                ("row_indices",), lambda: np.flatnonzero(self._row_mask(query, view))
-            ),
-            count=count,
-            sum=sum_ if needs_sum else None,
-            meta=meta,
-        )
-        if self.shard.index == 0:
-            # Merge carriers: full-view context the finalizer needs exactly once.
-            partial.scope_mask = kernels.get(
-                ("full_scope_mask", query.when.canonical()),
-                lambda: evaluate_mask(query.when, view),
-            )
-            partial.block_of_row, partial.n_blocks = self._block_assignment(query, view)
-        return partial
-
-    def _full_kernels(self, query: WhatIfQuery | HowToQuery) -> KernelCache:
-        """The plan's cache of full-view arrays, shared by both query kinds.
-
-        Distinct from :meth:`what_if_partial`'s, which holds arrays sized to
-        the shard-local view.
-        """
-        return self._kernels.get_or_create(
-            ("full", use_key(query.use)), KernelCache, tags=use_relations(query.use)
-        )
-
-    def _how_to_shared(self, query: HowToQuery):
-        view, view_dag = self._view(query)
-        validate_query(query, view, view_dag)  # before anything is cached
-        shared = self.howto.prepare(
-            query,
-            view=view,
-            estimator=self._estimator(query, view, view_dag),
-            view_dag=view_dag,
-            kernels=self._full_kernels(query),
-        )
-        candidates = self._candidates.get_or_create(
-            ("candidates", self._fingerprint(query).query_key),
-            lambda: self.howto.enumerate_candidates(
-                query, shared.view, shared.scope_mask
-            ),
-            tags=use_relations(query.use),
-        )
-        return shared, candidates
-
-    def run_full(self, query: WhatIfQuery | HowToQuery, exhaustive: bool) -> Any:
-        """Answer a whole query unsharded inside this worker.
-
-        The per-query engine of the pool (a dealt task) and of a shard node
-        answering at a retained generation.  Either kind runs through this
-        worker's plan caches (view, estimator, fused kernels, a how-to's
-        candidates), so parameter variants of one plan pay pure prediction,
-        and its answers are the unsharded engine's answers by construction.
-        """
-        if isinstance(query, HowToQuery):
-            shared, candidates = self._how_to_shared(query)
-            evaluate = (
-                self.howto.evaluate_exhaustive if exhaustive else self.howto.evaluate
-            )
-            return evaluate(query, prepared=shared, candidates=candidates)
-        view, view_dag = self._view(query)
-        prepared = self.whatif.prepare(
-            query,
-            view=view,
-            view_dag=view_dag,
-            blocks=(self.shard.block_labels, self.shard.n_blocks),
-            kernels=self._full_kernels(query),
-        )
-        estimator = None
-        if not self.config.ignores_dependencies:
-            estimator = self._estimator(query, view, view_dag)
-        result = self.whatif.evaluate(query, prepared=prepared, estimator=estimator)
-        # The answer leaves this runtime as scalars: the per-block summary is
-        # an in-process view over per-row arrays (docs/architecture.md), and
-        # the inline pool drops it too so both modes return equal results.
-        result.block_contributions = []
-        return result
-
-
-def _relation_delta(
-    old: Relation, new: Relation, labels: np.ndarray | None
-) -> tuple[np.ndarray | None, ColumnStore] | None:
-    """Diff two generations of a relation into a column or block patch.
+def _relation_delta(old: Relation, new: Relation) -> tuple[np.ndarray | None, ColumnStore] | None:
+    """Diff two generations of a relation into a column or row patch.
 
     Returns ``(indices, patch)``.  Only columns that changed are looked at
     and shipped: :meth:`ColumnStore.with_column` shares every untouched
     :class:`Column` object between generations, so identical objects are
     skipped without comparing values.  When few rows differ, ``indices`` are
-    the ascending differing rows (expanded to whole blocks when a block
-    assignment is known, so co-located rows travel together) and ``patch``
-    the changed columns at those rows; when most rows differ — a whole-column
-    overwrite — ``indices`` is ``None`` and ``patch`` holds the changed
-    columns whole.  The worker takes attribute order and specs from the new
-    schema, shipped alongside (``with_column`` moves the column it replaces
-    to the end).  ``None`` when a patch cannot represent the change (the set
-    of attributes or the length changed).
+    the ascending differing rows and ``patch`` the changed columns at those
+    rows; when most rows differ — a whole-column overwrite — ``indices`` is
+    ``None`` and ``patch`` holds the changed columns whole.  The worker takes
+    attribute order and specs from the new schema, shipped alongside
+    (``with_column`` moves the column it replaces to the end).  ``None`` when
+    a patch cannot represent the change (the set of attributes or the length
+    changed).
     """
     if (
         set(old.schema.attribute_names) != set(new.schema.attribute_names)
@@ -532,10 +274,7 @@ def _relation_delta(
         if diff.any():
             columns[name] = new_column
             changed |= diff
-    half = len(old) / 2
-    if labels is not None and 0 < np.count_nonzero(changed) < half:
-        changed = np.isin(labels, np.unique(labels[changed]))
-    if np.count_nonzero(changed) >= half:
+    if np.count_nonzero(changed) >= len(old) / 2:
         return None, ColumnStore(columns, len(old))
     indices = np.flatnonzero(changed)
     return indices, ColumnStore(columns, len(old)).take(indices)
@@ -559,42 +298,27 @@ def _worker_error(shard_index: int, described: tuple[str, str, str]) -> HypeRErr
     )
 
 
-def _build_shard(spec: Any, attachment: SegmentAttachment) -> Shard:
-    """Materialise a worker's shard from its start-up spec.
+def _shard_worker_main(index, spec, causal_dag, config, task_queue, result_queue) -> None:
+    """Worker process entry point: build the service once, then serve tasks.
 
-    A plain :class:`Shard` passes through (the no-shm path); a spec dict
-    carries the database as a shared-memory descriptor instead — the worker
-    attaches the parent's segment and decodes relations whose numeric columns
-    are zero-copy views over the shared pages.
-    """
-    if isinstance(spec, Shard):
-        return spec
-    transport = spec["database"]
-    database = decode_database(
-        transport["manifest"], resolve_buffers(transport["descriptor"], attachment)
-    )
-    return Shard(
-        index=spec["index"],
-        n_shards=spec["n_shards"],
-        database=database,
-        row_masks=spec["row_masks"],
-        block_labels=spec["block_labels"],
-        n_blocks=spec["n_blocks"],
-        shard_of_block=spec["shard_of_block"],
-    )
-
-
-def _shard_worker_main(spec, causal_dag, config, task_queue, result_queue) -> None:
-    """Worker process entry point: build the runtime once, then serve tasks.
-
-    Tasks and results cross the queues as pre-pickled ``bytes`` blobs
-    (protocol :data:`pickle.HIGHEST_PROTOCOL`): the parent gets exact wire
-    byte counts for instrumentation, and one pickling pass with a shared memo
-    table per message deduplicates arrays referenced by several sub-payloads.
+    ``spec`` is the database itself (the no-shm path) or a shared-memory
+    descriptor of it — the worker then attaches the parent's segment and
+    decodes relations whose numeric columns are zero-copy views over the
+    shared pages.  Tasks and results cross the queues as pre-pickled
+    ``bytes`` blobs (protocol :data:`pickle.HIGHEST_PROTOCOL`): the parent
+    gets exact wire byte counts for instrumentation, and one pickling pass
+    with a shared memo table per message deduplicates objects referenced by
+    several sub-payloads.
     """
     attachment = SegmentAttachment()
-    shard = _build_shard(spec, attachment)
-    runtime = ShardWorkerRuntime(shard, causal_dag, config, attachment=attachment)
+    database = spec
+    if not isinstance(spec, Database):
+        database = decode_database(
+            spec["manifest"], resolve_buffers(spec["descriptor"], attachment)
+        )
+    runtime = ShardWorkerRuntime(
+        index, database, causal_dag, config, attachment=attachment
+    )
     while True:
         task = task_queue.get()
         if task is None:
@@ -603,9 +327,9 @@ def _shard_worker_main(spec, causal_dag, config, task_queue, result_queue) -> No
             task = pickle.loads(task)
         task_id, kind, payload = task
         try:
-            out = (task_id, shard.index, True, runtime.handle(kind, payload))
+            out = (task_id, index, True, runtime.handle(kind, payload))
         except BaseException as error:  # noqa: BLE001 - worker must survive any task
-            out = (task_id, shard.index, False, _describe_error(error))
+            out = (task_id, index, False, _describe_error(error))
         result_queue.put(pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL))
     # Unmap (or disarm, while decoded columns still hold views) before the
     # interpreter's shutdown GC reaches the segments — never unlink: the
@@ -618,30 +342,40 @@ class ShardPool:
 
     Parameters
     ----------
-    plan:
-        The :class:`~repro.shard.partition.ShardPlan` to execute (one worker
-        per shard).
+    database:
+        The snapshot every worker serves.  A
+        :class:`~repro.shard.partition.ShardPlan` is accepted too — kept for
+        ``perf/`` until ROADMAP 1(d) — of which only the length (the worker
+        count) and the database are read.
     causal_dag / config:
-        As for the engines; every worker builds its own engines from these.
+        As for :class:`HypeRService`; every worker builds its own from these.
+    n_shards:
+        Number of workers, for a ``Database``.
     inline:
         Force the in-process fallback (no subprocesses).  ``None`` tries real
         processes first and degrades automatically.
     start_method:
         ``multiprocessing`` start method preference; ``fork`` (where
-        available) maps the shard data into workers without pickling.
+        available) maps the snapshot into workers without pickling.
     """
 
     def __init__(
         self,
-        plan: ShardPlan,
+        database: Database | ShardPlan,
         causal_dag: CausalDAG | None,
         config: EngineConfig,
         *,
+        n_shards: int = 1,
         inline: bool | None = None,
         start_method: str | None = None,
         generation: int = 0,
     ) -> None:
-        self.plan = plan
+        if isinstance(database, ShardPlan):
+            n_shards, database = len(database), database[0].database
+        if n_shards < 1:
+            raise ShardPoolError(f"a shard pool needs at least one worker, got {n_shards}")
+        self.database = database
+        self.n_shards = n_shards
         self.causal_dag = causal_dag
         self.config = config
         self.generation = generation
@@ -664,10 +398,6 @@ class ShardPool:
         self._shm_manager: SegmentManager | None = None
         self._closed = False
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.plan)
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> "ShardPool":
@@ -685,7 +415,7 @@ class ShardPool:
             # segment early is safe — the workers' mappings persist — and a
             # broken transport degrades to inline here instead of failing on
             # the first real query.
-            self._broadcast("ping", None)
+            self._scatter("ping", [None] * self.n_shards)
         except Exception as error:  # noqa: BLE001 - degrade, never fail to start
             self._teardown_processes()
             self._release_segments()
@@ -697,7 +427,7 @@ class ShardPool:
 
         method = self._start_method
         if method is None:
-            # fork maps the shard data into workers for free (copy-on-write),
+            # fork maps the snapshot into workers for free (copy-on-write),
             # but forking a *multithreaded* parent can clone locks in their
             # held state and deadlock the child.  When other threads are
             # already running (e.g. the pool starts lazily inside an HTTP
@@ -712,37 +442,28 @@ class ShardPool:
             else:
                 method = None
         ctx = mp.get_context(method)
-        specs: list[Any] = list(self.plan)
+        spec: Any = self.database
         if shm_available():
-            # Encode the full database ONCE into one shared-memory segment;
-            # every worker rebuilds its shard from the same mapping (the
-            # snapshot is the full database plus per-shard ownership masks),
-            # so start-up ships descriptor-sized messages and the host holds
-            # one copy of the column data regardless of worker count.
+            # Encode the database ONCE into one shared-memory segment; every
+            # worker decodes the same mapping, so start-up ships
+            # descriptor-sized messages and the host holds one copy of the
+            # column data regardless of worker count.
             self._shm_manager = SegmentManager()
-            manifest, buffers = encode_database(self.plan[0].database)
-            descriptor = self._shm_manager.put(self.generation, buffers)
-            transport = {"manifest": manifest, "descriptor": descriptor}
-            specs = [
-                {
-                    "index": shard.index,
-                    "n_shards": shard.n_shards,
-                    "row_masks": shard.row_masks,
-                    "block_labels": shard.block_labels,
-                    "n_blocks": shard.n_blocks,
-                    "shard_of_block": shard.shard_of_block,
-                    "database": transport,
-                }
-                for shard in self.plan
-            ]
+            manifest, buffers = encode_database(self.database)
+            spec = {
+                "manifest": manifest,
+                "descriptor": self._shm_manager.put(self.generation, buffers),
+            }
         self._result_queue = ctx.Queue()
-        for shard, spec in zip(self.plan, specs):
+        for index in range(self.n_shards):
             task_queue = ctx.Queue()
             process = ctx.Process(
                 target=_shard_worker_main,
-                args=(spec, self.causal_dag, self.config, task_queue, self._result_queue),
+                args=(
+                    index, spec, self.causal_dag, self.config, task_queue, self._result_queue
+                ),
                 daemon=True,
-                name=f"repro-shard-{shard.index}",
+                name=f"repro-shard-{index}",
             )
             process.start()
             self._task_queues.append(task_queue)
@@ -750,8 +471,8 @@ class ShardPool:
 
     def _start_inline(self, reason: str) -> None:
         self._inline_workers = [
-            ShardWorkerRuntime(shard, self.causal_dag, self.config)
-            for shard in self.plan
+            ShardWorkerRuntime(index, self.database, self.causal_dag, self.config)
+            for index in range(self.n_shards)
         ]
         self.mode = "inline"
         self.fallback_reason = reason
@@ -831,7 +552,7 @@ class ShardPool:
         except Exception:  # noqa: BLE001
             pass
 
-    # -- broadcast plumbing ------------------------------------------------------------
+    # -- task plumbing -----------------------------------------------------------------
 
     def _ensure_running(self) -> None:
         if self.mode == "unstarted":
@@ -839,22 +560,15 @@ class ShardPool:
         if self.mode == "closed":
             raise ShardPoolError("the shard pool has been closed")
 
-    def _broadcast(self, kind: str, payload: Any) -> list[Any]:
-        """Send one task to every worker; return per-shard payloads in shard order.
-
-        Raises :class:`ShardPoolError` if any worker reports a failure (for
-        ``batch`` tasks, per-subtask failures are embedded in the payloads and
-        handled by the caller instead).
-        """
-        return self._scatter(kind, [payload] * self.n_shards)
-
     def _scatter(self, kind: str, payloads: Sequence[Any]) -> list[Any]:
-        """Send one task *per worker* (distinct payloads); collect in shard order.
+        """Send one task *per worker*; collect the results in worker order.
 
         The broadcast lock makes each scatter atomic with respect to every
-        other crossing: an ``update`` scatter never interleaves with a query
-        broadcast, so a query's per-shard partials always come from one
-        database generation.
+        other crossing: an ``update`` scatter never interleaves with a query,
+        so every answer comes from one database generation.  Raises
+        :class:`ShardPoolError` if any worker reports a failure (for
+        ``batch`` tasks, per-subtask failures are embedded in the payloads and
+        handled by the caller instead).
         """
         self._ensure_running()
         if len(payloads) != self.n_shards:
@@ -872,7 +586,7 @@ class ShardPool:
                     except ShardPoolError:
                         raise
                     except Exception as error:  # noqa: BLE001 - uniform report
-                        raise _worker_error(worker.shard.index, _describe_error(error))
+                        raise _worker_error(worker.index, _describe_error(error))
                 return outs
             self._task_counter += 1
             task_id = self._task_counter
@@ -901,7 +615,7 @@ class ShardPool:
                         raw = pickle.loads(raw)
                     received_id, shard_index, ok, out = raw
                     if received_id != task_id:
-                        continue  # stale result from an abandoned broadcast
+                        continue  # stale result from an abandoned scatter
                     if ok:
                         by_shard[shard_index] = out
                     else:
@@ -956,7 +670,7 @@ class ShardPool:
 
     def apply_update(
         self,
-        plan: ShardPlan,
+        database: Database,
         changed: Sequence[str] | frozenset[str],
         *,
         generation: int | None = None,
@@ -964,58 +678,43 @@ class ShardPool:
         replace_dag: bool = False,
         clear_caches: bool = False,
     ) -> None:
-        """Move the running workers to ``plan``'s database generation in place.
+        """Move the running workers to ``database`` in place.
 
-        Ships each worker a delta, not the world: of a changed relation only
-        the columns that changed travel (:func:`_relation_delta`) — as *block
-        patches*, the new values of just the rows whose blocks hold a modified
-        value, or whole when most rows differ — once, through shared memory
-        when available, and are spliced in worker-side over the previous
-        generation's column store (relations that change shape or schema fall
-        back to whole-relation pickles).  ``update_bytes_last`` counts what the
-        commit moved: the queue messages plus the patch segments' bytes.
-        Alongside ride the new relation order and foreign keys,
-        and only those row masks / block labels that actually differ from the
-        worker's current shard (``np.array_equal`` diff).  Workers stay alive
-        across the update — their fitted estimators and views for untouched
-        relations stay warm — and the broadcast lock serialises the update
-        against in-flight query crossings, so every query's partials come
-        from exactly one generation (tracked by ``generation``, defaulting to
-        the next one up; retired generations' segments are dropped via
-        :meth:`release_snapshot`).
+        Ships every worker one delta, not the world: of a changed relation
+        only the columns that changed travel (:func:`_relation_delta`) — the
+        new values of just the rows that differ, or whole when most rows
+        differ — once, through shared memory when available, and are spliced
+        in worker-side over the previous generation's column store (relations
+        that change shape or schema travel whole).  Alongside ride the new
+        relation order and foreign keys.  ``update_bytes_last`` counts what
+        the commit moved: the queue messages plus the patch segments' bytes.
+        Workers stay alive across the update — their fitted estimators and
+        views for untouched relations stay warm — and the broadcast lock
+        serialises the update against in-flight queries, so every answer
+        comes from exactly one generation (tracked by ``generation``,
+        defaulting to the next one up; retired generations' segments are
+        dropped via :meth:`release_snapshot`).
 
         ``replace_dag=True`` ships ``causal_dag`` as the workers' new causal
-        background knowledge (engines rebuild against it in place), and
-        ``clear_caches=True`` drops every worker plan cache regardless of
-        tags — the in-place forms of ``update_causal_dag`` and
-        ``invalidate``, which used to tear the pool down.
+        background knowledge, and ``clear_caches=True`` drops every worker
+        plan cache — the in-place forms of ``update_causal_dag`` and
+        ``invalidate``.
         """
         self._ensure_running()
-        if len(plan) != self.n_shards:
-            raise ShardPoolError(
-                f"cannot apply an update with {len(plan)} shards to a pool of "
-                f"{self.n_shards}; recreate the pool instead"
-            )
         if generation is None:
             generation = self.generation + 1
-        old_plan = self.plan
-        new_database = plan[0].database
-        old_database = old_plan[0].database
-        changed_relations: dict[str, Relation] = {}
+        old_database = self.database
+        whole: dict[str, Relation] = {}
         deltas: list[dict[str, Any]] = []
         segment_bytes = 0  # patch bytes placed in shared memory, not the queues
         for name in changed:
-            if name not in new_database:
+            if name not in database:
                 continue
             delta = None
             if name in old_database:
-                delta = _relation_delta(
-                    old_database[name],
-                    new_database[name],
-                    old_plan[0].block_labels.get(name),
-                )
+                delta = _relation_delta(old_database[name], database[name])
             if delta is None:
-                changed_relations[name] = new_database[name]
+                whole[name] = database[name]
                 continue
             indices, patch = delta
             header, buffers = store_to_buffers(patch)
@@ -1024,60 +723,32 @@ class ShardPool:
             deltas.append(
                 {
                     "name": name,
-                    "schema": new_database[name].schema,
+                    "schema": database[name].schema,
                     "indices": indices,
                     "header": header,
                     "descriptor": descriptor,
                 }
             )
-        removed = [
-            name for name in old_database.relation_names if name not in new_database
-        ]
-        label_delta = {
-            name: arr
-            for name, arr in plan[0].block_labels.items()
-            if name not in old_plan[0].block_labels
-            or not np.array_equal(old_plan[0].block_labels[name], arr)
+        payload: dict[str, Any] = {
+            "changed": whole,
+            "deltas": deltas,
+            "relation_names": list(database.relation_names),
+            "foreign_keys": list(database.foreign_keys),
         }
-        shard_of_block = plan[0].shard_of_block
-        if old_plan[0].shard_of_block is not None and np.array_equal(
-            old_plan[0].shard_of_block, shard_of_block
-        ):
-            shard_of_block = None  # unchanged: don't re-ship it
-        payloads = []
-        for old_shard, new_shard in zip(old_plan, plan):
-            mask_delta = {
-                name: mask
-                for name, mask in new_shard.row_masks.items()
-                if name not in old_shard.row_masks
-                or not np.array_equal(old_shard.row_masks[name], mask)
-            }
-            payload: dict[str, Any] = {
-                "changed": changed_relations,
-                "deltas": deltas,
-                "removed": removed,
-                "relation_names": list(new_database.relation_names),
-                "foreign_keys": list(new_database.foreign_keys),
-                "row_masks": mask_delta,
-                "block_labels": label_delta,
-                "n_blocks": new_shard.n_blocks,
-                "shard_of_block": shard_of_block,
-            }
-            if replace_dag:
-                payload["replace_dag"] = True
-                payload["causal_dag"] = causal_dag
-            if clear_caches:
-                payload["clear_caches"] = True
-            payloads.append(payload)
+        if replace_dag:
+            payload["replace_dag"] = True
+            payload["causal_dag"] = causal_dag
+        if clear_caches:
+            payload["clear_caches"] = True
         bytes_before = self.bytes_to_workers
         with obs_trace.span("shard.update", shards=self.n_shards, generation=generation):
-            self._scatter("update", payloads)
+            self._scatter("update", [payload] * self.n_shards)
         if self.mode == "inline":
-            # Inline workers receive the payloads by reference; measure what a
+            # Inline workers receive the payload by reference; measure what a
             # process pool would have shipped so the commit-payload accounting
             # (and the tests asserting on it) hold in either mode.
-            self.update_bytes_last = sum(
-                len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in payloads
+            self.update_bytes_last = self.n_shards * len(
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
             self.bytes_to_workers += self.update_bytes_last
         else:
@@ -1086,31 +757,20 @@ class ShardPool:
             )
         if replace_dag:
             self.causal_dag = causal_dag
-        self.plan = plan
+        self.database = database
         self.generation = generation
         self.n_updates += 1
 
     # -- query execution ---------------------------------------------------------------
 
     @staticmethod
-    def _pop_worker_span(out: Any) -> dict[str, Any] | None:
-        """Remove the worker-span stamp from a shipped payload (always).
-
-        Popping unconditionally — not only when a trace is active — keeps the
-        payload's ``meta`` identical to what the unsharded path produces.
-        """
-        meta = getattr(out, "meta", None)
-        if not isinstance(meta, dict):
-            meta = getattr(out, "metadata", None)
-        if isinstance(meta, dict):
-            return meta.pop("worker_span", None)
-        return None
-
-    @classmethod
-    def _attach_worker_spans(cls, outs: Sequence[Any]) -> None:
-        """Re-attach shipped worker spans under the current (broadcast) span."""
+    def _attach_worker_spans(outs: Sequence[Any]) -> None:
+        """Pop each shipped worker span (always, so a result's ``metadata``
+        stays what the unsharded path produces) and re-attach it under the
+        current span."""
         for out in outs:
-            raw = cls._pop_worker_span(out)
+            meta = getattr(out, "metadata", None)
+            raw = meta.pop("worker_span", None) if isinstance(meta, dict) else None
             if raw is not None:
                 obs_trace.add_span(
                     raw["name"],
@@ -1119,22 +779,10 @@ class ShardPool:
                     children=raw.get("children"),
                 )
 
-    # Kept until ROADMAP 1(d) + 2(d): perf/probes.py times this row-scatter.
-    def run_what_if(self, query: WhatIfQuery) -> "WhatIfResult":
-        """Answer one what-if query: broadcast, collect partials, merge exactly."""
-        started = time.perf_counter()
-        with obs_trace.span("shard.broadcast", shards=self.n_shards) as bspan:
-            partials = self._broadcast("whatif", query)
-            if bspan is not None:
-                bspan.meta["mode"] = self.mode
-            self._attach_worker_spans(partials)
-        with obs_trace.span("shard.merge"):
-            result = merge_what_if(query, partials)
-        result.runtime_seconds = time.perf_counter() - started
-        return result
-
-    def run_how_to(self, query: HowToQuery, *, exhaustive: bool = False) -> "HowToResult":
-        """Answer one how-to query whole, on the worker its plan is homed on."""
+    def run_query(
+        self, query: WhatIfQuery | HowToQuery, *, exhaustive: bool = False
+    ) -> "WhatIfResult | HowToResult":
+        """Answer one query whole, on the worker its plan is homed on."""
         (home,) = self._dealer.deal([query], range(self.n_shards))
         with obs_trace.span("shard.broadcast", shards=1) as bspan:
             result = self._run_on_one("full", (query, exhaustive), home)
@@ -1142,13 +790,6 @@ class ShardPool:
                 bspan.meta["mode"] = self.mode
             self._attach_worker_spans([result])
         return result
-
-    def run_query(
-        self, query: WhatIfQuery | HowToQuery, *, exhaustive: bool = False
-    ) -> Any:
-        if isinstance(query, HowToQuery):
-            return self.run_how_to(query, exhaustive=exhaustive)
-        return self.run_what_if(query)
 
     def run_batch(
         self,
@@ -1158,17 +799,16 @@ class ShardPool:
     ) -> list[Any]:
         """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
-        Every query, what-if or how-to, is **query-scattered**: dealt to a
-        worker by plan (:meth:`PlanDealer.deal
-        <repro.service.fingerprint.PlanDealer.deal>` — a plan's queries go to
-        the worker that has it fitted, so a commit costs one refit per plan,
-        not one per plan and worker), and each worker answers its share
-        unsharded from the full zero-copy snapshot it already holds, through
-        its warm plan caches (:meth:`ShardWorkerRuntime.run_full`).  One task
-        message and one result message per worker cover the whole suite, each
-        query's fixed dispatch cost is paid once instead of once per shard,
-        and the answers are the unsharded engine's answers by construction —
-        no merge step, nothing to drift.
+        Every query, what-if or how-to, is dealt to a worker by plan
+        (:meth:`PlanDealer.deal <repro.service.fingerprint.PlanDealer.deal>` —
+        a plan's queries go to the worker that has it fitted, so a commit
+        costs one refit per plan, not one per plan and worker), and each
+        worker's service answers its share from the full zero-copy snapshot
+        it already holds, through its warm plan caches.  One task message and
+        one result message per worker cover the whole suite, each query's
+        fixed dispatch cost is paid once instead of once per shard, and the
+        answers are the unsharded engine's answers by construction — no
+        merge step, nothing to drift.
 
         Entries that are already exceptions pass through; failures are
         captured per query with ``return_errors=True``, else the first one is
@@ -1216,7 +856,6 @@ class ShardPool:
         return {
             "mode": self.mode,
             "n_shards": self.n_shards,
-            "n_blocks": self.plan.n_blocks,
             "n_broadcasts": self.n_broadcasts,
             "n_updates": self.n_updates,
             "generation": self.generation,

@@ -7,12 +7,26 @@ door.  The black-box checker proves every answer is bitwise explainable by
 exactly one committed generation (no blends), never stale, and monotonic
 per session — the hand-rolled pre/post-value comparison this test used to
 carry lives in the checker now, with strictly stronger rules.
+
+Eight writers racing ``POST /v1/update`` on either door must each be
+acknowledged the generation their own commit installed.
 """
 
 from __future__ import annotations
 
+import threading
+
+import pytest
+
+from repro.api import HypeRClient
 from tests.isolation.checker import check_snapshot_isolation
-from tests.isolation.harness import VersionedWorkload, async_front_door, run_history
+from tests.isolation.harness import (
+    VersionedWorkload,
+    async_front_door,
+    installed_generation,
+    run_history,
+    threaded_front_door,
+)
 
 SEED = 4
 
@@ -42,3 +56,44 @@ def test_async_requests_racing_update_database_see_one_generation():
     # the swaps really happened: six generations were committed and retired
     assert stats["versions"]["commits"] == 6
     assert stats["versions"]["pinned_readers"] == 0
+
+
+@pytest.mark.parametrize("door", [async_front_door, threaded_front_door])
+def test_racing_updates_each_acknowledge_the_generation_they_installed(door):
+    workload = VersionedWorkload(n_rows=150, n_versions=2, seed=SEED)
+    service = workload.make_service()
+    start = threading.Barrier(8)
+    acks: list[tuple[int, int]] = []
+    errors: list[Exception] = []
+
+    def commit(version: int, host: str, port: int) -> None:
+        try:
+            with HypeRClient(host, port, timeout=60.0) as client:
+                start.wait(timeout=30)
+                answer = client.update(
+                    {"Credit": {"Credit": workload.columns[version]}}, trace=True
+                )
+            # the generation its own mvcc.commit span recorded, next to the ack
+            acks.append((answer.generation, installed_generation(answer.trace, -1)))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    try:
+        with door(service, workload) as driver:
+            threads = [
+                threading.Thread(target=commit, args=(k % 2, driver.host, driver.port))
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), "writers hung"
+        # a no-op commit acknowledges the generation current at the time
+        noop = service.update_database(service.database)
+        assert noop == frozenset() and noop.generation == service.generation == 8
+    finally:
+        service.close()
+    assert not errors, errors
+    assert sorted(generation for generation, _installed in acks) == list(range(1, 9))
+    assert all(generation == installed for generation, installed in acks)

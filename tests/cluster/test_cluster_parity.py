@@ -4,7 +4,7 @@ A 3-shard cluster of real shard-server processes-on-ports answers every
 query bitwise-identically to a single-node :class:`HypeRService` over the
 same database — on both relational backends — whether a query of either kind
 is answered whole by the service of the node it was dealt to or (that node
-being ahead, mid-flip) by the runtime it retains for the pinned generation, and
+being ahead, mid-flip) at the generation its service still pins, and
 keeps doing so when a node is killed mid-batch and across two-phase updates.
 """
 
@@ -207,14 +207,14 @@ class TestQueryScatter:
         cluster.shards[0].flip(1)
         assert cluster.shards[0].service.generation == 1 and coord.generation == 0
         # three plans seen for the first time are homed on nodes 0, 1, 2
-        # in turn: node 0 answers the one it is dealt from the runtime it
-        # retains for generation 0, the other two from their services
+        # in turn: node 0 answers the one it is dealt at generation 0, which
+        # it still pins, the other two at their latest
         distinct = [0, 2, 3]
         singles = [coord.execute(WHATIF_TEXTS[i]) for i in distinct]
         assert [wire_payload(r) for r in singles] == [old[i] for i in distinct]
         assert cluster_stats(coord)["fallbacks"] == 1
         # another constant of the first plan goes home to node 0 again,
-        # and is answered at generation 0 by the retained runtime again
+        # and is answered at the pinned generation 0 again
         assert wire_payload(coord.execute(WHATIF_TEXTS[1])) == old[1]
         assert cluster_stats(coord)["fallbacks"] == 2
         batch = coord.execute_many(WHATIF_TEXTS)
@@ -247,7 +247,7 @@ class TestQueryScatter:
             for shard in cluster.shards[:2]:
                 shard.stage(1, status_plus_one(dataset_and_config[0]))
                 shard.flip(1)
-                assert shard.runtime_generations() == [1]
+                assert shard.pinned_generations() == [1]
             # their homes answer 409 stale_generation; each leg moves along the
             # ring until it reaches node 2, which still stands at generation 0
             for text, scalars in zip(texts, (wire_payload, how_to_scalars)):
@@ -408,7 +408,30 @@ class TestUpdates:
         # every shard node committed the same generation
         for shard in cluster.shards:
             assert shard.service.generation == 1
-            assert 1 in shard.runtime_generations()
+            assert 1 in shard.pinned_generations()
+
+    def test_a_commit_needs_no_shard_cover(self, dataset_and_config, single):
+        assignment = status_plus_one(dataset_and_config[0])
+        # replication factor 1: node 2 is the only replica of shard 2
+        with boot(dataset_and_config, failure_threshold=1) as cluster:
+            coord = cluster.coordinator
+            cluster.stop_node(2)
+            changed = coord.update_relation_columns(assignment)
+            single.update_relation_columns(assignment)
+            assert changed == {"Credit"} and changed.generation == coord.generation == 1
+            assert [s.service.generation for s in cluster.shards] == [1, 1, 0]
+
+            def out() -> list[int]:
+                return [n["index"] for n in cluster_stats(coord)["nodes"] if not n["healthy"]]
+
+            assert out() == [2]
+            # the two nodes left answer every query, at the new generation
+            for text in WHATIF_TEXTS:
+                assert wire_payload(coord.execute(text)) == wire_payload(single.execute(text))
+            assert how_to_scalars(coord.execute(HOWTO_TEXT)) == how_to_scalars(
+                single.execute(HOWTO_TEXT)
+            )
+            assert out() == [2]
 
     def test_update_validation_error_leaves_generation_unchanged(self, cluster):
         coord = cluster.coordinator

@@ -31,7 +31,7 @@ def workload() -> VersionedWorkload:
 def cluster_front_door(workload: VersionedWorkload) -> Iterator[HttpDriver]:
     """A 2-shard cluster behind its coordinator front door.
 
-    Shard nodes retain enough runtime generations to cover every commit the
+    Shard nodes pin enough generations to cover every commit the
     workload will ever issue, so a scatter racing a flip always finds its
     pinned generation (the cluster analogue of MVCC pinned fallbacks).
     """

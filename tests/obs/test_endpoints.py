@@ -4,8 +4,8 @@
 return the v1 ``TraceSpan`` tree, every response must carry an
 ``X-Request-Id`` (echoing the client's), and ``GET /v1/slow`` entries must
 name the offending request.  The sharded test asserts the span-tree shape:
-shard-worker spans nested under the broadcast, and child durations bounded
-by the root's wall time.
+one shard-worker span nested under the broadcast, and child durations
+bounded by the root's wall time.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ class TestShardedTrace:
         service = HypeRService(
             dataset.database,
             dataset.causal_dag,
-            # columnar explicitly: process sharding is gated to it, and this
-            # test asserts two worker spans regardless of REPRO_BACKEND
+            # columnar explicitly: this test asserts the tree's shape
+            # regardless of REPRO_BACKEND
             EngineConfig(regressor="linear", backend="columnar"),
             execution="processes",
             n_shards=2,
@@ -203,17 +203,18 @@ class TestShardedTrace:
 
         tree = TraceSpan.from_json(trace.to_wire())
         names = set(_span_names(tree))
-        assert {"parse", "cache.result", "shard.broadcast", "shard.merge"} <= names
+        assert {"parse", "cache.result", "shard.broadcast"} <= names
+        # one query is dealt whole to one worker: one leg, nothing to merge
+        assert "shard.merge" not in names
 
         broadcast = _find(tree, "shard.broadcast")
-        assert broadcast.meta["shards"] == 2
-        workers = [c for c in broadcast.children if c.name.startswith("shard-worker[")]
-        assert len(workers) == 2
-        assert {w.meta["shard"] for w in workers} == {0, 1}
-        assert all(w.duration_ms >= 0 for w in workers)
-        # worker spans were measured on worker clocks but still fit inside
-        # the broadcast that awaited them (they ran within its window)
-        assert _find(tree, "shard.merge") is not None
+        assert broadcast.meta["shards"] == 1
+        (worker,) = broadcast.children
+        assert worker.name.startswith("shard-worker[")
+        assert worker.meta["shard"] in (0, 1) and worker.meta["kind"] == "full"
+        # measured on the worker's clock, it still fits inside the broadcast
+        # that awaited it
+        assert 0 <= worker.duration_ms <= broadcast.duration_ms + 1e-3
 
         # root wall time bounds the (sequential) direct children
         assert sum(child.duration_ms for child in tree.children) <= (

@@ -8,7 +8,6 @@ from repro import EngineConfig, HypeRService
 from repro.datasets import make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
-from repro.shard import partition_database
 from repro.shard.pool import ShardWorkerRuntime
 
 CONFIG = EngineConfig(regressor="linear")
@@ -59,12 +58,12 @@ def test_service_caches_nothing_for_a_rejected_how_to(dataset, execution, why):
 
 @pytest.mark.parametrize("why", REJECTED)
 def test_worker_caches_nothing_for_a_rejected_how_to(dataset, why):
-    plan = partition_database(dataset.database, dataset.causal_dag, 2)
-    runtime = ShardWorkerRuntime(plan[0], dataset.causal_dag, CONFIG)
+    worker = ShardWorkerRuntime(0, dataset.database, dataset.causal_dag, CONFIG)
+    estimators = worker.service.caches.estimators
     query = parse_query(REJECTED[why])
     for exhaustive in (False, True):
         with pytest.raises(QuerySemanticsError):
-            runtime.run_full(query, exhaustive)
-    assert len(runtime._estimators) == 0 and runtime.n_estimator_builds == 0
-    runtime.run_full(parse_query(ACCEPTED), False)
-    assert len(runtime._estimators) == 1
+            worker.handle("full", (query, exhaustive))
+    assert len(estimators) == 0 and estimators.stats().misses == 0
+    worker.handle("full", (parse_query(ACCEPTED), False))
+    assert len(estimators) == 1

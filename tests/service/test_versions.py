@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro import EngineConfig, HypeRService
+from repro.datasets import make_german_syn
 from repro.service.versions import VersionStore
 
 
@@ -38,6 +40,57 @@ class TestPinning:
         assert not second.retired and second.state == "v0"
         store.release(second)
         assert second.retired
+
+
+class TestPinningByGeneration:
+    def test_a_superseded_generation_still_pinned_is_acquired_by_number(self):
+        store = VersionStore("v0")
+        holder = store.acquire()
+        store.commit("v1")
+        with store.pin(0) as again:
+            assert again is holder and again.state == "v0" and again.refcount == 2
+        assert store.acquire(1) is store.latest
+        store.release(holder)
+        assert holder.retired
+
+    def test_a_retired_or_uncommitted_generation_raises(self):
+        store = VersionStore("v0")
+        store.commit("v1")  # nothing pinned generation 0: retired at once
+        for generation in (0, 2):
+            with pytest.raises(LookupError, match=f"generation {generation} is not live"):
+                store.acquire(generation)
+        assert store.stats()["pinned_readers"] == 0
+
+    def test_a_held_pin_keeps_its_generation_live_across_two_commits(self):
+        store = VersionStore("v0")
+        held = store.acquire()
+        store.commit("v1")
+        store.commit("v2")
+        assert store.stats()["live_snapshots"] == 2  # v0 (held) and v2
+        with store.pin(0) as snapshot:
+            assert snapshot.state == "v0" and not snapshot.retired
+        with pytest.raises(LookupError):
+            store.acquire(1)
+        store.release(held)
+        with pytest.raises(LookupError):
+            store.acquire(0)
+
+    def test_the_service_answers_at_a_generation_it_still_pins(self):
+        dataset = make_german_syn(150, seed=3)
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, EngineConfig(regressor="linear")
+        )
+        text = "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
+        before = service.execute(text).value
+        held = service.versions.acquire()
+        credit = [1.0 - float(v) for v in dataset.database["Credit"].column("Credit")]
+        commit = service.update_relation_columns({"Credit": {"Credit": credit}})
+        assert commit == {"Credit"} and commit.generation == 1
+        assert service.execute(text).value != before
+        assert service.execute(text, generation=0).value == before
+        service.versions.release(held)
+        with pytest.raises(LookupError):
+            service.execute(text, generation=0)
 
 
 class TestCommit:

@@ -21,6 +21,7 @@ from repro import (
     HowToEngine,
     HowToQuery,
     HypeR,
+    HypeRService,
     LimitConstraint,
     Relation,
     UseSpec,
@@ -29,7 +30,7 @@ from repro import (
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.datasets import make_german_syn
 from repro.relational import post, pre
-from repro.shard import ShardPool, ShardWorkerRuntime, merge_what_if, partition_database
+from repro.shard import ShardPool, merge_what_if, partition_database, what_if_partial
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,8 @@ def what_if_suite(dataset) -> list[WhatIfQuery]:
 
 def sharded_what_if(dataset, config, query, n_shards):
     plan = partition_database(dataset.database, dataset.causal_dag, n_shards)
-    workers = [ShardWorkerRuntime(shard, dataset.causal_dag, config) for shard in plan]
-    partials = [worker.what_if_partial(query) for worker in workers]
+    service = HypeRService(dataset.database, dataset.causal_dag, config)
+    partials = [what_if_partial(service, shard, query) for shard in plan]
     return merge_what_if(query, partials), partials
 
 
@@ -189,7 +190,7 @@ class TestHowToExactness:
         try:
             for query in how_to_suite(dataset):
                 unsharded = engine.evaluate(query)
-                sharded = pool.run_how_to(query)
+                sharded = pool.run_query(query)
                 assert sharded.objective_value == unsharded.objective_value
                 assert sharded.baseline_value == unsharded.baseline_value
                 assert sharded.verified_value == unsharded.verified_value
@@ -235,8 +236,8 @@ class TestSingleBlockEdgeCase:
         unsharded = HypeR(database, dag, config).what_if(query)
         assert unsharded.n_blocks == 1
         plan = partition_database(database, dag, n_shards)
-        workers = [ShardWorkerRuntime(shard, dag, config) for shard in plan]
+        service = HypeRService(database, dag, config)
         sharded = merge_what_if(
-            query, [worker.what_if_partial(query) for worker in workers]
+            query, [what_if_partial(service, shard, query) for shard in plan]
         )
         assert_results_identical(sharded, unsharded)

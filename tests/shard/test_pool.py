@@ -59,7 +59,7 @@ class TestProcessPool:
     def test_worker_processes_match_unsharded_bitwise(self, dataset, config, pool):
         session = HypeR(dataset.database, dataset.causal_dag, config)
         for query in make_queries(dataset, 3):
-            assert pool.run_what_if(query).value == session.what_if(query).value
+            assert pool.run_query(query).value == session.what_if(query).value
 
     def test_pool_is_persistent_across_batches(self, dataset, pool):
         queries = make_queries(dataset, 4)
@@ -83,12 +83,12 @@ class TestProcessPool:
         )
         session = HypeR(dataset.database, dataset.causal_dag, config)
         unsharded = session.how_to(query)
-        sharded = pool.run_how_to(query)
+        sharded = pool.run_query(query)
         assert sharded.objective_value == unsharded.objective_value
         assert sharded.plan() == unsharded.plan()
         assert sharded.verified_value == unsharded.verified_value
         # exhaustive Opt-HowTo runs unsharded on one worker
-        exhaustive = pool.run_how_to(query, exhaustive=True)
+        exhaustive = pool.run_query(query, exhaustive=True)
         assert exhaustive.objective_value == session.how_to(query, exhaustive=True).objective_value
 
     @pytest.fixture
@@ -129,17 +129,17 @@ class TestProcessPool:
 
     def test_single_query_error_propagates(self, dataset, pool, bad, rejection):
         with pytest.raises(QuerySemanticsError) as caught:
-            pool.run_what_if(bad)
+            pool.run_query(bad)
         self.assert_same_rejection(caught.value, rejection)
         # the pool survives worker-side failures
         good = make_queries(dataset, 1)[0]
-        assert pool.run_what_if(good) is not None
+        assert pool.run_query(good) is not None
 
     def test_any_other_worker_failure_stays_a_pool_error(self, dataset, pool):
         with pytest.raises(ShardPoolError, match="unknown shard task kind") as caught:
             pool._run_on_one("no-such-kind", None)
         assert "Traceback" in str(caught.value)  # the worker's, for the operator
-        assert pool.run_what_if(make_queries(dataset, 1)[0]) is not None
+        assert pool.run_query(make_queries(dataset, 1)[0]) is not None
 
 
 class TestInlineFallback:
@@ -151,7 +151,7 @@ class TestInlineFallback:
             assert pool.stats()["fallback_reason"] == "requested"
             session = HypeR(dataset.database, dataset.causal_dag, config)
             query = make_queries(dataset, 1)[0]
-            assert pool.run_what_if(query).value == session.what_if(query).value
+            assert pool.run_query(query).value == session.what_if(query).value
         finally:
             pool.close()
 
@@ -160,7 +160,7 @@ class TestInlineFallback:
         pool = ShardPool(plan, dataset.causal_dag, config, inline=True).start()
         pool.close()
         with pytest.raises(ShardPoolError):
-            pool.run_what_if(make_queries(dataset, 1)[0])
+            pool.run_query(make_queries(dataset, 1)[0])
         pool.close()  # idempotent
 
 
@@ -223,11 +223,10 @@ class TestAnswersAndCommitsShipWhatChanged:
             for query, answer in zip(queries, answers):
                 assert list(answer.block_contributions) == []
                 assert scalars(answer) == scalars(session.what_if(query))
-            # one query, row-scattered and merged in this process: the summary is there
-            merged, cold = processes.run_what_if(queries[0]), session.what_if(queries[0])
-            assert scalars(merged) == scalars(cold)
-            assert len(merged.block_contributions) == cold.n_blocks > 1
-            assert merged.block_contributions == cold.block_contributions
+            # one query is dealt whole like a batch: scalars back, no summary
+            single, cold = processes.run_query(queries[0]), session.what_if(queries[0])
+            assert scalars(single) == scalars(cold) and cold.n_blocks > 1
+            assert list(single.block_contributions) == []
         finally:
             processes.close()
             inline.close()

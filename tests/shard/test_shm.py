@@ -153,7 +153,7 @@ class TestPoolLifecycle:
                 pytest.skip(f"no worker processes: {pool.fallback_reason}")
             shm = pool.stats()["shm"]
             assert shm["live_segments"] >= 1 and shm["live_bytes"] > 0
-            assert pool.run_what_if(make_query(dataset)).value is not None
+            assert pool.run_query(make_query(dataset)).value is not None
         finally:
             names = [
                 segment.name
@@ -170,15 +170,14 @@ class TestPoolLifecycle:
         try:
             if pool.mode != "processes":
                 pytest.skip(f"no worker processes: {pool.fallback_reason}")
-            base = pool.run_what_if(make_query(dataset)).value
+            base = pool.run_query(make_query(dataset)).value
             relation = dataset.database["Credit"]
             credit = np.asarray(relation.column("Credit"), dtype=float).copy()
             credit[:5] = 1.0 - credit[:5]  # touch a handful of rows
             new_database = dataset.database.with_relation(
                 relation.with_column("Credit", credit)
             )
-            new_plan = partition_database(new_database, dataset.causal_dag, 2)
-            pool.apply_update(new_plan, {"Credit"}, generation=1)
+            pool.apply_update(new_database, {"Credit"}, generation=1)
             # the commit shipped a patch, not the relation (let alone the db)
             whole = len(pickle.dumps(relation, protocol=pickle.HIGHEST_PROTOCOL))
             assert 0 < pool.update_bytes_last < whole
@@ -187,13 +186,13 @@ class TestPoolLifecycle:
             assert shm["segments_created"] >= 2  # snapshot + patch
             # retiring generation 0 unlinks its segments; workers keep serving
             assert pool.release_snapshot(0) >= 1
-            updated = pool.run_what_if(make_query(dataset)).value
+            updated = pool.run_query(make_query(dataset)).value
             fresh = ShardPool(
-                new_plan, dataset.causal_dag, EngineConfig(regressor="linear"),
+                new_database, dataset.causal_dag, EngineConfig(regressor="linear"),
                 inline=True,
             ).start()
             try:
-                assert updated == fresh.run_what_if(make_query(dataset)).value
+                assert updated == fresh.run_query(make_query(dataset)).value
                 assert updated != base
             finally:
                 fresh.close()
@@ -216,7 +215,7 @@ class TestPoolLifecycle:
             victim.terminate()
             victim.join(timeout=5.0)
             with pytest.raises(Exception):
-                pool.run_what_if(make_query(dataset))
+                pool.run_query(make_query(dataset))
         finally:
             pool.close()
         assert not any(segment_exists(name) for name in names)
