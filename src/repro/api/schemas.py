@@ -24,7 +24,7 @@ The error body is flat and backwards compatible: ``{"error": <message>,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..exceptions import HypeRError
 
@@ -48,6 +48,8 @@ __all__ = [
     "JobListAnswer",
     "answer_from_result",
     "answer_from_json",
+    "number_column",
+    "update_assignments",
 ]
 
 #: the current wire-schema version; embedded in every payload
@@ -227,37 +229,41 @@ class UpdateRequest:
         data = _require_object(data, "update request")
         _reject_unknown(data, cls._FIELDS, "update request")
         _check_version(data, "update request")
-        assignments = data.get("assignments")
-        if not isinstance(assignments, Mapping) or not assignments:
+        return cls(assignments=update_assignments(data.get("assignments"), number_column))
+
+
+def update_assignments(assignments: Any, column: Callable[[Any, str], Any]) -> dict:
+    """``{relation: {attribute: column(values, "relation.attribute")}}`` of a
+    non-empty object of non-empty objects keyed by strings; ``column`` decodes one."""
+    if not isinstance(assignments, Mapping) or not assignments:
+        raise WireFormatError('update request must contain a non-empty "assignments" object')
+    decoded: dict[str, dict[str, Any]] = {}
+    for relation, columns in assignments.items():
+        if not isinstance(relation, str):
+            raise WireFormatError("update request relation names must be strings")
+        if not isinstance(columns, Mapping) or not columns:
             raise WireFormatError(
-                'update request must contain a non-empty "assignments" object'
+                f"update request assignments for relation {relation!r} must be "
+                "a non-empty object of attribute -> values"
             )
-        decoded: dict[str, dict[str, tuple[float, ...]]] = {}
-        for relation, columns in assignments.items():
-            if not isinstance(relation, str):
-                raise WireFormatError("update request relation names must be strings")
-            if not isinstance(columns, Mapping) or not columns:
+        decoded[relation] = {}
+        for attribute, values in columns.items():
+            if not isinstance(attribute, str):
                 raise WireFormatError(
-                    f"update request assignments for relation {relation!r} must be "
-                    "a non-empty object of attribute -> values"
+                    f"update request attribute names of relation {relation!r} must be strings"
                 )
-            decoded[relation] = {}
-            for attribute, values in columns.items():
-                if not isinstance(attribute, str):
-                    raise WireFormatError(
-                        f"update request attribute names of relation {relation!r} "
-                        "must be strings"
-                    )
-                if not isinstance(values, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in values
-                ):
-                    raise WireFormatError(
-                        f"update request column {relation}.{attribute} must be a "
-                        "list of numbers"
-                    )
-                decoded[relation][attribute] = tuple(float(v) for v in values)
-        return cls(assignments=decoded)
+            decoded[relation][attribute] = column(values, f"{relation}.{attribute}")
+    return decoded
+
+
+def number_column(values: Any, column: str) -> tuple[float, ...]:
+    """One overwritten column as floats: a list of numbers, and a bool is not one."""
+    # sniff the set of types, not every value: a column holds a handful
+    if not isinstance(values, list) or not all(
+        issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))
+    ):
+        raise WireFormatError(f"update request column {column} must be a list of numbers")
+    return tuple(map(float, values))
 
 
 # -- trace spans -----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .protocol import (
     HttpProtocolError,
     Request,
     read_request,
-    render_json_response,
     render_response,
 )
 from .runner import AsyncServingRunner, BackgroundAsyncServer, run_async_server
@@ -42,7 +41,6 @@ __all__ = [
     "HttpProtocolError",
     "Request",
     "read_request",
-    "render_json_response",
     "render_response",
     "run_async_server",
 ]

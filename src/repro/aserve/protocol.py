@@ -36,7 +36,6 @@ __all__ = [
     "REASON_PHRASES",
     "Request",
     "read_request",
-    "render_json_response",
     "render_response",
 ]
 
@@ -86,11 +85,6 @@ class Request:
     @property
     def path(self) -> str:
         return self.target.split("?", 1)[0]
-
-    @property
-    def query_string(self) -> str:
-        parts = self.target.split("?", 1)
-        return parts[1] if len(parts) == 2 else ""
 
     @property
     def keep_alive(self) -> bool:
@@ -174,19 +168,6 @@ def render_response(
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def render_json_response(
-    status: int,
-    payload: Any,
-    *,
-    keep_alive: bool = True,
-    extra_headers: Mapping[str, str] | None = None,
-) -> bytes:
-    body = json.dumps(payload, default=str).encode()
-    return render_response(
-        status, body, keep_alive=keep_alive, extra_headers=extra_headers
-    )
 
 
 class ChunkedJsonWriter:

@@ -35,7 +35,8 @@ missed an update fan-out can never serve stale answers.
 
 Updates run two-phase under the commit lock: ``stage`` the next generation's
 database on every healthy node (queries keep flowing against the current
-generation), then ``flip`` every node that staged; nodes keep the previous
+generation; the columns are checked here once and sent as one float64 frame
+each), then ``flip`` every node that staged; nodes keep the previous
 generation pinned so legs racing the flip still finish exactly (the cluster
 analogue of the MVCC ``pinned_fallbacks``).
 
@@ -60,7 +61,7 @@ from ..api.calls import (
     OverloadedError,
     TransportError,
 )
-from ..api.schemas import API_VERSION
+from ..api.schemas import API_VERSION, number_column, update_assignments
 from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..exceptions import HypeRError
@@ -168,6 +169,8 @@ class ClusterCoordinator(ServingCounters):
                     address.port,
                     timeout=timeout,
                     max_retries=node_max_retries,
+                    # a base64 frame costs more to gzip than it saves on a LAN
+                    gzip_min_bytes=None,
                 ),
             )
             for index, address in enumerate(topology.nodes)
@@ -584,24 +587,19 @@ class ClusterCoordinator(ServingCounters):
         current data.  The answer carries the generation this commit
         installed, taken under the commit lock.
         """
+        # checked once, by /v1/update's rule: a node gets one float64 frame per column
+        frames = update_assignments(
+            assignments, lambda values, name: wire.encode_array(number_column(list(values), name))
+        )
         with self._commit_lock:
             generation = self._generation + 1
-            wire_assignments = {
-                relation: {attr: list(values) for attr, values in columns.items()}
-                for relation, columns in assignments.items()
-            }
-            changed = self._run(self._commit(generation, wire_assignments))
+            changed = self._run(self._commit(generation, frames))
             self._generation = generation
             self._m_updates.inc()
             return Commit(changed, generation)
 
-    async def _node_update(
-        self, node: _NodeState, payload: dict[str, Any]
-    ) -> dict[str, Any]:
-        return await node.client.post_json(CLUSTER_UPDATE_PATH, payload)
-
     async def _commit(
-        self, generation: int, assignments: dict[str, dict[str, list]]
+        self, generation: int, assignments: dict[str, dict[str, dict[str, Any]]]
     ) -> list[str]:
         targets = [node for node in self._nodes if node.healthy]
         stage_payload = {
@@ -611,7 +609,7 @@ class ClusterCoordinator(ServingCounters):
             "assignments": assignments,
         }
         results = await asyncio.gather(
-            *(self._node_update(node, stage_payload) for node in targets),
+            *(node.client.post_json(CLUSTER_UPDATE_PATH, stage_payload) for node in targets),
             return_exceptions=True,
         )
         staged: list[_NodeState] = []
@@ -643,7 +641,7 @@ class ClusterCoordinator(ServingCounters):
             "generation": generation,
         }
         flip_results = await asyncio.gather(
-            *(self._node_update(node, flip_payload) for node in staged),
+            *(node.client.post_json(CLUSTER_UPDATE_PATH, flip_payload) for node in staged),
             return_exceptions=True,
         )
         changed: list[str] | None = None  # stays None until a node flips

@@ -23,8 +23,11 @@ internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
   caller left in ``src/`` (``perf/probes.py`` posts and times it; it leaves
   with ROADMAP 1(d)).
 * ``POST /v1/cluster/update`` — the two-phase commit fan-out.  ``stage``
-  builds and validates the next generation's database off to the side
-  (queries keep answering from the current one); ``flip`` commits it through
+  builds the next generation's database off to the side (queries keep
+  answering from the current one) from one float64 frame per column, whose
+  values the coordinator checked: the node checks the frames (dtype, 1-D
+  shape, byte count) and ``with_columns`` the relation, attribute and
+  length — anything else is a 400 staging nothing.  ``flip`` commits it through
   the node's own MVCC service, so the node and the coordinator agree on
   generation numbers, and pins it.  On the ``control`` lane like
   ``/v1/update``: a commit must land on a saturated node, so it bypasses
@@ -42,7 +45,7 @@ from typing import Any
 
 from ..api import endpoints as api
 from ..api.endpoints import PayloadError
-from ..api.schemas import API_VERSION, ErrorEnvelope, UpdateRequest
+from ..api.schemas import API_VERSION, ErrorEnvelope, update_assignments
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
 from ..core.queries import WhatIfQuery
@@ -63,6 +66,15 @@ __all__ = ["PARTIAL_PATH", "CLUSTER_UPDATE_PATH", "ShardServer", "ShardServerApp
 PARTIAL_PATH = "/v1/partial"
 #: the internal two-phase update fan-out endpoint
 CLUSTER_UPDATE_PATH = "/v1/cluster/update"
+
+
+def _float_frame(payload: Any, column: str) -> Any:
+    """One staged column: a 1-D float64 frame (the coordinator checked the values)."""
+    array = wire.decode_array(payload)
+    if array.dtype != "float64" or array.ndim != 1:
+        shape = list(array.shape)
+        raise wire.WireError(f"column {column} must be 1-D float64, not {array.dtype}{shape}")
+    return array
 
 
 def _stale_generation(requested: int, retained: list[int]) -> api.ApiError:
@@ -236,17 +248,8 @@ class ShardServer:
                 400, f"invalid generation {body.get('generation')!r}"
             ) from None
         if phase == "stage":
-            request = api.validate(
-                UpdateRequest,
-                {"api_version": API_VERSION, "assignments": body.get("assignments")},
-            )
-            assignments = {
-                relation: dict(columns)
-                for relation, columns in request.assignments.items()
-            }
-            if not assignments:
-                raise PayloadError(400, "stage needs a non-empty 'assignments' object")
-            self.stage(generation, assignments)
+            # a malformed body (WireFormatError, WireError) is a 400 staging nothing
+            self.stage(generation, update_assignments(body.get("assignments"), _float_frame))
             return {
                 "api_version": API_VERSION,
                 "phase": "stage",

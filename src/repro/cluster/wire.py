@@ -1,4 +1,4 @@
-"""Bit-exact JSON wire forms for the cluster's internal ``/v1/partial`` protocol.
+"""Bit-exact JSON wire forms for the cluster's internal protocol.
 
 An *answer* (``kind="answers"``: the node ran the whole query) is scalars
 only, no arrays: a what-if's result fields, or a how-to's plus the updates it
@@ -10,11 +10,13 @@ coordinator's answers *bitwise* equal to a single unsharded service.  An item
 the node could not answer travels as the ``(status, envelope)`` of
 :func:`repro.api.core.envelope_for`.
 
-A what-if *partial* (``kind="whatif"``: one shard's rows of one what-if, a
-:class:`~repro.shard.merge.WhatIfShardPartial`) carries arrays, encoded as
-base64 of their raw little-endian bytes — ``tobytes`` → ``frombuffer``
-preserves every IEEE-754 bit pattern.  No query takes that path any more; it
-is kept until ROADMAP 1(d) only because ``perf/probes.py`` times it.
+An array is one *frame*: base64 of its raw little-endian bytes — ``tobytes``
+→ ``frombuffer`` preserves every IEEE-754 bit pattern.  Each column of a
+``/v1/cluster/update`` stage body is one float64 frame, the f8 buffer of
+``column_to_buffers``.  So are the arrays of a what-if *partial*
+(``kind="whatif"``, a :class:`~repro.shard.merge.WhatIfShardPartial`), which no
+query takes any more: it is kept until ROADMAP 1(d) because ``perf/probes.py``
+times it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def encode_array(array: np.ndarray) -> dict[str, Any]:
 
 
 def decode_array(payload: Any) -> np.ndarray:
+    """A frame's array; a malformed dtype, shape or byte count is a :class:`WireError`."""
     if not isinstance(payload, dict):
         raise WireError(f"array payload must be an object, got {type(payload).__name__}")
     try:
@@ -70,6 +73,8 @@ def decode_array(payload: Any) -> np.ndarray:
         raw = base64.b64decode(payload["data"])
     except (KeyError, TypeError, ValueError) as error:
         raise WireError(f"malformed array payload: {error}") from None
+    if dtype.hasobject:  # raw bytes never hold Python objects
+        raise WireError(f"array payload cannot be of dtype {dtype}")
     expected = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
     if len(raw) != expected:
         raise WireError(

@@ -7,8 +7,8 @@ those access patterns well without any external dataframe dependency.
 
 A :class:`Relation` is immutable from the caller's perspective: every
 transforming operation (``filter``, ``project``, ``with_column`` …) returns a
-new relation sharing no mutable state with the original, which keeps possible
-worlds and pre/post snapshots trivially safe to hold side by side.
+new relation.  Stored column arrays are never written (so relations share
+them), which keeps possible worlds and pre/post snapshots safe side by side.
 """
 
 from __future__ import annotations
@@ -129,16 +129,11 @@ class Relation:
         """This relation executing on ``backend`` (data is shared, not copied)."""
         if backend == self.backend:
             return self
-        out = Relation.__new__(Relation)
-        out.schema = self.schema
-        out.backend = backend
         if backend not in BACKENDS:
             raise SchemaError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        out._columns = self._columns
-        out._length = self._length
-        out._colstore = self._colstore
-        out._colstore_lock = threading.Lock()
-        return out
+        return Relation._assemble(
+            self.schema, backend, self._columns, self._length, self._colstore
+        )
 
     # -- pickling ------------------------------------------------------------------
 
@@ -193,15 +188,26 @@ class Relation:
         are derived with :meth:`Column.raw_array` instead of re-sniffing every
         value, so vectorized operators can materialise results cheaply.
         """
+        columns = {name: colstore.columns[name].raw_array() for name in schema.attribute_names}
+        return cls._assemble(schema, backend, columns, colstore.length, colstore)
+
+    @classmethod
+    def _assemble(
+        cls,
+        schema: RelationSchema,
+        backend: str,
+        columns: dict[str, np.ndarray],
+        length: int,
+        colstore: ColumnStore | None,
+    ) -> "Relation":
+        """A relation over columns already typed by ``_as_column``: nothing re-sniffed."""
         out = cls.__new__(cls)
         out.schema = schema
         out.backend = backend
+        out._columns = columns
+        out._length = length
         out._colstore = colstore
         out._colstore_lock = threading.Lock()
-        out._columns = {
-            name: colstore.columns[name].raw_array() for name in schema.attribute_names
-        }
-        out._length = colstore.length
         return out
 
     def _validate_domains(self) -> None:
@@ -338,7 +344,7 @@ class Relation:
         domain: Domain | None = None,
         mutable: bool = True,
     ) -> "Relation":
-        """Return a relation with ``attribute`` added or replaced by ``values``."""
+        """Return a relation with ``attribute`` added or replaced by ``values`` (rest shared)."""
         if not isinstance(values, np.ndarray):
             values = list(values)
         if len(values) != self._length:
@@ -351,7 +357,7 @@ class Relation:
         else:
             new_spec = AttributeSpec(attribute, domain or infer_domain(values), mutable=mutable)
         schema = self.schema.with_attribute(new_spec)
-        columns = {name: col.copy() for name, col in self._columns.items()}
+        columns = dict(self._columns)
         columns[attribute] = _as_column(values)
         ordered = {name: columns[name] for name in schema.attribute_names}
         colstore = None
@@ -359,7 +365,7 @@ class Relation:
             colstore = self._colstore.with_column(
                 attribute, Column.from_values(ordered[attribute]), schema.attribute_names
             )
-        return self._derive(schema, ordered, colstore)
+        return Relation._assemble(schema, self.backend, ordered, self._length, colstore)
 
     def with_updated_values(
         self, attribute: str, mask: Sequence[bool], new_values: Sequence[Any]

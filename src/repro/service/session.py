@@ -114,8 +114,8 @@ def with_columns(database: Database, assignments: dict[str, dict[str, Any]]) -> 
     """``database`` with whole columns overwritten: ``{relation: {attribute: values}}``.
 
     Unnamed relations keep their identity, so committing the result bumps
-    only the relations named here; an unknown relation or a column of the
-    wrong length raises before anything is committed.
+    only the relations named here; an unknown relation or attribute (it
+    overwrites, never adds) or a wrong length raises before anything commits.
     """
     for relation_name, columns in assignments.items():
         if relation_name not in database:
@@ -125,6 +125,8 @@ def with_columns(database: Database, assignments: dict[str, dict[str, Any]]) -> 
             )
         relation = database[relation_name]
         for attribute, values in columns.items():
+            if attribute not in relation:
+                raise QuerySemanticsError(f"unknown attribute {attribute!r} of {relation_name!r}")
             relation = relation.with_column(attribute, values)
         database = database.with_relation(relation)
     return database

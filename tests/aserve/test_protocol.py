@@ -11,7 +11,6 @@ from repro.aserve.protocol import (
     ChunkedJsonWriter,
     HttpProtocolError,
     read_request,
-    render_json_response,
 )
 
 
@@ -201,26 +200,6 @@ class TestReadRequest:
         assert len(request.headers["x-pad"]) == 900
         (error,), _ = read_requests(fits.replace(b"p" * 900, b"p" * 2000), limit=1024)
         assert (error.status, str(error), error.close) == (400, "header line too long", True)
-
-
-class TestRenderers:
-    def test_json_response_roundtrip(self):
-        raw = render_json_response(200, {"a": 1})
-        head, _, body = raw.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert b"Content-Type: application/json" in head
-        assert f"Content-Length: {len(body)}".encode() in head
-        assert b"Connection: keep-alive" in head
-        assert json.loads(body) == {"a": 1}
-
-    def test_close_and_extra_headers(self):
-        raw = render_json_response(
-            429, {"error": "x"}, keep_alive=False, extra_headers={"Retry-After": "2"}
-        )
-        head = raw.partition(b"\r\n\r\n")[0]
-        assert head.startswith(b"HTTP/1.1 429 Too Many Requests\r\n")
-        assert b"Connection: close" in head
-        assert b"Retry-After: 2" in head
 
 
 class _StubWriter:

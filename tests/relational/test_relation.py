@@ -150,6 +150,19 @@ class TestTransformations:
         restored = halved.with_column("Price", list(relation.column_view("Price")))
         assert restored.schema == relation.schema and restored.to_rows() == relation.to_rows()
 
+    @pytest.mark.parametrize("backend", ["columnar", "rows"])
+    def test_with_column_shares_the_untouched_columns(self, relation, backend):
+        relation = relation.with_backend(backend)
+        doubled = relation.with_column("Price", [v * 2 for v in relation.column_view("Price")])
+        for name in ("ID", "Color"):
+            assert doubled.column_view(name) is relation.column_view(name)
+        assert doubled.column_view("Price") is not relation.column_view("Price")
+        assert list(relation.column_view("Price")) == [10.0, 20.0, 30.0, 40.0]
+        # column() still hands out a copy, so a shared array is never written
+        copied = doubled.column("ID")
+        copied[0] = 99
+        assert doubled.column_view("ID")[0] == relation.column_view("ID")[0] == 1
+
     def test_with_column_wrong_length(self, relation):
         with pytest.raises(SchemaError):
             relation.with_column("Price", [1.0])
