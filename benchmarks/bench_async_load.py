@@ -1,9 +1,8 @@
-"""Async front-end under concurrent load vs the threaded server, plus overload.
+"""The HTTP door under concurrent load, plus overload.
 
-Drives real ``repro serve`` subprocesses (the threaded front-end and the
-asyncio front-end of :mod:`repro.aserve`) with N concurrent keep-alive
-clients — the production-shaped runs through the v1
-:class:`repro.api.HypeRClient` SDK, plus one raw-``http.client`` run to
+Drives real ``repro serve`` subprocesses (the door of :mod:`repro.aserve`)
+with N concurrent keep-alive clients — the production-shaped run through the
+v1 :class:`repro.api.HypeRClient` SDK, plus one raw-``http.client`` run to
 price the SDK — over the warm German-Syn 4000 repeated-template what-if
 suite (N defaults to 32; ``BENCH_ASYNC_CLIENTS`` overrides — CI smoke uses
 16), and asserts the serving acceptance criteria:
@@ -17,12 +16,10 @@ suite (N defaults to 32; ``BENCH_ASYNC_CLIENTS`` overrides — CI smoke uses
   ``HypeRService.execute`` (JSON float round-trips are exact for finite
   doubles).
 
-Two throughput ratios are **reported, not asserted** — each is one wall-clock
-race between two runs on a shared host, and failed a quarter to a half of
-otherwise green runs: async over threaded (``async_over_threaded``) and the
-client SDK over raw sockets on the same warm async server
-(``client_over_raw``).  Both land in the printed payload and, with the rest,
-in ``BENCH_async.json`` for the CI artifact.
+One throughput ratio is **reported, not asserted** — it is one wall-clock
+race between two runs on a shared host: the client SDK over raw sockets on
+the same warm server (``client_over_raw``).  It lands in the printed payload
+and, with the rest, in ``BENCH_async.json`` for the CI artifact.
 """
 
 from __future__ import annotations
@@ -113,8 +110,7 @@ def post_query(
     """POST /query, reopening the connection (with backoff) if it was dropped.
 
     Returns the retry count so the load run can report how hard the client
-    had to work; the threaded server closes every connection (HTTP/1.0) and
-    under bursts a client can still race its backlog.
+    had to work.
     """
     body = json.dumps({"query": text}).encode()
     for attempt in range(retries + 1):
@@ -331,20 +327,11 @@ def test_async_load():
     expected = {text: direct.execute(text).value for text in QUERY_TEXTS}
     expected.update({text: direct.execute(text).value for text in OVERLOAD_TEXTS})
 
-    # -- threaded front-end ---------------------------------------------------------
-    process, host, port = spawn_serve()
-    try:
-        warm(host, port, QUERY_TEXTS)
-        threaded = run_load(host, port, N_CLIENTS)
-    finally:
-        stop_serve(process)
-    assert not threaded["failures"], threaded["failures"][:5]
-
-    # -- async front-end (ample capacity: measure throughput, not rejection) --------
+    # -- ample capacity: measure throughput, not rejection ---------------------------
     # raw http.client sockets first, then the HypeRClient SDK on the same
     # warm server: the delta is the SDK's overhead
     process, host, port = spawn_serve(
-        "--async", "--max-inflight", "8", "--queue-depth", str(max(64, 4 * N_CLIENTS)),
+        "--max-inflight", "8", "--queue-depth", str(max(64, 4 * N_CLIENTS)),
         "--warm-query", QUERY_TEXTS[0],
     )
     try:
@@ -371,7 +358,7 @@ def test_async_load():
 
     # -- overload: offered load exceeds max_inflight + queue_depth -------------------
     process, host, port = spawn_serve(
-        "--async", "--max-inflight", "2", "--queue-depth", "2",
+        "--max-inflight", "2", "--queue-depth", "2",
         "--warm-query", OVERLOAD_TEXTS[0],
     )
     try:
@@ -383,21 +370,14 @@ def test_async_load():
     # -- report ----------------------------------------------------------------------
     rows = [
         [
-            "threaded ThreadingHTTPServer",
-            fmt(threaded["seconds"]),
-            fmt(threaded["qps"], 1),
-            fmt(threaded["p99_request_seconds"] * 1e3, 1),
-            threaded["retries"],
-        ],
-        [
-            "async aserve (raw sockets)",
+            "raw sockets",
             fmt(asynchronous["seconds"]),
             fmt(asynchronous["qps"], 1),
             fmt(asynchronous["p99_request_seconds"] * 1e3, 1),
             asynchronous["retries"],
         ],
         [
-            "async aserve (HypeRClient SDK)",
+            "HypeRClient SDK",
             fmt(sdk["seconds"]),
             fmt(sdk["qps"], 1),
             fmt(sdk["p99_request_seconds"] * 1e3, 1),
@@ -405,9 +385,9 @@ def test_async_load():
         ],
     ]
     print_table(
-        f"Serving front-ends — {N_CLIENTS} concurrent clients x "
+        f"The door — {N_CLIENTS} concurrent clients x "
         f"{REQUESTS_PER_CLIENT} queries (German-Syn {N_ROWS}, warm)",
-        ["front-end", "total s", "q/s", "p99 ms", "client retries"],
+        ["client", "total s", "q/s", "p99 ms", "client retries"],
         rows,
     )
     n_accepted = overload["statuses"].count(200)
@@ -430,8 +410,7 @@ def test_async_load():
     mismatches = [
         (text, value, expected[text])
         for text, value in (
-            threaded["answers"]
-            + asynchronous["answers"]
+            asynchronous["answers"]
             + sdk["answers"]
             + overload["values"]
         )
@@ -442,13 +421,10 @@ def test_async_load():
         "dataset": f"german-syn-{N_ROWS}",
         "n_clients": N_CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
-        "threaded_qps": threaded["qps"],
         "async_qps": asynchronous["qps"],
-        "async_over_threaded": asynchronous["qps"] / threaded["qps"],
         "client_qps": sdk["qps"],
         "client_over_raw": client_over_raw,
         "client_p99_request_seconds": sdk["p99_request_seconds"],
-        "threaded_p99_request_seconds": threaded["p99_request_seconds"],
         "async_p99_request_seconds": asynchronous["p99_request_seconds"],
         "admission_decision_p99_seconds": decision_p99,
         "admission_decisions": admission["decisions"]["count"],

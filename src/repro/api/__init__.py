@@ -15,9 +15,8 @@ Three pieces, one contract (see ``docs/api.md``):
   :class:`AsyncHypeRClient`, a pooled asyncio client that is safe to share
   across tasks on one event loop.
 
-:mod:`repro.api.endpoints` is the shared ``/v1/*`` endpoint table both HTTP
-front doors mount, over the sans-IO request core of :mod:`repro.api.core`;
-import it to build new front ends that cannot drift from the contract.
+:mod:`repro.api.endpoints` is the ``/v1/*`` endpoint table the HTTP door
+mounts, over the sans-IO request core of :mod:`repro.api.core`.
 """
 
 from .builder import (

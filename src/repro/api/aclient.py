@@ -51,15 +51,17 @@ def _timed_out(timeout: float) -> TimeoutError:
 class _Conn:
     """One pooled keep-alive connection."""
 
-    __slots__ = ("reader", "writer")
+    __slots__ = ("reader", "writer", "expired")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
+        self.expired = False
 
     def expire(self, timeout: float) -> None:
         """An operation outlived its cap: fail the pending read with the
-        ``TimeoutError`` and kill the socket (which fails a pending ``drain``)."""
+        ``TimeoutError`` and kill the socket (which ends a pending ``drain``)."""
+        self.expired = True
         self.reader.set_exception(_timed_out(timeout))
         self.writer.transport.abort()
 
@@ -138,6 +140,11 @@ class AsyncHypeRClient(ClientVerbs):
         timer = asyncio.get_running_loop().call_later(timeout, conn.expire, timeout)
         try:
             return await awaitable
+        except ConnectionError as error:
+            # the timer's abort, not the peer, lost the connection: say so
+            if not conn.expired:
+                raise
+            raise _timed_out(timeout) from error
         finally:
             timer.cancel()
 

@@ -10,7 +10,8 @@ move bytes; what is sent and what an answer means is decided once, here:
 * the HTTP/1.1 framing: :func:`render_request` (a whole request as one byte
   string, for one write) and :class:`Response` (fed the bytes as they arrive:
   the head parsed from its one ``\\r\\n\\r\\n``-terminated block, then the body
-  by its framing — ``Content-Length``, chunks, or until the close);
+  by its framing — ``Content-Length``, chunks, or until the close — so any
+  HTTP/1.x server reads, not only the door);
 * :class:`PendingCall`, one call in flight: the retry decision (transport
   failure | 429 | answer × attempts spent → seconds to sleep, or the error
   that ends the call; never a sleep past the deadline) and :meth:`decode
@@ -37,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import HypeRError
 from ..obs.trace import new_request_id
-from .core import GZIP_MIN_BYTES
+from .core import GZIP_MIN_BYTES, keeps_alive
 from .schemas import (
     Answer,
     BatchItem,
@@ -320,11 +321,7 @@ class Response:
             name, sep, value = line.partition(":")
             if sep:
                 self.headers[name.strip().lower()] = value.strip()
-        connection = self.headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            self.will_close = "keep-alive" not in connection
-        else:
-            self.will_close = "close" in connection
+        self.will_close = not keeps_alive(version, self.headers.get("connection", ""))
         self._chunked = self.headers.get("transfer-encoding", "").lower() == "chunked"
         length = self.headers.get("content-length")
         if length is None and not self._chunked:
@@ -472,8 +469,8 @@ class PendingCall:
     def decode(self, status: int, raw: bytes, encoding: str | None) -> Any:
         """A whole response → the verb's return value, or its typed error.
 
-        A streamed call answered with one JSON body (the threaded front
-        door's batch) returns the decoder's iterator over that body's items.
+        A streamed call answered with one JSON body (the door's answer to an
+        empty batch) returns the decoder's iterator over that body's items.
         """
         if self.call.text and status in self.call.accept:
             return self._gunzip(raw, encoding).decode("utf-8")
@@ -566,7 +563,7 @@ class BatchLines(LineDecoder):
         )
 
     def whole(self, body: dict[str, Any]) -> Iterator[BatchItem]:
-        """The threaded front door's single JSON response, in index order."""
+        """A batch answered as one JSON object, in index order."""
         results = body.get("results")
         if not isinstance(results, list):
             raise self.error(f"malformed batch response: {body!r}")
@@ -580,7 +577,7 @@ class BatchLines(LineDecoder):
 class EventLines(LineDecoder):
     """``/v1/jobs/{id}/events``: event dicts, the ``done`` one yielded last.
 
-    A close-delimited stream (threaded front door) may simply end.
+    A close-delimited stream may simply end.
     """
 
     def accept(self, data: dict[str, Any]) -> dict[str, Any]:
@@ -771,10 +768,9 @@ class ClientVerbs:
     ) -> Iterator[BatchItem]:
         """Stream a batch's per-query outcomes as they complete.
 
-        Against the asyncio front door this yields NDJSON lines live (in
-        completion order); against the threaded front door it yields the
-        single JSON response's items in index order.  The iterator owns the
-        connection until exhausted — drain it before issuing the next call.
+        Yields the NDJSON lines live, in completion order.  The iterator owns
+        the connection until exhausted — drain it before issuing the next
+        call.
         """
         request = BatchRequest(
             queries=tuple(as_text(q) for q in queries),
@@ -872,9 +868,7 @@ class ClientVerbs:
         Yields each event dict as the server emits it and ends after the
         server's ``{"done": true, ...}`` line (yielded last).  ``timeout_s``
         caps how long the *server* keeps the stream open waiting for the job
-        to finish.  Works against both framings: chunked (async front door)
-        and close-delimited (threaded front door).  The iterator owns the
-        connection until exhausted.
+        to finish.  The iterator owns the connection until exhausted.
         """
         path = f"/v1/jobs/{job_id}/events"
         if timeout_s is not None:

@@ -63,7 +63,7 @@ _IO_ERRORS = (OSError, EOFError)
 
 
 class HypeRClient(ClientVerbs):
-    """Client for a HypeR service's ``/v1`` HTTP API (threaded or async front door).
+    """Client for a HypeR service's ``/v1`` HTTP API.
 
     The endpoints and constructor parameters are :class:`ClientVerbs`'s.
     Not thread-safe: one client wraps one keep-alive connection.  Create one

@@ -1,17 +1,18 @@
-"""The sans-IO request core both HTTP front doors drive.
+"""The sans-IO request core the HTTP door drives.
 
-A transport — the threaded :mod:`repro.service.server` or the asyncio
-:mod:`repro.aserve` — parses bytes into an :class:`ApiRequest`, hands it to
-the stages here, and writes out the :class:`ApiResponse` they return.
-Everything that decides *what* is answered is defined once in this module:
-request ids and client ids (:class:`ApiRequest`), the body guards
+The door (:mod:`repro.aserve`) parses bytes into an :class:`ApiRequest`,
+hands it to the stages here, and writes out the :class:`ApiResponse` they
+return.  Everything that decides *what* is answered is defined once in this
+module: request ids and client ids (:class:`ApiRequest`), the body guards
 (:func:`check_body_length` → :func:`decompress_body` →
 :func:`decode_json_object`), ``?trace=1`` and the deadline clock
 (:func:`decode`), the one failure → envelope mapping (:func:`envelope_for`,
 :func:`error_response`) with its rejection accounting, and JSON/gzip
-encoding (:meth:`ApiResponse.wire`).  This module knows nothing about
-sockets, and nothing about which endpoints exist — the table of rows lives in
-:mod:`repro.api.endpoints`, which re-exports every name here.
+encoding (:meth:`ApiResponse.wire`).  The HTTP/1.0–1.1 keep-alive rule
+(:func:`keeps_alive`) lives here too, so the door's request reader and the
+clients' response reader apply the same one.  This module knows nothing
+about sockets, and nothing about which endpoints exist — the table of rows
+lives in :mod:`repro.api.endpoints`, which re-exports every name here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import gzip as gzip_module
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
@@ -32,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "MAX_BODY_BYTES",
     "GZIP_MIN_BYTES",
-    "NDJSON_CONTENT_TYPE",
     "LANES",
     "PayloadError",
     "ApiError",
@@ -45,6 +45,7 @@ __all__ = [
     "decode_json_object",
     "decompress_body",
     "accepts_gzip",
+    "keeps_alive",
     "wants_trace",
     "stream_timeout_s",
     "RequestDeadline",
@@ -61,14 +62,12 @@ __all__ = [
     "answer",
 ]
 
-#: default request-body ceiling shared by the threaded and asyncio front-ends
+#: default request-body ceiling of the door
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: default size threshold (bytes) below which responses are never gzipped —
 #: compressing tiny payloads costs more than it saves on the wire
 GZIP_MIN_BYTES = 2048
-
-NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
 
 # -- the one exception → envelope mapping ----------------------------------------------
@@ -131,8 +130,9 @@ def code_for_status(status: int) -> str:
 def envelope_for(error: BaseException) -> tuple[int, ErrorEnvelope]:
     """Map any failure to its HTTP status and :class:`ErrorEnvelope`.
 
-    This is the single classification both front doors use, so the same bad
-    input gets the identical answer on either server.
+    This is the single classification of the door, the cluster's internal
+    rows and the job executor, so the same bad input gets the identical
+    envelope wherever it fails.
     """
     if isinstance(error, ApiError):
         return error.status, error.envelope
@@ -250,6 +250,16 @@ def accepts_gzip(accept_encoding: str | None) -> bool:
                     pass
         return quality > 0.0
     return False
+
+
+def keeps_alive(version: str, connection: str) -> bool:
+    """Whether a message leaves its connection open, by its HTTP version and
+    ``Connection`` header value: HTTP/1.1 unless it says ``close``, HTTP/1.0
+    only when it says ``keep-alive``."""
+    connection = connection.lower()
+    if version == "HTTP/1.0":
+        return "keep-alive" in connection
+    return "close" not in connection
 
 
 # -- query-string options --------------------------------------------------------------
@@ -387,17 +397,12 @@ class ApiRequest:
 @dataclass
 class ApiResponse:
     """What the core answers: a status plus a JSON-able payload (a ``str``
-    under any other ``content_type``).
-
-    A streaming answer sets ``lines`` instead — an iterator of NDJSON
-    objects the transport writes one per line as they are produced.
-    """
+    under any other ``content_type``)."""
 
     status: int
     payload: Any = None
     content_type: str = "application/json"
     headers: dict[str, str] = field(default_factory=dict)
-    lines: Iterator[dict[str, Any]] | None = None
 
     def wire(
         self, accept_encoding: str | None, *, gzip_min_bytes: int = GZIP_MIN_BYTES
@@ -432,21 +437,17 @@ class Endpoint:
     A path may contain ``{param}`` segments (``/v1/jobs/{id}``); routing
     (:meth:`repro.api.endpoints.RouteTable.match`) binds them to concrete
     path segments and hands the bindings to the handler as ``params``.  ``schema`` is the strict v1
-    class a POST body must validate as (``None``: any JSON object).  A
-    ``streaming`` row answers NDJSON lines: through :attr:`ApiResponse.lines`
-    on the threaded door, while the asyncio door streams it itself — by
-    completion on the ``admitted`` lane (every line is one admitted query),
-    by cursor poll on the ``blocking`` lane (lines come from an event log).
+    class a POST body must validate as (``None``: any JSON object).  A row
+    without a handler is :attr:`streaming`.
     """
 
     name: str
     method: str
     path: str
-    handler: Handler
+    handler: Handler | None
     lane: str
     aliases: tuple[str, ...] = ()
     schema: Any = None
-    streaming: bool = False
 
     def __post_init__(self) -> None:
         if self.lane not in LANES:
@@ -455,6 +456,14 @@ class Endpoint:
     @property
     def paths(self) -> tuple[str, ...]:
         return (self.path, *self.aliases)
+
+    @property
+    def streaming(self) -> bool:
+        """The row answers NDJSON lines the door streams itself — by
+        completion on the ``admitted`` lane (every line is one admitted
+        query), by cursor poll on the ``blocking`` lane (lines come from an
+        event log) — so it names no handler."""
+        return self.handler is None
 
 
 # -- the request core ------------------------------------------------------------------

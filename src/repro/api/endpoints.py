@@ -1,9 +1,9 @@
-"""The shared, declarative ``/v1/*`` endpoint table.
+"""The declarative ``/v1/*`` endpoint table.
 
-Both HTTP front doors — the threaded :mod:`repro.service.server` and the
-asyncio :mod:`repro.aserve` — mount exactly this table over the sans-IO
-request core of :mod:`repro.api.core`, so routing, legacy aliases, error
-envelopes and the 400/413/429 semantics are defined once and cannot drift:
+The HTTP door (:mod:`repro.aserve`) mounts exactly this table over the
+sans-IO request core of :mod:`repro.api.core` — a cluster shard node mounts
+it plus its two internal rows — so routing, legacy aliases, error envelopes
+and the 400/413/429 semantics are defined once:
 
 =======  ========================  ============  =========  ==============================
 method   v1 path                   legacy alias  lane       body
@@ -16,7 +16,7 @@ GET      ``/v1/slow``              —             control    slow-query log sna
 POST     ``/v1/query``             ``/query``    admitted   ``QueryRequest`` →
                                                             ``WhatIfAnswer``/``HowToAnswer``
 POST     ``/v1/batch``             ``/batch``    admitted   ``BatchRequest`` → NDJSON stream
-                                                            (async) / JSON object (threaded)
+                                                            (an empty batch: JSON object)
 POST     ``/v1/update``            —             control    ``UpdateRequest`` → ``UpdateAnswer``
 POST     ``/v1/prepare``           —             control    ``PrepareRequest`` → ``PrepareAnswer``
 POST     ``/v1/jobs``              —             blocking   ``JobSubmitRequest`` →
@@ -29,13 +29,12 @@ POST     ``/v1/jobs/{id}/cancel``  —             blocking   ``JobStatus``
 =======  ========================  ============  =========  ==============================
 
 (schemas: :mod:`repro.api.schemas`).  Each row of :data:`V1_ENDPOINTS`
-carries its ``handler(backend, request, params) -> ApiResponse`` and a
-constant *lane*, so **adding an endpoint is one table row plus one handler**
-— neither door changes.  :func:`handle` is the whole request path (route →
-:func:`~repro.api.core.decode` → :func:`~repro.api.core.run`); a door that
-interleaves admission between the stages calls them itself.  A lane says
-where the asyncio door may run the handler; the threaded door ignores it,
-since each of its requests already owns a thread:
+carries its ``handler(backend, request, params) -> ApiResponse`` — none for
+the two streaming rows, which the door streams itself — and a constant
+*lane*, so **adding an endpoint is one table row plus one handler** and the
+door does not change.  The door routes (:meth:`RouteTable.match`), then runs
+:func:`~repro.api.core.decode` and :func:`~repro.api.core.run` with
+admission between them.  A lane says where the door may run the handler:
 
 ``loop``
     answers from memory without taking locks — inline on the event loop.
@@ -50,7 +49,7 @@ since each of its requests already owns a thread:
 
 Aliases answer byte-identically to their canonical path.  This module knows
 nothing about sockets; every name of :mod:`repro.api.core` is re-exported so
-a door needs one import.
+the door needs one import.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from ..jobs import api as jobs_api
 from ..obs import trace as obs_trace
 from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from . import core
-from .core import *  # noqa: F401,F403 - one namespace for the doors (see docstring)
+from .core import *  # noqa: F401,F403 - one namespace for the door (see docstring)
 from .schemas import (
     API_VERSION,
     BatchRequest,
@@ -83,7 +82,6 @@ __all__ = [
     "V1_ENDPOINTS",
     "V1_ROUTES",
     "RouteTable",
-    "handle",
     "execute_one",
     "batch_line",
     "batch_done_line",
@@ -156,29 +154,6 @@ def _query(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiR
     return ApiResponse(200, payload)
 
 
-def _batch(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
-    """Answer a whole batch as one JSON object (the non-streaming form).
-
-    Failures are captured per query as inline error envelopes; a bad entry
-    cannot discard the rest of the batch.  A batch whose ``deadline_ms``
-    budget already ran out answers per-item ``deadline_exceeded`` envelopes
-    without executing anything.
-    """
-    body: BatchRequest = request.body
-    deadline = request.deadline
-    if deadline is not None and deadline.expired:
-        envelope = deadline_error(deadline.deadline_ms).envelope.to_json()
-        payloads = [dict(envelope) for _ in body.queries]
-    else:
-        payloads = [
-            envelope_for(outcome)[1].to_json()
-            if isinstance(outcome, Exception)
-            else outcome.payload()
-            for outcome in backend.execute_many(list(body.queries), return_errors=True)
-        ]
-    return ApiResponse(200, {"results": payloads, "n_queries": len(payloads)})
-
-
 def batch_line(index: int, outcome: Any) -> dict[str, Any]:
     """One NDJSON line of a streamed batch: an answer or a per-query envelope."""
     if isinstance(outcome, BaseException):
@@ -197,7 +172,7 @@ def _update(backend: ServiceBackend, request: ApiRequest, params: Params) -> Api
 
     Unknown relations/attributes and length mismatches surface as engine
     exceptions and map to 400 through :func:`envelope_for`; in-flight queries
-    on either front door keep their pinned snapshot and are not paused.  The
+    keep their pinned snapshot and are not paused.  The
     answer acknowledges the generation this commit installed
     (:class:`~repro.service.versions.Commit`), never a racing writer's.
     """
@@ -240,8 +215,8 @@ V1_ENDPOINTS: tuple[Endpoint, ...] = (
         aliases=("/query",), schema=QueryRequest,
     ),
     Endpoint(
-        "batch", "POST", "/v1/batch", _batch, "admitted",
-        aliases=("/batch",), schema=BatchRequest, streaming=True,
+        "batch", "POST", "/v1/batch", None, "admitted",
+        aliases=("/batch",), schema=BatchRequest,
     ),
     Endpoint("update", "POST", "/v1/update", _update, "control", schema=UpdateRequest),
     Endpoint("prepare", "POST", "/v1/prepare", _prepare, "control", schema=PrepareRequest),
@@ -251,10 +226,7 @@ V1_ENDPOINTS: tuple[Endpoint, ...] = (
     ),
     Endpoint("jobs_list", "GET", "/v1/jobs", jobs_api.list_jobs, "blocking"),
     Endpoint("job_status", "GET", "/v1/jobs/{id}", jobs_api.job_status, "blocking"),
-    Endpoint(
-        "job_events", "GET", "/v1/jobs/{id}/events", jobs_api.job_events, "blocking",
-        streaming=True,
-    ),
+    Endpoint("job_events", "GET", "/v1/jobs/{id}/events", None, "blocking"),
     Endpoint("job_result", "GET", "/v1/jobs/{id}/result", jobs_api.job_result, "blocking"),
     Endpoint("job_cancel", "POST", "/v1/jobs/{id}/cancel", jobs_api.cancel_job, "blocking"),
 )
@@ -263,7 +235,7 @@ V1_ENDPOINTS: tuple[Endpoint, ...] = (
 class RouteTable:
     """Method + path → endpoint row, over any set of rows.
 
-    Both doors mount :data:`V1_ROUTES`; a cluster shard node mounts the
+    The door mounts :data:`V1_ROUTES`; a cluster shard node mounts the
     public rows plus its two internal ones.
     """
 
@@ -309,20 +281,3 @@ class RouteTable:
 
 
 V1_ROUTES = RouteTable(V1_ENDPOINTS)
-
-
-def handle(
-    backend: ServiceBackend,
-    request: ApiRequest,
-    routes: RouteTable = V1_ROUTES,
-    *,
-    max_body_bytes: int = MAX_BODY_BYTES,
-) -> ApiResponse:
-    """Answer one request completely: route → decode → run; never raises.
-
-    Any method on any unrouted path is the JSON 404 envelope.
-    """
-    matched = routes.match(request.method, request.path)
-    if matched is None:
-        return error_response(backend, request, not_found(request.path))
-    return answer(backend, request, *matched, max_body_bytes=max_body_bytes)

@@ -555,7 +555,7 @@ def answer_from_json(data: Any) -> Answer:
 
 @dataclass(frozen=True)
 class ErrorEnvelope:
-    """The one error body both front doors speak, on every endpoint.
+    """The one error body the door speaks, on every endpoint.
 
     ``code`` is a stable machine-readable slug (``bad_request``,
     ``query_syntax``, ``query_semantics``, ``payload_too_large``,

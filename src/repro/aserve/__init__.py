@@ -1,8 +1,8 @@
-"""The asyncio serving front-end: admission control, backpressure, streaming.
+"""The HTTP door: admission control, backpressure, streaming.
 
-Where :mod:`repro.service.server` answers each request on its own thread with
-no queueing and no overload story, this package is the production front door
-the ROADMAP calls for — stdlib ``asyncio`` only:
+Every HTTP request a backend answers — ``repro serve`` in each of its roles,
+the cluster's shard nodes, the tests and the benchmarks — crosses this one
+door, stdlib ``asyncio`` only:
 
 * :mod:`~repro.aserve.protocol` — a minimal HTTP/1.1 parser/renderer with
   keep-alive and chunked NDJSON streaming;
@@ -10,14 +10,15 @@ the ROADMAP calls for — stdlib ``asyncio`` only:
   ``max_inflight`` concurrent executions plus ``queue_depth`` waiting
   reservations, O(1) synchronous decisions, excess load answered ``429 +
   Retry-After`` from live :meth:`HypeRService.serving_signals` backpressure;
-* :mod:`~repro.aserve.app` — the endpoint router (``/health``, ``/stats``,
-  ``/query``, ``/batch``) that hands admitted work to an executor thread
-  pool and streams per-query batch results as they complete;
+* :mod:`~repro.aserve.app` — the transport over the endpoint table of
+  :mod:`repro.api.endpoints`: it runs each row on its lane, hands admitted
+  work to an executor thread pool and streams per-query batch results as
+  they complete;
 * :mod:`~repro.aserve.runner` — lifecycle: warm-up (``start_pool`` /
   ``prepare``), SIGTERM/SIGINT drain (stop accepting, finish in-flight,
-  release the shard pool), and the ``repro serve --async`` entry point.
+  release the shard pool), and the ``repro serve`` entry point.
 
-See ``docs/service.md`` ("Async serving & overload") for the contract.
+See ``docs/service.md`` ("Serving & overload") for the contract.
 """
 
 from .admission import AdmissionController, AdmissionRejected

@@ -14,8 +14,8 @@ the whole :meth:`~repro.service.backend.ServingCounters.serving_signals`
 snapshot only when the decision is a rejection:
 
 * the **service-level in-flight count** covers executions from *every*
-  front-end sharing the service (the threaded server, direct library calls),
-  so capacity consumed elsewhere shrinks what this front door admits;
+  caller sharing the service (direct library calls, the job executor), so
+  capacity consumed elsewhere shrinks what this front door admits;
 * the **per-endpoint latency sums** turn the current backlog into the
   ``Retry-After`` hint (backlog × average query seconds / slots);
 * rejections are pushed back into the service's counters

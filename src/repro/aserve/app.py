@@ -1,12 +1,11 @@
-"""The asyncio door: a transport over the shared request core.
+"""The HTTP door: a transport over the request core.
 
 :class:`AsyncApp` owns one connection loop (`handle_connection`, passed to
 ``asyncio.start_server``) and, per request, only the decisions that are
-genuinely this door's — *where* a handler runs and *when* its bytes are
-written.  What is answered comes from the endpoint table and the sans-IO
-core in :mod:`repro.api.endpoints` (the catalogue of endpoints lives there),
-shared with the threaded door, so routing, validation, envelopes and
-``X-Request-Id`` cannot drift between the two.
+genuinely the transport's — *where* a handler runs and *when* its bytes are
+written.  What is answered — routing, validation, envelopes and
+``X-Request-Id`` — comes from the endpoint table and the sans-IO core in
+:mod:`repro.api.endpoints` (the catalogue of endpoints lives there).
 
 Each table row names a **lane**, which this door maps to an executor:
 
@@ -30,13 +29,13 @@ Each table row names a **lane**, which this door maps to an executor:
   response bytes are written — "finish in-flight" at drain time includes
   delivering the answer.
 
-Besides the lanes, this door adds: ``503 {"status": "draining"}`` health once
+Besides the lanes, the door adds: ``503 {"status": "draining"}`` health once
 shutdown has begun, an ``"aserve"`` section (admission numbers) in the stats
-answer, and chunked NDJSON streaming of the table's two streaming rows —
-``/v1/batch`` reserves one admission unit per query (whole batch or nothing)
-and streams lines in order of *completion*, so one slow how-to no longer
-head-of-line-blocks the other answers; job events are polled by cursor, so an
-open stream costs the loop a timer, not a thread.
+answer, and chunked NDJSON streaming of the table's two streaming rows, which
+name no handler — ``/v1/batch`` reserves one admission unit per query (whole
+batch or nothing) and streams lines in order of *completion*, so one slow
+how-to does not head-of-line-block the other answers; job events are polled
+by cursor, so an open stream costs the loop a timer, not a thread.
 """
 
 from __future__ import annotations

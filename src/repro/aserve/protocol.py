@@ -13,7 +13,8 @@ Deliberately the small subset of RFC 9112 the service needs, stdlib only:
 * a body whose declared length exceeds the limit is rejected ``413`` *before*
   it is read — an overload response never costs a 4 MiB read;
 * keep-alive follows the version defaults (HTTP/1.1 persistent unless
-  ``Connection: close``; HTTP/1.0 only with ``Connection: keep-alive``).
+  ``Connection: close``; HTTP/1.0 only with ``Connection: keep-alive``) —
+  :func:`repro.api.core.keeps_alive`, the rule the clients read responses by.
 
 Malformed input raises :class:`HttpProtocolError`, which carries both the
 status to answer with and whether the connection can survive the error
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..api.core import PayloadError, check_body_length, parse_content_length
+from ..api.core import PayloadError, check_body_length, keeps_alive, parse_content_length
 
 __all__ = [
     "ChunkedJsonWriter",
@@ -83,15 +84,8 @@ class Request:
     body: bytes = b""
 
     @property
-    def path(self) -> str:
-        return self.target.split("?", 1)[0]
-
-    @property
     def keep_alive(self) -> bool:
-        connection = self.headers.get("connection", "").lower()
-        if self.version == "HTTP/1.0":
-            return "keep-alive" in connection
-        return "close" not in connection
+        return keeps_alive(self.version, self.headers.get("connection", ""))
 
 
 async def read_request(
@@ -130,10 +124,9 @@ async def read_request(
         raise HttpProtocolError(501, "chunked request bodies are not supported")
 
     # the length and limit policy (texts and thresholds) is the request
-    # core's, so the two front doors cannot drift; an oversized body is
-    # deliberately left unread — the 413 goes out immediately and the
-    # connection closes rather than paying for the read.  Content-Encoding
-    # is the core's to undo (repro.api.core.decode).
+    # core's; an oversized body is deliberately left unread — the 413 goes
+    # out immediately and the connection closes rather than paying for the
+    # read.  Content-Encoding is the core's to undo (repro.api.core.decode).
     try:
         length = parse_content_length(headers.get("content-length")) or 0
         if length:

@@ -1,4 +1,4 @@
-"""Lifecycle owner for the asyncio serving front-end.
+"""Lifecycle owner for the HTTP door.
 
 :class:`AsyncServingRunner` ties the pieces together and owns the sequence
 **warm → bind → serve → drain → close**:
@@ -17,9 +17,9 @@
    (:meth:`AdmissionController.wait_idle`), then shut the executor down and
    release the shard pool with ``HypeRService.close()``.
 
-``run_async_server`` is the blocking entry point behind ``repro serve
---async``; :class:`BackgroundAsyncServer` runs the same lifecycle on a
-dedicated thread + event loop for tests and benchmarks.
+``run_async_server`` is the blocking entry point behind ``repro serve`` (every
+role); :class:`BackgroundAsyncServer` runs the same lifecycle on a dedicated
+thread + event loop for embedding code, tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = ["AsyncServingRunner", "BackgroundAsyncServer", "run_async_server"]
 
 
 class AsyncServingRunner:
-    """Builds and drives the async front-end for one serving backend."""
+    """Builds and drives the door for one serving backend."""
 
     def __init__(
         self,
@@ -116,7 +116,7 @@ class AsyncServingRunner:
             raise
         if self.verbose:
             host, port = self.address
-            print(f"HypeR async service listening on http://{host}:{port}", flush=True)
+            print(f"HypeR service listening on http://{host}:{port}", flush=True)
             print(
                 "endpoints: "
                 + ", ".join(f"{row.method} {row.path}" for row in self.app.routes.endpoints),
@@ -206,7 +206,7 @@ def run_async_server(
     warm_queries: Sequence[str] = (),
     app_factory: Callable[..., AsyncApp] = AsyncApp,
 ) -> None:
-    """Blocking entry point behind ``repro serve --async``."""
+    """Blocking entry point behind ``repro serve``."""
     runner = AsyncServingRunner(
         service,
         host,
@@ -225,7 +225,7 @@ def run_async_server(
 
 
 class BackgroundAsyncServer:
-    """The async front-end on a dedicated thread + loop (tests, benchmarks).
+    """The door on a dedicated thread + loop (embedding code, tests, benchmarks).
 
     Usage::
 

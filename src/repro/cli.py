@@ -142,31 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: --workers, else CPU count capped at 8)",
     )
     serve.add_argument(
-        "--async",
-        dest="async_server",
-        action="store_true",
-        help="serve through the asyncio front-end with admission control "
-        "(keep-alive, bounded queueing, 429 on overload, streaming /batch)",
-    )
-    serve.add_argument(
         "--max-inflight",
         type=int,
         default=None,
-        help="async front-end: concurrent query executions admitted "
+        help="concurrent query executions admitted "
         "(default: --workers, else CPU count capped at 8)",
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=None,
-        help="async front-end: bounded admission queue beyond --max-inflight; "
+        help="bounded admission queue beyond --max-inflight; "
         "excess requests get 429 + Retry-After (default: 2x max-inflight)",
     )
     serve.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
-        help="async front-end: seconds to wait for in-flight requests on "
+        help="seconds to wait for in-flight requests on "
         "SIGTERM/SIGINT before giving up",
     )
     serve.add_argument(
@@ -174,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="TEXT",
-        help="async front-end: query text to prepare() at startup so the "
+        help="query text to prepare() at startup so the "
         "first request hits warm caches (repeatable)",
     )
     serve.add_argument(
@@ -515,7 +508,8 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
         if args.command == "serve":
             if args.role != "single":
                 return _serve_cluster(args)
-            from .service import HypeRService, serve as run_server
+            from .aserve import run_async_server
+            from .service import HypeRService
 
             dataset = make_dataset(args.dataset, **_generator_kwargs(args))
             config = EngineConfig(
@@ -535,38 +529,22 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
                 f"serving dataset {args.dataset!r} ({dataset.database.total_rows} rows)",
                 flush=True,
             )
-            if args.async_server:
-                from .aserve import run_async_server
-
-                if args.jobs_dir:
-                    _attach_jobs(service, args)
-                # warm-up (start_pool + prepare) happens inside the runner,
-                # before any executor thread exists
-                try:
-                    run_async_server(
-                        service,
-                        host=args.host,
-                        port=args.port,
-                        max_inflight=args.max_inflight,
-                        queue_depth=args.queue_depth,
-                        drain_timeout=args.drain_timeout,
-                        warm_queries=args.warm_query or (),
-                    )
-                finally:
-                    service.close()  # idempotent; covers startup failures
-                return 0
-            if args.execution == "processes":
-                # start workers before the threading HTTP server exists so
-                # the pool can fork from a single-threaded parent (job
-                # executor threads start after, for the same reason)
-                service.start_pool()
-                print(f"execution: {service.n_shards} shard worker processes", flush=True)
             if args.jobs_dir:
                 _attach_jobs(service, args)
+            # warm-up (start_pool + prepare) happens inside the runner,
+            # before any executor thread exists
             try:
-                run_server(service, host=args.host, port=args.port)
+                run_async_server(
+                    service,
+                    host=args.host,
+                    port=args.port,
+                    max_inflight=args.max_inflight,
+                    queue_depth=args.queue_depth,
+                    drain_timeout=args.drain_timeout,
+                    warm_queries=args.warm_query or (),
+                )
             finally:
-                service.close()
+                service.close()  # idempotent; covers startup failures
             return 0
         # query
         session = _load_session(args)

@@ -3,9 +3,9 @@
 :class:`ClusterCoordinator` implements the
 :class:`~repro.service.backend.ServiceBackend` protocol next to
 :class:`~repro.service.session.HypeRService` (and shares its
-:class:`~repro.service.backend.ServingCounters`), so both HTTP front doors
-(:mod:`repro.service.server`, :mod:`repro.aserve`) mount it unchanged and the
-public v1 API is identical to a single-node deployment.
+:class:`~repro.service.backend.ServingCounters`), so the HTTP door
+(:mod:`repro.aserve`) mounts it unchanged and the public v1 API is identical
+to a single-node deployment.
 
 Every node holds the full snapshot and a whole ``HypeRService``, so a query —
 **what-if or how-to** (Definition 7: a how-to's candidates are what-ifs) — is

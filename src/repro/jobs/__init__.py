@@ -16,7 +16,7 @@ to a durable queue with its own scheduler:
 - :mod:`.results` — bounded per-client result store with TTL retention and
   a GC sweeper;
 - :mod:`.manager` — :class:`JobManager`, the façade tying them together;
-- :mod:`.api` — request/payload glue shared by both HTTP front doors.
+- :mod:`.api` — the handlers of the ``/v1/jobs`` rows of the HTTP door.
 
 The durability contract: once ``POST /v1/jobs`` has answered, the job
 survives ``kill -9``.  On restart the journal replays to the exact same

@@ -1,9 +1,10 @@
 """The handlers of the ``/v1/jobs`` rows of the endpoint table.
 
-:data:`repro.api.endpoints.V1_ENDPOINTS` points its six job rows here, so
-submit/status/result/cancel answer byte-identically on both HTTP doors.
-Every handler raises :class:`~repro.api.core.ApiError` for protocol
-failures; the request core maps those to envelopes.
+:data:`repro.api.endpoints.V1_ENDPOINTS` points five of its six job rows
+here; the sixth, the event stream, the door polls through
+:func:`poll_events` and closes with :func:`events_done_line`.  Every handler
+raises :class:`~repro.api.core.ApiError` for protocol failures; the request
+core maps those to envelopes.
 
 The manager is discovered on ``backend.jobs`` — a service started without
 ``--jobs-dir`` answers 503 ``unavailable`` on the whole surface rather
@@ -15,25 +16,17 @@ to that id: status/result/events/cancel from any other client id answer
 404 ``not_found``, indistinguishable from an unknown id, exactly like
 ``GET /v1/jobs`` listing.  Jobs submitted *without* the header get a
 per-connection ``anon-…`` owner; those stay **capability-based** — the
-random job id is the credential — because the threaded door mints a fresh
+random job id is the credential — because the door mints a fresh
 anonymous id per connection, so an anonymous submitter could otherwise
-never poll its own job.  Ids beginning with ``anon`` are reserved for
-that fallback.
+never poll its own job from a second one.  Ids beginning with ``anon`` are
+reserved for that fallback.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
-from ..api.core import (
-    NDJSON_CONTENT_TYPE,
-    ApiError,
-    ApiRequest,
-    ApiResponse,
-    Params,
-    stream_timeout_s,
-)
+from ..api.core import ApiError, ApiRequest, ApiResponse, Params
 from ..api.schemas import ErrorEnvelope, JobListAnswer, JobStatus, JobSubmitRequest
 from .manager import JobManager, JobNotFound
 from .queue import QuotaExceeded
@@ -48,7 +41,6 @@ __all__ = [
     "job_status",
     "job_result",
     "cancel_job",
-    "job_events",
     "poll_events",
     "events_done_line",
 ]
@@ -107,7 +99,7 @@ def submit_job(backend: ServiceBackend, request: ApiRequest, params: Params) -> 
 
 
 def _anonymous(owner: str) -> bool:
-    """True for the doors' per-connection fallback ids (``anon``/``anon-…``)."""
+    """True for the door's per-connection fallback ids (``anon``/``anon-…``)."""
     return owner == "anon" or owner.startswith("anon-")
 
 
@@ -210,7 +202,7 @@ def list_jobs(backend: ServiceBackend, request: ApiRequest, params: Params) -> A
 def poll_events(
     backend: ServiceBackend, job_id: str, cursor: int, *, client_id: str
 ) -> tuple[list[dict[str, Any]], bool]:
-    """One non-blocking poll of a job's event log (the async door's unit)."""
+    """One non-blocking poll of a job's event log (the door's unit)."""
     manager = manager_for(backend)
     _get_job(manager, job_id, client_id)
     try:
@@ -233,35 +225,3 @@ def events_done_line(backend: ServiceBackend, job_id: str) -> dict[str, Any]:
         job = None
     terminal = job.state if job is not None and job.terminal else None
     return {"done": True, "job_id": job_id, "terminal": terminal}
-
-
-def job_events(backend: ServiceBackend, request: ApiRequest, params: Params) -> ApiResponse:
-    """Answer ``GET /v1/jobs/{id}/events`` as a blocking NDJSON line source.
-
-    Errors that occur before the first event — unknown job, jobs disabled —
-    raise here and still answer a normal JSON envelope.  (The asyncio door
-    streams this row itself, by :func:`poll_events`, so that an open stream
-    costs its loop a timer rather than a thread.)
-    """
-    manager = manager_for(backend)
-    job_id = params["id"]
-    _get_job(manager, job_id, request.client_id)
-    timeout = stream_timeout_s(request.query_string)
-
-    def lines() -> Iterator[dict[str, Any]]:
-        # every event from the start of the log, blocking for new ones until
-        # the job is terminal or ``timeout`` elapses without news
-        cursor = 0
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                events, terminal = manager.wait_events(job_id, cursor, timeout=0.5)
-            except JobNotFound:
-                break  # aged out mid-stream: finish the stream cleanly
-            yield from events
-            cursor += len(events)
-            if terminal or time.monotonic() >= deadline:
-                break
-        yield events_done_line(backend, job_id)
-
-    return ApiResponse(200, lines=lines(), content_type=NDJSON_CONTENT_TYPE)

@@ -606,22 +606,6 @@ class JobManager:
             events = self._events.get(job_id, [])
             return list(events[cursor:]), job.terminal
 
-    def wait_events(
-        self, job_id: str, cursor: int, timeout: float = 10.0
-    ) -> tuple[list[dict[str, Any]], bool]:
-        """Blocking :meth:`events_since` — waits for news up to ``timeout``."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while True:
-                job = self.get(job_id)
-                events = self._events.get(job_id, [])
-                if len(events) > cursor or job.terminal:
-                    return list(events[cursor:]), job.terminal
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], False
-                self._cond.wait(timeout=remaining)
-
     # -- signals / stats ---------------------------------------------------------------
 
     def background_load(self) -> int:
@@ -736,7 +720,7 @@ def attach_jobs(service: Any, journal_path: str, **kwargs: Any) -> JobManager:
     Works for both :class:`~repro.service.session.HypeRService` and
     :class:`~repro.cluster.coordinator.ClusterCoordinator` (anything with
     ``execute`` / ``generation`` / ``metrics``).  The manager lands on
-    ``service.jobs``, where the front doors and ``serving_signals()`` find
+    ``service.jobs``, where the door and ``serving_signals()`` find
     it.
     """
     manager = JobManager(service, journal_path, **kwargs)

@@ -36,7 +36,7 @@ __all__ = [
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: content type both front doors send for ``GET /v1/metrics``
+#: content type the door sends for ``GET /v1/metrics``
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 

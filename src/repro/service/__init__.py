@@ -1,4 +1,4 @@
-"""The HypeR query service layer: fingerprints, caches, batch execution, HTTP.
+"""The HypeR query service layer: fingerprints, caches, batch execution.
 
 This package turns the per-query engines of :mod:`repro.core` into a servable
 system (the ROADMAP's production north star):
@@ -13,12 +13,10 @@ system (the ROADMAP's production north star):
 * :mod:`~repro.service.session` — the :class:`HypeRService` facade
   (``prepare`` / ``execute`` / ``execute_many`` / ``stats``);
 * :mod:`~repro.service.backend` — the :class:`ServiceBackend` protocol the
-  serving stack calls and the :class:`ServingCounters` every backend shares;
-* :mod:`~repro.service.server` — the threaded stdlib HTTP transport
-  (``repro serve``) over the shared request core of :mod:`repro.api`, with
-  graceful SIGTERM/SIGINT drain.
+  serving stack calls and the :class:`ServingCounters` every backend shares.
 
-See ``docs/service.md`` for the architecture and invalidation rules.
+The HTTP door over a backend (``repro serve``) is :mod:`repro.aserve`.  See
+``docs/service.md`` for the architecture and invalidation rules.
 """
 
 from .backend import ServiceBackend, ServingCounters
@@ -35,7 +33,6 @@ from .fingerprint import (
     use_key,
     use_relations,
 )
-from .server import make_server, serve
 from .session import HypeRService, PreparedPlan
 
 __all__ = [
@@ -55,8 +52,6 @@ __all__ = [
     "fingerprint_how_to",
     "fingerprint_query",
     "fingerprint_what_if",
-    "make_server",
-    "serve",
     "update_key",
     "use_key",
     "use_relations",

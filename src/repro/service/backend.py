@@ -38,7 +38,7 @@ class ServiceBackend(Protocol):
     #: remaining budget downstream (a relaying backend)
     accepts_deadline: bool
     #: attached :class:`~repro.jobs.manager.JobManager`, or None — the job
-    #: surface then answers 503 on both doors
+    #: surface then answers 503
     jobs: Any
     metrics: MetricsRegistry
     slow_log: SlowQueryLog
@@ -123,7 +123,7 @@ class ServingCounters:
         #: bounded per-plan-fingerprint slow-query log, served by GET /v1/slow
         self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
         #: attached durable job manager (see repro.jobs.attach_jobs); None
-        #: means the job surface answers 503 on both front doors
+        #: means the job surface answers 503
         self.jobs: Any = None
         # Per-client request/rejection counters (X-Client-Id or anonymous
         # per-connection ids).  Bounded: past _MAX_TRACKED_CLIENTS distinct

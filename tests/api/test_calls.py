@@ -320,9 +320,12 @@ RESPONSES = {
         framed(OK + b"transfer-encoding: Chunked\n", TRAILED.replace(b"\r\n", b";x=1\r\n", 1)),
         False, 200, BODY, False,
     ),
-    "close-delimited (the threaded door's stream)": (
+    "close-delimited HTTP/1.0 stream": (
         framed(b"HTTP/1.0 200 OK\nContent-Type: application/x-ndjson\nConnection: close\n", BODY),
         True, 200, BODY, True,
+    ),
+    "HTTP/1.0 keep-alive without a length still closes": (
+        framed(b"HTTP/1.0 200 OK\nConnection: keep-alive\n", BODY), True, 200, BODY, True,
     ),
     "close-delimited although HTTP/1.1": (framed(OK, BODY), True, 200, BODY, True),
     "HTTP/1.0 closes by default": (
@@ -333,6 +336,45 @@ RESPONSES = {
         framed(b"HTTP/1.0 200 OK\nConnection: Keep-Alive\nContent-Length: 2\n", b"{}"),
         False, 200, b"{}", False,
     ),
+    "HTTP/1.1 connection: keep-alive": (
+        framed(OK + b"Connection: keep-alive\n" + SIZED, BODY), False, 200, BODY, False,
+    ),
+    "connection: Close, capitalised": (
+        framed(OK + b"Connection: Close\n" + SIZED, BODY), True, 200, BODY, True,
+    ),
+    "close in a connection token list": (
+        framed(OK + b"Connection: TE, close\n" + SIZED, BODY), True, 200, BODY, True,
+    ),
+    "upper-case names, padded values": (
+        framed(OK + b"CONTENT-LENGTH:   %d  \n" % len(BODY), BODY), False, 200, BODY, False,
+    ),
+    "a header value holding colons": (
+        framed(OK + b"X-Note: a:b:c\n" + SIZED, BODY), False, 200, BODY, False,
+    ),
+    "status line without a reason": (
+        framed(b"HTTP/1.1 200\n" + SIZED, BODY), False, 200, BODY, False,
+    ),
+    "a 404 envelope": (
+        framed(b"HTTP/1.1 404 Not Found\nContent-Length: 2\n", b"{}"), False, 404, b"{}", False,
+    ),
+    "content-length 0, connection: close": (
+        framed(OK + b"Content-Length: 0\nConnection: close\n"), True, 200, b"", True,
+    ),
+    "chunked, one byte a chunk": (
+        framed(CHUNKED, in_chunks(*(BODY[i : i + 1] for i in range(len(BODY))))),
+        False, 200, BODY, False,
+    ),
+    "chunked, upper-case hex sizes": (
+        framed(CHUNKED, b"A\r\n%s\r\nB\r\n%s\r\n" % (BODY[:10], BODY[10:21]) + in_chunks(BODY[21:])),
+        False, 200, BODY, False,
+    ),
+    "chunked, then the server closes": (
+        framed(CHUNKED + b"Connection: close\n", in_chunks(BODY)), True, 200, BODY, True,
+    ),
+    "chunked wins over content-length": (
+        framed(CHUNKED + b"Content-Length: 3\n", in_chunks(BODY)), False, 200, BODY, False,
+    ),
+    "chunked, no chunks": (framed(CHUNKED, in_chunks()), False, 200, b"", False),
 }
 
 

@@ -34,7 +34,6 @@ from repro.api.client import ApiStatusError
 from repro.api.schemas import JobStatus
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
-from repro.service import make_server
 
 from ..aserve.test_protocol import SEGMENTATIONS
 from .test_calls import BODY, BROKEN, RESPONSES
@@ -59,25 +58,9 @@ def _service(dataset):
 
 
 @pytest.fixture(scope="module")
-def async_address(dataset):
+def address(dataset):
     with BackgroundAsyncServer(_service(dataset), max_inflight=4, queue_depth=16) as s:
         yield s.address
-
-
-@pytest.fixture(scope="module")
-def threaded_address(dataset):
-    server = make_server(_service(dataset), host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address[:2]
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture(params=["async", "threaded"])
-def address(request, async_address, threaded_address):
-    return async_address if request.param == "async" else threaded_address
 
 
 class Blocking:
@@ -164,9 +147,7 @@ class TestQueries:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "query_syntax"
 
-    def test_keep_alive_and_reconnect_across_many_calls(self, connect, address):
-        # the threaded front door closes every connection (HTTP/1.0); the
-        # async one keeps it open — both must survive a burst of calls
+    def test_keep_alive_across_many_calls(self, connect, address):
         with connect(*address) as client:
             values = {client.query(QUERY_TEXT).value for _ in range(5)}
             assert len(values) == 1
@@ -195,14 +176,19 @@ class TestBatch:
         assert all(item.ok for item in items)
         assert items[0].result.value == items[1].result.value
 
-    def test_batch_streams_incrementally_on_async(self, connect, async_address):
-        with connect(*async_address) as client:
+    def test_batch_streams_incrementally(self, connect, address):
+        with connect(*address) as client:
             seen = []
             for item in client.batch([QUERY_TEXT for _ in range(4)]):
                 seen.append(item)
             assert len(seen) == 4
             # connection is reusable after the stream is drained
             assert client.query(QUERY_TEXT).value == seen[0].result.value
+
+    def test_an_empty_batch_is_one_json_answer_of_no_items(self, connect, address):
+        with connect(*address) as client:
+            assert client.batch_collect([]) == []
+            assert client.health()["status"] == "ok"
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -333,11 +319,13 @@ class RawServer:
 
     After writing an answer (one send, or one per segment of a list) it
     closes the connection — or, for a ``stall`` entry, holds it open and
-    silent until the fixture ends.
+    silent until the fixture ends.  A ``None`` answer never even reads the
+    request: the connection is held from the moment it is accepted.
     """
 
     def __init__(self) -> None:
-        self.script: list[tuple[bytes | list[bytes], bool]] = []  # (answer, stall?)
+        #: (answer, stall?)
+        self.script: list[tuple[bytes | list[bytes] | None, bool]] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._held: list[socket.socket] = []
         self._closing = False
@@ -351,6 +339,10 @@ class RawServer:
             if self._closing:
                 conn.close()
                 return
+            answer, stall = self.script.pop(0)
+            if answer is None:
+                self._held.append(conn)
+                continue
             request = b""
             while b"\r\n\r\n" not in request:
                 request += conn.recv(65536) or b"\r\n\r\n"  # EOF: give up reading
@@ -362,7 +354,6 @@ class RawServer:
                     length = int(value)
             while len(body) < length:
                 body += conn.recv(65536) or b" " * length
-            answer, stall = self.script.pop(0)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             segments = [answer] if isinstance(answer, bytes) else answer
             for segment in segments:
@@ -414,8 +405,18 @@ def chunked(*lines: bytes) -> bytes:
 ITEM = json.dumps({"index": 0, "result": ANSWER}).encode() + b"\n"
 DONE = b'{"done": true, "n_queries": 1}\n'
 
+#: the calls a row makes; "post_json" sends more than the transport's write
+#: buffer and the loopback's socket buffers hold, so its send stalls
+VERBS = {
+    "query": lambda client: client.query("q"),
+    "batch": lambda client: client.batch_collect(["q"]),
+    "post_json": lambda client: client.post_json("/v1/x", {"pad": "x" * (8 << 20)}),
+}
+
 # (row, answer bytes, stall?, verb, fragment of the TransportError)
 FAILURES = [
+    # the stalled send, not only the stalled read, is the timeout it is
+    ("peer never reads a large request", None, True, "post_json", "TimeoutError"),
     # the framing table's cut body (tests/api/test_calls.py), closed and stalled
     ("truncated body", BROKEN["cut content-length body"][0], False, "query", "truncated"),
     ("stalled body", BROKEN["cut content-length body"][0], True, "query", "truncated"),
@@ -446,9 +447,11 @@ class TestFailureMatrix:
         self, connect, raw_server, answer, stall, verb, fragment
     ):
         raw_server.script = [(answer, stall), (whole(json.dumps(ANSWER).encode()), False)]
-        client = connect(*raw_server.address, max_retries=0, timeout=0.3)
+        client = connect(
+            *raw_server.address, max_retries=0, timeout=0.3, gzip_min_bytes=None
+        )
         with pytest.raises(TransportError) as excinfo:
-            client.query("q") if verb == "query" else client.batch_collect(["q"])
+            VERBS[verb](client)
         assert type(excinfo.value) is TransportError  # no stdlib exception leaks
         assert fragment in str(excinfo.value)
         assert excinfo.value.request_id == client.last_request_id != ""

@@ -1,19 +1,15 @@
-"""The shared /v1 conformance suite, run against BOTH HTTP front doors.
+"""The /v1 conformance suite, run against the HTTP door.
 
-One parametrized fixture spins up the threaded ``ThreadingHTTPServer`` front
-door and the asyncio ``aserve`` front door over services built from the same
-dataset and configuration; every test below runs against each.  This is the
-executable form of the contract in :mod:`repro.api.endpoints`: canonical
-``/v1/*`` paths, legacy aliases answering byte-identically, typed answers
-that validate against the strict v1 schemas, and the shared error envelope
-for 400/404/413.
+This is the executable form of the contract in :mod:`repro.api.endpoints`:
+canonical ``/v1/*`` paths, legacy aliases answering byte-identically, typed
+answers that validate against the strict v1 schemas, and the shared error
+envelope for 400/404/413.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -32,7 +28,6 @@ from repro.api.schemas import (
 )
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
-from repro.service import make_server
 
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -56,28 +51,10 @@ def _make_service(dataset):
 
 
 @pytest.fixture(scope="module")
-def threaded_server(dataset):
-    service = _make_service(dataset)
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield host, port
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture(scope="module")
-def async_server(dataset):
+def front_door(dataset):
     service = _make_service(dataset)
     with BackgroundAsyncServer(service, max_inflight=4, queue_depth=16) as server:
         yield server.address
-
-
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def front_door(request, threaded_server, async_server):
-    return threaded_server if request.param == "threaded" else async_server
 
 
 def send(
@@ -192,8 +169,8 @@ class TestErrorEnvelopes:
     def test_oversized_declared_body_is_413_envelope(self, front_door):
         host, port = front_door
         conn = http.client.HTTPConnection(host, port, timeout=30)
-        # declare an oversized body without paying to send it: both front
-        # doors must reject on the declared length, before the read
+        # declare an oversized body without paying to send it: the door
+        # must reject on the declared length, before the read
         conn.putrequest("POST", "/v1/query")
         conn.putheader("Content-Type", "application/json")
         conn.putheader("Content-Length", str(64 * 1024 * 1024))
@@ -220,24 +197,11 @@ class TestBatch:
         )
         response = conn.getresponse()
         assert response.status == 200
-        content_type = response.getheader("Content-Type") or ""
-        raw = response.read()
+        assert "ndjson" in (response.getheader("Content-Type") or "")
+        lines = [json.loads(line) for line in response.read().decode().splitlines()]
         conn.close()
-        if "ndjson" in content_type:  # the async front door streams
-            lines = [json.loads(line) for line in raw.decode().splitlines()]
-            assert lines[-1] == {"done": True, "n_queries": 3}
-            items = [BatchItem.from_json(line) for line in lines[:-1]]
-        else:  # the threaded front door answers one JSON object
-            body = json.loads(raw)
-            assert body["n_queries"] == 3
-            items = []
-            for index, entry in enumerate(body["results"]):
-                if "error" in entry:
-                    items.append(BatchItem.from_json({"index": index, **entry}))
-                else:
-                    items.append(
-                        BatchItem.from_json({"index": index, "result": entry})
-                    )
+        assert lines[-1] == {"done": True, "n_queries": 3}
+        items = [BatchItem.from_json(line) for line in lines[:-1]]
         by_index = {item.index: item for item in items}
         assert set(by_index) == {0, 1, 2}
         assert by_index[0].ok and by_index[2].ok
@@ -329,46 +293,21 @@ class TestPrepare:
         assert body["code"] == "query_syntax"
 
 
-# -- jobs: the durable async job service, through both doors ---------------------------
+# -- jobs: the durable async job service, through the door -----------------------------
 
 
 @pytest.fixture(scope="module")
-def jobs_threaded_server(dataset, tmp_path_factory):
+def jobs_front_door(dataset, tmp_path_factory):
     from repro.jobs.manager import attach_jobs
 
     service = _make_service(dataset)
-    attach_jobs(
-        service, str(tmp_path_factory.mktemp("jobs-threaded") / "journal.jsonl")
-    )
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield host, port
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    service.jobs.close()
-    service.close()
-
-
-@pytest.fixture(scope="module")
-def jobs_async_server(dataset, tmp_path_factory):
-    from repro.jobs.manager import attach_jobs
-
-    service = _make_service(dataset)
-    attach_jobs(service, str(tmp_path_factory.mktemp("jobs-async") / "journal.jsonl"))
+    attach_jobs(service, str(tmp_path_factory.mktemp("jobs") / "journal.jsonl"))
     with BackgroundAsyncServer(service, max_inflight=4, queue_depth=16) as server:
         yield server.address
 
 
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def jobs_front_door(request, jobs_threaded_server, jobs_async_server):
-    return jobs_threaded_server if request.param == "threaded" else jobs_async_server
-
-
 def _stream_events(address, job_id, timeout_s=30.0, headers=None):
-    """Read the NDJSON event stream until its ``done`` line (both framings)."""
+    """Read the NDJSON event stream until its ``done`` line."""
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=60)
     conn.request(
@@ -565,7 +504,7 @@ class TestJobs:
             assert body["code"] == "not_found", path
 
     def test_submit_without_jobs_dir_is_unavailable(self, front_door):
-        # the plain front_door fixtures have no --jobs-dir manager attached
+        # the plain front_door fixture has no --jobs-dir manager attached
         status, body = send(front_door, "POST", "/v1/jobs", {"query": QUERY_TEXT})
         assert status == 503
         assert body["code"] == "unavailable"
@@ -602,7 +541,7 @@ class TestJobs:
 
 ROW_BODIES = {
     "query": {"query": QUERY_TEXT},
-    "batch": {"queries": [QUERY_TEXT]},  # the async door answers a stream head
+    "batch": {"queries": [QUERY_TEXT]},  # the door answers a stream head
     "prepare": {"queries": [QUERY_TEXT]},
     "jobs_submit": {"query": QUERY_TEXT},
 }
@@ -644,7 +583,7 @@ def test_unrouted_and_unframed_requests_still_carry_a_request_id(front_door):
     )
     assert (status, echoed) == (404, "lost-0001")
     # a body the door cannot frame is answered before any routing: the id is
-    # minted (the async door rejects it at the protocol layer)
+    # minted (the door rejects it at the protocol layer)
     conn = http.client.HTTPConnection(*front_door, timeout=30)
     conn.putrequest("POST", "/v1/query")
     conn.putheader("Content-Length", "nan")

@@ -1,17 +1,17 @@
-"""The endpoint table is the whole routing contract of both doors.
+"""The endpoint table is the whole routing contract of the door.
 
-Every row must carry what the doors dispatch on (a handler and a lane), every
-row must actually be answered by both doors, a shard node's two internal rows
-must exist only on a shard node, and both backends must implement the
-declared :class:`ServiceBackend` protocol — so the next endpoint is one table
-row and the next backend cannot be duck-typed in.
+Every row must carry what the door dispatches on (a lane, and a handler
+unless the door streams the row), every row must actually be answered by the
+door, a shard node's two internal rows must exist only on a shard node, and
+both backends must implement the declared :class:`ServiceBackend` protocol —
+so the next endpoint is one table row and the next backend cannot be
+duck-typed in.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -21,7 +21,7 @@ from repro.aserve import BackgroundAsyncServer
 from repro.cluster import ClusterCoordinator, ClusterTopology, NodeAddress
 from repro.cluster.shardserver import CLUSTER_UPDATE_PATH, PARTIAL_PATH, ShardServer
 from repro.datasets import make_german_syn
-from repro.service import ServiceBackend, make_server
+from repro.service import ServiceBackend
 
 CONFIG = EngineConfig(regressor="linear")
 
@@ -32,20 +32,7 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def threaded_door(dataset):
-    service = HypeRService(dataset.database, dataset.causal_dag, CONFIG)
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address[:2]
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    service.close()
-
-
-@pytest.fixture(scope="module")
-def async_door(dataset):
+def door(dataset):
     service = HypeRService(dataset.database, dataset.causal_dag, CONFIG)
     with BackgroundAsyncServer(service, max_inflight=2) as server:
         yield server.address
@@ -73,8 +60,10 @@ def status_of(address, method: str, path: str) -> int:
 
 
 @pytest.mark.parametrize("row", V1_ENDPOINTS, ids=lambda row: row.name)
-def test_every_row_has_a_handler_a_lane_and_a_route(row):
-    assert callable(row.handler)
+def test_every_row_has_a_lane_a_route_and_a_handler_unless_streamed(row):
+    # the door streams exactly the batch and the job-event rows itself
+    assert callable(row.handler) != row.streaming
+    assert row.streaming == (row.name in ("batch", "job_events"))
     assert row.lane in LANES
     for path in row.paths:
         endpoint, params = V1_ROUTES.match(row.method, path.replace("{id}", "x"))
@@ -83,22 +72,17 @@ def test_every_row_has_a_handler_a_lane_and_a_route(row):
 
 
 @pytest.mark.parametrize("row", V1_ENDPOINTS, ids=lambda row: row.name)
-@pytest.mark.parametrize("door", ["threaded_door", "async_door"])
-def test_every_row_is_answered_by_both_doors(request, door, row):
-    address = request.getfixturevalue(door)
+def test_every_row_is_answered_by_the_door(door, row):
     # an empty object is a schema violation on the typed POST rows (400) and
     # the job rows have no journal here (503): anything but "no such route"
-    status = status_of(address, row.method, row.path.replace("{id}", "job-missing"))
+    status = status_of(door, row.method, row.path.replace("{id}", "job-missing"))
     assert status in (200, 400, 503), row.name
 
 
 @pytest.mark.parametrize("path", [PARTIAL_PATH, CLUSTER_UPDATE_PATH])
-def test_shard_internal_rows_exist_only_on_a_shard_node(
-    shard_node, threaded_door, async_door, path
-):
+def test_shard_internal_rows_exist_only_on_a_shard_node(shard_node, door, path):
     assert status_of(shard_node, "POST", path) == 400  # routed; {} is a bad body
-    assert status_of(threaded_door, "POST", path) == 404
-    assert status_of(async_door, "POST", path) == 404
+    assert status_of(door, "POST", path) == 404
     # the public rows are all still there next to them
     assert status_of(shard_node, "GET", "/v1/health") == 200
 

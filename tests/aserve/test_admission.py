@@ -146,8 +146,8 @@ class _StubService:
 class TestBackpressureSignals:
     def test_external_inflight_shrinks_capacity(self):
         async def _run():
-            # 3 executions already in flight elsewhere (threaded server,
-            # library calls) against a capacity of 4: only 1 unit left.
+            # 3 executions already in flight elsewhere (library calls, job
+            # workers) against a capacity of 4: only 1 unit left.
             service = _StubService(in_flight=3)
             controller = AdmissionController(
                 max_inflight=2, queue_depth=2, service=service

@@ -109,6 +109,17 @@ class TestEndpoints:
         assert response.status == 413
         assert "exceeds" in payload["error"]
 
+    def test_unexpected_engine_error_is_500_internal_envelope(
+        self, live_server, service, monkeypatch
+    ):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "execute", explode)
+        status, payload, _ = request(live_server, "POST", "/v1/query", {"query": QUERY_TEXT})
+        assert status == 500
+        assert payload == {"error": "RuntimeError: boom", "code": "internal"}
+
     def test_unknown_path_is_404(self, live_server):
         status, payload, _ = request(live_server, "POST", "/nowhere", {"q": 1})
         assert status == 404

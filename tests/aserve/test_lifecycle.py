@@ -1,9 +1,8 @@
-"""Lifecycle tests: SIGTERM drain for both front-ends, via real subprocesses.
+"""Lifecycle tests: SIGTERM drain of ``repro serve``, via real subprocesses.
 
-These spawn ``python -m repro serve`` (threaded and ``--async``), wait for
-the listening line, verify the endpoint answers, send SIGTERM, and assert a
-clean drained exit — the contract that keeps shard workers from leaking
-under process supervisors.
+These spawn ``python -m repro serve``, wait for the listening line, verify
+the endpoints answer, send SIGTERM, and assert a clean drained exit — the
+contract that keeps shard workers from leaking under process supervisors.
 """
 
 from __future__ import annotations
@@ -63,13 +62,26 @@ def terminate_and_collect(process: subprocess.Popen) -> str:
     return output
 
 
-@pytest.mark.parametrize("mode", ["threaded", "async"])
-def test_sigterm_drains_and_exits_cleanly(mode):
-    args = ("--async", "--max-inflight", "2") if mode == "async" else ()
-    process, base_url = spawn_serve(*args)
+def query(base_url: str, path: str = "/v1/query") -> dict:
+    body = json.dumps(
+        {
+            "query": "USE Credit UPDATE(Status) = 4 "
+            "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
+        }
+    ).encode()
+    request = urllib.request.Request(
+        f"{base_url}{path}", data=body, headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+def test_sigterm_drains_and_exits_cleanly():
+    process, base_url = spawn_serve("--max-inflight", "2")
     try:
         with urllib.request.urlopen(f"{base_url}/health", timeout=10) as response:
             assert json.loads(response.read())["status"] == "ok"
+        assert query(base_url)["kind"] == "what-if"
         output = terminate_and_collect(process)
     finally:
         if process.poll() is None:
@@ -79,23 +91,11 @@ def test_sigterm_drains_and_exits_cleanly(mode):
     assert "shutdown complete" in output
 
 
-def test_async_sigterm_with_process_shards_releases_pool():
-    """--async --execution processes: the drain must close shard workers."""
-    process, base_url = spawn_serve(
-        "--async", "--execution", "processes", "--shards", "2"
-    )
+def test_sigterm_with_process_shards_releases_pool():
+    """--execution processes: the drain must close shard workers."""
+    process, base_url = spawn_serve("--execution", "processes", "--shards", "2")
     try:
-        body = json.dumps(
-            {
-                "query": "USE Credit UPDATE(Status) = 4 "
-                "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
-            }
-        ).encode()
-        request = urllib.request.Request(
-            f"{base_url}/query", data=body, headers={"Content-Type": "application/json"}
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            assert json.loads(response.read())["kind"] == "what-if"
+        assert query(base_url, "/query")["kind"] == "what-if"
         output = terminate_and_collect(process)
     finally:
         if process.poll() is None:

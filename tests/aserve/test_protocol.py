@@ -87,14 +87,33 @@ def parse_two(data: bytes, max_body: int = 4096):
 HEALTH = b"GET /health HTTP/1.1\r\n"
 
 
+#: id → (request bytes, kept alive?): the version/``Connection`` rule of
+#: ``repro.api.core.keeps_alive``, which the clients' response reader follows
+#: too (the HTTP/1.0 rows of ``RESPONSES`` in ``tests/api/test_calls.py``)
+KEEP_ALIVE = {
+    "HTTP/1.1 by default": (b"GET / HTTP/1.1\r\n\r\n", True),
+    "HTTP/1.1 connection: close": (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", False),
+    "HTTP/1.0 by default": (b"GET / HTTP/1.0\r\n\r\n", False),
+    "HTTP/1.0 keep-alive": (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", True),
+    "HTTP/1.0 Keep-Alive": (b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", True),
+    "HTTP/1.0 connection: close": (b"GET / HTTP/1.0\r\nConnection: close\r\n\r\n", False),
+    "HTTP/1.1 keep-alive": (b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", True),
+    "HTTP/1.1 Close": (b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", False),
+    "HTTP/1.1 close in a token list": (b"GET / HTTP/1.1\r\nConnection: TE, close\r\n\r\n", False),
+}
+
+
 class TestReadRequest:
     def test_get(self):
         request = parse(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
         assert request.method == "GET"
-        assert request.path == "/health"
+        assert request.target == "/health"
         assert request.headers["host"] == "x"
         assert request.body == b""
-        assert request.keep_alive  # HTTP/1.1 default
+
+    @pytest.mark.parametrize("wire, kept", KEEP_ALIVE.values(), ids=KEEP_ALIVE.keys())
+    def test_keep_alive_follows_the_version_and_connection_rule(self, wire, kept):
+        assert parse(wire).keep_alive is kept
 
     def test_post_with_body(self):
         body = b'{"query": "q"}'
@@ -104,10 +123,9 @@ class TestReadRequest:
         assert request.method == "POST"
         assert request.body == body
 
-    def test_query_string_stripped_from_path(self):
-        request = parse(b"GET /stats?verbose=1 HTTP/1.1\r\n\r\n")
-        assert request.path == "/stats"
-        assert request.target == "/stats?verbose=1"
+    def test_the_target_keeps_its_query_string(self):
+        # splitting it off is the request core's (ApiRequest)
+        assert parse(b"GET /stats?verbose=1 HTTP/1.1\r\n\r\n").target == "/stats?verbose=1"
 
     def test_eof_between_requests_is_none(self):
         assert parse(b"") is None
@@ -119,27 +137,19 @@ class TestReadRequest:
             assert (excinfo.value.status, excinfo.value.close) == (400, True)
             assert "EOF inside headers" in str(excinfo.value)
 
-    def test_connection_close_disables_keep_alive(self):
-        request = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
-        assert not request.keep_alive
-
-    def test_http10_defaults_to_close(self):
-        assert not parse(b"GET / HTTP/1.0\r\n\r\n").keep_alive
-        assert parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").keep_alive
-
     def test_pipelined_requests_parse_sequentially(self):
         first, second = parse_two(
             b"GET /health HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n"
         )
-        assert first.path == "/health"
-        assert second.path == "/stats"
+        assert first.target == "/health"
+        assert second.target == "/stats"
 
     def test_a_pipelined_request_stays_buffered_behind_a_body(self):
         body = b'{"query": "q"}'
         post = b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
         (first, second), unread = read_requests(post + HEALTH + b"\r\n" + b"GET /st", 2)
-        assert (first.path, first.body) == ("/query", body)
-        assert (second.path, second.body) == ("/health", b"")
+        assert (first.target, first.body) == ("/query", body)
+        assert (second.target, second.body) == ("/health", b"")
         assert unread == b"GET /st"  # the third, half-arrived: untouched
 
     def test_oversized_body_is_413_without_reading(self):

@@ -8,15 +8,13 @@ exactly one committed generation (no blends), never stale, and monotonic
 per session — the hand-rolled pre/post-value comparison this test used to
 carry lives in the checker now, with strictly stronger rules.
 
-Eight writers racing ``POST /v1/update`` on either door must each be
-acknowledged the generation their own commit installed.
+Eight writers racing ``POST /v1/update`` must each be acknowledged the
+generation their own commit installed.
 """
 
 from __future__ import annotations
 
 import threading
-
-import pytest
 
 from repro.api import HypeRClient
 from tests.isolation.checker import check_snapshot_isolation
@@ -25,7 +23,6 @@ from tests.isolation.harness import (
     async_front_door,
     installed_generation,
     run_history,
-    threaded_front_door,
 )
 
 SEED = 4
@@ -58,8 +55,7 @@ def test_async_requests_racing_update_database_see_one_generation():
     assert stats["versions"]["pinned_readers"] == 0
 
 
-@pytest.mark.parametrize("door", [async_front_door, threaded_front_door])
-def test_racing_updates_each_acknowledge_the_generation_they_installed(door):
+def test_racing_updates_each_acknowledge_the_generation_they_installed():
     workload = VersionedWorkload(n_rows=150, n_versions=2, seed=SEED)
     service = workload.make_service()
     start = threading.Barrier(8)
@@ -79,7 +75,7 @@ def test_racing_updates_each_acknowledge_the_generation_they_installed(door):
             errors.append(error)
 
     try:
-        with door(service, workload) as driver:
+        with async_front_door(service, workload) as driver:
             threads = [
                 threading.Thread(target=commit, args=(k % 2, driver.host, driver.port))
                 for k in range(8)

@@ -6,9 +6,9 @@ version's ground-truth answer from a fresh single-generation service — the
 bitwise fingerprints the checker matches observed answers against.
 
 :func:`run_history` then hammers one store with N reader threads and M
-writer threads through a *driver* (direct in-process calls, the threaded
-HTTP front door, or the asyncio front door — commits go through
-``POST /v1/update`` on the HTTP drivers) and records every read and commit
+writer threads through a *driver* (direct in-process calls, or the HTTP
+door — commits go through ``POST /v1/update`` on the HTTP driver) and
+records every read and commit
 with client-side wall-clock intervals into a
 :class:`~tests.isolation.checker.History`.
 
@@ -33,7 +33,6 @@ from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
 from repro.obs import trace as obs_trace
 from repro.obs.trace import new_request_id
-from repro.service.server import make_server
 
 from .checker import CommitEvent, History, ReadEvent
 
@@ -47,7 +46,6 @@ __all__ = [
     "VersionedWorkload",
     "async_front_door",
     "run_history",
-    "threaded_front_door",
 ]
 
 QUERY_TEXT = (
@@ -192,8 +190,8 @@ class DirectDriver:
 class HttpDriver:
     """Reads via ``POST /v1/query``, commits via ``POST /v1/update``.
 
-    Works against either front door; every session/writer gets its own
-    :class:`HypeRClient` (one keep-alive connection per thread).
+    Every session/writer gets its own :class:`HypeRClient` (one keep-alive
+    connection per thread).
     """
 
     def __init__(self, host: str, port: int, workload: VersionedWorkload, name: str):
@@ -231,27 +229,10 @@ class HttpDriver:
 
 
 @contextmanager
-def threaded_front_door(
-    service: HypeRService, workload: VersionedWorkload
-) -> Iterator[HttpDriver]:
-    """The stdlib threading HTTP server, serving on an ephemeral port."""
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[:2]
-        yield HttpDriver(host, port, workload, name="threaded-http")
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
-@contextmanager
 def async_front_door(
     service: HypeRService, workload: VersionedWorkload
 ) -> Iterator[HttpDriver]:
-    """The asyncio front door (admission control included) on its own loop."""
+    """The HTTP door (admission control included) on its own loop."""
     with BackgroundAsyncServer(service, max_inflight=8, queue_depth=64) as server:
         host, port = server.address
         yield HttpDriver(host, port, workload, name="async-http")

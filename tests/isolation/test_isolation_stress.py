@@ -1,8 +1,8 @@
 """Snapshot-isolation stress: reader x writer storms against the real store.
 
-Three reader/writer mixes hammer the in-process service, and one mix each
-goes through the threaded and asyncio HTTP front doors (reads via
-``POST /v1/query``, commits via ``POST /v1/update``).  Every recorded
+Three reader/writer mixes hammer the in-process service, and one mix goes
+through the HTTP door (reads via ``POST /v1/query``, commits via
+``POST /v1/update``).  Every recorded
 history — well over a thousand events across the module — must pass the
 black-box checker: no torn/blended answers, no stale reads, monotonic
 reads per session.  A processes-mode run additionally proves commits are
@@ -34,7 +34,6 @@ from .harness import (
     VersionedWorkload,
     async_front_door,
     run_history,
-    threaded_front_door,
 )
 
 SEEDS = tuple(
@@ -99,27 +98,6 @@ def test_direct_store_is_snapshot_isolated(seed, mix):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_threaded_front_door_is_snapshot_isolated(seed):
-    workload = workload_for(seed)
-    service = workload.make_service()
-    try:
-        with threaded_front_door(service, workload) as driver:
-            history = run_history(
-                driver,
-                workload,
-                n_readers=3,
-                n_writers=1,
-                commits_per_writer=6,
-                seed=seed,
-                min_reads=20,
-                label=label_for("threaded-http", seed, (3, 1, 6)),
-            )
-    finally:
-        service.close()
-    assert_isolated(history, min_events=3 * 20)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_async_front_door_is_snapshot_isolated(seed):
     workload = workload_for(seed)
     service = workload.make_service()
@@ -170,7 +148,7 @@ def test_processes_pool_survives_the_commit_storm():
 
 def test_module_event_volume():
     """The acceptance floor: this module records 1000+ events in aggregate."""
-    expected_runs = len(SEEDS) * (len(MIXES) + 2) + 1
+    expected_runs = len(SEEDS) * (len(MIXES) + 1) + 1
     if len(_event_counts) < expected_runs:
         pytest.skip("subset run — the volume floor holds only for the full module")
     assert sum(_event_counts) >= 1000, sorted(_event_counts)

@@ -1,4 +1,4 @@
-"""Observability conformance on both front doors.
+"""Observability conformance on the door.
 
 ``GET /v1/metrics`` must serve valid Prometheus text, ``?trace=1`` must
 return the v1 ``TraceSpan`` tree, every response must carry an
@@ -11,7 +11,6 @@ bounded by the root's wall time.
 from __future__ import annotations
 
 import http.client
-import threading
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
 from repro.obs.metrics import validate_exposition
 from repro.obs.trace import TraceContext
-from repro.service.server import make_server
 
 QUERY = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -47,27 +45,9 @@ def service(dataset):
 
 
 @pytest.fixture(scope="module")
-def threaded_door(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server.server_address[:2]
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
-@pytest.fixture(scope="module")
-def async_door(service):
+def door(service):
     with BackgroundAsyncServer(service, max_inflight=4) as server:
         yield server.address
-
-
-@pytest.fixture(params=["threaded", "async"])
-def door(request, threaded_door, async_door):
-    return threaded_door if request.param == "threaded" else async_door
 
 
 def _span_names(node: TraceSpan):
@@ -156,8 +136,8 @@ class TestTracedQuery:
             answer = client.query(QUERY)
         assert answer.trace is None
 
-    def test_async_door_records_queue_wait(self, async_door):
-        host, port = async_door
+    def test_door_records_queue_wait(self, door):
+        host, port = door
         with HypeRClient(host, port, timeout=60.0, trace=True) as client:
             answer = client.query(QUERY)
         assert _find(answer.trace, "admission.queue") is not None
