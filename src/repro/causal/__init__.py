@@ -4,7 +4,9 @@ Implements the probabilistic relational causal model (PRCM) machinery the paper
 builds on: attribute-level causal DAGs with cross-tuple edges, structural
 equations for data generation and ground truth, grounding over database
 instances, d-separation, the backdoor criterion, summary functions and the
-augmented graph used for multi-relation queries.
+augmented graph used for multi-relation queries.  The explicit grounded graph
+(:mod:`repro.causal.ground_graph`) is a test oracle for the block
+decomposition that no engine path reads; import it from its module.
 """
 
 from .augmented import AggregatedNode, augment_causal_dag
@@ -16,7 +18,6 @@ from .backdoor import (
 )
 from .dag import CausalDAG, CausalEdge
 from .dseparation import all_backdoor_paths, d_separated, path_is_blocked
-from .ground_graph import GroundCausalGraph, GroundVariable
 from .scm import StructuralCausalModel
 from .structural import (
     DiscreteCPD,
@@ -41,8 +42,6 @@ __all__ = [
     "ExogenousDistribution",
     "FunctionalEquation",
     "GaussianNoise",
-    "GroundCausalGraph",
-    "GroundVariable",
     "IdentitySummary",
     "LinearEquation",
     "LogisticEquation",

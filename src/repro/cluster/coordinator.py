@@ -69,7 +69,7 @@ from ..lang.parser import parse_query
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..service.backend import ServingCounters
-from ..service.fingerprint import PlanDealer
+from ..service.fingerprint import PlanDealer, fingerprint_query
 from ..service.versions import Commit
 from . import wire
 from .shardserver import CLUSTER_UPDATE_PATH, PARTIAL_PATH
@@ -147,7 +147,7 @@ class ClusterCoordinator(ServingCounters):
         self.failure_threshold = max(1, failure_threshold)
         self.probe_interval = probe_interval
         self._generation = 0
-        self._dealer = PlanDealer(self.config)
+        self._dealer = PlanDealer()
         self._started_at = time.time()
         self._n_queries = 0
         self._n_batches = 0
@@ -397,7 +397,9 @@ class ClusterCoordinator(ServingCounters):
         ring = [node.index for node in self._nodes if node.healthy]
         ring = ring or [node.index for node in self._nodes]
         spare = [node for node in self._nodes if node.index not in ring]
-        dealt = self._dealer.deal([parsed for parsed, _text in items], ring)
+        dealt = self._dealer.deal(
+            [fingerprint_query(parsed, self.config) for parsed, _text in items], ring
+        )
         legs = {
             home: [j for j, node in enumerate(dealt) if node == home]
             for home in sorted(set(dealt))

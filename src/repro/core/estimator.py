@@ -280,14 +280,29 @@ class PostUpdateEstimator:
         if not predict_mask.any():
             return out
         idx = np.flatnonzero(predict_mask)
-        out[idx] = self.predict_rows(regressor, self.view, post_values, idx)
+        at_idx = {}
+        for attribute in self.update_attributes:
+            column = post_values[attribute]
+            if not isinstance(column, np.ndarray):
+                column = np.asarray(column, dtype=object)
+            at_idx[attribute] = column[idx]
+        out[idx] = self.predict_rows(regressor, self.view, self.encode_updates(at_idx), idx)
         return out
+
+    def encode_updates(self, values: Mapping[str, Sequence[Any]]) -> dict[str, np.ndarray]:
+        """Each update attribute's post values at some rows, encoded as the regressors read them.
+
+        Every regressor of this estimator shares the encoder its first fit
+        built, so one encoding serves the count and the sum regressor alike.
+        """
+        encoders = self._encoder.encoders
+        return {a: encoders[a].transform(values[a]) for a in self.update_attributes}
 
     def predict_rows(
         self,
         regressor: ConditionalMeanRegressor,
         view: Relation,
-        post_values: Mapping[str, Sequence[Any]],
+        updated: Mapping[str, np.ndarray],
         idx: np.ndarray,
         *,
         kernels: KernelCache | None = None,
@@ -296,30 +311,19 @@ class PostUpdateEstimator:
         """Row-stable predictions of ``regressor`` at the rows ``idx`` of ``view``.
 
         ``view`` is this estimator's view or a row subset of it (a shard's
-        local view).  Only the update attributes are read and encoded per
-        call.  What the backdoor covariates contribute at a row set — a linear
-        regressor's ``intercept + sum of X_c * beta_c``, a forest's encoded
-        blocks — does not depend on the update constants: with ``kernels`` it
-        is built once per ``idx_token`` (naming the row set) for every
-        parameter variant or how-to candidate sharing the cache, without it on
-        the spot, by the same code and bit for bit the same
+        local view), and ``updated`` the update attributes' post values at
+        ``idx``, encoded (:meth:`encode_updates`).  What the backdoor
+        covariates contribute at a row set — a linear regressor's
+        ``intercept + sum of X_c * beta_c``, a forest's encoded blocks — does
+        not depend on the update constants: with ``kernels`` it is built once
+        per ``idx_token`` (naming the row set) for every parameter variant or
+        how-to candidate sharing the cache, without it on the spot, by the
+        same code and bit for bit the same
         (:meth:`~repro.ml.density.ConditionalMeanRegressor.predict_at`).
         Entries are keyed by this estimator as well: its encoder is fitted on
         its own training rows, which two estimators over one view need not
         share (``sample_size`` with ``random_state=None``).
         """
-        missing = [a for a in self.update_attributes if a not in post_values]
-        if missing:
-            raise QuerySemanticsError(f"post_values is missing update attributes {missing}")
-
-        def column_at(attribute: str) -> np.ndarray:
-            if attribute not in self.update_attributes:
-                return view.column_view(attribute)[idx]
-            post_column = post_values[attribute]
-            if not isinstance(post_column, np.ndarray):
-                post_column = np.asarray(post_column, dtype=object)
-            return post_column[idx]
-
         memo = None
         if kernels is not None and idx_token is not None:
 
@@ -327,7 +331,10 @@ class PostUpdateEstimator:
                 return kernels.get((*key, idx_token, self._block_token), build)
 
         return regressor.predict_at(
-            column_at, len(idx), varying=self.update_attributes, memo=memo
+            lambda attribute: view.column_view(attribute)[idx],
+            len(idx),
+            varying=updated,
+            memo=memo,
         )
 
     def regressor_for(

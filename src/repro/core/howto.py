@@ -39,21 +39,21 @@ from ..optim.solver import BranchAndBoundSolver
 from ..relational.aggregates import get_aggregate
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
-from ..relational.predicates import Conjunction, evaluate_mask
+from ..relational.predicates import Conjunction
 from ..relational.relation import Relation
 from .config import EngineConfig
 from .estimator import PostUpdateEstimator, build_view_dag
 from .queries import HowToQuery, LimitConstraint
 from .results import HowToResult
-from .updates import AttributeUpdate, MultiplyBy, SetTo, UpdateFunction, apply_update_column
+from .updates import AttributeUpdate, MultiplyBy, SetTo, UpdateFunction
 from .whatif import (
     PreparedWhatIf,
     WhatIfEngine,
-    _derive,
     causal_contribution_rows,
     combine_aggregate,
     outcome_attributes,
     validate_query,
+    when_scope,
 )
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "HowToEngine",
     "PreparedHowTo",
     "build_howto_program",
-    "candidate_post_values",
     "prepare_candidates",
     "solve_how_to",
 ]
@@ -89,7 +88,7 @@ class PreparedHowTo:
     """
 
     #: what every candidate what-if of the query shares: view, DAG projection,
-    #: scope, disjuncts, a per-query kernel cache, "no change" post values
+    #: scope, disjuncts, the plan's (or a per-query) kernel cache
     what_if: PreparedWhatIf
     estimator: PostUpdateEstimator
     aggregate_name: str
@@ -106,9 +105,9 @@ class PreparedHowTo:
 # -- pure evaluation phases ----------------------------------------------------------
 #
 # A candidate is evaluated by the what-if engine's own kernel
-# (:func:`repro.core.whatif.causal_contribution_rows`) at the candidate's post
-# values, and folded by the what-if engine's own reduction, so a how-to value
-# equals the answer to ``query.candidate_what_if(...)`` bit for bit.
+# (:func:`repro.core.whatif.causal_contribution_rows`) with the candidate's
+# update functions, and folded by the what-if engine's own reduction, so a
+# how-to value equals the answer to ``query.candidate_what_if(...)`` bit for bit.
 
 
 def prepare_candidates(
@@ -118,20 +117,15 @@ def prepare_candidates(
     disjuncts: Sequence[Conjunction],
     kernels: KernelCache | None,
 ) -> PreparedWhatIf:
-    """The prepared what-if whose update changes nothing, over ``view``.
+    """The prepared what-if every candidate of ``query`` shares, over ``view``.
 
-    Each candidate of ``query`` differs from it in its post values only.
+    Candidates differ in their update functions only, which the kernel
+    takes per call.
     """
-    scope_mask = _derive(
-        kernels,
-        ("scope_mask", query.when.canonical()),
-        lambda: evaluate_mask(query.when, view),
-    )
     return PreparedWhatIf(
         view=view,
         view_dag=view_dag,
-        scope_mask=scope_mask,
-        post_values={a: view.column_view(a) for a in query.update_attributes},
+        scope_mask=when_scope(query, view, kernels),
         disjuncts=list(disjuncts),
         post_attributes=outcome_attributes(query, disjuncts),
         # a how-to reports no per-block summary
@@ -140,18 +134,6 @@ def prepare_candidates(
         for_key=query.for_clause.canonical(),
         kernels=kernels,
     )
-
-
-def candidate_post_values(
-    shared: PreparedWhatIf, updates: Sequence[AttributeUpdate]
-) -> dict[str, Sequence[Any]]:
-    """Post-update columns for a concrete (possibly empty) update choice."""
-    post_values = dict(shared.post_values)
-    for update in updates:
-        post_values[update.attribute] = apply_update_column(
-            update.function, shared.view.column_view(update.attribute), shared.scope_mask
-        )
-    return post_values
 
 
 def build_howto_program(
@@ -581,9 +563,7 @@ class HowToEngine:
             query,
             shared.what_if,
             shared.estimator,
-            candidate_post_values(
-                shared.what_if, [c.as_attribute_update() for c in chosen]
-            ),
+            [c.as_attribute_update() for c in chosen],
         )
         return combine_aggregate(shared.aggregate_name, count_contrib, sum_contrib)[0]
 

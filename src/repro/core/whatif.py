@@ -47,6 +47,7 @@ from .config import EngineConfig, Variant
 from .estimator import PostUpdateEstimator, build_view_dag
 from .queries import HowToQuery, WhatIfQuery
 from .results import LazyBlockContributions, WhatIfResult
+from .updates import AttributeUpdate, apply_update_column
 
 __all__ = [
     "PreparedWhatIf",
@@ -61,7 +62,7 @@ __all__ = [
     "numeric_output_column",
     "outcome_attributes",
     "regressor_cache_key",
-    "scope_and_post_values",
+    "when_scope",
 ]
 
 _MAX_DISJUNCTS = 6
@@ -181,13 +182,12 @@ class PreparedWhatIf:
 
     Built by :meth:`WhatIfEngine.prepare` and reusable: the service layer
     prepares once per plan and evaluates many parameter variants against the
-    same derived state (with per-query scope masks and post values).
+    same derived state; nothing in it depends on the update constants.
     """
 
     view: Relation
     view_dag: CausalDAG | None
     scope_mask: np.ndarray
-    post_values: dict[str, Sequence[Any]]
     disjuncts: list[Conjunction]
     post_attributes: list[str]
     block_of_row: np.ndarray
@@ -224,52 +224,48 @@ def _derive(kernels: KernelCache | None, key: Hashable, build: Any) -> Any:
     return build() if kernels is None else kernels.get(key, build)
 
 
-def scope_and_post_values(
-    query: WhatIfQuery, view: Relation, kernels: KernelCache | None = None
-) -> tuple[np.ndarray, dict[str, Sequence[Any]]]:
-    """The ``When`` scope mask over ``view`` and each update attribute's post column."""
-    scope_mask = _derive(
+def when_scope(
+    query: WhatIfQuery | HowToQuery, view: Relation, kernels: KernelCache | None = None
+) -> np.ndarray:
+    """The ``When`` scope mask over ``view`` (once per plan with ``kernels``)."""
+    return _derive(
         kernels,
         ("scope_mask", query.when.canonical()),
         lambda: evaluate_mask(query.when, view),
     )
-    update = query.hypothetical_update
-    post_values: dict[str, Sequence[Any]] = {
-        attribute: update.updated_values(
-            attribute, view.column_view(attribute), scope_mask
-        )
-        for attribute in query.update_attributes
-    }
-    return scope_mask, post_values
 
 
 def causal_contribution_rows(
     query: WhatIfQuery | HowToQuery,
     prepared: PreparedWhatIf,
     estimator: PostUpdateEstimator,
-    post_values: dict[str, Sequence[Any]] | None = None,
+    updates: Sequence[AttributeUpdate] | None = None,
     *,
     fit_view: Relation | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (count, sum) contributions of the causal variants.
 
-    Returns float arrays aligned with ``prepared.view``.  ``sum`` entries are
-    only populated when the query's aggregate needs output values.
+    Returns float arrays aligned with ``prepared.view``, possibly read-only.
+    ``sum`` entries are only populated when the query's aggregate needs
+    output values.
 
-    This is the one inclusion–exclusion kernel (Section A.2.3): a what-if
-    evaluates it at ``prepared.post_values``, a how-to once per candidate at
-    that candidate's ``post_values`` (Definition 7: a candidate *is* a what-if
-    query, and every candidate of one how-to shares ``prepared``), a shard at
-    its rows of a what-if (``prepared.view`` the local view, ``fit_view`` the
-    full one).
+    This is the one inclusion–exclusion kernel (Section A.2.3).  ``updates``
+    are the update functions applied in the scope: ``None`` means a what-if
+    query's own; a how-to passes a candidate's chosen updates, the baseline
+    none (Definition 7: a candidate *is* a what-if query, and every candidate
+    of one how-to shares ``prepared``).  A shard runs it at its rows of a
+    what-if (``prepared.view`` the local view, ``fit_view`` the full one).
 
-    Everything that does not depend on the update constants — masks, the
-    output column, each inclusion–exclusion term's applicable-row index set
-    and, inside :meth:`PostUpdateEstimator.predict_rows`, what the backdoor
-    attributes contribute to each regressor's prediction at those rows —
-    comes from ``prepared.kernels``; a variant of a warm plan encodes the
-    update attributes and adds their terms.  With ``kernels=None`` (the cold
-    engine) the same code builds each piece per query.
+    Only ``B``'s values at the tuples in scope depend on the update
+    constants (Proposition 1), so no whole post column is built: each term
+    applies ``f`` to ``B``'s pre values at its rows ``idx`` (all in scope),
+    encodes them once for the count and the sum regressor, and puts the term
+    into the unaffected-row bases.  Everything else — masks, the output
+    column, the bases, each term's ``idx`` and ``pre[idx]`` and, inside
+    :meth:`PostUpdateEstimator.predict_rows`, what the backdoor attributes
+    contribute to each regressor's prediction there — comes from
+    ``prepared.kernels``; with ``kernels=None`` (the cold engine) the same
+    code builds each piece per query.
 
     ``fit_view`` is the view regressors train on when ``prepared.view`` is a
     row subset of it (a shard's local view); training targets are built only
@@ -281,8 +277,21 @@ def causal_contribution_rows(
     scope = prepared.scope_mask
     kernels = prepared.kernels
     for_key = prepared.for_key
-    if post_values is None:
-        post_values = prepared.post_values
+    when_key = query.when.canonical()
+    if updates is None:
+        updates = query.updates
+    functions = {update.attribute: update.function for update in updates}
+
+    def post_at(attribute: str, idx: np.ndarray, idx_token: Hashable) -> Sequence[Any]:
+        # ``attribute``'s post values at a term's rows, every one in scope
+        column = view.column_view(attribute)
+        pre = column if len(idx) == n else _derive(
+            kernels, ("pre", attribute, idx_token), lambda: column[idx]
+        )
+        function = functions.get(attribute)  # None: a how-to leaves it as it is
+        if function is None:
+            return pre
+        return apply_update_column(function, pre, np.ones(len(idx), dtype=bool))
 
     output_values = _derive(
         kernels,
@@ -307,14 +316,20 @@ def causal_contribution_rows(
         return out
 
     # -- unaffected tuples: post values equal pre values, everything deterministic.
-    unaffected = ~scope
     qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre)
-    count_contrib = np.where(unaffected, qualifies_pre.astype(float), 0.0)
-    sum_contrib = np.where(unaffected & qualifies_pre, output_values, 0.0)
+    # The bases, per plan: copied only when a term is put in.
+    count_contrib = _derive(
+        kernels, ("count_base", when_key, for_key),
+        lambda: np.where(~scope, qualifies_pre.astype(float), 0.0),
+    )
+    sum_contrib = _derive(
+        kernels, ("sum_base", when_key, for_key, query.output_attribute),
+        lambda: np.where(~scope & qualifies_pre, output_values, 0.0),
+    )
 
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3).
+    first = True  # no term has been added yet
     if scope.any():
-        when_key = query.when.canonical()
         if fit_view is None:
             fit_view = view
 
@@ -356,31 +371,58 @@ def causal_contribution_rows(
                 regressor_cache_key("count", subset, for_key),
                 lambda s=subset: _target(s, False),
             )
-            prob = estimator.predict_rows(
-                regressor, view, post_values, idx,
-                kernels=kernels, idx_token=idx_token,
+            updated = estimator.encode_updates(
+                {a: post_at(a, idx, idx_token) for a in estimator.update_attributes}
             )
-            count_contrib[idx] += sign * np.clip(prob, 0.0, 1.0)
+            prob = estimator.predict_rows(
+                regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
+            )
+            count_contrib = _add_term(count_contrib, idx, sign * np.clip(prob, 0.0, 1.0), first)
             if aggregate.needs_output_value:
                 regressor = estimator.regressor_for(
                     regressor_cache_key("sum", subset, for_key, query.output_attribute),
                     lambda s=subset: _target(s, True),
                 )
-                sum_contrib[idx] += sign * estimator.predict_rows(
-                    regressor, view, post_values, idx,
-                    kernels=kernels, idx_token=idx_token,
+                prediction = estimator.predict_rows(
+                    regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
                 )
+                sum_contrib = _add_term(sum_contrib, idx, sign * prediction, first)
+            first = False
+    if not first:
         # Per-tuple qualification probabilities live in [0, 1]; clip estimator overshoot.
-        count_contrib = np.clip(count_contrib, 0.0, 1.0)
+        np.clip(count_contrib, 0.0, 1.0, out=count_contrib)
     return count_contrib, sum_contrib
 
 
+def _add_term(
+    contrib: np.ndarray, idx: np.ndarray, term: np.ndarray, first: bool
+) -> np.ndarray:
+    """``contrib[idx] += term``.  Before the ``first`` term ``contrib`` is a base,
+    +0.0 at a term's rows (all in scope): ``0.0 + term`` is the sum, one put."""
+    if len(idx) == len(contrib):  # every row: no index, and in place after the first
+        if first:
+            return term + 0.0
+        contrib += term
+    elif first:
+        if not contrib.flags.writeable:  # a kernel-cache base, shared
+            contrib = contrib.copy()
+        contrib[idx] = term + 0.0
+    else:
+        contrib[idx] += term
+    return contrib
+
+
 def indep_contribution_rows(
-    query: WhatIfQuery, view: Relation, post_values: dict[str, Sequence[Any]]
+    query: WhatIfQuery, view: Relation, scope_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row contributions of the Indep baseline (no causal propagation)."""
+    """Per-row contributions of the Indep baseline (no causal propagation).
+
+    The one path that builds whole post columns: ``f(pre)`` inside the scope.
+    """
     post_view = view
-    for attribute, values in post_values.items():
+    update = query.hypothetical_update
+    for attribute in query.update_attributes:
+        values = update.updated_values(attribute, view.column_view(attribute), scope_mask)
         post_view = post_view.with_column(attribute, values)
     qualify = evaluate_mask(query.for_clause, view, post_view)
     output_values = numeric_output_column(post_view, query.output_attribute)
@@ -450,7 +492,7 @@ def finalize_what_if(
         aggregate=aggregate.name,
         output_attribute=query.output_attribute,
         n_view_tuples=len(count_contrib),
-        n_scope_tuples=int(scope_mask.sum()),
+        n_scope_tuples=int(np.count_nonzero(scope_mask)),
         n_blocks=n_blocks,
         block_contributions=LazyBlockContributions(
             lambda: block_contribution_summary(per_row, block_of_row, n_blocks, scope_mask)
@@ -530,13 +572,11 @@ class WhatIfEngine:
         if view_dag is None:
             view_dag = build_view_dag(self.causal_dag, query.use, self.database)
         disjuncts = validate_query(query, view, view_dag)
-        scope_mask, post_values = scope_and_post_values(query, view, kernels)
-        block_of_row, n_blocks = self._block_assignment(query, view, blocks)
+        block_of_row, n_blocks = self._block_assignment(query, view, blocks, kernels)
         return PreparedWhatIf(
             view=view,
             view_dag=view_dag,
-            scope_mask=scope_mask,
-            post_values=post_values,
+            scope_mask=when_scope(query, view, kernels),
             disjuncts=disjuncts,
             post_attributes=outcome_attributes(query, disjuncts),
             block_of_row=block_of_row,
@@ -587,20 +627,20 @@ class WhatIfEngine:
         self,
         query: WhatIfQuery,
         view: Relation,
-        blocks: tuple[dict[str, np.ndarray], int] | None = None,
+        blocks: tuple[dict[str, np.ndarray], int] | None,
+        kernels: KernelCache | None,
     ) -> tuple[np.ndarray, int]:
         n = len(view)
         if not self.config.use_blocks or self.causal_dag is None:
-            return np.zeros(n, dtype=int), 1
+            return _derive(kernels, ("block_of_row",), lambda: np.zeros(n, dtype=int)), 1
         labels, n_blocks = (
             blocks if blocks is not None else block_labels(self.database, self.causal_dag)
         )
-        base_labels = labels.get(query.use.base_relation)
-        block_of_row = np.zeros(n, dtype=int)
-        if base_labels is not None:
-            m = min(n, len(base_labels))
-            block_of_row[:m] = base_labels[:m]
-        return block_of_row, n_blocks
+        # The view's rows are the base relation's (``UseSpec.build``), so its
+        # labels are the assignment: one array per database generation, read
+        # and never written.  Not a kernel entry: a commit to another
+        # relation can relabel these rows and leave the kernels warm.
+        return labels[query.use.base_relation], n_blocks
 
     # -- causal evaluation (HypeR / HypeR-NB / HypeR-sampled) -----------------------------
 
@@ -634,7 +674,7 @@ class WhatIfEngine:
     def _evaluate_indep(self, query: WhatIfQuery, prepared: PreparedWhatIf) -> WhatIfResult:
         """Provenance-style baseline: the update does not propagate to other attributes."""
         count_contrib, sum_contrib = indep_contribution_rows(
-            query, prepared.view, prepared.post_values
+            query, prepared.view, prepared.scope_mask
         )
         return finalize_what_if(
             query,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -236,16 +236,18 @@ class ConditionalMeanRegressor:
         column_of: Callable[[str], Sequence[Any]],
         n_rows: int,
         *,
-        varying: Collection[str] = (),
+        varying: Mapping[str, np.ndarray] | None = None,
         memo: Callable[[Hashable, Callable[[], np.ndarray]], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Predict at ``n_rows`` rows whose raw values of attribute ``a`` are ``column_of(a)``.
 
-        The one prediction route.  ``varying`` names the attributes whose
-        values differ between calls over the same rows (the update attributes
-        of Equation 1); whatever is computed from the other attributes alone
-        goes through ``memo(key, build)`` when a caller that repeats such calls
-        supplies one, and is built on the spot otherwise.
+        The one prediction route.  ``varying`` holds the encoded blocks of the
+        attributes whose values differ between calls over the same rows (the
+        update attributes of Equation 1), so a caller predicting several
+        regressors over one encoder encodes them once; whatever is computed
+        from the other attributes alone goes through ``memo(key, build)`` when
+        a caller that repeats such calls supplies one, and is built on the
+        spot otherwise.
 
         * linear / ridge: ``(intercept + terms of the fixed attributes)``, the
           memoised part, ``+ terms of the varying ones`` — only those are
@@ -261,10 +263,13 @@ class ConditionalMeanRegressor:
         if self._encoder is None or self._model is None:
             return np.full(n_rows, self._target_mean)
         encoder, model = self._encoder, self._model
+        varying = varying or {}
         if memo is None:
             memo = lambda key, build: build()  # noqa: E731
 
         def block(attribute: str) -> np.ndarray:
+            if attribute in varying:
+                return varying[attribute]
             return encoder.encoders[attribute].transform(column_of(attribute))
 
         if isinstance(model, LinearRegression):

@@ -157,6 +157,16 @@ class PlanFingerprint:
         return (self.plan_key, self.parameter_key)
 
     @property
+    def home_key(self) -> Hashable:
+        """:attr:`estimator_key` without its generation and DAG slots.
+
+        What :class:`PlanDealer` homes a plan by: it names the same plan at
+        every generation, so a plan keeps its worker across commits.
+        """
+        kind, _generation, _dag, *rest = self.estimator_key
+        return (kind, *rest)
+
+    @property
     def digest(self) -> str:
         """Short stable hex digest of the plan structure, for logs and stats."""
         return hashlib.sha256(repr(self.plan_key).encode()).hexdigest()[:12]
@@ -285,9 +295,9 @@ class PlanDealer:
     coordinator (nodes); ``docs/service.md``, "Dealing by plan".  Any worker
     can answer any query; what differs is what it has *fitted*, and a commit
     throws a plan's estimator away wherever it lives.  So a batch is grouped
-    by :attr:`PlanFingerprint.estimator_key` (at generation 0 with no DAG: a
-    plan keeps its key across commits) and each group goes to the plan's
-    remembered *home*.  A plan seen for the first time, or whose home is not
+    by the :attr:`PlanFingerprint.home_key` (a plan keeps it across commits)
+    of the fingerprints its caller already took, and each group goes to the
+    plan's remembered *home*.  A plan seen for the first time, or whose home is not
     among ``workers`` (an unhealthy node), is homed on the least-loaded worker
     — fewest queries of this batch, then fewest plans homed, then first in
     ``workers`` — and stays there.  A group larger than the fair share
@@ -298,23 +308,21 @@ class PlanDealer:
     given sequence of calls, and thread-safe.
     """
 
-    def __init__(self, config: EngineConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._homes: OrderedDict[Hashable, int] = OrderedDict()
         self._lock = threading.Lock()
 
     def deal(
-        self, queries: Sequence[WhatIfQuery | HowToQuery], workers: Sequence[int]
+        self, fingerprints: Sequence[PlanFingerprint], workers: Sequence[int]
     ) -> list[int]:
-        """The member of ``workers`` that answers each query, aligned with ``queries``."""
+        """The member of ``workers`` that answers each query, aligned with its fingerprint."""
         groups: dict[Hashable, list[int]] = {}
-        for position, query in enumerate(queries):
-            key = fingerprint_query(query, self.config).estimator_key
-            groups.setdefault(key, []).append(position)
-        fair = max(1, -(-len(queries) // len(workers)))
+        for position, fingerprint in enumerate(fingerprints):
+            groups.setdefault(fingerprint.home_key, []).append(position)
+        fair = max(1, -(-len(fingerprints) // len(workers)))
         bound = math.ceil(_BOUNDED_LOAD * fair)
         load = dict.fromkeys(workers, 0)
-        dealt = [workers[0]] * len(queries)
+        dealt = [workers[0]] * len(fingerprints)
         with self._lock:
             homed = Counter(self._homes.values())
             for key, positions in groups.items():

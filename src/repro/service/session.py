@@ -699,7 +699,7 @@ class HypeRService(ServingCounters):
         if self.execution == "processes":
             pool = self._pool_for(state)
             if pool is not None:
-                return pool.run_query(parsed, exhaustive=exhaustive)
+                return pool.run_query(parsed, exhaustive=exhaustive, fingerprint=fingerprint)
             # Straggler: this query is pinned to a snapshot the pool has moved
             # past (or the pool is mid-rebuild).  Its pinned state holds fully
             # built engines, and the pool's answers are the unsharded engine's
@@ -787,6 +787,7 @@ class HypeRService(ServingCounters):
                         fresh = pool.run_batch(
                             [query for _index, query, _fingerprint, _key in misses],
                             return_errors=True,
+                            fingerprints=[fingerprint for _i, _q, fingerprint, _k in misses],
                         )
                     else:
                         # Pinned to a superseded snapshot: evaluate the whole

@@ -37,7 +37,7 @@ from ..core.queries import WhatIfQuery
 from ..core.whatif import (
     causal_contribution_rows,
     indep_contribution_rows,
-    scope_and_post_values,
+    when_scope,
 )
 from ..relational.aggregates import get_aggregate
 from .merge import ShardMergeError, WhatIfShardPartial
@@ -63,17 +63,16 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
             f"but the relevant view has {len(view)} — the shard slice is stale"
         )
     local_view = view.filter(mask)
-    scope, post_values = scope_and_post_values(query, local_view)
+    scope = when_scope(query, local_view)
     meta: dict[str, Any] = {"n_disjuncts": len(full.disjuncts)}
     if plan.estimator is None:
-        count, sum_ = indep_contribution_rows(query, local_view, post_values)
+        count, sum_ = indep_contribution_rows(query, local_view, scope)
         meta.update(variant=Variant.INDEP, backdoor_set=())
     else:
         local = replace(
             full,
             view=local_view,
             scope_mask=scope,
-            post_values=post_values,
             # block labels are full-view merge carriers, not contribution inputs
             block_of_row=np.empty(0, dtype=int),
             kernels=None,

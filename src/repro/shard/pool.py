@@ -53,7 +53,7 @@ from ..relational.columnar import (
 )
 from ..relational.database import Database
 from ..relational.relation import Relation
-from ..service.fingerprint import PlanDealer
+from ..service.fingerprint import PlanDealer, PlanFingerprint, fingerprint_query
 from ..service.session import HypeRService
 from .partition import ShardPlan
 from .shm import (
@@ -382,7 +382,7 @@ class ShardPool:
         self._force_inline = bool(inline)
         self._start_method = start_method
         self._io_lock = threading.Lock()
-        self._dealer = PlanDealer(config)
+        self._dealer = PlanDealer()
         self._task_counter = 0
         self.n_broadcasts = 0
         self.n_updates = 0
@@ -780,10 +780,20 @@ class ShardPool:
                 )
 
     def run_query(
-        self, query: WhatIfQuery | HowToQuery, *, exhaustive: bool = False
+        self,
+        query: WhatIfQuery | HowToQuery,
+        *,
+        exhaustive: bool = False,
+        fingerprint: PlanFingerprint | None = None,
     ) -> "WhatIfResult | HowToResult":
-        """Answer one query whole, on the worker its plan is homed on."""
-        (home,) = self._dealer.deal([query], range(self.n_shards))
+        """Answer one query whole, on the worker its plan is homed on.
+
+        ``fingerprint`` is the one a service already took of ``query`` (any
+        generation's: the dealer reads its ``home_key``); taken here without.
+        """
+        if fingerprint is None:
+            fingerprint = fingerprint_query(query, self.config)
+        (home,) = self._dealer.deal([fingerprint], range(self.n_shards))
         with obs_trace.span("shard.broadcast", shards=1) as bspan:
             result = self._run_on_one("full", (query, exhaustive), home)
             if bspan is not None:
@@ -796,13 +806,16 @@ class ShardPool:
         queries: Sequence[WhatIfQuery | HowToQuery | Exception],
         *,
         return_errors: bool = False,
+        fingerprints: Sequence[PlanFingerprint] | None = None,
     ) -> list[Any]:
         """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
         Every query, what-if or how-to, is dealt to a worker by plan
         (:meth:`PlanDealer.deal <repro.service.fingerprint.PlanDealer.deal>` —
         a plan's queries go to the worker that has it fitted, so a commit
-        costs one refit per plan, not one per plan and worker), and each
+        costs one refit per plan, not one per plan and worker) by the
+        ``fingerprints`` a service already took (aligned with ``queries``;
+        taken here without them), and each
         worker's service answers its share from the full zero-copy snapshot
         it already holds, through its warm plan caches.  One task message and
         one result message per worker cover the whole suite, each query's
@@ -825,8 +838,12 @@ class ShardPool:
                 [] for _ in range(self.n_shards)
             ]
             per_worker_slots: list[list[int]] = [[] for _ in range(self.n_shards)]
+            if fingerprints is None:
+                fingerprints = {
+                    index: fingerprint_query(query, self.config) for index, query in entries
+                }
             dealt = self._dealer.deal(
-                [query for _index, query in entries], range(self.n_shards)
+                [fingerprints[index] for index, _query in entries], range(self.n_shards)
             )
             for worker, (index, query) in zip(dealt, entries):
                 per_worker_tasks[worker].append(("full", (query, False)))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.causal import CausalDAG, CausalEdge, GroundCausalGraph, GroundVariable
+from repro.causal import CausalDAG, CausalEdge
+from repro.causal.ground_graph import GroundCausalGraph, GroundVariable
 from repro.exceptions import CausalModelError
 
 

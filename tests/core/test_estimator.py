@@ -354,7 +354,9 @@ class TestSharedTrainingDesign:
         n = len(estimator.view)
         post, idx = {"B": np.full(n, 0.5)}, np.arange(n)
         assert np.array_equal(
-            clone.predict_rows(clone.regressor_for("y", lambda: y), clone.view, post, idx),
-            estimator.predict_rows(fitted, estimator.view, post, idx),
+            clone.predict_rows(
+                clone.regressor_for("y", lambda: y), clone.view, clone.encode_updates(post), idx
+            ),
+            estimator.predict_rows(fitted, estimator.view, estimator.encode_updates(post), idx),
         )
         assert clone.regressor_cache_stats["fits"] == 1  # the fitted regressor travelled

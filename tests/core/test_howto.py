@@ -527,12 +527,13 @@ def small_config(regressor):
     return EngineConfig(regressor=regressor, n_forest_trees=3, max_tree_depth=3)
 
 
-def german_how_to(german, attributes, aggregate, shape):
+def german_how_to(german, attributes, aggregate, shape, when=TRUE):
     return HowToQuery(
         use=german.default_use,
         update_attributes=list(attributes),
         objective_attribute="Credit",
         objective_aggregate=aggregate,
+        when=when,
         for_clause=FOR_SHAPES[shape],
         candidate_buckets=3,
         candidate_multipliers=(1.1,),
@@ -586,6 +587,18 @@ class TestCandidateIsAWhatIf:
     @pytest.mark.parametrize("attributes", [("Status",), ("Status", "Savings")])
     def test_german_linear(self, german, attributes, aggregate, shape):
         query = german_how_to(german, attributes, aggregate, shape)
+        self.assert_every_candidate_is_a_what_if(
+            german, query, small_config("linear"), inject=False
+        )
+
+    @pytest.mark.parametrize("shape", ["one", "three"])
+    @pytest.mark.parametrize("aggregate", ["count", "sum", "avg"])
+    def test_german_under_a_when_clause(self, german, aggregate, shape):
+        # only the tuples in scope are updated: a candidate applies its
+        # function at the in-scope rows of each term, its what-if likewise
+        query = german_how_to(
+            german, ("Status", "Savings"), aggregate, shape, when=pre("Age") >= 35
+        )
         self.assert_every_candidate_is_a_what_if(
             german, query, small_config("linear"), inject=False
         )

@@ -1,5 +1,6 @@
 """Tests for what-if query evaluation (the core of the paper)."""
 
+import itertools
 import pickle
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
 from repro.relational import TRUE, UseSpec, col, post, pre
 from repro.relational.columnar import KernelCache, fused_mask_aggregate
+from repro.relational.predicates import evaluate_mask
 
 from .linear_fixture import make_linear_dataset, true_mean_y_under_do_b
 
@@ -330,6 +332,25 @@ WARM_TEMPLATES = (
     "OUTPUT AVG(POST(Credit)) FOR POST(Credit) = 1",
 )
 N_VARIANTS = 40
+#: shapes the kernel treats differently: a term's rows, the number and sign of
+#: its inclusion–exclusion terms, which contributions the aggregate reads, and
+#: how the update function is applied at a term's rows
+KERNEL_LAW_TEMPLATES = {
+    "partial-when": "USE Credit WHEN Age >= 30 UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT AVG(POST(Credit)) FOR POST(Credit) = 1",
+    "empty-idx": "USE Credit WHEN Age >= 60 UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT SUM(POST(Credit)) FOR PRE(Age) < 30 OR POST(Credit) = 1",
+    "three-disjuncts": "USE Credit WHEN Sex = 1 UPDATE(Status) = {c} * PRE(Status) "
+    "OUTPUT AVG(POST(CreditAmount)) FOR POST(Credit) = 1 "
+    "OR (PRE(Age) >= 40 AND POST(Credit) = 0) OR PRE(Housing) >= 2",
+    "count": "USE Credit UPDATE(Savings) = {c} * PRE(Savings) "
+    "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1 AND PRE(Age) >= 40",
+    "sum-add": "USE Credit WHEN Age < 50 UPDATE(CreditAmount) = {c} + PRE(CreditAmount) "
+    "OUTPUT SUM(POST(Credit)) FOR PRE(Housing) >= 2",
+    "set": "USE Credit UPDATE(Status) = {c} OUTPUT AVG(POST(Credit))",
+    "object-update": "USE Product WITH AVG(Review.Rating) AS Rtng WHEN Category = 'Laptop' "
+    "UPDATE(Color) = '{s}' OUTPUT AVG(POST(Rtng)) FOR POST(Rtng) >= 3 OR PRE(Price) >= 500",
+}
 
 
 def eager_block_summary(aggregate, count, sum_, block_of_row, n_blocks, scope):
@@ -476,14 +497,18 @@ class TestWarmEqualsCold:
             np.sort(rng.choice(n, size=size, replace=False)) for size in (1, 2, 17, n // 2, n - 1)
         ]
         kernels = RecordingKernelCache()
+
+        def updated(idx):
+            return estimator.encode_updates({a: v[idx] for a, v in post_values.items()})
+
         for fitted in (count, total):
-            full = estimator.predict_rows(fitted, view, post_values, subsets[0])
+            full = estimator.predict_rows(fitted, view, updated(subsets[0]), subsets[0])
             for k, idx in enumerate(subsets):
-                fresh = estimator.predict_rows(fitted, view, post_values, idx)
+                fresh = estimator.predict_rows(fitted, view, updated(idx), idx)
                 assert np.array_equal(fresh, full[idx])
                 for _ in range(2):  # building the cached piece, then reading it
                     warm = estimator.predict_rows(
-                        fitted, view, post_values, idx, kernels=kernels, idx_token=("rows", k)
+                        fitted, view, updated(idx), idx, kernels=kernels, idx_token=("rows", k)
                     )
                     assert np.array_equal(warm, full[idx])
             if regressor != "forest":
@@ -522,6 +547,67 @@ class TestWarmEqualsCold:
             engine.evaluate(query, prepared=prepared, estimator=estimator)
         kinds = {key[0] for key in kernels.keys}
         assert "base" in kinds and "backdoor_block" not in kinds
+
+    @pytest.mark.parametrize("backend", ["columnar", "rows"])
+    @pytest.mark.parametrize("shape", list(KERNEL_LAW_TEMPLATES))
+    def test_a_warm_variant_is_the_cold_answer(self, german, backend, shape):
+        # the second and third variants of a plan run the kernel-cache path:
+        # pre values, bases and index sets per plan, f at each term's rows
+        template = KERNEL_LAW_TEMPLATES[shape]
+        amazon = shape == "object-update"
+        data = make_amazon_syn(150, seed=4) if amazon else german
+        config = EngineConfig(regressor="linear", backend=backend)
+        service = HypeRService(data.database, data.causal_dag, config, result_cache_size=0)
+        cold = HypeR(data.database, data.causal_dag, config)
+        try:
+            for k, c in enumerate((0.8, 1.3, 2.0)):
+                query = parse_query(template.format(c=c, s=("Red", "Blue", "Silver")[k]))
+                warm, fresh = service.execute(query), cold.what_if(query)
+                assert_same_answer(warm, fresh)
+                # read lazily, after the answer is out: the same blocks
+                assert list(warm.block_contributions) == list(fresh.block_contributions)
+            (kernels,) = service.caches.kernels.values()
+            assert kernels.hits > 0
+            for entry in kernels._entries.values():  # every cached array is read-only
+                if isinstance(entry, np.ndarray) and entry.size:
+                    with pytest.raises(ValueError):
+                        entry[0] = entry[0]
+            # and the answers it gave did not write into it
+            again = service.execute(query)
+            assert_same_answer(again, fresh)
+        finally:
+            service.close()
+
+    def test_inclusion_exclusion_is_the_formula(self, german):
+        # Section A.2.3 written out per row from the estimator's public form
+        # (Equation 1 over whole post columns), against the kernel that works
+        # at each term's rows: base, then one signed term per disjunct subset
+        engine = WhatIfEngine(german.database, german.causal_dag, EngineConfig(regressor="linear"))
+        query = parse_query(KERNEL_LAW_TEMPLATES["three-disjuncts"].format(c=1.3))
+        prepared = engine.prepare(query)
+        estimator = engine.build_estimator(query, prepared)
+        count, sum_ = causal_contribution_rows(query, prepared, estimator)
+        view, scope = prepared.view, prepared.scope_mask
+        status = np.asarray(view.column_view("Status"), dtype=float)
+        post_values = {"Status": np.where(scope, 1.3 * status, status)}
+        pre = [evaluate_mask(d.pre, view) for d in prepared.disjuncts]
+        post = [evaluate_mask(d.post, view) for d in prepared.disjuncts]
+        output = whatif_module.numeric_output_column(view, "CreditAmount")
+        qualifies = np.logical_or.reduce([p & q for p, q in zip(pre, post)])
+        want_count = np.where(scope, 0.0, qualifies.astype(float))
+        want_sum = np.where(scope | ~qualifies, 0.0, output)
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(range(3), size):
+                sign = 1.0 if size % 2 else -1.0
+                rows = np.logical_and.reduce([scope] + [pre[k] for k in subset])
+                target = np.logical_and.reduce([post[k] for k in subset]).astype(float)
+                prob = estimator.counterfactual_mean(target, rows, post_values)
+                want_count[rows] += sign * np.clip(prob[rows], 0.0, 1.0)
+                total = estimator.counterfactual_mean(output * target, rows, post_values)
+                want_sum[rows] += sign * total[rows]
+        assert np.allclose(count, np.clip(want_count, 0.0, 1.0), rtol=1e-12, atol=1e-12)
+        assert np.allclose(sum_, want_sum, rtol=1e-12, atol=1e-9)
+        assert 0 < scope.sum() < len(scope) and (count > 0).sum() > (~scope).sum() / 4
 
     def test_commit_between_variants_is_not_served_old_rows(self):
         # Two relations, one committed: the service evicts by relation tag and

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.causal import CausalDAG, CausalEdge, GroundCausalGraph
+from repro.causal import CausalDAG, CausalEdge
+from repro.causal.ground_graph import GroundCausalGraph
 from repro.exceptions import CausalModelError
 from repro.probdb import decompose_into_blocks
 

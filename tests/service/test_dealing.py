@@ -18,7 +18,7 @@ from repro.datasets import make_german_syn
 from repro.lang import parse_query
 from repro.obs import trace as obs_trace
 from repro.service import fingerprint as fingerprint_module
-from repro.service.fingerprint import PlanDealer
+from repro.service.fingerprint import PlanDealer, fingerprint_query
 from repro.shard import ShardPool, partition_database
 
 CONFIG = EngineConfig(regressor="linear")
@@ -53,8 +53,14 @@ def plan_of(text: str) -> int:
     return next(i for i, t in enumerate(TEMPLATES) if text.startswith(t[:24]))
 
 
-def deal(dealer: PlanDealer, texts: list[str], workers) -> list[int]:
-    return dealer.deal([parse_query(text) for text in texts], workers)
+def deal(dealer: PlanDealer, texts: list[str], workers, generation=0) -> list[int]:
+    return dealer.deal(
+        [
+            fingerprint_query(parse_query(text), CONFIG, generation=generation)
+            for text in texts
+        ],
+        workers,
+    )
 
 
 def homes(texts: list[str], dealt: list[int]) -> dict[int, set[int]]:
@@ -66,23 +72,46 @@ def homes(texts: list[str], dealt: list[int]) -> dict[int, set[int]]:
 
 class TestDealingRule:
     def test_a_plan_keeps_its_worker_from_batch_to_batch(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         first = batch(4)
         placed = homes(first, deal(dealer, first, range(2)))
         assert all(len(workers) == 1 for workers in placed.values())
-        for seed in range(5):  # other constants, other orders, other sizes
+        for seed in range(5):  # other constants, orders, sizes and generations
             texts = batch(2 + seed % 3, shuffle=seed)
-            assert homes(texts, deal(dealer, texts, range(2))) == placed
+            assert homes(texts, deal(dealer, texts, range(2), generation=seed)) == placed
+
+    def test_a_plan_is_homed_by_its_fingerprint_at_any_generation_and_dag(self, dataset):
+        # the service's fingerprints embed its generation vector and DAG
+        # identity; the dealer reads neither, so a plan's home does not move
+        query = parse_query(batch(1)[0])
+        service = HypeRService(dataset.database, dataset.causal_dag, CONFIG)
+        try:
+            served = service.fingerprint(query)
+        finally:
+            service.close()
+        fingerprints = [
+            fingerprint_query(query, CONFIG),
+            fingerprint_query(query, CONFIG, generation=(("Credit", 7),), dag=dataset.causal_dag),
+            served,
+        ]
+        assert len({f.estimator_key for f in fingerprints}) == 3
+        assert len({f.home_key for f in fingerprints}) == 1
+        other = fingerprint_query(parse_query(batch(1, plans=[1])[0]), CONFIG)
+        assert other.home_key != fingerprints[0].home_key
+        dealer = PlanDealer()
+        assert dealer.deal([other, fingerprints[0]], range(2)) == [0, 1]
+        for fingerprint in fingerprints:
+            assert dealer.deal([fingerprint, other], range(2)) == [1, 0]
 
     def test_four_plans_of_four_on_two_workers_split_evenly(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         texts = batch(4, shuffle=1)
         dealt = deal(dealer, texts, range(2))
         assert Counter(dealt) == {0: 8, 1: 8}
         assert all(len(w) == 1 for w in homes(texts, dealt).values())
 
     def test_four_plans_of_two_on_three_nodes_stay_under_the_bound_without_churn(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         bound = math.ceil(fingerprint_module._BOUNDED_LOAD * math.ceil(8 / 3))
         placed = None
         for seed in range(20):
@@ -95,13 +124,13 @@ class TestDealingRule:
             assert homes(texts, dealt) == placed  # no plan ever moved
 
     def test_a_one_plan_sweep_uses_every_worker(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         texts = batch(16, plans=[0])
         assert Counter(deal(dealer, texts, range(2))) == {0: 8, 1: 8}
         assert Counter(deal(dealer, texts[:9], range(3))) == {0: 3, 1: 3, 2: 3}
 
     def test_an_overloaded_home_sheds_a_plan_for_good(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         deal(dealer, batch(1), range(2))  # homes: plans 0, 2 -> 0 and 1, 3 -> 1
         # worker 0 would carry 6 + 6 of 16, above 1.25 x 8: plan 2 leaves
         texts = batch(6, plans=[0, 2]) + batch(2, plans=[1, 3])
@@ -111,7 +140,7 @@ class TestDealingRule:
         assert homes(again, deal(dealer, again, range(2)))[2] == {1}
 
     def test_an_unhealthy_home_rehomes_and_does_not_move_back(self):
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         texts = batch(2)
         before = homes(texts, deal(dealer, texts, [0, 1, 2]))
         at_zero = {plan for plan, workers in before.items() if workers == {0}}
@@ -126,13 +155,13 @@ class TestDealingRule:
         calls = [(batch(2, shuffle=s), [0, 1, 2] if s % 3 else [0, 2]) for s in range(12)]
         runs = []
         for _ in range(2):
-            dealer = PlanDealer(CONFIG)
+            dealer = PlanDealer()
             runs.append([deal(dealer, texts, workers) for texts, workers in calls])
         assert runs[0] == runs[1]
 
     def test_the_home_map_is_bounded(self, monkeypatch):
         monkeypatch.setattr(fingerprint_module, "_MAX_HOMES", 2)
-        dealer = PlanDealer(CONFIG)
+        dealer = PlanDealer()
         deal(dealer, batch(1), range(2))
         assert len(dealer._homes) == 2
         assert deal(dealer, [], range(2)) == []
@@ -174,6 +203,9 @@ class TestThroughThePool:
         investment = [float(v) for v in dataset.database["Credit"].column("Investment")]
         try:
             service.execute_many(batch(4))
+            # dealt by the service's own fingerprints, one home per plan
+            homes_before = dict(service._pool._dealer._homes)
+            assert len(homes_before) == 4
             per_commit = []
             for commit in range(2):
                 column = [min(5.0, v + commit + 1) for v in investment]
@@ -192,6 +224,8 @@ class TestThroughThePool:
                 with obs_trace.activate(trace):
                     service.execute_many(batch(4, shuffle=10 + commit, base=0.9))
                 assert sum(worker_builds(trace).values()) == 0
+                # a commit moves the generation, not a plan's home
+                assert dict(service._pool._dealer._homes) == homes_before
             # four plans, four builds (eight when positions were dealt), and
             # each plan refits on the worker it lived on before the commit
             assert per_commit == [Counter({0: 2, 1: 2})] * 2
