@@ -3,8 +3,9 @@
 A :class:`ShardServer` wraps a full :class:`~repro.service.session.HypeRService`
 (every node holds the complete database snapshot) and keeps its last
 ``retained_generations`` generations pinned in that service's MVCC version
-store, so the node keeps answering at a generation its service has already
-left.  The service is the node's only engine.
+store (:meth:`~repro.service.session.HypeRService.retain` / ``release``), so
+the node keeps answering at a generation its service has already left.  The
+service is the node's only engine.
 
 :class:`ShardServerApp` mounts the public endpoint table plus the node's two
 internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
@@ -132,7 +133,7 @@ class ShardServer:
         )
         self._lock = threading.Lock()
         #: the retained generations' snapshots, oldest first, each pinned once
-        self._pins: list[Snapshot] = [self.service.versions.acquire()]
+        self._pins: list[Snapshot] = [self.service.retain()]
         #: (generation, database) staged by phase one of a commit
         self._staged: tuple[int, Database] | None = None
         #: (generation, shard) of the lazily built kind="whatif" slice
@@ -199,10 +200,9 @@ class ShardServer:
         """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
-        versions = self.service.versions
         try:
             # the leg's own pin: ``generation`` stays live until its last answer
-            snapshot = versions.acquire(generation)
+            snapshot = self.service.retain(generation)
         except LookupError:
             raise _stale_generation(generation, self.pinned_generations()) from None
         answers = []
@@ -226,7 +226,7 @@ class ShardServer:
                     )
                     answers.append(encode(outcome))
         finally:
-            versions.release(snapshot)
+            self.service.release(snapshot)
         body: dict[str, Any] = {
             "api_version": API_VERSION,
             "kind": "answers",
@@ -305,11 +305,10 @@ class ShardServer:
                 raise _stale_generation(
                     generation, [snapshot.generation for snapshot in self._pins]
                 )
-            versions = self.service.versions
             commit = self.service.update_database(staged[1])
-            self._pins.append(versions.acquire(commit.generation))
+            self._pins.append(self.service.retain(commit.generation))
             while len(self._pins) > self.retained_generations:
-                versions.release(self._pins.pop(0))
+                self.service.release(self._pins.pop(0))
             return commit
 
     def close(self) -> None:

@@ -26,7 +26,9 @@ class ColumnEncoder:
 
     Fitting and transforming go through :class:`~repro.relational.columnar.Column`
     so whole-column ndarray inputs (the columnar backend's representation) are
-    encoded without per-value Python loops.
+    encoded without per-value Python loops.  The null step is conditional: a
+    column without nulls is averaged in place and copied once, and a returned
+    block never shares memory with the caller's values.
     """
 
     name: str
@@ -37,12 +39,11 @@ class ColumnEncoder:
     @classmethod
     def fit(cls, name: str, values: Sequence[Any]) -> "ColumnEncoder":
         column = Column.from_values(values)
-        if len(column) == 0 or not column.valid.any():
+        if len(column) == 0 or column.null.all():
             raise EstimationError(f"column {name!r} has no non-null values to encode")
         if column.is_numeric:
-            observed = column.data[column.valid]
-            fill = float(observed.mean()) if observed.size else 0.0
-            return cls(name=name, numeric=True, fill_value=fill)
+            observed = column.data[column.valid] if column.has_nulls else column.data
+            return cls(name=name, numeric=True, fill_value=float(observed.mean()))
         categories = tuple(sorted({str(v) for v in column.data[column.valid]}))
         return cls(name=name, numeric=False, categories=categories)
 
@@ -61,7 +62,10 @@ class ColumnEncoder:
         n = len(column)
         if self.numeric:
             if column.is_numeric:
-                return np.where(column.null, self.fill_value, column.data).reshape(n, 1)
+                out = column.data.reshape(n, 1).copy()
+                if column.has_nulls:
+                    out[column.null, 0] = self.fill_value
+                return out
             # Mixed content hitting a numeric encoder: reference per-value loop
             # (float() raises for non-numeric values exactly as it used to).
             out = np.empty((n, 1))
@@ -91,11 +95,12 @@ class ColumnEncoder:
 
     def transform_into(self, values: Sequence[Any], out: np.ndarray) -> None:
         """:meth:`transform` written into ``out``, this encoder's columns of a design
-        (a numeric column straight in: one copy, a fill at its null rows)."""
+        (a numeric column straight in: one copy, a fill at its null rows if any)."""
         column = Column.from_values(values) if self.numeric else None
         if column is not None and column.is_numeric:
             np.copyto(out[:, 0], column.data)
-            out[column.null, 0] = self.fill_value
+            if column.has_nulls:
+                out[column.null, 0] = self.fill_value
         else:
             out[...] = self.transform(values)
 
@@ -155,13 +160,15 @@ class FeatureEncoder:
         """The design matrix of ``columns`` behind a leading column of ones.
 
         Each attribute's block is encoded straight into its columns of one
-        ``(n, 1 + width)`` array, the intercept's ones in place: what a linear
-        fit hands to its solver, and ``[:, 1:]`` of it what a forest trains on.
+        column-major ``(n, 1 + width)`` array, the intercept's ones in place:
+        what a linear fit hands to its solver, and ``[:, 1:]`` of it what a
+        forest trains on.  Column-major makes each block one contiguous write
+        (row-major, every value is a store ``1 + width`` floats from the last).
         """
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise EstimationError("all columns must have the same length")
-        out = np.empty((lengths.pop() if lengths else 0, 1 + self.width))
+        out = np.empty((lengths.pop() if lengths else 0, 1 + self.width), order="F")
         out[:, 0] = 1.0
         for attr, offset in self.offsets.items():
             encoder = self.encoders[attr]

@@ -325,16 +325,18 @@ class Relation:
         return self.take(sorted(idx.tolist()))
 
     def project(self, attributes: Iterable[str], name: str | None = None) -> "Relation":
-        """Project onto ``attributes`` (key attributes must be retained)."""
+        """Project onto ``attributes`` (key attributes must be retained; columns shared).
+
+        On the columnar backend the typed columns are this relation's own,
+        built once here, so every projection of it reads the same ones.
+        """
         keep = list(attributes)
         schema = self.schema.project(keep, name=name)
-        columns = {a: self._columns[a].copy() for a in keep}
-        colstore = None
-        if self._colstore is not None:
-            colstore = ColumnStore(
-                {a: self._colstore.columns[a] for a in keep}, self._colstore.length
-            )
-        return self._derive(schema, columns, colstore)
+        columns = {a: self._columns[a] for a in keep}
+        store = self.columnar_store() if self.is_columnar else self._colstore
+        if store is not None:
+            store = ColumnStore({a: store.columns[a] for a in keep}, store.length)
+        return Relation._assemble(schema, self.backend, columns, self._length, store)
 
     def with_column(
         self,

@@ -64,7 +64,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
 
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
@@ -92,7 +92,7 @@ from .fingerprint import (
     use_key,
     use_relations,
 )
-from .versions import Commit, VersionStore
+from .versions import Commit, Snapshot, VersionStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..shard.pool import ShardPool
@@ -439,24 +439,34 @@ class HypeRService(ServingCounters):
         """The latest committed engine state (unpinned peek).
 
         Queries must not read this repeatedly — they pin a snapshot once via
-        :meth:`_pin_snapshot` and pass the pinned state explicitly, which is
+        :meth:`pinned` and pass the pinned state explicitly, which is
         what makes every answer attributable to exactly one committed
         generation.
         """
         return self.versions.latest.state
 
-    @contextmanager
-    def _pin_snapshot(self, generation: int | None = None):
+    def retain(self, generation: int | None = None) -> Snapshot:
         """Pin the latest committed snapshot — or the named live ``generation``
-        (:class:`LookupError` otherwise) — for one query's whole execution."""
+        (:class:`LookupError` otherwise) — until :meth:`release`; the
+        generation stays answerable (``execute(..., generation=g)``) meanwhile."""
+        return self.versions.acquire(generation)
+
+    def release(self, snapshot: Snapshot) -> None:
+        """Unpin a snapshot :meth:`retain` returned."""
+        self.versions.release(snapshot)
+
+    @contextmanager
+    def pinned(self, generation: int | None = None) -> Iterator[_EngineState]:
+        """:meth:`retain` for the block's duration (one query's whole execution),
+        yielding the pinned engine state."""
         with obs_trace.span("snapshot.pin") as pin_span:
-            snapshot = self.versions.acquire(generation)
+            snapshot = self.retain(generation)
             if pin_span is not None:
                 pin_span.meta["generation"] = snapshot.generation
         try:
             yield snapshot.state
         finally:
-            self.versions.release(snapshot)
+            self.release(snapshot)
 
     @property
     def database(self) -> Database:
@@ -552,12 +562,12 @@ class HypeRService(ServingCounters):
         """
         if isinstance(query, (list, tuple)):
             plans: list[PreparedPlan] = []
-            with self._pin_snapshot():
+            with self.pinned():
                 for entry in query:
                     plans.append(self.prepare(entry))
             return plans
         parsed = self._as_query(query)
-        with self._pin_snapshot() as state:
+        with self.pinned() as state:
             fingerprint = self._fingerprint(state, parsed)
             if isinstance(parsed, WhatIfQuery):
                 # exactly what the first execute builds, kernel entry included
@@ -600,7 +610,7 @@ class HypeRService(ServingCounters):
             with obs_trace.span("parse"):
                 parsed = self._as_query(query)
             self._m_queries.inc()
-            with self._track("query"), self._pin_snapshot(generation) as state:
+            with self._track("query"), self.pinned(generation) as state:
                 started = time.perf_counter()
                 # taken once: the result key and the plan caches both read it
                 with obs_trace.span("fingerprint"):
@@ -766,7 +776,7 @@ class HypeRService(ServingCounters):
             sum(1 for query in parsed if not isinstance(query, Exception))
         )
         results: list[Result | Exception] = list(parsed)
-        with self._pin_snapshot() as state:
+        with self.pinned() as state:
             # Serve result-cache hits first; only misses cross the pool.
             misses: list[tuple[int, Query, PlanFingerprint, Hashable]] = []
             for index, query in enumerate(parsed):

@@ -256,8 +256,9 @@ def kinds_view(backend: str, n: int = 240, seed: int = 5) -> Relation:
 
 
 def parent_fit(estimator: PostUpdateEstimator, target: np.ndarray):
-    """``_fit_fresh`` of the parent commit: every regressor copies its training
-    columns, fits its own encoder, stacks its own matrix and fits on it."""
+    """A per-regressor fit: every regressor copies its training columns, fits
+    its own encoder, stacks its own matrix and fits on it — a linear model on
+    the column-major design behind a ones column, as the estimator's is."""
     train = estimator._train_indices
     columns = {a: estimator.view.column_view(a)[train] for a in estimator.feature_attributes}
     encoder = FeatureEncoder.fit_columns(columns)
@@ -268,7 +269,11 @@ def parent_fit(estimator: PostUpdateEstimator, target: np.ndarray):
     model = make_regressor(
         config.regressor, random_state=config.random_state, **config.regressor_params()
     )
-    return features, model.fit(features, np.asarray(target, dtype=float)[train])
+    y = np.asarray(target, dtype=float)[train]
+    if config.regressor == "forest":
+        return features, model.fit(features, y)
+    design = np.asfortranarray(np.hstack([np.ones((len(features), 1)), features]))
+    return features, model.fit_design(design, y)
 
 
 FIT_CONFIGS = [
@@ -313,6 +318,21 @@ class TestSharedTrainingDesign:
                 assert model.intercept == oracle.intercept
             assert regressor_._encoder is estimator._encoder  # one per estimator
         assert estimator.regressor_cache_stats["fits"] == len(targets)
+
+    @pytest.mark.parametrize("backend", ["columnar", "rows"])
+    @pytest.mark.parametrize("sample_size", [None, 90])
+    def test_the_design_is_column_major_and_each_block_its_transform(self, backend, sample_size):
+        estimator = self._estimator(backend, sample_size=sample_size)
+        y = np.asarray(estimator.view.column_view("Y"), dtype=float)
+        estimator.regressor_for("y", lambda: y)
+        design, encoder = estimator._design, estimator._encoder
+        assert design.flags.f_contiguous and (design[:, 0] == 1.0).all()
+        train = estimator._train_indices
+        for attribute, offset in encoder.offsets.items():
+            column_encoder = encoder.encoders[attribute]
+            block = design[:, 1 + offset : 1 + offset + column_encoder.width]
+            expected = column_encoder.transform(estimator.view.column_view(attribute)[train])
+            assert block.flags.f_contiguous and np.array_equal(block, expected)
 
     def test_whole_view_training_reads_the_columns_without_copying(self):
         estimator = self._estimator("columnar")

@@ -1,5 +1,7 @@
 """Tests for feature encoders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,83 @@ class TestColumnEncoder:
             [1.0, 0.0, 0.0],
             [0.0, 1.0, 0.0],
         ]
+
+
+def _is_null(value):
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+# Dyadic values: every sum below is exact, so the expected means are exact in
+# any summation order and the comparisons can be bitwise.
+NUMERIC_COLUMNS = {
+    "float": np.array([0.5, 1.25, 3.0, -2.75, 8.0]),
+    "float-nan": np.array([0.5, np.nan, 3.0, np.nan, 8.5]),
+    "none": [1.0, None, 2.5, None, 4.5],
+    "int-array": np.array([1, 2, 3, 6]),
+    "int-list": [1, 2, 3, 6],
+    "object-numeric": np.array([1, 2.5, None, 4.5], dtype=object),
+}
+CATEGORICAL_COLUMNS = {
+    "list": ["b", "a", None, "c", "a"],
+    "object-array": np.array(["b", "a", None, "c", "a"], dtype=object),
+}
+
+
+def _expect_numeric(values):
+    observed = [float(v) for v in values if not _is_null(v)]
+    fill = sum(observed) / len(observed)
+    return fill, np.array([[fill if _is_null(v) else float(v)] for v in values])
+
+
+def _expect_one_hot(values):
+    categories = tuple(sorted({v for v in values if v is not None}))
+    block = np.array([[1.0 if v == c else 0.0 for c in categories] for v in values])
+    return categories, block
+
+
+def _assert_block(encoder, values, expected):
+    """``transform`` and ``transform_into`` both give ``expected``, bit for bit,
+    and neither shares memory with, nor writes into, the caller's values."""
+    before = np.array(values, dtype=object)
+    block = encoder.transform(values)
+    assert block.shape == expected.shape and np.array_equal(block, expected)
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(block, values)
+    width = expected.shape[1]
+    design = np.full((len(expected), width + 2), -1.0, order="F")
+    encoder.transform_into(values, design[:, 1 : 1 + width])
+    assert np.array_equal(design[:, 1 : 1 + width], expected)
+    assert (design[:, 0] == -1.0).all() and (design[:, -1] == -1.0).all()
+    block[:] = 7.0
+    assert all(
+        (_is_null(a) and _is_null(b)) or a == b for a, b in zip(before, values)
+    )
+
+
+class TestNullAwareEncoding:
+    @pytest.mark.parametrize("values", NUMERIC_COLUMNS.values(), ids=NUMERIC_COLUMNS)
+    def test_numeric_fill_and_block(self, values):
+        fill, expected = _expect_numeric(values)
+        encoder = ColumnEncoder.fit("X", values)
+        assert encoder.numeric and encoder.fill_value == fill
+        _assert_block(encoder, values, expected)
+
+    @pytest.mark.parametrize("values", CATEGORICAL_COLUMNS.values(), ids=CATEGORICAL_COLUMNS)
+    def test_categorical_block(self, values):
+        categories, expected = _expect_one_hot(values)
+        encoder = ColumnEncoder.fit("C", values)
+        assert not encoder.numeric and encoder.categories == categories
+        _assert_block(encoder, values, expected)
+
+    def test_design_is_column_major_with_each_block_its_transform(self):
+        columns = {"X": NUMERIC_COLUMNS["float-nan"], "C": CATEGORICAL_COLUMNS["list"]}
+        encoder = FeatureEncoder.fit_columns(columns)
+        design = encoder.design(columns)
+        assert design.flags.f_contiguous and (design[:, 0] == 1.0).all()
+        for name, offset in encoder.offsets.items():
+            width = encoder.encoders[name].width
+            block = design[:, 1 + offset : 1 + offset + width]
+            assert np.array_equal(block, encoder.encoders[name].transform(columns[name]))
 
 
 class TestFeatureEncoder:

@@ -163,6 +163,19 @@ class TestTransformations:
         copied[0] = 99
         assert doubled.column_view("ID")[0] == relation.column_view("ID")[0] == 1
 
+    @pytest.mark.parametrize("backend", ["columnar", "rows"])
+    def test_project_shares_the_columns(self, relation, backend):
+        relation = relation.with_backend(backend)
+        store = relation.columnar_store()  # the rows backend builds one only when asked
+        projected = relation.project(["ID", "Price"])
+        for name in ("ID", "Price"):
+            assert projected.column_view(name) is relation.column_view(name)
+            assert projected.columnar_store()[name] is store[name]
+        # column() still hands out a copy, so a shared array is never written
+        copied = projected.column("Price")
+        copied[0] = 99.0
+        assert relation.column_view("Price")[0] == projected.column_view("Price")[0] == 10.0
+
     def test_with_column_wrong_length(self, relation):
         with pytest.raises(SchemaError):
             relation.with_column("Price", [1.0])
