@@ -9,8 +9,9 @@ stream of typed tokens; keywords are case-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from ..exceptions import QuerySyntaxError
 
@@ -57,11 +58,25 @@ KEYWORDS = {
     "null",
 }
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "==", "=", "<", ">", "*", "+", "-", "/")
+#: one match per token: the whitespace and ``--`` comments before it, then
+#: the token.  An upper-case group is the token type of its text; ``\n`` is
+#: matched alone so lines are counted, ``\Z`` absorbs trailing whitespace and
+#: ``bad`` takes any character no token starts with.  ``\d`` is a decimal
+#: digit, so ``float`` reads every number; a word must start with a letter
+#: or ``_``, which ``tokenize`` checks.
+_TOKEN = re.compile(
+    r"""(?:[^\S\n]+|--[^\n]*)*
+    (?:(?P<NUMBER>\d+\.?\d*|\.\d+)|(?P<word>\w+)
+      |(?P<OPERATOR><=|>=|!=|<>|==|[=<>*+\-/])
+      |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<DOT>\.)
+      |(?P<string>'[^']*'|"[^"]*")
+      |(?P<newline>\n)|(?P<end>\Z)|(?P<bad>.))""",
+    re.VERBOSE,
+)
+_TYPES = dict(TokenType.__members__)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position (for error messages)."""
 
     type: TokenType
@@ -79,79 +94,28 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`QuerySyntaxError` on illegal characters."""
+    new = tuple.__new__  # builds a Token without the Python frame of Token.__new__
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        value = text[start:end]
+        if kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            word_type = TokenType.KEYWORD if value.lower() in KEYWORDS else TokenType.IDENTIFIER
+            append(new(Token, (word_type, value, start, line)))
+        elif kind in _TYPES:
+            append(new(Token, (_TYPES[kind], value, start, line)))
+        elif kind == "newline":
             line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            # SQL-style line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenType.LPAREN, ch, i, line))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(TokenType.RPAREN, ch, i, line))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenType.COMMA, ch, i, line))
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            end = text.find(ch, i + 1)
-            if end == -1:
-                raise QuerySyntaxError("unterminated string literal", position=i, line=line)
-            tokens.append(Token(TokenType.STRING, text[i + 1 : end], i, line))
-            i = end + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(TokenType.NUMBER, text[i:j], i, line))
-            i = j
-            continue
-        matched_operator = None
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                matched_operator = op
-                break
-        if matched_operator is not None:
-            tokens.append(Token(TokenType.OPERATOR, matched_operator, i, line))
-            i += len(matched_operator)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            token_type = (
-                TokenType.KEYWORD if word.lower() in KEYWORDS else TokenType.IDENTIFIER
-            )
-            tokens.append(Token(token_type, word, i, line))
-            i = j
-            continue
-        if ch == ".":
-            tokens.append(Token(TokenType.DOT, ch, i, line))
-            i += 1
-            continue
-        raise QuerySyntaxError(f"illegal character {ch!r}", position=i, line=line)
-    tokens.append(Token(TokenType.EOF, "", n, line))
+        elif kind == "string":
+            append(new(Token, (TokenType.STRING, value[1:-1], start, line)))
+        elif kind == "end":
+            break
+        elif value in ("'", '"'):
+            raise QuerySyntaxError("unterminated string literal", position=start, line=line)
+        else:
+            raise QuerySyntaxError(f"illegal character {value[0]!r}", position=start, line=line)
+    append(new(Token, (TokenType.EOF, "", len(text), line)))
     return tokens

@@ -58,22 +58,30 @@ __all__ = ["parse_query", "parse_what_if", "parse_how_to"]
 _AGGREGATES = {"avg", "sum", "count"}
 
 
+def _error(token: Token, message: str) -> QuerySyntaxError:
+    """The syntax error ``message``, placed at ``token`` in the query text."""
+    return QuerySyntaxError(message, position=token.position, line=token.line)
+
+
 @dataclass
 class _Cursor:
     tokens: list[Token]
     index: int = 0
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        # the index never passes the closing EOF token; only a lookahead clamps
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.type is not TokenType.EOF:
             self.index += 1
         return token
 
     def check_keyword(self, *keywords: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.index]
         return token.type is TokenType.KEYWORD and token.lowered in keywords
 
     def match_keyword(self, *keywords: str) -> Token | None:
@@ -84,32 +92,20 @@ class _Cursor:
     def expect_keyword(self, keyword: str) -> Token:
         token = self.advance()
         if token.type is not TokenType.KEYWORD or token.lowered != keyword:
-            raise QuerySyntaxError(
-                f"expected keyword {keyword.upper()!r}, found {token.value!r}",
-                position=token.position,
-                line=token.line,
-            )
+            raise _error(token, f"expected keyword {keyword.upper()!r}, found {token.value!r}")
         return token
 
     def expect(self, token_type: TokenType, value: str | None = None) -> Token:
         token = self.advance()
         if token.type is not token_type or (value is not None and token.value != value):
             expected = value or token_type.name
-            raise QuerySyntaxError(
-                f"expected {expected!r}, found {token.value!r}",
-                position=token.position,
-                line=token.line,
-            )
+            raise _error(token, f"expected {expected!r}, found {token.value!r}")
         return token
 
     def expect_identifier(self) -> Token:
         token = self.advance()
         if token.type not in (TokenType.IDENTIFIER, TokenType.KEYWORD):
-            raise QuerySyntaxError(
-                f"expected an identifier, found {token.value!r}",
-                position=token.position,
-                line=token.line,
-            )
+            raise _error(token, f"expected an identifier, found {token.value!r}")
         return token
 
     @property
@@ -122,16 +118,27 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
+_HOW_TO_KEYWORDS = {"howtoupdate", "tomaximize", "tominimize"}
+
+
 def parse_query(text: str) -> WhatIfQuery | HowToQuery:
-    """Parse either flavour of HypeR query, dispatching on the operators present."""
-    lowered = text.lower()
-    if "howtoupdate" in lowered or "tomaximize" in lowered or "tominimize" in lowered:
-        return parse_how_to(text)
-    return parse_what_if(text)
+    """Parse either flavour of HypeR query: a how-to has a how-to keyword token."""
+    tokens = tokenize(text)
+    for token in tokens:
+        if token.type is TokenType.KEYWORD and token.lowered in _HOW_TO_KEYWORDS:
+            return _parse_how_to(_Cursor(tokens))
+    return _parse_what_if(_Cursor(tokens))
 
 
 def parse_what_if(text: str) -> WhatIfQuery:
-    cursor = _Cursor(tokenize(text))
+    return _parse_what_if(_Cursor(tokenize(text)))
+
+
+def parse_how_to(text: str) -> HowToQuery:
+    return _parse_how_to(_Cursor(tokenize(text)))
+
+
+def _parse_what_if(cursor: _Cursor) -> WhatIfQuery:
     use = _parse_use(cursor)
     when = _parse_optional_when(cursor)
     updates = _parse_updates(cursor)
@@ -148,8 +155,7 @@ def parse_what_if(text: str) -> WhatIfQuery:
     )
 
 
-def parse_how_to(text: str) -> HowToQuery:
-    cursor = _Cursor(tokenize(text))
+def _parse_how_to(cursor: _Cursor) -> HowToQuery:
     use = _parse_use(cursor)
     when = _parse_optional_when(cursor)
     cursor.expect_keyword("howtoupdate")
@@ -165,10 +171,8 @@ def parse_how_to(text: str) -> HowToQuery:
         "tomaximize",
         "tominimize",
     ):
-        raise QuerySyntaxError(
-            f"expected TOMAXIMIZE or TOMINIMIZE, found {maximize_token.value!r}",
-            position=maximize_token.position,
-            line=maximize_token.line,
+        raise _error(
+            maximize_token, f"expected TOMAXIMIZE or TOMINIMIZE, found {maximize_token.value!r}"
         )
     objective_attribute, objective_aggregate = _parse_aggregate_term(cursor)
     for_clause = _parse_optional_for(cursor)
@@ -188,11 +192,7 @@ def parse_how_to(text: str) -> HowToQuery:
 def _expect_end(cursor: _Cursor) -> None:
     if not cursor.at_end:
         token = cursor.peek()
-        raise QuerySyntaxError(
-            f"unexpected trailing input starting at {token.value!r}",
-            position=token.position,
-            line=token.line,
-        )
+        raise _error(token, f"unexpected trailing input starting at {token.value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +245,8 @@ def _parse_use(cursor: _Cursor) -> UseSpec:
 def _parse_aggregated_attribute(cursor: _Cursor) -> AggregatedAttribute:
     agg_token = cursor.advance()
     if agg_token.lowered not in _AGGREGATES:
-        raise QuerySyntaxError(
-            f"expected an aggregate (AVG/SUM/COUNT), found {agg_token.value!r}",
-            position=agg_token.position,
-            line=agg_token.line,
+        raise _error(
+            agg_token, f"expected an aggregate (AVG/SUM/COUNT), found {agg_token.value!r}"
         )
     cursor.expect(TokenType.LPAREN)
     relation = cursor.expect_identifier().value
@@ -298,12 +296,13 @@ def _parse_update_function(cursor: _Cursor, attribute: str):
             cursor.advance()
             cursor.expect_keyword("pre")
             cursor.expect(TokenType.LPAREN)
-            pre_attr = cursor.expect_identifier().value
+            pre_attr = cursor.expect_identifier()
             cursor.expect(TokenType.RPAREN)
-            if pre_attr != attribute:
-                raise QuerySyntaxError(
+            if pre_attr.value != attribute:
+                raise _error(
+                    pre_attr,
                     f"Update({attribute}) must reference Pre({attribute}), "
-                    f"found Pre({pre_attr})"
+                    f"found Pre({pre_attr.value})",
                 )
             return MultiplyBy(value) if operator.value == "*" else AddConstant(value)
         if value.is_integer():
@@ -315,11 +314,7 @@ def _parse_update_function(cursor: _Cursor, attribute: str):
     if token.type is TokenType.KEYWORD and token.lowered in ("true", "false"):
         cursor.advance()
         return SetTo(token.lowered == "true")
-    raise QuerySyntaxError(
-        f"unsupported update expression starting at {token.value!r}",
-        position=token.position,
-        line=token.line,
-    )
+    raise _error(token, f"unsupported update expression starting at {token.value!r}")
 
 
 def _parse_output(cursor: _Cursor, keyword: str) -> tuple[str, str]:
@@ -330,10 +325,8 @@ def _parse_output(cursor: _Cursor, keyword: str) -> tuple[str, str]:
 def _parse_aggregate_term(cursor: _Cursor) -> tuple[str, str]:
     agg_token = cursor.advance()
     if agg_token.lowered not in _AGGREGATES:
-        raise QuerySyntaxError(
-            f"expected an aggregate (AVG/SUM/COUNT), found {agg_token.value!r}",
-            position=agg_token.position,
-            line=agg_token.line,
+        raise _error(
+            agg_token, f"expected an aggregate (AVG/SUM/COUNT), found {agg_token.value!r}"
         )
     cursor.expect(TokenType.LPAREN)
     if cursor.match_keyword("post"):
@@ -367,22 +360,18 @@ def _parse_limit_condition(cursor: _Cursor) -> LimitConstraint:
         cursor.expect(TokenType.COMMA)
         cursor.expect_keyword("post")
         cursor.expect(TokenType.LPAREN)
-        post_attr = cursor.expect_identifier().value
+        post_attr = cursor.expect_identifier()
         cursor.expect(TokenType.RPAREN)
         cursor.expect(TokenType.RPAREN)
-        if post_attr != attribute:
-            raise QuerySyntaxError("L1 must compare Pre and Post of the same attribute")
-        op = cursor.expect(TokenType.OPERATOR).value
-        if op not in ("<=", "<"):
-            raise QuerySyntaxError(f"L1 constraints use '<=', found {op!r}")
+        if post_attr.value != attribute:
+            raise _error(post_attr, "L1 must compare Pre and Post of the same attribute")
+        _expect_upper_bound(cursor, "L1 constraints")
         bound = _parse_number(cursor)
         return LimitConstraint(attribute=attribute, max_l1=bound)
     # number <= POST(B) <= number   |   POST(B) <= number   |   POST(B) IN (...)
     if _at_number(cursor):
         lower = _parse_number(cursor)
-        op = cursor.expect(TokenType.OPERATOR).value
-        if op not in ("<=", "<"):
-            raise QuerySyntaxError(f"range limits use '<=', found {op!r}")
+        _expect_upper_bound(cursor, "range limits")
         attribute = _parse_post_reference(cursor)
         upper = None
         if cursor.peek().type is TokenType.OPERATOR and cursor.peek().value in ("<=", "<"):
@@ -400,13 +389,20 @@ def _parse_limit_condition(cursor: _Cursor) -> LimitConstraint:
             values.append(_parse_literal(cursor))
         cursor.expect(TokenType.RPAREN)
         return LimitConstraint(attribute=attribute, allowed_values=tuple(values))
-    op = cursor.expect(TokenType.OPERATOR).value
+    op = cursor.expect(TokenType.OPERATOR)
     bound = _parse_number(cursor)
-    if op in ("<=", "<"):
+    if op.value in ("<=", "<"):
         return LimitConstraint(attribute=attribute, upper=bound)
-    if op in (">=", ">"):
+    if op.value in (">=", ">"):
         return LimitConstraint(attribute=attribute, lower=bound)
-    raise QuerySyntaxError(f"unsupported limit operator {op!r}")
+    raise _error(op, f"unsupported limit operator {op.value!r}")
+
+
+def _expect_upper_bound(cursor: _Cursor, what: str) -> None:
+    """Consume the ``<=`` (or ``<``) of a ``what`` limit; any other operator is an error."""
+    op = cursor.expect(TokenType.OPERATOR)
+    if op.value not in ("<=", "<"):
+        raise _error(op, f"{what} use '<=', found {op.value!r}")
 
 
 def _parse_post_reference(cursor: _Cursor) -> str:
@@ -428,9 +424,7 @@ def _parse_literal(cursor: _Cursor):
         return token.lowered == "true"
     if token.type is TokenType.KEYWORD and token.lowered == "null":
         return None
-    raise QuerySyntaxError(
-        f"expected a literal, found {token.value!r}", position=token.position, line=token.line
-    )
+    raise _error(token, f"expected a literal, found {token.value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +492,7 @@ def _parse_comparison(cursor: _Cursor) -> Expr:
         cursor.expect(TokenType.RPAREN)
         return InSet(left, values)
     if token.type is not TokenType.OPERATOR:
-        raise QuerySyntaxError(
-            f"expected a comparison operator, found {token.value!r}",
-            position=token.position,
-            line=token.line,
-        )
+        raise _error(token, f"expected a comparison operator, found {token.value!r}")
     op = cursor.advance().value
     op = {"=": "==", "<>": "!="}.get(op, op)
     right = _parse_operand(cursor)
@@ -533,8 +523,4 @@ def _parse_operand(cursor: _Cursor) -> Expr:
     if token.type is TokenType.KEYWORD and token.lowered == "null":
         cursor.advance()
         return Const(None)
-    raise QuerySyntaxError(
-        f"unexpected token {token.value!r} in predicate",
-        position=token.position,
-        line=token.line,
-    )
+    raise _error(token, f"unexpected token {token.value!r} in predicate")

@@ -77,6 +77,28 @@ def test_bad_query_bodies_answer_their_envelope(door, path, raw, expected):
     assert envelope(send(door, "POST", path, raw)) == expected
 
 
+@pytest.mark.parametrize(
+    "text, offending",
+    [
+        pytest.param(
+            "USE Credit UPDATE(Status) = 2 * PRE(Age) OUTPUT AVG(POST(Credit))",
+            "Age",
+            id="pre-mismatch",
+        ),
+        # ``str.isdigit`` accepts ``²``; it is an illegal character, not a number
+        pytest.param(
+            "USE Credit UPDATE(Status) = ² * PRE(Status) OUTPUT AVG(POST(Credit))",
+            "²",
+            id="non-decimal-digit",
+        ),
+    ],
+)
+def test_a_syntax_error_envelope_carries_its_position(door, text, offending):
+    status, body = send(door, "POST", "/v1/query", json.dumps({"query": text}).encode())
+    assert (status, body["code"]) == (400, "query_syntax")
+    assert body["detail"] == {"position": text.index(offending), "line": 1}
+
+
 BAD_BATCH_BODIES = [
     pytest.param(json.dumps({"queries": "nope"}).encode(), id="queries-not-a-list"),
     pytest.param(json.dumps({"queries": ["a", 1]}).encode(), id="non-string-entry"),

@@ -156,6 +156,57 @@ class TestDispatch:
         assert isinstance(parse_query(FIGURE4_QUERY), WhatIfQuery)
         assert isinstance(parse_query(FIGURE5_QUERY), HowToQuery)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "USE Product WHEN Brand = 'tomaximize' "
+            "UPDATE(Price) = 2 * PRE(Price) OUTPUT AVG(POST(Rating))",
+            "USE Product -- unlike a HowToUpdate query\n"
+            "UPDATE(Price) = 2 * PRE(Price) OUTPUT AVG(POST(Rating))",
+        ],
+        ids=["string-literal", "comment"],
+    )
+    def test_how_to_words_outside_keywords_keep_a_what_if(self, text):
+        query = parse_query(text)
+        assert isinstance(query, WhatIfQuery)
+        assert query.update_attributes == ["Price"]
+
+
+#: ``(text, the offending token)``: each semantic check names where it failed
+POSITIONED_ERRORS = [
+    pytest.param(
+        "USE P\nUPDATE(Price) = 1.1 * PRE(Cost) OUTPUT AVG(Rating)", "Cost", id="pre-mismatch"
+    ),
+    pytest.param(
+        "USE P HOWTOUPDATE Price\nLIMIT L1(PRE(Price), POST(Cost)) <= 10 TOMAXIMIZE AVG(POST(R))",
+        "Cost",
+        id="l1-attribute",
+    ),
+    pytest.param(
+        "USE P HOWTOUPDATE Price\nLIMIT L1(PRE(Price), POST(Price)) >= 10 TOMAXIMIZE AVG(POST(R))",
+        ">=",
+        id="l1-operator",
+    ),
+    pytest.param(
+        "USE P HOWTOUPDATE Price\nLIMIT 10 >= POST(Price) TOMAXIMIZE AVG(POST(R))",
+        ">=",
+        id="range-operator",
+    ),
+    pytest.param(
+        "USE P HOWTOUPDATE Price\nLIMIT POST(Price) != 10 TOMAXIMIZE AVG(POST(R))",
+        "!=",
+        id="unsupported-limit-operator",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, offending", POSITIONED_ERRORS)
+def test_every_syntax_error_names_the_offending_token(text, offending):
+    with pytest.raises(QuerySyntaxError) as raised:
+        parse_query(text)
+    assert raised.value.position == text.index(offending)
+    assert raised.value.line == 2
+
 
 class TestStableAstIdentity:
     """The contract documented in ``repro.lang.__init__``: parsing is
