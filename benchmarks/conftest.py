@@ -18,28 +18,6 @@ import pytest
 
 from repro import EngineConfig
 from repro.datasets import make_adult_syn, make_amazon_syn, make_german_syn, make_student_syn
-from repro.relational import set_default_backend
-
-
-def pytest_addoption(parser):
-    try:
-        parser.addoption(
-            "--backend",
-            action="store",
-            default=None,
-            choices=("rows", "columnar"),
-            help="relational backend the benchmarks run on (default: columnar)",
-        )
-    except ValueError:  # pragma: no cover - option already registered elsewhere
-        pass
-
-
-def pytest_configure(config):
-    backend = config.getoption("--backend", default=None)
-    if backend:
-        # Set before any session fixture builds a dataset, so every relation
-        # (and therefore every benchmark) runs on the requested backend.
-        set_default_backend(backend)
 
 #: configuration used by the benchmarks: a small random forest, as in the paper.
 BENCH_CONFIG = EngineConfig(regressor="forest", n_forest_trees=8, max_tree_depth=5, random_state=0)

@@ -86,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--sample-size", type=int, default=None)
     query.add_argument("--regressor", default="forest", choices=["forest", "linear", "ridge"])
-    query.add_argument(
-        "--backend",
-        default=None,
-        choices=["rows", "columnar"],
-        help="relational execution backend (default: columnar, or $REPRO_BACKEND)",
-    )
     query.add_argument("--exhaustive", action="store_true", help="use Opt-HowTo for how-to queries")
     query.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     query.add_argument(
@@ -272,7 +266,6 @@ def _load_session(args: argparse.Namespace) -> HypeR:
         variant=args.variant,
         regressor=args.regressor,
         sample_size=args.sample_size,
-        backend=args.backend,
     )
     if args.dataset:
         dataset = make_dataset(args.dataset, **_generator_kwargs(args))

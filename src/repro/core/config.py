@@ -55,13 +55,6 @@ class EngineConfig:
     verify_howto_with_whatif:
         After the how-to IP picks a plan, re-evaluate it with the what-if
         machinery and report the verified value alongside the IP objective.
-    backend:
-        Storage/execution backend for the relational layer: ``"columnar"``
-        (vectorized kernels over typed ndarray columns — the default),
-        ``"rows"`` (the row-at-a-time reference implementation) or ``None``
-        to leave every relation on the backend it was constructed with.  The
-        engines convert the database lazily; data is shared, not copied.  See
-        the backend contract in :mod:`repro.relational`.
     """
 
     variant: str = Variant.HYPER
@@ -72,7 +65,6 @@ class EngineConfig:
     max_tree_depth: int = 6
     random_state: int = 0
     verify_howto_with_whatif: bool = True
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in Variant.ALL:
@@ -83,13 +75,6 @@ class EngineConfig:
             raise QuerySemanticsError("sample_size must be positive when given")
         if self.n_forest_trees <= 0 or self.max_tree_depth <= 0:
             raise QuerySemanticsError("forest capacity parameters must be positive")
-        if self.backend is not None and self.backend not in ("rows", "columnar"):
-            raise QuerySemanticsError(
-                f"unknown backend {self.backend!r}; expected 'rows' or 'columnar'"
-            )
-
-    def with_backend(self, backend: str | None) -> "EngineConfig":
-        return replace(self, backend=backend)
 
     @property
     def is_sampled(self) -> bool:

@@ -252,10 +252,6 @@ class HowToEngine:
     causal_dag: CausalDAG | None = None
     config: EngineConfig = field(default_factory=EngineConfig)
 
-    def __post_init__(self) -> None:
-        if self.config.backend is not None:
-            self.database = self.database.with_backend(self.config.backend)
-
     # -- public API ---------------------------------------------------------------------
 
     def evaluate(

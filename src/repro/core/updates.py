@@ -53,8 +53,8 @@ def apply_update_column(
     """Post-update column: ``f(pre)`` where ``scope_mask`` holds, ``pre`` elsewhere.
 
     Numeric ndarray columns go through the update function's vectorized form
-    (columnar backend hot path); anything else falls back to the per-value
-    reference loop, which skips ``None`` entries.
+    (the hot path); anything else falls back to a per-value loop, which skips
+    ``None`` entries.
     """
     mask = np.asarray(scope_mask, dtype=bool)
     if isinstance(pre_values, np.ndarray) and pre_values.dtype.kind == "f":

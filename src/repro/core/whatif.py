@@ -90,14 +90,12 @@ def regressor_cache_key(
 def numeric_output_column(view: Relation, attribute: str) -> np.ndarray:
     """Output attribute as float64 with nulls as 0.0 (shared engine helper).
 
-    On the columnar backend this is a mask/where over the typed column; the
-    reference path converts value by value (and raises for non-numeric data,
-    as before).
+    A numeric column is a mask/where over its typed data; any other column
+    converts value by value (and raises for non-numeric data).
     """
-    if view.is_columnar:
-        column = view.columnar_store()[attribute]
-        if column.is_numeric:
-            return np.where(column.null, 0.0, column.data)
+    column = view.columnar_store()[attribute]
+    if column.is_numeric:
+        return np.where(column.null, 0.0, column.data)
     values = view.column_view(attribute)
     out = np.zeros(len(view))
     for i, value in enumerate(values):
@@ -511,10 +509,6 @@ class WhatIfEngine:
     database: Database
     causal_dag: CausalDAG | None = None
     config: EngineConfig = field(default_factory=EngineConfig)
-
-    def __post_init__(self) -> None:
-        if self.config.backend is not None:
-            self.database = self.database.with_backend(self.config.backend)
 
     # -- public API -------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ class ColumnEncoder:
     """Encoder for a single attribute: pass-through for numeric, one-hot otherwise.
 
     Fitting and transforming go through :class:`~repro.relational.columnar.Column`
-    so whole-column ndarray inputs (the columnar backend's representation) are
+    so whole-column ndarray inputs (a relation's typed columns) are
     encoded without per-value Python loops.  The null step is conditional: a
     column without nulls is averaged in place and copied once, and a returned
     block never shares memory with the caller's values.

@@ -7,29 +7,15 @@ the paper's ``Use`` operator and estimators need: typed domains, keys and
 mutability flags, selection/projection/join/group-by, Pre/Post-aware predicate
 expressions, and decomposable aggregates.
 
-Execution backends
-==================
+Semantics
+=========
 
-Every :class:`Relation` (and transitively every :class:`Database`) executes on
-one of two backends, selected with the ``backend=`` keyword, the
-``REPRO_BACKEND`` environment variable, or :func:`set_default_backend`:
-
-``"columnar"`` (default)
-    Typed ``float64``/``object`` ndarray columns with explicit null masks
-    (:mod:`repro.relational.columnar`); predicates, joins, group-bys and
-    aggregates run as whole-column NumPy kernels.
-``"rows"``
-    The row-at-a-time reference implementation: predicates evaluate through
-    per-row :class:`EvaluationContext` dictionaries, joins and group-bys
-    through Python hash loops.  Slower, but the executable specification of
-    the semantics.
-
-Backend contract
-----------------
-
-Both backends MUST agree on the observable semantics of every operator; the
-parity suite in ``tests/relational/test_columnar_parity.py`` enforces this on
-the synthetic datasets.  The contract:
+Every :class:`Relation` stores typed ``float64``/``object`` ndarray columns
+with explicit null masks (:mod:`repro.relational.columnar`); predicates,
+joins, group-bys and aggregates run as whole-column NumPy kernels.  The
+per-row evaluator (:func:`evaluate_predicate` over an
+:class:`EvaluationContext`) is the reference for predicate semantics; the
+kernels' contract is pinned by ``tests/relational/test_relational_contract.py``:
 
 * **Missing values.**  ``None`` is the missing value.  Comparisons
   (``== != < <= > >=``) involving a missing operand are ``False``; ``IN``
@@ -47,9 +33,9 @@ the synthetic datasets.  The contract:
   semantics (``2 == 2.0``); key values may be missing and then match only
   other missing values.
 * **Known divergence.**  Arithmetic over a missing operand raises
-  :class:`~repro.exceptions.ExpressionError` on the rows backend (it cannot
-  evaluate the row) while the columnar backend propagates the null, which
-  then fails any enclosing comparison.  Queries should treat arithmetic over
+  :class:`~repro.exceptions.ExpressionError` in the per-row evaluator (it
+  cannot evaluate the row) while the kernels propagate the null, which then
+  fails any enclosing comparison.  Queries should treat arithmetic over
   nullable attributes as undefined.
 """
 
@@ -61,12 +47,7 @@ from .aggregates import (
     SumAggregate,
     get_aggregate,
 )
-from .columnar import (
-    Column,
-    ColumnStore,
-    get_default_backend,
-    set_default_backend,
-)
+from .columnar import Column, ColumnStore
 from .database import Database
 from .expressions import (
     Arithmetic,
@@ -147,10 +128,8 @@ __all__ = [
     "evaluate_mask",
     "evaluate_predicate",
     "get_aggregate",
-    "get_default_backend",
     "group_by",
     "infer_domain",
-    "set_default_backend",
     "lit",
     "make_disjoint",
     "post",

@@ -41,7 +41,7 @@ class AggregateFunction:
         raise NotImplementedError
 
     def evaluate_masked(self, data: np.ndarray, valid: np.ndarray) -> float:
-        """Vectorized evaluation over a typed column (columnar backend).
+        """Vectorized evaluation over a typed column.
 
         ``data`` is a float array, ``valid`` marks non-null positions; the
         result equals ``evaluate`` over the non-null values as plain objects.

@@ -1,11 +1,9 @@
-"""Columnar storage/execution backend: typed arrays, null masks, kernels.
+"""Columnar storage and execution: typed arrays, null masks, kernels.
 
-This module is the vectorized counterpart of the row-at-a-time reference
-implementation spread across :mod:`predicates`, :mod:`operators` and
-:mod:`view`.  A :class:`ColumnStore` holds one :class:`Column` per attribute:
-numeric attributes become contiguous ``float64`` arrays (missing values stored
-as NaN behind an explicit null mask), everything else stays an ``object``
-array with the same mask.  On top of that representation the module provides
+A :class:`ColumnStore` holds one :class:`Column` per attribute: numeric
+attributes become contiguous ``float64`` arrays (missing values stored as NaN
+behind an explicit null mask), everything else stays an ``object`` array with
+the same mask.  On top of that representation the module provides
 whole-column kernels for
 
 * predicate/expression evaluation (:func:`vectorized_mask`),
@@ -13,20 +11,15 @@ whole-column kernels for
 * per-group aggregation via ``np.bincount`` (:func:`grouped_aggregate`),
 * equi-join index computation (:func:`join_indices`).
 
-The kernels implement exactly the semantics of the rows backend (see the
-"backend contract" in :mod:`repro.relational`); the one documented divergence
-is arithmetic over NULL, which the reference raises on and the columnar
-backend propagates as NULL.
-
-Backend selection is process-global by default (``columnar``; override with
-the ``REPRO_BACKEND`` environment variable or :func:`set_default_backend`)
-and can be fixed per :class:`~repro.relational.relation.Relation` via its
-``backend=`` keyword.
+The kernels implement the semantics documented in :mod:`repro.relational`;
+the mask kernel is checked against the per-row evaluator
+(:func:`~repro.relational.predicates.evaluate_predicate`) and the join,
+group-by and ``Use`` kernels against a hand-written contract table in
+``tests/relational/test_relational_contract.py``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +39,6 @@ from .expressions import (
 )
 
 __all__ = [
-    "BACKENDS",
     "Column",
     "ColumnStore",
     "KernelCache",
@@ -57,36 +49,12 @@ __all__ = [
     "fused_mask_aggregate",
     "fused_masked_count",
     "fused_masked_sum",
-    "get_default_backend",
     "grouped_aggregate",
     "join_indices",
-    "set_default_backend",
     "store_from_buffers",
     "store_to_buffers",
     "vectorized_mask",
 ]
-
-BACKENDS = ("rows", "columnar")
-
-_default_backend = os.environ.get("REPRO_BACKEND", "columnar")
-if _default_backend not in BACKENDS:  # pragma: no cover - env misconfiguration
-    _default_backend = "columnar"
-
-
-def get_default_backend() -> str:
-    """Backend used by relations that do not pin one explicitly."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous value."""
-    global _default_backend
-    if name not in BACKENDS:
-        raise SchemaError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    previous = _default_backend
-    _default_backend = name
-    return previous
-
 
 def _is_numeric_value(value: Any) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
@@ -145,6 +113,10 @@ class Column:
         """Rows at ``indices``; index ``-1`` produces a null (left-join padding)."""
         indices = np.asarray(indices, dtype=int)
         pad = indices < 0
+        if not len(self.data) and pad.all():
+            # a left join against no rows: nothing to index, every row pads
+            fill = np.nan if self.is_numeric else None
+            return Column(np.full(len(indices), fill, dtype=self.data.dtype), pad, self.is_numeric)
         data = self.data[indices]
         null = self.null[indices] | pad
         if pad.any():
@@ -156,7 +128,7 @@ class Column:
         return Column(self.data[mask], self.null[mask], self.is_numeric)
 
     def values_list(self, indices: np.ndarray | None = None) -> list[Any]:
-        """Values as a plain list with ``None`` at null positions (row parity)."""
+        """Values as a plain list with ``None`` at null positions."""
         col = self if indices is None else self.take(np.asarray(indices, dtype=int))
         if not col.is_numeric:
             return list(col.data)
@@ -261,7 +233,7 @@ def _attr_vcol(column: Column) -> _VCol:
 
 
 def _to_bool(vcol: _VCol, n: int) -> np.ndarray:
-    """Coerce to a full-length boolean array; nulls become False (row parity)."""
+    """Coerce to a full-length boolean array; nulls become False."""
     data, null = vcol.data, vcol.null
     if vcol.kind == "bool":
         out = np.broadcast_to(np.asarray(data, dtype=bool), (n,)).copy()
@@ -384,7 +356,7 @@ def vectorized_mask(predicate: Expr, store: ColumnStore, post_store: ColumnStore
     """Evaluate a boolean predicate over a whole relation at once.
 
     ``post_store`` supplies ``Post(A)`` values; ``None`` makes post fall back
-    to pre, exactly as the row-at-a-time :class:`EvaluationContext` does.
+    to pre, exactly as the per-row :class:`EvaluationContext` does.
     """
     result = _to_bool(_eval(predicate, store, post_store or store), store.length)
     return result
@@ -422,8 +394,8 @@ def _factorize_objects(values: Iterable[Any]) -> tuple[np.ndarray, np.ndarray]:
 def factorize_columns(columns: Sequence[Column]) -> np.ndarray:
     """Dense int64 code per row for the combined key of ``columns``.
 
-    Rows get equal codes exactly when the rows-backend would have put them in
-    the same dict bucket (``None`` keys included, ``2 == 2.0`` respected).
+    Rows get equal codes exactly when their key tuples would share a Python
+    dict bucket (``None`` keys included, ``2 == 2.0`` respected).
     Codes are re-compressed after every column so intermediate products stay
     bounded by ``n_rows * cardinality`` (no int64 overflow on wide keys).
     """
@@ -449,9 +421,8 @@ def group_rows(columns: Sequence[Column]) -> tuple[np.ndarray, np.ndarray]:
     """Group rows by the combined key of ``columns``.
 
     Returns ``(group_ids, representatives)`` where ``group_ids[i]`` is the
-    group of row ``i`` numbered in order of first occurrence (matching the
-    dict-insertion order of the rows backend) and ``representatives[g]`` is
-    the first row of group ``g``.
+    group of row ``i`` numbered in order of first occurrence and
+    ``representatives[g]`` is the first row of group ``g``.
     """
     combined = factorize_columns(columns)
     _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
@@ -481,11 +452,7 @@ def numeric_data(column: Column, context: str) -> np.ndarray:
 def grouped_aggregate(
     column: Column, group_ids: np.ndarray, n_groups: int, how: str
 ) -> np.ndarray:
-    """Per-group sum/count/avg over non-null values (empty groups yield 0.0).
-
-    Matches ``aggregate_column`` of the rows backend, which drops ``None``
-    before aggregating and defines the empty aggregate as ``0.0``.
-    """
+    """Per-group sum/count/avg over non-null values (empty groups yield 0.0)."""
     valid = column.valid
     counts = np.bincount(group_ids[valid], minlength=n_groups).astype(float)
     if how == "count":
@@ -537,7 +504,7 @@ def aggregate_lookup(
     The workhorse of the ``Use`` operator: groups the rows behind
     ``other_columns`` by their key, aggregates ``values`` per group (ignoring
     nulls) and looks the result up for every base row.  Base rows whose key
-    has no (non-null) support map to ``None``, matching the rows backend.
+    has no (non-null) support map to ``None``.
     """
     base_codes, other_codes = _combined_pair_codes(base_columns, other_columns)
     n_codes = int(max(base_codes.max(initial=-1), other_codes.max(initial=-1))) + 1
@@ -587,8 +554,8 @@ def join_indices(
     """Row-index pairs of the equi-join on the given aligned key columns.
 
     Returns ``(left_idx, right_idx)``; ``right_idx`` is ``-1`` for unmatched
-    left rows of a left join.  Pair ordering matches the rows backend: left
-    rows in order, their right matches in ascending right-row order.
+    left rows of a left join.  Pairs come left rows in order, each left row's
+    right matches in ascending right-row order.
     """
     left_codes, right_codes = _combined_pair_codes(left_columns, right_columns)
 
@@ -628,9 +595,8 @@ def join_indices(
 #   small value table carried in the header (the table is tiny for the
 #   categorical attributes this engine works with).
 #
-# The layout is deliberately Arrow-compatible in spirit (validity bitmap +
-# values / dictionary indices) so a future Arrow-backed third backend can
-# adopt the same wire contract without changing the transport.  Buffers are
+# The layout is Arrow-compatible in spirit (validity bitmap + values /
+# dictionary indices).  Buffers are
 # plain ndarrays; the shared-memory layer (:mod:`repro.shard.shm`) decides
 # where their bytes live.  Decoding numeric columns is zero-copy: the
 # returned arrays are read-only views over the supplied buffers.
@@ -748,8 +714,8 @@ def store_from_buffers(header: Mapping[str, Any], buffers: Sequence[np.ndarray])
 # traversal with where-masked weights, never materializing the filtered
 # intermediates.  They are value-exact vs. the unfused reference: bincount
 # accumulates per bin in row order, and interleaving masked-out ``+0.0``
-# terms leaves every IEEE-754 sum unchanged — the parity property tests in
-# ``tests/relational`` assert this on both backends.
+# terms leaves every IEEE-754 sum unchanged — the property tests in
+# ``tests/relational/test_fused_kernels.py`` assert this.
 
 
 def fused_masked_count(mask: np.ndarray) -> float:

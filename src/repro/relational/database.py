@@ -24,22 +24,12 @@ class Database:
         self,
         relations: Iterable[Relation],
         foreign_keys: Iterable[ForeignKey] = (),
-        *,
-        backend: str | None = None,
     ) -> None:
         rels = list(relations)
-        if backend is not None:
-            rels = [r.with_backend(backend) for r in rels]
         self._relations: dict[str, Relation] = {r.name: r for r in rels}
         if len(self._relations) != len(rels):
             raise SchemaError("duplicate relation names in database")
         self.schema = DatabaseSchema([r.schema for r in rels], foreign_keys)
-
-    def with_backend(self, backend: str) -> "Database":
-        """This database with every relation executing on ``backend`` (shared data)."""
-        if all(rel.backend == backend for rel in self):
-            return self
-        return Database([rel.with_backend(backend) for rel in self], self.foreign_keys)
 
     # -- access -------------------------------------------------------------------
 

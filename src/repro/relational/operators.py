@@ -8,7 +8,6 @@ attributes, aggregating the latter per key of the former (Section 3.1).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..exceptions import SchemaError
@@ -42,7 +41,7 @@ def equi_join(
     name: str | None = None,
     how: str = "inner",
 ) -> Relation:
-    """Hash equi-join of two relations.
+    """Equi-join of two relations.
 
     ``on`` is a list of ``(left_attribute, right_attribute)`` pairs.  Attributes
     of the right relation that collide with left attribute names are prefixed
@@ -68,45 +67,16 @@ def equi_join(
 
     schema = _join_schema(left, right, left_attrs, right_attrs, renamed, join_right_attrs, name)
 
-    if left.is_columnar and right.is_columnar:
-        left_store, right_store = left.columnar_store(), right.columnar_store()
-        left_idx, right_idx = columnar.join_indices(
-            [left_store[l] for l, _ in on], [right_store[r] for _, r in on], how=how
-        )
-        out_store = {a: left_store[a].take(left_idx) for a in left_attrs}
-        out_store.update(
-            {renamed[a]: right_store[a].take(right_idx) for a in right_attrs}
-        )
-        store = columnar.ColumnStore(
-            {a: out_store[a] for a in schema.attribute_names}, len(left_idx)
-        )
-        return Relation.from_colstore(schema, store, left.backend)
-
-    # Reference implementation: hash index over the right relation.
-    right_index: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    right_join_cols = [right.column_view(r) for _, r in on]
-    for j in range(len(right)):
-        right_index[tuple(col[j] for col in right_join_cols)].append(j)
-
-    out_columns: dict[str, list[Any]] = {a: [] for a in left_attrs}
-    out_columns.update({renamed[a]: [] for a in right_attrs})
-
-    left_join_cols = [left.column_view(l) for l, _ in on]
-    for i in range(len(left)):
-        key = tuple(col[i] for col in left_join_cols)
-        matches = right_index.get(key, [])
-        if not matches and how == "left":
-            for a in left_attrs:
-                out_columns[a].append(left.column_view(a)[i])
-            for a in right_attrs:
-                out_columns[renamed[a]].append(None)
-            continue
-        for j in matches:
-            for a in left_attrs:
-                out_columns[a].append(left.column_view(a)[i])
-            for a in right_attrs:
-                out_columns[renamed[a]].append(right.column_view(a)[j])
-    return Relation(schema, out_columns, validate=False, backend=left.backend)
+    left_store, right_store = left.columnar_store(), right.columnar_store()
+    left_idx, right_idx = columnar.join_indices(
+        [left_store[l] for l, _ in on], [right_store[r] for _, r in on], how=how
+    )
+    out_store = {a: left_store[a].take(left_idx) for a in left_attrs}
+    out_store.update({renamed[a]: right_store[a].take(right_idx) for a in right_attrs})
+    store = columnar.ColumnStore(
+        {a: out_store[a] for a in schema.attribute_names}, len(left_idx)
+    )
+    return Relation.from_colstore(schema, store)
 
 
 def _join_schema(
@@ -168,33 +138,14 @@ def group_by(
         if out_name in by:
             raise SchemaError(f"aggregation output {out_name!r} collides with a group-by attribute")
 
-    if relation.is_columnar:
-        store = relation.columnar_store()
-        group_ids, representatives = columnar.group_rows([store[a] for a in by])
-        n_groups = len(representatives)
-        out_columns: dict[str, Any] = {
-            a: store[a].values_list(representatives) for a in by
-        }
-        for out_name, (source, how) in aggregations.items():
-            out_columns[out_name] = columnar.grouped_aggregate(
-                store[source], group_ids, n_groups, get_aggregate(how).name
-            )
-    else:
-        groups: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-        by_cols = [relation.column_view(a) for a in by]
-        for i in range(len(relation)):
-            groups[tuple(col[i] for col in by_cols)].append(i)
-
-        out_columns = {a: [] for a in by}
-        for out_name in aggregations:
-            out_columns[out_name] = []
-
-        for group_key, indices in groups.items():
-            for attr, value in zip(by, group_key):
-                out_columns[attr].append(value)
-            for out_name, (source, how) in aggregations.items():
-                values = [relation.column_view(source)[i] for i in indices]
-                out_columns[out_name].append(aggregate_column(values, how))
+    store = relation.columnar_store()
+    group_ids, representatives = columnar.group_rows([store[a] for a in by])
+    n_groups = len(representatives)
+    out_columns: dict[str, Any] = {a: store[a].values_list(representatives) for a in by}
+    for out_name, (source, how) in aggregations.items():
+        out_columns[out_name] = columnar.grouped_aggregate(
+            store[source], group_ids, n_groups, get_aggregate(how).name
+        )
 
     specs = [
         AttributeSpec(a, relation.schema[a].domain, mutable=relation.schema[a].mutable)
@@ -214,4 +165,4 @@ def group_by(
     if missing_key:
         raise SchemaError(f"group-by key attributes {missing_key} are not grouping columns")
     schema = RelationSchema(name or f"{relation.name}_grouped", specs, group_key_attrs)
-    return Relation(schema, out_columns, validate=False, backend=relation.backend)
+    return Relation(schema, out_columns, validate=False)

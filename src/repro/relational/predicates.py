@@ -73,23 +73,15 @@ def evaluate_mask(
 
     ``post_relation`` (aligned row-for-row with ``relation``) supplies
     ``Post(A)`` values; when omitted, post values fall back to pre values.
-    On the columnar backend the whole predicate is evaluated with the
-    vectorized kernels of :mod:`repro.relational.columnar`; the rows backend
-    evaluates row-by-row through :class:`EvaluationContext` and is the
-    reference for the semantics both must implement.
+    The whole predicate is evaluated with the vectorized kernels of
+    :mod:`repro.relational.columnar`; it agrees row for row with
+    :func:`evaluate_predicate`, except that arithmetic over a missing operand
+    (which the per-row evaluator raises on) leaves the mask ``False``.
     """
-    n = len(relation)
-    if post_relation is not None and len(post_relation) != n:
+    if post_relation is not None and len(post_relation) != len(relation):
         raise ExpressionError("pre and post relations must have the same number of rows")
-    if relation.is_columnar:
-        post_store = post_relation.columnar_store() if post_relation is not None else None
-        return columnar.vectorized_mask(predicate, relation.columnar_store(), post_store)
-    out = np.empty(n, dtype=bool)
-    post_rows = post_relation.rows() if post_relation is not None else None
-    for i, pre_row in enumerate(relation.rows()):
-        post_row = next(post_rows) if post_rows is not None else None
-        out[i] = evaluate_predicate(predicate, pre_row, post_row)
-    return out
+    post_store = post_relation.columnar_store() if post_relation is not None else None
+    return columnar.vectorized_mask(predicate, relation.columnar_store(), post_store)
 
 
 # ---------------------------------------------------------------------------

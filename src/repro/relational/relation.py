@@ -14,12 +14,12 @@ them), which keeps possible worlds and pre/post snapshots safe side by side.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..exceptions import SchemaError
-from .columnar import BACKENDS, Column, ColumnStore, get_default_backend
+from .columnar import Column, ColumnStore
 from .schema import AttributeSpec, RelationSchema
 from .types import Domain, infer_domain
 
@@ -44,12 +44,9 @@ def _as_column(values: Sequence[Any]) -> np.ndarray:
 class Relation:
     """A named, schema-typed set of tuples stored column-wise.
 
-    ``backend`` selects the execution strategy used by the relational kernels
-    (predicate evaluation, join, group-by): ``"columnar"`` (the default, see
-    :mod:`repro.relational.columnar`) evaluates whole columns with typed
-    ndarrays and null masks, ``"rows"`` keeps the row-at-a-time reference
-    implementation.  Both must satisfy the backend contract documented in
-    :mod:`repro.relational`.
+    Predicates, joins and group-bys run over its typed
+    :class:`~repro.relational.columnar.ColumnStore` (built lazily, cached),
+    with the semantics documented in :mod:`repro.relational`.
     """
 
     def __init__(
@@ -58,12 +55,8 @@ class Relation:
         columns: Mapping[str, Sequence[Any]] | None = None,
         *,
         validate: bool = True,
-        backend: str | None = None,
     ) -> None:
         self.schema = schema
-        self.backend = backend if backend is not None else get_default_backend()
-        if self.backend not in BACKENDS:
-            raise SchemaError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         self._colstore: ColumnStore | None = None
         self._colstore_lock = threading.Lock()
         columns = columns or {name: [] for name in schema.attribute_names}
@@ -93,14 +86,13 @@ class Relation:
         rows: Iterable[Mapping[str, Any]],
         *,
         validate: bool = True,
-        backend: str | None = None,
     ) -> "Relation":
         """Build a relation from an iterable of row dictionaries."""
         rows = list(rows)
         columns = {
             name: [row.get(name) for row in rows] for name in schema.attribute_names
         }
-        return cls(schema, columns, validate=validate, backend=backend)
+        return cls(schema, columns, validate=validate)
 
     @classmethod
     def from_columns(
@@ -111,29 +103,12 @@ class Relation:
         *,
         immutable: Iterable[str] = (),
         domains: Mapping[str, Domain] | None = None,
-        backend: str | None = None,
     ) -> "Relation":
         """Build a relation and infer its schema from the column data."""
         schema = RelationSchema.from_columns(
             name, columns, key, immutable=immutable, domains=domains
         )
-        return cls(schema, columns, backend=backend)
-
-    # -- backend -------------------------------------------------------------------
-
-    @property
-    def is_columnar(self) -> bool:
-        return self.backend == "columnar"
-
-    def with_backend(self, backend: str) -> "Relation":
-        """This relation executing on ``backend`` (data is shared, not copied)."""
-        if backend == self.backend:
-            return self
-        if backend not in BACKENDS:
-            raise SchemaError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        return Relation._assemble(
-            self.schema, backend, self._columns, self._length, self._colstore
-        )
+        return cls(schema, columns)
 
     # -- pickling ------------------------------------------------------------------
 
@@ -173,15 +148,13 @@ class Relation:
         colstore: ColumnStore | None,
     ) -> "Relation":
         """Internal constructor for transformations: skip re-validation/re-sniffing."""
-        out = Relation(schema, columns, validate=False, backend=self.backend)
+        out = Relation(schema, columns, validate=False)
         if colstore is not None:
             out._colstore = colstore
         return out
 
     @classmethod
-    def from_colstore(
-        cls, schema: RelationSchema, colstore: ColumnStore, backend: str
-    ) -> "Relation":
+    def from_colstore(cls, schema: RelationSchema, colstore: ColumnStore) -> "Relation":
         """Build a relation directly from typed columns (kernel outputs).
 
         Trusts the :class:`ColumnStore` types: the legacy per-column arrays
@@ -189,13 +162,12 @@ class Relation:
         value, so vectorized operators can materialise results cheaply.
         """
         columns = {name: colstore.columns[name].raw_array() for name in schema.attribute_names}
-        return cls._assemble(schema, backend, columns, colstore.length, colstore)
+        return cls._assemble(schema, columns, colstore.length, colstore)
 
     @classmethod
     def _assemble(
         cls,
         schema: RelationSchema,
-        backend: str,
         columns: dict[str, np.ndarray],
         length: int,
         colstore: ColumnStore | None,
@@ -203,7 +175,6 @@ class Relation:
         """A relation over columns already typed by ``_as_column``: nothing re-sniffed."""
         out = cls.__new__(cls)
         out.schema = schema
-        out.backend = backend
         out._columns = columns
         out._length = length
         out._colstore = colstore
@@ -277,10 +248,6 @@ class Relation:
         for i in range(self._length):
             yield self.key_of(i)
 
-    def key_index(self) -> dict[tuple[Any, ...], int]:
-        """Map from key tuple to row position."""
-        return {self.key_of(i): i for i in range(self._length)}
-
     # -- transformations -----------------------------------------------------------
 
     def filter(self, mask: Sequence[bool] | np.ndarray) -> "Relation":
@@ -293,11 +260,6 @@ class Relation:
         columns = {name: col[mask] for name, col in self._columns.items()}
         colstore = self._colstore.filter(mask) if self._colstore is not None else None
         return self._derive(self.schema, columns, colstore)
-
-    def filter_rows(self, predicate: Callable[[dict[str, Any]], bool]) -> "Relation":
-        """Return the sub-relation of rows satisfying ``predicate(row_dict)``."""
-        mask = np.fromiter((bool(predicate(row)) for row in self.rows()), dtype=bool, count=self._length)
-        return self.filter(mask)
 
     def take(self, indices: Sequence[int]) -> "Relation":
         """Return the relation containing exactly the rows at ``indices`` (in order)."""
@@ -327,16 +289,15 @@ class Relation:
     def project(self, attributes: Iterable[str], name: str | None = None) -> "Relation":
         """Project onto ``attributes`` (key attributes must be retained; columns shared).
 
-        On the columnar backend the typed columns are this relation's own,
-        built once here, so every projection of it reads the same ones.
+        The typed columns are this relation's own, built once here, so every
+        projection of it reads the same ones.
         """
         keep = list(attributes)
         schema = self.schema.project(keep, name=name)
         columns = {a: self._columns[a] for a in keep}
-        store = self.columnar_store() if self.is_columnar else self._colstore
-        if store is not None:
-            store = ColumnStore({a: store.columns[a] for a in keep}, store.length)
-        return Relation._assemble(schema, self.backend, columns, self._length, store)
+        store = self.columnar_store()
+        store = ColumnStore({a: store.columns[a] for a in keep}, store.length)
+        return Relation._assemble(schema, columns, self._length, store)
 
     def with_column(
         self,
@@ -367,26 +328,7 @@ class Relation:
             colstore = self._colstore.with_column(
                 attribute, Column.from_values(ordered[attribute]), schema.attribute_names
             )
-        return Relation._assemble(schema, self.backend, ordered, self._length, colstore)
-
-    def with_updated_values(
-        self, attribute: str, mask: Sequence[bool], new_values: Sequence[Any]
-    ) -> "Relation":
-        """Replace ``attribute`` values where ``mask`` holds with ``new_values``.
-
-        ``new_values`` must align with the full relation (only masked positions
-        are read).  This is the primitive used to materialise hypothetical
-        updates and simulated possible worlds.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        column = list(self.column(attribute))
-        replacements = list(new_values)
-        if len(replacements) != self._length:
-            raise SchemaError("new_values must align with the relation length")
-        for i, flag in enumerate(mask):
-            if flag:
-                column[i] = replacements[i]
-        return self.with_column(attribute, column)
+        return Relation._assemble(schema, ordered, self._length, colstore)
 
     def concat(self, other: "Relation") -> "Relation":
         """Union of two relations with identical schemas (set semantics by key)."""
@@ -398,12 +340,6 @@ class Relation:
         }
         return self._derive(self.schema, columns, None)
 
-    def sort_by(self, attribute: str, descending: bool = False) -> "Relation":
-        order = np.argsort(self.column_view(attribute), kind="stable")
-        if descending:
-            order = order[::-1]
-        return self.take(order.tolist())
-
     # -- conversions -----------------------------------------------------------------
 
     def to_dict(self) -> dict[str, list[Any]]:
@@ -412,19 +348,6 @@ class Relation:
 
     def to_rows(self) -> list[dict[str, Any]]:
         return list(self.rows())
-
-    def numeric_matrix(self, attributes: Sequence[str]) -> np.ndarray:
-        """Stack numeric columns into an ``(n_rows, n_attrs)`` float matrix."""
-        cols = []
-        for attr in attributes:
-            col = self.column_view(attr)
-            try:
-                cols.append(np.asarray(col, dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"attribute {attr!r} is not numeric") from exc
-        if not cols:
-            return np.empty((self._length, 0))
-        return np.column_stack(cols)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Relation({self.name!r}, {self._length} rows, {len(self.attribute_names)} cols)"

@@ -11,7 +11,6 @@ database (pre values) and on simulated possible worlds (post values).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -150,26 +149,10 @@ class UseSpec:
             if a not in other.schema:
                 raise SchemaError(f"join attribute {a!r} missing from {other.name!r}")
 
-        if base.is_columnar and other.is_columnar:
-            base_store, other_store = base.columnar_store(), other.columnar_store()
-            return columnar.aggregate_lookup(
-                [base_store[a] for a in base_attrs],
-                [other_store[a] for a in other_attrs],
-                other_store[agg.attribute],
-                agg.how,
-            )
-
-        grouped: dict[tuple[Any, ...], list[Any]] = defaultdict(list)
-        other_join_cols = [other.column_view(a) for a in other_attrs]
-        other_value_col = other.column_view(agg.attribute)
-        for j in range(len(other)):
-            grouped[tuple(col[j] for col in other_join_cols)].append(other_value_col[j])
-
-        aggregate = get_aggregate(agg.how)
-        base_join_cols = [base.column_view(a) for a in base_attrs]
-        out: list[Any] = []
-        for i in range(len(base)):
-            key = tuple(col[i] for col in base_join_cols)
-            values = [v for v in grouped.get(key, []) if v is not None]
-            out.append(aggregate.evaluate(values) if values else None)
-        return out
+        base_store, other_store = base.columnar_store(), other.columnar_store()
+        return columnar.aggregate_lookup(
+            [base_store[a] for a in base_attrs],
+            [other_store[a] for a in other_attrs],
+            other_store[agg.attribute],
+            agg.how,
+        )

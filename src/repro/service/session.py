@@ -156,15 +156,15 @@ class _EngineState:
         config: EngineConfig,
         relation_generations: dict[str, int] | None = None,
     ) -> "_EngineState":
+        # Both engines and every cached view share one set of relations and
+        # column stores.
         whatif = WhatIfEngine(database, causal_dag, config)
-        # Reuse the (possibly backend-converted) database so both engines and
-        # every cached view share one set of relations and column stores.
-        howto = HowToEngine(whatif.database, causal_dag, config)
+        howto = HowToEngine(database, causal_dag, config)
         if relation_generations is None:
-            relation_generations = {name: 0 for name in whatif.database.relation_names}
+            relation_generations = {name: 0 for name in database.relation_names}
         return cls(
             generation=generation,
-            database=whatif.database,
+            database=database,
             causal_dag=causal_dag,
             dag_identity=dag_key(causal_dag),
             whatif=whatif,
@@ -1063,8 +1063,7 @@ class HypeRService(ServingCounters):
                 self.config,
                 dict(state.relation_generations),
             )
-            # Diff against the backend-converted database the engines built,
-            # so conversion no-ops keep relation identity intact.
+            # An untouched relation is the same object in both generations.
             changed = {
                 name
                 for name in new_state.database.relation_names

@@ -225,7 +225,6 @@ class ShardWorkerRuntime:
         return Relation.from_colstore(
             schema,
             ColumnStore({n: columns[n] for n in schema.attribute_names}, old_store.length),
-            old.backend,
         )
 
 

@@ -104,7 +104,6 @@ def encode_relations(
             {
                 "name": name,
                 "schema": relation.schema,
-                "backend": relation.backend,
                 "header": header,
                 "n_buffers": len(rel_buffers),
             }
@@ -125,9 +124,7 @@ def decode_relations(
             manifest["header"], buffers[cursor : cursor + n_buffers]
         )
         cursor += n_buffers
-        out[manifest["name"]] = Relation.from_colstore(
-            manifest["schema"], store, manifest["backend"]
-        )
+        out[manifest["name"]] = Relation.from_colstore(manifest["schema"], store)
     return out
 
 

@@ -2,7 +2,7 @@
 
 A 3-shard cluster of real shard-server processes-on-ports answers every
 query bitwise-identically to a single-node :class:`HypeRService` over the
-same database — on both relational backends — whether a query of either kind
+same database, whether a query of either kind
 is answered whole by the service of the node it was dealt to or (that node
 being ahead, mid-flip) at the generation its service still pins, and
 keeps doing so when a node is killed mid-batch and across two-phase updates.
@@ -59,9 +59,9 @@ def status_plus_one(dataset) -> dict:
     return {"Credit": {"Status": [min(4.0, float(v) + 1.0) for v in status]}}
 
 
-@pytest.fixture(scope="module", params=["columnar", "rows"])
-def backend_setup(request, dataset):
-    config = EngineConfig(regressor="linear", backend=request.param)
+@pytest.fixture(scope="module")
+def cluster_and_single(dataset):
+    config = EngineConfig(regressor="linear")
     single = HypeRService(dataset.database, dataset.causal_dag, config)
     with make_cluster(dataset.database, dataset.causal_dag, config) as cluster:
         yield cluster.coordinator, single
@@ -69,8 +69,8 @@ def backend_setup(request, dataset):
 
 
 class TestBitwiseParity:
-    def test_what_if_parity_both_backends(self, backend_setup):
-        coordinator, single = backend_setup
+    def test_what_if_parity(self, cluster_and_single):
+        coordinator, single = cluster_and_single
         for text in WHATIF_TEXTS:
             merged = coordinator.execute(text)
             direct = single.execute(text)
@@ -78,8 +78,8 @@ class TestBitwiseParity:
             assert merged.aggregate == direct.aggregate
             assert merged.n_view_tuples == direct.n_view_tuples
 
-    def test_what_if_answers_equal_field_for_field(self, backend_setup):
-        coordinator, single = backend_setup
+    def test_what_if_answers_equal_field_for_field(self, cluster_and_single):
+        coordinator, single = cluster_and_single
         batch = coordinator.execute_many(WHATIF_TEXTS)
         for text, batched in zip(WHATIF_TEXTS, batch):
             direct = single.execute(text)
@@ -95,8 +95,8 @@ class TestBitwiseParity:
                     ), (text, field.name)
                 assert list(answered.block_contributions) == []
 
-    def test_how_to_parity_both_backends(self, backend_setup):
-        coordinator, single = backend_setup
+    def test_how_to_parity(self, cluster_and_single):
+        coordinator, single = cluster_and_single
         merged = coordinator.execute(HOWTO_TEXT)
         direct = single.execute(HOWTO_TEXT)
         assert merged.objective_value == direct.objective_value
@@ -106,14 +106,14 @@ class TestBitwiseParity:
             u.attribute for u in direct.recommended_updates
         ]
 
-    def test_exhaustive_howto_proxies_unsharded(self, backend_setup):
-        coordinator, single = backend_setup
+    def test_exhaustive_howto_proxies_unsharded(self, cluster_and_single):
+        coordinator, single = cluster_and_single
         merged = coordinator.execute(HOWTO_TEXT, exhaustive=True)
         direct = single.execute(HOWTO_TEXT, exhaustive=True)
         assert wire_payload(merged) == wire_payload(direct)
 
-    def test_batch_parity(self, backend_setup):
-        coordinator, single = backend_setup
+    def test_batch_parity(self, cluster_and_single):
+        coordinator, single = cluster_and_single
         merged = coordinator.execute_many(WHATIF_TEXTS)
         direct = [single.execute(text) for text in WHATIF_TEXTS]
         assert [r.value for r in merged] == [r.value for r in direct]

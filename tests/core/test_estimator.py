@@ -232,7 +232,7 @@ class TestPostUpdateEstimator:
 # -- one encoder per estimator, one design per burst of fits -----------------------------
 
 
-def kinds_view(backend: str, n: int = 240, seed: int = 5) -> Relation:
+def kinds_view(n: int = 240, seed: int = 5) -> Relation:
     """A view mixing numeric, categorical and null-bearing columns of both kinds."""
     rng = np.random.default_rng(seed)
     num = rng.normal(size=n)
@@ -251,7 +251,6 @@ def kinds_view(backend: str, n: int = 240, seed: int = 5) -> Relation:
             "Y": y.tolist(),
         },
         key=("ID",),
-        backend=backend,
     )
 
 
@@ -277,17 +276,16 @@ def parent_fit(estimator: PostUpdateEstimator, target: np.ndarray):
 
 
 FIT_CONFIGS = [
-    pytest.param(backend, regressor, sample_size, id=f"{backend}-{regressor}-{sample_size}")
-    for backend in ("columnar", "rows")
+    pytest.param(regressor, sample_size, id=f"{regressor}-{sample_size}")
     for regressor in ("linear", "ridge", "forest")
     for sample_size in (None, 90)
 ]
 
 
 class TestSharedTrainingDesign:
-    def _estimator(self, backend, regressor="linear", sample_size=None, update="B"):
+    def _estimator(self, regressor="linear", sample_size=None, update="B"):
         return PostUpdateEstimator(
-            view=kinds_view(backend),
+            view=kinds_view(),
             view_dag=None,  # adjust for every other column: all four kinds are features
             update_attributes=[update],
             outcome_attributes=["Y"],
@@ -296,9 +294,9 @@ class TestSharedTrainingDesign:
             ),
         )
 
-    @pytest.mark.parametrize("backend, regressor, sample_size", FIT_CONFIGS)
-    def test_fits_equal_the_parents_per_regressor_fit(self, backend, regressor, sample_size):
-        estimator = self._estimator(backend, regressor, sample_size)
+    @pytest.mark.parametrize("regressor, sample_size", FIT_CONFIGS)
+    def test_fits_equal_the_parents_per_regressor_fit(self, regressor, sample_size):
+        estimator = self._estimator(regressor, sample_size)
         assert estimator.n_training_rows == (sample_size or len(estimator.view))
         y = np.asarray(estimator.view.column_view("Y"), dtype=float)
         targets = {"sum": y, "count": (y > 0).astype(float), "twice": 2.0 * y}
@@ -319,10 +317,9 @@ class TestSharedTrainingDesign:
             assert regressor_._encoder is estimator._encoder  # one per estimator
         assert estimator.regressor_cache_stats["fits"] == len(targets)
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
     @pytest.mark.parametrize("sample_size", [None, 90])
-    def test_the_design_is_column_major_and_each_block_its_transform(self, backend, sample_size):
-        estimator = self._estimator(backend, sample_size=sample_size)
+    def test_the_design_is_column_major_and_each_block_its_transform(self, sample_size):
+        estimator = self._estimator(sample_size=sample_size)
         y = np.asarray(estimator.view.column_view("Y"), dtype=float)
         estimator.regressor_for("y", lambda: y)
         design, encoder = estimator._design, estimator._encoder
@@ -335,10 +332,10 @@ class TestSharedTrainingDesign:
             assert block.flags.f_contiguous and np.array_equal(block, expected)
 
     def test_whole_view_training_reads_the_columns_without_copying(self):
-        estimator = self._estimator("columnar")
+        estimator = self._estimator()
         column = estimator.view.column_view("Num")
         assert estimator._at_training_rows(column) is column
-        sampled = self._estimator("columnar", sample_size=90)
+        sampled = self._estimator(sample_size=90)
         assert len(sampled._at_training_rows(column)) == 90
 
     def test_no_design_after_the_second_evaluation_of_a_warm_plan(self):
@@ -356,7 +353,7 @@ class TestSharedTrainingDesign:
         assert estimator.regressor_cache_stats == {"fits": 2, "hits": 2, "cached": 2}
 
     def test_a_keyless_fit_leaves_no_design_and_always_fits(self):
-        estimator = self._estimator("columnar")
+        estimator = self._estimator()
         y = np.asarray(estimator.view.column_view("Y"), dtype=float)
         a = estimator.regressor_for(None, lambda: y)
         b = estimator.regressor_for(None, lambda: y)
@@ -365,7 +362,7 @@ class TestSharedTrainingDesign:
         assert np.array_equal(a._model.coefficients, b._model.coefficients)
 
     def test_the_pickled_state_holds_no_design(self):
-        estimator = self._estimator("columnar")
+        estimator = self._estimator()
         y = np.asarray(estimator.view.column_view("Y"), dtype=float)
         fitted = estimator.regressor_for("y", lambda: y)
         assert estimator._design is not None

@@ -389,13 +389,6 @@ def german():
     return make_german_syn(260, seed=4)
 
 
-WARM_CONFIGS = [
-    pytest.param(backend, regressor, id=f"{backend}-{regressor}")
-    for backend in ("columnar", "rows")
-    for regressor in ("linear", "forest")
-]
-
-
 class RecordingKernelCache(KernelCache):
     """A kernel cache that remembers the keys it was asked for."""
 
@@ -411,11 +404,9 @@ class RecordingKernelCache(KernelCache):
 
 
 class TestWarmEqualsCold:
-    @pytest.mark.parametrize("backend, regressor", WARM_CONFIGS)
-    def test_variants_through_one_kernel_cache(self, german, backend, regressor):
-        config = EngineConfig(
-            regressor=regressor, backend=backend, n_forest_trees=3, max_tree_depth=3
-        )
+    @pytest.mark.parametrize("regressor", ["linear", "forest"])
+    def test_variants_through_one_kernel_cache(self, german, regressor):
+        config = EngineConfig(regressor=regressor, n_forest_trees=3, max_tree_depth=3)
         engine = WhatIfEngine(german.database, german.causal_dag, config)
         view = german.default_use.build(engine.database)
         kernels = KernelCache()
@@ -548,15 +539,14 @@ class TestWarmEqualsCold:
         kinds = {key[0] for key in kernels.keys}
         assert "base" in kinds and "backdoor_block" not in kinds
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
     @pytest.mark.parametrize("shape", list(KERNEL_LAW_TEMPLATES))
-    def test_a_warm_variant_is_the_cold_answer(self, german, backend, shape):
+    def test_a_warm_variant_is_the_cold_answer(self, german, shape):
         # the second and third variants of a plan run the kernel-cache path:
         # pre values, bases and index sets per plan, f at each term's rows
         template = KERNEL_LAW_TEMPLATES[shape]
         amazon = shape == "object-update"
         data = make_amazon_syn(150, seed=4) if amazon else german
-        config = EngineConfig(regressor="linear", backend=backend)
+        config = EngineConfig(regressor="linear")
         service = HypeRService(data.database, data.causal_dag, config, result_cache_size=0)
         cold = HypeR(data.database, data.causal_dag, config)
         try:

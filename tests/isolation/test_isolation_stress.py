@@ -14,9 +14,8 @@ matrix and a failing seed can be replayed locally::
 
     ISOLATION_SEEDS=23 python -m pytest tests/isolation -q
 
-Every violation message embeds the run label (driver, backend, seed, mix),
-so a red run prints exactly what to replay.  The database backend follows
-``REPRO_BACKEND`` (columnar/rows), giving CI its second matrix axis.
+Every violation message embeds the run label (driver, seed, mix), so a red
+run prints exactly what to replay.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import os
 
 import pytest
-
-from repro.relational import get_default_backend
 
 from .checker import check_snapshot_isolation
 from .harness import (
@@ -54,10 +51,7 @@ def workload_for(seed: int) -> VersionedWorkload:
 
 
 def label_for(driver: str, seed: int, mix: tuple[int, int, int]) -> str:
-    return (
-        f"driver={driver} backend={get_default_backend()} seed={seed} "
-        f"mix={mix[0]}rx{mix[1]}w"
-    )
+    return f"driver={driver} seed={seed} mix={mix[0]}rx{mix[1]}w"
 
 
 def assert_isolated(history, *, min_events: int) -> None:

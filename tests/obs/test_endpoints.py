@@ -167,9 +167,7 @@ class TestShardedTrace:
         service = HypeRService(
             dataset.database,
             dataset.causal_dag,
-            # columnar explicitly: this test asserts the tree's shape
-            # regardless of REPRO_BACKEND
-            EngineConfig(regressor="linear", backend="columnar"),
+            EngineConfig(regressor="linear"),
             execution="processes",
             n_shards=2,
         )

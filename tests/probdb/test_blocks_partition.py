@@ -3,8 +3,8 @@
 ``repro.probdb.blocks`` finds blocks as connected components of the tuple <->
 key-value graph (one ``np.unique`` per linking rule, min-label propagation).
 The dict-based union–find over ``(relation, row)`` tuples that it replaced is
-kept here, verbatim, as the oracle: on 200 seeded random databases per backend
-(and on the bundled datasets) ``block_labels`` must return the same arrays and
+kept here, verbatim, as the oracle: on 200 seeded random databases (and on
+the bundled datasets) ``block_labels`` must return the same arrays and
 the same ``n_blocks``, and ``decompose_into_blocks`` the same blocks.
 
 The generator covers what the three preserved edge semantics hinge on: FK
@@ -219,7 +219,7 @@ def _key_column(rng: random.Random, n: int, kind: str, pool: int, nulls: float) 
     return values
 
 
-def random_case(seed: int, backend: str) -> tuple[Database, CausalDAG]:
+def random_case(seed: int) -> tuple[Database, CausalDAG]:
     rng = random.Random(seed)
     # sorted-name order (tuple ids, block numbering) vs insertion order (label dict)
     parent, child, third = rng.choice(
@@ -236,7 +236,7 @@ def random_case(seed: int, backend: str) -> tuple[Database, CausalDAG]:
 
     def relation(name: str, n: int, columns: dict[str, list[Any]]) -> Relation:
         columns = {"id": list(range(n)), "x": [rng.random() for _ in range(n)], **columns}
-        rel = Relation.from_columns(name, columns, key=["id"], backend=backend)
+        rel = Relation.from_columns(name, columns, key=["id"])
         if rng.random() < 0.05:
             rel = rel.filter(np.zeros(n, dtype=bool))
         return rel
@@ -324,12 +324,11 @@ def assert_blocks_follow_labels(database: Database, dag: CausalDAG | None, conte
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["columnar", "rows"])
-def test_labels_equal_the_union_find_oracle(backend):
+def test_labels_equal_the_union_find_oracle():
     n_blocks_seen = set()
     for seed in range(N_CASES):
-        database, dag = random_case(seed, backend)
-        context = f"seed={seed} backend={backend}"
+        database, dag = random_case(seed)
+        context = f"seed={seed}"
         expected = oracle_block_labels(database, dag)
         assert_same_labels(block_labels(database, dag), expected, context)
         assert_blocks_follow_labels(database, dag, context)
@@ -341,7 +340,7 @@ def test_generator_separates_an_implementation_that_merges_childless_parents():
     """Parents sharing a key no child refers to must stay apart: the cases tell."""
     caught = 0
     for seed in range(N_CASES):
-        database, dag = random_case(seed, "columnar")
+        database, dag = random_case(seed)
         wrong = oracle_block_labels(database, dag, mutant=True)
         right = block_labels(database, dag)
         caught += wrong[1] != right[1] or any(
@@ -350,17 +349,16 @@ def test_generator_separates_an_implementation_that_merges_childless_parents():
     assert caught >= 5, f"only {caught} of {N_CASES} cases expose the wrong merge"
 
 
-@pytest.mark.parametrize("backend", ["columnar", "rows"])
 @pytest.mark.parametrize(
     "make, sizes",
     [(make_german_syn, (300, 1500)), (make_amazon_syn, (60, 400)), (make_student_syn, (40, 150))],
     ids=["german", "amazon", "student"],
 )
-def test_bundled_datasets_equal_the_oracle(make, sizes, backend):
+def test_bundled_datasets_equal_the_oracle(make, sizes):
     for size in sizes:
         dataset = make(size, seed=size)
-        database = dataset.database.with_backend(backend)
-        context = f"{make.__name__}({size}) backend={backend}"
+        database = dataset.database
+        context = f"{make.__name__}({size})"
         for dag in (dataset.causal_dag, None):
             assert_same_labels(
                 block_labels(database, dag), oracle_block_labels(database, dag), context

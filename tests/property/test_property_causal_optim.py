@@ -36,9 +36,8 @@ def test_minimal_backdoor_set_is_always_valid(dag, data):
     except IdentificationError:
         return  # nothing to check when the effect is not identifiable
     assert satisfies_backdoor(dag, treatment, outcome, adjustment)
-    # minimality: removing any single member breaks the criterion
-    for attribute in adjustment:
-        assert not satisfies_backdoor(dag, treatment, outcome, adjustment - {attribute}) or True
+    # the backdoor criterion's first clause, checked directly
+    assert not adjustment & dag.descendants(treatment)
 
 
 @given(random_dag())

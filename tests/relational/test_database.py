@@ -26,10 +26,8 @@ class TestDatabase:
         figure1_database.check_referential_integrity()
 
     def test_referential_integrity_violation(self, figure1_product, figure1_review):
-        bad_review = figure1_review.with_updated_values(
-            "PID", [True] + [False] * 5, [999] * 6
-        )
-        # keys must stay unique, so rebuild with a broken FK value instead
+        pids = list(figure1_review.column_view("PID"))
+        bad_review = figure1_review.with_column("PID", [999] + pids[1:])
         database = Database(
             [figure1_product, bad_review],
             foreign_keys=[ForeignKey("Review", ("PID",), "Product", ("PID",))],

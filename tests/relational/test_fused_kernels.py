@@ -3,7 +3,7 @@
 Property tests drive :func:`fused_mask_aggregate` and friends with random
 masks, groups and finite values and compare against the materialize-then-
 aggregate reference with plain ``==`` (no tolerance); an engine-level test
-requires a repeated what-if to be stable on both relational backends.
+requires a repeated what-if to be stable.
 """
 
 from __future__ import annotations
@@ -145,12 +145,7 @@ def queries(dataset, n=4):
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_repeated_fused_queries_are_stable(self, dataset, backend):
-        session = HypeR(
-            dataset.database,
-            dataset.causal_dag,
-            EngineConfig(regressor="linear", backend=backend),
-        )
+    def test_repeated_fused_queries_are_stable(self, dataset):
+        session = HypeR(dataset.database, dataset.causal_dag, EngineConfig(regressor="linear"))
         query = queries(dataset, 1)[0]
         assert session.what_if(query).value == session.what_if(query).value

@@ -73,6 +73,8 @@ class TestJoin:
         with pytest.raises(SchemaError):
             equi_join(products, reviews, on=[("Nope", "PID")])
         with pytest.raises(SchemaError):
+            equi_join(products, reviews, on=[("PID", "Nope")])
+        with pytest.raises(SchemaError):
             equi_join(products, reviews, on=[("PID", "PID")], how="outer")
 
 

@@ -11,7 +11,11 @@ from repro.relational import (
     NumericDomain,
     Relation,
     RelationSchema,
+    col,
+    evaluate_mask,
 )
+from repro.relational.columnar import Column
+from repro.relational.operators import aggregate_column
 
 
 @pytest.fixture
@@ -75,7 +79,6 @@ class TestAccess:
         assert relation.row(0) == {"ID": 1, "Price": 10.0, "Color": "red"}
         assert relation.key_of(2) == (3,)
         assert list(relation.iter_keys()) == [(1,), (2,), (3,), (4,)]
-        assert relation.key_index()[(4,)] == 3
 
     def test_row_out_of_range(self, relation):
         with pytest.raises(IndexError):
@@ -90,12 +93,6 @@ class TestAccess:
         with pytest.raises(SchemaError):
             relation.column("Nope")
 
-    def test_numeric_matrix(self, relation):
-        matrix = relation.numeric_matrix(["Price"])
-        assert matrix.shape == (4, 1)
-        with pytest.raises(SchemaError):
-            relation.numeric_matrix(["Color"])
-
 
 class TestTransformations:
     def test_filter_by_mask(self, relation):
@@ -107,16 +104,21 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             relation.filter([True, False])
 
-    def test_filter_rows_predicate(self, relation):
-        filtered = relation.filter_rows(lambda row: row["Color"] == "red")
-        assert len(filtered) == 2
-
-    def test_take_and_head_and_sort(self, relation):
+    def test_take_and_head(self, relation):
         taken = relation.take([3, 0])
         assert list(taken.column_view("ID")) == [4, 1]
         assert len(relation.head(2)) == 2
-        descending = relation.sort_by("Price", descending=True)
-        assert list(descending.column_view("ID")) == [4, 3, 2, 1]
+
+    def test_take_negative_indices_keep_colstore_aligned(self, relation):
+        """Negative (numpy-style) take indices must not become nulls in the store."""
+        relation.columnar_store()  # force the cached store so take() derives it
+        taken = relation.take([-1, 0])
+        assert taken.to_rows()[0]["ID"] == 4
+        assert evaluate_mask(col("ID") == 4, taken).tolist() == [True, False]
+        with pytest.raises(IndexError):
+            relation.take([-5])
+        with pytest.raises(IndexError):
+            relation.take([4])
 
     def test_sample(self, relation):
         sampled = relation.sample(2, np.random.default_rng(0))
@@ -136,9 +138,7 @@ class TestTransformations:
         # the original is untouched
         assert "Discount" not in relation.schema
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_with_column_overwrite_keeps_the_schema(self, relation, backend):
-        relation = relation.with_backend(backend)
+    def test_with_column_overwrite_keeps_the_schema(self, relation):
         for name in ("Price", "Color"):  # a middle column and the last one
             same = relation.with_column(name, list(relation.column_view(name)))
             assert same.schema == relation.schema
@@ -150,9 +150,7 @@ class TestTransformations:
         restored = halved.with_column("Price", list(relation.column_view("Price")))
         assert restored.schema == relation.schema and restored.to_rows() == relation.to_rows()
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_with_column_shares_the_untouched_columns(self, relation, backend):
-        relation = relation.with_backend(backend)
+    def test_with_column_shares_the_untouched_columns(self, relation):
         doubled = relation.with_column("Price", [v * 2 for v in relation.column_view("Price")])
         for name in ("ID", "Color"):
             assert doubled.column_view(name) is relation.column_view(name)
@@ -163,10 +161,8 @@ class TestTransformations:
         copied[0] = 99
         assert doubled.column_view("ID")[0] == relation.column_view("ID")[0] == 1
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_project_shares_the_columns(self, relation, backend):
-        relation = relation.with_backend(backend)
-        store = relation.columnar_store()  # the rows backend builds one only when asked
+    def test_project_shares_the_columns(self, relation):
+        store = relation.columnar_store()
         projected = relation.project(["ID", "Price"])
         for name in ("ID", "Price"):
             assert projected.column_view(name) is relation.column_view(name)
@@ -180,12 +176,6 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             relation.with_column("Price", [1.0])
 
-    def test_with_updated_values(self, relation):
-        updated = relation.with_updated_values(
-            "Price", [True, False, False, True], [0.0, 0.0, 0.0, 99.0]
-        )
-        assert list(updated.column_view("Price")) == [0.0, 20.0, 30.0, 99.0]
-
     def test_concat(self, schema, relation):
         other = Relation(
             schema, {"ID": [10], "Price": [5.0], "Color": ["blue"]}
@@ -197,6 +187,25 @@ class TestTransformations:
         text = relation.pretty(limit=2)
         assert "ID | Price | Color" in text
         assert "more rows" in text
+
+
+def test_string_ndarray_column_stays_categorical():
+    """A str-dtype ndarray column must not be coerced through the float fast path."""
+    relation = Relation.from_columns(
+        "T", {"ID": [1, 2], "S": np.array(["a", "b"])}, key=("ID",)
+    )
+    assert list(relation.column_view("S")) == ["a", "b"]
+    assert evaluate_mask(col("S") == "a", relation).tolist() == [True, False]
+
+
+def test_aggregate_column_accepts_typed_columns():
+    column = Column.from_values([1.0, None, 3.0])
+    assert aggregate_column(column, "sum") == 4.0
+    assert aggregate_column(column, "count") == 2.0
+    assert aggregate_column(column, "avg") == 2.0
+    # name normalisation must match the list path
+    assert aggregate_column(column, "Sum") == aggregate_column([1.0, None, 3.0], "Sum")
+    assert aggregate_column(column, "MEAN") == 2.0
 
 
 def _as_column_by_value(values):

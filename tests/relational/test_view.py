@@ -84,15 +84,9 @@ class TestUseSpec:
         with pytest.raises(Exception):
             AggregatedAttribute("X", "Review", "Rating", "median")
 
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_build_shares_the_base_relations_columns(
-        self, figure1_database, figure4_use, backend
-    ):
-        database = figure1_database.with_backend(backend)
-        base = database[figure4_use.base_relation]
-        if backend == "rows":
-            base.columnar_store()  # the rows backend builds typed columns only when asked
-        view = figure4_use.build(database)
+    def test_build_shares_the_base_relations_columns(self, figure1_database, figure4_use):
+        base = figure1_database[figure4_use.base_relation]
+        view = figure4_use.build(figure1_database)
         for name in figure4_use.attributes:
             assert view.column_view(name) is base.column_view(name)
             assert view.columnar_store()[name] is base.columnar_store()[name]

@@ -172,11 +172,8 @@ class TestColumnarStoreThreadSafety:
             "R",
             {"ID": list(range(2000)), "x": [float(i) for i in range(2000)]},
             key=("ID",),
-            backend="columnar",
         )
-        # fresh copy without a built store
-        relation = relation.with_backend("rows").with_backend("columnar")
-        assert relation._colstore is None
+        assert relation._colstore is None  # nothing has asked for the store yet
         stores = []
         barrier = threading.Barrier(8)
 

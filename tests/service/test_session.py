@@ -76,10 +76,9 @@ def dataset():
     return make_german_syn(300, seed=11)
 
 
-@pytest.mark.parametrize("backend", ["columnar", "rows"])
 class TestWarmEqualsCold:
-    def test_20_query_suite_bitwise_equal(self, dataset, backend):
-        config = EngineConfig(regressor="linear", backend=backend)
+    def test_20_query_suite_bitwise_equal(self, dataset):
+        config = EngineConfig(regressor="linear")
         queries = suite_20(dataset)
         cold = HypeR(dataset.database, dataset.causal_dag, config)
         cold_results = [cold.what_if(q) for q in queries]
@@ -675,8 +674,7 @@ class TestPlanKernelCache:
 class TestProcessesExecution:
     @pytest.fixture(scope="class")
     def services(self, dataset):
-        # columnar explicitly: these tests run the same whatever REPRO_BACKEND says
-        config = EngineConfig(regressor="linear", backend="columnar")
+        config = EngineConfig(regressor="linear")
         threads = HypeRService(dataset.database, dataset.causal_dag, config)
         processes = HypeRService(
             dataset.database,
@@ -785,8 +783,8 @@ class TestProcessesExecution:
                     400, ErrorEnvelope("query_semantics", message)
                 )
 
-    def test_rows_backend_shards_like_any_other(self, dataset):
-        config = EngineConfig(regressor="linear", backend="rows")
+    def test_two_shards_answer_as_threads_do(self, dataset):
+        config = EngineConfig(regressor="linear")
         service = HypeRService(
             dataset.database,
             dataset.causal_dag,
@@ -797,7 +795,7 @@ class TestProcessesExecution:
         try:
             queries = suite_20(dataset)[:3]
             sharded = [service.execute(query).value for query in queries]
-            assert service.stats()["pool"]["n_shards"] == 2  # the oracle is not gated
+            assert service.stats()["pool"]["n_shards"] == 2
             threads = HypeRService(dataset.database, dataset.causal_dag, config)
             assert sharded == [threads.execute(query).value for query in queries]
         finally:

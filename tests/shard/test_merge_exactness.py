@@ -1,8 +1,7 @@
 """Shard-merge exactness: ``merge(shards(Q)) == unsharded(Q)`` — bitwise.
 
-Property-style sweep over what-if and how-to queries, both relational
-backends, 1/2/4 shards, plus the single-block edge case and the Indep /
-forest-regressor variants.  Equality is asserted with ``==`` on floats (no
+Property-style sweep over what-if and how-to queries, 1/2/4 shards, plus the
+single-block edge case and the Indep / forest-regressor variants.  Equality is asserted with ``==`` on floats (no
 tolerance): the shard protocol fits every estimator on the full training
 snapshot, predictions are row-stable, and the merge scatters per-row
 contributions back into view order before reducing, so any drift at all is a
@@ -96,11 +95,10 @@ def assert_results_identical(sharded, unsharded):
     assert sharded.metadata == unsharded.metadata
 
 
-@pytest.mark.parametrize("backend", ["columnar", "rows"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 class TestWhatIfExactness:
-    def test_suite_bitwise_equal(self, dataset, backend, n_shards):
-        config = EngineConfig(regressor="linear", backend=backend)
+    def test_suite_bitwise_equal(self, dataset, n_shards):
+        config = EngineConfig(regressor="linear")
         session = HypeR(dataset.database, dataset.causal_dag, config)
         for query in what_if_suite(dataset):
             unsharded = session.what_if(query)
@@ -179,11 +177,10 @@ def how_to_suite(dataset) -> list[HowToQuery]:
     ]
 
 
-@pytest.mark.parametrize("backend", ["columnar", "rows"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 class TestHowToExactness:
-    def test_suite_bitwise_equal(self, dataset, backend, n_shards):
-        config = EngineConfig(regressor="linear", backend=backend)
+    def test_suite_bitwise_equal(self, dataset, n_shards):
+        config = EngineConfig(regressor="linear")
         engine = HowToEngine(dataset.database, dataset.causal_dag, config)
         plan = partition_database(dataset.database, dataset.causal_dag, n_shards)
         pool = ShardPool(plan, dataset.causal_dag, config, inline=True).start()

@@ -198,15 +198,10 @@ class TestAnswersAndCommitsShipWhatChanged:
     def big(self):
         return make_german_syn(8000, seed=5)
 
-    @pytest.fixture(scope="class")
-    def columnar(self):
-        # explicit: the process transport is gated to the columnar backend
-        return EngineConfig(regressor="linear", backend="columnar")
-
-    def test_batch_answers_are_scalars_in_both_modes(self, big, columnar):
+    def test_batch_answers_are_scalars_in_both_modes(self, big, config):
         plan = partition_database(big.database, big.causal_dag, 2)
-        processes = ShardPool(plan, big.causal_dag, columnar).start()
-        inline = ShardPool(plan, big.causal_dag, columnar, inline=True).start()
+        processes = ShardPool(plan, big.causal_dag, config).start()
+        inline = ShardPool(plan, big.causal_dag, config, inline=True).start()
         try:
             if processes.mode != "processes":
                 pytest.skip(f"no worker processes: {processes.fallback_reason}")
@@ -219,7 +214,7 @@ class TestAnswersAndCommitsShipWhatChanged:
             assert [replace(r, runtime_seconds=0.0) for r in answers] == [
                 replace(r, runtime_seconds=0.0) for r in same
             ]
-            session = HypeR(big.database, big.causal_dag, columnar)
+            session = HypeR(big.database, big.causal_dag, config)
             for query, answer in zip(queries, answers):
                 assert list(answer.block_contributions) == []
                 assert scalars(answer) == scalars(session.what_if(query))
@@ -232,10 +227,10 @@ class TestAnswersAndCommitsShipWhatChanged:
             inline.close()
 
     def test_commit_payload_is_the_changed_column_or_the_changed_rows(
-        self, big, columnar
+        self, big, config
     ):
         service = HypeRService(
-            big.database, big.causal_dag, columnar,
+            big.database, big.causal_dag, config,
             execution="processes", n_shards=2, result_cache_size=0,
         )
         try:
@@ -252,7 +247,7 @@ class TestAnswersAndCommitsShipWhatChanged:
 
             def commit_and_check(values) -> int:
                 service.update_relation_columns({"Credit": {"Investment": values}})
-                cold = HypeR(service.database, big.causal_dag, columnar)
+                cold = HypeR(service.database, big.causal_dag, config)
                 for query, answer in zip(queries, service.execute_many(queries)):
                     assert scalars(answer) == scalars(cold.what_if(query))
                 return service.stats()["pool"]["update_bytes_last"]

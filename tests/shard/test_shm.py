@@ -55,23 +55,14 @@ def make_query(dataset, i=0) -> WhatIfQuery:
 
 
 class TestCodec:
-    @pytest.mark.parametrize("backend", ["columnar", "rows"])
-    def test_database_round_trip_is_value_identical(self, dataset, backend):
+    def test_database_round_trip_is_value_identical(self, dataset):
         database = dataset.database
-        if backend == "rows":
-            from repro.relational.database import Database
-
-            database = Database(
-                [r.with_backend("rows") for r in database],
-                foreign_keys=database.foreign_keys,
-            )
         manifest, buffers = encode_database(database)
         decoded = decode_database(manifest, buffers)
         assert decoded.relation_names == database.relation_names
         assert list(decoded.foreign_keys) == list(database.foreign_keys)
         for relation in database:
             other = decoded[relation.name]
-            assert other.backend == relation.backend
             assert other.schema == relation.schema
             for attribute in relation.attribute_names:
                 a, b = relation.column(attribute), other.column(attribute)
