@@ -149,6 +149,7 @@ def encode_what_if_partial(partial: WhatIfShardPartial) -> dict[str, Any]:
         "scope_mask": _encode_optional(partial.scope_mask),
         "block_of_row": _encode_optional(partial.block_of_row),
         "n_blocks": partial.n_blocks,
+        "term_rows": _encode_optional(partial.term_rows),
     }
 
 
@@ -167,6 +168,7 @@ def decode_what_if_partial(payload: Any) -> WhatIfShardPartial:
             scope_mask=_decode_optional(payload.get("scope_mask")),
             block_of_row=_decode_optional(payload.get("block_of_row")),
             n_blocks=None if payload.get("n_blocks") is None else int(payload["n_blocks"]),
+            term_rows=_decode_optional(payload.get("term_rows")),
         )
     except KeyError as error:
         raise WireError(f"what-if partial missing field {error}") from None

@@ -517,7 +517,7 @@ class HowToEngine:
             return True
         post = None
         if pre_values.dtype.kind == "f":
-            post = function.apply_vectorized(pre_values, np.ones(len(pre_values), dtype=bool))
+            post = function.apply_vectorized(pre_values)
         if post is None:
             return all(
                 limit.admits(pre, function.apply(pre))
@@ -555,13 +555,13 @@ class HowToEngine:
     ) -> float:
         """Estimated objective value when ``chosen`` (possibly nothing) is applied:
         the answer to that candidate what-if query."""
-        count_contrib, sum_contrib = causal_contribution_rows(
+        contributions = causal_contribution_rows(
             query,
             shared.what_if,
             shared.estimator,
             [c.as_attribute_update() for c in chosen],
         )
-        return combine_aggregate(shared.aggregate_name, count_contrib, sum_contrib)[0]
+        return combine_aggregate(shared.aggregate_name, contributions)[0]
 
     def _candidate_coefficients(
         self,

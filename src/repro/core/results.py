@@ -30,12 +30,16 @@ class LazyBlockContributions(Sequence):
     """Sequence of :class:`BlockContribution` computed on first access.
 
     Proposition 1's per-block partials justify the answer; few callers read
-    them.  ``build`` (a closure over the per-row contribution array and the
-    plan's shared block / scope arrays) runs the ``np.bincount`` summary the
-    first time the sequence is measured, indexed, iterated or compared, and
+    them.  ``build`` is a closure over the one side of the contributions the
+    aggregate reads — the plan's read-only base, the term rows and the
+    contributions there — and the plan's shared block / scope arrays.  The
+    first time the sequence is measured, indexed, iterated or compared it
+    rebuilds the per-row array and runs the ``np.bincount`` summary, and
     objects are constructed per access — with thousands of singleton blocks,
-    building either eagerly dominated the per-query runtime.  In-process only:
-    answers that cross a process or network boundary carry an empty list.
+    building either eagerly dominated the per-query runtime.  Until then an
+    answer holds one array over its term rows, not one over the view.
+    In-process only: answers that cross a process or network boundary carry
+    an empty list.
     """
 
     __slots__ = ("_build", "_arrays")
@@ -50,7 +54,7 @@ class LazyBlockContributions(Sequence):
             build = self._build  # a concurrent first access builds twice, benignly
             if build is not None:
                 self._arrays = build()
-                self._build = None  # release the per-row arrays
+                self._build = None  # release the contributions
         return self._arrays
 
     def __len__(self) -> int:

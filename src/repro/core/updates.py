@@ -38,9 +38,12 @@ class UpdateFunction:
     def apply_column(self, values: Sequence[Any]) -> list[Any]:
         return [None if v is None else self.apply(v) for v in values]
 
-    def apply_vectorized(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
-        """Whole-column application where ``mask`` holds, or ``None`` when the
-        function has no vectorized form (callers fall back to :meth:`apply`)."""
+    def apply_vectorized(
+        self, values: np.ndarray, mask: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """Whole-column application where ``mask`` holds (``None``: every entry),
+        or ``None`` when the function has no vectorized form (callers fall back
+        to :meth:`apply`)."""
         return None
 
     def describe(self) -> str:
@@ -48,21 +51,24 @@ class UpdateFunction:
 
 
 def apply_update_column(
-    function: "UpdateFunction", pre_values: Sequence[Any], scope_mask: Sequence[bool]
+    function: "UpdateFunction",
+    pre_values: Sequence[Any],
+    scope_mask: Sequence[bool] | None = None,
 ) -> np.ndarray | list[Any]:
-    """Post-update column: ``f(pre)`` where ``scope_mask`` holds, ``pre`` elsewhere.
+    """Post-update column: ``f(pre)`` where ``scope_mask`` holds (``None``: at
+    every entry), ``pre`` elsewhere.
 
     Numeric ndarray columns go through the update function's vectorized form
     (the hot path); anything else falls back to a per-value loop, which skips
     ``None`` entries.
     """
-    mask = np.asarray(scope_mask, dtype=bool)
+    mask = None if scope_mask is None else np.asarray(scope_mask, dtype=bool)
     if isinstance(pre_values, np.ndarray) and pre_values.dtype.kind == "f":
         vectorized = function.apply_vectorized(pre_values, mask)
         if vectorized is not None:
             return vectorized
     out = list(pre_values)
-    for i in np.flatnonzero(mask):
+    for i in range(len(out)) if mask is None else np.flatnonzero(mask):
         if out[i] is not None:
             out[i] = function.apply(out[i])
     return out
@@ -77,11 +83,15 @@ class SetTo(UpdateFunction):
     def apply(self, value: Any) -> Any:
         return self.value
 
-    def apply_vectorized(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    def apply_vectorized(
+        self, values: np.ndarray, mask: np.ndarray | None = None
+    ) -> np.ndarray | None:
         if not isinstance(self.value, (int, float, np.integer, np.floating)) or isinstance(
             self.value, bool
         ):
             return None
+        if mask is None:
+            return np.full(len(values), float(self.value))
         return np.where(mask, float(self.value), values)
 
     def describe(self) -> str:
@@ -101,7 +111,11 @@ class AddConstant(UpdateFunction):
     def apply(self, value: Any) -> Any:
         return value + self.delta
 
-    def apply_vectorized(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    def apply_vectorized(
+        self, values: np.ndarray, mask: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        if mask is None:
+            return values + self.delta
         return np.where(mask, values + self.delta, values)
 
     def describe(self) -> str:
@@ -117,7 +131,11 @@ class MultiplyBy(UpdateFunction):
     def apply(self, value: Any) -> Any:
         return value * self.factor
 
-    def apply_vectorized(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    def apply_vectorized(
+        self, values: np.ndarray, mask: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        if mask is None:
+            return values * self.factor
         return np.where(mask, values * self.factor, values)
 
     def describe(self) -> str:

@@ -50,6 +50,7 @@ from .results import LazyBlockContributions, WhatIfResult
 from .updates import AttributeUpdate, apply_update_column
 
 __all__ = [
+    "Contributions",
     "PreparedWhatIf",
     "WhatIfEngine",
     "causal_contribution_rows",
@@ -62,6 +63,7 @@ __all__ = [
     "numeric_output_column",
     "outcome_attributes",
     "regressor_cache_key",
+    "term_rows",
     "when_scope",
 ]
 
@@ -204,9 +206,10 @@ class PreparedWhatIf:
 # over no engine state and take picklable inputs.  Per-row predictions are
 # row-stable and regressors are always fitted on full-view training targets,
 # so the same :func:`causal_contribution_rows`, run over a shard's local view
-# (:mod:`repro.shard.local`), computes for the shard's rows the same
-# contributions bit for bit; the shard merge finishes with
-# :func:`finalize_what_if`, the same reduction the unsharded path runs.
+# (:mod:`repro.shard.local`), computes for the shard's rows the same per-row
+# contributions bit for bit; the shard merge splits them at the full plan's
+# term rows and finishes with :func:`finalize_what_if`, the same reduction the
+# unsharded path runs.
 
 
 def _subset_index_list(n: int) -> list[tuple[int, ...]]:
@@ -233,6 +236,127 @@ def when_scope(
     )
 
 
+@dataclass(frozen=True)
+class Contributions:
+    """A what-if's expected per-row contributions, in two parts (Proposition 1).
+
+    Only the tuples of an inclusion–exclusion term depend on the update
+    (Section A.2.3): ``rows`` (ascending) are those tuples, ``count_at`` /
+    ``sum_at`` their contributions.  Every other tuple contributes its
+    observed value, held over the whole view by the bases, which are ``+0.0``
+    at every row of ``rows``; ``count_total`` / ``sum_total`` are the bases'
+    sums, so an expected count or sum is the base total plus the sum at
+    ``rows`` — the one rule every path reduces by.  The bases may be
+    read-only plan arrays; the ``sum`` side is ``None`` when the aggregate
+    reads no output values.
+    """
+
+    count_base: np.ndarray
+    sum_base: np.ndarray | None
+    count_total: float
+    sum_total: float
+    rows: np.ndarray
+    count_at: np.ndarray
+    sum_at: np.ndarray | None
+
+    @classmethod
+    def from_per_row(
+        cls, count: np.ndarray, sum_: np.ndarray | None, rows: np.ndarray
+    ) -> Contributions:
+        """Split whole per-row arrays (taken over, not copied) at ``rows``."""
+        count_base, count_at = _split_at(count, rows)
+        sum_base = sum_at = None
+        if sum_ is not None:
+            sum_base, sum_at = _split_at(sum_, rows)
+        return cls(
+            count_base=count_base,
+            sum_base=sum_base,
+            count_total=float(count_base.sum()),
+            sum_total=0.0 if sum_base is None else float(sum_base.sum()),
+            rows=rows,
+            count_at=count_at,
+            sum_at=sum_at,
+        )
+
+    def expected_count(self) -> float:
+        return self.count_total + float(self.count_at.sum())
+
+    def expected_sum(self) -> float:
+        return self.sum_total + float(self.sum_at.sum())
+
+    def per_row(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The whole per-row ``(count, sum)`` arrays, rebuilt."""
+        count = _fill_at(self.count_base, self.rows, self.count_at)
+        if self.sum_base is None:
+            return count, None
+        return count, _fill_at(self.sum_base, self.rows, self.sum_at)
+
+
+def _split_at(per_row: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    at = per_row[rows]
+    per_row[rows] = 0.0
+    return per_row, at
+
+
+def _fill_at(base: np.ndarray, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    if not len(rows):
+        return base
+    out = base.copy()
+    out[rows] = at
+    return out
+
+
+def _term_index(
+    prepared: PreparedWhatIf,
+    when_key: Hashable,
+    pre_masks: list[np.ndarray],
+    subset: tuple[int, ...],
+) -> np.ndarray:
+    """The rows of one inclusion–exclusion term: in scope, every pre-part of ``subset`` holds."""
+
+    def build() -> np.ndarray:
+        applicable = prepared.scope_mask.copy()
+        for k in subset:
+            applicable &= pre_masks[k]
+        return np.flatnonzero(applicable)
+
+    return _derive(prepared.kernels, ("idx", when_key, prepared.for_key, subset), build)
+
+
+def _term_rows(
+    prepared: PreparedWhatIf, when_key: Hashable, pre_masks: list[np.ndarray]
+) -> np.ndarray:
+    """The union of the terms' rows (with one disjunct, the one term's)."""
+    if len(pre_masks) == 1:
+        return _term_index(prepared, when_key, pre_masks, (0,))
+
+    def build() -> np.ndarray:
+        applicable = pre_masks[0] | pre_masks[1]
+        for pre_mask in pre_masks[2:]:
+            applicable |= pre_mask
+        applicable &= prepared.scope_mask
+        return np.flatnonzero(applicable)
+
+    return _derive(prepared.kernels, ("term_rows", when_key, prepared.for_key), build)
+
+
+def _pre_masks(prepared: PreparedWhatIf) -> list[np.ndarray]:
+    # Pre-part satisfaction per disjunct (deterministic, observed values).
+    return [
+        _derive(
+            prepared.kernels,
+            ("pre_mask", i, prepared.for_key),
+            lambda d=d: evaluate_mask(d.pre, prepared.view),
+        )
+        for i, d in enumerate(prepared.disjuncts)
+    ]
+
+
+def term_rows(query: WhatIfQuery | HowToQuery, prepared: PreparedWhatIf) -> np.ndarray:
+    """The rows ``causal_contribution_rows`` puts terms in, over ``prepared.view``."""
+    return _term_rows(prepared, query.when.canonical(), _pre_masks(prepared))
+
+
 def causal_contribution_rows(
     query: WhatIfQuery | HowToQuery,
     prepared: PreparedWhatIf,
@@ -240,11 +364,10 @@ def causal_contribution_rows(
     updates: Sequence[AttributeUpdate] | None = None,
     *,
     fit_view: Relation | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (count, sum) contributions of the causal variants.
+) -> Contributions:
+    """The :class:`Contributions` of the causal variants over ``prepared.view``.
 
-    Returns float arrays aligned with ``prepared.view``, possibly read-only.
-    ``sum`` entries are only populated when the query's aggregate needs
+    The ``sum`` side is populated only when the query's aggregate needs
     output values.
 
     This is the one inclusion–exclusion kernel (Section A.2.3).  ``updates``
@@ -257,9 +380,11 @@ def causal_contribution_rows(
     Only ``B``'s values at the tuples in scope depend on the update
     constants (Proposition 1), so no whole post column is built: each term
     applies ``f`` to ``B``'s pre values at its rows ``idx`` (all in scope),
-    encodes them once for the count and the sum regressor, and puts the term
-    into the unaffected-row bases.  Everything else — masks, the output
-    column, the bases, each term's ``idx`` and ``pre[idx]`` and, inside
+    encodes them once for the count and the sum regressor, and adds the term
+    at its positions among the term rows; no view-length array is built or
+    copied.  Everything else — masks, the output column, the unaffected-row
+    bases and their sums, the term rows, each term's ``idx``, its positions
+    and ``pre[idx]`` and, inside
     :meth:`PostUpdateEstimator.predict_rows`, what the backdoor attributes
     contribute to each regressor's prediction there — comes from
     ``prepared.kernels``; with ``kernels=None`` (the cold engine) the same
@@ -289,18 +414,14 @@ def causal_contribution_rows(
         function = functions.get(attribute)  # None: a how-to leaves it as it is
         if function is None:
             return pre
-        return apply_update_column(function, pre, np.ones(len(idx), dtype=bool))
+        return apply_update_column(function, pre)
 
     output_values = _derive(
         kernels,
         ("output_values", query.output_attribute),
         lambda: numeric_output_column(view, query.output_attribute),
     )
-    # Pre-part satisfaction per disjunct (deterministic, observed values).
-    pre_masks = [
-        _derive(kernels, ("pre_mask", i, for_key), lambda d=d: evaluate_mask(d.pre, view))
-        for i, d in enumerate(prepared.disjuncts)
-    ]
+    pre_masks = _pre_masks(prepared)
     # Post-part indicators evaluated on the observed data.
     post_masks = [
         _derive(kernels, ("post_mask", i, for_key), lambda d=d: evaluate_mask(d.post, view))
@@ -314,20 +435,32 @@ def causal_contribution_rows(
         return out
 
     # -- unaffected tuples: post values equal pre values, everything deterministic.
+    # The bases and their sums are per plan; a query never writes them.
     qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre)
-    # The bases, per plan: copied only when a term is put in.
-    count_contrib = _derive(
+    count_base = _derive(
         kernels, ("count_base", when_key, for_key),
         lambda: np.where(~scope, qualifies_pre.astype(float), 0.0),
     )
-    sum_contrib = _derive(
-        kernels, ("sum_base", when_key, for_key, query.output_attribute),
-        lambda: np.where(~scope & qualifies_pre, output_values, 0.0),
+    count_total = _derive(
+        kernels, ("count_total", when_key, for_key), lambda: float(count_base.sum())
     )
+    sum_base, sum_total = None, 0.0
+    if aggregate.needs_output_value:
+        sum_base = _derive(
+            kernels, ("sum_base", when_key, for_key, query.output_attribute),
+            lambda: np.where(~scope & qualifies_pre, output_values, 0.0),
+        )
+        sum_total = _derive(
+            kernels, ("sum_total", when_key, for_key, query.output_attribute),
+            lambda: float(sum_base.sum()),
+        )
 
-    # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3).
-    first = True  # no term has been added yet
-    if scope.any():
+    # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3),
+    # accumulated at the union of the terms' rows only.
+    rows = _term_rows(prepared, when_key, pre_masks)
+    count_at = sum_at = None  # no term has been put in yet
+    n_terms = 0
+    if rows.size:
         if fit_view is None:
             fit_view = view
 
@@ -351,20 +484,17 @@ def causal_contribution_rows(
             target = joint_post.astype(float)
             return fit_output * target if scaled else target
 
-        for subset in _subset_index_list(len(prepared.disjuncts)):
-            sign = 1.0 if len(subset) % 2 == 1 else -1.0
-
-            def _applicable_rows() -> np.ndarray:
-                # Rows where every pre-part in the subset holds contribute this term.
-                applicable = scope.copy()
-                for k in subset:
-                    applicable &= pre_masks[k]
-                return np.flatnonzero(applicable)
-
+        subsets = _subset_index_list(len(prepared.disjuncts))
+        for subset in subsets:
             idx_token = ("idx", when_key, for_key, subset)
-            idx = _derive(kernels, idx_token, _applicable_rows)
+            idx = rows if len(subsets) == 1 else _term_index(prepared, when_key, pre_masks, subset)
             if not idx.size:
                 continue
+            # where the term's rows sit among ``rows``; ``None``: all of them
+            at = None if len(idx) == len(rows) else _derive(
+                kernels, ("at", when_key, for_key, subset), lambda: np.searchsorted(rows, idx)
+            )
+            negative = len(subset) % 2 == 0
             regressor = estimator.regressor_for(
                 regressor_cache_key("count", subset, for_key),
                 lambda s=subset: _target(s, False),
@@ -375,7 +505,10 @@ def causal_contribution_rows(
             prob = estimator.predict_rows(
                 regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
             )
-            count_contrib = _add_term(count_contrib, idx, sign * np.clip(prob, 0.0, 1.0), first)
+            np.clip(prob, 0.0, 1.0, out=prob)
+            if negative:
+                prob *= -1.0
+            count_at = _put_term(count_at, prob, at, len(rows))
             if aggregate.needs_output_value:
                 regressor = estimator.regressor_for(
                     regressor_cache_key("sum", subset, for_key, query.output_attribute),
@@ -384,38 +517,52 @@ def causal_contribution_rows(
                 prediction = estimator.predict_rows(
                     regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
                 )
-                sum_contrib = _add_term(sum_contrib, idx, sign * prediction, first)
-            first = False
-    if not first:
-        # Per-tuple qualification probabilities live in [0, 1]; clip estimator overshoot.
-        np.clip(count_contrib, 0.0, 1.0, out=count_contrib)
-    return count_contrib, sum_contrib
+                if negative:
+                    prediction *= -1.0
+                sum_at = _put_term(sum_at, prediction, at, len(rows))
+            n_terms += 1
+    if n_terms > 1:
+        # Per-tuple qualification probabilities live in [0, 1]; clip the
+        # overshoot of signed terms.  One clipped term is in [0, 1] already.
+        np.clip(count_at, 0.0, 1.0, out=count_at)
+    return Contributions(
+        count_base=count_base,
+        sum_base=sum_base,
+        count_total=count_total,
+        sum_total=sum_total,
+        rows=rows,
+        count_at=np.zeros(len(rows)) if count_at is None else count_at,
+        sum_at=(
+            None if sum_base is None else np.zeros(len(rows)) if sum_at is None else sum_at
+        ),
+    )
 
 
-def _add_term(
-    contrib: np.ndarray, idx: np.ndarray, term: np.ndarray, first: bool
+def _put_term(
+    accumulated: np.ndarray | None, term: np.ndarray, at: np.ndarray | None, n_rows: int
 ) -> np.ndarray:
-    """``contrib[idx] += term``.  Before the ``first`` term ``contrib`` is a base,
-    +0.0 at a term's rows (all in scope): ``0.0 + term`` is the sum, one put."""
-    if len(idx) == len(contrib):  # every row: no index, and in place after the first
-        if first:
-            return term + 0.0
-        contrib += term
-    elif first:
-        if not contrib.flags.writeable:  # a kernel-cache base, shared
-            contrib = contrib.copy()
-        contrib[idx] = term + 0.0
-    else:
-        contrib[idx] += term
-    return contrib
+    """Add one signed term, fresh and owned, at the positions ``at`` of ``n_rows``
+    term rows (``None``: all of them).  Before the first term every position
+    holds the base's value there, ``+0.0``."""
+    if at is None:
+        if accumulated is None:
+            term += 0.0
+            return term
+        accumulated += term
+        return accumulated
+    if accumulated is None:
+        accumulated = np.zeros(n_rows)
+    accumulated[at] += term
+    return accumulated
 
 
 def indep_contribution_rows(
     query: WhatIfQuery, view: Relation, scope_mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row contributions of the Indep baseline (no causal propagation).
+) -> Contributions:
+    """Contributions of the Indep baseline (no causal propagation).
 
     The one path that builds whole post columns: ``f(pre)`` inside the scope.
+    It has no terms, so every row is in the bases.
     """
     post_view = view
     update = query.hypothetical_update
@@ -424,24 +571,25 @@ def indep_contribution_rows(
         post_view = post_view.with_column(attribute, values)
     qualify = evaluate_mask(query.for_clause, view, post_view)
     output_values = numeric_output_column(post_view, query.output_attribute)
-    count_contrib = qualify.astype(float)
-    sum_contrib = np.where(qualify, output_values, 0.0)
-    return count_contrib, sum_contrib
+    reads_output = get_aggregate(query.output_aggregate).needs_output_value
+    return Contributions.from_per_row(
+        qualify.astype(float),
+        np.where(qualify, output_values, 0.0) if reads_output else None,
+        np.empty(0, dtype=np.intp),
+    )
 
 
-def combine_aggregate(
-    aggregate: str, count_contrib: np.ndarray, sum_contrib: np.ndarray
-) -> tuple[float, float]:
-    """Fold per-row contributions into ``(value, expected_qualifying_count)``."""
-    expected_count = float(count_contrib.sum())
+def combine_aggregate(aggregate: str, contributions: Contributions) -> tuple[float, float]:
+    """Fold contributions into ``(value, expected_qualifying_count)``."""
+    expected_count = contributions.expected_count()
     if aggregate == "count":
         return expected_count, expected_count
     if aggregate == "sum":
-        return float(sum_contrib.sum()), expected_count
+        return contributions.expected_sum(), expected_count
     # avg: ratio of expected sum to expected qualifying count
     if expected_count <= 0:
         return 0.0, expected_count
-    return float(sum_contrib.sum()) / expected_count, expected_count
+    return contributions.expected_sum() / expected_count, expected_count
 
 
 def block_contribution_summary(
@@ -461,8 +609,7 @@ def block_contribution_summary(
 
 def finalize_what_if(
     query: WhatIfQuery,
-    count_contrib: np.ndarray,
-    sum_contrib: np.ndarray,
+    contributions: Contributions,
     *,
     scope_mask: np.ndarray,
     block_of_row: np.ndarray,
@@ -470,30 +617,40 @@ def finalize_what_if(
     backdoor_set: tuple[str, ...],
     variant: str,
     metadata: dict[str, Any] | None = None,
+    n_scope_tuples: int | None = None,
 ) -> WhatIfResult:
-    """Reduce merged per-row contributions into a :class:`WhatIfResult`.
+    """Reduce contributions into a :class:`WhatIfResult`.
 
     This is the single aggregation path shared by the unsharded engine and the
-    shard merge: both hand it full-view-length contribution arrays, so a
-    sharded evaluation reduces in exactly the same order as an unsharded one.
-    The per-block summary is not computed here: ``block_contributions`` keeps
-    the per-row array it needs and runs :func:`block_contribution_summary` on
-    first access.
+    shard merge: both reduce by the same two-part rule
+    (:class:`Contributions`), so a sharded evaluation reduces in exactly the
+    same order as an unsharded one.  ``n_scope_tuples`` is counted from
+    ``scope_mask`` unless the caller has it.  The per-block summary is not
+    computed here: ``block_contributions`` keeps the one side of the
+    contributions its aggregate reads and rebuilds the per-row array for
+    :func:`block_contribution_summary` on first access.
     """
     aggregate = get_aggregate(query.output_aggregate)
-    value, expected_count = combine_aggregate(
-        aggregate.name, count_contrib, sum_contrib
-    )
-    per_row = count_contrib if aggregate.name == "count" else sum_contrib
+    value, expected_count = combine_aggregate(aggregate.name, contributions)
+    # the block summary reads the side of the aggregate, and keeps only it
+    if aggregate.name == "count":
+        base, at = contributions.count_base, contributions.count_at
+    else:
+        base, at = contributions.sum_base, contributions.sum_at
+    rows = contributions.rows
+    if n_scope_tuples is None:
+        n_scope_tuples = int(np.count_nonzero(scope_mask))
     return WhatIfResult(
         value=value,
         aggregate=aggregate.name,
         output_attribute=query.output_attribute,
-        n_view_tuples=len(count_contrib),
-        n_scope_tuples=int(np.count_nonzero(scope_mask)),
+        n_view_tuples=len(contributions.count_base),
+        n_scope_tuples=n_scope_tuples,
         n_blocks=n_blocks,
         block_contributions=LazyBlockContributions(
-            lambda: block_contribution_summary(per_row, block_of_row, n_blocks, scope_mask)
+            lambda: block_contribution_summary(
+                _fill_at(base, rows, at), block_of_row, n_blocks, scope_mask
+            )
         ),
         backdoor_set=backdoor_set,
         variant=variant,
@@ -644,13 +801,9 @@ class WhatIfEngine:
         prepared: PreparedWhatIf,
         estimator: PostUpdateEstimator,
     ) -> WhatIfResult:
-        count_contrib, sum_contrib = causal_contribution_rows(
-            query, prepared, estimator
-        )
         return finalize_what_if(
             query,
-            count_contrib,
-            sum_contrib,
+            causal_contribution_rows(query, prepared, estimator),
             scope_mask=prepared.scope_mask,
             block_of_row=prepared.block_of_row,
             n_blocks=prepared.n_blocks,
@@ -661,19 +814,20 @@ class WhatIfEngine:
                 "n_disjuncts": len(prepared.disjuncts),
                 "feature_attributes": list(estimator.feature_attributes),
             },
+            n_scope_tuples=_derive(
+                prepared.kernels,
+                ("n_scope", query.when.canonical()),
+                lambda: int(np.count_nonzero(prepared.scope_mask)),
+            ),
         )
 
     # -- Indep baseline ---------------------------------------------------------------------
 
     def _evaluate_indep(self, query: WhatIfQuery, prepared: PreparedWhatIf) -> WhatIfResult:
         """Provenance-style baseline: the update does not propagate to other attributes."""
-        count_contrib, sum_contrib = indep_contribution_rows(
-            query, prepared.view, prepared.scope_mask
-        )
         return finalize_what_if(
             query,
-            count_contrib,
-            sum_contrib,
+            indep_contribution_rows(query, prepared.view, prepared.scope_mask),
             scope_mask=prepared.scope_mask,
             block_of_row=prepared.block_of_row,
             n_blocks=prepared.n_blocks,

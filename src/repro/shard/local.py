@@ -37,9 +37,9 @@ from ..core.queries import WhatIfQuery
 from ..core.whatif import (
     causal_contribution_rows,
     indep_contribution_rows,
+    term_rows,
     when_scope,
 )
-from ..relational.aggregates import get_aggregate
 from .merge import ShardMergeError, WhatIfShardPartial
 from .partition import Shard
 
@@ -51,7 +51,7 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
 
     ``shard`` must come from a partition of that generation's database.
     Shard 0 also carries the full-view context the merge needs once (scope
-    mask, block labels).
+    mask, block labels, the rows of the inclusion–exclusion terms).
     """
     plan = service.prepare(query)
     full = plan.what_if
@@ -66,7 +66,7 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
     scope = when_scope(query, local_view)
     meta: dict[str, Any] = {"n_disjuncts": len(full.disjuncts)}
     if plan.estimator is None:
-        count, sum_ = indep_contribution_rows(query, local_view, scope)
+        contributions = indep_contribution_rows(query, local_view, scope)
         meta.update(variant=Variant.INDEP, backdoor_set=())
     else:
         local = replace(
@@ -77,7 +77,7 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
             block_of_row=np.empty(0, dtype=int),
             kernels=None,
         )
-        count, sum_ = causal_contribution_rows(
+        contributions = causal_contribution_rows(
             query, local, plan.estimator, fit_view=view
         )
         estimator = plan.estimator
@@ -87,16 +87,20 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
             n_training_rows=estimator.n_training_rows,
             feature_attributes=list(estimator.feature_attributes),
         )
+    count, sum_ = contributions.per_row()
     partial = WhatIfShardPartial(
         shard_index=shard.index,
         n_shards=shard.n_shards,
         n_rows=len(view),
         row_indices=np.flatnonzero(mask),
         count=count,
-        sum=sum_ if get_aggregate(query.output_aggregate).needs_output_value else None,
+        sum=sum_,
         meta=meta,
     )
     if shard.index == 0:
         partial.scope_mask = full.scope_mask
         partial.block_of_row, partial.n_blocks = full.block_of_row, full.n_blocks
+        partial.term_rows = (
+            contributions.rows if plan.estimator is None else term_rows(query, full)
+        )
     return partial

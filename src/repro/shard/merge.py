@@ -14,16 +14,20 @@ pairwise reduction, out-of-order arrival from a worker pool) produces the same
 final answer.
 
 Exactness: the finisher scatters merged per-row contributions back into
-full-view-length arrays by global row position and then runs the *same*
-reduction as the unsharded engine (:func:`repro.core.whatif.finalize_what_if`).
-Because scattering restores the original row order, the floating-point fold is
-identical operation for operation, and the merged answer is bitwise equal to
-the unsharded one — the property ``merge(shards(Q)) == unsharded(Q)`` the
-shard tests assert.
+full-view-length arrays by global row position, splits them at the full
+plan's term rows into what the unsharded kernel returns — bases that are
+``+0.0`` at those rows and the contributions there
+(:meth:`repro.core.whatif.Contributions.from_per_row`) — and then runs the
+*same* reduction as the unsharded engine
+(:func:`repro.core.whatif.finalize_what_if`).  Per-row values are row-stable,
+and scattering restores the original row order, so both parts of the
+two-part sum are folded identically operation for operation, and the merged
+answer is bitwise equal to the unsharded one — the property
+``merge(shards(Q)) == unsharded(Q)`` the shard tests assert.
 
-Carrier fields (``scope_mask``, ``block_of_row``) are full-view context needed
-only once per query; by convention shard 0 populates them and :meth:`merge`
-propagates whichever side has them.
+Carrier fields (``scope_mask``, ``block_of_row``, ``term_rows``) are
+full-view context needed only once per query; by convention shard 0
+populates them and :meth:`merge` keeps the first one present.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from ..core.queries import WhatIfQuery
 from ..core.results import WhatIfResult
-from ..core.whatif import finalize_what_if
+from ..core.whatif import Contributions, finalize_what_if
 from ..exceptions import HypeRError
 
 __all__ = ["ShardMergeError", "WhatIfShardPartial", "merge_what_if"]
@@ -94,6 +98,8 @@ class WhatIfShardPartial:
     scope_mask: np.ndarray | None = None
     block_of_row: np.ndarray | None = None
     n_blocks: int | None = None
+    #: the full plan's inclusion–exclusion term rows (empty for Indep)
+    term_rows: np.ndarray | None = None
 
     def merge(self, other: "WhatIfShardPartial") -> "WhatIfShardPartial":
         """Associative combination: the partial covering both row sets."""
@@ -115,6 +121,7 @@ class WhatIfShardPartial:
                 self.block_of_row if self.block_of_row is not None else other.block_of_row
             ),
             n_blocks=self.n_blocks if self.n_blocks is not None else other.n_blocks,
+            term_rows=self.term_rows if self.term_rows is not None else other.term_rows,
         )
 
 
@@ -128,22 +135,23 @@ def merge_what_if(
     for partial in partials[1:]:
         merged = merged.merge(partial)
     _check_cover(merged.n_rows, merged.row_indices)
-    if merged.scope_mask is None or merged.block_of_row is None or merged.n_blocks is None:
+    if any(
+        carried is None
+        for carried in (merged.scope_mask, merged.block_of_row, merged.n_blocks, merged.term_rows)
+    ):
         raise ShardMergeError(
             "no shard partial carried the full-view context "
-            "(scope_mask / block_of_row / n_blocks)"
+            "(scope_mask / block_of_row / n_blocks / term_rows)"
         )
-    count = _scatter(merged.n_rows, merged.row_indices, merged.count)
-    sum_ = (
-        np.zeros(merged.n_rows)
-        if merged.sum is None
-        else _scatter(merged.n_rows, merged.row_indices, merged.sum)
+    contributions = Contributions.from_per_row(
+        _scatter(merged.n_rows, merged.row_indices, merged.count),
+        None if merged.sum is None else _scatter(merged.n_rows, merged.row_indices, merged.sum),
+        merged.term_rows,
     )
     meta = dict(merged.meta)
     return finalize_what_if(
         query,
-        count,
-        sum_,
+        contributions,
         scope_mask=merged.scope_mask,
         block_of_row=merged.block_of_row,
         n_blocks=merged.n_blocks,

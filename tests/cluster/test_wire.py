@@ -116,9 +116,11 @@ class TestPartials:
             scope_mask=np.array([True] * 10),
             block_of_row=np.arange(10),
             n_blocks=4,
+            term_rows=np.array([0, 4, 9]),
         )
         out = wire.decode_what_if_partial(json_hop(wire.encode_what_if_partial(partial)))
         assert out.shard_index == 1 and out.n_shards == 3 and out.n_rows == 10
+        assert out.term_rows.tolist() == [0, 4, 9] and out.term_rows.dtype.kind == "i"
         assert out.count.tobytes() == partial.count.tobytes()
         assert out.sum.tobytes() == partial.sum.tobytes()
         assert out.scope_mask.tolist() == partial.scope_mask.tolist()
@@ -136,6 +138,7 @@ class TestPartials:
         )
         out = wire.decode_what_if_partial(json_hop(wire.encode_what_if_partial(partial)))
         assert out.sum is None and out.scope_mask is None and out.n_blocks is None
+        assert out.term_rows is None
 
 
 def bits(value: float) -> bytes:

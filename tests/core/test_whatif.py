@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.core import (
 )
 from repro.core import whatif as whatif_module
 from repro.core.results import BlockContribution
-from repro.core.whatif import causal_contribution_rows
+from repro.core.whatif import causal_contribution_rows, combine_aggregate
 from repro.datasets import make_amazon_syn, make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
@@ -428,7 +429,7 @@ class TestWarmEqualsCold:
                 query,
                 cold_prepared,
                 cold_session.whatif_engine.build_estimator(query, cold_prepared),
-            )
+            ).per_row()
             oracle = eager_block_summary(
                 warm.aggregate, count, sum_, cold_prepared.block_of_row,
                 cold_prepared.n_blocks, cold_prepared.scope_mask,
@@ -576,7 +577,7 @@ class TestWarmEqualsCold:
         query = parse_query(KERNEL_LAW_TEMPLATES["three-disjuncts"].format(c=1.3))
         prepared = engine.prepare(query)
         estimator = engine.build_estimator(query, prepared)
-        count, sum_ = causal_contribution_rows(query, prepared, estimator)
+        count, sum_ = causal_contribution_rows(query, prepared, estimator).per_row()
         view, scope = prepared.view, prepared.scope_mask
         status = np.asarray(view.column_view("Status"), dtype=float)
         post_values = {"Status": np.where(scope, 1.3 * status, status)}
@@ -633,3 +634,128 @@ class TestWarmEqualsCold:
             assert after != before  # the commits did move the answers
         finally:
             service.close()
+
+
+# -- the term-row reduction -------------------------------------------------------------
+#
+# A what-if's contributions are the plan's unaffected-row bases plus the
+# contributions at the rows of its inclusion–exclusion terms; only the latter
+# are computed per query.
+
+REDUCTION_TEMPLATES = {
+    **KERNEL_LAW_TEMPLATES,
+    "two-disjuncts": WARM_TEMPLATES[4],
+    "empty-rows": WARM_TEMPLATES[5],
+    # the first term covers part of the term rows, and the count is clipped
+    "first-term-partial": "USE Credit WHEN Sex = 1 UPDATE(CreditAmount) = {c} * "
+    "PRE(CreditAmount) OUTPUT COUNT(POST(Credit)) "
+    "FOR (PRE(Age) >= 40 AND POST(Credit) = 1) OR (PRE(Housing) >= 2 AND POST(Credit) = 0)",
+}
+
+
+def assert_two_part_rule(contributions, aggregate, prepared):
+    """Bases are +0.0 at the term rows, and an expected count or sum is the
+    base total plus the sum at those rows."""
+    rows = contributions.rows
+    pre_masks = [evaluate_mask(d.pre, prepared.view) for d in prepared.disjuncts]
+    union = np.logical_or.reduce(pre_masks) & prepared.scope_mask
+    assert rows.tobytes() == np.flatnonzero(union).tobytes()
+    sides = [(contributions.count_base, contributions.count_at, contributions.count_total)]
+    if contributions.sum_base is not None:
+        sides.append((contributions.sum_base, contributions.sum_at, contributions.sum_total))
+    for base, at, total in sides:
+        assert len(base) == len(prepared.view) and len(at) == len(rows)
+        assert base[rows].tobytes() == np.zeros(len(rows)).tobytes()  # +0.0, not -0.0
+        assert total == float(base.sum())
+    value, expected_count = combine_aggregate(aggregate, contributions)
+    assert expected_count == contributions.count_total + float(contributions.count_at.sum())
+    if aggregate != "count":
+        expected_sum = contributions.sum_total + float(contributions.sum_at.sum())
+        assert value == (expected_sum if aggregate == "sum" else expected_sum / expected_count)
+    # the whole-array sum, up to the order of the additions
+    count, _ = contributions.per_row()
+    assert expected_count == pytest.approx(float(count.sum()), rel=1e-12, abs=1e-12)
+
+
+class TestTermRowReduction:
+    @pytest.mark.parametrize("shape", list(REDUCTION_TEMPLATES))
+    def test_a_warm_variants_per_row_arrays_are_the_cold_ones(self, german, shape):
+        template = REDUCTION_TEMPLATES[shape]
+        data = make_amazon_syn(150, seed=4) if shape == "object-update" else german
+        engine = WhatIfEngine(data.database, data.causal_dag, EngineConfig(regressor="linear"))
+        view = data.default_use.build(data.database)
+        kernels = KernelCache()
+        estimator = None
+        for k, c in enumerate((0.8, 1.3, 2.0)):
+            query = parse_query(template.format(c=c, s=("Red", "Blue", "Silver")[k]))
+            prepared = engine.prepare(query, view=view, kernels=kernels)
+            estimator = estimator or engine.build_estimator(query, prepared)
+            warm = causal_contribution_rows(query, prepared, estimator)
+            cold_prepared = engine.prepare(query)
+            cold = causal_contribution_rows(
+                query, cold_prepared, engine.build_estimator(query, cold_prepared)
+            )
+            assert warm.rows.tobytes() == cold.rows.tobytes()
+            for warm_side, cold_side in zip(warm.per_row(), cold.per_row()):
+                assert (warm_side is None) == (cold_side is None)
+                if warm_side is not None:
+                    assert warm_side.tobytes() == cold_side.tobytes()
+            aggregate = query.output_aggregate
+            assert (warm.sum_base is None) == (aggregate == "count")
+            assert combine_aggregate(aggregate, warm) == combine_aggregate(aggregate, cold)
+            assert_two_part_rule(warm, aggregate, prepared)
+        if shape == "empty-rows":
+            assert warm.rows.size == 0 and warm.count_at.size == 0
+
+    @pytest.mark.parametrize("shape", ["partial-when", "three-disjuncts", "first-term-partial"])
+    def test_a_second_variant_adds_no_kernel_entry(self, german, shape):
+        engine = WhatIfEngine(german.database, german.causal_dag, EngineConfig(regressor="linear"))
+        view = german.default_use.build(german.database)
+        kernels = RecordingKernelCache()
+        first, second = (
+            parse_query(REDUCTION_TEMPLATES[shape].format(c=c)) for c in (0.8, 1.3)
+        )
+        prepared = engine.prepare(first, view=view, kernels=kernels)
+        estimator = engine.build_estimator(first, prepared)
+        engine.evaluate(first, prepared=prepared, estimator=estimator)
+        entries, misses = len(kernels), kernels.misses
+        assert any(key[0] == "count_total" for key in kernels.keys)
+        result = engine.evaluate(
+            second,
+            prepared=engine.prepare(second, view=view, kernels=kernels),
+            estimator=estimator,
+        )
+        assert (len(kernels), kernels.misses) == (entries, misses)
+        assert_same_answer(
+            result, HypeR(german.database, german.causal_dag, engine.config).what_if(second)
+        )
+
+    def test_a_warm_variant_allocates_no_view_length_array(self):
+        # 60 000 rows, a When scope of about 10 %: the bases are the plan's,
+        # so a variant allocates arrays over its term rows only — less than
+        # one float per view row at its peak
+        data = make_german_syn(60_000, seed=4)
+        engine = WhatIfEngine(data.database, data.causal_dag, EngineConfig(regressor="linear"))
+        view = data.default_use.build(data.database)
+        kernels = KernelCache()
+        template = (
+            "USE Credit WHEN Age >= 70 UPDATE(Status) = {c} * PRE(Status) "
+            "OUTPUT AVG(POST(Credit)) FOR POST(Credit) = 1"
+        )
+        estimator = None
+        for k, c in enumerate((0.8, 1.3, 1.7)):
+            query = parse_query(template.format(c=c))
+            prepared = engine.prepare(query, view=view, kernels=kernels)
+            estimator = estimator or engine.build_estimator(query, prepared)
+            if k < 2:
+                engine.evaluate(query, prepared=prepared, estimator=estimator)
+        assert 0.05 < prepared.scope_mask.mean() < 0.15
+        tracemalloc.start()
+        try:
+            result = engine.evaluate(query, prepared=prepared, estimator=estimator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(view)
+        cold = HypeR(data.database, data.causal_dag, engine.config).what_if(query)
+        assert result.value == cold.value

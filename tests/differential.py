@@ -1,0 +1,260 @@
+"""Differential run: this checkout's ``repro`` against another revision's.
+
+    python3 -m tests.differential <rev>
+
+``<rev>``'s ``src/repro`` is extracted into a temporary directory (``git
+archive``, so the repository's worktree list is never touched) and imported
+next to this checkout's package as ``repro_parent``; ``src/`` uses relative
+imports only, so the two packages share no module.  One corpus runs through
+both sides, every query through the cold ``HypeR`` facade and through a warm
+``HypeRService``:
+
+* the perf workloads' four German-Syn and two Amazon-Syn templates over grid
+  constants, at 2 000 and 20 000 rows;
+* two multi-disjunct ``FOR`` templates, with ``=`` and ``+`` updates;
+* ``WorkloadGenerator`` what-if batches and two-attribute how-to batches;
+* queries both sides must reject, for their error envelopes.
+
+Answers are compared field by field — dataclass ``==`` is always false across
+two packages — and one line is printed::
+
+    N answers, K ==, max rel diff X, plan diffs P, structural diffs S, error diffs E
+
+The exit status is non-zero if ``X > 1e-12`` or any of ``P``, ``S``, ``E`` is
+above zero.  The name keeps pytest from collecting this module;
+``tests/integration/test_differential.py`` runs it with both sides this
+checkout's package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import io
+import math
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
+from typing import Any, Iterable
+
+import numpy as np
+
+from perf.workloads import AMAZON_TEMPLATES, TEMPLATES, grid_constant
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+#: the worst relative difference of a float field the run accepts
+TOLERANCE = 1e-12
+
+MULTI_DISJUNCT_TEMPLATES = (
+    "USE Credit WHEN Sex = 1 UPDATE(Status) = {s} "
+    "OUTPUT AVG(POST(CreditAmount)) FOR POST(Credit) = 1 "
+    "OR (PRE(Age) >= 40 AND POST(Credit) = 0) OR PRE(Housing) >= 2",
+    "USE Credit WHEN Age < 50 UPDATE(CreditAmount) = {a} + PRE(CreditAmount) "
+    "OUTPUT SUM(POST(Credit)) FOR POST(Credit) = 1 OR PRE(Housing) >= 2",
+)
+REJECTED = (
+    "USE Credit UPDATE(Age) = 3 OUTPUT AVG(POST(Credit))",
+    "USE Credit UPDATE(Nope) = 2 OUTPUT AVG(POST(Credit))",
+    "USE Credit UPDATE(Status) = 2 OUTPUT AVG(POST(Credit)) FOR",
+)
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """What to run: view sizes, constants per template, generated batch sizes."""
+
+    sizes: tuple[int, ...] = (2_000, 20_000)
+    grid: tuple[int, ...] = (0, 819, 1638, 2457, 3276, 4095)
+    settings: tuple[int, ...] = (1, 3)
+    deltas: tuple[float, ...] = (-350.0, 800.0)
+    what_ifs: int = 10
+    how_tos: int = 4
+    seed: int = 2022
+
+
+def load_package(package_dir: Path, name: str) -> ModuleType:
+    """Import the package at ``package_dir`` under the top-level ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.datasets")
+    return module
+
+
+def extract_package(rev: str, into: Path) -> Path:
+    """``rev``'s ``src/repro`` written under ``into``; its package directory."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src/repro"],
+        cwd=REPO_ROOT, check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(into, **extra)
+    return into / "src" / "repro"
+
+
+# -- running one side ----------------------------------------------------------------
+
+
+def _texts(corpus: Corpus, dataset: str) -> list[str]:
+    if dataset == "amazon":
+        return [t.format(c=grid_constant(i)) for t in AMAZON_TEMPLATES for i in corpus.grid]
+    texts = [t.format(c=grid_constant(i)) for t in TEMPLATES for i in corpus.grid]
+    texts += [MULTI_DISJUNCT_TEMPLATES[0].format(s=s) for s in corpus.settings]
+    texts += [MULTI_DISJUNCT_TEMPLATES[1].format(a=a) for a in corpus.deltas]
+    return texts + list(REJECTED)
+
+
+def _blocks_digest(blocks: Iterable[Any]) -> str:
+    rows = [(b.block_index, b.n_tuples, b.n_scope_tuples, b.partial_value) for b in blocks]
+    keys = np.array([r[:3] for r in rows], dtype=np.int64)
+    values = np.array([r[3] for r in rows], dtype=float)
+    return hashlib.blake2b(keys.tobytes() + values.tobytes(), digest_size=16).hexdigest()
+
+
+def _record(answer: Any) -> dict[str, Any]:
+    if hasattr(answer, "objective_value"):
+        return {
+            "kind": "how-to",
+            "floats": (answer.objective_value, answer.baseline_value),
+            "plan": answer.plan(),
+        }
+    return {
+        "kind": "what-if",
+        "floats": (answer.value, answer.expected_qualifying_count),
+        "structure": (
+            answer.aggregate,
+            answer.n_scope_tuples,
+            answer.n_blocks,
+            _blocks_digest(answer.block_contributions),
+        ),
+    }
+
+
+def _answer(run: Any, make_query: Any) -> dict[str, Any]:
+    try:
+        return _record(run(make_query()))
+    except Exception as error:  # noqa: BLE001 - the envelope is what is compared
+        return {"kind": "error", "error": (type(error).__name__, str(error))}
+
+
+def answers(package: ModuleType, corpus: Corpus) -> list[dict[str, Any]]:
+    """Every corpus query answered by ``package``, cold and warm, in a fixed order."""
+    datasets = importlib.import_module(f"{package.__name__}.datasets")
+    config = package.EngineConfig(regressor="linear", random_state=0)
+    out: list[dict[str, Any]] = []
+    for dataset in ("german", "amazon"):
+        for size in corpus.sizes:
+            if dataset == "german":
+                data = datasets.make_german_syn(size, seed=3)
+            else:
+                data = datasets.make_amazon_syn(size, seed=3)
+            texts = _texts(corpus, dataset)
+            makers = [lambda text=text: package.parse_query(text) for text in texts]
+            if dataset == "german":
+                generator = package.WorkloadGenerator.for_dataset(
+                    data, "Credit", seed=corpus.seed
+                )
+                generated = generator.what_if_batch(corpus.what_ifs)
+                generated += generator.what_if_batch(corpus.what_ifs, when_selectivity=0.3)
+                generated += generator.how_to_batch(corpus.how_tos, n_attributes=2)
+                makers += [lambda query=query: query for query in generated]
+            cold = package.HypeR(data.database, data.causal_dag, config)
+            warm = package.HypeRService(
+                data.database, data.causal_dag, config, result_cache_size=0
+            )
+            try:
+                for make_query in makers:
+                    out.append(_answer(cold.execute, make_query))
+                    out.append(_answer(warm.execute, make_query))
+            finally:
+                warm.close()
+    return out
+
+
+# -- comparing two sides -------------------------------------------------------------
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _relative(a: float, b: float) -> float:
+    if _same(a, b):
+        return 0.0
+    difference = abs(a - b)
+    return difference / max(abs(a), abs(b)) if math.isfinite(difference) else math.inf
+
+
+@dataclass
+class Summary:
+    n_answers: int = 0
+    n_equal: int = 0
+    max_rel_diff: float = 0.0
+    plan_diffs: int = 0
+    structural_diffs: int = 0
+    error_diffs: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.max_rel_diff <= TOLERANCE and not (
+            self.plan_diffs or self.structural_diffs or self.error_diffs
+        )
+
+    def line(self) -> str:
+        return (
+            f"{self.n_answers} answers, {self.n_equal} ==, "
+            f"max rel diff {self.max_rel_diff:.3g}, plan diffs {self.plan_diffs}, "
+            f"structural diffs {self.structural_diffs}, error diffs {self.error_diffs}"
+        )
+
+
+def compare(left: list[dict[str, Any]], right: list[dict[str, Any]]) -> Summary:
+    """Field-by-field comparison of two sides' answers to one corpus."""
+    summary = Summary(n_answers=max(len(left), len(right)))
+    summary.structural_diffs += abs(len(left) - len(right))
+    for a, b in zip(left, right):
+        if "error" in a or "error" in b:
+            if a.get("error") == b.get("error"):
+                summary.n_equal += 1
+            else:
+                summary.error_diffs += 1
+            continue
+        if a["kind"] != b["kind"]:
+            summary.structural_diffs += 1
+            continue
+        pairs = list(zip(a["floats"], b["floats"]))
+        summary.n_equal += all(_same(x, y) for x, y in pairs)
+        summary.max_rel_diff = max(summary.max_rel_diff, *(_relative(x, y) for x, y in pairs))
+        summary.plan_diffs += a.get("plan") != b.get("plan")
+        summary.structural_diffs += a.get("structure") != b.get("structure")
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python3 -m tests.differential", description=__doc__.splitlines()[0]
+    )
+    parser.add_argument("rev", help="the git revision to compare this checkout against")
+    args = parser.parse_args(argv)
+    import repro
+
+    corpus = Corpus()
+    with tempfile.TemporaryDirectory(prefix="repro-differential-") as tmp:
+        parent = load_package(extract_package(args.rev, Path(tmp)), "repro_parent")
+        summary = compare(answers(parent, corpus), answers(repro, corpus))
+    print(summary.line())
+    return 0 if summary.ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -132,6 +132,9 @@ class TestWhatIfVariants:
         config = EngineConfig(regressor="linear")
         query = what_if_suite(dataset)[1]
         _, partials = sharded_what_if(dataset, config, query, 4)
+        # the full plan's term rows ride on shard 0 only, and every fold keeps them
+        assert [p.term_rows is not None for p in partials] == [True, False, False, False]
+        assert partials[3].merge(partials[0]).term_rows is partials[0].term_rows
         forward = merge_what_if(query, partials)
         backward = merge_what_if(query, list(reversed(partials)))
         # associativity under a different fold order
