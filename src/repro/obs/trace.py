@@ -19,8 +19,8 @@ signature changes — but it does **not** cross threads or processes:
 * thread/executor hops pass the ``TraceContext`` explicitly (e.g.
   ``HypeRService.execute(..., trace=ctx)`` re-activates it);
 * shard workers measure their own spans as plain dicts shipped back
-  inside partial ``meta`` across the pickling boundary, re-attached
-  under the broadcast span by :func:`add_span`.
+  inside each answer's ``metadata`` across the pickling boundary,
+  re-attached under the batch span by :func:`add_span`.
 
 Durations are measured with ``time.perf_counter`` and serialized in
 milliseconds; worker clocks never mix with coordinator clocks because

@@ -689,18 +689,15 @@ class HypeRService(ServingCounters):
     def _result_key(
         self, state: _EngineState, fingerprint: PlanFingerprint, exhaustive: bool
     ) -> Hashable:
-        # Shard-aware: results from different execution layouts never alias
-        # (they are bitwise equal by construction, but the key still records
-        # which pipeline produced them).  Block metadata depends on the whole
-        # database, so the full generation vector is embedded.
-        layout = (self.execution, self.n_shards if self.execution == "processes" else None)
+        # Block metadata depends on the whole database, so the full
+        # generation vector is embedded.  The execution layout is fixed per
+        # service, and so is this cache.
         return (
             "result",
             fingerprint.kind,
             fingerprint.query_key,
             state.all_relations_key(),
             exhaustive,
-            layout,
         )
 
     def _execute_uncached(
@@ -709,7 +706,9 @@ class HypeRService(ServingCounters):
         if self.execution == "processes":
             pool = self._pool_for(state)
             if pool is not None:
-                return pool.run_query(parsed, exhaustive=exhaustive, fingerprint=fingerprint)
+                return pool.run_batch(
+                    [parsed], fingerprints=[fingerprint], exhaustive=exhaustive
+                )[0]
             # Straggler: this query is pinned to a snapshot the pool has moved
             # past (or the pool is mid-rebuild).  Its pinned state holds fully
             # built engines, and the pool's answers are the unsharded engine's

@@ -8,11 +8,14 @@ data: it travels whole, as a small pickled task message, to the one worker its
 plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), whose
 service answers it (:meth:`HypeRService.execute
 <repro.service.session.HypeRService.execute>`) and sends scalars back — a
-single query like a batch, a how-to like a what-if.  Database commits move the
-running workers forward *in place* (:meth:`ShardPool.apply_update`): only the
-changed columns cross the process boundary, each worker commits them into its
-service with ``update_database``, and its plan caches for untouched relations
-stay warm — the pool is never restarted for an update.
+single query is a batch of one, a how-to travels like a what-if, and every
+crossing, query or commit, goes through one loop (``ShardPool._scatter``).
+Database commits move the running workers forward *in place*
+(:meth:`ShardPool.apply_update`): of each changed relation only the columns
+that are not the previous generation's own cross the process boundary, each
+worker commits them into its service with ``update_database``, and its plan
+caches for untouched relations stay warm — the pool is never restarted for an
+update.
 
 Because a worker is a service, it keeps exactly the plan-level caches the
 thread-mode service keeps in-process — relevant views, fitted estimators,
@@ -36,9 +39,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
+from typing import Any, Mapping, Sequence
 
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
@@ -66,9 +67,6 @@ from .shm import (
     ship_buffers,
     shm_available,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.results import HowToResult, WhatIfResult
 
 __all__ = ["ShardPool", "ShardPoolError", "ShardWorkerRuntime"]
 
@@ -161,25 +159,38 @@ class ShardWorkerRuntime:
     def apply_update(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Commit the parent's next generation into this worker's service.
 
-        ``payload`` carries only what the parent diffed: the changed or added
-        relations (whole, or as ``deltas`` spliced over the current
-        generation's columns) and the new relation order and foreign keys.
-        Unchanged relations are reused as they are, so ``update_database``
-        bumps — and evicts the plans of — exactly the changed ones, and the
-        engines see value-identical training data.  ``replace_dag`` /
-        ``causal_dag`` and ``clear_caches`` are the in-place forms of
-        ``update_causal_dag`` and ``invalidate``.
+        ``payload`` carries one patch per changed relation — its schema, and
+        in one segment its length and the columns the parent did not share
+        with the previous generation — plus the new relation order and
+        foreign keys.  A relation is rebuilt from the shipped columns plus its
+        previous ones, under the shipped schema (a new relation, or one whose
+        length changed, ships every column).  Unchanged relations are reused
+        as they are, so ``update_database`` bumps — and evicts the plans of —
+        exactly the changed ones, and the engines see value-identical training
+        data.  ``replace_dag`` / ``causal_dag`` and ``clear_caches`` are the
+        in-place forms of ``update_causal_dag`` and ``invalidate``.
         """
         service = self.service
         old_database = service.database
-        relations: dict[str, Relation] = dict(payload["changed"])
-        for delta in payload["deltas"]:
-            relations[delta["name"]] = self._apply_relation_delta(
-                old_database[delta["name"]], delta
+        relations: dict[str, Relation] = {}
+        for patch in payload["patches"]:
+            name, schema = patch["name"], patch["schema"]
+            shipped = store_from_buffers(
+                patch["header"], resolve_buffers(patch["descriptor"], self.attachment)
             )
-            # one patch segment per commit: without this the worker would
-            # keep every one of them mapped for its whole life
-            release_buffers(delta["descriptor"], self.attachment)
+            columns = (
+                dict(old_database[name].columnar_store().columns)
+                if name in old_database
+                else {}
+            )
+            columns.update(shipped.columns)
+            relations[name] = Relation.from_colstore(
+                schema,
+                ColumnStore({n: columns[n] for n in schema.attribute_names}, shipped.length),
+            )
+            # one patch segment per relation and commit: without this the
+            # worker would keep every one of them mapped for its whole life
+            release_buffers(patch["descriptor"], self.attachment)
         commit = service.update_database(
             Database(
                 [
@@ -195,88 +206,24 @@ class ShardWorkerRuntime:
             service.invalidate()
         return {"shard": self.index, "changed": sorted(commit)}
 
-    def _apply_relation_delta(self, old: Relation, delta: dict[str, Any]) -> Relation:
-        """Rebuild a relation from its previous generation plus a patch.
 
-        ``delta`` carries the new schema and the changed columns only — whole
-        (``indices`` is ``None``; numeric ones stay zero-copy views of the
-        patch segment) or as the new values of the changed rows plus the
-        ascending indices to splice them at.  Untouched columns are reused as
-        they are; the result is value-identical to the full relation the
-        parent diffed, so answers cannot drift from the unsharded path.
-        """
-        indices = delta["indices"]
-        patch = store_from_buffers(
-            delta["header"], resolve_buffers(delta["descriptor"], self.attachment)
-        )
-        old_store = old.columnar_store()
-        columns = dict(old_store.columns)
-        for name, patch_column in patch.columns.items():
-            if indices is None:
-                columns[name] = patch_column
-                continue
-            column = columns[name]
-            data = np.array(column.data, copy=True)
-            null = np.array(column.null, copy=True)
-            data[indices] = patch_column.data
-            null[indices] = patch_column.null
-            columns[name] = Column(data, null, column.is_numeric)
-        schema = delta["schema"]
-        return Relation.from_colstore(
-            schema,
-            ColumnStore({n: columns[n] for n in schema.attribute_names}, old_store.length),
-        )
+def _changed_columns(old: Relation | None, new: Relation) -> ColumnStore:
+    """The columns of ``new`` a worker holding ``old`` lacks.
 
-
-def _relation_delta(old: Relation, new: Relation) -> tuple[np.ndarray | None, ColumnStore] | None:
-    """Diff two generations of a relation into a column or row patch.
-
-    Returns ``(indices, patch)``.  Only columns that changed are looked at
-    and shipped: :meth:`ColumnStore.with_column` shares every untouched
-    :class:`Column` object between generations, so identical objects are
-    skipped without comparing values.  When few rows differ, ``indices`` are
-    the ascending differing rows and ``patch`` the changed columns at those
-    rows; when most rows differ — a whole-column overwrite — ``indices`` is
-    ``None`` and ``patch`` holds the changed columns whole.  The worker takes
-    attribute order and specs from the new schema, shipped alongside
-    (``with_column`` moves the column it replaces to the end).  ``None`` when
-    a patch cannot represent the change (the set of attributes or the length
-    changed).
+    :meth:`ColumnStore.with_column` shares every untouched :class:`Column`
+    object between generations, so identity is enough: a column that is not
+    ``old``'s own object under the same name ships whole.  Without an ``old``
+    of the same length (a new relation, rows added or removed) every column
+    ships.
     """
-    if (
-        set(old.schema.attribute_names) != set(new.schema.attribute_names)
-        or len(old) != len(new)
-        or len(old) == 0
-    ):
-        return None
-    old_store, new_store = old.columnar_store(), new.columnar_store()
-    columns: dict[str, Column] = {}
-    changed = np.zeros(len(old), dtype=bool)
-    for name, old_column in old_store.columns.items():
-        new_column = new_store.columns[name]
-        if new_column is old_column:
-            continue
-        if old_column.is_numeric != new_column.is_numeric:
-            diff = np.ones(len(old), dtype=bool)
-        elif old_column.is_numeric:
-            both_nan = np.isnan(old_column.data) & np.isnan(new_column.data)
-            diff = ((old_column.data != new_column.data) & ~both_nan) | (
-                old_column.null != new_column.null
-            )
-        else:
-            try:
-                diff = np.asarray(
-                    old_column.data != new_column.data, dtype=bool
-                ) | (old_column.null != new_column.null)
-            except Exception:  # noqa: BLE001 - exotic values; ship the column
-                diff = np.ones(len(old), dtype=bool)
-        if diff.any():
-            columns[name] = new_column
-            changed |= diff
-    if np.count_nonzero(changed) >= len(old) / 2:
-        return None, ColumnStore(columns, len(old))
-    indices = np.flatnonzero(changed)
-    return indices, ColumnStore(columns, len(old)).take(indices)
+    store = new.columnar_store()
+    previous: dict[str, Column] = {}
+    if old is not None and len(old) == len(new):
+        previous = old.columnar_store().columns
+    return ColumnStore(
+        {n: c for n, c in store.columns.items() if previous.get(n) is not c},
+        store.length,
+    )
 
 
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
@@ -414,7 +361,7 @@ class ShardPool:
             # segment early is safe — the workers' mappings persist — and a
             # broken transport degrades to inline here instead of failing on
             # the first real query.
-            self._scatter("ping", [None] * self.n_shards)
+            self._scatter("ping", dict.fromkeys(range(self.n_shards)))
         except Exception as error:  # noqa: BLE001 - degrade, never fail to start
             self._teardown_processes()
             self._release_segments()
@@ -559,51 +506,46 @@ class ShardPool:
         if self.mode == "closed":
             raise ShardPoolError("the shard pool has been closed")
 
-    def _scatter(self, kind: str, payloads: Sequence[Any]) -> list[Any]:
-        """Send one task *per worker*; collect the results in worker order.
+    def _scatter(self, kind: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
+        """Send one task to each worker ``payloads`` names; collect its result.
 
-        The broadcast lock makes each scatter atomic with respect to every
-        other crossing: an ``update`` scatter never interleaves with a query,
-        so every answer comes from one database generation.  Raises
-        :class:`ShardPoolError` if any worker reports a failure (for
-        ``batch`` tasks, per-subtask failures are embedded in the payloads and
-        handled by the caller instead).
+        The one crossing: a commit names every worker, a batch only the ones
+        it dealt queries to.  The broadcast lock makes each scatter atomic
+        with respect to every other crossing: an ``update`` scatter never
+        interleaves with a query, so every answer comes from one database
+        generation.  Raises :class:`ShardPoolError` if any worker reports a
+        failure (for ``batch`` tasks, per-subtask failures are embedded in the
+        payloads and handled by the caller instead).
         """
         self._ensure_running()
-        if len(payloads) != self.n_shards:
-            raise ShardPoolError(
-                f"scatter needs {self.n_shards} payloads, got {len(payloads)}"
-            )
         with self._io_lock:
             self.n_broadcasts += 1
             if self.mode == "inline":
                 assert self._inline_workers is not None
-                outs = []
-                for worker, payload in zip(self._inline_workers, payloads):
+                outs: dict[int, Any] = {}
+                for index, payload in payloads.items():
                     try:
-                        outs.append(worker.handle(kind, payload))
+                        outs[index] = self._inline_workers[index].handle(kind, payload)
                     except ShardPoolError:
                         raise
                     except Exception as error:  # noqa: BLE001 - uniform report
-                        raise _worker_error(worker.index, _describe_error(error))
+                        raise _worker_error(index, _describe_error(error))
                 return outs
             self._task_counter += 1
             task_id = self._task_counter
-            with obs_trace.span(
-                "shard.scatter", kind=kind, shards=self.n_shards
-            ) as sspan:
+            with obs_trace.span("shard.scatter", kind=kind, shards=len(payloads)) as sspan:
                 bytes_out = 0
-                for task_queue, payload in zip(self._task_queues, payloads):
+                for index, payload in payloads.items():
                     blob = pickle.dumps(
                         (task_id, kind, payload), protocol=pickle.HIGHEST_PROTOCOL
                     )
                     bytes_out += len(blob)
-                    task_queue.put(blob)
+                    self._task_queues[index].put(blob)
                 self.bytes_to_workers += bytes_out
                 by_shard: dict[int, Any] = {}
                 failures: list[tuple[int, tuple[str, str, str]]] = []
                 bytes_in = 0
-                while len(by_shard) < self.n_shards:
+                while len(by_shard) < len(payloads):
                     try:
                         raw = self._result_queue.get(timeout=_POLL_SECONDS)
                     except queue_module.Empty:
@@ -626,7 +568,7 @@ class ShardPool:
                     sspan.meta["bytes_in"] = bytes_in
             if failures:
                 raise _worker_error(*failures[0])
-            return [by_shard[i] for i in range(self.n_shards)]
+            return by_shard
 
     def _check_workers_alive(self) -> None:
         for process in self._processes:
@@ -635,35 +577,6 @@ class ShardPool:
                     f"shard worker {process.name!r} died with exit code "
                     f"{process.exitcode}; the pool must be recreated"
                 )
-
-    def _run_on_one(self, kind: str, payload: Any, shard_index: int = 0) -> Any:
-        """Run one task on a single worker."""
-        self._ensure_running()
-        with self._io_lock:
-            self.n_broadcasts += 1
-            if self.mode == "inline":
-                assert self._inline_workers is not None
-                return self._inline_workers[shard_index].handle(kind, payload)
-            self._task_counter += 1
-            task_id = self._task_counter
-            blob = pickle.dumps((task_id, kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
-            self.bytes_to_workers += len(blob)
-            self._task_queues[shard_index].put(blob)
-            while True:
-                try:
-                    raw = self._result_queue.get(timeout=_POLL_SECONDS)
-                except queue_module.Empty:
-                    self._check_workers_alive()
-                    continue
-                if isinstance(raw, (bytes, bytearray)):
-                    self.bytes_from_workers += len(raw)
-                    raw = pickle.loads(raw)
-                received_id, shard, ok, out = raw
-                if received_id != task_id:
-                    continue
-                if not ok:
-                    raise _worker_error(shard, out)
-                return out
 
     # -- live updates ------------------------------------------------------------------
 
@@ -679,20 +592,19 @@ class ShardPool:
     ) -> None:
         """Move the running workers to ``database`` in place.
 
-        Ships every worker one delta, not the world: of a changed relation
-        only the columns that changed travel (:func:`_relation_delta`) — the
-        new values of just the rows that differ, or whole when most rows
-        differ — once, through shared memory when available, and are spliced
-        in worker-side over the previous generation's column store (relations
-        that change shape or schema travel whole).  Alongside ride the new
-        relation order and foreign keys.  ``update_bytes_last`` counts what
-        the commit moved: the queue messages plus the patch segments' bytes.
-        Workers stay alive across the update — their fitted estimators and
-        views for untouched relations stay warm — and the broadcast lock
-        serialises the update against in-flight queries, so every answer
-        comes from exactly one generation (tracked by ``generation``,
-        defaulting to the next one up; retired generations' segments are
-        dropped via :meth:`release_snapshot`).
+        Ships every worker one patch per changed relation: its schema, and
+        its length and the columns that are not the previous generation's own
+        :class:`Column` objects (:func:`_changed_columns`) in one segment —
+        once for all workers, through shared memory when available.  A new
+        relation, or one whose length changed, ships every column.  Alongside
+        ride the new relation order and foreign keys.  ``update_bytes_last``
+        counts what the commit moved: the queue messages plus the patch
+        segments' bytes.  Workers stay alive across the update — their fitted
+        estimators and views for untouched relations stay warm — and the
+        broadcast lock serialises the update against in-flight queries, so
+        every answer comes from exactly one generation (tracked by
+        ``generation``, defaulting to the next one up; retired generations'
+        segments are dropped via :meth:`release_snapshot`).
 
         ``replace_dag=True`` ships ``causal_dag`` as the workers' new causal
         background knowledge, and ``clear_caches=True`` drops every worker
@@ -703,34 +615,25 @@ class ShardPool:
         if generation is None:
             generation = self.generation + 1
         old_database = self.database
-        whole: dict[str, Relation] = {}
-        deltas: list[dict[str, Any]] = []
+        patches: list[dict[str, Any]] = []
         segment_bytes = 0  # patch bytes placed in shared memory, not the queues
         for name in changed:
             if name not in database:
                 continue
-            delta = None
-            if name in old_database:
-                delta = _relation_delta(old_database[name], database[name])
-            if delta is None:
-                whole[name] = database[name]
-                continue
-            indices, patch = delta
-            header, buffers = store_to_buffers(patch)
+            old = old_database[name] if name in old_database else None
+            header, buffers = store_to_buffers(_changed_columns(old, database[name]))
             descriptor = ship_buffers(buffers, self._shm_manager, generation)
             segment_bytes += descriptor.get("nbytes", 0)
-            deltas.append(
+            patches.append(
                 {
                     "name": name,
                     "schema": database[name].schema,
-                    "indices": indices,
                     "header": header,
                     "descriptor": descriptor,
                 }
             )
         payload: dict[str, Any] = {
-            "changed": whole,
-            "deltas": deltas,
+            "patches": patches,
             "relation_names": list(database.relation_names),
             "foreign_keys": list(database.foreign_keys),
         }
@@ -741,7 +644,7 @@ class ShardPool:
             payload["clear_caches"] = True
         bytes_before = self.bytes_to_workers
         with obs_trace.span("shard.update", shards=self.n_shards, generation=generation):
-            self._scatter("update", [payload] * self.n_shards)
+            self._scatter("update", dict.fromkeys(range(self.n_shards), payload))
         if self.mode == "inline":
             # Inline workers receive the payload by reference; measure what a
             # process pool would have shipped so the commit-payload accounting
@@ -778,34 +681,13 @@ class ShardPool:
                     children=raw.get("children"),
                 )
 
-    def run_query(
-        self,
-        query: WhatIfQuery | HowToQuery,
-        *,
-        exhaustive: bool = False,
-        fingerprint: PlanFingerprint | None = None,
-    ) -> "WhatIfResult | HowToResult":
-        """Answer one query whole, on the worker its plan is homed on.
-
-        ``fingerprint`` is the one a service already took of ``query`` (any
-        generation's: the dealer reads its ``home_key``); taken here without.
-        """
-        if fingerprint is None:
-            fingerprint = fingerprint_query(query, self.config)
-        (home,) = self._dealer.deal([fingerprint], range(self.n_shards))
-        with obs_trace.span("shard.broadcast", shards=1) as bspan:
-            result = self._run_on_one("full", (query, exhaustive), home)
-            if bspan is not None:
-                bspan.meta["mode"] = self.mode
-            self._attach_worker_spans([result])
-        return result
-
     def run_batch(
         self,
         queries: Sequence[WhatIfQuery | HowToQuery | Exception],
         *,
         return_errors: bool = False,
         fingerprints: Sequence[PlanFingerprint] | None = None,
+        exhaustive: bool = False,
     ) -> list[Any]:
         """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
@@ -817,48 +699,48 @@ class ShardPool:
         taken here without them), and each
         worker's service answers its share from the full zero-copy snapshot
         it already holds, through its warm plan caches.  One task message and
-        one result message per worker cover the whole suite, each query's
-        fixed dispatch cost is paid once instead of once per shard, and the
+        one result message per worker dealt to cover the whole suite, and the
         answers are the unsharded engine's answers by construction — no
-        merge step, nothing to drift.
+        merge step, nothing to drift.  A single query is a batch of one;
+        ``exhaustive`` applies to every how-to of the batch.
 
         Entries that are already exceptions pass through; failures are
-        captured per query with ``return_errors=True``, else the first one is
-        raised.
+        captured per query, naming the worker that ran it, with
+        ``return_errors=True``, else the first one is raised.
         """
         results: list[Any] = list(queries)
         entries = [
-            (index, query)
-            for index, query in enumerate(queries)
-            if not isinstance(query, Exception)
+            index for index, query in enumerate(queries) if not isinstance(query, Exception)
         ]
         if entries:
-            per_worker_tasks: list[list[tuple[str, Any]]] = [
-                [] for _ in range(self.n_shards)
-            ]
-            per_worker_slots: list[list[int]] = [[] for _ in range(self.n_shards)]
             if fingerprints is None:
                 fingerprints = {
-                    index: fingerprint_query(query, self.config) for index, query in entries
+                    index: fingerprint_query(queries[index], self.config) for index in entries
                 }
             dealt = self._dealer.deal(
-                [fingerprints[index] for index, _query in entries], range(self.n_shards)
+                [fingerprints[index] for index in entries], range(self.n_shards)
             )
-            for worker, (index, query) in zip(dealt, entries):
-                per_worker_tasks[worker].append(("full", (query, False)))
-                per_worker_slots[worker].append(index)
+            slots: dict[int, list[int]] = {worker: [] for worker in sorted(set(dealt))}
+            for worker, index in zip(dealt, entries):
+                slots[worker].append(index)
             with obs_trace.span(
-                "shard.scatter_batch", shards=self.n_shards, batch=len(entries)
+                "shard.scatter_batch", shards=len(slots), batch=len(entries)
             ) as bspan:
-                per_worker = self._scatter("batch", per_worker_tasks)
+                per_worker = self._scatter(
+                    "batch",
+                    {
+                        worker: [("full", (queries[index], exhaustive)) for index in indices]
+                        for worker, indices in slots.items()
+                    },
+                )
                 if bspan is not None:
                     bspan.meta["mode"] = self.mode
                 self._attach_worker_spans(
-                    [out for worker_out in per_worker for ok, out in worker_out if ok]
+                    [out for worker in slots for ok, out in per_worker[worker] if ok]
                 )
-            for worker_out, slots in zip(per_worker, per_worker_slots):
-                for index, (ok, out) in zip(slots, worker_out):
-                    results[index] = out if ok else _worker_error(0, out)
+            for worker, indices in slots.items():
+                for index, (ok, out) in zip(indices, per_worker[worker]):
+                    results[index] = out if ok else _worker_error(worker, out)
         if not return_errors:
             for result in results:
                 if isinstance(result, Exception):

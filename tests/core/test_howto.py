@@ -643,7 +643,7 @@ class TestCandidateIsAWhatIf:
         pool = ShardPool(plan, german.causal_dag, config, inline=True).start()
         service = HypeRService(german.database, german.causal_dag, config)
         try:
-            for result in (pool.run_query(query), service.execute(query)):
+            for result in (pool.run_batch([query])[0], service.execute(query)):
                 assert result.baseline_value == answer([])
                 chosen = result.recommended_updates
                 assert result.objective_value == unsharded.objective_value

@@ -181,18 +181,20 @@ class TestShardedTrace:
 
         tree = TraceSpan.from_json(trace.to_wire())
         names = set(_span_names(tree))
-        assert {"parse", "cache.result", "shard.broadcast"} <= names
-        # one query is dealt whole to one worker: one leg, nothing to merge
+        assert {"parse", "cache.result", "shard.scatter_batch"} <= names
+        # one query is a batch of one, dealt whole to one worker: one leg,
+        # nothing to merge
         assert "shard.merge" not in names
 
-        broadcast = _find(tree, "shard.broadcast")
-        assert broadcast.meta["shards"] == 1
-        (worker,) = broadcast.children
-        assert worker.name.startswith("shard-worker[")
+        batch = _find(tree, "shard.scatter_batch")
+        assert batch.meta["shards"] == 1 and batch.meta["batch"] == 1
+        (worker,) = [
+            child for child in batch.children if child.name.startswith("shard-worker[")
+        ]
         assert worker.meta["shard"] in (0, 1) and worker.meta["kind"] == "full"
-        # measured on the worker's clock, it still fits inside the broadcast
-        # that awaited it
-        assert 0 <= worker.duration_ms <= broadcast.duration_ms + 1e-3
+        # measured on the worker's clock, it still fits inside the batch
+        # span that awaited it
+        assert 0 <= worker.duration_ms <= batch.duration_ms + 1e-3
 
         # root wall time bounds the (sequential) direct children
         assert sum(child.duration_ms for child in tree.children) <= (

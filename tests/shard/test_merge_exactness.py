@@ -190,7 +190,7 @@ class TestHowToExactness:
         try:
             for query in how_to_suite(dataset):
                 unsharded = engine.evaluate(query)
-                sharded = pool.run_query(query)
+                sharded = pool.run_batch([query])[0]
                 assert sharded.objective_value == unsharded.objective_value
                 assert sharded.baseline_value == unsharded.baseline_value
                 assert sharded.verified_value == unsharded.verified_value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.updates import AttributeUpdate, MultiplyBy
 from repro.datasets import make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
-from repro.relational import post
+from repro.relational import Database, Relation, post
 from repro.shard import ShardPool, ShardPoolError, partition_database
 
 
@@ -59,7 +60,7 @@ class TestProcessPool:
     def test_worker_processes_match_unsharded_bitwise(self, dataset, config, pool):
         session = HypeR(dataset.database, dataset.causal_dag, config)
         for query in make_queries(dataset, 3):
-            assert pool.run_query(query).value == session.what_if(query).value
+            assert pool.run_batch([query])[0].value == session.what_if(query).value
 
     def test_pool_is_persistent_across_batches(self, dataset, pool):
         queries = make_queries(dataset, 4)
@@ -83,12 +84,12 @@ class TestProcessPool:
         )
         session = HypeR(dataset.database, dataset.causal_dag, config)
         unsharded = session.how_to(query)
-        sharded = pool.run_query(query)
+        sharded = pool.run_batch([query])[0]
         assert sharded.objective_value == unsharded.objective_value
         assert sharded.plan() == unsharded.plan()
         assert sharded.verified_value == unsharded.verified_value
         # exhaustive Opt-HowTo runs unsharded on one worker
-        exhaustive = pool.run_query(query, exhaustive=True)
+        exhaustive = pool.run_batch([query], exhaustive=True)[0]
         assert exhaustive.objective_value == session.how_to(query, exhaustive=True).objective_value
 
     @pytest.fixture
@@ -129,17 +130,17 @@ class TestProcessPool:
 
     def test_single_query_error_propagates(self, dataset, pool, bad, rejection):
         with pytest.raises(QuerySemanticsError) as caught:
-            pool.run_query(bad)
+            pool.run_batch([bad])[0]
         self.assert_same_rejection(caught.value, rejection)
         # the pool survives worker-side failures
         good = make_queries(dataset, 1)[0]
-        assert pool.run_query(good) is not None
+        assert pool.run_batch([good])[0] is not None
 
     def test_any_other_worker_failure_stays_a_pool_error(self, dataset, pool):
         with pytest.raises(ShardPoolError, match="unknown shard task kind") as caught:
-            pool._run_on_one("no-such-kind", None)
+            pool._scatter("no-such-kind", {0: None})
         assert "Traceback" in str(caught.value)  # the worker's, for the operator
-        assert pool.run_query(make_queries(dataset, 1)[0]) is not None
+        assert pool.run_batch([make_queries(dataset, 1)[0]])[0] is not None
 
 
 class TestInlineFallback:
@@ -151,7 +152,26 @@ class TestInlineFallback:
             assert pool.stats()["fallback_reason"] == "requested"
             session = HypeR(dataset.database, dataset.causal_dag, config)
             query = make_queries(dataset, 1)[0]
-            assert pool.run_query(query).value == session.what_if(query).value
+            assert pool.run_batch([query])[0].value == session.what_if(query).value
+        finally:
+            pool.close()
+
+    def test_a_failed_query_names_the_worker_that_ran_it(self, dataset, config):
+        pool = ShardPool(
+            dataset.database, dataset.causal_dag, config, n_shards=2, inline=True
+        ).start()
+        try:
+
+            def fail(query, **_kwargs):
+                raise RuntimeError("injected")
+
+            pool._inline_workers[1].service.execute = fail
+            results = pool.run_batch(template_batch(4), return_errors=True)
+            failed = [result for result in results if isinstance(result, Exception)]
+            assert 0 < len(failed) < len(results)  # the four plans span both workers
+            for error in failed:
+                assert isinstance(error, ShardPoolError)
+                assert str(error).startswith("shard worker 1 failed with RuntimeError: injected")
         finally:
             pool.close()
 
@@ -160,7 +180,7 @@ class TestInlineFallback:
         pool = ShardPool(plan, dataset.causal_dag, config, inline=True).start()
         pool.close()
         with pytest.raises(ShardPoolError):
-            pool.run_query(make_queries(dataset, 1)[0])
+            pool.run_batch([make_queries(dataset, 1)[0]])[0]
         pool.close()  # idempotent
 
 
@@ -219,16 +239,14 @@ class TestAnswersAndCommitsShipWhatChanged:
                 assert list(answer.block_contributions) == []
                 assert scalars(answer) == scalars(session.what_if(query))
             # one query is dealt whole like a batch: scalars back, no summary
-            single, cold = processes.run_query(queries[0]), session.what_if(queries[0])
+            single, cold = processes.run_batch([queries[0]])[0], session.what_if(queries[0])
             assert scalars(single) == scalars(cold) and cold.n_blocks > 1
             assert list(single.block_contributions) == []
         finally:
             processes.close()
             inline.close()
 
-    def test_commit_payload_is_the_changed_column_or_the_changed_rows(
-        self, big, config
-    ):
+    def test_commit_payload_is_the_changed_column_whole(self, big, config):
         service = HypeRService(
             big.database, big.causal_dag, config,
             execution="processes", n_shards=2, result_cache_size=0,
@@ -255,8 +273,71 @@ class TestAnswersAndCommitsShipWhatChanged:
             # a whole-column overwrite: that column once (its shm segment
             # counted), not the ten-column relation once per worker
             assert column_bytes <= commit_and_check(column) <= 1.25 * column_bytes
-            # ten rows: still the row patch
+            # ten rows: a changed column ships whole all the same
             column[:10] = [6.0 - v for v in column[:10]]
-            assert 0 < commit_and_check(column) < 0.05 * column_bytes
+            assert column_bytes <= commit_and_check(column) <= 1.25 * column_bytes
+        finally:
+            service.close()
+
+
+def _with_region(database: Database) -> Database:
+    region = Relation.from_columns(
+        "Region", {"RegionID": [1, 2, 3], "Population": [1.5, 2.5, 3.5]}, key=["RegionID"]
+    )
+    return Database([*database, region], foreign_keys=database.foreign_keys)
+
+
+def _same(database: Database) -> Database:
+    return database
+
+
+#: case -> (the database the service starts from, the commit, a query that
+#: reads what the commit added or None)
+COMMITS = {
+    "attribute added": (
+        _same,
+        lambda db: db.with_relation(
+            db["Credit"].with_column("Extra", np.arange(len(db["Credit"])) % 4)
+        ),
+        "USE Credit UPDATE(Status) = 1.1 * PRE(Status) "
+        "OUTPUT COUNT(POST(Credit)) FOR PRE(Extra) >= 2",
+    ),
+    "length changed": (_same, lambda db: db.with_relation(db["Credit"].head(150)), None),
+    "relation added": (_same, _with_region, None),
+    "relation dropped": (
+        _with_region,
+        lambda db: Database([db["Credit"]], foreign_keys=db.foreign_keys),
+        None,
+    ),
+}
+
+
+class TestCommitForms:
+    """A commit ships each changed relation's schema, length and the columns
+    the workers lack, whatever changed about it."""
+
+    @pytest.mark.parametrize("case", list(COMMITS))
+    def test_a_commit_answers_as_cold_hyper(self, dataset, config, case):
+        start, commit, reading = COMMITS[case]
+        service = HypeRService(
+            start(dataset.database), dataset.causal_dag, config,
+            execution="processes", n_shards=2, result_cache_size=0,
+        )
+        try:
+            service.start_pool()
+            queries = template_batch(4)
+            service.execute_many(queries)  # the plans are fitted before the commit
+            service.update_database(commit(service.database))
+            if reading is not None:
+                queries.append(parse_query(reading))
+            cold = HypeR(service.database, dataset.causal_dag, config)
+            for query, answer in zip(queries, service.execute_many(queries)):
+                assert scalars(answer) == scalars(cold.what_if(query))
+            assert service.stats()["pool"]["generation"] == 1
+            if case == "attribute added":
+                # the new column, not the relation (the row-patch form shipped
+                # it pickled once per worker)
+                relation = pickle.dumps(service.database["Credit"], pickle.HIGHEST_PROTOCOL)
+                assert service.stats()["pool"]["update_bytes_last"] < len(relation)
         finally:
             service.close()

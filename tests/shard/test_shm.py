@@ -144,7 +144,7 @@ class TestPoolLifecycle:
                 pytest.skip(f"no worker processes: {pool.fallback_reason}")
             shm = pool.stats()["shm"]
             assert shm["live_segments"] >= 1 and shm["live_bytes"] > 0
-            assert pool.run_query(make_query(dataset)).value is not None
+            assert pool.run_batch([make_query(dataset)])[0].value is not None
         finally:
             names = [
                 segment.name
@@ -161,7 +161,7 @@ class TestPoolLifecycle:
         try:
             if pool.mode != "processes":
                 pytest.skip(f"no worker processes: {pool.fallback_reason}")
-            base = pool.run_query(make_query(dataset)).value
+            base = pool.run_batch([make_query(dataset)])[0].value
             relation = dataset.database["Credit"]
             credit = np.asarray(relation.column("Credit"), dtype=float).copy()
             credit[:5] = 1.0 - credit[:5]  # touch a handful of rows
@@ -177,13 +177,13 @@ class TestPoolLifecycle:
             assert shm["segments_created"] >= 2  # snapshot + patch
             # retiring generation 0 unlinks its segments; workers keep serving
             assert pool.release_snapshot(0) >= 1
-            updated = pool.run_query(make_query(dataset)).value
+            updated = pool.run_batch([make_query(dataset)])[0].value
             fresh = ShardPool(
                 new_database, dataset.causal_dag, EngineConfig(regressor="linear"),
                 inline=True,
             ).start()
             try:
-                assert updated == fresh.run_query(make_query(dataset)).value
+                assert updated == fresh.run_batch([make_query(dataset)])[0].value
                 assert updated != base
             finally:
                 fresh.close()
@@ -206,7 +206,7 @@ class TestPoolLifecycle:
             victim.terminate()
             victim.join(timeout=5.0)
             with pytest.raises(Exception):
-                pool.run_query(make_query(dataset))
+                pool.run_batch([make_query(dataset)])
         finally:
             pool.close()
         assert not any(segment_exists(name) for name in names)
