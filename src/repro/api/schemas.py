@@ -9,9 +9,15 @@ dataclasses in this module.  The rules:
   removing a field requires ``v2`` side-by-side.  Golden fixtures under
   ``tests/api/fixtures/`` pin the exact serialized forms so accidental wire
   changes fail CI.
-* **Strict codecs.** ``from_json`` validates types, rejects unknown fields
-  and wrong versions with :class:`WireFormatError`; ``to_json`` emits plain
-  JSON-serializable dicts with stable field names and ordering.
+* **Strict codecs, declared once.** Each wire field is declared once on its
+  dataclass, ``_wire(kind, key=..., omit=...)``, and :class:`_Schema` derives
+  ``to_json`` (keys in declaration order) and ``from_json`` from the
+  declarations.  ``from_json`` rejects a non-object, unknown fields, a wrong
+  ``api_version`` or answer ``kind`` and a field of the wrong type with
+  :class:`WireFormatError`, ``<what> field "<key>" must be <noun>``; a field
+  whose default is ``None`` accepts ``null``.  The error envelope, a batch
+  line and the job list keep hand-written codecs: their wire form is not a
+  field list.
 * **No behavior.** Schemas never touch the engine; converters *from* engine
   result objects (:meth:`WhatIfAnswer.from_result` etc.) only read public
   attributes, so any duck-typed result works.
@@ -23,8 +29,8 @@ The error body is flat and backwards compatible: ``{"error": <message>,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import MISSING, Field, dataclass, field
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, TypeVar
 
 from ..exceptions import HypeRError
 
@@ -60,74 +66,211 @@ class WireFormatError(HypeRError):
     """A JSON payload violates the v1 wire schema."""
 
 
-# -- strict decoding helpers -----------------------------------------------------------
+# -- field kinds -----------------------------------------------------------------------
+
+#: what a kind's decoder returns for a value of the wrong JSON type
+_BAD = object()
 
 
-def _require_object(data: Any, what: str) -> Mapping[str, Any]:
+class _Kind(NamedTuple):
+    """The JSON type of a wire field: its name in messages and its two codecs."""
+
+    noun: str
+    #: wire value -> attribute value, or ``_BAD``
+    decode: Callable[[Any], Any]
+    #: attribute value -> wire value (``None``: written as is)
+    encode: Callable[[Any], Any] | None = None
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _strings(value: Any) -> Any:
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return tuple(value)
+    return _BAD
+
+
+def _one_of(options: tuple[str, ...]) -> _Kind:
+    return _Kind(f"one of {options}", lambda v: v if v in options else _BAD)
+
+
+def _nested(noun: str, schema: str, *, many: bool = False) -> _Kind:
+    """A nested schema (``many``: a list of them), looked up by class name
+    when decoding so a schema can nest itself."""
+
+    def decode(value: Any) -> Any:
+        decoder = globals()[schema].from_json
+        if not many:
+            return decoder(value) if isinstance(value, Mapping) else _BAD
+        if isinstance(value, list) and all(isinstance(item, Mapping) for item in value):
+            return tuple(decoder(item) for item in value)
+        return _BAD
+
+    if many:
+        return _Kind(noun, decode, lambda items: [item.to_json() for item in items])
+    return _Kind(noun, decode, lambda item: item.to_json())
+
+
+_STRING = _Kind("a string", lambda v: v if isinstance(v, str) else _BAD)
+_BOOLEAN = _Kind("a boolean", lambda v: v if isinstance(v, bool) else _BAD)
+_INTEGER = _Kind("an integer", lambda v: v if _is_int(v) else _BAD)
+_POSITIVE = _Kind("a positive integer", lambda v: v if _is_int(v) and v > 0 else _BAD)
+_NON_NEGATIVE = _Kind("a non-negative integer", lambda v: v if _is_int(v) and v >= 0 else _BAD)
+_NUMBER = _Kind("a number", lambda v: float(v) if _is_int(v) or isinstance(v, float) else _BAD)
+_STRINGS = _Kind("a list of strings", _strings, list)
+_NON_EMPTY_STRINGS = _Kind(
+    "a non-empty list of strings", lambda v: _strings(v) if v else _BAD, list
+)
+_OBJECT = _Kind("an object", lambda v: dict(v) if isinstance(v, Mapping) else _BAD, dict)
+_STRING_MAP = _Kind(
+    "an object of strings",
+    lambda v: dict(v)
+    if isinstance(v, Mapping)
+    and all(isinstance(k, str) and isinstance(s, str) for k, s in v.items())
+    else _BAD,
+    dict,
+)
+_TRACE = _nested("a trace span", "TraceSpan")
+
+
+def _decode(kind: _Kind, value: Any, what: str, key: str) -> Any:
+    decoded = kind.decode(value)
+    if decoded is _BAD:
+        raise WireFormatError(f'{what} field "{key}" must be {kind.noun}')
+    return decoded
+
+
+def _object(data: Any, what: str) -> Mapping[str, Any]:
     if not isinstance(data, Mapping):
         raise WireFormatError(f"{what} must be a JSON object, got {type(data).__name__}")
     return data
 
 
-def _reject_unknown(data: Mapping[str, Any], allowed: set[str], what: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise WireFormatError(f"{what} has unknown field(s) {unknown}; allowed: {sorted(allowed)}")
+# -- the declared codec ----------------------------------------------------------------
+
+#: ``omit`` of a field ``to_json`` always writes
+_KEEP = object()
 
 
-def _check_version(data: Mapping[str, Any], what: str) -> None:
-    version = data.get("api_version", API_VERSION)
-    if version != API_VERSION:
-        raise WireFormatError(
-            f"{what} declares api_version {version!r}; this library speaks {API_VERSION!r}"
-        )
+def _wire(kind: _Kind, *, key: str | None = None, omit: Any = _KEEP, default: Any = MISSING,
+          default_factory: Any = MISSING) -> Any:
+    """Declare a dataclass field as a wire field of ``kind``.
+
+    ``key`` is its wire key (default: the attribute name; ``"a.b"`` nests it
+    under ``a``); ``to_json`` leaves the field out when its value is ``omit``.
+    """
+    return field(default=default, default_factory=default_factory,
+                 metadata={"wire": (kind, key, omit)})
 
 
-def _get_str(data: Mapping[str, Any], key: str, what: str) -> str:
-    value = data.get(key)
-    if not isinstance(value, str):
-        raise WireFormatError(f'{what} must contain a "{key}" string')
-    return value
+_S = TypeVar("_S", bound="_Schema")
 
 
-def _get_bool(data: Mapping[str, Any], key: str, what: str, default: bool = False) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise WireFormatError(f'{what} field "{key}" must be a boolean')
-    return value
+class _Schema:
+    """Base of the declared wire schemas: ``to_json``/``from_json`` from field plans.
 
+    A subclass names itself for messages (``what``), may declare a ``KIND``
+    that answers carry under ``"kind"``, may go without ``api_version``
+    (``versioned=False``), and may keep unknown fields in one attribute
+    (``extra``) instead of rejecting them.  ``_validate`` is a post-decode
+    hook for checks that span fields.
+    """
 
-def _get_int(data: Mapping[str, Any], key: str, what: str) -> int:
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireFormatError(f'{what} field "{key}" must be an integer')
-    return value
+    KIND: ClassVar[str | None] = None
 
+    def __init_subclass__(
+        cls, *, what: str, versioned: bool = True, extra: str | None = None, **kwargs: Any
+    ) -> None:
+        super().__init_subclass__(**kwargs)
+        encoders, decoders = [], []
+        # this runs before @dataclass does: the class body's ``_wire`` Fields
+        # are still class attributes, in declaration order
+        for name, spec in vars(cls).items():
+            if not isinstance(spec, Field) or "wire" not in spec.metadata:
+                continue
+            kind, label, omit = spec.metadata["wire"]
+            label = label or name
+            parent, _, key = label.rpartition(".")
+            required = spec.default is MISSING and spec.default_factory is MISSING
+            message = f'field "{label}" must be {kind.noun}'
+            encoders.append((name, parent or None, key, omit, kind.encode))
+            decoders.append((name, parent or None, key, kind.decode, required,
+                             spec.default is None, message))
+        head = {"api_version": API_VERSION} if versioned else {}
+        if cls.KIND is not None:
+            head["kind"] = cls.KIND
+        cls._what = what
+        cls._head = head
+        cls._encoders = tuple(encoders)
+        cls._decoders = tuple(decoders)
+        cls._keys = frozenset(head) | {parent or key for _, parent, key, _, _ in encoders}
+        cls._extra = extra
 
-def _get_float(data: Mapping[str, Any], key: str, what: str) -> float:
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireFormatError(f'{what} field "{key}" must be a number')
-    return float(value)
+    def to_json(self) -> dict[str, Any]:
+        out: dict[str, Any] = dict(self._head)
+        for name, parent, key, omit, encode in self._encoders:
+            value = getattr(self, name)
+            if value is omit:
+                continue
+            if encode is not None and value is not None:
+                value = encode(value)
+            if parent is None:
+                out[key] = value
+            else:
+                out.setdefault(parent, {})[key] = value
+        if self._extra is not None:
+            out.update(getattr(self, self._extra))
+        return out
+
+    @classmethod
+    def from_json(cls: type[_S], data: Any) -> _S:
+        what = cls._what
+        data = _object(data, what)
+        kwargs: dict[str, Any] = {}
+        unknown = data.keys() - cls._keys
+        if unknown:
+            if cls._extra is None:
+                raise WireFormatError(
+                    f"{what} has unknown field(s) {sorted(unknown)}; allowed: {sorted(cls._keys)}"
+                )
+            kwargs[cls._extra] = {k: v for k, v in data.items() if k in unknown}
+        if "api_version" in cls._head and data.get("api_version", API_VERSION) != API_VERSION:
+            raise WireFormatError(f'{what} field "api_version" must be "{API_VERSION}"')
+        if cls.KIND is not None and data.get("kind") != cls.KIND:
+            raise WireFormatError(f'{what} field "kind" must be "{cls.KIND}"')
+        for name, parent, key, decode, required, nullable, message in cls._decoders:
+            source = data
+            if parent is not None:
+                source = data.get(parent)
+                if not isinstance(source, Mapping):
+                    raise WireFormatError(f'{what} field "{parent}" must be an object')
+            if key not in source:
+                if required:
+                    raise WireFormatError(f"{what} {message}")
+                continue
+            value = source[key]
+            if value is None and nullable:
+                kwargs[name] = None
+            else:
+                decoded = decode(value)
+                if decoded is _BAD:
+                    raise WireFormatError(f"{what} {message}")
+                kwargs[name] = decoded
+        decoded_object = cls(**kwargs)
+        decoded_object._validate()
+        return decoded_object
+
+    def _validate(self) -> None:
+        """Checks across fields, run on every decoded object."""
 
 
 # -- requests --------------------------------------------------------------------------
 
 
-def _get_deadline_ms(data: Mapping[str, Any], what: str) -> int | None:
-    """Optional positive ``deadline_ms`` budget (additive v1 field)."""
-    value = data.get("deadline_ms")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireFormatError(f'{what} field "deadline_ms" must be an integer')
-    if value <= 0:
-        raise WireFormatError(f'{what} field "deadline_ms" must be positive')
-    return value
-
-
 @dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(_Schema, what="query request"):
     """Body of ``POST /v1/query``: one query in the SQL extension.
 
     ``deadline_ms`` is the caller's remaining time budget: a server that
@@ -136,100 +279,21 @@ class QueryRequest:
     (the cluster coordinator) forwards the *decremented* remainder downstream.
     """
 
-    query: str
-    exhaustive: bool = False
-    deadline_ms: int | None = None
-
-    _FIELDS = {"api_version", "query", "exhaustive", "deadline_ms"}
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "query": self.query,
-            "exhaustive": self.exhaustive,
-        }
-        if self.deadline_ms is not None:
-            out["deadline_ms"] = self.deadline_ms
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "QueryRequest":
-        data = _require_object(data, "query request")
-        _reject_unknown(data, cls._FIELDS, "query request")
-        _check_version(data, "query request")
-        return cls(
-            query=_get_str(data, "query", "query request"),
-            exhaustive=_get_bool(data, "exhaustive", "query request"),
-            deadline_ms=_get_deadline_ms(data, "query request"),
-        )
+    query: str = _wire(_STRING)
+    exhaustive: bool = _wire(_BOOLEAN, default=False)
+    deadline_ms: int | None = _wire(_POSITIVE, default=None, omit=None)
 
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(_Schema, what="batch request"):
     """Body of ``POST /v1/batch``: many queries, answered concurrently.
 
     ``deadline_ms`` covers the whole batch; queries that would start after
     the budget ran out answer per-item ``deadline_exceeded`` envelopes.
     """
 
-    queries: tuple[str, ...]
-    deadline_ms: int | None = None
-
-    _FIELDS = {"api_version", "queries", "deadline_ms"}
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "queries": list(self.queries),
-        }
-        if self.deadline_ms is not None:
-            out["deadline_ms"] = self.deadline_ms
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "BatchRequest":
-        data = _require_object(data, "batch request")
-        _reject_unknown(data, cls._FIELDS, "batch request")
-        _check_version(data, "batch request")
-        queries = data.get("queries")
-        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-            raise WireFormatError('batch request must contain a "queries" list of strings')
-        return cls(
-            queries=tuple(queries),
-            deadline_ms=_get_deadline_ms(data, "batch request"),
-        )
-
-
-@dataclass(frozen=True)
-class UpdateRequest:
-    """Body of ``POST /v1/update``: overwrite whole columns atomically.
-
-    ``assignments`` maps relation name → attribute name → the full column of
-    new values (one number per row, in row order).  All named columns commit
-    as **one** database generation: concurrent queries answer either entirely
-    from the pre-update snapshot or entirely from the post-update one, never
-    a blend (see ``docs/service.md``, "Updates & isolation").
-    """
-
-    assignments: Mapping[str, Mapping[str, tuple[float, ...]]]
-
-    _FIELDS = {"api_version", "assignments"}
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "api_version": API_VERSION,
-            "assignments": {
-                relation: {attribute: list(values) for attribute, values in columns.items()}
-                for relation, columns in self.assignments.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Any) -> "UpdateRequest":
-        data = _require_object(data, "update request")
-        _reject_unknown(data, cls._FIELDS, "update request")
-        _check_version(data, "update request")
-        return cls(assignments=update_assignments(data.get("assignments"), number_column))
+    queries: tuple[str, ...] = _wire(_STRINGS)
+    deadline_ms: int | None = _wire(_POSITIVE, default=None, omit=None)
 
 
 def update_assignments(assignments: Any, column: Callable[[Any, str], Any]) -> dict:
@@ -266,11 +330,30 @@ def number_column(values: Any, column: str) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
+@dataclass(frozen=True)
+class UpdateRequest(_Schema, what="update request"):
+    """Body of ``POST /v1/update``: overwrite whole columns atomically.
+
+    ``assignments`` maps relation name → attribute name → the full column of
+    new values (one number per row, in row order).  All named columns commit
+    as **one** database generation: concurrent queries answer either entirely
+    from the pre-update snapshot or entirely from the post-update one, never
+    a blend (see ``docs/service.md``, "Updates & isolation").
+    """
+
+    assignments: Mapping[str, Mapping[str, tuple[float, ...]]] = _wire(_Kind(
+        "a non-empty object of columns",
+        lambda v: update_assignments(v, number_column),
+        lambda a: {relation: {name: list(values) for name, values in columns.items()}
+                   for relation, columns in a.items()},
+    ))
+
+
 # -- trace spans -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TraceSpan:
+class TraceSpan(_Schema, what="trace span", versioned=False):
     """One node of a request's span tree (``?trace=1`` answers).
 
     ``duration_ms`` is a monotonic-clock duration; spans carry durations
@@ -280,50 +363,19 @@ class TraceSpan:
     this one was current, in start order.
     """
 
-    name: str
-    duration_ms: float
-    meta: Mapping[str, Any] | None = None
-    children: tuple["TraceSpan", ...] = ()
-
-    _FIELDS = {"name", "duration_ms", "meta", "children"}
-
-    def to_json(self) -> dict[str, Any]:
-        body: dict[str, Any] = {"name": self.name, "duration_ms": self.duration_ms}
-        if self.meta is not None:
-            body["meta"] = dict(self.meta)
-        body["children"] = [child.to_json() for child in self.children]
-        return body
-
-    @classmethod
-    def from_json(cls, data: Any) -> "TraceSpan":
-        data = _require_object(data, "trace span")
-        _reject_unknown(data, cls._FIELDS, "trace span")
-        meta = data.get("meta")
-        if meta is not None and not isinstance(meta, Mapping):
-            raise WireFormatError('trace span field "meta" must be an object')
-        children = data.get("children", [])
-        if not isinstance(children, list):
-            raise WireFormatError('trace span field "children" must be a list')
-        return cls(
-            name=_get_str(data, "name", "trace span"),
-            duration_ms=_get_float(data, "duration_ms", "trace span"),
-            meta=dict(meta) if meta is not None else None,
-            children=tuple(cls.from_json(child) for child in children),
-        )
-
-
-def _decode_optional_trace(data: Mapping[str, Any], what: str) -> "TraceSpan | None":
-    raw = data.get("trace")
-    if raw is None:
-        return None
-    return TraceSpan.from_json(raw)
+    name: str = _wire(_STRING)
+    duration_ms: float = _wire(_NUMBER)
+    meta: Mapping[str, Any] | None = _wire(_OBJECT, default=None, omit=None)
+    children: tuple["TraceSpan", ...] = _wire(
+        _nested("a list of trace spans", "TraceSpan", many=True), default=()
+    )
 
 
 # -- answers ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class UpdateAnswer:
+class UpdateAnswer(_Schema, what="update answer"):
     """Wire form of a commit outcome: the new generation and what changed.
 
     ``changed`` lists the relations whose generation counter was bumped by
@@ -331,75 +383,34 @@ class UpdateAnswer:
     reports the (unchanged) current generation.
     """
 
-    generation: int
-    changed: tuple[str, ...]
-    #: span tree, present only when the request asked for ``?trace=1``
-    trace: "TraceSpan | None" = None
-
     KIND = "update"
-    _FIELDS = {"api_version", "kind", "generation", "changed", "trace"}
+
+    generation: int = _wire(_INTEGER)
+    changed: tuple[str, ...] = _wire(_STRINGS._replace(encode=sorted))
+    #: span tree, present only when the request asked for ``?trace=1``
+    trace: "TraceSpan | None" = _wire(_TRACE, default=None, omit=None)
 
     @property
     def noop(self) -> bool:
         return not self.changed
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "generation": self.generation,
-            "changed": sorted(self.changed),
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "UpdateAnswer":
-        data = _require_object(data, "update answer")
-        _reject_unknown(data, cls._FIELDS, "update answer")
-        _check_version(data, "update answer")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'update answer must declare "kind": "{cls.KIND}"')
-        changed = data.get("changed")
-        if not isinstance(changed, list) or not all(isinstance(c, str) for c in changed):
-            raise WireFormatError('update answer field "changed" must be a string list')
-        return cls(
-            generation=_get_int(data, "generation", "update answer"),
-            changed=tuple(changed),
-            trace=_decode_optional_trace(data, "update answer"),
-        )
-
 
 @dataclass(frozen=True)
-class WhatIfAnswer:
+class WhatIfAnswer(_Schema, what="what-if answer"):
     """Wire form of a what-if answer (:class:`repro.core.results.WhatIfResult`)."""
 
-    value: float
-    aggregate: str
-    output_attribute: str
-    variant: str
-    n_scope_tuples: int
-    n_blocks: int
-    backdoor_set: tuple[str, ...]
-    runtime_seconds: float
-    #: span tree, present only when the request asked for ``?trace=1``
-    trace: "TraceSpan | None" = None
-
     KIND = "what-if"
-    _FIELDS = {
-        "api_version",
-        "kind",
-        "value",
-        "aggregate",
-        "output_attribute",
-        "variant",
-        "n_scope_tuples",
-        "n_blocks",
-        "backdoor_set",
-        "runtime_seconds",
-        "trace",
-    }
+
+    value: float = _wire(_NUMBER)
+    aggregate: str = _wire(_STRING)
+    output_attribute: str = _wire(_STRING)
+    variant: str = _wire(_STRING)
+    n_scope_tuples: int = _wire(_INTEGER)
+    n_blocks: int = _wire(_INTEGER)
+    backdoor_set: tuple[str, ...] = _wire(_STRINGS)
+    runtime_seconds: float = _wire(_NUMBER)
+    #: span tree, present only when the request asked for ``?trace=1``
+    trace: "TraceSpan | None" = _wire(_TRACE, default=None, omit=None)
 
     @classmethod
     def from_result(cls, result: Any) -> "WhatIfAnswer":
@@ -414,71 +425,21 @@ class WhatIfAnswer:
             runtime_seconds=float(result.runtime_seconds),
         )
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "value": self.value,
-            "aggregate": self.aggregate,
-            "output_attribute": self.output_attribute,
-            "variant": self.variant,
-            "n_scope_tuples": self.n_scope_tuples,
-            "n_blocks": self.n_blocks,
-            "backdoor_set": list(self.backdoor_set),
-            "runtime_seconds": self.runtime_seconds,
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "WhatIfAnswer":
-        data = _require_object(data, "what-if answer")
-        _reject_unknown(data, cls._FIELDS, "what-if answer")
-        _check_version(data, "what-if answer")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'what-if answer must declare "kind": "{cls.KIND}"')
-        backdoor = data.get("backdoor_set")
-        if not isinstance(backdoor, list) or not all(isinstance(a, str) for a in backdoor):
-            raise WireFormatError('what-if answer field "backdoor_set" must be a string list')
-        return cls(
-            value=_get_float(data, "value", "what-if answer"),
-            aggregate=_get_str(data, "aggregate", "what-if answer"),
-            output_attribute=_get_str(data, "output_attribute", "what-if answer"),
-            variant=_get_str(data, "variant", "what-if answer"),
-            n_scope_tuples=_get_int(data, "n_scope_tuples", "what-if answer"),
-            n_blocks=_get_int(data, "n_blocks", "what-if answer"),
-            backdoor_set=tuple(backdoor),
-            runtime_seconds=_get_float(data, "runtime_seconds", "what-if answer"),
-            trace=_decode_optional_trace(data, "what-if answer"),
-        )
-
 
 @dataclass(frozen=True)
-class HowToAnswer:
+class HowToAnswer(_Schema, what="how-to answer"):
     """Wire form of a how-to answer (:class:`repro.core.results.HowToResult`)."""
 
-    objective_value: float
-    baseline_value: float
-    maximize: bool
-    plan: Mapping[str, str]
-    solver_status: str
-    runtime_seconds: float
-    #: span tree, present only when the request asked for ``?trace=1``
-    trace: "TraceSpan | None" = None
-
     KIND = "how-to"
-    _FIELDS = {
-        "api_version",
-        "kind",
-        "objective_value",
-        "baseline_value",
-        "maximize",
-        "plan",
-        "solver_status",
-        "runtime_seconds",
-        "trace",
-    }
+
+    objective_value: float = _wire(_NUMBER)
+    baseline_value: float = _wire(_NUMBER)
+    maximize: bool = _wire(_BOOLEAN)
+    plan: Mapping[str, str] = _wire(_STRING_MAP)
+    solver_status: str = _wire(_STRING)
+    runtime_seconds: float = _wire(_NUMBER)
+    #: span tree, present only when the request asked for ``?trace=1``
+    trace: "TraceSpan | None" = _wire(_TRACE, default=None, omit=None)
 
     @classmethod
     def from_result(cls, result: Any) -> "HowToAnswer":
@@ -489,43 +450,6 @@ class HowToAnswer:
             plan={str(k): str(v) for k, v in result.plan().items()},
             solver_status=result.solver_status,
             runtime_seconds=float(result.runtime_seconds),
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "objective_value": self.objective_value,
-            "baseline_value": self.baseline_value,
-            "maximize": self.maximize,
-            "plan": dict(self.plan),
-            "solver_status": self.solver_status,
-            "runtime_seconds": self.runtime_seconds,
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "HowToAnswer":
-        data = _require_object(data, "how-to answer")
-        _reject_unknown(data, cls._FIELDS, "how-to answer")
-        _check_version(data, "how-to answer")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'how-to answer must declare "kind": "{cls.KIND}"')
-        plan = data.get("plan")
-        if not isinstance(plan, Mapping) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in plan.items()
-        ):
-            raise WireFormatError('how-to answer field "plan" must map strings to strings')
-        return cls(
-            objective_value=_get_float(data, "objective_value", "how-to answer"),
-            baseline_value=_get_float(data, "baseline_value", "how-to answer"),
-            maximize=_get_bool(data, "maximize", "how-to answer"),
-            plan=dict(plan),
-            solver_status=_get_str(data, "solver_status", "how-to answer"),
-            runtime_seconds=_get_float(data, "runtime_seconds", "how-to answer"),
-            trace=_decode_optional_trace(data, "how-to answer"),
         )
 
 
@@ -541,13 +465,13 @@ def answer_from_result(result: Any) -> Answer:
 
 def answer_from_json(data: Any) -> Answer:
     """Strictly decode an answer payload, dispatching on its ``kind``."""
-    data = _require_object(data, "answer")
-    kind = data.get("kind")
+    kind = _object(data, "answer").get("kind")
     if kind == WhatIfAnswer.KIND:
         return WhatIfAnswer.from_json(data)
     if kind == HowToAnswer.KIND:
         return HowToAnswer.from_json(data)
-    raise WireFormatError(f"answer has unknown kind {kind!r}")
+    raise WireFormatError(f'answer field "kind" must be "what-if" or "how-to", '
+                          f"not the unknown kind {kind!r}")
 
 
 # -- errors ----------------------------------------------------------------------------
@@ -579,15 +503,15 @@ class ErrorEnvelope:
     def from_json(cls, data: Any) -> "ErrorEnvelope":
         # deliberately tolerant of extra fields: endpoints may decorate the
         # envelope (e.g. a top-level retry_after on 429 bodies)
-        data = _require_object(data, "error body")
-        message = _get_str(data, "error", "error body")
+        data = _object(data, "error body")
         code = data.get("code")
-        if code is not None and not isinstance(code, str):
-            raise WireFormatError('error body field "code" must be a string')
         detail = data.get("detail")
-        if detail is not None and not isinstance(detail, Mapping):
-            raise WireFormatError('error body field "detail" must be an object')
-        return cls(code=code or "error", message=message, detail=detail)
+        return cls(
+            # an absent, null or empty code is the generic one
+            code=(code is not None and _decode(_STRING, code, "error body", "code")) or "error",
+            message=_decode(_STRING, data.get("error"), "error body", "error"),
+            detail=None if detail is None else _decode(_OBJECT, detail, "error body", "detail"),
+        )
 
 
 # -- batch lines -----------------------------------------------------------------------
@@ -614,10 +538,11 @@ class BatchItem:
 
     @classmethod
     def from_json(cls, data: Any) -> "BatchItem":
-        data = _require_object(data, "batch item")
-        index = _get_int(data, "index", "batch item")
+        data = _object(data, "batch item")
+        index = _decode(_INTEGER, data.get("index"), "batch item", "index")
         if "result" in data:
-            return cls(index=index, result=answer_from_json(data["result"]))
+            result = _decode(_OBJECT, data["result"], "batch item", "result")
+            return cls(index=index, result=answer_from_json(result))
         return cls(index=index, error=ErrorEnvelope.from_json(data))
 
 
@@ -625,7 +550,7 @@ class BatchItem:
 
 
 @dataclass(frozen=True)
-class StatsSnapshot:
+class StatsSnapshot(_Schema, what="stats snapshot", extra="sections"):
     """Typed wrapper of ``GET /v1/stats``.
 
     The core counters are first-class fields; instrumentation sections whose
@@ -634,97 +559,32 @@ class StatsSnapshot:
     shape is documented by those subsystems, and new sections are additive.
     """
 
-    generation: int
-    execution: str
-    n_queries: int
-    n_batches: int
-    uptime_seconds: float
-    relation_generations: Mapping[str, int] = field(default_factory=dict)
-    caches: Mapping[str, Any] = field(default_factory=dict)
-    serving: Mapping[str, Any] = field(default_factory=dict)
-    regressors: Mapping[str, Any] = field(default_factory=dict)
+    generation: int = _wire(_INTEGER)
+    execution: str = _wire(_STRING)
+    n_queries: int = _wire(_INTEGER)
+    n_batches: int = _wire(_INTEGER)
+    uptime_seconds: float = _wire(_NUMBER)
+    relation_generations: Mapping[str, int] = _wire(_OBJECT, default_factory=dict)
+    caches: Mapping[str, Any] = _wire(_OBJECT, default_factory=dict)
+    serving: Mapping[str, Any] = _wire(_OBJECT, default_factory=dict)
+    regressors: Mapping[str, Any] = _wire(_OBJECT, default_factory=dict)
     #: MVCC counters (commits, retired, noop_commits, pinned_fallbacks, ...)
-    versions: Mapping[str, Any] | None = None
-    pool: Mapping[str, Any] | None = None
+    versions: Mapping[str, Any] | None = _wire(_OBJECT, default=None)
+    pool: Mapping[str, Any] | None = _wire(_OBJECT, default=None)
+    #: every key not declared above, written back as is
     sections: Mapping[str, Any] = field(default_factory=dict)
-
-    _KNOWN = {
-        "api_version",
-        "generation",
-        "execution",
-        "n_queries",
-        "n_batches",
-        "uptime_seconds",
-        "relation_generations",
-        "caches",
-        "serving",
-        "regressors",
-        "versions",
-        "pool",
-    }
 
     @classmethod
     def from_service_stats(cls, stats: Mapping[str, Any]) -> "StatsSnapshot":
         """Wrap :meth:`HypeRService.stats` output (extra keys become sections)."""
-        return cls(
-            generation=int(stats["generation"]),
-            execution=str(stats["execution"]),
-            n_queries=int(stats["n_queries"]),
-            n_batches=int(stats["n_batches"]),
-            uptime_seconds=float(stats["uptime_seconds"]),
-            relation_generations=dict(stats.get("relation_generations", {})),
-            caches=dict(stats.get("caches", {})),
-            serving=dict(stats.get("serving", {})),
-            regressors=dict(stats.get("regressors", {})),
-            versions=stats.get("versions"),
-            pool=stats.get("pool"),
-            sections={k: v for k, v in stats.items() if k not in cls._KNOWN},
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        body: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "generation": self.generation,
-            "execution": self.execution,
-            "n_queries": self.n_queries,
-            "n_batches": self.n_batches,
-            "uptime_seconds": self.uptime_seconds,
-            "relation_generations": dict(self.relation_generations),
-            "caches": dict(self.caches),
-            "serving": dict(self.serving),
-            "regressors": dict(self.regressors),
-            "versions": self.versions,
-            "pool": self.pool,
-        }
-        for name, section in self.sections.items():
-            body[name] = section
-        return body
-
-    @classmethod
-    def from_json(cls, data: Any) -> "StatsSnapshot":
-        data = _require_object(data, "stats snapshot")
-        _check_version(data, "stats snapshot")
-        return cls(
-            generation=_get_int(data, "generation", "stats snapshot"),
-            execution=_get_str(data, "execution", "stats snapshot"),
-            n_queries=_get_int(data, "n_queries", "stats snapshot"),
-            n_batches=_get_int(data, "n_batches", "stats snapshot"),
-            uptime_seconds=_get_float(data, "uptime_seconds", "stats snapshot"),
-            relation_generations=dict(data.get("relation_generations", {})),
-            caches=dict(data.get("caches", {})),
-            serving=dict(data.get("serving", {})),
-            regressors=dict(data.get("regressors", {})),
-            versions=data.get("versions"),
-            pool=data.get("pool"),
-            sections={k: v for k, v in data.items() if k not in cls._KNOWN},
-        )
+        return cls.from_json(stats)
 
 
 # -- prepare ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PrepareRequest:
+class PrepareRequest(_Schema, what="prepare request"):
     """Body of ``POST /v1/prepare``: warm plans/estimators before real traffic.
 
     Every query is planned and its estimator fitted under one pinned
@@ -733,60 +593,17 @@ class PrepareRequest:
     cold node the same way.
     """
 
-    queries: tuple[str, ...]
-
-    _FIELDS = {"api_version", "queries"}
-
-    def to_json(self) -> dict[str, Any]:
-        return {"api_version": API_VERSION, "queries": list(self.queries)}
-
-    @classmethod
-    def from_json(cls, data: Any) -> "PrepareRequest":
-        data = _require_object(data, "prepare request")
-        _reject_unknown(data, cls._FIELDS, "prepare request")
-        _check_version(data, "prepare request")
-        queries = data.get("queries")
-        if (
-            not isinstance(queries, list)
-            or not queries
-            or not all(isinstance(q, str) for q in queries)
-        ):
-            raise WireFormatError(
-                'prepare request must contain a non-empty "queries" list of strings'
-            )
-        return cls(queries=tuple(queries))
+    queries: tuple[str, ...] = _wire(_NON_EMPTY_STRINGS)
 
 
 @dataclass(frozen=True)
-class PrepareAnswer:
+class PrepareAnswer(_Schema, what="prepare answer"):
     """Answer of ``POST /v1/prepare``."""
 
     KIND = "prepare"
 
-    prepared: int
-    generation: int
-
-    _FIELDS = {"api_version", "kind", "prepared", "generation"}
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "prepared": self.prepared,
-            "generation": self.generation,
-        }
-
-    @classmethod
-    def from_json(cls, data: Any) -> "PrepareAnswer":
-        data = _require_object(data, "prepare answer")
-        _reject_unknown(data, cls._FIELDS, "prepare answer")
-        _check_version(data, "prepare answer")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'prepare answer must have kind "{cls.KIND}"')
-        return cls(
-            prepared=_get_int(data, "prepared", "prepare answer"),
-            generation=_get_int(data, "generation", "prepare answer"),
-        )
+    prepared: int = _wire(_INTEGER)
+    generation: int = _wire(_INTEGER)
 
 
 # -- jobs ------------------------------------------------------------------------------
@@ -799,7 +616,7 @@ JOB_STATES = ("queued", "running", "succeeded", "failed", "cancelled")
 
 
 @dataclass(frozen=True)
-class JobSubmitRequest:
+class JobSubmitRequest(_Schema, what="job submit request"):
     """Body of ``POST /v1/jobs``: one query or a batch, as a durable job.
 
     Exactly one of ``query``/``queries`` must be present.  ``priority``
@@ -808,20 +625,11 @@ class JobSubmitRequest:
     (a writer can submit analysis jobs that must see its own commit).
     """
 
-    query: str | None = None
-    queries: tuple[str, ...] | None = None
-    priority: str = "normal"
-    run_at_generation: int | None = None
-    exhaustive: bool = False
-
-    _FIELDS = {
-        "api_version",
-        "query",
-        "queries",
-        "priority",
-        "run_at_generation",
-        "exhaustive",
-    }
+    query: str | None = _wire(_STRING, default=None, omit=None)
+    queries: tuple[str, ...] | None = _wire(_NON_EMPTY_STRINGS, default=None, omit=None)
+    priority: str = _wire(_one_of(JOB_PRIORITIES), default="normal")
+    run_at_generation: int | None = _wire(_NON_NEGATIVE, default=None, omit=None)
+    exhaustive: bool = _wire(_BOOLEAN, default=False, omit=False)
 
     @property
     def kind(self) -> str:
@@ -833,63 +641,15 @@ class JobSubmitRequest:
             return (self.query,)
         return self.queries or ()
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"api_version": API_VERSION, "priority": self.priority}
-        if self.query is not None:
-            out["query"] = self.query
-        else:
-            out["queries"] = list(self.queries or ())
-        if self.run_at_generation is not None:
-            out["run_at_generation"] = self.run_at_generation
-        if self.exhaustive:
-            out["exhaustive"] = self.exhaustive
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "JobSubmitRequest":
-        data = _require_object(data, "job submit request")
-        _reject_unknown(data, cls._FIELDS, "job submit request")
-        _check_version(data, "job submit request")
-        query = data.get("query")
-        queries = data.get("queries")
-        if (query is None) == (queries is None):
+    def _validate(self) -> None:
+        if (self.query is None) == (self.queries is None):
             raise WireFormatError(
                 'job submit request must contain exactly one of "query"/"queries"'
             )
-        if query is not None and not isinstance(query, str):
-            raise WireFormatError('job submit request field "query" must be a string')
-        if queries is not None and (
-            not isinstance(queries, list)
-            or not queries
-            or not all(isinstance(q, str) for q in queries)
-        ):
-            raise WireFormatError(
-                'job submit request field "queries" must be a non-empty list of strings'
-            )
-        priority = data.get("priority", "normal")
-        if priority not in JOB_PRIORITIES:
-            raise WireFormatError(
-                f'job submit request field "priority" must be one of {JOB_PRIORITIES}'
-            )
-        run_at = data.get("run_at_generation")
-        if run_at is not None and (
-            isinstance(run_at, bool) or not isinstance(run_at, int) or run_at < 0
-        ):
-            raise WireFormatError(
-                'job submit request field "run_at_generation" must be a '
-                "non-negative integer"
-            )
-        return cls(
-            query=query,
-            queries=tuple(queries) if queries is not None else None,
-            priority=priority,
-            run_at_generation=run_at,
-            exhaustive=_get_bool(data, "exhaustive", "job submit request"),
-        )
 
 
 @dataclass(frozen=True)
-class JobStatus:
+class JobStatus(_Schema, what="job status"):
     """Typed status answer of the job endpoints (kind ``"job"``).
 
     ``result_available`` says whether ``GET /v1/jobs/{id}/result`` would
@@ -899,42 +659,22 @@ class JobStatus:
 
     KIND = "job"
 
-    job_id: str
-    client_id: str
-    state: str
-    kind: str
-    priority: str
-    completed: int
-    total: int
-    attempts: int
-    max_attempts: int
-    created_unix: float
-    finished_unix: float | None = None
-    generation: int | None = None
-    run_at_generation: int | None = None
-    error: str | None = None
-    error_code: str | None = None
-    result_available: bool = False
-
-    _FIELDS = {
-        "api_version",
-        "kind",
-        "job_id",
-        "client_id",
-        "state",
-        "job_kind",
-        "priority",
-        "progress",
-        "attempts",
-        "max_attempts",
-        "created_unix",
-        "finished_unix",
-        "generation",
-        "run_at_generation",
-        "error",
-        "error_code",
-        "result_available",
-    }
+    job_id: str = _wire(_STRING)
+    client_id: str = _wire(_STRING)
+    state: str = _wire(_one_of(JOB_STATES))
+    kind: str = _wire(_one_of(("query", "batch")), key="job_kind")
+    priority: str = _wire(_one_of(JOB_PRIORITIES))
+    completed: int = _wire(_INTEGER, key="progress.completed")
+    total: int = _wire(_INTEGER, key="progress.total")
+    attempts: int = _wire(_INTEGER)
+    max_attempts: int = _wire(_INTEGER)
+    created_unix: float = _wire(_NUMBER)
+    finished_unix: float | None = _wire(_NUMBER, default=None, omit=None)
+    generation: int | None = _wire(_INTEGER, default=None, omit=None)
+    run_at_generation: int | None = _wire(_INTEGER, default=None, omit=None)
+    error: str | None = _wire(_STRING, default=None, omit=None)
+    error_code: str | None = _wire(_STRING, default=None, omit=None)
+    result_available: bool = _wire(_BOOLEAN, default=False)
 
     @property
     def terminal(self) -> bool:
@@ -962,95 +702,27 @@ class JobStatus:
             result_available=result_available,
         )
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "job_id": self.job_id,
-            "client_id": self.client_id,
-            "state": self.state,
-            "job_kind": self.kind,
-            "priority": self.priority,
-            "progress": {"completed": self.completed, "total": self.total},
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "created_unix": self.created_unix,
-            "result_available": self.result_available,
-        }
-        if self.finished_unix is not None:
-            out["finished_unix"] = self.finished_unix
-        if self.generation is not None:
-            out["generation"] = self.generation
-        if self.run_at_generation is not None:
-            out["run_at_generation"] = self.run_at_generation
-        if self.error is not None:
-            out["error"] = self.error
-        if self.error_code is not None:
-            out["error_code"] = self.error_code
-        return out
-
-    @classmethod
-    def from_json(cls, data: Any) -> "JobStatus":
-        data = _require_object(data, "job status")
-        _reject_unknown(data, cls._FIELDS, "job status")
-        _check_version(data, "job status")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'job status must have kind "{cls.KIND}"')
-        state = _get_str(data, "state", "job status")
-        if state not in JOB_STATES:
-            raise WireFormatError(f"job status has unknown state {state!r}")
-        progress = data.get("progress")
-        if not isinstance(progress, Mapping):
-            raise WireFormatError('job status field "progress" must be an object')
-        finished = data.get("finished_unix")
-        if finished is not None and not isinstance(finished, (int, float)):
-            raise WireFormatError('job status field "finished_unix" must be a number')
-        return cls(
-            job_id=_get_str(data, "job_id", "job status"),
-            client_id=_get_str(data, "client_id", "job status"),
-            state=state,
-            kind=_get_str(data, "job_kind", "job status"),
-            priority=_get_str(data, "priority", "job status"),
-            completed=_get_int(progress, "completed", "job status progress"),
-            total=_get_int(progress, "total", "job status progress"),
-            attempts=_get_int(data, "attempts", "job status"),
-            max_attempts=_get_int(data, "max_attempts", "job status"),
-            created_unix=_get_float(data, "created_unix", "job status"),
-            finished_unix=float(finished) if finished is not None else None,
-            generation=data.get("generation"),
-            run_at_generation=data.get("run_at_generation"),
-            error=data.get("error"),
-            error_code=data.get("error_code"),
-            result_available=_get_bool(data, "result_available", "job status"),
-        )
-
 
 @dataclass(frozen=True)
-class JobListAnswer:
-    """Answer of ``GET /v1/jobs``: the calling client's jobs, oldest first."""
+class JobListAnswer(_Schema, what="job list"):
+    """Answer of ``GET /v1/jobs``: the calling client's jobs, oldest first.
+
+    The wire form adds ``total``, the number of jobs; it is derived, so it is
+    checked on decoding but not kept.
+    """
 
     KIND = "job-list"
 
-    jobs: tuple[JobStatus, ...]
-
-    _FIELDS = {"api_version", "kind", "jobs", "total"}
+    jobs: tuple[JobStatus, ...] = _wire(
+        _nested("a list of job statuses", "JobStatus", many=True)
+    )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "jobs": [status.to_json() for status in self.jobs],
-            "total": len(self.jobs),
-        }
+        return {**super().to_json(), "total": len(self.jobs)}
 
     @classmethod
     def from_json(cls, data: Any) -> "JobListAnswer":
-        data = _require_object(data, "job list")
-        _reject_unknown(data, cls._FIELDS, "job list")
-        _check_version(data, "job list")
-        if data.get("kind") != cls.KIND:
-            raise WireFormatError(f'job list must have kind "{cls.KIND}"')
-        raw_jobs = data.get("jobs")
-        if not isinstance(raw_jobs, list):
-            raise WireFormatError('job list must contain a "jobs" list')
-        return cls(jobs=tuple(JobStatus.from_json(item) for item in raw_jobs))
+        if isinstance(data, Mapping) and "total" in data:
+            _decode(_INTEGER, data["total"], "job list", "total")
+            data = {key: value for key, value in data.items() if key != "total"}
+        return super().from_json(data)

@@ -217,10 +217,11 @@ class HypeRService(ServingCounters):
     ----------
     database / causal_dag / config:
         Exactly as for :class:`repro.core.engine.HypeR`.
-    estimator_cache_size / view_cache_size / block_cache_size /
-    candidate_cache_size:
-        LRU bounds of the cross-query caches (entries).  A view entry holds
-        the materialised relevant view together with its DAG projection.
+    estimator_cache_size:
+        LRU bound of the estimator cache (entries).  The view, block and
+        candidate caches keep :class:`~repro.service.cache.QueryCaches`'
+        bounds (16, 8 and 64 entries); a view entry holds the materialised
+        relevant view together with its DAG projection.
     estimator_cache_weight:
         Cost budget of the estimator cache in training-rows × features
         (size-weighted LRU on top of the entry bound; ``None`` disables the
@@ -249,9 +250,6 @@ class HypeRService(ServingCounters):
         config: EngineConfig | None = None,
         *,
         estimator_cache_size: int = 64,
-        view_cache_size: int = 16,
-        block_cache_size: int = 8,
-        candidate_cache_size: int = 64,
         estimator_cache_weight: int | None = 50_000_000,
         result_cache_size: int = 256,
         result_ttl_seconds: float | None = None,
@@ -274,9 +272,6 @@ class HypeRService(ServingCounters):
         )
         self.caches = QueryCaches(
             estimator_size=estimator_cache_size,
-            view_size=view_cache_size,
-            block_size=block_cache_size,
-            candidate_size=candidate_cache_size,
             result_size=result_cache_size,
             result_ttl_seconds=result_ttl_seconds,
             estimator_weigher=_estimator_weight,

@@ -64,7 +64,7 @@ class TestRequests:
             QueryRequest.from_json({"query": "q", "shard": 3})
 
     def test_query_request_rejects_missing_query(self):
-        with pytest.raises(WireFormatError, match='"query" string'):
+        with pytest.raises(WireFormatError, match='"query" must be a string'):
             QueryRequest.from_json({"exhaustive": True})
 
     def test_query_request_rejects_wrong_types(self):
@@ -282,7 +282,7 @@ class TestUpdateSchemas:
             UpdateAnswer.from_json(
                 {"api_version": API_VERSION, "kind": "query", "generation": 1, "changed": []}
             )
-        with pytest.raises(WireFormatError, match="string list"):
+        with pytest.raises(WireFormatError, match='"changed" must be a list of strings'):
             UpdateAnswer.from_json(
                 {"api_version": API_VERSION, "kind": "update", "generation": 1, "changed": [3]}
             )
