@@ -3,8 +3,8 @@
 A how-to query optimises over the space of *candidate what-if queries*
 (Definition 7): each candidate picks, for every attribute listed in
 ``HowToUpdate``, either "no change" or one admissible update value, subject to
-the ``Limit`` constraints.  HypeR solves this search as a 0/1 integer program
-(Section 4.3):
+the ``Limit`` constraints.  HypeR formulates this search as a 0/1 integer
+program (Section 4.3), whose size a result reports:
 
 * one indicator variable per (attribute, candidate update value);
 * an at-most-one constraint per attribute, plus an optional global budget;
@@ -14,6 +14,14 @@ the ``Limit`` constraints.  HypeR solves this search as a 0/1 integer program
   trained **once** and re-evaluated per candidate, which is what makes the IP
   formulation orders of magnitude faster than enumerating candidates
   (Figure 11b / 12b).
+
+The ``Limit`` constraints filter candidates before the program is formed, so
+"at most one per attribute, at most ``max_updates`` in total" is all that
+constrains it: a laminar matroid, on which greedy is exact.
+:func:`solve_how_to` therefore takes, per attribute, the candidate that most
+improves the objective, then the best ``max_updates`` of those; a preferential
+query's equality locks on earlier objectives become lexicographic weights for
+the same greedy.
 
 The exhaustive Opt-HowTo baseline (evaluate every candidate combination) is
 implemented here as well so the benchmarks can compare against it.
@@ -35,7 +43,6 @@ from ..ml.discretize import Discretizer
 from ..relational.types import IntegerDomain
 from ..optim.model import IntegerProgram, LinearExpression
 from ..optim.solution import SolveStatus
-from ..optim.solver import BranchAndBoundSolver
 from ..relational.aggregates import get_aggregate
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
@@ -176,55 +183,60 @@ def solve_how_to(
     coefficients: dict[CandidateUpdate, float],
     *,
     verify: Callable[[list[CandidateUpdate]], float] | None = None,
-    locked: Sequence[tuple[dict[CandidateUpdate, float], float, float]] = (),
+    locked: Sequence[tuple[dict[CandidateUpdate, float], bool]] = (),
     metadata: dict[str, Any] | None = None,
 ) -> HowToResult:
-    """Build the Section 4.3 program, solve it and report the chosen plan.
+    """Choose the plan that is optimal for the Section 4.3 program, by greedy.
 
     The one solve behind :meth:`HowToEngine.evaluate` and
     :meth:`HowToEngine.evaluate_preferential`; ``verify`` re-evaluates the
     *combined* chosen candidates (``None`` skips that).
-    ``locked`` fixes earlier objectives of a preferential query — each a
-    ``(coefficients, baseline, attained value)`` — as equality constraints.
-    The caller stamps ``runtime_seconds``.
+    ``locked`` holds the earlier objectives of a preferential query, each a
+    ``(coefficients, maximize)``: a candidate's weight is its coefficient in
+    every stage so far, signed by that stage's direction, compared
+    lexicographically — the order the program's equality locks impose.  Per
+    attribute the first candidate of largest positive weight is kept; the
+    budget keeps the heaviest of those, ties in candidate order.  The program
+    itself is not built; its size is reported as
+    :func:`build_howto_program` would build it.  The caller stamps
+    ``runtime_seconds``.
     """
-    program, variable_of = build_howto_program(query, candidates, coefficients, baseline)
-    for index, (prior_coefficients, prior_baseline, prior_value) in enumerate(locked):
-        expression = LinearExpression(
-            {
-                variable_of[c]: coeff
-                for c, coeff in prior_coefficients.items()
-                if c in variable_of
-            },
-            prior_baseline,
+    stages = [*locked, (coefficients, query.maximize)]
+    zero = (0.0,) * len(stages)
+    best: dict[str, tuple[tuple[float, ...], int]] = {}
+    for index, candidate in enumerate(candidates):
+        weight = tuple(
+            stage.get(candidate, 0.0) * (1.0 if maximize else -1.0)
+            for stage, maximize in stages
         )
-        program.add_constraint(expression, "==", prior_value, name=f"lock-{index}")
-    solution = BranchAndBoundSolver().solve(program)
-    if not solution.is_feasible:
-        raise OptimizationError(
-            "the how-to integer program is infeasible"
-            + (" given the earlier objectives" if locked else "")
-        )
-    chosen = [
-        candidate
-        for candidate, variable in variable_of.items()
-        if solution.assignment.get(variable, 0.0) > 0.5
-    ]
+        if weight > best.get(candidate.attribute, (zero,))[0]:
+            best[candidate.attribute] = (weight, index)
+    # heaviest first; an equal weight keeps candidate order
+    picks = sorted(best.values(), key=lambda pick: (pick[0], -pick[1]), reverse=True)
+    kept = {index for _weight, index in picks[: query.max_updates]}
+    chosen = [candidate for index, candidate in enumerate(candidates) if index in kept]
+    # the program's objective as LinearExpression.evaluate sums it: one term
+    # per distinct candidate, in candidate order
+    objective = baseline
+    for candidate in dict.fromkeys(candidates):
+        objective += coefficients[candidate] * (1.0 if candidate in chosen else 0.0)
     per_attribute = {attribute: "no change" for attribute in query.update_attributes}
     for candidate in chosen:
         per_attribute[candidate.attribute] = candidate.label
     return HowToResult(
         recommended_updates=[c.as_attribute_update() for c in chosen],
-        objective_value=float(solution.objective),
+        objective_value=float(objective),
         baseline_value=baseline,
         maximize=query.maximize,
         verified_value=verify(chosen) if verify is not None and chosen else None,
         per_attribute_choices=per_attribute,
         n_candidates=len(candidates),
-        n_ip_variables=program.n_variables,
-        n_ip_constraints=program.n_constraints,
-        solver_status=solution.status.value,
-        metadata={**(metadata or {}), "n_nodes_explored": solution.n_nodes_explored},
+        n_ip_variables=len(candidates),
+        n_ip_constraints=len({c.attribute for c in candidates})
+        + (query.max_updates is not None)
+        + len(locked),
+        solver_status=SolveStatus.OPTIMAL.value,
+        metadata=metadata or {},
     )
 
 
@@ -349,8 +361,9 @@ class HowToEngine:
 
         ``queries`` share the same ``Use`` / ``When`` / ``HowToUpdate`` / ``Limit``
         structure and differ only in their objective; earlier entries are more
-        important.  Each stage fixes the previously attained objective values as
-        equality constraints before optimising the next one.
+        important.  Each stage keeps the previously attained objective values
+        (the program's equality locks) while optimising the next one, which
+        :func:`solve_how_to` does by lexicographic weights.
         """
         if not queries:
             raise QuerySemanticsError("evaluate_preferential needs at least one query")
@@ -358,7 +371,7 @@ class HowToEngine:
         shared = self.prepare(primary)
         candidates = self.enumerate_candidates(primary, shared.view, shared.scope_mask)
         results: list[HowToResult] = []
-        locked: list[tuple[dict[CandidateUpdate, float], float, float]] = []
+        locked: list[tuple[dict[CandidateUpdate, float], bool]] = []
         for stage, query in enumerate(queries):
             started = time.perf_counter()
             stage_shared = shared if stage == 0 else self.prepare(query)
@@ -374,7 +387,7 @@ class HowToEngine:
             )
             result.runtime_seconds = time.perf_counter() - started
             results.append(result)
-            locked.append((coefficients, baseline, result.objective_value))
+            locked.append((coefficients, query.maximize))
         return results
 
     # -- preparation -----------------------------------------------------------------------

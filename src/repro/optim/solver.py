@@ -1,11 +1,13 @@
 """Integer-program solvers: branch-and-bound over LP relaxations, plus exhaustive.
 
-The paper hands its how-to IP to "existing IP solvers"; this module is the
-from-scratch stand-in.  :class:`BranchAndBoundSolver` solves the LP relaxation
-with scipy's HiGHS backend and branches on fractional integer variables;
-:class:`ExhaustiveSolver` enumerates every 0/1 assignment and is both the
-correctness oracle for the branch-and-bound in the tests and the Opt-HowTo
-baseline building block in the experiments.
+The paper hands its how-to IP to "existing IP solvers"; here a how-to solves
+it in closed form, by greedy (:func:`repro.core.howto.solve_how_to`).
+:class:`BranchAndBoundSolver` (the LP relaxation by scipy's HiGHS backend,
+branching on fractional integer variables) is kept for the benchmark's
+``optim.solve_ms`` probe and as a test oracle; scipy, which the package does
+not depend on, is imported only when it solves.
+:class:`ExhaustiveSolver` enumerates every 0/1 assignment and is the
+correctness oracle for both the branch-and-bound and the greedy in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..exceptions import ConvergenceError, OptimizationError
 from .model import IntegerProgram
@@ -44,6 +45,8 @@ class BranchAndBoundSolver:
     tolerance: float = 1e-6
 
     def solve(self, program: IntegerProgram) -> Solution:
+        from scipy.optimize import linprog
+
         matrices = program.matrix_form()
         order = matrices["order"]
         if not order:
