@@ -625,9 +625,9 @@ class JobSubmitRequest(_Schema, what="job submit request"):
     (a writer can submit analysis jobs that must see its own commit).
     """
 
+    priority: str = _wire(_one_of(JOB_PRIORITIES), default="normal")
     query: str | None = _wire(_STRING, default=None, omit=None)
     queries: tuple[str, ...] | None = _wire(_NON_EMPTY_STRINGS, default=None, omit=None)
-    priority: str = _wire(_one_of(JOB_PRIORITIES), default="normal")
     run_at_generation: int | None = _wire(_NON_NEGATIVE, default=None, omit=None)
     exhaustive: bool = _wire(_BOOLEAN, default=False, omit=False)
 
@@ -669,12 +669,12 @@ class JobStatus(_Schema, what="job status"):
     attempts: int = _wire(_INTEGER)
     max_attempts: int = _wire(_INTEGER)
     created_unix: float = _wire(_NUMBER)
+    result_available: bool = _wire(_BOOLEAN, default=False)
     finished_unix: float | None = _wire(_NUMBER, default=None, omit=None)
     generation: int | None = _wire(_INTEGER, default=None, omit=None)
     run_at_generation: int | None = _wire(_INTEGER, default=None, omit=None)
     error: str | None = _wire(_STRING, default=None, omit=None)
     error_code: str | None = _wire(_STRING, default=None, omit=None)
-    result_available: bool = _wire(_BOOLEAN, default=False)
 
     @property
     def terminal(self) -> bool:

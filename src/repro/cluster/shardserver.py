@@ -200,33 +200,36 @@ class ShardServer:
         """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
+        parsed: list[Any] = []
+        for text in texts:
+            try:
+                parsed.append(self.service.parse(text))
+            except Exception as error:  # noqa: BLE001 - reported per query
+                parsed.append(error)
         try:
             # the leg's own pin: ``generation`` stays live until its last answer
             snapshot = self.service.retain(generation)
         except LookupError:
             raise _stale_generation(generation, self.pinned_generations()) from None
-        answers = []
+
+        def checked(evaluate: Any) -> list[Any]:
+            # the request's budget, checked before each plan group's work
+            if deadline is not None:
+                deadline.check()
+            return evaluate()
+
         try:
             with obs_trace.span("cluster.partial", kind="answers", shard=self.shard_index):
-                for text in texts:
-                    try:
-                        outcome = api.execute_one(
-                            self.service,
-                            self.service.parse(text),
-                            deadline=deadline,
-                            exhaustive=exhaustive,
-                            generation=generation,
-                        )
-                    except Exception as error:  # noqa: BLE001 - reported per query
-                        outcome = error
-                    encode = (
-                        wire.encode_how_to_answer
-                        if isinstance(outcome, HowToResult)
-                        else wire.encode_what_if_answer
-                    )
-                    answers.append(encode(outcome))
+                outcomes = self.service.answer(
+                    parsed, exhaustive=exhaustive, generation=generation, around_group=checked
+                )
         finally:
             self.service.release(snapshot)
+        answers = [
+            wire.encode_how_to_answer(out) if isinstance(out, HowToResult)
+            else wire.encode_what_if_answer(out)
+            for out in outcomes
+        ]
         body: dict[str, Any] = {
             "api_version": API_VERSION,
             "kind": "answers",

@@ -286,17 +286,24 @@ class PostUpdateEstimator:
             if not isinstance(column, np.ndarray):
                 column = np.asarray(column, dtype=object)
             at_idx[attribute] = column[idx]
-        out[idx] = self.predict_rows(regressor, self.view, self.encode_updates(at_idx), idx)
+        (out[idx],) = self.predict_rows(regressor, self.view, self.encode_updates([at_idx]), idx)
         return out
 
-    def encode_updates(self, values: Mapping[str, Sequence[Any]]) -> dict[str, np.ndarray]:
-        """Each update attribute's post values at some rows, encoded as the regressors read them.
+    def encode_updates(self, variants: Sequence[Mapping[str, Sequence[Any]]]) -> dict:
+        """k variants' post values of each update attribute at some rows, encoded
+        as the regressors read them: one ``(k, rows, width)`` block per attribute,
+        each variant's slice encoded as a lone variant's is.
 
         Every regressor of this estimator shares the encoder its first fit
         built, so one encoding serves the count and the sum regressor alike.
         """
-        encoders = self._encoder.encoders
-        return {a: encoders[a].transform(values[a]) for a in self.update_attributes}
+        blocks = {}
+        for a in self.update_attributes:
+            encoder = self._encoder.encoders[a]
+            block = blocks[a] = np.empty((len(variants), len(variants[0][a]), encoder.width))
+            for out, values in zip(block, variants):
+                encoder.transform_into(values[a], out)
+        return blocks
 
     def predict_rows(
         self,
@@ -312,7 +319,8 @@ class PostUpdateEstimator:
 
         ``view`` is this estimator's view or a row subset of it (a shard's
         local view), and ``updated`` the update attributes' post values at
-        ``idx``, encoded (:meth:`encode_updates`).  What the backdoor
+        ``idx`` for k variants, encoded (:meth:`encode_updates`): the
+        prediction is ``(k, len(idx))``.  What the backdoor
         covariates contribute at a row set — a linear regressor's
         ``intercept + sum of X_c * beta_c``, a forest's encoded blocks — does
         not depend on the update constants: with ``kernels`` it is built once
@@ -390,6 +398,12 @@ class PostUpdateEstimator:
         if event is not None:
             event.set()
         return regressor
+
+    def release_design(self) -> None:
+        """End a burst of fits as a cache hit does: a kernel call over a plan
+        group's variants stands for the hits they would make one at a time."""
+        with self._fit_lock:
+            self._design = None
 
     def _at_training_rows(self, values: np.ndarray) -> np.ndarray:
         """``values`` at the training rows: themselves, uncopied, when every row trains."""

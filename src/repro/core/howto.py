@@ -11,9 +11,9 @@ program (Section 4.3), whose size a result reports:
 * a linearised objective whose coefficient for an indicator is the estimated
   effect of applying that single update, obtained from the same
   backdoor-adjusted regression the what-if engine uses — the regression is
-  trained **once** and re-evaluated per candidate, which is what makes the IP
-  formulation orders of magnitude faster than enumerating candidates
-  (Figure 11b / 12b).
+  trained **once** and evaluated for the baseline and the candidates in a
+  few stacked kernel calls, which is what makes the IP formulation orders of
+  magnitude faster than enumerating candidates (Figure 11b / 12b).
 
 The ``Limit`` constraints filter candidates before the program is formed, so
 "at most one per attribute, at most ``max_updates`` in total" is all that
@@ -62,6 +62,13 @@ from .whatif import (
     validate_query,
     when_scope,
 )
+
+#: Candidates one kernel call stacks.  A cold how-to drops its whole working
+#: set after each query, and stacking three or more made it hand its heap back
+#: and page-fault it in again every time (German-Syn, 8 000 and 20 000 rows,
+#: 6-7 candidates: two per call are as fast as one or faster, three or more
+#: up to 1.7x slower).
+_CANDIDATES_PER_CALL = 2
 
 __all__ = [
     "CandidateUpdate",
@@ -283,12 +290,12 @@ class HowToEngine:
         shared = prepared if prepared is not None else self.prepare(query)
         if candidates is None:
             candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
-        baseline = self._candidate_value(query, shared, [])
+        baseline, coefficients = self._candidate_coefficients(query, shared, candidates)
         result = solve_how_to(
             query,
             candidates,
             baseline,
-            self._candidate_coefficients(query, shared, candidates, baseline),
+            coefficients,
             verify=(
                 partial(self._candidate_value, query, shared)
                 if self.config.verify_howto_with_whatif
@@ -375,8 +382,7 @@ class HowToEngine:
         for stage, query in enumerate(queries):
             started = time.perf_counter()
             stage_shared = shared if stage == 0 else self.prepare(query)
-            baseline = self._candidate_value(query, stage_shared, [])
-            coefficients = self._candidate_coefficients(query, stage_shared, candidates, baseline)
+            baseline, coefficients = self._candidate_coefficients(query, stage_shared, candidates)
             result = solve_how_to(
                 query,
                 candidates,
@@ -568,22 +574,35 @@ class HowToEngine:
     ) -> float:
         """Estimated objective value when ``chosen`` (possibly nothing) is applied:
         the answer to that candidate what-if query."""
-        contributions = causal_contribution_rows(
-            query,
-            shared.what_if,
-            shared.estimator,
-            [c.as_attribute_update() for c in chosen],
-        )
-        return combine_aggregate(shared.aggregate_name, contributions)[0]
+        return self._candidate_values(query, shared, [chosen])[0]
+
+    def _candidate_values(
+        self,
+        query: HowToQuery,
+        shared: PreparedHowTo,
+        choices: Sequence[Sequence[CandidateUpdate]],
+    ) -> list[float]:
+        """:meth:`_candidate_value` of each of ``choices``, stacked in kernel calls."""
+        sets = [[c.as_attribute_update() for c in chosen] for chosen in choices]
+        step = _CANDIDATES_PER_CALL
+        return [
+            combine_aggregate(shared.aggregate_name, contributions)[0]
+            for start in range(0, len(sets), step)
+            for contributions in causal_contribution_rows(
+                query, shared.what_if, shared.estimator, sets[start : start + step]
+            )
+        ]
 
     def _candidate_coefficients(
         self,
         query: HowToQuery,
         shared: PreparedHowTo,
         candidates: Sequence[CandidateUpdate],
-        baseline: float,
-    ) -> dict[CandidateUpdate, float]:
-        return {
-            candidate: self._candidate_value(query, shared, [candidate]) - baseline
-            for candidate in candidates
+    ) -> tuple[float, dict[CandidateUpdate, float]]:
+        """The baseline and each candidate's value minus it, from stacked kernel calls."""
+        baseline, *values = self._candidate_values(
+            query, shared, [[], *([candidate] for candidate in candidates)]
+        )
+        return baseline, {
+            candidate: value - baseline for candidate, value in zip(candidates, values)
         }

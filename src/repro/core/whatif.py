@@ -361,34 +361,36 @@ def causal_contribution_rows(
     query: WhatIfQuery | HowToQuery,
     prepared: PreparedWhatIf,
     estimator: PostUpdateEstimator,
-    updates: Sequence[AttributeUpdate] | None = None,
+    update_sets: Sequence[Sequence[AttributeUpdate]] | None = None,
     *,
     fit_view: Relation | None = None,
-) -> Contributions:
-    """The :class:`Contributions` of the causal variants over ``prepared.view``.
+) -> list[Contributions]:
+    """The :class:`Contributions` of causal variants over ``prepared.view``, one per update set.
 
     The ``sum`` side is populated only when the query's aggregate needs
     output values.
 
-    This is the one inclusion–exclusion kernel (Section A.2.3).  ``updates``
-    are the update functions applied in the scope: ``None`` means a what-if
-    query's own; a how-to passes a candidate's chosen updates, the baseline
-    none (Definition 7: a candidate *is* a what-if query, and every candidate
-    of one how-to shares ``prepared``).  A shard runs it at its rows of a
-    what-if (``prepared.view`` the local view, ``fit_view`` the full one).
+    This is the one inclusion–exclusion kernel (Section A.2.3).  Each of the
+    k ``update_sets`` is one variant's update functions, applied in the scope:
+    ``None`` means the query's own (k = 1); a batch passes a plan group's
+    what-ifs, a how-to its baseline (no update) and every candidate's
+    (Definition 7: a candidate *is* a what-if query).  A shard runs it at its
+    rows of a what-if (``prepared.view`` the local view, ``fit_view`` the
+    full one).
 
     Only ``B``'s values at the tuples in scope depend on the update
     constants (Proposition 1), so no whole post column is built: each term
-    applies ``f`` to ``B``'s pre values at its rows ``idx`` (all in scope),
-    encodes them once for the count and the sum regressor, and adds the term
-    at its positions among the term rows; no view-length array is built or
-    copied.  Everything else — masks, the output column, the unaffected-row
-    bases and their sums, the term rows, each term's ``idx``, its positions
-    and ``pre[idx]`` and, inside
+    applies every variant's ``f`` to ``B``'s pre values at its rows ``idx``
+    (all in scope), predicts each regressor once over the encoded
+    ``(k, |idx|)`` block — row-stable, so each variant's row is bitwise what
+    it predicts alone — and adds each row at the term's positions among the
+    term rows.  Everything else — masks, the output column, the
+    unaffected-row bases and their sums, the term rows, each term's ``idx``,
+    its positions and ``pre[idx]`` and, inside
     :meth:`PostUpdateEstimator.predict_rows`, what the backdoor attributes
     contribute to each regressor's prediction there — comes from
     ``prepared.kernels``; with ``kernels=None`` (the cold engine) the same
-    code builds each piece per query.
+    code builds each piece per call.
 
     ``fit_view`` is the view regressors train on when ``prepared.view`` is a
     row subset of it (a shard's local view); training targets are built only
@@ -401,20 +403,26 @@ def causal_contribution_rows(
     kernels = prepared.kernels
     for_key = prepared.for_key
     when_key = query.when.canonical()
-    if updates is None:
-        updates = query.updates
-    functions = {update.attribute: update.function for update in updates}
+    if update_sets is None:
+        update_sets = [query.updates]
+    variants = [{u.attribute: u.function for u in updates} for updates in update_sets]
+    k = len(variants)
 
-    def post_at(attribute: str, idx: np.ndarray, idx_token: Hashable) -> Sequence[Any]:
-        # ``attribute``'s post values at a term's rows, every one in scope
-        column = view.column_view(attribute)
-        pre = column if len(idx) == n else _derive(
-            kernels, ("pre", attribute, idx_token), lambda: column[idx]
-        )
-        function = functions.get(attribute)  # None: a how-to leaves it as it is
-        if function is None:
-            return pre
-        return apply_update_column(function, pre)
+    def encoded_post(idx: np.ndarray, idx_token: Hashable) -> dict[str, np.ndarray]:
+        # every variant's post values at a term's rows, every one in scope
+        pre = {}
+        for attribute in estimator.update_attributes:
+            column = view.column_view(attribute)
+            pre[attribute] = column if len(idx) == n else _derive(
+                kernels, ("pre", attribute, idx_token), lambda: column[idx]
+            )
+        return estimator.encode_updates([
+            {  # no function: a how-to leaves the attribute as it is
+                a: values if a not in functions else apply_update_column(functions[a], values)
+                for a, values in pre.items()
+            }
+            for functions in variants
+        ])
 
     output_values = _derive(
         kernels,
@@ -458,7 +466,8 @@ def causal_contribution_rows(
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3),
     # accumulated at the union of the terms' rows only.
     rows = _term_rows(prepared, when_key, pre_masks)
-    count_at = sum_at = None  # no term has been put in yet
+    count_at: list[np.ndarray | None] = [None] * k  # None: no term put in yet
+    sum_at: list[np.ndarray | None] = [None] * k
     n_terms = 0
     if rows.size:
         if fit_view is None:
@@ -479,8 +488,8 @@ def causal_contribution_rows(
         def _target(subset: tuple[int, ...], scaled: bool) -> np.ndarray:
             fit_post_masks, fit_output = _fit_arrays()
             joint_post = np.ones(len(fit_view), dtype=bool)
-            for k in subset:
-                joint_post &= fit_post_masks[k]
+            for j in subset:
+                joint_post &= fit_post_masks[j]
             target = joint_post.astype(float)
             return fit_output * target if scaled else target
 
@@ -499,16 +508,14 @@ def causal_contribution_rows(
                 regressor_cache_key("count", subset, for_key),
                 lambda s=subset: _target(s, False),
             )
-            updated = estimator.encode_updates(
-                {a: post_at(a, idx, idx_token) for a in estimator.update_attributes}
-            )
+            updated = encoded_post(idx, idx_token)
             prob = estimator.predict_rows(
                 regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
             )
             np.clip(prob, 0.0, 1.0, out=prob)
             if negative:
                 prob *= -1.0
-            count_at = _put_term(count_at, prob, at, len(rows))
+            count_at = [_put_term(a, term, at, len(rows)) for a, term in zip(count_at, prob)]
             if aggregate.needs_output_value:
                 regressor = estimator.regressor_for(
                     regressor_cache_key("sum", subset, for_key, query.output_attribute),
@@ -519,23 +526,27 @@ def causal_contribution_rows(
                 )
                 if negative:
                     prediction *= -1.0
-                sum_at = _put_term(sum_at, prediction, at, len(rows))
+                sum_at = [_put_term(a, term, at, len(rows)) for a, term in zip(sum_at, prediction)]
             n_terms += 1
+        if k > 1:
+            estimator.release_design()
     if n_terms > 1:
         # Per-tuple qualification probabilities live in [0, 1]; clip the
         # overshoot of signed terms.  One clipped term is in [0, 1] already.
-        np.clip(count_at, 0.0, 1.0, out=count_at)
-    return Contributions(
-        count_base=count_base,
-        sum_base=sum_base,
-        count_total=count_total,
-        sum_total=sum_total,
-        rows=rows,
-        count_at=np.zeros(len(rows)) if count_at is None else count_at,
-        sum_at=(
-            None if sum_base is None else np.zeros(len(rows)) if sum_at is None else sum_at
-        ),
-    )
+        for count in count_at:
+            np.clip(count, 0.0, 1.0, out=count)
+    return [
+        Contributions(
+            count_base=count_base,
+            sum_base=sum_base,
+            count_total=count_total,
+            sum_total=sum_total,
+            rows=rows,
+            count_at=np.zeros(len(rows)) if count is None else count,
+            sum_at=None if sum_base is None else np.zeros(len(rows)) if sum_ is None else sum_,
+        )
+        for count, sum_ in zip(count_at, sum_at)
+    ]
 
 
 def _put_term(
@@ -683,17 +694,58 @@ class WhatIfEngine:
         :meth:`prepare` / :meth:`build_estimator`; omitted pieces are built
         fresh, which is the cold single-query path.
         """
+        return self.evaluate_variants([query], prepared=prepared, estimator=estimator)[0]
+
+    def evaluate_variants(
+        self,
+        queries: Sequence[WhatIfQuery],
+        *,
+        prepared: PreparedWhatIf | None = None,
+        estimator: PostUpdateEstimator | None = None,
+    ) -> list[WhatIfResult]:
+        """Answer what-ifs that differ only in their update constants (a plan
+        group) with ``queries[0]``'s plan and one :func:`causal_contribution_rows`
+        call; each answer is bitwise :meth:`evaluate`'s of the query alone, and
+        ``runtime_seconds`` the group's time shared out evenly."""
         started = time.perf_counter()
+        query = queries[0]
         if prepared is None:
             prepared = self.prepare(query)
         if self.config.ignores_dependencies:
-            result = self._evaluate_indep(query, prepared)
-        else:
+            results = [self._evaluate_indep(member, prepared) for member in queries]
+        else:  # HypeR / HypeR-NB / HypeR-sampled
             if estimator is None:
                 estimator = self.build_estimator(query, prepared)
-            result = self._evaluate_causal(query, prepared, estimator)
-        result.runtime_seconds = time.perf_counter() - started
-        return result
+            n_scope_tuples = _derive(
+                prepared.kernels,
+                ("n_scope", query.when.canonical()),
+                lambda: int(np.count_nonzero(prepared.scope_mask)),
+            )
+            contributions = causal_contribution_rows(
+                query, prepared, estimator, [member.updates for member in queries]
+            )
+            results = [
+                finalize_what_if(
+                    member,
+                    member_contributions,
+                    scope_mask=prepared.scope_mask,
+                    block_of_row=prepared.block_of_row,
+                    n_blocks=prepared.n_blocks,
+                    backdoor_set=estimator.backdoor_set,
+                    variant=self.config.variant,
+                    metadata={
+                        "n_training_rows": estimator.n_training_rows,
+                        "n_disjuncts": len(prepared.disjuncts),
+                        "feature_attributes": list(estimator.feature_attributes),
+                    },
+                    n_scope_tuples=n_scope_tuples,
+                )
+                for member, member_contributions in zip(queries, contributions)
+            ]
+        runtime = (time.perf_counter() - started) / len(queries)
+        for result in results:
+            result.runtime_seconds = runtime
+        return results
 
     # -- preparation --------------------------------------------------------------------
 
@@ -792,34 +844,6 @@ class WhatIfEngine:
         # and never written.  Not a kernel entry: a commit to another
         # relation can relabel these rows and leave the kernels warm.
         return labels[query.use.base_relation], n_blocks
-
-    # -- causal evaluation (HypeR / HypeR-NB / HypeR-sampled) -----------------------------
-
-    def _evaluate_causal(
-        self,
-        query: WhatIfQuery,
-        prepared: PreparedWhatIf,
-        estimator: PostUpdateEstimator,
-    ) -> WhatIfResult:
-        return finalize_what_if(
-            query,
-            causal_contribution_rows(query, prepared, estimator),
-            scope_mask=prepared.scope_mask,
-            block_of_row=prepared.block_of_row,
-            n_blocks=prepared.n_blocks,
-            backdoor_set=estimator.backdoor_set,
-            variant=self.config.variant,
-            metadata={
-                "n_training_rows": estimator.n_training_rows,
-                "n_disjuncts": len(prepared.disjuncts),
-                "feature_attributes": list(estimator.feature_attributes),
-            },
-            n_scope_tuples=_derive(
-                prepared.kernels,
-                ("n_scope", query.when.canonical()),
-                lambda: int(np.count_nonzero(prepared.scope_mask)),
-            ),
-        )
 
     # -- Indep baseline ---------------------------------------------------------------------
 

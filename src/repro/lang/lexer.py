@@ -83,10 +83,9 @@ class Token(NamedTuple):
     value: str
     position: int
     line: int
-
-    @property
-    def lowered(self) -> str:
-        return self.value.lower()
+    #: ``value.lower()``, taken once by :func:`tokenize` (the parser reads it
+    #: for every keyword test)
+    lowered: str
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r})"
@@ -103,19 +102,21 @@ def tokenize(text: str) -> list[Token]:
         start, end = match.span(kind)
         value = text[start:end]
         if kind == "word" and (value[0].isalpha() or value[0] == "_"):
-            word_type = TokenType.KEYWORD if value.lower() in KEYWORDS else TokenType.IDENTIFIER
-            append(new(Token, (word_type, value, start, line)))
-        elif kind in _TYPES:
-            append(new(Token, (_TYPES[kind], value, start, line)))
+            lowered = value.lower()
+            word_type = TokenType.KEYWORD if lowered in KEYWORDS else TokenType.IDENTIFIER
+            append(new(Token, (word_type, value, start, line, lowered)))
+        elif kind in _TYPES:  # digits, operators and punctuation have no case
+            append(new(Token, (_TYPES[kind], value, start, line, value)))
         elif kind == "newline":
             line += 1
         elif kind == "string":
-            append(new(Token, (TokenType.STRING, value[1:-1], start, line)))
+            value = value[1:-1]
+            append(new(Token, (TokenType.STRING, value, start, line, value.lower())))
         elif kind == "end":
             break
         elif value in ("'", '"'):
             raise QuerySyntaxError("unterminated string literal", position=start, line=line)
         else:
             raise QuerySyntaxError(f"illegal character {value[0]!r}", position=start, line=line)
-    append(new(Token, (TokenType.EOF, "", len(text), line)))
+    append(new(Token, (TokenType.EOF, "", len(text), line, "")))
     return tokens

@@ -247,7 +247,8 @@ class ConditionalMeanRegressor:
         regressors over one encoder encodes them once; whatever is computed
         from the other attributes alone goes through ``memo(key, build)`` when
         a caller that repeats such calls supplies one, and is built on the
-        spot otherwise.
+        spot otherwise.  ``(k, n_rows, width)`` varying blocks predict k
+        variants of the rows at once, ``(k, n_rows)``, over one fixed part.
 
         * linear / ridge: ``(intercept + terms of the fixed attributes)``, the
           memoised part, ``+ terms of the varying ones`` — only those are
@@ -260,10 +261,12 @@ class ConditionalMeanRegressor:
           the blocks are stacked once in the design's attribute order and the
           trees read the matrix.
         """
-        if self._encoder is None or self._model is None:
-            return np.full(n_rows, self._target_mean)
-        encoder, model = self._encoder, self._model
         varying = varying or {}
+        # (k, n_rows) for k variants, else (n_rows,)
+        shape = next(iter(varying.values())).shape[:-1] if varying else (n_rows,)
+        if self._encoder is None or self._model is None:
+            return np.full(shape, self._target_mean)
+        encoder, model = self._encoder, self._model
         if memo is None:
             memo = lambda key, build: build()  # noqa: E731
 
@@ -286,12 +289,15 @@ class ConditionalMeanRegressor:
                 lambda: add(np.full(n_rows, model.intercept), fixed),
             )
             return add(base, [a for a in encoder.attribute_order if a in varying])
-        return model.predict(
-            np.hstack(
-                [
-                    block(a) if a in varying else memo(("backdoor_block", a), lambda a=a: block(a))
-                    for a in encoder.attribute_order
-                ]
-            )
+
+        def stacked_block(attribute: str) -> np.ndarray:
+            if attribute in varying:
+                return varying[attribute]
+            fixed = memo(("backdoor_block", attribute), lambda: block(attribute))
+            return np.broadcast_to(fixed, (*shape, fixed.shape[-1]))
+
+        features = np.concatenate(
+            [stacked_block(a) for a in encoder.attribute_order], axis=-1
         )
+        return model.predict(features.reshape(-1, features.shape[-1])).reshape(shape)
 

@@ -131,11 +131,16 @@ class LinearRegression:
         block's terms — lets a caller keep the partial sum of the columns that
         do not change between its calls.  Row-stable like :meth:`predict`:
         an elementwise product for one column, the same einsum for several.
+        A ``(k, rows, width)`` block holds k variants of the rows, against
+        which a ``(rows,)`` partial broadcasts; ``partial`` is only read.
         """
-        width = block.shape[1]
+        width = block.shape[-1]
         if width == 1:
-            return partial + block[:, 0] * self.coefficients[offset]
-        return partial + np.einsum("ij,j->i", block, self.coefficients[offset : offset + width])
+            terms = block[..., 0] * self.coefficients[offset]
+        else:
+            terms = np.einsum("...j,j->...", block, self.coefficients[offset : offset + width])
+        terms += partial
+        return terms
 
 
 @dataclass

@@ -138,13 +138,15 @@ class ServingCounters:
         raise NotImplementedError
 
     @contextmanager
-    def _track(self, endpoint: str, units: int = 1) -> Iterator[None]:
+    def _track(self, endpoint: str, units: int = 1, observations: int = 1) -> Iterator[None]:
         """Count ``units`` in-flight executions and the endpoint's latency.
 
         ``units`` is the number of concurrent query executions the tracked
         region represents (a shard-pool batch crossing counts one unit per
         query it carries; a wrapper whose per-query work is tracked elsewhere
-        passes 0 so nothing double-counts).
+        passes 0 so nothing double-counts).  The region's latency is observed
+        ``observations`` times: once per query of a plan group answered
+        together, each of which waited that long.
         """
         started = time.perf_counter()
         self._m_inflight.inc(units)
@@ -153,7 +155,9 @@ class ServingCounters:
         finally:
             elapsed = time.perf_counter() - started
             self._m_inflight.dec(units)
-            self._m_latency.labels(endpoint=endpoint).observe(elapsed)
+            latency = self._m_latency.labels(endpoint=endpoint)
+            for _ in range(observations):
+                latency.observe(elapsed)
 
     def record_rejection(self, endpoint: str = "query", *, units: int = 1) -> None:
         """Count ``units`` requests a front-end turned away (HTTP 429)."""

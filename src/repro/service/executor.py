@@ -6,21 +6,19 @@ shard worker pool in :mod:`repro.shard.pool` instead — pick processes when
 CPU-bound regressor fits dominate and the GIL is the bottleneck, threads when
 the working set is cache-hot and fits are amortised).  The executor:
 
-1. fingerprints every query and groups the batch by estimator key, so all
-   parameter variants of one logical plan share state;
-2. warms one plan per group (view materialisation, estimator construction;
-   concurrently across groups) so the fan-out starts from a populated cache;
-3. fans the individual queries out across a ``ThreadPoolExecutor``.  The
-   heavy lifting inside a query — regression fitting and prediction, mask
-   evaluation — happens in NumPy kernels that release the GIL, so threads
-   give real parallelism without pickling the database into subprocesses.
+1. fingerprints every query and groups the batch by plan group
+   (:attr:`~repro.service.fingerprint.PlanFingerprint.variant_key`): what-ifs
+   that differ only in their update constants;
+2. answers each group in one task on a ``ThreadPoolExecutor``
+   (:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`:
+   one plan lookup, one stacked kernel).  Regression fitting, prediction and
+   mask evaluation are NumPy kernels that release the GIL, so threads give
+   real parallelism across groups without pickling the database.
 
-Shared mutable state is protected at the source: the per-estimator regressor
-cache fits per-key single-flight (each shared regressor is fitted exactly
-once even when many workers need it simultaneously), and `Relation.columnar_store`
-materialises its typed columns under a lock.  Results are returned in input
-order; the first failing query propagates its exception after the pool
-drains.
+Shared mutable state is protected at the source: the regressor cache fits
+per-key single-flight, and `Relation.columnar_store` materialises its typed
+columns under a lock.  Results come back in input order, a failing query's
+exception in its slot.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ def default_max_workers() -> int:
 
 
 class BatchExecutor:
-    """Groups a query batch by plan fingerprint and executes it on a thread pool."""
+    """Groups a query batch by plan group and answers the groups on a thread pool."""
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
@@ -52,66 +50,29 @@ class BatchExecutor:
         self,
         session: "HypeRService",
         queries: Sequence[WhatIfQuery | HowToQuery | Exception],
-        *,
-        return_errors: bool = False,
     ) -> list:
-        """Execute ``queries`` against ``session``, preserving input order.
+        """Answer ``queries`` against ``session``, preserving input order.
 
         Entries that are already ``Exception`` instances (failed parses
-        captured by the caller) are passed through as results.  With
-        ``return_errors=True`` a failing query contributes its exception to
-        the result list instead of discarding the rest of the batch; with the
-        default, the first failure propagates after the pool drains.
+        captured by the caller) are passed through as results, and a failing
+        query contributes its exception.
         """
-        if not queries:
-            return []
-        runnable = [
-            (index, query)
-            for index, query in enumerate(queries)
-            if not isinstance(query, Exception)
-        ]
         groups: dict[Hashable, list[int]] = {}
-        for index, query in runnable:
-            fingerprint = session.fingerprint(query)
-            groups.setdefault(fingerprint.estimator_key, []).append(index)
+        for index, query in enumerate(queries):
+            if not isinstance(query, Exception):
+                groups.setdefault(session.fingerprint(query).variant_key, []).append(index)
 
-        def warm_one(query):
-            try:
-                session.prepare(query)
-            except Exception:  # noqa: BLE001 - surfaced per query, attributed
-                pass
+        def run_group(indices: list[int]) -> list:
+            return session.answer([queries[index] for index in indices])
 
-        def run_one(query):
-            try:
-                return session.execute(query)
-            except Exception as error:  # noqa: BLE001 - captured per query
-                return error
-
-        results: list = list(queries)  # Exception entries stay in place
-        workers = self.max_workers or default_max_workers()
-        workers = max(1, min(workers, len(runnable) or 1))
+        workers = max(1, min(self.max_workers or default_max_workers(), len(groups)))
         if workers == 1:
-            for indices in groups.values():
-                warm_one(queries[indices[0]])
-            for index, query in runnable:
-                results[index] = run_one(query)
+            answered = [run_group(indices) for indices in groups.values()]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                # Warm one plan per group (concurrently — the caches'
-                # per-key single-flight makes each build exactly-once) so
-                # every shared view/estimator exists before the fan-out.
-                for future in [
-                    pool.submit(warm_one, queries[indices[0]])
-                    for indices in groups.values()
-                ]:
-                    future.result()
-                futures = [
-                    (index, pool.submit(run_one, query)) for index, query in runnable
-                ]
-                for index, future in futures:
-                    results[index] = future.result()
-        if not return_errors:
-            for result in results:
-                if isinstance(result, Exception):
-                    raise result
+                answered = list(pool.map(run_group, groups.values()))
+        results: list = list(queries)  # Exception entries stay in place
+        for indices, outcomes in zip(groups.values(), answered):
+            for index, outcome in zip(indices, outcomes):
+                results[index] = outcome
         return results

@@ -157,6 +157,14 @@ class PlanFingerprint:
         return (self.plan_key, self.parameter_key)
 
     @property
+    def variant_key(self) -> Hashable:
+        """A plan group: what-ifs differing only in update constants, which a
+        batch evaluates together; a how-to is a group of its own."""
+        if self.kind == "what-if":
+            return (self.plan_key, self.parameter_key[1:])
+        return self.query_key
+
+    @property
     def home_key(self) -> Hashable:
         """:attr:`estimator_key` without its generation and DAG slots.
 

@@ -11,7 +11,8 @@ database + causal DAG + engine configuration and, across queries:
   relations that actually changed, so estimators and views built from other
   relations stay warm, while ``update_causal_dag`` / ``invalidate`` bump
   everything;
-* executes query batches concurrently — through
+* executes query batches per plan group (:meth:`HypeRService.answer`),
+  concurrently, through
   :class:`~repro.service.executor.BatchExecutor` threads
   (``execution="threads"``, the default) or through a persistent
   :class:`~repro.shard.pool.ShardPool` of worker **processes**
@@ -64,7 +65,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
 
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
@@ -547,9 +549,8 @@ class HypeRService(ServingCounters):
     ) -> PreparedPlan | list[PreparedPlan]:
         """Warm the caches for ``query``'s plan and return the shared state.
 
-        Building the plan once up front (the batch executor does this per
-        fingerprint group) means subsequent :meth:`execute` calls for any
-        parameter variant of the plan only pay for prediction.
+        Building the plan once up front means subsequent :meth:`execute`
+        calls for any parameter variant of the plan only pay for prediction.
 
         A list (or tuple) of queries warms every plan in order against one
         pinned snapshot and returns the plans as a list — ``repro serve``
@@ -610,32 +611,31 @@ class HypeRService(ServingCounters):
                 # taken once: the result key and the plan caches both read it
                 with obs_trace.span("fingerprint"):
                     fingerprint = self._fingerprint(state, parsed)
-                if not self._result_cache_enabled:
-                    with obs_trace.span("execute"):
-                        result = self._execute_uncached(
-                            state, parsed, exhaustive, fingerprint
-                        )
-                    self._record_completion(
-                        state, parsed, query, time.perf_counter() - started
-                    )
-                    return result
-                key = self._result_key(state, fingerprint, exhaustive)
                 hit = True
 
                 def _build() -> Result:
                     nonlocal hit
                     hit = False
                     with obs_trace.span("execute"):
-                        return self._execute_uncached(
-                            state, parsed, exhaustive, fingerprint
+                        (outcome,) = self._evaluate(
+                            state, [(0, parsed, fingerprint, None)], exhaustive,
+                            self._crossing(state, 1),
                         )
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    return outcome
 
-                with obs_trace.span("cache.result") as cache_span:
-                    result = self.caches.results.get_or_create(
-                        key, _build, tags=state.database.relation_names
-                    )
-                if cache_span is not None:
-                    cache_span.meta["hit"] = hit
+                if not self._result_cache_enabled:
+                    result = _build()
+                else:
+                    with obs_trace.span("cache.result") as cache_span:
+                        result = self.caches.results.get_or_create(
+                            self._result_key(state, fingerprint, exhaustive),
+                            _build,
+                            tags=state.database.relation_names,
+                        )
+                    if cache_span is not None:
+                        cache_span.meta["hit"] = hit
                 self._record_completion(
                     state,
                     parsed,
@@ -695,30 +695,6 @@ class HypeRService(ServingCounters):
             exhaustive,
         )
 
-    def _execute_uncached(
-        self, state: _EngineState, parsed: Query, exhaustive: bool, fingerprint: PlanFingerprint
-    ) -> Result:
-        if self.execution == "processes":
-            pool = self._pool_for(state)
-            if pool is not None:
-                return pool.run_batch(
-                    [parsed], fingerprints=[fingerprint], exhaustive=exhaustive
-                )[0]
-            # Straggler: this query is pinned to a snapshot the pool has moved
-            # past (or the pool is mid-rebuild).  Its pinned state holds fully
-            # built engines, and the pool's answers are the unsharded engine's
-            # bit for bit — so evaluate here rather than pause or error the
-            # reader.
-            self._m_pinned_fallbacks.inc()
-        return self._execute_in_process(state, parsed, exhaustive, fingerprint)
-
-    def _execute_in_process(
-        self, state: _EngineState, parsed: Query, exhaustive: bool, fingerprint: PlanFingerprint
-    ) -> Result:
-        if isinstance(parsed, WhatIfQuery):
-            return self._execute_what_if(state, parsed, fingerprint)
-        return self._execute_how_to(state, parsed, fingerprint, exhaustive=exhaustive)
-
     def what_if(self, query: WhatIfQuery) -> WhatIfResult:
         """Alias of :meth:`execute` for programmatic what-if queries."""
         return self.execute(query)  # type: ignore[return-value]
@@ -734,16 +710,15 @@ class HypeRService(ServingCounters):
         max_workers: int | None = None,
         return_errors: bool = False,
     ) -> list[Result | Exception]:
-        """Answer a batch concurrently; results align with the input order.
+        """Answer a batch per plan group (:meth:`answer`); results align with the input order.
 
-        In ``threads`` mode, queries are grouped by plan fingerprint so each
-        shared estimator is fitted once, then parameter variants fan out
-        across worker threads.  In ``processes`` mode the whole batch crosses
-        the shard pool in a single scatter round-trip — each query dealt whole
-        to one worker — and the answers come back in order.  With ``return_errors=True`` a failing
-        query yields its exception in the result list while the rest of the
-        batch completes normally (the HTTP ``/batch`` endpoint uses this);
-        with the default, the first failure propagates after the pool drains.
+        In ``threads`` mode the groups run concurrently, one task each.  In
+        ``processes`` mode the whole batch crosses the shard pool in a single
+        scatter round-trip — each query dealt whole to one worker, which
+        answers its share group by group.  With ``return_errors=True`` a
+        failing query yields its exception in the result list while the rest
+        of the batch completes normally (the HTTP ``/batch`` endpoint uses
+        this); with the default, the first failure propagates at the end.
         """
         parsed: list[Query | Exception] = []
         for query in queries:
@@ -754,69 +729,134 @@ class HypeRService(ServingCounters):
                     raise
                 parsed.append(error)
         self._m_batches.inc()
-        # units=0: per-query in-flight is tracked inside execute() (threads
-        # mode) or around the pool crossing (processes mode); the batch
-        # wrapper contributes only its latency sum.
+        # units=0: per-query in-flight is tracked around each group's
+        # evaluation or the pool crossing; the batch wrapper contributes only
+        # its latency sum.
         with self._track("batch", units=0):
             if self.execution == "processes":
-                return self._execute_many_processes(parsed, return_errors=return_errors)
-            executor = BatchExecutor(max_workers or self.max_workers)
-            return executor.run(self, parsed, return_errors=return_errors)
-
-    def _execute_many_processes(
-        self, parsed: Sequence[Query | Exception], *, return_errors: bool
-    ) -> list[Result | Exception]:
-        self._m_queries.inc(
-            sum(1 for query in parsed if not isinstance(query, Exception))
-        )
-        results: list[Result | Exception] = list(parsed)
-        with self.pinned() as state:
-            # Serve result-cache hits first; only misses cross the pool.
-            misses: list[tuple[int, Query, PlanFingerprint, Hashable]] = []
-            for index, query in enumerate(parsed):
-                if isinstance(query, Exception):
-                    continue
-                fingerprint, key = self._fingerprint(state, query), None
-                if self._result_cache_enabled:
-                    key = self._result_key(state, fingerprint, False)
-                    cached = self.caches.results.get(key)
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                misses.append((index, query, fingerprint, key))
-            if misses:
-                pool = self._pool_for(state)
-                with self._track("shard_batch", units=len(misses)):
-                    if pool is not None:
-                        fresh = pool.run_batch(
-                            [query for _index, query, _fingerprint, _key in misses],
-                            return_errors=True,
-                            fingerprints=[fingerprint for _i, _q, fingerprint, _k in misses],
-                        )
-                    else:
-                        # Pinned to a superseded snapshot: evaluate the whole
-                        # batch in-process from the pinned engines (bitwise
-                        # identical to the pool's answers).
-                        self._m_pinned_fallbacks.inc(len(misses))
-                        fresh = []
-                        for _index, query, fingerprint, _key in misses:
-                            try:
-                                fresh.append(
-                                    self._execute_in_process(state, query, False, fingerprint)
-                                )
-                            except Exception as error:  # noqa: BLE001 - per query
-                                fresh.append(error)
-                for (index, _query, _fingerprint, key), result in zip(misses, fresh):
-                    results[index] = result
-                    if key is not None and not isinstance(result, Exception):
-                        self.caches.results.put(
-                            key, result, tags=state.database.relation_names
-                        )
+                results = self.answer(parsed)
+            else:
+                results = BatchExecutor(max_workers or self.max_workers).run(self, parsed)
         if not return_errors:
             for result in results:
                 if isinstance(result, Exception):
                     raise result
         return results
+
+    def answer(
+        self,
+        queries: Sequence[Query | Exception],
+        *,
+        exhaustive: bool = False,
+        generation: int | None = None,
+        around_group: Callable[[Callable[[], list]], list] | None = None,
+    ) -> list[Result | Exception]:
+        """Answer parsed queries under one pinned snapshot, each outcome in its slot.
+
+        Exceptions among ``queries`` pass through, and a failing query yields
+        the exception :meth:`execute` raises for it.  Result-cache hits are
+        served first.  The misses cross the shard pool as one batch in
+        ``processes`` mode, else are evaluated one plan group
+        (:attr:`~repro.service.fingerprint.PlanFingerprint.variant_key`) at a
+        time.  ``around_group(evaluate)`` wraps each such step and returns its
+        outcomes — a pool worker times it, a cluster node checks its request
+        deadline first; what it raises is the outcome of each of the step's
+        queries.
+        """
+        results: list[Result | Exception] = list(queries)
+        self._m_queries.inc(sum(1 for query in queries if not isinstance(query, Exception)))
+        with self.pinned(generation) as state:
+            groups: dict[Hashable, list[tuple[int, Query, PlanFingerprint, Hashable]]] = {}
+            for index, query in enumerate(queries):
+                if isinstance(query, Exception):
+                    continue
+                fingerprint, key = self._fingerprint(state, query), None
+                if self._result_cache_enabled:
+                    key = self._result_key(state, fingerprint, exhaustive)
+                    cached = self.caches.results.get(key)
+                    if cached is not None:
+                        results[index] = cached
+                        continue
+                groups.setdefault(fingerprint.variant_key, []).append(
+                    (index, query, fingerprint, key)
+                )
+            steps = list(groups.values())
+            pool = self._crossing(state, sum(map(len, steps))) if steps else None
+            if pool is not None:  # one crossing; the workers group their shares
+                steps = [[entry for group in steps for entry in group]]
+            for entries in steps:
+                evaluate = partial(self._evaluate, state, entries, exhaustive, pool)
+                started = time.perf_counter()
+                # a crossing is one shard batch; in process each query waits its group out
+                n = len(entries)
+                with self._track(*(("query", n, n) if pool is None else ("shard_batch", n, 1))):
+                    try:
+                        outcomes = evaluate() if around_group is None else around_group(evaluate)
+                    except Exception as error:  # noqa: BLE001 - each of the step's queries'
+                        outcomes = [error] * len(entries)
+                elapsed = time.perf_counter() - started  # what each query of it waited
+                for (index, query, fingerprint, key), outcome in zip(entries, outcomes):
+                    results[index] = outcome
+                    self._record_completion(state, query, query, elapsed, fingerprint=fingerprint)
+                    if key is not None and not isinstance(outcome, Exception):
+                        self.caches.results.put(key, outcome, tags=state.database.relation_names)
+        return results
+
+    def _crossing(self, state: _EngineState, n_queries: int) -> "ShardPool | None":
+        """The shard pool misses cross in ``processes`` mode; ``None`` for a reader
+        pinned to a snapshot it has moved past, which evaluates its pinned engines
+        in-process (bitwise the pool's answers) rather than pause or error."""
+        if self.execution != "processes":
+            return None
+        pool = self._pool_for(state)
+        if pool is None:
+            self._m_pinned_fallbacks.inc(n_queries)
+        return pool
+
+    def _evaluate(
+        self,
+        state: _EngineState,
+        entries: Sequence[tuple[int, Query, PlanFingerprint, Hashable]],
+        exhaustive: bool,
+        pool: "ShardPool | None",
+    ) -> list[Result | Exception]:
+        """The outcomes of a batch's misses through ``pool``, or of one plan group:
+        each distinct query once, a group's what-ifs in one stacked call — or, if
+        that fails, each alone, so a failure is its own query's, own envelope."""
+        if pool is not None:
+            return pool.run_batch(
+                [query for _index, query, _fingerprint, _key in entries],
+                return_errors=True,
+                fingerprints=[fingerprint for _i, _q, fingerprint, _k in entries],
+                exhaustive=exhaustive,
+            )
+        slot_of: dict[Hashable, int] = {}
+        slots = [slot_of.setdefault(entry[2].parameter_key, len(slot_of)) for entry in entries]
+        members = list(dict(zip(slots, entries)).values())
+
+        def evaluate(members: Sequence[tuple[int, Query, PlanFingerprint, Hashable]]) -> list:
+            _index, query, fingerprint, _key = members[0]
+            if isinstance(query, HowToQuery):  # a how-to is a group of its own
+                return [self._execute_how_to(state, query, fingerprint, exhaustive=exhaustive)]
+            prepared, estimator = self._what_if_plan(state, query, fingerprint)
+            return state.whatif.evaluate_variants(
+                [member[1] for member in members], prepared=prepared, estimator=estimator
+            )
+
+        try:
+            answers = evaluate(members)
+        except Exception as error:  # noqa: BLE001 - isolated below
+            answers = [error]
+            if len(members) > 1:
+                answers = [self._outcome(evaluate, [member]) for member in members]
+        return [answers[slot] for slot in slots]
+
+    @staticmethod
+    def _outcome(evaluate: Callable[[Any], list], members: Any) -> Result | Exception:
+        try:
+            return evaluate(members)[0]
+        except Exception as error:  # noqa: BLE001 - this query's own
+            return error
 
     def _plan_estimator(
         self, query: Query, fingerprint: PlanFingerprint, build: Any
@@ -847,12 +887,6 @@ class HypeRService(ServingCounters):
         return prepared, self._plan_estimator(
             query, fingerprint, lambda: state.whatif.build_estimator(query, prepared)
         )
-
-    def _execute_what_if(
-        self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
-    ) -> WhatIfResult:
-        prepared, estimator = self._what_if_plan(state, query, fingerprint)
-        return state.whatif.evaluate(query, prepared=prepared, estimator=estimator)
 
     def _execute_how_to(
         self, state: _EngineState, query: HowToQuery, fingerprint: PlanFingerprint, *, exhaustive: bool

@@ -77,7 +77,7 @@ def what_if_partial(service: Any, shard: Shard, query: WhatIfQuery) -> WhatIfSha
             block_of_row=np.empty(0, dtype=int),
             kernels=None,
         )
-        contributions = causal_contribution_rows(
+        (contributions,) = causal_contribution_rows(
             query, local, plan.estimator, fit_view=view
         )
         estimator = plan.estimator

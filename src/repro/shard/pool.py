@@ -6,10 +6,11 @@ own over the full database snapshot, which is transferred **once** at start-up
 ``fork`` or by pickle under ``spawn``), never per query.  A query moves to the
 data: it travels whole, as a small pickled task message, to the one worker its
 plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), whose
-service answers it (:meth:`HypeRService.execute
-<repro.service.session.HypeRService.execute>`) and sends scalars back — a
-single query is a batch of one, a how-to travels like a what-if, and every
-crossing, query or commit, goes through one loop (``ShardPool._scatter``).
+service answers its share of the batch one plan group at a time
+(:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`)
+and sends scalars back — a single query is a batch of one, a how-to travels
+like a what-if, and every crossing, query or commit, goes through one loop
+(``ShardPool._scatter``).
 Database commits move the running workers forward *in place*
 (:meth:`ShardPool.apply_update`): of each changed relation only the columns
 that are not the previous generation's own cross the process boundary, each
@@ -39,11 +40,12 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
+from ..core.results import WhatIfResult
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
 from ..relational.columnar import (
@@ -102,59 +104,58 @@ class ShardWorkerRuntime:
         self.n_tasks = 0
 
     def handle(self, kind: str, payload: Any) -> Any:
-        """Serve one task, stamping a worker span onto the outgoing payload.
+        """Serve one task: a ``batch`` of queries, a commit, or a ``ping``.
 
-        The span is a plain dict inside the result's ``metadata``, so it
-        crosses the pickling boundary with the payload it times; the parent
-        pool pops it back out — *always*, traced or not, so answers stay
-        bitwise identical to the unsharded path — and re-attaches it to the
-        live trace via :func:`repro.obs.trace.add_span`.  The task runs in a
-        fresh context, so an inline worker's service never records its own
-        spans into the caller's trace: both modes ship the same span.
+        The service answers a batch one plan group at a time
+        (:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`)
+        in a fresh context, so an inline worker records no spans into the
+        caller's trace; each group ships one worker span instead (:meth:`_timed`).
         """
         self.n_tasks += 1
-        estimators = self.service.caches.estimators
-        builds_before = estimators.stats().misses
-        started = time.perf_counter()
-        out = contextvars.Context().run(self._dispatch, kind, payload)
-        elapsed = time.perf_counter() - started
-        meta = getattr(out, "metadata", None)
-        if isinstance(meta, dict):
-            meta["worker_span"] = {
-                "name": f"shard-worker[{self.index}]",
-                "duration_ms": round(elapsed * 1000.0, 6),
-                "meta": {
-                    "shard": self.index,
-                    "kind": kind,
-                    "estimator_builds": estimators.stats().misses - builds_before,
-                },
-                "children": [],
-            }
-        return out
-
-    def _dispatch(self, kind: str, payload: Any) -> Any:
-        if kind == "full":
-            query, exhaustive = payload
-            result = self.service.execute(query, exhaustive=exhaustive)
-            if not isinstance(query, HowToQuery):
-                # The answer leaves as scalars: the per-block summary is an
-                # in-process view over per-row arrays (docs/architecture.md),
-                # and the inline pool drops it too so both modes agree.
-                result.block_contributions = []
-            return result
         if kind == "batch":
-            out = []
-            for sub_kind, sub_payload in payload:
-                try:
-                    out.append((True, self.handle(sub_kind, sub_payload)))
-                except Exception as error:  # noqa: BLE001 - per-subtask capture
-                    out.append((False, _describe_error(error)))
-            return out
+            queries, exhaustive = payload
+            outcomes = contextvars.Context().run(
+                self.service.answer, queries, exhaustive=exhaustive, around_group=self._timed
+            )
+            return [
+                (False, _describe_error(out)) if isinstance(out, Exception) else (True, out)
+                for out in outcomes
+            ]
         if kind == "update":
             return self.apply_update(payload)
         if kind == "ping":
             return {"shard": self.index, "n_tasks": self.n_tasks}
         raise ShardPoolError(f"unknown shard task kind {kind!r}")
+
+    def _timed(self, evaluate: Callable[[], list[Any]]) -> list[Any]:
+        """One plan group's answers, the first stamped with the group's span: a
+        plain dict in its ``metadata`` that the parent pops back out — *always*,
+        so answers stay bitwise the unsharded path's — and re-attaches to the
+        live trace (:func:`repro.obs.trace.add_span`).  What-if answers leave as
+        scalars: the per-block summary is an in-process view over per-row
+        arrays (docs/architecture.md), and the inline pool drops it too."""
+        estimators = self.service.caches.estimators
+        builds_before = estimators.stats().misses
+        started = time.perf_counter()
+        outcomes = evaluate()
+        elapsed = time.perf_counter() - started
+        answers = [out for out in outcomes if not isinstance(out, Exception)]
+        for answer in answers:
+            if isinstance(answer, WhatIfResult):
+                answer.block_contributions = []
+        if answers:
+            answers[0].metadata["worker_span"] = {
+                "name": f"shard-worker[{self.index}]",
+                "duration_ms": round(elapsed * 1000.0, 6),
+                "meta": {
+                    "shard": self.index,
+                    "kind": "full",
+                    "queries": len(outcomes),
+                    "estimator_builds": estimators.stats().misses - builds_before,
+                },
+                "children": [],
+            }
+        return outcomes
 
     def apply_update(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Commit the parent's next generation into this worker's service.
@@ -227,7 +228,7 @@ def _changed_columns(old: Relation | None, new: Relation) -> ColumnStore:
 
 
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
-    return (type(error).__name__, str(error), traceback.format_exc())
+    return (type(error).__name__, str(error), "".join(traceback.format_exception(error)))
 
 
 #: a query the worker rejected is wrong wherever it runs: these cross the pool
@@ -729,7 +730,7 @@ class ShardPool:
                 per_worker = self._scatter(
                     "batch",
                     {
-                        worker: [("full", (queries[index], exhaustive)) for index in indices]
+                        worker: ([queries[index] for index in indices], exhaustive)
                         for worker, indices in slots.items()
                     },
                 )

@@ -214,9 +214,9 @@ def test_serialized_form_matches_golden_fixture(name):
         f"golden fixture {fixture_path} is missing; if this is a deliberate "
         f"schema addition, regenerate it with: python -m tests.api.test_schema_stability"
     )
-    golden = json.loads(fixture_path.read_text())
-    serialized = json.loads(json.dumps(CANONICAL[name].to_json()))
-    assert serialized == golden, (
+    # byte for byte: key order is part of the pinned form
+    serialized = json.dumps(CANONICAL[name].to_json(), indent=2) + "\n"
+    assert serialized == fixture_path.read_text(), (
         f"the serialized v1 form of {name} changed; wire changes inside v1 "
         f"must be additive and must update the golden fixture deliberately"
     )

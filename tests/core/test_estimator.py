@@ -372,8 +372,8 @@ class TestSharedTrainingDesign:
         post, idx = {"B": np.full(n, 0.5)}, np.arange(n)
         assert np.array_equal(
             clone.predict_rows(
-                clone.regressor_for("y", lambda: y), clone.view, clone.encode_updates(post), idx
+                clone.regressor_for("y", lambda: y), clone.view, clone.encode_updates([post]), idx
             ),
-            estimator.predict_rows(fitted, estimator.view, estimator.encode_updates(post), idx),
+            estimator.predict_rows(fitted, estimator.view, estimator.encode_updates([post]), idx),
         )
         assert clone.regressor_cache_stats["fits"] == 1  # the fitted regressor travelled

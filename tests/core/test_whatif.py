@@ -429,7 +429,7 @@ class TestWarmEqualsCold:
                 query,
                 cold_prepared,
                 cold_session.whatif_engine.build_estimator(query, cold_prepared),
-            ).per_row()
+            )[0].per_row()
             oracle = eager_block_summary(
                 warm.aggregate, count, sum_, cold_prepared.block_of_row,
                 cold_prepared.n_blocks, cold_prepared.scope_mask,
@@ -491,15 +491,15 @@ class TestWarmEqualsCold:
         kernels = RecordingKernelCache()
 
         def updated(idx):
-            return estimator.encode_updates({a: v[idx] for a, v in post_values.items()})
+            return estimator.encode_updates([{a: v[idx] for a, v in post_values.items()}])
 
         for fitted in (count, total):
-            full = estimator.predict_rows(fitted, view, updated(subsets[0]), subsets[0])
+            (full,) = estimator.predict_rows(fitted, view, updated(subsets[0]), subsets[0])
             for k, idx in enumerate(subsets):
-                fresh = estimator.predict_rows(fitted, view, updated(idx), idx)
+                (fresh,) = estimator.predict_rows(fitted, view, updated(idx), idx)
                 assert np.array_equal(fresh, full[idx])
                 for _ in range(2):  # building the cached piece, then reading it
-                    warm = estimator.predict_rows(
+                    (warm,) = estimator.predict_rows(
                         fitted, view, updated(idx), idx, kernels=kernels, idx_token=("rows", k)
                     )
                     assert np.array_equal(warm, full[idx])
@@ -577,7 +577,7 @@ class TestWarmEqualsCold:
         query = parse_query(KERNEL_LAW_TEMPLATES["three-disjuncts"].format(c=1.3))
         prepared = engine.prepare(query)
         estimator = engine.build_estimator(query, prepared)
-        count, sum_ = causal_contribution_rows(query, prepared, estimator).per_row()
+        count, sum_ = causal_contribution_rows(query, prepared, estimator)[0].per_row()
         view, scope = prepared.view, prepared.scope_mask
         status = np.asarray(view.column_view("Status"), dtype=float)
         post_values = {"Status": np.where(scope, 1.3 * status, status)}
@@ -690,9 +690,9 @@ class TestTermRowReduction:
             query = parse_query(template.format(c=c, s=("Red", "Blue", "Silver")[k]))
             prepared = engine.prepare(query, view=view, kernels=kernels)
             estimator = estimator or engine.build_estimator(query, prepared)
-            warm = causal_contribution_rows(query, prepared, estimator)
+            (warm,) = causal_contribution_rows(query, prepared, estimator)
             cold_prepared = engine.prepare(query)
-            cold = causal_contribution_rows(
+            (cold,) = causal_contribution_rows(
                 query, cold_prepared, engine.build_estimator(query, cold_prepared)
             )
             assert warm.rows.tobytes() == cold.rows.tobytes()
@@ -759,3 +759,71 @@ class TestTermRowReduction:
         assert peak < 8 * len(view)
         cold = HypeR(data.database, data.causal_dag, engine.config).what_if(query)
         assert result.value == cold.value
+
+
+# -- plan groups ------------------------------------------------------------------------
+#
+# Variants of one plan group share one call of the kernel: each term's post
+# values for all of them are predicted as one stacked block.
+
+
+class TestVariantGroups:
+    @pytest.mark.parametrize("regressor", ["linear", "forest"])
+    @pytest.mark.parametrize("shape", list(REDUCTION_TEMPLATES))
+    def test_a_group_answers_as_each_variant_alone(self, german, shape, regressor):
+        config = EngineConfig(regressor=regressor, n_forest_trees=3, max_tree_depth=3)
+        data = make_amazon_syn(150, seed=4) if shape == "object-update" else german
+        engine = WhatIfEngine(data.database, data.causal_dag, config)
+        view = data.default_use.build(data.database)
+        template = REDUCTION_TEMPLATES[shape]
+        queries = [
+            parse_query(template.format(c=c, s=s))
+            for c, s in ((0.8, "Red"), (1.3, "Blue"), (2.0, "Silver"), (1.3, "Blue"))
+        ]
+        prepared = engine.prepare(queries[0], view=view, kernels=KernelCache())
+        estimator = engine.build_estimator(queries[0], prepared)
+        stacked = causal_contribution_rows(
+            queries[0], prepared, estimator, [query.updates for query in queries]
+        )
+        answers = engine.evaluate_variants(queries, prepared=prepared, estimator=estimator)
+        assert len(stacked) == len(answers) == len(queries)
+        for query, group_part, answer in zip(queries, stacked, answers):
+            cold_prepared = engine.prepare(query)
+            (cold,) = causal_contribution_rows(
+                query, cold_prepared, engine.build_estimator(query, cold_prepared)
+            )
+            for side in ("count_at", "sum_at"):
+                ours, theirs = getattr(group_part, side), getattr(cold, side)
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert ours.tobytes() == theirs.tobytes()
+            alone = engine.evaluate(query)
+            assert (answer.value, answer.expected_qualifying_count) == (
+                alone.value,
+                alone.expected_qualifying_count,
+            )
+            assert answer.block_contributions == alone.block_contributions
+
+    def test_a_failing_variant_fails_the_group_call(self, german):
+        # the kernel raises for the group; the service then answers each
+        # variant alone, so the failure stays with its own query
+        engine = WhatIfEngine(german.database, german.causal_dag, EngineConfig(regressor="linear"))
+        good = parse_query("USE Credit UPDATE(Status) = 2 OUTPUT AVG(POST(Credit))")
+        prepared = engine.prepare(good)
+        estimator = engine.build_estimator(good, prepared)
+        bad = [AttributeUpdate("Status", SetTo("high"))]
+        with pytest.raises((ValueError, TypeError)):
+            causal_contribution_rows(good, prepared, estimator, [good.updates, bad])
+        service = HypeRService(german.database, german.causal_dag, engine.config)
+        try:
+            variants = [
+                good,
+                WhatIfQuery(
+                    use=good.use, updates=bad, output_attribute="Credit", output_aggregate="avg"
+                ),
+            ]
+            outcomes = service.execute_many(variants, return_errors=True)
+            assert outcomes[0].value == engine.evaluate(good).value
+            assert isinstance(outcomes[1], (ValueError, TypeError))
+        finally:
+            service.close()

@@ -13,7 +13,10 @@ both sides, every query through the cold ``HypeR`` facade and through a warm
   constants, at 2 000 and 20 000 rows;
 * two multi-disjunct ``FOR`` templates, with ``=`` and ``+`` updates;
 * ``WorkloadGenerator`` what-if batches and two-attribute how-to batches;
-* queries both sides must reject, for their error envelopes.
+* queries both sides must reject, for their error envelopes;
+* the German-Syn templates and generated what-ifs once more as one batch,
+  through ``execute_many`` on a threads service and on a two-worker
+  ``processes`` service: plan groups answered together.
 
 Answers are compared field by field — dataclass ``==`` is always false across
 two packages — and one line is printed::
@@ -142,9 +145,15 @@ def _record(answer: Any) -> dict[str, Any]:
 
 def _answer(run: Any, make_query: Any) -> dict[str, Any]:
     try:
-        return _record(run(make_query()))
+        return _outcome(run(make_query()))
     except Exception as error:  # noqa: BLE001 - the envelope is what is compared
-        return {"kind": "error", "error": (type(error).__name__, str(error))}
+        return _outcome(error)
+
+
+def _outcome(answer: Any) -> dict[str, Any]:
+    if isinstance(answer, Exception):  # raised, or a batch's failed query in its slot
+        return {"kind": "error", "error": (type(answer).__name__, str(answer))}
+    return _record(answer)
 
 
 def answers(package: ModuleType, corpus: Corpus) -> list[dict[str, Any]]:
@@ -178,6 +187,24 @@ def answers(package: ModuleType, corpus: Corpus) -> list[dict[str, Any]]:
                     out.append(_answer(warm.execute, make_query))
             finally:
                 warm.close()
+            if dataset == "german":
+                what_ifs = generated[: 2 * corpus.what_ifs]
+                out += batch_answers(package, data, config, texts + what_ifs)
+    return out
+
+
+def batch_answers(package: ModuleType, data: Any, config: Any, batch: list) -> list:
+    """``batch`` answered by ``execute_many`` in threads and in processes mode."""
+    out: list[dict[str, Any]] = []
+    for execution in ("threads", "processes"):
+        service = package.HypeRService(
+            data.database, data.causal_dag, config, result_cache_size=0,
+            execution=execution, n_shards=2,
+        )
+        try:
+            out += [_outcome(outcome) for outcome in service.execute_many(batch, return_errors=True)]
+        finally:
+            service.close()
     return out
 
 

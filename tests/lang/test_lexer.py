@@ -75,9 +75,10 @@ class TestTokenize:
             tokenize("USE @Product")
 
     def test_token_repr_and_lowered(self):
-        token = Token(TokenType.KEYWORD, "USE", 0, 1)
-        assert token.lowered == "use"
+        token, string, eof = tokenize("USE 'Asus'")
+        assert (token.lowered, string.lowered, eof.lowered) == ("use", "asus", "")
         assert "USE" in repr(token)
+        assert token == Token(TokenType.KEYWORD, "USE", 0, 1, "use")
 
 
 #: ``text -> [(type, value, position, line), ...]``, the closing EOF included

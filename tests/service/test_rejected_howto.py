@@ -62,8 +62,8 @@ def test_worker_caches_nothing_for_a_rejected_how_to(dataset, why):
     estimators = worker.service.caches.estimators
     query = parse_query(REJECTED[why])
     for exhaustive in (False, True):
-        with pytest.raises(QuerySemanticsError):
-            worker.handle("full", (query, exhaustive))
+        ((ok, (error_type, _message, _trace)),) = worker.handle("batch", ([query], exhaustive))
+        assert not ok and error_type == QuerySemanticsError.__name__
     assert len(estimators) == 0 and estimators.stats().misses == 0
-    worker.handle("full", (parse_query(ACCEPTED), False))
-    assert len(estimators) == 1
+    ((ok, _answer),) = worker.handle("batch", ([parse_query(ACCEPTED)], False))
+    assert ok and len(estimators) == 1

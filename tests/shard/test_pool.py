@@ -162,10 +162,11 @@ class TestInlineFallback:
         ).start()
         try:
 
-            def fail(query, **_kwargs):
+            def fail(*_args, **_kwargs):
                 raise RuntimeError("injected")
 
-            pool._inline_workers[1].service.execute = fail
+            # every what-if group worker 1 evaluates fails where it takes its plan
+            pool._inline_workers[1].service._what_if_plan = fail
             results = pool.run_batch(template_batch(4), return_errors=True)
             failed = [result for result in results if isinstance(result, Exception)]
             assert 0 < len(failed) < len(results)  # the four plans span both workers
