@@ -42,6 +42,8 @@ __all__ = ["AsyncHypeRClient"]
 #: what a dead, stalled or half-closed connection raises (``ConnectionError``
 #: and ``TimeoutError`` are ``OSError``s, ``IncompleteReadError`` an ``EOFError``)
 _IO_ERRORS = (OSError, EOFError)
+# keep-alive connections one client pools; more are closed on release
+_MAX_IDLE_CONNECTIONS = 8
 
 
 def _timed_out(timeout: float) -> TimeoutError:
@@ -72,11 +74,10 @@ class AsyncHypeRClient(ClientVerbs):
 
     Constructor parameters are :class:`~repro.api.calls.ClientVerbs`'s
     (``timeout`` is the per-I/O-operation cap, ``deadline`` arguments cap
-    whole calls).  ``max_idle_connections`` bounds the keep-alive pool;
-    excess connections are closed on release rather than pooled.
+    whole calls).  The keep-alive pool holds at most
+    :data:`_MAX_IDLE_CONNECTIONS` connections; excess connections are closed
+    on release rather than pooled.
     """
-
-    max_idle_connections: int = 8
 
     def __post_init__(self) -> None:
         self._idle: list[_Conn] = []
@@ -123,7 +124,7 @@ class AsyncHypeRClient(ClientVerbs):
             response.will_close
             or self._closed
             or conn.writer.is_closing()
-            or len(self._idle) >= self.max_idle_connections
+            or len(self._idle) >= _MAX_IDLE_CONNECTIONS
         ):
             self._discard(conn)
         else:

@@ -194,9 +194,6 @@ class WhatIfBuilder(QueryBuilder):
         """The ``OUTPUT`` clause (see :func:`avg`, :func:`sum_`, :func:`count`)."""
         return replace(self, _output=_as_agg_term(term))
 
-    def named(self, name: str) -> "WhatIfBuilder":
-        return replace(self, _name=name)
-
     # -- terminal ----------------------------------------------------------------------
 
     def build(self) -> WhatIfQuery:
@@ -316,9 +313,6 @@ class HowToBuilder(QueryBuilder):
             _buckets=buckets if buckets is not None else self._buckets,
             _multipliers=tuple(multipliers) if multipliers is not None else self._multipliers,
         )
-
-    def named(self, name: str) -> "HowToBuilder":
-        return replace(self, _name=name)
 
     # -- terminal ----------------------------------------------------------------------
 

@@ -390,10 +390,6 @@ class UpdateAnswer(_Schema, what="update answer"):
     #: span tree, present only when the request asked for ``?trace=1``
     trace: "TraceSpan | None" = _wire(_TRACE, default=None, omit=None)
 
-    @property
-    def noop(self) -> bool:
-        return not self.changed
-
 
 @dataclass(frozen=True)
 class WhatIfAnswer(_Schema, what="what-if answer"):

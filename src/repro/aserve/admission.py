@@ -47,7 +47,12 @@ from ..obs.metrics import MetricsRegistry, exponential_buckets
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.session import HypeRService
 
-__all__ = ["AdmissionController", "AdmissionRejected"]
+__all__ = ["AdmissionController", "AdmissionRejected", "MIN_RETRY_AFTER"]
+
+# the shortest Retry-After a rejection advertises, in seconds
+MIN_RETRY_AFTER = 0.1
+# admission decisions kept for stats()'s decision-time quantiles
+_DECISION_WINDOW = 4096
 
 
 class AdmissionRejected(Exception):
@@ -79,8 +84,6 @@ class AdmissionController:
         queue_depth: int = 16,
         *,
         service: "HypeRService | None" = None,
-        min_retry_after: float = 0.1,
-        decision_window: int = 4096,
         metrics_registry: MetricsRegistry | None = None,
     ) -> None:
         if max_inflight < 1:
@@ -89,7 +92,6 @@ class AdmissionController:
             raise ValueError("queue_depth must be >= 0")
         self.max_inflight = max_inflight
         self.queue_depth = queue_depth
-        self.min_retry_after = min_retry_after
         self._service = service
         self._slots = asyncio.Semaphore(max_inflight)
         self._queued = 0
@@ -98,7 +100,7 @@ class AdmissionController:
         self._peak_inflight = 0
         self._admitted_total = 0
         self._rejected_total = 0
-        self._decisions: deque[float] = deque(maxlen=decision_window)
+        self._decisions: deque[float] = deque(maxlen=_DECISION_WINDOW)
         self._idle = asyncio.Event()
         self._idle.set()
         self.metrics = (
@@ -181,14 +183,14 @@ class AdmissionController:
     def _estimate_retry_after(
         self, units: int, signals: dict[str, Any] | None
     ) -> float:
-        """Backlog × average query latency / slots, floored at ``min_retry_after``."""
+        """Backlog × average query latency / slots, floored at :data:`MIN_RETRY_AFTER`."""
         per_query = 0.1
         if signals is not None:
             bucket = signals.get("latency", {}).get("query")
             if bucket and bucket["count"]:
                 per_query = bucket["seconds"] / bucket["count"]
         backlog = self.occupied + units
-        return max(self.min_retry_after, backlog * per_query / self.max_inflight)
+        return max(MIN_RETRY_AFTER, backlog * per_query / self.max_inflight)
 
     # -- unit lifecycle ----------------------------------------------------------------
 

@@ -152,11 +152,10 @@ class AsyncServingRunner:
         await self._shutdown_requested.wait()
         await self.shutdown()
 
-    async def run(self, *, install_signal_handlers: bool = True) -> None:
-        """start → (signals) → serve → drain; the whole front-end lifetime."""
+    async def run(self) -> None:
+        """start → signals → serve → drain; the whole front-end lifetime."""
         await self.start()
-        if install_signal_handlers:
-            self.install_signal_handlers()
+        self.install_signal_handlers()
         await self.serve_until_shutdown()
 
     async def shutdown(self) -> None:
@@ -230,7 +229,8 @@ class BackgroundAsyncServer:
     Usage::
 
         with BackgroundAsyncServer(service, max_inflight=4) as server:
-            urllib.request.urlopen(f"{server.base_url}/health")
+            host, port = server.address
+            urllib.request.urlopen(f"http://{host}:{port}/health")
 
     ``signal_stop`` triggers the drain without blocking (the loop stays
     responsive while in-flight work finishes); ``stop`` (and ``__exit__``)
@@ -247,12 +247,6 @@ class BackgroundAsyncServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._startup_error: BaseException | None = None
         self.address: tuple[str, int] | None = None
-
-    @property
-    def base_url(self) -> str:
-        assert self.address is not None, "server not started"
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     def start(self) -> "BackgroundAsyncServer":
         self._thread.start()

@@ -1,12 +1,11 @@
-"""Causal substrate: DAGs, structural models, grounding, backdoor adjustment.
+"""Causal substrate: DAGs, structural models, backdoor adjustment.
 
 Implements the probabilistic relational causal model (PRCM) machinery the paper
 builds on: attribute-level causal DAGs with cross-tuple edges, structural
-equations for data generation and ground truth, grounding over database
-instances, d-separation, the backdoor criterion, summary functions and the
-augmented graph used for multi-relation queries.  The explicit grounded graph
-(:mod:`repro.causal.ground_graph`) is a test oracle for the block
-decomposition that no engine path reads; import it from its module.
+equations for data generation and ground truth, d-separation, the backdoor
+criterion, summary functions and the augmented graph used for multi-relation
+queries.  The per-tuple graph is never grounded: :mod:`repro.probdb.blocks`
+decomposes over tuples without it.
 """
 
 from .augmented import AggregatedNode, augment_causal_dag

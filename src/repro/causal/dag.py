@@ -169,41 +169,6 @@ class CausalDAG:
         """Nodes ordered so every parent precedes its children (deterministic)."""
         return list(nx.lexicographical_topological_sort(self._graph))
 
-    def cross_tuple_edges(self) -> list[CausalEdge]:
-        return [e for e in self.edges if e.cross_tuple]
-
-    # -- graph surgery used by interventions -------------------------------------------
-
-    def without_incoming(self, nodes: Iterable[str]) -> "CausalDAG":
-        """Return the mutilated graph where edges *into* ``nodes`` are removed.
-
-        This is the standard ``do()`` operation on graphs: an intervention cuts
-        the dependence of the intervened attribute on its causes.
-        """
-        cut = set(nodes)
-        for node in cut:
-            self._require(node)
-        clone = CausalDAG(self.nodes)
-        for edge in self.edges:
-            if edge.target in cut:
-                continue
-            clone.add_edge(edge)
-        return clone
-
-    def subgraph(self, nodes: Iterable[str]) -> "CausalDAG":
-        keep = set(nodes)
-        for node in keep:
-            self._require(node)
-        clone = CausalDAG(sorted(keep))
-        for edge in self.edges:
-            if edge.source in keep and edge.target in keep:
-                clone.add_edge(edge)
-        return clone
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying :mod:`networkx` DiGraph."""
-        return self._graph.copy()
-
     # -- paths (used by the backdoor machinery) ------------------------------------------
 
     def undirected_paths(self, source: str, target: str, cutoff: int | None = None) -> Iterator[list[str]]:

@@ -14,7 +14,7 @@ It serves two roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -164,25 +164,3 @@ class StructuralCausalModel:
                 )
             return values
         return np.asarray([intervention] * n, dtype=object)
-
-    def expected_outcome_under_intervention(
-        self,
-        columns: Mapping[str, Sequence[Any]],
-        interventions: Mapping[str, Any],
-        outcome: Callable[[Mapping[str, np.ndarray]], float],
-        rng: np.random.Generator,
-        n_repeats: int = 20,
-    ) -> float:
-        """Monte-Carlo estimate of ``E[outcome(post-update world)]``.
-
-        This is the ground-truth oracle used in the accuracy experiments: the
-        structural equations are re-evaluated ``n_repeats`` times with fresh
-        noise and the outcome functional is averaged.
-        """
-        if n_repeats <= 0:
-            raise CausalModelError("n_repeats must be positive")
-        total = 0.0
-        for _ in range(n_repeats):
-            post = self.intervene(columns, interventions, rng)
-            total += float(outcome(post))
-        return total / n_repeats

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
 
 from ..exceptions import CausalModelError
 from ..relational.aggregates import get_aggregate
@@ -73,12 +72,3 @@ def make_summary(how: str | SummaryFunction) -> SummaryFunction:
         return IdentitySummary()
     return AggregateSummary(str(how).lower())
 
-
-def summarize_groups(
-    group_values: dict[Any, list[Any]], keys: Sequence[Any], summary: SummaryFunction
-) -> np.ndarray:
-    """Apply ``summary`` per key, aligned with ``keys`` (missing keys give NaN/None)."""
-    out = []
-    for key in keys:
-        out.append(summary(group_values.get(key, [])))
-    return np.asarray(out, dtype=object)

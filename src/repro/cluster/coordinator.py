@@ -77,6 +77,9 @@ from .topology import ClusterTopology
 
 __all__ = ["ClusterCoordinator", "ClusterError"]
 
+# seconds between the background /health probes of unhealthy nodes
+_PROBE_INTERVAL = 1.0
+
 Query = WhatIfQuery | HowToQuery
 
 
@@ -117,8 +120,10 @@ class ClusterCoordinator(ServingCounters):
         Per-node socket/IO timeout, seconds.
     failure_threshold:
         Consecutive per-node failures before the node is marked unhealthy.
-    probe_interval:
-        Seconds between background ``/health`` probes of unhealthy nodes.
+
+    A background task probes each unhealthy node's ``/health`` every
+    :data:`_PROBE_INTERVAL` seconds; a node client retries a failed call
+    once.
     """
 
     #: front doors forward each request's remaining deadline budget into
@@ -134,8 +139,6 @@ class ClusterCoordinator(ServingCounters):
         max_workers: int | None = None,
         timeout: float = 30.0,
         failure_threshold: int = 3,
-        probe_interval: float = 1.0,
-        node_max_retries: int = 1,
         slow_query_seconds: float = 0.1,
         slow_log_size: int = 64,
     ) -> None:
@@ -145,7 +148,6 @@ class ClusterCoordinator(ServingCounters):
         self.max_workers = max_workers
         self.timeout = timeout
         self.failure_threshold = max(1, failure_threshold)
-        self.probe_interval = probe_interval
         self._generation = 0
         self._dealer = PlanDealer()
         self._started_at = time.time()
@@ -168,7 +170,7 @@ class ClusterCoordinator(ServingCounters):
                     address.host,
                     address.port,
                     timeout=timeout,
-                    max_retries=node_max_retries,
+                    max_retries=1,
                     # a base64 frame costs more to gzip than it saves on a LAN
                     gzip_min_bytes=None,
                 ),
@@ -307,7 +309,7 @@ class ClusterCoordinator(ServingCounters):
     async def _probe_forever(self) -> None:
         """Re-admit unhealthy nodes whose /health matches our generation."""
         while not self._closed:
-            await asyncio.sleep(self.probe_interval)
+            await asyncio.sleep(_PROBE_INTERVAL)
             for node in self._nodes:
                 if node.healthy or self._closed:
                     continue

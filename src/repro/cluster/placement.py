@@ -50,18 +50,3 @@ class Placement:
                 f"node index {node_index} out of range for {self.n_nodes} node(s)"
             )
         return node_index % self.n_shards
-
-    def replicas_of(self, shard_index: int) -> tuple[int, ...]:
-        """Node indices serving ``shard_index``, in topology order."""
-        if not 0 <= shard_index < self.n_shards:
-            raise PlacementError(
-                f"shard index {shard_index} out of range for {self.n_shards} shard(s)"
-            )
-        return tuple(
-            node for node in range(self.n_nodes) if node % self.n_shards == shard_index
-        )
-
-    @property
-    def min_replication(self) -> int:
-        """The smallest replica-set size across shards."""
-        return self.n_nodes // self.n_shards

@@ -52,9 +52,9 @@ class EngineConfig:
         fast).  Ignored by the linear/ridge regressors.
     random_state:
         Seed controlling sampling and estimator randomness (reproducibility).
-    verify_howto_with_whatif:
-        After the how-to IP picks a plan, re-evaluate it with the what-if
-        machinery and report the verified value alongside the IP objective.
+
+    A how-to always re-evaluates the plan it picks with the what-if machinery
+    and reports that verified value alongside the program's objective.
     """
 
     variant: str = Variant.HYPER
@@ -64,7 +64,6 @@ class EngineConfig:
     n_forest_trees: int = 12
     max_tree_depth: int = 6
     random_state: int = 0
-    verify_howto_with_whatif: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in Variant.ALL:

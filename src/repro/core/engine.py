@@ -16,7 +16,6 @@ from ..causal.dag import CausalDAG
 from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..relational.database import Database
-from ..relational.relation import Relation
 from .config import EngineConfig, Variant
 from .howto import HowToEngine
 from .queries import HowToQuery, WhatIfQuery
@@ -33,7 +32,7 @@ class HypeR:
     Parameters
     ----------
     database:
-        The multi-relation database (or a single relation, see :meth:`from_relation`).
+        The multi-relation database.
     causal_dag:
         Attribute-level causal background knowledge.  ``None`` makes the engine
         behave like the HypeR-NB variant (every attribute is adjusted for).
@@ -46,16 +45,6 @@ class HypeR:
     config: EngineConfig = field(default_factory=EngineConfig)
 
     # -- constructors ----------------------------------------------------------------
-
-    @classmethod
-    def from_relation(
-        cls,
-        relation: Relation,
-        causal_dag: CausalDAG | None = None,
-        config: EngineConfig | None = None,
-    ) -> "HypeR":
-        """Build a session over a single-relation database."""
-        return cls(Database([relation]), causal_dag, config or EngineConfig())
 
     def with_variant(self, variant: str) -> "HypeR":
         """A copy of this session running a different engine variant."""

@@ -248,47 +248,6 @@ class PostUpdateEstimator:
         assert self._train_indices is not None
         return int(len(self._train_indices))
 
-    # -- counterfactual prediction --------------------------------------------------------
-
-    def counterfactual_mean(
-        self,
-        target: Sequence[float],
-        predict_mask: Sequence[bool],
-        post_values: Mapping[str, Sequence[Any]],
-        *,
-        cache_key: Hashable | None = None,
-    ) -> np.ndarray:
-        """Predict ``E[target | B = post values, C = observed]`` for masked rows.
-
-        ``target`` is the per-row training target computed on the observed
-        (pre-update) view; ``post_values`` maps each update attribute to its
-        full post-update column.  The returned array has one entry per view row
-        and is only meaningful where ``predict_mask`` is true.  This is
-        Equation 1 in its public form; the engines go through
-        :meth:`regressor_for` and :meth:`predict_rows` directly.
-        """
-        target = np.asarray(target, dtype=float)
-        predict_mask = np.asarray(predict_mask, dtype=bool)
-        if len(target) != len(self.view) or len(predict_mask) != len(self.view):
-            raise QuerySemanticsError("target and mask must align with the view rows")
-        missing = [a for a in self.update_attributes if a not in post_values]
-        if missing:
-            raise QuerySemanticsError(f"post_values is missing update attributes {missing}")
-
-        regressor = self.regressor_for(cache_key, lambda: target)
-        out = np.zeros(len(self.view))
-        if not predict_mask.any():
-            return out
-        idx = np.flatnonzero(predict_mask)
-        at_idx = {}
-        for attribute in self.update_attributes:
-            column = post_values[attribute]
-            if not isinstance(column, np.ndarray):
-                column = np.asarray(column, dtype=object)
-            at_idx[attribute] = column[idx]
-        (out[idx],) = self.predict_rows(regressor, self.view, self.encode_updates([at_idx]), idx)
-        return out
-
     def encode_updates(self, variants: Sequence[Mapping[str, Sequence[Any]]]) -> dict:
         """k variants' post values of each update attribute at some rows, encoded
         as the regressors read them: one ``(k, rows, width)`` block per attribute,

@@ -121,7 +121,8 @@ class PreparedHowTo:
 # A candidate is evaluated by the what-if engine's own kernel
 # (:func:`repro.core.whatif.causal_contribution_rows`) with the candidate's
 # update functions, and folded by the what-if engine's own reduction, so a
-# how-to value equals the answer to ``query.candidate_what_if(...)`` bit for bit.
+# how-to value equals the answer to its candidate what-if query (Definition 7)
+# bit for bit.
 
 
 def prepare_candidates(
@@ -296,11 +297,7 @@ class HowToEngine:
             candidates,
             baseline,
             coefficients,
-            verify=(
-                partial(self._candidate_value, query, shared)
-                if self.config.verify_howto_with_whatif
-                else None
-            ),
+            verify=partial(self._candidate_value, query, shared),
             metadata={"backdoor_set": list(shared.estimator.backdoor_set)},
         )
         result.runtime_seconds = time.perf_counter() - started
@@ -488,9 +485,7 @@ class HowToEngine:
                     high = float(observed.max()) if observed.size else 1.0
                 if high <= low:
                     high = low + 1.0
-                discretizer = Discretizer(n_buckets=max(1, query.candidate_buckets)).fit(
-                    [low, high]
-                )
+                discretizer = Discretizer(n_buckets=query.candidate_buckets).fit([low, high])
                 values = list(discretizer.bucket_centers())
                 if isinstance(domain, IntegerDomain):
                     values = sorted({int(round(v)) for v in values})

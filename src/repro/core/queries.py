@@ -7,6 +7,7 @@ constructed directly in Python, which is what the examples and benchmarks do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -170,6 +171,14 @@ class HowToQuery:
             raise QuerySemanticsError("the When clause may only use Pre values")
         if self.max_updates is not None and self.max_updates < 1:
             raise QuerySemanticsError("max_updates must be at least 1 when given")
+        if self.candidate_buckets < 1:
+            raise QuerySemanticsError(
+                f"candidate_buckets must be at least 1, got {self.candidate_buckets}"
+            )
+        if not all(math.isfinite(m) for m in self.candidate_multipliers):
+            raise QuerySemanticsError(
+                f"candidate multipliers must be finite, got {self.candidate_multipliers}"
+            )
 
     def limits_for(self, attribute: str) -> list[LimitConstraint]:
         return [limit for limit in self.limits if limit.attribute == attribute]
@@ -185,18 +194,6 @@ class HowToQuery:
     @property
     def output_aggregate(self) -> str:
         return self.objective_aggregate
-
-    def candidate_what_if(self, updates: Sequence[AttributeUpdate]) -> WhatIfQuery:
-        """Build the candidate what-if query for a concrete choice of updates (Def. 7)."""
-        return WhatIfQuery(
-            use=self.use,
-            updates=list(updates),
-            output_attribute=self.output_attribute,
-            output_aggregate=self.output_aggregate,
-            when=self.when,
-            for_clause=self.for_clause,
-            name=f"{self.name}-candidate",
-        )
 
     def admits(self, attribute: str, pre_value: Any, post_value: Any) -> bool:
         """Whether every Limit constraint on ``attribute`` admits this change."""

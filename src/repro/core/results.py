@@ -149,12 +149,6 @@ class HowToResult:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def improvement(self) -> float:
-        """Objective improvement over leaving the database unchanged."""
-        delta = self.objective_value - self.baseline_value
-        return delta if self.maximize else -delta
-
-    @property
     def changed_attributes(self) -> list[str]:
         return [u.attribute for u in self.recommended_updates]
 

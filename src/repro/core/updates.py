@@ -35,9 +35,6 @@ class UpdateFunction:
     def apply(self, value: Any) -> Any:
         raise NotImplementedError
 
-    def apply_column(self, values: Sequence[Any]) -> list[Any]:
-        return [None if v is None else self.apply(v) for v in values]
-
     def apply_vectorized(
         self, values: np.ndarray, mask: np.ndarray | None = None
     ) -> np.ndarray | None:

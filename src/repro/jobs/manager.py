@@ -62,6 +62,16 @@ class JobNotFound(KeyError):
         self.job_id = job_id
 
 
+# longest backoff before a crashed lease's retry
+_RETRY_CAP_SECONDS = 30.0
+# retained result bytes one client may hold before its oldest are evicted
+_RESULT_MAX_BYTES_PER_CLIENT = 32 * 1024 * 1024
+# journal records past which gc_once compacts the journal
+_COMPACT_THRESHOLD = 4096
+# progress events kept per job for GET /v1/jobs/{id}/events
+_MAX_EVENTS_PER_JOB = 512
+
+
 def _new_job_id() -> str:
     return "job-" + uuid.uuid4().hex[:16]
 
@@ -78,30 +88,23 @@ class JobManager:
         n_workers: int = 1,
         retry_budget: int = 3,
         retry_base_seconds: float = 0.25,
-        retry_cap_seconds: float = 30.0,
         result_ttl_seconds: float = 3600.0,
-        result_max_bytes_per_client: int = 32 * 1024 * 1024,
         job_ttl_seconds: float | None = None,
         gc_interval_seconds: float = 5.0,
-        compact_threshold: int = 4096,
-        max_events_per_job: int = 512,
     ):
         self.service = service
         self.journal = Journal(journal_path)
         self.queue = JobQueue(quotas)
         self.results = ResultStore(
-            max_bytes_per_client=result_max_bytes_per_client,
+            max_bytes_per_client=_RESULT_MAX_BYTES_PER_CLIENT,
             ttl_seconds=result_ttl_seconds,
         )
         self.retry_budget = max(1, int(retry_budget))
         self.retry_base_seconds = retry_base_seconds
-        self.retry_cap_seconds = retry_cap_seconds
         self.job_ttl_seconds = (
             job_ttl_seconds if job_ttl_seconds is not None else 4 * result_ttl_seconds
         )
         self.gc_interval_seconds = gc_interval_seconds
-        self.compact_threshold = compact_threshold
-        self.max_events_per_job = max_events_per_job
         self._jobs: dict[str, Job] = {}
         self._events: dict[str, list[dict[str, Any]]] = {}
         self._cond = threading.Condition()
@@ -327,7 +330,7 @@ class JobManager:
 
     def _backoff(self, attempt: int) -> float:
         return min(
-            self.retry_cap_seconds,
+            _RETRY_CAP_SECONDS,
             self.retry_base_seconds * (2.0 ** max(0, attempt - 1)),
         )
 
@@ -423,10 +426,6 @@ class JobManager:
                 self.journal.append("cancel_request", job.job_id, {}, sync=True)
                 self._emit_locked(job, "cancel_requested")
         return job
-
-    def result_payload(self, job_id: str) -> dict[str, Any] | None:
-        self.get(job_id)  # raises JobNotFound for unknown ids
-        return self.results.get(job_id)
 
     def wait(self, job_id: str, timeout: float = 60.0) -> Job:
         """Block until the job is terminal (test/CLI convenience)."""
@@ -595,7 +594,7 @@ class JobManager:
 
     def _emit_locked(self, job: Job, event: str, **extra: Any) -> None:
         events = self._events.setdefault(job.job_id, [])
-        if len(events) < self.max_events_per_job:
+        if len(events) < _MAX_EVENTS_PER_JOB:
             events.append(self._event_dict(job, event, **extra))
         self._cond.notify_all()
 
@@ -673,7 +672,7 @@ class JobManager:
                     self.journal.append("drop", job.job_id, {}, sync=False)
                     dropped += 1
         compacted = 0
-        if self.journal.record_count > self.compact_threshold:
+        if self.journal.record_count > _COMPACT_THRESHOLD:
             self.compact()
             compacted = 1
         return {"expired": len(expired), "dropped": dropped, "compacted": compacted}

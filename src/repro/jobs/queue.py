@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["ClientQuotas", "Job", "JobQueue", "QuotaExceeded", "PRIORITIES"]
 
@@ -241,20 +241,10 @@ class JobQueue:
         with self._lock:
             return len(self._queued)
 
-    def queued_jobs(self) -> Iterator[Job]:
-        with self._lock:
-            return iter(list(self._queued.values()))
-
     @property
     def running_leases(self) -> int:
         with self._lock:
             return sum(self._running_per_client.values())
-
-    def next_not_before(self) -> float | None:
-        """The earliest backoff gate among queued jobs (executor sleep hint)."""
-        with self._lock:
-            gates = [job.not_before for job in self._queued.values() if job.not_before]
-            return min(gates) if gates else None
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -71,11 +71,6 @@ class FrequencyTable:
     def __len__(self) -> int:
         return self._total
 
-    @property
-    def n_combinations(self) -> int:
-        """Number of distinct value combinations with non-zero support."""
-        return len(self._counts)
-
     def _position(self, attribute: str) -> int:
         try:
             return self.attributes.index(attribute)
@@ -119,20 +114,6 @@ class FrequencyTable:
                 seen.add(value)
                 values.append(value)
         return values
-
-    def conditional_distribution(
-        self, attribute: str, given: Mapping[str, Any] | None = None
-    ) -> dict[Any, float]:
-        """Full conditional distribution of ``attribute`` given the conditions."""
-        given = dict(given or {})
-        denominator = self.count(given) if given else self._total
-        if denominator == 0:
-            return {}
-        position = self._position(attribute)
-        dist: dict[Any, float] = defaultdict(float)
-        for combo in self._matching(given) if given else list(self._counts):
-            dist[combo[position]] += self._counts[combo] / denominator
-        return dict(dist)
 
 
 def make_regressor(kind: str = "forest", random_state: int | None = 0, **kwargs):
@@ -189,7 +170,7 @@ class ConditionalMeanRegressor:
     def factorise(self, design: np.ndarray) -> GramFactor | None:
         """The solver state linear / ridge fits over ``design`` share; ``None`` for a forest."""
         model = self._new_model()
-        if isinstance(model, LinearRegression) and model.fit_intercept:
+        if isinstance(model, LinearRegression):
             return model.factorise(design)
         return None
 
@@ -215,7 +196,7 @@ class ConditionalMeanRegressor:
             return self
         self._encoder = encoder
         self._model = self._new_model()
-        if isinstance(self._model, LinearRegression) and self._model.fit_intercept:
+        if isinstance(self._model, LinearRegression):
             self._model.fit_design(design, target, factor)
         else:
             self._model.fit(design[:, 1:], target)
@@ -223,13 +204,6 @@ class ConditionalMeanRegressor:
 
     def predict_rows(self, rows: Sequence[Mapping[str, Any]]) -> np.ndarray:
         return self.predict_at(lambda a: [row.get(a) for row in rows], len(rows))
-
-    def predict_row(self, row: Mapping[str, Any]) -> float:
-        return float(self.predict_rows([row])[0])
-
-    def predict_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
-        lengths = {len(v) for v in columns.values()} or {0}
-        return self.predict_at(columns.__getitem__, lengths.pop())
 
     def predict_at(
         self,

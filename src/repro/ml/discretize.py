@@ -92,18 +92,3 @@ class Discretizer:
         """Representative (mid-point) value per bucket — the candidate update values."""
         edges = self._require_fitted()
         return (edges[:-1] + edges[1:]) / 2.0
-
-    def bucket_bounds(self, bucket: int) -> tuple[float, float]:
-        edges = self._require_fitted()
-        if not 0 <= bucket < self.n_buckets:
-            raise EstimationError(f"bucket index {bucket} out of range")
-        return float(edges[bucket]), float(edges[bucket + 1])
-
-    def inverse_transform(self, buckets: Sequence[int]) -> np.ndarray:
-        """Map bucket indices back to representative values."""
-        centers = self.bucket_centers()
-        if isinstance(buckets, np.ndarray):
-            idx = np.clip(buckets.astype(int), 0, self.n_buckets - 1)
-        else:
-            idx = np.clip(np.asarray(list(buckets), dtype=int), 0, self.n_buckets - 1)
-        return centers[idx]

@@ -51,12 +51,6 @@ class ColumnEncoder:
     def width(self) -> int:
         return 1 if self.numeric else len(self.categories)
 
-    @property
-    def feature_names(self) -> list[str]:
-        if self.numeric:
-            return [self.name]
-        return [f"{self.name}={c}" for c in self.categories]
-
     def transform(self, values: Sequence[Any]) -> np.ndarray:
         column = Column.from_values(values)
         n = len(column)
@@ -104,9 +98,6 @@ class ColumnEncoder:
         else:
             out[...] = self.transform(values)
 
-    def transform_value(self, value: Any) -> np.ndarray:
-        return self.transform([value])[0]
-
 
 @dataclass
 class FeatureEncoder:
@@ -128,13 +119,6 @@ class FeatureEncoder:
         return cls(encoders=encoders, attribute_order=tuple(columns))
 
     @property
-    def feature_names(self) -> list[str]:
-        names: list[str] = []
-        for attr in self.attribute_order:
-            names.extend(self.encoders[attr].feature_names)
-        return names
-
-    @property
     def width(self) -> int:
         return sum(self.encoders[a].width for a in self.attribute_order)
 
@@ -146,15 +130,6 @@ class FeatureEncoder:
             out[attr] = at
             at += self.encoders[attr].width
         return out
-
-    def transform_relation(self, relation: Relation) -> np.ndarray:
-        blocks = [
-            self.encoders[attr].transform(relation.column_view(attr))
-            for attr in self.attribute_order
-        ]
-        if not blocks:
-            return np.zeros((len(relation), 0))
-        return np.hstack(blocks)
 
     def design(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
         """The design matrix of ``columns`` behind a leading column of ones.
@@ -176,15 +151,3 @@ class FeatureEncoder:
                 columns[attr], out[:, 1 + offset : 1 + offset + encoder.width]
             )
         return out
-
-    def transform_columns(self, columns: Mapping[str, Sequence[Any]]) -> np.ndarray:
-        return self.design(columns)[:, 1:]
-
-    def transform_row(self, row: Mapping[str, Any]) -> np.ndarray:
-        pieces = [
-            self.encoders[attr].transform_value(row.get(attr))
-            for attr in self.attribute_order
-        ]
-        if not pieces:
-            return np.zeros(0)
-        return np.concatenate(pieces)

@@ -26,7 +26,6 @@ class RandomForestRegressor:
     min_samples_leaf: int = 5
     max_features: str | int | None = "sqrt"
     n_thresholds: int = 16
-    bootstrap: bool = True
     random_state: int | None = None
     _trees: list[DecisionTreeRegressor] = field(default_factory=list, repr=False)
     _n_features: int = field(default=0, repr=False)
@@ -61,10 +60,7 @@ class RandomForestRegressor:
         rng = np.random.default_rng(self.random_state)
         self._trees = []
         for b in range(self.n_estimators):
-            if self.bootstrap:
-                idx = rng.integers(0, n_samples, size=n_samples)
-            else:
-                idx = np.arange(n_samples)
+            idx = rng.integers(0, n_samples, size=n_samples)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
@@ -87,7 +83,3 @@ class RandomForestRegressor:
         for tree in self._trees:
             predictions += tree.predict(features)
         return predictions / len(self._trees)
-
-    @property
-    def n_fitted_trees(self) -> int:
-        return len(self._trees)

@@ -34,14 +34,11 @@ class GramFactor:
 
     __slots__ = ("matrix",)
 
-    def __init__(
-        self, design: np.ndarray, alpha: float = 0.0, fit_intercept: bool = True
-    ) -> None:
+    def __init__(self, design: np.ndarray, alpha: float = 0.0) -> None:
         gram = design.T @ design
         if alpha:
             penalty = np.full(gram.shape[0], float(alpha))
-            if fit_intercept:
-                penalty[0] = 0.0  # do not shrink the intercept
+            penalty[0] = 0.0  # do not shrink the intercept
             gram[np.diag_indices_from(gram)] += penalty
         scale = np.sqrt(np.diagonal(gram))
         scale[scale == 0.0] = 1.0
@@ -59,7 +56,6 @@ class GramFactor:
 class LinearRegression:
     """Ordinary least squares with an intercept term."""
 
-    fit_intercept: bool = True
     coefficients: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     intercept: float = 0.0
     _fitted: bool = field(default=False, repr=False)
@@ -68,9 +64,7 @@ class LinearRegression:
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features.reshape(-1, 1)
-        if self.fit_intercept:
-            return np.hstack([np.ones((features.shape[0], 1)), features])
-        return features
+        return np.hstack([np.ones((features.shape[0], 1)), features])
 
     def fit(self, features: np.ndarray, target: np.ndarray) -> "LinearRegression":
         return self.fit_design(self._design(features), target)
@@ -98,12 +92,8 @@ class LinearRegression:
         if factor is None:
             factor = self.factorise(design)
         solution = factor.solve(design, target)
-        if self.fit_intercept:
-            self.intercept = float(solution[0])
-            self.coefficients = solution[1:]
-        else:
-            self.intercept = 0.0
-            self.coefficients = solution
+        self.intercept = float(solution[0])
+        self.coefficients = solution[1:]
         self._fitted = True
         return self
 
@@ -152,4 +142,4 @@ class RidgeRegression(LinearRegression):
     def factorise(self, design: np.ndarray) -> GramFactor:
         if self.alpha < 0:
             raise EstimationError("ridge penalty must be non-negative")
-        return GramFactor(design, self.alpha, self.fit_intercept)
+        return GramFactor(design, self.alpha)

@@ -48,12 +48,6 @@ class LinearExpression:
     def from_terms(cls, terms: Mapping[str, float], constant: float = 0.0) -> "LinearExpression":
         return cls({k: float(v) for k, v in terms.items() if v != 0.0}, float(constant))
 
-    def add_term(self, variable: str, coefficient: float) -> "LinearExpression":
-        self.coefficients[variable] = self.coefficients.get(variable, 0.0) + float(coefficient)
-        if self.coefficients[variable] == 0.0:
-            del self.coefficients[variable]
-        return self
-
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         total = self.constant
         for variable, coefficient in self.coefficients.items():

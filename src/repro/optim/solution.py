@@ -30,16 +30,8 @@ class Solution:
     gap: float = 0.0
 
     @property
-    def is_optimal(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
-
-    @property
     def is_feasible(self) -> bool:
         return self.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
 
     def value(self, variable: str) -> float:
         return float(self.assignment[variable])
-
-    def selected(self, threshold: float = 0.5) -> list[str]:
-        """Names of binary variables set to 1 (useful for indicator formulations)."""
-        return [name for name, value in self.assignment.items() if value > threshold]

@@ -100,12 +100,6 @@ class BlockDecomposition:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_of(self, relation: str, row: int) -> Block:
-        for block in self.blocks:
-            if row in block.rows.get(relation, ()):
-                return block
-        raise CausalModelError(f"tuple ({relation!r}, {row}) is not covered by any block")
-
     def sizes(self) -> list[int]:
         return [block.row_count() for block in self.blocks]
 

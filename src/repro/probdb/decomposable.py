@@ -10,9 +10,8 @@ composition so the estimator can stay block-local.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..exceptions import HypeRError
 from ..relational.aggregates import AggregateFunction, get_aggregate
 
 __all__ = ["BlockResult", "combine_block_results", "decomposed_value"]
@@ -70,18 +69,3 @@ def check_decomposability(
     if abs(direct - composed) > tolerance * max(1.0, abs(direct)):
         return False
     return True
-
-
-def scale_invariance_holds(
-    combiner: Callable[[Sequence[float]], float],
-    values: Sequence[float],
-    alpha: float,
-    *,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Check the ``alpha * g(x) == g(alpha * x)`` condition of Definition 6."""
-    if alpha < 0:
-        raise HypeRError("the scale-invariance condition is stated for alpha >= 0")
-    left = alpha * combiner(list(values))
-    right = combiner([alpha * v for v in values])
-    return abs(left - right) <= tolerance * max(1.0, abs(left))

@@ -26,10 +26,6 @@ class WorldDistribution:
     def expectation(self, functional: Callable[[Relation], float]) -> float:
         raise NotImplementedError
 
-    def variance(self, functional: Callable[[Relation], float]) -> float:
-        mean = self.expectation(functional)
-        return self.expectation(lambda world: (functional(world) - mean) ** 2)
-
 
 @dataclass
 class DiscreteWorldDistribution(WorldDistribution):
@@ -56,9 +52,6 @@ class DiscreteWorldDistribution(WorldDistribution):
             sum(w.probability * float(functional(w.relation)) for w in self.worlds)
         )
 
-    def most_probable(self) -> PossibleWorld:
-        return max(self.worlds, key=lambda w: w.probability)
-
 
 @dataclass
 class MonteCarloWorlds(WorldDistribution):
@@ -76,12 +69,6 @@ class MonteCarloWorlds(WorldDistribution):
     def expectation(self, functional: Callable[[Relation], float]) -> float:
         values = [float(functional(sample)) for sample in self.samples]
         return float(np.mean(values))
-
-    def standard_error(self, functional: Callable[[Relation], float]) -> float:
-        values = np.array([float(functional(sample)) for sample in self.samples])
-        if len(values) < 2:
-            return 0.0
-        return float(values.std(ddof=1) / np.sqrt(len(values)))
 
     @classmethod
     def from_iterable(cls, samples: Iterable[Relation]) -> "MonteCarloWorlds":

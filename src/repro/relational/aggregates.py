@@ -40,14 +40,6 @@ class AggregateFunction:
     def evaluate(self, values: Sequence[Any]) -> float:
         raise NotImplementedError
 
-    def evaluate_masked(self, data: np.ndarray, valid: np.ndarray) -> float:
-        """Vectorized evaluation over a typed column.
-
-        ``data`` is a float array, ``valid`` marks non-null positions; the
-        result equals ``evaluate`` over the non-null values as plain objects.
-        """
-        raise NotImplementedError
-
     # -- decomposition (Definition 6) --------------------------------------------
 
     def partial(self, values: Sequence[Any], total_size: int) -> float:
@@ -64,15 +56,6 @@ class AggregateFunction:
         return float(sum(partials))
 
     # -- per-tuple contribution (used by the causal estimator) --------------------
-
-    def tuple_weight(self, value: Any, total_size: int) -> float:
-        """Contribution of a single tuple with output value ``value``.
-
-        The closed forms in Propositions 2 and 5 express the query answer as a
-        sum over tuples of ``weight * probability``; COUNT weighs every tuple by
-        1, SUM by its value, AVG by ``value / total_size``.
-        """
-        raise NotImplementedError
 
     @property
     def needs_output_value(self) -> bool:
@@ -92,14 +75,8 @@ class SumAggregate(AggregateFunction):
             return 0.0
         return float(np.sum(np.asarray(values, dtype=float)))
 
-    def evaluate_masked(self, data: np.ndarray, valid: np.ndarray) -> float:
-        return float(np.where(valid, np.nan_to_num(data, nan=0.0), 0.0).sum())
-
     def partial(self, values: Sequence[Any], total_size: int) -> float:
         return self.evaluate(values)
-
-    def tuple_weight(self, value: Any, total_size: int) -> float:
-        return float(value)
 
 
 class CountAggregate(AggregateFunction):
@@ -111,14 +88,8 @@ class CountAggregate(AggregateFunction):
     def evaluate(self, values: Sequence[Any]) -> float:
         return float(len(values))
 
-    def evaluate_masked(self, data: np.ndarray, valid: np.ndarray) -> float:
-        return float(np.asarray(valid, dtype=bool).sum())
-
     def partial(self, values: Sequence[Any], total_size: int) -> float:
         return float(len(values))
-
-    def tuple_weight(self, value: Any, total_size: int) -> float:
-        return 1.0
 
     @property
     def needs_output_value(self) -> bool:
@@ -136,21 +107,10 @@ class AvgAggregate(AggregateFunction):
             return 0.0
         return float(np.mean(np.asarray(values, dtype=float)))
 
-    def evaluate_masked(self, data: np.ndarray, valid: np.ndarray) -> float:
-        count = float(np.asarray(valid, dtype=bool).sum())
-        if count == 0:
-            return 0.0
-        return float(np.where(valid, np.nan_to_num(data, nan=0.0), 0.0).sum()) / count
-
     def partial(self, values: Sequence[Any], total_size: int) -> float:
         if total_size <= 0:
             return 0.0
         return float(np.sum(np.asarray(values, dtype=float))) / total_size
-
-    def tuple_weight(self, value: Any, total_size: int) -> float:
-        if total_size <= 0:
-            return 0.0
-        return float(value) / total_size
 
 
 AGGREGATES: dict[str, AggregateFunction] = {

@@ -47,8 +47,6 @@ __all__ = [
     "factorize_columns",
     "fused_block_summary",
     "fused_mask_aggregate",
-    "fused_masked_count",
-    "fused_masked_sum",
     "grouped_aggregate",
     "join_indices",
     "store_from_buffers",
@@ -716,23 +714,6 @@ def store_from_buffers(header: Mapping[str, Any], buffers: Sequence[np.ndarray])
 # accumulates per bin in row order, and interleaving masked-out ``+0.0``
 # terms leaves every IEEE-754 sum unchanged — the property tests in
 # ``tests/relational/test_fused_kernels.py`` assert this.
-
-
-def fused_masked_count(mask: np.ndarray) -> float:
-    """``float(mask.sum())`` — the fused count of rows passing a predicate."""
-    return float(np.count_nonzero(mask))
-
-
-def fused_masked_sum(values: np.ndarray, mask: np.ndarray) -> float:
-    """Sum of ``values`` where ``mask``, without materializing ``values[mask]``.
-
-    Masked-out rows contribute ``+0.0`` in place (no gather), so the pairwise
-    reduction tree — and therefore the IEEE-754 result — is identical to
-    summing the zeroed full-length array, which is what the unfused reference
-    computes.  (``np.sum(values, where=mask)`` is *not* used: skipping
-    elements re-shapes the reduction tree and can drift in the last ulp.)
-    """
-    return float(np.where(mask, values, 0.0).sum())
 
 
 def fused_mask_aggregate(

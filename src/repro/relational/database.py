@@ -66,25 +66,6 @@ class Database:
     def foreign_keys(self) -> tuple[ForeignKey, ...]:
         return self.schema.foreign_keys
 
-    # -- integrity ------------------------------------------------------------------
-
-    def check_referential_integrity(self) -> None:
-        """Raise :class:`SchemaError` when a foreign-key value has no parent row."""
-        for fk in self.foreign_keys:
-            parent = self[fk.parent]
-            child = self[fk.child]
-            parent_keys = {
-                tuple(parent.column_view(a)[i] for a in fk.parent_attributes)
-                for i in range(len(parent))
-            }
-            for i in range(len(child)):
-                value = tuple(child.column_view(a)[i] for a in fk.child_attributes)
-                if value not in parent_keys:
-                    raise SchemaError(
-                        f"referential integrity violation: {fk.child}.{fk.child_attributes} "
-                        f"value {value} has no match in {fk.parent}"
-                    )
-
     # -- construction of modified copies ---------------------------------------------
 
     def with_relation(self, relation: Relation) -> "Database":

@@ -123,9 +123,6 @@ class Expr:
     def uses_post(self) -> bool:
         return any(t is Temporal.POST for _, t in self.referenced_attributes())
 
-    def uses_pre(self) -> bool:
-        return any(t in (Temporal.PRE, Temporal.DEFAULT) for _, t in self.referenced_attributes())
-
     # -- operator sugar (builds comparison / boolean / arithmetic trees) ----------
 
     def _binary(self, other: Any, op: str) -> "Comparison":

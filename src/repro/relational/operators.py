@@ -19,7 +19,7 @@ from .relation import Relation
 from .schema import AttributeSpec, RelationSchema
 from .types import infer_domain
 
-__all__ = ["select", "project", "equi_join", "group_by", "aggregate_column"]
+__all__ = ["select", "project", "equi_join", "group_by"]
 
 
 def select(relation: Relation, predicate: Expr) -> Relation:
@@ -100,19 +100,6 @@ def _join_schema(
         spec = right.schema[a]
         specs.append(AttributeSpec(renamed[a], spec.domain, mutable=spec.mutable))
     return RelationSchema(name or f"{left.name}_join_{right.name}", specs, key)
-
-
-def aggregate_column(values: Sequence[Any], how: str) -> float:
-    """Aggregate a list of values with a named aggregate (sum/count/avg)."""
-    aggregate = get_aggregate(how)
-    if isinstance(values, columnar.Column):
-        data = (
-            values.data
-            if aggregate.name == "count"  # count never reads the values
-            else columnar.numeric_data(values, f"aggregate {how!r}")
-        )
-        return aggregate.evaluate_masked(data, values.valid)
-    return aggregate.evaluate([v for v in values if v is not None])
 
 
 def group_by(

@@ -211,17 +211,6 @@ class Conjunction:
             names |= {n for n, t in atom.referenced_attributes() if t is Temporal.POST}
         return names
 
-    @property
-    def pre_attributes(self) -> set[str]:
-        names: set[str] = set()
-        for atom in self.pre_atoms + self.mixed_atoms:
-            names |= {
-                n
-                for n, t in atom.referenced_attributes()
-                if t in (Temporal.PRE, Temporal.DEFAULT)
-            }
-        return names
-
     def full(self) -> Expr:
         return _conjunction_expr(self.pre_atoms + self.post_atoms + self.mixed_atoms)
 

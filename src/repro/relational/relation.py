@@ -330,24 +330,11 @@ class Relation:
             )
         return Relation._assemble(schema, ordered, self._length, colstore)
 
-    def concat(self, other: "Relation") -> "Relation":
-        """Union of two relations with identical schemas (set semantics by key)."""
-        if other.schema.attribute_names != self.schema.attribute_names:
-            raise SchemaError("cannot concatenate relations with different schemas")
-        columns = {
-            name: np.concatenate([self._columns[name], other._columns[name]])
-            for name in self.attribute_names
-        }
-        return self._derive(self.schema, columns, None)
-
     # -- conversions -----------------------------------------------------------------
 
     def to_dict(self) -> dict[str, list[Any]]:
         """Return the relation as plain column lists."""
         return {name: list(col) for name, col in self._columns.items()}
-
-    def to_rows(self) -> list[dict[str, Any]]:
-        return list(self.rows())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Relation({self.name!r}, {self._length} rows, {len(self.attribute_names)} cols)"

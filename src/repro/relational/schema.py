@@ -93,16 +93,9 @@ class RelationSchema:
     def is_mutable(self, attribute: str) -> bool:
         return self[attribute].mutable
 
-    def is_key(self, attribute: str) -> bool:
-        return attribute in self.key
-
     @property
     def mutable_attributes(self) -> tuple[str, ...]:
         return tuple(n for n in self._order if self._attributes[n].mutable)
-
-    @property
-    def immutable_attributes(self) -> tuple[str, ...]:
-        return tuple(n for n in self._order if not self._attributes[n].mutable)
 
     # -- manipulation ----------------------------------------------------------
 

@@ -9,9 +9,8 @@ This module provides the domain abstractions used throughout the engine:
 * :class:`CategoricalDomain` — an explicit finite set of admissible values.
 * :class:`BooleanDomain` — a two-valued convenience domain.
 
-Domains know how to validate values, enumerate themselves (when finite or when
-asked to discretize), and sample values — the latter two are used by the
-possible-world enumerator and by the how-to search-space builder.
+Domains know how to validate values, enumerate themselves (when finite), and
+sample values — the latter two are used by the possible-world enumerator.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ class Domain:
         """Enumerate the domain.  Only valid when :attr:`is_finite` is ``True``."""
         raise NotImplementedError
 
-    def discretize(self, n_buckets: int) -> list[Any]:
-        """Return ``n_buckets`` representative values spanning the domain.
-
-        Used by the how-to search-space construction (Section 4.3 of the paper
-        bucketizes continuous update candidates).
-        """
-        raise NotImplementedError
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` admissible values uniformly at random."""
         raise NotImplementedError
@@ -124,23 +115,10 @@ class NumericDomain(Domain):
     def is_bounded(self) -> bool:
         return math.isfinite(self.low) and math.isfinite(self.high)
 
-    def discretize(self, n_buckets: int) -> list[float]:
-        if n_buckets <= 0:
-            raise DomainError("n_buckets must be positive")
-        if not self.is_bounded:
-            raise DomainError("cannot discretize an unbounded numeric domain")
-        if n_buckets == 1:
-            return [(self.low + self.high) / 2.0]
-        return list(np.linspace(self.low, self.high, n_buckets))
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         if not self.is_bounded:
             raise DomainError("cannot sample uniformly from an unbounded numeric domain")
         return rng.uniform(self.low, self.high, size=size)
-
-    def clamp(self, value: float) -> float:
-        """Clamp ``value`` into the domain interval."""
-        return min(max(value, self.low), self.high)
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return f"Numeric[{self.low}, {self.high}]"
@@ -176,15 +154,6 @@ class IntegerDomain(Domain):
     def values(self) -> list[int]:
         return list(range(self.low, self.high + 1))
 
-    def discretize(self, n_buckets: int) -> list[int]:
-        if n_buckets <= 0:
-            raise DomainError("n_buckets must be positive")
-        all_values = self.values()
-        if n_buckets >= len(all_values):
-            return all_values
-        idx = np.linspace(0, len(all_values) - 1, n_buckets).round().astype(int)
-        return [all_values[i] for i in sorted(set(idx.tolist()))]
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=size)
 
@@ -215,23 +184,9 @@ class CategoricalDomain(Domain):
     def values(self) -> list[Any]:
         return list(self.categories)
 
-    def discretize(self, n_buckets: int) -> list[Any]:
-        values = self.values()
-        if n_buckets >= len(values):
-            return values
-        idx = np.linspace(0, len(values) - 1, n_buckets).round().astype(int)
-        return [values[i] for i in sorted(set(idx.tolist()))]
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         idx = rng.integers(0, len(self.categories), size=size)
         return np.array([self.categories[i] for i in idx], dtype=object)
-
-    def index_of(self, value: Any) -> int:
-        """Return the position of ``value`` inside the category list."""
-        try:
-            return self.categories.index(value)
-        except ValueError as exc:
-            raise DomainError(f"{value!r} is not a category of {self}") from exc
 
     def __len__(self) -> int:
         return len(self.categories)

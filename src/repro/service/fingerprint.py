@@ -179,9 +179,6 @@ class PlanFingerprint:
         """Short stable hex digest of the plan structure, for logs and stats."""
         return hashlib.sha256(repr(self.plan_key).encode()).hexdigest()[:12]
 
-    def same_plan(self, other: "PlanFingerprint") -> bool:
-        return self.plan_key == other.plan_key
-
 
 def fingerprint_what_if(
     query: WhatIfQuery,

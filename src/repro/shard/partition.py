@@ -78,11 +78,6 @@ class Shard:
                 f"shard {self.index} has no row mask for relation {relation!r}"
             ) from exc
 
-    def n_own_rows(self, relation: str | None = None) -> int:
-        if relation is not None:
-            return int(self.own_rows(relation).sum())
-        return sum(int(mask.sum()) for mask in self.row_masks.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = {rel: int(mask.sum()) for rel, mask in self.row_masks.items()}
         return f"Shard({self.index}/{self.n_shards}, rows={sizes})"

@@ -301,9 +301,10 @@ class ShardPool:
     inline:
         Force the in-process fallback (no subprocesses).  ``None`` tries real
         processes first and degrades automatically.
-    start_method:
-        ``multiprocessing`` start method preference; ``fork`` (where
-        available) maps the snapshot into workers without pickling.
+
+    Workers start by ``fork`` when it is available and the parent runs a
+    single thread (the snapshot maps into them without pickling), else by
+    ``forkserver``, else by the platform's default start method.
     """
 
     def __init__(
@@ -314,7 +315,6 @@ class ShardPool:
         *,
         n_shards: int = 1,
         inline: bool | None = None,
-        start_method: str | None = None,
         generation: int = 0,
     ) -> None:
         if isinstance(database, ShardPlan):
@@ -327,7 +327,6 @@ class ShardPool:
         self.config = config
         self.generation = generation
         self._force_inline = bool(inline)
-        self._start_method = start_method
         self._io_lock = threading.Lock()
         self._dealer = PlanDealer()
         self._task_counter = 0
@@ -372,22 +371,20 @@ class ShardPool:
     def _start_processes(self) -> None:
         import multiprocessing as mp
 
-        method = self._start_method
-        if method is None:
-            # fork maps the snapshot into workers for free (copy-on-write),
-            # but forking a *multithreaded* parent can clone locks in their
-            # held state and deadlock the child.  When other threads are
-            # already running (e.g. the pool starts lazily inside an HTTP
-            # handler thread), fall back to a pickling start method; callers
-            # that want the cheap fork should start the pool before spawning
-            # threads (HypeRService.start_pool, done by `repro serve`).
-            available = mp.get_all_start_methods()
-            if "fork" in available and threading.active_count() == 1:
-                method = "fork"
-            elif "forkserver" in available:
-                method = "forkserver"
-            else:
-                method = None
+        # fork maps the snapshot into workers for free (copy-on-write), but
+        # forking a *multithreaded* parent can clone locks in their held state
+        # and deadlock the child.  When other threads are already running
+        # (e.g. the pool starts lazily inside an HTTP handler thread), fall
+        # back to a pickling start method; callers that want the cheap fork
+        # should start the pool before spawning threads
+        # (HypeRService.start_pool, done by `repro serve`).
+        available = mp.get_all_start_methods()
+        if "fork" in available and threading.active_count() == 1:
+            method = "fork"
+        elif "forkserver" in available:
+            method = "forkserver"
+        else:
+            method = None
         ctx = mp.get_context(method)
         spec: Any = self.database
         if shm_available():

@@ -191,34 +191,5 @@ class WorkloadGenerator:
         """A reproducible batch of what-if queries (e.g. the paper's "five queries")."""
         return [self.what_if(**kwargs) for _ in range(n_queries)]
 
-    def what_if_template_batch(
-        self,
-        n_queries: int,
-        *,
-        factor_range: tuple[float, float] = (0.8, 1.3),
-        **kwargs,
-    ) -> list[WhatIfQuery]:
-        """``n_queries`` parameter variants of *one* what-if template.
-
-        Unlike :meth:`what_if_batch` (independent random queries), every
-        query here shares one logical plan — same view, update attribute and
-        clause structure — and differs only in the multiplicative update
-        constant, evenly spread over ``factor_range``.  This is the
-        repeated-template suite shape the service layer's fingerprint-keyed
-        caches (:mod:`repro.service`) are built for, and what a dashboard
-        sweeping one knob sends.
-        """
-        template = self.what_if(**kwargs)
-        attribute = template.update_attributes[0]
-        low, high = factor_range
-        queries = []
-        for i in range(n_queries):
-            fraction = i / max(1, n_queries - 1)
-            factor = low + (high - low) * fraction
-            queries.append(
-                template.with_updates([AttributeUpdate(attribute, MultiplyBy(factor))])
-            )
-        return queries
-
     def how_to_batch(self, n_queries: int, **kwargs) -> list[HowToQuery]:
         return [self.how_to(**kwargs) for _ in range(n_queries)]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import EngineConfig, HypeRService
+from repro import EngineConfig, HypeR, HypeRService
 from repro.api import avg, count, how_to, multiply, set_, sum_, what_if
 from repro.api.builder import add
+from repro.api.calls import as_text
 from repro.core.config import EngineConfig as Config
 from repro.core.queries import HowToQuery, WhatIfQuery
 from repro.datasets import make_german_syn
-from repro.exceptions import QuerySemanticsError
+from repro.exceptions import QuerySemanticsError, UnparseError
 from repro.lang import parse_query, unparse
 from repro.relational.expressions import col, post, pre
 from repro.service.fingerprint import fingerprint_query
@@ -204,6 +205,50 @@ class TestBuilderSemantics:
     def test_update_rejects_non_update_terms(self):
         with pytest.raises(QuerySemanticsError, match="set_/add/multiply"):
             what_if().use("Credit").update("Status = 4")
+
+
+class TestInProcessVerbs:
+    """``max_changes`` and ``candidates`` have no query syntax: they build the
+    query object in process, and refuse to become text for the wire."""
+
+    def test_max_changes_is_max_updates(self):
+        built = (
+            how_to().use("Credit").update_any("Status", "Housing", "Savings")
+            .max_changes(1).maximize(avg("Credit")).build()
+        )
+        assert built == HowToQuery(
+            use=built.use,
+            update_attributes=["Status", "Housing", "Savings"],
+            objective_attribute="Credit",
+            max_updates=1,
+        )
+
+    def test_how_to_changes_at_most_n_attributes(self):
+        dataset = make_german_syn(500, seed=0)
+        session = HypeR(dataset.database, dataset.causal_dag, CONFIG)
+        builder = (
+            how_to().use("Credit").update_any("Status", "Housing", "Savings")
+            .maximize(avg("Credit"))
+        )
+        unbounded = session.how_to(builder.build())
+        assert len(unbounded.changed_attributes) > 1  # the budget has work to do
+        for n in (1, 2):
+            bounded = session.how_to(builder.max_changes(n).build())
+            assert 1 <= len(bounded.changed_attributes) <= n
+
+    @pytest.mark.parametrize(
+        "verb, field",
+        [
+            (lambda b: b.max_changes(1), "max_updates"),
+            (lambda b: b.candidates(buckets=3), "candidate_buckets"),
+            (lambda b: b.candidates(multipliers=(0.9, 1.1)), "candidate_multipliers"),
+        ],
+        ids=["max_changes", "candidates-buckets", "candidates-multipliers"],
+    )
+    def test_as_text_names_the_field_without_syntax(self, verb, field):
+        builder = verb(how_to().use("Credit").update_any("Status").maximize(avg("Credit")))
+        with pytest.raises(UnparseError, match=f"how-to field {field}="):
+            as_text(builder)
 
 
 class TestSharedCaches:

@@ -232,7 +232,6 @@ class TestUpdate:
         answer = UpdateAnswer.from_json(body)  # strict: round-trips the schema
         assert answer.changed == ("Credit",)
         assert answer.generation == health_before["generation"] + 1
-        assert not answer.noop
         _, query_after = send(front_door, "POST", "/v1/query", {"query": QUERY_TEXT})
         assert query_after["value"] == query_before["value"]
 

@@ -269,13 +269,12 @@ class TestUpdateSchemas:
         assert data["kind"] == "update"
         assert data["changed"] == ["A", "B"]
         assert UpdateAnswer.from_json(data).generation == 3
-        assert not answer.noop
 
     def test_update_answer_noop_form(self):
         answer = UpdateAnswer.from_json(
             {"api_version": API_VERSION, "kind": "update", "generation": 2, "changed": []}
         )
-        assert answer.noop
+        assert answer.changed == ()
 
     def test_update_answer_rejects_wrong_kind_and_types(self):
         with pytest.raises(WireFormatError, match="kind"):

@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.aserve.admission import AdmissionController, AdmissionRejected
+from repro.aserve.admission import MIN_RETRY_AFTER, AdmissionController, AdmissionRejected
 
 
 def run(coro):
@@ -21,7 +21,7 @@ class TestCapacity:
                 controller.try_admit()
             with pytest.raises(AdmissionRejected) as excinfo:
                 controller.try_admit()
-            assert excinfo.value.retry_after >= controller.min_retry_after
+            assert excinfo.value.retry_after >= MIN_RETRY_AFTER
             stats = controller.stats()
             assert stats["admitted_total"] == 5
             assert stats["rejected_total"] == 1

@@ -12,11 +12,10 @@ edges induced by the attribute-level DAG:
   tuples, optionally restricted to tuples sharing the value of a grouping
   attribute (``within``), e.g. laptops of the same Category.
 
-Explicit grounding is quadratic in the worst case, so it is intended for
-moderate instance sizes (tests, visualisation, exact possible-world baselines).
-The scalable block decomposition in :mod:`repro.probdb.blocks` derives the same
-connectivity information from one key-value node per linking rule, without
-materialising the graph.
+Explicit grounding is quadratic in the worst case.  The engine never builds
+this graph: the block decomposition in :mod:`repro.probdb.blocks` derives the
+same connectivity from one key-value node per linking rule (Proposition 1), and
+this module is the explicit-grounding oracle its tests compare against.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from typing import Any, Hashable, Iterable
 
 import networkx as nx
 
-from ..exceptions import CausalModelError
-from ..relational.database import Database
-from .dag import CausalDAG, CausalEdge
+from repro.causal.dag import CausalDAG, CausalEdge
+from repro.exceptions import CausalModelError
+from repro.relational.database import Database
 
 __all__ = ["GroundVariable", "GroundCausalGraph"]
 

@@ -12,7 +12,6 @@ from repro.causal import (
     augment_causal_dag,
     make_summary,
 )
-from repro.causal.summary import summarize_groups
 from repro.exceptions import CausalModelError
 
 
@@ -36,13 +35,6 @@ class TestSummaryFunctions:
         assert make_summary("identity").name == "identity"
         summary = AggregateSummary("sum")
         assert make_summary(summary) is summary
-
-    def test_summarize_groups_alignment(self):
-        groups = {1: [2.0, 4.0], 2: [10.0]}
-        out = summarize_groups(groups, [1, 2, 3], make_summary("avg"))
-        assert out[0] == pytest.approx(3.0)
-        assert out[1] == pytest.approx(10.0)
-        assert math.isnan(out[2])
 
 
 class TestAugmentedGraph:

@@ -74,20 +74,6 @@ class TestValidation:
 
 
 class TestSurgery:
-    def test_without_incoming_removes_causes(self, chain_dag):
-        mutilated = chain_dag.without_incoming(["B"])
-        assert not mutilated.has_edge("A", "B")
-        assert mutilated.has_edge("B", "C")
-        assert mutilated.has_edge("U", "C")
-        # original untouched
-        assert chain_dag.has_edge("A", "B")
-
-    def test_subgraph(self, chain_dag):
-        sub = chain_dag.subgraph(["A", "B"])
-        assert set(sub.nodes) == {"A", "B"}
-        assert sub.has_edge("A", "B")
-        assert len(sub.edges) == 1
-
     def test_copy_is_independent(self, chain_dag):
         clone = chain_dag.copy()
         clone.add_edge(("A", "C"))
@@ -96,8 +82,10 @@ class TestSurgery:
     def test_cross_tuple_edges_listed(self):
         dag = CausalDAG(nodes=["Price", "Rating"])
         dag.add_edge(CausalEdge("Price", "Rating", cross_tuple=True, within="Category"))
-        assert len(dag.cross_tuple_edges()) == 1
-        assert dag.cross_tuple_edges()[0].within == "Category"
+        cross = [edge for edge in dag.edges if edge.cross_tuple]
+        assert len(cross) == 1
+        assert cross[0].within == "Category"
+        assert dag.edge("Price", "Rating") == cross[0]
 
 
 class TestPaths:
@@ -114,8 +102,3 @@ class TestPaths:
         assert not dag.is_collider(["A", "B", "C"], 0)
         chain = CausalDAG(nodes=["A", "B", "C"], edges=[("A", "B"), ("B", "C")])
         assert not chain.is_collider(["A", "B", "C"], 1)
-
-    def test_to_networkx_copy(self, chain_dag):
-        graph = chain_dag.to_networkx()
-        graph.add_edge("C", "A")
-        assert not chain_dag.has_edge("C", "A")

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.causal import CausalDAG, CausalEdge
-from repro.causal.ground_graph import GroundCausalGraph, GroundVariable
 from repro.exceptions import CausalModelError
+
+from .ground_graph import GroundCausalGraph, GroundVariable
 
 
 class TestGrounding:

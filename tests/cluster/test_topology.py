@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import (
@@ -16,21 +18,22 @@ from repro.cluster import (
 class TestPlacement:
     def test_replica_sets_partition_the_nodes(self):
         placement = Placement(n_shards=3, n_nodes=7)
-        seen = []
-        for shard in range(3):
-            replicas = placement.replicas_of(shard)
-            assert all(placement.shard_of_node(node) == shard for node in replicas)
-            seen.extend(replicas)
-        assert sorted(seen) == list(range(7))
+        replicas = {shard: [] for shard in range(3)}
+        for node in range(7):
+            replicas[placement.shard_of_node(node)].append(node)
+        assert all(replicas.values())
+        assert sorted(n for nodes in replicas.values() for n in nodes) == list(range(7))
 
-    def test_replication_factor(self):
-        assert Placement(n_shards=3, n_nodes=6).min_replication == 2
-        assert Placement(n_shards=3, n_nodes=7).min_replication == 2
-        assert Placement(n_shards=2, n_nodes=2).min_replication == 1
+    @pytest.mark.parametrize("n_shards,n_nodes,least", [(3, 6, 2), (3, 7, 2), (2, 2, 1)])
+    def test_replication_factor(self, n_shards, n_nodes, least):
+        placement = Placement(n_shards=n_shards, n_nodes=n_nodes)
+        per_shard = Counter(placement.shard_of_node(node) for node in range(n_nodes))
+        assert min(per_shard.values()) == least
+        assert max(per_shard.values()) - least <= 1
 
     def test_deterministic(self):
         a, b = Placement(3, 9), Placement(3, 9)
-        assert all(a.replicas_of(s) == b.replicas_of(s) for s in range(3))
+        assert [a.shard_of_node(n) for n in range(9)] == [b.shard_of_node(n) for n in range(9)]
 
     @pytest.mark.parametrize("n_shards,n_nodes", [(0, 1), (3, 2), (-1, 4)])
     def test_invalid_shapes_raise(self, n_shards, n_nodes):
@@ -69,7 +72,6 @@ class TestTopology:
     def test_shard_of_node_follows_placement(self):
         topology = self.make()
         assert [topology.shard_of_node(i) for i in range(3)] == [0, 1, 0]
-        assert topology.placement.min_replication == 1
 
     def test_duplicate_addresses_rejected(self):
         with pytest.raises(TopologyError):

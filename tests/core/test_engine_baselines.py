@@ -28,16 +28,6 @@ def linear_world():
 
 
 class TestHypeRFacade:
-    def test_from_relation_constructor(self, linear_world):
-        database, dag, _, use, _ = linear_world
-        session = HypeR.from_relation(database["Obs"], dag, EngineConfig(regressor="linear"))
-        query = WhatIfQuery(
-            use=use,
-            updates=[AttributeUpdate("B", SetTo(5.0))],
-            output_attribute="Y",
-        )
-        assert isinstance(session.what_if(query), WhatIfResult)
-
     def test_variant_helpers_return_new_sessions(self, linear_world):
         database, dag, _, _, _ = linear_world
         session = HypeR(database, dag, EngineConfig(regressor="linear"))

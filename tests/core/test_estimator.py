@@ -16,6 +16,7 @@ from repro.relational import Relation, UseSpec
 from repro.relational.columnar import KernelCache
 
 from .linear_fixture import make_linear_dataset, true_mean_y_under_do_b
+from .oracles import counterfactual_mean
 
 
 class TestBuildViewDag:
@@ -147,8 +148,8 @@ class TestPostUpdateEstimator:
         target = np.asarray(view.column_view("Y"), dtype=float)
         n = len(view)
         post_values = {"B": [5.0] * n}
-        predictions = estimator.counterfactual_mean(
-            target, [True] * n, post_values, cache_key="y"
+        predictions = counterfactual_mean(
+            estimator, target, [True] * n, post_values, cache_key="y"
         )
         truth = true_mean_y_under_do_b(5.0, columns["X"])
         assert float(predictions.mean()) == pytest.approx(truth, rel=0.05)
@@ -169,8 +170,10 @@ class TestPostUpdateEstimator:
         n = len(view)
         post = {"B": [8.0] * n}
         truth = true_mean_y_under_do_b(8.0, columns["X"])
-        adjusted_err = abs(float(adjusted.counterfactual_mean(target, [True] * n, post).mean()) - truth)
-        naive_err = abs(float(unadjusted.counterfactual_mean(target, [True] * n, post).mean()) - truth)
+        adjusted_err = abs(float(counterfactual_mean(adjusted, target, [True] * n, post).mean()) - truth)
+        naive_err = abs(
+            float(counterfactual_mean(unadjusted, target, [True] * n, post).mean()) - truth
+        )
         assert adjusted_err < naive_err
 
     def test_prediction_mask_respected(self, linear_setup):
@@ -179,7 +182,7 @@ class TestPostUpdateEstimator:
         target = np.asarray(view.column_view("Y"), dtype=float)
         mask = np.zeros(len(view), dtype=bool)
         mask[:10] = True
-        predictions = estimator.counterfactual_mean(target, mask, {"B": [0.0] * len(view)})
+        predictions = counterfactual_mean(estimator, target, mask, {"B": [0.0] * len(view)})
         assert (predictions[10:] == 0).all()
         assert predictions[:10].any()
 
@@ -210,22 +213,22 @@ class TestPostUpdateEstimator:
         estimator = self._estimator(view, view_dag)
         target = np.zeros(len(view))
         with pytest.raises(QuerySemanticsError):
-            estimator.counterfactual_mean(target, [True] * len(view), {})
+            counterfactual_mean(estimator, target, [True] * len(view), {})
 
     def test_misaligned_target_rejected(self, linear_setup):
         _, view, view_dag, _ = linear_setup
         estimator = self._estimator(view, view_dag)
         with pytest.raises(QuerySemanticsError):
-            estimator.counterfactual_mean([1.0], [True], {"B": [1.0]})
+            counterfactual_mean(estimator, [1.0], [True], {"B": [1.0]})
 
     def test_regressor_cache_reused(self, linear_setup):
         _, view, view_dag, _ = linear_setup
         estimator = self._estimator(view, view_dag)
         target = np.asarray(view.column_view("Y"), dtype=float)
         n = len(view)
-        estimator.counterfactual_mean(target, [True] * n, {"B": [1.0] * n}, cache_key="k")
+        counterfactual_mean(estimator, target, [True] * n, {"B": [1.0] * n}, cache_key="k")
         cached = estimator._regressor_cache["k"]
-        estimator.counterfactual_mean(target, [True] * n, {"B": [2.0] * n}, cache_key="k")
+        counterfactual_mean(estimator, target, [True] * n, {"B": [2.0] * n}, cache_key="k")
         assert estimator._regressor_cache["k"] is cached
 
 

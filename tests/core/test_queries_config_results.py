@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.api import count, how_to
 from repro.core.queries import HowToQuery, LimitConstraint, WhatIfQuery
 from repro.core.results import BlockContribution, HowToResult, WhatIfResult
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.core.config import EngineConfig, Variant
 from repro.exceptions import QuerySemanticsError
 from repro.relational import UseSpec, post, pre
+
+from .oracles import candidate_what_if
 
 
 USE = UseSpec(base_relation="Credit")
@@ -117,9 +120,31 @@ class TestHowToQuery:
         with pytest.raises(QuerySemanticsError):
             self.make(max_updates=0)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"candidate_buckets": 0},
+            {"candidate_buckets": -3},
+            {"candidate_multipliers": (float("nan"),)},
+            {"candidate_multipliers": (1.1, float("inf"))},
+            {"candidate_multipliers": (float("-inf"),)},
+        ],
+    )
+    def test_invalid_candidate_grid(self, grid):
+        # the builder's .candidates(buckets=, multipliers=) reaches the same fields
+        with pytest.raises(QuerySemanticsError, match="candidate"):
+            self.make(**grid)
+        buckets, multipliers = grid.get("candidate_buckets"), grid.get("candidate_multipliers")
+        builder = (
+            how_to().use("Credit").update_any("Status").maximize(count("Credit"))
+            .candidates(buckets=buckets, multipliers=multipliers)
+        )
+        with pytest.raises(QuerySemanticsError, match="candidate"):
+            builder.build()
+
     def test_candidate_what_if_construction(self):
         query = self.make(limits=[LimitConstraint("Status", lower=1, upper=4)])
-        candidate = query.candidate_what_if([AttributeUpdate("Status", SetTo(4))])
+        candidate = candidate_what_if(query, [AttributeUpdate("Status", SetTo(4))])
         assert candidate.output_attribute == "Credit"
         assert candidate.update_attributes == ["Status"]
         assert query.admits("Status", 2, 4)
@@ -171,14 +196,13 @@ class TestResults:
         assert "avg(Post(Rtng))" in result.summary()
         assert "Quality" in result.summary()
 
-    def test_howto_result_plan_and_improvement(self):
+    def test_howto_result_plan_and_summary(self):
         result = HowToResult(
             recommended_updates=[AttributeUpdate("Price", MultiplyBy(1.1))],
             objective_value=4.2,
             baseline_value=4.0,
             per_attribute_choices={"Price": "1.1x Pre(Price)", "Color": "no change"},
         )
-        assert result.improvement == pytest.approx(0.2)
         assert result.changed_attributes == ["Price"]
         plan = result.plan()
         assert plan["Color"] == "no change"
@@ -192,4 +216,5 @@ class TestResults:
             baseline_value=4.0,
             maximize=False,
         )
-        assert result.improvement == pytest.approx(1.0)
+        assert "minimize objective = 3.0000 (baseline 4.0000)" in result.summary()
+        assert result.changed_attributes == []

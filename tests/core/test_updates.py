@@ -8,6 +8,7 @@ from repro.core.updates import (
     HypotheticalUpdate,
     MultiplyBy,
     SetTo,
+    apply_update_column,
 )
 from repro.exceptions import QuerySemanticsError
 from repro.relational import post, pre
@@ -29,7 +30,9 @@ class TestUpdateFunctions:
         assert "*= 1.1" in MultiplyBy(1.1).describe()
 
     def test_apply_column_skips_none(self):
-        assert MultiplyBy(2.0).apply_column([1.0, None, 3.0]) == [2.0, None, 6.0]
+        assert apply_update_column(MultiplyBy(2.0), [1.0, None, 3.0]) == [2.0, None, 6.0]
+        scoped = apply_update_column(MultiplyBy(2.0), [1.0, None, 3.0], [True, True, False])
+        assert scoped == [2.0, None, 3.0]
 
 
 class TestHypotheticalUpdate:

@@ -29,6 +29,7 @@ from repro.relational.columnar import KernelCache, fused_mask_aggregate
 from repro.relational.predicates import evaluate_mask
 
 from .linear_fixture import make_linear_dataset, true_mean_y_under_do_b
+from .oracles import counterfactual_mean
 
 
 @pytest.fixture(scope="module")
@@ -592,9 +593,9 @@ class TestWarmEqualsCold:
                 sign = 1.0 if size % 2 else -1.0
                 rows = np.logical_and.reduce([scope] + [pre[k] for k in subset])
                 target = np.logical_and.reduce([post[k] for k in subset]).astype(float)
-                prob = estimator.counterfactual_mean(target, rows, post_values)
+                prob = counterfactual_mean(estimator, target, rows, post_values)
                 want_count[rows] += sign * np.clip(prob[rows], 0.0, 1.0)
-                total = estimator.counterfactual_mean(output * target, rows, post_values)
+                total = counterfactual_mean(estimator, output * target, rows, post_values)
                 want_sum[rows] += sign * total[rows]
         assert np.allclose(count, np.clip(want_count, 0.0, 1.0), rtol=1e-12, atol=1e-12)
         assert np.allclose(sum_, want_sum, rtol=1e-12, atol=1e-9)

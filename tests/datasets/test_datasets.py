@@ -12,6 +12,7 @@ from repro.datasets import (
     make_student_syn,
 )
 from repro.exceptions import HypeRError
+from tests.relational.oracles import check_referential_integrity
 
 
 class TestRegistry:
@@ -85,7 +86,7 @@ class TestStudentSyn:
     def test_two_relations_with_foreign_key(self, small_student):
         db = small_student.database
         assert set(db.relation_names) == {"Student", "Participation"}
-        db.check_referential_integrity()
+        check_referential_integrity(db)
         assert len(db["Participation"]) == 5 * len(db["Student"])
 
     def test_view_aggregates_align_with_scm_columns(self, small_student):
@@ -104,7 +105,7 @@ class TestStudentSyn:
 class TestAmazonSyn:
     def test_two_relations_and_reviews_exist(self, small_amazon):
         db = small_amazon.database
-        db.check_referential_integrity()
+        check_referential_integrity(db)
         assert len(db["Review"]) >= len(db["Product"])
 
     def test_price_negatively_quality_positively_related_to_rating(self, small_amazon):

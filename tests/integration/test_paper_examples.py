@@ -168,4 +168,4 @@ class TestStudentCaseStudy:
         )
         result = session.how_to(query)
         assert result.changed_attributes == ["Attendance"]
-        assert result.improvement > 0
+        assert result.objective_value > result.baseline_value

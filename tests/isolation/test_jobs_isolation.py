@@ -37,7 +37,7 @@ class JobsDriver:
             )
             done = self.manager.wait(job.job_id, timeout=120)
             assert done.state == "succeeded", (done.state, done.error)
-            payload = self.manager.result_payload(job.job_id)
+            payload = self.manager.results.get(job.job_id)
             return float(payload["result"]["value"]), job.job_id
 
         return read, lambda: None

@@ -62,7 +62,7 @@ class TestExecution:
             done = manager.wait(job.job_id, timeout=60)
             assert done.state == "succeeded"
             assert done.attempts == 1
-            payload = manager.result_payload(job.job_id)
+            payload = manager.results.get(job.job_id)
             sync = answer_from_result(service.execute(QUERY_TEXT)).to_json()
             assert payload["result"] == sync
             assert payload["job_id"] == job.job_id
@@ -81,7 +81,7 @@ class TestExecution:
             done = manager.wait(job.job_id, timeout=60)
             assert done.state == "succeeded"  # the batch ran; item 1 errored
             assert done.completed == done.total == 3
-            payload = manager.result_payload(job.job_id)
+            payload = manager.results.get(job.job_id)
             assert payload["kind"] == "batch"
             assert "result" in payload["results"][0]
             assert payload["results"][1]["error"]["code"] == "query_syntax"
@@ -94,7 +94,7 @@ class TestExecution:
             assert done.state == "failed"
             assert done.error_code == "query_syntax"
             assert done.attempts == 1
-            assert manager.result_payload(job.job_id) is None
+            assert manager.results.get(job.job_id) is None
 
     def test_transient_failures_retry_until_success(self, service, tmp_path):
         flaky = FlakyService(service, failures=2)
@@ -105,7 +105,7 @@ class TestExecution:
             assert done.attempts == 3
             assert manager.stats()["retries"] >= 2  # counter is registry-shared
             sync = answer_from_result(service.execute(QUERY_TEXT)).to_json()
-            assert manager.result_payload(job.job_id)["result"] == sync
+            assert manager.results.get(job.job_id)["result"] == sync
 
     def test_retry_budget_exhaustion_fails_the_job(self, service, tmp_path):
         flaky = FlakyService(service, failures=99)
@@ -221,7 +221,7 @@ class TestReplay:
         manager = make_manager(service, tmp_path)
         job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
         manager.wait(job.job_id, timeout=60)
-        result_before = manager.result_payload(job.job_id)
+        result_before = manager.results.get(job.job_id)
         manager.close()
 
         flaky = FlakyService(service, failures=99)  # would fail any re-run
@@ -229,7 +229,7 @@ class TestReplay:
             replayed = reopened.get(job.job_id)
             assert replayed.state == "succeeded"
             assert replayed.attempts == 1
-            assert reopened.result_payload(job.job_id) == result_before
+            assert reopened.results.get(job.job_id) == result_before
             assert flaky.calls == 0  # nothing re-executed
 
     def test_crashed_lease_is_requeued_and_finishes(self, service, tmp_path):
@@ -244,7 +244,7 @@ class TestReplay:
             assert done.state == "succeeded"
             assert done.attempts == 2  # the crashed attempt counted
             sync = answer_from_result(service.execute(QUERY_TEXT)).to_json()
-            assert manager.result_payload("job-crashed")["result"] == sync
+            assert manager.results.get("job-crashed")["result"] == sync
 
     def test_crashed_lease_with_spent_budget_fails(self, service, tmp_path):
         journal = Journal(tmp_path / "journal.jsonl")
@@ -276,14 +276,14 @@ class TestReplay:
         bad = manager.submit(client_id="c2", kind="query", queries=["NOT A QUERY"])
         manager.wait(ok.job_id, timeout=60)
         manager.wait(bad.job_id, timeout=60)
-        result_before = manager.result_payload(ok.job_id)
+        result_before = manager.results.get(ok.job_id)
         manager.compact()
         assert manager.journal.record_count == 2  # one snapshot per live job
         manager.close()
         with make_manager(service, tmp_path) as reopened:
             assert reopened.get(ok.job_id).state == "succeeded"
             assert reopened.get(bad.job_id).state == "failed"
-            assert reopened.result_payload(ok.job_id) == result_before
+            assert reopened.results.get(ok.job_id) == result_before
 
 
     def test_concurrent_compaction_never_loses_acknowledged_submits(
@@ -336,7 +336,7 @@ class TestGcAndSignals:
             manager.wait(job.job_id, timeout=60)
             swept = manager.gc_once()
             assert swept["expired"] >= 1
-            assert manager.result_payload(job.job_id) is None
+            assert manager.results.get(job.job_id) is None
             assert manager.get(job.job_id).state == "succeeded"
 
     def test_signals_and_stats_shapes(self, service, tmp_path):

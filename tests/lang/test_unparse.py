@@ -20,6 +20,7 @@ from repro.lang import parse_query, unparse
 from repro.relational.expressions import Arithmetic, col, lit, pre
 from repro.service.fingerprint import fingerprint_query, update_key, use_key
 from repro.workloads import WorkloadGenerator
+from tests.core.oracles import what_if_template_batch
 
 CONFIG = EngineConfig(regressor="linear")
 
@@ -124,7 +125,7 @@ class TestWorkloadRoundTrip:
 
     def test_german_template_workload(self, german):
         generator = WorkloadGenerator.for_dataset(german, "Credit", seed=5)
-        for query in generator.what_if_template_batch(8):
+        for query in what_if_template_batch(generator, 8):
             assert_round_trips(query)
 
     def test_german_post_condition_workload(self, german):

@@ -24,7 +24,6 @@ class TestColumnEncoder:
         encoder = ColumnEncoder.fit("C", ["a", "b", "a"])
         assert not encoder.numeric
         assert encoder.width == 2
-        assert encoder.feature_names == ["C=a", "C=b"]
         assert encoder.transform(["b"]).tolist() == [[0.0, 1.0]]
 
     def test_unseen_category_encodes_to_zeros(self):
@@ -38,7 +37,7 @@ class TestColumnEncoder:
 
     def test_transform_value(self):
         encoder = ColumnEncoder.fit("X", [1.0, 2.0])
-        assert encoder.transform_value(5.0).tolist() == [5.0]
+        assert encoder.transform([5.0]).tolist() == [[5.0]]
 
     def test_mixed_column_numeric_batch_matches_fit_categories(self):
         # A purely-numeric transform batch drawn from a mixed categorical
@@ -139,24 +138,24 @@ class TestFeatureEncoder:
 
     def test_fit_from_relation(self, relation):
         encoder = FeatureEncoder.fit(relation, ["Price", "Brand"])
-        matrix = encoder.transform_relation(relation)
-        assert matrix.shape == (3, 3)  # 1 numeric + 2 one-hot
-        assert encoder.feature_names == ["Price", "Brand=a", "Brand=b"]
+        matrix = encoder.design({a: relation.column_view(a) for a in ("Price", "Brand")})
+        assert matrix.shape == (3, 4)  # ones + 1 numeric + 2 one-hot
+        assert encoder.offsets == {"Price": 0, "Brand": 1}
 
     def test_transform_columns_and_rows_agree(self, relation):
         encoder = FeatureEncoder.fit(relation, ["Price", "Brand"])
-        from_columns = encoder.transform_columns(
-            {"Price": [15.0], "Brand": ["b"]}
-        )
-        from_row = encoder.transform_row({"Price": 15.0, "Brand": "b"})
-        assert np.allclose(from_columns[0], from_row)
+        columns = {"Price": [15.0, 25.0], "Brand": ["b", "a"]}
+        batch = encoder.design(columns)
+        for i in range(2):
+            row = encoder.design({name: values[i : i + 1] for name, values in columns.items()})
+            assert np.array_equal(batch[i : i + 1], row)
 
     def test_mismatched_column_lengths(self, relation):
         encoder = FeatureEncoder.fit(relation, ["Price", "Brand"])
         with pytest.raises(EstimationError):
-            encoder.transform_columns({"Price": [1.0, 2.0], "Brand": ["a"]})
+            encoder.design({"Price": [1.0, 2.0], "Brand": ["a"]})
 
     def test_empty_feature_set(self, relation):
         encoder = FeatureEncoder.fit(relation, [])
-        assert encoder.transform_relation(relation).shape == (3, 0)
+        assert encoder.design({}).shape == (0, 1)
         assert encoder.width == 0

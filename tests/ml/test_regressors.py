@@ -38,6 +38,13 @@ class TestLinearRegression:
         assert model.coefficients == pytest.approx([3.0, -2.0], abs=0.05)
         assert model.intercept == pytest.approx(1.0, abs=0.05)
 
+    def test_shifted_target_moves_only_the_intercept(self):
+        x, y = linear_data()
+        base = LinearRegression().fit(x, y)
+        shifted = LinearRegression().fit(x, y + 5.0)
+        assert shifted.coefficients == pytest.approx(base.coefficients, abs=1e-9)
+        assert shifted.intercept - base.intercept == pytest.approx(5.0, abs=1e-9)
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(EstimationError):
             LinearRegression().predict(np.zeros((1, 2)))
@@ -131,12 +138,30 @@ class TestRandomForest:
         with pytest.raises(EstimationError):
             RandomForestRegressor().predict(np.zeros((1, 1)))
 
+    def test_trees_fit_on_bootstrap_resamples(self):
+        x, y = linear_data(120)
+        forest = RandomForestRegressor(
+            n_estimators=2, max_depth=4, max_features="all", random_state=7
+        ).fit(x, y)
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, len(x), size=len(x))
+        first = DecisionTreeRegressor(
+            max_depth=4,
+            min_samples_split=forest.min_samples_split,
+            min_samples_leaf=forest.min_samples_leaf,
+            max_features=None,
+            n_thresholds=forest.n_thresholds,
+            random_state=int(rng.integers(0, 2**31 - 1)),
+        ).fit(x[idx], y[idx])
+        assert len(np.unique(idx)) < len(x)
+        assert np.array_equal(forest._trees[0].predict(x), first.predict(x))
+
     def test_max_features_settings(self):
         x, y = linear_data(100)
         for setting in ("sqrt", "log2", "all", None, 1):
             forest = RandomForestRegressor(n_estimators=3, max_features=setting, random_state=0)
             forest.fit(x, y)
-            assert forest.n_fitted_trees == 3
+            assert len(forest._trees) == 3
 
 
 # -- array trees == the node-walking oracle ----------------------------------------------

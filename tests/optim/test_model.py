@@ -17,10 +17,10 @@ class TestLinearExpression:
             expr.evaluate({})
 
     def test_add_term_merges_and_drops_zero(self):
-        expr = LinearExpression()
-        expr.add_term("x", 1.0)
-        expr.add_term("x", -1.0)
-        assert "x" not in expr.coefficients
+        expr = LinearExpression.from_terms({"x": 1.0, "y": 0.0})
+        assert "y" not in expr.coefficients
+        merged = expr + LinearExpression.from_terms({"x": 2.0})
+        assert merged.coefficients == {"x": 3.0}
 
     def test_addition_and_scaling(self):
         a = LinearExpression.from_terms({"x": 1.0}, 1.0)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.causal import CausalDAG, CausalEdge
-from repro.causal.ground_graph import GroundCausalGraph
 from repro.exceptions import CausalModelError
 from repro.probdb import decompose_into_blocks
+from tests.causal.ground_graph import GroundCausalGraph
 
 
 class TestDecomposition:
@@ -28,12 +28,15 @@ class TestDecomposition:
 
     def test_block_of_row_lookup(self, figure1_database, figure2_dag):
         decomposition = decompose_into_blocks(figure1_database, figure2_dag)
-        laptop_block = decomposition.block_of("Product", 0)
-        assert decomposition.block_of("Product", 1).index == laptop_block.index
-        camera_block = decomposition.block_of("Product", 3)
-        assert camera_block.index != laptop_block.index
-        with pytest.raises(CausalModelError):
-            decomposition.block_of("Product", 99)
+
+        def block_of(row):
+            (block,) = [b for b in decomposition if row in b.rows.get("Product", ())]
+            return block
+
+        laptop_block = block_of(0)
+        assert block_of(1).index == laptop_block.index
+        assert block_of(3).index != laptop_block.index
+        assert not [b for b in decomposition if 99 in b.rows.get("Product", ())]
 
     def test_matches_explicit_ground_graph_components(self, figure1_database, figure2_dag):
         """The key-value decomposition must agree with explicit grounding."""
@@ -60,7 +63,7 @@ class TestDecomposition:
 
     def test_block_database_materialisation(self, figure1_database, figure2_dag):
         decomposition = decompose_into_blocks(figure1_database, figure2_dag)
-        laptop_block = decomposition.block_of("Product", 0)
+        laptop_block = next(b for b in decomposition if 0 in b.rows.get("Product", ()))
         block_db = laptop_block.database(figure1_database)
         assert len(block_db["Product"]) == 3
         assert len(block_db["Review"]) == 5

@@ -9,8 +9,16 @@ from repro.probdb import (
     combine_block_results,
     decomposed_value,
 )
-from repro.probdb.decomposable import scale_invariance_holds
 from repro.relational import get_aggregate
+
+
+def scale_invariance_holds(combiner, values, alpha, *, tolerance=1e-9):
+    """Check the ``alpha * g(x) == g(alpha * x)`` condition of Definition 6."""
+    if alpha < 0:
+        raise HypeRError("the scale-invariance condition is stated for alpha >= 0")
+    left = alpha * combiner(list(values))
+    right = combiner([alpha * v for v in values])
+    return abs(left - right) <= tolerance * max(1.0, abs(left))
 
 
 class TestDecomposedValue:

@@ -54,12 +54,6 @@ class TestDecomposition:
         assert aggregate.partial([10.0], total_size=5) == pytest.approx(2.0)
         assert aggregate.partial([10.0], total_size=0) == 0.0
 
-    def test_tuple_weights(self):
-        assert CountAggregate().tuple_weight(123.0, 10) == 1.0
-        assert SumAggregate().tuple_weight(3.0, 10) == 3.0
-        assert AvgAggregate().tuple_weight(3.0, 10) == pytest.approx(0.3)
-        assert AvgAggregate().tuple_weight(3.0, 0) == 0.0
-
     def test_needs_output_value(self):
         assert not CountAggregate().needs_output_value
         assert SumAggregate().needs_output_value

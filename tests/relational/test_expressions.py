@@ -118,10 +118,9 @@ class TestIntrospection:
         assert ("C", Temporal.DEFAULT) in refs
         assert expr.attribute_names() == {"A", "B", "C"}
 
-    def test_uses_post_and_pre(self):
+    def test_uses_post(self):
         assert (post("X") > 1).uses_post()
-        assert not (post("X") > 1).uses_pre()
-        assert (pre("X") > 1).uses_pre()
+        assert not (pre("X") > 1).uses_post()
         assert not Const(True).uses_post()
 
     def test_const_has_no_references(self):

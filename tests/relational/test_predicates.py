@@ -107,7 +107,6 @@ class TestSplitPrePost:
     def test_separable_conjunction(self):
         split = split_pre_post([(pre("A") == 1), (post("B") > 2)])
         assert split.is_separable
-        assert split.pre_attributes == {"A"}
         assert split.post_attributes == {"B"}
 
     def test_mixed_atom_detected(self):

@@ -14,8 +14,6 @@ from repro.relational import (
     col,
     evaluate_mask,
 )
-from repro.relational.columnar import Column
-from repro.relational.operators import aggregate_column
 
 
 @pytest.fixture
@@ -45,7 +43,7 @@ def relation(schema):
 
 class TestConstruction:
     def test_from_rows_round_trip(self, schema, relation):
-        rebuilt = Relation.from_rows(schema, relation.to_rows())
+        rebuilt = Relation.from_rows(schema, list(relation.rows()))
         assert rebuilt.to_dict() == relation.to_dict()
 
     def test_missing_column_raises(self, schema):
@@ -70,7 +68,7 @@ class TestConstruction:
 
     def test_from_columns_infers_schema(self):
         rel = Relation.from_columns("R", {"K": [1, 2], "V": [1.5, 2.5]}, key=("K",))
-        assert rel.schema.is_key("K")
+        assert rel.schema.key == ("K",)
         assert len(rel) == 2
 
 
@@ -113,7 +111,7 @@ class TestTransformations:
         """Negative (numpy-style) take indices must not become nulls in the store."""
         relation.columnar_store()  # force the cached store so take() derives it
         taken = relation.take([-1, 0])
-        assert taken.to_rows()[0]["ID"] == 4
+        assert list(taken.rows())[0]["ID"] == 4
         assert evaluate_mask(col("ID") == 4, taken).tolist() == [True, False]
         with pytest.raises(IndexError):
             relation.take([-5])
@@ -143,12 +141,13 @@ class TestTransformations:
             same = relation.with_column(name, list(relation.column_view(name)))
             assert same.schema == relation.schema
             assert same.attribute_names == relation.attribute_names
-            assert same.to_rows() == relation.to_rows()
+            assert list(same.rows()) == list(relation.rows())
         halved = relation.with_column("Price", [v / 2 for v in relation.column_view("Price")])
         assert halved.attribute_names == relation.attribute_names
         assert list(halved.column_view("Price")) == [5.0, 10.0, 15.0, 20.0]
         restored = halved.with_column("Price", list(relation.column_view("Price")))
-        assert restored.schema == relation.schema and restored.to_rows() == relation.to_rows()
+        assert restored.schema == relation.schema
+        assert list(restored.rows()) == list(relation.rows())
 
     def test_with_column_shares_the_untouched_columns(self, relation):
         doubled = relation.with_column("Price", [v * 2 for v in relation.column_view("Price")])
@@ -176,13 +175,6 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             relation.with_column("Price", [1.0])
 
-    def test_concat(self, schema, relation):
-        other = Relation(
-            schema, {"ID": [10], "Price": [5.0], "Color": ["blue"]}
-        )
-        combined = relation.concat(other)
-        assert len(combined) == 5
-
     def test_pretty_rendering(self, relation):
         text = relation.pretty(limit=2)
         assert "ID | Price | Color" in text
@@ -196,16 +188,6 @@ def test_string_ndarray_column_stays_categorical():
     )
     assert list(relation.column_view("S")) == ["a", "b"]
     assert evaluate_mask(col("S") == "a", relation).tolist() == [True, False]
-
-
-def test_aggregate_column_accepts_typed_columns():
-    column = Column.from_values([1.0, None, 3.0])
-    assert aggregate_column(column, "sum") == 4.0
-    assert aggregate_column(column, "count") == 2.0
-    assert aggregate_column(column, "avg") == 2.0
-    # name normalisation must match the list path
-    assert aggregate_column(column, "Sum") == aggregate_column([1.0, None, 3.0], "Sum")
-    assert aggregate_column(column, "MEAN") == 2.0
 
 
 def _as_column_by_value(values):

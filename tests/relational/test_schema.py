@@ -45,12 +45,12 @@ class TestRelationSchema:
             key=("K",),
         )
         assert not schema.is_mutable("K")
-        assert schema.is_key("K")
+        assert schema.key == ("K",)
 
     def test_mutable_and_immutable_partitions(self):
         schema = make_schema()
         assert schema.mutable_attributes == ("Price",)
-        assert set(schema.immutable_attributes) == {"PID", "Brand"}
+        assert {a for a in schema.attribute_names if not schema.is_mutable(a)} == {"PID", "Brand"}
 
     def test_duplicate_attribute_names_raise(self):
         with pytest.raises(SchemaError, match="duplicate"):
@@ -102,7 +102,7 @@ class TestRelationSchema:
             "R", {"K": [1, 2], "V": ["x", "y"]}, key=("K",), immutable=("V",)
         )
         assert not schema.is_mutable("V")
-        assert schema.is_key("K")
+        assert schema.key == ("K",)
 
     def test_equality(self):
         assert make_schema() == make_schema()

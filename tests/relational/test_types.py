@@ -44,18 +44,6 @@ class TestNumericDomain:
         domain = NumericDomain()
         assert domain.contains(1e12)
         assert not domain.is_bounded
-        with pytest.raises(DomainError):
-            domain.discretize(3)
-
-    def test_discretize_spans_interval(self):
-        domain = NumericDomain(0.0, 10.0)
-        points = domain.discretize(5)
-        assert points[0] == 0.0
-        assert points[-1] == 10.0
-        assert len(points) == 5
-
-    def test_discretize_single_bucket_is_midpoint(self):
-        assert NumericDomain(0.0, 10.0).discretize(1) == [5.0]
 
     def test_values_raises_for_continuous(self):
         with pytest.raises(DomainError):
@@ -65,12 +53,6 @@ class TestNumericDomain:
         domain = NumericDomain(2.0, 3.0)
         samples = domain.sample(np.random.default_rng(0), size=50)
         assert ((samples >= 2.0) & (samples <= 3.0)).all()
-
-    def test_clamp(self):
-        domain = NumericDomain(0.0, 1.0)
-        assert domain.clamp(2.0) == 1.0
-        assert domain.clamp(-1.0) == 0.0
-        assert domain.clamp(0.5) == 0.5
 
 
 class TestIntegerDomain:
@@ -84,14 +66,6 @@ class TestIntegerDomain:
 
     def test_values_enumerates_range(self):
         assert IntegerDomain(1, 4).values() == [1, 2, 3, 4]
-
-    def test_discretize_subsamples(self):
-        points = IntegerDomain(0, 100).discretize(5)
-        assert len(points) == 5
-        assert points[0] == 0 and points[-1] == 100
-
-    def test_discretize_more_buckets_than_values(self):
-        assert IntegerDomain(1, 3).discretize(10) == [1, 2, 3]
 
     def test_sample(self):
         samples = IntegerDomain(1, 3).sample(np.random.default_rng(1), size=30)
@@ -113,12 +87,6 @@ class TestCategoricalDomain:
     def test_empty_raises(self):
         with pytest.raises(DomainError):
             CategoricalDomain([])
-
-    def test_index_of(self):
-        domain = CategoricalDomain(["x", "y"])
-        assert domain.index_of("y") == 1
-        with pytest.raises(DomainError):
-            domain.index_of("zzz")
 
     def test_boolean_domain(self):
         domain = BooleanDomain()

@@ -25,6 +25,7 @@ from repro.core.updates import AttributeUpdate, MultiplyBy
 from repro.datasets import make_german_syn
 from repro.lang import parse_query
 from repro.shard import ShardPool
+from tests.core import oracles
 
 CONFIG = EngineConfig(regressor="linear")
 #: the four perf templates plus a three-disjunct ``For`` under a ``When``
@@ -144,8 +145,9 @@ def candidate_what_if(query, chosen):
     """``query``'s candidate what-if for ``chosen``: an attribute left alone is
     multiplied by one, so the what-if trains on the how-to's features."""
     function_of = {c.attribute: c.function for c in chosen}
-    return query.candidate_what_if(
-        [AttributeUpdate(a, function_of.get(a, MultiplyBy(1.0))) for a in query.update_attributes]
+    return oracles.candidate_what_if(
+        query,
+        [AttributeUpdate(a, function_of.get(a, MultiplyBy(1.0))) for a in query.update_attributes],
     )
 
 

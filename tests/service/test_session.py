@@ -23,6 +23,7 @@ from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.datasets import make_amazon_syn, make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.relational import columnar, post, pre
+from tests.core.oracles import candidate_what_if
 
 
 def suite_20(dataset) -> list[WhatIfQuery]:
@@ -774,7 +775,7 @@ class TestProcessesExecution:
         how_to = HowToQuery(
             use=dataset.default_use, update_attributes=["Age"], objective_attribute="Credit"
         )
-        what_if = how_to.candidate_what_if([AttributeUpdate("Age", SetTo(30))])
+        what_if = candidate_what_if(how_to, [AttributeUpdate("Age", SetTo(30))])
         for query in (what_if, how_to):
             for service in (threads, processes):  # one envelope on every path
                 with pytest.raises(QuerySemanticsError) as caught:
