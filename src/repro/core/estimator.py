@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -33,7 +34,7 @@ from ..causal.backdoor import minimal_backdoor_set
 from ..causal.dag import CausalDAG
 from ..exceptions import IdentificationError, QuerySemanticsError
 from ..ml.density import ConditionalMeanRegressor
-from ..ml.encoding import FeatureEncoder
+from ..ml.encoding import ColumnEncoder, FeatureEncoder
 from ..ml.linear import GramFactor
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
@@ -41,7 +42,7 @@ from ..relational.relation import Relation
 from ..relational.view import UseSpec
 from .config import EngineConfig
 
-__all__ = ["build_view_dag", "PostUpdateEstimator"]
+__all__ = ["adjustment_set", "build_view_dag", "PostUpdateEstimator"]
 
 #: Bound on fitted regressors kept per estimator.  The service layer shares
 #: one estimator across every ``For``-literal variant of a plan, so without a
@@ -106,6 +107,36 @@ def build_view_dag(
     return dag.memo(("view_dag", tuple(mapping.items())), project)
 
 
+def adjustment_set(
+    attributes: Sequence[str],
+    key: Sequence[str],
+    view_dag: CausalDAG | None,
+    update_attributes: Sequence[str],
+    outcome_attributes: Sequence[str],
+    config: EngineConfig,
+) -> tuple[str, ...]:
+    """The adjustment set ``C`` over a view of ``attributes`` keyed by ``key``: a
+    minimal backdoor set per (treatment, outcome) pair (HypeR), or every other
+    attribute without a DAG (HypeR-NB).  Schema and DAG only, never data."""
+    excluded = {*key, *update_attributes, *outcome_attributes}
+    everything_else = {a for a in attributes if a not in excluded}
+    if config.adjusts_for_all_attributes or view_dag is None:
+        return tuple(sorted(everything_else))
+    adjustment: set[str] = set()
+    for treatment in update_attributes:
+        for outcome in outcome_attributes:
+            if treatment not in view_dag or outcome not in view_dag:
+                continue
+            if outcome in (view_dag.ancestors(treatment) | {treatment}):
+                continue  # the outcome is upstream: no backdoor needed
+            try:
+                adjustment |= minimal_backdoor_set(view_dag, treatment, outcome)
+            except IdentificationError:
+                # Fall back to every eligible attribute for this pair.
+                adjustment |= everything_else
+    return tuple(sorted(adjustment & everything_else))
+
+
 @dataclass
 class PostUpdateEstimator:
     """Backdoor-adjusted counterfactual regression over the relevant view.
@@ -125,6 +156,9 @@ class PostUpdateEstimator:
         ``For`` clause).
     config:
         Engine configuration (variant, regressor, sampling).
+    kernels:
+        The plan's kernel cache (``None`` when cold), where each column's
+        encoder, training block and Gram blocks are memoised.
     """
 
     view: Relation
@@ -133,6 +167,7 @@ class PostUpdateEstimator:
     outcome_attributes: Sequence[str]
     config: EngineConfig = field(default_factory=EngineConfig)
     rng: np.random.Generator | None = None
+    kernels: KernelCache | None = field(default=None, repr=False, compare=False)
     _backdoor: tuple[str, ...] = ()
     _train_indices: np.ndarray | None = field(default=None, repr=False)
     _regressor_cache: OrderedDict[Hashable, ConditionalMeanRegressor] = field(
@@ -148,10 +183,10 @@ class PostUpdateEstimator:
     #: Feature attributes and training rows are fixed at construction, so
     #: all regressors share one encoder and one solver factor (``p x p``,
     #: :class:`~repro.ml.linear.GramFactor`; ``None`` for a forest), built with
-    #: the first design and kept for life.  The design itself serves one burst
-    #: of cache misses: the first cache hit empties the slot (an estimator
-    #: outlives its fits by a generation in the service's caches, and the
-    #: design is rows x features of float64).
+    #: the first fit and kept for life.  A linear fit stacks no design; a
+    #: forest's serves one burst of cache misses: the first cache hit empties
+    #: the slot (an estimator outlives its fits by a generation in the
+    #: service's caches, and the design is rows x features of float64).
     _encoder: FeatureEncoder | None = field(default=None, repr=False)
     _factor: GramFactor | None = field(default=None, repr=False)
     _design: np.ndarray | None = field(default=None, repr=False)
@@ -168,6 +203,7 @@ class PostUpdateEstimator:
         state["_fit_lock"] = None
         state["_pending_fits"] = {}
         state["_design"] = None
+        state["kernels"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -188,40 +224,14 @@ class PostUpdateEstimator:
             raise QuerySemanticsError(
                 f"outcome attributes {missing} are not columns of the relevant view"
             )
-        self._backdoor = tuple(self._choose_backdoor_set())
+        view, dag = self.view, self.view_dag
+        self._backdoor = adjustment_set(
+            view.attribute_names, view.schema.key, dag, self.update_attributes,
+            self.outcome_attributes, self.config,
+        )
         self._train_indices = self._choose_training_rows()
-
-    # -- adjustment-set selection -----------------------------------------------------
-
-    def _choose_backdoor_set(self) -> list[str]:
-        key_attrs = set(self.view.schema.key)
-        updates = set(self.update_attributes)
-        outcomes = set(self.outcome_attributes)
-        if self.config.adjusts_for_all_attributes or self.view_dag is None:
-            # HypeR-NB / no causal graph: adjust for every other attribute.
-            return sorted(
-                a
-                for a in self.view.attribute_names
-                if a not in updates | outcomes | key_attrs
-            )
-        adjustment: set[str] = set()
-        for treatment in self.update_attributes:
-            for outcome in self.outcome_attributes:
-                if treatment not in self.view_dag or outcome not in self.view_dag:
-                    continue
-                if outcome in (self.view_dag.ancestors(treatment) | {treatment}):
-                    continue  # the outcome is upstream: no backdoor needed
-                try:
-                    adjustment |= minimal_backdoor_set(self.view_dag, treatment, outcome)
-                except IdentificationError:
-                    # Fall back to every eligible attribute for this pair.
-                    adjustment |= {
-                        a
-                        for a in self.view.attribute_names
-                        if a not in updates | outcomes | key_attrs
-                    }
-        adjustment -= key_attrs | updates | outcomes
-        return sorted(a for a in adjustment if a in self.view.schema)
+        # the training rows in memo keys: all the view's, or this estimator's sample
+        self._rows_token = "all" if self.n_training_rows == len(self.view) else self._block_token
 
     @property
     def backdoor_set(self) -> tuple[str, ...]:
@@ -248,6 +258,12 @@ class PostUpdateEstimator:
         assert self._train_indices is not None
         return int(len(self._train_indices))
 
+    def _memo(self, key: tuple, build: Callable[[], Any], reads: Sequence[str]) -> Any:
+        """``build()`` over the view columns ``reads`` at the training rows, memoised."""
+        if self.kernels is None:
+            return build()
+        return self.kernels.get((*key, self._rows_token), build, reads)
+
     def encode_updates(self, variants: Sequence[Mapping[str, Sequence[Any]]]) -> dict:
         """k variants' post values of each update attribute at some rows, encoded
         as the regressors read them: one ``(k, rows, width)`` block per attribute,
@@ -273,6 +289,7 @@ class PostUpdateEstimator:
         *,
         kernels: KernelCache | None = None,
         idx_token: Hashable | None = None,
+        idx_reads: Sequence[str] = (),
     ) -> np.ndarray:
         """Row-stable predictions of ``regressor`` at the rows ``idx`` of ``view``.
 
@@ -283,26 +300,30 @@ class PostUpdateEstimator:
         covariates contribute at a row set — a linear regressor's
         ``intercept + sum of X_c * beta_c``, a forest's encoded blocks — does
         not depend on the update constants: with ``kernels`` it is built once
-        per ``idx_token`` (naming the row set) for every parameter variant or
-        how-to candidate sharing the cache, without it on the spot, by the
-        same code and bit for bit the same
+        per ``idx_token`` (naming the row set, which the view columns
+        ``idx_reads`` select) for every parameter variant or how-to candidate
+        sharing the cache, without it on the spot, by the same code and bit
+        for bit the same
         (:meth:`~repro.ml.density.ConditionalMeanRegressor.predict_at`).
-        Entries are keyed by this estimator as well: its encoder is fitted on
-        its own training rows, which two estimators over one view need not
-        share (``sample_size`` with ``random_state=None``).
+        An encoded block is keyed by its column and the rows its encoder was
+        fitted on (every estimator over them shares it), a partial sum by its
+        regressor.
         """
         memo = None
         if kernels is not None and idx_token is not None:
 
             def memo(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-                return kernels.get((*key, idx_token, self._block_token), build)
+                if key[0] == "block":  # ("block", attribute): its encoded block at idx
+                    key, reads = (*key, self._rows_token), (key[1], *idx_reads)
+                else:  # ("base", regressor token)
+                    reads = (*self.feature_attributes, *idx_reads)
+                return kernels.get((*key, idx_token), build, reads)
 
-        return regressor.predict_at(
-            lambda attribute: view.column_view(attribute)[idx],
-            len(idx),
-            varying=updated,
-            memo=memo,
-        )
+        def column_of(attribute: str) -> np.ndarray:
+            column = view.column_view(attribute)
+            return column if len(idx) == len(column) else column[idx]
+
+        return regressor.predict_at(column_of, len(idx), varying=updated, memo=memo)
 
     def regressor_for(
         self,
@@ -342,7 +363,7 @@ class PostUpdateEstimator:
             # Loop: the value is cached now, or the builder failed (or the
             # entry was immediately evicted) and we take over as builder.
         try:
-            regressor = self._fit_fresh(np.asarray(target_factory(), dtype=float))
+            regressor = self._fit_fresh(np.asarray(target_factory(), dtype=float), key=cache_key)
         except BaseException:
             with self._fit_lock:
                 event = self._pending_fits.pop(cache_key, None)
@@ -364,6 +385,16 @@ class PostUpdateEstimator:
         with self._fit_lock:
             self._design = None
 
+    def _training_values(self, attribute: str) -> np.ndarray:
+        return self._at_training_rows(self.view.column_view(attribute))
+
+    def _training_block(self, attribute: str) -> np.ndarray:
+        """``attribute``'s encoded block at the training rows, column-major (its stored
+        column itself for a float column without NaN when every row trains)."""
+        encode = self._encoder.encoders[attribute].block
+        build = lambda: np.asfortranarray(encode(self._training_values(attribute)))  # noqa: E731
+        return self._memo(("train", attribute), build, (attribute,))
+
     def _at_training_rows(self, values: np.ndarray) -> np.ndarray:
         """``values`` at the training rows: themselves, uncopied, when every row trains."""
         assert self._train_indices is not None
@@ -372,7 +403,7 @@ class PostUpdateEstimator:
         return values[self._train_indices]
 
     def _fit_fresh(
-        self, target: np.ndarray, keep_design: bool = True
+        self, target: np.ndarray, keep_design: bool = True, key: Hashable = None
     ) -> ConditionalMeanRegressor:
         if len(target) != len(self.view):
             raise QuerySemanticsError("the training target must align with the view rows")
@@ -382,22 +413,36 @@ class PostUpdateEstimator:
             random_state=self.config.random_state,
             regressor_params=self.config.regressor_params(),
         )
-        design = self._design
-        if design is None:
-            columns = {
-                attribute: self._at_training_rows(self.view.column_view(attribute))
-                for attribute in self.feature_attributes
-            }
-            if self._encoder is None:
-                self._encoder = FeatureEncoder.fit_columns(columns)
-            design = self._encoder.design(columns)
+        if self._encoder is None:
+            fit = lambda a: ColumnEncoder.fit(a, self._training_values(a))  # noqa: E731
+            attributes = self.feature_attributes
+            self._encoder = FeatureEncoder(
+                {a: self._memo(("encoder", a), partial(fit, a), (a,)) for a in attributes},
+                attributes,
+            )
+        target = self._at_training_rows(target)
+        if self.config.regressor != "forest":
+            # the intercept's ones are the block named "", and read no column
+            blocks = [("", self._memo(("ones",), lambda: np.ones((len(target), 1)), ()))]
+            blocks += [(a, self._training_block(a)) for a in self.feature_attributes]
             if self._factor is None:
-                self._factor = regressor.factorise(design)
-            if keep_design:
-                self._design = design
-        regressor.fit_design(
-            self._encoder, design, self._at_training_rows(target), self._factor
-        )
+                self._factor = regressor.factorise(
+                    blocks, lambda pair, build: self._memo(("gram", *pair), build, pair)
+                )
+            # a keyed target reads the outcomes: each block's products with it keep
+            memo = None if key is None else lambda name, build: self._memo(
+                ("xty", name, key), build, (name, *self.outcome_attributes)
+            )
+            regressor.fit_design(self._encoder, blocks, target, self._factor, memo)
+        else:
+            design = self._design
+            if design is None:
+                design = self._encoder.design(
+                    {a: self._training_values(a) for a in self.feature_attributes}
+                )
+                if keep_design:
+                    self._design = design
+            regressor.fit_design(self._encoder, design, target)
         with self._fit_lock:
             self._n_regressor_fits += 1
         return regressor

@@ -57,6 +57,7 @@ from .whatif import (
     PreparedWhatIf,
     WhatIfEngine,
     causal_contribution_rows,
+    clause_reads,
     combine_aggregate,
     outcome_attributes,
     validate_query,
@@ -148,6 +149,8 @@ def prepare_candidates(
         n_blocks=0,
         for_key=query.for_clause.canonical(),
         kernels=kernels,
+        when_reads=clause_reads(query.when),
+        for_reads=clause_reads(query.for_clause),
     )
 
 
@@ -438,6 +441,7 @@ class HowToEngine:
         *,
         view: Relation | None = None,
         view_dag: CausalDAG | None = None,
+        kernels: KernelCache | None = None,
     ) -> PostUpdateEstimator:
         """The backdoor-adjusted estimator for ``query`` (reusable across queries).
 
@@ -447,7 +451,7 @@ class HowToEngine:
         layer's fingerprint-keyed cache shares it between both query kinds.
         """
         return WhatIfEngine(self.database, self.causal_dag, self.config).build_estimator(
-            query, view=view, view_dag=view_dag
+            query, view=view, view_dag=view_dag, kernels=kernels
         )
 
     # -- candidate enumeration ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Any, Hashable, Sequence
 
@@ -198,6 +198,14 @@ class PreparedWhatIf:
     # candidates of one how-to; ``None`` on the
     # cold what-if path, which builds each piece per query.
     kernels: KernelCache | None = None
+    #: the view columns the ``When`` and the ``For`` clause read (kernel keys)
+    when_reads: tuple[str, ...] = ()
+    for_reads: tuple[str, ...] = ()
+
+    @cached_property
+    def term_reads(self) -> tuple[str, ...]:
+        """The view columns a term's rows are chosen by: ``When``'s and ``For``'s."""
+        return tuple(sorted({*self.when_reads, *self.for_reads}))
 
 
 # -- pure evaluation phases ----------------------------------------------------------
@@ -219,10 +227,15 @@ def _subset_index_list(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _derive(kernels: KernelCache | None, key: Hashable, build: Any) -> Any:
-    # Per-plan memo: every parameter variant of one plan shares the same
-    # deterministic arrays, so build each once per plan (per query when cold).
-    return build() if kernels is None else kernels.get(key, build)
+def _derive(kernels: KernelCache | None, key: Hashable, build: Any, reads: Sequence = ()) -> Any:
+    # Per-plan memo: every parameter variant of one plan shares the same arrays,
+    # so build each once per plan (per query when cold) from its view ``reads``.
+    return build() if kernels is None else kernels.get(key, build, reads)
+
+
+def clause_reads(clause: Expr) -> tuple[str, ...]:
+    """The view columns ``clause`` reads, sorted."""
+    return tuple(sorted({name for name, _ in clause.referenced_attributes()}))
 
 
 def when_scope(
@@ -233,6 +246,7 @@ def when_scope(
         kernels,
         ("scope_mask", query.when.canonical()),
         lambda: evaluate_mask(query.when, view),
+        clause_reads(query.when),
     )
 
 
@@ -320,7 +334,8 @@ def _term_index(
             applicable &= pre_masks[k]
         return np.flatnonzero(applicable)
 
-    return _derive(prepared.kernels, ("idx", when_key, prepared.for_key, subset), build)
+    key = ("idx", when_key, prepared.for_key, subset)
+    return _derive(prepared.kernels, key, build, prepared.term_reads)
 
 
 def _term_rows(
@@ -337,7 +352,8 @@ def _term_rows(
         applicable &= prepared.scope_mask
         return np.flatnonzero(applicable)
 
-    return _derive(prepared.kernels, ("term_rows", when_key, prepared.for_key), build)
+    key = ("term_rows", when_key, prepared.for_key)
+    return _derive(prepared.kernels, key, build, prepared.term_reads)
 
 
 def _pre_masks(prepared: PreparedWhatIf) -> list[np.ndarray]:
@@ -347,6 +363,7 @@ def _pre_masks(prepared: PreparedWhatIf) -> list[np.ndarray]:
             prepared.kernels,
             ("pre_mask", i, prepared.for_key),
             lambda d=d: evaluate_mask(d.pre, prepared.view),
+            prepared.for_reads,
         )
         for i, d in enumerate(prepared.disjuncts)
     ]
@@ -403,6 +420,7 @@ def causal_contribution_rows(
     kernels = prepared.kernels
     for_key = prepared.for_key
     when_key = query.when.canonical()
+    reads, for_reads = prepared.term_reads, prepared.for_reads
     if update_sets is None:
         update_sets = [query.updates]
     variants = [{u.attribute: u.function for u in updates} for updates in update_sets]
@@ -414,7 +432,7 @@ def causal_contribution_rows(
         for attribute in estimator.update_attributes:
             column = view.column_view(attribute)
             pre[attribute] = column if len(idx) == n else _derive(
-                kernels, ("pre", attribute, idx_token), lambda: column[idx]
+                kernels, ("pre", attribute, idx_token), lambda: column[idx], (attribute, *reads)
             )
         return estimator.encode_updates([
             {  # no function: a how-to leaves the attribute as it is
@@ -428,11 +446,12 @@ def causal_contribution_rows(
         kernels,
         ("output_values", query.output_attribute),
         lambda: numeric_output_column(view, query.output_attribute),
+        (query.output_attribute,),
     )
     pre_masks = _pre_masks(prepared)
     # Post-part indicators evaluated on the observed data.
     post_masks = [
-        _derive(kernels, ("post_mask", i, for_key), lambda d=d: evaluate_mask(d.post, view))
+        _derive(kernels, ("post_mask", i, for_key), partial(evaluate_mask, d.post, view), for_reads)
         for i, d in enumerate(prepared.disjuncts)
     ]
 
@@ -444,23 +463,24 @@ def causal_contribution_rows(
 
     # -- unaffected tuples: post values equal pre values, everything deterministic.
     # The bases and their sums are per plan; a query never writes them.
-    qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre)
+    qualifies_pre = _derive(kernels, ("qualifies_pre", for_key), _build_qualifies_pre, for_reads)
     count_base = _derive(
         kernels, ("count_base", when_key, for_key),
-        lambda: np.where(~scope, qualifies_pre.astype(float), 0.0),
+        lambda: np.where(~scope, qualifies_pre.astype(float), 0.0), reads,
     )
     count_total = _derive(
-        kernels, ("count_total", when_key, for_key), lambda: float(count_base.sum())
+        kernels, ("count_total", when_key, for_key), lambda: float(count_base.sum()), reads
     )
     sum_base, sum_total = None, 0.0
     if aggregate.needs_output_value:
+        sum_reads = (*reads, query.output_attribute)
         sum_base = _derive(
             kernels, ("sum_base", when_key, for_key, query.output_attribute),
-            lambda: np.where(~scope & qualifies_pre, output_values, 0.0),
+            lambda: np.where(~scope & qualifies_pre, output_values, 0.0), sum_reads,
         )
         sum_total = _derive(
             kernels, ("sum_total", when_key, for_key, query.output_attribute),
-            lambda: float(sum_base.sum()),
+            lambda: float(sum_base.sum()), sum_reads,
         )
 
     # -- affected tuples: inclusion–exclusion over disjunct subsets (Sec. A.2.3),
@@ -501,7 +521,8 @@ def causal_contribution_rows(
                 continue
             # where the term's rows sit among ``rows``; ``None``: all of them
             at = None if len(idx) == len(rows) else _derive(
-                kernels, ("at", when_key, for_key, subset), lambda: np.searchsorted(rows, idx)
+                kernels, ("at", when_key, for_key, subset), lambda: np.searchsorted(rows, idx),
+                reads,
             )
             negative = len(subset) % 2 == 0
             regressor = estimator.regressor_for(
@@ -510,7 +531,7 @@ def causal_contribution_rows(
             )
             updated = encoded_post(idx, idx_token)
             prob = estimator.predict_rows(
-                regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
+                regressor, view, updated, idx, kernels=kernels, idx_token=idx_token, idx_reads=reads
             )
             np.clip(prob, 0.0, 1.0, out=prob)
             if negative:
@@ -522,7 +543,8 @@ def causal_contribution_rows(
                     lambda s=subset: _target(s, True),
                 )
                 prediction = estimator.predict_rows(
-                    regressor, view, updated, idx, kernels=kernels, idx_token=idx_token
+                    regressor, view, updated, idx, kernels=kernels, idx_token=idx_token,
+                    idx_reads=reads,
                 )
                 if negative:
                     prediction *= -1.0
@@ -720,6 +742,7 @@ class WhatIfEngine:
                 prepared.kernels,
                 ("n_scope", query.when.canonical()),
                 lambda: int(np.count_nonzero(prepared.scope_mask)),
+                prepared.when_reads,
             )
             contributions = causal_contribution_rows(
                 query, prepared, estimator, [member.updates for member in queries]
@@ -786,6 +809,8 @@ class WhatIfEngine:
             n_blocks=n_blocks,
             for_key=query.for_clause.canonical(),
             kernels=kernels,
+            when_reads=clause_reads(query.when),
+            for_reads=clause_reads(query.for_clause),
         )
 
     def build_estimator(
@@ -795,6 +820,7 @@ class WhatIfEngine:
         *,
         view: Relation | None = None,
         view_dag: CausalDAG | None = None,
+        kernels: KernelCache | None = None,
     ) -> PostUpdateEstimator:
         """The backdoor-adjusted estimator for ``query`` (reusable across queries).
 
@@ -803,12 +829,14 @@ class WhatIfEngine:
         constants, scope or ``For`` literals — so the service layer caches it
         by plan fingerprint and shares it across parameter variants.  Pass
         ``prepared`` when one is already at hand, or ``view``/``view_dag`` to
-        build directly from cached components without a full :meth:`prepare`.
+        build directly from cached components without a full :meth:`prepare`;
+        its fits memoise in ``prepared``'s (or the given) ``kernels``.
         """
         if prepared is not None:
             view = prepared.view
             view_dag = prepared.view_dag
             post_attributes = prepared.post_attributes
+            kernels = prepared.kernels
         else:
             if view is None:
                 view = query.use.build(self.database)
@@ -824,6 +852,7 @@ class WhatIfEngine:
             outcome_attributes=post_attributes,
             config=self.config,
             rng=np.random.default_rng(self.config.random_state),
+            kernels=kernels,
         )
 
     def _block_assignment(

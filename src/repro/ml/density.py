@@ -23,7 +23,7 @@ import numpy as np
 from ..exceptions import EstimationError
 from .encoding import FeatureEncoder
 from .forest import RandomForestRegressor
-from .linear import GramFactor, LinearRegression, RidgeRegression
+from .linear import Block, GramFactor, LinearRegression, RidgeRegression
 
 __all__ = ["FrequencyTable", "ConditionalMeanRegressor", "make_regressor"]
 
@@ -167,21 +167,23 @@ class ConditionalMeanRegressor:
             self.regressor_kind, random_state=self.random_state, **dict(self.regressor_params)
         )
 
-    def factorise(self, design: np.ndarray) -> GramFactor | None:
+    def factorise(self, design: np.ndarray | Sequence[Block], memo=None) -> GramFactor | None:
         """The solver state linear / ridge fits over ``design`` share; ``None`` for a forest."""
         model = self._new_model()
         if isinstance(model, LinearRegression):
-            return model.factorise(design)
+            return model.factorise(design, memo)
         return None
 
     def fit_design(
         self,
         encoder: FeatureEncoder,
-        design: np.ndarray,
+        design: np.ndarray | Sequence[Block],
         target: Sequence[float],
         factor: GramFactor | None = None,
+        memo: Any = None,
     ) -> "ConditionalMeanRegressor":
-        """Fit on ``design = encoder.design(training columns)``.
+        """Fit on ``design = encoder.design(training columns)`` (linear / ridge: or
+        on its column blocks, unstacked).
 
         Regressors over the same attributes and training rows (every target
         of one :class:`~repro.core.estimator.PostUpdateEstimator`) share the
@@ -197,7 +199,7 @@ class ConditionalMeanRegressor:
         self._encoder = encoder
         self._model = self._new_model()
         if isinstance(self._model, LinearRegression):
-            self._model.fit_design(design, target, factor)
+            self._model.fit_design(design, target, factor, memo)
         else:
             self._model.fit(design[:, 1:], target)
         return self
@@ -224,6 +226,8 @@ class ConditionalMeanRegressor:
         spot otherwise.  ``(k, n_rows, width)`` varying blocks predict k
         variants of the rows at once, ``(k, n_rows)``, over one fixed part.
 
+        Each fixed attribute's encoded block is memoised, ``("block", attribute)``.
+
         * linear / ridge: ``(intercept + terms of the fixed attributes)``, the
           memoised part, ``+ terms of the varying ones`` — only those are
           encoded per call.  Terms are added one attribute at a time in the
@@ -231,9 +235,8 @@ class ConditionalMeanRegressor:
           (:meth:`LinearRegression.add_block`), so any subset of rows predicts
           bitwise what the same rows of a larger set do, and a memoised
           partial sum equals a fresh one.
-        * forest: the fixed attributes' encoded blocks are the memoised part;
-          the blocks are stacked once in the design's attribute order and the
-          trees read the matrix.
+        * forest: the fixed blocks are stacked once in the design's attribute
+          order and the trees read the matrix.
         """
         varying = varying or {}
         # (k, n_rows) for k variants, else (n_rows,)
@@ -247,27 +250,32 @@ class ConditionalMeanRegressor:
         def block(attribute: str) -> np.ndarray:
             if attribute in varying:
                 return varying[attribute]
-            return encoder.encoders[attribute].transform(column_of(attribute))
+            return memo(
+                ("block", attribute),
+                lambda: encoder.encoders[attribute].block(column_of(attribute)),
+            )
 
         if isinstance(model, LinearRegression):
             offsets = encoder.offsets
 
-            def add(partial: np.ndarray, attributes: Iterable[str]) -> np.ndarray:
+            def add(partial: np.ndarray, attributes: Iterable[str], spare=None) -> np.ndarray:
+                # with a ``spare`` the sums alternate between it and an owned ``partial``
                 for attribute in attributes:
-                    partial = model.add_block(partial, block(attribute), offsets[attribute])
+                    total = model.add_block(partial, block(attribute), offsets[attribute], spare)
+                    partial, spare = total, None if spare is None else partial
                 return partial
 
             fixed = [a for a in encoder.attribute_order if a not in varying]
             base = memo(
                 ("base", self._token),
-                lambda: add(np.full(n_rows, model.intercept), fixed),
+                lambda: add(np.full(n_rows, model.intercept), fixed, np.empty(n_rows)),
             )
             return add(base, [a for a in encoder.attribute_order if a in varying])
 
         def stacked_block(attribute: str) -> np.ndarray:
             if attribute in varying:
                 return varying[attribute]
-            fixed = memo(("backdoor_block", attribute), lambda: block(attribute))
+            fixed = block(attribute)
             return np.broadcast_to(fixed, (*shape, fixed.shape[-1]))
 
         features = np.concatenate(

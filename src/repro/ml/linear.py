@@ -8,12 +8,13 @@ needs a linear expression of the candidate updates (Section 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from ..exceptions import EstimationError
 
-__all__ = ["GramFactor", "LinearRegression", "RidgeRegression"]
+__all__ = ["GramFactor", "LinearRegression", "RidgeRegression", "gram_matrix"]
 
 #: Eigenvalues of the scaled Gram matrix below this fraction of the largest are
 #: cut as rank deficiency: with unit-length columns, collinear directions come
@@ -21,21 +22,69 @@ __all__ = ["GramFactor", "LinearRegression", "RidgeRegression"]
 _RANK_CUT = 1e-11
 
 
+#: a named ``(rows, width)`` block of a design's columns, each column contiguous
+Block = tuple[Hashable, np.ndarray]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x . y`` in NumPy's own loop: the same bits wherever the vectors sit, in either
+    order, and no BLAS call (its threads cost milliseconds on a busy host)."""
+    return np.einsum("i,i->", x, y)
+
+
+def _blocks(design: np.ndarray | Sequence[Block]) -> Sequence[Block]:
+    """A design matrix as one block per column (blocks pass through)."""
+    if not isinstance(design, np.ndarray):
+        return design
+    return [(j, design[:, j : j + 1]) for j in range(design.shape[1])]
+
+
+def gram_matrix(blocks: Sequence[Block], memo: Callable | None = None) -> np.ndarray:
+    """``X.T @ X`` for the design ``X`` the column ``blocks`` make up side by side.
+
+    Every entry is one dot product of two columns: bitwise the same however the
+    columns are grouped or placed.  ``memo(pair, build)`` may serve ``X_a.T @ X_b``
+    for the blocks named by ``pair`` (sorted) from an earlier design, so a refit
+    after one block changed computes that block's row only.
+    """
+    columns = [block[:, j] for _, block in blocks for j in range(block.shape[1])]
+    gram = np.empty((len(columns), len(columns)))
+    if memo is None:  # the same dots, straight into place
+        for r, x in enumerate(columns):
+            for c in range(r, len(columns)):
+                gram[r, c] = gram[c, r] = _dot(x, columns[c])
+        return gram
+    bounds = np.cumsum([0, *(block.shape[1] for _, block in blocks)])
+    spans = [columns[bounds[b] : bounds[b + 1]] for b in range(len(blocks))]
+    for i in range(len(blocks)):
+        for j in range(i, len(blocks)):
+            a, b = (j, i) if blocks[j][0] < blocks[i][0] else (i, j)
+            product = memo(
+                (blocks[a][0], blocks[b][0]),
+                lambda a=a, b=b: np.array([[_dot(x, y) for y in spans[b]] for x in spans[a]]),
+            )
+            product = product if a == i else product.T
+            rows, cols = slice(bounds[i], bounds[i + 1]), slice(bounds[j], bounds[j + 1])
+            gram[rows, cols] = product
+            gram[cols, rows] = product.T
+    return gram
+
+
 class GramFactor:
     """The ``p x p`` matrix that turns ``X.T @ y`` into least-squares coefficients.
 
-    Built once per design ``X``: the Gram matrix ``X.T @ X`` (ridge: ``alpha``
-    on its diagonal) is scaled to a unit diagonal, eigendecomposed and inverted
-    on the eigenvectors above :data:`_RANK_CUT` only — a one-hot block beside
-    the intercept is rank-deficient by construction, so Cholesky would not do.
+    Built once per design ``X``: the Gram matrix ``X.T @ X`` (:func:`gram_matrix`;
+    ridge: ``alpha`` on its diagonal) is scaled to a unit diagonal, eigendecomposed
+    and inverted on the eigenvectors above :data:`_RANK_CUT` only — a one-hot block
+    beside the intercept is rank-deficient by construction, so Cholesky would not do.
     The coefficients are *a* least-squares solution (minimum norm in the scaled
     coordinates); their predictions are the least-squares predictions.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, design: np.ndarray, alpha: float = 0.0) -> None:
-        gram = design.T @ design
+    def __init__(self, blocks: Sequence[Block], alpha: float = 0.0, memo=None) -> None:
+        gram = gram_matrix(blocks, memo)
         if alpha:
             penalty = np.full(gram.shape[0], float(alpha))
             penalty[0] = 0.0  # do not shrink the intercept
@@ -48,8 +97,14 @@ class GramFactor:
         vectors = vectors[:, kept]
         self.matrix = ((vectors / values[kept]) @ vectors.T) * unscale
 
-    def solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return self.matrix @ (design.T @ target)
+    def solve(self, blocks: Sequence[Block], target: np.ndarray, memo=None) -> np.ndarray:
+        """The coefficients for ``target``: ``X.T @ target`` is one dot per column, and
+        ``memo(name, build)`` may serve a block's."""
+        def products(block: np.ndarray) -> Callable[[], np.ndarray]:
+            return lambda: np.array([_dot(column, target) for column in block.T])
+
+        parts = [products(b)() if memo is None else memo(n, products(b)) for n, b in blocks]
+        return self.matrix @ np.concatenate(parts)
 
 
 @dataclass
@@ -69,29 +124,32 @@ class LinearRegression:
     def fit(self, features: np.ndarray, target: np.ndarray) -> "LinearRegression":
         return self.fit_design(self._design(features), target)
 
-    def factorise(self, design: np.ndarray) -> GramFactor:
+    def factorise(self, design: np.ndarray | Sequence[Block], memo=None) -> GramFactor:
         """The solver state of ``design``, shared by every target fitted on it."""
-        return GramFactor(design)
+        return GramFactor(_blocks(design), 0.0, memo)
 
     def fit_design(
-        self, design: np.ndarray, target: np.ndarray, factor: GramFactor | None = None
+        self, design: np.ndarray | Sequence[Block], target: np.ndarray, factor=None, memo=None
     ) -> "LinearRegression":
         """Fit on the matrix the solver sees: ``features`` behind the ones column.
 
-        Callers that fit many targets over the same rows (an estimator's
-        regressors) build that matrix and its ``factor`` once and pass them to
-        each fit; without a factor the fit builds its own.
+        ``design`` may be given as its column blocks, the ones first: the solver
+        reads one column at a time.  Callers that fit many targets over the same
+        rows (an estimator's regressors) build the blocks and their ``factor``
+        once and pass them to each fit; without a factor the fit builds its own.
         """
+        blocks = _blocks(design)
         target = np.asarray(target, dtype=float)
-        if design.shape[0] != target.shape[0]:
+        rows = blocks[0][1].shape[0]
+        if rows != target.shape[0]:
             raise EstimationError(
-                f"feature rows ({design.shape[0]}) do not match targets ({target.shape[0]})"
+                f"feature rows ({rows}) do not match targets ({target.shape[0]})"
             )
-        if design.shape[0] == 0:
+        if rows == 0:
             raise EstimationError("cannot fit a regression on zero rows")
         if factor is None:
-            factor = self.factorise(design)
-        solution = factor.solve(design, target)
+            factor = self.factorise(blocks)
+        solution = factor.solve(blocks, target, memo)
         self.intercept = float(solution[0])
         self.coefficients = solution[1:]
         self._fitted = True
@@ -114,7 +172,9 @@ class LinearRegression:
         # (:mod:`repro.shard.merge`) relies on per-row reproducibility.
         return np.einsum("ij,j->i", features, self.coefficients) + self.intercept
 
-    def add_block(self, partial: np.ndarray | float, block: np.ndarray, offset: int) -> np.ndarray:
+    def add_block(
+        self, partial: np.ndarray | float, block: np.ndarray, offset: int, out=None
+    ) -> np.ndarray:
         """``partial`` plus the terms of the feature columns ``block`` starting at ``offset``.
 
         A prediction assembled block by block — the intercept, then each
@@ -122,13 +182,15 @@ class LinearRegression:
         do not change between its calls.  Row-stable like :meth:`predict`:
         an elementwise product for one column, the same einsum for several.
         A ``(k, rows, width)`` block holds k variants of the rows, against
-        which a ``(rows,)`` partial broadcasts; ``partial`` is only read.
+        which a ``(rows,)`` partial broadcasts; ``partial`` is only read.  The
+        sum goes to ``out`` if given (not ``partial``), else to a new array.
         """
         width = block.shape[-1]
         if width == 1:
-            terms = block[..., 0] * self.coefficients[offset]
+            terms = np.multiply(block[..., 0], self.coefficients[offset], out=out)
         else:
-            terms = np.einsum("...j,j->...", block, self.coefficients[offset : offset + width])
+            coefficients = self.coefficients[offset : offset + width]
+            terms = np.einsum("...j,j->...", block, coefficients, out=out)
         terms += partial
         return terms
 
@@ -139,7 +201,7 @@ class RidgeRegression(LinearRegression):
 
     alpha: float = 1.0
 
-    def factorise(self, design: np.ndarray) -> GramFactor:
+    def factorise(self, design: np.ndarray | Sequence[Block], memo=None) -> GramFactor:
         if self.alpha < 0:
             raise EstimationError("ridge penalty must be non-negative")
-        return GramFactor(design, self.alpha)
+        return GramFactor(_blocks(design), self.alpha, memo)

@@ -50,6 +50,7 @@ __all__ = [
     "assign_blocks_to_shards",
     "block_labels",
     "decompose_into_blocks",
+    "label_columns",
     "shard_row_masks",
 ]
 
@@ -287,6 +288,20 @@ def block_labels(
         for relation in database.relation_names
     }
     return labels, n_blocks
+
+
+def label_columns(database: Database, dag: CausalDAG | None) -> tuple[tuple[str, str], ...]:
+    """The columns :func:`block_labels` can read besides the relations' lengths: the
+    keys, both sides of every foreign key, and each cross-tuple edge's ``within``."""
+    columns = {(relation.name, key) for relation in database for key in relation.schema.key}
+    for fk in database.foreign_keys:
+        columns.update((fk.child, a) for a in fk.child_attributes)
+        columns.update((fk.parent, a) for a in fk.parent_attributes)
+    for within in {e.within for e in dag.edges if e.cross_tuple and e.within} if dag else ():
+        columns.update((r.name, within) for r in database if within in r.schema)
+        if "." in within:  # "Relation.attribute"
+            columns.add(tuple(within.split(".", 1)))
+    return tuple(sorted(columns))
 
 
 def decompose_into_blocks(database: Database, dag: CausalDAG | None) -> BlockDecomposition:

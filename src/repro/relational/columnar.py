@@ -775,12 +775,14 @@ def _entry_bytes(entry: Any) -> int:
 
 
 class KernelCache:
-    """Per-plan cache of masks, index sets, and derived arrays.
+    """Per-view cache of masks, index sets, and derived arrays.
 
-    One instance lives alongside each prepared view in a service's caches
-    (a pool worker's service alike).  Keys are caller-chosen small tuples; values
-    are immutable ndarrays, so concurrent queries of one plan can share an
-    instance: a racing miss builds the same array twice, harmlessly.
+    One store lives alongside each ``Use`` specification in a service's caches
+    (a pool worker's service alike) and outlives commits: :meth:`get` keys an
+    entry by the generations of the view columns it ``reads`` (as :meth:`at`
+    binds them) and tags it with their sources.  Keys are caller-chosen small
+    tuples; values are immutable, so concurrent queries share a store: a
+    racing miss builds the same array twice, harmlessly.
     Returning the *same object* on every hit also lets pickle's memo
     deduplicate repeated carriers inside one batch message, which is what
     keeps shard partial payloads small.  Bounded by ``_KERNEL_CACHE_BYTES``
@@ -788,29 +790,41 @@ class KernelCache:
     is returned to the caller but not kept.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_generations", "_sources")
 
-    def __init__(self) -> None:
+    def __init__(self, entries: Any = None, generations: Mapping | None = None,
+                 sources: Mapping | None = None) -> None:
         # Lazy: the service package sits above this one (its LRU is a leaf
         # module with no repro imports, but its package __init__ is not).
         from ..service.cache import LRUCache
 
-        self._entries = LRUCache(
-            _KERNEL_CACHE_ENTRIES,
-            "kernels",
-            weigher=_entry_bytes,
-            max_weight=_KERNEL_CACHE_BYTES,
+        self._entries = entries if entries is not None else LRUCache(
+            _KERNEL_CACHE_ENTRIES, "kernels", weigher=_entry_bytes, max_weight=_KERNEL_CACHE_BYTES
         )
+        self._generations, self._sources = generations or {}, sources or {}
 
-    def get(self, key: Any, build: Any) -> Any:
+    def at(self, generations: Mapping, sources: Mapping) -> "KernelCache":
+        """This store at one snapshot: each view column's generation and sources."""
+        return KernelCache(self._entries, generations, sources)
+
+    def get(self, key: Any, build: Any, reads: Sequence[str] = ()) -> Any:
+        """The entry ``key`` over the view columns ``reads``, built on a miss."""
+        if reads:
+            key = (*key, tuple(map(self._generations.get, reads)))
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             entry = build()
             if isinstance(entry, np.ndarray):
                 entry.flags.writeable = False
             if _entry_bytes(entry) <= self._entries.max_weight:
-                self._entries.put(key, entry)
+                self._entries.put(
+                    key, entry, tags=[s for a in reads for s in self._sources.get(a, ())]
+                )
         return entry
+
+    def evict_tagged(self, tags: Any) -> int:
+        """Drop the entries built from any of the database columns ``tags``."""
+        return self._entries.evict_tagged(tags)
 
     @property
     def hits(self) -> int:

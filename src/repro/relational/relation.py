@@ -23,7 +23,7 @@ from .columnar import Column, ColumnStore
 from .schema import AttributeSpec, RelationSchema
 from .types import Domain, infer_domain
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "changed_attributes"]
 
 
 def _as_column(values: Sequence[Any]) -> np.ndarray:
@@ -350,3 +350,18 @@ class Relation:
                 break
             body.append(" | ".join(str(row[a]) for a in self.attribute_names))
         return "\n".join([header, sep, *body])
+
+
+def changed_attributes(old: Relation | None, new: Relation) -> tuple[str, ...]:
+    """The attributes of ``new`` whose column ``old`` does not hold, by identity:
+    :meth:`Relation.with_column` shares each untouched stored array and typed
+    column.  All of them without an ``old`` of the same length and key.  What
+    a service commit bumps the generations of, and what a shard pool ships."""
+    if old is None or len(old) != len(new) or old.schema.key != new.schema.key:
+        return new.attribute_names
+    before, after = old.columnar_store().columns, new.columnar_store().columns
+    return tuple(
+        a for a in new.attribute_names
+        if a not in old or old.schema[a] != new.schema[a]
+        or (old.column_view(a) is not new.column_view(a) and before[a] is not after[a])
+    )

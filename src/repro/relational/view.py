@@ -82,6 +82,20 @@ class UseSpec:
                 base_attrs.insert(0, key_attr)
         return base_attrs + [agg.name for agg in self.aggregated]
 
+    def column_sources(self, database: Database) -> dict[str, tuple[tuple[str, str], ...]]:
+        """The ``(relation, attribute)`` columns each view column is built from: an
+        aggregated one from the aggregated attribute and both sides' join columns."""
+        base = self.base_relation
+        sources = {name: ((base, name),) for name in self.view_attribute_names(database)}
+        for agg in self.aggregated:
+            joins = [] if agg.relation == base else self._join_condition(database, agg.relation)
+            sources[agg.name] = (
+                *((base, b) for b, _ in joins),
+                *((agg.relation, o) for _, o in joins),
+                (agg.relation, agg.attribute),
+            )
+        return sources
+
     def _join_condition(self, database: Database, other: str) -> list[tuple[str, str]]:
         """Resolve the join attributes between the base relation and ``other``."""
         if other in self.joins:

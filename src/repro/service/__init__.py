@@ -31,7 +31,6 @@ from .fingerprint import (
     fingerprint_what_if,
     update_key,
     use_key,
-    use_relations,
 )
 from .session import HypeRService, PreparedPlan
 
@@ -54,5 +53,4 @@ __all__ = [
     "fingerprint_what_if",
     "update_key",
     "use_key",
-    "use_relations",
 ]

@@ -1,24 +1,27 @@
 """Size-bounded, stats-instrumented caches for cross-query state.
 
 The service layer keeps six caches, all keyed by fingerprint components that
-embed the service's **per-relation generation counters** (see
-:class:`~repro.service.session.HypeRService`), so bumping a relation's
-generation invalidates every dependent entry by construction; entries are
-additionally *tagged* with the relation names they were built from, letting
-``update_database`` evict exactly the entries a changed relation touches
-(``evict_tagged``) while unrelated plans stay warm:
+embed the **generation counters of the columns** each entry reads (see
+:class:`~repro.service.session.HypeRService`): a commit makes every entry
+reading a changed column unreachable, and the others serve the new generation
+as they are — no carry pass, no re-keying.  Tags (the ``(relation,
+attribute)`` columns an entry read) only let ``update_database`` free the
+unreachable ones sooner (``evict_tagged``):
 
-* **views** — materialised relevant views per ``Use`` specification;
+* **views** — materialised relevant views per ``Use`` specification, keyed
+  by every column the view is built from;
 * **estimators** — fitted :class:`~repro.core.estimator.PostUpdateEstimator`
   objects per estimator key, bounded both by entry count and by a *cost
   weight* (training rows × features): one giant estimator can evict many
   small ones, which entry-count LRU alone cannot express;
-* **blocks** — the block-independent decomposition labels;
-* **kernels** — one :class:`~repro.relational.columnar.KernelCache` per
-  relevant view (keyed and tagged like the view entry), holding what the
+* **blocks** — the block-independent decomposition labels, keyed by the
+  relations' lengths and the key, foreign-key and ``within`` columns;
+* **kernels** — one :class:`~repro.relational.columnar.KernelCache` store per
+  ``Use`` specification, living across commits, holding what the
   parameter variants of the plans over that view share: masks, index sets,
-  the backdoor covariates' share of each regressor's prediction.  Each is
-  bounded by its own byte budget;
+  encoded blocks, the backdoor covariates' share of each regressor's
+  prediction, and each column's encoder and Gram-matrix blocks, keyed and
+  tagged per entry.  Each is bounded by its own byte budget;
 * **candidates** — how-to candidate enumerations per exact query identity;
 * **results** — final query answers per exact query identity
   (:class:`TTLCache`), with an optional time-to-live for dashboard-style
@@ -94,7 +97,7 @@ class LRUCache:
     Tags
     ----
     ``get_or_create``/``put`` accept ``tags`` — hashable labels recording what
-    an entry was built from (the service uses relation names).
+    an entry was built from (the service uses columns).
     :meth:`evict_tagged` drops exactly the entries whose tag sets intersect a
     given collection, which is what makes invalidation fine-grained.
     """
@@ -386,8 +389,10 @@ class QueryCaches:
             cache.clear()
 
     def evict_tagged(self, tags: Iterable[Hashable]) -> int:
-        """Fine-grained invalidation: drop entries depending on any of ``tags``."""
-        return sum(cache.evict_tagged(tags) for cache in self.all())
+        """Drop the entries built from any of ``tags``, the kernel stores' own included."""
+        tags = frozenset(tags)
+        dropped = sum(cache.evict_tagged(tags) for cache in self.all())
+        return dropped + sum(store.evict_tagged(tags) for store in self.kernels.values())
 
     def stats(self) -> dict[str, dict[str, Any]]:
         return {cache.name: cache.stats().as_dict() for cache in self.all()}

@@ -9,9 +9,9 @@ separates the two so the service layer can reuse the expensive state:
 
 * :attr:`PlanFingerprint.estimator_key` — identity of the fitted
   :class:`~repro.core.estimator.PostUpdateEstimator`: database generation
-  (any hashable — the service passes the per-relation generation vector of
-  the relations the plan reads, so an update to an unrelated relation leaves
-  the key, and with it the cached estimator, intact),
+  (any hashable — the service passes the generation of each column the
+  estimator reads, :func:`plan_columns`, so a commit to any other column
+  leaves the key, and with it the cached estimator, intact),
   causal-DAG identity, ``Use`` specification, update/output attributes, the
   *structural* identity of the ``For`` clause (literals masked — they select
   regression targets, which the estimator disambiguates internally via
@@ -20,15 +20,17 @@ separates the two so the service layer can reuse the expensive state:
   predicted, never what is fitted.  What-if and how-to queries with the same
   components share one estimator.
 * :attr:`PlanFingerprint.plan_key` — the full logical plan: the estimator key
-  plus kind, aggregate, the structural identity of every clause and the
-  update-function shapes, all literals masked.
+  plus the generations of the columns the ``When`` clause reads, kind,
+  aggregate, the structural identity of every clause and the update-function
+  shapes, all literals masked.
 * :attr:`PlanFingerprint.parameter_key` — everything masked out above:
   update constants and clause literals.  ``(plan_key, parameter_key)``
   identifies the query exactly (the follow-on result cache keys on it).
 
 All keys are nested tuples of plain hashable values, built from
 :meth:`repro.relational.expressions.Expr.canonical` — never ``Expr`` objects,
-whose ``==`` is overloaded to build comparison nodes.
+whose ``==`` is overloaded to build comparison nodes.  The generations come from
+a ``reads(structure, when_structure)`` callback the service memoises per plan.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ import hashlib
 import math
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Hashable, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
+from typing import Any, Callable, Hashable, Sequence
 
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
+from ..core.estimator import adjustment_set, build_view_dag
 from ..core.queries import HowToQuery, LimitConstraint, WhatIfQuery
 from ..core.updates import AttributeUpdate
+from ..core.whatif import normalise_for_clause, outcome_attributes
 from ..exceptions import QuerySemanticsError
+from ..relational.database import Database
 from ..relational.expressions import LITERAL_SLOT, _key_value
 from ..relational.view import UseSpec
 
@@ -56,9 +62,9 @@ __all__ = [
     "fingerprint_query",
     "fingerprint_what_if",
     "fingerprint_how_to",
+    "plan_columns",
     "update_key",
     "use_key",
-    "use_relations",
 ]
 
 
@@ -72,18 +78,40 @@ def dag_key(dag: CausalDAG | None) -> Hashable:
     return ("dag", tuple(sorted(dag.nodes)), edges)
 
 
-def use_relations(use: UseSpec) -> frozenset[str]:
-    """The relations a ``Use`` specification reads (dependency tags).
+Column = tuple[str, str]
 
-    This is the dependency set behind fine-grained invalidation: views,
-    estimators and candidate enumerations built from a plan depend on exactly
-    these relations, so a database update touching none of them leaves the
-    cached state valid.
+
+def plan_columns(
+    query: WhatIfQuery | HowToQuery, database: Database, dag: CausalDAG | None, config: EngineConfig
+) -> tuple[tuple[Column, ...], tuple[Column, ...]]:
+    """The ``(relation, attribute)`` columns a plan's estimator reads, and its ``When``.
+
+    The estimator reads the ``Use`` key, join and aggregated columns, the
+    update, output and ``Post`` attributes, the ``For`` attributes and its
+    backdoor set (taken from the schema and the DAG); a view column through
+    the columns it is built from (:meth:`~repro.relational.view.UseSpec.column_sources`).
+    A plan that cannot be planned, and fails when it runs, reads every column.
     """
-    relations = {use.base_relation}
-    relations.update(agg.relation for agg in use.aggregated)
-    relations.update(use.joins)
-    return frozenset(relations)
+    use, updates = query.use, query.update_attributes
+    try:
+        sources = use.column_sources(database)
+        key = database[use.base_relation].schema.key
+        outcomes = outcome_attributes(query, normalise_for_clause(query.for_clause))
+        view_dag = build_view_dag(dag, use, database)
+        backdoor = adjustment_set(list(sources), key, view_dag, updates, outcomes, config)
+    except Exception:  # noqa: BLE001 - the plan raises its own error when it runs
+        every = tuple((r.name, attribute) for r in database for attribute in r.attribute_names)
+        return every, every
+
+    def read(*attributes: Any) -> tuple[Column, ...]:
+        return tuple(sorted({c for a in chain(*attributes) for c in sources.get(a, ())}))
+
+    aggregated = [agg.name for agg in use.aggregated]
+    clause = query.for_clause.referenced_attributes()
+    return (
+        read(key, aggregated, updates, outcomes, (name for name, _ in clause), backdoor),
+        read(name for name, _ in query.when.referenced_attributes()),
+    )
 
 
 def use_key(use: UseSpec) -> Hashable:
@@ -150,6 +178,9 @@ class PlanFingerprint:
     estimator_key: Hashable
     plan_key: Hashable
     parameter_key: Hashable
+    #: the ``(relation, attribute)`` columns whose generations the keys embed
+    #: (the service's cache tags); empty when taken without ``reads``
+    columns: frozenset = field(default=frozenset(), compare=False)
 
     @property
     def query_key(self) -> Hashable:
@@ -180,6 +211,24 @@ class PlanFingerprint:
         return hashlib.sha256(repr(self.plan_key).encode()).hexdigest()[:12]
 
 
+def _estimator_keys(query, output, config, generation, dag, dag_identity, reads) -> tuple:
+    """The estimator key, the ``When`` generations, the ``When`` structure and the
+    columns read: ``reads(structure, when_structure)`` supplies the generations."""
+    dag_id = dag_identity if dag_identity is not None else dag_key(dag)
+    structure = (
+        use_key(query.use),
+        tuple(query.update_attributes),
+        output,
+        query.for_clause.canonical(literals=False),
+        config_key(config),
+    )
+    when = query.when.canonical(literals=False)
+    generation, scope, columns = (
+        (generation, None, frozenset()) if reads is None else reads(structure, when)
+    )
+    return ("estimator", generation, dag_id, *structure), scope, when, columns
+
+
 def fingerprint_what_if(
     query: WhatIfQuery,
     config: EngineConfig,
@@ -187,26 +236,18 @@ def fingerprint_what_if(
     generation: Hashable = 0,
     dag: CausalDAG | None = None,
     dag_identity: Hashable | None = None,
+    reads: Callable | None = None,
 ) -> PlanFingerprint:
     """Fingerprint a what-if query (see module docstring for the key split)."""
-    dag_id = dag_identity if dag_identity is not None else dag_key(dag)
-    cfg = config_key(config)
-    for_structure = query.for_clause.canonical(literals=False)
-    estimator_key = (
-        "estimator",
-        generation,
-        dag_id,
-        use_key(query.use),
-        tuple(query.update_attributes),
-        query.output_attribute,
-        for_structure,
-        cfg,
+    estimator_key, scope, when_structure, columns = _estimator_keys(
+        query, query.output_attribute, config, generation, dag, dag_identity, reads
     )
     plan_key = (
         "what-if",
         estimator_key,
+        scope,
         query.output_aggregate,
-        query.when.canonical(literals=False),
+        when_structure,
         update_key(query.updates, literals=False),
     )
     parameter_key = (
@@ -214,7 +255,7 @@ def fingerprint_what_if(
         query.when.canonical(literals=True),
         query.for_clause.canonical(literals=True),
     )
-    return PlanFingerprint("what-if", estimator_key, plan_key, parameter_key)
+    return PlanFingerprint("what-if", estimator_key, plan_key, parameter_key, columns)
 
 
 def fingerprint_how_to(
@@ -224,6 +265,7 @@ def fingerprint_how_to(
     generation: Hashable = 0,
     dag: CausalDAG | None = None,
     dag_identity: Hashable | None = None,
+    reads: Callable | None = None,
 ) -> PlanFingerprint:
     """Fingerprint a how-to query.
 
@@ -231,28 +273,19 @@ def fingerprint_how_to(
     update attributes, output attribute and ``For`` structure would produce,
     so both query families share fitted estimators through the service cache.
     """
-    dag_id = dag_identity if dag_identity is not None else dag_key(dag)
-    cfg = config_key(config)
-    for_structure = query.for_clause.canonical(literals=False)
-    estimator_key = (
-        "estimator",
-        generation,
-        dag_id,
-        use_key(query.use),
-        tuple(query.update_attributes),
-        query.objective_attribute,
-        for_structure,
-        cfg,
+    estimator_key, scope, when_structure, columns = _estimator_keys(
+        query, query.objective_attribute, config, generation, dag, dag_identity, reads
     )
     plan_key = (
         "how-to",
         estimator_key,
+        scope,
         query.objective_aggregate,
         query.maximize,
         query.max_updates,
         query.candidate_buckets,
         tuple(query.candidate_multipliers),
-        query.when.canonical(literals=False),
+        when_structure,
         _limits_key(query.limits, literals=False),
     )
     parameter_key = (
@@ -260,7 +293,7 @@ def fingerprint_how_to(
         query.for_clause.canonical(literals=True),
         _limits_key(query.limits, literals=True),
     )
-    return PlanFingerprint("how-to", estimator_key, plan_key, parameter_key)
+    return PlanFingerprint("how-to", estimator_key, plan_key, parameter_key, columns)
 
 
 def fingerprint_query(
@@ -270,16 +303,14 @@ def fingerprint_query(
     generation: Hashable = 0,
     dag: CausalDAG | None = None,
     dag_identity: Hashable | None = None,
+    reads: Callable | None = None,
 ) -> PlanFingerprint:
     """Fingerprint either query family (dispatch on the query type)."""
+    options = dict(generation=generation, dag=dag, dag_identity=dag_identity, reads=reads)
     if isinstance(query, WhatIfQuery):
-        return fingerprint_what_if(
-            query, config, generation=generation, dag=dag, dag_identity=dag_identity
-        )
+        return fingerprint_what_if(query, config, **options)
     if isinstance(query, HowToQuery):
-        return fingerprint_how_to(
-            query, config, generation=generation, dag=dag, dag_identity=dag_identity
-        )
+        return fingerprint_how_to(query, config, **options)
     raise QuerySemanticsError(
         f"cannot fingerprint query object of type {type(query).__name__}"
     )
@@ -299,7 +330,7 @@ class PlanDealer:
     The one dealing rule of the shard pool (worker processes) and the cluster
     coordinator (nodes); ``docs/service.md``, "Dealing by plan".  Any worker
     can answer any query; what differs is what it has *fitted*, and a commit
-    throws a plan's estimator away wherever it lives.  So a batch is grouped
+    refits a plan that reads its columns wherever it lives.  So a batch is grouped
     by the :attr:`PlanFingerprint.home_key` (a plan keeps it across commits)
     of the fingerprints its caller already took, and each group goes to the
     plan's remembered *home*.  A plan seen for the first time, or whose home is not

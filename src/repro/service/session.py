@@ -6,11 +6,10 @@ database + causal DAG + engine configuration and, across queries:
 
 * caches materialised relevant views, fitted estimators, block decompositions
   and final **results**, keyed by :mod:`plan fingerprints
-  <repro.service.fingerprint>` that embed **per-relation generation
-  counters** — ``update_database`` bumps only the generations of the
-  relations that actually changed, so estimators and views built from other
-  relations stay warm, while ``update_causal_dag`` / ``invalidate`` bump
-  everything;
+  <repro.service.fingerprint>` that embed the **generation counters of the
+  columns** each entry reads — ``update_database`` bumps only the columns
+  that changed, so everything reading none of them stays warm, while
+  ``update_causal_dag`` / ``invalidate`` drop everything;
 * executes query batches per plan group (:meth:`HypeRService.answer`),
   concurrently, through
   :class:`~repro.service.executor.BatchExecutor` threads
@@ -39,10 +38,10 @@ in place (:meth:`~repro.shard.pool.ShardPool.apply_update`) instead of tearing
 the pool down, and a reader still pinned to an older snapshot falls back to
 in-process evaluation of its pinned state (bitwise-identical: the pool's
 answers are the unsharded engine's), so no query ever observes a pool teardown.  Cache
-keys embed the snapshot's generation vector; entries an in-flight
-old-generation query inserts after an invalidation are unreachable from the
-new generation and age out of the bounded LRU (targeted eviction by
-relation tag reclaims the reachable ones eagerly).
+keys embed the generations of the columns they read; entries an in-flight
+old-generation query inserts after a commit are unreachable from the new
+generation if they read a changed column, and age out of the bounded LRU
+(targeted eviction by column tag frees the others eagerly).
 
 Typical use::
 
@@ -65,7 +64,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
 
 from ..causal.dag import CausalDAG
@@ -79,20 +78,21 @@ from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
-from ..probdb.blocks import block_labels
+from ..probdb.blocks import block_labels, label_columns
 from ..relational.columnar import KernelCache
 from ..relational.database import Database
-from ..relational.relation import Relation
+from ..relational.relation import Relation, changed_attributes
 from ..relational.view import UseSpec
 from .backend import ServingCounters
 from .cache import QueryCaches
 from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
+    Column,
     PlanFingerprint,
     dag_key,
     fingerprint_query,
+    plan_columns,
     use_key,
-    use_relations,
 )
 from .versions import Commit, Snapshot, VersionStore
 
@@ -144,10 +144,17 @@ class _EngineState:
     dag_identity: Hashable
     whatif: WhatIfEngine
     howto: HowToEngine
-    #: generation counter per relation; only the counters of relations a plan
-    #: reads enter its fingerprint, which is what keeps unrelated plans warm
-    #: across partial database updates.  Treated as immutable.
+    #: generation counter per relation, bumped with any of its columns (what
+    #: ``stats()`` and the wire report).  Treated as immutable.
     relation_generations: dict[str, int] = field(default_factory=dict)
+    #: generation counter per ``(relation, attribute)``; a cache key holds the
+    #: counters of the columns its entry reads.  Treated as immutable.
+    column_generations: dict[Column, int] = field(default_factory=dict)
+    #: what each plan or view reads: schema and DAG facts only, so a commit
+    #: that changes neither hands the dict on
+    reads: dict = field(default_factory=dict)
+    #: this state's keys, built on first use
+    memo: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -157,6 +164,8 @@ class _EngineState:
         causal_dag: CausalDAG | None,
         config: EngineConfig,
         relation_generations: dict[str, int] | None = None,
+        column_generations: dict[Column, int] | None = None,
+        reads: dict | None = None,
     ) -> "_EngineState":
         # Both engines and every cached view share one set of relations and
         # column stores.
@@ -172,16 +181,62 @@ class _EngineState:
             whatif=whatif,
             howto=howto,
             relation_generations=relation_generations,
+            column_generations=column_generations or {},
+            reads={} if reads is None else reads,
         )
 
-    def generation_key(self, relations: Sequence[str] | frozenset[str]) -> Hashable:
-        """The generation vector of ``relations`` (a stable hashable)."""
-        return ("gens",) + tuple(
-            (name, self.relation_generations.get(name, 0)) for name in sorted(relations)
+    def columns_key(self, columns: Sequence[Column]) -> tuple:
+        """``(relation, attribute, generation)`` of each of ``columns``."""
+        return tuple((*column, self.column_generations.get(column, 0)) for column in columns)
+
+    def _keyed(self, key: Hashable, read: Callable[[], Any], keys: Callable[[Any], Any]) -> Any:
+        """``keys(read())``, built once per state; ``read()`` once per schema."""
+        found = self.memo.get(key)
+        if found is None:
+            columns = self.reads.get(key)
+            if columns is None:
+                columns = self.reads[key] = read()
+            found = self.memo[key] = keys(columns)
+        return found
+
+    def plan_generations(self, query: "Query", structure: Hashable, when: Hashable) -> tuple:
+        """A fingerprint's ``reads``: the generations of the columns the plan's
+        estimator and its ``When`` clause read (:func:`plan_columns`), and those."""
+        return self._keyed(
+            ("plan", structure, when),
+            lambda: plan_columns(query, self.database, self.causal_dag, self.whatif.config),
+            lambda read: (*map(self.columns_key, read), frozenset(read[0] + read[1])),
         )
 
-    def all_relations_key(self) -> Hashable:
-        return self.generation_key(self.database.relation_names)
+    def view_columns(self, use: UseSpec) -> tuple:
+        """``use``'s key; its view's key and columns; each view column's generations, sources."""
+        spec = use_key(use)
+
+        def keys(sources: dict) -> tuple:
+            every = sorted({column for read in sources.values() for column in read})
+            gens = self.column_generations
+            generations = {a: tuple(gens.get(c, 0) for c in read) for a, read in sources.items()}
+            key = (self.columns_key(every), self.dag_identity, spec)
+            return spec, key, every, generations, sources
+
+        return self._keyed(("view", spec), lambda: use.column_sources(self.database), keys)
+
+    def blocks_key(self) -> tuple[Hashable, tuple[Column, ...]]:
+        """The block labelling's key — the relations' lengths and the generations
+        of the columns it reads (:func:`~repro.probdb.blocks.label_columns`) — and those."""
+        lengths = lambda: tuple((r.name, len(r)) for r in self.database)  # noqa: E731
+        return self._keyed(
+            ("blocks",),
+            lambda: label_columns(self.database, self.causal_dag),
+            lambda columns: ((lengths(), self.columns_key(columns)), columns),
+        )
+
+
+@cache
+def _relations(columns: frozenset) -> frozenset[str]:
+    """A cached answer's tags: it holds arrays over its term rows, so a commit to a
+    relation its plan reads frees it, though its column-keyed entry stays valid."""
+    return frozenset(relation for relation, _ in columns)
 
 
 class PreparedPlan:
@@ -503,8 +558,8 @@ class HypeRService(ServingCounters):
         return fingerprint_query(
             query,
             self.config,
-            generation=state.generation_key(use_relations(query.use)),
             dag_identity=state.dag_identity,
+            reads=partial(state.plan_generations, query),
         )
 
     # -- cached shared state ---------------------------------------------------------------
@@ -513,35 +568,32 @@ class HypeRService(ServingCounters):
         self, state: _EngineState, use: UseSpec
     ) -> tuple[Relation, CausalDAG | None]:
         """The materialised relevant view and its DAG projection (one cache entry)."""
-        deps = use_relations(use)
-        key = ("view", state.generation_key(deps), state.dag_identity, use_key(use))
+        _spec, key, columns, _generations, _sources = state.view_columns(use)
         return self.caches.views.get_or_create(
             key,
             lambda: (
                 use.build(state.database),
                 build_view_dag(state.causal_dag, use, state.database),
             ),
-            tags=deps,
+            tags=columns,
         )
 
     def _plan_kernels(self, state: _EngineState, use: UseSpec) -> KernelCache:
-        """The kernel cache shared by every plan over ``use``'s view.
-
-        Keyed and tagged like the view entry, so the arrays it holds always
-        describe the view of the pinned generation and leave with it.
-        """
-        deps = use_relations(use)
-        key = ("kernels", state.generation_key(deps), state.dag_identity, use_key(use))
-        return self.caches.kernels.get_or_create(key, KernelCache, tags=deps)
+        """The kernel cache shared by every plan over ``use``'s view, read at ``state``:
+        one store per ``Use`` spec and view length, across commits, its entries
+        keyed by the generations of the view columns they read (rows by position)."""
+        spec, _view_key, _columns, generations, sources = state.view_columns(use)
+        key = (len(state.database[use.base_relation]), state.dag_identity, spec)
+        return self.caches.kernels.get_or_create(key, KernelCache).at(generations, sources)
 
     def _blocks(self, state: _EngineState) -> tuple[dict, int] | None:
         if state.causal_dag is None or not self.config.use_blocks:
             return None
-        key = ("blocks", state.all_relations_key(), state.dag_identity)
+        key, columns = state.blocks_key()
         return self.caches.blocks.get_or_create(
-            key,
+            (key, state.dag_identity),
             lambda: block_labels(state.database, state.causal_dag),
-            tags=state.database.relation_names,
+            tags=columns,
         )
 
     def prepare(
@@ -572,9 +624,11 @@ class HypeRService(ServingCounters):
             view, view_dag = self._plan_view(state, parsed.use)
             validate_query(parsed, view, view_dag)  # before anything is cached
             estimator = self._plan_estimator(
-                parsed,
                 fingerprint,
-                lambda: state.howto.build_estimator(parsed, view=view, view_dag=view_dag),
+                lambda: state.howto.build_estimator(
+                    parsed, view=view, view_dag=view_dag,
+                    kernels=self._plan_kernels(state, parsed.use),
+                ),
             )
             return PreparedPlan(fingerprint, view, estimator)
 
@@ -592,9 +646,9 @@ class HypeRService(ServingCounters):
 
         Repeated identical queries (same plan *and* parameters) are answered
         from the bounded result cache in O(1); the cache key embeds the
-        generation vector of every relation, so no stale answer can survive a
-        database update, and ``result_ttl_seconds`` adds a wall-clock bound on
-        top for dashboard-style workloads.
+        generations of every column the answer reads, so no stale answer can
+        survive a database update, and ``result_ttl_seconds`` adds a
+        wall-clock bound on top for dashboard-style workloads.
 
         ``trace`` activates span recording for this call (the front doors
         pass the request's :class:`~repro.obs.trace.TraceContext` when the
@@ -632,7 +686,7 @@ class HypeRService(ServingCounters):
                         result = self.caches.results.get_or_create(
                             self._result_key(state, fingerprint, exhaustive),
                             _build,
-                            tags=state.database.relation_names,
+                            tags=_relations(fingerprint.columns),
                         )
                     if cache_span is not None:
                         cache_span.meta["hit"] = hit
@@ -684,14 +738,13 @@ class HypeRService(ServingCounters):
     def _result_key(
         self, state: _EngineState, fingerprint: PlanFingerprint, exhaustive: bool
     ) -> Hashable:
-        # Block metadata depends on the whole database, so the full
-        # generation vector is embedded.  The execution layout is fixed per
-        # service, and so is this cache.
+        # Block metadata reads the labelling's columns.  The execution layout
+        # is fixed per service, and so is this cache.
         return (
             "result",
             fingerprint.kind,
             fingerprint.query_key,
-            state.all_relations_key(),
+            state.causal_dag is not None and self.config.use_blocks and state.blocks_key()[0],
             exhaustive,
         )
 
@@ -799,7 +852,7 @@ class HypeRService(ServingCounters):
                     results[index] = outcome
                     self._record_completion(state, query, query, elapsed, fingerprint=fingerprint)
                     if key is not None and not isinstance(outcome, Exception):
-                        self.caches.results.put(key, outcome, tags=state.database.relation_names)
+                        self.caches.results.put(key, outcome, tags=_relations(fingerprint.columns))
         return results
 
     def _crossing(self, state: _EngineState, n_queries: int) -> "ShardPool | None":
@@ -859,7 +912,7 @@ class HypeRService(ServingCounters):
             return error
 
     def _plan_estimator(
-        self, query: Query, fingerprint: PlanFingerprint, build: Any
+        self, fingerprint: PlanFingerprint, build: Any
     ) -> PostUpdateEstimator:
         """The plan's fitted estimator: ``build()`` on a miss, cached by plan."""
 
@@ -868,7 +921,7 @@ class HypeRService(ServingCounters):
                 return build()
 
         return self.caches.estimators.get_or_create(
-            fingerprint.estimator_key, _fit, tags=use_relations(query.use)
+            fingerprint.estimator_key, _fit, tags=fingerprint.columns
         )
 
     def _what_if_plan(
@@ -885,7 +938,7 @@ class HypeRService(ServingCounters):
         if self.config.ignores_dependencies:
             return prepared, None
         return prepared, self._plan_estimator(
-            query, fingerprint, lambda: state.whatif.build_estimator(query, prepared)
+            fingerprint, lambda: state.whatif.build_estimator(query, prepared)
         )
 
     def _execute_how_to(
@@ -893,24 +946,22 @@ class HypeRService(ServingCounters):
     ) -> HowToResult:
         view, view_dag = self._plan_view(state, query.use)
         validate_query(query, view, view_dag)  # before anything is cached
+        kernels = self._plan_kernels(state, query.use)
         estimator = self._plan_estimator(
-            query,
             fingerprint,
-            lambda: state.howto.build_estimator(query, view=view, view_dag=view_dag),
+            lambda: state.howto.build_estimator(
+                query, view=view, view_dag=view_dag, kernels=kernels
+            ),
         )
         prepared = state.howto.prepare(
-            query,
-            view=view,
-            estimator=estimator,
-            view_dag=view_dag,
-            kernels=self._plan_kernels(state, query.use),
+            query, view=view, estimator=estimator, view_dag=view_dag, kernels=kernels
         )
         candidates = self.caches.candidates.get_or_create(
             ("candidates", fingerprint.query_key),
             lambda: state.howto.enumerate_candidates(
                 query, prepared.view, prepared.scope_mask
             ),
-            tags=use_relations(query.use),
+            tags=fingerprint.columns,
         )
         if exhaustive:
             return state.howto.evaluate_exhaustive(
@@ -1042,6 +1093,7 @@ class HypeRService(ServingCounters):
                 state.causal_dag,
                 self.config,
                 {name: gen + 1 for name, gen in state.relation_generations.items()},
+                state.column_generations,  # same columns, same data: keys stay valid
             )
             self.versions.commit(new_state, generation=new_state.generation)
             self.caches.clear()
@@ -1057,22 +1109,22 @@ class HypeRService(ServingCounters):
                 )
 
     def update_database(self, database: Database) -> Commit:
-        """Commit a new database snapshot with fine-grained invalidation.
+        """Commit a new database snapshot with column-level invalidation.
 
-        Relations are compared by object identity against the current
-        snapshot: building the new database with
-        ``service.database.with_relation(updated)`` (so unchanged relations
-        are the *same* objects) bumps only the changed relations'
-        generations, and only cache entries depending on them are evicted —
-        estimators and views over untouched relations stay warm.  When no
-        relation can be proven unchanged, everything is invalidated.
+        Columns are compared by object identity against the current snapshot
+        (:func:`~repro.relational.relation.changed_attributes`; build the new
+        database with ``service.database.with_relation(relation.with_column(
+        ...))`` so unchanged columns are the *same* objects): only the changed
+        columns' generations are bumped, with their relations', and every
+        cache key holds the generations of the columns its entry reads, so
+        what reads none of them stays warm.
 
         The commit is MVCC: the new snapshot is installed atomically and
         in-flight readers keep their pinned (old) snapshot until they finish —
         they are never paused, never see a blend, and never observe a shard
         pool teardown (the running pool is moved forward in place, shipping
-        only the changed relations to the workers).  A commit that changes
-        nothing (every relation identical by identity) is a no-op: no
+        only the changed columns to the workers).  A commit that changes
+        nothing (every column identical by identity) is a no-op: no
         generation bump, no cache eviction, and the pool stays untouched.
 
         Returns the set of relation names whose generation was bumped (empty
@@ -1080,44 +1132,47 @@ class HypeRService(ServingCounters):
         carrying the generation this commit installed (for a no-op, the
         current one).
         """
-        from dataclasses import replace as dataclass_replace
-
         with self._commit_lock:
             state = self._state
+            old = state.database
+            changed_columns: set[Column] = set()
+            for name in {*old.relation_names, *database.relation_names}:
+                before = old[name] if name in old else None
+                after = database[name] if name in database else None
+                if before is after:
+                    continue
+                came = () if after is None else changed_attributes(before, after)
+                gone = () if before is None else before.attribute_names
+                gone = [a for a in gone if after is None or a not in after]
+                changed_columns.update((name, a) for a in (*came, *gone))
+            # a relation has a key, so one added or removed changes columns too
+            changed = {name for name, _ in changed_columns}
+            if not changed:
+                self._m_noop_commits.inc()
+                return Commit((), state.generation)
+            relations = dict(state.relation_generations)
+            columns = dict(state.column_generations)
+            for name in changed:
+                relations[name] = relations.get(name, 0) + 1
+            for column in changed_columns:
+                columns[column] = columns.get(column, 0) + 1
+            same_schema = old.foreign_keys == database.foreign_keys and all(
+                name in old and name in database and old[name].schema == database[name].schema
+                for name in changed
+            )
             new_state = _EngineState.build(
                 state.generation + 1,
                 database,
                 state.causal_dag,
                 self.config,
-                dict(state.relation_generations),
+                relations,
+                columns,
+                state.reads if same_schema else None,
             )
-            # An untouched relation is the same object in both generations.
-            changed = {
-                name
-                for name in new_state.database.relation_names
-                if name not in state.database
-                or new_state.database[name] is not state.database[name]
-            }
-            changed |= set(state.database.relation_names) - set(
-                new_state.database.relation_names
-            )
-            if not changed:
-                self._m_noop_commits.inc()
-                return Commit((), state.generation)
-            generations = dict(state.relation_generations)
-            for name in changed:
-                generations[name] = generations.get(name, 0) + 1
-            new_state = dataclass_replace(new_state, relation_generations=generations)
             self.versions.commit(new_state, generation=new_state.generation)
-            if changed >= set(state.database.relation_names) | set(
-                new_state.database.relation_names
-            ):
-                self.caches.clear()
-            else:
-                # Targeted eviction: entries tagged with a changed relation
-                # go, everything else (unrelated estimators, views,
-                # candidates) stays.
-                self.caches.evict_tagged(changed)
+            # Only frees memory: an entry reading a changed column has a key
+            # the new generation never asks for (answers go with their relations).
+            self.caches.evict_tagged(changed_columns | changed)
             self._refresh_pool(new_state, frozenset(changed))
             return Commit(changed, new_state.generation)
 
@@ -1148,6 +1203,7 @@ class HypeRService(ServingCounters):
                 causal_dag,
                 self.config,
                 {name: gen + 1 for name, gen in state.relation_generations.items()},
+                state.column_generations,  # the DAG identity is in every key
             )
             self.versions.commit(new_state, generation=new_state.generation)
             self.caches.clear()

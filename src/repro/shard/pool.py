@@ -15,8 +15,8 @@ Database commits move the running workers forward *in place*
 (:meth:`ShardPool.apply_update`): of each changed relation only the columns
 that are not the previous generation's own cross the process boundary, each
 worker commits them into its service with ``update_database``, and its plan
-caches for untouched relations stay warm — the pool is never restarted for an
-update.
+state that reads no changed column stays warm — the pool is never restarted for
+an update.
 
 Because a worker is a service, it keeps exactly the plan-level caches the
 thread-mode service keeps in-process — relevant views, fitted estimators,
@@ -35,6 +35,7 @@ way.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import pickle
 import queue as queue_module
 import threading
@@ -49,13 +50,12 @@ from ..core.results import WhatIfResult
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
 from ..relational.columnar import (
-    Column,
     ColumnStore,
     store_from_buffers,
     store_to_buffers,
 )
 from ..relational.database import Database
-from ..relational.relation import Relation
+from ..relational.relation import Relation, changed_attributes
 from ..service.fingerprint import PlanDealer, PlanFingerprint, fingerprint_query
 from ..service.session import HypeRService
 from .partition import ShardPlan
@@ -165,10 +165,10 @@ class ShardWorkerRuntime:
         with the previous generation — plus the new relation order and
         foreign keys.  A relation is rebuilt from the shipped columns plus its
         previous ones, under the shipped schema (a new relation, or one whose
-        length changed, ships every column).  Unchanged relations are reused
-        as they are, so ``update_database`` bumps — and evicts the plans of —
-        exactly the changed ones, and the engines see value-identical training
-        data.  ``replace_dag`` / ``causal_dag`` and ``clear_caches`` are the
+        length changed, ships every column).  Unchanged columns are reused
+        as they are, so ``update_database`` bumps — and refits the plans that
+        read — exactly the changed ones, and the engines see value-identical
+        training data.  ``replace_dag`` / ``causal_dag`` and ``clear_caches`` are the
         in-place forms of ``update_causal_dag`` and ``invalidate``.
         """
         service = self.service
@@ -208,25 +208,6 @@ class ShardWorkerRuntime:
         return {"shard": self.index, "changed": sorted(commit)}
 
 
-def _changed_columns(old: Relation | None, new: Relation) -> ColumnStore:
-    """The columns of ``new`` a worker holding ``old`` lacks.
-
-    :meth:`ColumnStore.with_column` shares every untouched :class:`Column`
-    object between generations, so identity is enough: a column that is not
-    ``old``'s own object under the same name ships whole.  Without an ``old``
-    of the same length (a new relation, rows added or removed) every column
-    ships.
-    """
-    store = new.columnar_store()
-    previous: dict[str, Column] = {}
-    if old is not None and len(old) == len(new):
-        previous = old.columnar_store().columns
-    return ColumnStore(
-        {n: c for n, c in store.columns.items() if previous.get(n) is not c},
-        store.length,
-    )
-
-
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
     return (type(error).__name__, str(error), "".join(traceback.format_exception(error)))
 
@@ -245,6 +226,19 @@ def _worker_error(shard_index: int, described: tuple[str, str, str]) -> HypeRErr
     )
 
 
+def _keep_freed_heap() -> None:
+    """Keep the megabytes of temporaries a batch frees for the next (glibc only):
+    its default trim threshold follows the largest block freed so far, so a
+    worker could page-fault them in on every batch (60 000 rows, 2-vCPU Xeon:
+    ~1 300 faults, +2.7 ms CPU per batch of 8).  M_MMAP_THRESHOLD, M_TRIM_THRESHOLD."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-3, 32 << 20)
+        libc.mallopt(-1, 64 << 20)
+    except (OSError, AttributeError):
+        pass
+
+
 def _shard_worker_main(index, spec, causal_dag, config, task_queue, result_queue) -> None:
     """Worker process entry point: build the service once, then serve tasks.
 
@@ -257,6 +251,7 @@ def _shard_worker_main(index, spec, causal_dag, config, task_queue, result_queue
     with a shared memo table per message deduplicates objects referenced by
     several sub-payloads.
     """
+    _keep_freed_heap()
     attachment = SegmentAttachment()
     database = spec
     if not isinstance(spec, Database):
@@ -592,13 +587,14 @@ class ShardPool:
 
         Ships every worker one patch per changed relation: its schema, and
         its length and the columns that are not the previous generation's own
-        :class:`Column` objects (:func:`_changed_columns`) in one segment —
+        objects (:func:`~repro.relational.relation.changed_attributes`, the test
+        a service commit bumps column generations by) in one segment —
         once for all workers, through shared memory when available.  A new
         relation, or one whose length changed, ships every column.  Alongside
         ride the new relation order and foreign keys.  ``update_bytes_last``
         counts what the commit moved: the queue messages plus the patch
         segments' bytes.  Workers stay alive across the update — their fitted
-        estimators and views for untouched relations stay warm — and the
+        estimators that read no changed column stay warm — and the
         broadcast lock serialises the update against in-flight queries, so
         every answer comes from exactly one generation (tracked by
         ``generation``, defaulting to the next one up; retired generations'
@@ -619,7 +615,11 @@ class ShardPool:
             if name not in database:
                 continue
             old = old_database[name] if name in old_database else None
-            header, buffers = store_to_buffers(_changed_columns(old, database[name]))
+            store = database[name].columnar_store()
+            changed = changed_attributes(old, database[name])
+            header, buffers = store_to_buffers(
+                ColumnStore({a: store.columns[a] for a in changed}, store.length)
+            )
             descriptor = ship_buffers(buffers, self._shm_manager, generation)
             segment_bytes += descriptor.get("nbytes", 0)
             patches.append(

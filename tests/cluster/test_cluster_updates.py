@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from repro import HypeRService
+from perf.workloads import TEMPLATES, grid_constant
+from repro import HypeR, HypeRService
 from repro.api import HypeRClient
 from repro.api import endpoints as api
 from repro.api.client import ApiStatusError
@@ -22,6 +23,7 @@ from repro.aserve import BackgroundAsyncServer
 from repro.cluster import wire
 from repro.cluster.shardserver import CLUSTER_UPDATE_PATH
 from repro.exceptions import HypeRError
+from repro.service.session import with_columns
 
 from .conftest import make_cluster
 
@@ -187,3 +189,26 @@ class TestBitExactness:
             assert credit.column_view("Investment").tobytes() == np.array(
                 [float(v) for v in reversed_values]
             ).tobytes()
+
+
+def test_ten_column_commits_answer_as_cold_hyper(dataset, config, cluster):
+    """After each whole-column commit — a backdoor covariate, an update
+    attribute, the outcome, a ``When`` / ``For`` attribute in turn — the
+    cluster answers the four perf templates as a cold ``HypeR`` over the
+    committed data does, bit for bit."""
+    texts = [t.format(c=grid_constant(k)) for k in (700, 2500) for t in TEMPLATES]
+    cluster.coordinator.execute_many(texts)  # every plan warm on its node
+    database = dataset.database
+    attributes = ("Investment", "Status", "Credit", "Age")
+    for k in range(10):
+        attribute = attributes[k % len(attributes)]
+        values = np.random.default_rng(k).permutation(database["Credit"].column(attribute))
+        assignment = {"Credit": {attribute: list(values)}}
+        database = with_columns(database, assignment)
+        cluster.coordinator.update_relation_columns(assignment)
+        cold = HypeR(database, dataset.causal_dag, config)
+        for text, answer in zip(texts, cluster.coordinator.execute_many(texts)):
+            expected = cold.execute(text)
+            assert (answer.value, answer.n_scope_tuples, answer.n_blocks) == (
+                expected.value, expected.n_scope_tuples, expected.n_blocks
+            ), (k, text)

@@ -306,15 +306,18 @@ class TestSharedTrainingDesign:
         design = None
         for key, target in targets.items():
             regressor_ = estimator.regressor_for(key, lambda t=target: t)
-            if design is None:
-                design = estimator._design
-            assert design is not None and estimator._design is design  # one per burst
             features, oracle = parent_fit(estimator, target)
-            assert np.array_equal(design[:, 1:], features) and (design[:, 0] == 1.0).all()
             model = regressor_._model
-            if regressor == "forest":
+            if regressor == "forest":  # one stacked design per burst
+                if design is None:
+                    design = estimator._design
+                assert design is not None and estimator._design is design
+                assert np.array_equal(design[:, 1:], features) and (design[:, 0] == 1.0).all()
                 assert np.array_equal(model.predict(features), oracle.predict(features))
-            else:
+            else:  # no design: the solver reads each attribute's block at the training rows
+                assert estimator._design is None
+                blocks = [estimator._training_block(a) for a in estimator.feature_attributes]
+                assert np.array_equal(np.hstack(blocks), features)
                 assert np.array_equal(model.coefficients, oracle.coefficients)
                 assert model.intercept == oracle.intercept
             assert regressor_._encoder is estimator._encoder  # one per estimator
@@ -322,17 +325,26 @@ class TestSharedTrainingDesign:
 
     @pytest.mark.parametrize("sample_size", [None, 90])
     def test_the_design_is_column_major_and_each_block_its_transform(self, sample_size):
-        estimator = self._estimator(sample_size=sample_size)
-        y = np.asarray(estimator.view.column_view("Y"), dtype=float)
-        estimator.regressor_for("y", lambda: y)
-        design, encoder = estimator._design, estimator._encoder
+        # a forest stacks the blocks into one design; a linear fit reads them unstacked
+        forest = self._estimator("forest", sample_size=sample_size)
+        linear = self._estimator(sample_size=sample_size)
+        y = np.asarray(forest.view.column_view("Y"), dtype=float)
+        for estimator in (forest, linear):
+            estimator.regressor_for("y", lambda: y)
+        design, encoder = forest._design, forest._encoder
         assert design.flags.f_contiguous and (design[:, 0] == 1.0).all()
-        train = estimator._train_indices
+        assert linear._design is None
+        train = forest._train_indices
         for attribute, offset in encoder.offsets.items():
             column_encoder = encoder.encoders[attribute]
             block = design[:, 1 + offset : 1 + offset + column_encoder.width]
-            expected = column_encoder.transform(estimator.view.column_view(attribute)[train])
+            expected = column_encoder.transform(forest.view.column_view(attribute)[train])
             assert block.flags.f_contiguous and np.array_equal(block, expected)
+            block = linear._training_block(attribute)
+            assert block.flags.f_contiguous and np.array_equal(block, expected)
+        # a float column without nulls trains uncopied when every row does
+        num = linear._training_block("Num")
+        assert np.shares_memory(num, linear.view.column_view("Num")) == (sample_size is None)
 
     def test_whole_view_training_reads_the_columns_without_copying(self):
         estimator = self._estimator()
@@ -343,7 +355,8 @@ class TestSharedTrainingDesign:
 
     def test_no_design_after_the_second_evaluation_of_a_warm_plan(self):
         german = make_german_syn(300, seed=2)
-        engine = WhatIfEngine(german.database, german.causal_dag, EngineConfig(regressor="linear"))
+        config = EngineConfig(regressor="forest", n_forest_trees=4, max_tree_depth=4)
+        engine = WhatIfEngine(german.database, german.causal_dag, config)
         text = "USE Credit UPDATE(Status) = {c} * PRE(Status) OUTPUT AVG(POST(Credit))"
         first, second = parse_query(text.format(c=1.1)), parse_query(text.format(c=1.2))
         prepared = engine.prepare(first, kernels=KernelCache())
@@ -365,7 +378,7 @@ class TestSharedTrainingDesign:
         assert np.array_equal(a._model.coefficients, b._model.coefficients)
 
     def test_the_pickled_state_holds_no_design(self):
-        estimator = self._estimator()
+        estimator = self._estimator("forest")
         y = np.asarray(estimator.view.column_view("Y"), dtype=float)
         fitted = estimator.regressor_for("y", lambda: y)
         assert estimator._design is not None

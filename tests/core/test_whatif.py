@@ -394,15 +394,21 @@ def german():
 class RecordingKernelCache(KernelCache):
     """A kernel cache that remembers the keys it was asked for."""
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "built")
 
     def __init__(self) -> None:
         super().__init__()
         self.keys: list = []
+        self.built: list = []
 
-    def get(self, key, build):
+    def get(self, key, build, reads=()):
         self.keys.append(key)
-        return super().get(key, build)
+
+        def recorded():
+            self.built.append(key)
+            return build()
+
+        return super().get(key, recorded, reads)
 
 
 class TestWarmEqualsCold:
@@ -519,14 +525,16 @@ class TestWarmEqualsCold:
                 )
                 assert (np.abs(full - parent) <= 4 * np.spacing(largest)).all()
         kinds = [key[0] for key in kernels.keys]
-        if regressor == "forest":  # blocks per attribute, shared by both regressors
-            assert set(kinds) == {"backdoor_block"}
-            assert len(kernels) == len(subsets) * len(estimator.backdoor_set)
-        else:  # one partial sum per (row set, regressor): the two do not share one
-            assert set(kinds) == {"base"}
-            assert len(kernels) == len(subsets) * 2
+        # an encoded block per (attribute, row set), shared by both regressors
+        blocks = len(subsets) * len(estimator.backdoor_set)
+        if regressor == "forest":
+            assert set(kinds) == {"block"}
+            assert len(kernels) == blocks
+        else:  # and one partial sum per (row set, regressor): the two do not share one
+            assert set(kinds) == {"base", "block"}
+            assert len(kernels) == blocks + len(subsets) * 2
 
-    def test_a_linear_plan_caches_no_design_blocks(self, german):
+    def test_a_linear_plan_encodes_each_backdoor_block_once(self, german):
         config = EngineConfig(regressor="linear")
         engine = WhatIfEngine(german.database, german.causal_dag, config)
         view = german.default_use.build(engine.database)
@@ -538,8 +546,12 @@ class TestWarmEqualsCold:
                 i % len(WARM_TEMPLATES), engine.build_estimator(query, prepared)
             )
             engine.evaluate(query, prepared=prepared, estimator=estimator)
-        kinds = {key[0] for key in kernels.keys}
-        assert "base" in kinds and "backdoor_block" not in kinds
+        assert "base" in {key[0] for key in kernels.keys}
+        # each regressor's partial sum reads the encoded blocks of its fixed
+        # attributes; every estimator over the view's rows shares them
+        asked = [key for key in kernels.keys if key[0] == "block"]
+        built = [key for key in kernels.built if key[0] == "block"]
+        assert len(built) == len(set(built)) == len(set(asked)) < len(asked)
 
     @pytest.mark.parametrize("shape", list(KERNEL_LAW_TEMPLATES))
     def test_a_warm_variant_is_the_cold_answer(self, german, shape):

@@ -19,7 +19,9 @@ both sides, every query through the cold ``HypeR`` facade and through a warm
   ``processes`` service: plan groups answered together.
 
 Answers are compared field by field — dataclass ``==`` is always false across
-two packages — and one line is printed::
+two packages: the plan, the block indices, sizes and scope sizes exactly, the
+values as floats, and a what-if's per-block partial answers as floats too,
+each answer's relative to the largest of them — and one line is printed::
 
     N answers, K ==, max rel diff X, plan diffs P, structural diffs S, error diffs E
 
@@ -117,11 +119,12 @@ def _texts(corpus: Corpus, dataset: str) -> list[str]:
     return texts + list(REJECTED)
 
 
-def _blocks_digest(blocks: Iterable[Any]) -> str:
+def _blocks(blocks: Iterable[Any]) -> tuple[str, np.ndarray]:
+    """A digest of the blocks' indices, sizes and scope sizes; their partial values."""
     rows = [(b.block_index, b.n_tuples, b.n_scope_tuples, b.partial_value) for b in blocks]
     keys = np.array([r[:3] for r in rows], dtype=np.int64)
     values = np.array([r[3] for r in rows], dtype=float)
-    return hashlib.blake2b(keys.tobytes() + values.tobytes(), digest_size=16).hexdigest()
+    return hashlib.blake2b(keys.tobytes(), digest_size=16).hexdigest(), values
 
 
 def _record(answer: Any) -> dict[str, Any]:
@@ -131,15 +134,12 @@ def _record(answer: Any) -> dict[str, Any]:
             "floats": (answer.objective_value, answer.baseline_value),
             "plan": answer.plan(),
         }
+    digest, partials = _blocks(answer.block_contributions)
     return {
         "kind": "what-if",
         "floats": (answer.value, answer.expected_qualifying_count),
-        "structure": (
-            answer.aggregate,
-            answer.n_scope_tuples,
-            answer.n_blocks,
-            _blocks_digest(answer.block_contributions),
-        ),
+        "partials": partials,
+        "structure": (answer.aggregate, answer.n_scope_tuples, answer.n_blocks, digest),
     }
 
 
@@ -222,6 +222,16 @@ def _relative(a: float, b: float) -> float:
     return difference / max(abs(a), abs(b)) if math.isfinite(difference) else math.inf
 
 
+def _relative_array(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest difference of two answers' partial values, relative to the
+    largest of them (their block keys are compared exactly, as structure)."""
+    if a.shape != b.shape or np.array_equal(a, b, equal_nan=True):
+        return 0.0  # a shape difference is a structural one, counted there
+    difference = float(np.max(np.abs(a - b)))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return difference / scale if math.isfinite(difference) and scale > 0 else math.inf
+
+
 @dataclass
 class Summary:
     n_answers: int = 0
@@ -260,8 +270,15 @@ def compare(left: list[dict[str, Any]], right: list[dict[str, Any]]) -> Summary:
             summary.structural_diffs += 1
             continue
         pairs = list(zip(a["floats"], b["floats"]))
-        summary.n_equal += all(_same(x, y) for x, y in pairs)
-        summary.max_rel_diff = max(summary.max_rel_diff, *(_relative(x, y) for x, y in pairs))
+        partials = [(a["partials"], b["partials"])] if "partials" in a and "partials" in b else []
+        summary.n_equal += all(_same(x, y) for x, y in pairs) and all(
+            np.array_equal(x, y, equal_nan=True) for x, y in partials
+        )
+        summary.max_rel_diff = max(
+            summary.max_rel_diff,
+            *(_relative(x, y) for x, y in pairs),
+            *(_relative_array(x, y) for x, y in partials),
+        )
         summary.plan_diffs += a.get("plan") != b.get("plan")
         summary.structural_diffs += a.get("structure") != b.get("structure")
     return summary

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 import repro
 from tests import differential
 
@@ -41,3 +43,20 @@ def test_each_kind_of_difference_is_counted():
     assert summary.max_rel_diff == math.inf and not summary.ok
     assert summary.line().startswith("5 answers, 2 ==, max rel diff inf")
     assert differential.compare(left, left).ok
+
+
+def test_block_partials_are_floats_and_block_keys_structure():
+    def what_if(partials, digest="d"):
+        return {
+            "kind": "what-if",
+            "floats": (1.0, 2.0),
+            "partials": np.array(partials),
+            "structure": ("avg", 3, 2, digest),
+        }
+
+    left = [what_if([0.5, 2.0]), what_if([0.5, 2.0]), what_if([0.5, 2.0])]
+    right = [what_if([0.5, 2.0]), what_if([0.5 + 1e-15, 2.0]), what_if([0.5, 2.0], "e")]
+    summary = differential.compare(left, right)
+    # a last-bit move is measured against the answer's largest partial value
+    assert (summary.n_equal, summary.structural_diffs) == (2, 1)
+    assert 0.0 < summary.max_rel_diff <= 1e-15 / 2.0

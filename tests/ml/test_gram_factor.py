@@ -144,7 +144,8 @@ class TestOneFactorPerDesign:
         estimator = session.whatif_engine.build_estimator(query)
         target = np.asarray(estimator.view.column_view("Credit"), dtype=float)
         regressor = estimator.regressor_for(("t", 0), lambda: target)
-        design = estimator._design
+        blocks = [estimator._training_block(a) for a in estimator.feature_attributes]
+        design = np.asfortranarray(np.hstack([np.ones((len(blocks[0]), 1)), *blocks]))
         assert design.shape[0] == estimator.n_training_rows == 150
         sampled = target[estimator._train_indices]
         assert np.array_equal(

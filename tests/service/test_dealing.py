@@ -195,7 +195,7 @@ class TestThroughThePool:
             answers = pool.run_batch([parse_query(text) for text in texts])
         assert [a.value for a in answers] == [session.execute(t).value for t in texts]
 
-    def test_a_commit_costs_one_estimator_build_per_plan(self, dataset):
+    def test_a_commit_costs_one_estimator_build_per_plan_that_reads_it(self, dataset):
         service = HypeRService(
             dataset.database, dataset.causal_dag, CONFIG, execution="processes", n_shards=2
         )
@@ -226,9 +226,16 @@ class TestThroughThePool:
                 assert sum(worker_builds(trace).values()) == 0
                 # a commit moves the generation, not a plan's home
                 assert dict(service._pool._dealer._homes) == homes_before
-            # four plans, four builds (eight when positions were dealt), and
-            # each plan refits on the worker it lived on before the commit
-            assert per_commit == [Counter({0: 2, 1: 2})] * 2
+            # Investment is a backdoor covariate of three of the four plans:
+            # three builds (six when positions were dealt), each on the worker
+            # its plan lived on before the commit; the Savings plan adjusts
+            # for Sex only and keeps its estimator
+            savings = fingerprint_query(parse_query(TEMPLATES[2].format(c=1)), CONFIG)
+            refits = Counter(
+                worker for plan, worker in homes_before.items() if plan != savings.home_key
+            )
+            assert sum(refits.values()) == 3
+            assert per_commit == [refits] * 2
         finally:
             service.close()
             single.close()

@@ -381,18 +381,33 @@ class TestFineGrainedInvalidation:
         cold = HypeR(service.database, dataset.causal_dag, EngineConfig(regressor="linear"))
         assert service.execute(query).value == cold.what_if(query).value
 
-    def test_block_labels_depend_on_every_relation(self, service, dataset):
+    def test_a_key_commit_evicts_the_block_labels(self, service, dataset):
+        query = self.build_query(dataset)
+        before = service.execute(query)
+        assert service.stats()["caches"]["blocks"]["size"] == 1
+        audit = service.database["Audit"]
+        service.update_database(
+            service.database.with_relation(audit.with_column("AuditID", list(range(8, 16))))
+        )
+        # the labelling reads every key: it is rebuilt, and the answers with it
+        assert service.stats()["caches"]["blocks"]["size"] == 0
+        assert service.execute(query).value == before.value
+        assert service.stats()["caches"]["blocks"]["size"] == 1
+
+    def test_a_non_key_commit_keeps_the_block_labels(self, service, dataset):
         query = self.build_query(dataset)
         service.execute(query)
-        assert service.stats()["caches"]["blocks"]["size"] == 1
+        misses = service.stats()["caches"]["blocks"]["misses"]
         audit = service.database["Audit"]
         service.update_database(
             service.database.with_relation(
                 audit.with_column("Note", [float(i) - 1.0 for i in range(8)])
             )
         )
-        # cross-relation edges can re-shape blocks: the labels are rebuilt
-        assert service.stats()["caches"]["blocks"]["size"] == 0
+        # no key, foreign key or grouping column changed: the labels stay
+        assert service.stats()["caches"]["blocks"]["size"] == 1
+        service.execute(self.build_query(dataset))
+        assert service.stats()["caches"]["blocks"]["misses"] == misses
 
     def test_removed_relation_evicts_only_its_dependents(self, service, dataset):
         from repro import Database
@@ -443,7 +458,9 @@ class TestFineGrainedInvalidation:
         assert service.stats()["regressors"]["fits"] == fits_before
         assert service.stats()["caches"]["estimators"]["hits"] > hits_before
 
-    def test_all_relations_changed_degrades_to_clear(self, service, dataset):
+    def test_a_commit_to_every_relation_evicts_only_what_reads_a_changed_column(
+        self, service, dataset
+    ):
         query = self.build_query(dataset)
         service.execute(query)
         assert service.stats()["caches"]["estimators"]["size"] == 1
@@ -457,14 +474,16 @@ class TestFineGrainedInvalidation:
         ).with_relation(audit.with_column("Note", [float(i) + 2.0 for i in range(8)]))
         changed = service.update_database(database)
         assert changed == set(service.database.relation_names)
+        # the estimator reads the outcome Credit: evicted by its tag, one by one
         assert service.stats()["caches"]["estimators"]["size"] == 0
-        assert service.stats()["caches"]["blocks"]["size"] == 0
-        # every relation changed: the caches were wholesale clear()ed, which
-        # (unlike evict_tagged) does not count per-entry evictions
         assert (
-            service.stats()["caches"]["estimators"]["evictions"] == estimator_evictions
+            service.stats()["caches"]["estimators"]["evictions"] == estimator_evictions + 1
         )
+        # the block labels read no changed column: kept
+        assert service.stats()["caches"]["blocks"]["size"] == 1
         assert service.stats()["caches"]["blocks"]["evictions"] == blocks_evictions
+        cold = HypeR(service.database, dataset.causal_dag, EngineConfig(regressor="linear"))
+        assert service.execute(query).value == cold.what_if(query).value
 
 
 class TestCostAwareEviction:
@@ -594,13 +613,13 @@ class TestPlanKernelCache:
         first = sweep_query(dataset, 1.1, 18.0)
         assert answer_fields(service.execute(first)) == answer_fields(cold.what_if(first))
 
-    def test_a_linear_plan_keeps_partial_sums_not_design_blocks(self, dataset, monkeypatch):
+    def test_a_linear_plan_keeps_partial_sums_over_shared_blocks(self, dataset, monkeypatch):
         asked: list = []
         real_get = columnar.KernelCache.get
 
-        def spy(cache, key, build):
+        def spy(cache, key, build, reads=()):
             asked.append(key[0])
-            return real_get(cache, key, build)
+            return real_get(cache, key, build, reads)
 
         monkeypatch.setattr(columnar.KernelCache, "get", spy)
         config = EngineConfig(regressor="linear")
@@ -613,10 +632,12 @@ class TestPlanKernelCache:
             query = sweep_query(dataset, 1.0 + 0.01 * i, 30.0)
             assert answer_fields(service.execute(query)) == answer_fields(cold.what_if(query))
         # an AVG plan, one row set: its count and its sum regressor each keep
-        # their own partial sum, asked for by every variant and built once
-        assert asked.count("base") == 2 * 6 and "backdoor_block" not in asked
+        # their own partial sum, asked for by every variant and built once,
+        # from one encoded block per backdoor attribute that both read
         (kernels,) = service.caches.kernels.values()
         (estimator,) = service.caches.estimators.values()
+        assert asked.count("base") == 2 * 6
+        assert asked.count("block") == 2 * len(estimator.backdoor_set)
         assert estimator.regressor_cache_stats["fits"] == 2
         assert estimator._design is None  # dropped by the second variant's cache hit
         before = len(kernels)
@@ -631,15 +652,40 @@ class TestPlanKernelCache:
         small = cache.get("small", lambda: np.zeros(4))
         assert cache.get("small", lambda: np.ones(4)) is small and len(cache) == 1
 
-    def test_a_commit_evicts_the_kernel_cache_of_its_relation(self, dataset):
-        service = HypeRService(
-            dataset.database, dataset.causal_dag, EngineConfig(regressor="linear")
-        )
-        service.execute(sweep_query(dataset, 1.1, 30.0))
-        assert service.stats()["caches"]["kernels"]["size"] == 1
+    def test_a_commit_rebuilds_only_the_kernel_entries_that_read_it(self, dataset):
+        config = EngineConfig(regressor="linear")
+        service = HypeRService(dataset.database, dataset.causal_dag, config)
+        query = sweep_query(dataset, 1.1, 30.0)
+        service.execute(query)
+        (kernels,) = service.caches.kernels.values()
+        (estimator,) = service.caches.estimators.values()
+        assert "Investment" in estimator.backdoor_set
+        entries = len(kernels)
         investment = list(service.database["Credit"].column("Investment"))
         service.update_relation_columns({"Credit": {"Investment": investment[::-1]}})
-        assert service.stats()["caches"]["kernels"]["size"] == 0
+        # the store lives on; what read Investment (its encoder, its Gram
+        # row, its block at the term rows, the partial sums) left with it
+        assert service.stats()["caches"]["kernels"]["size"] == 1
+        assert 0 < len(kernels) < entries
+        misses = kernels.misses
+        cold = HypeR(service.database, dataset.causal_dag, config)
+        assert answer_fields(service.execute(sweep_query(dataset, 1.2, 30.0))) == answer_fields(
+            cold.what_if(sweep_query(dataset, 1.2, 30.0))
+        )
+        # the masks, bases and term rows read Age and Credit: hits
+        rebuilt = kernels.misses - misses
+        assert 0 < rebuilt < entries
+        # rows are positions: a commit to the key keeps the store; the plan reads
+        # its Use key, so it refits, from memoised pieces but two new partial sums
+        ids = list(service.database["Credit"].column("ID"))
+        service.update_relation_columns({"Credit": {"ID": ids[::-1]}})
+        assert service.stats()["caches"]["kernels"]["size"] == 1
+        misses = kernels.misses
+        again = sweep_query(dataset, 1.3, 30.0)
+        assert answer_fields(service.execute(again)) == answer_fields(
+            HypeR(service.database, dataset.causal_dag, config).what_if(again)
+        )
+        assert kernels.misses == misses + 2
 
     def test_estimators_over_one_view_do_not_share_design_blocks(self):
         # sample_size with random_state=None: every estimator trains on its own
@@ -665,7 +711,19 @@ class TestPlanKernelCache:
         warm = service.execute(query)
         (second,) = service.caches.estimators.values()
         assert second is not first and second.backdoor_set == ("Brand", "Category")
-        assert len(kernels) == entries + len(second.backdoor_set)
+        # the second estimator fits its own encoders, training blocks, Gram blocks
+        # and their products with each target, and encodes its own blocks at the
+        # term rows: nothing of the first's
+        encoders = second._encoder.encoders
+        assert all(encoders[a] is not first._encoder.encoders[a] for a in encoders)
+        features = len(second.feature_attributes)
+        training = 1 + features  # the ones and each attribute's block
+        pairs = training * (training + 1) // 2
+        targets = 2  # the count and the sum regressor: a partial sum each
+        assert len(kernels) == (
+            entries + features + training + pairs + training * targets
+            + len(second.backdoor_set) + targets
+        )
         # the second estimator alone, with no kernel cache to share
         engine = WhatIfEngine(service.database, amazon.causal_dag, config)
         alone = engine.evaluate(query, prepared=engine.prepare(query), estimator=second)
