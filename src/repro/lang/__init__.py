@@ -5,7 +5,10 @@ twice yields structurally identical query objects — same clause ordering,
 same expression-tree shape, same literal values — so the expression trees'
 :meth:`~repro.relational.expressions.Expr.canonical` keys (and therefore the
 service layer's plan fingerprints, :mod:`repro.service.fingerprint`) are
-stable across parses, processes and HTTP requests.  ``tests/lang`` enforces
+stable across parses, processes and HTTP requests.  ``parse_query`` caches
+per shape of the text (:mod:`repro.lang.template`): a cached parse is bound
+fresh, sharing no mutable node with another parse, and is structurally
+identical to a full parse (``parse_uncached``).  ``tests/lang`` enforces
 this contract; keep it when extending the grammar.
 """
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from ..exceptions import QuerySyntaxError
 
-__all__ = ["TokenType", "Token", "tokenize", "KEYWORDS"]
+__all__ = ["TokenType", "Token", "tokenize", "literal_shape", "KEYWORDS"]
 
 
 class TokenType(Enum):
@@ -120,3 +120,25 @@ def tokenize(text: str) -> list[Token]:
             raise QuerySyntaxError(f"illegal character {value[0]!r}", position=start, line=line)
     append(new(Token, (TokenType.EOF, "", len(text), line, "")))
     return tokens
+
+
+#: where ``tokenize`` finds NUMBER tokens (group 1): a digit run not inside
+#: a word (``x1``; ``1e5`` is ``1`` and ``e5``) or ``.digit`` (``a.5`` is ``a``
+#: and ``.5``); a comment or a string (group 2) is kept whole
+_LITERALS = re.compile(
+    r"""(?=[\d.'"-])(?:((?<!\w)\d+\.?\d*|\.\d+)|(--[^\n]*|'[^']*'|"[^"]*"))"""
+)
+
+
+def literal_shape(text: str) -> tuple[tuple, list[float]]:
+    """``text``'s pieces, each numeric literal replaced by whether its value is
+    integral (the parser reads ``2.0`` as ``int``), and the literals' values."""
+    parts = _LITERALS.split(text)
+    values = []
+    for i in range(1, len(parts), 3):
+        number = parts[i]
+        if number is not None:
+            value = float(number)
+            values.append(value)
+            parts[i] = value.is_integer()
+    return tuple(parts), values

@@ -52,8 +52,9 @@ from ..relational.expressions import (
 from ..relational.predicates import TRUE
 from ..relational.view import AggregatedAttribute, UseSpec
 from .lexer import Token, TokenType, tokenize
+from .template import ShapeMemo
 
-__all__ = ["parse_query", "parse_what_if", "parse_how_to"]
+__all__ = ["parse_query", "parse_uncached", "parse_what_if", "parse_how_to"]
 
 _AGGREGATES = {"avg", "sum", "count"}
 
@@ -122,12 +123,22 @@ _HOW_TO_KEYWORDS = {"howtoupdate", "tomaximize", "tominimize"}
 
 
 def parse_query(text: str) -> WhatIfQuery | HowToQuery:
+    """Parse either flavour of HypeR query, once per shape of ``text``: a text
+    whose shape is cached is bound into its template, structurally identical
+    to :func:`parse_uncached` (:mod:`repro.lang.template`)."""
+    return _SHAPES.parse(text)
+
+
+def parse_uncached(text: str) -> WhatIfQuery | HowToQuery:
     """Parse either flavour of HypeR query: a how-to has a how-to keyword token."""
     tokens = tokenize(text)
     for token in tokens:
         if token.type is TokenType.KEYWORD and token.lowered in _HOW_TO_KEYWORDS:
             return _parse_how_to(_Cursor(tokens))
     return _parse_what_if(_Cursor(tokens))
+
+
+_SHAPES = ShapeMemo(parse_uncached)
 
 
 def parse_what_if(text: str) -> WhatIfQuery:

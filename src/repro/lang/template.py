@@ -1,0 +1,114 @@
+"""A query text is parsed once per shape.
+
+Texts of one shape (:func:`~repro.lang.lexer.literal_shape`) tokenize alike
+but for their NUMBER values, which the parser reads only as
+``sign * float(literal)``, made an ``int`` when integral (the shape keeps
+which).  The second sighting of a shape parses a *probe* too, the text with
+each literal a distinct sentinel of the same integer-ness, and compiles from
+its query a *binder*: one expression of the parser's constructors with each
+sentinel leaf replaced by its literal.  It is kept only if binding the text's
+own literals reproduces its parse, ``repr`` for ``repr`` (verify-on-fill).
+"""
+
+from __future__ import annotations
+
+import inspect
+from enum import Enum
+from functools import lru_cache
+from typing import Any, Callable
+
+from .lexer import literal_shape
+
+__all__ = ["SHAPE_CACHE_SIZE", "ShapeMemo"]
+
+#: shapes remembered, the least recently used evicted first
+SHAPE_CACHE_SIZE = 256
+
+#: literal ``k`` of a probe is ``_SENTINEL + k``, or ``_SENTINEL + k + 0.5``
+#: when not integral: exact as a float and far from any constant the parser makes
+_SENTINEL = 7_000_000_000
+
+_ATOMS = (str, int, float, bool, type(None))
+
+
+class ShapeMemo:
+    """``parse`` memoised by the shape of its text (see the module docstring)."""
+
+    def __init__(self, parse: Callable[[str], Any]) -> None:
+        self._parse = parse
+        # one slot per shape: None unseen, True seen once, False the parser's
+        # for good, else the binder
+        self._slot = lru_cache(maxsize=SHAPE_CACHE_SIZE)(lambda key: [None])
+
+    def parse(self, text: str) -> Any:
+        key, values = literal_shape(text)
+        slot = self._slot(key)
+        bind = slot[0]
+        if callable(bind):
+            return bind(values)
+        query = self._parse(text)  # a text that fails raises before it is seen
+        if bind is None:
+            slot[0] = True
+        elif bind is True:
+            slot[0] = self._compile(key, values, query)
+        return query
+
+    def _compile(self, key: tuple, values: list[float], query: Any):
+        """The binder of ``key``, ``False`` if it cannot reproduce ``query``, or
+        ``True`` (try again) when ``values`` hold a sentinel and the check is void."""
+        sentinels: dict[float, int] = {}
+        pieces = []
+        for part in key:
+            if isinstance(part, bool):
+                sentinel = _SENTINEL + len(sentinels) + (0.0 if part else 0.5)
+                pieces.append(str(int(sentinel)) if part else repr(sentinel))
+                sentinels[sentinel] = len(sentinels)
+            elif part:
+                pieces.append(part)
+        if not sentinels.keys().isdisjoint(values):
+            return True
+        probe = "".join(pieces)
+        if literal_shape(probe) != (key, list(sentinels)):
+            return False  # the probe tokenizes otherwise (``LIMIT.5``)
+        namespace: dict[str, Any] = {}
+
+        def constant(value: Any) -> str:
+            name = f"k{len(namespace)}"
+            namespace[name] = value
+            return name
+
+        def emit(node: Any, parsed: Any) -> str:
+            """``node`` of the probe's query as source over ``v``, the literal
+            values; ``parsed`` is the text's node, to tell what the parser shares."""
+            kind = type(node)
+            if node is parsed:
+                return constant(node)
+            if kind is not type(parsed):
+                raise TypeError(f"a {kind.__name__} in the probe, not in the text")
+            if (kind is int or kind is float) and abs(node) in sentinels:
+                source = f"{'-' if node < 0 else ''}v[{sentinels[abs(node)]}]"
+                return f"int({source})" if kind is int else source
+            if kind in _ATOMS or isinstance(node, Enum):
+                return constant(node)
+            if kind is list or kind is tuple:
+                items = "".join(f"{emit(a, b)}, " for a, b in zip(node, parsed, strict=True))
+                return f"[{items}]" if kind is list else f"({items})"
+            if kind is dict:
+                if node.keys() != parsed.keys():
+                    raise KeyError("the probe's mapping has other keys")
+                items = "".join(f"{constant(k)}: {emit(node[k], parsed[k])}, " for k in node)
+                return f"{{{items}}}"
+            # a node is rebuilt from its attributes named as its constructor's
+            # parameters; verify-on-fill checks that this holds
+            arguments = ", ".join(
+                f"{name}={emit(getattr(node, name), getattr(parsed, name))}"
+                for name in inspect.signature(kind).parameters
+            )
+            return f"{constant(kind)}({arguments})"
+
+        try:
+            exec(f"def bind(v):\n    return {emit(self._parse(probe), query)}\n", namespace)
+            bind = namespace["bind"]
+            return bind if repr(bind(values)) == repr(query) else False
+        except Exception:  # noqa: BLE001 - a node the binder cannot rebuild
+            return False

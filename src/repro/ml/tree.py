@@ -106,7 +106,6 @@ class DecisionTreeRegressor:
     ) -> tuple[int, float, np.ndarray] | None:
         n_samples = target.shape[0]
         total_sum = target.sum()
-        total_sq = float(((target - target.mean()) ** 2).sum())
         best_gain = 1e-12
         best: tuple[int, float, np.ndarray] | None = None
         for feature in self._candidate_features(rng):
@@ -135,9 +134,6 @@ class DecisionTreeRegressor:
                 if gain > best_gain:
                     best_gain = gain
                     best = (int(feature), float(threshold), left_mask.copy())
-        # ``total_sq`` retained for clarity of the objective; gain is monotone in
-        # the variance reduction so comparing gains is sufficient.
-        _ = total_sq
         return best
 
     # -- prediction ------------------------------------------------------------------
