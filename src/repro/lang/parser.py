@@ -54,7 +54,7 @@ from ..relational.view import AggregatedAttribute, UseSpec
 from .lexer import Token, TokenType, tokenize
 from .template import ShapeMemo
 
-__all__ = ["parse_query", "parse_uncached", "parse_what_if", "parse_how_to"]
+__all__ = ["parse_keyed", "parse_query", "parse_uncached", "parse_what_if", "parse_how_to"]
 
 _AGGREGATES = {"avg", "sum", "count"}
 
@@ -127,6 +127,13 @@ def parse_query(text: str) -> WhatIfQuery | HowToQuery:
     whose shape is cached is bound into its template, structurally identical
     to :func:`parse_uncached` (:mod:`repro.lang.template`)."""
     return _SHAPES.parse(text)
+
+
+def parse_keyed(text: str, eager: bool = False) -> tuple[WhatIfQuery | HowToQuery, tuple | None]:
+    """:func:`parse_query` and the text's key: its shape and every numeric literal
+    but a what-if's update constants, ``None`` while the shape has no binder
+    (``eager`` compiles it now); texts of one key differ only in those constants."""
+    return _SHAPES.parse_keyed(text, eager)
 
 
 def parse_uncached(text: str) -> WhatIfQuery | HowToQuery:

@@ -8,6 +8,9 @@ each literal a distinct sentinel of the same integer-ness, and compiles from
 its query a *binder*: one expression of the parser's constructors with each
 sentinel leaf replaced by its literal.  It is kept only if binding the text's
 own literals reproduces its parse, ``repr`` for ``repr`` (verify-on-fill).
+The binder also records which literals sit only under a what-if's
+``updates``, read off the probe's sentinels, so a text's key can leave them
+out (:meth:`ShapeMemo.parse_keyed`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ _SENTINEL = 7_000_000_000
 
 _ATOMS = (str, int, float, bool, type(None))
 
+#: the attribute whose literals a text's key leaves out: a what-if's update
+#: constants, which texts of one plan differ in (``docs/service.md``, "Bound plans")
+_UPDATES = "updates"
+
 
 class ShapeMemo:
     """``parse`` memoised by the shape of its text (see the module docstring)."""
@@ -37,25 +44,41 @@ class ShapeMemo:
     def __init__(self, parse: Callable[[str], Any]) -> None:
         self._parse = parse
         # one slot per shape: None unseen, True seen once, False the parser's
-        # for good, else the binder
+        # for good, else the binder and the positions of the key's literals
         self._slot = lru_cache(maxsize=SHAPE_CACHE_SIZE)(lambda key: [None])
 
     def parse(self, text: str) -> Any:
+        return self._bound(text, False)[0]
+
+    def parse_keyed(self, text: str, eager: bool = False) -> tuple[Any, tuple | None]:
+        """``text``'s query and its key: its shape and the values of its literals
+        but those only under ``updates``; ``None`` while the shape has no binder,
+        which ``eager`` compiles at the shape's first sighting."""
+        query, key, values, keyed = self._bound(text, eager)
+        return query, None if keyed is None else (key, *[values[i] for i in keyed])
+
+    def _bound(self, text: str, eager: bool) -> tuple[Any, tuple, list[float], tuple | None]:
+        """``text``'s query, shape and literals, and the positions of the literals
+        its key keeps (``None`` while the shape has no binder)."""
         key, values = literal_shape(text)
         slot = self._slot(key)
-        bind = slot[0]
-        if callable(bind):
-            return bind(values)
+        bound = slot[0]
+        if type(bound) is tuple:
+            bind, keyed = bound
+            return bind(values), key, values, keyed
         query = self._parse(text)  # a text that fails raises before it is seen
-        if bind is None:
+        if bound is None and not eager:
             slot[0] = True
-        elif bind is True:
-            slot[0] = self._compile(key, values, query)
-        return query
+        elif bound is not False:
+            slot[0] = bound = self._compile(key, values, query)
+            if type(bound) is tuple:
+                return query, key, values, bound[1]
+        return query, key, values, None
 
     def _compile(self, key: tuple, values: list[float], query: Any):
-        """The binder of ``key``, ``False`` if it cannot reproduce ``query``, or
-        ``True`` (try again) when ``values`` hold a sentinel and the check is void."""
+        """The binder of ``key`` and the positions of the literals its key keeps,
+        ``False`` if it cannot reproduce ``query``, or ``True`` (try again) when
+        ``values`` hold a sentinel and the check is void."""
         sentinels: dict[float, int] = {}
         pieces = []
         for part in key:
@@ -71,44 +94,57 @@ class ShapeMemo:
         if literal_shape(probe) != (key, list(sentinels)):
             return False  # the probe tokenizes otherwise (``LIMIT.5``)
         namespace: dict[str, Any] = {}
+        # the literals met under ``updates``, and those met elsewhere
+        in_updates: set[int] = set()
+        elsewhere: set[int] = set()
 
         def constant(value: Any) -> str:
             name = f"k{len(namespace)}"
             namespace[name] = value
             return name
 
-        def emit(node: Any, parsed: Any) -> str:
+        def emit(node: Any, parsed: Any, under: bool = False) -> str:
             """``node`` of the probe's query as source over ``v``, the literal
-            values; ``parsed`` is the text's node, to tell what the parser shares."""
+            values; ``parsed`` is the text's node, to tell what the parser shares;
+            ``under`` whether ``updates`` holds ``node``."""
             kind = type(node)
             if node is parsed:
                 return constant(node)
             if kind is not type(parsed):
                 raise TypeError(f"a {kind.__name__} in the probe, not in the text")
             if (kind is int or kind is float) and abs(node) in sentinels:
-                source = f"{'-' if node < 0 else ''}v[{sentinels[abs(node)]}]"
+                slot = sentinels[abs(node)]
+                (in_updates if under else elsewhere).add(slot)
+                source = f"{'-' if node < 0 else ''}v[{slot}]"
                 return f"int({source})" if kind is int else source
             if kind in _ATOMS or isinstance(node, Enum):
                 return constant(node)
             if kind is list or kind is tuple:
-                items = "".join(f"{emit(a, b)}, " for a, b in zip(node, parsed, strict=True))
+                items = "".join(
+                    f"{emit(a, b, under)}, " for a, b in zip(node, parsed, strict=True)
+                )
                 return f"[{items}]" if kind is list else f"({items})"
             if kind is dict:
                 if node.keys() != parsed.keys():
                     raise KeyError("the probe's mapping has other keys")
-                items = "".join(f"{constant(k)}: {emit(node[k], parsed[k])}, " for k in node)
+                items = "".join(
+                    f"{constant(k)}: {emit(node[k], parsed[k], under)}, " for k in node
+                )
                 return f"{{{items}}}"
             # a node is rebuilt from its attributes named as its constructor's
             # parameters; verify-on-fill checks that this holds
-            arguments = ", ".join(
-                f"{name}={emit(getattr(node, name), getattr(parsed, name))}"
-                for name in inspect.signature(kind).parameters
-            )
-            return f"{constant(kind)}({arguments})"
+            arguments = []
+            for name in inspect.signature(kind).parameters:
+                held = under or name == _UPDATES
+                arguments.append(f"{name}={emit(getattr(node, name), getattr(parsed, name), held)}")
+            return f"{constant(kind)}({', '.join(arguments)})"
 
         try:
             exec(f"def bind(v):\n    return {emit(self._parse(probe), query)}\n", namespace)
             bind = namespace["bind"]
-            return bind if repr(bind(values)) == repr(query) else False
+            if repr(bind(values)) != repr(query):
+                return False
         except Exception:  # noqa: BLE001 - a node the binder cannot rebuild
             return False
+        constants = in_updates - elsewhere
+        return bind, tuple(i for i in range(len(sentinels)) if i not in constants)

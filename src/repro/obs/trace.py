@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Any, Iterator, Mapping
 
@@ -112,12 +112,17 @@ def current_trace() -> TraceContext | None:
     return active[0] if active is not None else None
 
 
-@contextmanager
-def activate(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
+#: what ``activate(None)`` and an untraced ``span`` return: entered, it yields ``None``
+_UNTRACED = nullcontext()
+
+
+def activate(ctx: TraceContext | None) -> AbstractContextManager[TraceContext | None]:
     """Make ``ctx`` the active trace; ``activate(None)`` is a no-op."""
-    if ctx is None:
-        yield None
-        return
+    return _UNTRACED if ctx is None else _activated(ctx)
+
+
+@contextmanager
+def _activated(ctx: TraceContext) -> Iterator[TraceContext]:
     token = _ACTIVE.set((ctx, ctx.root))
     try:
         yield ctx
@@ -125,13 +130,14 @@ def activate(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def span(name: str, **meta: Any) -> Iterator[Span | None]:
+def span(name: str, **meta: Any) -> AbstractContextManager[Span | None]:
     """Record a timed child span under the current parent; no-op untraced."""
     active = _ACTIVE.get()
-    if active is None:
-        yield None
-        return
+    return _UNTRACED if active is None else _span(active, name, meta)
+
+
+@contextmanager
+def _span(active: tuple[TraceContext, Span], name: str, meta: dict) -> Iterator[Span]:
     ctx, parent = active
     child = Span(name, dict(meta) if meta else None)
     with ctx._lock:

@@ -32,15 +32,15 @@ from .fingerprint import (
     update_key,
     use_key,
 )
-from .session import HypeRService, PreparedPlan
+from .session import BoundPlan, HypeRService
 
 __all__ = [
     "BatchExecutor",
+    "BoundPlan",
     "CacheStats",
     "HypeRService",
     "LRUCache",
     "PlanFingerprint",
-    "PreparedPlan",
     "QueryCaches",
     "ServiceBackend",
     "ServingCounters",

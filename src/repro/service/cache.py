@@ -41,7 +41,23 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-__all__ = ["CacheStats", "LRUCache", "QueryCaches", "TTLCache"]
+__all__ = ["CacheStats", "HashedKey", "LRUCache", "QueryCaches", "TTLCache"]
+
+
+class HashedKey:
+    """A deep key that hashes once: a cache miss hashes its key a dozen times."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HashedKey) and self._hash == other._hash and self.key == other.key
 
 
 @dataclass(frozen=True)

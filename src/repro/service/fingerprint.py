@@ -40,6 +40,7 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Any, Callable, Hashable, Sequence
 
@@ -126,8 +127,9 @@ def use_key(use: UseSpec) -> Hashable:
     return ("use", use.base_relation, attributes, aggregated, joins)
 
 
+@lru_cache(maxsize=16)
 def config_key(config: EngineConfig) -> Hashable:
-    """Stable identity of an engine configuration."""
+    """Stable identity of an engine configuration (a frozen value: built once per value)."""
     return ("config",) + tuple(
         (f.name, _key_value(getattr(config, f.name))) for f in fields(config)
     )

@@ -75,7 +75,7 @@ from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import HowToResult, WhatIfResult
 from ..core.whatif import PreparedWhatIf, WhatIfEngine, validate_query
 from ..exceptions import QuerySemanticsError
-from ..lang.parser import parse_query
+from ..lang.parser import parse_keyed, parse_query
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..probdb.blocks import block_labels, label_columns
@@ -84,7 +84,7 @@ from ..relational.database import Database
 from ..relational.relation import Relation, changed_attributes
 from ..relational.view import UseSpec
 from .backend import ServingCounters
-from .cache import QueryCaches
+from .cache import CacheStats, HashedKey, QueryCaches
 from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
     Column,
@@ -92,6 +92,7 @@ from .fingerprint import (
     dag_key,
     fingerprint_query,
     plan_columns,
+    update_key,
     use_key,
 )
 from .versions import Commit, Snapshot, VersionStore
@@ -99,12 +100,16 @@ from .versions import Commit, Snapshot, VersionStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..shard.pool import ShardPool
 
-__all__ = ["HypeRService", "PreparedPlan", "with_columns"]
+__all__ = ["BoundPlan", "HypeRService", "with_columns"]
 
 Query = WhatIfQuery | HowToQuery
 Result = WhatIfResult | HowToResult
 
 EXECUTION_MODES = ("threads", "processes")
+
+#: bound plans one snapshot keeps, by text key and by plan group, the oldest
+#: dropped first; they go with their snapshot
+_BOUND_PLANS = 64
 
 
 def _estimator_weight(estimator: PostUpdateEstimator) -> int:
@@ -155,6 +160,8 @@ class _EngineState:
     reads: dict = field(default_factory=dict)
     #: this state's keys, built on first use
     memo: dict = field(default_factory=dict)
+    #: this state's bound plans (:class:`BoundPlan`), by text key and by plan group
+    plans: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -239,8 +246,9 @@ def _relations(columns: frozenset) -> frozenset[str]:
     return frozenset(relation for relation, _ in columns)
 
 
-class PreparedPlan:
-    """Handle returned by :meth:`HypeRService.prepare`: warmed shared state.
+class BoundPlan:
+    """A plan at one snapshot: what :meth:`HypeRService.prepare` returns, and what a
+    what-if of a seen text key or plan group reuses (``docs/service.md``, "Bound plans").
 
     ``what_if`` is a what-if's full-view preparation (scope mask, disjuncts,
     block labels), exactly what its execution evaluates; ``None`` for a how-to.
@@ -260,9 +268,21 @@ class PreparedPlan:
         self.estimator = estimator
         self.what_if = what_if
 
+    def bind(self, query: WhatIfQuery) -> PlanFingerprint:
+        """The fingerprint of ``query``, a what-if of this plan's text key: this
+        plan's, with ``query``'s update constants."""
+        fingerprint = self.fingerprint
+        return PlanFingerprint(
+            "what-if",
+            fingerprint.estimator_key,
+            fingerprint.plan_key,
+            (update_key(query.updates), *fingerprint.parameter_key[1:]),
+            fingerprint.columns,
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PreparedPlan({self.fingerprint.kind}, plan={self.fingerprint.digest}, "
+            f"BoundPlan({self.fingerprint.kind}, plan={self.fingerprint.digest}, "
             f"estimator={'yes' if self.estimator is not None else 'no'})"
         )
 
@@ -369,6 +389,9 @@ class HypeRService(ServingCounters):
         self._retired_regressor_fits = 0
         self._retired_regressor_hits = 0
         self.caches.estimators.on_evict = self._retire_estimator
+        # bound plans found, built and dropped, under the lock that binds them
+        self._plan_lock = threading.Lock()
+        self._plan_counts = [0, 0, 0]
 
     def _register_collectors(self) -> None:
         """Scrape-time callbacks over derived state (zero steady-state cost)."""
@@ -412,7 +435,7 @@ class HypeRService(ServingCounters):
                 f"Per-cache {stat_key} (labelled by cache)",
                 lambda key=stat_key: [
                     ({"cache": cache_name}, stats[key])
-                    for cache_name, stats in self.caches.stats().items()
+                    for cache_name, stats in self._cache_stats().items()
                 ],
                 kind=kind,
             )
@@ -550,6 +573,13 @@ class HypeRService(ServingCounters):
 
         return as_query_object(query)
 
+    def _keyed(self, query: str | Query, eager: bool = False) -> tuple[Query, Hashable]:
+        """``query`` parsed, and a what-if text's key (:func:`parse_keyed`) or ``None``."""
+        if not isinstance(query, str):
+            return self._as_query(query), None
+        parsed, key = parse_keyed(query, eager)
+        return parsed, key if isinstance(parsed, WhatIfQuery) else None
+
     def fingerprint(self, query: str | Query) -> PlanFingerprint:
         """The canonical plan fingerprint of ``query`` at the current generation."""
         return self._fingerprint(self._state, self._as_query(query))
@@ -598,29 +628,29 @@ class HypeRService(ServingCounters):
 
     def prepare(
         self, query: str | Query | Sequence[str | Query]
-    ) -> PreparedPlan | list[PreparedPlan]:
+    ) -> BoundPlan | list[BoundPlan]:
         """Warm the caches for ``query``'s plan and return the shared state.
 
-        Building the plan once up front means subsequent :meth:`execute`
-        calls for any parameter variant of the plan only pay for prediction.
+        A what-if text's plan is bound at the latest snapshot, so until the
+        next commit an :meth:`execute` of any text differing from it only in
+        update constants pays for parsing and prediction alone.
 
         A list (or tuple) of queries warms every plan in order against one
         pinned snapshot and returns the plans as a list — ``repro serve``
         uses this to warm each ``--warm-query`` before binding the server.
         """
         if isinstance(query, (list, tuple)):
-            plans: list[PreparedPlan] = []
+            plans: list[BoundPlan] = []
             with self.pinned():
                 for entry in query:
                     plans.append(self.prepare(entry))
             return plans
-        parsed = self._as_query(query)
+        parsed, key = self._keyed(query, eager=True)
         with self.pinned() as state:
             fingerprint = self._fingerprint(state, parsed)
             if isinstance(parsed, WhatIfQuery):
                 # exactly what the first execute builds, kernel entry included
-                prepared, estimator = self._what_if_plan(state, parsed, fingerprint)
-                return PreparedPlan(fingerprint, prepared.view, estimator, prepared)
+                return self._plan(state, parsed, fingerprint, key)
             view, view_dag = self._plan_view(state, parsed.use)
             validate_query(parsed, view, view_dag)  # before anything is cached
             estimator = self._plan_estimator(
@@ -630,7 +660,7 @@ class HypeRService(ServingCounters):
                     kernels=self._plan_kernels(state, parsed.use),
                 ),
             )
-            return PreparedPlan(fingerprint, view, estimator)
+            return BoundPlan(fingerprint, view, estimator)
 
     # -- execution ---------------------------------------------------------------------------
 
@@ -658,22 +688,27 @@ class HypeRService(ServingCounters):
         """
         with obs_trace.activate(trace):
             with obs_trace.span("parse"):
-                parsed = self._as_query(query)
+                parsed, key = self._keyed(query)
             self._m_queries.inc()
             with self._track("query"), self.pinned(generation) as state:
                 started = time.perf_counter()
+                plan = None if key is None else state.plans.get(key)
                 # taken once: the result key and the plan caches both read it
                 with obs_trace.span("fingerprint"):
-                    fingerprint = self._fingerprint(state, parsed)
+                    if plan is None:
+                        fingerprint = self._fingerprint(state, parsed)
+                    else:
+                        self._plan_hit()
+                        fingerprint = plan.bind(parsed)
                 hit = True
 
                 def _build() -> Result:
                     nonlocal hit
                     hit = False
-                    with obs_trace.span("execute"):
+                    with obs_trace.span("execute", bound=plan is not None):
                         (outcome,) = self._evaluate(
                             state, [(0, parsed, fingerprint, None)], exhaustive,
-                            self._crossing(state, 1),
+                            self._crossing(state, 1), plan=plan, key=key,
                         )
                     if isinstance(outcome, Exception):
                         raise outcome
@@ -740,13 +775,13 @@ class HypeRService(ServingCounters):
     ) -> Hashable:
         # Block metadata reads the labelling's columns.  The execution layout
         # is fixed per service, and so is this cache.
-        return (
+        return HashedKey((
             "result",
             fingerprint.kind,
             fingerprint.query_key,
             state.causal_dag is not None and self.config.use_blocks and state.blocks_key()[0],
             exhaustive,
-        )
+        ))
 
     def what_if(self, query: WhatIfQuery) -> WhatIfResult:
         """Alias of :meth:`execute` for programmatic what-if queries."""
@@ -837,8 +872,10 @@ class HypeRService(ServingCounters):
             pool = self._crossing(state, sum(map(len, steps))) if steps else None
             if pool is not None:  # one crossing; the workers group their shares
                 steps = [[entry for group in steps for entry in group]]
-            for entries in steps:
-                evaluate = partial(self._evaluate, state, entries, exhaustive, pool)
+            # a group's plan is bound under its variant key (one crossing: none)
+            bound = [None] if pool is not None else [("group", group) for group in groups]
+            for entries, plan_key in zip(steps, bound):
+                evaluate = partial(self._evaluate, state, entries, exhaustive, pool, key=plan_key)
                 started = time.perf_counter()
                 # a crossing is one shard batch; in process each query waits its group out
                 n = len(entries)
@@ -872,10 +909,14 @@ class HypeRService(ServingCounters):
         entries: Sequence[tuple[int, Query, PlanFingerprint, Hashable]],
         exhaustive: bool,
         pool: "ShardPool | None",
+        *,
+        plan: BoundPlan | None = None,
+        key: Hashable = None,
     ) -> list[Result | Exception]:
         """The outcomes of a batch's misses through ``pool``, or of one plan group:
         each distinct query once, a group's what-ifs in one stacked call — or, if
-        that fails, each alone, so a failure is its own query's, own envelope."""
+        that fails, each alone, so a failure is its own query's, own envelope.
+        A what-if group runs ``plan``, else its plan bound under ``key`` (:meth:`_plan`)."""
         if pool is not None:
             return pool.run_batch(
                 [query for _index, query, _fingerprint, _key in entries],
@@ -891,9 +932,11 @@ class HypeRService(ServingCounters):
             _index, query, fingerprint, _key = members[0]
             if isinstance(query, HowToQuery):  # a how-to is a group of its own
                 return [self._execute_how_to(state, query, fingerprint, exhaustive=exhaustive)]
-            prepared, estimator = self._what_if_plan(state, query, fingerprint)
+            bound = plan if plan is not None else self._plan(state, query, fingerprint, key)
             return state.whatif.evaluate_variants(
-                [member[1] for member in members], prepared=prepared, estimator=estimator
+                [member[1] for member in members],
+                prepared=bound.what_if,
+                estimator=bound.estimator,
             )
 
         try:
@@ -923,6 +966,30 @@ class HypeRService(ServingCounters):
         return self.caches.estimators.get_or_create(
             fingerprint.estimator_key, _fit, tags=fingerprint.columns
         )
+
+    def _plan(
+        self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint, key: Hashable
+    ) -> BoundPlan:
+        """``query``'s plan at ``state``: the one bound under ``key``, else built
+        and bound under ``key`` (unless ``None``); a plan that fails binds nothing."""
+        plan = None if key is None else state.plans.get(key)
+        if plan is not None:
+            self._plan_hit()
+            return plan
+        prepared, estimator = self._what_if_plan(state, query, fingerprint)
+        plan = BoundPlan(fingerprint, prepared.view, estimator, prepared)
+        if key is not None:
+            with self._plan_lock:
+                self._plan_counts[1] += 1
+                if len(state.plans) >= _BOUND_PLANS:
+                    del state.plans[next(iter(state.plans))]
+                    self._plan_counts[2] += 1
+                state.plans[key] = plan
+        return plan
+
+    def _plan_hit(self) -> None:
+        with self._plan_lock:
+            self._plan_counts[0] += 1
 
     def _what_if_plan(
         self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
@@ -1220,6 +1287,13 @@ class HypeRService(ServingCounters):
 
     # -- instrumentation -------------------------------------------------------------------
 
+    def _cache_stats(self) -> dict[str, dict[str, Any]]:
+        """Each cache's row, the latest snapshot's bound plans' (``plans``) included."""
+        with self._plan_lock:
+            hits, misses, evictions = self._plan_counts
+        plans = CacheStats("plans", _BOUND_PLANS, len(self._state.plans), hits, misses, evictions)
+        return {**self.caches.stats(), "plans": plans.as_dict()}
+
     def stats(self) -> dict[str, Any]:
         """Service counters plus per-cache and regressor-level statistics.
 
@@ -1255,7 +1329,7 @@ class HypeRService(ServingCounters):
             "n_queries": int(self._m_queries.value),
             "n_batches": int(self._m_batches.value),
             "uptime_seconds": time.time() - self._started_at,
-            "caches": self.caches.stats(),
+            "caches": self._cache_stats(),
             "regressors": {
                 "fits": regressor_fits,
                 "hits": regressor_hits,
