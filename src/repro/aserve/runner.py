@@ -31,8 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from ..api.core import MAX_BODY_BYTES
-from ..service.backend import ServiceBackend
-from ..service.executor import default_max_workers
+from ..service.backend import ServiceBackend, default_max_workers
 from .admission import AdmissionController
 from .app import AsyncApp
 

@@ -151,8 +151,6 @@ class ClusterCoordinator(ServingCounters):
         self._generation = 0
         self._dealer = PlanDealer()
         self._started_at = time.time()
-        self._n_queries = 0
-        self._n_batches = 0
         # serializes two-phase update fan-outs (and generation bumps)
         self._commit_lock = threading.RLock()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -534,7 +532,6 @@ class ClusterCoordinator(ServingCounters):
         """
         parsed, text = self._parsed(query)
         self._m_queries.inc()
-        self._n_queries += 1
         with obs_trace.activate(trace), self._track("query"):
             (outcome,) = self._answers([(parsed, text)], deadline, exhaustive)
             if isinstance(outcome, Exception):
@@ -554,7 +551,6 @@ class ClusterCoordinator(ServingCounters):
         ``max_workers`` is the protocol's; the legs overlap on the event loop.
         """
         self._m_batches.inc()
-        self._n_batches += 1
         outcomes: list[Any] = [None] * len(queries)
         items: dict[int, tuple[Query, str]] = {}
         for index, entry in enumerate(queries):
@@ -564,7 +560,6 @@ class ClusterCoordinator(ServingCounters):
                 outcomes[index] = error
         if items:
             self._m_queries.inc(len(items))
-            self._n_queries += len(items)
             with self._track("query", units=len(items)):
                 answered = self._answers(list(items.values()), None)
             for index, outcome in zip(items, answered):
@@ -671,8 +666,8 @@ class ClusterCoordinator(ServingCounters):
         return {
             "generation": self._generation,
             "execution": self.execution,
-            "n_queries": self._n_queries,
-            "n_batches": self._n_batches,
+            "n_queries": int(self._m_queries.value),
+            "n_batches": int(self._m_batches.value),
             "uptime_seconds": time.time() - self._started_at,
             "serving": self.serving_signals(),
             "clients": self.client_stats(),

@@ -341,7 +341,7 @@ class PostUpdateEstimator:
         subset) built by the engines — see ``regressor_cache_key`` in
         :mod:`repro.core.whatif` — so that an estimator shared across queries
         by the service layer can never alias two different training targets.
-        Fitting is per-key single-flight: concurrent batch-executor workers
+        Fitting is per-key single-flight: concurrent batch threads
         sharing one estimator fit each key exactly once, while fits of
         *different* keys run in parallel (the fit happens outside the lock).
         """

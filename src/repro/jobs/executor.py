@@ -123,9 +123,10 @@ class JobExecutor:
 
         A single-query job answers with one typed answer; a batch job mirrors
         ``/v1/batch`` semantics — per-item answers or error envelopes, the
-        job itself succeeding once every item has been attempted.  Batches on
-        a single-node ``processes`` service cross the shard pool under one
-        pinned snapshot, so every item sees the same generation.
+        job itself succeeding once every item has been attempted.  A batch
+        on a single node is answered under one pinned snapshot in
+        ``threads`` and ``processes`` mode alike (``HypeRService.answer``),
+        so every item sees the same generation.
         """
         from ..api.endpoints import envelope_for
         from ..api.schemas import answer_from_result

@@ -8,10 +8,9 @@ system (the ROADMAP's production north star):
   from parameters (update constants, clause literals);
 * :mod:`~repro.service.cache` — bounded, instrumented LRU caches for views,
   fitted estimators, block decompositions and candidate enumerations;
-* :mod:`~repro.service.executor` — fingerprint-grouped concurrent batch
-  execution on a thread pool;
 * :mod:`~repro.service.session` — the :class:`HypeRService` facade
-  (``prepare`` / ``execute`` / ``execute_many`` / ``stats``);
+  (``prepare`` / ``execute`` / ``execute_many`` / ``stats``), whose
+  ``answer`` groups a batch by plan and runs the groups on a thread pool;
 * :mod:`~repro.service.backend` — the :class:`ServiceBackend` protocol the
   serving stack calls and the :class:`ServingCounters` every backend shares.
 
@@ -19,9 +18,8 @@ The HTTP door over a backend (``repro serve``) is :mod:`repro.aserve`.  See
 ``docs/service.md`` for the architecture and invalidation rules.
 """
 
-from .backend import ServiceBackend, ServingCounters
+from .backend import ServiceBackend, ServingCounters, default_max_workers
 from .cache import CacheStats, LRUCache, QueryCaches, TTLCache
-from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
     PlanFingerprint,
     config_key,
@@ -35,7 +33,6 @@ from .fingerprint import (
 from .session import BoundPlan, HypeRService
 
 __all__ = [
-    "BatchExecutor",
     "BoundPlan",
     "CacheStats",
     "HypeRService",

@@ -13,6 +13,7 @@ signal snapshot are defined once and cannot drift between them.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -22,7 +23,12 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
 from .versions import Commit
 
-__all__ = ["ServiceBackend", "ServingCounters"]
+__all__ = ["ServiceBackend", "ServingCounters", "default_max_workers"]
+
+
+def default_max_workers() -> int:
+    """A conservative thread count: the CPU count, capped at 8."""
+    return max(1, min(8, os.cpu_count() or 1))
 
 
 @runtime_checkable

@@ -10,38 +10,32 @@ database + causal DAG + engine configuration and, across queries:
   columns** each entry reads — ``update_database`` bumps only the columns
   that changed, so everything reading none of them stays warm, while
   ``update_causal_dag`` / ``invalidate`` drop everything;
-* executes query batches per plan group (:meth:`HypeRService.answer`),
-  concurrently, through
-  :class:`~repro.service.executor.BatchExecutor` threads
-  (``execution="threads"``, the default) or through a persistent
+* answers every query through one path, :meth:`HypeRService.answer`: it pins
+  one snapshot, fingerprints each query once (a what-if text of a bound key
+  not at all), binds plans, reads and writes the result cache and logs
+  completions.  ``execute`` is a call of it with one query, ``execute_many``
+  one with the batch, whose plan groups run on a thread pool
+  (``execution="threads"``, the default) or cross a persistent
   :class:`~repro.shard.pool.ShardPool` of worker **processes**
   (``execution="processes"``, see :mod:`repro.shard`), each of which is
   itself a ``HypeRService`` over the full snapshot, so every query is dealt
   whole and answered bitwise equal to the single-process path;
 * reports instrumentation through :meth:`stats`.
 
-Concurrency model (MVCC): every generation-dependent piece (database,
-engines, DAG identity, counters) lives in one immutable ``_EngineState``
-snapshot, and the snapshots live in a refcounted
-:class:`~repro.service.versions.VersionStore`.  A query *pins* the latest
-committed snapshot when it begins and reads exactly that snapshot until it
-finishes, so it observes either the old or the new generation in full —
-never a mix — even when ``update_database`` commits mid-flight.  Commits
-never pause readers: ``update_database`` installs the new snapshot
-atomically, in-flight readers keep their pinned (old) snapshot alive until
-they unpin, and superseded snapshots are retired the moment their last
-reader finishes.  A reader may also name a generation it wants
-(``execute(..., generation=g)``) as long as ``g`` is still live.  In
-``processes`` mode the shard pool always serves the latest committed
-generation — a commit ships only the changed columns to the existing workers
-in place (:meth:`~repro.shard.pool.ShardPool.apply_update`) instead of tearing
-the pool down, and a reader still pinned to an older snapshot falls back to
-in-process evaluation of its pinned state (bitwise-identical: the pool's
-answers are the unsharded engine's), so no query ever observes a pool teardown.  Cache
-keys embed the generations of the columns they read; entries an in-flight
-old-generation query inserts after a commit are unreachable from the new
-generation if they read a changed column, and age out of the bounded LRU
-(targeted eviction by column tag frees the others eagerly).
+Concurrency model (MVCC, ``docs/service.md``, "Updates & isolation"): every
+generation-dependent piece (database, engines, DAG identity, counters) lives
+in one immutable ``_EngineState`` snapshot, kept in a refcounted
+:class:`~repro.service.versions.VersionStore`.  A query or a batch *pins* the
+latest committed snapshot (or a named live ``generation``) when it begins and
+reads exactly that snapshot until it finishes, so it sees the old or the new
+generation in full, never a mix, and a commit never pauses it; a superseded
+snapshot retires when its last reader unpins.  In ``processes`` mode the
+shard pool serves the latest generation, moved forward in place by each
+commit (:meth:`~repro.shard.pool.ShardPool.apply_update`); a reader pinned to
+an older snapshot evaluates its pinned state in-process, bitwise the pool's
+answers.  Cache keys embed the generations of the columns they read, so an
+entry reading a changed column is unreachable from the new generation and
+ages out of its bounded LRU (eviction by column tag frees it sooner).
 
 Typical use::
 
@@ -62,7 +56,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
@@ -76,6 +71,7 @@ from ..core.results import HowToResult, WhatIfResult
 from ..core.whatif import PreparedWhatIf, WhatIfEngine, validate_query
 from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_keyed, parse_query
+from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..probdb.blocks import block_labels, label_columns
@@ -83,9 +79,8 @@ from ..relational.columnar import KernelCache
 from ..relational.database import Database
 from ..relational.relation import Relation, changed_attributes
 from ..relational.view import UseSpec
-from .backend import ServingCounters
+from .backend import ServingCounters, default_max_workers
 from .cache import CacheStats, HashedKey, QueryCaches
-from .executor import BatchExecutor, default_max_workers
 from .fingerprint import (
     Column,
     PlanFingerprint,
@@ -246,6 +241,7 @@ def _relations(columns: frozenset) -> frozenset[str]:
     return frozenset(relation for relation, _ in columns)
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class BoundPlan:
     """A plan at one snapshot: what :meth:`HypeRService.prepare` returns, and what a
     what-if of a seen text key or plan group reuses (``docs/service.md``, "Bound plans").
@@ -254,19 +250,10 @@ class BoundPlan:
     block labels), exactly what its execution evaluates; ``None`` for a how-to.
     """
 
-    __slots__ = ("fingerprint", "view", "estimator", "what_if")
-
-    def __init__(
-        self,
-        fingerprint: PlanFingerprint,
-        view: Relation,
-        estimator: PostUpdateEstimator | None,
-        what_if: PreparedWhatIf | None = None,
-    ) -> None:
-        self.fingerprint = fingerprint
-        self.view = view
-        self.estimator = estimator
-        self.what_if = what_if
+    fingerprint: PlanFingerprint
+    view: Relation
+    estimator: PostUpdateEstimator | None
+    what_if: PreparedWhatIf | None = None
 
     def bind(self, query: WhatIfQuery) -> PlanFingerprint:
         """The fingerprint of ``query``, a what-if of this plan's text key: this
@@ -278,12 +265,6 @@ class BoundPlan:
             fingerprint.plan_key,
             (update_key(query.updates), *fingerprint.parameter_key[1:]),
             fingerprint.columns,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BoundPlan({self.fingerprint.kind}, plan={self.fingerprint.digest}, "
-            f"estimator={'yes' if self.estimator is not None else 'no'})"
         )
 
 
@@ -363,7 +344,6 @@ class HypeRService(ServingCounters):
         self._commit_lock = threading.RLock()
         self._pool_lock = threading.Lock()
         self._pool: "ShardPool | None" = None
-        self._pool_generation: int | None = None
         self._started_at = time.time()
         # The serving instruments (and the registry the front doors expose at
         # GET /v1/metrics) come from ServingCounters; the ones below are this
@@ -447,36 +427,27 @@ class HypeRService(ServingCounters):
             m.register_callback(
                 name,
                 f"Shard pool {stat_key} (absent while no pool is running)",
-                lambda key=stat_key: self._collect_pool_stat(key),
+                lambda key=stat_key: self._pool_stats(lambda stats: stats[key]),
                 kind=kind,
             )
         m.register_callback(
             "hyper_shm_bytes",
             "Live shared-memory snapshot bytes owned by the shard pool",
-            self._collect_shm_bytes,
+            lambda: self._pool_stats(lambda stats: (stats["shm"] or {}).get("live_bytes", 0)),
         )
         m.register_callback(
             "hyper_broadcast_bytes_total",
             "Bytes crossing the shard-worker queues (both directions)",
-            lambda: self._collect_pool_stat("bytes_to_workers", "bytes_from_workers"),
+            lambda: self._pool_stats(lambda s: s["bytes_to_workers"] + s["bytes_from_workers"]),
             kind="counter",
         )
 
-    def _collect_pool_stat(self, *keys: str) -> float | None:
+    def _pool_stats(self, read: Callable[[dict], Any] = lambda stats: stats) -> Any:
+        """``read`` of the running pool's stats (by default, those); ``None`` while
+        no pool runs, which leaves a pool metric absent."""
         with self._pool_lock:
             pool = self._pool
-        if pool is None:
-            return None
-        stats = pool.stats()
-        return float(sum(stats[key] for key in keys))
-
-    def _collect_shm_bytes(self) -> float | None:
-        with self._pool_lock:
-            pool = self._pool
-        if pool is None:
-            return None
-        shm = pool.stats()["shm"]
-        return float(shm["live_bytes"]) if shm is not None else 0.0
+        return None if pool is None else read(pool.stats())
 
     def _capacity_hint(self) -> int:
         """Shard count in ``processes`` mode, worker threads otherwise."""
@@ -640,26 +611,15 @@ class HypeRService(ServingCounters):
         uses this to warm each ``--warm-query`` before binding the server.
         """
         if isinstance(query, (list, tuple)):
-            plans: list[BoundPlan] = []
             with self.pinned():
-                for entry in query:
-                    plans.append(self.prepare(entry))
-            return plans
+                return [self.prepare(entry) for entry in query]
         parsed, key = self._keyed(query, eager=True)
         with self.pinned() as state:
             fingerprint = self._fingerprint(state, parsed)
             if isinstance(parsed, WhatIfQuery):
                 # exactly what the first execute builds, kernel entry included
                 return self._plan(state, parsed, fingerprint, key)
-            view, view_dag = self._plan_view(state, parsed.use)
-            validate_query(parsed, view, view_dag)  # before anything is cached
-            estimator = self._plan_estimator(
-                fingerprint,
-                lambda: state.howto.build_estimator(
-                    parsed, view=view, view_dag=view_dag,
-                    kernels=self._plan_kernels(state, parsed.use),
-                ),
-            )
+            view, _view_dag, _kernels, estimator = self._how_to_plan(state, parsed, fingerprint)
             return BoundPlan(fingerprint, view, estimator)
 
     # -- execution ---------------------------------------------------------------------------
@@ -684,82 +644,32 @@ class HypeRService(ServingCounters):
         pass the request's :class:`~repro.obs.trace.TraceContext` when the
         client asked for ``?trace=1``); with ``trace=None`` every span site
         is a no-op.  ``generation`` answers at that generation instead of the
-        latest, if it is still live (:class:`LookupError` otherwise).
+        latest, if it is still live (:class:`LookupError` otherwise).  It is
+        :meth:`answer` of the one query, with its text key and its text.
         """
         with obs_trace.activate(trace):
             with obs_trace.span("parse"):
                 parsed, key = self._keyed(query)
-            self._m_queries.inc()
-            with self._track("query"), self.pinned(generation) as state:
-                started = time.perf_counter()
-                plan = None if key is None else state.plans.get(key)
-                # taken once: the result key and the plan caches both read it
-                with obs_trace.span("fingerprint"):
-                    if plan is None:
-                        fingerprint = self._fingerprint(state, parsed)
-                    else:
-                        self._plan_hit()
-                        fingerprint = plan.bind(parsed)
-                hit = True
-
-                def _build() -> Result:
-                    nonlocal hit
-                    hit = False
-                    with obs_trace.span("execute", bound=plan is not None):
-                        (outcome,) = self._evaluate(
-                            state, [(0, parsed, fingerprint, None)], exhaustive,
-                            self._crossing(state, 1), plan=plan, key=key,
-                        )
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    return outcome
-
-                if not self._result_cache_enabled:
-                    result = _build()
-                else:
-                    with obs_trace.span("cache.result") as cache_span:
-                        result = self.caches.results.get_or_create(
-                            self._result_key(state, fingerprint, exhaustive),
-                            _build,
-                            tags=_relations(fingerprint.columns),
-                        )
-                    if cache_span is not None:
-                        cache_span.meta["hit"] = hit
-                self._record_completion(
-                    state,
-                    parsed,
-                    query,
-                    time.perf_counter() - started,
-                    fingerprint=fingerprint,
+            with self._track("query"):
+                (outcome,) = self.answer(
+                    [parsed], keys=[key], texts=[query], exhaustive=exhaustive,
+                    generation=generation,
                 )
-                return result
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def _record_completion(
-        self,
-        state: _EngineState,
-        parsed: Query,
-        query: str | Query,
-        elapsed: float,
-        *,
-        fingerprint: PlanFingerprint | None = None,
+        self, query: Query, text: str | Query, elapsed: float, fingerprint: PlanFingerprint
     ) -> None:
-        """Feed the slow-query log; fingerprints/unparses only when tripped."""
+        """Feed the slow-query log; unparses a query object only when tripped."""
         if elapsed < self.slow_log.threshold_seconds:
             return
-        if fingerprint is None:
-            fingerprint = self._fingerprint(state, parsed)
-        if isinstance(query, str):
-            text = query
-        else:
+        if not isinstance(text, str):
             try:
-                from ..lang.unparse import unparse_how_to, unparse_what_if
-
-                if isinstance(parsed, WhatIfQuery):
-                    text = unparse_what_if(parsed)
-                else:
-                    text = unparse_how_to(parsed)
+                text = unparse(query)
             except Exception:  # noqa: BLE001 - the log is best-effort
-                text = repr(parsed)[:200]
+                text = repr(query)[:200]
         active = obs_trace.current_trace()
         if self.slow_log.record(
             str(fingerprint.digest),
@@ -800,13 +710,15 @@ class HypeRService(ServingCounters):
     ) -> list[Result | Exception]:
         """Answer a batch per plan group (:meth:`answer`); results align with the input order.
 
-        In ``threads`` mode the groups run concurrently, one task each.  In
-        ``processes`` mode the whole batch crosses the shard pool in a single
-        scatter round-trip — each query dealt whole to one worker, which
-        answers its share group by group.  With ``return_errors=True`` a
-        failing query yields its exception in the result list while the rest
-        of the batch completes normally (the HTTP ``/batch`` endpoint uses
-        this); with the default, the first failure propagates at the end.
+        In ``threads`` mode the groups run concurrently on up to
+        ``max_workers`` threads.  In ``processes`` mode the whole batch
+        crosses the shard pool in a single scatter round-trip — each query
+        dealt whole to one worker, which answers its share group by group.
+        Either way the batch reads one pinned snapshot.  With
+        ``return_errors=True`` a failing query yields its exception in the
+        result list while the rest of the batch completes normally (the HTTP
+        ``/batch`` endpoint uses this); with the default, the first failure
+        propagates at the end.
         """
         parsed: list[Query | Exception] = []
         for query in queries:
@@ -821,10 +733,9 @@ class HypeRService(ServingCounters):
         # evaluation or the pool crossing; the batch wrapper contributes only
         # its latency sum.
         with self._track("batch", units=0):
-            if self.execution == "processes":
-                results = self.answer(parsed)
-            else:
-                results = BatchExecutor(max_workers or self.max_workers).run(self, parsed)
+            results = self.answer(
+                parsed, max_workers=max_workers or self.max_workers or default_max_workers()
+            )
         if not return_errors:
             for result in results:
                 if isinstance(result, Exception):
@@ -835,62 +746,121 @@ class HypeRService(ServingCounters):
         self,
         queries: Sequence[Query | Exception],
         *,
+        keys: Sequence[Hashable] | None = None,
+        texts: Sequence[str | Query] | None = None,
         exhaustive: bool = False,
         generation: int | None = None,
+        max_workers: int | None = None,
         around_group: Callable[[Callable[[], list]], list] | None = None,
     ) -> list[Result | Exception]:
         """Answer parsed queries under one pinned snapshot, each outcome in its slot.
 
-        Exceptions among ``queries`` pass through, and a failing query yields
-        the exception :meth:`execute` raises for it.  Result-cache hits are
-        served first.  The misses cross the shard pool as one batch in
-        ``processes`` mode, else are evaluated one plan group
-        (:attr:`~repro.service.fingerprint.PlanFingerprint.variant_key`) at a
-        time.  ``around_group(evaluate)`` wraps each such step and returns its
-        outcomes — a pool worker times it, a cluster node checks its request
-        deadline first; what it raises is the outcome of each of the step's
-        queries.
+        The one answer path: every query, alone or in a batch, is
+        fingerprinted, bound to its plan, served from or stored to the result
+        cache and logged as a completion here.  Exceptions among ``queries``
+        pass through, and a failing query yields the exception
+        :meth:`execute` raises for it.  Result-cache hits are served first.
+        The misses cross the shard pool as one step in ``processes`` mode,
+        else each plan group
+        (:attr:`~repro.service.fingerprint.PlanFingerprint.variant_key`) is a
+        step, its plan bound under ``("group", variant_key)``; up to
+        ``max_workers`` steps run at a time on a thread pool.
+        ``around_group(evaluate)`` wraps each step and returns its outcomes —
+        a pool worker times it, a cluster node checks its request deadline
+        first; what it raises is the outcome of each of the step's queries.
+
+        ``keys`` and ``texts`` are :meth:`execute`'s, one per query: the text
+        key a what-if's plan is bound under (``None``: unbound), so a text of
+        a bound key skips its fingerprint, and the caller's text for the slow
+        log.  A call with ``keys`` is tracked whole by its caller, not per step.
         """
         results: list[Result | Exception] = list(queries)
+        texts = queries if texts is None else texts
         self._m_queries.inc(sum(1 for query in queries if not isinstance(query, Exception)))
         with self.pinned(generation) as state:
-            groups: dict[Hashable, list[tuple[int, Query, PlanFingerprint, Hashable]]] = {}
+            started = time.perf_counter()
+            entries = []
             for index, query in enumerate(queries):
                 if isinstance(query, Exception):
                     continue
-                fingerprint, key = self._fingerprint(state, query), None
-                if self._result_cache_enabled:
-                    key = self._result_key(state, fingerprint, exhaustive)
-                    cached = self.caches.results.get(key)
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                groups.setdefault(fingerprint.variant_key, []).append(
-                    (index, query, fingerprint, key)
-                )
-            steps = list(groups.values())
-            pool = self._crossing(state, sum(map(len, steps))) if steps else None
-            if pool is not None:  # one crossing; the workers group their shares
-                steps = [[entry for group in steps for entry in group]]
-            # a group's plan is bound under its variant key (one crossing: none)
-            bound = [None] if pool is not None else [("group", group) for group in groups]
-            for entries, plan_key in zip(steps, bound):
-                evaluate = partial(self._evaluate, state, entries, exhaustive, pool, key=plan_key)
-                started = time.perf_counter()
-                # a crossing is one shard batch; in process each query waits its group out
-                n = len(entries)
-                with self._track(*(("query", n, n) if pool is None else ("shard_batch", n, 1))):
-                    try:
-                        outcomes = evaluate() if around_group is None else around_group(evaluate)
-                    except Exception as error:  # noqa: BLE001 - each of the step's queries'
-                        outcomes = [error] * len(entries)
-                elapsed = time.perf_counter() - started  # what each query of it waited
-                for (index, query, fingerprint, key), outcome in zip(entries, outcomes):
-                    results[index] = outcome
-                    self._record_completion(state, query, query, elapsed, fingerprint=fingerprint)
-                    if key is not None and not isinstance(outcome, Exception):
-                        self.caches.results.put(key, outcome, tags=_relations(fingerprint.columns))
+                key = None if keys is None else keys[index]
+                plan = None if key is None else state.plans.get(key)
+                with obs_trace.span("fingerprint"):
+                    fingerprint = plan.bind(query) if plan else self._fingerprint(state, query)
+                entries.append((index, query, fingerprint, key, plan))
+            caching = self._result_cache_enabled
+            with obs_trace.span("cache.result") if caching else nullcontext() as cache_span:
+                # a plan its text key found counts one hit: in _plan, else here
+                found = missed = 0
+                groups: dict[Hashable, tuple[Hashable, list]] = {}
+                for index, query, fingerprint, key, plan in entries:
+                    result_key = None
+                    if caching:
+                        result_key = self._result_key(state, fingerprint, exhaustive)
+                        cached = self.caches.results.get(result_key)
+                        if cached is not None:
+                            found += plan is not None
+                            results[index] = cached
+                            elapsed = time.perf_counter() - started
+                            self._record_completion(query, texts[index], elapsed, fingerprint)
+                            continue
+                    missed += plan is not None
+                    group = fingerprint.variant_key
+                    bind = ("group", group) if keys is None else key
+                    groups.setdefault(group, (bind, []))[1].append(
+                        (index, query, fingerprint, result_key)
+                    )
+                steps = list(groups.values())
+                pool = self._crossing(state, sum(len(g) for _, g in steps)) if steps else None
+                if pool is not None:  # one crossing, binding nothing; workers group their shares
+                    steps = [(None, [entry for _bind, group in steps for entry in group])]
+                    found += missed
+                step = partial(self._step, state, exhaustive, pool, around_group, keys is None)
+                workers = min(max_workers or 1, len(steps))
+                if workers > 1:
+                    with ThreadPoolExecutor(max_workers=workers) as threads:
+                        ran = list(threads.map(step, steps))
+                else:
+                    ran = [step(entry) for entry in steps]
+                for (_bind, group), (outcomes, elapsed) in zip(steps, ran):
+                    for (index, query, fingerprint, result_key), outcome in zip(group, outcomes):
+                        results[index] = outcome
+                        self._record_completion(query, texts[index], elapsed, fingerprint)
+                        if result_key is not None and not isinstance(outcome, Exception):
+                            tags = _relations(fingerprint.columns)
+                            self.caches.results.put(result_key, outcome, tags=tags)
+                if found:
+                    self._plan_hit(found)
+            if cache_span is not None:
+                cache_span.meta["hit"] = not steps
         return results
+
+    def _step(
+        self,
+        state: _EngineState,
+        exhaustive: bool,
+        pool: "ShardPool | None",
+        around_group: Callable[[Callable[[], list]], list] | None,
+        tracked: bool,
+        step: tuple[Hashable, list[tuple[int, Query, PlanFingerprint, Hashable]]],
+    ) -> tuple[list[Result | Exception], float]:
+        """One step of :meth:`answer` and how long it took: a plan group, its
+        plan bound under ``bind``, or a whole crossing (tracked as one shard batch)."""
+        bind, entries = step
+        n = len(entries)
+        evaluate = partial(self._evaluate, state, entries, exhaustive, pool, bind)
+        # in process each query waits its group out
+        track = ("query", n, n) if pool is None else ("shard_batch", n, 1)
+        started = time.perf_counter()
+        with self._track(*track) if tracked else nullcontext():
+            with obs_trace.span("execute") as span:
+                if span is not None:
+                    span.meta["bound"] = bind is not None and bind in state.plans
+                try:
+                    outcomes = evaluate() if around_group is None else around_group(evaluate)
+                except Exception as error:  # noqa: BLE001 - each of the step's queries'
+                    outcomes = [error] * n
+        return outcomes, time.perf_counter() - started
 
     def _crossing(self, state: _EngineState, n_queries: int) -> "ShardPool | None":
         """The shard pool misses cross in ``processes`` mode; ``None`` for a reader
@@ -909,14 +879,12 @@ class HypeRService(ServingCounters):
         entries: Sequence[tuple[int, Query, PlanFingerprint, Hashable]],
         exhaustive: bool,
         pool: "ShardPool | None",
-        *,
-        plan: BoundPlan | None = None,
-        key: Hashable = None,
+        bind: Hashable,
     ) -> list[Result | Exception]:
         """The outcomes of a batch's misses through ``pool``, or of one plan group:
         each distinct query once, a group's what-ifs in one stacked call — or, if
         that fails, each alone, so a failure is its own query's, own envelope.
-        A what-if group runs ``plan``, else its plan bound under ``key`` (:meth:`_plan`)."""
+        A what-if group runs its plan bound under ``bind`` (:meth:`_plan`)."""
         if pool is not None:
             return pool.run_batch(
                 [query for _index, query, _fingerprint, _key in entries],
@@ -932,11 +900,11 @@ class HypeRService(ServingCounters):
             _index, query, fingerprint, _key = members[0]
             if isinstance(query, HowToQuery):  # a how-to is a group of its own
                 return [self._execute_how_to(state, query, fingerprint, exhaustive=exhaustive)]
-            bound = plan if plan is not None else self._plan(state, query, fingerprint, key)
+            plan = self._plan(state, query, fingerprint, bind)
             return state.whatif.evaluate_variants(
                 [member[1] for member in members],
-                prepared=bound.what_if,
-                estimator=bound.estimator,
+                prepared=plan.what_if,
+                estimator=plan.estimator,
             )
 
         try:
@@ -987,9 +955,9 @@ class HypeRService(ServingCounters):
                 state.plans[key] = plan
         return plan
 
-    def _plan_hit(self) -> None:
+    def _plan_hit(self, n: int = 1) -> None:
         with self._plan_lock:
-            self._plan_counts[0] += 1
+            self._plan_counts[0] += n
 
     def _what_if_plan(
         self, state: _EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint
@@ -1008,11 +976,13 @@ class HypeRService(ServingCounters):
             fingerprint, lambda: state.whatif.build_estimator(query, prepared)
         )
 
-    def _execute_how_to(
-        self, state: _EngineState, query: HowToQuery, fingerprint: PlanFingerprint, *, exhaustive: bool
-    ) -> HowToResult:
+    def _how_to_plan(
+        self, state: _EngineState, query: HowToQuery, fingerprint: PlanFingerprint
+    ) -> tuple[Relation, CausalDAG | None, KernelCache, PostUpdateEstimator]:
+        """A how-to's view, its DAG projection and kernels, validated before
+        anything is cached, and its fitted estimator."""
         view, view_dag = self._plan_view(state, query.use)
-        validate_query(query, view, view_dag)  # before anything is cached
+        validate_query(query, view, view_dag)
         kernels = self._plan_kernels(state, query.use)
         estimator = self._plan_estimator(
             fingerprint,
@@ -1020,6 +990,12 @@ class HypeRService(ServingCounters):
                 query, view=view, view_dag=view_dag, kernels=kernels
             ),
         )
+        return view, view_dag, kernels, estimator
+
+    def _execute_how_to(
+        self, state: _EngineState, query: HowToQuery, fingerprint: PlanFingerprint, *, exhaustive: bool
+    ) -> HowToResult:
+        view, view_dag, kernels, estimator = self._how_to_plan(state, query, fingerprint)
         prepared = state.howto.prepare(
             query, view=view, estimator=estimator, view_dag=view_dag, kernels=kernels
         )
@@ -1030,11 +1006,8 @@ class HypeRService(ServingCounters):
             ),
             tags=fingerprint.columns,
         )
-        if exhaustive:
-            return state.howto.evaluate_exhaustive(
-                query, prepared=prepared, candidates=candidates
-            )
-        return state.howto.evaluate(query, prepared=prepared, candidates=candidates)
+        evaluate = state.howto.evaluate_exhaustive if exhaustive else state.howto.evaluate
+        return evaluate(query, prepared=prepared, candidates=candidates)
 
     # -- shard pool (processes mode) -------------------------------------------------------
 
@@ -1055,7 +1028,7 @@ class HypeRService(ServingCounters):
 
         with self._pool_lock:
             if self._pool is not None:
-                if self._pool_generation == state.generation:
+                if self._pool.generation == state.generation:
                     return self._pool
                 # The pool serves a different (newer) generation than this
                 # reader's pinned snapshot: straggler, falls back in-process.
@@ -1069,7 +1042,6 @@ class HypeRService(ServingCounters):
                 n_shards=self.n_shards,
                 generation=state.generation,
             ).start()
-            self._pool_generation = state.generation
             return self._pool
 
     def _refresh_pool(
@@ -1092,12 +1064,10 @@ class HypeRService(ServingCounters):
         latest-generation query rebuilds it lazily — readers pinned to older
         snapshots fall back in-process either way.
         """
-        if self.execution != "processes":
-            return
         with self._pool_lock:
             pool = self._pool
             if pool is None:
-                return  # nothing running; lazy start will use the new state
+                return  # nothing running (or threads mode); lazy start will use the new state
             try:
                 pool.apply_update(
                     state.database,
@@ -1107,11 +1077,9 @@ class HypeRService(ServingCounters):
                     replace_dag=replace_dag,
                     clear_caches=clear_caches,
                 )
-                self._pool_generation = state.generation
             except Exception:
                 pool.close()
                 self._pool = None
-                self._pool_generation = None
                 raise
 
     def start_pool(self) -> None:
@@ -1132,7 +1100,6 @@ class HypeRService(ServingCounters):
             if self._pool is not None:
                 self._pool.close()
                 self._pool = None
-                self._pool_generation = None
 
     def __enter__(self) -> "HypeRService":
         return self
@@ -1152,28 +1119,7 @@ class HypeRService(ServingCounters):
         in-process from their pinned engines.  Only if the in-place update
         fails is the pool closed for a lazy rebuild.
         """
-        with self._commit_lock:
-            state = self._state
-            new_state = _EngineState.build(
-                state.generation + 1,
-                state.database,
-                state.causal_dag,
-                self.config,
-                {name: gen + 1 for name, gen in state.relation_generations.items()},
-                state.column_generations,  # same columns, same data: keys stay valid
-            )
-            self.versions.commit(new_state, generation=new_state.generation)
-            self.caches.clear()
-            try:
-                self._refresh_pool(new_state, frozenset(), clear_caches=True)
-            except Exception:  # noqa: BLE001 - invalidate never raises
-                # _refresh_pool already closed the pool; the next query
-                # rebuilds it against the new state (the old behavior)
-                logging.getLogger(__name__).warning(
-                    "in-place pool invalidation failed; the pool was closed "
-                    "and will rebuild lazily",
-                    exc_info=True,
-                )
+        self._recommit(None, replace_dag=False)
 
     def update_database(self, database: Database) -> Commit:
         """Commit a new database snapshot with column-level invalidation.
@@ -1262,26 +1208,35 @@ class HypeRService(ServingCounters):
         caches — no process restart, no shm rebuild.  Only if the in-place
         update fails is the pool closed for a lazy rebuild.
         """
+        self._recommit(causal_dag, replace_dag=True)
+
+    def _recommit(self, causal_dag: CausalDAG | None, *, replace_dag: bool) -> None:
+        """Commit the same database as a new generation, every cache dropped: under
+        ``causal_dag`` if ``replace_dag`` (the pool's workers get it too), else
+        under the current DAG.  A failed in-place pool update is logged, not raised."""
         with self._commit_lock:
             state = self._state
             new_state = _EngineState.build(
                 state.generation + 1,
                 state.database,
-                causal_dag,
+                causal_dag if replace_dag else state.causal_dag,
                 self.config,
                 {name: gen + 1 for name, gen in state.relation_generations.items()},
-                state.column_generations,  # the DAG identity is in every key
+                # same columns, same data: keys stay valid (the DAG identity is in every key)
+                state.column_generations,
             )
             self.versions.commit(new_state, generation=new_state.generation)
             self.caches.clear()
             try:
                 self._refresh_pool(
-                    new_state, frozenset(), replace_dag=True, clear_caches=True
+                    new_state, frozenset(), replace_dag=replace_dag, clear_caches=True
                 )
-            except Exception:  # noqa: BLE001 - mirrors invalidate()
+            except Exception:  # noqa: BLE001 - neither caller raises
+                # _refresh_pool already closed the pool; the next query
+                # rebuilds it against the new state
                 logging.getLogger(__name__).warning(
-                    "in-place pool DAG swap failed; the pool was closed and "
-                    "will rebuild lazily",
+                    "in-place pool %s failed; the pool was closed and will rebuild lazily",
+                    "DAG swap" if replace_dag else "invalidation",
                     exc_info=True,
                 )
 
@@ -1313,8 +1268,7 @@ class HypeRService(ServingCounters):
             regressor_fits += counters["fits"]
             regressor_hits += counters["hits"]
             regressors_cached += counters["cached"]
-        with self._pool_lock:
-            pool_stats = self._pool.stats() if self._pool is not None else None
+        pool_stats = self._pool_stats()
         serving = self.serving_signals()
         versions = self.versions.stats()
         latest = self._state
@@ -1342,9 +1296,5 @@ class HypeRService(ServingCounters):
                 "threshold_seconds": self.slow_log.threshold_seconds,
             },
             "clients": self.client_stats(),
-            **(
-                {"jobs": self.jobs.stats()}
-                if self.jobs is not None
-                else {}
-            ),
+            **({"jobs": self.jobs.stats()} if self.jobs is not None else {}),
         }

@@ -177,3 +177,32 @@ def test_a_coefficient_is_its_candidate_what_if_minus_the_baseline(
     assert baseline == answer([])
     for candidate in candidates:
         assert coefficients[candidate] == answer([candidate]) - baseline
+
+
+def test_a_threads_batch_reads_one_snapshot(dataset, monkeypatch):
+    # the second group reads Status; Status is committed while the first is evaluated
+    texts = [
+        "USE Credit UPDATE(Savings) = 2 * PRE(Savings) OUTPUT AVG(POST(CreditAmount))",
+        "USE Credit WHEN Status >= 2 UPDATE(Savings) = 2 * PRE(Savings) "
+        "OUTPUT AVG(POST(Credit))",
+    ]
+    status = dataset.database["Credit"].column("Status")
+    committed = {"Credit": {"Status": 5 - status}}
+    service = HypeRService(dataset.database, dataset.causal_dag, CONFIG, result_cache_size=0)
+    before = [fields(service.execute(parse_query(text))) for text in texts]
+    generation = service.generation
+    plan = service._what_if_plan
+
+    def committing(*args, **kwargs):
+        if service.generation == generation:
+            service.update_relation_columns(committed)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(service, "_what_if_plan", committing)
+    outcomes = service.execute_many([parse_query(text) for text in texts], max_workers=1)
+    monkeypatch.undo()
+    assert service.generation == generation + 1
+    after = [fields(service.execute(parse_query(text))) for text in texts]
+    service.close()
+    assert [fields(outcome) for outcome in outcomes] == before
+    assert after[1] != before[1]

@@ -126,6 +126,25 @@ def test_every_update_constant_and_only_those_leave_the_key():
     assert [u.attribute for u in query.updates] == ["Status", "Savings"]
 
 
+def test_a_threads_batch_takes_one_fingerprint_per_query(dataset, monkeypatch):
+    texts = [SWEEP.replace("30", str(age)).format(c=c) for age in (30, 40) for c in CONSTANTS[:8]]
+    with serve(dataset, max_workers=3) as service:
+        calls = counting(service, monkeypatch)
+        answers = [fields(answer) for answer in service.execute_many(texts)]
+    assert calls == {"_fingerprint": 16, "_what_if_plan": 2}
+    assert answers == unbound(dataset, texts)
+
+
+def test_a_result_cache_hit_of_a_bound_text_counts_its_plan_hit(dataset):
+    text = SWEEP.format(c=CONSTANTS[0])
+    with serve(dataset) as service:
+        service.prepare(text)
+        first, second = service.execute(text), service.execute(text)
+        stats = service.stats()["caches"]
+    assert second is first and stats["results"]["hits"] == 1
+    assert (stats["plans"]["hits"], stats["plans"]["misses"]) == (2, 1)
+
+
 def test_a_failing_query_is_never_bound_and_fails_alike_twice(dataset):
     rejected = "USE Credit UPDATE(Age) = {c} * PRE(Age) OUTPUT AVG(POST(Credit))"  # immutable
     with serve(dataset) as service:

@@ -10,7 +10,7 @@ from repro import EngineConfig, HowToQuery, HypeRService, LimitConstraint, WhatI
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.datasets import make_german_syn
 from repro.relational import Relation, post, pre
-from repro.service import BatchExecutor, default_max_workers
+from repro.service import default_max_workers
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestExecuteMany:
             )
             for i in range(6)
         ]
-        BatchExecutor(max_workers=3).run(service, batch)
+        service.execute_many(batch, max_workers=3)
         # one shared plan: a single estimator entry, a single regressor fit
         stats = service.stats()
         assert stats["caches"]["estimators"]["size"] == 1
