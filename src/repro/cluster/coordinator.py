@@ -65,10 +65,9 @@ from ..api.schemas import API_VERSION, number_column, update_assignments
 from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..exceptions import HypeRError
-from ..lang.parser import parse_query
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
-from ..service.backend import ServingCounters
+from ..service.backend import ServingCounters, raise_first_error
 from ..service.fingerprint import PlanDealer, fingerprint_query
 from ..service.versions import Commit
 from . import wire
@@ -454,11 +453,8 @@ class ClusterCoordinator(ServingCounters):
         for (parsed, text), outcome in zip(items, outcomes):
             if not isinstance(outcome, Exception):
                 outcome.runtime_seconds = time.perf_counter() - started
-                self._record_completion(
-                    text,
-                    "whatif" if isinstance(parsed, WhatIfQuery) else "howto",
-                    outcome.runtime_seconds,
-                )
+                kind = "whatif" if isinstance(parsed, WhatIfQuery) else "howto"
+                self._record_completion(parsed, text, outcome.runtime_seconds, lambda: (text, kind))
         return outcomes
 
     # -- the service surface -----------------------------------------------------------
@@ -466,16 +462,6 @@ class ClusterCoordinator(ServingCounters):
     @property
     def generation(self) -> int:
         return self._generation
-
-    def parse(self, query_text: str) -> Query:
-        return parse_query(query_text)
-
-    def _as_query(self, query: Any) -> Query:
-        if isinstance(query, str):
-            return self.parse(query)
-        from ..api.builder import as_query_object
-
-        return as_query_object(query)
 
     def _parsed(self, query: Any) -> tuple[Query, str]:
         """A query as its object and the text the nodes are sent."""
@@ -504,19 +490,6 @@ class ClusterCoordinator(ServingCounters):
                 )
             )
 
-    def _record_completion(self, text: str, kind: str, elapsed: float) -> None:
-        if elapsed < self.slow_log.threshold_seconds:
-            return
-        active = obs_trace.current_trace()
-        if self.slow_log.record(
-            text,
-            elapsed,
-            query=text,
-            request_id=active.request_id if active is not None else "",
-            kind=kind,
-        ):
-            self._m_slow.inc()
-
     def execute(
         self,
         query: Any,
@@ -533,9 +506,7 @@ class ClusterCoordinator(ServingCounters):
         parsed, text = self._parsed(query)
         self._m_queries.inc()
         with obs_trace.activate(trace), self._track("query"):
-            (outcome,) = self._answers([(parsed, text)], deadline, exhaustive)
-            if isinstance(outcome, Exception):
-                raise outcome
+            (outcome,) = raise_first_error(self._answers([(parsed, text)], deadline, exhaustive))
             return outcome
 
     def execute_many(
@@ -564,11 +535,7 @@ class ClusterCoordinator(ServingCounters):
                 answered = self._answers(list(items.values()), None)
             for index, outcome in zip(items, answered):
                 outcomes[index] = outcome
-        if not return_errors:
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    raise outcome
-        return outcomes
+        return outcomes if return_errors else raise_first_error(outcomes)
 
     # -- updates (two-phase fan-out) ---------------------------------------------------
 

@@ -54,7 +54,8 @@ from ..core.results import HowToResult
 from ..exceptions import QuerySemanticsError
 from ..obs import trace as obs_trace
 from ..relational.database import Database
-from ..service.session import HypeRService, with_columns
+from ..service.session import HypeRService
+from ..service.state import with_columns
 from ..service.versions import Commit, Snapshot
 from ..shard.local import what_if_partial
 from ..shard.partition import Shard, partition_database

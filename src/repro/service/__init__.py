@@ -10,7 +10,9 @@ system (the ROADMAP's production north star):
   fitted estimators, block decompositions and candidate enumerations;
 * :mod:`~repro.service.session` — the :class:`HypeRService` facade
   (``prepare`` / ``execute`` / ``execute_many`` / ``stats``), whose
-  ``answer`` groups a batch by plan and runs the groups on a thread pool;
+  ``answer`` groups a batch by plan and runs the groups on a thread pool,
+  over :mod:`~repro.service.state` (engine state, commit diff, the pins and
+  commits) and :mod:`~repro.service.plan` (the plan compiler);
 * :mod:`~repro.service.backend` — the :class:`ServiceBackend` protocol the
   serving stack calls and the :class:`ServingCounters` every backend shares.
 
@@ -30,7 +32,8 @@ from .fingerprint import (
     update_key,
     use_key,
 )
-from .session import BoundPlan, HypeRService
+from .plan import BoundPlan
+from .session import HypeRService
 
 __all__ = [
     "BoundPlan",

@@ -17,18 +17,30 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
+from ..core.queries import HowToQuery, WhatIfQuery
+from ..lang.parser import parse_query
+from ..lang.unparse import unparse
+from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
 from .versions import Commit
 
-__all__ = ["ServiceBackend", "ServingCounters", "default_max_workers"]
+__all__ = ["ServiceBackend", "ServingCounters", "default_max_workers", "raise_first_error"]
 
 
 def default_max_workers() -> int:
     """A conservative thread count: the CPU count, capped at 8."""
     return max(1, min(8, os.cpu_count() or 1))
+
+
+def raise_first_error(outcomes: list) -> list:
+    """``outcomes``, unless one of them is an exception: the first is raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 @runtime_checkable
@@ -142,6 +154,45 @@ class ServingCounters:
     def _capacity_hint(self) -> int:
         """The backend's own execution capacity (the saturation denominator)."""
         raise NotImplementedError
+
+    def parse(self, query_text: str) -> WhatIfQuery | HowToQuery:
+        """Parse SQL-extension text into a query object (no execution)."""
+        return parse_query(query_text)
+
+    def _as_query(self, query: Any) -> WhatIfQuery | HowToQuery:
+        if isinstance(query, str):
+            return self.parse(query)
+        from ..api.builder import as_query_object  # lazy: api sits above service
+
+        return as_query_object(query)
+
+    def _record_completion(
+        self,
+        query: WhatIfQuery | HowToQuery,
+        text: str | WhatIfQuery | HowToQuery,
+        elapsed: float,
+        log_key: Callable[[], tuple[str, str]],
+    ) -> None:
+        """Feed the slow-query log under ``log_key()``'s key and kind — a plan
+        digest for a service, the text for a coordinator — taken, and a query
+        object unparsed, only when the threshold trips."""
+        if elapsed < self.slow_log.threshold_seconds:
+            return
+        if not isinstance(text, str):
+            try:
+                text = unparse(query)
+            except Exception:  # noqa: BLE001 - the log is best-effort
+                text = repr(query)[:200]
+        key, kind = log_key()
+        active = obs_trace.current_trace()
+        if self.slow_log.record(
+            key,
+            elapsed,
+            query=text,
+            request_id=active.request_id if active is not None else "",
+            kind=kind,
+        ):
+            self._m_slow.inc()
 
     @contextmanager
     def _track(self, endpoint: str, units: int = 1, observations: int = 1) -> Iterator[None]:

@@ -212,6 +212,10 @@ class PlanFingerprint:
         """Short stable hex digest of the plan structure, for logs and stats."""
         return hashlib.sha256(repr(self.plan_key).encode()).hexdigest()[:12]
 
+    def log_key(self) -> tuple[str, str]:
+        """What the slow-query log keys this plan's completions by: its digest and kind."""
+        return self.digest, self.kind
+
 
 def _estimator_keys(query, output, config, generation, dag, dag_identity, reads) -> tuple:
     """The estimator key, the ``When`` generations, the ``When`` structure and the

@@ -58,7 +58,7 @@ class Commit(frozenset):
 class Snapshot:
     """One committed, immutable version of the service's engine state.
 
-    ``state`` is the payload (the service's ``_EngineState``); ``generation``
+    ``state`` is the payload (the service's ``EngineState``); ``generation``
     is its monotonically increasing commit number.  The refcount counts
     readers currently pinned to this snapshot; once the snapshot is
     superseded *and* unpinned it is retired — ``state`` is released so the
@@ -158,8 +158,12 @@ class VersionStore:
 
     @contextmanager
     def pin(self, generation: int | None = None) -> Iterator[Snapshot]:
-        """Context manager: :meth:`acquire` for the block's duration."""
-        snapshot = self.acquire(generation)
+        """Context manager: :meth:`acquire` for the block's duration (a
+        ``snapshot.pin`` span when traced)."""
+        with obs_trace.span("snapshot.pin") as pin_span:
+            snapshot = self.acquire(generation)
+            if pin_span is not None:
+                pin_span.meta["generation"] = snapshot.generation
         try:
             yield snapshot
         finally:
@@ -214,6 +218,24 @@ class VersionStore:
                 self.on_retire(snapshot)
 
     # -- introspection -----------------------------------------------------------------
+
+    def register_metrics(self, registry: Any) -> None:
+        """Scrape-time collectors of this store on ``registry`` (a
+        :class:`~repro.obs.metrics.MetricsRegistry`): the latest generation
+        and the ``hyper_mvcc_*`` counters and gauges of :meth:`stats`."""
+        registry.register_callback(
+            "hyper_generation",
+            "Latest committed database generation",
+            lambda: self.latest.generation,
+        )
+        for name, key, kind in (
+            ("hyper_mvcc_commits_total", "commits", "counter"),
+            ("hyper_mvcc_retired_total", "retired", "counter"),
+            ("hyper_mvcc_live_snapshots", "live_snapshots", "gauge"),
+            ("hyper_mvcc_pinned_readers", "pinned_readers", "gauge"),
+        ):
+            read = lambda key=key: self.stats()[key]  # noqa: E731
+            registry.register_callback(name, f"MVCC version store: {key}", read, kind=kind)
 
     def stats(self) -> dict[str, Any]:
         """Counters for :meth:`HypeRService.stats`'s ``versions`` section."""

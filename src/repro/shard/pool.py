@@ -16,7 +16,7 @@ Database commits move the running workers forward *in place*
 that are not the previous generation's own cross the process boundary, each
 worker commits them into its service with ``update_database``, and its plan
 state that reads no changed column stays warm — the pool is never restarted for
-an update.
+an update, unless one fails: then its workers start again at the next crossing.
 
 Because a worker is a service, it keeps exactly the plan-level caches the
 thread-mode service keeps in-process — relevant views, fitted estimators,
@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import logging
 import pickle
 import queue as queue_module
 import threading
 import time
 import traceback
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from ..causal.dag import CausalDAG
@@ -55,8 +57,9 @@ from ..relational.columnar import (
     store_to_buffers,
 )
 from ..relational.database import Database
-from ..relational.relation import Relation, changed_attributes
-from ..service.fingerprint import PlanDealer, PlanFingerprint, fingerprint_query
+from ..relational.relation import Relation
+from ..service.backend import raise_first_error
+from ..service.fingerprint import Column, PlanDealer, PlanFingerprint, fingerprint_query
 from ..service.session import HypeRService
 from .partition import ShardPlan
 from .shm import (
@@ -101,7 +104,6 @@ class ShardWorkerRuntime:
         self.index = index
         self.attachment = attachment
         self.service = HypeRService(database, causal_dag, config, result_cache_size=0)
-        self.n_tasks = 0
 
     def handle(self, kind: str, payload: Any) -> Any:
         """Serve one task: a ``batch`` of queries, a commit, or a ``ping``.
@@ -111,7 +113,6 @@ class ShardWorkerRuntime:
         in a fresh context, so an inline worker records no spans into the
         caller's trace; each group ships one worker span instead (:meth:`_timed`).
         """
-        self.n_tasks += 1
         if kind == "batch":
             queries, exhaustive = payload
             outcomes = contextvars.Context().run(
@@ -124,7 +125,7 @@ class ShardWorkerRuntime:
         if kind == "update":
             return self.apply_update(payload)
         if kind == "ping":
-            return {"shard": self.index, "n_tasks": self.n_tasks}
+            return None
         raise ShardPoolError(f"unknown shard task kind {kind!r}")
 
     def _timed(self, evaluate: Callable[[], list[Any]]) -> list[Any]:
@@ -157,7 +158,7 @@ class ShardWorkerRuntime:
             }
         return outcomes
 
-    def apply_update(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def apply_update(self, payload: dict[str, Any]) -> None:
         """Commit the parent's next generation into this worker's service.
 
         ``payload`` carries one patch per changed relation — its schema, and
@@ -192,7 +193,7 @@ class ShardWorkerRuntime:
             # one patch segment per relation and commit: without this the
             # worker would keep every one of them mapped for its whole life
             release_buffers(patch["descriptor"], self.attachment)
-        commit = service.update_database(
+        service.update_database(
             Database(
                 [
                     relations[name] if name in relations else old_database[name]
@@ -205,7 +206,6 @@ class ShardWorkerRuntime:
             service.update_causal_dag(payload["causal_dag"])
         elif payload.get("clear_caches"):
             service.invalidate()
-        return {"shard": self.index, "changed": sorted(commit)}
 
 
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
@@ -300,6 +300,11 @@ class ShardPool:
     Workers start by ``fork`` when it is available and the parent runs a
     single thread (the snapshot maps into them without pickling), else by
     ``forkserver``, else by the platform's default start method.
+
+    Life cycle, under one re-entrant lock: the workers start lazily at the
+    pool's snapshot, which a service's commits keep the latest
+    (:meth:`advance`); the pool serves only that generation (:meth:`run_batch`).
+    :meth:`stop` or a failed move stops them until the next crossing.
     """
 
     def __init__(
@@ -322,7 +327,7 @@ class ShardPool:
         self.config = config
         self.generation = generation
         self._force_inline = bool(inline)
-        self._io_lock = threading.Lock()
+        self._io_lock = threading.RLock()
         self._dealer = PlanDealer()
         self._task_counter = 0
         self.n_broadcasts = 0
@@ -337,30 +342,31 @@ class ShardPool:
         self._result_queue = None
         self._inline_workers: list[ShardWorkerRuntime] | None = None
         self._shm_manager: SegmentManager | None = None
-        self._closed = False
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> "ShardPool":
         """Start the workers (idempotent); falls back to inline mode on failure."""
-        if self.mode != "unstarted":
-            return self
-        if self._force_inline:
-            self._start_inline("requested")
-            return self
-        try:
-            self._start_processes()
-            self.mode = "processes"
-            # Handshake: block until every worker has decoded its snapshot
-            # (and mapped the shm segments).  After this returns, unlinking a
-            # segment early is safe — the workers' mappings persist — and a
-            # broken transport degrades to inline here instead of failing on
-            # the first real query.
-            self._scatter("ping", dict.fromkeys(range(self.n_shards)))
-        except Exception as error:  # noqa: BLE001 - degrade, never fail to start
-            self._teardown_processes()
-            self._release_segments()
-            self._start_inline(f"{type(error).__name__}: {error}")
+        with self._io_lock:
+            if self.mode == "closed":
+                raise ShardPoolError("the shard pool has been closed")
+            if self.mode != "unstarted":
+                return self
+            if self._force_inline:
+                self._start_inline("requested")
+                return self
+            try:
+                self._start_processes()
+                self.mode = "processes"
+                # Handshake: block until every worker has decoded its snapshot
+                # (and mapped the shm segments).  After this returns, unlinking a
+                # segment early is safe — the workers' mappings persist — and a
+                # broken transport degrades to inline here instead of failing on
+                # the first real query.
+                self._scatter("ping", dict.fromkeys(range(self.n_shards)))
+            except Exception as error:  # noqa: BLE001 - degrade, never fail to start
+                self._stop()
+                self._start_inline(f"{type(error).__name__}: {error}")
         return self
 
     def _start_processes(self) -> None:
@@ -416,28 +422,30 @@ class ShardPool:
         self.mode = "inline"
         self.fallback_reason = reason
 
-    def close(self) -> None:
-        """Stop the workers; the pool cannot be restarted afterwards.
+    def stop(self) -> None:
+        """Stop the workers (idempotent); the next crossing starts them again.
 
         Takes the broadcast lock first, so a query crossing the pool when
-        close() is called finishes and gets its answers before the workers
-        are told to exit — readers never observe a mid-query teardown.
+        it is called finishes and gets its answers before the workers are
+        told to exit — readers never observe a mid-query teardown.
         """
-        if self._closed:
-            return
         with self._io_lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._teardown_processes()
-            self._release_segments()
-            self._inline_workers = None
+            if self.mode != "closed":
+                self._stop()
+
+    def close(self) -> None:
+        """Stop the workers; the pool cannot be restarted afterwards."""
+        with self._io_lock:
+            self._stop()
             self.mode = "closed"
 
-    def _release_segments(self) -> None:
+    def _stop(self) -> None:
+        self._teardown_processes()
         if self._shm_manager is not None:
             self._shm_manager.close_all()
             self._shm_manager = None
+        self._inline_workers = None
+        self.mode = "unstarted"
 
     def release_snapshot(self, generation: int) -> int:
         """Unlink the shm segments of a retired database generation.
@@ -449,9 +457,8 @@ class ShardPool:
         unknown generations — or a pool without shared memory — are a no-op.
         Returns the number of segments unlinked.
         """
-        if self._shm_manager is None:
-            return 0
-        return self._shm_manager.release(generation)
+        manager = self._shm_manager
+        return 0 if manager is None else manager.release(generation)
 
     def _teardown_processes(self) -> None:
         for task_queue in self._task_queues:
@@ -465,19 +472,13 @@ class ShardPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        for task_queue in self._task_queues:
+        for channel in (*self._task_queues, self._result_queue):
             try:
-                task_queue.close()
-            except Exception:  # noqa: BLE001
+                if channel is not None:
+                    channel.close()
+            except Exception:  # noqa: BLE001 - best-effort shutdown
                 pass
-        if self._result_queue is not None:
-            try:
-                self._result_queue.close()
-            except Exception:  # noqa: BLE001
-                pass
-        self._processes = []
-        self._task_queues = []
-        self._result_queue = None
+        self._processes, self._task_queues, self._result_queue = [], [], None
 
     def __enter__(self) -> "ShardPool":
         return self.start()
@@ -493,12 +494,6 @@ class ShardPool:
 
     # -- task plumbing -----------------------------------------------------------------
 
-    def _ensure_running(self) -> None:
-        if self.mode == "unstarted":
-            self.start()
-        if self.mode == "closed":
-            raise ShardPoolError("the shard pool has been closed")
-
     def _scatter(self, kind: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Send one task to each worker ``payloads`` names; collect its result.
 
@@ -506,12 +501,13 @@ class ShardPool:
         it dealt queries to.  The broadcast lock makes each scatter atomic
         with respect to every other crossing: an ``update`` scatter never
         interleaves with a query, so every answer comes from one database
-        generation.  Raises :class:`ShardPoolError` if any worker reports a
-        failure (for ``batch`` tasks, per-subtask failures are embedded in the
-        payloads and handled by the caller instead).
+        generation.  Starts the workers if they are not running.  Raises
+        :class:`ShardPoolError` if any worker reports a failure (for ``batch``
+        tasks, per-subtask failures are embedded in the payloads and handled
+        by the caller instead).
         """
-        self._ensure_running()
         with self._io_lock:
+            self.start()
             self.n_broadcasts += 1
             if self.mode == "inline":
                 assert self._inline_workers is not None
@@ -573,23 +569,47 @@ class ShardPool:
 
     # -- live updates ------------------------------------------------------------------
 
+    def advance(
+        self, database: Database, columns: frozenset[Column], generation: int, *,
+        causal_dag: Any = None, replace_dag: bool = False, clear_caches: bool = False,
+    ) -> None:
+        """Move this pool to a service's commit of ``columns``: ``database`` at
+        ``generation``.  Running workers move in place (:meth:`apply_update`).
+        A failed move is logged, not raised — the commit stands — and stops
+        them, to start again lazily at the new snapshot."""
+        with self._io_lock:
+            if self.mode in ("processes", "inline"):
+                try:
+                    return self.apply_update(
+                        database, columns, generation=generation,
+                        causal_dag=causal_dag, replace_dag=replace_dag, clear_caches=clear_caches,
+                    )
+                except Exception:  # noqa: BLE001 - the commit stands
+                    logging.getLogger(__name__).warning(
+                        "moving the shard pool to generation %d failed", generation, exc_info=True
+                    )
+                    self._stop()
+            self.database, self.generation = database, generation
+            if replace_dag:
+                self.causal_dag = causal_dag
+
     def apply_update(
         self,
         database: Database,
-        changed: Sequence[str] | frozenset[str],
+        columns: frozenset[Column],
         *,
-        generation: int | None = None,
+        generation: int,
         causal_dag: Any = None,
         replace_dag: bool = False,
         clear_caches: bool = False,
     ) -> None:
         """Move the running workers to ``database`` in place.
 
-        Ships every worker one patch per changed relation: its schema, and
-        its length and the columns that are not the previous generation's own
-        objects (:func:`~repro.relational.relation.changed_attributes`, the test
-        a service commit bumps column generations by) in one segment —
-        once for all workers, through shared memory when available.  A new
+        Ships every worker one patch per relation of the commit's changed
+        ``columns`` (:meth:`EngineState.committed
+        <repro.service.state.EngineState.committed>`): its schema, and its
+        length and those of its columns it still has, in one segment, once
+        for all workers, through shared memory when available.  A new
         relation, or one whose length changed, ships every column.  Alongside
         ride the new relation order and foreign keys.  ``update_bytes_last``
         counts what the commit moved: the queue messages plus the patch
@@ -597,35 +617,32 @@ class ShardPool:
         estimators that read no changed column stay warm — and the
         broadcast lock serialises the update against in-flight queries, so
         every answer comes from exactly one generation (tracked by
-        ``generation``, defaulting to the next one up; retired generations'
-        segments are dropped via :meth:`release_snapshot`).
+        ``generation``; retired generations' segments are dropped via
+        :meth:`release_snapshot`).
 
         ``replace_dag=True`` ships ``causal_dag`` as the workers' new causal
         background knowledge, and ``clear_caches=True`` drops every worker
         plan cache — the in-place forms of ``update_causal_dag`` and
         ``invalidate``.
         """
-        self._ensure_running()
-        if generation is None:
-            generation = self.generation + 1
-        old_database = self.database
+        self.start()
         patches: list[dict[str, Any]] = []
         segment_bytes = 0  # patch bytes placed in shared memory, not the queues
-        for name in changed:
+        for name in {name for name, _ in columns}:
             if name not in database:
                 continue
-            old = old_database[name] if name in old_database else None
-            store = database[name].columnar_store()
-            changed = changed_attributes(old, database[name])
+            relation = database[name]
+            shipped = [a for a in relation.attribute_names if (name, a) in columns]
+            store = relation.columnar_store()
             header, buffers = store_to_buffers(
-                ColumnStore({a: store.columns[a] for a in changed}, store.length)
+                ColumnStore({a: store.columns[a] for a in shipped}, store.length)
             )
             descriptor = ship_buffers(buffers, self._shm_manager, generation)
             segment_bytes += descriptor.get("nbytes", 0)
             patches.append(
                 {
                     "name": name,
-                    "schema": database[name].schema,
+                    "schema": relation.schema,
                     "header": header,
                     "descriptor": descriptor,
                 }
@@ -686,7 +703,8 @@ class ShardPool:
         return_errors: bool = False,
         fingerprints: Sequence[PlanFingerprint] | None = None,
         exhaustive: bool = False,
-    ) -> list[Any]:
+        generation: int | None = None,
+    ) -> list[Any] | None:
         """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
         Every query, what-if or how-to, is dealt to a worker by plan
@@ -704,7 +722,9 @@ class ShardPool:
 
         Entries that are already exceptions pass through; failures are
         captured per query, naming the worker that ran it, with
-        ``return_errors=True``, else the first one is raised.
+        ``return_errors=True``, else the first one is raised.  With a
+        ``generation`` the pool has moved past, nothing is dealt or crosses:
+        ``None``.
         """
         results: list[Any] = list(queries)
         entries = [
@@ -715,37 +735,66 @@ class ShardPool:
                 fingerprints = {
                     index: fingerprint_query(queries[index], self.config) for index in entries
                 }
-            dealt = self._dealer.deal(
-                [fingerprints[index] for index in entries], range(self.n_shards)
-            )
-            slots: dict[int, list[int]] = {worker: [] for worker in sorted(set(dealt))}
-            for worker, index in zip(dealt, entries):
-                slots[worker].append(index)
-            with obs_trace.span(
-                "shard.scatter_batch", shards=len(slots), batch=len(entries)
-            ) as bspan:
-                per_worker = self._scatter(
-                    "batch",
-                    {
-                        worker: ([queries[index] for index in indices], exhaustive)
-                        for worker, indices in slots.items()
-                    },
+            with self._io_lock:  # checked, dealt and crossed at one generation
+                if generation is not None and generation != self.generation:
+                    return None
+                dealt = self._dealer.deal(
+                    [fingerprints[index] for index in entries], range(self.n_shards)
                 )
-                if bspan is not None:
-                    bspan.meta["mode"] = self.mode
-                self._attach_worker_spans(
-                    [out for worker in slots for ok, out in per_worker[worker] if ok]
-                )
+                slots: dict[int, list[int]] = {worker: [] for worker in sorted(set(dealt))}
+                for worker, index in zip(dealt, entries):
+                    slots[worker].append(index)
+                with obs_trace.span(
+                    "shard.scatter_batch", shards=len(slots), batch=len(entries)
+                ) as bspan:
+                    per_worker = self._scatter(
+                        "batch",
+                        {
+                            worker: ([queries[index] for index in indices], exhaustive)
+                            for worker, indices in slots.items()
+                        },
+                    )
+                    if bspan is not None:
+                        bspan.meta["mode"] = self.mode
+                    self._attach_worker_spans(
+                        [out for worker in slots for ok, out in per_worker[worker] if ok]
+                    )
             for worker, indices in slots.items():
                 for index, (ok, out) in zip(indices, per_worker[worker]):
                     results[index] = out if ok else _worker_error(worker, out)
-        if not return_errors:
-            for result in results:
-                if isinstance(result, Exception):
-                    raise result
-        return results
+        return results if return_errors else raise_first_error(results)
 
     # -- instrumentation ---------------------------------------------------------------
+
+    def live_stats(self, read: Callable[[dict], Any] = lambda stats: stats) -> Any:
+        """``read`` of :meth:`stats` (by default, those) while the workers run, else ``None``."""
+        return read(self.stats()) if self.mode in ("processes", "inline") else None
+
+    def register_metrics(self, registry: Any) -> None:
+        """Scrape-time collectors of this pool on ``registry`` (a
+        :class:`~repro.obs.metrics.MetricsRegistry`), absent while no worker runs."""
+        absent = " (absent while no pool is running)"
+        table = {
+            "hyper_pool_broadcasts_total": (
+                f"Shard pool n_broadcasts{absent}", "counter", lambda s: s["n_broadcasts"]
+            ),
+            "hyper_pool_updates_total": (
+                f"Shard pool n_updates{absent}", "counter", lambda s: s["n_updates"]
+            ),
+            "hyper_pool_shards": (f"Shard pool n_shards{absent}", "gauge", lambda s: s["n_shards"]),
+            "hyper_shm_bytes": (
+                "Live shared-memory snapshot bytes owned by the shard pool",
+                "gauge",
+                lambda s: (s["shm"] or {}).get("live_bytes", 0),
+            ),
+            "hyper_broadcast_bytes_total": (
+                "Bytes crossing the shard-worker queues (both directions)",
+                "counter",
+                lambda s: s["bytes_to_workers"] + s["bytes_from_workers"],
+            ),
+        }
+        for name, (help, kind, read) in table.items():
+            registry.register_callback(name, help, partial(self.live_stats, read), kind=kind)
 
     def stats(self) -> dict[str, Any]:
         manager = self._shm_manager

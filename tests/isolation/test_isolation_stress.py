@@ -122,6 +122,7 @@ def test_processes_pool_survives_the_commit_storm():
         service.execute(QUERY_TEXT)
         pool = service._pool
         assert pool is not None
+        moves, generation = pool.n_updates, service.generation
         history = run_history(
             DirectDriver(service, workload),
             workload,
@@ -135,6 +136,8 @@ def test_processes_pool_survives_the_commit_storm():
         stats = service.stats()
         assert service._pool is pool  # commits never tore the pool down
         assert stats["pool"]["n_updates"] >= 1
+        # one in-place move per commit: a failed one would restart the workers
+        assert pool.n_updates - moves == service.generation - generation
     finally:
         service.close()
     assert_isolated(history, min_events=3 * 15)

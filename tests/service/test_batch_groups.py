@@ -191,14 +191,14 @@ def test_a_threads_batch_reads_one_snapshot(dataset, monkeypatch):
     service = HypeRService(dataset.database, dataset.causal_dag, CONFIG, result_cache_size=0)
     before = [fields(service.execute(parse_query(text))) for text in texts]
     generation = service.generation
-    plan = service._what_if_plan
+    plan = service.compiler.what_if_plan
 
     def committing(*args, **kwargs):
         if service.generation == generation:
             service.update_relation_columns(committed)
         return plan(*args, **kwargs)
 
-    monkeypatch.setattr(service, "_what_if_plan", committing)
+    monkeypatch.setattr(service.compiler, "what_if_plan", committing)
     outcomes = service.execute_many([parse_query(text) for text in texts], max_workers=1)
     monkeypatch.undo()
     assert service.generation == generation + 1

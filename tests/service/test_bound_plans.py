@@ -44,16 +44,16 @@ def serve(dataset, **options) -> HypeRService:
 
 
 def counting(service: HypeRService, monkeypatch) -> Counter:
-    """Calls of ``_fingerprint`` and ``_what_if_plan`` on ``service``."""
+    """Calls of ``fingerprint`` and ``what_if_plan`` on ``service``'s plan compiler."""
     calls: Counter = Counter()
-    for name in ("_fingerprint", "_what_if_plan"):
-        method = getattr(service, name)
+    for name in ("fingerprint", "what_if_plan"):
+        method = getattr(service.compiler, name)
 
         def spy(*args, _method=method, _name=name, **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
 
-        monkeypatch.setattr(service, name, spy)
+        monkeypatch.setattr(service.compiler, name, spy)
     return calls
 
 
@@ -75,7 +75,7 @@ def test_a_sweep_takes_the_fingerprint_and_the_plan_once_per_snapshot(dataset, m
         calls.clear()
         hits = service.stats()["caches"]["plans"]["hits"]
         answers = [fields(service.execute(text)) for text in texts]
-        assert calls == {"_fingerprint": 1, "_what_if_plan": 1}
+        assert calls == {"fingerprint": 1, "what_if_plan": 1}
         plans = service.stats()["caches"]["plans"]
         assert plans["hits"] - hits == len(texts) - 1
         assert plans["size"] == 1
@@ -131,7 +131,7 @@ def test_a_threads_batch_takes_one_fingerprint_per_query(dataset, monkeypatch):
     with serve(dataset, max_workers=3) as service:
         calls = counting(service, monkeypatch)
         answers = [fields(answer) for answer in service.execute_many(texts)]
-    assert calls == {"_fingerprint": 16, "_what_if_plan": 2}
+    assert calls == {"fingerprint": 16, "what_if_plan": 2}
     assert answers == unbound(dataset, texts)
 
 

@@ -1,7 +1,7 @@
 """A commit recomputes only what reads the columns it changed.
 
 The service keys every cached piece of plan state by the generations of the
-columns it reads (``_EngineState.column_generations``), so a whole-column
+columns it reads (``EngineState.column_generations``), so a whole-column
 commit must leave answers exactly as a cold :class:`HypeR` over the committed
 data gives them — on a threads service and on a two-worker pool alike — while
 estimators that read none of the changed columns stay fitted.  The property

@@ -166,7 +166,7 @@ class TestInlineFallback:
                 raise RuntimeError("injected")
 
             # every what-if group worker 1 evaluates fails where it takes its plan
-            pool._inline_workers[1].service._what_if_plan = fail
+            pool._inline_workers[1].service.compiler.what_if_plan = fail
             results = pool.run_batch(template_batch(4), return_errors=True)
             failed = [result for result in results if isinstance(result, Exception)]
             assert 0 < len(failed) < len(results)  # the four plans span both workers

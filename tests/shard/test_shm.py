@@ -168,7 +168,7 @@ class TestPoolLifecycle:
             new_database = dataset.database.with_relation(
                 relation.with_column("Credit", credit)
             )
-            pool.apply_update(new_database, {"Credit"}, generation=1)
+            pool.apply_update(new_database, frozenset({("Credit", "Credit")}), generation=1)
             # the commit shipped a patch, not the relation (let alone the db)
             whole = len(pickle.dumps(relation, protocol=pickle.HIGHEST_PROTOCOL))
             assert 0 < pool.update_bytes_last < whole
