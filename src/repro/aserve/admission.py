@@ -40,9 +40,10 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
-from ..obs.metrics import MetricsRegistry, exponential_buckets
+from ..obs.metrics import Figure, MetricsRegistry, Reported, exponential_buckets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.session import HypeRService
@@ -70,13 +71,37 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-class AdmissionController:
+def _decision_stats(controller: "AdmissionController") -> dict[str, Any]:
+    decisions = sorted(controller._decisions)
+    return {
+        "count": len(decisions),
+        "p50_seconds": _quantile(decisions, 0.50),
+        "p99_seconds": _quantile(decisions, 0.99),
+        "max_seconds": decisions[-1] if decisions else 0.0,
+    }
+
+
+class AdmissionController(Reported):
     """Bounded admission queue feeding a fixed number of execution slots.
 
     Single-threaded by construction: every method except ``stats`` must run
     on the event loop, which is what makes the counter arithmetic safe
     without locks and the admission decision O(1).
     """
+
+    FIGURES = (
+        Figure("max_inflight", attrgetter("max_inflight")),
+        Figure("queue_depth", attrgetter("queue_depth")),
+        Figure("in_flight", attrgetter("_inflight"), "aserve_inflight",
+               "Units currently holding an execution slot."),
+        Figure("queued", attrgetter("_queued"), "aserve_queued",
+               "Units admitted but not yet holding an execution slot."),
+        Figure("peak_in_flight", attrgetter("_peak_inflight")),
+        Figure("peak_queued", attrgetter("_peak_queued")),
+        Figure("admitted_total", lambda controller: int(controller._m_admitted.value)),
+        Figure("rejected_total", lambda controller: int(controller._m_rejected.value)),
+        Figure("decisions", _decision_stats),
+    )
 
     def __init__(
         self,
@@ -98,8 +123,6 @@ class AdmissionController:
         self._inflight = 0
         self._peak_queued = 0
         self._peak_inflight = 0
-        self._admitted_total = 0
-        self._rejected_total = 0
         self._decisions: deque[float] = deque(maxlen=_DECISION_WINDOW)
         self._idle = asyncio.Event()
         self._idle.set()
@@ -117,16 +140,7 @@ class AdmissionController:
             "Seconds an admitted unit waited for an execution slot.",
             buckets=exponential_buckets(0.0001, 4.0, 12),
         )
-        self.metrics.register_callback(
-            "aserve_queued",
-            "Units admitted but not yet holding an execution slot.",
-            lambda: self._queued,
-        )
-        self.metrics.register_callback(
-            "aserve_inflight",
-            "Units currently holding an execution slot.",
-            lambda: self._inflight,
-        )
+        self.register_metrics(self.metrics)
 
     @property
     def capacity(self) -> int:
@@ -154,7 +168,6 @@ class AdmissionController:
                 # work in flight on other front-ends sharing the service
                 external = max(0, self._service.in_flight() - self._inflight)
             if self.occupied + external + units > self.capacity:
-                self._rejected_total += units
                 self._m_rejected.inc(units)
                 signals = None
                 if self._service is not None:
@@ -172,7 +185,6 @@ class AdmissionController:
             # instant even when slots are free, so the hard capacity bound
             # is occupied <= capacity, not queued <= queue_depth.
             self._queued += units
-            self._admitted_total += units
             self._m_admitted.inc(units)
             if self._queued > self._peak_queued:
                 self._peak_queued = self._queued
@@ -230,24 +242,3 @@ class AdmissionController:
         except asyncio.TimeoutError:
             return False
         return True
-
-    # -- instrumentation ---------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        decisions = sorted(self._decisions)
-        return {
-            "max_inflight": self.max_inflight,
-            "queue_depth": self.queue_depth,
-            "in_flight": self._inflight,
-            "queued": self._queued,
-            "peak_in_flight": self._peak_inflight,
-            "peak_queued": self._peak_queued,
-            "admitted_total": self._admitted_total,
-            "rejected_total": self._rejected_total,
-            "decisions": {
-                "count": len(self._decisions),
-                "p50_seconds": _quantile(decisions, 0.50),
-                "p99_seconds": _quantile(decisions, 0.99),
-                "max_seconds": decisions[-1] if decisions else 0.0,
-            },
-        }

@@ -51,6 +51,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future
+from operator import attrgetter
 from typing import Any, Sequence
 
 from ..api import endpoints as api
@@ -67,6 +68,7 @@ from ..core.queries import HowToQuery, WhatIfQuery
 from ..exceptions import HypeRError
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
+from ..obs.metrics import Figure
 from ..service.backend import ServingCounters, raise_first_error
 from ..service.fingerprint import PlanDealer, fingerprint_query
 from ..service.versions import Commit
@@ -105,6 +107,10 @@ class _NodeState:
         self.healthy = True
 
 
+def _node_up(coordinator: "ClusterCoordinator") -> dict[str, float]:
+    return {str(node.index): float(node.healthy) for node in coordinator._nodes}
+
+
 class ClusterCoordinator(ServingCounters):
     """Scatter-gather front door over a :class:`ClusterTopology`.
 
@@ -130,6 +136,23 @@ class ClusterCoordinator(ServingCounters):
     accepts_deadline = True
     execution = "cluster"
 
+    #: ``stats()``: the serving head, then the coordinator counters and nodes
+    FIGURES = ServingCounters.FIGURES + (
+        Figure("cluster.n_shards", attrgetter("n_shards")),
+        Figure("cluster.n_nodes", lambda coordinator: len(coordinator._nodes),
+               "hyper_cluster_nodes", "Nodes in the topology"),
+        Figure("cluster.healthy_nodes",
+               lambda coordinator: sum(1 for node in coordinator._nodes if node.healthy),
+               "hyper_cluster_healthy_nodes", "Nodes currently considered healthy"),
+        Figure(None, _node_up, "hyper_cluster_node_up", "Per-node health (1 healthy, 0 unhealthy)",
+               label="node"),
+        Figure("cluster.scatters", lambda coordinator: int(coordinator._m_scatters.value)),
+        Figure("cluster.failovers", lambda coordinator: int(coordinator._m_failovers.value)),
+        Figure("cluster.fallbacks", lambda coordinator: int(coordinator._m_fallbacks.value)),
+        Figure("cluster.updates", lambda coordinator: int(coordinator._m_updates.value)),
+        Figure("cluster.nodes", lambda coordinator: coordinator._node_rows()),
+    )
+
     def __init__(
         self,
         topology: ClusterTopology,
@@ -149,7 +172,6 @@ class ClusterCoordinator(ServingCounters):
         self.failure_threshold = max(1, failure_threshold)
         self._generation = 0
         self._dealer = PlanDealer()
-        self._started_at = time.time()
         # serializes two-phase update fan-outs (and generation bumps)
         self._commit_lock = threading.RLock()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -196,32 +218,6 @@ class ClusterCoordinator(ServingCounters):
         )
         self._m_updates = m.counter(
             "hyper_cluster_updates_total", "Two-phase update fan-outs committed"
-        )
-        m.register_callback(
-            "hyper_uptime_seconds",
-            "Seconds since the coordinator started",
-            lambda: time.time() - self._started_at,
-        )
-        m.register_callback(
-            "hyper_generation",
-            "Latest cluster-committed database generation",
-            lambda: self._generation,
-        )
-        m.register_callback(
-            "hyper_cluster_nodes", "Nodes in the topology", lambda: len(self._nodes)
-        )
-        m.register_callback(
-            "hyper_cluster_healthy_nodes",
-            "Nodes currently considered healthy",
-            lambda: sum(1 for node in self._nodes if node.healthy),
-        )
-        m.register_callback(
-            "hyper_cluster_node_up",
-            "Per-node health (1 healthy, 0 unhealthy)",
-            lambda: [
-                ({"node": str(node.index)}, 1.0 if node.healthy else 0.0)
-                for node in self._nodes
-            ],
         )
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -627,66 +623,37 @@ class ClusterCoordinator(ServingCounters):
 
     # -- instrumentation ---------------------------------------------------------------
 
-    def stats(self) -> dict[str, Any]:
-        """Cluster-wide stats: coordinator counters plus per-node snapshots."""
-        node_stats = self._collect_node_stats()
-        return {
-            "generation": self._generation,
-            "execution": self.execution,
-            "n_queries": int(self._m_queries.value),
-            "n_batches": int(self._m_batches.value),
-            "uptime_seconds": time.time() - self._started_at,
-            "serving": self.serving_signals(),
-            "clients": self.client_stats(),
-            **({"jobs": self.jobs.stats()} if self.jobs is not None else {}),
-            "cluster": {
-                "n_shards": self.n_shards,
-                "n_nodes": len(self._nodes),
-                "healthy_nodes": sum(1 for node in self._nodes if node.healthy),
-                "scatters": int(self._m_scatters.value),
-                "failovers": int(self._m_failovers.value),
-                "fallbacks": int(self._m_fallbacks.value),
-                "updates": int(self._m_updates.value),
-                "nodes": [
-                    {
-                        "index": node.index,
-                        "shard": node.shard,
-                        "host": node.address.host,
-                        "port": node.address.port,
-                        "healthy": node.healthy,
-                        "failures": node.failures,
-                        **node_stats.get(node.index, {}),
-                    }
-                    for node in self._nodes
-                ],
-            },
-        }
+    def _node_rows(self) -> list[dict[str, Any]]:
+        """Each node's row of ``stats()["cluster"]``: a healthy node's own generation,
+        query count and uptime join it, best effort, while the loop runs."""
 
-    def _collect_node_stats(self) -> dict[int, dict[str, Any]]:
-        """Best-effort per-node generation/uptime for the stats aggregation."""
-        if not self._started or self._closed:
-            return {}
-
-        async def fetch(node: _NodeState) -> tuple[int, dict[str, Any]]:
+        async def fetch(node: _NodeState) -> dict[str, Any]:
+            if not node.healthy:
+                return {}
             try:
-                body = await node.client.get_json(
-                    "/v1/stats", deadline=min(self.timeout, 2.0)
-                )
+                body = await node.client.get_json("/v1/stats", deadline=min(self.timeout, 2.0))
             except Exception as error:  # noqa: BLE001 - best effort
-                return node.index, {"stats_error": str(error)}
-            return node.index, {
-                "generation": body.get("generation"),
-                "n_queries": body.get("n_queries"),
-                "uptime_seconds": body.get("uptime_seconds"),
+                return {"stats_error": str(error)}
+            return {key: body.get(key) for key in ("generation", "n_queries", "uptime_seconds")}
+
+        async def collect() -> list[dict[str, Any]]:
+            return await asyncio.gather(*(fetch(node) for node in self._nodes))
+
+        fetched: list[dict[str, Any]] = [{} for _ in self._nodes]
+        if self._started and not self._closed:
+            try:
+                fetched = self._run(collect())
+            except Exception:  # noqa: BLE001 - stats never fail the endpoint
+                pass
+        return [
+            {
+                "index": node.index,
+                "shard": node.shard,
+                "host": node.address.host,
+                "port": node.address.port,
+                "healthy": node.healthy,
+                "failures": node.failures,
+                **own,
             }
-
-        async def collect() -> dict[int, dict[str, Any]]:
-            pairs = await asyncio.gather(
-                *(fetch(node) for node in self._nodes if node.healthy)
-            )
-            return dict(pairs)
-
-        try:
-            return self._run(collect())
-        except Exception:  # noqa: BLE001 - stats never fail the endpoint
-            return {}
+            for node, own in zip(self._nodes, fetched)
+        ]

@@ -34,16 +34,15 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from typing import Any, Callable, Iterator
-
 from contextlib import contextmanager
+from operator import attrgetter
+from typing import Any, Iterator
 
+from ..obs.metrics import Figure, MetricsRegistry, Reported
 from .executor import JobExecutor
 from .journal import Journal, JournalRecord
 from .queue import (
     PRIORITIES,
-    PRIORITY_NAMES,
-    TERMINAL_STATES,
     ClientQuotas,
     Job,
     JobQueue,
@@ -76,8 +75,27 @@ def _new_job_id() -> str:
     return "job-" + uuid.uuid4().hex[:16]
 
 
-class JobManager:
+def _per_label(counter: Any) -> dict[str, int]:
+    return {name: int(count) for name, count in counter.per_label().items()}
+
+
+class JobManager(Reported):
     """The durable async job service for one serving store."""
+
+    #: ``stats()``: the serving store's ``jobs`` section
+    FIGURES = (
+        Figure("jobs", lambda manager: len(manager._jobs)),
+        Figure("queue", lambda manager: manager.queue.stats()),
+        Figure("results", lambda manager: manager.results.stats()),
+        Figure("journal.records", lambda manager: manager.journal.record_count,
+               "hyper_jobs_journal_records",
+               "Live records in the job journal (compaction resets this)"),
+        Figure("journal.dropped_on_replay", lambda manager: manager.journal.dropped_records),
+        Figure("replayed_jobs", attrgetter("replayed_jobs")),
+        Figure("submitted", lambda manager: _per_label(manager._m_submitted)),
+        Figure("finished", lambda manager: _per_label(manager._m_finished)),
+        Figure("retries", lambda manager: int(manager._m_retries.value)),
+    )
 
     def __init__(
         self,
@@ -116,11 +134,11 @@ class JobManager:
         self.executor = JobExecutor(self, n_workers=n_workers)
         self._gc_stop = threading.Event()
         self._gc_thread: threading.Thread | None = None
-        self._register_metrics()
+        self._declare_metrics()
 
     # -- metrics -----------------------------------------------------------------------
 
-    def _register_metrics(self) -> None:
+    def _declare_metrics(self) -> None:
         registry = self.metrics = self.service.metrics
         self._m_submitted = registry.counter(
             "hyper_jobs_submitted_total",
@@ -145,26 +163,13 @@ class JobManager:
             "hyper_jobs_execution_seconds",
             "Wall-clock execution time of successful job attempts",
         )
-        registry.register_callback(
-            "hyper_jobs_queued",
-            "Jobs currently queued",
-            lambda: float(len(self.queue)),
-        )
-        registry.register_callback(
-            "hyper_jobs_running",
-            "Leases currently held by executor workers",
-            lambda: float(self.queue.running_leases),
-        )
-        registry.register_callback(
-            "hyper_jobs_result_bytes",
-            "Bytes retained in the per-client result store",
-            lambda: float(self.results.total_bytes),
-        )
-        registry.register_callback(
-            "hyper_jobs_journal_records",
-            "Live records in the job journal (compaction resets this)",
-            lambda: float(self.journal.record_count),
-        )
+        self.register_metrics(registry)
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """The manager's series, its queue's and its result store's on ``registry``."""
+        super().register_metrics(registry)
+        self.queue.register_metrics(registry)
+        self.results.register_metrics(registry)
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -605,7 +610,7 @@ class JobManager:
             events = self._events.get(job_id, [])
             return list(events[cursor:]), job.terminal
 
-    # -- signals / stats ---------------------------------------------------------------
+    # -- signals ---------------------------------------------------------------------
 
     def background_load(self) -> int:
         """Held leases not currently inside the engine (admission pressure)."""
@@ -614,33 +619,14 @@ class JobManager:
         return max(0, self.queue.running_leases - active)
 
     def signals(self) -> dict[str, Any]:
+        """The job load admission reads, off the queue's and the result store's figures."""
+        queue, results = self.queue.stats(), self.results.stats()
         return {
-            "queued": len(self.queue),
-            "running": self.queue.running_leases,
+            "queued": queue["queued"],
+            "running": queue["running"],
             "background_load": self.background_load(),
-            "results_retained": len(self.results),
-            "result_bytes": self.results.total_bytes,
-        }
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "jobs": len(self._jobs),
-            "queue": self.queue.stats(),
-            "results": self.results.stats(),
-            "journal": {
-                "records": self.journal.record_count,
-                "dropped_on_replay": self.journal.dropped_records,
-            },
-            "replayed_jobs": self.replayed_jobs,
-            "submitted": {
-                name: int(count)
-                for name, count in self._m_submitted.per_label().items()
-            },
-            "finished": {
-                name: int(count)
-                for name, count in self._m_finished.per_label().items()
-            },
-            "retries": int(self._m_retries.value),
+            "results_retained": results["results"],
+            "result_bytes": results["bytes"],
         }
 
     # -- GC / compaction ---------------------------------------------------------------

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+
+from ..obs.metrics import Figure, Reported
 
 __all__ = ["ClientQuotas", "Job", "JobQueue", "QuotaExceeded", "PRIORITIES"]
 
@@ -95,7 +96,7 @@ class Job:
         return self.state in TERMINAL_STATES
 
 
-class JobQueue:
+class JobQueue(Reported):
     """The queued-job set, fair scheduler, and quota ledger.
 
     Thread-safe; the owning :class:`~repro.jobs.manager.JobManager` holds
@@ -103,9 +104,19 @@ class JobQueue:
     internal counters.
     """
 
+    FIGURES = (
+        Figure("queued", lambda queue: len(queue._queued), "hyper_jobs_queued",
+               "Jobs currently queued"),
+        Figure("running", lambda queue: sum(queue._running_per_client.values()),
+               "hyper_jobs_running", "Leases currently held by executor workers"),
+        Figure("clients_queued", lambda queue: dict(queue._queued_per_client)),
+        Figure("clients_running", lambda queue: dict(queue._running_per_client)),
+        Figure("queued_bytes", lambda queue: dict(queue._queued_bytes_per_client)),
+    )
+
     def __init__(self, quotas: ClientQuotas | None = None):
         self.quotas = quotas or ClientQuotas()
-        self._lock = threading.Lock()
+        self._lock = self._figures_lock = threading.Lock()
         self._queued: dict[str, Job] = {}  # job_id → job, insertion-ordered
         self._queued_per_client: dict[str, int] = {}
         self._queued_bytes_per_client: dict[str, int] = {}
@@ -245,13 +256,3 @@ class JobQueue:
     def running_leases(self) -> int:
         with self._lock:
             return sum(self._running_per_client.values())
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "queued": len(self._queued),
-                "running": sum(self._running_per_client.values()),
-                "clients_queued": dict(self._queued_per_client),
-                "clients_running": dict(self._running_per_client),
-                "queued_bytes": dict(self._queued_bytes_per_client),
-            }

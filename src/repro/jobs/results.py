@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import threading
+from operator import attrgetter
 from typing import Any
+
+from ..obs.metrics import Figure, Reported
 
 __all__ = ["ResultStore", "StoredResult"]
 
@@ -38,8 +41,17 @@ class StoredResult:
         self.stored_unix = stored_unix
 
 
-class ResultStore:
+class ResultStore(Reported):
     """Retained terminal-job results, bounded per client and by TTL."""
+
+    FIGURES = (
+        Figure("results", lambda store: len(store._results)),
+        Figure("bytes", lambda store: sum(store._bytes_per_client.values()),
+               "hyper_jobs_result_bytes", "Bytes retained in the per-client result store"),
+        Figure("bytes_per_client", lambda store: dict(store._bytes_per_client)),
+        Figure("evictions", attrgetter("evictions")),
+        Figure("expirations", attrgetter("expirations")),
+    )
 
     def __init__(
         self,
@@ -49,7 +61,7 @@ class ResultStore:
     ):
         self.max_bytes_per_client = max_bytes_per_client
         self.ttl_seconds = ttl_seconds
-        self._lock = threading.Lock()
+        self._lock = self._figures_lock = threading.Lock()
         self._results: dict[str, StoredResult] = {}  # insertion-ordered
         self._bytes_per_client: dict[str, int] = {}
         self.evictions = 0
@@ -130,18 +142,3 @@ class ResultStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._results)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(self._bytes_per_client.values())
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "results": len(self._results),
-                "bytes": sum(self._bytes_per_client.values()),
-                "bytes_per_client": dict(self._bytes_per_client),
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-            }

@@ -8,14 +8,14 @@ The package is dependency-free and importable from every layer:
   requests pay a single context-variable read per instrumentation point.
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges, and
   log-bucketed histograms with Prometheus text exposition.  Derived
-  values (cache stats, MVCC stats, pool stats) are registered as
-  *callback collectors* evaluated only at scrape time.
+  values (cache stats, MVCC stats, pool stats) are *callback collectors*
+  evaluated only at scrape time, declared once per owner as the
+  ``Figure`` rows its ``stats()`` is read off too.
 * :mod:`repro.obs.slowlog` — a bounded slow-query log keyed by plan
   fingerprint, served by ``GET /v1/slow``.
 """
 
 from .metrics import (
-    DEFAULT_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -37,7 +37,6 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_REGISTRY",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

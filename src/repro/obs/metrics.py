@@ -8,6 +8,11 @@ MVCC snapshot counts, pool stats) is registered as a **callback
 collector**: a function evaluated only when ``render()`` is called, so
 an unscraped metric costs nothing in steady state.
 
+Every number an owner reports is declared once, as a :class:`Figure` in its
+:class:`Reported` table: its ``stats()`` key, and the series, kind, help and
+label it is exported as.  The owner's ``stats()`` section and its collectors
+are both read off that table, so the two cannot drift apart.
+
 ``render()`` produces the Prometheus text exposition format
 (``text/plain; version=0.0.4``) and :func:`validate_exposition` is a
 line-syntax validator shared by the tests and the CI metrics-smoke
@@ -21,14 +26,18 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from contextlib import nullcontext
+from functools import partial
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Counter",
-    "DEFAULT_REGISTRY",
+    "ABSENT",
+    "Figure",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Reported",
     "exponential_buckets",
     "validate_exposition",
 ]
@@ -345,7 +354,7 @@ class MetricsRegistry:
         self, name: str, help: str, fn: Callable[[], Any], *, kind: str = "gauge"
     ) -> None:
         """Register a scrape-time collector; replaces a previous callback of
-        the same name (services re-register on pool rebuilds)."""
+        the same name."""
         if kind not in ("gauge", "counter"):
             raise ValueError(f"callback kind must be gauge or counter, not {kind!r}")
         collector = _Collector(name, help, kind, fn)
@@ -354,10 +363,6 @@ class MetricsRegistry:
             if existing is not None and not isinstance(existing, _Collector):
                 raise ValueError(f"metric {name!r} already registered as {existing.kind}")
             self._metrics[name] = collector
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
 
     def _ordered(self) -> list[Any]:
         with self._lock:
@@ -383,8 +388,63 @@ class MetricsRegistry:
         return flat
 
 
-#: process-wide default registry for code without a service-scoped one
-DEFAULT_REGISTRY = MetricsRegistry()
+#: what a figure reads to leave its key out of ``stats()`` (an optional section)
+ABSENT = object()
+
+
+class Figure(NamedTuple):
+    """One number an owner reports: ``read(owner)`` at the dotted ``key`` of its
+    ``stats()`` (``None``: a series only) and, when ``metric`` is set, as that
+    ``/v1/metrics`` series; a ``label``-ed figure reads ``{label value: number}``."""
+
+    key: str | None
+    read: Callable[[Any], Any]
+    metric: str | None = None
+    help: str = ""
+    kind: str = "gauge"
+    label: str | None = None
+
+
+class Reported:
+    """An owner whose ``stats()`` and collectors are both read off :attr:`FIGURES`."""
+
+    FIGURES: ClassVar[tuple[Figure, ...]] = ()
+    #: held while figures are read (the lock of the state they read, if shared)
+    _figures_lock: Any = nullcontext()
+
+    def stats(self) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        with self._figures_lock:
+            for figure in self.FIGURES:
+                if figure.key is None or (value := figure.read(self)) is ABSENT:
+                    continue
+                *sections, leaf = figure.key.split(".")
+                node = out
+                for section in sections:
+                    node = node.setdefault(section, {})
+                node[leaf] = value
+        return out
+
+    def _live(self) -> bool:
+        """Whether the owner's series are rendered now (absent while ``False``)."""
+        return True
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """A scrape-time collector on ``registry`` per figure with a ``metric``."""
+        for figure in self.FIGURES:
+            if figure.metric is not None:
+                registry.register_callback(
+                    figure.metric, figure.help, partial(self._sample, figure), kind=figure.kind
+                )
+
+    def _sample(self, figure: Figure) -> Any:
+        if not self._live():
+            return None
+        with self._figures_lock:
+            value = figure.read(self)
+        if figure.label is None:
+            return value
+        return [({figure.label: key}, number) for key, number in value.items()]
 
 
 _SAMPLE_RE = re.compile(

@@ -7,8 +7,9 @@ control and the job service talk to a backend only through
 :class:`~repro.service.session.HypeRService` (one node) and
 :class:`~repro.cluster.coordinator.ClusterCoordinator` (scatter-gather over
 shard nodes) — and both inherit :class:`ServingCounters`, so in-flight
-tracking, rejection counts, per-client attribution and the admission
-signal snapshot are defined once and cannot drift between them.
+tracking, rejection counts, per-client attribution, the admission signal
+snapshot and the head of ``stats()`` are defined once and cannot drift
+between them.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..lang.parser import parse_query
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import ABSENT, Figure, MetricsRegistry, Reported
 from ..obs.slowlog import SlowQueryLog
 from .versions import Commit
 
@@ -90,17 +92,36 @@ class ServiceBackend(Protocol):
     def in_flight(self) -> int: ...
 
 
-class ServingCounters:
+class ServingCounters(Reported):
     """The serving instruments and bookkeeping shared by every backend.
 
     Each backend gets its own registry by default so stats of co-hosted
     services never mix; the front doors expose it at ``GET /v1/metrics``.
     The serving instruments double as the live backpressure signals read by
     front-end admission control (:mod:`repro.aserve`) via
-    :meth:`serving_signals`.
+    :meth:`serving_signals`.  :attr:`FIGURES` is the head of every backend's
+    ``stats()``; a backend appends its own sections to it.
     """
 
     accepts_deadline = False
+
+    FIGURES = (
+        Figure("generation", attrgetter("generation"), "hyper_generation",
+               "Latest committed database generation"),
+        Figure("execution", attrgetter("execution")),
+        Figure("n_queries", lambda backend: int(backend._m_queries.value)),
+        Figure("n_batches", lambda backend: int(backend._m_batches.value)),
+        Figure("uptime_seconds", lambda backend: time.time() - backend._started_at,
+               "hyper_uptime_seconds", "Seconds since the backend started"),
+        Figure("serving", lambda backend: backend.serving_signals()),
+        Figure(None, lambda backend: backend._m_inflight.peak, "hyper_inflight_peak",
+               "High-water mark of concurrent tracked executions"),
+        Figure("slow_queries.entries", lambda backend: len(backend.slow_log)),
+        Figure("slow_queries.recorded", lambda backend: int(backend._m_slow.value)),
+        Figure("slow_queries.threshold_seconds", attrgetter("slow_log.threshold_seconds")),
+        Figure("clients", lambda backend: backend.client_stats()),
+        Figure("jobs", lambda backend: ABSENT if backend.jobs is None else backend.jobs.stats()),
+    )
 
     _MAX_TRACKED_CLIENTS = 512
 
@@ -114,6 +135,7 @@ class ServingCounters:
         self.metrics = (
             metrics_registry if metrics_registry is not None else MetricsRegistry()
         )
+        self._started_at = time.time()
         m = self.metrics
         self._m_queries = m.counter(
             "hyper_queries_total", "Queries accepted by execute()/execute_many()"
@@ -150,6 +172,7 @@ class ServingCounters:
         self._clients_lock = threading.Lock()
         self._client_requests: dict[str, int] = {}
         self._client_rejections: dict[str, int] = {}
+        self.register_metrics(m)
 
     def _capacity_hint(self) -> int:
         """The backend's own execution capacity (the saturation denominator)."""
@@ -256,13 +279,14 @@ class ServingCounters:
     def serving_signals(self) -> dict[str, Any]:
         """A live snapshot of serving load, for rejections and ``stats()``.
 
-        Returns in-flight executions (all front-ends sharing the backend),
-        their peak, total rejections, per-endpoint latency sums, and a
-        saturation ratio against :meth:`_capacity_hint`.  No engine locks
-        are taken — safe to call on an event loop.
+        Returns in-flight executions (:meth:`in_flight`: all front-ends sharing
+        the backend and held job leases), their peak, total rejections,
+        per-endpoint latency sums, a saturation ratio against
+        :meth:`_capacity_hint` and, with jobs attached, their load.  No engine
+        locks are taken — safe to call on an event loop.
         """
         capacity = self._capacity_hint()
-        in_flight = int(self._m_inflight.value)
+        in_flight = self.in_flight()
         rejected = {k: int(v) for k, v in self._m_rejected.per_label().items()}
         signals: dict[str, Any] = {
             "in_flight": in_flight,
@@ -277,16 +301,7 @@ class ServingCounters:
             },
         }
         if self.jobs is not None:
-            # Leases held but not yet inside the engine count as in-flight
-            # pressure too (leases inside the engine already show up via the
-            # _track gauge), so interactive admission sees background work
-            # before it over-admits.
-            job_signals = self.jobs.signals()
-            signals["jobs"] = job_signals
-            signals["in_flight"] = in_flight + job_signals["background_load"]
-            signals["saturation"] = (
-                signals["in_flight"] / capacity if capacity else 0.0
-            )
+            signals["jobs"] = self.jobs.signals()
         return signals
 
     def close_jobs(self) -> None:

@@ -20,6 +20,7 @@ from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import HowToResult
 from ..core.whatif import PreparedWhatIf, validate_query
 from ..obs import trace as obs_trace
+from ..obs.metrics import Figure, Reported
 from ..probdb.blocks import block_labels
 from ..relational.columnar import KernelCache
 from ..relational.relation import Relation
@@ -64,12 +65,38 @@ class BoundPlan:
         )
 
 
-class PlanCompiler:
-    """Fingerprints and plans of one service's queries, over its caches."""
+def _per_cache(key: str, metric: str, kind: str) -> Figure:
+    """The series of ``key`` in each :meth:`PlanCompiler.cache_stats` row, labelled by cache."""
+    return Figure(
+        None,
+        lambda compiler: {name: row[key] for name, row in compiler.cache_stats().items()},
+        metric,
+        f"Per-cache {key} (labelled by cache)",
+        kind,
+        "cache",
+    )
 
-    def __init__(self, config: EngineConfig, caches: QueryCaches) -> None:
+
+class PlanCompiler(Reported):
+    """Fingerprints and plans of one service's queries, over its caches.
+
+    ``latest()`` is the service's latest snapshot, whose bound plans
+    :meth:`cache_stats` and the ``hyper_cache_*`` series report.
+    """
+
+    FIGURES = (
+        _per_cache("hits", "hyper_cache_hits_total", "counter"),
+        _per_cache("misses", "hyper_cache_misses_total", "counter"),
+        _per_cache("evictions", "hyper_cache_evictions_total", "counter"),
+        _per_cache("size", "hyper_cache_entries", "gauge"),
+    )
+
+    def __init__(
+        self, config: EngineConfig, caches: QueryCaches, latest: Callable[[], EngineState]
+    ) -> None:
         self.config = config
         self.caches = caches
+        self._latest = latest
         # bound plans found, built and dropped, under the lock that binds them;
         # and the regressor fits and hits of estimators the cache dropped, so
         # the totals stay monotonic (the eviction callback holds the cache lock)
@@ -233,31 +260,13 @@ class PlanCompiler:
 
     # -- instrumentation -------------------------------------------------------------------
 
-    def cache_stats(self, state: EngineState) -> dict[str, dict[str, Any]]:
-        """Each cache's row, ``state``'s bound plans' (``plans``) included."""
+    def cache_stats(self) -> dict[str, dict[str, Any]]:
+        """Each cache's row, the latest snapshot's bound plans' (``plans``) included."""
         with self._lock:
             hits, misses, evictions = self._counts
-        plans = CacheStats("plans", _BOUND_PLANS, len(state.plans), hits, misses, evictions)
-        return {**self.caches.stats(), "plans": plans.as_dict()}
-
-    def register_metrics(self, registry: Any, latest: Callable[[], EngineState]) -> None:
-        """Scrape-time collectors of :meth:`cache_stats` at the ``latest()`` state
-        on ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)."""
-        for name, stat_key, kind in (
-            ("hyper_cache_hits_total", "hits", "counter"),
-            ("hyper_cache_misses_total", "misses", "counter"),
-            ("hyper_cache_evictions_total", "evictions", "counter"),
-            ("hyper_cache_entries", "size", "gauge"),
-        ):
-            registry.register_callback(
-                name,
-                f"Per-cache {stat_key} (labelled by cache)",
-                lambda key=stat_key: [
-                    ({"cache": cache_name}, stats[key])
-                    for cache_name, stats in self.cache_stats(latest()).items()
-                ],
-                kind=kind,
-            )
+        plans = len(self._latest().plans)
+        bound = CacheStats("plans", _BOUND_PLANS, plans, hits, misses, evictions)
+        return {**self.caches.stats(), "plans": bound.as_dict()}
 
     def regressor_stats(self) -> dict[str, int]:
         """Regressor fits and hits over the service's life, and those cached now."""

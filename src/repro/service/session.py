@@ -55,6 +55,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import cache, partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..causal.dag import CausalDAG
@@ -65,7 +66,7 @@ from ..core.results import HowToResult, WhatIfResult
 from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_keyed
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Figure, MetricsRegistry
 from ..relational.database import Database
 from .backend import ServingCounters, default_max_workers, raise_first_error
 from .cache import QueryCaches
@@ -155,9 +156,9 @@ class HypeRService(ServingCounters, Snapshots):
         self.execution = execution
         self.max_workers = max_workers
         self.n_shards = n_shards or max_workers or default_max_workers()
-        # The serving instruments (and the registry the front doors expose at
-        # GET /v1/metrics) come from ServingCounters; the ones below are this
-        # backend's own, and the version store and the pool register theirs.
+        # The serving instruments, the head of stats() and the registry the
+        # front doors expose at GET /v1/metrics come from ServingCounters; the
+        # version store, the plan compiler and the pool register their own.
         super().__init__(
             metrics_registry,
             slow_query_seconds=slow_query_seconds,
@@ -168,14 +169,12 @@ class HypeRService(ServingCounters, Snapshots):
             from ..shard.pool import ShardPool  # lazy: the pool's workers are services
 
             self._pool = ShardPool(database, causal_dag, self.config, n_shards=self.n_shards)
-            self._pool.register_metrics(self.metrics)
         pool = self._pool
         self.versions = VersionStore(
             EngineState.build(0, database, causal_dag, self.config),
             # a retired generation's shm segments go with it
             on_retire=None if pool is None else lambda old: pool.release_snapshot(old.generation),
         )
-        self.versions.register_metrics(self.metrics)
         self.caches = QueryCaches(
             estimator_size=estimator_cache_size,
             result_size=result_cache_size,
@@ -184,12 +183,14 @@ class HypeRService(ServingCounters, Snapshots):
             estimator_max_weight=estimator_cache_weight,
         )
         self._result_cache_enabled = result_cache_size > 0
-        self.compiler = PlanCompiler(self.config, self.caches)
+        self.compiler = PlanCompiler(self.config, self.caches, lambda: self._state)
+        for owner in (self.versions, self.compiler, pool):
+            if owner is not None:
+                owner.register_metrics(self.metrics)
         # Serializes read-modify-write commits (update_relation_columns) so
         # concurrent column updates cannot lose each other; re-entrant because
         # update_database takes it too.
         self._commit_lock = threading.RLock()
-        self._started_at = time.time()
         m = self.metrics
         self._m_noop_commits = m.counter(
             "hyper_noop_commits_total", "Commits that changed no relation"
@@ -198,18 +199,6 @@ class HypeRService(ServingCounters, Snapshots):
             "hyper_pinned_fallbacks_total",
             "Queries evaluated in-process because their pinned snapshot was superseded",
         )
-        # scrape-time callbacks over derived state (zero steady-state cost)
-        m.register_callback(
-            "hyper_uptime_seconds",
-            "Seconds since the service started",
-            lambda: time.time() - self._started_at,
-        )
-        m.register_callback(
-            "hyper_inflight_peak",
-            "High-water mark of concurrent tracked executions",
-            lambda: self._m_inflight.peak,
-        )
-        self.compiler.register_metrics(m, lambda: self._state)
 
     def _capacity_hint(self) -> int:
         """Shard count in ``processes`` mode, worker threads otherwise."""
@@ -539,40 +528,19 @@ class HypeRService(ServingCounters, Snapshots):
 
     # -- instrumentation -------------------------------------------------------------------
 
-    def stats(self) -> dict[str, Any]:
-        """Service counters plus per-cache and regressor-level statistics.
-
-        ``regressors.fits``/``hits`` are monotonic totals over the service's
-        life: counters of estimators evicted from the LRU (or dropped by an
-        invalidation) are folded into running sums, not lost.  In
-        ``processes`` mode, fits inside shard workers are *not* included —
-        the per-worker caches live in other processes; ``pool`` reports the
-        pool's own counters instead.
-        """
-        regressors = self.compiler.regressor_stats()
-        pool_stats = None if self._pool is None else self._pool.live_stats()
-        serving = self.serving_signals()
-        versions = self.versions.stats()
-        latest = self._state
-        versions["noop_commits"] = int(self._m_noop_commits.value)
-        versions["pinned_fallbacks"] = int(self._m_pinned_fallbacks.value)
-        return {
-            "serving": serving,
-            "generation": latest.generation,
-            "relation_generations": dict(latest.relation_generations),
-            "versions": versions,
-            "execution": self.execution,
-            "n_queries": int(self._m_queries.value),
-            "n_batches": int(self._m_batches.value),
-            "uptime_seconds": time.time() - self._started_at,
-            "caches": self.compiler.cache_stats(latest),
-            "regressors": regressors,
-            "pool": pool_stats,
-            "slow_queries": {
-                "entries": len(self.slow_log),
-                "recorded": int(self._m_slow.value),
-                "threshold_seconds": self.slow_log.threshold_seconds,
-            },
-            "clients": self.client_stats(),
-            **({"jobs": self.jobs.stats()} if self.jobs is not None else {}),
-        }
+    #: ``stats()``: the serving head, then the snapshot, caches and pool.
+    #: ``regressors`` counts fits and hits over the service's life (those of
+    #: estimators the LRU dropped are folded in); in ``processes`` mode the
+    #: fits inside shard workers are not included, ``pool`` reports the pool's
+    #: own counters instead
+    FIGURES = ServingCounters.FIGURES + (
+        Figure("relation_generations", attrgetter("relation_generations")),
+        Figure("versions", lambda service: service.versions.stats()),
+        Figure("versions.noop_commits", lambda service: int(service._m_noop_commits.value)),
+        Figure("versions.pinned_fallbacks",
+               lambda service: int(service._m_pinned_fallbacks.value)),
+        Figure("caches", lambda service: service.compiler.cache_stats()),
+        Figure("regressors", lambda service: service.compiler.regressor_stats()),
+        Figure("pool",
+               lambda service: None if service._pool is None else service._pool.live_stats()),
+    )

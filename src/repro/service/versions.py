@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 from ..obs import trace as obs_trace
+from ..obs.metrics import Figure, Reported
 
 __all__ = ["Commit", "Snapshot", "VersionStore"]
 
@@ -79,7 +81,7 @@ class Snapshot:
         return f"Snapshot(gen={self.generation}, refs={self.refcount}, {status})"
 
 
-class VersionStore:
+class VersionStore(Reported):
     """Refcounted multi-version snapshot store with atomic commits.
 
     Invariants (the ones the isolation checker verifies from outside):
@@ -98,6 +100,21 @@ class VersionStore:
     lock and must not call back into the store.
     """
 
+    #: ``stats()``, the ``versions`` section of ``HypeRService.stats()``
+    FIGURES = (
+        Figure("latest_generation", lambda store: store._latest.generation),
+        Figure("commits", attrgetter("_n_commits"), "hyper_mvcc_commits_total",
+               "MVCC version store: commits", "counter"),
+        Figure("retired", attrgetter("_n_retired"), "hyper_mvcc_retired_total",
+               "MVCC version store: retired", "counter"),
+        Figure("live_snapshots", lambda store: len(store._live), "hyper_mvcc_live_snapshots",
+               "MVCC version store: live_snapshots"),
+        Figure("pinned_readers", lambda store: sum(s.refcount for s in store._live.values()),
+               "hyper_mvcc_pinned_readers", "MVCC version store: pinned_readers"),
+        Figure("peak_live_snapshots", attrgetter("_peak_live")),
+        Figure("peak_pinned_readers", attrgetter("_peak_pinned")),
+    )
+
     def __init__(
         self,
         initial_state: Any,
@@ -105,7 +122,7 @@ class VersionStore:
         generation: int = 0,
         on_retire: Callable[[Snapshot], None] | None = None,
     ) -> None:
-        self._lock = threading.Lock()
+        self._lock = self._figures_lock = threading.Lock()
         self._latest = Snapshot(generation, initial_state)
         self.on_retire = on_retire
         self._n_commits = 0
@@ -216,36 +233,3 @@ class VersionStore:
             self._n_retired += 1
             if self.on_retire is not None:
                 self.on_retire(snapshot)
-
-    # -- introspection -----------------------------------------------------------------
-
-    def register_metrics(self, registry: Any) -> None:
-        """Scrape-time collectors of this store on ``registry`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`): the latest generation
-        and the ``hyper_mvcc_*`` counters and gauges of :meth:`stats`."""
-        registry.register_callback(
-            "hyper_generation",
-            "Latest committed database generation",
-            lambda: self.latest.generation,
-        )
-        for name, key, kind in (
-            ("hyper_mvcc_commits_total", "commits", "counter"),
-            ("hyper_mvcc_retired_total", "retired", "counter"),
-            ("hyper_mvcc_live_snapshots", "live_snapshots", "gauge"),
-            ("hyper_mvcc_pinned_readers", "pinned_readers", "gauge"),
-        ):
-            read = lambda key=key: self.stats()[key]  # noqa: E731
-            registry.register_callback(name, f"MVCC version store: {key}", read, kind=kind)
-
-    def stats(self) -> dict[str, Any]:
-        """Counters for :meth:`HypeRService.stats`'s ``versions`` section."""
-        with self._lock:
-            return {
-                "latest_generation": self._latest.generation,
-                "commits": self._n_commits,
-                "retired": self._n_retired,
-                "live_snapshots": len(self._live),
-                "pinned_readers": sum(s.refcount for s in self._live.values()),
-                "peak_live_snapshots": self._peak_live,
-                "peak_pinned_readers": self._peak_pinned,
-            }

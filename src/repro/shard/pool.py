@@ -42,7 +42,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from ..causal.dag import CausalDAG
@@ -51,6 +51,7 @@ from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import WhatIfResult
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
+from ..obs.metrics import Figure, Reported
 from ..relational.columnar import (
     ColumnStore,
     store_from_buffers,
@@ -279,7 +280,15 @@ def _shard_worker_main(index, spec, causal_dag, config, task_queue, result_queue
     attachment.close()
 
 
-class ShardPool:
+_ABSENT = " (absent while no pool is running)"
+
+
+def _shm(pool: "ShardPool") -> dict[str, Any] | None:
+    """The pool's segment manager's figures, ``None`` without shared memory."""
+    return None if pool._shm_manager is None else pool._shm_manager.stats()
+
+
+class ShardPool(Reported):
     """Persistent shard workers answering whole queries dealt to them by plan.
 
     Parameters
@@ -306,6 +315,27 @@ class ShardPool:
     (:meth:`advance`); the pool serves only that generation (:meth:`run_batch`).
     :meth:`stop` or a failed move stops them until the next crossing.
     """
+
+    FIGURES = (
+        Figure("mode", attrgetter("mode")),
+        Figure("n_shards", attrgetter("n_shards"), "hyper_pool_shards",
+               f"Shard pool n_shards{_ABSENT}"),
+        Figure("n_broadcasts", attrgetter("n_broadcasts"), "hyper_pool_broadcasts_total",
+               f"Shard pool n_broadcasts{_ABSENT}", "counter"),
+        Figure("n_updates", attrgetter("n_updates"), "hyper_pool_updates_total",
+               f"Shard pool n_updates{_ABSENT}", "counter"),
+        Figure("generation", attrgetter("generation")),
+        Figure("bytes_to_workers", attrgetter("bytes_to_workers")),
+        Figure("bytes_from_workers", attrgetter("bytes_from_workers")),
+        Figure(None, lambda pool: pool.bytes_to_workers + pool.bytes_from_workers,
+               "hyper_broadcast_bytes_total",
+               "Bytes crossing the shard-worker queues (both directions)", "counter"),
+        Figure("update_bytes_last", attrgetter("update_bytes_last")),
+        Figure("shm", _shm),
+        Figure(None, lambda pool: (_shm(pool) or {}).get("live_bytes", 0),
+               "hyper_shm_bytes", "Live shared-memory snapshot bytes owned by the shard pool"),
+        Figure("fallback_reason", attrgetter("fallback_reason")),
+    )
 
     def __init__(
         self,
@@ -766,47 +796,10 @@ class ShardPool:
 
     # -- instrumentation ---------------------------------------------------------------
 
-    def live_stats(self, read: Callable[[dict], Any] = lambda stats: stats) -> Any:
-        """``read`` of :meth:`stats` (by default, those) while the workers run, else ``None``."""
-        return read(self.stats()) if self.mode in ("processes", "inline") else None
+    def _live(self) -> bool:
+        """Whether the workers run; the pool's series are absent otherwise."""
+        return self.mode in ("processes", "inline")
 
-    def register_metrics(self, registry: Any) -> None:
-        """Scrape-time collectors of this pool on ``registry`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`), absent while no worker runs."""
-        absent = " (absent while no pool is running)"
-        table = {
-            "hyper_pool_broadcasts_total": (
-                f"Shard pool n_broadcasts{absent}", "counter", lambda s: s["n_broadcasts"]
-            ),
-            "hyper_pool_updates_total": (
-                f"Shard pool n_updates{absent}", "counter", lambda s: s["n_updates"]
-            ),
-            "hyper_pool_shards": (f"Shard pool n_shards{absent}", "gauge", lambda s: s["n_shards"]),
-            "hyper_shm_bytes": (
-                "Live shared-memory snapshot bytes owned by the shard pool",
-                "gauge",
-                lambda s: (s["shm"] or {}).get("live_bytes", 0),
-            ),
-            "hyper_broadcast_bytes_total": (
-                "Bytes crossing the shard-worker queues (both directions)",
-                "counter",
-                lambda s: s["bytes_to_workers"] + s["bytes_from_workers"],
-            ),
-        }
-        for name, (help, kind, read) in table.items():
-            registry.register_callback(name, help, partial(self.live_stats, read), kind=kind)
-
-    def stats(self) -> dict[str, Any]:
-        manager = self._shm_manager
-        return {
-            "mode": self.mode,
-            "n_shards": self.n_shards,
-            "n_broadcasts": self.n_broadcasts,
-            "n_updates": self.n_updates,
-            "generation": self.generation,
-            "bytes_to_workers": self.bytes_to_workers,
-            "bytes_from_workers": self.bytes_from_workers,
-            "update_bytes_last": self.update_bytes_last,
-            "shm": manager.stats() if manager is not None else None,
-            "fallback_reason": self.fallback_reason,
-        }
+    def live_stats(self) -> dict[str, Any] | None:
+        """:meth:`stats` while the workers run, else ``None``."""
+        return self.stats() if self._live() else None

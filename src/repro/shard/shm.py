@@ -35,10 +35,12 @@ same decode path, pickle pays the copy, answers are identical.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..obs.metrics import Figure, Reported
 from ..relational.columnar import store_from_buffers, store_to_buffers
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -200,7 +202,7 @@ def release_buffers(
         attachment.detach(descriptor["segment"])
 
 
-class SegmentManager:
+class SegmentManager(Reported):
     """Parent-side owner of shared-memory segments, keyed by MVCC generation.
 
     ``put`` copies a buffer list into one fresh segment; ``release`` unlinks
@@ -211,8 +213,23 @@ class SegmentManager:
     back into either.
     """
 
+    #: ``stats()``, the pool's ``shm`` section
+    FIGURES = (
+        Figure(
+            "live_bytes",
+            lambda manager: sum(
+                segment.size for group in manager._by_generation.values() for segment in group
+            ),
+        ),
+        Figure("live_segments",
+               lambda manager: sum(len(group) for group in manager._by_generation.values())),
+        Figure("segments_created", attrgetter("n_created")),
+        Figure("segments_unlinked", attrgetter("n_unlinked")),
+        Figure("bytes_created", attrgetter("bytes_created")),
+    )
+
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = self._figures_lock = threading.Lock()
         self._by_generation: dict[int, list[Any]] = {}
         self.n_created = 0
         self.n_unlinked = 0
@@ -267,21 +284,6 @@ class SegmentManager:
             pass
         with self._lock:
             self.n_unlinked += 1
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            live = sum(
-                segment.size
-                for group in self._by_generation.values()
-                for segment in group
-            )
-            return {
-                "live_bytes": live,
-                "live_segments": sum(len(g) for g in self._by_generation.values()),
-                "segments_created": self.n_created,
-                "segments_unlinked": self.n_unlinked,
-                "bytes_created": self.bytes_created,
-            }
 
 
 class SegmentAttachment:
