@@ -56,6 +56,7 @@ __all__ = [
     "Endpoint",
     "reply",
     "error_response",
+    "note_admitted",
     "validate",
     "decode",
     "run",
@@ -499,6 +500,12 @@ def error_response(
     if status == 429 and request is not None:
         backend.note_client_request(request.client_id, rejected=True)
     return reply(request, status, payload, headers)
+
+
+def note_admitted(backend: ServiceBackend, request: ApiRequest) -> None:
+    """Count an admitted request (``/v1/query``, ``/v1/batch``, a node's
+    ``/v1/partial``) for its client; a 429 counts in :func:`error_response`."""
+    backend.note_client_request(request.client_id)
 
 
 def validate(schema: Any, body: dict[str, Any]) -> Any:

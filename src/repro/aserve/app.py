@@ -288,6 +288,7 @@ class AsyncApp:
             self.admission.try_admit(1, endpoint=endpoint.name)
         except AdmissionRejected as rejected:
             return await self._fail(writer, call, _rate_limited(rejected), keep_alive)
+        api.note_admitted(self.service, call)
         try:
             # starts the deadline clock — before the admission queue wait:
             # time spent queued is time the client is already paying for
@@ -345,6 +346,7 @@ class AsyncApp:
             self.admission.try_admit(len(texts), endpoint=endpoint.name)
         except AdmissionRejected as rejected:
             return await self._fail(writer, call, _rate_limited(rejected), keep_alive)
+        api.note_admitted(self.service, call)
 
         stream = ChunkedJsonWriter(
             writer, keep_alive=keep_alive, headers={"X-Request-Id": call.request_id}

@@ -4,8 +4,9 @@ Implements the probabilistic relational causal model (PRCM) machinery the paper
 builds on: attribute-level causal DAGs with cross-tuple edges, structural
 equations for data generation and ground truth, d-separation, the backdoor
 criterion, summary functions and the augmented graph used for multi-relation
-queries.  The per-tuple graph is never grounded: :mod:`repro.probdb.blocks`
-decomposes over tuples without it.
+queries.  The graphs are stdlib adjacency dicts, and d-separation is one
+reachability pass, not a path enumeration.  The per-tuple graph is never
+grounded: :mod:`repro.probdb.blocks` decomposes over tuples without it.
 """
 
 from .augmented import AggregatedNode, augment_causal_dag
@@ -16,7 +17,7 @@ from .backdoor import (
     satisfies_backdoor,
 )
 from .dag import CausalDAG, CausalEdge
-from .dseparation import all_backdoor_paths, d_separated, path_is_blocked
+from .dseparation import d_separated
 from .scm import StructuralCausalModel
 from .structural import (
     DiscreteCPD,
@@ -50,13 +51,11 @@ __all__ = [
     "StructuralEquation",
     "SummaryFunction",
     "UniformNoise",
-    "all_backdoor_paths",
     "augment_causal_dag",
     "d_separated",
     "eligible_adjustment_attributes",
     "find_backdoor_set",
     "make_summary",
     "minimal_backdoor_set",
-    "path_is_blocked",
     "satisfies_backdoor",
 ]

@@ -16,11 +16,11 @@ backdoor set under its canonical model.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..exceptions import IdentificationError
 from .dag import CausalDAG
-from .dseparation import all_backdoor_paths, path_is_blocked
+from .dseparation import backdoor_blocked
 
 __all__ = [
     "eligible_adjustment_attributes",
@@ -30,99 +30,54 @@ __all__ = [
 ]
 
 
-def eligible_adjustment_attributes(
-    dag: CausalDAG, treatment: str, outcome: str
-) -> set[str]:
+def eligible_adjustment_attributes(dag: CausalDAG, treatment: str, outcome: str) -> set[str]:
     """Attributes allowed in a backdoor set: non-descendants of treatment/outcome."""
-    forbidden = (
-        dag.descendants(treatment)
-        | dag.descendants(outcome)
-        | {treatment, outcome}
-    )
+    forbidden = dag.descendants(treatment) | dag.descendants(outcome) | {treatment, outcome}
     return {node for node in dag.nodes if node not in forbidden}
 
 
-def _blocks_every_path(
-    dag: CausalDAG, paths: Sequence[Sequence[str]], adjustment: set[str]
-) -> bool:
-    return all(path_is_blocked(dag, path, adjustment) for path in paths)
-
-
 def satisfies_backdoor(
-    dag: CausalDAG,
-    treatment: str,
-    outcome: str,
-    adjustment: Iterable[str],
+    dag: CausalDAG, treatment: str, outcome: str, adjustment: Iterable[str]
 ) -> bool:
     """Whether ``adjustment`` satisfies the backdoor criterion for (treatment, outcome)."""
     adjustment = set(adjustment)
     eligible = eligible_adjustment_attributes(dag, treatment, outcome)
-    if not adjustment <= eligible:
-        return False
-    return _blocks_every_path(dag, all_backdoor_paths(dag, treatment, outcome), adjustment)
+    return adjustment <= eligible and backdoor_blocked(dag, treatment, outcome, adjustment)
 
 
-def _full_backdoor_set(
-    dag: CausalDAG, treatment: str, outcome: str
-) -> tuple[set[str], list[list[str]]]:
-    """Every eligible non-descendant, with the backdoor paths it was checked against.
-
-    The paths depend only on ``(dag, treatment, outcome)``, never on the
-    adjustment set, so the greedy search enumerates them once and tests each
-    reduced set against the same list.
-    """
-    if treatment not in dag or outcome not in dag:
-        missing = [a for a in (treatment, outcome) if a not in dag]
-        raise IdentificationError(f"attributes {missing} are not in the causal DAG")
-    candidate = eligible_adjustment_attributes(dag, treatment, outcome)
-    paths = all_backdoor_paths(dag, treatment, outcome)
-    if _blocks_every_path(dag, paths, candidate):
-        return candidate, paths
-    raise IdentificationError(
-        f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
-    )
-
-
-def find_backdoor_set(
-    dag: CausalDAG,
-    treatment: str,
-    outcome: str,
-) -> set[str]:
+def find_backdoor_set(dag: CausalDAG, treatment: str, outcome: str) -> set[str]:
     """Return a valid backdoor adjustment set, or raise :class:`IdentificationError`.
 
     The full set of eligible non-descendants is tried first (this is the
     paper's starting point); if even that does not block all backdoor paths the
     effect is not identifiable by backdoor adjustment in this graph.
     """
-    return _full_backdoor_set(dag, treatment, outcome)[0]
+    if treatment not in dag or outcome not in dag:
+        missing = [a for a in (treatment, outcome) if a not in dag]
+        raise IdentificationError(f"attributes {missing} are not in the causal DAG")
+    candidate = eligible_adjustment_attributes(dag, treatment, outcome)
+    if backdoor_blocked(dag, treatment, outcome, candidate):
+        return candidate
+    raise IdentificationError(
+        f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
+    )
 
 
-def minimal_backdoor_set(
-    dag: CausalDAG,
-    treatment: str,
-    outcome: str,
-    *,
-    prefer: Sequence[str] = (),
-) -> set[str]:
+def minimal_backdoor_set(dag: CausalDAG, treatment: str, outcome: str) -> set[str]:
     """Greedy minimal backdoor set (Section A.2, "Computation of blocking set C").
 
     Starts from all eligible non-descendants and removes one attribute at a
-    time while the backdoor criterion continues to hold.  ``prefer`` lists
-    attributes to try to *keep* (they are considered for removal last), which
-    the engine uses to retain attributes that already appear in the query's
-    ``For`` clause — conditioning on those is free.  The search reads nothing
-    but the graph, so its result is kept on the DAG (:meth:`CausalDAG.memo`).
+    time, in name order, while the backdoor criterion continues to hold.  Each
+    trial is one reachability pass.  The search reads nothing but the graph,
+    so its result is kept on the DAG (:meth:`CausalDAG.memo`).
     """
 
     def search() -> frozenset[str]:
-        current, paths = _full_backdoor_set(dag, treatment, outcome)
-        prefer_set = set(prefer)
-        # Remove non-preferred attributes first, preferred ones last.
-        removal_order = sorted(current - prefer_set) + sorted(current & prefer_set)
-        for attribute in removal_order:
+        current = find_backdoor_set(dag, treatment, outcome)
+        for attribute in sorted(current):
             reduced = current - {attribute}  # a subset of the eligible attributes
-            if _blocks_every_path(dag, paths, reduced):
+            if backdoor_blocked(dag, treatment, outcome, reduced):
                 current = reduced
         return frozenset(current)
 
-    return set(dag.memo(("minimal_backdoor_set", treatment, outcome, tuple(prefer)), search))
+    return set(dag.memo(("minimal_backdoor_set", treatment, outcome), search))

@@ -9,17 +9,17 @@ influences the rating of competing laptops of the same category).  Cross-tuple
 edges may declare a grouping attribute (``within``) limiting the influence to
 tuples sharing that attribute's value.
 
-The class wraps a :mod:`networkx` DiGraph and adds the causal-inference
-vocabulary used throughout the engine: parents/children, ancestors/descendants,
+The class keeps parent and child adjacency in insertion-ordered dicts and
+adds the causal-inference vocabulary used throughout the engine:
+parents/children, ancestors/descendants (stack walks), a lexicographic
 topological order, and acyclicity validation.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator
-
-import networkx as nx
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from ..exceptions import CausalModelError
 
@@ -51,15 +51,17 @@ class CausalEdge:
 
 
 class CausalDAG:
-    """Directed acyclic graph over attribute names."""
+    """Directed acyclic graph over attribute names; nodes and edges keep the
+    order they were added in."""
 
     def __init__(
         self,
         nodes: Iterable[str] = (),
         edges: Iterable[CausalEdge | tuple[str, str]] = (),
     ) -> None:
-        self._graph = nx.DiGraph()
-        self._edge_meta: dict[tuple[str, str], CausalEdge] = {}
+        #: node -> {child: the edge to it}; node -> {parent: None}
+        self._children: dict[str, dict[str, CausalEdge]] = {}
+        self._parents: dict[str, dict[str, None]] = {}
         self._memo: dict[Hashable, Any] = {}
         for node in nodes:
             self.add_node(node)
@@ -74,20 +76,24 @@ class CausalDAG:
     def add_node(self, name: str) -> None:
         if not name:
             raise CausalModelError("attribute node names must be non-empty")
-        self._graph.add_node(name)
+        if name not in self._children:
+            self._children[name] = {}
+            self._parents[name] = {}
         self._memo.clear()
 
     def add_edge(self, edge: CausalEdge | tuple[str, str], **kwargs) -> None:
-        """Add an edge, validating that the graph remains acyclic."""
+        """Add an edge, refusing one that would close a cycle."""
         if not isinstance(edge, CausalEdge):
             edge = CausalEdge(edge[0], edge[1], **kwargs)
-        self._graph.add_edge(edge.source, edge.target)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(edge.source, edge.target)
+        source, target = edge.source, edge.target
+        if target in self._children and source in _walk(target, self._children):
             raise CausalModelError(
-                f"adding edge {edge.source!r} -> {edge.target!r} would create a cycle"
+                f"adding edge {source!r} -> {target!r} would create a cycle"
             )
-        self._edge_meta[(edge.source, edge.target)] = edge
+        self.add_node(source)
+        self.add_node(target)
+        self._children[source][target] = edge
+        self._parents[target][source] = None
         self._memo.clear()
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
@@ -110,80 +116,84 @@ class CausalDAG:
             return value
 
     def copy(self) -> "CausalDAG":
-        clone = CausalDAG(self.nodes)
-        for edge in self.edges:
-            clone.add_edge(edge)
-        return clone
+        return CausalDAG(self.nodes, self.edges)
 
     # -- basic structure ------------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
-        return list(self._graph.nodes)
+        return list(self._children)
 
     @property
     def edges(self) -> list[CausalEdge]:
-        return [self._edge_meta[e] for e in self._graph.edges]
+        return [edge for children in self._children.values() for edge in children.values()]
 
     def __contains__(self, node: str) -> bool:
-        return node in self._graph
+        return node in self._children
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._children)
 
     def has_edge(self, source: str, target: str) -> bool:
-        return self._graph.has_edge(source, target)
+        return target in self._children.get(source, ())
 
     def edge(self, source: str, target: str) -> CausalEdge:
         try:
-            return self._edge_meta[(source, target)]
+            return self._children[source][target]
         except KeyError as exc:
             raise CausalModelError(f"no edge {source!r} -> {target!r}") from exc
 
     def _require(self, node: str) -> None:
-        if node not in self._graph:
+        if node not in self._children:
             raise CausalModelError(
                 f"attribute {node!r} is not a node of the causal DAG; nodes: {self.nodes}"
             )
 
     def parents(self, node: str) -> list[str]:
         self._require(node)
-        return sorted(self._graph.predecessors(node))
+        return sorted(self._parents[node])
 
     def children(self, node: str) -> list[str]:
         self._require(node)
-        return sorted(self._graph.successors(node))
+        return sorted(self._children[node])
 
     def ancestors(self, node: str) -> set[str]:
         self._require(node)
-        return set(nx.ancestors(self._graph, node))
+        return _walk(node, self._parents)
 
     def descendants(self, node: str) -> set[str]:
         self._require(node)
-        return set(nx.descendants(self._graph, node))
+        return _walk(node, self._children)
 
     def roots(self) -> list[str]:
-        return sorted(n for n in self._graph.nodes if self._graph.in_degree(n) == 0)
+        return sorted(node for node, parents in self._parents.items() if not parents)
 
     def topological_order(self) -> list[str]:
-        """Nodes ordered so every parent precedes its children (deterministic)."""
-        return list(nx.lexicographical_topological_sort(self._graph))
-
-    # -- paths (used by the backdoor machinery) ------------------------------------------
-
-    def undirected_paths(self, source: str, target: str, cutoff: int | None = None) -> Iterator[list[str]]:
-        """All simple paths between ``source`` and ``target`` ignoring direction."""
-        self._require(source)
-        self._require(target)
-        undirected = self._graph.to_undirected(as_view=True)
-        return nx.all_simple_paths(undirected, source, target, cutoff=cutoff)
-
-    def is_collider(self, path: list[str], index: int) -> bool:
-        """Whether ``path[index]`` is a collider (``a -> b <- c``) along ``path``."""
-        if index <= 0 or index >= len(path) - 1:
-            return False
-        prev_node, node, next_node = path[index - 1], path[index], path[index + 1]
-        return self.has_edge(prev_node, node) and self.has_edge(next_node, node)
+        """Every parent before its children, the smallest ready name first."""
+        waiting = {node: len(parents) for node, parents in self._parents.items()}
+        ready = [node for node, count in waiting.items() if count == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for child in self._children[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    heapq.heappush(ready, child)
+        return order
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CausalDAG({len(self)} nodes, {len(self.edges)} edges)"
+
+
+def _walk(start: str, step: Mapping[str, Iterable[str]]) -> set[str]:
+    """Every node reachable from ``start`` along ``step`` (``start`` excluded)."""
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        for node in step[stack.pop()]:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen

@@ -4,7 +4,8 @@ The service records every query completion; entries at or above the
 threshold are aggregated per plan-fingerprint digest (count, worst and
 latest duration, the request id that last tripped it).  The log is
 bounded: when full, the least-recently-updated fingerprint is evicted.
-``GET /v1/slow`` serves :meth:`SlowQueryLog.snapshot`.
+``GET /v1/slow`` serves :meth:`SlowQueryLog.snapshot`.  A backend hands in
+its ``hyper_slow_queries_total`` as ``recorded``: the log counts on it.
 """
 
 from __future__ import annotations
@@ -14,18 +15,25 @@ import time
 from collections import OrderedDict
 from typing import Any
 
+from .metrics import Counter
+
 __all__ = ["SlowQueryLog"]
 
 
 class SlowQueryLog:
-    def __init__(self, capacity: int = 64, threshold_seconds: float = 0.1):
+    def __init__(
+        self,
+        capacity: int = 64,
+        threshold_seconds: float = 0.1,
+        recorded: Counter | None = None,
+    ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.threshold_seconds = float(threshold_seconds)
+        self.recorded = recorded if recorded is not None else Counter("slow_queries_recorded")
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._n_recorded = 0
         self._n_evicted = 0
 
     def record(
@@ -41,7 +49,7 @@ class SlowQueryLog:
         if duration_seconds < self.threshold_seconds:
             return False
         with self._lock:
-            self._n_recorded += 1
+            self.recorded.inc()
             entry = self._entries.get(fingerprint)
             if entry is None:
                 entry = {
@@ -79,7 +87,7 @@ class SlowQueryLog:
         """JSON-ready view, slowest-by-max first."""
         with self._lock:
             entries = [dict(entry) for entry in self._entries.values()]
-            recorded, evicted = self._n_recorded, self._n_evicted
+            recorded, evicted = int(self.recorded.value), self._n_evicted
         entries.sort(key=lambda entry: entry["max_seconds"], reverse=True)
         return {
             "capacity": self.capacity,

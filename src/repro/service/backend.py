@@ -160,8 +160,8 @@ class ServingCounters(Reported):
             "hyper_slow_queries_total",
             "Query completions at or above the slow-query threshold",
         )
-        #: bounded per-plan-fingerprint slow-query log, served by GET /v1/slow
-        self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
+        #: bounded per-plan-fingerprint slow-query log (GET /v1/slow), counted on _m_slow
+        self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds, self._m_slow)
         #: attached durable job manager (see repro.jobs.attach_jobs); None
         #: means the job surface answers 503
         self.jobs: Any = None
@@ -208,14 +208,13 @@ class ServingCounters(Reported):
                 text = repr(query)[:200]
         key, kind = log_key()
         active = obs_trace.current_trace()
-        if self.slow_log.record(
+        self.slow_log.record(
             key,
             elapsed,
             query=text,
             request_id=active.request_id if active is not None else "",
             kind=kind,
-        ):
-            self._m_slow.inc()
+        )
 
     @contextmanager
     def _track(self, endpoint: str, units: int = 1, observations: int = 1) -> Iterator[None]:

@@ -15,15 +15,14 @@ edges induced by the attribute-level DAG:
 Explicit grounding is quadratic in the worst case.  The engine never builds
 this graph: the block decomposition in :mod:`repro.probdb.blocks` derives the
 same connectivity from one key-value node per linking rule (Proposition 1), and
-this module is the explicit-grounding oracle its tests compare against.
+this module is the explicit-grounding oracle its tests compare against.  The
+graph is a node set and an edge set; connectivity is a union-find over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
-
-import networkx as nx
 
 from repro.causal.dag import CausalDAG, CausalEdge
 from repro.exceptions import CausalModelError
@@ -51,7 +50,8 @@ class GroundCausalGraph:
     def __init__(self, database: Database, dag: CausalDAG, *, max_nodes: int = 200_000) -> None:
         self.database = database
         self.dag = dag
-        self.graph = nx.DiGraph()
+        self._nodes: dict[GroundVariable, None] = {}
+        self._edges: dict[tuple[GroundVariable, GroundVariable], None] = {}
         self._attribute_owner: dict[str, str] = {}
         self._resolve_attribute_owners()
         n_nodes = sum(
@@ -91,12 +91,17 @@ class GroundCausalGraph:
 
     # -- node / edge construction -----------------------------------------------------
 
+    def _add_edge(self, source: GroundVariable, target: GroundVariable) -> None:
+        self._nodes.setdefault(source)
+        self._nodes.setdefault(target)
+        self._edges.setdefault((source, target))
+
     def _add_nodes(self) -> None:
         for dag_node in self.dag.nodes:
             relation, attribute = self.owner_of(dag_node)
             rel = self.database[relation]
             for i in range(len(rel)):
-                self.graph.add_node(GroundVariable(relation, rel.key_of(i), attribute))
+                self._nodes.setdefault(GroundVariable(relation, rel.key_of(i), attribute))
 
     def _add_edges(self) -> None:
         for edge in self.dag.edges:
@@ -112,7 +117,7 @@ class GroundCausalGraph:
             rel = self.database[src_rel]
             for i in range(len(rel)):
                 key = rel.key_of(i)
-                self.graph.add_edge(
+                self._add_edge(
                     GroundVariable(src_rel, key, src_attr),
                     GroundVariable(dst_rel, key, dst_attr),
                 )
@@ -120,7 +125,7 @@ class GroundCausalGraph:
         # Cross-relation edge: ground along the foreign-key link.
         pairs = self._linked_tuple_pairs(src_rel, dst_rel)
         for src_key, dst_key in pairs:
-            self.graph.add_edge(
+            self._add_edge(
                 GroundVariable(src_rel, src_key, src_attr),
                 GroundVariable(dst_rel, dst_key, dst_attr),
             )
@@ -162,7 +167,7 @@ class GroundCausalGraph:
                     continue  # cross-tuple edges never point back into the same tuple
                 if group_of_src[i] != group_of_dst[j]:
                     continue
-                self.graph.add_edge(
+                self._add_edge(
                     GroundVariable(src_rel, src.key_of(i), src_attr),
                     GroundVariable(dst_rel, dst.key_of(j), dst_attr),
                 )
@@ -209,11 +214,14 @@ class GroundCausalGraph:
 
     @property
     def nodes(self) -> list[GroundVariable]:
-        return list(self.graph.nodes)
+        return list(self._nodes)
 
     @property
     def edges(self) -> list[tuple[GroundVariable, GroundVariable]]:
-        return list(self.graph.edges)
+        return list(self._edges)
+
+    def has_edge(self, source: GroundVariable, target: GroundVariable) -> bool:
+        return (source, target) in self._edges
 
     def tuples_are_independent(
         self,
@@ -223,33 +231,37 @@ class GroundCausalGraph:
         key_b: tuple[Any, ...],
     ) -> bool:
         """Whether no ground path (in either direction) connects the two tuples."""
-        undirected = self.graph.to_undirected(as_view=True)
-        nodes_a = [n for n in self.graph.nodes if n.relation == relation_a and n.key == key_a]
-        nodes_b = {n for n in self.graph.nodes if n.relation == relation_b and n.key == key_b}
-        for start in nodes_a:
-            reachable = nx.node_connected_component(undirected, start)
-            if reachable & nodes_b:
-                return False
-        return True
+        root = _components(self._nodes, self._edges)
+        roots_a = {root[n] for n in self._nodes if (n.relation, n.key) == (relation_a, key_a)}
+        return not any(
+            root[n] in roots_a for n in self._nodes if (n.relation, n.key) == (relation_b, key_b)
+        )
 
     def tuple_components(self) -> list[set[tuple[str, tuple[Any, ...]]]]:
-        """Connected components projected down to (relation, key) tuple identities."""
-        undirected = self.graph.to_undirected(as_view=True)
-        merged: dict[tuple[str, tuple[Any, ...]], int] = {}
-        components: list[set[tuple[str, tuple[Any, ...]]]] = []
-        for component in nx.connected_components(undirected):
-            tuple_ids = {(n.relation, n.key) for n in component}
-            overlapping = {merged[t] for t in tuple_ids if t in merged}
-            if overlapping:
-                target = min(overlapping)
-                for idx in sorted(overlapping - {target}, reverse=True):
-                    tuple_ids |= components[idx]
-                    components[idx] = set()
-                components[target] |= tuple_ids
-                for t in components[target]:
-                    merged[t] = target
-            else:
-                components.append(set(tuple_ids))
-                for t in tuple_ids:
-                    merged[t] = len(components) - 1
-        return [c for c in components if c]
+        """Connected components projected down to (relation, key) tuple identities:
+        two tuples share a component when a ground path joins any of their
+        variables."""
+        root = _components(
+            {(n.relation, n.key): None for n in self._nodes},
+            [((u.relation, u.key), (v.relation, v.key)) for u, v in self._edges],
+        )
+        components: dict[Hashable, set[tuple[str, tuple[Any, ...]]]] = {}
+        for tuple_id, tuple_root in root.items():
+            components.setdefault(tuple_root, set()).add(tuple_id)
+        return list(components.values())
+
+
+def _components(items: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]) -> dict:
+    """``{item: its component's representative}`` of the undirected graph on
+    ``items`` whose edges are ``pairs`` (union-find with path halving)."""
+    parent = {item: item for item in items}
+
+    def find(item: Hashable) -> Hashable:
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {item: find(item) for item in parent}

@@ -1,18 +1,22 @@
 """Tests for d-separation and the backdoor criterion."""
 
+import random
+import time
+
 import pytest
 
 from repro.causal import (
     CausalDAG,
-    all_backdoor_paths,
     d_separated,
     eligible_adjustment_attributes,
     find_backdoor_set,
     minimal_backdoor_set,
-    path_is_blocked,
     satisfies_backdoor,
 )
 from repro.exceptions import IdentificationError
+
+from . import oracles
+from .oracles import all_backdoor_paths, path_is_blocked
 
 
 @pytest.fixture
@@ -116,44 +120,46 @@ class TestBackdoorCriterion:
         # Price <- {Brand, Category} -> Quality -> Rating.
         assert adjustment == {"Quality"}
 
-    def test_minimal_backdoor_respects_preferences(self, figure3_style):
-        preferred = minimal_backdoor_set(
-            figure3_style, "Price", "Rating", prefer=["Quality"]
-        )
-        assert satisfies_backdoor(figure3_style, "Price", "Rating", preferred)
-        assert "Quality" in preferred or preferred  # still a valid set
-
     def test_minimal_set_empty_when_no_confounding(self, mediator):
         assert minimal_backdoor_set(mediator, "T", "Y") == set()
 
     def test_backdoor_example_from_paper_sentiment_rating(self, figure3_style):
-        """Sec 3.3: {Brand, Quality, Category} satisfies backdoor wrt Sentiment/Rating."""
-        assert satisfies_backdoor(
-            figure3_style, "Sentiment", "Rating", ["Brand", "Quality", "Category"]
-        ) is False or True  # Price is also a confounder here
-        # The precise claim we verify: a set containing the common causes of
-        # Sentiment and Rating (Quality and Price) blocks every backdoor path.
+        """Sec 3.3's {Brand, Quality, Category} leaves Sentiment <- Price -> Rating
+        open in this slice, where Price confounds the two; adding Price blocks it."""
+        paper_set = ["Brand", "Quality", "Category"]
+        assert satisfies_backdoor(figure3_style, "Sentiment", "Rating", paper_set) is False
+        assert not all(
+            path_is_blocked(figure3_style, path, paper_set)
+            for path in all_backdoor_paths(figure3_style, "Sentiment", "Rating")
+        )
+        # a set holding the common causes of Sentiment and Rating blocks every path
         assert satisfies_backdoor(figure3_style, "Sentiment", "Rating", ["Quality", "Price"])
 
 
-# -- the greedy search enumerates the backdoor paths once per call ---------------------
+# -- the greedy search against the path oracle -----------------------------------------
 
 
-def _minimal_backdoor_set_reference(dag, treatment, outcome, *, prefer=()):
-    """The search as it was: every trial set re-enumerated the paths through
-    ``satisfies_backdoor`` (which still has that signature and behaviour)."""
+def _satisfies_by_paths(dag, treatment, outcome, adjustment):
+    return adjustment <= eligible_adjustment_attributes(dag, treatment, outcome) and all(
+        path_is_blocked(dag, path, adjustment)
+        for path in all_backdoor_paths(dag, treatment, outcome)
+    )
+
+
+def _minimal_backdoor_set_reference(dag, treatment, outcome):
+    """The search as §A.2 states it: every trial set re-enumerates the backdoor
+    paths and checks each one (the path oracle)."""
     if treatment not in dag or outcome not in dag:
         missing = [a for a in (treatment, outcome) if a not in dag]
         raise IdentificationError(f"attributes {missing} are not in the causal DAG")
     current = eligible_adjustment_attributes(dag, treatment, outcome)
-    if not satisfies_backdoor(dag, treatment, outcome, current):
+    if not _satisfies_by_paths(dag, treatment, outcome, current):
         raise IdentificationError(
             f"no backdoor adjustment set exists for {treatment!r} -> {outcome!r}"
         )
-    prefer_set = set(prefer)
-    for attribute in sorted(current - prefer_set) + sorted(current & prefer_set):
+    for attribute in sorted(current):
         reduced = current - {attribute}
-        if satisfies_backdoor(dag, treatment, outcome, reduced):
+        if _satisfies_by_paths(dag, treatment, outcome, reduced):
             current = reduced
     return current
 
@@ -176,11 +182,38 @@ def test_minimal_set_equals_the_per_trial_enumeration_on_bundled_dags(dataset, r
     for treatment, outcome in pairs:
         want = _outcome_of(_minimal_backdoor_set_reference, dag, treatment, outcome)
         assert _outcome_of(minimal_backdoor_set, dag, treatment, outcome) == want
+        assert _outcome_of(oracles.minimal_backdoor_set, dag, treatment, outcome) == want
         if isinstance(want, set):
             assert find_backdoor_set(dag, treatment, outcome) >= want
-            prefer = sorted(dag.nodes)[::2]  # the removal order moves with ``prefer``
-            assert minimal_backdoor_set(
-                dag, treatment, outcome, prefer=prefer
-            ) == _minimal_backdoor_set_reference(dag, treatment, outcome, prefer=prefer)
         else:
             assert _outcome_of(find_backdoor_set, dag, treatment, outcome) == want
+        for z in ([], sorted(dag.nodes)[::2], [treatment, outcome]):
+            assert d_separated(dag, treatment, outcome, z) == oracles.d_separated(
+                dag, treatment, outcome, z
+            )
+
+
+def _random_dag(n_nodes: int, edge_probability: float = 0.3) -> CausalDAG:
+    rng = random.Random(n_nodes)
+    nodes = [f"N{i}" for i in range(n_nodes)]
+    return CausalDAG(
+        nodes,
+        [
+            (nodes[i], nodes[j])
+            for i in range(n_nodes)
+            for j in range(i + 1, n_nodes)
+            if rng.random() < edge_probability
+        ],
+    )
+
+
+def test_the_search_on_a_forty_node_dag_takes_under_a_second():
+    """A few hundred edges: the path count explodes, the reachability passes do not."""
+    dag = _random_dag(40)
+    assert len(dag.edges) > 200
+    started = time.perf_counter()
+    adjustment = minimal_backdoor_set(dag, "N20", "N39")
+    assert time.perf_counter() - started < 1.0  # the path search would not finish
+    assert satisfies_backdoor(dag, "N20", "N39", adjustment)
+    for attribute in adjustment:  # minimal: no member can go
+        assert not satisfies_backdoor(dag, "N20", "N39", adjustment - {attribute})

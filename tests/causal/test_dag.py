@@ -5,6 +5,8 @@ import pytest
 from repro.causal import CausalDAG, CausalEdge
 from repro.exceptions import CausalModelError
 
+from .oracles import is_collider, undirected_paths
+
 
 @pytest.fixture
 def chain_dag():
@@ -40,6 +42,21 @@ class TestStructure:
         order = chain_dag.topological_order()
         assert order.index("A") < order.index("B") < order.index("C")
         assert order.index("U") < order.index("C")
+
+    def test_topological_order_takes_the_smallest_ready_name(self):
+        dag = CausalDAG(["Z", "B", "A", "Y"], [("Z", "A"), ("B", "Y"), ("Y", "A")])
+        assert dag.topological_order() == ["B", "Y", "Z", "A"]
+
+    def test_nodes_and_edges_keep_insertion_order(self):
+        dag = CausalDAG(["C", "A"], [("C", "B"), ("A", "D"), ("C", "A")])
+        assert dag.nodes == ["C", "A", "B", "D"]
+        assert [(e.source, e.target) for e in dag.edges] == [("C", "B"), ("C", "A"), ("A", "D")]
+        dag.add_edge(CausalEdge("C", "B", cross_tuple=True))  # re-added: same place, new edge
+        assert [(e.source, e.target) for e in dag.edges][0] == ("C", "B")
+        assert dag.edge("C", "B").cross_tuple
+        assert [(e.source, e.target) for e in dag.copy().edges] == [
+            (e.source, e.target) for e in dag.edges
+        ]
 
     def test_unknown_node_raises(self, chain_dag):
         with pytest.raises(CausalModelError):
@@ -90,7 +107,7 @@ class TestSurgery:
 
 class TestPaths:
     def test_undirected_paths(self, chain_dag):
-        paths = [tuple(p) for p in chain_dag.undirected_paths("A", "C")]
+        paths = [tuple(p) for p in undirected_paths(chain_dag, "A", "C")]
         assert ("A", "B", "C") in paths
         assert ("A", "U", "C") in paths
 
@@ -98,7 +115,7 @@ class TestPaths:
         dag = CausalDAG(nodes=["A", "B", "C"])
         dag.add_edge(("A", "B"))
         dag.add_edge(("C", "B"))
-        assert dag.is_collider(["A", "B", "C"], 1)
-        assert not dag.is_collider(["A", "B", "C"], 0)
+        assert is_collider(dag, ["A", "B", "C"], 1)
+        assert not is_collider(dag, ["A", "B", "C"], 0)
         chain = CausalDAG(nodes=["A", "B", "C"], edges=[("A", "B"), ("B", "C")])
-        assert not chain.is_collider(["A", "B", "C"], 1)
+        assert not is_collider(chain, ["A", "B", "C"], 1)

@@ -18,24 +18,24 @@ class TestGrounding:
         ground = GroundCausalGraph(figure1_database, figure2_dag)
         src = GroundVariable("Product", (1,), "Quality")
         dst = GroundVariable("Product", (1,), "Price")
-        assert ground.graph.has_edge(src, dst)
+        assert ground.has_edge(src, dst)
 
     def test_cross_relation_edges_follow_foreign_key(self, figure1_database, figure2_dag):
         ground = GroundCausalGraph(figure1_database, figure2_dag)
         # Quality of product 2 affects the ratings of ITS reviews (2,2) and (2,3) only.
         quality_p2 = GroundVariable("Product", (2,), "Quality")
-        assert ground.graph.has_edge(quality_p2, GroundVariable("Review", (2, 2), "Rating"))
-        assert ground.graph.has_edge(quality_p2, GroundVariable("Review", (2, 3), "Rating"))
-        assert not ground.graph.has_edge(quality_p2, GroundVariable("Review", (1, 1), "Rating"))
+        assert ground.has_edge(quality_p2, GroundVariable("Review", (2, 2), "Rating"))
+        assert ground.has_edge(quality_p2, GroundVariable("Review", (2, 3), "Rating"))
+        assert not ground.has_edge(quality_p2, GroundVariable("Review", (1, 1), "Rating"))
 
     def test_cross_tuple_edges_within_category(self, figure1_database, figure2_dag):
         ground = GroundCausalGraph(figure1_database, figure2_dag)
         # Price of the Vaio laptop (p1) affects ratings of reviews of the Asus laptop (p2),
         # because both are in the Laptop category (the dashed edge of Figure 2).
         price_p1 = GroundVariable("Product", (1,), "Price")
-        assert ground.graph.has_edge(price_p1, GroundVariable("Review", (2, 2), "Rating"))
+        assert ground.has_edge(price_p1, GroundVariable("Review", (2, 2), "Rating"))
         # ... but not reviews of the camera (different category).
-        assert not ground.graph.has_edge(price_p1, GroundVariable("Review", (4, 5), "Rating"))
+        assert not ground.has_edge(price_p1, GroundVariable("Review", (4, 5), "Rating"))
 
     def test_tuples_independent_across_categories(self, figure1_database, figure2_dag):
         ground = GroundCausalGraph(figure1_database, figure2_dag)

@@ -262,7 +262,7 @@ WIRE: dict[str, dict[str, list[str]]] = {
             "caches.results.misses", "caches.results.name", "caches.results.size",
             "caches.views.evictions", "caches.views.hit_rate", "caches.views.hits",
             "caches.views.max_size", "caches.views.misses", "caches.views.name",
-            "caches.views.size", "clients.rejections", "clients.requests",
+            "caches.views.size", "clients.rejections", "clients.requests.pin",
             "clients.tracked", "execution", "generation", "n_batches", "n_queries", "pool",
             "regressors.cached", "regressors.fits", "regressors.hits",
             "relation_generations.Credit", "serving.capacity_hint", "serving.in_flight",
@@ -326,6 +326,25 @@ def test_the_wire_is_pinned(served, setup):
         pytest.skip("the pool could not start worker processes over shared memory")
     assert sorted(set(key_paths(stats))) == WIRE[setup]["stats"]
     assert families(text) == WIRE[setup]["metrics"]
+
+
+def test_the_door_attributes_each_query_and_batch_to_its_client(served):
+    """The door's ``pin`` sent one ``/v1/query`` and one ``/v1/batch``; its
+    scrape and its stats request are not engine requests."""
+    stats, _text = served["door"]
+    assert stats["clients"]["requests"] == {"pin": 2}
+    assert stats["clients"]["rejections"] == {}
+
+
+def test_the_slow_query_count_is_one_number(dataset):
+    """``/v1/slow``, ``stats()`` and ``/v1/metrics`` read the count the log keeps."""
+    with HypeRService(
+        dataset.database, dataset.causal_dag, CONFIG, slow_query_seconds=0.0
+    ) as service:
+        _drive(service)
+        recorded = service.slow_log.snapshot()["recorded"]
+        assert recorded == service.stats()["slow_queries"]["recorded"] == 3
+        assert f"hyper_slow_queries_total {recorded}" in service.metrics.render()
 
 
 def test_a_coordinator_reports_the_shared_head(served):

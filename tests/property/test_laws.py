@@ -16,6 +16,11 @@ process pool (``execute_many``, so each worker binds a plan group's plan).
 * **A commit followed by its inverse restores every answer ``==``.**  The
   service bumps the committed column's generation twice and answers at new
   keys, with new plans; the answers are the first ones bitwise.
+* **A backdoor set is a function of the DAG alone.**  Prefix every attribute
+  name and each (treatment, outcome) pair's minimal set maps along, or both
+  are unidentifiable.  A common prefix keeps the names' order, which is the
+  order the greedy search drops attributes in.  This row reads the DAG only,
+  so it runs once, not per path.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import pytest
 
 from perf.workloads import TEMPLATES
 from repro import EngineConfig, HypeR, HypeRService
+from repro.causal import CausalDAG, CausalEdge, minimal_backdoor_set
 from repro.datasets import make_german_syn
+from repro.exceptions import IdentificationError
 from repro.service.session import with_columns
 
 CONFIG = EngineConfig(regressor="linear")
@@ -124,3 +131,28 @@ def test_a_commit_followed_by_its_inverse_restores_every_answer(dataset, path):
     path.commit({relation: {attribute: column}})
     assert path.answers(texts) == first
     assert moved != first  # the commit reached the answers it restores
+
+
+def test_a_backdoor_set_is_a_function_of_the_dag_alone(dataset):
+    dag = dataset.causal_dag
+    name = {node: f"x_{node}" for node in dag.nodes}
+    relabelled = CausalDAG(
+        [name[node] for node in dag.nodes],
+        [
+            CausalEdge(name[e.source], name[e.target], e.cross_tuple, e.within)
+            for e in dag.edges
+        ],
+    )
+
+    def backdoor_set(graph, treatment, outcome):
+        try:
+            return minimal_backdoor_set(graph, treatment, outcome)
+        except IdentificationError:
+            return None
+
+    pairs = [(t, o) for t in dag.nodes for o in dag.nodes if t != o]
+    for treatment, outcome in pairs:
+        chosen = backdoor_set(dag, treatment, outcome)
+        mapped = None if chosen is None else {name[node] for node in chosen}
+        assert backdoor_set(relabelled, name[treatment], name[outcome]) == mapped
+    assert any(backdoor_set(dag, t, o) for t, o in pairs)  # some pair needs a set

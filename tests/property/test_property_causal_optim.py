@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.causal import CausalDAG, minimal_backdoor_set, satisfies_backdoor
+from repro.causal import CausalDAG, d_separated, minimal_backdoor_set, satisfies_backdoor
 from repro.core import HowToQuery, SetTo
 from repro.core.howto import CandidateUpdate, build_howto_program, solve_how_to
 from repro.exceptions import CausalModelError, IdentificationError
 from repro.optim import BranchAndBoundSolver, ExhaustiveSolver, IntegerProgram
 from repro.relational import UseSpec
+from tests.causal import oracles
 
 
 # ---------------------------------------------------------------------------
-# Random DAGs: backdoor sets returned by the search must always be valid
+# Random DAGs: backdoor sets returned by the search must always be valid, and
+# the reachability pass must decide as the path oracle does
 # ---------------------------------------------------------------------------
 
 
@@ -42,6 +44,27 @@ def test_minimal_backdoor_set_is_always_valid(dag, data):
     assert satisfies_backdoor(dag, treatment, outcome, adjustment)
     # the backdoor criterion's first clause, checked directly
     assert not adjustment & dag.descendants(treatment)
+
+
+def _outcome_of(search, *args):
+    try:
+        return search(*args)
+    except IdentificationError as error:
+        return str(error)
+
+
+@given(st.integers(min_value=2, max_value=10).flatmap(random_dag), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_reachability_pass_decides_as_the_path_oracle(dag, data):
+    """Sets (or the same ``IdentificationError``) and d-separation given a ``Z``
+    drawn from every node, the two endpoints included."""
+    nodes = dag.nodes
+    x, y = data.draw(st.permutations(nodes))[:2]
+    conditioning = data.draw(st.sets(st.sampled_from(nodes)))
+    assert d_separated(dag, x, y, conditioning) == oracles.d_separated(dag, x, y, conditioning)
+    assert _outcome_of(minimal_backdoor_set, dag, x, y) == _outcome_of(
+        oracles.minimal_backdoor_set, dag, x, y
+    )
 
 
 @given(random_dag())
