@@ -30,12 +30,11 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from collections.abc import AsyncIterator
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from .calls import Call, ClientVerbs, Deadline, LineDecoder, PendingCall, Response
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .schemas import BatchItem, JobStatus
+from .schemas import BatchItem, JobStatus
 
 __all__ = ["AsyncHypeRClient"]
 

@@ -104,10 +104,9 @@ def _as_agg_term(term: AggTerm | str) -> AggTerm:
 
 
 class QueryBuilder:
-    """Base class of the fluent builders; the service layer accepts any of them."""
+    """Base class of the fluent builders; the service layer accepts any of them.
 
-    def build(self) -> WhatIfQuery | HowToQuery:
-        raise NotImplementedError
+    Each builder defines ``build()``, the query object it describes."""
 
     def text(self) -> str:
         """Canonical query text (via :func:`repro.lang.unparse`)."""

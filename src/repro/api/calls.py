@@ -490,7 +490,9 @@ class LineDecoder:
     Blank lines are skipped; a line that is not a JSON object is a
     :class:`TransportError`.  A transport hands :meth:`take` each piece of the
     body as it arrives, reads the framing through its end whether or not
-    ``done`` turned true on the way, and then calls :meth:`finish`.
+    ``done`` turned true on the way, and then calls :meth:`finish`.  Each
+    answer's decoder defines ``accept(data)``: a decoded line's item, or
+    ``None``.
     """
 
     #: builds this stream's errors; its :class:`PendingCall` rebinds it to
@@ -523,9 +525,6 @@ class LineDecoder:
         if not isinstance(data, dict):
             raise self.error(f"malformed NDJSON line {line[:80]!r}")
         return self.accept(data)
-
-    def accept(self, data: dict[str, Any]) -> Any | None:
-        raise NotImplementedError
 
     def end(self) -> None:
         """The stream's bytes ended before a ``done`` line."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .calls import (
     ApiStatusError,
@@ -44,8 +44,7 @@ from .calls import (
     TransportError,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .schemas import BatchItem, JobStatus
+from .schemas import BatchItem, JobStatus
 
 __all__ = [
     "HypeRClient",

@@ -183,7 +183,7 @@ class CausalDAG:
                     heapq.heappush(ready, child)
         return order
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"CausalDAG({len(self)} nodes, {len(self.edges)} edges)"
 
 

@@ -37,10 +37,7 @@ __all__ = [
 
 
 class NoiseModel:
-    """Distribution of an exogenous noise variable."""
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+    """Distribution of an exogenous noise variable; each defines ``sample(rng, size)``."""
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,14 @@ class ExogenousDistribution:
 
 
 class StructuralEquation:
-    """Base class: computes an attribute from parent values and noise."""
+    """Base class: computes an attribute from parent values and noise.
+
+    Each equation defines ``compute(parent_values, noise)``, the vectorised
+    evaluation over ``n`` units (an array of length ``n``)."""
 
     #: names of the endogenous parents, in the order expected by ``compute``
     parents: tuple[str, ...] = ()
     noise: NoiseModel = NoNoise()
-
-    def compute(
-        self,
-        parent_values: Mapping[str, np.ndarray],
-        noise: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised evaluation over ``n`` units; returns an array of length ``n``."""
-        raise NotImplementedError
 
     def sample(
         self,

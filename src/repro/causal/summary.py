@@ -24,12 +24,9 @@ __all__ = ["SummaryFunction", "AggregateSummary", "IdentitySummary", "make_summa
 
 
 class SummaryFunction:
-    """Maps a multiset of parent values to a single summary value."""
+    """Maps a multiset of parent values to a single summary value (``__call__``)."""
 
     name: str = "summary"
-
-    def __call__(self, values: Sequence[Any]) -> Any:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -583,7 +583,3 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
     except HypeRError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())

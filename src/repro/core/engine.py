@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..causal.dag import CausalDAG
-from ..exceptions import QuerySemanticsError
 from ..lang.parser import parse_query
 from ..relational.database import Database
 from .config import EngineConfig, Variant
@@ -96,9 +95,7 @@ class HypeR:
             query = as_query_object(query)
         if isinstance(query, WhatIfQuery):
             return self.what_if(query)
-        if isinstance(query, HowToQuery):
-            return self.how_to(query)
-        raise QuerySemanticsError(f"unsupported query object {type(query).__name__}")
+        return self.how_to(query)
 
     def parse(self, query_text: str) -> WhatIfQuery | HowToQuery:
         """Parse a query without executing it (useful for inspection and tests)."""

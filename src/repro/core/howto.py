@@ -493,10 +493,8 @@ class HowToEngine:
                 values = list(discretizer.bucket_centers())
                 if isinstance(domain, IntegerDomain):
                     values = sorted({int(round(v)) for v in values})
-            else:
-                values = list(domain.values()) if domain.is_finite else sorted(
-                    set(column[present].tolist())
-                )
+            else:  # a categorical or boolean domain: finite
+                values = list(domain.values())
 
             for value in values:
                 if not domain.contains(value):

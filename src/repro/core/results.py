@@ -86,7 +86,7 @@ class LazyBlockContributions(Sequence):
         # sequence compares equal to.
         return (list, (list(self),))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "pending" if self._arrays is None else f"{len(self)} blocks"
         return f"LazyBlockContributions({state})"
 

@@ -30,10 +30,9 @@ __all__ = [
 
 
 class UpdateFunction:
-    """Abstract update function ``f : Dom(B) -> Dom(B)``."""
+    """Abstract update function ``f : Dom(B) -> Dom(B)``.
 
-    def apply(self, value: Any) -> Any:
-        raise NotImplementedError
+    Each function defines ``apply(value)`` and ``describe()``, its text."""
 
     def apply_vectorized(
         self, values: np.ndarray, mask: np.ndarray | None = None
@@ -42,9 +41,6 @@ class UpdateFunction:
         or ``None`` when the function has no vectorized form (callers fall back
         to :meth:`apply`)."""
         return None
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 def apply_update_column(
@@ -170,10 +166,6 @@ class HypotheticalUpdate:
             raise QuerySemanticsError(f"duplicate update attributes: {names}")
         if self.when.uses_post():
             raise QuerySemanticsError("the When clause may only reference Pre values")
-
-    @property
-    def attributes(self) -> list[str]:
-        return [u.attribute for u in self.updates]
 
     def function_for(self, attribute: str) -> UpdateFunction:
         for update in self.updates:

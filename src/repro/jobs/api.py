@@ -72,9 +72,10 @@ def submit_job(backend: ServiceBackend, request: ApiRequest, params: Params) -> 
 
     A per-client quota violation maps to 429 ``rate_limited`` with the
     violated quota named in the detail, mirroring the admission
-    controller's interactive rejections.
+    controller's interactive rejections; :func:`~repro.api.core.error_response`
+    counts that 429 as the client's request and rejection, so only an
+    accepted submit is counted here.
     """
-    backend.note_client_request(request.client_id)
     manager = manager_for(backend)
     body: JobSubmitRequest = request.body
     try:
@@ -95,6 +96,7 @@ def submit_job(backend: ServiceBackend, request: ApiRequest, params: Params) -> 
                 {"quota": error.quota, "limit": error.limit},
             ),
         ) from None
+    backend.note_client_request(request.client_id)
     return ApiResponse(202, _status_payload(manager, job))
 
 

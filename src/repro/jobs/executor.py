@@ -57,8 +57,6 @@ class JobExecutor:
         self._stop = threading.Event()
 
     def start(self) -> None:
-        if self._threads:
-            return
         self._stop.clear()
         for index in range(self.n_workers):
             thread = threading.Thread(
@@ -73,10 +71,6 @@ class JobExecutor:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
-
-    @property
-    def running(self) -> bool:
-        return any(thread.is_alive() for thread in self._threads)
 
     # -- worker loop -------------------------------------------------------------------
 
@@ -137,7 +131,7 @@ class JobExecutor:
         job.generation = generation
         if job.cancel_requested:
             return None
-        if job.kind == "batch" and hasattr(service, "execute_many"):
+        if job.kind == "batch":
             with manager.track_engine():
                 outcomes = service.execute_many(job.queries, return_errors=True)
             items: list[dict[str, Any]] = []
@@ -151,20 +145,7 @@ class JobExecutor:
                     )
                 manager.checkpoint(job, completed=index + 1)
             return {"kind": "batch", "results": items}
-        answers: list[dict[str, Any]] = []
-        for index, query in enumerate(job.queries):
-            if job.cancel_requested:
-                return None
-            with manager.track_engine():
-                result = service.execute(query, exhaustive=job.exhaustive)
-            answers.append(answer_from_result(result).to_json())
-            manager.checkpoint(job, completed=index + 1)
-        if job.kind == "query":
-            return {"kind": "query", "result": answers[0]}
-        return {
-            "kind": "batch",
-            "results": [
-                {"index": index, "result": answer}
-                for index, answer in enumerate(answers)
-            ],
-        }
+        with manager.track_engine():
+            result = service.execute(job.queries[0], exhaustive=job.exhaustive)
+        manager.checkpoint(job, completed=1)
+        return {"kind": "query", "result": answer_from_result(result).to_json()}

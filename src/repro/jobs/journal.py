@@ -71,11 +71,7 @@ def _decode(line: bytes) -> JournalRecord | None:
     if not isinstance(raw, dict) or "crc" not in raw:
         return None
     crc = raw.pop("crc")
-    try:
-        expected = zlib.crc32(_canonical(raw).encode("utf-8"))
-    except (TypeError, ValueError):
-        return None
-    if crc != expected:
+    if crc != zlib.crc32(_canonical(raw).encode("utf-8")):
         return None
     try:
         return JournalRecord(

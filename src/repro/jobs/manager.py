@@ -495,11 +495,8 @@ class JobManager(Reported):
             self._emit_locked(job, "progress")
 
     def on_job_success(
-        self, job: Job, payload: dict[str, Any] | None, *, elapsed: float
+        self, job: Job, payload: dict[str, Any], *, elapsed: float
     ) -> None:
-        if payload is None:  # cancellation observed before the first query
-            self.on_job_cancelled(job)
-            return
         self._m_exec_seconds.observe(elapsed)
         with self._cond:
             self._finish_locked(job, "succeeded", result=payload)

@@ -138,7 +138,3 @@ class ResultStore(Reported):
     def __contains__(self, job_id: str) -> bool:
         with self._lock:
             return job_id in self._results
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._results)

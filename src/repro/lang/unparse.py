@@ -158,10 +158,7 @@ def unparse_expr(expr: Expr) -> str:
 
 
 def _is_true(expr: Expr) -> bool:
-    try:
-        return expr.canonical() == _TRUE_KEY
-    except NotImplementedError:  # pragma: no cover - all Expr implement canonical
-        return False
+    return expr.canonical() == _TRUE_KEY
 
 
 def _unparse_use(use: UseSpec) -> str:

@@ -124,18 +124,12 @@ class _Instrument:
                 self._children[key] = child
             return child
 
-    def _make_child(self):
-        raise NotImplementedError
-
     def _child_items(self) -> list[tuple[Mapping[str, str], Any]]:
         with self._lock:
             return [
                 (dict(zip(self.labelnames, key)), child)
                 for key, child in sorted(self._children.items())
             ]
-
-    def samples(self) -> Iterator[tuple[str, Mapping[str, str], float]]:
-        raise NotImplementedError
 
 
 class Counter(_Instrument):

@@ -75,7 +75,7 @@ class Span:
         out["children"] = [child.to_dict() for child in self.children]
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"Span({self.name!r}, {len(self.children)} children)"
 
 

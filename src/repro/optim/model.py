@@ -10,7 +10,7 @@ an explicit, solver-independent representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -220,7 +220,7 @@ class IntegerProgram:
             "bounds": bounds,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return (
             f"IntegerProgram({self.name!r}, {self.n_variables} vars, "
             f"{self.n_constraints} constraints, {'max' if self.maximize else 'min'})"

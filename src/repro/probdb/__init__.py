@@ -13,7 +13,7 @@ from .decomposable import (
     combine_block_results,
     decomposed_value,
 )
-from .distribution import DiscreteWorldDistribution, MonteCarloWorlds, WorldDistribution
+from .distribution import DiscreteWorldDistribution, MonteCarloWorlds
 from .possible_worlds import (
     PossibleWorld,
     count_possible_worlds,
@@ -28,7 +28,6 @@ __all__ = [
     "DiscreteWorldDistribution",
     "MonteCarloWorlds",
     "PossibleWorld",
-    "WorldDistribution",
     "check_decomposability",
     "combine_block_results",
     "count_possible_worlds",

@@ -62,29 +62,7 @@ class Block:
     index: int
     rows: dict[str, list[int]] = field(default_factory=dict)
 
-    def add(self, relation: str, row: int) -> None:
-        self.rows.setdefault(relation, []).append(row)
-
-    def row_count(self, relation: str | None = None) -> int:
-        if relation is not None:
-            return len(self.rows.get(relation, []))
-        return sum(len(v) for v in self.rows.values())
-
-    def relations(self) -> list[str]:
-        return list(self.rows)
-
-    def database(self, database: Database) -> Database:
-        """Materialise the block as a sub-database (other relations keep all rows)."""
-        masks = {}
-        for relation, indices in self.rows.items():
-            rel = database[relation]
-            mask = [False] * len(rel)
-            for i in indices:
-                mask[i] = True
-            masks[relation] = mask
-        return database.subset(masks)
-
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         sizes = {rel: len(rows) for rel, rows in self.rows.items()}
         return f"Block({self.index}, {sizes})"
 
@@ -100,9 +78,6 @@ class BlockDecomposition:
 
     def __iter__(self):
         return iter(self.blocks)
-
-    def sizes(self) -> list[int]:
-        return [block.row_count() for block in self.blocks]
 
     def validate_cover(self, database: Database) -> None:
         """Check the partition property: every tuple appears in exactly one block."""

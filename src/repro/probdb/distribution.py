@@ -9,7 +9,7 @@ Both share the same interface: an expectation of a per-world functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,18 +17,11 @@ from ..exceptions import HypeRError
 from ..relational.relation import Relation
 from .possible_worlds import PossibleWorld
 
-__all__ = ["WorldDistribution", "DiscreteWorldDistribution", "MonteCarloWorlds"]
-
-
-class WorldDistribution:
-    """Common interface: expectation of a functional over possible worlds."""
-
-    def expectation(self, functional: Callable[[Relation], float]) -> float:
-        raise NotImplementedError
+__all__ = ["DiscreteWorldDistribution", "MonteCarloWorlds"]
 
 
 @dataclass
-class DiscreteWorldDistribution(WorldDistribution):
+class DiscreteWorldDistribution:
     """An explicit, normalised distribution over enumerated worlds."""
 
     worlds: Sequence[PossibleWorld]
@@ -54,7 +47,7 @@ class DiscreteWorldDistribution(WorldDistribution):
 
 
 @dataclass
-class MonteCarloWorlds(WorldDistribution):
+class MonteCarloWorlds:
     """Equally weighted sampled worlds (the engine's simulation output)."""
 
     samples: Sequence[Relation]
@@ -69,7 +62,3 @@ class MonteCarloWorlds(WorldDistribution):
     def expectation(self, functional: Callable[[Relation], float]) -> float:
         values = [float(functional(sample)) for sample in self.samples]
         return float(np.mean(values))
-
-    @classmethod
-    def from_iterable(cls, samples: Iterable[Relation]) -> "MonteCarloWorlds":
-        return cls(list(samples))

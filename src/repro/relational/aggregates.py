@@ -28,7 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AggregateFunction:
-    """Base class: evaluates a multiset of values and exposes decomposition."""
+    """Base class: evaluates a multiset of values and exposes decomposition.
+
+    Each aggregate defines ``evaluate(values)`` and ``partial(values,
+    total_size)``, ``f'_{Q,D}`` applied to one block: ``total_size`` is the
+    denominator context needed by AVG (the size of the full multiset over
+    which the final average is taken); SUM and COUNT ignore it.
+    """
 
     name: str = "aggregate"
 
@@ -37,19 +43,7 @@ class AggregateFunction:
     def __call__(self, values: Iterable[Any]) -> float:
         return self.evaluate(list(values))
 
-    def evaluate(self, values: Sequence[Any]) -> float:
-        raise NotImplementedError
-
     # -- decomposition (Definition 6) --------------------------------------------
-
-    def partial(self, values: Sequence[Any], total_size: int) -> float:
-        """``f'_{Q,D}`` applied to one block.
-
-        ``total_size`` is the denominator context needed by AVG (the size of the
-        full multiset over which the final average is taken); SUM and COUNT
-        ignore it.
-        """
-        raise NotImplementedError
 
     def combine(self, partials: Iterable[float]) -> float:
         """``g`` — combine per-block partial aggregates (a sum for all three)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..exceptions import SchemaError
 from .relation import Relation
@@ -77,20 +77,6 @@ class Database:
         ]
         return Database(replaced, self.foreign_keys)
 
-    def subset(self, row_masks: Mapping[str, Iterable[bool]]) -> "Database":
-        """Return a database restricted to the rows selected per relation.
-
-        Relations not mentioned in ``row_masks`` are kept unchanged.  Used by
-        the block-independent decomposition to build per-block databases.
-        """
-        new_relations = []
-        for rel in self:
-            if rel.name in row_masks:
-                new_relations.append(rel.filter(list(row_masks[rel.name])))
-            else:
-                new_relations.append(rel)
-        return Database(new_relations, self.foreign_keys)
-
     def describe(self) -> str:
         """Short human-readable summary used by examples."""
         lines = []
@@ -106,5 +92,5 @@ class Database:
             )
         return "\n".join(lines)
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"Database({', '.join(f'{r.name}[{len(r)}]' for r in self)})"

@@ -96,26 +96,18 @@ def _key_value(value: Any) -> Any:
 
 
 class Expr:
-    """Base class of all expression nodes."""
+    """Base class of all expression nodes.
 
-    def evaluate(self, context: EvaluationContext) -> Any:
-        raise NotImplementedError
-
-    def referenced_attributes(self) -> set[tuple[str, Temporal]]:
-        """All ``(attribute, temporal)`` pairs referenced anywhere in the tree."""
-        raise NotImplementedError
-
-    def canonical(self, literals: bool = True) -> tuple:
-        """Stable, hashable identity of this expression tree.
-
-        Returns nested tuples of plain values (never ``Expr`` objects, whose
-        ``__eq__`` is overloaded to build comparisons), so the result can be
-        used as a dictionary key.  With ``literals=False`` every constant is
-        replaced by :data:`LITERAL_SLOT`, yielding the *structural* identity
-        used by plan fingerprinting: two predicates that differ only in their
-        literal values share the same structural key.
-        """
-        raise NotImplementedError
+    Each node defines ``evaluate(context)``; ``referenced_attributes()``, the
+    ``(attribute, temporal)`` pairs referenced anywhere in its tree; and
+    ``canonical(literals=True)``, the tree's stable, hashable identity.  That
+    identity is nested tuples of plain values (never ``Expr`` objects, whose
+    ``__eq__`` is overloaded to build comparisons), so it can key a dict.
+    With ``literals=False`` every constant is replaced by
+    :data:`LITERAL_SLOT`, yielding the *structural* identity used by plan
+    fingerprinting: two predicates that differ only in their literal values
+    share the same structural key.
+    """
 
     def attribute_names(self) -> set[str]:
         return {name for name, _ in self.referenced_attributes()}

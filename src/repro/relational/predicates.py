@@ -196,11 +196,6 @@ class Conjunction:
         return _conjunction_expr(self.post_atoms)
 
     @property
-    def mixed(self) -> Expr:
-        """Atoms that mention both pre and post values of attributes."""
-        return _conjunction_expr(self.mixed_atoms)
-
-    @property
     def is_separable(self) -> bool:
         return not self.mixed_atoms
 

@@ -336,7 +336,7 @@ class Relation:
         """Return the relation as plain column lists."""
         return {name: list(col) for name, col in self._columns.items()}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"Relation({self.name!r}, {self._length} rows, {len(self.attribute_names)} cols)"
 
     def pretty(self, limit: int = 10) -> str:

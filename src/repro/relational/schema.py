@@ -10,7 +10,7 @@ constructor both consult.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..exceptions import SchemaError
@@ -129,7 +129,7 @@ class RelationSchema:
             and all(self[a] == other[a] for a in self.attribute_names)
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         cols = ", ".join(
             f"{a.name}{'*' if a.name in self.key else ''}{'' if a.mutable else ' (imm)'}"
             for a in self.attributes
@@ -203,13 +203,6 @@ class DatabaseSchema:
                     f"foreign key references unknown attributes {missing} of {rel_name!r}"
                 )
 
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(self._relations)
-
-    def __contains__(self, relation: str) -> bool:
-        return relation in self._relations
-
     def __getitem__(self, relation: str) -> RelationSchema:
         try:
             return self._relations[relation]
@@ -248,5 +241,5 @@ class DatabaseSchema:
                 out.append(fk)
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"DatabaseSchema({', '.join(self._relations)})"

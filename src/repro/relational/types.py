@@ -47,34 +47,18 @@ class AttributeKind(Enum):
 class Domain:
     """Abstract base for attribute domains.
 
-    Subclasses implement containment checks, enumeration (for finite domains or
-    discretized continuous ones) and random sampling.
+    Each subclass defines ``contains(value)``, the ``is_finite`` property,
+    ``values()`` (the enumeration of a finite domain) and ``sample(rng,
+    size)`` (``size`` admissible values drawn uniformly).
     """
 
     kind: AttributeKind
-
-    def contains(self, value: Any) -> bool:
-        """Return ``True`` when ``value`` is an admissible value of this domain."""
-        raise NotImplementedError
 
     def validate(self, value: Any, attribute: str = "<attribute>") -> Any:
         """Return ``value`` if admissible, otherwise raise :class:`DomainError`."""
         if not self.contains(value):
             raise DomainError(f"value {value!r} is outside the domain of {attribute}: {self}")
         return value
-
-    @property
-    def is_finite(self) -> bool:
-        """Whether the domain can be enumerated exactly."""
-        raise NotImplementedError
-
-    def values(self) -> list[Any]:
-        """Enumerate the domain.  Only valid when :attr:`is_finite` is ``True``."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` admissible values uniformly at random."""
-        raise NotImplementedError
 
     @property
     def is_numeric(self) -> bool:
@@ -120,7 +104,7 @@ class NumericDomain(Domain):
             raise DomainError("cannot sample uniformly from an unbounded numeric domain")
         return rng.uniform(self.low, self.high, size=size)
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return f"Numeric[{self.low}, {self.high}]"
 
 
@@ -157,7 +141,7 @@ class IntegerDomain(Domain):
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=size)
 
-    def __str__(self) -> str:  # pragma: no cover
+    def __str__(self) -> str:
         return f"Integer[{self.low}, {self.high}]"
 
 
@@ -191,7 +175,7 @@ class CategoricalDomain(Domain):
     def __len__(self) -> int:
         return len(self.categories)
 
-    def __str__(self) -> str:  # pragma: no cover
+    def __str__(self) -> str:
         preview = ", ".join(map(repr, self.categories[:4]))
         suffix = ", ..." if len(self.categories) > 4 else ""
         return f"Categorical[{preview}{suffix}]"

@@ -100,7 +100,9 @@ class ServingCounters(Reported):
     The serving instruments double as the live backpressure signals read by
     front-end admission control (:mod:`repro.aserve`) via
     :meth:`serving_signals`.  :attr:`FIGURES` is the head of every backend's
-    ``stats()``; a backend appends its own sections to it.
+    ``stats()``; a backend appends its own sections to it.  Each backend
+    defines ``_capacity_hint()``, its own execution capacity (the saturation
+    denominator).
     """
 
     accepts_deadline = False
@@ -173,10 +175,6 @@ class ServingCounters(Reported):
         self._client_requests: dict[str, int] = {}
         self._client_rejections: dict[str, int] = {}
         self.register_metrics(m)
-
-    def _capacity_hint(self) -> int:
-        """The backend's own execution capacity (the saturation denominator)."""
-        raise NotImplementedError
 
     def parse(self, query_text: str) -> WhatIfQuery | HowToQuery:
         """Parse SQL-extension text into a query object (no execution)."""

@@ -76,7 +76,7 @@ class Snapshot:
         self.retired = False
         self.superseded = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         status = "retired" if self.retired else ("old" if self.superseded else "latest")
         return f"Snapshot(gen={self.generation}, refs={self.refcount}, {status})"
 
@@ -166,7 +166,7 @@ class VersionStore(Reported):
         """Unpin ``snapshot``; retires it if superseded and no reader remains."""
         with self._lock:
             snapshot.refcount -= 1
-            if snapshot.refcount < 0:  # pragma: no cover - misuse guard
+            if snapshot.refcount < 0:
                 raise RuntimeError(
                     f"snapshot generation {snapshot.generation} released more often "
                     "than acquired"

@@ -78,7 +78,7 @@ class Shard:
                 f"shard {self.index} has no row mask for relation {relation!r}"
             ) from exc
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         sizes = {rel: int(mask.sum()) for rel, mask in self.row_masks.items()}
         return f"Shard({self.index}/{self.n_shards}, rows={sizes})"
 

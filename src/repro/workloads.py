@@ -14,7 +14,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,10 +116,7 @@ class WorkloadGenerator:
         return pre(attribute) >= threshold
 
     def _pick_attribute(self, exclude: Sequence[str] = ()) -> str:
-        options = [a for a in self.update_candidates if a not in exclude]
-        if not options:
-            options = list(self.update_candidates)
-        return str(self._rng.choice(options))
+        return str(self._rng.choice([a for a in self.update_candidates if a not in exclude]))
 
     # -- query generation -----------------------------------------------------------
 

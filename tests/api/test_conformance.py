@@ -332,7 +332,58 @@ def _stream_events(address, job_id, timeout_s=30.0, headers=None):
     return events
 
 
+@pytest.fixture()
+def expiring_jobs_door(dataset, tmp_path):
+    """A door whose job results expire at the first sweep, and its manager."""
+    from repro.jobs.manager import attach_jobs
+
+    service = _make_service(dataset)
+    manager = attach_jobs(
+        service, str(tmp_path / "journal.jsonl"),
+        result_ttl_seconds=0.0, job_ttl_seconds=3600.0, gc_interval_seconds=3600.0,
+    )
+    with BackgroundAsyncServer(service, max_inflight=2) as server:
+        yield server.address, manager
+    manager.close()
+
+
 class TestJobs:
+    def test_a_result_is_expired_or_not_yet_there(self, expiring_jobs_door):
+        """``/result`` of a job whose result was swept is 404
+        ``result_expired``; of a job still queued, 404 ``not_found`` naming
+        its state."""
+        address, manager = expiring_jobs_door
+        _, done = send(address, "POST", "/v1/jobs", {"query": QUERY_TEXT})
+        manager.wait(done["job_id"], timeout=60)
+        _, waiting = send(address, "POST", "/v1/jobs",
+                          {"query": QUERY_TEXT, "run_at_generation": 1000})
+        assert manager.gc_once()["expired"] == 1
+        status, body = send(address, "GET", f"/v1/jobs/{done['job_id']}/result")
+        assert (status, body["code"]) == (404, "result_expired")
+        status, body = send(address, "GET", f"/v1/jobs/{waiting['job_id']}/result")
+        assert (status, body["code"], body["detail"]) == (404, "not_found", {"state": "queued"})
+
+    def test_a_job_that_ages_out_mid_stream_ends_it_cleanly(self, expiring_jobs_door):
+        """The event stream of a job dropped between two polls closes with
+        ``terminal`` null, not an error."""
+        address, manager = expiring_jobs_door
+        _, queued = send(address, "POST", "/v1/jobs",
+                         {"query": QUERY_TEXT, "run_at_generation": 1000})
+        job_id = queued["job_id"]
+        events_since = manager.events_since
+
+        def first_poll_then_gone(polled, cursor):
+            events = events_since(polled, cursor)
+            with manager._cond:  # what a sweep does to an aged-out job
+                manager._jobs.pop(polled)
+                manager._events.pop(polled)
+            return events
+
+        manager.events_since = first_poll_then_gone
+        events = _stream_events(address, job_id)
+        assert [event.get("event") for event in events[:-1]] == ["queued"]
+        assert events[-1] == {"done": True, "job_id": job_id, "terminal": None}
+
     def test_submit_poll_result_lifecycle(self, jobs_front_door):
         status, body = send(
             jobs_front_door,

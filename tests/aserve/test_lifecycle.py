@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -102,3 +103,57 @@ def test_sigterm_with_process_shards_releases_pool():
             process.kill()
     assert process.returncode == 0, output
     assert "shutdown complete" in output
+
+
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_a_shard_node_and_a_coordinator_answer_and_drain(tmp_path):
+    """``repro serve --role shard`` and ``--role coordinator`` over one topology
+    file: the coordinator answers through the node, then both drain."""
+    config = tmp_path / "cluster.json"
+    config.write_text(json.dumps({
+        "n_shards": 1,
+        "nodes": [{"host": "127.0.0.1", "port": free_port()}],
+        "coordinator": {"host": "127.0.0.1", "port": free_port()},
+    }))
+    role = ("--cluster-config", str(config), "--role")
+    node, _ = spawn_serve(*role, "shard", "--node-index", "0", "--warm-query",
+                          "USE Credit UPDATE(Status) = 2 OUTPUT AVG(POST(Credit))")
+    try:
+        coordinator, base_url = spawn_serve(*role, "coordinator",
+                                            "--jobs-dir", str(tmp_path / "jobs"))
+        try:
+            assert query(base_url)["kind"] == "what-if"
+            with urllib.request.urlopen(f"{base_url}/v1/jobs", timeout=10) as response:
+                assert json.loads(response.read())["jobs"] == []  # --jobs-dir attached them
+            coordinator_output = terminate_and_collect(coordinator)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+        node_output = terminate_and_collect(node)
+    finally:
+        if node.poll() is None:
+            node.kill()
+    assert coordinator.returncode == 0, coordinator_output
+    assert "shutdown complete" in coordinator_output
+    assert node.returncode == 0, node_output
+    assert "shutdown complete" in node_output
+
+
+def test_a_door_that_cannot_start_releases_its_service():
+    """A bad warm query fails the start, and the pool forked for warm-up stops."""
+    from repro import EngineConfig, HypeRService
+    from repro.aserve import BackgroundAsyncServer
+    from repro.datasets import make_german_syn
+    from repro.exceptions import QuerySyntaxError
+
+    dataset = make_german_syn(120, seed=1)
+    service = HypeRService(dataset.database, dataset.causal_dag, EngineConfig(regressor="linear"),
+                           execution="processes", n_shards=2)
+    with pytest.raises(QuerySyntaxError):
+        BackgroundAsyncServer(service, warm_queries=("NOT A QUERY",)).start()
+    assert service.stats()["pool"] is None  # no worker left running

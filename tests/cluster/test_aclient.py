@@ -9,6 +9,7 @@ cases.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -138,3 +139,26 @@ class TestAsyncClient:
                 return await client.get_json("/v1/stats")
 
         assert run(go())["execution"] == "threads"
+
+
+def test_a_stream_that_arrives_over_time_is_read_as_it_comes(server, dataset):
+    """A job waiting on a commit streams its events in several reads; ``wait``
+    returns the terminal status."""
+    service = server.runner.service
+    status = dataset.database["Credit"].column("Status")
+
+    def commit_later():
+        time.sleep(0.5)  # after the stream has sent its first events
+        service.update_relation_columns({"Credit": {"Status": status}})
+
+    async def go():
+        async with AsyncHypeRClient(*server.address) as client:
+            job = await client.submit_job(QUERY_TEXT, run_at_generation=service.generation + 1)
+            commit = asyncio.get_running_loop().run_in_executor(None, commit_later)
+            events = [event async for event in client.job_events(job.job_id, timeout_s=60)]
+            await commit
+            return events, await client.wait(job.job_id, timeout=60)
+
+    events, final = run(go())
+    assert events[-1]["done"] and events[-1]["terminal"] == "succeeded"
+    assert final.state == "succeeded"

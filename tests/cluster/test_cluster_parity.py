@@ -190,6 +190,35 @@ class TestFailover:
             survived, direct = coord.execute(HOWTO_TEXT), single.execute(HOWTO_TEXT)
             assert how_to_scalars(survived) == how_to_scalars(direct)
 
+    def test_the_probe_readmits_a_node_only_at_the_coordinators_generation(
+        self, dataset_and_config, monkeypatch
+    ):
+        """The health probe is the one path that puts a failed node back: a
+        node whose ``/health`` reports the coordinator's generation is
+        re-admitted, one at another generation stays out."""
+        monkeypatch.setattr("repro.cluster.coordinator._PROBE_INTERVAL", 0.01)
+        with boot(dataset_and_config, n_shards=2, n_nodes=2) as cluster:
+            coord = cluster.coordinator
+            current, behind = coord._nodes
+            probed = asyncio.Queue()
+            loop = coord._loop
+
+            async def health_elsewhere(*, deadline=None):
+                probed.put_nowait(None)
+                return {"status": "ok", "generation": coord.generation + 1}
+
+            behind.client.health = health_elsewhere
+
+            async def both_out_then_two_rounds():
+                current.healthy = behind.healthy = False
+                for _ in range(2):  # the node at another generation is probed twice
+                    await probed.get()
+
+            asyncio.run_coroutine_threadsafe(both_out_then_two_rounds(), loop).result(timeout=60)
+            assert current.healthy and current.failures == 0
+            assert not behind.healthy
+            assert [n["healthy"] for n in cluster_stats(coord)["nodes"]] == [True, False]
+
 
 class TestQueryScatter:
     """A query is one leg to one node, at the coordinator's pinned generation."""

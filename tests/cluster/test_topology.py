@@ -91,3 +91,36 @@ class TestTopology:
     def test_bad_port_rejected(self, port):
         with pytest.raises(TopologyError):
             NodeAddress("127.0.0.1", port)
+
+
+NODE = {"host": "127.0.0.1", "port": 9001}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([NODE], "cluster config must be an object, got list"),
+        ({"nodes": [NODE]}, "cluster config missing field 'n_shards'"),
+        ({"n_shards": "two", "nodes": [NODE]}, "n_shards must be an integer"),
+        ({"n_shards": 1, "nodes": []}, "nodes must be a non-empty list of addresses"),
+        ({"n_shards": 1, "nodes": ["127.0.0.1:9001"]}, "node address must be an object, got str"),
+        ({"n_shards": 1, "nodes": [{"host": "127.0.0.1"}]}, "node address missing field 'port'"),
+        ({"n_shards": 1, "nodes": [{"host": "h", "port": "x"}]}, "malformed node address"),
+        ({"n_shards": 1, "nodes": [{"host": "", "port": 9001}]}, "node host must be non-empty"),
+    ],
+)
+def test_a_malformed_config_names_what_is_wrong(payload, message):
+    with pytest.raises(TopologyError, match=message):
+        ClusterTopology.from_json(payload)
+
+
+def test_a_missing_config_file_names_the_path(tmp_path):
+    with pytest.raises(TopologyError, match="cannot read cluster config .*absent.json"):
+        ClusterTopology.load(tmp_path / "absent.json")
+
+
+def test_a_node_list_becomes_a_tuple_and_its_indices_are_bounded():
+    topology = ClusterTopology(n_shards=1, nodes=[NodeAddress(**NODE)])
+    assert topology.nodes == (NodeAddress(**NODE),) and topology.n_nodes == 1
+    with pytest.raises(PlacementError, match="node index 1 out of range for 1 node"):
+        topology.shard_of_node(1)

@@ -263,3 +263,16 @@ class TestHowToAnswers:
         for payload in (None, [], {"objective_value": 1.0}, {"error": {}}, bad_update):
             with pytest.raises(wire.WireError):
                 wire.decode_how_to_answer(payload)
+
+
+def test_an_update_function_without_a_wire_form_is_refused():
+    import numpy as np
+
+    from repro.cluster.wire import WireError, _decode_function, _encode_function, _plain_scalar
+    from repro.core.updates import UpdateFunction
+
+    assert _plain_scalar(np.bool_(True)) is True
+    with pytest.raises(WireError, match="cannot encode update function Halve"):
+        _encode_function(type("Halve", (UpdateFunction,), {})())
+    with pytest.raises(WireError, match="malformed update-function payload"):
+        _decode_function({"value": 1})

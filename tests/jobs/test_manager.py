@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro import EngineConfig, HypeRService
 from repro.api.schemas import answer_from_result
 from repro.datasets import make_german_syn
-from repro.jobs.journal import Journal
+from repro.jobs.journal import Journal, JournalError
 from repro.jobs.manager import JobManager, JobNotFound, attach_jobs
 from repro.jobs.queue import PRIORITIES, ClientQuotas, QuotaExceeded
+from repro.jobs.results import ResultStore
 
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -52,6 +54,35 @@ class FlakyService:
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("transient backend blip")
+        return self._inner.execute(*args, **kwargs)
+
+
+def read_journal(path):
+    journal = Journal(path)
+    try:
+        return journal.open()
+    finally:
+        journal.close()
+
+
+class BlockingService:
+    """Delegates to a real service, holding ``execute`` until released; then
+    raises ``error`` if one is given."""
+
+    def __init__(self, inner, error=None):
+        self._inner = inner
+        self.error = error
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def execute(self, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(60)
+        if self.error is not None:
+            raise self.error
         return self._inner.execute(*args, **kwargs)
 
 
@@ -149,6 +180,37 @@ class TestCancelAndQuotas:
             cancelled = manager.cancel(job.job_id)
             assert cancelled.state == "cancelled"
             assert manager.cancel(job.job_id).state == "cancelled"  # idempotent
+
+    @pytest.mark.parametrize("error", [None, RuntimeError("transient backend blip")])
+    def test_a_running_job_is_cancelled_cooperatively(self, service, tmp_path, error):
+        """A cancel while the job runs is journaled once and lands when the
+        query returns, or fails: a cancelled job is not retried."""
+        blocking = BlockingService(service, error)
+        with make_manager(blocking, tmp_path) as manager:
+            job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+            assert blocking.entered.wait(60)
+            assert manager.cancel(job.job_id).cancel_requested
+            assert manager.cancel(job.job_id).state == "running"  # asked once
+            blocking.release.set()
+            assert manager.wait(job.job_id, timeout=60).state == "cancelled"
+            events = [e["event"] for e in manager.events_since(job.job_id, 0)[0]]
+            assert events.count("cancel_requested") == 1 and events[-1] == "cancelled"
+            assert manager.get(job.job_id).attempts == 1
+
+    def test_waiting_past_the_timeout_raises(self, service, tmp_path):
+        with make_manager(service, tmp_path) as manager:
+            job = manager.submit(
+                client_id="c1", kind="query", queries=[QUERY_TEXT],
+                run_at_generation=int(service.generation) + 1000,
+            )
+            with pytest.raises(TimeoutError, match="still 'queued'"):
+                manager.wait(job.job_id, timeout=0.0)
+
+    def test_a_closed_manager_refuses_a_submit(self, service, tmp_path):
+        manager = make_manager(service, tmp_path)
+        manager.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
 
     def test_quota_rejection_counts_metric(self, service, tmp_path):
         quotas = ClientQuotas(max_queued=1)
@@ -270,6 +332,29 @@ class TestReplay:
             done = manager.wait("job-bye", timeout=60)
             assert done.state == "cancelled"
 
+    def test_a_queued_job_with_a_cancel_request_replays_cancelled(self, service, tmp_path):
+        journal = Journal(tmp_path / "journal.jsonl")
+        journal.open()
+        journal.append("submit", "job-never", self._submit_data([QUERY_TEXT]))
+        journal.append("cancel_request", "job-never", {})
+        journal.close()
+        with make_manager(service, tmp_path) as manager:
+            assert manager.get("job-never").state == "cancelled"
+
+    def test_a_result_evicted_at_finish_is_not_replayed(self, service, tmp_path, monkeypatch):
+        """A result over its client's byte budget is dropped when the job
+        finishes, and the journal says so: a reopen does not bring it back."""
+        monkeypatch.setattr("repro.jobs.manager._RESULT_MAX_BYTES_PER_CLIENT", 1)
+        manager = make_manager(service, tmp_path)
+        job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+        assert manager.wait(job.job_id, timeout=60).state == "succeeded"
+        assert manager.results.get(job.job_id) is None
+        manager.close()
+        assert [record.type for record in read_journal(tmp_path / "journal.jsonl")][-1] == "result_gc"
+        with make_manager(service, tmp_path) as reopened:
+            assert reopened.get(job.job_id).state == "succeeded"
+            assert reopened.results.get(job.job_id) is None
+
     def test_compaction_preserves_state_across_reopen(self, service, tmp_path):
         manager = make_manager(service, tmp_path)
         ok = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
@@ -339,6 +424,51 @@ class TestGcAndSignals:
             assert manager.results.get(job.job_id) is None
             assert manager.get(job.job_id).state == "succeeded"
 
+    def test_a_finished_job_without_a_result_ages_out_for_good(self, service, tmp_path):
+        """Past ``job_ttl_seconds`` a terminal job whose result is gone is
+        dropped; one whose result is retained, and a queued one, stay; the
+        drop survives a reopen."""
+        manager = make_manager(service, tmp_path, result_ttl_seconds=0.0, job_ttl_seconds=0.0)
+        aged = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+        manager.wait(aged.job_id, timeout=60)
+        assert manager.gc_once() == {"expired": 1, "dropped": 1, "compacted": 0}
+        with pytest.raises(JobNotFound):
+            manager.get(aged.job_id)
+        manager.results.ttl_seconds = 3600.0
+        kept = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+        manager.wait(kept.job_id, timeout=60)
+        queued = manager.submit(
+            client_id="c1", kind="query", queries=[QUERY_TEXT],
+            run_at_generation=int(service.generation) + 1000,
+        )
+        assert manager.gc_once() == {"expired": 0, "dropped": 0, "compacted": 0}
+        manager.close()
+        with make_manager(service, tmp_path) as reopened:
+            with pytest.raises(JobNotFound):
+                reopened.get(aged.job_id)
+            assert reopened.get(kept.job_id).state == "succeeded"
+            assert reopened.results.get(kept.job_id) is not None
+            assert reopened.get(queued.job_id).state == "queued"
+
+    def test_a_sweep_compacts_a_long_journal(self, service, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.jobs.manager._COMPACT_THRESHOLD", 0)
+        with make_manager(service, tmp_path) as manager:
+            job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+            manager.wait(job.job_id, timeout=60)
+            assert manager.gc_once()["compacted"] == 1
+            assert manager.journal.record_count == 1  # one snapshot per live job
+
+    def test_the_sweeper_thread_expires_results(self, service, tmp_path):
+        with make_manager(
+            service, tmp_path, result_ttl_seconds=0.0, gc_interval_seconds=0.01
+        ) as manager:
+            job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+            manager.wait(job.job_id, timeout=60)
+            deadline = time.monotonic() + 60
+            while job.job_id in manager.results and time.monotonic() < deadline:
+                time.sleep(0.01)  # the sweeper runs every 10 ms
+            assert job.job_id not in manager.results
+
     def test_signals_and_stats_shapes(self, service, tmp_path):
         with make_manager(service, tmp_path) as manager:
             job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
@@ -368,3 +498,44 @@ class TestGcAndSignals:
             manager.close()
         finally:
             service.close()
+
+
+def test_a_clients_results_evict_only_its_own_oldest():
+    payload = {"answer": "x" * 40}
+    size = ResultStore.measure(payload)
+    store = ResultStore(max_bytes_per_client=2 * size)
+    assert store.put("b1", "b", payload, now=0.0) == []
+    assert store.put("a1", "a", payload, now=0.0) == []
+    assert store.put("a2", "a", payload, now=0.0) == []
+    assert store.put("a3", "a", payload, now=0.0) == ["a1"]  # b's result is skipped
+    assert "b1" in store and "a2" in store and "a1" not in store
+    # a result larger than the whole budget is not stored and evicts nothing
+    assert store.put("big", "a", {"answer": "x" * (3 * size)}, now=0.0) == ["big"]
+    assert "a2" in store and "a3" in store and "big" not in store
+    assert store.evictions == 2
+    assert store.discard("b1") and not store.discard("b1")
+
+
+def test_records_that_are_no_checksummed_record_are_skipped(tmp_path):
+    import json
+    import zlib
+
+    from repro.jobs.journal import _canonical
+
+    path = tmp_path / "journal.jsonl"
+    journal = Journal(path)
+    journal.open()
+    journal.append("submit", "job-1", {"client": "c1"})
+    journal.close()
+    body = {"seq": 2, "type": "lease"}  # no job, no data
+    body["crc"] = zlib.crc32(_canonical(body).encode("utf-8"))
+    with open(path, "a") as handle:
+        handle.write(json.dumps(body) + "\n")
+        handle.write("[1, 2]\n")  # JSON, but no record object
+        handle.write('{"seq": 3}\n')  # an object without a checksum
+    assert [record.job for record in read_journal(path)] == ["job-1"]
+
+
+def test_a_closed_journal_cannot_be_rewritten(tmp_path):
+    with pytest.raises(JournalError, match="not open"):
+        Journal(tmp_path / "journal.jsonl").rewrite([])

@@ -137,3 +137,16 @@ class TestBookkeeping:
         assert stats["queued"] == 1
         assert stats["clients_queued"] == {"c1": 1}
         assert stats["queued_bytes"] == {"c1": 10}
+
+
+def test_a_finished_lease_leaves_the_clients_other_lease_counted():
+    queue = JobQueue(ClientQuotas(max_running=2))
+    queue.enqueue(make_job("first", client="a", seq=1))
+    queue.enqueue(make_job("second", client="a", seq=2))
+    queue.enqueue(make_job("third", client="a", seq=3))
+    first = queue.lease(generation=0, now=0.0)
+    queue.lease(generation=0, now=0.0)
+    assert queue.lease(generation=0, now=0.0) is None  # two running: at the cap
+    queue.finish(first)
+    assert queue.lease(generation=0, now=0.0).job_id == "third"
+    assert queue.lease(generation=0, now=0.0) is None  # the second still counts

@@ -242,3 +242,31 @@ class TestStableAstIdentity:
             literals=False
         )
         assert a.for_clause.canonical() != c.for_clause.canonical()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("USE 5 UPDATE(Status) = 4 OUTPUT AVG(POST(Credit))", "expected an identifier, found '5'"),
+        ("USE Credit WITH MAX(Review.Rating) AS R UPDATE(Status) = 4 OUTPUT AVG(POST(Credit))",
+         "expected an aggregate \\(AVG/SUM/COUNT\\), found 'MAX'"),
+        ("USE Credit UPDATE(Status) = PRE(Status) OUTPUT AVG(POST(Credit))",
+         "unsupported update expression starting at 'PRE'"),
+        ("USE Credit UPDATE(Status) = 4 OUTPUT AVG(POST(Credit)) FOR Age IN (Age)",
+         "expected a literal, found 'Age'"),
+        ("USE Credit UPDATE(Status) = 4 OUTPUT AVG(POST(Credit)) FOR Age Housing",
+         "expected a comparison operator, found 'Housing'"),
+    ],
+)
+def test_each_syntax_error_names_what_it_found(text, message):
+    with pytest.raises(QuerySyntaxError, match=message):
+        parse_query(text)
+
+
+def test_true_false_and_null_are_literals_and_operands():
+    query = parse_query(
+        "USE Credit UPDATE(Status) = 4 OUTPUT AVG(POST(Credit)) "
+        "FOR Housing IN (TRUE, NULL) AND Age = FALSE AND Savings = NULL"
+    )
+    assert repr(query.for_clause).count("None") == 2
+    assert "True" in repr(query.for_clause) and "False" in repr(query.for_clause)

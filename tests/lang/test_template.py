@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -289,18 +290,46 @@ SWEEP = [
 ]
 
 
+def _alternating_seconds(first, second, texts: list[str]) -> tuple[float, float]:
+    """Seconds ``first`` and ``second`` spend on ``texts``, each text parsed by
+    one and then the other, so that a drift of the host's speed hits both."""
+    clock = time.perf_counter
+    spent_first = spent_second = 0.0
+    for text in texts:
+        start = clock()
+        first(text)
+        middle = clock()
+        second(text)
+        spent_first += middle - start
+        spent_second += clock() - middle
+    return spent_first, spent_second
+
+
+@pytest.mark.wallclock
 def test_a_shape_seen_once_costs_at_most_a_fifth_more_than_the_parser():
     # a digit inside a word is no literal: each text is a shape of its own
     texts = [SWEEP[k % 3].format(c=1.5).replace("Credit)", f"Credit{k})") for k in range(300)]
-    # fastest of 7 interleaved passes; a fresh memo per pass sees each text once
-    passes = [(_seconds(ShapeMemo(parse_uncached).parse, texts), _seconds(parse_uncached, texts))
+    # fastest of 7 passes; a fresh memo per pass sees each text once
+    passes = [_alternating_seconds(ShapeMemo(parse_uncached).parse, parse_uncached, texts)
               for _ in range(7)]
     assert min(memo for memo, _ in passes) <= 1.2 * min(full for _, full in passes)
 
 
+@pytest.mark.wallclock
 def test_a_sweep_of_one_shape_parses_three_times_faster():
     texts = [SWEEP[k % 3].format(c=round(0.5 + k / 4096, 6)) for k in range(600)]
     memo = ShapeMemo(parse_uncached)
     memo.parse(texts[0])
     passes = [(_seconds(memo.parse, texts), _seconds(parse_uncached, texts)) for _ in range(7)]
     assert 3 * min(cached for cached, _ in passes) <= min(full for _, full in passes)
+
+
+def test_a_text_holding_the_probe_sentinel_is_parsed_until_a_clean_sighting():
+    """A literal equal to the binder's probe sentinel voids the check: the
+    shape stays unbound until a text without it comes, then binds."""
+    memo = ShapeMemo(parse_uncached)
+    sentinel = "USE Credit UPDATE(Status) = 7000000000 OUTPUT AVG(POST(Credit))"
+    for _ in range(3):
+        assert repr(memo.parse(sentinel)) == repr(parse_uncached(sentinel))
+    clean = sentinel.replace("7000000000", "4")
+    assert repr(memo.parse(clean)) == repr(parse_uncached(clean))

@@ -10,10 +10,13 @@ caches share.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.queries import HowToQuery, WhatIfQuery
+from repro.core.queries import HowToQuery, LimitConstraint, WhatIfQuery
+from repro.core.updates import AddConstant, AttributeUpdate, SetTo, UpdateFunction
 from repro.datasets import make_german_syn, make_student_syn
 from repro.exceptions import QuerySyntaxError, UnparseError
 from repro.lang import parse_query, unparse
@@ -221,3 +224,81 @@ class TestNegativeLiterals:
             parse_query(
                 "USE Credit WHEN Age > --5 UPDATE(Status) = 4 OUTPUT AVG(POST(Credit))"
             )
+
+
+class Clip(UpdateFunction):
+    """An update function the query language has no word for."""
+
+
+class TestEveryRefusal:
+    """Each component without a query-text form is refused by name."""
+
+    def base(self) -> WhatIfQuery:
+        return parse_query("USE Credit UPDATE(Status) = 4 OUTPUT AVG(POST(Credit))")
+
+    @pytest.mark.parametrize(
+        "when, message",
+        [
+            (col("Age") == lit(float("inf")), "non-finite number"),
+            (col("Age").isin([object()]), "has no query-text form"),
+            (col("2Age") == 1, "not a legal identifier"),
+            (col("Age").isin([]), "IN \\(...\\) needs at least one value"),
+            (~lit(True), "NOT over"),
+            (col("Age"), "no predicate surface syntax"),
+        ],
+    )
+    def test_a_predicate_without_text(self, when, message):
+        query = self.base()
+        query.when = when
+        with pytest.raises(UnparseError, match=message):
+            unparse(query)
+
+    def test_null_and_boolean_literals_round_trip(self):
+        query = self.base()
+        query.for_clause = col("Housing").isin([None, True, False])
+        assert "IN (NULL, TRUE, FALSE)" in unparse(query)
+        assert unparse(parse_query(unparse(query))) == unparse(query)
+        flagged = parse_query("USE Credit UPDATE(Status) = TRUE OUTPUT AVG(POST(Credit))")
+        assert "UPDATE(Status) = TRUE" in unparse(flagged)
+
+    @pytest.mark.parametrize(
+        "function, message",
+        [
+            (SetTo(object()), "Update\\(...\\) = .* has no query-text form"),
+            (AddConstant(True), "expected a number, got boolean"),
+            (Clip(), "update function Clip has no query-text form"),
+        ],
+    )
+    def test_an_update_without_text(self, function, message):
+        query = self.base()
+        query.updates = [AttributeUpdate("Status", function)]
+        with pytest.raises(UnparseError, match=message):
+            unparse(query)
+
+    def test_a_use_with_explicit_joins_an_unknown_aggregate_or_object(self):
+        query = self.base()
+        query.use = replace(query.use, joins={"Other": [("A", "B")]})
+        with pytest.raises(UnparseError, match="explicit UseSpec.joins"):
+            unparse(query)
+        query = self.base()
+        query.output_aggregate = "max"
+        with pytest.raises(UnparseError, match="aggregate 'max' has no query-text form"):
+            unparse(query)
+        with pytest.raises(UnparseError, match="cannot unparse object of type str"):
+            unparse("USE Credit")
+
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            (LimitConstraint("Status", lower=1.0, max_l1=2.0), "mixes range/membership/L1"),
+            (LimitConstraint("Status", allowed_values=()), "needs at least one value"),
+        ],
+    )
+    def test_a_limit_without_text(self, limit, message):
+        query = parse_query(
+            "USE Credit HOWTOUPDATE Status LIMIT 1 <= POST(Status) <= 4 "
+            "TOMAXIMIZE COUNT(POST(Credit))"
+        )
+        query.limits = [limit]
+        with pytest.raises(UnparseError, match=message):
+            unparse(query)

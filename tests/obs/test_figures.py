@@ -23,10 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro import EngineConfig, HypeRService
+from repro.api.calls import OverloadedError
 from repro.api.client import HypeRClient
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
-from repro.jobs import attach_jobs
+from repro.jobs import ClientQuotas, attach_jobs
 from tests.cluster.conftest import make_cluster
 
 QUERIES = [
@@ -336,6 +337,27 @@ def test_the_door_attributes_each_query_and_batch_to_its_client(served):
     assert stats["clients"]["rejections"] == {}
 
 
+def test_a_quota_rejected_submit_is_one_request_and_one_rejection(dataset, tmp_path):
+    """A job submit over its client's quota is answered 429 ``rate_limited``
+    naming the quota, and counted once: as a request, and as its rejection."""
+    with HypeRService(dataset.database, dataset.causal_dag, CONFIG) as service:
+        jobs = attach_jobs(service, str(tmp_path / "journal.jsonl"),
+                           quotas=ClientQuotas(max_queued=0))
+        try:
+            with BackgroundAsyncServer(service, max_inflight=4) as server:
+                with HypeRClient(*server.address, timeout=60.0, client_id="q",
+                                 max_retries=0) as client:
+                    with pytest.raises(OverloadedError) as raised:
+                        client.submit_job(QUERIES[0])
+        finally:
+            jobs.close()
+        assert raised.value.code == "rate_limited"
+        assert raised.value.envelope.detail == {"quota": "max_queued", "limit": 0}
+        clients = service.stats()["clients"]
+        assert clients["requests"] == {"q": 1}
+        assert clients["rejections"] == {"q": 1}
+
+
 def test_the_slow_query_count_is_one_number(dataset):
     """``/v1/slow``, ``stats()`` and ``/v1/metrics`` read the count the log keeps."""
     with HypeRService(
@@ -389,3 +411,12 @@ def test_every_rendered_series_is_documented(served):
     assert names <= rendered, f"documented but never rendered: {sorted(names - rendered)}"
     unused = {p for p in prefixes if not any(name.startswith(p) for name in rendered)}
     assert not unused, f"documented prefixes nothing renders: {sorted(unused)}"
+
+
+def test_a_pool_renders_no_series_while_no_worker_runs(dataset):
+    with HypeRService(
+        dataset.database, dataset.causal_dag, CONFIG, execution="processes", n_shards=2
+    ) as service:
+        text = service.metrics.render()
+        assert "# TYPE hyper_pool_shards gauge" in text
+        assert "\nhyper_pool_shards " not in text

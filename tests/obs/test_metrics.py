@@ -149,7 +149,30 @@ class TestRegistry:
         assert after['d_total{endpoint="query"}'] == 3
         assert before.get('d_total{endpoint="query"}', 0) == 0
 
+    def test_labeled_gauges_and_non_finite_values_render(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g", "labeled", labelnames=("pool",))
+        gauge.labels(pool="a").set(2)
+        for name, value in (("nan", float("nan")), ("up", float("inf")), ("down", -float("inf"))):
+            registry.gauge(name, "").set(value)
+        text = registry.render()
+        assert 'g{pool="a"} 2' in text
+        assert "nan NaN" in text and "up +Inf" in text and "down -Inf" in text
+        validate_exposition(text)
+
+    def test_declarations_refuse_what_cannot_render(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="at least one bucket"):
+            registry.histogram("h_seconds", "", buckets=[])
+        with pytest.raises(ValueError, match="gauge or counter, not 'histogram'"):
+            registry.register_callback("cb", "", lambda: 1, kind="histogram")
+        registry.counter("taken_total")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.register_callback("taken_total", "", lambda: 1)
+
     def test_validator_rejects_malformed_lines(self):
+        with pytest.raises(ValueError, match="line 2: malformed comment"):
+            validate_exposition("\n#bad\nok 1\n")
         with pytest.raises(ValueError):
             validate_exposition("not a metric line at all!\n")
         with pytest.raises(ValueError):

@@ -146,3 +146,13 @@ class TestFormat:
         assert lines[1] == "  - parse  0.250 ms"
         assert lines[2] == "  - execute  10.000 ms"
         assert lines[3] == "    - shard-worker[0]  9.000 ms  [shard=0]"
+
+
+def test_an_added_span_keeps_its_shipped_children():
+    ctx = TraceContext()
+    with activate(ctx):
+        add_span("worker", 0.002, children=[
+            {"name": "leg", "duration_ms": 1.0, "children": [{"name": "kernel", "duration_ms": 0.5}]}
+        ])
+    (worker,) = ctx.to_wire()["children"]
+    assert worker["children"][0]["children"][0]["name"] == "kernel"

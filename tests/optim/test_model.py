@@ -95,3 +95,17 @@ class TestIntegerProgram:
         constraint = program.add_constraint({"a": 1.0}, "==", 1.0)
         assert constraint.satisfied_by({"a": 1.0})
         assert not constraint.satisfied_by({"a": 0.0})
+
+
+def test_a_program_names_its_size_and_a_variable_needs_a_name():
+    program = IntegerProgram("knap")
+    program.add_binary("x")
+    assert repr(program) == "IntegerProgram('knap', 1 vars, 0 constraints, max)"
+    with pytest.raises(OptimizationError, match="non-empty names"):
+        Variable("")
+
+
+def test_a_solution_reads_a_variable_as_a_float():
+    from repro.optim.solution import Solution, SolveStatus
+
+    assert Solution(SolveStatus.OPTIMAL, assignment={"x": 1}).value("x") == 1.0

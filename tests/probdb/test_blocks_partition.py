@@ -29,6 +29,8 @@ from repro.datasets import make_amazon_syn, make_german_syn, make_student_syn
 from repro.exceptions import CausalModelError
 from repro.probdb.blocks import Block, BlockDecomposition, block_labels, decompose_into_blocks
 
+from . import row_count
+
 N_CASES = 200
 
 
@@ -316,7 +318,7 @@ def assert_blocks_follow_labels(database: Database, dag: CausalDAG | None, conte
         for relation, rows in block.rows.items():
             assert rows == sorted(rows) and rows, context
             assert (labels[relation][rows] == block.index).all(), context
-    assert sum(block.row_count() for block in decomposition) == database.total_rows, context
+    assert sum(row_count(block) for block in decomposition) == database.total_rows, context
 
 
 # ---------------------------------------------------------------------------

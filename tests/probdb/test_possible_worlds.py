@@ -110,3 +110,9 @@ class TestDistributions:
         worlds = worlds_from_samples([tiny_relation, tiny_relation])
         assert [w.probability for w in worlds] == [0.5, 0.5]
         assert worlds_from_samples([]) == []
+
+
+def test_a_distribution_needs_positive_mass_and_counts_its_worlds(tiny_relation):
+    with pytest.raises(HypeRError, match="total probability mass must be positive"):
+        DiscreteWorldDistribution([PossibleWorld(tiny_relation, 0.0)])
+    assert len(DiscreteWorldDistribution([PossibleWorld(tiny_relation, 1.0)] * 2)) == 2

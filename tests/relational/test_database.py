@@ -50,11 +50,6 @@ class TestDatabase:
         with pytest.raises(SchemaError):
             figure1_database.with_relation(rogue)
 
-    def test_subset(self, figure1_database):
-        subset = figure1_database.subset({"Product": [True, True, False, False, False]})
-        assert len(subset["Product"]) == 2
-        assert len(subset["Review"]) == 6  # untouched
-
     def test_duplicate_relation_names_rejected(self, figure1_product):
         with pytest.raises(SchemaError):
             Database([figure1_product, figure1_product])

@@ -10,6 +10,9 @@ protocol bug.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -29,7 +32,14 @@ from repro import (
 from repro.core.updates import AttributeUpdate, MultiplyBy, SetTo
 from repro.datasets import make_german_syn
 from repro.relational import post, pre
-from repro.shard import ShardPool, merge_what_if, partition_database, what_if_partial
+from repro.exceptions import CausalModelError
+from repro.shard import (
+    ShardMergeError,
+    ShardPool,
+    merge_what_if,
+    partition_database,
+    what_if_partial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +251,48 @@ class TestSingleBlockEdgeCase:
             query, [what_if_partial(service, shard, query) for shard in plan]
         )
         assert_results_identical(sharded, unsharded)
+
+
+class TestRefusals:
+    """A merge refuses partials that do not cover the view once, and a slice
+    that is not the view's."""
+
+    def test_partials_that_miss_a_row_or_another_view_are_refused(self, dataset):
+        config = EngineConfig(regressor="linear")
+        query = what_if_suite(dataset)[1]
+        _, partials = sharded_what_if(dataset, config, query, 2)
+        with pytest.raises(ShardMergeError, match="at least one shard partial"):
+            merge_what_if(query, [])
+        with pytest.raises(ShardMergeError, match="do not partition the view rows exactly"):
+            merge_what_if(query, [partials[0]])
+        with pytest.raises(ShardMergeError, match="no shard partial carried the full-view context"):
+            merge_what_if(query, [replace(partials[1], row_indices=np.concatenate(
+                [partials[0].row_indices, partials[1].row_indices]))])
+        with pytest.raises(ShardMergeError, match="views of"):
+            partials[0].merge(replace(partials[1], n_rows=partials[1].n_rows + 1))
+        # an elided sum on one side stands for zeros
+        for left, right in ((replace(partials[0], sum=None), partials[1]),
+                            (partials[0], replace(partials[1], sum=None))):
+            merged = left.merge(right)
+            assert merged.sum is None or len(merged.sum) == len(merged.row_indices)
+
+    def test_a_plan_must_cover_each_row_once(self, dataset):
+        with pytest.raises(CausalModelError, match="at least 1, got 0"):
+            partition_database(dataset.database, dataset.causal_dag, 0)
+        plan = partition_database(dataset.database, dataset.causal_dag, 2)
+        assert repr(plan[0]).startswith("Shard(0/2, rows=")
+        with pytest.raises(CausalModelError, match="no row mask for relation 'Nope'"):
+            plan[0].own_rows("Nope")
+        with pytest.raises(CausalModelError, match="needs at least one shard"):
+            replace(plan, shards=[]).validate_cover()
+        with pytest.raises(CausalModelError, match="not partitioned exactly"):
+            replace(plan, shards=[plan[0], plan[0]]).validate_cover()
+
+    def test_a_slice_of_another_database_is_stale(self, dataset):
+        config = EngineConfig(regressor="linear")
+        query = what_if_suite(dataset)[1]
+        other = make_german_syn(50, seed=1)
+        shard = partition_database(other.database, other.causal_dag, 2)[0]
+        service = HypeRService(dataset.database, dataset.causal_dag, config)
+        with pytest.raises(ShardMergeError, match="the shard slice is stale"):
+            what_if_partial(service, shard, query)

@@ -156,6 +156,39 @@ class TestInlineFallback:
         finally:
             pool.close()
 
+    def test_an_inline_move_replaces_the_dag_or_clears_the_caches(self, dataset, config):
+        """An inline pool moves in place as worker processes would, and counts
+        what a process pool would have shipped."""
+        pool = ShardPool(
+            dataset.database, dataset.causal_dag, config, n_shards=2, inline=True
+        ).start()
+        try:
+            query = make_queries(dataset, 1)[0]
+            before = pool.run_batch([query])[0].value
+            pool.advance(dataset.database, frozenset(), 1,
+                         causal_dag=dataset.causal_dag, replace_dag=True)
+            assert pool.update_bytes_last > 0 and pool.generation == 1
+            pool.advance(dataset.database, frozenset(), 2, clear_caches=True)
+            assert pool.run_batch([query])[0].value == before
+            with pytest.raises(ShardPoolError, match="unknown shard task kind 'nope'"):
+                pool._inline_workers[0].handle("nope", None)
+        finally:
+            pool.close()
+        with pytest.raises(ShardPoolError, match="at least one worker, got 0"):
+            ShardPool(dataset.database, dataset.causal_dag, config, n_shards=0)
+
+    def test_a_pool_that_cannot_start_processes_answers_inline(self, dataset, config, monkeypatch):
+        def refuse(pool):
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(ShardPool, "_start_processes", refuse)
+        pool = ShardPool(dataset.database, dataset.causal_dag, config, n_shards=2).start()
+        try:
+            assert pool.mode == "inline"
+            assert pool.stats()["fallback_reason"] == "OSError: no processes here"
+        finally:
+            pool.close()
+
     def test_a_failed_query_names_the_worker_that_ran_it(self, dataset, config):
         pool = ShardPool(
             dataset.database, dataset.causal_dag, config, n_shards=2, inline=True
