@@ -21,14 +21,12 @@ import gzip as gzip_module
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
 from ..obs import trace as obs_trace
+from ..service.backend import ServiceBackend
 from .schemas import ErrorEnvelope, WireFormatError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.backend import ServiceBackend
 
 __all__ = [
     "MAX_BODY_BYTES",

@@ -54,11 +54,12 @@ the door needs one import.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from ..jobs import api as jobs_api
 from ..obs import trace as obs_trace
 from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
+from ..service.backend import ServiceBackend
 from . import core
 from .core import *  # noqa: F401,F403 - one namespace for the door (see docstring)
 from .schemas import (
@@ -72,9 +73,6 @@ from .schemas import (
     UpdateAnswer,
     UpdateRequest,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.backend import ServiceBackend
 
 __all__ = [
     *core.__all__,

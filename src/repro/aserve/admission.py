@@ -41,12 +41,10 @@ import asyncio
 import time
 from collections import deque
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..obs.metrics import Figure, MetricsRegistry, Reported, exponential_buckets
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.session import HypeRService
+from ..service.session import HypeRService
 
 __all__ = ["AdmissionController", "AdmissionRejected", "MIN_RETRY_AFTER"]
 

@@ -24,15 +24,13 @@ reserved for that fallback.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..api.core import ApiError, ApiRequest, ApiResponse, Params
 from ..api.schemas import ErrorEnvelope, JobListAnswer, JobStatus, JobSubmitRequest
+from ..service.backend import ServiceBackend
 from .manager import JobManager, JobNotFound
 from .queue import QuotaExceeded
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.backend import ServiceBackend
 
 __all__ = [
     "manager_for",

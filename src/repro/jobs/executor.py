@@ -9,11 +9,12 @@ the same ``execute`` surface.
 
 Execution bookkeeping:
 
-- every query completion **checkpoints** a progress record (unsynced — a
-  lost checkpoint only costs re-execution) and emits a progress event for
-  ``GET /v1/jobs/{id}/events`` streams;
-- **cancellation** is honored between queries: a cancel requested while
-  query *k* runs takes effect before query *k+1* starts;
+- a job is one engine call (``execute`` for a query, ``execute_many`` for
+  a batch); each answer it yields then **checkpoints** a progress record
+  (unsynced — a lost checkpoint only costs re-execution) and emits a
+  progress event for ``GET /v1/jobs/{id}/events`` streams;
+- **cancellation** is honored before the engine call; a cancel requested
+  during it discards the answers and finishes the job ``cancelled``;
 - deterministic failures (:class:`~repro.exceptions.HypeRError` — syntax,
   semantics, payload) fail the job immediately; anything else is treated
   as transient and **retried** with exponential backoff until the job's
@@ -32,10 +33,10 @@ from typing import TYPE_CHECKING, Any
 
 from ..exceptions import HypeRError
 from ..obs import trace as obs_trace
+from .queue import Job
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .manager import JobManager
-    from .queue import Job
 
 __all__ = ["JobExecutor"]
 

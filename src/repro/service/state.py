@@ -15,19 +15,19 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
 from ..causal.dag import CausalDAG
 from ..core.config import EngineConfig
 from ..core.howto import HowToEngine
+from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.whatif import WhatIfEngine
 from ..exceptions import QuerySemanticsError
 from ..probdb.blocks import label_columns
 from ..relational.database import Database
 from ..relational.relation import changed_attributes
 from ..relational.view import UseSpec
+from .cache import QueryCaches
 from .fingerprint import Column, dag_key, plan_columns, use_key
 from .versions import Commit, Snapshot, VersionStore
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.queries import HowToQuery, WhatIfQuery
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..shard.pool import ShardPool
-    from .cache import QueryCaches
 
 __all__ = ["EngineState", "Snapshots", "with_columns"]
 

@@ -43,8 +43,9 @@ class WorkloadGenerator:
         The attribute whose post-update value queries aggregate (must be a
         numeric view column).
     update_candidates:
-        The mutable view attributes the generator may pick as update attributes.
-        Defaults to every mutable numeric attribute except the output.
+        The mutable view attributes the generator may pick as update attributes
+        (a repeated name counts once).  Defaults to every mutable numeric
+        attribute except the output.
     seed:
         Seed of the internal random generator.
     """
@@ -72,6 +73,7 @@ class WorkloadGenerator:
                 and self._view.schema.is_mutable(name)
                 and self._view.schema.domain(name).is_numeric
             ]
+        self.update_candidates = list(dict.fromkeys(self.update_candidates))
         missing = [a for a in self.update_candidates if a not in self._view.schema]
         if missing:
             raise HypeRError(f"update candidates {missing} are not view columns")

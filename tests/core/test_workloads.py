@@ -111,6 +111,14 @@ class TestHowToGeneration:
         query = gen.how_to(n_attributes=50)
         assert len(query.update_attributes) <= len(gen.update_candidates)
 
+    def test_a_repeated_candidate_counts_once(self, generator):
+        dataset, _ = generator
+        gen = WorkloadGenerator.for_dataset(
+            dataset, "Credit", update_candidates=["Status", "Status"], seed=3
+        )
+        assert gen.update_candidates == ["Status"]
+        assert list(gen.how_to(n_attributes=2).update_attributes) == ["Status"]
+
     def test_generated_howto_executes(self, generator):
         dataset, gen = generator
         session = HypeR(dataset.database, dataset.causal_dag, EngineConfig(regressor="linear"))

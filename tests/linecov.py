@@ -15,8 +15,7 @@ A line is executable when the compiler gives it an instruction a ``line``
 event can report.  At the end of the session each executable line that never
 ran must be excused by :data:`ALLOWLIST`, else the session fails; an entry
 that excuses no unrun line fails too, so the list cannot outlive what it
-excuses.  ``--linecov-report PATH`` also writes every unrun line, with its
-scope and text, to ``PATH`` as JSON.
+excuses.
 
 Tests marked ``wallclock`` assert a ratio of two timings; tracing slows
 Python-heavy code unevenly, so the line run deselects them.
@@ -39,7 +38,7 @@ SRC = ROOT / "src"
 SITE = Path(__file__).resolve().parent / "linecov_site"
 
 _PERF_ONLY = "only perf/probes.py reaches it; it goes with ROADMAP 1(d)"
-_TYPING = "imported for annotations only (TYPE_CHECKING): a runtime import would cycle"
+_TYPING = "imported for annotations only (TYPE_CHECKING): a runtime import cycles"
 _TEARDOWN = "best-effort teardown: the resource failed to close under the test's feet"
 _SHM = "a shared-memory segment the platform refuses to map, close or unlink"
 _RACE = "a job that ages out or is cancelled between two steps of one call: a race"
@@ -76,17 +75,10 @@ ALLOWLIST: list[tuple[str, str, str]] = [
     ("repro.optim.solver:BranchAndBoundSolver.solve", "continue", "the branch-and-bound is a test oracle and a perf/ probe; it goes with ROADMAP 12(b)"),
     ("repro.optim.solver:BranchAndBoundSolver.solve", "return Solution(status=SolveStatus.INFEASIBLE, n_nodes_explored=nodes_explored)", "the branch-and-bound is a test oracle and a perf/ probe; it goes with ROADMAP 12(b)"),
     ("repro.optim.solver:BranchAndBoundSolver._most_fractional", "continue", "the branch-and-bound is a test oracle and a perf/ probe; it goes with ROADMAP 12(b)"),
-    # imports for annotations only
-    ("repro.api.core:<module>", "from ..service.backend import ServiceBackend", _TYPING),
-    ("repro.api.endpoints:<module>", "from ..service.backend import ServiceBackend", _TYPING),
-    ("repro.aserve.admission:<module>", "from ..service.session import HypeRService", _TYPING),
-    ("repro.jobs.api:<module>", "from ..service.backend import ServiceBackend", _TYPING),
+    # imports for annotations only, where importing at run time cycles
     ("repro.jobs.executor:<module>", "from .manager import JobManager", _TYPING),
-    ("repro.jobs.executor:<module>", "from .queue import Job", _TYPING),
     ("repro.service.session:<module>", "from ..shard.pool import ShardPool", _TYPING),
-    ("repro.service.state:<module>", "from ..core.queries import HowToQuery, WhatIfQuery", _TYPING),
     ("repro.service.state:<module>", "from ..shard.pool import ShardPool", _TYPING),
-    ("repro.service.state:<module>", "from .cache import QueryCaches", _TYPING),
     # the async client's transport faults
     ("repro.api.aclient:AsyncHypeRClient._acquire", "self._discard(conn)", "a pooled connection the server closed while it idled"),
     ("repro.api.aclient:AsyncHypeRClient._acquire", "raise _timed_out(timeout) from None", "a connect that outlasts the budget (an unroutable peer)"),
@@ -252,14 +244,6 @@ def executable(path: Path, recorder) -> set[int]:
 # --- the run ----------------------------------------------------------------
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--linecov-report",
-        metavar="PATH",
-        help="write every unrun line of src/ (scope, text, excused) to PATH as JSON",
-    )
-
-
 def pytest_load_initial_conftests(early_config, parser, args):
     """Start recording before a conftest imports ``repro``."""
     hits_dir = tempfile.mkdtemp(prefix="linecov-")
@@ -298,16 +282,6 @@ def pytest_sessionfinish(session):
     stale = [(scope, text) for scope, text, _ in ALLOWLIST if (scope, text) not in named]
     session.config.stash[_RESULT] = (total, unrun, unexcused, stale)
 
-    report = session.config.getoption("--linecov-report")
-    if report:
-        Path(report).write_text(json.dumps(
-            [
-                {"file": str(path.relative_to(ROOT)), "line": line, "scope": scope,
-                 "text": text, "excused": (scope, text) in excused}
-                for path, line, scope, text in unrun
-            ],
-            indent=1,
-        ))
     if unexcused or stale:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
