@@ -1,22 +1,10 @@
-"""The versioned public API of the HypeR reproduction.
-
-Three pieces, one contract (see ``docs/api.md``):
-
-* :mod:`repro.api.schemas` — the **v1 wire schemas**: typed, strict
-  request/response dataclasses every HTTP byte goes through.
-* :mod:`repro.api.builder` — the **fluent query builder**: constructs
-  :mod:`repro.lang` ASTs directly; builder-made and text-parsed queries
-  fingerprint identically and share every service cache.
-* :mod:`repro.api.calls` — the **SDK's sans-IO call core**: every verb
-  written once, request encoding, bounded retries honoring ``Retry-After``,
-  request deadlines, response decoding and the client error classes.  Two
-  transports move its bytes: :mod:`repro.api.client` — :class:`HypeRClient`,
-  one blocking keep-alive connection — and :mod:`repro.api.aclient` —
-  :class:`AsyncHypeRClient`, a pooled asyncio client that is safe to share
-  across tasks on one event loop.
-
-:mod:`repro.api.endpoints` is the ``/v1/*`` endpoint table the HTTP door
-mounts, over the sans-IO request core of :mod:`repro.api.core`.
+"""The versioned public API (``docs/api.md``): strict v1 wire schemas every HTTP
+byte and ``--json`` payload goes through, a fluent query builder whose queries
+fingerprint as parsed text does, the sans-IO request core under the ``/v1``
+endpoint table the HTTP door mounts, and the SDK — one sans-IO call core under
+a blocking and an asyncio transport.  Adding an endpoint is one table row, one
+handler and one verb; golden fixtures under ``tests/api/fixtures/`` pin the
+wire forms.
 """
 
 from .builder import (

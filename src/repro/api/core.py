@@ -431,13 +431,14 @@ LANES = ("loop", "control", "blocking", "admitted")
 
 @dataclass(frozen=True)
 class Endpoint:
-    """One row of the API: route, handler, lane and request schema.
+    """One row of the API: route, handler, lane, request schema and answer.
 
     A path may contain ``{param}`` segments (``/v1/jobs/{id}``); routing
     (:meth:`repro.api.endpoints.RouteTable.match`) binds them to concrete
     path segments and hands the bindings to the handler as ``params``.  ``schema`` is the strict v1
-    class a POST body must validate as (``None``: any JSON object).  A row
-    without a handler is :attr:`streaming`.
+    class a POST body must validate as (``None``: any JSON object).  ``help``
+    says what the row answers; ``docs/api.md``'s endpoint table is rendered
+    from these rows.  A row without a handler is :attr:`streaming`.
     """
 
     name: str
@@ -447,6 +448,7 @@ class Endpoint:
     lane: str
     aliases: tuple[str, ...] = ()
     schema: Any = None
+    help: str = ""
 
     def __post_init__(self) -> None:
         if self.lane not in LANES:

@@ -3,33 +3,11 @@
 The HTTP door (:mod:`repro.aserve`) mounts exactly this table over the
 sans-IO request core of :mod:`repro.api.core` — a cluster shard node mounts
 it plus its two internal rows — so routing, legacy aliases, error envelopes
-and the 400/413/429 semantics are defined once:
+and the 400/413/429 semantics are defined once.
 
-=======  ========================  ============  =========  ==============================
-method   v1 path                   legacy alias  lane       body
-=======  ========================  ============  =========  ==============================
-GET      ``/v1/health``            ``/health``   loop       ``{"status", "generation",
-                                                            "api_version"}``
-GET      ``/v1/stats``             ``/stats``    control    ``StatsSnapshot``
-GET      ``/v1/metrics``           ``/metrics``  control    Prometheus text (not JSON)
-GET      ``/v1/slow``              —             control    slow-query log snapshot
-POST     ``/v1/query``             ``/query``    admitted   ``QueryRequest`` →
-                                                            ``WhatIfAnswer``/``HowToAnswer``
-POST     ``/v1/batch``             ``/batch``    admitted   ``BatchRequest`` → NDJSON stream
-                                                            (an empty batch: JSON object)
-POST     ``/v1/update``            —             control    ``UpdateRequest`` → ``UpdateAnswer``
-POST     ``/v1/prepare``           —             control    ``PrepareRequest`` → ``PrepareAnswer``
-POST     ``/v1/jobs``              —             blocking   ``JobSubmitRequest`` →
-                                                            ``JobStatus`` (202)
-GET      ``/v1/jobs``              —             blocking   ``JobListAnswer``
-GET      ``/v1/jobs/{id}``         —             blocking   ``JobStatus``
-GET      ``/v1/jobs/{id}/events``  —             blocking   NDJSON progress-event stream
-GET      ``/v1/jobs/{id}/result``  —             blocking   retained result payload
-POST     ``/v1/jobs/{id}/cancel``  —             blocking   ``JobStatus``
-=======  ========================  ============  =========  ==============================
-
-(schemas: :mod:`repro.api.schemas`).  Each row of :data:`V1_ENDPOINTS`
-carries its ``handler(backend, request, params) -> ApiResponse`` — none for
+``docs/api.md``'s endpoint table is rendered from :data:`V1_ENDPOINTS` by
+``python -m tests.doctables``; the schemas are in :mod:`repro.api.schemas`.
+Each row carries its ``handler(backend, request, params) -> ApiResponse`` — none for
 the two streaming rows, which the door streams itself — and a constant
 *lane*, so **adding an endpoint is one table row plus one handler** and the
 door does not change.  The door routes (:meth:`RouteTable.match`), then runs
@@ -204,29 +182,40 @@ def _prepare(backend: ServiceBackend, request: ApiRequest, params: Params) -> Ap
 # -- the endpoint table ----------------------------------------------------------------
 
 V1_ENDPOINTS: tuple[Endpoint, ...] = (
-    Endpoint("health", "GET", "/v1/health", _health, "loop", aliases=("/health",)),
-    Endpoint("stats", "GET", "/v1/stats", _stats, "control", aliases=("/stats",)),
-    Endpoint("metrics", "GET", "/v1/metrics", _metrics, "control", aliases=("/metrics",)),
-    Endpoint("slow", "GET", "/v1/slow", _slow, "control"),
-    Endpoint(
-        "query", "POST", "/v1/query", _query, "admitted",
-        aliases=("/query",), schema=QueryRequest,
-    ),
-    Endpoint(
-        "batch", "POST", "/v1/batch", None, "admitted",
-        aliases=("/batch",), schema=BatchRequest,
-    ),
-    Endpoint("update", "POST", "/v1/update", _update, "control", schema=UpdateRequest),
-    Endpoint("prepare", "POST", "/v1/prepare", _prepare, "control", schema=PrepareRequest),
-    Endpoint(
-        "jobs_submit", "POST", "/v1/jobs", jobs_api.submit_job, "blocking",
-        schema=JobSubmitRequest,
-    ),
-    Endpoint("jobs_list", "GET", "/v1/jobs", jobs_api.list_jobs, "blocking"),
-    Endpoint("job_status", "GET", "/v1/jobs/{id}", jobs_api.job_status, "blocking"),
-    Endpoint("job_events", "GET", "/v1/jobs/{id}/events", None, "blocking"),
-    Endpoint("job_result", "GET", "/v1/jobs/{id}/result", jobs_api.job_result, "blocking"),
-    Endpoint("job_cancel", "POST", "/v1/jobs/{id}/cancel", jobs_api.cancel_job, "blocking"),
+    Endpoint("health", "GET", "/v1/health", _health, "loop", aliases=("/health",),
+             help='`{"status": "ok", "generation": N, "api_version": "v1"}`; '
+             '`503 {"status": "draining"}` while the door drains'),
+    Endpoint("stats", "GET", "/v1/stats", _stats, "control", aliases=("/stats",),
+             help='`StatsSnapshot`: counters, caches, serving signals (the door adds '
+             '`"aserve"`)'),
+    Endpoint("metrics", "GET", "/v1/metrics", _metrics, "control", aliases=("/metrics",),
+             help="Prometheus text exposition (not JSON)"),
+    Endpoint("slow", "GET", "/v1/slow", _slow, "control",
+             help="the slow-query log, worst offender first"),
+    Endpoint("query", "POST", "/v1/query", _query, "admitted", aliases=("/query",),
+             schema=QueryRequest, help="`WhatIfAnswer` or `HowToAnswer`"),
+    Endpoint("batch", "POST", "/v1/batch", None, "admitted", aliases=("/batch",),
+             schema=BatchRequest, help="NDJSON, one line per query in completion "
+             'order; an empty batch answers `{"results": [], "n_queries": 0}`'),
+    Endpoint("update", "POST", "/v1/update", _update, "control", schema=UpdateRequest,
+             help="`UpdateAnswer`: the generation this one MVCC commit installed"),
+    Endpoint("prepare", "POST", "/v1/prepare", _prepare, "control", schema=PrepareRequest,
+             help="`PrepareAnswer`: plans and estimators warmed, nothing executed"),
+    Endpoint("jobs_submit", "POST", "/v1/jobs", jobs_api.submit_job, "blocking",
+             schema=JobSubmitRequest, help="`202` and the `JobStatus`, once journaled"),
+    Endpoint("jobs_list", "GET", "/v1/jobs", jobs_api.list_jobs, "blocking",
+             help="`JobListAnswer`: the calling `X-Client-Id`'s jobs"),
+    Endpoint("job_status", "GET", "/v1/jobs/{id}", jobs_api.job_status, "blocking",
+             help="`JobStatus`"),
+    Endpoint("job_events", "GET", "/v1/jobs/{id}/events", None, "blocking",
+             help="NDJSON progress events, polled by cursor; last line "
+             '`{"done": true, "terminal": <state>}`'),
+    Endpoint("job_result", "GET", "/v1/jobs/{id}/result", jobs_api.job_result, "blocking",
+             help="the retained result (bitwise the sync answers); "
+             "`404 result_expired` after its TTL"),
+    Endpoint("job_cancel", "POST", "/v1/jobs/{id}/cancel", jobs_api.cancel_job, "blocking",
+             help="`JobStatus`: at once while queued, cooperative while running, "
+             "a no-op when terminal"),
 )
 
 

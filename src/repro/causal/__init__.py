@@ -1,12 +1,14 @@
-"""Causal substrate: DAGs, structural models, backdoor adjustment.
+"""Causal substrate (paper §2.2, §3.3, A.3): the probabilistic relational causal
+model (PRCM) machinery the paper builds on — attribute-level causal DAGs with
+cross-tuple edges over stdlib adjacency dicts, d-separation as one
+reachability pass (not a path enumeration), the backdoor criterion,
+structural equations and models for data generation and ground truth,
+summary functions and the augmented graph of multi-relation queries.
 
-Implements the probabilistic relational causal model (PRCM) machinery the paper
-builds on: attribute-level causal DAGs with cross-tuple edges, structural
-equations for data generation and ground truth, d-separation, the backdoor
-criterion, summary functions and the augmented graph used for multi-relation
-queries.  The graphs are stdlib adjacency dicts, and d-separation is one
-reachability pass, not a path enumeration.  The per-tuple graph is never
-grounded: :mod:`repro.probdb.blocks` decomposes over tuples without it.
+The per-tuple graph is never grounded: :mod:`repro.probdb.blocks` decomposes
+over tuples without it.  Its explicit grounding and the path-enumeration
+oracle the reachability pass is held to are test oracles
+(``tests/causal/ground_graph.py``, ``tests/causal/oracles.py``).
 """
 
 from .augmented import AggregatedNode, augment_causal_dag

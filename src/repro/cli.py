@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve queries over HTTP (GET /health, GET /stats, POST /query, POST /batch)",
+        help="serve the /v1 API over HTTP (endpoints: docs/api.md)",
     )
     serve.add_argument("--dataset", required=True, choices=available_datasets())
     serve.add_argument("--rows", type=int, default=1_000, help="rows to generate")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sample-size", type=int, default=None)
     serve.add_argument("--regressor", default="forest", choices=["forest", "linear", "ridge"])
     serve.add_argument(
-        "--workers", type=int, default=None, help="worker count for POST /batch"
+        "--workers", type=int, default=None, help="worker threads for batch execution"
     )
     serve.add_argument(
         "--execution",
@@ -183,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="single",
         choices=["single", "coordinator", "shard"],
         help="cluster role: single (default) serves the whole database "
-        "locally; shard serves one partition slice's internal /v1/partial; "
-        "coordinator scatter-gathers the shards behind the unchanged public "
-        "API (answers are bitwise-identical to single)",
+        "locally; shard holds the whole snapshot too and answers whole "
+        "queries on the internal /v1/partial; coordinator deals each query "
+        "to one node behind the unchanged public API (answers are "
+        "bitwise-identical to single)",
     )
     serve.add_argument(
         "--cluster-config",
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="with --role shard: this node's index into the topology's "
-        "nodes list (determines the owned shard and the bind address)",
+        "nodes list (determines its bind address)",
     )
 
     jobs = sub.add_parser(
@@ -386,9 +387,9 @@ def _serve_cluster(args: argparse.Namespace) -> int:
     """``repro serve --role coordinator|shard``: one node of a cluster.
 
     Every node regenerates the same dataset deterministically (same
-    ``--dataset/--rows/--seed``), so all replicas of a shard materialise the
-    identical slice and the coordinator's merged answers are bitwise equal
-    to a single-node deployment.
+    ``--dataset/--rows/--seed``), so every node holds the identical snapshot
+    and the coordinator's answers are bitwise equal to a single-node
+    deployment.
     """
     from .aserve import run_async_server
     from .cluster import ClusterCoordinator, ClusterTopology, ShardServer

@@ -1,4 +1,7 @@
-"""The cluster's front door: queries go where the data is, exactly.
+"""The cluster's front door: queries go where the data is, exactly — whole
+queries of both kinds dealt to nodes by plan, health probing, failover and
+two-phase commits, behind the ``ServiceBackend`` protocol the HTTP door
+serves unchanged.
 
 :class:`ClusterCoordinator` implements the
 :class:`~repro.service.backend.ServiceBackend` protocol next to

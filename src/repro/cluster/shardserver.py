@@ -1,4 +1,7 @@
-"""One shard node of the cluster: the existing front door plus ``/v1/partial``.
+"""One shard node of the cluster: the existing front door plus ``/v1/partial``
+and ``/v1/cluster/update`` — a full service, its retained generations pinned
+as MVCC snapshots, and the two internal rows, mounted through an
+``app_factory`` on :mod:`repro.aserve`.
 
 A :class:`ShardServer` wraps a full :class:`~repro.service.session.HypeRService`
 (every node holds the complete database snapshot) and keeps its last

@@ -1,4 +1,6 @@
-"""The JSON cluster-topology config shared by coordinator and shard nodes.
+"""The JSON cluster-topology config shared by coordinator and shard nodes:
+``NodeAddress`` and ``ClusterTopology``, their validation and
+``shard_of_node``.
 
 One file describes the whole cluster; every process is launched against the
 same file plus its role (``repro serve --role coordinator|shard
@@ -16,7 +18,8 @@ same file plus its role (``repro serve --role coordinator|shard
 
 ``nodes[j]`` is where node ``j`` listens; its shard is ``j % n_shards``
 (see :class:`~repro.cluster.placement.Placement`).  The ``coordinator``
-entry is optional — it only tells ``--role coordinator`` where to bind.
+entry is optional — it only tells ``--role coordinator`` where to bind, and
+only it may name port 0 (an ephemeral port): every node must be dialable.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ class NodeAddress:
     def __post_init__(self) -> None:
         if not self.host:
             raise TopologyError("node host must be non-empty")
-        # port 0 is excluded: a topology entry must be dialable as written
-        if not 1 <= self.port <= 65535:
+        # port 0 binds an ephemeral port; ClusterTopology allows it only on
+        # the coordinator entry, which no node dials
+        if not 0 <= self.port <= 65535:
             raise TopologyError(f"node port {self.port} out of range")
 
     def to_json(self) -> dict[str, Any]:
@@ -85,6 +89,8 @@ class ClusterTopology:
             raise TopologyError(str(error)) from None
         seen: set[tuple[str, int]] = set()
         for node in self.nodes:
+            if node.port == 0:
+                raise TopologyError("node port 0: a node must be dialable as written")
             key = (node.host, node.port)
             if key in seen:
                 raise TopologyError(f"duplicate node address {node.host}:{node.port}")

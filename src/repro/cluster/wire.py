@@ -1,4 +1,6 @@
-"""Bit-exact JSON wire forms for the cluster's internal protocol.
+"""Bit-exact JSON wire forms for the cluster's internal protocol: the scalar
+answer codecs of ``/v1/partial``, the array frame a stage body's columns
+travel in, and the what-if partial codecs only the probes still use.
 
 An *answer* (``kind="answers"``: the node ran the whole query) is scalars
 only, no arrays: a what-if's result fields, or a how-to's plus the updates it

@@ -1,9 +1,9 @@
-"""HypeR core: hypothetical updates, what-if and how-to query engines.
-
-This package is the paper's primary contribution: probabilistic what-if queries
-answered by backdoor-adjusted counterfactual regression over a block-decomposed
-relevant view, and how-to queries answered by a 0/1 integer program over the
-candidate update space.
+"""HypeR core (paper §3–§5), the paper's primary contribution: probabilistic
+what-if queries answered by backdoor-adjusted counterfactual regression over a
+block-decomposed relevant view, and how-to queries answered by the §4.3 0/1
+program over the candidate update space, solved by greedy; the ``HypeR``
+facade, its configuration, the update functions, the query and result objects
+and the baselines of the evaluation.
 """
 
 from .baselines import GroundTruthOracle, make_indep_engine, naive_possible_world_value

@@ -1,10 +1,9 @@
-"""Synthetic benchmark datasets mirroring the paper's evaluation data.
-
-Each generator produces a :class:`~repro.datasets.base.SyntheticDataset`
-bundling the relational instance, the causal background knowledge, the
-relevant-view specification and (where applicable) the structural model used as
-ground truth.  See docs/architecture.md (package map, ``repro.datasets``) for how they
-stand in for the paper's real datasets.
+"""Synthetic benchmark datasets (paper §5.1) mirroring the paper's evaluation
+data: German-Syn, Adult-Syn, Amazon-Syn and Student-Syn, generated from
+structural causal models matching the paper's causal graphs.  Each generator
+returns a :class:`~repro.datasets.base.SyntheticDataset` bundling the
+database, the causal DAG, the ground-truth structural model and a default
+``Use`` specification.
 """
 
 from .adult_syn import adult_causal_dag, adult_scm, make_adult_syn

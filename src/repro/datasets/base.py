@@ -4,7 +4,7 @@ The paper evaluates on two real datasets (UCI Adult, UCI German credit), one
 scraped dataset (Amazon products/reviews) and two synthetic ones (German-Syn,
 Student-Syn).  Offline we cannot ship the real/scraped data, so every dataset
 here is generated from a structural causal model whose graph matches the one
-the paper uses for that dataset (docs/architecture.md, package map).  Each
+the paper uses for that dataset (each generator's module says which).  Each
 dataset bundles:
 
 * the relational ``database`` instance,

@@ -1,4 +1,5 @@
-"""The handlers of the ``/v1/jobs`` rows of the endpoint table.
+"""The handlers of the ``/v1/jobs`` rows of the endpoint table, and the event
+poll the door streams.
 
 :data:`repro.api.endpoints.V1_ENDPOINTS` points five of its six job rows
 here; the sixth, the event stream, the door polls through

@@ -20,6 +20,8 @@ Execution bookkeeping:
   as transient and **retried** with exponential backoff until the job's
   attempt budget is spent (crashed leases found at replay re-enter the
   same path);
+- a manager-side failure (a journal write error) is logged, and the worker
+  keeps leasing;
 - time spent inside the engine is tracked so
   ``HypeRService.serving_signals()`` can report background load to the
   interactive admission controller.
@@ -27,6 +29,7 @@ Execution bookkeeping:
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import TYPE_CHECKING, Any
@@ -39,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .manager import JobManager
 
 __all__ = ["JobExecutor"]
+
+_log = logging.getLogger(__name__)
 
 
 class JobExecutor:
@@ -84,9 +89,10 @@ class JobExecutor:
                 self._run(job)
             except Exception:  # noqa: BLE001 - a worker must never die
                 # _run handles job-level errors itself; anything escaping is
-                # manager-side (journal I/O after close during shutdown)
+                # manager-side (a journal write error): log it, keep leasing;
+                # journal I/O after close during shutdown is expected
                 if not self._stop.is_set():
-                    raise
+                    _log.exception("job %s: manager-side failure", job.job_id)
 
     def _run(self, job: "Job") -> None:
         manager = self.manager

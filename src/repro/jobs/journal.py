@@ -1,4 +1,6 @@
-"""Append-only JSONL write-ahead journal for the job service.
+"""Append-only JSONL write-ahead journal for the job service: CRC-framed
+records, fsync group commit, replay with torn-tail truncation, and atomic
+compaction.
 
 One record per line::
 

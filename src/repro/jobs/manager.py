@@ -1,4 +1,5 @@
-""":class:`JobManager` — journal + queue + executor + results, one façade.
+""":class:`JobManager` — journal + queue + executor + results, one façade:
+crash replay, submit / cancel / wait, event streams and GC.
 
 The manager owns the durable job table.  Every externally visible state
 transition is journaled *before* it is acknowledged:

@@ -1,4 +1,5 @@
-"""Per-client weighted fair priority queue with quotas.
+"""Per-client weighted fair priority queue with quotas on queued jobs,
+running leases and queued payload bytes, generation gating and retry backoff.
 
 Scheduling order is ``(priority, client virtual time, submit seq)``:
 

@@ -1,4 +1,7 @@
-"""Declarative query language: lexer and parser for the HypeR SQL extension.
+"""Declarative query language (paper §2.2, Figures 4 and 5): lexer, parser and
+unparser for the HypeR SQL extension — ``USE … WITH … WHEN … UPDATE() /
+HOWTOUPDATE … OUTPUT / TOMAXIMIZE … FOR … LIMIT`` — producing the query
+objects the programmatic API builds; a text is parsed once per shape.
 
 **Stable AST identity.**  The parser is deterministic: parsing the same text
 twice yields structurally identical query objects — same clause ordering,

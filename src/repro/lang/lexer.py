@@ -5,6 +5,12 @@ the operators ``Use``, ``When``, ``Update``, ``Output``, ``For``,
 ``HowToUpdate``, ``Limit``, ``ToMaximize`` / ``ToMinimize`` plus the value
 markers ``Pre(...)`` and ``Post(...)``.  The lexer turns query text into a
 stream of typed tokens; keywords are case-insensitive.
+
+A text is read in one pass: :func:`tokenize` walks one compiled pattern with
+``finditer``, one match per token with the whitespace and ``--`` comments
+before it, and a :class:`Token` is a ``NamedTuple``.  A number is
+decimal digits, so ``²`` is an illegal character, not a number ``float``
+rejects.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 The parser produces the programmatic query objects of :mod:`repro.core.queries`
 (``WhatIfQuery`` / ``HowToQuery``), so parsed and hand-constructed queries are
-interchangeable.
+interchangeable.  A text is a how-to exactly when it has a ``HOWTOUPDATE`` /
+``TOMAXIMIZE`` / ``TOMINIMIZE`` keyword *token* (the word in a string literal
+or a comment does not count), and every :class:`QuerySyntaxError` carries the
+offending token's position and line.
 
 Grammar (keywords case-insensitive)::
 

@@ -11,6 +11,14 @@ own literals reproduces its parse, ``repr`` for ``repr`` (verify-on-fill).
 The binder also records which literals sit only under a what-if's
 ``updates``, read off the probe's sentinels, so a text's key can leave them
 out (:meth:`ShapeMemo.parse_keyed`).
+
+A shape whose probe tokenizes otherwise (``LIMIT.5``) stays with the parser.
+A hit rebuilds every node but what the parser itself shares (``TRUE``), so no
+two parses share a mutable node; the cache is an LRU of
+:data:`SHAPE_CACHE_SIZE` shapes.  Per perf template text on a 2-vCPU x86 VM
+(min of 7 passes over 2 000 texts): ``tokenize`` 0.028 ms, ``parse_uncached``
+0.057 ms, ``parse_query`` 0.010 ms on a cached shape and 1.11×
+``parse_uncached`` on a shape's first sighting.
 """
 
 from __future__ import annotations

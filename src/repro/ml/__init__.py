@@ -1,9 +1,8 @@
-"""Estimation substrate: encoders, regressors, discretization, densities.
-
-Replaces the sklearn dependency of the original implementation with
-numpy-only regressors (CART trees, random forests, linear/ridge regression),
-feature encoders, bucketization helpers and frequency-table conditional
-probability estimators with the zero-support index described in the paper.
+"""Estimation substrate (paper §3.3, §5.2, A.4): NumPy-only regressors (CART
+trees, random forests, linear and ridge regression) in place of the original
+implementation's sklearn, feature encoders, equi-width and equi-depth
+bucketization (Figure 9), frequency-table conditional estimators with the
+paper's zero-support index, and estimation-quality metrics.
 """
 
 from .density import ConditionalMeanRegressor, FrequencyTable, make_regressor

@@ -1,18 +1,9 @@
-"""Observability: trace contexts, a metrics registry, and a slow-query log.
-
-The package is dependency-free and importable from every layer:
-
-* :mod:`repro.obs.trace` — request ids and hierarchical spans with
-  monotonic timings.  Spans are recorded only while a trace is *active*
-  (``activate(ctx)``); otherwise ``span(...)`` is a no-op, so untraced
-  requests pay a single context-variable read per instrumentation point.
-* :mod:`repro.obs.metrics` — thread-safe counters, gauges, and
-  log-bucketed histograms with Prometheus text exposition.  Derived
-  values (cache stats, MVCC stats, pool stats) are *callback collectors*
-  evaluated only at scrape time, declared once per owner as the
-  ``Figure`` rows its ``stats()`` is read off too.
-* :mod:`repro.obs.slowlog` — a bounded slow-query log keyed by plan
-  fingerprint, served by ``GET /v1/slow``.
+"""Observability (``docs/observability.md``): request ids and hierarchical trace
+spans, a thread-safe metrics registry with Prometheus text exposition whose
+series each owner declares once as ``Figure`` rows, and a bounded slow-query
+log — served at ``GET /v1/metrics`` and ``GET /v1/slow``, with ``?trace=1``
+embedding a request's span tree in its answer.  The package is
+dependency-free and importable from every layer.
 """
 
 from .metrics import (

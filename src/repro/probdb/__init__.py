@@ -1,9 +1,8 @@
-"""Probabilistic-database layer: possible worlds, blocks, decomposed aggregates.
-
-Implements the possible-world semantics (Definitions 1 and 3), the
-block-independent decomposition used as HypeR's main query-evaluation
-optimisation (Section 3.3), and the per-block composition of decomposable
-aggregates (Proposition 1).
+"""Probabilistic-database layer (paper §3.2, §3.3, Proposition 1): the
+possible-world semantics (Definitions 1 and 3), the block-independent
+decomposition that is HypeR's main query-evaluation optimisation — one
+labelling, :func:`~repro.probdb.blocks.block_labels`, serves every engine —
+and the per-block composition of decomposable aggregates.
 """
 
 from .blocks import Block, BlockDecomposition, decompose_into_blocks

@@ -1,10 +1,8 @@
-"""Relational substrate: schemas, relations, expressions, operators, views.
-
-This package is the storage and query-processing layer HypeR runs on.  It
-replaces the dataframe library used by the original implementation with a
-self-contained column-store relational engine providing exactly the operations
-the paper's ``Use`` operator and estimators need: typed domains, keys and
-mutability flags, selection/projection/join/group-by, Pre/Post-aware predicate
+"""Relational substrate (paper §2.1, §3.1): the storage and query-processing
+layer HypeR runs on, a self-contained column store in place of the original
+implementation's dataframe library, with exactly the operations the paper's
+``Use`` operator and estimators need: typed domains, keys and mutability
+flags, selection/projection/join/group-by, Pre/Post-aware predicate
 expressions, and decomposable aggregates.
 
 Semantics

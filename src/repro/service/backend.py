@@ -1,5 +1,8 @@
-"""What a serving backend is: the protocol the request core calls, and the
-one copy of the serving counters every backend carries.
+"""What a serving backend is: the ``ServiceBackend`` protocol the request core
+calls, and ``ServingCounters``, the one copy of what every backend shares —
+parsing a query, in-flight tracking, the slow-query log (keyed by plan digest
+on a service, by text on a coordinator) and the head of ``stats()`` with
+``hyper_generation``, ``hyper_uptime_seconds`` and ``hyper_inflight_peak``.
 
 The request core (:mod:`repro.api.endpoints`), both HTTP doors, admission
 control and the job service talk to a backend only through

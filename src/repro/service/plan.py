@@ -4,6 +4,8 @@ relevant view, fit the backdoor-adjusted estimator — for a
 :class:`~repro.service.state.EngineState`, over the service's caches.  A
 what-if's plan is a :class:`BoundPlan`, bound at its snapshot so later queries
 of its text key or plan group skip both (``docs/service.md``, "Bound plans").
+Its figure table reports the cache and regressor rows of ``stats()`` and the
+``hyper_cache_*`` series.
 """
 
 from __future__ import annotations

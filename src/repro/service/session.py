@@ -1,4 +1,7 @@
-"""The long-lived HypeR query service.
+"""The long-lived HypeR query service: ``HypeRService``'s ``execute``,
+``execute_many``, ``prepare`` and ``answer`` (the one answer path), the
+evaluation of plan groups, the pool's start and stop, and the ``stats()``
+sections after the shared head.
 
 :class:`HypeRService` is the "system that serves many queries" counterpart of
 the per-query :class:`repro.core.engine.HypeR` library facade.  It holds one

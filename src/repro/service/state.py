@@ -2,8 +2,9 @@
 what a :class:`~repro.service.session.HypeRService` snapshot holds, immutable
 once built.  A commit builds the next state (:meth:`EngineState.committed`,
 :meth:`EngineState.rebuilt`) with the columns it changed, which is all the
-caches and the shard pool are told (:class:`Snapshots`, the service's pins
-and commits).
+caches and the shard pool are told.  :class:`Snapshots`, which
+``HypeRService`` inherits, holds the service's pins (``retain``, ``release``,
+``pinned``) and commits (lock, install, evict, move the pool).
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
-"""Multi-version concurrency control for the query service.
+"""Multi-version concurrency control for the query service: the
+``VersionStore``, and the ``versions`` figures and ``hyper_mvcc_*`` series of
+its table.
 
 :class:`VersionStore` keeps the service's immutable per-generation engine
 snapshots under MVCC semantics: a *commit* installs a new latest snapshot

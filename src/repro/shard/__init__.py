@@ -1,13 +1,10 @@
-"""Process-parallel execution: a pool of workers, each a whole query service.
-
-* :mod:`~repro.shard.pool` — a persistent ``multiprocessing`` worker pool
-  (stdlib only) with the snapshot mapped once per worker; every worker is a
-  :class:`~repro.service.session.HypeRService`, and whole queries, what-if and
-  how-to alike, one or a batch, are dealt to workers by plan and answered
-  there, so estimator fits run off the GIL and answers are the unsharded
-  engine's by construction;
-* :mod:`~repro.shard.shm` — the shared-memory transport of the snapshot and
-  of each commit's changed columns.
+"""Process-parallel execution (``docs/service.md``, "Shard-parallel execution";
+Proposition 1 as an execution boundary): a persistent pool of worker
+processes, each a whole :class:`~repro.service.session.HypeRService` over the
+snapshot mapped once through shared memory, to which whole queries are dealt
+by plan, so estimator fits run off the GIL and answers are the unsharded
+engine's by construction.  ``HypeRService(execution="processes",
+n_shards=...)`` drives it.
 
 Kept until ROADMAP 1(d) only because ``perf/`` imports them, the row-scatter
 of one what-if along the block decomposition (Proposition 1):
@@ -16,10 +13,6 @@ of one what-if along the block decomposition (Proposition 1):
 ``kind="whatif"`` leg) and the associative merge
 (:func:`~repro.shard.merge.merge_what_if`) that folds partials into an answer
 **bitwise equal** to the unsharded path.
-
-The service layer (:mod:`repro.service`) drives the pool through
-``HypeRService(execution="processes", n_shards=...)``; see
-``docs/service.md`` for the worker lifecycle and the pickling boundary.
 """
 
 from .local import what_if_partial

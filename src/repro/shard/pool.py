@@ -1,4 +1,6 @@
-"""A persistent multiprocessing pool of shard workers (stdlib only).
+"""A persistent multiprocessing pool of shard workers (stdlib only):
+``ShardPool``, its life cycle, and the ``pool`` figures and ``hyper_pool_*``
+and shm series of its table.
 
 Every worker process is a :class:`~repro.service.session.HypeRService` of its
 own over the full database snapshot, which is transferred **once** at start-up

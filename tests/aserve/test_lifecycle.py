@@ -118,7 +118,7 @@ def test_a_shard_node_and_a_coordinator_answer_and_drain(tmp_path):
     config.write_text(json.dumps({
         "n_shards": 1,
         "nodes": [{"host": "127.0.0.1", "port": free_port()}],
-        "coordinator": {"host": "127.0.0.1", "port": free_port()},
+        "coordinator": {"host": "127.0.0.1", "port": 0},
     }))
     role = ("--cluster-config", str(config), "--role")
     node, _ = spawn_serve(*role, "shard", "--node-index", "0", "--warm-query",

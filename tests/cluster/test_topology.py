@@ -90,7 +90,18 @@ class TestTopology:
     @pytest.mark.parametrize("port", [0, -4, 65536])
     def test_bad_port_rejected(self, port):
         with pytest.raises(TopologyError):
-            NodeAddress("127.0.0.1", port)
+            ClusterTopology(n_shards=1, nodes=(NodeAddress("127.0.0.1", port),))
+
+    def test_a_coordinator_may_bind_an_ephemeral_port(self):
+        payload = {"n_shards": 1, "nodes": [NODE], "coordinator": {"host": "127.0.0.1", "port": 0}}
+        topology = ClusterTopology.from_json(payload)
+        assert topology.coordinator == NodeAddress("127.0.0.1", 0)
+        assert topology.to_json() == payload
+
+    def test_a_node_may_not_take_port_zero(self):
+        payload = {"n_shards": 1, "nodes": [NODE, {"host": "127.0.0.1", "port": 0}]}
+        with pytest.raises(TopologyError, match="node port 0: a node must be dialable"):
+            ClusterTopology.from_json(payload)
 
 
 NODE = {"host": "127.0.0.1", "port": 9001}

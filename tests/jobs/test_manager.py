@@ -118,6 +118,25 @@ class TestExecution:
             assert payload["results"][1]["error"]["code"] == "query_syntax"
             assert "result" in payload["results"][2]
 
+    def test_a_journal_error_at_a_finish_keeps_the_worker_alive(
+        self, service, tmp_path, monkeypatch, caplog
+    ):
+        append, failed = Journal.append, []
+
+        def append_failing_one_finish(journal, record_type, job_id, data, **kwargs):
+            if record_type == "finish" and not failed:
+                failed.append(job_id)
+                raise OSError(28, "No space left on device")
+            return append(journal, record_type, job_id, data, **kwargs)
+
+        with make_manager(service, tmp_path, n_workers=1) as manager:
+            monkeypatch.setattr(Journal, "append", append_failing_one_finish)
+            first = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+            second = manager.submit(client_id="c1", kind="query", queries=[AVG_TEXT])
+            assert manager.wait(second.job_id, timeout=60).state == "succeeded"
+        assert failed == [first.job_id]
+        assert f"job {first.job_id}: manager-side failure" in caplog.text
+
     def test_deterministic_failure_is_not_retried(self, service, tmp_path):
         with make_manager(service, tmp_path) as manager:
             job = manager.submit(client_id="c1", kind="query", queries=["NOT A QUERY"])

@@ -124,9 +124,6 @@ ALLOWLIST: list[tuple[str, str, str]] = [
     ("repro.jobs.api:poll_events", '404, ErrorEnvelope("not_found", f"unknown job {job_id!r}")', _RACE),
     ("repro.jobs.api:poll_events", ") from None", _RACE),
     ("repro.jobs.executor:JobExecutor._execute", "return None", _RACE),
-    ("repro.jobs.executor:JobExecutor._worker", "except Exception:  # noqa: BLE001 - a worker must never die", "the journal failing under a worker after close"),
-    ("repro.jobs.executor:JobExecutor._worker", "if not self._stop.is_set():", "the journal failing under a worker after close"),
-    ("repro.jobs.executor:JobExecutor._worker", "raise", "the journal failing under a worker after close"),
     ("repro.jobs.manager:JobManager._gc_loop", "except Exception:  # noqa: BLE001 - the sweeper must survive", "the journal failing under the sweeper"),
     ("repro.jobs.manager:JobManager._gc_loop", "if self._closed:", "the journal failing under the sweeper"),
     ("repro.jobs.manager:JobManager._gc_loop", "return", "the journal failing under the sweeper"),
