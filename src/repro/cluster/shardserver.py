@@ -16,11 +16,13 @@ internal rows (:meth:`ShardServer.endpoints`) on the asyncio front door:
 * ``POST /v1/partial`` — one leg at a named generation, on the ``admitted``
   lane exactly like ``/v1/query`` (a leg competes with local public queries
   for the same executor).  ``kind="answers"`` moves the queries to the data:
-  whole what-ifs and how-tos (``"exhaustive"`` rides the leg) are answered by
-  the node's service *at* the named generation ``g`` — the leg is an ordinary
-  snapshot reader pinned at ``g`` — and one scalar answer, or error envelope,
-  per query comes back.  When the node is already past ``g`` (mid-flip, ahead
-  of the coordinator) the body says ``"retained": true``; a generation the
+  the texts of whole what-ifs and how-tos (``"exhaustive"`` rides the leg)
+  are keyed (:func:`~repro.lang.parser.parse_keyed`) and answered by the
+  node's service *at* the named generation ``g`` — the leg is an ordinary
+  snapshot reader pinned at ``g``, and a text of a key the node has bound at
+  ``g`` binds that plan, one fingerprint per key per snapshot — and one
+  scalar answer, or error envelope, per query comes back.  When the node is
+  already past ``g`` (mid-flip, ahead of the coordinator) the body says ``"retained": true``; a generation the
   node no longer pins answers ``409 stale_generation`` so the coordinator
   fails over.  ``kind="whatif"``, one row-scatter partial of one what-if on
   the node's shard slice, answered at the node's latest generation, has no
@@ -204,12 +206,7 @@ class ShardServer:
         """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
-        parsed: list[Any] = []
-        for text in texts:
-            try:
-                parsed.append(self.service.parse(text))
-            except Exception as error:  # noqa: BLE001 - reported per query
-                parsed.append(error)
+        parsed, keys = self.service.keyed_many(texts)
         try:
             # the leg's own pin: ``generation`` stays live until its last answer
             snapshot = self.service.retain(generation)
@@ -225,7 +222,8 @@ class ShardServer:
         try:
             with obs_trace.span("cluster.partial", kind="answers", shard=self.shard_index):
                 outcomes = self.service.answer(
-                    parsed, exhaustive=exhaustive, generation=generation, around_group=checked
+                    parsed, keys=keys, texts=texts, exhaustive=exhaustive,
+                    generation=generation, around_group=checked,
                 )
         finally:
             self.service.release(snapshot)

@@ -264,21 +264,11 @@ class PostUpdateEstimator:
             return build()
         return self.kernels.get((*key, self._rows_token), build, reads)
 
-    def encode_updates(self, variants: Sequence[Mapping[str, Sequence[Any]]]) -> dict:
-        """k variants' post values of each update attribute at some rows, encoded
-        as the regressors read them: one ``(k, rows, width)`` block per attribute,
-        each variant's slice encoded as a lone variant's is.
-
-        Every regressor of this estimator shares the encoder its first fit
-        built, so one encoding serves the count and the sum regressor alike.
-        """
-        blocks = {}
-        for a in self.update_attributes:
-            encoder = self._encoder.encoders[a]
-            block = blocks[a] = np.empty((len(variants), len(variants[0][a]), encoder.width))
-            for out, values in zip(block, variants):
-                encoder.transform_into(values[a], out)
-        return blocks
+    def encoder(self, attribute: str) -> ColumnEncoder:
+        """``attribute``'s encoder, built by this estimator's first fit: every
+        regressor of it shares one, so one encoding of the update attribute's post
+        values serves the count and the sum regressor alike."""
+        return self._encoder.encoders[attribute]
 
     def predict_rows(
         self,
@@ -295,7 +285,7 @@ class PostUpdateEstimator:
 
         ``view`` is this estimator's view or a row subset of it (a shard's
         local view), and ``updated`` the update attributes' post values at
-        ``idx`` for k variants, encoded (:meth:`encode_updates`): the
+        ``idx`` for k variants, encoded (:func:`repro.core.whatif.encode_post`): the
         prediction is ``(k, len(idx))``.  What the backdoor
         covariates contribute at a row set — a linear regressor's
         ``intercept + sum of X_c * beta_c``, a forest's encoded blocks — does
@@ -391,7 +381,7 @@ class PostUpdateEstimator:
     def _training_block(self, attribute: str) -> np.ndarray:
         """``attribute``'s encoded block at the training rows, column-major (its stored
         column itself for a float column without NaN when every row trains)."""
-        encode = self._encoder.encoders[attribute].block
+        encode = self.encoder(attribute).block
         build = lambda: np.asfortranarray(encode(self._training_values(attribute)))  # noqa: E731
         return self._memo(("train", attribute), build, (attribute,))
 

@@ -35,9 +35,10 @@ class UpdateFunction:
     Each function defines ``apply(value)`` and ``describe()``, its text."""
 
     def apply_vectorized(
-        self, values: np.ndarray, mask: np.ndarray | None = None
+        self, values: np.ndarray, mask: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray | None:
-        """Whole-column application where ``mask`` holds (``None``: every entry),
+        """Whole-column application where ``mask`` holds (``None``: every entry,
+        written into ``out`` when given, a float array of ``values``' length),
         or ``None`` when the function has no vectorized form (callers fall back
         to :meth:`apply`)."""
         return None
@@ -77,14 +78,17 @@ class SetTo(UpdateFunction):
         return self.value
 
     def apply_vectorized(
-        self, values: np.ndarray, mask: np.ndarray | None = None
+        self, values: np.ndarray, mask: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray | None:
         if not isinstance(self.value, (int, float, np.integer, np.floating)) or isinstance(
             self.value, bool
         ):
             return None
         if mask is None:
-            return np.full(len(values), float(self.value))
+            if out is None:
+                out = np.empty(len(values))
+            out.fill(float(self.value))
+            return out
         return np.where(mask, float(self.value), values)
 
     def describe(self) -> str:
@@ -105,10 +109,10 @@ class AddConstant(UpdateFunction):
         return value + self.delta
 
     def apply_vectorized(
-        self, values: np.ndarray, mask: np.ndarray | None = None
+        self, values: np.ndarray, mask: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray | None:
         if mask is None:
-            return values + self.delta
+            return np.add(values, self.delta, out=out)
         return np.where(mask, values + self.delta, values)
 
     def describe(self) -> str:
@@ -125,10 +129,10 @@ class MultiplyBy(UpdateFunction):
         return value * self.factor
 
     def apply_vectorized(
-        self, values: np.ndarray, mask: np.ndarray | None = None
+        self, values: np.ndarray, mask: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray | None:
         if mask is None:
-            return values * self.factor
+            return np.multiply(values, self.factor, out=out)
         return np.where(mask, values * self.factor, values)
 
     def describe(self) -> str:

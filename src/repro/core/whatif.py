@@ -31,6 +31,7 @@ import numpy as np
 
 from ..causal.dag import CausalDAG
 from ..exceptions import QuerySemanticsError
+from ..ml.encoding import ColumnEncoder
 from ..probdb.blocks import block_labels
 from ..relational.aggregates import get_aggregate
 from ..relational.columnar import KernelCache
@@ -47,7 +48,7 @@ from .config import EngineConfig, Variant
 from .estimator import PostUpdateEstimator, build_view_dag
 from .queries import HowToQuery, WhatIfQuery
 from .results import LazyBlockContributions, WhatIfResult
-from .updates import AttributeUpdate, apply_update_column
+from .updates import AttributeUpdate, UpdateFunction, apply_update_column
 
 __all__ = [
     "Contributions",
@@ -55,6 +56,7 @@ __all__ = [
     "WhatIfEngine",
     "causal_contribution_rows",
     "combine_aggregate",
+    "encode_post",
     "block_contribution_summary",
     "validate_query",
     "finalize_what_if",
@@ -374,6 +376,32 @@ def term_rows(query: WhatIfQuery | HowToQuery, prepared: PreparedWhatIf) -> np.n
     return _term_rows(prepared, query.when.canonical(), _pre_masks(prepared))
 
 
+def encode_post(
+    encoder: ColumnEncoder, pre: np.ndarray, functions: Sequence[UpdateFunction | None]
+) -> np.ndarray:
+    """k variants' post values of one update attribute, ``f(pre)`` (no function: a
+    how-to's baseline, ``pre``), encoded as the regressors read them: one
+    ``(k, len(pre), width)`` block, each variant's slice as it encodes alone.
+
+    A numeric encoder over float ``pre`` takes each vectorized ``f(pre)`` straight
+    into its slice (:meth:`~repro.core.updates.UpdateFunction.apply_vectorized`'s
+    ``out``) and fills the block's NaN with its mean once, where a lone variant
+    is filled alike; a one-hot encoder, or a function with no vectorized form,
+    encodes its variant's values on their own.
+    """
+    block = np.empty((len(functions), len(pre), encoder.width))
+    direct = encoder.numeric and isinstance(pre, np.ndarray) and pre.dtype.kind == "f"
+    for out, function in zip(block, functions):
+        if direct and function is None:
+            np.copyto(out[:, 0], pre)
+        elif not direct or function.apply_vectorized(pre, out=out[:, 0]) is None:
+            post = pre if function is None else apply_update_column(function, pre)
+            encoder.transform_into(post, out)
+    if direct and np.isnan(block.min()):
+        block[np.isnan(block)] = encoder.fill_value
+    return block
+
+
 def causal_contribution_rows(
     query: WhatIfQuery | HowToQuery,
     prepared: PreparedWhatIf,
@@ -428,19 +456,16 @@ def causal_contribution_rows(
 
     def encoded_post(idx: np.ndarray, idx_token: Hashable) -> dict[str, np.ndarray]:
         # every variant's post values at a term's rows, every one in scope
-        pre = {}
+        blocks = {}
         for attribute in estimator.update_attributes:
             column = view.column_view(attribute)
-            pre[attribute] = column if len(idx) == n else _derive(
+            pre = column if len(idx) == n else _derive(
                 kernels, ("pre", attribute, idx_token), lambda: column[idx], (attribute, *reads)
             )
-        return estimator.encode_updates([
-            {  # no function: a how-to leaves the attribute as it is
-                a: values if a not in functions else apply_update_column(functions[a], values)
-                for a, values in pre.items()
-            }
-            for functions in variants
-        ])
+            blocks[attribute] = encode_post(
+                estimator.encoder(attribute), pre, [f.get(attribute) for f in variants]
+            )
+        return blocks
 
     output_values = _derive(
         kernels,

@@ -2,20 +2,8 @@
 crash replay, submit / cancel / wait, event streams and GC.
 
 The manager owns the durable job table.  Every externally visible state
-transition is journaled *before* it is acknowledged:
-
-========================  =========================================================
-record                    meaning
-========================  =========================================================
-``submit``                the job exists (fsynced before ``POST /v1/jobs`` answers)
-``lease``                 attempt *n* started (fsynced — crash ⇒ replay retries)
-``progress``              checkpoint after each query (unsynced; loss = re-run)
-``cancel_request``        cancellation asked while running
-``finish``                terminal state + result payload (fsynced)
-``result_gc``             a retained result expired or was evicted (unsynced)
-``drop``                  a terminal job aged out of the status table
-``snapshot``              compaction record: one live job's full state
-========================  =========================================================
+transition is journaled *before* it is acknowledged; ``docs/jobs.md``, "The
+journal", lists the records and which are fsynced.
 
 **Replay** (:meth:`JobManager.open`) folds the records back into the job
 table: queued jobs re-enter the queue, running jobs become *crashed leases*
@@ -544,14 +532,15 @@ class JobManager(Reported):
     ) -> None:
         """Terminal transition; caller holds ``_cond``.
 
+        The ``finish`` record is journaled first: if the append raises, the
+        job is untouched — still ``running`` under its lease, no result
+        stored — and the next :meth:`open` replays it as a crashed lease.
+
         ``release_lease=False`` is for jobs that were never leased (a cancel
         while still queued) — releasing a lease they don't hold would steal
         a running-count slot from one of the client's live leases.
         """
-        job.state = state
-        job.finished_unix = time.time()
-        if release_lease:
-            self.queue.finish(job)
+        finished_unix = time.time()
         stored_result = None
         if result is not None:
             stored_result = {
@@ -564,7 +553,7 @@ class JobManager(Reported):
             job.job_id,
             {
                 "state": state,
-                "finished_unix": job.finished_unix,
+                "finished_unix": finished_unix,
                 "generation": job.generation,
                 "completed": job.completed,
                 "error": job.error,
@@ -572,6 +561,10 @@ class JobManager(Reported):
                 "result": stored_result,
             },
         )
+        job.state = state
+        job.finished_unix = finished_unix
+        if release_lease:
+            self.queue.finish(job)
         if stored_result is not None:
             evicted = self.results.put(
                 job.job_id, job.client_id, stored_result, now=job.finished_unix

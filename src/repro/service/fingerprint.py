@@ -184,6 +184,18 @@ class PlanFingerprint:
     #: (the service's cache tags); empty when taken without ``reads``
     columns: frozenset = field(default=frozenset(), compare=False)
 
+    def bind(self, query: WhatIfQuery) -> "PlanFingerprint":
+        """The fingerprint of ``query``, a what-if of this fingerprint's text key
+        (:func:`~repro.lang.parser.parse_keyed`): this one, with ``query``'s update
+        constants.  Texts of one key differ in nothing else."""
+        return PlanFingerprint(
+            "what-if",
+            self.estimator_key,
+            self.plan_key,
+            (update_key(query.updates), *self.parameter_key[1:]),
+            self.columns,
+        )
+
     @property
     def query_key(self) -> Hashable:
         """Exact query identity (plan plus parameters)."""

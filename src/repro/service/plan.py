@@ -28,15 +28,15 @@ from ..relational.columnar import KernelCache
 from ..relational.relation import Relation
 from ..relational.view import UseSpec
 from .cache import CacheStats, HashedKey, QueryCaches
-from .fingerprint import PlanFingerprint, fingerprint_query, update_key
+from .fingerprint import PlanFingerprint, fingerprint_query
 from .state import EngineState
 
 __all__ = ["BoundPlan", "PlanCompiler"]
 
 Query = WhatIfQuery | HowToQuery
 
-#: bound plans one snapshot keeps, by text key and by plan group, the oldest
-#: dropped first; they go with their snapshot
+#: bound plans one snapshot keeps, by text key and by plan group, and text keys'
+#: fingerprints, the oldest dropped first; they go with their snapshot
 _BOUND_PLANS = 64
 
 
@@ -55,16 +55,9 @@ class BoundPlan:
     what_if: PreparedWhatIf | None = None
 
     def bind(self, query: WhatIfQuery) -> PlanFingerprint:
-        """The fingerprint of ``query``, a what-if of this plan's text key: this
-        plan's, with ``query``'s update constants."""
-        fingerprint = self.fingerprint
-        return PlanFingerprint(
-            "what-if",
-            fingerprint.estimator_key,
-            fingerprint.plan_key,
-            (update_key(query.updates), *fingerprint.parameter_key[1:]),
-            fingerprint.columns,
-        )
+        """The fingerprint of ``query``, a what-if of this plan's text key
+        (:meth:`PlanFingerprint.bind`)."""
+        return self.fingerprint.bind(query)
 
 
 def _per_cache(key: str, metric: str, kind: str) -> Figure:
@@ -114,6 +107,23 @@ class PlanCompiler(Reported):
             dag_identity=state.dag_identity,
             reads=partial(state.plan_generations, query),
         )
+
+    def keyed(self, state: EngineState, query: Query, key: Hashable) -> PlanFingerprint:
+        """``query``'s fingerprint at ``state``, taken once per text ``key`` per
+        snapshot (``EngineState.memo``): a later text of the key binds it
+        (:meth:`PlanFingerprint.bind`).  ``None``: taken each time."""
+        if key is None:
+            return self.fingerprint(state, query)
+        texts = state.memo.setdefault("texts", {})
+        found = texts.get(key)
+        if found is not None:
+            return found.bind(query)
+        fingerprint = self.fingerprint(state, query)
+        with self._lock:
+            if len(texts) >= _BOUND_PLANS:
+                del texts[next(iter(texts))]
+            texts[key] = fingerprint
+        return fingerprint
 
     def result_key(
         self, state: EngineState, fingerprint: PlanFingerprint, exhaustive: bool

@@ -7,11 +7,11 @@ sections after the shared head.
 the per-query :class:`repro.core.engine.HypeR` library facade.  It holds one
 database + causal DAG + engine configuration and answers every query through
 one path, :meth:`HypeRService.answer`: it pins one snapshot, fingerprints each
-query once (a what-if text of a bound key not at all), binds plans, reads and
-writes the result cache and logs completions.  ``execute`` is a call of it
-with one query, ``execute_many`` one with the batch, whose plan groups run on
-a thread pool (``execution="threads"``, the default) or cross a persistent
-:class:`~repro.shard.pool.ShardPool` of worker processes
+query at most once (a what-if text of a key seen at the snapshot binds the
+key's), binds plans, reads and writes the result cache and logs completions.
+``execute`` is a call of it with one query, ``execute_many`` one with the
+batch, whose plan groups run on a thread pool (``execution="threads"``, the
+default) or cross a persistent :class:`~repro.shard.pool.ShardPool` of worker processes
 (``execution="processes"``), each itself a ``HypeRService`` over the full
 snapshot, so every answer is bitwise the single-process path's.
 
@@ -218,6 +218,24 @@ class HypeRService(ServingCounters, Snapshots):
         parsed, key = parse_keyed(query, eager)
         return parsed, key if isinstance(parsed, WhatIfQuery) else None
 
+    def keyed_many(
+        self, queries: Sequence[str | Query], *, return_errors: bool = True
+    ) -> tuple[list[Query | Exception], list[Hashable]]:
+        """Each of ``queries`` parsed, and its text key (:meth:`answer`'s ``keys``);
+        one that fails to parse yields its error, or raises it without ``return_errors``."""
+        parsed: list[Query | Exception] = []
+        keys: list[Hashable] = []
+        for query in queries:
+            try:
+                entry, key = self._keyed(query)
+            except Exception as error:  # noqa: BLE001 - captured per query
+                if not return_errors:
+                    raise
+                entry, key = error, None
+            parsed.append(entry)
+            keys.append(key)
+        return parsed, keys
+
     def fingerprint(self, query: str | Query) -> PlanFingerprint:
         """The canonical plan fingerprint of ``query`` at the current generation."""
         return self.compiler.fingerprint(self._state, self._as_query(query))
@@ -272,7 +290,7 @@ class HypeRService(ServingCounters, Snapshots):
             with self._track("query"):
                 (outcome,) = self.answer(
                     [parsed], keys=[key], texts=[query], exhaustive=exhaustive,
-                    generation=generation,
+                    generation=generation, tracked=False,
                 )
         if isinstance(outcome, Exception):
             raise outcome
@@ -298,28 +316,28 @@ class HypeRService(ServingCounters, Snapshots):
         In ``threads`` mode the groups run concurrently on up to
         ``max_workers`` threads.  In ``processes`` mode the whole batch
         crosses the shard pool in a single scatter round-trip — each query
-        dealt whole to one worker, which answers its share group by group.
+        dealt whole to one worker, which answers its share group by group —
+        and a what-if text's fingerprint is taken once per text key per
+        snapshot (:meth:`~repro.service.plan.PlanCompiler.keyed`), the key's
+        other texts binding it.
         Either way the batch reads one pinned snapshot.  With
         ``return_errors=True`` a failing query yields its exception in the
         result list while the rest of the batch completes normally (the HTTP
         ``/batch`` endpoint uses this); with the default, the first failure
         propagates at the end.
         """
-        parsed: list[Query | Exception] = []
-        for query in queries:
-            try:
-                parsed.append(self._as_query(query))
-            except Exception as error:  # noqa: BLE001 - captured per query
-                if not return_errors:
-                    raise
-                parsed.append(error)
+        parsed, keys = self.keyed_many(queries, return_errors=return_errors)
         self._m_batches.inc()
         # units=0: per-query in-flight is tracked around each group's
         # evaluation or the pool crossing; the batch wrapper contributes only
         # its latency sum.
         with self._track("batch", units=0):
             results = self.answer(
-                parsed, max_workers=max_workers or self.max_workers or default_max_workers()
+                parsed,
+                # a threads batch binds its plan groups, each query fingerprinted
+                keys=keys if self._pool is not None else None,
+                texts=queries,
+                max_workers=max_workers or self.max_workers or default_max_workers(),
             )
         return results if return_errors else raise_first_error(results)
 
@@ -333,6 +351,7 @@ class HypeRService(ServingCounters, Snapshots):
         generation: int | None = None,
         max_workers: int | None = None,
         around_group: Callable[[Callable[[], list]], list] | None = None,
+        tracked: bool = True,
     ) -> list[Result | Exception]:
         """Answer parsed queries under one pinned snapshot, each outcome in its slot.
 
@@ -350,10 +369,13 @@ class HypeRService(ServingCounters, Snapshots):
         a pool worker times it, a cluster node checks its request deadline
         first; what it raises is the outcome of each of the step's queries.
 
-        ``keys`` and ``texts`` are :meth:`execute`'s, one per query: the text
-        key a what-if's plan is bound under (``None``: unbound), so a text of
-        a bound key skips its fingerprint, and the caller's text for the slow
-        log.  A call with ``keys`` is tracked whole by its caller, not per step.
+        ``keys`` and ``texts`` are one per query: the text key a what-if's
+        plan is bound under (``None``: unbound), so a text of a bound key
+        skips its fingerprint, and of a seen key binds the key's
+        (:meth:`~repro.service.plan.PlanCompiler.keyed`); and the caller's
+        text (or query object), which crosses the shard pool and names the
+        query in the slow log.  ``tracked=False``: the caller tracks the call
+        whole, not per step.
         """
         results: list[Result | Exception] = list(queries)
         texts = queries if texts is None else texts
@@ -361,14 +383,14 @@ class HypeRService(ServingCounters, Snapshots):
         with self.pinned(generation) as state:
             started = time.perf_counter()
             entries = []
-            fingerprint_of = self.compiler.fingerprint
+            keyed = self.compiler.keyed
             for index, query in enumerate(queries):
                 if isinstance(query, Exception):
                     continue
                 key = None if keys is None else keys[index]
                 plan = None if key is None else state.plans.get(key)
                 with obs_trace.span("fingerprint"):
-                    fingerprint = plan.bind(query) if plan else fingerprint_of(state, query)
+                    fingerprint = plan.bind(query) if plan else keyed(state, query, key)
                 entries.append((index, query, fingerprint, key, plan))
             caching = self._result_cache_enabled
             with obs_trace.span("cache.result") if caching else nullcontext() as cache_span:
@@ -397,7 +419,7 @@ class HypeRService(ServingCounters, Snapshots):
                     # one crossing, binding nothing; workers group their shares
                     crossing = (None, [entry for _bind, group in steps for entry in group])
                     outcomes, elapsed = self._step(
-                        state, exhaustive, self._pool, around_group, keys is None, crossing
+                        state, exhaustive, self._pool, around_group, tracked, texts, crossing
                     )
                     if outcomes is None:  # the pool moved past the snapshot: in process
                         self._m_pinned_fallbacks.inc(len(crossing[1]))
@@ -405,7 +427,9 @@ class HypeRService(ServingCounters, Snapshots):
                         steps, ran = [crossing], [(outcomes, elapsed)]
                         found += missed
                 if ran is None:
-                    step = partial(self._step, state, exhaustive, None, around_group, keys is None)
+                    step = partial(
+                        self._step, state, exhaustive, None, around_group, tracked, texts
+                    )
                     workers = min(max_workers or 1, len(steps))
                     if workers > 1:
                         with ThreadPoolExecutor(max_workers=workers) as threads:
@@ -432,6 +456,7 @@ class HypeRService(ServingCounters, Snapshots):
         pool: "ShardPool | None",
         around_group: Callable[[Callable[[], list]], list] | None,
         tracked: bool,
+        texts: Sequence[str | Query],
         step: tuple[Hashable, list[tuple[int, Query, PlanFingerprint, Hashable]]],
     ) -> tuple[list[Result | Exception] | None, float]:
         """One step of :meth:`answer` and how long it took: a plan group, its
@@ -439,7 +464,7 @@ class HypeRService(ServingCounters, Snapshots):
         batch), whose outcomes are ``None`` if the pool refused it."""
         bind, entries = step
         n = len(entries)
-        evaluate = partial(self._evaluate, state, entries, exhaustive, pool, bind)
+        evaluate = partial(self._evaluate, state, entries, exhaustive, pool, bind, texts)
         # in process each query waits its group out
         track = ("query", n, n) if pool is None else ("shard_batch", n, 1)
         started = time.perf_counter()
@@ -460,16 +485,21 @@ class HypeRService(ServingCounters, Snapshots):
         exhaustive: bool,
         pool: "ShardPool | None",
         bind: Hashable,
+        texts: Sequence[str | Query],
     ) -> list[Result | Exception] | None:
         """The outcomes of a batch's misses through ``pool`` (``None``: a commit
         moved the pool past ``state``), or of one plan group: each distinct
         query once, a group's what-ifs in one stacked call — or, if that fails,
         each alone, so a failure is its own query's, own envelope.  A what-if
         group runs its plan bound under ``bind``
-        (:meth:`~repro.service.plan.PlanCompiler.plan`)."""
+        (:meth:`~repro.service.plan.PlanCompiler.plan`).  A query crosses the
+        pool as its text (a query object if the caller passed one)."""
         if pool is not None:
             return pool.run_batch(
-                [query for _index, query, _fingerprint, _key in entries],
+                [
+                    texts[index] if isinstance(texts[index], str) else query
+                    for index, query, _fingerprint, _key in entries
+                ],
                 return_errors=True,
                 fingerprints=[fingerprint for _i, _q, fingerprint, _k in entries],
                 exhaustive=exhaustive,

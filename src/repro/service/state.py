@@ -74,7 +74,8 @@ class EngineState:
     #: what each plan or view reads: schema and DAG facts only, so a commit
     #: that changes neither hands the dict on
     reads: dict = field(default_factory=dict)
-    #: this state's keys, built on first use
+    #: this state's keys, built on first use, and under ``"texts"`` the
+    #: fingerprint of each text key (:meth:`~repro.service.plan.PlanCompiler.keyed`)
     memo: dict = field(default_factory=dict)
     #: this state's bound plans (:class:`~repro.service.plan.BoundPlan`), by
     #: text key and by plan group

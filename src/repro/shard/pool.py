@@ -6,13 +6,15 @@ Every worker process is a :class:`~repro.service.session.HypeRService` of its
 own over the full database snapshot, which is transferred **once** at start-up
 (one shared-memory segment when available, else by copy-on-write under
 ``fork`` or by pickle under ``spawn``), never per query.  A query moves to the
-data: it travels whole, as a small pickled task message, to the one worker its
-plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`), whose
-service answers its share of the batch one plan group at a time
-(:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`)
-and sends scalars back — a single query is a batch of one, a how-to travels
-like a what-if, and every crossing, query or commit, goes through one loop
-(``ShardPool._scatter``).
+data: its text crosses, in one small pickled task message per worker, to the
+one worker its plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`),
+whose service keys it (:func:`~repro.lang.parser.parse_keyed`), binds the plan
+it holds for that text key at its snapshot — one fingerprint per key per
+snapshot — and answers its share of the batch one plan group at a time
+(:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`),
+sending scalars back.  A query object crosses as itself; a single query is a
+batch of one, a how-to travels like a what-if, and every crossing, query or
+commit, goes through one loop (``ShardPool._scatter``).
 Database commits move the running workers forward *in place*
 (:meth:`ShardPool.apply_update`): of each changed relation only the columns
 that are not the previous generation's own cross the process boundary, each
@@ -52,6 +54,7 @@ from ..core.config import EngineConfig
 from ..core.queries import HowToQuery, WhatIfQuery
 from ..core.results import WhatIfResult
 from ..exceptions import HypeRError, QuerySemanticsError, QuerySyntaxError
+from ..lang.parser import parse_query
 from ..obs import trace as obs_trace
 from ..obs.metrics import Figure, Reported
 from ..relational.columnar import (
@@ -111,15 +114,20 @@ class ShardWorkerRuntime:
     def handle(self, kind: str, payload: Any) -> Any:
         """Serve one task: a ``batch`` of queries, a commit, or a ``ping``.
 
-        The service answers a batch one plan group at a time
+        A batch's texts are keyed (:meth:`HypeRService.keyed_many
+        <repro.service.session.HypeRService.keyed_many>`), so a text of a key
+        this worker has bound skips its fingerprint, and the service answers
+        them one plan group at a time
         (:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`)
         in a fresh context, so an inline worker records no spans into the
         caller's trace; each group ships one worker span instead (:meth:`_timed`).
         """
         if kind == "batch":
-            queries, exhaustive = payload
+            items, exhaustive = payload
+            queries, keys = self.service.keyed_many(items)
             outcomes = contextvars.Context().run(
-                self.service.answer, queries, exhaustive=exhaustive, around_group=self._timed
+                self.service.answer, queries, keys=keys, texts=items, exhaustive=exhaustive,
+                around_group=self._timed,
             )
             return [
                 (False, _describe_error(out)) if isinstance(out, Exception) else (True, out)
@@ -209,6 +217,10 @@ class ShardWorkerRuntime:
             service.update_causal_dag(payload["causal_dag"])
         elif payload.get("clear_caches"):
             service.invalidate()
+
+
+def _parsed(query: str | WhatIfQuery | HowToQuery) -> WhatIfQuery | HowToQuery:
+    return parse_query(query) if isinstance(query, str) else query
 
 
 def _describe_error(error: BaseException) -> tuple[str, str, str]:
@@ -730,7 +742,7 @@ class ShardPool(Reported):
 
     def run_batch(
         self,
-        queries: Sequence[WhatIfQuery | HowToQuery | Exception],
+        queries: Sequence[str | WhatIfQuery | HowToQuery | Exception],
         *,
         return_errors: bool = False,
         fingerprints: Sequence[PlanFingerprint] | None = None,
@@ -739,7 +751,8 @@ class ShardPool(Reported):
     ) -> list[Any] | None:
         """Answer a batch with one scatter round-trip: whole queries, dealt by plan.
 
-        Every query, what-if or how-to, is dealt to a worker by plan
+        A query is its text or its object, and crosses as it is.  Every
+        query, what-if or how-to, is dealt to a worker by plan
         (:meth:`PlanDealer.deal <repro.service.fingerprint.PlanDealer.deal>` —
         a plan's queries go to the worker that has it fitted, so a commit
         costs one refit per plan, not one per plan and worker) by the
@@ -765,7 +778,8 @@ class ShardPool(Reported):
         if entries:
             if fingerprints is None:
                 fingerprints = {
-                    index: fingerprint_query(queries[index], self.config) for index in entries
+                    index: fingerprint_query(_parsed(queries[index]), self.config)
+                    for index in entries
                 }
             with self._io_lock:  # checked, dealt and crossed at one generation
                 if generation is not None and generation != self.generation:

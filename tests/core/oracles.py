@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.estimator import PostUpdateEstimator
 from repro.core.queries import HowToQuery, WhatIfQuery
 from repro.core.updates import AttributeUpdate, MultiplyBy
+from repro.core.whatif import encode_post
 from repro.exceptions import QuerySemanticsError
 from repro.workloads import WorkloadGenerator
 
@@ -57,9 +58,8 @@ def counterfactual_mean(
         if not isinstance(column, np.ndarray):
             column = np.asarray(column, dtype=object)
         at_idx[attribute] = column[idx]
-    (out[idx],) = estimator.predict_rows(
-        regressor, view, estimator.encode_updates([at_idx]), idx
-    )
+    encoded = {a: encode_post(estimator.encoder(a), v, [None]) for a, v in at_idx.items()}
+    (out[idx],) = estimator.predict_rows(regressor, view, encoded, idx)
     return out
 
 

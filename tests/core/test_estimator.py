@@ -8,6 +8,7 @@ import pytest
 from repro.causal import CausalDAG, minimal_backdoor_set
 from repro.core import EngineConfig, PostUpdateEstimator, Variant, WhatIfEngine, build_view_dag
 from repro.core.estimator import build_view_dag as build_view_dag_direct
+from repro.core.whatif import encode_post
 from repro.datasets import make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
@@ -383,11 +384,10 @@ class TestSharedTrainingDesign:
         clone = pickle.loads(pickle.dumps(estimator))
         assert clone._design is None and clone._encoder is not None
         n = len(estimator.view)
-        post, idx = {"B": np.full(n, 0.5)}, np.arange(n)
+        idx = np.arange(n)
+        post = {"B": encode_post(estimator.encoder("B"), np.full(n, 0.5), [None])}
         assert np.array_equal(
-            clone.predict_rows(
-                clone.regressor_for("y", lambda: y), clone.view, clone.encode_updates([post]), idx
-            ),
-            estimator.predict_rows(fitted, estimator.view, estimator.encode_updates([post]), idx),
+            clone.predict_rows(clone.regressor_for("y", lambda: y), clone.view, post, idx),
+            estimator.predict_rows(fitted, estimator.view, post, idx),
         )
         assert clone.regressor_cache_stats["fits"] == 1  # the fitted regressor travelled

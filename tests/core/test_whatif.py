@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core import whatif as whatif_module
 from repro.core.results import BlockContribution
-from repro.core.whatif import causal_contribution_rows, combine_aggregate
+from repro.core.whatif import causal_contribution_rows, combine_aggregate, encode_post
 from repro.datasets import make_amazon_syn, make_german_syn
 from repro.exceptions import QuerySemanticsError
 from repro.lang import parse_query
@@ -498,7 +498,10 @@ class TestWarmEqualsCold:
         kernels = RecordingKernelCache()
 
         def updated(idx):
-            return estimator.encode_updates([{a: v[idx] for a, v in post_values.items()}])
+            return {
+                a: encode_post(estimator.encoder(a), v[idx], [None])
+                for a, v in post_values.items()
+            }
 
         for fitted in (count, total):
             (full,) = estimator.predict_rows(fitted, view, updated(subsets[0]), subsets[0])

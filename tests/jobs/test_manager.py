@@ -137,6 +137,39 @@ class TestExecution:
         assert failed == [first.job_id]
         assert f"job {first.job_id}: manager-side failure" in caplog.text
 
+    def test_a_finish_the_journal_refuses_leaves_the_job_running_until_replay(
+        self, service, tmp_path, monkeypatch, caplog
+    ):
+        append, failed = Journal.append, []
+
+        def append_failing_one_finish(journal, record_type, job_id, data, **kwargs):
+            if record_type == "finish" and not failed:
+                failed.append(job_id)
+                raise OSError(28, "No space left on device")
+            return append(journal, record_type, job_id, data, **kwargs)
+
+        with make_manager(service, tmp_path, n_workers=1) as manager:
+            with monkeypatch.context() as patched:
+                patched.setattr(Journal, "append", append_failing_one_finish)
+                job = manager.submit(client_id="c1", kind="query", queries=[QUERY_TEXT])
+                deadline = time.monotonic() + 60
+                while f"job {job.job_id}: manager-side failure" not in caplog.text:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            assert failed == [job.job_id]
+            # not journaled, so not acknowledged: no terminal state, no result
+            stuck = manager.get(job.job_id)
+            assert (stuck.state, stuck.finished_unix) == ("running", None)
+            assert manager.results.get(job.job_id) is None
+            assert manager.queue.running_leases == 1  # its lease is still held
+            events = [e["event"] for e in manager.events_since(job.job_id, 0)[0]]
+            assert events[-1] == "progress"  # no terminal event ends a stream
+        with make_manager(service, tmp_path) as reopened:
+            done = reopened.wait(job.job_id, timeout=60)
+            assert (done.state, done.attempts) == ("succeeded", 2)
+            sync = answer_from_result(service.execute(QUERY_TEXT)).to_json()
+            assert reopened.results.get(job.job_id)["result"] == sync
+
     def test_deterministic_failure_is_not_retried(self, service, tmp_path):
         with make_manager(service, tmp_path) as manager:
             job = manager.submit(client_id="c1", kind="query", queries=["NOT A QUERY"])
