@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from ..api.core import MAX_BODY_BYTES
-from ..service.backend import ServiceBackend, default_max_workers
+from ..service.backend import ServiceBackend
 from .admission import AdmissionController
 from .app import AsyncApp
 
@@ -59,7 +59,7 @@ class AsyncServingRunner:
         self.service = service
         self.host = host
         self.port = port
-        self.max_inflight = max_inflight or service.max_workers or default_max_workers()
+        self.max_inflight = max_inflight or service.max_workers
         self.queue_depth = queue_depth if queue_depth is not None else 2 * self.max_inflight
         self.drain_timeout = drain_timeout
         self.warm_queries = list(warm_queries)

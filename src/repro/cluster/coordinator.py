@@ -72,7 +72,7 @@ from ..exceptions import HypeRError
 from ..lang.unparse import unparse
 from ..obs import trace as obs_trace
 from ..obs.metrics import Figure
-from ..service.backend import ServingCounters, raise_first_error
+from ..service.backend import ServingCounters, default_max_workers, raise_first_error
 from ..service.fingerprint import PlanDealer, fingerprint_query
 from ..service.versions import Commit
 from . import wire
@@ -124,6 +124,8 @@ class ClusterCoordinator(ServingCounters):
     config:
         The :class:`EngineConfig` shared with the shard nodes; the
         coordinator reads it only to fingerprint plans for dealing.
+    max_workers:
+        The front door's admission capacity (``None``: CPU count capped at 8).
     timeout:
         Per-node socket/IO timeout, seconds.
     failure_threshold:
@@ -170,7 +172,7 @@ class ClusterCoordinator(ServingCounters):
         self.topology = topology
         self.config = config if config is not None else EngineConfig()
         self.n_shards = topology.n_shards
-        self.max_workers = max_workers
+        self.max_workers = max_workers or default_max_workers()
         self.timeout = timeout
         self.failure_threshold = max(1, failure_threshold)
         self._generation = 0

@@ -206,7 +206,6 @@ class ShardServer:
         """Answer whole queries, what-if or how-to, all at ``generation``."""
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise PayloadError(400, "kind 'answers' needs a 'queries' list of strings")
-        parsed, keys = self.service.keyed_many(texts)
         try:
             # the leg's own pin: ``generation`` stays live until its last answer
             snapshot = self.service.retain(generation)
@@ -222,8 +221,7 @@ class ShardServer:
         try:
             with obs_trace.span("cluster.partial", kind="answers", shard=self.shard_index):
                 outcomes = self.service.answer(
-                    parsed, keys=keys, texts=texts, exhaustive=exhaustive,
-                    generation=generation, around_group=checked,
+                    texts, exhaustive=exhaustive, generation=generation, around_group=checked
                 )
         finally:
             self.service.release(snapshot)

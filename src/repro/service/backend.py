@@ -65,7 +65,8 @@ class ServiceBackend(Protocol):
     jobs: Any
     metrics: MetricsRegistry
     slow_log: SlowQueryLog
-    max_workers: int | None
+    #: the backend's thread count, resolved once when it is built
+    max_workers: int
     generation: int
 
     def execute(self, query: Any, *, exhaustive: bool = False, **kwargs: Any) -> Any: ...

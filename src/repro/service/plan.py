@@ -2,8 +2,9 @@
 relevant view, fit the backdoor-adjusted estimator — for a
 :class:`~repro.service.session.HypeRService`, at one
 :class:`~repro.service.state.EngineState`, over the service's caches.  A
-what-if's plan is a :class:`BoundPlan`, bound at its snapshot so later queries
-of its text key or plan group skip both (``docs/service.md``, "Bound plans").
+what-if's plan is a :class:`BoundPlan`, bound at its snapshot under its plan
+group by the first text of the group, so later texts of the group skip both;
+a text key spares only the fingerprint (``docs/service.md``, "Bound plans").
 Its figure table reports the cache and regressor rows of ``stats()`` and the
 ``hyper_cache_*`` series.
 """
@@ -35,15 +36,15 @@ __all__ = ["BoundPlan", "PlanCompiler"]
 
 Query = WhatIfQuery | HowToQuery
 
-#: bound plans one snapshot keeps, by text key and by plan group, and text keys'
-#: fingerprints, the oldest dropped first; they go with their snapshot
+#: bound plans one snapshot keeps, by plan group, and fingerprints, by text key;
+#: the oldest dropped first, and they go with their snapshot
 _BOUND_PLANS = 64
 
 
 @dataclass(eq=False, repr=False, slots=True)
 class BoundPlan:
     """A plan at one snapshot: what :meth:`HypeRService.prepare` returns, and what a
-    what-if of a seen text key or plan group reuses (``docs/service.md``, "Bound plans").
+    what-if text of its plan group reuses (``docs/service.md``, "Bound plans").
 
     ``what_if`` is a what-if's full-view preparation (scope mask, disjuncts,
     block labels), exactly what its execution evaluates; ``None`` for a how-to.
@@ -53,11 +54,6 @@ class BoundPlan:
     view: Relation
     estimator: PostUpdateEstimator | None
     what_if: PreparedWhatIf | None = None
-
-    def bind(self, query: WhatIfQuery) -> PlanFingerprint:
-        """The fingerprint of ``query``, a what-if of this plan's text key
-        (:meth:`PlanFingerprint.bind`)."""
-        return self.fingerprint.bind(query)
 
 
 def _per_cache(key: str, metric: str, kind: str) -> Figure:
@@ -111,7 +107,8 @@ class PlanCompiler(Reported):
     def keyed(self, state: EngineState, query: Query, key: Hashable) -> PlanFingerprint:
         """``query``'s fingerprint at ``state``, taken once per text ``key`` per
         snapshot (``EngineState.memo``): a later text of the key binds it
-        (:meth:`PlanFingerprint.bind`).  ``None``: taken each time."""
+        (:meth:`PlanFingerprint.bind`).  ``None``: taken each time.  This is all
+        a text key spares; the plan is found by plan group (:meth:`plan`)."""
         if key is None:
             return self.fingerprint(state, query)
         texts = state.memo.setdefault("texts", {})
@@ -138,36 +135,46 @@ class PlanCompiler(Reported):
             exhaustive,
         ))
 
-    def prepare(self, state: EngineState, query: Query, key: Hashable) -> BoundPlan:
+    def prepare(self, state: EngineState, query: Query, key: Hashable, text: bool) -> BoundPlan:
         """``query``'s plan at ``state``, exactly what its first execution builds,
-        kernel entry included; a what-if's is bound under ``key``."""
-        fingerprint = self.fingerprint(state, query)
+        kernel entry included: its fingerprint taken as :meth:`keyed` takes it
+        under its text ``key``, and a what-if ``text``'s plan bound (:meth:`plan`)."""
+        fingerprint = self.keyed(state, query, key)
         if isinstance(query, WhatIfQuery):
-            return self.plan(state, query, fingerprint, key)
+            return self.plan(state, query, fingerprint, text)
         view, _view_dag, _kernels, estimator = self.how_to_plan(state, query, fingerprint)
         return BoundPlan(fingerprint, view, estimator)
 
     # -- what-ifs --------------------------------------------------------------------------
 
     def plan(
-        self, state: EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint, key: Hashable
+        self, state: EngineState, query: WhatIfQuery, fingerprint: PlanFingerprint, text: bool
     ) -> BoundPlan:
-        """``query``'s plan at ``state``: the one bound under ``key``, else built
-        and bound under ``key`` (unless ``None``); a plan that fails binds nothing."""
-        plan = None if key is None else state.plans.get(key)
+        """``query``'s plan at ``state``.  The one binding rule: a what-if that
+        arrived as a ``text`` finds the plan bound under its plan group
+        (:attr:`PlanFingerprint.variant_key`), else builds it and binds it
+        there, whether or not its shape has a text key yet; a query object
+        neither finds nor binds one, and a plan that fails binds nothing."""
+        group = fingerprint.variant_key if text else None
+        plan = None if group is None else state.plans.get(group)
         if plan is not None:
             self.hit()
             return plan
         prepared, estimator = self.what_if_plan(state, query, fingerprint)
         plan = BoundPlan(fingerprint, prepared.view, estimator, prepared)
-        if key is not None:
+        if group is not None:
             with self._lock:
                 self._counts[1] += 1
                 if len(state.plans) >= _BOUND_PLANS:
                     del state.plans[next(iter(state.plans))]
                     self._counts[2] += 1
-                state.plans[key] = plan
+                state.plans[group] = plan
         return plan
+
+    def bound(self, state: EngineState, fingerprint: PlanFingerprint, text: bool) -> bool:
+        """Whether a query of ``fingerprint`` finds its plan bound at ``state``
+        (:meth:`plan`'s rule): only a ``text`` can."""
+        return bool(text and state.plans and fingerprint.variant_key in state.plans)
 
     def hit(self, n: int = 1) -> None:
         """Count ``n`` queries that found their bound plan."""

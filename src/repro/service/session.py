@@ -6,9 +6,10 @@ sections after the shared head.
 :class:`HypeRService` is the "system that serves many queries" counterpart of
 the per-query :class:`repro.core.engine.HypeR` library facade.  It holds one
 database + causal DAG + engine configuration and answers every query through
-one path, :meth:`HypeRService.answer`: it pins one snapshot, fingerprints each
-query at most once (a what-if text of a key seen at the snapshot binds the
-key's), binds plans, reads and writes the result cache and logs completions.
+one path, :meth:`HypeRService.answer`: it parses and keys each text, pins one
+snapshot, fingerprints each query at most once (a what-if text of a key seen at
+the snapshot binds the key's), finds or binds each text's plan under its plan
+group, reads and writes the result cache and logs completions.
 ``execute`` is a call of it with one query, ``execute_many`` one with the
 batch, whose plan groups run on a thread pool (``execution="threads"``, the
 default) or cross a persistent :class:`~repro.shard.pool.ShardPool` of worker processes
@@ -157,8 +158,8 @@ class HypeRService(ServingCounters, Snapshots):
             )
         self.config = config if config is not None else EngineConfig()
         self.execution = execution
-        self.max_workers = max_workers
-        self.n_shards = n_shards or max_workers or default_max_workers()
+        self.max_workers = max_workers or default_max_workers()
+        self.n_shards = n_shards or self.max_workers
         # The serving instruments, the head of stats() and the registry the
         # front doors expose at GET /v1/metrics come from ServingCounters; the
         # version store, the plan compiler and the pool register their own.
@@ -207,7 +208,7 @@ class HypeRService(ServingCounters, Snapshots):
         """Shard count in ``processes`` mode, worker threads otherwise."""
         if self.execution == "processes":
             return self.n_shards
-        return self.max_workers or default_max_workers()
+        return self.max_workers
 
     # -- parsing and fingerprinting ------------------------------------------------------
 
@@ -217,24 +218,6 @@ class HypeRService(ServingCounters, Snapshots):
             return self._as_query(query), None
         parsed, key = parse_keyed(query, eager)
         return parsed, key if isinstance(parsed, WhatIfQuery) else None
-
-    def keyed_many(
-        self, queries: Sequence[str | Query], *, return_errors: bool = True
-    ) -> tuple[list[Query | Exception], list[Hashable]]:
-        """Each of ``queries`` parsed, and its text key (:meth:`answer`'s ``keys``);
-        one that fails to parse yields its error, or raises it without ``return_errors``."""
-        parsed: list[Query | Exception] = []
-        keys: list[Hashable] = []
-        for query in queries:
-            try:
-                entry, key = self._keyed(query)
-            except Exception as error:  # noqa: BLE001 - captured per query
-                if not return_errors:
-                    raise
-                entry, key = error, None
-            parsed.append(entry)
-            keys.append(key)
-        return parsed, keys
 
     def fingerprint(self, query: str | Query) -> PlanFingerprint:
         """The canonical plan fingerprint of ``query`` at the current generation."""
@@ -254,9 +237,13 @@ class HypeRService(ServingCounters, Snapshots):
         uses this to warm each ``--warm-query`` before binding the server.
         """
         many = isinstance(query, (list, tuple))
-        keyed = [self._keyed(entry, eager=True) for entry in (query if many else [query])]
+        items = query if many else [query]
+        keyed = [self._keyed(item, eager=True) for item in items]
         with self.pinned() as state:
-            plans = [self.compiler.prepare(state, parsed, key) for parsed, key in keyed]
+            plans = [
+                self.compiler.prepare(state, parsed, key, isinstance(item, str))
+                for item, (parsed, key) in zip(items, keyed)
+            ]
         return plans if many else plans[0]
 
     # -- execution ---------------------------------------------------------------------------
@@ -282,16 +269,12 @@ class HypeRService(ServingCounters, Snapshots):
         client asked for ``?trace=1``); with ``trace=None`` every span site
         is a no-op.  ``generation`` answers at that generation instead of the
         latest, if it is still live (:class:`LookupError` otherwise).  It is
-        :meth:`answer` of the one query, with its text key and its text.
+        :meth:`answer` of the one query, tracked whole.
         """
         with obs_trace.activate(trace):
-            with obs_trace.span("parse"):
-                parsed, key = self._keyed(query)
-            with self._track("query"):
-                (outcome,) = self.answer(
-                    [parsed], keys=[key], texts=[query], exhaustive=exhaustive,
-                    generation=generation, tracked=False,
-                )
+            (outcome,) = self.answer(
+                [query], exhaustive=exhaustive, generation=generation, tracked=False
+            )
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -316,130 +299,117 @@ class HypeRService(ServingCounters, Snapshots):
         In ``threads`` mode the groups run concurrently on up to
         ``max_workers`` threads.  In ``processes`` mode the whole batch
         crosses the shard pool in a single scatter round-trip — each query
-        dealt whole to one worker, which answers its share group by group —
-        and a what-if text's fingerprint is taken once per text key per
-        snapshot (:meth:`~repro.service.plan.PlanCompiler.keyed`), the key's
-        other texts binding it.
+        dealt whole to one worker, which answers its share group by group.
         Either way the batch reads one pinned snapshot.  With
         ``return_errors=True`` a failing query yields its exception in the
         result list while the rest of the batch completes normally (the HTTP
         ``/batch`` endpoint uses this); with the default, the first failure
-        propagates at the end.
+        in input order propagates at the end.
         """
-        parsed, keys = self.keyed_many(queries, return_errors=return_errors)
         self._m_batches.inc()
         # units=0: per-query in-flight is tracked around each group's
         # evaluation or the pool crossing; the batch wrapper contributes only
         # its latency sum.
         with self._track("batch", units=0):
-            results = self.answer(
-                parsed,
-                # a threads batch binds its plan groups, each query fingerprinted
-                keys=keys if self._pool is not None else None,
-                texts=queries,
-                max_workers=max_workers or self.max_workers or default_max_workers(),
-            )
+            results = self.answer(queries, max_workers=max_workers or self.max_workers)
         return results if return_errors else raise_first_error(results)
 
     def answer(
         self,
-        queries: Sequence[Query | Exception],
+        items: Sequence[str | Query],
         *,
-        keys: Sequence[Hashable] | None = None,
-        texts: Sequence[str | Query] | None = None,
         exhaustive: bool = False,
         generation: int | None = None,
         max_workers: int | None = None,
         around_group: Callable[[Callable[[], list]], list] | None = None,
         tracked: bool = True,
     ) -> list[Result | Exception]:
-        """Answer parsed queries under one pinned snapshot, each outcome in its slot.
+        """Answer texts and query objects under one pinned snapshot, each outcome in its slot.
 
-        The one answer path: every query, alone or in a batch, is
-        fingerprinted, bound to its plan, served from or stored to the result
-        cache and logged as a completion here.  Exceptions among ``queries``
-        pass through, and a failing query yields the exception
-        :meth:`execute` raises for it.  Result-cache hits are served first.
-        The misses cross the shard pool as one step in ``processes`` mode,
-        else each plan group
+        The one answer path: every query, alone or in a batch, is parsed and
+        keyed here (one ``parse`` span), fingerprinted, bound to its plan,
+        served from or stored to the result cache and logged as a completion.
+        An item that fails to parse yields its error, and a failing query the
+        exception :meth:`execute` raises for it.  A what-if text's fingerprint
+        is taken once per text key per snapshot, the key's later texts binding
+        it (:meth:`~repro.service.plan.PlanCompiler.keyed`).  Result-cache
+        hits are served first.  The misses cross the shard pool as one step in
+        ``processes`` mode, else each plan group
         (:attr:`~repro.service.fingerprint.PlanFingerprint.variant_key`) is a
-        step, its plan bound under ``("group", variant_key)``; up to
+        step, whose plan a text finds or binds
+        (:meth:`~repro.service.plan.PlanCompiler.plan`); up to
         ``max_workers`` steps run at a time on a thread pool.
         ``around_group(evaluate)`` wraps each step and returns its outcomes —
         a pool worker times it, a cluster node checks its request deadline
         first; what it raises is the outcome of each of the step's queries.
-
-        ``keys`` and ``texts`` are one per query: the text key a what-if's
-        plan is bound under (``None``: unbound), so a text of a bound key
-        skips its fingerprint, and of a seen key binds the key's
-        (:meth:`~repro.service.plan.PlanCompiler.keyed`); and the caller's
-        text (or query object), which crosses the shard pool and names the
-        query in the slow log.  ``tracked=False``: the caller tracks the call
-        whole, not per step.
+        ``tracked=False``: the call, but for its parse, is tracked whole as
+        one query (``execute``), not per step.
         """
-        results: list[Result | Exception] = list(queries)
-        texts = queries if texts is None else texts
-        self._m_queries.inc(sum(1 for query in queries if not isinstance(query, Exception)))
-        with self.pinned(generation) as state:
+        results: list[Result | Exception] = list(items)
+        parsed = []
+        with obs_trace.span("parse"):
+            for index, item in enumerate(items):
+                try:
+                    parsed.append((index, *self._keyed(item)))
+                except Exception as error:  # noqa: BLE001 - this item's own
+                    results[index] = error
+        if not parsed:
+            return results
+        self._m_queries.inc(len(parsed))
+        with nullcontext() if tracked else self._track("query"), self.pinned(generation) as state:
             started = time.perf_counter()
             entries = []
-            keyed = self.compiler.keyed
-            for index, query in enumerate(queries):
-                if isinstance(query, Exception):
-                    continue
-                key = None if keys is None else keys[index]
-                plan = None if key is None else state.plans.get(key)
+            for index, query, key in parsed:
                 with obs_trace.span("fingerprint"):
-                    fingerprint = plan.bind(query) if plan else keyed(state, query, key)
-                entries.append((index, query, fingerprint, key, plan))
+                    entries.append((index, query, self.compiler.keyed(state, query, key)))
+            bound = self.compiler.bound
             caching = self._result_cache_enabled
             with obs_trace.span("cache.result") if caching else nullcontext() as cache_span:
-                # a plan its text key found counts one hit: in compiler.plan, else here
-                found = missed = 0
-                groups: dict[Hashable, tuple[Hashable, list]] = {}
-                for index, query, fingerprint, key, plan in entries:
+                found = 0  # texts served outside compiler.plan that found their plan bound
+                groups: dict[Hashable, list] = {}
+                for index, query, fingerprint in entries:
                     result_key = None
                     if caching:
                         result_key = self.compiler.result_key(state, fingerprint, exhaustive)
                         cached = self.caches.results.get(result_key)
                         if cached is not None:
-                            found += plan is not None
+                            found += bound(state, fingerprint, isinstance(items[index], str))
                             results[index] = cached
                             took = time.perf_counter() - started
-                            self._record_completion(query, texts[index], took, fingerprint.log_key)
+                            self._record_completion(query, items[index], took, fingerprint.log_key)
                             continue
-                    missed += plan is not None
-                    group = fingerprint.variant_key
-                    bind = ("group", group) if keys is None else key
-                    groups.setdefault(group, (bind, []))[1].append(
+                    groups.setdefault(fingerprint.variant_key, []).append(
                         (index, query, fingerprint, result_key)
                     )
                 steps, ran = list(groups.values()), None
                 if self._pool is not None and steps:
                     # one crossing, binding nothing; workers group their shares
-                    crossing = (None, [entry for _bind, group in steps for entry in group])
+                    crossing = [entry for group in steps for entry in group]
                     outcomes, elapsed = self._step(
-                        state, exhaustive, self._pool, around_group, tracked, texts, crossing
+                        state, exhaustive, self._pool, around_group, tracked, items, crossing
                     )
                     if outcomes is None:  # the pool moved past the snapshot: in process
-                        self._m_pinned_fallbacks.inc(len(crossing[1]))
+                        self._m_pinned_fallbacks.inc(len(crossing))
                     else:
                         steps, ran = [crossing], [(outcomes, elapsed)]
-                        found += missed
+                        found += sum(
+                            bound(state, fingerprint, isinstance(items[index], str))
+                            for index, _query, fingerprint, _result_key in crossing
+                        )
                 if ran is None:
                     step = partial(
-                        self._step, state, exhaustive, None, around_group, tracked, texts
+                        self._step, state, exhaustive, None, around_group, tracked, items
                     )
                     workers = min(max_workers or 1, len(steps))
                     if workers > 1:
                         with ThreadPoolExecutor(max_workers=workers) as threads:
                             ran = list(threads.map(step, steps))
                     else:
-                        ran = [step(entry) for entry in steps]
-                for (_bind, group), (outcomes, elapsed) in zip(steps, ran):
+                        ran = [step(group) for group in steps]
+                for group, (outcomes, elapsed) in zip(steps, ran):
                     for (index, query, fingerprint, result_key), outcome in zip(group, outcomes):
                         results[index] = outcome
-                        self._record_completion(query, texts[index], elapsed, fingerprint.log_key)
+                        self._record_completion(query, items[index], elapsed, fingerprint.log_key)
                         if result_key is not None and not isinstance(outcome, Exception):
                             tags = _relations(fingerprint.columns)
                             self.caches.results.put(result_key, outcome, tags=tags)
@@ -456,22 +426,25 @@ class HypeRService(ServingCounters, Snapshots):
         pool: "ShardPool | None",
         around_group: Callable[[Callable[[], list]], list] | None,
         tracked: bool,
-        texts: Sequence[str | Query],
-        step: tuple[Hashable, list[tuple[int, Query, PlanFingerprint, Hashable]]],
+        items: Sequence[str | Query],
+        entries: list[tuple[int, Query, PlanFingerprint, Hashable]],
     ) -> tuple[list[Result | Exception] | None, float]:
-        """One step of :meth:`answer` and how long it took: a plan group, its
-        plan bound under ``bind``, or a whole crossing (tracked as one shard
-        batch), whose outcomes are ``None`` if the pool refused it."""
-        bind, entries = step
+        """One step of :meth:`answer` and how long it took: a plan group, or a
+        whole crossing (tracked as one shard batch), whose outcomes are
+        ``None`` if the pool refused it."""
         n = len(entries)
-        evaluate = partial(self._evaluate, state, entries, exhaustive, pool, bind, texts)
+        # a group that holds a text finds or binds its plan; one of query objects neither
+        text = any(isinstance(items[entry[0]], str) for entry in entries)
+        evaluate = partial(self._evaluate, state, entries, exhaustive, pool, items, text)
         # in process each query waits its group out
         track = ("query", n, n) if pool is None else ("shard_batch", n, 1)
         started = time.perf_counter()
         with self._track(*track) if tracked else nullcontext():
             with obs_trace.span("execute") as span:
                 if span is not None:
-                    span.meta["bound"] = bind is not None and bind in state.plans
+                    span.meta["bound"] = pool is None and self.compiler.bound(
+                        state, entries[0][2], text
+                    )
                 try:
                     outcomes = evaluate() if around_group is None else around_group(evaluate)
                 except Exception as error:  # noqa: BLE001 - each of the step's queries'
@@ -484,20 +457,20 @@ class HypeRService(ServingCounters, Snapshots):
         entries: Sequence[tuple[int, Query, PlanFingerprint, Hashable]],
         exhaustive: bool,
         pool: "ShardPool | None",
-        bind: Hashable,
-        texts: Sequence[str | Query],
+        items: Sequence[str | Query],
+        text: bool,
     ) -> list[Result | Exception] | None:
         """The outcomes of a batch's misses through ``pool`` (``None``: a commit
         moved the pool past ``state``), or of one plan group: each distinct
         query once, a group's what-ifs in one stacked call — or, if that fails,
         each alone, so a failure is its own query's, own envelope.  A what-if
-        group runs its plan bound under ``bind``
+        group that holds a ``text`` finds or binds its plan
         (:meth:`~repro.service.plan.PlanCompiler.plan`).  A query crosses the
         pool as its text (a query object if the caller passed one)."""
         if pool is not None:
             return pool.run_batch(
                 [
-                    texts[index] if isinstance(texts[index], str) else query
+                    items[index] if isinstance(items[index], str) else query
                     for index, query, _fingerprint, _key in entries
                 ],
                 return_errors=True,
@@ -513,7 +486,7 @@ class HypeRService(ServingCounters, Snapshots):
             _index, query, fingerprint, _key = members[0]
             if isinstance(query, HowToQuery):  # a how-to is a group of its own
                 return [self.compiler.how_to(state, query, fingerprint, exhaustive)]
-            plan = self.compiler.plan(state, query, fingerprint, bind)
+            plan = self.compiler.plan(state, query, fingerprint, text)
             return state.whatif.evaluate_variants(
                 [member[1] for member in members],
                 prepared=plan.what_if,

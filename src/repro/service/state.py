@@ -78,7 +78,8 @@ class EngineState:
     #: fingerprint of each text key (:meth:`~repro.service.plan.PlanCompiler.keyed`)
     memo: dict = field(default_factory=dict)
     #: this state's bound plans (:class:`~repro.service.plan.BoundPlan`), by
-    #: text key and by plan group
+    #: plan group (``PlanFingerprint.variant_key``), read and written only by
+    #: the plan compiler
     plans: dict = field(default_factory=dict)
 
     @classmethod

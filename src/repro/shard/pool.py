@@ -8,11 +8,11 @@ own over the full database snapshot, which is transferred **once** at start-up
 ``fork`` or by pickle under ``spawn``), never per query.  A query moves to the
 data: its text crosses, in one small pickled task message per worker, to the
 one worker its plan is homed on (:class:`~repro.service.fingerprint.PlanDealer`),
-whose service keys it (:func:`~repro.lang.parser.parse_keyed`), binds the plan
-it holds for that text key at its snapshot — one fingerprint per key per
-snapshot — and answers its share of the batch one plan group at a time
-(:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`),
-sending scalars back.  A query object crosses as itself; a single query is a
+whose service answers its share of the batch one plan group at a time
+(:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`):
+one fingerprint per text key per snapshot, and each group's plan found or
+bound under the group, as every text's is; scalars go back.  A query object
+crosses as itself, and binds nothing; a single query is a
 batch of one, a how-to travels like a what-if, and every crossing, query or
 commit, goes through one loop (``ShardPool._scatter``).
 Database commits move the running workers forward *in place*
@@ -114,20 +114,15 @@ class ShardWorkerRuntime:
     def handle(self, kind: str, payload: Any) -> Any:
         """Serve one task: a ``batch`` of queries, a commit, or a ``ping``.
 
-        A batch's texts are keyed (:meth:`HypeRService.keyed_many
-        <repro.service.session.HypeRService.keyed_many>`), so a text of a key
-        this worker has bound skips its fingerprint, and the service answers
-        them one plan group at a time
+        The service answers a batch one plan group at a time
         (:meth:`HypeRService.answer <repro.service.session.HypeRService.answer>`)
         in a fresh context, so an inline worker records no spans into the
         caller's trace; each group ships one worker span instead (:meth:`_timed`).
         """
         if kind == "batch":
             items, exhaustive = payload
-            queries, keys = self.service.keyed_many(items)
             outcomes = contextvars.Context().run(
-                self.service.answer, queries, keys=keys, texts=items, exhaustive=exhaustive,
-                around_group=self._timed,
+                self.service.answer, items, exhaustive=exhaustive, around_group=self._timed
             )
             return [
                 (False, _describe_error(out)) if isinstance(out, Exception) else (True, out)

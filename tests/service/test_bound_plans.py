@@ -126,12 +126,13 @@ def test_every_update_constant_and_only_those_leave_the_key():
     assert [u.attribute for u in query.updates] == ["Status", "Savings"]
 
 
-def test_a_threads_batch_takes_one_fingerprint_per_query(dataset, monkeypatch):
+def test_a_threads_batch_takes_one_fingerprint_per_text_key(dataset, monkeypatch):
     texts = [SWEEP.replace("30", str(age)).format(c=c) for age in (30, 40) for c in CONSTANTS[:8]]
+    parse_keyed(texts[0], eager=True)  # the shape has a binder: every text below has a key
     with serve(dataset, max_workers=3) as service:
         calls = counting(service, monkeypatch)
         answers = [fields(answer) for answer in service.execute_many(texts)]
-    assert calls == {"fingerprint": 16, "what_if_plan": 2}
+    assert calls == {"fingerprint": 2, "what_if_plan": 2}
     assert answers == unbound(dataset, texts)
 
 
@@ -180,7 +181,7 @@ def test_prepare_binds_the_plan_the_next_execute_reuses(dataset, monkeypatch):
         calls = counting(service, monkeypatch)
         answers = [fields(service.execute(text)) for text in texts]
         assert calls == {}
-        assert plan.bind(parse_uncached(texts[3])) == service.fingerprint(texts[3])
+        assert plan.fingerprint.bind(parse_uncached(texts[3])) == service.fingerprint(texts[3])
         # ?trace=1 marks a bound execute; a query object is never bound
         assert executed(service, texts[1])["meta"] == {"bound": True}
         assert executed(service, parse_uncached(texts[1]))["meta"] == {"bound": False}

@@ -6,10 +6,12 @@ text key per snapshot.
 ``processes`` mode the parent fingerprints the first text of a key at its
 snapshot, to deal it, and every later text of the key binds that fingerprint
 with its own update constants (``PlanCompiler.keyed``).  The worker keys the
-texts again and binds the plan it holds for the key; a cluster node does the
-same for the texts of its ``kind="answers"`` leg.  A commit starts each count
+texts again and binds each the same way; a cluster node does the same for the
+texts of its ``kind="answers"`` leg.  A commit starts each count
 again.  The spy wraps ``fingerprint_query`` where the plan compiler calls it
-and tells the sides apart by the snapshot each call reads.
+and tells the sides apart by the snapshot each call reads.  A text binds its
+plan under its plan group, so a group whose first text is its shape's first
+sighting (no text key yet) is bound all the same.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import pytest
 import repro.service.plan as plan_module
 from repro import EngineConfig, HypeRService
 from repro.datasets import make_german_syn
-from repro.lang.parser import parse_query
+from repro.lang.parser import parse_query, parse_uncached
+from repro.service.fingerprint import fingerprint_query
 from repro.shard.pool import ShardPool, ShardWorkerRuntime
 from tests.cluster.conftest import make_cluster
 from tests.service.test_batch_groups import fields
@@ -159,3 +162,52 @@ def test_a_cluster_node_takes_one_fingerprint_per_text_key_per_snapshot(dataset,
             database = cluster.shards[0].service.database
             with HypeRService(database, dataset.causal_dag, CONFIG) as alone:
                 assert [fields(a) for a in answers] == [fields(alone.execute(t)) for t in texts]
+
+
+def planned(services: list, monkeypatch) -> Counter:
+    """Calls of ``what_if_plan`` on the plan compilers of ``services``."""
+    calls: Counter = Counter()
+    for service in services:
+        method = service.compiler.what_if_plan
+
+        def spy(*args, _method=method, **kwargs):
+            calls["what_if_plan"] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(service.compiler, "what_if_plan", spy)
+    return calls
+
+
+def test_a_group_whose_first_text_is_a_first_sighting_is_bound_on_a_worker_and_a_node(
+    dataset, monkeypatch
+):
+    # shapes no other test parses: each batch's first text is its shape's
+    # first sighting where it is answered, the rest of the group keyed
+    pooled, clustered = (
+        "USE Credit WHEN Age <= 60 UPDATE(Investment) = {c} * PRE(Investment) "
+        "OUTPUT AVG(POST(Credit)) FOR PRE(Housing) >= 1",
+        "USE Credit WHEN Age <= 55 UPDATE(Savings) = {c} * PRE(Savings) "
+        "OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1 AND PRE(Housing) >= 1",
+    )
+    constants = [[round(1 + (4 * number + k) / 64, 6) for k in range(4)] for number in (0, 1)]
+    with ShardPool(dataset.database, dataset.causal_dag, CONFIG, n_shards=1, inline=True) as pool:
+        pool.start()
+        calls = planned([pool._inline_workers[0].service], monkeypatch)
+        per_batch = []
+        for number in range(2):  # the same snapshot
+            texts = [pooled.format(c=c) for c in constants[number]]
+            # the pool deals by the fingerprints it is given, parsing nothing
+            dealt = [fingerprint_query(parse_uncached(text), CONFIG) for text in texts]
+            pool.run_batch(texts, fingerprints=dealt)
+            per_batch.append(calls.pop("what_if_plan", 0))
+        assert per_batch == [1, 0]
+    with make_cluster(dataset.database, dataset.causal_dag, CONFIG, n_shards=3) as cluster:
+        calls = planned([shard.service for shard in cluster.shards], monkeypatch)
+        per_batch = []
+        for number in range(2):
+            # query objects parse nothing at the coordinator: a node parses their
+            # texts, and each node a plan's queries are dealt to plans it once
+            queries = [parse_uncached(clustered.format(c=c)) for c in constants[number]]
+            cluster.coordinator.execute_many(queries)
+            per_batch.append(calls.pop("what_if_plan", 0))
+        assert per_batch[1] == 0 < per_batch[0]
