@@ -395,6 +395,15 @@ class PostUpdateEstimator:
     def _fit_fresh(
         self, target: np.ndarray, keep_design: bool = True, key: Hashable = None
     ) -> ConditionalMeanRegressor:
+        """Fit a regressor of ``target`` (full-view length) at the training rows.
+
+        A target with one value ``c`` there (the count target of a ``FOR`` that
+        reads no post value is 1 on every row) predicts exactly ``c``
+        (:meth:`~repro.ml.density.ConditionalMeanRegressor.fit_constant`) and is
+        checked before the Gram factor or the design is touched, so it builds no
+        Gram block, ``Xᵀy`` product, design or tree.  Any other target is fitted
+        on the shared blocks and factor (linear / ridge) or design (forest).
+        """
         if len(target) != len(self.view):
             raise QuerySemanticsError("the training target must align with the view rows")
         regressor = ConditionalMeanRegressor(
@@ -411,7 +420,10 @@ class PostUpdateEstimator:
                 attributes,
             )
         target = self._at_training_rows(target)
-        if self.config.regressor != "forest":
+        if target.size and (target == target[0]).all():
+            # a constant target is its own estimate, exactly (a mean would round)
+            regressor.fit_constant(float(target[0]))
+        elif self.config.regressor != "forest":
             # the intercept's ones are the block named "", and read no column
             blocks = [("", self._memo(("ones",), lambda: np.ones((len(target), 1)), ()))]
             blocks += [(a, self._training_block(a)) for a in self.feature_attributes]

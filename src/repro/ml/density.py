@@ -136,7 +136,9 @@ class ConditionalMeanRegressor:
     one-hot encoding.  ``predict_rows`` evaluates the fitted conditional mean at
     arbitrary attribute assignments — including counterfactual values of the
     update attribute that never co-occur with the given covariates in the data,
-    which is exactly what Equation (1) needs.
+    which is exactly what Equation (1) needs.  A regressor with no feature
+    attributes, or one fitted by :meth:`fit_constant`, has no encoder and no
+    model and predicts one value everywhere.
     """
 
     feature_attributes: tuple[str, ...]
@@ -161,6 +163,12 @@ class ConditionalMeanRegressor:
         feature_columns = {a: columns[a] for a in self.feature_attributes}
         encoder = FeatureEncoder.fit_columns(feature_columns)
         return self.fit_design(encoder, encoder.design(feature_columns), target)
+
+    def fit_constant(self, value: float) -> "ConditionalMeanRegressor":
+        """Predict ``value`` at every row: a target with one value is its own
+        conditional mean, so nothing is encoded, factorised or grown."""
+        self._target_mean, self._encoder, self._model = value, None, None
+        return self
 
     def _new_model(self) -> Any:
         return make_regressor(

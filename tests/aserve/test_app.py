@@ -6,6 +6,7 @@ import http.client
 import json
 import re
 import socket
+import struct
 import threading
 import time
 
@@ -13,7 +14,9 @@ import pytest
 
 from repro import EngineConfig, HypeR, HypeRService
 from repro.aserve import BackgroundAsyncServer
+from repro.aserve.protocol import ChunkedJsonWriter
 from repro.datasets import make_german_syn
+from repro.jobs.manager import attach_jobs
 from repro.service.backend import ServingCounters
 
 QUERY_TEXT = (
@@ -353,6 +356,64 @@ class TestMidStreamDisconnect:
             # full capacity is available again: a fresh request succeeds
             status, payload, _ = request(server, "POST", "/query", {"query": "q"})
             assert status == 200 and payload["value"] == 42.0
+
+    def test_a_client_that_leaves_a_running_jobs_event_stream_ends_it(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """The stream's next send after the client resets the connection
+        raises, and the door drops the connection instead of finishing it."""
+        service = HypeRService(
+            dataset.database, dataset.causal_dag, EngineConfig(regressor="linear")
+        )
+        running, release = threading.Event(), threading.Event()
+        execute = service.execute
+
+        def held_execute(*args, **kwargs):
+            running.set()
+            assert release.wait(60)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(service, "execute", held_execute)
+        send, failed = ChunkedJsonWriter.send, []
+
+        async def watched_send(stream, payload):
+            try:
+                await send(stream, payload)
+            except ConnectionError as error:
+                failed.append(error)
+                raise
+
+        monkeypatch.setattr(ChunkedJsonWriter, "send", watched_send)
+        manager = attach_jobs(
+            service, str(tmp_path / "journal.jsonl"), gc_interval_seconds=3600.0
+        )
+        try:
+            with BackgroundAsyncServer(service, max_inflight=2) as server:
+                status, body, conn = request(server, "POST", "/v1/jobs", {"query": QUERY_TEXT})
+                conn.close()
+                assert status == 202
+                assert running.wait(30)  # leased and executing: no terminal event yet
+                sock = socket.create_connection(server.address, timeout=30)
+                sock.sendall(
+                    f"GET /v1/jobs/{body['job_id']}/events?timeout_s=60 HTTP/1.1\r\n"
+                    "Host: test\r\n\r\n".encode()
+                )
+                received = b""
+                while b"running" not in received:  # the head and the events so far
+                    chunk = sock.recv(65536)
+                    assert chunk
+                    received += chunk
+                # leave mid-stream: with a zero linger, close() resets the connection
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+                release.set()
+                assert manager.wait(body["job_id"], timeout=60).state == "succeeded"
+                deadline = time.time() + 30
+                while not failed and time.time() < deadline:
+                    time.sleep(0.02)
+                assert failed  # the terminal event met the reset connection
+        finally:
+            release.set()
 
 
 def exchange(server, *segments: bytes, pause: float = 0.0, timeout: float = 10.0) -> bytes:

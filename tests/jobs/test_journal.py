@@ -14,7 +14,7 @@ import threading
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.jobs.journal import Journal, JournalError
@@ -121,6 +121,8 @@ class TestCrashProperties:
             assert record.data.get("index") == record.seq - 1
 
     @given(junk=st.binary(min_size=1, max_size=64))
+    @example(junk=b"[1]\n")  # whole JSON, but not an object
+    @example(junk=b'{"seq": 1}\n')  # an object without a crc
     @settings(max_examples=30, deadline=None)
     def test_appended_junk_is_dropped(self, tmp_path_factory, junk):
         path = tmp_path_factory.mktemp("junk") / "j.jsonl"

@@ -719,7 +719,9 @@ class TestPlanKernelCache:
         features = len(second.feature_attributes)
         training = 1 + features  # the ones and each attribute's block
         pairs = training * (training + 1) // 2
-        targets = 2  # the count and the sum regressor: a partial sum each
+        # the count target is 1 on every row (the FOR reads no POST value) and
+        # fits nothing: only the sum regressor adds Xᵀy products and a partial sum
+        targets = 1
         assert len(kernels) == (
             entries + features + training + pairs + training * targets
             + len(second.backdoor_set) + targets
