@@ -183,9 +183,9 @@ class PostUpdateEstimator:
     #: Feature attributes and training rows are fixed at construction, so
     #: all regressors share one encoder and one solver factor (``p x p``,
     #: :class:`~repro.ml.linear.GramFactor`; ``None`` for a forest), built with
-    #: the first fit and kept for life.  A linear fit stacks no design; a
-    #: forest's serves one burst of cache misses: the first cache hit empties
-    #: the slot (an estimator outlives its fits by a generation in the
+    #: the first non-constant fit and kept for life.  A linear fit stacks no
+    #: design; a forest's serves one burst of cache misses: the first cache hit
+    #: empties the slot (an estimator outlives its fits by a generation in the
     #: service's caches, and the design is rows x features of float64).
     _encoder: FeatureEncoder | None = field(default=None, repr=False)
     _factor: GramFactor | None = field(default=None, repr=False)
@@ -265,10 +265,21 @@ class PostUpdateEstimator:
         return self.kernels.get((*key, self._rows_token), build, reads)
 
     def encoder(self, attribute: str) -> ColumnEncoder:
-        """``attribute``'s encoder, built by this estimator's first fit: every
-        regressor of it shares one, so one encoding of the update attribute's post
-        values serves the count and the sum regressor alike."""
-        return self._encoder.encoders[attribute]
+        """``attribute``'s encoder: every regressor of this estimator shares one,
+        so one encoding of the update attribute's post values serves the count
+        and the sum regressor alike.  Built by the first fit whose target is not
+        constant, or here on demand (a constant target reads no encoder)."""
+        return self._feature_encoder().encoders[attribute]
+
+    def _feature_encoder(self) -> FeatureEncoder:
+        if self._encoder is None:
+            fit = lambda a: ColumnEncoder.fit(a, self._training_values(a))  # noqa: E731
+            attributes = self.feature_attributes
+            self._encoder = FeatureEncoder(
+                {a: self._memo(("encoder", a), partial(fit, a), (a,)) for a in attributes},
+                attributes,
+            )
+        return self._encoder
 
     def predict_rows(
         self,
@@ -400,9 +411,10 @@ class PostUpdateEstimator:
         A target with one value ``c`` there (the count target of a ``FOR`` that
         reads no post value is 1 on every row) predicts exactly ``c``
         (:meth:`~repro.ml.density.ConditionalMeanRegressor.fit_constant`) and is
-        checked before the Gram factor or the design is touched, so it builds no
-        Gram block, ``Xᵀy`` product, design or tree.  Any other target is fitted
-        on the shared blocks and factor (linear / ridge) or design (forest).
+        checked before anything else is built, so it fits no encoder and builds
+        no training block, Gram block, ``Xᵀy`` product, design or tree.  Any
+        other target is fitted on the shared encoder and blocks and factor
+        (linear / ridge) or design (forest), the first such fit building them.
         """
         if len(target) != len(self.view):
             raise QuerySemanticsError("the training target must align with the view rows")
@@ -412,13 +424,6 @@ class PostUpdateEstimator:
             random_state=self.config.random_state,
             regressor_params=self.config.regressor_params(),
         )
-        if self._encoder is None:
-            fit = lambda a: ColumnEncoder.fit(a, self._training_values(a))  # noqa: E731
-            attributes = self.feature_attributes
-            self._encoder = FeatureEncoder(
-                {a: self._memo(("encoder", a), partial(fit, a), (a,)) for a in attributes},
-                attributes,
-            )
         target = self._at_training_rows(target)
         if target.size and (target == target[0]).all():
             # a constant target is its own estimate, exactly (a mean would round)
@@ -435,16 +440,16 @@ class PostUpdateEstimator:
             memo = None if key is None else lambda name, build: self._memo(
                 ("xty", name, key), build, (name, *self.outcome_attributes)
             )
-            regressor.fit_design(self._encoder, blocks, target, self._factor, memo)
+            regressor.fit_design(self._feature_encoder(), blocks, target, self._factor, memo)
         else:
             design = self._design
             if design is None:
-                design = self._encoder.design(
+                design = self._feature_encoder().design(
                     {a: self._training_values(a) for a in self.feature_attributes}
                 )
                 if keep_design:
                     self._design = design
-            regressor.fit_design(self._encoder, design, target)
+            regressor.fit_design(self._feature_encoder(), design, target)
         with self._fit_lock:
             self._n_regressor_fits += 1
         return regressor

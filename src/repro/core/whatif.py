@@ -429,7 +429,12 @@ def causal_contribution_rows(
     (all in scope), predicts each regressor once over the encoded
     ``(k, |idx|)`` block — row-stable, so each variant's row is bitwise what
     it predicts alone — and adds each row at the term's positions among the
-    term rows.  Everything else — masks, the output column, the
+    term rows.  A term whose regressor is constant
+    (:attr:`~repro.ml.density.ConditionalMeanRegressor.constant`) reads no post
+    value, so nothing is encoded or predicted for it: it adds its one number
+    (clipped for a count) to every variant, into one row they share when it
+    is the plan's only term.  Everything else — masks, the output column (built
+    only when a sum side or a sum target reads it), the
     unaffected-row bases and their sums, the term rows, each term's ``idx``,
     its positions and ``pre[idx]`` and, inside
     :meth:`PostUpdateEstimator.predict_rows`, what the backdoor attributes
@@ -467,12 +472,15 @@ def causal_contribution_rows(
             )
         return blocks
 
-    output_values = _derive(
-        kernels,
-        ("output_values", query.output_attribute),
-        lambda: numeric_output_column(view, query.output_attribute),
-        (query.output_attribute,),
-    )
+    @cache
+    def output_values(of: Relation) -> np.ndarray:
+        # built only when a sum side or a sum target reads it
+        attribute = query.output_attribute
+        if of is not view:
+            return numeric_output_column(of, attribute)
+        build = partial(numeric_output_column, view, attribute)
+        return _derive(kernels, ("output_values", attribute), build, (attribute,))
+
     pre_masks = _pre_masks(prepared)
     # Post-part indicators evaluated on the observed data.
     post_masks = [
@@ -501,7 +509,7 @@ def causal_contribution_rows(
         sum_reads = (*reads, query.output_attribute)
         sum_base = _derive(
             kernels, ("sum_base", when_key, for_key, query.output_attribute),
-            lambda: np.where(~scope & qualifies_pre, output_values, 0.0), sum_reads,
+            lambda: np.where(~scope & qualifies_pre, output_values(view), 0.0), sum_reads,
         )
         sum_total = _derive(
             kernels, ("sum_total", when_key, for_key, query.output_attribute),
@@ -522,21 +530,34 @@ def causal_contribution_rows(
         # regressor-cache miss: the joint post-part indicator of the subset,
         # times the output value for sum targets.
         @cache
-        def _fit_arrays() -> tuple[list[np.ndarray], np.ndarray]:
+        def _fit_post_masks() -> list[np.ndarray]:
             if fit_view is view:
-                return post_masks, output_values
-            return (
-                [evaluate_mask(d.post, fit_view) for d in prepared.disjuncts],
-                numeric_output_column(fit_view, query.output_attribute),
-            )
+                return post_masks
+            return [evaluate_mask(d.post, fit_view) for d in prepared.disjuncts]
 
         def _target(subset: tuple[int, ...], scaled: bool) -> np.ndarray:
-            fit_post_masks, fit_output = _fit_arrays()
+            fit_post_masks = _fit_post_masks()
             joint_post = np.ones(len(fit_view), dtype=bool)
             for j in subset:
                 joint_post &= fit_post_masks[j]
             target = joint_post.astype(float)
-            return fit_output * target if scaled else target
+            return output_values(fit_view) * target if scaled else target
+
+        def _term(regressor, updated, idx, idx_token, negative: bool, clip: bool):
+            """Every variant's signed term: a constant regressor's number, else its rows."""
+            value = regressor.constant
+            if value is None:
+                value = estimator.predict_rows(
+                    regressor, view, updated, idx, kernels=kernels, idx_token=idx_token,
+                    idx_reads=reads,
+                )
+                if clip:
+                    np.clip(value, 0.0, 1.0, out=value)
+            elif clip:
+                value = min(max(value, 0.0), 1.0)
+            if negative:
+                value *= -1.0
+            return value
 
         subsets = _subset_index_list(len(prepared.disjuncts))
         for subset in subsets:
@@ -549,31 +570,24 @@ def causal_contribution_rows(
                 kernels, ("at", when_key, for_key, subset), lambda: np.searchsorted(rows, idx),
                 reads,
             )
-            negative = len(subset) % 2 == 0
-            regressor = estimator.regressor_for(
+            negative, alone = len(subset) % 2 == 0, len(subsets) == 1
+            count_model = estimator.regressor_for(
                 regressor_cache_key("count", subset, for_key),
                 lambda s=subset: _target(s, False),
             )
-            updated = encoded_post(idx, idx_token)
-            prob = estimator.predict_rows(
-                regressor, view, updated, idx, kernels=kernels, idx_token=idx_token, idx_reads=reads
+            sum_model = None if not aggregate.needs_output_value else estimator.regressor_for(
+                regressor_cache_key("sum", subset, for_key, query.output_attribute),
+                lambda s=subset: _target(s, True),
             )
-            np.clip(prob, 0.0, 1.0, out=prob)
-            if negative:
-                prob *= -1.0
-            count_at = [_put_term(a, term, at, len(rows)) for a, term in zip(count_at, prob)]
-            if aggregate.needs_output_value:
-                regressor = estimator.regressor_for(
-                    regressor_cache_key("sum", subset, for_key, query.output_attribute),
-                    lambda s=subset: _target(s, True),
-                )
-                prediction = estimator.predict_rows(
-                    regressor, view, updated, idx, kernels=kernels, idx_token=idx_token,
-                    idx_reads=reads,
-                )
-                if negative:
-                    prediction *= -1.0
-                sum_at = [_put_term(a, term, at, len(rows)) for a, term in zip(sum_at, prediction)]
+            # the variants' post values, encoded only when a regressor reads them
+            updated = None
+            if count_model.constant is None or (sum_model and sum_model.constant is None):
+                updated = encoded_post(idx, idx_token)
+            prob = _term(count_model, updated, idx, idx_token, negative, clip=True)
+            count_at = _put_terms(count_at, prob, at, len(rows), alone)
+            if sum_model is not None:
+                prediction = _term(sum_model, updated, idx, idx_token, negative, clip=False)
+                sum_at = _put_terms(sum_at, prediction, at, len(rows), alone)
             n_terms += 1
         if k > 1:
             estimator.release_design()
@@ -596,14 +610,29 @@ def causal_contribution_rows(
     ]
 
 
+def _put_terms(
+    accumulated: list, term: np.ndarray | float, at: np.ndarray | None, n_rows: int, alone: bool
+) -> list[np.ndarray]:
+    """:func:`_put_term` of each variant's row of ``term``, or of the one number
+    ``term`` to every variant; the only term of a plan (``alone``) puts that
+    number into one row the variants share."""
+    if not isinstance(term, float):
+        return [_put_term(a, row, at, n_rows) for a, row in zip(accumulated, term)]
+    if alone:
+        return [_put_term(None, term, at, n_rows)] * len(accumulated)
+    return [_put_term(a, term, at, n_rows) for a in accumulated]
+
+
 def _put_term(
-    accumulated: np.ndarray | None, term: np.ndarray, at: np.ndarray | None, n_rows: int
+    accumulated: np.ndarray | None, term: np.ndarray | float, at: np.ndarray | None, n_rows: int
 ) -> np.ndarray:
-    """Add one signed term, fresh and owned, at the positions ``at`` of ``n_rows``
-    term rows (``None``: all of them).  Before the first term every position
-    holds the base's value there, ``+0.0``."""
+    """Add one signed term, fresh and owned or a number, at the positions ``at``
+    of ``n_rows`` term rows (``None``: all of them).  Before the first term
+    every position holds the base's value there, ``+0.0``."""
     if at is None:
         if accumulated is None:
+            if isinstance(term, float):
+                return np.full(n_rows, term + 0.0)
             term += 0.0
             return term
         accumulated += term

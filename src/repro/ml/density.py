@@ -170,6 +170,12 @@ class ConditionalMeanRegressor:
         self._target_mean, self._encoder, self._model = value, None, None
         return self
 
+    @property
+    def constant(self) -> float | None:
+        """The one value this regressor predicts at every row, whatever its
+        inputs, or ``None`` when its prediction reads the feature attributes."""
+        return self._target_mean if self._encoder is None or self._model is None else None
+
     def _new_model(self) -> Any:
         return make_regressor(
             self.regressor_kind, random_state=self.random_state, **dict(self.regressor_params)

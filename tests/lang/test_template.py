@@ -315,6 +315,26 @@ def test_a_shape_seen_once_costs_at_most_a_fifth_more_than_the_parser():
     assert min(memo for memo, _ in passes) <= 1.2 * min(full for _, full in passes)
 
 
+def test_a_shape_seen_once_is_parsed_once_and_never_compiled(monkeypatch):
+    """The work the wallclock bound above stands for, counted: a first
+    sighting runs the parser once and compiles no binder."""
+    texts = [SWEEP[k % 3].format(c=1.5).replace("Credit)", f"Credit{k})") for k in range(300)]
+    parsed = []
+
+    def parser(text):
+        parsed.append(text)
+        return parse_uncached(text)
+
+    def compile_(*args):
+        raise AssertionError("a first sighting compiled a binder")
+
+    monkeypatch.setattr(ShapeMemo, "_compile", compile_)
+    memo = ShapeMemo(parser)
+    for text in texts:
+        assert repr(memo.parse(text)) == repr(parse_uncached(text))
+    assert parsed == texts
+
+
 @pytest.mark.wallclock
 def test_a_sweep_of_one_shape_parses_three_times_faster():
     texts = [SWEEP[k % 3].format(c=round(0.5 + k / 4096, 6)) for k in range(600)]
